@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test bench fuzz lint deepvet staticcheck govulncheck examples load chaos bulk ingest-full
+.PHONY: verify fmt vet build test bench bench-smoke fuzz lint deepvet staticcheck govulncheck examples load chaos bulk ingest-full
 
 # verify = the CI `test` job: gofmt, vet, build, race-enabled tests.
 verify: fmt vet build test
@@ -30,39 +30,39 @@ build:
 test:
 	$(GO) test -race -shuffle=on ./...
 
-# bench = the hot-path benchmark set CI diffs with benchstat (text
-# pipeline, index add/search ± tombstones, snapshot save/load, refresh,
-# end-to-end surfacing — see scripts/bench-hotpath.sh).
-# BENCH_COUNT=6 reproduces CI's benchstat-grade sample count; pipe two
-# runs into benchstat to compare branches locally.
-BENCH_COUNT ?= 1
+# bench = deepbench, the repository's one benchmark (bench/README.md,
+# BENCHMARK.json): every workload, untraced then traced, results under
+# bench/out/. bench-smoke = the CI bench-smoke job: the same program on
+# a 3000-document corpus, a second per workload — it exercises every
+# path and checks every answer, and measures nothing.
 bench:
-	./scripts/bench-hotpath.sh $(BENCH_COUNT)
+	$(GO) run ./bench
+
+bench-smoke:
+	@set -e; for w in keyword-miss structured-miss cached-zipf; do \
+		$(GO) run ./bench -smoke --workload $$w; \
+	done
 
 # load = the CI load-smoke gate: a short Zipfian replay against an
 # in-process engine, with a quarter of the pool carrying typed filter
 # predicates so the structured-query path stays under load coverage.
-# Fails on any search error or a cold result cache, and writes the
-# BENCH_load.json artifact (see cmd/loadgen for the HTTP mode that
-# measures a live server instead).
+# Fails on any search error or a cold result cache (see cmd/loadgen for
+# the HTTP mode that drives a live server instead). Performance claims
+# are deepbench's (`make bench`), not this smoke's.
 load:
-	$(GO) run ./cmd/loadgen -sites 1 -rows 120 -c 4 -duration 3s -filtered 0.25 -min-hit-ratio 0.5 -out BENCH_load.json
+	$(GO) run ./cmd/loadgen -sites 1 -rows 120 -c 4 -duration 3s -filtered 0.25 -min-hit-ratio 0.5 -out ""
 
-# bulk = the CI ingest-ladder gate at its 100k rung: generate a
-# 100k-record world (internal/bulkgen) and run the memory-bounded
-# spill-to-disk snapshot build, gating on throughput and peak heap and
-# writing BENCH_ingest.json. `make ingest-full` is the 1M-row rung —
-# minutes of wall clock, so it never runs in CI; the peak-heap ceiling
-# is what makes it interesting: 10x the docs must not mean 10x the
-# memory.
+# bulk = generate a 100k-record world (internal/bulkgen), run the
+# memory-bounded spill-to-disk snapshot build and Load-verify the
+# result; ingest-full is the same at 1M rows (minutes of wall clock).
+# They leave a snapshot to serve (`deepsearch -snapshot $(BULK_DIR)`);
+# the build's measured throughput and memory are deepbench metrics.
 BULK_DIR ?= /tmp/deepweb-bulk
 bulk:
-	$(GO) run ./cmd/deepcrawl -bulk 100000 -out $(BULK_DIR) \
-		-ingestout BENCH_ingest.json -min-docs-per-sec 2000 -max-peak-mb 1024
+	$(GO) run ./cmd/deepcrawl -bulk 100000 -out $(BULK_DIR)
 
 ingest-full:
-	$(GO) run ./cmd/deepcrawl -bulk 1000000 -out $(BULK_DIR) \
-		-ingestout BENCH_ingest.json -min-docs-per-sec 2000 -max-peak-mb 2048
+	$(GO) run ./cmd/deepcrawl -bulk 1000000 -out $(BULK_DIR)
 
 # examples = the CI examples-smoke job: every worked example must
 # build and run against the current API.
@@ -81,10 +81,12 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/engine
 	$(GO) run ./cmd/deepcrawl -sites 1 -rows 60 -chaos -chaosseed 7
 
-# fuzz = the CI fuzz-smoke job (differential tokenizer fuzzing).
+# fuzz = the CI fuzz-smoke job: differential tokenizer fuzzing, then
+# arbitrary bodies through every snapshot segment decoder.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textutil
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME) ./internal/store
 
 # lint = the CI lint job: the project's own analyzers first (no
 # install, works offline), then the pinned external tools (network

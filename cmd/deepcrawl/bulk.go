@@ -3,75 +3,32 @@ package main
 // The bulk-ingest path: -bulk N sidesteps surfacing entirely and
 // pushes N generated records through the engine's streaming ingest,
 // either in RAM (no -out) or as a memory-bounded spill-to-disk
-// snapshot build (-out DIR). It exists to answer the scaling question
-// the per-site report cannot: what does a million-row world cost in
-// wall clock and peak memory? The run writes a JSON report
-// (-ingestout) and exits non-zero when the -min-docs-per-sec or
-// -max-peak-mb gates fail — CI's ingest ladder is this command at
-// 10k/100k (and 1M under `make ingest-full`).
+// snapshot build (-out DIR), printing throughput and peak heap. It is
+// the hand tool for producing a large snapshot to serve or inspect;
+// the measured, gated numbers for the same path come from deepbench
+// (bench/README.md).
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"deepweb/internal/bulkgen"
 	"deepweb/internal/engine"
-	"deepweb/internal/index"
 	"deepweb/internal/memwatch"
 )
 
-// IngestReport is the JSON artifact of one -bulk run (-ingestout).
-// Field names are a contract: the CI ingest-ladder job and the README
-// scaling table read them.
-type IngestReport struct {
-	Mode       string  `json:"mode"` // "ram" or "spill"
-	Docs       int     `json:"docs"`
-	Sites      int     `json:"sites"`
-	Shards     int     `json:"shards"`
-	Batch      int     `json:"batch"`
-	SpillDocs  int     `json:"spill_docs"`
-	Workers    int     `json:"workers"`
-	ElapsedSec float64 `json:"elapsed_sec"`
-	DocsPerSec float64 `json:"docs_per_sec"`
-	PeakHeapMB float64 `json:"peak_heap_mb"`
-	SpillRuns  int     `json:"spill_runs"`
-	Postings   int64   `json:"postings"`
-}
-
-// runBulk generates a docs-row world and ingests it end to end,
-// reporting throughput and peak heap. With outDir it runs the
-// spill-to-disk snapshot build and Load-verifies the result; without,
-// the batched in-RAM ingest.
-func runBulk(docs, sites int, seed int64, batch, spill, shards, workers int,
-	outDir, ingestOut string, minDocsPerSec, maxPeakMB float64) {
+// runBulk generates a docs-row world and ingests it end to end. With
+// outDir it runs the spill-to-disk snapshot build and Load-verifies
+// the result; without, the batched in-RAM ingest. Zero batch, spill
+// and shards mean the engine's defaults.
+func runBulk(docs, sites int, seed int64, batch, spill, shards, workers int, outDir string) {
 	world, err := bulkgen.NewWorld(bulkgen.Spec{Seed: seed, Docs: docs, Sites: sites})
 	if err != nil {
 		log.Fatalf("deepcrawl: %v", err)
 	}
-	rep := IngestReport{
-		Mode:      "ram",
-		Docs:      docs,
-		Sites:     world.NumSites(),
-		Shards:    shards,
-		Batch:     batch,
-		SpillDocs: spill,
-		Workers:   workers,
-	}
-	if rep.Shards <= 0 {
-		rep.Shards = index.DefaultShards
-	}
-	if rep.Batch <= 0 {
-		rep.Batch = engine.DefaultBulkBatch
-	}
-	if rep.SpillDocs <= 0 {
-		rep.SpillDocs = engine.DefaultSpillDocs
-	}
-	fmt.Printf("bulk: %d docs over %d sites (%d workers, batch %d)\n",
-		docs, rep.Sites, workers, rep.Batch)
+	fmt.Printf("bulk: %d docs over %d sites (%d workers)\n", docs, world.NumSites(), workers)
 
 	src := world.Source(workers)
 	defer src.Close()
@@ -79,7 +36,6 @@ func runBulk(docs, sites int, seed int64, batch, spill, shards, workers int,
 	start := time.Now()
 	var stats engine.BulkStats
 	if outDir != "" {
-		rep.Mode = "spill"
 		stats, err = engine.BulkBuild(context.Background(), src, outDir, engine.BulkBuildOptions{
 			Docs: docs, Shards: shards, Batch: batch, SpillDocs: spill, Workers: workers,
 		})
@@ -93,15 +49,9 @@ func runBulk(docs, sites int, seed int64, batch, spill, shards, workers int,
 	if err != nil {
 		log.Fatalf("deepcrawl: bulk ingest: %v", err)
 	}
-
-	rep.ElapsedSec = elapsed.Seconds()
-	rep.DocsPerSec = float64(stats.Docs) / elapsed.Seconds()
-	rep.PeakHeapMB = memwatch.PeakMB(peak)
-	rep.SpillRuns = stats.Runs
-	rep.Postings = stats.Postings
 	fmt.Printf("bulk: %d docs in %v — %.0f docs/s, peak heap %.1f MB",
-		stats.Docs, elapsed.Round(time.Millisecond), rep.DocsPerSec, rep.PeakHeapMB)
-	if rep.Mode == "spill" {
+		stats.Docs, elapsed.Round(time.Millisecond), float64(stats.Docs)/elapsed.Seconds(), memwatch.PeakMB(peak))
+	if outDir != "" {
 		fmt.Printf(", %d spill runs, %d postings merged", stats.Runs, stats.Postings)
 	}
 	fmt.Println()
@@ -118,24 +68,5 @@ func runBulk(docs, sites int, seed int64, batch, spill, shards, workers int,
 		}
 		fmt.Printf("bulk: snapshot verified — %d docs load from %s (generation %08x)\n",
 			loaded.Index.Len(), outDir, loaded.Generation)
-	}
-
-	if ingestOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(ingestOut, append(buf, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("bulk: wrote %s\n", ingestOut)
-	}
-
-	// CI gates.
-	if minDocsPerSec > 0 && rep.DocsPerSec < minDocsPerSec {
-		log.Fatalf("deepcrawl: %.0f docs/s below -min-docs-per-sec %.0f", rep.DocsPerSec, minDocsPerSec)
-	}
-	if maxPeakMB > 0 && rep.PeakHeapMB > maxPeakMB {
-		log.Fatalf("deepcrawl: peak heap %.1f MB exceeds -max-peak-mb %.1f", rep.PeakHeapMB, maxPeakMB)
 	}
 }

@@ -26,16 +26,14 @@
 // With -bulk N it skips surfacing and streams N generated records
 // (internal/bulkgen) through the ingest pipeline — in RAM, or as a
 // memory-bounded spill-to-disk snapshot build when -out is given —
-// reporting docs/sec and peak heap, with optional CI gates. See
-// bulk.go.
+// reporting docs/sec and peak heap. See bulk.go.
 //
 // Usage:
 //
 //	deepcrawl [-sites N] [-rows N] [-seed N] [-workers N] [-naive] [-post N] [-out DIR]
 //	deepcrawl [world flags] -refresh DIR [-churn N] [-churnseed N] [-out DIR]
 //	deepcrawl [world flags] -chaos [-chaosseed N]
-//	deepcrawl -bulk N [-bulksites N] [-batch N] [-spill N] [-shards N] [-out DIR] \
-//	          [-ingestout BENCH_ingest.json] [-min-docs-per-sec N] [-max-peak-mb N]
+//	deepcrawl -bulk N [-bulksites N] [-batch N] [-spill N] [-shards N] [-out DIR]
 package main
 
 import (
@@ -75,9 +73,6 @@ func main() {
 	batch := flag.Int("batch", 0, "with -bulk: documents per ordered-commit batch (0 = default)")
 	spill := flag.Int("spill", 0, "with -bulk -out: flush in-RAM postings to a sorted on-disk run every N docs (0 = default)")
 	bulkShards := flag.Int("shards", 0, "with -bulk -out: index shard count of the built snapshot (0 = default)")
-	ingestOut := flag.String("ingestout", "", "with -bulk: write the ingest report JSON here (\"\" disables)")
-	minDocsPerSec := flag.Float64("min-docs-per-sec", 0, "with -bulk: exit non-zero below this throughput (0 = no gate)")
-	maxPeakMB := flag.Float64("max-peak-mb", 0, "with -bulk: exit non-zero above this peak heap in MB (0 = no gate)")
 	flag.Parse()
 	log.SetFlags(0)
 	// Fail bad sizes loudly at startup — a zero or negative world size
@@ -94,8 +89,7 @@ func main() {
 	}
 
 	if *bulk > 0 {
-		runBulk(*bulk, *bulkSites, *seed, *batch, *spill, *bulkShards, *workers,
-			*out, *ingestOut, *minDocsPerSec, *maxPeakMB)
+		runBulk(*bulk, *bulkSites, *seed, *batch, *spill, *bulkShards, *workers, *out)
 		return
 	}
 

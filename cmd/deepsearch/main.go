@@ -12,11 +12,6 @@
 // The server carries production manners (via internal/httpx):
 // read/write timeouts and graceful shutdown on SIGINT/SIGTERM.
 //
-// Deprecated: the pre-/v1 /api/search alias is retired and answers
-// 410 Gone (with the /v1/search replacement in the envelope) unless
-// the server is started with -legacy, which restores the forwarding
-// alias temporarily for unmigrated clients.
-//
 // With -snapshot it skips world building and surfacing entirely and
 // warm-starts from a directory written by `deepcrawl -out`, answering
 // its first query in milliseconds. Startup logs each phase's duration
@@ -74,7 +69,6 @@ func main() {
 	annotated := flag.Bool("annotated", false, "rank the HTML page with §5.1 annotations (the /v1 API takes ?annotated=true per request)")
 	snapshot := flag.String("snapshot", "", "warm-start from a snapshot directory (skips build + surfacing)")
 	cacheCap := flag.Int("cache", 4096, "result cache capacity in entries (0 disables caching)")
-	legacy := flag.Bool("legacy", false, "serve the deprecated pre-/v1 /api/search alias (default: answer it 410 Gone)")
 	debugAddr := flag.String("debugaddr", "", "listen address for the pprof debug mux (e.g. localhost:6060; empty disables)")
 	flag.Parse()
 	log.SetFlags(0)
@@ -185,27 +179,11 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", apiSrv)
 	mux.Handle("/healthz", apiSrv)
-	// The pre-/v1 /api/search alias is retired: by default it answers
-	// 410 Gone pointing at /v1/search. -legacy restores the old
-	// forwarding behavior (the response is the richer /v1 shape; the
-	// old endpoint ranked with the -annotated flag, so the alias
-	// carries it over unless the caller asks explicitly) for clients
-	// that have not migrated yet.
-	if *legacy {
-		mux.HandleFunc("/api/search", func(rw http.ResponseWriter, r *http.Request) {
-			r2 := r.Clone(r.Context())
-			r2.URL.Path = "/v1/search"
-			if *annotated && r2.URL.Query().Get("annotated") == "" {
-				qs := r2.URL.Query()
-				qs.Set("annotated", "true")
-				r2.URL.RawQuery = qs.Encode()
-			}
-			apiSrv.ServeHTTP(rw, r2)
-		})
-	} else {
-		mux.Handle("/api/search", api.LegacyGone(map[string]string{"/api/search": "/v1/search"}))
-	}
 	mux.HandleFunc("/", func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			httpx.WriteError(rw, http.StatusNotFound, httpx.CodeNotFound, r.URL.Path+" is not served here")
+			return
+		}
 		q := r.URL.Query().Get("q")
 		rw.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprintf(rw, `<html><body><h1>deepsearch</h1>

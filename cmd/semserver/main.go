@@ -12,12 +12,6 @@
 //	GET /v1/admin/stats
 //	GET /healthz
 //
-// Deprecated: the pre-/v1 flat paths (/synonyms, /autocomplete,
-// /values, /properties, /tablesearch) are retired and answer 410 Gone
-// naming their /v1/semantics replacements, unless the server is
-// started with -legacy, which restores them temporarily for
-// unmigrated clients.
-//
 // The server carries production manners (via internal/httpx):
 // read/write timeouts and graceful shutdown on SIGINT/SIGTERM.
 //
@@ -36,7 +30,6 @@ import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"time"
 
 	"deepweb/internal/api"
@@ -52,7 +45,6 @@ func main() {
 	rows := flag.Int("rows", 150, "rows per site")
 	seed := flag.Int64("seed", 42, "world seed")
 	snapshot := flag.String("snapshot", "", "warm-start from a snapshot directory (skips build + crawl)")
-	legacy := flag.Bool("legacy", false, "serve the deprecated pre-/v1 flat paths (/synonyms, …; default: answer them 410 Gone)")
 	debugAddr := flag.String("debugaddr", "", "listen address for the pprof debug mux (e.g. localhost:6061; empty disables)")
 	flag.Parse()
 	log.SetFlags(0)
@@ -87,28 +79,9 @@ func main() {
 	log.Printf("phase listen: serving on %s after %v startup", *addr, time.Since(begin).Round(time.Microsecond))
 
 	httpx.ServeDebug(*debugAddr)
-	flat := sem.Server()
-	apiSrv := api.New(api.Options{Semantics: flat})
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", apiSrv)
-	mux.Handle("/healthz", apiSrv)
-	// The pre-/v1 flat paths are retired: by default each answers 410
-	// Gone naming its /v1/semantics replacement. -legacy restores the
-	// old handlers (same envelope, same method enforcement) for
-	// clients that have not migrated yet.
-	if *legacy {
-		mux.Handle("/", flat)
-	} else {
-		mux.Handle("/", api.LegacyGone(map[string]string{
-			"/synonyms":     "/v1/semantics/synonyms",
-			"/autocomplete": "/v1/semantics/autocomplete",
-			"/values":       "/v1/semantics/values",
-			"/properties":   "/v1/semantics/properties",
-			"/tablesearch":  "/v1/semantics/tables",
-		}))
-	}
-
-	if err := httpx.Serve(context.Background(), *addr, mux); err != nil {
+	// The whole surface is the /v1 server: anything it does not route
+	// answers the shared 404 envelope.
+	if err := httpx.Serve(context.Background(), *addr, api.New(api.Options{Semantics: sem.Server()})); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -36,8 +36,8 @@ func (e *Engine) commit(docs []index.Doc) {
 
 // sneaky mutates with neither a bump nor a marker.
 func (e *Engine) sneaky(d index.Doc) {
-	e.Index.Add(d)      // want `sneaky mutates the index but neither calls bumpEpoch`
-	e.Index.Search("q") // ok: read-only
+	e.Index.Add(d)    // want `sneaky mutates the index but neither calls bumpEpoch`
+	e.Index.TopK("q") // ok: read-only
 }
 
 // reindex shows every mutator is covered, not just Add.

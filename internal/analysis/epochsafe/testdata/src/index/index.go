@@ -35,8 +35,8 @@ func (ix *Index) Compact() {}
 
 func (ix *Index) ImportDocs(docs []Doc) error { return nil }
 
-// Search is read-only: callable from anywhere.
-func (ix *Index) Search(q string) []int { return nil }
+// TopK is read-only: callable from anywhere.
+func (ix *Index) TopK(q string) []int { return nil }
 
 // Has is read-only.
 func (ix *Index) Has(url string) bool { _, ok := ix.docs[url]; return ok }

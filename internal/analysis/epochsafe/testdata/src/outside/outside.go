@@ -12,7 +12,7 @@ func Mutate(ix *index.Index, d index.Doc) {
 }
 
 func Read(ix *index.Index) bool {
-	_ = ix.Search("q")       // ok: read-only
+	_ = ix.TopK("q")         // ok: read-only
 	return ix.Has("http://") // ok: read-only
 }
 

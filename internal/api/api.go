@@ -154,9 +154,10 @@ func New(opts Options) *Server {
 		s.mux.HandleFunc("/v1/semantics/properties", opts.Semantics.Properties)
 		s.mux.HandleFunc("/v1/semantics/tables", opts.Semantics.TableSearch)
 	}
-	// Everything else under /v1/ is a spelled-out 404, in the envelope,
-	// instead of Go's text/plain default.
-	s.mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
+	// Everything else — under /v1/ or, when the server is mounted whole,
+	// anywhere — is a spelled-out 404, in the envelope, instead of Go's
+	// text/plain default.
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusNotFound, httpx.CodeNotFound,
 			r.URL.Path+" is not a /v1 endpoint on this server")
 	})

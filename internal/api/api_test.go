@@ -287,32 +287,19 @@ func TestDerivedStats(t *testing.T) {
 	}
 }
 
-// The retired legacy surface: known paths answer 410 with the
-// replacement (query string preserved), unknown paths the shared 404
-// envelope — both in the one JSON dialect.
-func TestLegacyGone(t *testing.T) {
-	h := LegacyGone(map[string]string{
-		"/api/search": "/v1/search",
-		"/synonyms":   "/v1/semantics/synonyms",
-	})
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/search?q=ford&k=3", nil))
-	if rec.Code != 410 {
-		t.Fatalf("retired path: status %d, want 410\n%s", rec.Code, rec.Body.String())
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type %q", ct)
-	}
-	body := rec.Body.String()
-	if !strings.Contains(body, `"code":"gone"`) || !strings.Contains(body, "/v1/search?q=ford") {
-		t.Errorf("410 envelope lacks code/replacement: %s", body)
-	}
-	checkGolden(t, "legacy_gone", rec.Body.Bytes())
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/nosuch", nil))
-	if rec.Code != 404 || !strings.Contains(rec.Body.String(), `"code":"not_found"`) {
-		t.Errorf("unknown path: status %d body %s", rec.Code, rec.Body.String())
+// Mounted whole, the server answers every path it does not route —
+// the long-retired pre-/v1 aliases included — with the shared 404
+// envelope, never Go's text/plain default.
+func TestUnroutedPathsAnswer404Envelope(t *testing.T) {
+	s := testServer(t, Options{})
+	for _, path := range []string{"/api/search?q=ford&k=3", "/synonyms?attr=make", "/nosuch"} {
+		rec := do(s, "GET", path)
+		if rec.Code != 404 || !strings.Contains(rec.Body.String(), `"code":"not_found"`) {
+			t.Errorf("%s: status %d body %s", path, rec.Code, rec.Body.String())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", path, ct)
+		}
 	}
 }
 

@@ -68,9 +68,6 @@ func IngestURLs(ctx context.Context, f *webx.Fetcher, ix DocSink, source string,
 // applied per fetched page ("the pages we extract should neither have
 // too many results on a single surfaced page nor too few").
 func IngestURLsFiltered(ctx context.Context, f *webx.Fetcher, ix DocSink, source string, urls []string, followNext int, filt IngestFilter) IngestStats {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var st IngestStats
 	for _, u := range urls {
 		if ctx.Err() != nil {

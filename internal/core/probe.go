@@ -144,9 +144,6 @@ type keywordInfo struct {
 // the same loop internally. A canceled context stops the loop between
 // probe submissions and returns the keywords selected so far.
 func ProbeKeywords(ctx context.Context, f *webx.Fetcher, fm *form.Form, input string, seeds []string, cfg Config) []string {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s := NewSurfacer(f, cfg)
 	s.prober = &prober{fetch: f, budget: cfg.ProbeBudget}
 	kws := s.probeSearchBox(ctx, fm, input, form.Binding{}, seeds)

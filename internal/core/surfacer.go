@@ -100,9 +100,6 @@ func NewSurfacer(f *webx.Fetcher, cfg Config) *Surfacer {
 // canceled run stops issuing traffic within one probe round-trip and
 // returns ctx.Err() instead of a partial result.
 func (s *Surfacer) SurfaceSite(ctx context.Context, homeURL string) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s.prober = &prober{fetch: s.Fetch, budget: s.Cfg.ProbeBudget}
 	res := &Result{}
 

@@ -242,7 +242,7 @@ func TestIngestSurfacedURLs(t *testing.T) {
 	}
 	// A department query must now hit a surfaced page of this site.
 	dept := site.Table.DistinctStrings("department")[0]
-	hits := ix.Search(dept, 5)
+	hits, _, _ := ix.TopK(context.Background(), dept, 5, 0, nil)
 	if len(hits) == 0 {
 		t.Fatalf("no hits for surfaced department %q", dept)
 	}

@@ -16,8 +16,8 @@ import (
 )
 
 // The acceptance bar of the API redesign: Search(ctx, SearchRequest{
-// Query, K}) must be bit-identical to the pre-redesign positional
-// Index.Search(q, k) — same ids, same float score bits, same tie order
+// Query, K}) must be bit-identical to the index's own first page,
+// Index.TopK(ctx, q, k, 0, nil) — same ids, same float score bits, same tie order
 // — across shard counts, on a cold-built engine and on a
 // snapshot-loaded one.
 func TestSearchBitIdenticalToIndexSearch(t *testing.T) {
@@ -39,13 +39,13 @@ func TestSearchBitIdenticalToIndexSearch(t *testing.T) {
 		for name, e := range map[string]*Engine{"cold": cold, "loaded": loaded} {
 			for _, q := range persistQueries {
 				for _, k := range []int{1, 3, 10, 100} {
-					want := e.Index.Search(q, k)
+					want := search(e.Index, q, k)
 					resp, err := e.Search(context.Background(), SearchRequest{Query: q, K: k})
 					if err != nil {
 						t.Fatalf("shards=%d %s: Search(%q,%d): %v", shards, name, q, k, err)
 					}
 					if !reflect.DeepEqual(resp.Results, want) {
-						t.Fatalf("shards=%d %s: Search(%q,%d) differs from Index.Search", shards, name, q, k)
+						t.Fatalf("shards=%d %s: Search(%q,%d) differs from Index.TopK", shards, name, q, k)
 					}
 					for i := range want {
 						if math.Float64bits(resp.Results[i].Score) != math.Float64bits(want[i].Score) {
@@ -56,7 +56,7 @@ func TestSearchBitIdenticalToIndexSearch(t *testing.T) {
 						t.Fatalf("shards=%d %s: total %d < page size %d", shards, name, resp.Total, len(want))
 					}
 					// Annotated path too.
-					wantAnn := e.Index.AnnotatedSearch(q, k)
+					wantAnn := annotatedSearch(e.Index, q, k)
 					respAnn, err := e.Search(context.Background(), SearchRequest{Query: q, K: k, Annotated: true})
 					if err != nil || !reflect.DeepEqual(respAnn.Results, wantAnn) {
 						t.Fatalf("shards=%d %s: annotated Search(%q,%d) differs (err=%v)", shards, name, q, k, err)

@@ -3,8 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"os"
-	"sort"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -22,22 +21,18 @@ import (
 //     assigned in stream order, one table lock per batch instead of
 //     per document.
 //
-//   - BulkBuild never builds an index at all. It streams documents
-//     straight to a snapshot directory: the docs segment through
-//     store.DocsWriter, postings through an in-RAM accumulator that
+//   - BulkBuild never builds an index at all. It tokenizes the stream
+//     and hands every document to the same store.Writer Save uses,
+//     which streams the docs segment, accumulates postings in RAM,
 //     spills sorted runs to disk every SpillDocs documents and k-way
 //     merges them into the final per-shard segments. Peak memory is
 //     the spill window plus one shard's merged postings — independent
-//     of corpus size. The merged output is byte-identical to
-//     Save after BulkIngest of the same stream **except** for the
-//     term→shard assignment: the in-RAM index shards by a per-process
-//     random maphash seed, the disk build by stable FNV-1a. Scores,
-//     ids and tie order are still bit-identical after Load, because
-//     scoring merges across shards (property-tested).
+//     of corpus size.
 //
-// Sharding by FNV-1a also makes the build reproducible: the same
-// stream yields byte-identical snapshot directories regardless of
-// worker count, batch size, or spill budget.
+// Both paths place terms with index.ShardOf, so the directory BulkBuild
+// writes is byte-identical — every file — to Save after BulkIngest of
+// the same stream, regardless of worker count, batch size, spill
+// budget or process (property-tested).
 
 // BulkSource streams documents in a deterministic order. Next returns
 // the next document, its annotations (nil for none), and ok=false when
@@ -100,9 +95,6 @@ func NewEmpty() *Engine { return newEngine() }
 // documents one by one. A canceled ctx stops between batches; documents
 // committed before cancellation stay (and the epoch still bumps).
 func (e *Engine) BulkIngest(ctx context.Context, src BulkSource, opts BulkOptions) (BulkStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	batch := opts.Batch
 	if batch <= 0 {
 		batch = DefaultBulkBatch
@@ -115,15 +107,7 @@ func (e *Engine) BulkIngest(ctx context.Context, src BulkSource, opts BulkOption
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		docs, anns = docs[:0], anns[:0]
-		for len(docs) < batch {
-			d, a, ok := src.Next()
-			if !ok {
-				break
-			}
-			docs = append(docs, d)
-			anns = append(anns, a)
-		}
+		docs, anns = nextBatch(src, batch, docs[:0], anns[:0])
 		if len(docs) == 0 {
 			return stats, nil
 		}
@@ -142,6 +126,20 @@ func (e *Engine) BulkIngest(ctx context.Context, src BulkSource, opts BulkOption
 			e.trackDoc(docs[i].URL, ids[i])
 		}
 	}
+}
+
+// nextBatch appends up to batch documents of src, and their
+// annotations in step, to docs and anns.
+func nextBatch(src BulkSource, batch int, docs []index.Doc, anns []map[string]string) ([]index.Doc, []map[string]string) {
+	for len(docs) < batch {
+		d, a, ok := src.Next()
+		if !ok {
+			break
+		}
+		docs = append(docs, d)
+		anns = append(anns, a)
+	}
+	return docs, anns
 }
 
 // prepareAll tokenizes docs on up to workers goroutines, preserving
@@ -189,9 +187,6 @@ func prepareAll(workers int, docs []index.Doc) []*index.Prepared {
 // earlier completed build may remain, exactly as an interrupted Save
 // would leave one.
 func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOptions) (BulkStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var stats BulkStats
 	if opts.Docs <= 0 {
 		return stats, fmt.Errorf("engine: bulk build: Docs must be the exact stream length, got %d", opts.Docs)
@@ -215,208 +210,46 @@ func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOp
 	if workers < 1 {
 		workers = 1
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return stats, err
-	}
-	// Crash hygiene, as in Save: sweep a previous crashed writer's
-	// temp files and a previous crashed build's spill runs.
-	if err := store.CleanTmp(dir); err != nil {
-		return stats, fmt.Errorf("engine: bulk build: %w", err)
-	}
-	if err := store.CleanSpills(dir); err != nil {
-		return stats, fmt.Errorf("engine: bulk build: %w", err)
-	}
-
-	dw, err := store.NewDocsWriter(store.DocsPath(dir), shards, opts.Docs)
+	w, err := store.NewWriter(dir, shards, opts.Docs, spill)
 	if err != nil {
 		return stats, fmt.Errorf("engine: bulk build: %w", err)
 	}
-	fail := func(err error) (BulkStats, error) {
-		dw.Abort()
-		store.CleanSpills(dir)
-		return stats, err
-	}
+	defer w.Abort()
 
-	// Posting accumulator: term → ascending postings, sharded by
-	// stable FNV-1a so every run of the same stream spills and merges
-	// identically.
-	acc := make([]map[string][]index.Posting, shards)
-	for si := range acc {
-		acc[si] = map[string][]index.Posting{}
-	}
-	flushes, window := 0, 0
-	flushRuns := func(docsSoFar int) error {
-		wrote := false
-		for si, m := range acc {
-			if len(m) == 0 {
-				continue
-			}
-			terms := make([]index.TermPostings, 0, len(m))
-			for t, ps := range m {
-				terms = append(terms, index.TermPostings{Term: t, Postings: ps})
-			}
-			sort.Slice(terms, func(i, j int) bool { return terms[i].Term < terms[j].Term })
-			if err := store.WriteSpillRun(dir, flushes, shards, si, docsSoFar, terms); err != nil {
-				return err
-			}
-			stats.Runs++
-			wrote = true
-			acc[si] = map[string][]index.Posting{}
-		}
-		if wrote {
-			flushes++
-		}
-		window = 0
-		return nil
-	}
-
+	// Duplicate detection by 64-bit URL hash (the URLs themselves would
+	// outweigh the spill window).
+	seed := maphash.MakeSeed()
 	seen := make(map[uint64]struct{}, opts.Docs)
-	docID := 0
 	docs := make([]index.Doc, 0, batch)
 	anns := make([]map[string]string, 0, batch)
 	for {
 		if err := ctx.Err(); err != nil {
-			return fail(err)
+			return stats, err
 		}
-		docs, anns = docs[:0], anns[:0]
-		for len(docs) < batch {
-			d, a, ok := src.Next()
-			if !ok {
-				break
-			}
-			docs = append(docs, d)
-			anns = append(anns, a)
-		}
+		docs, anns = nextBatch(src, batch, docs[:0], anns[:0])
 		if len(docs) == 0 {
 			break
 		}
-		if docID+len(docs) > opts.Docs {
-			return fail(fmt.Errorf("engine: bulk build: stream longer than the declared %d docs", opts.Docs))
-		}
-		ps := prepareAll(workers, docs)
-		for i, p := range ps {
-			h := fnv64a(docs[i].URL)
+		for i, p := range prepareAll(workers, docs) {
+			h := maphash.String(seed, docs[i].URL)
 			if _, dup := seen[h]; dup {
-				return fail(fmt.Errorf("engine: bulk build: duplicate (or hash-colliding) URL %q", docs[i].URL))
+				return stats, fmt.Errorf("engine: bulk build: duplicate (or hash-colliding) URL %q", docs[i].URL)
 			}
 			seen[h] = struct{}{}
-			if err := dw.Add(docs[i], p.DocLen(), anns[i]); err != nil {
-				return fail(fmt.Errorf("engine: bulk build: %w", err))
+			// A stream longer than opts.Docs fails here, a shorter one
+			// at Commit: the writer holds the declared count.
+			if err := w.AddPrepared(p, anns[i]); err != nil {
+				return stats, fmt.Errorf("engine: bulk build: %w", err)
 			}
-			terms, tfs := p.Terms(), p.TermFreqs()
-			for j, t := range terms {
-				si := int(fnv64a(t) % uint64(shards))
-				acc[si][t] = append(acc[si][t], index.Posting{Doc: int32(docID), TF: tfs[j]})
-			}
-			stats.Postings += int64(len(terms))
-			docID++
-			window++
-			if window >= spill {
-				if err := flushRuns(docID); err != nil {
-					return fail(fmt.Errorf("engine: bulk build: %w", err))
-				}
-			}
+			stats.Docs++
+			stats.Postings += int64(len(p.Terms()))
 		}
 	}
-	if docID != opts.Docs {
-		return fail(fmt.Errorf("engine: bulk build: stream ended at %d of the declared %d docs", docID, opts.Docs))
-	}
-	if err := flushRuns(docID); err != nil {
-		return fail(fmt.Errorf("engine: bulk build: %w", err))
-	}
-	snapID, err := dw.Close()
-	if err != nil {
-		store.CleanSpills(dir)
+	// No refresh signatures: the empty meta segment Save writes for an
+	// engine that surfaced nothing keeps the directory Load-complete.
+	if _, err := w.Commit(workers, nil, nil); err != nil {
 		return stats, fmt.Errorf("engine: bulk build: %w", err)
 	}
-
-	// Merge each shard's sorted runs into its final postings segment.
-	// Within a term, concatenating the runs in flush order yields
-	// ascending doc ids — flushes happen in doc order — so the merged
-	// segment is independent of where the spill boundaries fell.
-	err = forEachShardN(workers, shards, func(si int) error {
-		paths, err := store.SpillRuns(dir, si)
-		if err != nil {
-			return err
-		}
-		runs := make([][]index.TermPostings, 0, len(paths))
-		for _, p := range paths {
-			terms, h, err := store.ReadSpillRun(p)
-			if err != nil {
-				return err
-			}
-			if h.Shards != uint32(shards) || h.ShardID != uint32(si) {
-				return fmt.Errorf("%s: run header (shards=%d id=%d) disagrees with build (shards=%d id=%d): %w",
-					p, h.Shards, h.ShardID, shards, si, store.ErrCorrupt)
-			}
-			runs = append(runs, terms)
-		}
-		return store.WritePostings(store.PostingsPath(dir, si), shards, si, opts.Docs, snapID, mergeRuns(runs))
-	})
-	if err != nil {
-		store.CleanSpills(dir)
-		return stats, fmt.Errorf("engine: bulk build merge: %w", err)
-	}
-	if err := store.CleanSpills(dir); err != nil {
-		return stats, fmt.Errorf("engine: bulk build: %w", err)
-	}
-	// An empty meta segment, exactly as Save writes for an engine with
-	// no refresh signatures: the directory stays Load-complete and
-	// byte-identical to the in-RAM path's output.
-	if err := store.WriteMeta(store.MetaPath(dir), &store.MetaSegment{}); err != nil {
-		return stats, fmt.Errorf("engine: bulk build meta: %w", err)
-	}
-	stats.Docs = docID
+	stats.Runs = w.Runs()
 	return stats, nil
-}
-
-// mergeRuns k-way merges per-run sorted term lists into one sorted
-// list, concatenating a term's postings across runs in run (= doc-id)
-// order. Linear scan over run heads: run counts are dozens, not
-// thousands, and the real cost is the postings append.
-func mergeRuns(runs [][]index.TermPostings) []index.TermPostings {
-	heads := make([]int, len(runs))
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]index.TermPostings, 0, total)
-	for {
-		best := ""
-		found := false
-		for ri, r := range runs {
-			if heads[ri] < len(r) {
-				if t := r[heads[ri]].Term; !found || t < best {
-					best, found = t, true
-				}
-			}
-		}
-		if !found {
-			return out
-		}
-		var ps []index.Posting
-		for ri, r := range runs {
-			if heads[ri] < len(r) && r[heads[ri]].Term == best {
-				ps = append(ps, r[heads[ri]].Postings...)
-				heads[ri]++
-			}
-		}
-		out = append(out, index.TermPostings{Term: best, Postings: ps})
-	}
-}
-
-// fnv64a is the stable term→shard hash of the disk build (the in-RAM
-// index uses a per-process maphash seed instead, so its shard layout
-// is deliberately not stable across processes).
-func fnv64a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
 }

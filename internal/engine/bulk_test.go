@@ -3,10 +3,13 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"testing"
 
 	"deepweb/internal/bulkgen"
@@ -99,14 +102,10 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 				t.Fatal("spill runs leaked after merge")
 			}
 
-			// The docs segments are byte-identical (same stream, same
-			// id order, same snapshot id). Postings segments differ in
-			// shard layout by design: maphash (per-process) vs FNV-1a.
-			da, _ := os.ReadFile(filepath.Join(ramDir, "docs.seg"))
-			db, _ := os.ReadFile(filepath.Join(spillDir, "docs.seg"))
-			if !bytes.Equal(da, db) {
-				t.Fatalf("docs segments differ (%d vs %d bytes)", len(da), len(db))
-			}
+			// The whole directories are byte-identical — docs, every
+			// postings shard, meta: same stream, same id order, same
+			// snapshot id, same index.ShardOf placement on both paths.
+			requireSameDir(t, "save-vs-bulkbuild", ramDir, spillDir)
 
 			ea, err := Load(ramDir)
 			if err != nil {
@@ -123,6 +122,34 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 
 			// Live RAM engine vs loaded spill build agree too.
 			requireSameResponses(t, "live-vs-spill", ram, eb)
+
+			// The tombstone path: delete every 7th document on the live
+			// engine and on the one loaded from the spill build, Save
+			// both — byte-identical again, and the saved snapshot serves
+			// like the mutated live index.
+			for id := 0; id < 3000; id += 7 {
+				if !ram.Index.Delete(id) || !eb.Index.Delete(id) {
+					t.Fatalf("delete doc %d failed", id)
+				}
+			}
+			ram.bumpEpoch()
+			eb.bumpEpoch()
+			delA, delB := t.TempDir(), t.TempDir()
+			if err := ram.Save(delA); err != nil {
+				t.Fatal(err)
+			}
+			if err := eb.Save(delB); err != nil {
+				t.Fatal(err)
+			}
+			requireSameDir(t, "save-with-tombstones", delA, delB)
+			reloaded, err := Load(delA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reloaded.Index.Deleted() != ram.Index.Deleted() || reloaded.Index.Deleted() == 0 {
+				t.Fatalf("tombstones: %d reloaded, %d live", reloaded.Index.Deleted(), ram.Index.Deleted())
+			}
+			requireSameResponses(t, "tombstoned-live-vs-reloaded", ram, reloaded)
 		})
 	}
 }
@@ -174,35 +201,55 @@ func TestBulkBuildByteIdenticalAcrossBudgets(t *testing.T) {
 		{Docs: 1500, Shards: 4, Batch: 1024, SpillDocs: 999, Workers: 4},
 		{Docs: 1500, Shards: 4, Batch: 512, SpillDocs: 1 << 20, Workers: 16},
 	}
-	var ref map[string][]byte
+	var ref string
 	for ci, opts := range configs {
 		dir := t.TempDir()
 		if _, err := BulkBuild(context.Background(), world.Source(opts.Workers), dir, opts); err != nil {
 			t.Fatal(err)
 		}
-		files := map[string][]byte{}
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range ents {
-			b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[ent.Name()] = b
-		}
-		if ref == nil {
-			ref = files
+		if ci == 0 {
+			ref = dir
 			continue
 		}
-		if len(files) != len(ref) {
-			t.Fatalf("config %d: %d files, ref has %d", ci, len(files), len(ref))
+		requireSameDir(t, fmt.Sprintf("config %d vs reference build", ci), ref, dir)
+	}
+}
+
+// The bytes BulkBuild writes are pinned: these digests of the whole
+// directory were computed at the commit before the single store.Writer
+// existed (8e8434d), in another process. With Save ≡ BulkBuild pinned
+// file by file above, they also pin Save across processes — nothing
+// about a snapshot depends on who wrote it or where.
+func TestBulkBuildDirectoryDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64; bulkgen's float ladders may round differently elsewhere")
+	}
+	want := map[int]string{
+		1:  "e9127c011a7a925c1d59a2fab28e60173b2324c6d7bd283ee4536d9fc5b8d264",
+		4:  "991a8dfeba63c6b2b0b8d1faee8c1b3c5739f974ba593ae8629d3b0bd26b70e0",
+		16: "14b1a1741f64cd94f2af5b138e603f3174666e0b426aa14b0b7359bdad78a066",
+	}
+	for _, shards := range []int{1, 4, 16} {
+		world := bulkWorld(t, 1234, 1500, 3)
+		dir := t.TempDir()
+		if _, err := BulkBuild(context.Background(), world.Source(2), dir, BulkBuildOptions{
+			Docs: 1500, Shards: shards, Batch: 128, SpillDocs: 400, Workers: 2,
+		}); err != nil {
+			t.Fatal(err)
 		}
-		for name, b := range files {
-			if !bytes.Equal(b, ref[name]) {
-				t.Fatalf("config %d: %s differs from reference build", ci, name)
-			}
+		files := readDir(t, dir)
+		names := make([]string, 0, len(files))
+		for name := range files {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		h := sha256.New()
+		for _, name := range names {
+			fmt.Fprintf(h, "%s %d\n", name, len(files[name]))
+			h.Write(files[name])
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[shards] {
+			t.Errorf("shards=%d: directory digest %s, want %s", shards, got, want[shards])
 		}
 	}
 }
@@ -253,9 +300,46 @@ func TestBulkIngestDeduplicates(t *testing.T) {
 
 func runsLeft(t *testing.T, dir string) int {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "spill-*.run"))
+	paths, err := filepath.Glob(filepath.Join(dir, "spill-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return len(paths)
+}
+
+// readDir returns every file of a snapshot directory by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[ent.Name()] = b
+	}
+	return files
+}
+
+// requireSameDir asserts two snapshot directories hold the same files
+// with the same bytes.
+func requireSameDir(t *testing.T, label, dirA, dirB string) {
+	t.Helper()
+	a, b := readDir(t, dirA), readDir(t, dirB)
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d files vs %d", label, len(a), len(b))
+	}
+	for name, want := range a {
+		got, ok := b[name]
+		if !ok {
+			t.Fatalf("%s: %s missing from the second directory", label, name)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %s differs (%d vs %d bytes)", label, name, len(want), len(got))
+		}
+	}
 }

@@ -297,9 +297,6 @@ func anyNotOK(reports map[string]SiteReport) bool {
 // returned. Sites already committed stay committed — cancellation never
 // corrupts the index.
 func (e *Engine) Surface(ctx context.Context, req SurfaceRequest) (SurfaceResponse, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	reports, err := e.surfacePipeline(ctx, e.Web.Sites(), pipelineRun{
 		cfg:        req.Config,
 		followNext: req.FollowNext,

@@ -13,6 +13,19 @@ import (
 	"deepweb/internal/webgen"
 )
 
+// search and annotatedSearch are the tests' shorthand for the index's
+// first unfiltered page under a live context — the reference the engine
+// API's responses are compared against.
+func search(ix *index.Index, q string, k int) []index.Result {
+	hits, _, _ := ix.TopK(context.Background(), q, k, 0, nil)
+	return hits
+}
+
+func annotatedSearch(ix *index.Index, q string, k int) []index.Result {
+	hits, _, _ := ix.AnnotatedTopK(context.Background(), q, k, 0, nil)
+	return hits
+}
+
 // buildEngine surfaces a fresh multi-site world with the given worker
 // count. Each call regenerates the world from the same seed so the two
 // arms share nothing.
@@ -88,10 +101,10 @@ func TestSurfaceDeterministicAcrossWorkers(t *testing.T) {
 		"used ford focus", "homes in seattle", "nurse jobs",
 		"history books", "thai recipes", "turing award professor",
 	} {
-		if a, b := seq.Index.Search(q, 10), par.Index.Search(q, 10); !reflect.DeepEqual(a, b) {
+		if a, b := search(seq.Index, q, 10), search(par.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) differs:\n  seq %v\n  par %v", q, a, b)
 		}
-		if a, b := seq.Index.AnnotatedSearch(q, 10), par.Index.AnnotatedSearch(q, 10); !reflect.DeepEqual(a, b) {
+		if a, b := annotatedSearch(seq.Index, q, 10), annotatedSearch(par.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("AnnotatedSearch(%q) differs", q)
 		}
 	}
@@ -110,7 +123,7 @@ func TestSearchStableUnderConcurrentQueries(t *testing.T) {
 	}
 	want := make([][]index.Result, len(queries))
 	for i, q := range queries {
-		want[i] = e.Index.Search(q, 10)
+		want[i] = search(e.Index, q, 10)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -119,7 +132,7 @@ func TestSearchStableUnderConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				qi := (g + i) % len(queries)
-				got := e.Index.Search(queries[qi], 10)
+				got := search(e.Index, queries[qi], 10)
 				if !reflect.DeepEqual(got, want[qi]) {
 					t.Errorf("goroutine %d: Search(%q) diverged under concurrency", g, queries[qi])
 					return

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"os"
-	"sync"
 
 	"deepweb/internal/index"
 	"deepweb/internal/store"
@@ -16,64 +15,42 @@ import (
 // from one. The paper's economics depend on this split — surfacing is
 // an expensive offline pass, serving is the ordinary index answering
 // live traffic — and a snapshot is the artifact that crosses the
-// boundary. Load restores Search and AnnotatedSearch bit-for-bit: same
+// boundary. Load restores plain and annotated search bit-for-bit: same
 // ids, same scores, same tie order.
 //
 // Both directions parallelize per shard on the engine's Workers
 // budget: Save encodes shard segments concurrently, Load decodes and
-// re-hashes them concurrently (index.ImportTerms is shard-locked).
+// imports them concurrently (index.ImportTerms is shard-locked).
 
 // Save writes the index to dir as one docs segment (including
 // tombstones, so a mutated index round-trips id-for-id), one postings
 // segment per shard, and a meta segment carrying the per-site content
-// signatures Refresh diffs against. Existing segments in dir are
-// overwritten atomically; a concurrent reader of the old snapshot is
-// undisturbed. Save must not run concurrently with Refresh or Compact.
+// signatures Refresh diffs against. The directory protocol is
+// store.Writer's; Save only says where the rows and postings come
+// from: the live index. Existing segments in dir are overwritten
+// atomically; a concurrent reader of the old snapshot is undisturbed.
+// Save must not run concurrently with Refresh or Compact.
 func (e *Engine) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	// Crash hygiene: a writer that died mid-Save leaves *.tmp files
-	// behind (segments are written to a temp name, then renamed), and
-	// a bulk build that died mid-merge leaves spill-*.run files.
-	// Sweep both before writing so they cannot accumulate or be
-	// mistaken for live data.
-	if err := store.CleanTmp(dir); err != nil {
-		return fmt.Errorf("engine: save: %w", err)
-	}
-	if err := store.CleanSpills(dir); err != nil {
-		return fmt.Errorf("engine: save: %w", err)
-	}
 	ix := e.Index
 	docs, lens, dead := ix.ExportDocs()
-	var deadIDs []int
-	for id, d := range dead {
-		if d {
-			deadIDs = append(deadIDs, id)
+	anns := ix.ExportAnnotations()
+	w, err := store.NewWriter(dir, ix.NumShards(), len(docs), 0)
+	if err != nil {
+		return fmt.Errorf("engine: save: %w", err)
+	}
+	defer w.Abort()
+	for id, d := range docs {
+		if err := w.AddDoc(d, lens[id], anns[id], dead[id]); err != nil {
+			return fmt.Errorf("engine: save docs: %w", err)
 		}
 	}
-	shards := ix.NumShards()
-	snapID, err := store.WriteDocs(store.DocsPath(dir), shards, &store.DocsSegment{
-		Docs: docs,
-		Lens: lens,
-		Anns: ix.ExportAnnotations(),
-		Dead: deadIDs,
-	})
-	if err != nil {
-		return fmt.Errorf("engine: save docs: %w", err)
-	}
-	err = e.forEachShard(shards, func(si int) error {
-		return store.WritePostings(store.PostingsPath(dir, si), shards, si, len(docs), snapID, ix.ExportShard(si))
-	})
-	if err != nil {
-		return fmt.Errorf("engine: save postings: %w", err)
-	}
-	meta := &store.MetaSegment{Sites: make([]store.SiteMeta, 0, len(e.SiteSignatures))}
+	sites := make([]store.SiteMeta, 0, len(e.SiteSignatures))
 	for host, sig := range e.SiteSignatures {
-		meta.Sites = append(meta.Sites, store.SiteMeta{Host: host, Signature: uint64(sig)})
+		sites = append(sites, store.SiteMeta{Host: host, Signature: uint64(sig)})
 	}
-	if err := store.WriteMeta(store.MetaPath(dir), meta); err != nil {
-		return fmt.Errorf("engine: save meta: %w", err)
+	snapID, err := w.Commit(e.Workers, sites, ix.ExportShard)
+	if err != nil {
+		return fmt.Errorf("engine: save: %w", err)
 	}
 	// The engine's contents now correspond to the written snapshot:
 	// adopt its content-derived generation id (served by Search and the
@@ -106,7 +83,7 @@ func Load(dir string) (*Engine, error) {
 	e := newEngine()
 	e.Index = ix
 	e.Generation = hdr.SnapID
-	err = e.forEachShard(int(hdr.Shards), func(si int) error {
+	err = store.ForEachShard(e.Workers, int(hdr.Shards), func(si int) error {
 		terms, ph, err := store.ReadPostings(store.PostingsPath(dir, si))
 		if err != nil {
 			return err
@@ -154,44 +131,4 @@ func LoadWith(web *webgen.Web, dir string) (*Engine, error) {
 	e.Web = web
 	e.UseTransport(web)
 	return e, nil
-}
-
-// forEachShard runs fn over every shard id on up to e.Workers
-// goroutines and returns the first error (by shard order).
-func (e *Engine) forEachShard(shards int, fn func(si int) error) error {
-	return forEachShardN(e.Workers, shards, fn)
-}
-
-// forEachShardN is the engine-independent form, shared with the bulk
-// build (which has no Engine while it streams to disk).
-func forEachShardN(workers, shards int, fn func(si int) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > shards {
-		workers = shards
-	}
-	errs := make([]error, shards)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for si := range jobs {
-				errs[si] = fn(si)
-			}
-		}()
-	}
-	for si := 0; si < shards; si++ {
-		jobs <- si
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -78,7 +79,7 @@ func TestSaveLoadSearchBitIdentical(t *testing.T) {
 			t.Errorf("shards=%d: per-source counts differ", shards)
 		}
 		for _, q := range persistQueries {
-			a, b := live.Index.Search(q, 10), loaded.Index.Search(q, 10)
+			a, b := search(live.Index, q, 10), search(loaded.Index, q, 10)
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: Search(%q) differs:\n  live   %v\n  loaded %v", shards, q, a, b)
 				continue
@@ -88,43 +89,32 @@ func TestSaveLoadSearchBitIdentical(t *testing.T) {
 					t.Errorf("shards=%d: Search(%q) hit %d: score bits differ", shards, q, i)
 				}
 			}
-			if a, b := live.Index.AnnotatedSearch(q, 10), loaded.Index.AnnotatedSearch(q, 10); !reflect.DeepEqual(a, b) {
+			if a, b := annotatedSearch(live.Index, q, 10), annotatedSearch(loaded.Index, q, 10); !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: AnnotatedSearch(%q) differs", shards, q)
 			}
 		}
 	}
 }
 
-// Saving over an existing snapshot must leave a readable snapshot, and
-// a snapshot saved by a 1-worker engine must be byte-identical to one
-// saved by a parallel engine (segment bytes are deterministic).
+// A snapshot saved by a 1-worker engine must be byte-identical — every
+// file — to one saved by a parallel engine, across shard counts:
+// directory bytes are a function of the index alone.
 func TestSaveDeterministicAcrossWorkers(t *testing.T) {
-	e := surfacedEngine(t, 4)
-	seq, par := t.TempDir(), t.TempDir()
-	e.Workers = 1
-	if err := e.Save(seq); err != nil {
-		t.Fatal(err)
-	}
-	e.Workers = 4
-	if err := e.Save(par); err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"docs.seg"}
-	for si := 0; si < e.Index.NumShards(); si++ {
-		names = append(names, filepath.Base(store.PostingsPath("", si)))
-	}
-	for _, name := range names {
-		a, err := os.ReadFile(filepath.Join(seq, name))
-		if err != nil {
+	for _, shards := range []int{1, 4, 16} {
+		e := surfacedEngine(t, shards)
+		seq, par := t.TempDir(), t.TempDir()
+		e.Workers = 1
+		if err := e.Save(seq); err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(par, name))
-		if err != nil {
+		e.Workers = 4
+		if err := e.Save(par); err != nil {
 			t.Fatal(err)
 		}
-		if string(a) != string(b) {
-			t.Errorf("%s differs between 1-worker and 4-worker saves", name)
+		if n := len(readDir(t, seq)); n != shards+2 {
+			t.Fatalf("shards=%d: snapshot holds %d files, want docs + %d postings + meta", shards, n, shards)
 		}
+		requireSameDir(t, fmt.Sprintf("shards=%d: 1-worker vs 4-worker save", shards), seq, par)
 	}
 }
 

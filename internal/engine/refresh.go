@@ -97,9 +97,6 @@ type RefreshRequest struct {
 // refresh. The context cancels the pass exactly as it cancels Surface:
 // committed sites stay committed, and ctx.Err() is returned.
 func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshResponse, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var resp RefreshResponse
 	st := &resp.RefreshStats
 	if e.Web == nil {

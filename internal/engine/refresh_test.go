@@ -56,7 +56,7 @@ func freshEngine(t *testing.T, shards int) *Engine {
 func urlScores(t *testing.T, ix *index.Index, q string) map[string]uint64 {
 	t.Helper()
 	out := map[string]uint64{}
-	for _, r := range ix.Search(q, ix.Len()+1) {
+	for _, r := range search(ix, q, ix.Len()+1) {
 		if _, dup := out[r.URL]; dup {
 			t.Fatalf("Search(%q) returned URL %q twice", q, r.URL)
 		}
@@ -168,10 +168,10 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 			t.Errorf("shards=%d: site signatures lost across snapshot", shards)
 		}
 		for _, q := range persistQueries {
-			if a, b := refreshed.Index.Search(q, 10), loaded.Index.Search(q, 10); !reflect.DeepEqual(a, b) {
+			if a, b := search(refreshed.Index, q, 10), search(loaded.Index, q, 10); !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: Search(%q) differs across snapshot:\n  live   %v\n  loaded %v", shards, q, a, b)
 			}
-			if a, b := refreshed.Index.AnnotatedSearch(q, 10), loaded.Index.AnnotatedSearch(q, 10); !reflect.DeepEqual(a, b) {
+			if a, b := annotatedSearch(refreshed.Index, q, 10), annotatedSearch(loaded.Index, q, 10); !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: AnnotatedSearch(%q) differs across snapshot", shards, q)
 			}
 		}
@@ -188,7 +188,7 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 			t.Errorf("shards=%d: tombstones survived compact", shards)
 		}
 		for _, q := range persistQueries {
-			a, b := refreshed.Index.Search(q, 10), scratch.Index.Search(q, 10)
+			a, b := search(refreshed.Index, q, 10), search(scratch.Index, q, 10)
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: post-compact Search(%q) differs:\n  refreshed %v\n  scratch   %v", shards, q, a, b)
 				continue
@@ -198,7 +198,7 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 					t.Errorf("shards=%d: post-compact Search(%q) hit %d: score bits differ", shards, q, i)
 				}
 			}
-			if a, b := refreshed.Index.AnnotatedSearch(q, 10), scratch.Index.AnnotatedSearch(q, 10); !reflect.DeepEqual(a, b) {
+			if a, b := annotatedSearch(refreshed.Index, q, 10), annotatedSearch(scratch.Index, q, 10); !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: post-compact AnnotatedSearch(%q) differs", shards, q)
 			}
 		}
@@ -250,7 +250,7 @@ func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
 	e.Compact()
 	scratch.Compact()
 	for _, q := range persistQueries {
-		if a, b := e.Index.Search(q, 10), scratch.Index.Search(q, 10); !reflect.DeepEqual(a, b) {
+		if a, b := search(e.Index, q, 10), search(scratch.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) differs:\n  refreshed %v\n  scratch   %v", q, a, b)
 		}
 	}
@@ -347,7 +347,7 @@ func TestRefreshFailureThenRetryConverges(t *testing.T) {
 	e.Compact()
 	scratch.Compact()
 	for _, q := range persistQueries {
-		if a, b := e.Index.Search(q, 10), scratch.Index.Search(q, 10); !reflect.DeepEqual(a, b) {
+		if a, b := search(e.Index, q, 10), search(scratch.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) differs after recovery:\n  refreshed %v\n  scratch   %v", q, a, b)
 		}
 	}
@@ -379,7 +379,7 @@ func TestRefreshAutoCompacts(t *testing.T) {
 	if st2.SitesChanged == 0 {
 		t.Fatalf("post-compact refresh found nothing: %+v", st2)
 	}
-	if got := e.Index.Search("used ford focus", 5); len(got) == 0 {
+	if got := search(e.Index, "used ford focus", 5); len(got) == 0 {
 		t.Fatal("post-compact refreshed index answers nothing")
 	}
 }

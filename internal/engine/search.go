@@ -15,7 +15,7 @@ import (
 // through, instead of each caller hand-rolling positional Index calls
 // and its own JSON dialect. Ranking is exactly the index's: for the
 // zero options (Offset 0, no Host, Annotated false) the result slice
-// is bit-identical to index.Search — same ids, same float score bits,
+// is bit-identical to index.TopK — same ids, same float score bits,
 // same tie order.
 
 // SearchRequest is one ranked retrieval over the engine's index.
@@ -23,12 +23,12 @@ type SearchRequest struct {
 	// Query is the free-text query.
 	Query string
 	// K is the page size. K <= 0 returns an empty response, matching
-	// index.Search; HTTP layers apply their own defaults first.
+	// index.TopK; HTTP layers apply their own defaults first.
 	K int
 	// Offset skips that many ranked hits before the page starts.
 	Offset int
 	// Annotated ranks with the §5.1 surfacing-time annotations
-	// (index.AnnotatedSearch semantics) instead of plain BM25.
+	// (index.AnnotatedTopK semantics) instead of plain BM25.
 	Annotated bool
 	// Host restricts hits to documents on one host ("" = all). The
 	// total reflects the restriction.
@@ -74,9 +74,6 @@ type SearchResponse struct {
 // path — same ids, same float score bits, same tie order, same Total —
 // and every caller gets a private copy of the Results slice.
 func (e *Engine) Search(ctx context.Context, req SearchRequest) (SearchResponse, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if e.cache == nil {
 		return e.searchUncached(ctx, req)
 	}

@@ -19,7 +19,7 @@ import (
 // Focus can rank as a "good result" for a Ford Focus query. The paper
 // proposes attaching annotations (the form binding that generated the
 // page is known at surfacing time) and letting the index exploit them;
-// internal/index.AnnotatedSearch implements that.
+// internal/index.AnnotatedTopK implements that.
 
 // E13Report compares plain BM25 against annotation-aware ranking.
 type E13Report struct {
@@ -83,11 +83,12 @@ func E13LostSemantics(ctx context.Context, seed int64, rows int) (E13Report, err
 	}
 	rep.Queries = len(queries)
 
-	score := func(search func(string, int) []index.Result) (decoyTop3 int, precision float64) {
+	score := func(search func(context.Context, string, int, int, func(int, index.Doc) bool) ([]index.Result, int, error)) (decoyTop3 int, precision float64) {
 		annotated, matching := 0, 0
 		for _, query := range queries {
 			sawDecoy := false
-			for _, hit := range search(query.text, 3) {
+			hits, _, _ := search(ctx, query.text, 3, 0, nil)
+			for _, hit := range hits {
 				anns := ix.AnnotationsOf(hit.DocID)
 				mk, ok := anns["make"]
 				if !ok {
@@ -109,8 +110,8 @@ func E13LostSemantics(ctx context.Context, seed int64, rows int) (E13Report, err
 		}
 		return decoyTop3, precision
 	}
-	rep.PlainDecoyTop3, rep.PlainPrecision3 = score(ix.Search)
-	rep.AnnotDecoyTop3, rep.AnnotPrecision3 = score(ix.AnnotatedSearch)
+	rep.PlainDecoyTop3, rep.PlainPrecision3 = score(ix.TopK)
+	rep.AnnotDecoyTop3, rep.AnnotPrecision3 = score(ix.AnnotatedTopK)
 	return rep, nil
 }
 

@@ -123,7 +123,7 @@ func E2SiteLoad(ctx context.Context, seed int64, sitesPerDom, rows, queries int)
 	// Surfacing serves the same stream from the index: no site traffic.
 	before := w.Web.TotalRequests()
 	for i := 0; i < queries; i++ {
-		w.Index.Search(queriesList[i%len(queriesList)], 10)
+		w.Index.TopK(ctx, queriesList[i%len(queriesList)], 10, 0, nil)
 	}
 	rep.SurfacingReqPerQry = float64(w.Web.TotalRequests()-before) / float64(queries)
 	return rep, nil
@@ -185,7 +185,8 @@ func E3Fortuitous(ctx context.Context, seed int64, rows int) (E3Report, error) {
 		rep.Queries++
 		q := aw + " professor"
 		// Surfacing arm: any top-10 index hit containing the award.
-		for _, hit := range w.Index.Search(q, 10) {
+		hits, _, _ := w.Index.TopK(ctx, q, 10, 0, nil)
+		for _, hit := range hits {
 			doc := w.Index.Doc(hit.DocID)
 			if strings.Contains(strings.ToLower(doc.Text), aw) {
 				rep.SurfacingHits++

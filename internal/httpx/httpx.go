@@ -79,9 +79,6 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed"
 	CodeUnavailable      = "unavailable"
 	CodeInternal         = "internal"
-	// CodeGone marks a retired legacy endpoint: the 410 message names
-	// the /v1 replacement.
-	CodeGone = "gone"
 )
 
 // WriteJSON encodes v into a buffer first, so an encoding failure (an

@@ -104,7 +104,7 @@ func TestSearchMatchesReferenceAccumulator(t *testing.T) {
 	ix := accumulatorCorpus(500)
 	for _, q := range accumulatorQueries {
 		for _, k := range []int{0, 1, 3, 10, 499, 500, 2000} {
-			got := ix.Search(q, k)
+			got := search(ix, q, k)
 			want := searchReference(ix, q, k)
 			if len(got) != len(want) {
 				t.Fatalf("q=%q k=%d: %d hits, want %d", q, k, len(got), len(want))
@@ -150,7 +150,7 @@ func TestSearchConcurrentWithWritesRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				q := accumulatorQueries[i%len(accumulatorQueries)]
-				res := ix.Search(q, 10)
+				res := search(ix, q, 10)
 				seen := map[int]bool{}
 				for j, hit := range res {
 					if seen[hit.DocID] {
@@ -171,13 +171,13 @@ func TestSearchConcurrentWithWritesRace(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 	closeOnce := sync.OnceFunc(func() { close(stop) })
 	for i := 0; i < 8; i++ {
-		ix.Search("ford focus", 5)
+		search(ix, "ford focus", 5)
 	}
 	closeOnce()
 	<-done
 
 	for _, q := range accumulatorQueries {
-		got := ix.Search(q, 25)
+		got := search(ix, q, 25)
 		want := searchReference(ix, q, 25)
 		if len(got) != len(want) {
 			t.Fatalf("post-quiescence q=%q: %d hits, want %d", q, len(got), len(want))

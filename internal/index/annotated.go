@@ -15,7 +15,7 @@ import (
 // focus 1993" example shows the cost: a surfaced Honda Civic listing
 // page whose text happens to mention the Ford Focus can outrank real
 // Ford pages. Annotations keep the surfacing-time binding attached to
-// the document, and AnnotatedSearch exploits it: a query token that is
+// the document, and AnnotatedTopK exploits it: a query token that is
 // a known value of an annotated attribute demotes documents whose
 // annotation *contradicts* it and boosts documents whose annotation
 // confirms it.
@@ -67,7 +67,7 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 
 // deleteDoc drops a deleted document's annotations and releases its
 // vocabulary support, so a value that survives only on dead documents
-// stops steering AnnotatedSearch.
+// stops steering AnnotatedTopK.
 func (st *annStore) deleteDoc(docID int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -129,31 +129,20 @@ const (
 // boost never lifting a document from beyond the depth.
 const rerankDepth = 200
 
-// AnnotatedSearch is Search plus §5.1 annotation exploitation. For
-// every attribute whose value vocabulary intersects the query, a
-// document annotated with a *different* value of that attribute is
-// demoted, and one annotated with the mentioned value is boosted.
-// Unannotated documents are untouched, so the method degrades to plain
-// BM25 when no annotations exist.
-func (ix *Index) AnnotatedSearch(query string, k int) []Result {
-	hits, _, _ := ix.annotatedTopK(nil, query, k, 0, nil)
-	return hits
-}
-
-// AnnotatedTopK is to AnnotatedSearch what TopK is to Search:
-// pagination, an optional admission filter, the total live hit count
-// and cancellation, with the same annotation-adjusted ranking. Pages
-// tile exactly: every request slices the same canonical ordering (the
-// base top-rerankDepth re-ranked once, plain BM25 order beyond it).
-// The total counts every live document the query matched (after the
-// filter), not just the re-ranked prefix.
+// AnnotatedTopK is TopK plus §5.1 annotation exploitation. For every
+// attribute whose value vocabulary intersects the query, a document
+// annotated with a *different* value of that attribute is demoted, and
+// one annotated with the mentioned value is boosted. Unannotated
+// documents are untouched, so the method degrades to plain BM25 when no
+// annotations exist. Pagination, the admission filter, the total and
+// cancellation behave as in TopK. Pages tile exactly: every request
+// slices the same canonical ordering (the base top-rerankDepth
+// re-ranked once, plain BM25 order beyond it). The total counts every
+// live document the query matched (after the filter), not just the
+// re-ranked prefix.
 func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int, keep func(id int, d Doc) bool) ([]Result, int, error) {
-	return ix.annotatedTopK(ctx, query, k, offset, keep)
-}
-
-func (ix *Index) annotatedTopK(ctx context.Context, query string, k, offset int, keep func(id int, d Doc) bool) ([]Result, int, error) {
 	if k <= 0 {
-		return nil, 0, ctxErr(ctx)
+		return nil, 0, ctx.Err()
 	}
 	if offset < 0 {
 		offset = 0
@@ -163,7 +152,7 @@ func (ix *Index) annotatedTopK(ctx context.Context, query string, k, offset int,
 	if len(queryValues) == 0 {
 		// No annotation vocabulary intersects the query: degrade to the
 		// plain BM25 page, with no over-fetch at all.
-		return ix.topK(ctx, query, k, offset, keep)
+		return ix.TopK(ctx, query, k, offset, keep)
 	}
 
 	// Re-ranking must page against one canonical adjusted ordering — a
@@ -185,7 +174,7 @@ func (ix *Index) annotatedTopK(ctx context.Context, query string, k, offset int,
 	if fetch < rerankDepth {
 		fetch = rerankDepth
 	}
-	base, total, err := ix.topK(ctx, query, fetch, 0, keep)
+	base, total, err := ix.TopK(ctx, query, fetch, 0, keep)
 	if err != nil || len(base) == 0 {
 		return base, total, err
 	}
@@ -220,8 +209,16 @@ func (st *annStore) valuesMentioned(query string) map[string]string {
 }
 
 // adjust applies the §5.1 boost/demote factors to a ranked page in
-// place.
+// place. Factors multiply in sorted-attribute order: float products do
+// not commute in the last bit, so map order here would make a query
+// mentioning two attributes score — and break near-ties — differently
+// from run to run.
 func (st *annStore) adjust(rs []Result, queryValues map[string]string) {
+	attrs := make([]string, 0, len(queryValues))
+	for attr := range queryValues {
+		attrs = append(attrs, attr)
+	}
+	sort.Strings(attrs)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	for i := range rs {
@@ -229,12 +226,12 @@ func (st *annStore) adjust(rs []Result, queryValues map[string]string) {
 		if anns == nil {
 			continue
 		}
-		for attr, want := range queryValues {
+		for _, attr := range attrs {
 			have, ok := anns[attr]
 			if !ok {
 				continue
 			}
-			if have == want {
+			if have == queryValues[attr] {
 				rs[i].Score *= annBoost
 			} else {
 				rs[i].Score *= annDemote

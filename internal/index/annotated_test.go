@@ -1,6 +1,10 @@
 package index
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -46,12 +50,12 @@ func TestAnnotateIgnoresEmpty(t *testing.T) {
 func TestAnnotatedSearchDemotesContradiction(t *testing.T) {
 	ix := annotatedIndex()
 	// Plain search: decoy competes on equal terms.
-	plain := ix.Search("ford focus 1993", 3)
+	plain := search(ix, "ford focus 1993", 3)
 	if len(plain) != 3 {
 		t.Fatalf("plain hits = %d", len(plain))
 	}
 	// Annotated search: the honda page is demoted below both others.
-	ann := ix.AnnotatedSearch("ford focus 1993", 3)
+	ann := annotatedSearch(ix, "ford focus 1993", 3)
 	if len(ann) != 3 {
 		t.Fatalf("annotated hits = %d", len(ann))
 	}
@@ -65,7 +69,7 @@ func TestAnnotatedSearchDemotesContradiction(t *testing.T) {
 
 func TestAnnotatedSearchBoostsConfirmation(t *testing.T) {
 	ix := annotatedIndex()
-	ann := ix.AnnotatedSearch("honda civic", 3)
+	ann := annotatedSearch(ix, "honda civic", 3)
 	if len(ann) == 0 || ann[0].URL != "honda-page" {
 		t.Errorf("confirmed page not first: %+v", ann)
 	}
@@ -73,8 +77,8 @@ func TestAnnotatedSearchBoostsConfirmation(t *testing.T) {
 
 func TestAnnotatedSearchNoVocabularyMatchIsPlain(t *testing.T) {
 	ix := annotatedIndex()
-	plain := ix.Search("road trip story", 3)
-	ann := ix.AnnotatedSearch("road trip story", 3)
+	plain := search(ix, "road trip story", 3)
+	ann := annotatedSearch(ix, "road trip story", 3)
 	if len(plain) != len(ann) {
 		t.Fatalf("lengths differ: %d vs %d", len(plain), len(ann))
 	}
@@ -87,7 +91,7 @@ func TestAnnotatedSearchNoVocabularyMatchIsPlain(t *testing.T) {
 
 func TestAnnotatedSearchUnannotatedUntouched(t *testing.T) {
 	ix := annotatedIndex()
-	ann := ix.AnnotatedSearch("ford focus 1993", 3)
+	ann := annotatedSearch(ix, "ford focus 1993", 3)
 	for _, hit := range ann {
 		if hit.URL == "blog" && hit.Score <= 0 {
 			t.Error("unannotated doc score altered")
@@ -97,11 +101,11 @@ func TestAnnotatedSearchUnannotatedUntouched(t *testing.T) {
 
 func TestAnnotatedSearchEdgeCases(t *testing.T) {
 	ix := New()
-	if got := ix.AnnotatedSearch("anything", 5); got != nil {
+	if got := annotatedSearch(ix, "anything", 5); got != nil {
 		t.Error("empty index should return nil")
 	}
 	ix.Add(Doc{URL: "u", Text: "hello"})
-	if got := ix.AnnotatedSearch("hello", 0); got != nil {
+	if got := annotatedSearch(ix, "hello", 0); got != nil {
 		t.Error("k=0 should return nil")
 	}
 }
@@ -112,8 +116,40 @@ func TestAnnotatedSearchMultiWordValue(t *testing.T) {
 	ix.Annotate(id1, map[string]string{"city": "san francisco"})
 	id2, _ := ix.Add(Doc{URL: "sd", Text: "san diego listings mention san francisco once"})
 	ix.Annotate(id2, map[string]string{"city": "san diego"})
-	ann := ix.AnnotatedSearch("homes san francisco", 2)
+	ann := annotatedSearch(ix, "homes san francisco", 2)
 	if len(ann) == 0 || ann[0].URL != "sf" {
 		t.Errorf("multi-word value handling wrong: %+v", ann)
+	}
+}
+
+// A query that mentions two annotation attributes multiplies two
+// factors into each annotated hit. Float products do not commute in the
+// last bit, so the factors must apply in a fixed order: the same query
+// must score — and break near-ties — identically on every run.
+func TestAnnotatedTwoAttributeQueryIsBitStable(t *testing.T) {
+	ix := NewSharded(4)
+	makes, cities := []string{"ford", "honda"}, []string{"seattle", "portland", "austin"}
+	for i := 0; i < 120; i++ {
+		mk, city := makes[i%2], cities[i%3]
+		id, _ := ix.Add(Doc{
+			URL:   fmt.Sprintf("http://cars.example/%d", i),
+			Title: fmt.Sprintf("%s listing %d", mk, i),
+			Text:  fmt.Sprintf("used ford focus or honda civic %s seattle portland austin %s", strings.Repeat("clean ", i%7), city),
+		})
+		ix.Annotate(id, map[string]string{"make": mk, "city": city})
+	}
+	const q = "used ford seattle"
+	want, _, err := ix.AnnotatedTopK(context.Background(), q, 50, 0, nil)
+	if err != nil || len(want) != 50 {
+		t.Fatalf("annotated query: %d hits, err %v", len(want), err)
+	}
+	for run := 0; run < 300; run++ {
+		got, _, _ := ix.AnnotatedTopK(context.Background(), q, 50, 0, nil)
+		for i := range want {
+			if got[i].DocID != want[i].DocID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("run %d rank %d: doc %d score %x, first run had doc %d score %x",
+					run, i, got[i].DocID, math.Float64bits(got[i].Score), want[i].DocID, math.Float64bits(want[i].Score))
+			}
+		}
 	}
 }

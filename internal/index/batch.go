@@ -1,15 +1,14 @@
 package index
 
-import "hash/maphash"
-
-// Batch commit: the bulk-ingest counterpart of AddPrepared. One pass
-// under the document-table lock assigns every id (the same ordered
-// commit point, amortized over the batch), then postings are bucketed
-// by shard in doc order and each shard is locked once per batch
-// instead of once per document. The final index state is identical to
-// committing the same prepared documents one by one, in order —
-// including duplicate-URL handling, posting order within a term, and
-// therefore scores and tie-breaks (pinned by test).
+// Batch commit: the one path by which documents enter the index
+// (AddPrepared is a batch of one). One pass under the document-table
+// lock assigns every id (the ordered commit point, amortized over the
+// batch), then postings are bucketed by shard in doc order and each
+// shard is locked once per batch instead of once per document. The
+// final index state is identical to committing the same prepared
+// documents one by one, in order — including duplicate-URL handling,
+// posting order within a term, and therefore scores and tie-breaks
+// (pinned by test).
 
 // AddPreparedBatch commits prepared documents in order. ids[i] is the
 // doc id of ps[i]; added[i] is false when ps[i]'s URL was already
@@ -53,10 +52,7 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared) (ids []int, added []bool) {
 			continue
 		}
 		for j, t := range p.terms {
-			si := 0
-			if len(ix.shards) > 1 {
-				si = int(maphash.String(ix.seed, t) % uint64(len(ix.shards)))
-			}
+			si := ShardOf(t, len(ix.shards))
 			buckets[si] = append(buckets[si], termPosting{term: t, p: posting{doc: int32(ids[i]), tf: p.tfs[j]}})
 		}
 	}

@@ -71,8 +71,8 @@ func TestAddPreparedBatchEquivalentToSequential(t *testing.T) {
 
 			// Ranking equivalence on a few probes.
 			for _, q := range []string{"ford", "focus excellent", "austin"} {
-				a := seq.Search(q, 10)
-				b := bat.Search(q, 10)
+				a := search(seq, q, 10)
+				b := search(bat, q, 10)
 				if len(a) != len(b) {
 					t.Fatalf("query %q: %d vs %d results", q, len(a), len(b))
 				}

@@ -34,7 +34,7 @@ func BenchmarkSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Search("ford focus seattle", 10)
+		search(ix, "ford focus seattle", 10)
 	}
 }
 
@@ -50,7 +50,7 @@ func BenchmarkSearchWithTombstones(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Search("ford focus seattle", 10)
+		search(ix, "ford focus seattle", 10)
 	}
 }
 
@@ -62,6 +62,6 @@ func BenchmarkAnnotatedSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.AnnotatedSearch("ford focus seattle", 10)
+		annotatedSearch(ix, "ford focus seattle", 10)
 	}
 }

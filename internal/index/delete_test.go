@@ -63,7 +63,7 @@ func TestDeleteEqualsNeverAdded(t *testing.T) {
 			if a, b := full.DF(q), without.DF(q); a != b {
 				t.Errorf("shards=%d: DF(%q) %d vs %d", shards, q, a, b)
 			}
-			a, b := full.Search(q, 50), without.Search(q, 50)
+			a, b := search(full, q, 50), search(without, q, 50)
 			if len(a) != len(b) {
 				t.Errorf("shards=%d: Search(%q) %d vs %d hits", shards, q, len(a), len(b))
 				continue
@@ -92,7 +92,7 @@ func TestDeleteEdgeCases(t *testing.T) {
 	if ix.Len() != 0 {
 		t.Errorf("live count %d after deleting the only doc", ix.Len())
 	}
-	if got := ix.Search("alpha", 10); got != nil {
+	if got := search(ix, "alpha", 10); got != nil {
 		t.Errorf("empty live corpus answered %v", got)
 	}
 	// The URL is free again; the re-added doc is a fresh id.
@@ -100,7 +100,7 @@ func TestDeleteEdgeCases(t *testing.T) {
 	if !added || id2 == id {
 		t.Fatalf("re-add after delete: id=%d added=%v", id2, added)
 	}
-	if got := ix.Search("gamma", 10); len(got) != 1 || got[0].DocID != id2 {
+	if got := search(ix, "gamma", 10); len(got) != 1 || got[0].DocID != id2 {
 		t.Errorf("re-added doc not served: %v", got)
 	}
 }
@@ -115,7 +115,7 @@ func TestDeleteReleasesAnnotations(t *testing.T) {
 	ix.Annotate(ford, map[string]string{"make": "ford"})
 
 	// While both live, the honda page is demoted for a ford query.
-	res := ix.AnnotatedSearch("ford focus", 10)
+	res := annotatedSearch(ix, "ford focus", 10)
 	if len(res) != 2 || res[0].DocID != ford {
 		t.Fatalf("annotated ranking wrong: %v", res)
 	}
@@ -129,11 +129,11 @@ func TestDeleteReleasesAnnotations(t *testing.T) {
 	}
 	// "ford" is no longer a known value of make (its only supporter is
 	// gone), so the surviving civic page is served un-demoted.
-	res = ix.AnnotatedSearch("ford focus", 10)
+	res = annotatedSearch(ix, "ford focus", 10)
 	if len(res) != 1 || res[0].DocID != civic {
 		t.Fatalf("post-delete ranking wrong: %v", res)
 	}
-	plain := ix.Search("ford focus", 10)
+	plain := search(ix, "ford focus", 10)
 	if math.Float64bits(res[0].Score) != math.Float64bits(plain[0].Score) {
 		t.Errorf("stale vocabulary still adjusts scores: %v vs %v", res[0].Score, plain[0].Score)
 	}
@@ -166,11 +166,11 @@ func TestCompactCanonicalizes(t *testing.T) {
 			}
 		}
 		for _, q := range deleteQueries {
-			a, b := full.Search(q, 10), without.Search(q, 10)
+			a, b := search(full, q, 10), search(without, q, 10)
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: post-compact Search(%q) differs:\n  %v\n  %v", shards, q, a, b)
 			}
-			if a, b := full.AnnotatedSearch(q, 10), without.AnnotatedSearch(q, 10); !reflect.DeepEqual(a, b) {
+			if a, b := annotatedSearch(full, q, 10), annotatedSearch(without, q, 10); !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: post-compact AnnotatedSearch(%q) differs", shards, q)
 			}
 		}
@@ -187,7 +187,7 @@ func TestTransplantPreservesTombstones(t *testing.T) {
 		t.Fatalf("Deleted()=%d across transplant, want %d", dst.Deleted(), len(skip))
 	}
 	for _, q := range deleteQueries {
-		if a, b := full.Search(q, 20), dst.Search(q, 20); !reflect.DeepEqual(a, b) {
+		if a, b := search(full, q, 20), search(dst, q, 20); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) differs across transplant:\n  %v\n  %v", q, a, b)
 		}
 	}

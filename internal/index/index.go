@@ -18,7 +18,7 @@
 //
 // Both halves run allocation-consciously: Prepare draws its tokenizer,
 // term buffer and counting map from a pool and emits a compact
-// term/frequency pair list; Search scores into a pooled dense
+// term/frequency pair list; TopK scores into a pooled dense
 // accumulator indexed by doc id (reset via a touched list, not a
 // sweep) and selects the top k with a bounded heap instead of sorting
 // every scored document.
@@ -26,7 +26,6 @@ package index
 
 import (
 	"context"
-	"hash/maphash"
 	"math"
 	"sync"
 
@@ -76,13 +75,12 @@ type Index struct {
 	// postings. dead is parallel to docs; numDead and deadLen keep the
 	// live document count and live total length O(1), so BM25's N and
 	// avgdl always reflect the live corpus. Postings still reference
-	// dead ids until Compact rewrites them; Search skips them.
+	// dead ids until Compact rewrites them; TopK skips them.
 	dead    []bool
 	numDead int
 	deadLen int
 
 	shards []*shard
-	seed   maphash.Seed
 
 	annOnce sync.Once
 	ann     *annStore
@@ -110,7 +108,6 @@ func NewSharded(n int) *Index {
 		byURL:    map[string]int{},
 		bySource: map[string]int{},
 		shards:   make([]*shard, n),
-		seed:     maphash.MakeSeed(),
 	}
 	for i := range ix.shards {
 		ix.shards[i] = &shard{postings: map[string][]posting{}}
@@ -118,9 +115,31 @@ func NewSharded(n int) *Index {
 	return ix
 }
 
-// shardFor hashes a term to its posting shard.
+// ShardOf is the one term→shard decision: FNV-1a of the term, modulo
+// the shard count. It is a pure function of its arguments — no
+// per-index or per-process seed — so the live index, a snapshot loader
+// and the disk-streaming bulk build all place a term in the same shard,
+// which is what lets two builds of one corpus be byte-identical shard
+// file by shard file, in any process.
+func ShardOf(term string, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(term); i++ {
+		h ^= uint64(term[i])
+		h *= prime64
+	}
+	return int(h % uint64(shards))
+}
+
+// shardFor returns a term's posting shard.
 func (ix *Index) shardFor(term string) *shard {
-	return ix.shards[maphash.String(ix.seed, term)%uint64(len(ix.shards))]
+	return ix.shards[ShardOf(term, len(ix.shards))]
 }
 
 // Prepared is a tokenized document ready to commit: the expensive part
@@ -188,82 +207,18 @@ func (ix *Index) Add(d Doc) (id int, added bool) {
 	return ix.AddPrepared(Prepare(d))
 }
 
-// addScratch carries the per-term shard assignments across the posting
-// insertion loop.
-type addScratch struct {
-	shard []uint32
-}
-
-var addPool = sync.Pool{New: func() any { return new(addScratch) }}
-
-// AddPrepared commits a prepared document: the id is assigned under the
-// document-table lock (the ordered commit point), then postings are
-// inserted shard by shard, each shard locked at most once.
+// AddPrepared commits one prepared document through the batch commit
+// path: the id is assigned under the document-table lock (the ordered
+// commit point), then postings are inserted shard by shard.
 func (ix *Index) AddPrepared(p *Prepared) (id int, added bool) {
-	ix.mu.Lock()
-	if existing, ok := ix.byURL[p.doc.URL]; ok {
-		ix.mu.Unlock()
-		return existing, false
-	}
-	id = len(ix.docs)
-	ix.docs = append(ix.docs, p.doc)
-	ix.byURL[p.doc.URL] = id
-	ix.lens = append(ix.lens, p.dl)
-	ix.dead = append(ix.dead, false)
-	ix.totalLen += p.dl
-	if p.doc.Source != "" {
-		ix.bySource[p.doc.Source]++
-	}
-	ix.mu.Unlock()
-
-	if len(ix.shards) == 1 {
-		sh := ix.shards[0]
-		sh.mu.Lock()
-		for i, t := range p.terms {
-			sh.postings[t] = append(sh.postings[t], posting{doc: int32(id), tf: p.tfs[i]})
-		}
-		sh.mu.Unlock()
-		return id, true
-	}
-
-	// Assign terms to shards once, then visit only the shards hit.
-	sc := addPool.Get().(*addScratch)
-	sc.shard = sc.shard[:0]
-	var hit uint64 // bitmask of touched shards (all indexes < 64 in practice)
-	for _, t := range p.terms {
-		si := uint32(maphash.String(ix.seed, t) % uint64(len(ix.shards)))
-		sc.shard = append(sc.shard, si)
-		if si < 64 {
-			hit |= 1 << si
-		}
-	}
-	for si, sh := range ix.shards {
-		if si < 64 && hit&(1<<uint(si)) == 0 {
-			continue
-		}
-		locked := false
-		for j, t := range p.terms {
-			if sc.shard[j] != uint32(si) {
-				continue
-			}
-			if !locked {
-				sh.mu.Lock()
-				locked = true
-			}
-			sh.postings[t] = append(sh.postings[t], posting{doc: int32(id), tf: p.tfs[j]})
-		}
-		if locked {
-			sh.mu.Unlock()
-		}
-	}
-	addPool.Put(sc)
-	return id, true
+	ids, ok := ix.AddPreparedBatch([]*Prepared{p})
+	return ids[0], ok[0]
 }
 
 // Delete tombstones a document: it stops answering queries and
 // contributing to BM25 statistics immediately, its URL becomes free for
 // re-insertion, and its annotations are dropped. Postings are left in
-// place (Search skips them) until Compact reclaims the space. Returns
+// place (TopK skips them) until Compact reclaims the space. Returns
 // false for an unknown or already-deleted id.
 func (ix *Index) Delete(id int) bool {
 	ix.mu.Lock()
@@ -372,7 +327,7 @@ func (ix *Index) liveDFLocked(plist []posting) int {
 	return df
 }
 
-// searchScratch is the reusable state of one Search call: the query
+// searchScratch is the reusable state of one TopK call: the query
 // tokenizer, the dense score accumulator (indexed by doc id, reset via
 // the touched list so cost tracks postings scanned, not corpus size)
 // and the bounded top-k heap.
@@ -391,40 +346,9 @@ type heapEntry struct {
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// Search returns the top-k BM25 hits for a free-text query, merging
-// posting lists across shards. Ties break by ascending doc id so
-// results are deterministic. Tombstoned documents neither match nor
-// influence scoring: N, avgdl and df all describe the live corpus.
-func (ix *Index) Search(query string, k int) []Result {
-	hits, _, _ := ix.topK(nil, query, k, 0, nil)
-	return hits
-}
-
-// TopK is the serving-layer generalization of Search: the same scoring
-// path plus pagination (skip offset hits), an optional per-document
-// admission filter (called with the document's id and row, so filters
-// can consult id-keyed side stores like AnnotationsOf), the total live
-// hit count, and cooperative cancellation between query terms. With
-// keep == nil and offset == 0 the result slice is bit-identical to
-// Search(query, k) — same ids, same float score bits, same tie order —
-// with the hit total riding along. A canceled context returns
-// ctx.Err() with no results.
-func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep func(id int, d Doc) bool) ([]Result, int, error) {
-	return ix.topK(ctx, query, k, offset, keep)
-}
-
-// ctxErr is the nil-tolerant cancellation probe: internal callers on
-// the legacy always-complete paths pass a nil context.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
 // abandonSearch is the cold bail-out of a canceled query: the pooled
 // accumulator must go back clean, so the touched entries are zeroed
-// before the scratch is released. Split out of topK to keep the hot
+// before the scratch is released. Split out of TopK to keep the hot
 // scoring loop small.
 func abandonSearch(sc *searchScratch, scores []float64, touched []int32, err error) error {
 	for _, d := range touched {
@@ -434,11 +358,19 @@ func abandonSearch(sc *searchScratch, scores []float64, touched []int32, err err
 	return err
 }
 
-// topK is the one scoring implementation behind Search, TopK and the
-// annotated variants.
-func (ix *Index) topK(ctx context.Context, query string, k, offset int, keep func(id int, d Doc) bool) ([]Result, int, error) {
+// TopK returns one page of the BM25 ranking for a free-text query,
+// merging posting lists across shards: the k hits after skipping offset,
+// plus the total live hit count. Ties break by ascending doc id so
+// results are deterministic. Tombstoned documents neither match nor
+// influence scoring: N, avgdl and df all describe the live corpus.
+// keep is an optional per-document admission filter (called with the
+// document's id and row, so filters can consult id-keyed side stores
+// like AnnotationsOf); hits it rejects count toward neither the page
+// nor the total. Cancellation is cooperative, checked between query
+// terms: a canceled context returns ctx.Err() with no results.
+func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep func(id int, d Doc) bool) ([]Result, int, error) {
 	if k <= 0 {
-		return nil, 0, ctxErr(ctx)
+		return nil, 0, ctx.Err()
 	}
 	if offset < 0 {
 		offset = 0
@@ -448,7 +380,7 @@ func (ix *Index) topK(ctx context.Context, query string, k, offset int, keep fun
 	qterms := sc.tz.StemmedTokensInto(sc.qterms[:0], query)
 	sc.qterms = qterms[:0]
 	if len(qterms) == 0 {
-		return nil, 0, ctxErr(ctx)
+		return nil, 0, ctx.Err()
 	}
 
 	ix.mu.RLock()
@@ -456,7 +388,7 @@ func (ix *Index) topK(ctx context.Context, query string, k, offset int, keep fun
 	tableN := len(ix.docs)
 	live := tableN - ix.numDead
 	if live == 0 {
-		return nil, 0, ctxErr(ctx)
+		return nil, 0, ctx.Err()
 	}
 	// Every BM25 statistic reads the *live* corpus — document count,
 	// average length, per-term document frequency — so scores after a
@@ -481,15 +413,11 @@ func (ix *Index) topK(ctx context.Context, query string, k, offset int, keep fun
 	c0 := bm25K1 * (1 - bm25B)
 	c1 := bm25K1 * bm25B / avgdl
 	dead, hasDead := ix.dead, ix.numDead > 0
-	cancelable := ctx != nil
 	for qi, t := range qterms {
 		// Cancellation point: once per query term, so a canceled search
-		// stops scoring within one posting-list scan. The legacy paths
-		// pass a nil context and skip the check entirely.
-		if cancelable {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, abandonSearch(sc, scores, touched, err)
-			}
+		// stops scoring within one posting-list scan.
+		if err := ctx.Err(); err != nil {
+			return nil, 0, abandonSearch(sc, scores, touched, err)
 		}
 		dup := false
 		for _, prev := range qterms[:qi] {
@@ -527,7 +455,7 @@ func (ix *Index) topK(ctx context.Context, query string, k, offset int, keep fun
 		}
 		for _, p := range plist {
 			// Postings never reference rows beyond this query's table
-			// snapshot: AddPrepared publishes the doc row under the table
+			// snapshot: AddPreparedBatch publishes the doc row under the table
 			// lock (held read-side for this whole query) before touching
 			// any shard.
 			s := scores[p.doc]

@@ -12,7 +12,7 @@ func TestAddAndSearch(t *testing.T) {
 	ix.Add(Doc{URL: "u2", Title: "recipes", Text: "lasagna with ricotta and basil"})
 	ix.Add(Doc{URL: "u3", Title: "used cars", Text: "honda civic 1999, better mileage than the ford focus"})
 
-	res := ix.Search("ford focus", 10)
+	res := search(ix, "ford focus", 10)
 	if len(res) != 2 {
 		t.Fatalf("got %d results, want 2", len(res))
 	}
@@ -25,7 +25,7 @@ func TestSearchRanksExactDocHigher(t *testing.T) {
 	ix := New()
 	ix.Add(Doc{URL: "exact", Title: "", Text: "zipcode lookup service"})
 	ix.Add(Doc{URL: "partial", Title: "", Text: "zipcode appears here among many many other completely unrelated words about gardening and plumbing"})
-	res := ix.Search("zipcode lookup", 2)
+	res := search(ix, "zipcode lookup", 2)
 	if res[0].URL != "exact" {
 		t.Errorf("length normalization failed: top = %s", res[0].URL)
 	}
@@ -42,27 +42,27 @@ func TestDuplicateURLNotReindexed(t *testing.T) {
 		t.Errorf("Len = %d, want 1", ix.Len())
 	}
 	// Content of the duplicate must not have been indexed.
-	if res := ix.Search("beta", 1); len(res) != 0 {
+	if res := search(ix, "beta", 1); len(res) != 0 {
 		t.Error("duplicate's text leaked into the index")
 	}
 }
 
 func TestSearchEmptyAndUnknown(t *testing.T) {
 	ix := New()
-	if res := ix.Search("anything", 5); res != nil {
+	if res := search(ix, "anything", 5); res != nil {
 		t.Error("empty index should return nil")
 	}
 	ix.Add(Doc{URL: "u", Text: "hello world"})
-	if res := ix.Search("", 5); res != nil {
+	if res := search(ix, "", 5); res != nil {
 		t.Error("empty query should return nil")
 	}
-	if res := ix.Search("the of and", 5); res != nil {
+	if res := search(ix, "the of and", 5); res != nil {
 		t.Error("all-stopword query should return nil")
 	}
-	if res := ix.Search("zzzzunknown", 5); len(res) != 0 {
+	if res := search(ix, "zzzzunknown", 5); len(res) != 0 {
 		t.Error("unknown term should return no hits")
 	}
-	if res := ix.Search("hello", 0); res != nil {
+	if res := search(ix, "hello", 0); res != nil {
 		t.Error("k=0 should return nil")
 	}
 }
@@ -70,7 +70,7 @@ func TestSearchEmptyAndUnknown(t *testing.T) {
 func TestStemmingConflatesForms(t *testing.T) {
 	ix := New()
 	ix.Add(Doc{URL: "u", Text: "listings of apartments"})
-	if res := ix.Search("apartment listing", 1); len(res) != 1 {
+	if res := search(ix, "apartment listing", 1); len(res) != 1 {
 		t.Error("stemming failed to conflate plural/singular")
 	}
 }
@@ -79,7 +79,7 @@ func TestTitleBoost(t *testing.T) {
 	ix := New()
 	ix.Add(Doc{URL: "title-hit", Title: "marathon results", Text: "other content entirely"})
 	ix.Add(Doc{URL: "body-hit", Title: "something", Text: "marathon results mentioned once in passing text"})
-	res := ix.Search("marathon results", 2)
+	res := search(ix, "marathon results", 2)
 	if len(res) != 2 || res[0].URL != "title-hit" {
 		t.Errorf("title boost failed: %+v", res)
 	}
@@ -120,7 +120,7 @@ func TestSearchDeterministicTieBreak(t *testing.T) {
 	// Identical docs at different URLs score identically.
 	ix.Add(Doc{URL: "first", Text: "unique pelican"})
 	ix.Add(Doc{URL: "second", Text: "unique pelican"})
-	res := ix.Search("pelican", 2)
+	res := search(ix, "pelican", 2)
 	if res[0].URL != "first" || res[1].URL != "second" {
 		t.Errorf("tie-break not by doc id: %+v", res)
 	}
@@ -131,7 +131,7 @@ func TestSearchKTruncation(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ix.Add(Doc{URL: fmt.Sprintf("u%d", i), Text: "shared term pelican"})
 	}
-	if res := ix.Search("pelican", 5); len(res) != 5 {
+	if res := search(ix, "pelican", 5); len(res) != 5 {
 		t.Errorf("k truncation: got %d", len(res))
 	}
 }
@@ -146,7 +146,7 @@ func TestConcurrentAddSearch(t *testing.T) {
 		done <- true
 	}()
 	for i := 0; i < 200; i++ {
-		ix.Search("pelican", 3)
+		search(ix, "pelican", 3)
 	}
 	<-done
 	if ix.Len() != 200 {
@@ -163,7 +163,7 @@ func TestSearchPropertyFindsUniqueToken(t *testing.T) {
 	}
 	f := func(pick uint8) bool {
 		i := int(pick) % 50
-		res := ix.Search(fmt.Sprintf("unique%dtoken", i), 1)
+		res := search(ix, fmt.Sprintf("unique%dtoken", i), 1)
 		return len(res) == 1 && res[0].URL == fmt.Sprintf("u%d", i)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -186,7 +186,7 @@ func TestSearchPropertySorted(t *testing.T) {
 	}
 	f := func(q1, q2 uint8) bool {
 		q := words[int(q1)%len(words)] + " " + words[int(q2)%len(words)]
-		res := ix.Search(q, 40)
+		res := search(ix, q, 40)
 		prev := 1e18
 		for _, r := range res {
 			if r.Score <= 0 || r.Score > prev+1e-9 {

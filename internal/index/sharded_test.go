@@ -25,8 +25,8 @@ func TestShardCountInvariant(t *testing.T) {
 	for _, shards := range []int{2, 7, 16} {
 		ix := build(shards)
 		for _, q := range []string{"ford focus", "seattle price", "record 7", "listing"} {
-			want := ref.Search(q, 10)
-			got := ix.Search(q, 10)
+			want := search(ref, q, 10)
+			got := search(ix, q, 10)
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d q=%q: %d hits, want %d", shards, q, len(got), len(want))
 			}
@@ -62,7 +62,7 @@ func TestAddPreparedMatchesAdd(t *testing.T) {
 		t.Fatalf("Len %d vs %d", a.Len(), b.Len())
 	}
 	for _, q := range []string{"ford focus", "ricotta", "reindex"} {
-		ra, rb := a.Search(q, 5), b.Search(q, 5)
+		ra, rb := search(a, q, 5), search(b, q, 5)
 		if len(ra) != len(rb) {
 			t.Fatalf("q=%q: %d vs %d hits", q, len(ra), len(rb))
 		}
@@ -95,7 +95,7 @@ func TestConcurrentAddPrepared(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 100; i++ {
-		ix.Search("pelican shared", 5)
+		search(ix, "pelican shared", 5)
 	}
 	wg.Wait()
 	if got := ix.Len(); got != writers*perWriter {
@@ -109,7 +109,7 @@ func TestConcurrentAddPrepared(t *testing.T) {
 		for i := 0; i < perWriter; i += 7 {
 			q := fmt.Sprintf("writer%02d item%02d", w, i)
 			found := false
-			for _, r := range ix.Search(q, 10) {
+			for _, r := range search(ix, q, 10) {
 				if r.URL == fmt.Sprintf("w%d-u%d", w, i) {
 					found = true
 					break

@@ -12,12 +12,11 @@ import (
 // rebuilds an index from decoded segments without re-running the text
 // pipeline, which is what makes warm starts cheap.
 //
-// Shard assignment is seeded per process (maphash), so a term's shard
-// at save time says nothing about its shard after a load. Export
-// therefore walks shards only as a way to partition work; import
-// re-hashes every term under the loading index's own seed. Search
-// merges across shards, so results are independent of the layout —
-// ImportDocs + ImportTerms reproduce Search bit-for-bit because every
+// Shard assignment is ShardOf, a pure function of the term and the
+// shard count, so a term exported from shard si re-imports into shard
+// si of any index with the same shard count (and re-hashes cleanly into
+// one with a different count). Scoring merges across shards either way:
+// ImportDocs + ImportTerms reproduce TopK bit-for-bit because every
 // quantity BM25 reads (doc count, lengths, total length, tf, df) is
 // restored exactly.
 
@@ -60,7 +59,7 @@ func (ix *Index) ExportShard(si int) []TermPostings {
 // ExportDocs returns copies of the document table, the per-document
 // term lengths and the tombstone flags, all indexed by doc id. A dead
 // entry is a deleted document whose postings have not been compacted
-// away yet; persisting it keeps doc ids — and therefore Search tie
+// away yet; persisting it keeps doc ids — and therefore TopK tie
 // order — stable across a snapshot round trip of a mutated index.
 func (ix *Index) ExportDocs() (docs []Doc, lens []int, dead []bool) {
 	ix.mu.RLock()
@@ -147,8 +146,8 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	return nil
 }
 
-// ImportTerms installs decoded posting lists, hashing each term to its
-// shard under this index's seed. Lists are installed as-is (stored
+// ImportTerms installs decoded posting lists, each term into the shard
+// ShardOf names. Lists are installed as-is (stored
 // order preserved); a term may be imported at most once per index.
 // Safe to call concurrently — a loader decodes segments in parallel.
 func (ix *Index) ImportTerms(terms []TermPostings) error {

@@ -66,7 +66,7 @@ func TestSnapshotTransplantExactness(t *testing.T) {
 			t.Errorf("shards=%d: per-source counts differ", shards)
 		}
 		for _, q := range []string{"ford focus", "seattle price", "used car 7", "absent-term"} {
-			a, b := src.Search(q, 10), dst.Search(q, 10)
+			a, b := search(src, q, 10), search(dst, q, 10)
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: Search(%q) differs:\n  src %v\n  dst %v", shards, q, a, b)
 			}
@@ -75,7 +75,7 @@ func TestSnapshotTransplantExactness(t *testing.T) {
 					t.Errorf("shards=%d: Search(%q) hit %d: score bits differ", shards, q, i)
 				}
 			}
-			if !reflect.DeepEqual(src.AnnotatedSearch(q, 10), dst.AnnotatedSearch(q, 10)) {
+			if !reflect.DeepEqual(annotatedSearch(src, q, 10), annotatedSearch(dst, q, 10)) {
 				t.Errorf("shards=%d: AnnotatedSearch(%q) differs", shards, q)
 			}
 			if src.DF(q) != dst.DF(q) {
@@ -100,7 +100,7 @@ func TestExportShardIsolatedAndSorted(t *testing.T) {
 			}
 		}
 	}
-	if got := ix.Search("ford focus", 5); len(got) == 0 {
+	if got := search(ix, "ford focus", 5); len(got) == 0 {
 		t.Fatal("index corrupted by mutating an exported shard")
 	}
 }

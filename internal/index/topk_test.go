@@ -26,28 +26,33 @@ func topkCorpus(t testing.TB, shards int) *Index {
 	return ix
 }
 
-// TopK with zero options must be Search, bit for bit, with the hit
-// total riding along.
+// TopK with zero options is the plain search: whatever k bounds the
+// selection heap, the page is the k-prefix of the exhaustive ranking,
+// bit for bit, with the hit total riding along.
 func TestTopKZeroOptionsIsSearch(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		ix := topkCorpus(t, shards)
 		for _, q := range []string{"ford focus", "seattle", "nosuchterm", ""} {
+			full, wantTotal, err := ix.TopK(context.Background(), q, 1000, 0, nil)
+			if err != nil || wantTotal != len(full) {
+				t.Fatalf("shards=%d TopK(%q,1000): %d hits, total %d, err %v", shards, q, len(full), wantTotal, err)
+			}
 			for _, k := range []int{1, 5, 100} {
-				want := ix.Search(q, k)
+				want := full[:min(k, len(full))]
 				got, total, err := ix.TopK(context.Background(), q, k, 0, nil)
 				if err != nil {
 					t.Fatalf("shards=%d TopK(%q,%d): %v", shards, q, k, err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d TopK(%q,%d) != Search", shards, q, k)
+				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("shards=%d TopK(%q,%d) is not the prefix of the full ranking", shards, q, k)
 				}
 				for i := range got {
 					if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
 						t.Fatalf("shards=%d score bits differ at rank %d", shards, i)
 					}
 				}
-				if q == "ford focus" && total == 0 {
-					t.Fatalf("shards=%d: total = 0 for a matching query", shards)
+				if total != wantTotal || (q == "ford focus" && total == 0) {
+					t.Fatalf("shards=%d TopK(%q,%d): total %d, want %d (nonzero for a matching query)", shards, q, k, total, wantTotal)
 				}
 			}
 		}
@@ -59,7 +64,7 @@ func TestTopKZeroOptionsIsSearch(t *testing.T) {
 func TestTopKPagination(t *testing.T) {
 	ix := topkCorpus(t, 4)
 	q := "ford focus seattle"
-	full := ix.Search(q, 1000)
+	full := search(ix, q, 1000)
 	wantTotal := len(full)
 	for _, k := range []int{1, 7, 25} {
 		var paged []Result
@@ -106,7 +111,7 @@ func TestTopKFilter(t *testing.T) {
 	}
 	// The filtered ranking preserves the relative order of the full one.
 	var fromFull []Result
-	for _, h := range ix.Search(q, 1000) {
+	for _, h := range search(ix, q, 1000) {
 		if keep(h.DocID, Doc{URL: h.URL}) {
 			fromFull = append(fromFull, h)
 		}
@@ -153,7 +158,7 @@ func TestTopKCanceledContext(t *testing.T) {
 	if err == nil || hits != nil || total != 0 {
 		t.Fatalf("canceled TopK = (%v, %d, %v), want (nil, 0, ctx.Err())", hits, total, err)
 	}
-	want := ix.Search("ford focus seattle", 10)
+	want := search(ix, "ford focus seattle", 10)
 	for i := 0; i < 20; i++ {
 		got, _, err := ix.TopK(context.Background(), "ford focus seattle", 10, 0, nil)
 		if err != nil || !reflect.DeepEqual(got, want) {
@@ -162,25 +167,24 @@ func TestTopKCanceledContext(t *testing.T) {
 	}
 }
 
-// AnnotatedTopK with zero options must match AnnotatedSearch exactly,
-// and its pages must tile like the plain ones.
+// AnnotatedTopK at any k must be the k-prefix of the one canonical
+// annotated ranking, and its pages must tile like the plain ones.
 func TestAnnotatedTopKMatchesAnnotatedSearch(t *testing.T) {
 	ix := topkCorpus(t, 4)
 	for i := 0; i < 60; i += 2 {
 		ix.Annotate(i, map[string]string{"make": "ford"})
 	}
 	q := "ford focus"
+	full, _, _ := ix.AnnotatedTopK(context.Background(), q, 1000, 0, nil)
 	for _, k := range []int{1, 5, 30} {
-		want := ix.AnnotatedSearch(q, k)
 		got, total, err := ix.AnnotatedTopK(context.Background(), q, k, 0, nil)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d: AnnotatedTopK != AnnotatedSearch (err=%v)", k, err)
+		if err != nil || !reflect.DeepEqual(got, full[:k]) {
+			t.Fatalf("k=%d: AnnotatedTopK is not the prefix of the full annotated ranking (err=%v)", k, err)
 		}
 		if total == 0 {
 			t.Fatalf("k=%d: zero total", k)
 		}
 	}
-	full, _, _ := ix.AnnotatedTopK(context.Background(), q, 1000, 0, nil)
 	var paged []Result
 	for offset := 0; offset < len(full); offset += 7 {
 		page, _, err := ix.AnnotatedTopK(context.Background(), q, 7, offset, nil)

@@ -230,9 +230,6 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, error)) (
 		v, err := fill()
 		return v, false, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	h := maphash.String(c.seed, key)
 	sh := &c.shards[h%uint64(len(c.shards))]
 	for {

@@ -8,8 +8,9 @@
 // GET only (anything else is 405 with the JSON error envelope),
 // envelope-shaped errors, buffered JSON writes. The handlers are
 // exported so the versioned /v1 layer (internal/api) can mount them
-// under its own paths; the Server's own mux keeps the legacy flat
-// paths (/synonyms, …) serving the same bytes.
+// under its own paths, which is how the binaries serve them; the
+// Server's own mux mounts the same handlers on flat paths (/synonyms,
+// …) for embedding and tests.
 package semserv
 
 import (

@@ -22,8 +22,10 @@
 // postings segment of the same save, so docs and postings from
 // different snapshot generations (a save that crashed halfway over an
 // older snapshot, a hand-mixed directory) cannot be loaded together
-// even when their doc counts coincide. Because it is content-derived,
-// identical indexes still produce byte-identical segments. The tables
+// even when their doc counts coincide. Because it is content-derived
+// and terms are placed by the stable index.ShardOf, identical indexes
+// produce byte-identical directories — docs, postings and meta — from
+// any process, whichever way they were built. The tables
 // segment is self-contained — one atomically-replaced file, loadable
 // without any index segments — so it carries no generation binding; a
 // crash between an index save and a tables save can leave it one
@@ -35,6 +37,11 @@
 // Corruption is always a returned error, never a panic: a serving
 // binary pointed at a bad snapshot must fail loudly at startup, not
 // crash mid-query.
+//
+// The index segments of a directory are written only through Writer,
+// which owns the directory protocol (sweep, docs first, postings
+// stamped with the docs segment's id, meta last); this file holds the
+// segment framing and the per-kind codecs.
 package store
 
 import (
@@ -140,10 +147,11 @@ func TablesPath(dir string) string { return filepath.Join(dir, "tables.seg") }
 func MetaPath(dir string) string { return filepath.Join(dir, "meta.seg") }
 
 // CleanTmp removes stale *.tmp files from a snapshot directory — the
-// droppings of a writer that crashed between WriteFile and Rename.
-// They are never live data (readers only open final segment names),
-// but left alone they accumulate and invite confusion. A missing dir
-// is not an error.
+// droppings of a writer that crashed between WriteFile and Rename, or
+// of a bulk build that crashed before merging its spill runs. They are
+// never live data (readers only open final segment names), but left
+// alone they accumulate and invite confusion. A missing dir is not an
+// error.
 func CleanTmp(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -163,16 +171,20 @@ func CleanTmp(dir string) error {
 	return nil
 }
 
-// writeSegment frames a body with the checked header and writes it
-// atomically (temp file + rename), so a crash mid-save never leaves a
-// half-written segment under the final name.
-func writeSegment(path string, h Header, body []byte) error {
+// writeFramed frames a body with the checked header and writes it to
+// path directly — for files that are temporary by name (spill runs).
+func writeFramed(path string, h Header, body []byte) error {
 	buf := make([]byte, headerSize, headerSize+len(body))
 	encodeHeader(buf, h, uint64(len(body)), crc32.Checksum(body, castagnoli))
-	buf = append(buf, body...)
+	return os.WriteFile(path, append(buf, body...), 0o644)
+}
 
+// writeSegment writes a framed live segment atomically (temp file +
+// rename), so a crash mid-save never leaves a half-written segment
+// under the final name.
+func writeSegment(path string, h Header, body []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := writeFramed(tmp, h, body); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -184,7 +196,7 @@ func writeSegment(path string, h Header, body []byte) error {
 
 // encodeHeader fills the 44-byte fixed header into buf (len ≥
 // headerSize), including the trailing header CRC. Shared by the
-// buffer-at-once writeSegment and the streaming DocsWriter, which
+// buffer-at-once writeFramed and the streaming docsWriter, which
 // patches the header in place once the body CRC is known.
 func encodeHeader(buf []byte, h Header, bodyLen uint64, bodyCRC uint32) {
 	copy(buf[0:4], magic)
@@ -316,12 +328,13 @@ func (d *dec) str() string {
 }
 
 // count reads a uvarint element count and sanity-bounds it against the
-// remaining bytes (each element costs ≥1 byte), so a corrupt count
-// cannot drive a huge allocation.
-func (d *dec) count(what string) int {
+// remaining bytes — each element encodes to at least minBytes — so a
+// corrupt count cannot drive an allocation beyond a small multiple of
+// the file size (FuzzSegmentDecode holds every reader to that).
+func (d *dec) count(what string, minBytes int) int {
 	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.b)) {
-		d.fail(fmt.Sprintf("%s count %d exceeds remaining %d bytes", what, n, len(d.b)))
+	if d.err == nil && n > uint64(len(d.b)/minBytes) {
+		d.fail(fmt.Sprintf("%s count %d exceeds what the remaining %d bytes can hold", what, n, len(d.b)))
 	}
 	if d.err != nil {
 		return 0
@@ -349,66 +362,6 @@ type DocsSegment struct {
 	Dead []int
 }
 
-// WriteDocs encodes and writes the docs segment. shards records the
-// snapshot's postings-segment count so a loader knows what to expect
-// from the directory. Annotations are emitted in sorted order, so
-// identical indexes produce byte-identical segments. The returned
-// snapshot id (the body's CRC) must be stamped into every postings
-// segment written alongside.
-func WriteDocs(path string, shards int, seg *DocsSegment) (snapID uint32, err error) {
-	if shards < 1 || shards > MaxShards {
-		return 0, fmt.Errorf("store: write docs: shard count %d outside [1, %d]", shards, MaxShards)
-	}
-	var e enc
-	e.uvarint(uint64(len(seg.Docs)))
-	for id, doc := range seg.Docs {
-		e.str(doc.URL)
-		e.str(doc.Title)
-		e.str(doc.Text)
-		e.str(doc.Source)
-		e.uvarint(uint64(seg.Lens[id]))
-	}
-	annIDs := make([]int, 0, len(seg.Anns))
-	for id, m := range seg.Anns {
-		if len(m) > 0 {
-			annIDs = append(annIDs, id)
-		}
-	}
-	sort.Ints(annIDs)
-	e.uvarint(uint64(len(annIDs)))
-	for _, id := range annIDs {
-		m := seg.Anns[id]
-		attrs := make([]string, 0, len(m))
-		for a := range m {
-			attrs = append(attrs, a)
-		}
-		sort.Strings(attrs)
-		e.uvarint(uint64(id))
-		e.uvarint(uint64(len(attrs)))
-		for _, a := range attrs {
-			e.str(a)
-			e.str(m[a])
-		}
-	}
-	// Tombstones, delta-coded over the sorted id list.
-	dead := append([]int(nil), seg.Dead...)
-	sort.Ints(dead)
-	e.uvarint(uint64(len(dead)))
-	prev := 0
-	for _, id := range dead {
-		e.uvarint(uint64(id - prev))
-		prev = id
-	}
-	snapID = crc32.Checksum(e.b, castagnoli)
-	return snapID, writeSegment(path, Header{
-		Version:  Version,
-		Kind:     KindDocs,
-		Shards:   uint32(shards),
-		DocCount: uint64(len(seg.Docs)),
-		SnapID:   snapID,
-	}, e.b)
-}
-
 // ReadDocs reads and decodes the docs segment.
 func ReadDocs(path string) (*DocsSegment, Header, error) {
 	h, body, err := readSegment(path, KindDocs)
@@ -416,7 +369,7 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 		return nil, Header{}, err
 	}
 	d := &dec{b: body, path: path}
-	n := d.count("doc")
+	n := d.count("doc", 5)
 	seg := &DocsSegment{
 		Docs: make([]index.Doc, 0, n),
 		Lens: make([]int, 0, n),
@@ -431,14 +384,14 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 		})
 		seg.Lens = append(seg.Lens, int(d.uvarint()))
 	}
-	nAnn := d.count("annotated-doc")
+	nAnn := d.count("annotated-doc", 2)
 	for i := 0; i < nAnn && d.err == nil; i++ {
 		id := int(d.uvarint())
 		if id < 0 || id >= n {
 			d.fail(fmt.Sprintf("annotation for doc %d of %d", id, n))
 			break
 		}
-		nAttr := d.count("annotation attr")
+		nAttr := d.count("annotation attr", 2)
 		m := make(map[string]string, nAttr)
 		for j := 0; j < nAttr && d.err == nil; j++ {
 			attr := d.str()
@@ -446,7 +399,7 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 		}
 		seg.Anns[id] = m
 	}
-	nDead := d.count("tombstone")
+	nDead := d.count("tombstone", 1)
 	prev := 0
 	for i := 0; i < nDead && d.err == nil; i++ {
 		id := prev + int(d.uvarint())
@@ -471,8 +424,7 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 }
 
 // WritePostings encodes and writes one shard's postings segment,
-// stamped with the snapshot id WriteDocs returned for the docs segment
-// of the same save. Doc ids are zig-zag delta coded so the stored
+// stamped with the snapshot id of the docs segment of the same save. Doc ids are zig-zag delta coded so the stored
 // order — whatever order the index appended in — round-trips exactly.
 func WritePostings(path string, shards, shardID, docCount int, snapID uint32, terms []index.TermPostings) error {
 	var e enc
@@ -490,7 +442,14 @@ func WritePostings(path string, shards, shardID, docCount int, snapID uint32, te
 // ReadPostings reads and decodes one postings segment. Every decoded
 // doc id is bounds-checked against the header's doc count.
 func ReadPostings(path string) ([]index.TermPostings, Header, error) {
-	h, body, err := readSegment(path, KindPostings)
+	return readPostings(path, KindPostings)
+}
+
+// readPostings decodes a postings-bodied segment of the given kind: a
+// final segment (KindPostings) or a spill run (KindSpill). The kind
+// check keeps the two roles apart even though they share a codec.
+func readPostings(path string, kind Kind) ([]index.TermPostings, Header, error) {
+	h, body, err := readSegment(path, kind)
 	if err != nil {
 		return nil, Header{}, err
 	}
@@ -505,7 +464,7 @@ func ReadPostings(path string) ([]index.TermPostings, Header, error) {
 // encodePostingsBody appends the shared postings body encoding: term
 // count, then per term its string, posting count, and zig-zag doc-id
 // deltas with tf. Used by both the final postings segments and the
-// spill runs the bulk build merges.
+// spill runs Writer merges into them.
 func encodePostingsBody(e *enc, terms []index.TermPostings) {
 	e.uvarint(uint64(len(terms)))
 	for _, tp := range terms {
@@ -523,11 +482,11 @@ func encodePostingsBody(e *enc, terms []index.TermPostings) {
 // decodePostingsBody is the inverse, bounds-checking every decoded doc
 // id against docCount; errors accumulate in d.
 func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
-	nTerms := d.count("term")
+	nTerms := d.count("term", 2)
 	terms := make([]index.TermPostings, 0, nTerms)
 	for i := 0; i < nTerms && d.err == nil; i++ {
 		term := d.str()
-		nPost := d.count("posting")
+		nPost := d.count("posting", 2)
 		ps := make([]index.Posting, 0, nPost)
 		prev := int64(0)
 		for j := 0; j < nPost && d.err == nil; j++ {
@@ -588,7 +547,7 @@ func ReadMeta(path string) (*MetaSegment, error) {
 		return nil, err
 	}
 	d := &dec{b: body, path: path}
-	n := d.count("site")
+	n := d.count("site", 2)
 	seg := &MetaSegment{Sites: make([]SiteMeta, 0, n)}
 	for i := 0; i < n && d.err == nil; i++ {
 		seg.Sites = append(seg.Sites, SiteMeta{Host: d.str(), Signature: d.uvarint()})
@@ -642,17 +601,17 @@ func ReadTables(path string) (*TablesSegment, error) {
 		PagesCrawled: int(d.uvarint()),
 		RawTables:    int(d.uvarint()),
 	}
-	nTables := d.count("table")
+	nTables := d.count("table", 3)
 	seg.Tables = make([]webtables.RawTable, 0, nTables)
 	for i := 0; i < nTables && d.err == nil; i++ {
 		t := webtables.RawTable{URL: d.str()}
-		nHead := d.count("header")
+		nHead := d.count("header", 1)
 		for j := 0; j < nHead && d.err == nil; j++ {
 			t.Headers = append(t.Headers, d.str())
 		}
-		nRows := d.count("row")
+		nRows := d.count("row", 1)
 		for j := 0; j < nRows && d.err == nil; j++ {
-			nCells := d.count("cell")
+			nCells := d.count("cell", 1)
 			row := make([]string, 0, nCells)
 			for c := 0; c < nCells && d.err == nil; c++ {
 				row = append(row, d.str())

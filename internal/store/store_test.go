@@ -49,10 +49,30 @@ func sampleTables() *TablesSegment {
 	}
 }
 
+// writeDocs streams seg through the docs writer — the only docs
+// encoder — and returns the snapshot id.
+func writeDocs(path string, shards int, seg *DocsSegment) (uint32, error) {
+	w, err := newDocsWriter(path, shards, len(seg.Docs))
+	if err != nil {
+		return 0, err
+	}
+	dead := map[int]bool{}
+	for _, id := range seg.Dead {
+		dead[id] = true
+	}
+	for id, d := range seg.Docs {
+		if err := w.Add(d, seg.Lens[id], seg.Anns[id], dead[id]); err != nil {
+			w.Abort()
+			return 0, err
+		}
+	}
+	return w.Close()
+}
+
 func TestDocsRoundTrip(t *testing.T) {
 	path := DocsPath(t.TempDir())
 	want := sampleDocs()
-	snapID, err := WriteDocs(path, 4, want)
+	snapID, err := writeDocs(path, 4, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +129,10 @@ func TestTablesRoundTrip(t *testing.T) {
 func TestWriteDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a.seg"), filepath.Join(dir, "b.seg")
-	if _, err := WriteDocs(a, 4, sampleDocs()); err != nil {
+	if _, err := writeDocs(a, 4, sampleDocs()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteDocs(b, 4, sampleDocs()); err != nil {
+	if _, err := writeDocs(b, 4, sampleDocs()); err != nil {
 		t.Fatal(err)
 	}
 	ba, _ := os.ReadFile(a)
@@ -127,7 +147,7 @@ func TestWriteDeterministic(t *testing.T) {
 func writeSample(t *testing.T) (string, []byte) {
 	t.Helper()
 	path := DocsPath(t.TempDir())
-	if _, err := WriteDocs(path, 4, sampleDocs()); err != nil {
+	if _, err := writeDocs(path, 4, sampleDocs()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -231,11 +251,11 @@ func TestMissingSegment(t *testing.T) {
 // shards. Both writer and reader refuse it.
 func TestShardCountBounds(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := WriteDocs(DocsPath(dir), 0, sampleDocs()); err == nil {
-		t.Error("WriteDocs accepted 0 shards")
+	if _, err := writeDocs(DocsPath(dir), 0, sampleDocs()); err == nil {
+		t.Error("docs writer accepted 0 shards")
 	}
-	if _, err := WriteDocs(DocsPath(dir), MaxShards+1, sampleDocs()); err == nil {
-		t.Error("WriteDocs accepted > MaxShards shards")
+	if _, err := writeDocs(DocsPath(dir), MaxShards+1, sampleDocs()); err == nil {
+		t.Error("docs writer accepted > MaxShards shards")
 	}
 	for _, shards := range []uint32{0, MaxShards + 1} {
 		path, raw := writeSample(t)
@@ -263,34 +283,46 @@ func TestShardCountBounds(t *testing.T) {
 	}
 }
 
-// Tombstones round-trip through the docs segment, sorted regardless of
-// input order.
+// Tombstones round-trip through the docs segment as the ascending id
+// list, alongside the documents and annotations.
 func TestDocsTombstonesRoundTrip(t *testing.T) {
 	path := DocsPath(t.TempDir())
 	want := sampleDocs()
-	want.Dead = []int{2, 0} // unsorted on purpose
-	if _, err := WriteDocs(path, 4, want); err != nil {
+	want.Dead = []int{0, 2}
+	if _, err := writeDocs(path, 4, want); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := ReadDocs(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Dead, []int{0, 2}) {
-		t.Fatalf("tombstones round-tripped as %v", got.Dead)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 // Tombstone ids outside the doc table, or duplicated, are corruption.
+// The writer cannot emit either, so the bodies are framed by hand.
 func TestDocsTombstoneBoundsChecked(t *testing.T) {
-	for name, dead := range map[string][]int{
+	for name, deltas := range map[string][]uint64{
 		"out of range": {7},
-		"duplicate":    {1, 1},
+		"duplicate":    {1, 0},
 	} {
+		var e enc
+		e.uvarint(3) // three empty docs
+		for i := 0; i < 3; i++ {
+			for f := 0; f < 4; f++ {
+				e.str("")
+			}
+			e.uvarint(0)
+		}
+		e.uvarint(0) // no annotations
+		e.uvarint(uint64(len(deltas)))
+		for _, d := range deltas {
+			e.uvarint(d)
+		}
 		path := DocsPath(t.TempDir())
-		if _, err := WriteDocs(path, 4, &DocsSegment{
-			Docs: sampleDocs().Docs, Lens: sampleDocs().Lens, Dead: dead,
-		}); err != nil {
+		if err := writeSegment(path, Header{Version: Version, Kind: KindDocs, Shards: 4, DocCount: 3}, e.b); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := ReadDocs(path); !errors.Is(err, ErrCorrupt) {
@@ -380,7 +412,7 @@ func TestPostingsTFBoundsChecked(t *testing.T) {
 func TestTornWriteDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := DocsPath(dir)
-	if _, err := WriteDocs(path, 2, sampleDocs()); err != nil {
+	if _, err := writeDocs(path, 2, sampleDocs()); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(path)
@@ -400,7 +432,7 @@ func TestTornWriteDetected(t *testing.T) {
 // CleanTmp sweeps crashed writers' droppings and nothing else.
 func TestCleanTmp(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := WriteDocs(DocsPath(dir), 1, sampleDocs()); err != nil {
+	if _, err := writeDocs(DocsPath(dir), 1, sampleDocs()); err != nil {
 		t.Fatal(err)
 	}
 	stale := filepath.Join(dir, "docs.seg.123.tmp")

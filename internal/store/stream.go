@@ -12,12 +12,13 @@ import (
 	"deepweb/internal/index"
 )
 
-// DocsWriter streams a docs segment to disk one document at a time, so
-// a bulk build never holds the document table in memory. The emitted
-// bytes are identical to WriteDocs over the same documents (pinned by
-// test): the body CRC — and therefore the snapshot id every postings
-// segment is stamped with — is the same whether a corpus was saved
-// from RAM or streamed.
+// docsWriter is the docs-segment encoder: it streams the segment to
+// disk one document at a time, so neither a bulk build nor a Save of a
+// live index ever holds the encoded document table in memory. The body
+// CRC — and therefore the snapshot id every postings segment is stamped
+// with — depends only on the documents, so the same corpus yields the
+// same bytes whether it was saved from RAM or streamed from a source
+// (the format is pinned by a digest test).
 //
 // Streaming a format whose header precedes a body of unknown length
 // works by reserving the 44-byte header up front, accumulating the
@@ -29,11 +30,14 @@ import (
 // RAM, scales with annotation volume. Both temp names end in .tmp, so
 // a crashed writer's droppings fall to the existing CleanTmp sweep.
 //
+// Tombstones ride along as a flag per Add; their delta-coded id list
+// (a byte or two per deleted document) is buffered in RAM and appended
+// after the annotations.
+//
 // The writer expects exactly docCount Adds in doc-id order (id =
-// arrival order, matching the index's sequential assignment) and no
-// tombstones: fresh bulk builds have nothing deleted. Not safe for
-// concurrent use.
-type DocsWriter struct {
+// arrival order, matching the index's sequential assignment). Not safe
+// for concurrent use.
+type docsWriter struct {
 	path   string
 	tmp    string
 	annTmp string
@@ -46,6 +50,9 @@ type DocsWriter struct {
 	expected int
 	n        int // docs added so far = next doc id
 	annDocs  int
+	dead     enc // delta-coded tombstone ids, ascending
+	nDead    int
+	lastDead int
 	crc      uint32
 	bodyLen  uint64
 	scratch  enc
@@ -53,17 +60,19 @@ type DocsWriter struct {
 	done     bool
 }
 
-// NewDocsWriter opens the temp files and writes the body prologue.
-// docCount must be the exact number of Add calls to come; Close fails
-// on a mismatch rather than emit a lying header.
-func NewDocsWriter(path string, shards, docCount int) (*DocsWriter, error) {
+// newDocsWriter opens the temp files and writes the body prologue.
+// shards records the snapshot's postings-segment count so a loader
+// knows what to expect from the directory. docCount must be the exact
+// number of Add calls to come; Close fails on a mismatch rather than
+// emit a lying header.
+func newDocsWriter(path string, shards, docCount int) (*docsWriter, error) {
 	if shards < 1 || shards > MaxShards {
 		return nil, fmt.Errorf("store: docs writer: shard count %d outside [1, %d]", shards, MaxShards)
 	}
 	if docCount < 0 {
 		return nil, fmt.Errorf("store: docs writer: negative doc count %d", docCount)
 	}
-	w := &DocsWriter{
+	w := &docsWriter{
 		path:     path,
 		tmp:      path + ".tmp",
 		annTmp:   path + ".ann.tmp",
@@ -95,14 +104,14 @@ func NewDocsWriter(path string, shards, docCount int) (*DocsWriter, error) {
 	return w, nil
 }
 
-func (w *DocsWriter) fail(err error) {
+func (w *docsWriter) fail(err error) {
 	if w.err == nil {
 		w.err = err
 	}
 }
 
 // emit writes body bytes, tracking length and CRC incrementally.
-func (w *DocsWriter) emit(b []byte) {
+func (w *docsWriter) emit(b []byte) {
 	if w.err != nil {
 		return
 	}
@@ -116,8 +125,9 @@ func (w *DocsWriter) emit(b []byte) {
 
 // Add appends one document. dl is its BM25 length (what ExportDocs
 // reports as Lens); anns are its surfacing-time annotations, nil or
-// empty for none. The document's id is its arrival order.
-func (w *DocsWriter) Add(d index.Doc, dl int, anns map[string]string) error {
+// empty for none, emitted in sorted attribute order; dead marks a
+// tombstoned row. The document's id is its arrival order.
+func (w *docsWriter) Add(d index.Doc, dl int, anns map[string]string, dead bool) error {
 	if w.done {
 		return errors.New("store: docs writer: add after close")
 	}
@@ -155,16 +165,20 @@ func (w *DocsWriter) Add(d index.Doc, dl int, anns map[string]string) error {
 			w.annDocs++
 		}
 	}
+	if dead {
+		w.dead.uvarint(uint64(w.n - w.lastDead))
+		w.lastDead = w.n
+		w.nDead++
+	}
 	w.n++
 	return w.err
 }
 
-// Close splices the annotation sidecar and empty tombstone list into
-// the body, patches the real header, and atomically renames the
-// segment into place. The returned snapshot id (the body CRC, exactly
-// as WriteDocs computes it) must be stamped into the postings segments
-// written alongside.
-func (w *DocsWriter) Close() (snapID uint32, err error) {
+// Close splices the annotation sidecar and the tombstone list into the
+// body, patches the real header, and atomically renames the segment
+// into place. The returned snapshot id (the body CRC) must be stamped
+// into the postings segments written alongside.
+func (w *docsWriter) Close() (snapID uint32, err error) {
 	if w.done {
 		return 0, errors.New("store: docs writer: already closed")
 	}
@@ -207,11 +221,12 @@ func (w *DocsWriter) Close() (snapID uint32, err error) {
 			}
 		}
 	}
-	// Empty tombstone list: a fresh bulk build deletes nothing.
+	// Tombstones, delta-coded over the ascending id list.
 	if w.err == nil {
 		w.scratch.b = w.scratch.b[:0]
-		w.scratch.uvarint(0)
+		w.scratch.uvarint(uint64(w.nDead))
 		w.emit(w.scratch.b)
+		w.emit(w.dead.b)
 	}
 	if w.err == nil {
 		if err := w.bw.Flush(); err != nil {
@@ -250,7 +265,7 @@ func (w *DocsWriter) Close() (snapID uint32, err error) {
 
 // Abort discards the writer and its temp files. Safe to call at any
 // point, including after a successful Close (then a no-op).
-func (w *DocsWriter) Abort() {
+func (w *docsWriter) Abort() {
 	if w.done {
 		return
 	}
@@ -258,7 +273,7 @@ func (w *DocsWriter) Abort() {
 	w.abort()
 }
 
-func (w *DocsWriter) abort() error {
+func (w *docsWriter) abort() error {
 	w.done = true
 	w.f.Close()
 	w.annF.Close()
@@ -266,7 +281,7 @@ func (w *DocsWriter) abort() error {
 	return w.err
 }
 
-func (w *DocsWriter) removeTemps() {
+func (w *docsWriter) removeTemps() {
 	os.Remove(w.tmp)
 	os.Remove(w.annTmp)
 }

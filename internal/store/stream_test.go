@@ -1,10 +1,12 @@
 package store
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"deepweb/internal/index"
@@ -26,58 +28,42 @@ func streamCorpus() *DocsSegment {
 	}
 }
 
-// The contract everything else leans on: the streamed segment is
-// byte-for-byte the segment WriteDocs produces, snapshot id included.
-func TestDocsWriterByteIdenticalToWriteDocs(t *testing.T) {
-	dir := t.TempDir()
+// The docs-segment format, pinned by a constant: the digest and
+// snapshot id of streamCorpus with docs 1 and 2 tombstoned, computed
+// with the buffer-at-once encoder this writer replaced (commit
+// 8e8434d). Any byte the writer emits differently — and therefore any
+// snapshot id it would stamp differently — fails here.
+func TestDocsSegmentDigest(t *testing.T) {
+	const (
+		wantID  = 0x7dfd9db7
+		wantSHA = "bb7920a90fbf6661df41074a2500c2872ef4f3cfb1aeb82e9a2ce704f9811df0"
+	)
 	seg := streamCorpus()
-
-	ref := filepath.Join(dir, "ref.seg")
-	wantID, err := WriteDocs(ref, 4, seg)
+	seg.Dead = []int{1, 2}
+	path := filepath.Join(t.TempDir(), "docs.seg")
+	gotID, err := writeDocs(path, 4, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	got := filepath.Join(dir, "got.seg")
-	w, err := NewDocsWriter(got, 4, len(seg.Docs))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, d := range seg.Docs {
-		if err := w.Add(d, seg.Lens[id], seg.Anns[id]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gotID, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotID != wantID {
-		t.Fatalf("snapshot id: streamed %08x, WriteDocs %08x", gotID, wantID)
+	if sum := fmt.Sprintf("%x", sha256.Sum256(raw)); gotID != wantID || sum != wantSHA {
+		t.Fatalf("docs segment drifted: snapshot id %08x sha256 %s (%d bytes), want %08x %s",
+			gotID, sum, len(raw), uint32(wantID), wantSHA)
 	}
 
-	a, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("segments differ: WriteDocs %d bytes, streamed %d bytes", len(a), len(b))
-	}
-
-	// And it round-trips through the normal reader.
-	rt, h, err := ReadDocs(got)
+	// And it round-trips through the reader.
+	rt, h, err := ReadDocs(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.SnapID != wantID || int(h.DocCount) != len(seg.Docs) || h.Shards != 4 {
 		t.Fatalf("header mismatch: %+v", h)
 	}
-	if len(rt.Docs) != len(seg.Docs) || len(rt.Anns) != len(seg.Anns) || len(rt.Dead) != 0 {
-		t.Fatalf("roundtrip mismatch: %d docs, %d anns, %d dead", len(rt.Docs), len(rt.Anns), len(rt.Dead))
+	if !reflect.DeepEqual(rt, seg) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", rt, seg)
 	}
 }
 
@@ -85,11 +71,11 @@ func TestDocsWriterCountMismatch(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "docs.seg")
 
-	w, err := NewDocsWriter(path, 1, 3)
+	w, err := newDocsWriter(path, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Add(index.Doc{URL: "u1"}, 1, nil); err != nil {
+	if err := w.Add(index.Doc{URL: "u1"}, 1, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Close(); err == nil {
@@ -103,14 +89,14 @@ func TestDocsWriterCountMismatch(t *testing.T) {
 	}
 
 	// Overflow is refused at Add time.
-	w2, err := NewDocsWriter(path, 1, 1)
+	w2, err := newDocsWriter(path, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Add(index.Doc{URL: "u1"}, 1, nil); err != nil {
+	if err := w2.Add(index.Doc{URL: "u1"}, 1, nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Add(index.Doc{URL: "u2"}, 1, nil); err == nil {
+	if err := w2.Add(index.Doc{URL: "u2"}, 1, nil, false); err == nil {
 		t.Fatal("Add accepted more docs than declared")
 	}
 	w2.Abort()
@@ -134,26 +120,41 @@ func leftovers(t *testing.T, dir string) int {
 	return n
 }
 
+// prepared tokenizes a one-line document for the writer tests.
+func prepared(i int, text string) *index.Prepared {
+	return index.Prepare(index.Doc{URL: fmt.Sprintf("http://w.example/%d", i), Text: text})
+}
+
 func TestSpillRunRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	terms := []index.TermPostings{
-		{Term: "alpha", Postings: []index.Posting{{Doc: 0, TF: 2}, {Doc: 5, TF: 1}}},
-		{Term: "beta", Postings: []index.Posting{{Doc: 3, TF: 7}}},
-	}
-	if err := WriteSpillRun(dir, 2, 4, 1, 10, terms); err != nil {
-		t.Fatal(err)
-	}
-	path := SpillRunPath(dir, 2, 1)
-	got, h, err := ReadSpillRun(path)
+	w, err := NewWriter(dir, 1, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Kind != KindSpill || h.Shards != 4 || h.ShardID != 1 || h.DocCount != 10 {
+	defer w.Abort()
+	for i, text := range []string{"alpha beta", "alpha", "gamma"} {
+		if err := w.AddPrepared(prepared(i, text), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two documents filled the window: one run, holding docs 0 and 1.
+	if w.Runs() != 1 || len(w.runs[0]) != 1 {
+		t.Fatalf("runs after 3 docs at window 2: %d (%v)", w.Runs(), w.runs)
+	}
+	path := w.runs[0][0]
+	got, h, err := readPostings(path, KindSpill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Kind != KindSpill || h.Shards != 1 || h.ShardID != 0 || h.DocCount != 2 {
 		t.Fatalf("header mismatch: %+v", h)
 	}
-	if len(got) != 2 || got[0].Term != "alpha" || got[1].Term != "beta" ||
-		len(got[0].Postings) != 2 || got[0].Postings[1] != (index.Posting{Doc: 5, TF: 1}) {
-		t.Fatalf("roundtrip mismatch: %+v", got)
+	want := []index.TermPostings{
+		{Term: "alpha", Postings: []index.Posting{{Doc: 0, TF: 1}, {Doc: 1, TF: 1}}},
+		{Term: "beta", Postings: []index.Posting{{Doc: 0, TF: 1}}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run holds %+v, want %+v", got, want)
 	}
 
 	// A run is not a postings segment: the kind check must refuse it.
@@ -161,57 +162,80 @@ func TestSpillRunRoundtrip(t *testing.T) {
 		t.Fatalf("ReadPostings accepted a spill run: %v", err)
 	}
 
-	// Doc ids beyond the declared count are corruption.
-	if err := WriteSpillRun(dir, 3, 4, 0, 2, terms); err != nil {
+	// Doc ids beyond the run's declared count are corruption.
+	var e enc
+	encodePostingsBody(&e, want)
+	bad := filepath.Join(dir, "bad-run.tmp")
+	if err := writeFramed(bad, Header{Version: Version, Kind: KindSpill, Shards: 1, DocCount: 1}, e.b); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadSpillRun(SpillRunPath(dir, 3, 0)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readPostings(bad, KindSpill); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("out-of-bounds doc id not rejected: %v", err)
 	}
 }
 
+// Runs merge in flush order however many there are, and neither a
+// crashed build's runs nor this build's survive: the sweep at writer
+// start, at Commit and at Abort collects them and leaves segments be.
 func TestSpillRunsOrderAndCleanSpills(t *testing.T) {
 	dir := t.TempDir()
-	terms := []index.TermPostings{{Term: "t", Postings: []index.Posting{{Doc: 0, TF: 1}}}}
-	for _, flush := range []int{7, 0, 12} {
-		if err := WriteSpillRun(dir, flush, 2, 1, 1, terms); err != nil {
+	stale := filepath.Join(dir, "spill-s0001-r0099.tmp")
+	if err := os.WriteFile(stale, []byte("crashed build"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const docs = 12
+	w, err := NewWriter(dir, 2, docs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale run survived the writer's opening sweep: %v", err)
+	}
+	for i := 0; i < docs; i++ {
+		if err := w.AddPrepared(prepared(i, "shared"), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := WriteSpillRun(dir, 0, 2, 0, 1, terms); err != nil {
+	if w.Runs() != docs {
+		t.Fatalf("%d runs for %d one-document windows", w.Runs(), docs)
+	}
+	if _, err := w.Commit(2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	runs, err := SpillRuns(dir, 1)
+	if n := leftovers(t, dir); n != 0 {
+		t.Fatalf("commit left %d temp files", n)
+	}
+	si := index.ShardOf(prepared(0, "shared").Terms()[0], 2) // the stemmed term
+	terms, _, err := ReadPostings(PostingsPath(dir, si))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{SpillRunPath(dir, 0, 1), SpillRunPath(dir, 7, 1), SpillRunPath(dir, 12, 1)}
-	if len(runs) != 3 || runs[0] != want[0] || runs[1] != want[1] || runs[2] != want[2] {
-		t.Fatalf("runs out of order: %v", runs)
+	if len(terms) != 1 || len(terms[0].Postings) != docs {
+		t.Fatalf("merged segment: %+v", terms)
+	}
+	for i, p := range terms[0].Postings {
+		if int(p.Doc) != i {
+			t.Fatalf("posting %d is doc %d: runs merged out of flush order", i, p.Doc)
+		}
 	}
 
-	// CleanSpills sweeps runs but leaves real segments alone.
-	if _, err := WriteDocs(DocsPath(dir), 1, &DocsSegment{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := CleanSpills(dir); err != nil {
-		t.Fatal(err)
-	}
-	left, err := SpillRuns(dir, 1)
+	// An aborted build sweeps its runs but leaves live segments alone.
+	w2, err := NewWriter(dir, 2, docs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(left) != 0 {
-		t.Fatalf("CleanSpills left %v", left)
+	if err := w2.AddPrepared(prepared(0, "shared"), nil); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(DocsPath(dir)); err != nil {
-		t.Fatalf("CleanSpills removed the docs segment: %v", err)
+	if leftovers(t, dir) == 0 {
+		t.Fatal("no run or temp file on disk mid-build")
 	}
-	if err := CleanSpills(filepath.Join(dir, "missing")); err != nil {
-		t.Fatalf("missing dir should not error: %v", err)
+	w2.Abort()
+	if n := leftovers(t, dir); n != 0 {
+		t.Fatalf("abort left %d temp files", n)
 	}
-
-	if err := WriteSpillRun(dir, maxSpillFlushes, 1, 0, 1, terms); err == nil {
-		t.Fatal("flush index past the padded range accepted")
+	if _, _, err := ReadDocs(DocsPath(dir)); err != nil {
+		t.Fatalf("abort damaged the committed docs segment: %v", err)
 	}
 }

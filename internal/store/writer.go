@@ -1,0 +1,284 @@
+package store
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"sync"
+
+	"deepweb/internal/index"
+)
+
+// Writer is the one way a snapshot directory's index segments get
+// written. It owns the directory protocol — create the directory, sweep
+// a crashed writer's droppings, stream the docs segment first, stamp
+// its id into one postings segment per shard, write meta last — so the
+// two producers of snapshots differ only in where documents and
+// postings come from:
+//
+//   - a live index (engine.Save) streams its document table through
+//     AddDoc and hands Commit each shard's resident posting lists;
+//
+//   - a tokenized stream (engine.BulkBuild) feeds AddPrepared, which
+//     also accumulates the document's postings in RAM. Every spillDocs
+//     documents the accumulator is flushed as one sorted run file per
+//     non-empty shard, and Commit k-way merges each shard's runs into
+//     its final segment. Peak memory is the spill window plus one
+//     shard's merged postings, independent of corpus size.
+//
+// Spill runs are framed like postings segments (same header, same
+// varint/delta body, KindSpill so the kind check refuses them as live
+// data) and named *.tmp, so the CleanTmp sweep at the next writer's
+// start collects what a crashed build left behind. Terms within a run
+// are sorted; doc ids within a term ascend. Because runs are flushed in
+// doc-id order, concatenating a term's postings across a shard's runs
+// in flush order yields the ascending posting list of the final
+// segment — the merged output is independent of where the flush
+// boundaries fell, and with terms placed by index.ShardOf on both
+// paths, Save and BulkBuild of the same corpus write byte-identical
+// directories.
+//
+// A Writer is not safe for concurrent use. Callers defer Abort: after
+// a failed Add or Commit it sweeps the temp files and runs (segments of
+// an earlier completed snapshot may remain, and the snapshot-id binding
+// keeps a loader from mixing them with anything newer); after a
+// successful Commit it does nothing.
+type Writer struct {
+	dir       string
+	shards    int
+	spillDocs int
+	docs      *docsWriter
+
+	acc    []map[string][]index.Posting // per shard: term → ascending postings
+	window int                          // documents accumulated since the last flush
+	runs   [][]string                   // per shard: run files in flush order
+	done   bool                         // committed: Abort is a no-op
+}
+
+// NewWriter prepares dir for a snapshot of exactly docs documents over
+// shards posting shards. spillDocs is the accumulator window AddPrepared
+// flushes at; a writer fed only through AddDoc never consults it.
+func NewWriter(dir string, shards, docs, spillDocs int) (*Writer, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	// Crash hygiene: a writer that died mid-snapshot leaves *.tmp files
+	// behind (segments and runs are written under temp names). Sweep
+	// them before writing so they cannot accumulate.
+	if err := CleanTmp(dir); err != nil {
+		return nil, err
+	}
+	dw, err := newDocsWriter(DocsPath(dir), shards, docs)
+	if err != nil {
+		return nil, err
+	}
+	w := &Writer{
+		dir:       dir,
+		shards:    shards,
+		spillDocs: spillDocs,
+		docs:      dw,
+		acc:       make([]map[string][]index.Posting, shards),
+		runs:      make([][]string, shards),
+	}
+	for si := range w.acc {
+		w.acc[si] = map[string][]index.Posting{}
+	}
+	return w, nil
+}
+
+// AddDoc appends the next document (id = arrival order) to the docs
+// segment: its BM25 length, annotations (nil for none) and tombstone
+// flag.
+func (w *Writer) AddDoc(d index.Doc, dl int, anns map[string]string, dead bool) error {
+	return w.docs.Add(d, dl, anns, dead)
+}
+
+// AddPrepared appends the next document of a tokenized stream: the
+// docs-segment row plus its postings, accumulated until the spill
+// window fills.
+func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
+	id := w.docs.n
+	if err := w.AddDoc(p.Doc(), p.DocLen(), anns, false); err != nil {
+		return err
+	}
+	tfs := p.TermFreqs()
+	for j, t := range p.Terms() {
+		m := w.acc[index.ShardOf(t, w.shards)]
+		m[t] = append(m[t], index.Posting{Doc: int32(id), TF: tfs[j]})
+	}
+	if w.window++; w.window >= w.spillDocs {
+		return w.spill()
+	}
+	return nil
+}
+
+// spill flushes every non-empty shard of the accumulator as one sorted
+// run. The run header's doc count — the bound run readers check doc
+// ids against — is the number of documents added so far.
+func (w *Writer) spill() error {
+	for si, m := range w.acc {
+		if len(m) == 0 {
+			continue
+		}
+		terms := make([]index.TermPostings, 0, len(m))
+		for t, ps := range m {
+			terms = append(terms, index.TermPostings{Term: t, Postings: ps})
+		}
+		sort.Slice(terms, func(i, j int) bool { return terms[i].Term < terms[j].Term })
+		var e enc
+		encodePostingsBody(&e, terms)
+		path := filepath.Join(w.dir, fmt.Sprintf("spill-s%04d-r%04d.tmp", si, len(w.runs[si])))
+		if err := writeFramed(path, Header{
+			Version:  Version,
+			Kind:     KindSpill,
+			Shards:   uint32(w.shards),
+			ShardID:  uint32(si),
+			DocCount: uint64(w.docs.n),
+		}, e.b); err != nil {
+			return err
+		}
+		w.runs[si] = append(w.runs[si], path)
+		w.acc[si] = map[string][]index.Posting{}
+	}
+	w.window = 0
+	return nil
+}
+
+// Runs returns the number of spill-run files written so far.
+func (w *Writer) Runs() int {
+	n := 0
+	for _, r := range w.runs {
+		n += len(r)
+	}
+	return n
+}
+
+// Commit finishes the snapshot: the docs segment is closed and renamed
+// into place, then each shard's postings segment — the merge of its
+// spilled runs and, when resident is non-nil, the sorted posting lists
+// resident(si) returns — is written stamped with the docs segment's id
+// on up to workers goroutines, then the meta segment carrying sites.
+// It returns that snapshot id.
+func (w *Writer) Commit(workers int, sites []SiteMeta, resident func(si int) []index.TermPostings) (snapID uint32, err error) {
+	if w.window > 0 {
+		if err := w.spill(); err != nil {
+			return 0, err
+		}
+	}
+	snapID, err = w.docs.Close()
+	if err != nil {
+		return 0, err
+	}
+	err = ForEachShard(workers, w.shards, func(si int) error {
+		lists := make([][]index.TermPostings, 0, len(w.runs[si])+1)
+		for _, path := range w.runs[si] {
+			terms, h, err := readPostings(path, KindSpill)
+			if err != nil {
+				return err
+			}
+			if h.Shards != uint32(w.shards) || h.ShardID != uint32(si) {
+				return fmt.Errorf("%s: run header (shards=%d id=%d) disagrees with build (shards=%d id=%d): %w",
+					path, h.Shards, h.ShardID, w.shards, si, ErrCorrupt)
+			}
+			lists = append(lists, terms)
+		}
+		if resident != nil {
+			lists = append(lists, resident(si))
+		}
+		return WritePostings(PostingsPath(w.dir, si), w.shards, si, w.docs.n, snapID, mergeRuns(lists))
+	})
+	if err != nil {
+		return 0, fmt.Errorf("postings: %w", err)
+	}
+	if err := CleanTmp(w.dir); err != nil {
+		return 0, err
+	}
+	if err := WriteMeta(MetaPath(w.dir), &MetaSegment{Sites: sites}); err != nil {
+		return 0, fmt.Errorf("meta: %w", err)
+	}
+	w.done = true
+	return snapID, nil
+}
+
+// Abort discards an uncommitted snapshot's temp files and spill runs.
+func (w *Writer) Abort() {
+	if w.done {
+		return
+	}
+	w.docs.Abort()
+	_ = CleanTmp(w.dir) // best effort: the next writer's opening sweep retries
+}
+
+// mergeRuns k-way merges sorted term lists into one sorted list,
+// concatenating a term's postings across lists in list (= doc-id)
+// order. Linear scan over list heads: run counts are dozens, not
+// thousands, and the real cost is the postings append.
+func mergeRuns(runs [][]index.TermPostings) []index.TermPostings {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	heads := make([]int, len(runs))
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	out := make([]index.TermPostings, 0, total)
+	for {
+		best := ""
+		found := false
+		for ri, r := range runs {
+			if heads[ri] < len(r) {
+				if t := r[heads[ri]].Term; !found || t < best {
+					best, found = t, true
+				}
+			}
+		}
+		if !found {
+			return out
+		}
+		var ps []index.Posting
+		for ri, r := range runs {
+			if heads[ri] < len(r) && r[heads[ri]].Term == best {
+				ps = append(ps, r[heads[ri]].Postings...)
+				heads[ri]++
+			}
+		}
+		out = append(out, index.TermPostings{Term: best, Postings: ps})
+	}
+}
+
+// ForEachShard runs fn over every shard id on up to workers goroutines
+// and returns the first error (by shard order). Writer and the loader
+// both parallelize per shard through it.
+func ForEachShard(workers, shards int, fn func(si int) error) error {
+	if workers < 1 {
+		workers = 1
+	}
+	if workers > shards {
+		workers = shards
+	}
+	errs := make([]error, shards)
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for si := range jobs {
+				errs[si] = fn(si)
+			}
+		}()
+	}
+	for si := 0; si < shards; si++ {
+		jobs <- si
+	}
+	close(jobs)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
