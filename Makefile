@@ -81,12 +81,15 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/engine
 	$(GO) run ./cmd/deepcrawl -sites 1 -rows 60 -chaos -chaosseed 7
 
-# fuzz = the CI fuzz-smoke job: differential tokenizer fuzzing, then
-# arbitrary bodies through every snapshot segment decoder.
+# fuzz = the CI fuzz-smoke job: differential tokenizer fuzzing,
+# arbitrary bodies through every snapshot segment decoder, then
+# arbitrary strings through the filter DSL (Parse/String round trip,
+# Extract, Key).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textutil
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME) ./internal/query
 
 # lint = the CI lint job: the project's own analyzers first (no
 # install, works offline), then the pinned external tools (network

@@ -38,7 +38,8 @@ type SearchRequest struct {
 	// selection, so kept documents score bit-identically to an
 	// unfiltered search and Total counts exactly the matching live
 	// documents. Predicates resolve against the document's §5.1
-	// annotations first, then typed tokens from its text; order and
+	// annotations first (bound once per request to the index's
+	// columnar store), then typed tokens from its text; order and
 	// duplicates are irrelevant (the cache keys their canonical form).
 	Filters []query.Predicate
 }
@@ -65,7 +66,9 @@ type SearchResponse struct {
 }
 
 // Search answers req against the engine's index. The context cancels
-// scoring between query terms; a canceled search returns ctx.Err().
+// scoring between query terms and, for a filtered or host-restricted
+// request, every few thousand candidates of the admission loop; a
+// canceled search returns ctx.Err().
 //
 // With a result cache enabled (EnableResultCache) the repeated-query
 // hot path is O(copy): identical requests against an unchanged index
@@ -96,16 +99,17 @@ func (e *Engine) searchUncached(ctx context.Context, req SearchRequest) (SearchR
 	start := time.Now()
 	// The predicate-free, host-free path keeps keep == nil: topK's
 	// branch-free selection loop is the benchmarked hot path and must
-	// not grow a closure call per hit.
+	// not grow a closure call per hit. A host restriction alone reads
+	// nothing but the URL; only predicates bind to the annotation store.
 	var keep func(id int, d index.Doc) bool
-	if m := query.NewMatcher(req.Filters); m != nil || req.Host != "" {
-		host, ix := req.Host, e.Index
+	host := req.Host
+	if m := query.NewMatcher(req.Filters); m != nil {
+		bound := m.Bind(e.Index)
 		keep = func(id int, d index.Doc) bool {
-			if host != "" && !urlOnHost(d.URL, host) {
-				return false
-			}
-			return m.Match(ix.AnnotationsOf(id), d.Title, d.Text)
+			return (host == "" || urlOnHost(d.URL, host)) && bound.Match(id, d.Title, d.Text)
 		}
+	} else if host != "" {
+		keep = func(_ int, d index.Doc) bool { return urlOnHost(d.URL, host) }
 	}
 	var (
 		hits  []index.Result

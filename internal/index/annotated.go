@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -20,49 +21,192 @@ import (
 // annotation *contradicts* it and boosts documents whose annotation
 // confirms it.
 
+// The store is columnar. Each attribute has a dictionary — value to
+// code, code to value, the value's numeric reading, and how many live
+// documents carry it — and each document has a row of (attribute id,
+// value code) pairs in one flat arena behind an offset table. What a
+// query needs is then computed at the cheapest point that can know it:
+//
+//   - once per distinct value, at Annotate time: the dictionary code,
+//     strconv.ParseFloat, the word count that bounds the n-gram probe
+//     below;
+//   - once per query: which attributes a predicate reads
+//     (query.Matcher.Bind) and which dictionary values the query text
+//     mentions (valuesMentioned);
+//   - per candidate: a walk over the row's pairs, indexing arrays.
+//
+// Nothing here is persisted: snapshots carry annotations as attribute
+// and value strings, and Annotate rebuilds the columns during a load.
+
+// AnnPair is one annotation in a document's row: the attribute's id
+// (an index into AnnotationColumns) and the value's code in that
+// attribute's dictionary.
+type AnnPair struct {
+	Attr, Code uint32
+}
+
+// AnnValue is one dictionary entry, everything a filter reads of an
+// annotation value, computed when the value was first seen.
+type AnnValue struct {
+	Text  string  // the value, lower-cased and trimmed
+	Num   float64 // strconv.ParseFloat(Text, 64)
+	IsNum bool    // whether that parse succeeded
+}
+
+// NewAnnValue reads an annotation value the way the store does.
+func NewAnnValue(text string) AnnValue {
+	// A failed ParseFloat allocates an error holding a copy of its
+	// input, and most distinct values are prose (titles, summaries):
+	// only text whose first byte can begin a float literal — a sign, a
+	// digit, a point, "inf", "nan" in either case — is worth handing
+	// to it.
+	if text == "" || strings.IndexByte("+-.0123456789inIN", text[0]) < 0 {
+		return AnnValue{Text: text}
+	}
+	num, err := strconv.ParseFloat(text, 64)
+	return AnnValue{Text: text, Num: num, IsNum: err == nil}
+}
+
+// AnnColumn is a read-only view of one attribute's dictionary, indexed
+// by value code. Dictionaries only grow and entries never change, so a
+// view stays valid — for the codes it covers — without any lock.
+type AnnColumn struct {
+	Attr   string
+	Values []AnnValue
+}
+
+// annColumn is one attribute's dictionary.
+type annColumn struct {
+	name    string
+	codes   map[string]uint32 // value -> code
+	values  []AnnValue        // code -> value
+	support []int32           // code -> live documents carrying it
+	// maxWords is the most space-separated words any value has: the
+	// longest query n-gram worth probing codes with.
+	maxWords int
+}
+
+// rowRef locates a document's row in the pair arena.
+type rowRef struct {
+	off, n uint32
+}
+
 // annStore carries annotations parallel to docs.
 type annStore struct {
 	mu    sync.RWMutex
-	anns  map[int]map[string]string // docID -> attr -> value
-	vocab map[string]map[string]int // attr -> value -> support
+	attrs map[string]uint32 // attribute name -> id
+	cols  []*annColumn      // attribute id -> dictionary
+	rows  []rowRef          // doc id -> row; n == 0 for an unannotated document
+	pairs []AnnPair         // row arena
+	// waste counts arena pairs no row points at any more (deleted
+	// documents, rows that moved to grow); reclaim rewrites the arena
+	// once they outnumber the live ones.
+	waste int
 }
 
 func (ix *Index) annotations() *annStore {
 	ix.annOnce.Do(func() {
-		ix.ann = &annStore{
-			anns:  map[int]map[string]string{},
-			vocab: map[string]map[string]int{},
-		}
+		ix.ann = &annStore{attrs: map[string]uint32{}}
 	})
 	return ix.ann
 }
 
 // Annotate attaches attribute=value annotations to an indexed document
 // (typically the form binding that surfaced it). Values are stored
-// lower-cased; empty values are ignored.
+// lower-cased; empty values are ignored. A document holds one value per
+// attribute: annotating an attribute again replaces its value, and
+// repeating the value it already has changes nothing.
 func (ix *Index) Annotate(docID int, anns map[string]string) {
+	if docID < 0 {
+		return
+	}
 	st := ix.annotations()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	m := st.anns[docID]
-	if m == nil {
-		m = map[string]string{}
-		st.anns[docID] = m
-	}
 	for attr, v := range anns {
 		attr = strings.ToLower(strings.TrimSpace(attr))
 		v = strings.ToLower(strings.TrimSpace(v))
 		if attr == "" || v == "" {
 			continue
 		}
-		m[attr] = v
-		vv := st.vocab[attr]
-		if vv == nil {
-			vv = map[string]int{}
-			st.vocab[attr] = vv
-		}
-		vv[v]++
+		st.set(docID, attr, v)
 	}
+	st.reclaim()
+}
+
+// column returns the attribute's id and dictionary, creating both on
+// first sight.
+func (st *annStore) column(attr string) (uint32, *annColumn) {
+	a, ok := st.attrs[attr]
+	if !ok {
+		a = uint32(len(st.cols))
+		st.attrs[attr] = a
+		st.cols = append(st.cols, &annColumn{name: attr, codes: map[string]uint32{}})
+	}
+	return a, st.cols[a]
+}
+
+// code returns the value's dictionary code, interning it on first
+// sight.
+func (col *annColumn) code(v string) uint32 {
+	c, ok := col.codes[v]
+	if !ok {
+		c = uint32(len(col.values))
+		col.codes[v] = c
+		col.values = appendDoubling(col.values, NewAnnValue(v))
+		col.support = appendDoubling(col.support, 0)
+		if w := strings.Count(v, " ") + 1; w > col.maxWords {
+			col.maxWords = w
+		}
+	}
+	return c
+}
+
+// appendDoubling is append with capacity doubled on growth. The arena
+// and the dictionaries are filled one element at a time during a load,
+// where append's 1.25x steps for large slices re-copy them some five
+// times over — garbage that lands in the loading process's peak RSS.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), max(2*cap(s), 16))
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, v)
+}
+
+// set writes one annotation into the document's row, keeping the
+// dictionaries' support counts equal to the live rows. The caller
+// holds the write lock.
+func (st *annStore) set(docID int, attr, v string) {
+	a, col := st.column(attr)
+	c := col.code(v)
+	if docID >= len(st.rows) {
+		st.rows = append(st.rows, make([]rowRef, docID+1-len(st.rows))...)
+	}
+	ref, row := st.rows[docID], st.row(docID)
+	for i := range row {
+		if row[i].Attr == a {
+			if row[i].Code != c {
+				col.support[row[i].Code]--
+				col.support[c]++
+				row[i].Code = c
+			}
+			return
+		}
+	}
+	// A new attribute for this document. A row grows in place only at
+	// the arena's tail (where a document annotated once, the normal
+	// case, always is); from anywhere else it moves there first.
+	if int(ref.off+ref.n) != len(st.pairs) {
+		st.waste += len(row)
+		ref.off = uint32(len(st.pairs))
+		st.pairs = append(st.pairs, row...)
+	}
+	st.pairs = appendDoubling(st.pairs, AnnPair{Attr: a, Code: c})
+	ref.n++
+	st.rows[docID] = ref
+	col.support[c]++
 }
 
 // deleteDoc drops a deleted document's annotations and releases its
@@ -71,45 +215,122 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 func (st *annStore) deleteDoc(docID int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for attr, v := range st.anns[docID] {
-		if vv := st.vocab[attr]; vv != nil {
-			if vv[v]--; vv[v] <= 0 {
-				delete(vv, v)
-			}
-			if len(vv) == 0 {
-				delete(st.vocab, attr)
-			}
-		}
+	row := st.row(docID)
+	if len(row) == 0 {
+		return
 	}
-	delete(st.anns, docID)
+	for _, p := range row {
+		st.cols[p.Attr].support[p.Code]--
+	}
+	st.waste += len(row)
+	st.rows[docID] = rowRef{}
+	st.reclaim()
 }
 
-// remap renumbers annotations through newID (-1 drops a document);
-// Compact calls it after renumbering the document table.
+// row returns the document's pairs, a view into the arena valid while
+// the caller holds the lock; empty for an unannotated document.
+func (st *annStore) row(docID int) []AnnPair {
+	if docID < 0 || docID >= len(st.rows) {
+		return nil
+	}
+	ref := st.rows[docID]
+	return st.pairs[ref.off : ref.off+ref.n]
+}
+
+// reclaim rewrites the arena once dead pairs outnumber live ones, so
+// churn (delete, re-annotate) costs amortized O(1) per pair and the
+// arena stays within twice the live rows.
+func (st *annStore) reclaim() {
+	if st.waste > len(st.pairs)/2 {
+		st.rewrite(nil)
+	}
+}
+
+// remap renumbers rows through newID (-1 drops a document); Compact
+// calls it after renumbering the document table. Codes and attribute
+// ids are untouched: dictionaries only grow, which is what lets a
+// query keep reading the views it bound to.
 func (st *annStore) remap(newID []int32) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	anns := make(map[int]map[string]string, len(st.anns))
-	for id, m := range st.anns {
-		if id >= 0 && id < len(newID) && newID[id] >= 0 {
-			anns[int(newID[id])] = m
-		}
-	}
-	st.anns = anns
+	st.rewrite(newID)
 }
 
-// AnnotationsOf returns a document's annotations (nil if none).
+// rewrite copies the live rows into a fresh arena, renumbering them
+// through newID when it is non-nil.
+func (st *annStore) rewrite(newID []int32) {
+	size := len(st.rows)
+	if newID != nil {
+		size = len(newID) // new ids are below the old table's length
+	}
+	rows := make([]rowRef, size)
+	pairs := make([]AnnPair, 0, len(st.pairs)-st.waste)
+	end := 0 // one past the highest id that keeps a row
+	for id := range st.rows {
+		row, to := st.row(id), id
+		if newID != nil {
+			if id >= len(newID) || newID[id] < 0 {
+				continue
+			}
+			to = int(newID[id])
+		}
+		if len(row) == 0 {
+			continue
+		}
+		rows[to] = rowRef{off: uint32(len(pairs)), n: uint32(len(row))}
+		pairs = append(pairs, row...)
+		end = max(end, to+1)
+	}
+	st.rows, st.pairs, st.waste = rows[:end], pairs, 0
+}
+
+// asMap materializes a row as attribute -> value. The caller holds the
+// lock.
+func (st *annStore) asMap(row []AnnPair) map[string]string {
+	out := make(map[string]string, len(row))
+	for _, p := range row {
+		col := st.cols[p.Attr]
+		out[col.name] = col.values[p.Code].Text
+	}
+	return out
+}
+
+// AnnotationsOf returns a document's annotations as a fresh map (nil
+// if none). It is the slow, convenient view — experiments, Save, the
+// reference filter; serving reads rows through AnnotationRow.
 func (ix *Index) AnnotationsOf(docID int) map[string]string {
 	st := ix.annotations()
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	src := st.anns[docID]
-	if src == nil {
+	row := st.row(docID)
+	if len(row) == 0 {
 		return nil
 	}
-	out := make(map[string]string, len(src))
-	for k, v := range src {
-		out[k] = v
+	return st.asMap(row)
+}
+
+// AnnotationRow appends the document's (attribute id, value code)
+// pairs to buf and returns it; nothing is appended for an unannotated
+// document. With a reused buf it allocates nothing. Ids and codes index
+// AnnotationColumns; a view taken before a later Annotate may be
+// shorter than an id or code met here, and is then taken again.
+func (ix *Index) AnnotationRow(docID int, buf []AnnPair) []AnnPair {
+	st := ix.annotations()
+	st.mu.RLock()
+	buf = append(buf, st.row(docID)...)
+	st.mu.RUnlock()
+	return buf
+}
+
+// AnnotationColumns returns a view of every attribute's dictionary,
+// indexed by attribute id.
+func (ix *Index) AnnotationColumns() []AnnColumn {
+	st := ix.annotations()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	out := make([]AnnColumn, len(st.cols))
+	for a, col := range st.cols {
+		out[a] = AnnColumn{Attr: col.name, Values: col.values}
 	}
 	return out
 }
@@ -148,8 +369,8 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 		offset = 0
 	}
 	st := ix.annotations()
-	queryValues := st.valuesMentioned(query)
-	if len(queryValues) == 0 {
+	mentioned := st.valuesMentioned(query)
+	if len(mentioned) == 0 {
 		// No annotation vocabulary intersects the query: degrade to the
 		// plain BM25 page, with no over-fetch at all.
 		return ix.TopK(ctx, query, k, offset, keep)
@@ -182,59 +403,88 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 	if len(head) > rerankDepth {
 		head = head[:rerankDepth]
 	}
-	st.adjust(head, queryValues)
+	st.adjust(head, mentioned)
 	sortResults(head)
 	return pageOf(base, k, offset), total, nil
 }
 
-// valuesMentioned returns, per annotation attribute, the longest
-// attribute value the query mentions (multi-word values like "santa
-// fe" beat their substrings); empty when the query touches no
-// annotation vocabulary.
-func (st *annStore) valuesMentioned(query string) map[string]string {
+// mention is one attribute the query names a value of.
+type mention struct {
+	attr string
+	pair AnnPair
+}
+
+// valuesMentioned returns, per annotation attribute, the value the
+// query mentions, sorted by attribute name; empty when the query
+// touches no annotation vocabulary. A value is mentioned when it equals
+// a contiguous run of the query's tokens, so the lookup probes each
+// dictionary with the query's n-grams — a few hundred map probes —
+// instead of scanning every value for containment. Where the query
+// mentions several values of one attribute the longest wins (multi-word
+// values like "santa fe" beat their substrings), then the one that
+// starts earliest: a total rule, so the choice never depends on map
+// order.
+func (st *annStore) valuesMentioned(query string) []mention {
+	toks := textutil.Tokenize(query)
+	if len(toks) == 0 {
+		return nil
+	}
+	// q is the tokens joined by single spaces; an n-gram is then a
+	// substring of it, found through the tokens' byte offsets.
+	q := strings.Join(toks, " ")
+	starts := make([]int, len(toks)+1)
+	for i, t := range toks {
+		starts[i+1] = starts[i] + len(t) + 1
+	}
+	var out []mention
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	q := " " + strings.Join(textutil.Tokenize(query), " ") + " "
-	queryValues := map[string]string{}
-	for attr, values := range st.vocab {
-		for v := range values {
-			if strings.Contains(q, " "+v+" ") {
-				if len(v) > len(queryValues[attr]) {
-					queryValues[attr] = v
+	for a, col := range st.cols {
+		var best uint32 // code of the value kept so far, bestLen bytes long
+		bestLen := 0
+		for i := range toks {
+			for j := i + 1; j <= len(toks) && j-i <= col.maxWords; j++ {
+				gram := q[starts[i] : starts[j]-1]
+				c, ok := col.codes[gram]
+				if !ok || col.support[c] <= 0 {
+					continue
+				}
+				// Ascending i makes the earliest the first found, and
+				// two grams of one length and one start are one value.
+				if len(gram) > bestLen {
+					best, bestLen = c, len(gram)
 				}
 			}
 		}
+		if bestLen > 0 {
+			out = append(out, mention{attr: col.name, pair: AnnPair{Attr: uint32(a), Code: best}})
+		}
 	}
-	return queryValues
+	sort.Slice(out, func(i, j int) bool { return out[i].attr < out[j].attr })
+	return out
 }
 
 // adjust applies the §5.1 boost/demote factors to a ranked page in
 // place. Factors multiply in sorted-attribute order: float products do
-// not commute in the last bit, so map order here would make a query
+// not commute in the last bit, so any other order would make a query
 // mentioning two attributes score — and break near-ties — differently
 // from run to run.
-func (st *annStore) adjust(rs []Result, queryValues map[string]string) {
-	attrs := make([]string, 0, len(queryValues))
-	for attr := range queryValues {
-		attrs = append(attrs, attr)
-	}
-	sort.Strings(attrs)
+func (st *annStore) adjust(rs []Result, mentioned []mention) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	for i := range rs {
-		anns := st.anns[rs[i].DocID]
-		if anns == nil {
-			continue
-		}
-		for _, attr := range attrs {
-			have, ok := anns[attr]
-			if !ok {
-				continue
-			}
-			if have == queryValues[attr] {
-				rs[i].Score *= annBoost
-			} else {
-				rs[i].Score *= annDemote
+		row := st.row(rs[i].DocID)
+		for _, m := range mentioned {
+			for _, have := range row {
+				if have.Attr != m.pair.Attr {
+					continue
+				}
+				if have.Code == m.pair.Code {
+					rs[i].Score *= annBoost
+				} else {
+					rs[i].Score *= annDemote
+				}
+				break
 			}
 		}
 	}

@@ -1,0 +1,215 @@
+package index
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+)
+
+// Two equally long values of one attribute, both in the query: the
+// mention rule is total (longest, then earliest in the query), so the
+// choice — and with it every score bit and the order — is the same on
+// every run, and follows the query's word order, not the dictionary's.
+func TestAnnotatedEqualLengthValuesAreBitStable(t *testing.T) {
+	ix := NewSharded(4)
+	makes := []string{"ford", "fiat", "audi", "saab"}
+	for i := 0; i < 120; i++ {
+		mk := makes[i%len(makes)]
+		id, _ := ix.Add(Doc{
+			URL:   fmt.Sprintf("http://cars.example/%d", i),
+			Title: fmt.Sprintf("%s listing %d", mk, i),
+			Text:  fmt.Sprintf("used ford fiat audi saab wagon %d", i%9),
+		})
+		ix.Annotate(id, map[string]string{"make": mk})
+	}
+	for _, c := range []struct{ q, boosted string }{
+		{"used fiat ford wagon", "fiat"},
+		{"used ford fiat wagon", "ford"},
+		{"saab audi fiat ford", "saab"},
+	} {
+		want, _, err := ix.AnnotatedTopK(context.Background(), c.q, 50, 0, nil)
+		if err != nil || len(want) != 50 {
+			t.Fatalf("%q: %d hits, err %v", c.q, len(want), err)
+		}
+		if got := ix.AnnotationsOf(want[0].DocID)["make"]; got != c.boosted {
+			t.Fatalf("%q: top hit is a %s page, want the earliest-mentioned make %s boosted", c.q, got, c.boosted)
+		}
+		for run := 0; run < 300; run++ {
+			got, _, _ := ix.AnnotatedTopK(context.Background(), c.q, 50, 0, nil)
+			for i := range want {
+				if got[i].DocID != want[i].DocID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("%q run %d rank %d: doc %d score %x, first run had doc %d score %x",
+						c.q, run, i, got[i].DocID, math.Float64bits(got[i].Score), want[i].DocID, math.Float64bits(want[i].Score))
+				}
+			}
+		}
+	}
+}
+
+// Re-annotating a document must not leak vocabulary support: an
+// overwrite releases the old value, a repeat is a no-op, so once the
+// last live document carrying a value is deleted the value stops
+// steering AnnotatedTopK.
+func TestReannotateReleasesSupport(t *testing.T) {
+	for _, second := range []string{"honda", "ford"} { // overwrite, repeat
+		ix := New()
+		id, _ := ix.Add(Doc{URL: "civic", Text: "honda civic better mileage than the ford focus"})
+		ix.Annotate(id, map[string]string{"make": "honda"})
+		ix.Annotate(id, map[string]string{"make": second})
+		ix.Add(Doc{URL: "blog", Text: "my old ford focus and honda civic road trip"})
+		other, _ := ix.Add(Doc{URL: "lot", Text: "honda civic and ford focus on the lot"})
+		ix.Annotate(other, map[string]string{"lot": "north"})
+
+		if got := ix.AnnotationsOf(id); !reflect.DeepEqual(got, map[string]string{"make": second}) {
+			t.Fatalf("second=%s: annotations %v after re-annotation", second, got)
+		}
+		if second != "honda" {
+			// "honda" was overwritten on its only document: it is out
+			// of the vocabulary already, before any delete.
+			if m := ix.annotations().valuesMentioned("honda civic"); len(m) != 0 {
+				t.Fatalf("second=%s: overwritten value still mentioned: %+v", second, m)
+			}
+		}
+		ix.Delete(id)
+		if ix.AnnotationsOf(id) != nil {
+			t.Fatalf("second=%s: deleted document keeps annotations", second)
+		}
+		for _, q := range []string{"honda civic", "ford focus"} {
+			if m := ix.annotations().valuesMentioned(q); len(m) != 0 {
+				t.Fatalf("second=%s: %q still mentions %+v after the last carrier was deleted", second, q, m)
+			}
+			plain, ann := search(ix, q, 5), annotatedSearch(ix, q, 5)
+			if !reflect.DeepEqual(plain, ann) {
+				t.Fatalf("second=%s: stale vocabulary still adjusts %q:\n plain %+v\n ann   %+v", second, q, plain, ann)
+			}
+		}
+	}
+}
+
+// Rows survive what moves them: growing away from the arena's tail,
+// the arena rewrite that reclaims dead pairs, and Compact's remap.
+func TestAnnotationRowsSurviveChurn(t *testing.T) {
+	ix := NewSharded(4)
+	want := map[string]map[string]string{} // by URL: ids change at Compact
+	const n = 400
+	for i := 0; i < n; i++ {
+		url := fmt.Sprintf("http://x.example/%03d", (i*7919)%n) // URL order != id order
+		id, _ := ix.Add(Doc{URL: url, Text: fmt.Sprintf("ford focus %d", i)})
+		anns := map[string]string{"make": []string{"ford", "honda"}[i%2], "year": fmt.Sprint(1990 + i%20)}
+		ix.Annotate(id, anns)
+		want[url] = anns
+	}
+	// Grow rows that are no longer at the tail, overwrite others.
+	for id := 0; id < n; id += 3 {
+		url := ix.Doc(id).URL
+		ix.Annotate(id, map[string]string{"city": "seattle", "year": "2001"})
+		want[url]["city"], want[url]["year"] = "seattle", "2001"
+	}
+	// Delete enough to force arena rewrites.
+	for id := 1; id < n; id += 2 {
+		delete(want, ix.Doc(id).URL)
+		ix.Delete(id)
+	}
+	check := func(when string) {
+		t.Helper()
+		seen := 0
+		ix.ForEachLive(func(id int, d Doc) { seen++ })
+		if seen != len(want) {
+			t.Fatalf("%s: %d live docs, want %d", when, seen, len(want))
+		}
+		for id := 0; id < seen+ix.Deleted(); id++ {
+			got := ix.AnnotationsOf(id)
+			if w, live := want[ix.Doc(id).URL]; !live || ix.dead[id] {
+				if got != nil {
+					t.Fatalf("%s: dead doc %d keeps annotations %v", when, id, got)
+				}
+			} else if !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s: doc %d (%s) annotations %v, want %v", when, id, ix.Doc(id).URL, got, w)
+			}
+		}
+		if exp := ix.ExportAnnotations(); len(exp) != len(want) {
+			t.Fatalf("%s: ExportAnnotations has %d rows, want %d", when, len(exp), len(want))
+		}
+		st := ix.annotations()
+		if live := len(st.pairs) - st.waste; st.waste > live {
+			t.Fatalf("%s: arena holds %d dead pairs against %d live", when, st.waste, live)
+		}
+		// Support equals the live rows, value by value.
+		counts := map[AnnPair]int32{}
+		for id := range st.rows {
+			for _, p := range st.row(id) {
+				counts[p]++
+			}
+		}
+		for a, col := range st.cols {
+			for c, sup := range col.support {
+				if sup != counts[AnnPair{uint32(a), uint32(c)}] {
+					t.Fatalf("%s: %s=%q support %d, live rows carry it %d times", when, col.name, col.values[c].Text, sup, counts[AnnPair{uint32(a), uint32(c)}])
+				}
+			}
+		}
+	}
+	check("after churn")
+	ix.Compact()
+	check("after compact")
+}
+
+// Compact may renumber an annotated document past every id the store
+// has a row for: only the first-added document is annotated, and its
+// URL sorts last.
+func TestCompactRemapsSparseRows(t *testing.T) {
+	ix := New()
+	id, _ := ix.Add(Doc{URL: "http://z.example/last", Text: "ford focus"})
+	ix.Annotate(id, map[string]string{"make": "ford"})
+	for i := 0; i < 20; i++ {
+		ix.Add(Doc{URL: fmt.Sprintf("http://a.example/%02d", i), Text: "ford focus"})
+	}
+	ix.Delete(3)
+	ix.Compact()
+	for id := 0; id < ix.Len(); id++ {
+		var want map[string]string
+		if ix.Doc(id).URL == "http://z.example/last" {
+			want = map[string]string{"make": "ford"}
+		}
+		if got := ix.AnnotationsOf(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("doc %d (%s): annotations %v, want %v", id, ix.Doc(id).URL, got, want)
+		}
+	}
+}
+
+// The filtered selection loop is the one place a query can run long,
+// so it must notice cancellation — and hand the pooled accumulator back
+// clean, undrained entries included.
+func TestTopKFilteredScanIsCancelable(t *testing.T) {
+	ix := NewSharded(4)
+	const n = 3 * keepPollEvery
+	for i := 0; i < n; i++ {
+		ix.Add(Doc{URL: fmt.Sprintf("http://h.example/%d", i), Text: fmt.Sprintf("ford focus %d", i%13)})
+	}
+	const q = "ford focus 7"
+	want := search(ix, q, 10)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	hits, total, err := ix.TopK(ctx, q, 10, 0, func(int, Doc) bool {
+		if calls++; calls == 100 {
+			cancel()
+		}
+		return true
+	})
+	if !errors.Is(err, context.Canceled) || hits != nil || total != 0 {
+		t.Fatalf("canceled filtered TopK = (%d hits, total %d, %v), want (nil, 0, context.Canceled)", len(hits), total, err)
+	}
+	if calls >= keepPollEvery {
+		t.Fatalf("filter ran %d times after a cancel at 100; the loop polls every %d", calls, keepPollEvery)
+	}
+	for i := 0; i < 20; i++ {
+		got, tot, err := ix.TopK(context.Background(), q, 10, 0, nil)
+		if err != nil || tot != n || !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after the canceled scan diverged (total %d, err %v): the accumulator went back dirty", i, tot, err)
+		}
+	}
+}

@@ -347,16 +347,20 @@ type heapEntry struct {
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // abandonSearch is the cold bail-out of a canceled query: the pooled
-// accumulator must go back clean, so the touched entries are zeroed
-// before the scratch is released. Split out of TopK to keep the hot
-// scoring loop small.
-func abandonSearch(sc *searchScratch, scores []float64, touched []int32, err error) error {
-	for _, d := range touched {
+// accumulator must go back clean, so the touched entries not yet
+// drained — those from index from on — are zeroed before the scratch is
+// released. Split out of TopK to keep the hot scoring loop small.
+func abandonSearch(sc *searchScratch, scores []float64, touched []int32, from int, err error) error {
+	for _, d := range touched[from:] {
 		scores[d] = 0
 	}
 	sc.touched = touched[:0]
 	return err
 }
+
+// keepPollEvery is how many candidates the filtered selection loop
+// admits or rejects between looks at the context (a power of two).
+const keepPollEvery = 4096
 
 // TopK returns one page of the BM25 ranking for a free-text query,
 // merging posting lists across shards: the k hits after skipping offset,
@@ -365,9 +369,10 @@ func abandonSearch(sc *searchScratch, scores []float64, touched []int32, err err
 // influence scoring: N, avgdl and df all describe the live corpus.
 // keep is an optional per-document admission filter (called with the
 // document's id and row, so filters can consult id-keyed side stores
-// like AnnotationsOf); hits it rejects count toward neither the page
+// like AnnotationRow); hits it rejects count toward neither the page
 // nor the total. Cancellation is cooperative, checked between query
-// terms: a canceled context returns ctx.Err() with no results.
+// terms and, when keep is set, every keepPollEvery candidates of the
+// selection loop: a canceled context returns ctx.Err() with no results.
 func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep func(id int, d Doc) bool) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()
@@ -417,7 +422,7 @@ func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep fun
 		// Cancellation point: once per query term, so a canceled search
 		// stops scoring within one posting-list scan.
 		if err := ctx.Err(); err != nil {
-			return nil, 0, abandonSearch(sc, scores, touched, err)
+			return nil, 0, abandonSearch(sc, scores, touched, 0, err)
 		}
 		dup := false
 		for _, prev := range qterms[:qi] {
@@ -496,7 +501,16 @@ func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep fun
 			}
 		}
 	} else {
-		for _, d := range touched {
+		for i, d := range touched {
+			// The filter is caller code of unknown cost per candidate:
+			// the one place a query can run long, so the one selection
+			// loop that polls for cancellation.
+			if i&(keepPollEvery-1) == keepPollEvery-1 {
+				if err := ctx.Err(); err != nil {
+					sc.heap = h[:0]
+					return nil, 0, abandonSearch(sc, scores, touched, i, err)
+				}
+			}
 			s := scores[d]
 			scores[d] = 0
 			if !keep(int(d), ix.docs[d]) {

@@ -73,19 +73,18 @@ func (ix *Index) ExportDocs() (docs []Doc, lens []int, dead []bool) {
 	return docs, lens, dead
 }
 
-// ExportAnnotations returns a copy of every document's annotations
-// (empty map when none exist).
+// ExportAnnotations returns every annotated document's annotations,
+// materialized from the columnar rows as fresh maps (empty map when
+// none exist).
 func (ix *Index) ExportAnnotations() map[int]map[string]string {
 	st := ix.annotations()
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	out := make(map[int]map[string]string, len(st.anns))
-	for id, m := range st.anns {
-		cp := make(map[string]string, len(m))
-		for k, v := range m {
-			cp[k] = v
+	out := map[int]map[string]string{}
+	for id := range st.rows {
+		if row := st.row(id); len(row) > 0 {
+			out[id] = st.asMap(row)
 		}
-		out[id] = cp
 	}
 	return out
 }

@@ -23,6 +23,15 @@
 //     stand in — surfaced result pages render their records' numbers
 //     as plain tokens, so a price filter scans the page's numbers.
 //
+// Steps 1 and 2 read the index's columnar annotation store (one
+// dictionary per attribute, one row of (attribute id, value code) pairs
+// per document): a Matcher is bound to it once per query (Bind), which
+// settles which attribute ids each predicate reads, and each candidate
+// then costs a walk over its row — the value's numeric reading was
+// parsed once, when the dictionary first saw it. Matcher.Match, taking
+// a map, lays the map out the same way and runs the same evaluation.
+// Step 3 is the cold path: it tokenizes the document.
+//
 // Predicates AND together. Parsing and matching are deterministic pure
 // functions, so a predicate list can participate in cache keys via
 // Key, which serializes the canonical (sorted, deduplicated) form.
@@ -30,12 +39,10 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
-
-	"deepweb/internal/core"
-	"deepweb/internal/textutil"
 )
 
 // Op is a predicate's comparison operator.
@@ -153,7 +160,8 @@ func IsNumber(s string) bool {
 //
 // Attribute names are lower-cased and must be a letter followed by
 // letters/digits/underscores; comparison and range bounds must be
-// numbers. Anything else is an error spelling out what was wrong.
+// numbers (NaN is not one). Anything else is an error spelling out
+// what was wrong.
 func Parse(s string) (Predicate, error) {
 	s = strings.ToLower(strings.TrimSpace(s))
 	if s == "" {
@@ -171,7 +179,7 @@ func Parse(s string) (Predicate, error) {
 				return Predicate{}, fmt.Errorf("%q: attribute must be a letter followed by letters, digits or underscores", attr)
 			}
 			n, err := strconv.ParseFloat(val, 64)
-			if err != nil {
+			if err != nil || math.IsNaN(n) {
 				return Predicate{}, fmt.Errorf("%q: %s needs a numeric bound, got %q", s, c.tok, val)
 			}
 			p := Predicate{Attr: attr, Op: c.op, Value: val}
@@ -197,13 +205,15 @@ func Parse(s string) (Predicate, error) {
 	if j := strings.Index(val, ".."); j >= 0 {
 		lo, errLo := strconv.ParseFloat(val[:j], 64)
 		hi, errHi := strconv.ParseFloat(val[j+2:], 64)
-		if errLo != nil || errHi != nil {
+		if errLo != nil || errHi != nil || math.IsNaN(lo) || math.IsNaN(hi) {
 			return Predicate{}, fmt.Errorf("%q: range bounds must be numbers, got %q..%q", s, val[:j], val[j+2:])
 		}
 		if lo > hi {
 			return Predicate{}, fmt.Errorf("%q: range is empty (%v > %v)", s, lo, hi)
 		}
-		return Predicate{Attr: attr, Op: OpRange, Value: val, Lo: lo, Hi: hi}, nil
+		// Value takes the canonical spelling of the bounds, so one range
+		// is one predicate (and one cache key) however it was typed.
+		return Predicate{Attr: attr, Op: OpRange, Value: formatNum(lo) + ".." + formatNum(hi), Lo: lo, Hi: hi}, nil
 	}
 	return Predicate{Attr: attr, Op: OpEq, Value: val}, nil
 }
@@ -278,160 +288,4 @@ func Key(preds []Predicate) string {
 		b.WriteString(p.String())
 	}
 	return b.String()
-}
-
-// compiled is one predicate plus everything derivable at compile time:
-// its hypothesized value type, tokenized equality value, and parsed
-// numeric equality value if any.
-type compiled struct {
-	p       Predicate
-	typ     string   // core.HypothesizeType(attr, ""); "" = untyped
-	valToks []string // OpEq: the value's tokens, for text containment
-}
-
-// Matcher evaluates a fixed predicate list against documents. Compile
-// once per query with NewMatcher, then call Match once per candidate
-// document; a Matcher is read-only after construction and safe for
-// concurrent use.
-type Matcher struct {
-	preds []compiled
-}
-
-// NewMatcher compiles a predicate list. An empty or nil list returns
-// nil, and a nil *Matcher matches every document — callers can wire
-// `m.Match` unconditionally.
-func NewMatcher(preds []Predicate) *Matcher {
-	if len(preds) == 0 {
-		return nil
-	}
-	m := &Matcher{preds: make([]compiled, 0, len(preds))}
-	for _, p := range preds {
-		c := compiled{p: p, typ: core.HypothesizeType(p.Attr, "")}
-		if p.Op == OpEq {
-			c.valToks = textutil.Tokenize(p.Value)
-		}
-		m.preds = append(m.preds, c)
-	}
-	return m
-}
-
-// Match reports whether a document satisfies every predicate, given
-// its annotations (nil when it has none) and its title and text. The
-// per-document text tokenization is done lazily and at most once, and
-// only when some predicate actually needs the text fallback.
-func (m *Matcher) Match(anns map[string]string, title, text string) bool {
-	if m == nil {
-		return true
-	}
-	var doc *docTokens
-	lazy := func() *docTokens {
-		if doc == nil {
-			doc = newDocTokens(title, text)
-		}
-		return doc
-	}
-	for i := range m.preds {
-		if !m.preds[i].match(anns, lazy) {
-			return false
-		}
-	}
-	return true
-}
-
-// docTokens is the lazily-built per-document text view: the padded
-// token string for phrase containment and the document's numeric
-// tokens for typed extraction.
-type docTokens struct {
-	padded string
-	nums   []float64
-	years  []float64
-}
-
-func newDocTokens(title, text string) *docTokens {
-	toks := textutil.Tokenize(title + " " + text)
-	d := &docTokens{padded: " " + strings.Join(toks, " ") + " "}
-	for _, t := range toks {
-		if !IsNumber(t) {
-			continue
-		}
-		v, err := strconv.ParseFloat(t, 64)
-		if err != nil {
-			continue
-		}
-		d.nums = append(d.nums, v)
-		if v >= 1500 && v <= 2200 {
-			d.years = append(d.years, v)
-		}
-	}
-	return d
-}
-
-// match evaluates one compiled predicate.
-func (c *compiled) match(anns map[string]string, lazy func() *docTokens) bool {
-	if c.p.Op == OpEq {
-		// The exact attribute's annotation is authoritative either way:
-		// agreement admits, contradiction rejects.
-		if have, ok := anns[c.p.Attr]; ok {
-			return have == c.p.Value
-		}
-		// No annotation: fall back to phrase containment over the
-		// document's tokens (multi-token values match as a phrase,
-		// like annStore.valuesMentioned).
-		if len(c.valToks) == 0 {
-			return false
-		}
-		return strings.Contains(lazy().padded, " "+strings.Join(c.valToks, " ")+" ")
-	}
-
-	// Numeric predicate: candidate values come from annotations on the
-	// attribute itself or any type-compatible attribute (minprice and
-	// maxprice both hypothesize to price), else from the document's
-	// typed tokens. Any satisfying candidate admits the document.
-	found := false
-	for attr, val := range anns {
-		if attr != c.p.Attr && (c.typ == "" || core.HypothesizeType(attr, "") != c.typ) {
-			continue
-		}
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			continue
-		}
-		found = true
-		if c.inBounds(v) {
-			return true
-		}
-	}
-	if found {
-		// Relevant annotations existed and all contradicted the bound:
-		// the page is about values outside the filter.
-		return false
-	}
-	d := lazy()
-	nums := d.nums
-	if c.typ == core.TypeDate {
-		nums = d.years
-	}
-	for _, v := range nums {
-		if c.inBounds(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// inBounds applies the predicate's comparison to one candidate value.
-func (c *compiled) inBounds(v float64) bool {
-	switch c.p.Op {
-	case OpLt:
-		return v < c.p.Hi
-	case OpLe:
-		return v <= c.p.Hi
-	case OpGt:
-		return v > c.p.Lo
-	case OpGe:
-		return v >= c.p.Lo
-	case OpRange:
-		return v >= c.p.Lo && v <= c.p.Hi
-	}
-	return false
 }
