@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test bench bench-smoke fuzz lint deepvet staticcheck govulncheck examples load chaos bulk ingest-full
+.PHONY: verify fmt vet build test bench bench-smoke serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full
 
 # verify = the CI `test` job: gofmt, vet, build, race-enabled tests.
 verify: fmt vet build test
@@ -43,14 +43,11 @@ bench-smoke:
 		$(GO) run ./bench -smoke --workload $$w; \
 	done
 
-# load = the CI load-smoke gate: a short Zipfian replay against an
-# in-process engine, with a quarter of the pool carrying typed filter
-# predicates so the structured-query path stays under load coverage.
-# Fails on any search error or a cold result cache (see cmd/loadgen for
-# the HTTP mode that drives a live server instead). Performance claims
-# are deepbench's (`make bench`), not this smoke's.
-load:
-	$(GO) run ./cmd/loadgen -sites 1 -rows 120 -c 4 -duration 3s -filtered 0.25 -min-hit-ratio 0.5 -out ""
+# serve-smoke = the CI serve-smoke job: boots the real deepsearch
+# binary on a built world and on a bulk-built snapshot, and checks the
+# status of /v1/search and /v1/semantics on each (scripts/serve-smoke.sh).
+serve-smoke:
+	./scripts/serve-smoke.sh
 
 # bulk = generate a 100k-record world (internal/bulkgen), run the
 # memory-bounded spill-to-disk snapshot build and Load-verify the
@@ -63,14 +60,6 @@ bulk:
 
 ingest-full:
 	$(GO) run ./cmd/deepcrawl -bulk 1000000 -out $(BULK_DIR)
-
-# examples = the CI examples-smoke job: every worked example must
-# build and run against the current API.
-examples:
-	@set -e; for d in examples/*/; do \
-		echo "== go run ./$$d"; \
-		$(GO) run "./$$d"; \
-	done
 
 # chaos = the CI chaos-smoke gate: the convergence property (a chaos
 # surface plus bounded refreshes equals a fault-free corpus bit for

@@ -5,8 +5,8 @@
 //
 // With -out the surfaced world is persisted as a snapshot directory
 // (index segments + semantic tables + refresh metadata), which
-// deepsearch -snapshot and semserver -snapshot warm-start from —
-// surface once, serve many times.
+// deepsearch -snapshot warm-starts from — surface once, serve many
+// times.
 //
 // With -refresh DIR it applies a delta instead of re-surfacing the
 // world: the world is rebuilt from the same flags, aged with -churn

@@ -5,9 +5,18 @@
 // surfaced it.
 //
 //	GET  /v1/search?q=...&k=10&offset=0&annotated=true&host=...
+//	GET  /v1/semantics/{synonyms,autocomplete,values,properties,tables}
 //	GET  /v1/admin/stats
 //	POST /v1/admin/reload
 //	GET  /healthz
+//
+// The §6 semantic services are served on the same front end whenever
+// the process has the tables: a built world deep-crawls and aggregates
+// them at startup, and a -snapshot directory supplies them from its
+// tables segment. A snapshot without one (`deepcrawl -bulk -out`)
+// serves no /v1/semantics group; those paths answer the shared 404
+// envelope. Semantics load once at startup; a reload swaps the index
+// only.
 //
 // The server carries production manners (via internal/httpx):
 // read/write timeouts and graceful shutdown on SIGINT/SIGTERM.
@@ -38,8 +47,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net/http"
 	"os"
@@ -82,6 +93,7 @@ func main() {
 
 	begin := time.Now()
 	var e *engine.Engine
+	var sem *engine.SemanticStore
 	if *snapshot != "" {
 		engine.DefaultWorkers = *workers
 		start := time.Now()
@@ -92,6 +104,18 @@ func main() {
 		}
 		log.Printf("phase load-snapshot: %d docs (generation %d) from %s in %v",
 			e.Index.Len(), e.Generation, *snapshot, time.Since(start).Round(time.Microsecond))
+		start = time.Now()
+		sem, err = engine.LoadSemantics(*snapshot)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			// A bulk-built snapshot carries no tables segment: serve the
+			// index without the §6 group.
+			log.Printf("phase load-semantics: no tables segment in %s; /v1/semantics disabled", *snapshot)
+		case err != nil:
+			log.Fatal(err)
+		default:
+			log.Printf("phase load-semantics: %d tables in %v", len(sem.Tables), time.Since(start).Round(time.Microsecond))
+		}
 	} else {
 		start := time.Now()
 		var err error
@@ -109,6 +133,10 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("phase surface: %v (%d workers)", time.Since(start).Round(time.Millisecond), *workers)
+		start = time.Now()
+		sem = e.BuildSemantics(context.Background(), 10000)
+		log.Printf("phase crawl-aggregate: %d pages → %d tables in %v",
+			sem.PagesCrawled, len(sem.Tables), time.Since(start).Round(time.Millisecond))
 	}
 	e.EnableResultCache(*cacheCap)
 	log.Printf("ready: %d documents indexed, startup %v", e.Index.Len(), time.Since(begin).Round(time.Microsecond))
@@ -151,7 +179,7 @@ func main() {
 		}()
 	}
 
-	apiSrv := api.New(api.Options{
+	opts := api.Options{
 		Engine: func() *engine.Engine { return current.Load() },
 		Reload: reload,
 		Stats: func(st api.Stats) api.Stats {
@@ -160,7 +188,11 @@ func main() {
 			}
 			return st
 		},
-	})
+	}
+	if sem != nil {
+		opts.Semantics = sem.Server()
+	}
+	apiSrv := api.New(opts)
 
 	// The HTML page speaks the same in-query DSL as /v1/search: filter
 	// terms typed into the box ("used ford price<10000") become

@@ -3,8 +3,9 @@
 // HTTP. The paper's premise is that surfaced deep-web content is
 // served "like any other page" at front-end scale (§3.2) — so the
 // front end should be one coherent surface, not per-binary dialects.
-// Both deepsearch and semserver mount this package; each enables the
-// endpoint groups its process actually backs.
+// deepsearch mounts this package and enables the endpoint groups it
+// actually backs: search always, the semantics group when it has the
+// tables.
 //
 //	GET  /healthz                   liveness + doc count + generation
 //	GET  /v1/search                 ranked retrieval (q, k, offset, annotated, host, filter)

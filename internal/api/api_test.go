@@ -245,8 +245,9 @@ func TestReloadUnavailableAndFailing(t *testing.T) {
 	}
 }
 
-// Without an engine, /v1/search is absent (404 envelope), while the
-// rest of the surface still serves — the semserver deployment shape.
+// Endpoint groups are independent: without an engine, /v1/search is
+// absent (404 envelope) while the semantics group and /healthz still
+// serve.
 func TestSearchDisabledWithoutEngine(t *testing.T) {
 	s := New(Options{Semantics: testSemantics()})
 	rec := do(s, "GET", "/v1/search?q=x")

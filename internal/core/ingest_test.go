@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
+	"deepweb/internal/form"
 	"deepweb/internal/index"
 	"deepweb/internal/resilient"
 	"deepweb/internal/webgen"
@@ -193,7 +195,7 @@ func TestProbeKeywordsStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := formOfBench(page)
+	f, err := firstForm(page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,4 +210,13 @@ func TestProbeKeywordsStandalone(t *testing.T) {
 			t.Error("empty keyword returned")
 		}
 	}
+}
+
+// firstForm parses the first form of a fetched page.
+func firstForm(p *webx.Page) (*form.Form, error) {
+	base, err := url.Parse(p.URL)
+	if err != nil {
+		return nil, err
+	}
+	return form.FromDecl(base, p.Forms()[0], 0)
 }

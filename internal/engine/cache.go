@@ -68,16 +68,6 @@ func (e *Engine) EnableResultCache(capacity int) {
 	e.cache = rescache.New(capacity, 0, cloneSearchResponse)
 }
 
-// EnableCacheAdmission arms second-chance admission on an enabled
-// result cache: a query's first miss is served but not cached, so the
-// long tail's one-off queries stop churning the LRU out from under the
-// head. slots sizes the doorkeeper's recent-key memory (<= 0 picks a
-// default of 8x cache capacity). No-op when no cache is enabled; call
-// after EnableResultCache and before serving traffic.
-func (e *Engine) EnableCacheAdmission(slots int) {
-	e.cache.EnableDoorkeeper(slots)
-}
-
 // CacheStats reports the result cache's counters; ok is false when no
 // cache is enabled.
 func (e *Engine) CacheStats() (st rescache.Stats, ok bool) {

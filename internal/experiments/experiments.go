@@ -1,8 +1,8 @@
 // Package experiments reproduces every quantitative claim of the paper
-// as a runnable experiment (the index lives in DESIGN.md §3). Each
-// experiment returns a typed report whose String() prints the paper's
-// figure next to the measured one; cmd/experiments runs them all and
-// bench_test.go wraps each in a benchmark.
+// as a runnable experiment, E1–E14. Each experiment returns a typed
+// report whose String() prints the paper's figure next to the measured
+// one; TestLedger runs them all at paper scale and pins the output in
+// the repository's EXPERIMENTS.md.
 //
 // Orchestration — world building, surfacing, ingestion — lives in
 // internal/engine; this package only measures.

@@ -56,11 +56,6 @@ type Stats struct {
 	Collapsed uint64 `json:"collapsed"`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// Admitted counts fills the doorkeeper let into the LRU (zero
-	// unless EnableDoorkeeper armed admission control).
-	Admitted uint64 `json:"admitted"`
-	// Rejected counts fills the doorkeeper turned away on first sight.
-	Rejected uint64 `json:"rejected"`
 	// Entries is the current resident entry count.
 	Entries int `json:"entries"`
 	// Capacity is the configured bound.
@@ -99,10 +94,6 @@ type shard[V any] struct {
 	// head is most recent, tail least; nil when empty.
 	head, tail *entry[V]
 	cap        int
-	// door is the second-chance admission filter: slot i remembers the
-	// hash of the last once-seen key that mapped there. nil means
-	// admission control is off and every fill is cached.
-	door []uint64
 }
 
 // Cache is a sharded bounded LRU with singleflight fills. The zero
@@ -118,8 +109,6 @@ type Cache[V any] struct {
 	misses    atomic.Uint64
 	collapsed atomic.Uint64
 	evictions atomic.Uint64
-	admitted  atomic.Uint64
-	rejected  atomic.Uint64
 	entries   atomic.Int64
 }
 
@@ -164,34 +153,6 @@ func New[V any](capacity, nShards int, clone func(V) V) *Cache[V] {
 	return c
 }
 
-// EnableDoorkeeper arms second-chance admission control: a fill is
-// cached only the second time its key's hash is seen, so a one-off
-// query (the long tail is mostly one-offs) cannot evict a resident
-// head entry just to be itself evicted before it repeats. slots is the
-// total recent-key memory across shards; <= 0 picks 8x capacity,
-// plenty for the filter's job of telling "seen recently" from "never
-// seen". Off by default; call once before serving traffic — the
-// per-slot memory is eight bytes, and a false "seen" from a slot
-// collision merely admits a key one fill early.
-func (c *Cache[V]) EnableDoorkeeper(slots int) {
-	if c == nil {
-		return
-	}
-	if slots <= 0 {
-		slots = 8 * c.capTotal
-	}
-	per := slots / len(c.shards)
-	if per < 1 {
-		per = 1
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.door = make([]uint64, per)
-		sh.mu.Unlock()
-	}
-}
-
 // Capacity is the total entry bound, exactly as configured.
 func (c *Cache[V]) Capacity() int {
 	if c == nil {
@@ -210,8 +171,6 @@ func (c *Cache[V]) Stats() Stats {
 		Misses:    c.misses.Load(),
 		Collapsed: c.collapsed.Load(),
 		Evictions: c.evictions.Load(),
-		Admitted:  c.admitted.Load(),
-		Rejected:  c.rejected.Load(),
 		Entries:   int(c.entries.Load()),
 		Capacity:  c.Capacity(),
 	}
@@ -271,14 +230,13 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fill func() (V, error)) (
 	}
 	// This caller is the singleflight leader.
 	c.misses.Add(1)
-	v, err := c.leadFill(sh, key, h, fill)
+	v, err := c.leadFill(sh, key, fill)
 	return v, false, err
 }
 
-// leadFill runs fill as the leader for key (hashed to h), publishes
-// the result to followers, and installs it in the shard on success —
-// unless an armed doorkeeper turns the key away on first sight.
-func (c *Cache[V]) leadFill(sh *shard[V], key string, h uint64, fill func() (V, error)) (V, error) {
+// leadFill runs fill as the leader for key, publishes the result to
+// followers, and installs it in the shard on success.
+func (c *Cache[V]) leadFill(sh *shard[V], key string, fill func() (V, error)) (V, error) {
 	v, err := fill()
 	sh.mu.Lock()
 	f := sh.inflight[key]
@@ -286,7 +244,7 @@ func (c *Cache[V]) leadFill(sh *shard[V], key string, h uint64, fill func() (V, 
 	if err == nil {
 		f.val = c.clone(v) // cache owns its own copy; leader keeps v
 		f.ok = true
-		if _, resident := sh.entries[key]; !resident && sh.admit(c, h) {
+		if _, resident := sh.entries[key]; !resident {
 			e := &entry[V]{key: key, val: f.val}
 			sh.entries[key] = e
 			sh.pushFront(e)
@@ -302,28 +260,6 @@ func (c *Cache[V]) leadFill(sh *shard[V], key string, h uint64, fill func() (V, 
 	sh.mu.Unlock()
 	close(f.done)
 	return v, err
-}
-
-// admit applies the second-chance doorkeeper to key hash h; true means
-// install the entry. Always true when the doorkeeper is off. Rejected
-// fills still publish their value to singleflight followers — the
-// doorkeeper only withholds residency. Caller holds mu.
-//
-// The slot index uses the high hash bits because the low bits already
-// picked the shard: reusing them would fold each shard's keys onto a
-// fraction of its door.
-func (sh *shard[V]) admit(c *Cache[V], h uint64) bool {
-	if sh.door == nil {
-		return true
-	}
-	slot := (h >> 32) % uint64(len(sh.door))
-	if sh.door[slot] == h {
-		c.admitted.Add(1)
-		return true
-	}
-	sh.door[slot] = h
-	c.rejected.Add(1)
-	return false
 }
 
 // pushFront links e as the most-recently-used entry. Caller holds mu.

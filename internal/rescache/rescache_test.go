@@ -288,72 +288,3 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Fatalf("degenerate load: %+v", st)
 	}
 }
-
-// The doorkeeper: a key's first fill is rejected from residency (but
-// still returned), its second fill admits it, and an unarmed cache is
-// unchanged.
-func TestDoorkeeperSecondChance(t *testing.T) {
-	c := New[int](8, 1, nil)
-	c.EnableDoorkeeper(64)
-	fill := func(n int) func() (int, error) { return func() (int, error) { return n, nil } }
-
-	// First sight: value served, not cached.
-	if v, cached, _ := c.Do(bg(), "k", fill(1)); cached || v != 1 {
-		t.Fatalf("first Do = (%d, %v), want (1, false)", v, cached)
-	}
-	if st := c.Stats(); st.Entries != 0 || st.Rejected != 1 || st.Admitted != 0 {
-		t.Fatalf("after first sight: %+v", st)
-	}
-	// Second sight: fill runs again and the entry is admitted.
-	if v, cached, _ := c.Do(bg(), "k", fill(2)); cached || v != 2 {
-		t.Fatalf("second Do = (%d, %v), want (2, false)", v, cached)
-	}
-	if st := c.Stats(); st.Entries != 1 || st.Admitted != 1 || st.Rejected != 1 {
-		t.Fatalf("after second sight: %+v", st)
-	}
-	// Third sight: a plain hit.
-	if v, cached, _ := c.Do(bg(), "k", fill(3)); !cached || v != 2 {
-		t.Fatalf("third Do = (%d, %v), want (2, true)", v, cached)
-	}
-}
-
-func TestDoorkeeperOffByDefault(t *testing.T) {
-	c := New[int](8, 2, nil)
-	if _, cached, _ := c.Do(bg(), "k", func() (int, error) { return 1, nil }); cached {
-		t.Fatal("first Do reported cached")
-	}
-	st := c.Stats()
-	if st.Entries != 1 || st.Admitted != 0 || st.Rejected != 0 {
-		t.Fatalf("unarmed cache stats: %+v", st)
-	}
-}
-
-// A head key that repeats gets admitted and then protected from a
-// stream of one-off keys that would otherwise churn the LRU.
-func TestDoorkeeperShieldsHeadFromScan(t *testing.T) {
-	c := New[string](4, 1, nil)
-	c.EnableDoorkeeper(0) // default sizing: 8x capacity
-	fill := func(s string) func() (string, error) { return func() (string, error) { return s, nil } }
-
-	c.Do(bg(), "head", fill("hot"))
-	c.Do(bg(), "head", fill("hot")) // admitted on second sight
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("tail-%d", i)
-		if _, cached, _ := c.Do(bg(), key, fill("cold")); cached {
-			t.Fatalf("one-off %s reported cached", key)
-		}
-	}
-	v, cached, _ := c.Do(bg(), "head", fill("refill"))
-	if !cached || v != "hot" {
-		t.Fatalf("head after scan = (%q, %v), want (hot, true)", v, cached)
-	}
-	st := c.Stats()
-	if st.Rejected < 90 {
-		t.Fatalf("scan keys were not doorkept: %+v", st)
-	}
-	if st.Evictions != 0 {
-		// 100 distinct hashes over a 32-slot door can collide, but an
-		// admitted tail key at capacity 4 still should not evict much.
-		t.Logf("note: %d evictions from door collisions", st.Evictions)
-	}
-}

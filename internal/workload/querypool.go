@@ -112,9 +112,8 @@ var filteredQueryTemplates = []func(r *rand.Rand, price, year func() string) str
 // replaced by filtered queries: keywords plus one typed predicate whose
 // value is drawn Zipfian from the core typed-value ladders, so filter
 // values are head-heavy the way real structured traffic is. frac = 0
-// returns exactly QueryPool(seed, n), keeping existing BENCH_load
-// artifacts comparable. Replacements spread evenly across popularity
-// ranks, so filtered traffic shows up at the head and the tail alike.
+// returns exactly QueryPool(seed, n). Replacements spread evenly
+// across popularity ranks, so filtered traffic shows up at the head and the tail alike.
 func QueryPoolFiltered(seed int64, n int, frac float64) []string {
 	pool := QueryPool(seed, n)
 	nf := int(frac*float64(n) + 0.5)
@@ -148,24 +147,3 @@ func QueryPoolFiltered(seed int64, n int, frac float64) []string {
 	}
 	return pool
 }
-
-// Sampler draws queries from a pool under Zipfian popularity: the
-// pool's head ranks dominate, the tail appears rarely — the traffic
-// shape of §3.2 pointed at the serving tier instead of at forms.
-//
-// A Sampler is NOT safe for concurrent use (it owns a single rng
-// stream); give each load-generating worker its own, seeded
-// distinctly, so workers draw independent streams deterministically.
-type Sampler struct {
-	pool []string
-	z    *dist.Zipf
-}
-
-// NewSampler builds a Zipfian sampler over pool with exponent s
-// (s = 0 is uniform; larger s concentrates harder on the head).
-func NewSampler(seed int64, s float64, pool []string) *Sampler {
-	return &Sampler{pool: pool, z: dist.NewZipf(seed, s, uint64(len(pool)))}
-}
-
-// Next draws one query.
-func (s *Sampler) Next() string { return s.pool[s.z.Next()] }

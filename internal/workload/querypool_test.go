@@ -36,8 +36,7 @@ func TestQueryPoolDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestQueryPoolFiltered(t *testing.T) {
-	// frac = 0 is the old pool exactly: BENCH_load artifacts produced
-	// before the flag existed stay comparable.
+	// frac = 0 is the unfiltered pool exactly.
 	if !reflect.DeepEqual(QueryPoolFiltered(7, 500, 0), QueryPool(7, 500)) {
 		t.Fatal("frac=0 diverged from QueryPool")
 	}
@@ -76,28 +75,5 @@ func TestQueryPoolFiltered(t *testing.T) {
 	}
 	if headHalf == 0 || headHalf == filtered {
 		t.Errorf("filtered queries not spread: %d of %d in the head half", headHalf, filtered)
-	}
-}
-
-func TestSamplerZipfianSkew(t *testing.T) {
-	pool := QueryPool(7, 100)
-	s := NewSampler(1, 1.1, pool)
-	counts := map[string]int{}
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		counts[s.Next()]++
-	}
-	// The head query must dominate a mid-pool one decisively under
-	// s = 1.1 (analytically ~50×; leave slack for sampling noise).
-	head, mid := counts[pool[0]], counts[pool[50]]
-	if head == 0 || head < 10*mid {
-		t.Fatalf("no Zipfian skew: head %d draws vs rank-50 %d", head, mid)
-	}
-	// Determinism: same seed, same stream.
-	s1, s2 := NewSampler(3, 1.1, pool), NewSampler(3, 1.1, pool)
-	for i := 0; i < 100; i++ {
-		if a, b := s1.Next(), s2.Next(); a != b {
-			t.Fatalf("draw %d diverged: %q vs %q", i, a, b)
-		}
 	}
 }
