@@ -1,0 +1,44 @@
+// The race detector makes sync.Pool drop items at random, so the
+// search scratch is sometimes allocated afresh: allocation counts are
+// only meaningful without it.
+
+//go:build !race
+
+package engine
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"deepweb/internal/index"
+	"deepweb/internal/query"
+)
+
+// The filter reads each candidate's annotation row in place, under the
+// scan's lock: a filtered, host-restricted Search allocates per query,
+// never per candidate, so four times the matching documents cost the
+// same number of allocations.
+func TestFilteredSearchAllocatesNothingPerCandidate(t *testing.T) {
+	preds := []query.Predicate{query.Eq("make", "ford"), mustPred(t, "price<20000")}
+	allocs := func(n int) float64 {
+		e := newEngine()
+		for i := 0; i < n; i++ {
+			id, _ := e.Index.Add(index.Doc{
+				URL:   fmt.Sprintf("http://cars.example/%d", i),
+				Title: "used ford focus",
+				Text:  fmt.Sprintf("listing %d", i),
+			})
+			e.Index.Annotate(id, map[string]string{"make": "ford", "price": fmt.Sprint(5000 + i%9*1000)})
+		}
+		req := SearchRequest{Query: "ford focus", K: 10, Host: "cars.example", Filters: preds}
+		return testing.AllocsPerRun(50, func() {
+			if resp, err := e.Search(context.Background(), req); err != nil || resp.Total != n {
+				t.Fatalf("n=%d: Search total %d, err %v", n, resp.Total, err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(4000); small != large {
+		t.Fatalf("filtered Search allocates %v times over 1000 matches, %v over 4000: the filter allocates per candidate", small, large)
+	}
+}

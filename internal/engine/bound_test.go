@@ -18,7 +18,9 @@ import (
 // document, at every stage an annotation row lives through — freshly
 // built, read beside a concurrent Annotate writer, re-annotated under
 // a Bound taken earlier, renumbered by Delete + Compact, and rebuilt
-// by Save → Load. Run with -race.
+// by Save → Load. Run with -race: the live stage's filtered Searches
+// scan beside the writer, so a lock-order regression deadlocks or
+// races here.
 
 var (
 	boundAttrs = []string{"make", "city", "town", "price", "minprice", "maxprice", "salary", "year", "modelyear", "mileage", "notes"}
@@ -91,14 +93,17 @@ func boundPreds(t *testing.T, r *rand.Rand) []query.Predicate {
 }
 
 // requireBoundAgrees checks bound ≡ reference on every document row
-// skip does not exclude, and — skip being nil — that a filtered Search
-// counts exactly the live documents the reference admits.
+// skip does not exclude, and that a filtered Search admits exactly the
+// live documents the reference admits: its Total when skip is nil, its
+// hits outside skip otherwise — the skipped rows are a concurrent
+// writer's, so the Search runs beside that writer.
 func requireBoundAgrees(t *testing.T, when string, e *Engine, lists [][]query.Predicate, bounds []*query.Bound, skip func(id int) bool) (admitted, rejected int) {
 	t.Helper()
 	ix := e.Index
 	table := ix.Len() + ix.Deleted()
 	live := map[int]bool{}
 	ix.ForEachLive(func(id int, _ index.Doc) { live[id] = true })
+	rows := rowsOf(ix)
 	for li, preds := range lists {
 		m := query.NewMatcher(preds)
 		b := m.Bind(ix)
@@ -108,7 +113,7 @@ func requireBoundAgrees(t *testing.T, when string, e *Engine, lists [][]query.Pr
 		total := 0
 		for id := 0; id < table; id++ {
 			d := ix.Doc(id)
-			got := b.Match(id, d.Title, d.Text)
+			got := b.Match(rows[id], &d)
 			if skip != nil && skip(id) {
 				continue
 			}
@@ -131,9 +136,34 @@ func requireBoundAgrees(t *testing.T, when string, e *Engine, lists [][]query.Pr
 			if err != nil || resp.Total != total {
 				t.Fatalf("%s: filter %q: Search total %d (err %v), reference admits %d live documents", when, query.Key(preds), resp.Total, err, total)
 			}
+			continue
+		}
+		resp, err := e.Search(context.Background(), SearchRequest{Query: "listing", K: table, Filters: preds})
+		if err != nil {
+			t.Fatalf("%s: filter %q: Search: %v", when, query.Key(preds), err)
+		}
+		outside := 0
+		for _, h := range resp.Results {
+			if !skip(h.DocID) {
+				outside++
+			}
+		}
+		if outside != total {
+			t.Fatalf("%s: filter %q: Search admits %d live documents outside the writer's, reference %d", when, query.Key(preds), outside, total)
 		}
 	}
 	return admitted, rejected
+}
+
+// rowsOf copies every live document's annotation row as a filtered
+// scan hands it to keep (every test document's title says "listing").
+func rowsOf(ix *index.Index) map[int][]index.AnnPair {
+	rows := map[int][]index.AnnPair{}
+	ix.TopK(context.Background(), "listing", ix.Len()+ix.Deleted(), 0, func(id int, _ *index.Doc, row []index.AnnPair) bool {
+		rows[id] = append([]index.AnnPair(nil), row...)
+		return true
+	})
+	return rows
 }
 
 func TestBoundMatcherEqualsReference(t *testing.T) {

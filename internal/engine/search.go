@@ -101,15 +101,15 @@ func (e *Engine) searchUncached(ctx context.Context, req SearchRequest) (SearchR
 	// branch-free selection loop is the benchmarked hot path and must
 	// not grow a closure call per hit. A host restriction alone reads
 	// nothing but the URL; only predicates bind to the annotation store.
-	var keep func(id int, d index.Doc) bool
+	var keep func(id int, d *index.Doc, row []index.AnnPair) bool
 	host := req.Host
 	if m := query.NewMatcher(req.Filters); m != nil {
 		bound := m.Bind(e.Index)
-		keep = func(id int, d index.Doc) bool {
-			return (host == "" || urlOnHost(d.URL, host)) && bound.Match(id, d.Title, d.Text)
+		keep = func(_ int, d *index.Doc, row []index.AnnPair) bool {
+			return (host == "" || urlOnHost(d.URL, host)) && bound.Match(row, d)
 		}
 	} else if host != "" {
-		keep = func(_ int, d index.Doc) bool { return urlOnHost(d.URL, host) }
+		keep = func(_ int, d *index.Doc, _ []index.AnnPair) bool { return urlOnHost(d.URL, host) }
 	}
 	var (
 		hits  []index.Result
@@ -134,7 +134,8 @@ func (e *Engine) searchUncached(ctx context.Context, req SearchRequest) (SearchR
 
 // urlOnHost reports whether rawURL's authority equals host, without
 // allocating: the filter runs once per matched document per query,
-// under the index read lock, so url.Parse is off the table.
+// inside TopK's scan under the index's table read lock, so url.Parse is
+// off the table.
 func urlOnHost(rawURL, host string) bool {
 	i := strings.Index(rawURL, "://")
 	if i < 0 {

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"deepweb/internal/textutil"
 )
@@ -84,6 +84,21 @@ type annColumn struct {
 	// maxWords is the most space-separated words any value has: the
 	// longest query n-gram worth probing codes with.
 	maxWords int
+	// arr and n publish values for lock-free views: the whole backing
+	// array (len == cap) is stored before the count of entries filled
+	// and loaded after it, so a view never reaches past its array.
+	arr atomic.Pointer[[]AnnValue]
+	n   atomic.Uint32
+}
+
+// publish makes values visible to AnnotationColumns; the caller holds
+// the write lock. The array is re-stored only when values moved to grow.
+func (col *annColumn) publish() {
+	if p := col.arr.Load(); p == nil || cap(*p) != cap(col.values) {
+		all := col.values[:cap(col.values)]
+		col.arr.Store(&all)
+	}
+	col.n.Store(uint32(len(col.values)))
 }
 
 // rowRef locates a document's row in the pair arena.
@@ -91,24 +106,18 @@ type rowRef struct {
 	off, n uint32
 }
 
-// annStore carries annotations parallel to docs.
+// annStore carries annotations parallel to docs, under the table lock
+// (bar the views AnnotationColumns publishes).
 type annStore struct {
-	mu    sync.RWMutex
-	attrs map[string]uint32 // attribute name -> id
-	cols  []*annColumn      // attribute id -> dictionary
-	rows  []rowRef          // doc id -> row; n == 0 for an unannotated document
-	pairs []AnnPair         // row arena
+	attrs map[string]uint32            // attribute name -> id
+	cols  []*annColumn                 // attribute id -> dictionary
+	dir   atomic.Pointer[[]*annColumn] // cols, published for AnnotationColumns
+	rows  []rowRef                     // doc id -> row; n == 0 for an unannotated document
+	pairs []AnnPair                    // row arena
 	// waste counts arena pairs no row points at any more (deleted
 	// documents, rows that moved to grow); reclaim rewrites the arena
 	// once they outnumber the live ones.
 	waste int
-}
-
-func (ix *Index) annotations() *annStore {
-	ix.annOnce.Do(func() {
-		ix.ann = &annStore{attrs: map[string]uint32{}}
-	})
-	return ix.ann
 }
 
 // Annotate attaches attribute=value annotations to an indexed document
@@ -120,18 +129,17 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 	if docID < 0 {
 		return
 	}
-	st := ix.annotations()
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	for attr, v := range anns {
 		attr = strings.ToLower(strings.TrimSpace(attr))
 		v = strings.ToLower(strings.TrimSpace(v))
 		if attr == "" || v == "" {
 			continue
 		}
-		st.set(docID, attr, v)
+		ix.ann.set(docID, attr, v)
 	}
-	st.reclaim()
+	ix.ann.reclaim()
 }
 
 // column returns the attribute's id and dictionary, creating both on
@@ -141,7 +149,11 @@ func (st *annStore) column(attr string) (uint32, *annColumn) {
 	if !ok {
 		a = uint32(len(st.cols))
 		st.attrs[attr] = a
-		st.cols = append(st.cols, &annColumn{name: attr, codes: map[string]uint32{}})
+		col := &annColumn{name: attr, codes: map[string]uint32{}}
+		col.publish()
+		st.cols = append(st.cols, col)
+		cols := st.cols
+		st.dir.Store(&cols)
 	}
 	return a, st.cols[a]
 }
@@ -155,6 +167,7 @@ func (col *annColumn) code(v string) uint32 {
 		col.codes[v] = c
 		col.values = appendDoubling(col.values, NewAnnValue(v))
 		col.support = appendDoubling(col.support, 0)
+		col.publish()
 		if w := strings.Count(v, " ") + 1; w > col.maxWords {
 			col.maxWords = w
 		}
@@ -211,10 +224,8 @@ func (st *annStore) set(docID int, attr, v string) {
 
 // deleteDoc drops a deleted document's annotations and releases its
 // vocabulary support, so a value that survives only on dead documents
-// stops steering AnnotatedTopK.
+// stops steering AnnotatedTopK. The caller holds the write lock.
 func (st *annStore) deleteDoc(docID int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	row := st.row(docID)
 	if len(row) == 0 {
 		return
@@ -228,7 +239,7 @@ func (st *annStore) deleteDoc(docID int) {
 }
 
 // row returns the document's pairs, a view into the arena valid while
-// the caller holds the lock; empty for an unannotated document.
+// the caller holds the table lock; empty for an unannotated document.
 func (st *annStore) row(docID int) []AnnPair {
 	if docID < 0 || docID >= len(st.rows) {
 		return nil
@@ -246,18 +257,10 @@ func (st *annStore) reclaim() {
 	}
 }
 
-// remap renumbers rows through newID (-1 drops a document); Compact
-// calls it after renumbering the document table. Codes and attribute
-// ids are untouched: dictionaries only grow, which is what lets a
-// query keep reading the views it bound to.
-func (st *annStore) remap(newID []int32) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.rewrite(newID)
-}
-
 // rewrite copies the live rows into a fresh arena, renumbering them
-// through newID when it is non-nil.
+// through newID (-1 drops a document) when Compact passes one. Codes
+// and attribute ids are untouched: dictionaries only grow, which is
+// what lets a query keep reading the views it bound to.
 func (st *annStore) rewrite(newID []int32) {
 	size := len(st.rows)
 	if newID != nil {
@@ -285,7 +288,7 @@ func (st *annStore) rewrite(newID []int32) {
 }
 
 // asMap materializes a row as attribute -> value. The caller holds the
-// lock.
+// table lock.
 func (st *annStore) asMap(row []AnnPair) map[string]string {
 	out := make(map[string]string, len(row))
 	for _, p := range row {
@@ -297,40 +300,26 @@ func (st *annStore) asMap(row []AnnPair) map[string]string {
 
 // AnnotationsOf returns a document's annotations as a fresh map (nil
 // if none). It is the slow, convenient view — experiments, Save, the
-// reference filter; serving reads rows through AnnotationRow.
+// reference filter; serving reads rows in place through TopK's keep.
 func (ix *Index) AnnotationsOf(docID int) map[string]string {
-	st := ix.annotations()
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	row := st.row(docID)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	row := ix.ann.row(docID)
 	if len(row) == 0 {
 		return nil
 	}
-	return st.asMap(row)
-}
-
-// AnnotationRow appends the document's (attribute id, value code)
-// pairs to buf and returns it; nothing is appended for an unannotated
-// document. With a reused buf it allocates nothing. Ids and codes index
-// AnnotationColumns; a view taken before a later Annotate may be
-// shorter than an id or code met here, and is then taken again.
-func (ix *Index) AnnotationRow(docID int, buf []AnnPair) []AnnPair {
-	st := ix.annotations()
-	st.mu.RLock()
-	buf = append(buf, st.row(docID)...)
-	st.mu.RUnlock()
-	return buf
+	return ix.ann.asMap(row)
 }
 
 // AnnotationColumns returns a view of every attribute's dictionary,
-// indexed by attribute id.
+// indexed by attribute id, without taking a lock: a TopK keep may call
+// it to re-bind when a row names ids or codes an older view lacks.
 func (ix *Index) AnnotationColumns() []AnnColumn {
-	st := ix.annotations()
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]AnnColumn, len(st.cols))
-	for a, col := range st.cols {
-		out[a] = AnnColumn{Attr: col.name, Values: col.values}
+	dir := ix.ann.dir.Load()
+	out := make([]AnnColumn, len(*dir))
+	for a, col := range *dir {
+		n := col.n.Load() // before arr: see annColumn
+		out[a] = AnnColumn{Attr: col.name, Values: (*col.arr.Load())[:n]}
 	}
 	return out
 }
@@ -360,20 +349,23 @@ const rerankDepth = 200
 // slices the same canonical ordering (the base top-rerankDepth
 // re-ranked once, plain BM25 order beyond it). The total counts every
 // live document the query matched (after the filter), not just the
-// re-ranked prefix.
-func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int, keep func(id int, d Doc) bool) ([]Result, int, error) {
+// re-ranked prefix. The vocabulary probe, the base ranking and the
+// adjustment run in one read-locked section, so a concurrent Compact
+// cannot renumber rows between the ranking and the factors read for it.
+func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int, keep func(id int, d *Doc, row []AnnPair) bool) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()
 	}
 	if offset < 0 {
 		offset = 0
 	}
-	st := ix.annotations()
-	mentioned := st.valuesMentioned(query)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	mentioned := ix.ann.valuesMentioned(query)
 	if len(mentioned) == 0 {
 		// No annotation vocabulary intersects the query: degrade to the
 		// plain BM25 page, with no over-fetch at all.
-		return ix.TopK(ctx, query, k, offset, keep)
+		return ix.topKLocked(ctx, query, k, offset, keep)
 	}
 
 	// Re-ranking must page against one canonical adjusted ordering — a
@@ -395,7 +387,7 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 	if fetch < rerankDepth {
 		fetch = rerankDepth
 	}
-	base, total, err := ix.TopK(ctx, query, fetch, 0, keep)
+	base, total, err := ix.topKLocked(ctx, query, fetch, 0, keep)
 	if err != nil || len(base) == 0 {
 		return base, total, err
 	}
@@ -403,7 +395,7 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 	if len(head) > rerankDepth {
 		head = head[:rerankDepth]
 	}
-	st.adjust(head, mentioned)
+	ix.ann.adjust(head, mentioned)
 	sortResults(head)
 	return pageOf(base, k, offset), total, nil
 }
@@ -423,7 +415,7 @@ type mention struct {
 // mentions several values of one attribute the longest wins (multi-word
 // values like "santa fe" beat their substrings), then the one that
 // starts earliest: a total rule, so the choice never depends on map
-// order.
+// order. The caller holds the table lock.
 func (st *annStore) valuesMentioned(query string) []mention {
 	toks := textutil.Tokenize(query)
 	if len(toks) == 0 {
@@ -437,8 +429,6 @@ func (st *annStore) valuesMentioned(query string) []mention {
 		starts[i+1] = starts[i] + len(t) + 1
 	}
 	var out []mention
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	for a, col := range st.cols {
 		var best uint32 // code of the value kept so far, bestLen bytes long
 		bestLen := 0
@@ -468,10 +458,8 @@ func (st *annStore) valuesMentioned(query string) []mention {
 // place. Factors multiply in sorted-attribute order: float products do
 // not commute in the last bit, so any other order would make a query
 // mentioning two attributes score — and break near-ties — differently
-// from run to run.
+// from run to run. The caller holds the table lock.
 func (st *annStore) adjust(rs []Result, mentioned []mention) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
 	for i := range rs {
 		row := st.row(rs[i].DocID)
 		for _, m := range mentioned {

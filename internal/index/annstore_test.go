@@ -69,7 +69,7 @@ func TestReannotateReleasesSupport(t *testing.T) {
 		if second != "honda" {
 			// "honda" was overwritten on its only document: it is out
 			// of the vocabulary already, before any delete.
-			if m := ix.annotations().valuesMentioned("honda civic"); len(m) != 0 {
+			if m := ix.ann.valuesMentioned("honda civic"); len(m) != 0 {
 				t.Fatalf("second=%s: overwritten value still mentioned: %+v", second, m)
 			}
 		}
@@ -78,7 +78,7 @@ func TestReannotateReleasesSupport(t *testing.T) {
 			t.Fatalf("second=%s: deleted document keeps annotations", second)
 		}
 		for _, q := range []string{"honda civic", "ford focus"} {
-			if m := ix.annotations().valuesMentioned(q); len(m) != 0 {
+			if m := ix.ann.valuesMentioned(q); len(m) != 0 {
 				t.Fatalf("second=%s: %q still mentions %+v after the last carrier was deleted", second, q, m)
 			}
 			plain, ann := search(ix, q, 5), annotatedSearch(ix, q, 5)
@@ -133,7 +133,7 @@ func TestAnnotationRowsSurviveChurn(t *testing.T) {
 		if exp := ix.ExportAnnotations(); len(exp) != len(want) {
 			t.Fatalf("%s: ExportAnnotations has %d rows, want %d", when, len(exp), len(want))
 		}
-		st := ix.annotations()
+		st := &ix.ann
 		if live := len(st.pairs) - st.waste; st.waste > live {
 			t.Fatalf("%s: arena holds %d dead pairs against %d live", when, st.waste, live)
 		}
@@ -194,7 +194,7 @@ func TestTopKFilteredScanIsCancelable(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	hits, total, err := ix.TopK(ctx, q, 10, 0, func(int, Doc) bool {
+	hits, total, err := ix.TopK(ctx, q, 10, 0, func(int, *Doc, []AnnPair) bool {
 		if calls++; calls == 100 {
 			cancel()
 		}

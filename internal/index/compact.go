@@ -85,6 +85,6 @@ func (ix *Index) Compact() int {
 		sh.mu.Unlock()
 	}
 
-	ix.annotations().remap(newID)
+	ix.ann.rewrite(newID)
 	return reclaimed
 }

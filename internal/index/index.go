@@ -7,14 +7,14 @@
 // impact back to forms (E1).
 //
 // Layout: the document table (ids, lengths, URL dedup, per-source
-// counters) sits behind one lock, while postings are sharded by term
-// hash with per-shard locks, so concurrent writers contend only on the
-// brief id-assignment step and on the shards their terms actually hash
-// to. Queries merge across shards. The expensive half of an insert —
-// tokenization and term counting — is exposed separately as Prepare, so
-// a concurrent ingest pipeline can analyze documents in parallel and
-// commit them at an ordered point, keeping doc-id assignment
-// deterministic.
+// counters) and the annotations sit behind one lock, while postings are
+// sharded by term hash with per-shard locks, so concurrent writers
+// contend only on the brief id-assignment step and on the shards their
+// terms actually hash to. Queries merge across shards. The expensive
+// half of an insert — tokenization and term counting — is exposed
+// separately as Prepare, so a concurrent ingest pipeline can analyze
+// documents in parallel and commit them at an ordered point, keeping
+// doc-id assignment deterministic.
 //
 // Both halves run allocation-consciously: Prepare draws its tokenizer,
 // term buffer and counting map from a pool and emits a compact
@@ -64,7 +64,10 @@ type shard struct {
 // for concurrent use; a document being added becomes searchable
 // term-by-term and is fully visible once Add returns.
 type Index struct {
-	mu       sync.RWMutex // guards the document table below
+	// mu, the table lock, guards the document table and ann. A query
+	// holds it read-side for its whole scan, so the filter reads each
+	// candidate's rows in place; writers hold it write-side.
+	mu       sync.RWMutex
 	docs     []Doc
 	lens     []int
 	byURL    map[string]int
@@ -82,8 +85,7 @@ type Index struct {
 
 	shards []*shard
 
-	annOnce sync.Once
-	ann     *annStore
+	ann annStore
 }
 
 // BM25 constants; the standard values.
@@ -108,10 +110,12 @@ func NewSharded(n int) *Index {
 		byURL:    map[string]int{},
 		bySource: map[string]int{},
 		shards:   make([]*shard, n),
+		ann:      annStore{attrs: map[string]uint32{}},
 	}
 	for i := range ix.shards {
 		ix.shards[i] = &shard{postings: map[string][]posting{}}
 	}
+	ix.ann.dir.Store(new([]*annColumn))
 	return ix
 }
 
@@ -240,8 +244,8 @@ func (ix *Index) Delete(id int) bool {
 			delete(ix.bySource, d.Source)
 		}
 	}
+	ix.ann.deleteDoc(id)
 	ix.mu.Unlock()
-	ix.annotations().deleteDoc(id)
 	return true
 }
 
@@ -367,16 +371,25 @@ const keepPollEvery = 4096
 // plus the total live hit count. Ties break by ascending doc id so
 // results are deterministic. Tombstoned documents neither match nor
 // influence scoring: N, avgdl and df all describe the live corpus.
-// keep is an optional per-document admission filter (called with the
-// document's id and row, so filters can consult id-keyed side stores
-// like AnnotationRow); hits it rejects count toward neither the page
-// nor the total. Cancellation is cooperative, checked between query
-// terms and, when keep is set, every keepPollEvery candidates of the
+// keep is an optional per-document admission filter, handed the
+// document and its annotation row in place under the scan's read lock;
+// like ForEachLive's fn it must not call back into the index (bar the
+// lock-free AnnotationColumns): a recursive read lock deadlocks once a
+// writer is queued. Hits it rejects count toward neither the page nor
+// the total. Cancellation is cooperative, checked between query terms
+// and, when keep is set, every keepPollEvery candidates of the
 // selection loop: a canceled context returns ctx.Err() with no results.
-func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep func(id int, d Doc) bool) ([]Result, int, error) {
+func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep func(id int, d *Doc, row []AnnPair) bool) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()
 	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.topKLocked(ctx, query, k, offset, keep)
+}
+
+// topKLocked is TopK for a caller holding the table read lock.
+func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, keep func(id int, d *Doc, row []AnnPair) bool) ([]Result, int, error) {
 	if offset < 0 {
 		offset = 0
 	}
@@ -388,8 +401,6 @@ func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep fun
 		return nil, 0, ctx.Err()
 	}
 
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	tableN := len(ix.docs)
 	live := tableN - ix.numDead
 	if live == 0 {
@@ -513,7 +524,7 @@ func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep fun
 			}
 			s := scores[d]
 			scores[d] = 0
-			if !keep(int(d), ix.docs[d]) {
+			if !keep(int(d), &ix.docs[d], ix.ann.row(int(d))) {
 				continue
 			}
 			total++

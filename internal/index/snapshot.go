@@ -77,13 +77,12 @@ func (ix *Index) ExportDocs() (docs []Doc, lens []int, dead []bool) {
 // materialized from the columnar rows as fresh maps (empty map when
 // none exist).
 func (ix *Index) ExportAnnotations() map[int]map[string]string {
-	st := ix.annotations()
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	out := map[int]map[string]string{}
-	for id := range st.rows {
-		if row := st.row(id); len(row) > 0 {
-			out[id] = st.asMap(row)
+	for id := range ix.ann.rows {
+		if row := ix.ann.row(id); len(row) > 0 {
+			out[id] = ix.ann.asMap(row)
 		}
 	}
 	return out

@@ -93,7 +93,7 @@ func TestTopKPagination(t *testing.T) {
 func TestTopKFilter(t *testing.T) {
 	ix := topkCorpus(t, 4)
 	q := "ford focus"
-	keep := func(_ int, d Doc) bool {
+	keep := func(_ int, d *Doc, _ []AnnPair) bool {
 		u, err := url.Parse(d.URL)
 		return err == nil && u.Host == "h1.example"
 	}
@@ -112,7 +112,7 @@ func TestTopKFilter(t *testing.T) {
 	// The filtered ranking preserves the relative order of the full one.
 	var fromFull []Result
 	for _, h := range search(ix, q, 1000) {
-		if keep(h.DocID, Doc{URL: h.URL}) {
+		if keep(h.DocID, &Doc{URL: h.URL}, nil) {
 			fromFull = append(fromFull, h)
 		}
 	}
@@ -126,7 +126,7 @@ func TestTopKFilter(t *testing.T) {
 func TestTopKFilterSeesDocID(t *testing.T) {
 	ix := topkCorpus(t, 4)
 	hits, total, err := ix.TopK(context.Background(), "ford focus", 1000, 0,
-		func(id int, d Doc) bool {
+		func(id int, d *Doc, _ []AnnPair) bool {
 			// The corpus numbers URLs by insertion order, so the id and
 			// its row must agree.
 			if want := fmt.Sprintf("/doc/%d", id); !strings.HasSuffix(d.URL, want) {

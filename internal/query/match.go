@@ -86,14 +86,14 @@ func (m *Matcher) readsOf(cols []index.AnnColumn, buf []bool) []bool {
 // Bound is a Matcher bound to one index's columnar annotation store
 // for the span of one query: which attribute ids each predicate reads
 // is resolved up front, so a candidate costs a walk over its row's
-// pairs and allocates nothing unless the text fallback runs. A Bound
-// reuses a row buffer between calls: one query, one goroutine.
+// pairs — the row TopK hands its keep, in place — and allocates
+// nothing unless the text fallback runs. A Bound re-binds when a row
+// outgrows its views: one query, one goroutine.
 type Bound struct {
 	m     *Matcher
 	ix    *index.Index
 	cols  []index.AnnColumn
 	reads []bool // readsOf(cols)
-	row   []index.AnnPair
 }
 
 // Bind binds the matcher to ix's annotation store. A nil Matcher binds
@@ -112,15 +112,14 @@ func (b *Bound) bind() {
 	b.reads = b.m.readsOf(b.cols, b.reads)
 }
 
-// Match reports whether document id of the bound index satisfies every
-// predicate; title and text are the document's, read only when some
-// predicate finds no relevant annotation.
-func (b *Bound) Match(id int, title, text string) bool {
+// Match reports whether document d of the bound index, whose
+// annotation row is row, satisfies every predicate; d's title and text
+// are read only when some predicate finds no relevant annotation.
+func (b *Bound) Match(row []index.AnnPair, d *index.Doc) bool {
 	if b == nil {
 		return true
 	}
-	b.row = b.ix.AnnotationRow(id, b.row[:0])
-	for _, a := range b.row {
+	for _, a := range row {
 		if int(a.Attr) >= len(b.cols) || int(a.Code) >= len(b.cols[a.Attr].Values) {
 			// Annotated since the bind with an attribute or value the
 			// views do not cover: dictionaries only grow, so fresh
@@ -129,7 +128,7 @@ func (b *Bound) Match(id int, title, text string) bool {
 			break
 		}
 	}
-	return b.m.match(b.row, b.cols, b.reads, title, text)
+	return b.m.match(row, b.cols, b.reads, d.Title, d.Text)
 }
 
 // Match reports whether a document satisfies every predicate, given
