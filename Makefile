@@ -26,9 +26,11 @@ build:
 # -shuffle=on randomizes test and subtest execution order, so hidden
 # inter-test state dependencies fail loudly instead of riding on
 # declaration order. The seed is printed on failure; reproduce with
-# `go test -race -shuffle=<seed> <pkg>`.
+# `go test -race -shuffle=<seed> <pkg>`. The atomicity tests then run
+# ten more times: a torn commit fails only when a reader lands inside it.
 test:
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -count=10 -run 'Atomic' ./internal/index ./internal/engine
 
 # bench = deepbench, the repository's one benchmark (bench/README.md,
 # BENCHMARK.json): every workload, untraced then traced, results under

@@ -19,7 +19,7 @@ import (
 //     the same ordered commit point the surfacing pipeline uses —
 //     tokenization parallelized across the engine's Workers, doc ids
 //     assigned in stream order, one table lock per batch instead of
-//     per document.
+//     per document, annotations committed with their documents.
 //
 //   - BulkBuild never builds an index at all. It tokenizes the stream
 //     and hands every document to the same store.Writer Save uses,
@@ -92,7 +92,8 @@ func NewEmpty() *Engine { return newEngine() }
 // BulkIngest streams src into the live index in batches. Doc ids are
 // assigned in stream order (the ordered commit point, amortized per
 // batch), so the resulting index is bit-identical to adding the same
-// documents one by one. A canceled ctx stops between batches; documents
+// documents one by one; a concurrent search sees each batch, with its
+// annotations, entirely or not at all. A canceled ctx stops between batches; documents
 // committed before cancellation stay (and the epoch still bumps).
 func (e *Engine) BulkIngest(ctx context.Context, src BulkSource, opts BulkOptions) (BulkStats, error) {
 	batch := opts.Batch
@@ -112,7 +113,7 @@ func (e *Engine) BulkIngest(ctx context.Context, src BulkSource, opts BulkOption
 			return stats, nil
 		}
 		ps := prepareAll(e.Workers, docs)
-		ids, added := e.Index.AddPreparedBatch(ps)
+		_, added := e.Index.AddPreparedBatch(ps, anns)
 		for i := range ps {
 			if !added[i] {
 				stats.Duplicates++
@@ -120,10 +121,6 @@ func (e *Engine) BulkIngest(ctx context.Context, src BulkSource, opts BulkOption
 			}
 			stats.Docs++
 			stats.Postings += int64(len(ps[i].Terms()))
-			if len(anns[i]) > 0 {
-				e.Index.Annotate(ids[i], anns[i])
-			}
-			e.trackDoc(docs[i].URL, ids[i])
 		}
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"deepweb/internal/bulkgen"
@@ -295,6 +297,95 @@ func TestBulkIngestDeduplicates(t *testing.T) {
 	}
 	if stats.Docs != 0 || stats.Duplicates != 200 {
 		t.Fatalf("re-ingest stats: %+v", stats)
+	}
+}
+
+// sliceSource replays recorded bulkgen documents as a BulkSource.
+type sliceSource []bulkgen.Doc
+
+func (s *sliceSource) Next() (index.Doc, map[string]string, bool) {
+	if len(*s) == 0 {
+		return index.Doc{}, nil, false
+	}
+	d := (*s)[0]
+	*s = (*s)[1:]
+	return d.Doc, d.Anns, true
+}
+
+// BulkIngest commits batch by batch, and a reader sees a whole batch or
+// none of it: every answer a search gives beside the ingest — plain,
+// filtered by a predicate and a host, annotated — equals, in ids, score
+// bits and Total, the answer of a twin engine holding exactly the first
+// j batches, for some j. A document counted in N and avgdl before its
+// postings or annotations land scores no state. Run with -race.
+func TestBulkIngestIsAtomicToReaders(t *testing.T) {
+	const batch = 150
+	world := bulkWorld(t, 21, 1800, 3)
+	var docs []bulkgen.Doc
+	for _, ref := range world.Blocks() {
+		docs = world.GenBlock(ref, docs)
+	}
+	reqs := []SearchRequest{
+		{Query: "used ford focus", K: 10},
+		{Query: "used toyota price", K: 10, Host: world.Host(0), Filters: []query.Predicate{query.Eq("make", "toyota")}},
+		{Query: "house portland", K: 10, Annotated: true},
+	}
+	answer := func(e *Engine, req SearchRequest) string {
+		resp, err := e.Search(context.Background(), req)
+		var b strings.Builder
+		fmt.Fprintf(&b, "total=%d err=%v", resp.Total, err)
+		for _, r := range resp.Results {
+			fmt.Fprintf(&b, " %d:%x", r.DocID, math.Float64bits(r.Score))
+		}
+		return b.String()
+	}
+
+	// Every state between batches, from a twin fed one batch at a time.
+	valid := make([]map[string]bool, len(reqs))
+	for i := range valid {
+		valid[i] = map[string]bool{}
+	}
+	twin := NewEmpty()
+	for lo := 0; ; lo += batch {
+		for i, req := range reqs {
+			valid[i][answer(twin, req)] = true
+		}
+		if lo >= len(docs) {
+			break
+		}
+		next := sliceSource(docs[lo:min(lo+batch, len(docs))])
+		if _, err := twin.BulkIngest(context.Background(), &next, BulkOptions{Batch: batch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e := NewEmpty()
+	e.Workers = 2
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got := answer(e, req); !valid[i][got] {
+					t.Errorf("%+v: answer matches no batch boundary of the ingest:\n%s", req, got)
+					return
+				}
+			}
+		}()
+	}
+	all := sliceSource(docs)
+	_, err := e.BulkIngest(context.Background(), &all, BulkOptions{Batch: batch})
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -56,10 +56,11 @@ import (
 // synchronized with in-flight searches.
 //
 // Once a cache is armed, every index mutation must go through an
-// Engine method (IndexSurfaceWeb, Surface commits, Refresh, Compact):
-// those bump the mutation epoch that retires cached entries. Mutating
-// the exported Index directly bypasses the bump, and with no TTL the
-// cache would serve pre-mutation results indefinitely.
+// Engine method (IndexSurfaceWeb, Surface commits, Refresh, BulkIngest,
+// Compact): those bump the mutation epoch that retires cached entries.
+// The epoch is the only engine state a direct mutation of the exported
+// Index leaves stale — the engine keeps no doc ids of its own — but
+// with no TTL the cache would serve pre-mutation results indefinitely.
 func (e *Engine) EnableResultCache(capacity int) {
 	if capacity <= 0 {
 		e.cache = nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -136,17 +137,10 @@ func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
 		// Bit-identical equivalence after canonicalizing both arms.
 		ref.Compact()
 		e.Compact()
-		if got, want := e.Index.Len(), ref.Index.Len(); got != want {
-			t.Errorf("shards=%d: healed corpus has %d docs, fault-free has %d", shards, got, want)
-		}
 		if !reflect.DeepEqual(e.SiteSignatures, ref.SiteSignatures) {
 			t.Errorf("shards=%d: healed signatures differ from fault-free", shards)
 		}
-		for _, q := range persistQueries {
-			if a, b := urlScores(t, e.Index, q), urlScores(t, ref.Index, q); !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: Search(%q) differs after healing:\n  chaos     %v\n  fault-free %v", shards, q, a, b)
-			}
-		}
+		requireSameCorpus(t, fmt.Sprintf("shards=%d: healed vs fault-free", shards), e.Index, ref.Index)
 	}
 }
 

@@ -68,15 +68,8 @@ type Engine struct {
 	SiteSignatures map[string]textutil.Signature
 	// CompactRatio is the tombstone fraction above which Refresh
 	// compacts the index after committing. <= 0 disables automatic
-	// compaction; compact manually with Engine.Compact, which keeps
-	// the engine's host bookkeeping in sync with the renumbered ids
-	// (a bare Index.Compact would not).
+	// compaction; compact manually with Engine.Compact.
 	CompactRatio float64
-
-	// hostDocs tracks the live doc ids each host contributed (surfaced
-	// pages and crawled surface-web pages alike), so Refresh can retire
-	// a churned site's documents without scanning the whole index.
-	hostDocs map[string][]int
 
 	// cache is the serving-tier result cache (nil = disabled; see
 	// EnableResultCache and cache.go). epoch counts index mutations —
@@ -125,7 +118,6 @@ func newEngine() *Engine {
 		IngestStats:     map[string]core.IngestStats{},
 		SiteSignatures:  map[string]textutil.Signature{},
 		CompactRatio:    DefaultCompactRatio,
-		hostDocs:        map[string][]int{},
 		ropts:           resilient.Defaults(),
 	}
 }
@@ -189,20 +181,12 @@ func (e *Engine) IndexSurfaceWeb(ctx context.Context) int {
 	c := &webx.Crawler{Fetcher: e.Fetch}
 	n := 0
 	for _, p := range c.Crawl(ctx, "http://"+webgen.HubHost+"/") {
-		if id, added := e.Index.Add(index.Doc{URL: p.URL, Title: p.Title(), Text: p.Text()}); added {
+		if _, added := e.Index.Add(index.Doc{URL: p.URL, Title: p.Title(), Text: p.Text()}); added {
 			n++
-			e.trackDoc(p.URL, id)
 		}
 	}
 	e.bumpEpoch()
 	return n
-}
-
-// trackDoc records a newly indexed doc id under its URL's host.
-func (e *Engine) trackDoc(rawURL string, id int) {
-	if u, err := url.Parse(rawURL); err == nil && u.Host != "" {
-		e.hostDocs[u.Host] = append(e.hostDocs[u.Host], id)
-	}
 }
 
 // SurfaceRequest configures one Surface pass over the world's sites.
@@ -457,14 +441,12 @@ func (e *Engine) surfacePipeline(ctx context.Context, sites []*webgen.Site, run 
 
 // commitOutcome is the standard bookkeeping for one successfully
 // surfaced site: drain its sink into the index and record its result,
-// stats, content signature and doc ids.
+// stats and content signature.
 func (e *Engine) commitOutcome(out *siteOutcome) {
 	e.Results[out.host] = out.res
-	ids := out.sink.commit()
-	out.stats.Indexed = len(ids)
+	out.stats.Indexed = out.sink.commit()
 	e.IngestStats[out.host] = out.stats
 	e.SiteSignatures[out.host] = out.sig
-	e.hostDocs[out.host] = append(e.hostDocs[out.host], ids...)
 	// Each commit is a visible index mutation: retire cached results so
 	// no query answered after this point sees pre-commit state.
 	e.bumpEpoch()

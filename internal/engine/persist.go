@@ -18,9 +18,9 @@ import (
 // boundary. Load restores plain and annotated search bit-for-bit: same
 // ids, same scores, same tie order.
 //
-// Both directions parallelize per shard on the engine's Workers
-// budget: Save encodes shard segments concurrently, Load decodes and
-// imports them concurrently (index.ImportTerms is shard-locked).
+// Both directions parallelize per postings segment on the engine's
+// Workers budget: Save encodes segments concurrently, Load decodes them
+// concurrently and installs each under the index's table lock.
 
 // Save writes the index to dir as one docs segment (including
 // tombstones, so a mutated index round-trips id-for-id), one postings
@@ -114,7 +114,6 @@ func Load(dir string) (*Engine, error) {
 			e.SiteSignatures[s.Host] = textutil.Signature(s.Signature)
 		}
 	}
-	e.rebuildHostDocs()
 	return e, nil
 }
 

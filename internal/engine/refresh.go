@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 
@@ -156,32 +157,45 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 	}
 	st.SitesChanged = len(changed)
 
-	// Retire the changed sites' *surfaced* documents before any worker
-	// fetches: the sinks' dedup consults the shared index, and a stale
-	// entry would make re-ingestion skip the very pages being
+	// One pass over the live corpus finds the changed sites' documents,
+	// by URL host. Their *surfaced* documents are retired before any
+	// worker fetches: the sinks' dedup consults the shared index, and a
+	// stale entry would make re-ingestion skip the very pages being
 	// refreshed. Crawled surface-web pages (Source == "") are NOT
 	// retired here — they cannot collide with surfaced URLs (the crawl
 	// never follows query URLs), and deferring their delete+refetch to
 	// the commit step keeps a failed pass recoverable: if a site's
 	// pipeline errors, its surface pages are merely stale, not gone,
 	// and the still-mismatched signature re-drives them next Refresh.
+	// Ids stay valid for the whole pass: nothing before the final
+	// compaction renumbers them.
+	surfaceIDs := make(map[string][]int, len(changed))
 	for _, site := range changed {
-		host := site.Spec.Host
-		var surfaceIDs []int
-		for _, id := range e.hostDocs[host] {
-			if e.Index.Doc(id).Source == "" {
-				surfaceIDs = append(surfaceIDs, id)
-				continue
-			}
-			if e.Index.Delete(id) {
-				st.DocsDeleted++
-			}
-		}
-		e.hostDocs[host] = surfaceIDs
-		// Retiring a site's documents is a visible mutation: stop the
-		// result cache from serving its pre-retire rankings.
-		e.bumpEpoch()
+		surfaceIDs[site.Spec.Host] = nil
 	}
+	var retire []int
+	e.Index.ForEachLive(func(id int, d index.Doc) {
+		u, err := url.Parse(d.URL)
+		if err != nil {
+			return
+		}
+		if _, ok := surfaceIDs[u.Host]; !ok {
+			return
+		}
+		if d.Source == "" {
+			surfaceIDs[u.Host] = append(surfaceIDs[u.Host], id)
+		} else {
+			retire = append(retire, id)
+		}
+	})
+	for _, id := range retire {
+		if e.Index.Delete(id) {
+			st.DocsDeleted++
+		}
+	}
+	// Retiring documents is a visible mutation: stop the result cache
+	// from serving pre-retire rankings.
+	e.bumpEpoch()
 
 	// Re-surface on the shared pipeline. At each site's commit point
 	// the old surface-web pages are swapped for freshly fetched ones
@@ -196,9 +210,7 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 		fetch:      fetch,
 		rt:         runRT,
 		commit: func(out *siteOutcome) {
-			oldSurface := e.hostDocs[out.host]
-			e.hostDocs[out.host] = nil
-			for _, id := range oldSurface {
+			for _, id := range surfaceIDs[out.host] {
 				u := e.Index.Doc(id).URL
 				if e.Index.Delete(id) {
 					st.DocsDeleted++
@@ -217,8 +229,7 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 					}
 					continue
 				}
-				if nid, added := e.Index.Add(index.Doc{URL: u, Title: page.Title(), Text: page.Text()}); added {
-					e.trackDoc(u, nid)
+				if _, added := e.Index.Add(index.Doc{URL: u, Title: page.Title(), Text: page.Text()}); added {
 					st.SurfacePages++
 					st.DocsAdded++
 				}
@@ -254,25 +265,12 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 }
 
 // Compact compacts the index (dropping tombstones and renumbering doc
-// ids into canonical URL order) and re-derives the engine's host
-// bookkeeping. Always compact an engine-held index through this method
-// — a bare Index.Compact() leaves the engine tracking pre-renumbering
-// ids, and a later Refresh would retire the wrong documents.
+// ids into canonical URL order) and retires the cached results, which
+// carry the old ids.
 func (e *Engine) Compact() int {
 	reclaimed := e.Index.Compact()
-	e.rebuildHostDocs()
-	// Compaction renumbers doc ids; cached pages carry the old ids.
 	e.bumpEpoch()
 	return reclaimed
-}
-
-// rebuildHostDocs re-derives the host → doc-id map from the live
-// document table; needed after Compact renumbers ids and after Load.
-func (e *Engine) rebuildHostDocs() {
-	e.hostDocs = map[string][]int{}
-	e.Index.ForEachLive(func(id int, d index.Doc) {
-		e.trackDoc(d.URL, id)
-	})
 }
 
 // hostCapTransport enforces RefreshRequest.PerHostCap: at most cap

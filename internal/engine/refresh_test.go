@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -49,6 +50,42 @@ func freshEngine(t *testing.T, shards int) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// scratchEngine builds the same world, applies churn to it, then
+// crawls and surfaces it from scratch: the corpus a refresh of that
+// churn must converge on.
+func scratchEngine(t *testing.T, shards int, churn func(*webgen.Web)) *Engine {
+	t.Helper()
+	e, err := Build(refreshWorldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Index = index.NewSharded(shards)
+	e.Workers = 4
+	churn(e.Web)
+	if e.IndexSurfaceWeb(context.Background()) == 0 {
+		t.Fatal("surface-web crawl indexed nothing")
+	}
+	if _, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// requireSameCorpus compares two indexes' live corpora id-free: the
+// live document count, and for every persistQueries probe the full
+// result set as URL → score bits.
+func requireSameCorpus(t *testing.T, label string, a, b *index.Index) {
+	t.Helper()
+	if x, y := a.Len(), b.Len(); x != y {
+		t.Errorf("%s: live docs %d vs %d", label, x, y)
+	}
+	for _, q := range persistQueries {
+		if x, y := urlScores(t, a, q), urlScores(t, b, q); !reflect.DeepEqual(x, y) {
+			t.Errorf("%s: Search(%q) live corpora differ (%d vs %d URLs)", label, q, len(x), len(y))
+		}
+	}
 }
 
 // urlScores flattens a full-corpus search (k = live corpus size) into
@@ -106,24 +143,10 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		}
 
 		// Arm 2: churn the same way, then surface from scratch.
-		scratch, err := Build(refreshWorldCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch.Index = index.NewSharded(shards)
-		scratch.Workers = 4
-		churnSubset(scratch.Web, 99)
-		if scratch.IndexSurfaceWeb(context.Background()) == 0 {
-			t.Fatal("surface-web crawl indexed nothing")
-		}
-		if _, err := scratch.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
-			t.Fatal(err)
-		}
+		scratch := scratchEngine(t, shards, func(web *webgen.Web) { churnSubset(web, 99) })
 
 		// Tier 1: identical live corpus and metrics, compared id-free.
-		if a, b := refreshed.Index.Len(), scratch.Index.Len(); a != b {
-			t.Fatalf("shards=%d: live docs %d vs scratch %d", shards, a, b)
-		}
+		requireSameCorpus(t, fmt.Sprintf("shards=%d", shards), refreshed.Index, scratch.Index)
 		if !reflect.DeepEqual(refreshed.Index.DocsBySource(), scratch.Index.DocsBySource()) {
 			t.Errorf("shards=%d: per-source counts differ", shards)
 		}
@@ -144,11 +167,6 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		}
 		if a, b := refreshed.MeanCoverage(), scratch.MeanCoverage(); a != b {
 			t.Errorf("shards=%d: coverage %v vs %v", shards, a, b)
-		}
-		for _, q := range persistQueries {
-			if a, b := urlScores(t, refreshed.Index, q), urlScores(t, scratch.Index, q); !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: Search(%q) live corpora differ (%d vs %d URLs)", shards, q, len(a), len(b))
-			}
 		}
 
 		// Tier 2: the tombstoned engine round-trips through a snapshot
@@ -177,9 +195,7 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		}
 
 		// Tier 3: compaction is a normal form — both engines land on
-		// identical ids, scores and tie order. (Engine.Compact, not
-		// Index.Compact: the engine must re-derive its host tracking
-		// after the renumbering.)
+		// identical ids, scores and tie order.
 		if got := refreshed.Compact(); got != st.DocsDeleted {
 			t.Errorf("shards=%d: compact reclaimed %d of %d tombstones", shards, got, st.DocsDeleted)
 		}
@@ -235,17 +251,7 @@ func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
 		t.Fatalf("nothing refreshed: %+v", st)
 	}
 
-	scratch, err := Build(refreshWorldCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch.Index = index.NewSharded(4)
-	scratch.Workers = 4
-	churnSubset(scratch.Web, 4242)
-	scratch.IndexSurfaceWeb(context.Background())
-	if _, err := scratch.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
-		t.Fatal(err)
-	}
+	scratch := scratchEngine(t, 4, func(web *webgen.Web) { churnSubset(web, 4242) })
 
 	e.Compact()
 	scratch.Compact()
@@ -333,17 +339,9 @@ func TestRefreshFailureThenRetryConverges(t *testing.T) {
 		t.Fatalf("retry did not recover the site: %+v", st)
 	}
 
-	scratch, err := Build(refreshWorldCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch.Index = index.NewSharded(4)
-	scratch.Workers = 4
-	webgen.ChurnSite(scratch.Web.Sites()[0], 6, rand.New(rand.NewSource(55)))
-	scratch.IndexSurfaceWeb(context.Background())
-	if _, err := scratch.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
-		t.Fatal(err)
-	}
+	scratch := scratchEngine(t, 4, func(web *webgen.Web) {
+		webgen.ChurnSite(web.Sites()[0], 6, rand.New(rand.NewSource(55)))
+	})
 	e.Compact()
 	scratch.Compact()
 	for _, q := range persistQueries {
@@ -353,9 +351,8 @@ func TestRefreshFailureThenRetryConverges(t *testing.T) {
 	}
 }
 
-// Past the tombstone threshold, Refresh compacts automatically and the
-// engine's host tracking survives the renumbering (a second refresh
-// still works).
+// Past the tombstone threshold, Refresh compacts automatically, and a
+// second refresh still works on the renumbered index.
 func TestRefreshAutoCompacts(t *testing.T) {
 	e := freshEngine(t, 4)
 	e.CompactRatio = 0.01 // any churn at all triggers compaction
@@ -382,4 +379,25 @@ func TestRefreshAutoCompacts(t *testing.T) {
 	if got := search(e.Index, "used ford focus", 5); len(got) == 0 {
 		t.Fatal("post-compact refreshed index answers nothing")
 	}
+}
+
+// Compact renumbers every document, and nothing outside the index may
+// hold ids across it: compacting the engine's index directly, not
+// through Engine.Compact, must leave Refresh retiring exactly the
+// churned sites' documents and converging on the from-scratch corpus.
+func TestRefreshAfterBareIndexCompact(t *testing.T) {
+	e := freshEngine(t, 4)
+	e.CompactRatio = 0
+	e.Index.Compact()
+	e.bumpEpoch()
+	churnSubset(e.Web, 99)
+	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SitesChanged == 0 || st.DocsDeleted == 0 {
+		t.Fatalf("degenerate refresh: %+v", st)
+	}
+	scratch := scratchEngine(t, 4, func(web *webgen.Web) { churnSubset(web, 99) })
+	requireSameCorpus(t, "bare compact", e.Index, scratch.Index)
 }

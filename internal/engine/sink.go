@@ -59,24 +59,20 @@ func (s *stagedSink) Annotate(docID int, anns map[string]string) {
 	}
 }
 
-// commit drains the buffer into the shared index in arrival order and
-// returns the ids of the documents newly indexed. Called from the
-// engine's single committer, so ids come out identical for any worker
-// count.
+// commit drains the buffer, annotations included, into the shared index
+// as one batch in arrival order and returns how many documents were
+// newly indexed. Called from the engine's single committer, so ids come
+// out identical for any worker count.
 //
 //deepvet:epoch -- only called from Engine.commitOutcome, which bumps after every commit
-func (s *stagedSink) commit() []int {
-	ids, added := s.global.AddPreparedBatch(s.docs)
-	var indexed []int
-	for i := range s.docs {
-		if !added[i] {
-			continue
-		}
-		indexed = append(indexed, ids[i])
-		if len(s.anns[i]) > 0 {
-			s.global.Annotate(ids[i], s.anns[i])
+func (s *stagedSink) commit() int {
+	_, added := s.global.AddPreparedBatch(s.docs, s.anns)
+	n := 0
+	for _, ok := range added {
+		if ok {
+			n++
 		}
 	}
 	s.docs, s.anns, s.ids = nil, nil, nil
-	return indexed
+	return n
 }

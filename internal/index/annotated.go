@@ -131,6 +131,13 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.annotateLocked(docID, anns)
+	ix.ann.reclaim()
+}
+
+// annotateLocked is Annotate for a caller holding the write lock, who
+// reclaims the arena once its writes are done.
+func (ix *Index) annotateLocked(docID int, anns map[string]string) {
 	for attr, v := range anns {
 		attr = strings.ToLower(strings.TrimSpace(attr))
 		v = strings.ToLower(strings.TrimSpace(v))
@@ -139,7 +146,6 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 		}
 		ix.ann.set(docID, attr, v)
 	}
-	ix.ann.reclaim()
 }
 
 // column returns the attribute's id and dictionary, creating both on

@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -19,19 +21,29 @@ func batchDocs(n int) []Doc {
 }
 
 // Batch commits must leave the index in exactly the state sequential
-// AddPrepared commits produce: same exported shards, docs, and stats.
+// AddPrepared + Annotate commits produce: same exported shards, docs,
+// annotations and stats. A duplicate's annotations are dropped with it.
 func TestAddPreparedBatchEquivalentToSequential(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			docs := batchDocs(100)
 			// A duplicate URL inside the batch and one already present.
 			docs[50].URL = docs[10].URL
+			anns := make([]map[string]string, len(docs))
+			for i := range anns {
+				if i%4 != 3 {
+					anns[i] = map[string]string{"make": fmt.Sprint("make", i%5), "year": fmt.Sprint(1990 + i%7)}
+				}
+			}
 			seq := NewSharded(shards)
 			seqPre, _ := seq.Add(Doc{URL: "pre.example", Title: "pre", Text: "existing doc"})
 			var wantIDs []int
 			var wantAdded []bool
-			for _, d := range docs {
+			for i, d := range docs {
 				id, ok := seq.AddPrepared(Prepare(d))
+				if ok {
+					seq.Annotate(id, anns[i])
+				}
 				wantIDs = append(wantIDs, id)
 				wantAdded = append(wantAdded, ok)
 			}
@@ -45,16 +57,15 @@ func TestAddPreparedBatchEquivalentToSequential(t *testing.T) {
 			for i, d := range docs {
 				ps[i] = Prepare(d)
 			}
-			ids, added := bat.AddPreparedBatch(ps)
+			ids, added := bat.AddPreparedBatch(ps, anns)
 			for i := range docs {
 				if ids[i] != wantIDs[i] || added[i] != wantAdded[i] {
 					t.Fatalf("doc %d: batch (%d,%v), sequential (%d,%v)", i, ids[i], added[i], wantIDs[i], wantAdded[i])
 				}
 			}
 
-			// Whole-index equivalence: exported docs and every shard's
-			// sorted term/postings dump must match. Shard layout is
-			// seed-dependent per index, so compare the union of shards.
+			// Whole-index equivalence: exported docs and the sorted
+			// term/postings dump of every segment must match.
 			sd, sl, _ := seq.ExportDocs()
 			bd, bl, _ := bat.ExportDocs()
 			if len(sd) != len(bd) {
@@ -67,6 +78,9 @@ func TestAddPreparedBatchEquivalentToSequential(t *testing.T) {
 			}
 			if got, want := dumpTerms(bat, shards), dumpTerms(seq, shards); got != want {
 				t.Fatalf("postings differ:\nbatch: %.300s\nseq:   %.300s", got, want)
+			}
+			if got, want := bat.ExportAnnotations(), seq.ExportAnnotations(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("annotations differ:\nbatch: %v\nseq:   %v", got, want)
 			}
 
 			// Ranking equivalence on a few probes.
@@ -121,7 +135,7 @@ func sortStrings(s []string) {
 
 func TestAddPreparedBatchEmpty(t *testing.T) {
 	ix := New()
-	ids, added := ix.AddPreparedBatch(nil)
+	ids, added := ix.AddPreparedBatch(nil, nil)
 	if len(ids) != 0 || len(added) != 0 {
 		t.Fatal("empty batch produced output")
 	}
@@ -149,4 +163,100 @@ func TestPreparedAccessors(t *testing.T) {
 	if fordTF != 3 { // 2 (title) + 1 (text)
 		t.Fatalf("ford tf = %d, want 3", fordTF)
 	}
+}
+
+// Prepare/AddPrepared must be equivalent to Add, including duplicate
+// handling.
+func TestAddPreparedMatchesAdd(t *testing.T) {
+	a, b := New(), New()
+	docs := []Doc{
+		{URL: "u1", Title: "used cars", Text: "ford focus for sale"},
+		{URL: "u2", Title: "recipes", Text: "lasagna with ricotta"},
+		{URL: "u1", Title: "dup", Text: "should not reindex"},
+	}
+	for _, d := range docs {
+		idA, addedA := a.Add(d)
+		idB, addedB := b.AddPrepared(Prepare(d))
+		if idA != idB || addedA != addedB {
+			t.Fatalf("Add(%q)=(%d,%v) but AddPrepared=(%d,%v)", d.URL, idA, addedA, idB, addedB)
+		}
+	}
+	if a.Len() != b.Len() {
+		t.Fatalf("Len %d vs %d", a.Len(), b.Len())
+	}
+	for _, q := range []string{"ford focus", "ricotta", "reindex"} {
+		ra, rb := search(a, q, 5), search(b, q, 5)
+		if len(ra) != len(rb) {
+			t.Fatalf("q=%q: %d vs %d hits", q, len(ra), len(rb))
+		}
+		for i := range ra {
+			if ra[i] != rb[i] {
+				t.Errorf("q=%q hit %d: %+v vs %+v", q, i, ra[i], rb[i])
+			}
+		}
+	}
+}
+
+// Hammer concurrent AddPrepared + Search across goroutines; run with
+// -race. Content (not ids) must come out complete regardless of
+// interleaving.
+func TestConcurrentAddPrepared(t *testing.T) {
+	ix := New()
+	const writers, perWriter = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				p := Prepare(Doc{
+					URL:  fmt.Sprintf("w%d-u%d", w, i),
+					Text: fmt.Sprintf("pelican writer%02d item%02d shared vocabulary", w, i),
+				})
+				ix.AddPrepared(p)
+			}
+		}(w)
+	}
+	for i := 0; i < 100; i++ {
+		search(ix, "pelican shared", 5)
+	}
+	wg.Wait()
+	if got := ix.Len(); got != writers*perWriter {
+		t.Fatalf("Len = %d, want %d", got, writers*perWriter)
+	}
+	if df := ix.DF("pelican"); df != writers*perWriter {
+		t.Errorf("DF(pelican) = %d, want %d", df, writers*perWriter)
+	}
+	// Every document must be fully searchable by its unique term pair.
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i += 7 {
+			q := fmt.Sprintf("writer%02d item%02d", w, i)
+			found := false
+			for _, r := range search(ix, q, 10) {
+				if r.URL == fmt.Sprintf("w%d-u%d", w, i) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("doc w%d-u%d not retrievable", w, i)
+			}
+		}
+	}
+}
+
+func BenchmarkAddPreparedParallel(b *testing.B) {
+	ix := New()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			p := Prepare(Doc{
+				URL:  fmt.Sprintf("u-%p-%d", &i, i),
+				Text: "ford focus 1993 for sale in seattle clean title low miles",
+			})
+			ix.AddPrepared(p)
+			i++
+		}
+	})
 }

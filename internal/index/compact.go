@@ -21,10 +21,10 @@ import "sort"
 
 // Compact rewrites the document table and every posting list, dropping
 // tombstones and renumbering live documents in URL order. It returns
-// the number of documents reclaimed. Compact must not run concurrently
-// with writers (Add/AddPrepared/Delete/Annotate); concurrent Searches
-// are safe — they serialize against the table lock and see either the
-// old or the new state in full.
+// the number of documents reclaimed. It runs in one write-locked
+// section, so concurrent queries and commits see the old state or the
+// new one in full; but an id obtained before it — from Add, for a later
+// Annotate or Delete — names another document after it.
 func (ix *Index) Compact() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -66,23 +66,19 @@ func (ix *Index) Compact() int {
 
 	// Rewrite postings: drop dead entries, remap survivors, restore
 	// ascending-id order under the new numbering.
-	for _, sh := range ix.shards {
-		sh.mu.Lock()
-		for term, plist := range sh.postings {
-			kept := plist[:0]
-			for _, p := range plist {
-				if id := newID[p.doc]; id >= 0 {
-					kept = append(kept, posting{doc: id, tf: p.tf})
-				}
+	for term, plist := range ix.postings {
+		kept := plist[:0]
+		for _, p := range plist {
+			if id := newID[p.doc]; id >= 0 {
+				kept = append(kept, posting{doc: id, tf: p.tf})
 			}
-			if len(kept) == 0 {
-				delete(sh.postings, term)
-				continue
-			}
-			sort.Slice(kept, func(i, j int) bool { return kept[i].doc < kept[j].doc })
-			sh.postings[term] = kept
 		}
-		sh.mu.Unlock()
+		if len(kept) == 0 {
+			delete(ix.postings, term)
+			continue
+		}
+		sort.Slice(kept, func(i, j int) bool { return kept[i].doc < kept[j].doc })
+		ix.postings[term] = kept
 	}
 
 	ix.ann.rewrite(newID)

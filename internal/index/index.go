@@ -7,14 +7,16 @@
 // impact back to forms (E1).
 //
 // Layout: the document table (ids, lengths, URL dedup, per-source
-// counters) and the annotations sit behind one lock, while postings are
-// sharded by term hash with per-shard locks, so concurrent writers
-// contend only on the brief id-assignment step and on the shards their
-// terms actually hash to. Queries merge across shards. The expensive
+// counters), the one term → posting-list map and the annotations sit
+// behind one lock, the table lock. A commit writes a whole batch —
+// rows, postings, annotations — in one write-locked section, and a
+// query reads under the read lock, so readers see a batch entirely or
+// not at all. Shards exist only on disk: ShardOf splits the term space
+// into the postings segments a snapshot is written as. The expensive
 // half of an insert — tokenization and term counting — is exposed
 // separately as Prepare, so a concurrent ingest pipeline can analyze
-// documents in parallel and commit them at an ordered point, keeping
-// doc-id assignment deterministic.
+// documents in parallel outside the lock and commit them at an ordered
+// point, keeping doc-id assignment deterministic.
 //
 // Both halves run allocation-consciously: Prepare draws its tokenizer,
 // term buffer and counting map from a pool and emits a compact
@@ -54,19 +56,19 @@ type posting struct {
 	tf  int32
 }
 
-// shard is one slice of the term space.
-type shard struct {
-	mu       sync.RWMutex
-	postings map[string][]posting
-}
-
 // Index is an in-memory inverted index with BM25 scoring. It is safe
-// for concurrent use; a document being added becomes searchable
-// term-by-term and is fully visible once Add returns.
+// for concurrent use; a committed batch becomes visible to queries all
+// at once.
 type Index struct {
-	// mu, the table lock, guards the document table and ann. A query
-	// holds it read-side for its whole scan, so the filter reads each
-	// candidate's rows in place; writers hold it write-side.
+	// segments is how many postings segments Save writes (see ShardOf),
+	// fixed at construction; it does not change how postings are held
+	// in memory.
+	segments int
+
+	// mu, the table lock, guards everything below: the document table,
+	// postings and ann. A query holds it read-side for its whole scan,
+	// so the filter reads each candidate's rows in place; writers hold
+	// it write-side.
 	mu       sync.RWMutex
 	docs     []Doc
 	lens     []int
@@ -83,7 +85,7 @@ type Index struct {
 	numDead int
 	deadLen int
 
-	shards []*shard
+	postings map[string][]posting // term -> postings in ascending doc id
 
 	ann annStore
 }
@@ -94,37 +96,34 @@ const (
 	bm25B  = 0.75
 )
 
-// DefaultShards is the posting-shard count used by New.
+// DefaultShards is the postings-segment count of an index from New.
 const DefaultShards = 16
 
-// New returns an empty index with DefaultShards posting shards.
+// New returns an empty index that saves as DefaultShards postings
+// segments.
 func New() *Index { return NewSharded(DefaultShards) }
 
-// NewSharded returns an empty index with n posting shards (n < 1 is
-// treated as 1).
+// NewSharded returns an empty index that saves as n postings segments
+// (n < 1 is treated as 1). The count is a snapshot layout; search
+// results do not depend on it.
 func NewSharded(n int) *Index {
-	if n < 1 {
-		n = 1
-	}
 	ix := &Index{
+		segments: max(n, 1),
 		byURL:    map[string]int{},
 		bySource: map[string]int{},
-		shards:   make([]*shard, n),
+		postings: map[string][]posting{},
 		ann:      annStore{attrs: map[string]uint32{}},
-	}
-	for i := range ix.shards {
-		ix.shards[i] = &shard{postings: map[string][]posting{}}
 	}
 	ix.ann.dir.Store(new([]*annColumn))
 	return ix
 }
 
-// ShardOf is the one term→shard decision: FNV-1a of the term, modulo
-// the shard count. It is a pure function of its arguments — no
-// per-index or per-process seed — so the live index, a snapshot loader
-// and the disk-streaming bulk build all place a term in the same shard,
-// which is what lets two builds of one corpus be byte-identical shard
-// file by shard file, in any process.
+// ShardOf is the one term→segment decision: FNV-1a of the term, modulo
+// the segment count. It is a pure function of its arguments — no
+// per-index or per-process seed — so Save, a snapshot loader and the
+// disk-streaming bulk build all place a term in the same segment,
+// which is what lets two builds of one corpus be byte-identical segment
+// file by segment file, in any process.
 func ShardOf(term string, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -139,11 +138,6 @@ func ShardOf(term string, shards int) int {
 		h *= prime64
 	}
 	return int(h % uint64(shards))
-}
-
-// shardFor returns a term's posting shard.
-func (ix *Index) shardFor(term string) *shard {
-	return ix.shards[ShardOf(term, len(ix.shards))]
 }
 
 // Prepared is a tokenized document ready to commit: the expensive part
@@ -211,11 +205,10 @@ func (ix *Index) Add(d Doc) (id int, added bool) {
 	return ix.AddPrepared(Prepare(d))
 }
 
-// AddPrepared commits one prepared document through the batch commit
-// path: the id is assigned under the document-table lock (the ordered
-// commit point), then postings are inserted shard by shard.
+// AddPrepared commits one prepared document, unannotated, through the
+// batch commit path.
 func (ix *Index) AddPrepared(p *Prepared) (id int, added bool) {
-	ids, ok := ix.AddPreparedBatch([]*Prepared{p})
+	ids, ok := ix.AddPreparedBatch([]*Prepared{p}, nil)
 	return ids[0], ok[0]
 }
 
@@ -291,13 +284,9 @@ func (ix *Index) Doc(id int) Doc {
 }
 
 // plist returns the posting list for an already-normalized term. The
-// returned slice is a snapshot header: entries written before the read
-// are immutable, so it is safe to iterate after the shard lock drops.
+// caller holds the table lock for as long as it reads the list.
 func (ix *Index) plist(term string) []posting {
-	sh := ix.shardFor(term)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.postings[term]
+	return ix.postings[term]
 }
 
 // DF returns the live document frequency of a (raw) term after the
@@ -366,9 +355,8 @@ func abandonSearch(sc *searchScratch, scores []float64, touched []int32, from in
 // admits or rejects between looks at the context (a power of two).
 const keepPollEvery = 4096
 
-// TopK returns one page of the BM25 ranking for a free-text query,
-// merging posting lists across shards: the k hits after skipping offset,
-// plus the total live hit count. Ties break by ascending doc id so
+// TopK returns one page of the BM25 ranking for a free-text query: the
+// k hits after skipping offset, plus the total live hit count. Ties break by ascending doc id so
 // results are deterministic. Tombstoned documents neither match nor
 // influence scoring: N, avgdl and df all describe the live corpus.
 // keep is an optional per-document admission filter, handed the
@@ -470,10 +458,9 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, ke
 			continue
 		}
 		for _, p := range plist {
-			// Postings never reference rows beyond this query's table
-			// snapshot: AddPreparedBatch publishes the doc row under the table
-			// lock (held read-side for this whole query) before touching
-			// any shard.
+			// Every posting names a row of this query's table: a commit
+			// writes rows and postings in one section under the table
+			// lock, held read-side for this whole query.
 			s := scores[p.doc]
 			if s == 0 {
 				// BM25 contributions are strictly positive, so zero

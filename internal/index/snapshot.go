@@ -5,20 +5,18 @@ import (
 	"sort"
 )
 
-// Snapshot support. The index's internals — the sharded posting maps,
-// the document table, the annotation store — stay private; this file is
+// Snapshot support. The index's internals — the posting map, the
+// document table, the annotation store — stay private; this file is
 // the narrow export/import surface the snapshot codec (internal/store)
 // works through. Export hands out copies or short-lived views; import
 // rebuilds an index from decoded segments without re-running the text
 // pipeline, which is what makes warm starts cheap.
 //
-// Shard assignment is ShardOf, a pure function of the term and the
-// shard count, so a term exported from shard si re-imports into shard
-// si of any index with the same shard count (and re-hashes cleanly into
-// one with a different count). Scoring merges across shards either way:
-// ImportDocs + ImportTerms reproduce TopK bit-for-bit because every
-// quantity BM25 reads (doc count, lengths, total length, tf, df) is
-// restored exactly.
+// Postings are written as NumShards segments, a term's segment being
+// ShardOf(term, NumShards()); a loader may import the segments in any
+// order or concurrently. ImportDocs + ImportTerms reproduce TopK
+// bit-for-bit because every quantity BM25 reads (doc count, lengths,
+// total length, tf, df) is restored exactly.
 
 // Posting is the exported view of one posting-list entry.
 type Posting struct {
@@ -33,25 +31,27 @@ type TermPostings struct {
 	Postings []Posting
 }
 
-// NumShards returns the posting-shard count.
-func (ix *Index) NumShards() int { return len(ix.shards) }
+// NumShards returns how many postings segments the index saves as.
+func (ix *Index) NumShards() int { return ix.segments }
 
-// ExportShard returns shard si's terms with their posting lists, terms
-// sorted, postings in stored order. The slices are fresh copies — the
-// caller may encode them after the call returns, concurrently with
-// writers.
+// ExportShard returns postings segment si — the terms ShardOf places
+// there — with their posting lists, terms sorted, postings in stored
+// order. The slices are fresh copies: the caller may encode them after
+// the call returns, concurrently with writers.
 func (ix *Index) ExportShard(si int) []TermPostings {
-	sh := ix.shards[si]
-	sh.mu.RLock()
-	out := make([]TermPostings, 0, len(sh.postings))
-	for term, plist := range sh.postings {
+	ix.mu.RLock()
+	out := make([]TermPostings, 0, len(ix.postings)/ix.segments+1)
+	for term, plist := range ix.postings {
+		if ShardOf(term, ix.segments) != si {
+			continue
+		}
 		ps := make([]Posting, len(plist))
 		for i, p := range plist {
 			ps[i] = Posting{Doc: p.doc, TF: p.tf}
 		}
 		out = append(out, TermPostings{Term: term, Postings: ps})
 	}
-	sh.mu.RUnlock()
+	ix.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
 	return out
 }
@@ -144,26 +144,26 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	return nil
 }
 
-// ImportTerms installs decoded posting lists, each term into the shard
-// ShardOf names. Lists are installed as-is (stored
-// order preserved); a term may be imported at most once per index.
-// Safe to call concurrently — a loader decodes segments in parallel.
+// ImportTerms installs decoded posting lists as-is (stored order
+// preserved); a term may be imported at most once per index. Safe to
+// call concurrently — a loader decodes segments in parallel: the lists
+// are converted outside the table lock and installed under it.
 func (ix *Index) ImportTerms(terms []TermPostings) error {
-	for _, tp := range terms {
-		sh := ix.shardFor(tp.Term)
+	plists := make([][]posting, len(terms))
+	for ti, tp := range terms {
 		plist := make([]posting, len(tp.Postings))
 		for i, p := range tp.Postings {
 			plist[i] = posting{doc: p.Doc, tf: p.TF}
 		}
-		sh.mu.Lock()
-		_, dup := sh.postings[tp.Term]
-		if !dup {
-			sh.postings[tp.Term] = plist
-		}
-		sh.mu.Unlock()
-		if dup {
+		plists[ti] = plist
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for ti, tp := range terms {
+		if _, dup := ix.postings[tp.Term]; dup {
 			return fmt.Errorf("index: import: term %q imported twice", tp.Term)
 		}
+		ix.postings[tp.Term] = plists[ti]
 	}
 	return nil
 }

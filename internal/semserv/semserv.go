@@ -6,11 +6,9 @@
 //
 // Every handler speaks the shared wire discipline of internal/httpx:
 // GET only (anything else is 405 with the JSON error envelope),
-// envelope-shaped errors, buffered JSON writes. The handlers are
-// exported so the versioned /v1 layer (internal/api) can mount them
-// under its own paths, which is how the binaries serve them; the
-// Server's own mux mounts the same handlers on flat paths (/synonyms,
-// …) for embedding and tests.
+// envelope-shaped errors, buffered JSON writes. The package has no
+// routes of its own: the versioned /v1 layer (internal/api) mounts the
+// exported handlers under its paths.
 package semserv
 
 import (
@@ -22,33 +20,18 @@ import (
 	"deepweb/internal/webtables"
 )
 
-// Server wraps the aggregated artifacts behind HTTP endpoints:
-//
-//	GET /synonyms?attr=make&k=5
-//	GET /autocomplete?attrs=make,model&k=5
-//	GET /values?attr=city&k=10
-//	GET /properties?entity=seattle&k=10
-//	GET /tablesearch?q=population&k=5
+// Server answers §6 queries over the aggregated artifacts, one handler
+// per question.
 type Server struct {
 	ACS    *webtables.ACSDb
 	Values *webtables.ValueStore
 	Tables []webtables.RawTable
-	mux    *http.ServeMux
 }
 
 // New assembles a server over the aggregate structures.
 func New(acs *webtables.ACSDb, vals *webtables.ValueStore, tables []webtables.RawTable) *Server {
-	s := &Server{ACS: acs, Values: vals, Tables: tables, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/synonyms", s.Synonyms)
-	s.mux.HandleFunc("/autocomplete", s.Autocomplete)
-	s.mux.HandleFunc("/values", s.AttrValues)
-	s.mux.HandleFunc("/properties", s.Properties)
-	s.mux.HandleFunc("/tablesearch", s.TableSearch)
-	return s
+	return &Server{ACS: acs, Values: vals, Tables: tables}
 }
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // MaxK caps the k query parameter. Every top-k handler allocates and
 // sorts O(k) state, so an unclamped k from untrusted input

@@ -2,7 +2,7 @@ package semserv
 
 import (
 	"encoding/json"
-
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -26,23 +26,45 @@ func testServer() *Server {
 	return New(acs, vals, tables)
 }
 
-func getJSON(t *testing.T, s *Server, path string, out any) int {
-	t.Helper()
-	req := httptest.NewRequest("GET", path, nil)
+// serve runs one request through a handler.
+func serve(h http.HandlerFunc, method, target string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
+	h(rec, httptest.NewRequest(method, target, nil))
+	return rec
+}
+
+func getJSON(t *testing.T, h http.HandlerFunc, target string, out any) int {
+	t.Helper()
+	rec := serve(h, "GET", target)
 	if rec.Code == 200 {
 		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
-			t.Fatalf("bad JSON from %s: %v", path, err)
+			t.Fatalf("bad JSON from %s: %v", target, err)
 		}
 	}
 	return rec.Code
 }
 
+// endpoint is one handler with a query that satisfies it.
+type endpoint struct {
+	name string
+	h    http.HandlerFunc
+	qs   string
+}
+
+func endpoints(s *Server) []endpoint {
+	return []endpoint{
+		{"synonyms", s.Synonyms, "attr=make"},
+		{"autocomplete", s.Autocomplete, "attrs=make"},
+		{"values", s.AttrValues, "attr=city"},
+		{"properties", s.Properties, "entity=seattle"},
+		{"tablesearch", s.TableSearch, "q=population"},
+	}
+}
+
 func TestSynonymsEndpoint(t *testing.T) {
 	s := testServer()
 	var items []ScoredItem
-	if code := getJSON(t, s, "/synonyms?attr=make", &items); code != 200 {
+	if code := getJSON(t, s.Synonyms, "/?attr=make", &items); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(items) == 0 || items[0].Name != "maker" {
@@ -53,17 +75,10 @@ func TestSynonymsEndpoint(t *testing.T) {
 // An attacker-sized k must be clamped, not trusted: every top-k
 // handler allocates O(k) state per request.
 func TestKParamClamped(t *testing.T) {
-	s := testServer()
-	for _, path := range []string{
-		"/synonyms?attr=make&k=100000000",
-		"/autocomplete?attrs=make&k=100000000",
-		"/values?attr=city&k=100000000",
-		"/properties?entity=seattle&k=100000000",
-		"/tablesearch?q=city&k=100000000",
-	} {
+	for _, ep := range endpoints(testServer()) {
 		var out json.RawMessage
-		if code := getJSON(t, s, path, &out); code != 200 {
-			t.Errorf("%s: status %d", path, code)
+		if code := getJSON(t, ep.h, "/?"+ep.qs+"&k=100000000", &out); code != 200 {
+			t.Errorf("%s: status %d", ep.name, code)
 		}
 	}
 	req := httptest.NewRequest("GET", "/values?attr=city&k=2147483647", nil)
@@ -79,7 +94,7 @@ func TestKParamClamped(t *testing.T) {
 func TestAutocompleteEndpoint(t *testing.T) {
 	s := testServer()
 	var items []ScoredItem
-	if code := getJSON(t, s, "/autocomplete?attrs=make&k=2", &items); code != 200 {
+	if code := getJSON(t, s.Autocomplete, "/?attrs=make&k=2", &items); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(items) == 0 || items[0].Name != "model" {
@@ -93,14 +108,14 @@ func TestAutocompleteEndpoint(t *testing.T) {
 func TestValuesEndpoint(t *testing.T) {
 	s := testServer()
 	var vals []string
-	if code := getJSON(t, s, "/values?attr=city", &vals); code != 200 {
+	if code := getJSON(t, s.AttrValues, "/?attr=city", &vals); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(vals) != 2 || vals[0] != "seattle" {
 		t.Errorf("values = %v", vals)
 	}
 	// Unknown attr → empty list, not error.
-	if code := getJSON(t, s, "/values?attr=nosuch", &vals); code != 200 {
+	if code := getJSON(t, s.AttrValues, "/?attr=nosuch", &vals); code != 200 {
 		t.Errorf("unknown attr status %d", code)
 	}
 	if len(vals) != 0 {
@@ -111,7 +126,7 @@ func TestValuesEndpoint(t *testing.T) {
 func TestPropertiesEndpoint(t *testing.T) {
 	s := testServer()
 	var items []ScoredItem
-	if code := getJSON(t, s, "/properties?entity=seattle", &items); code != 200 {
+	if code := getJSON(t, s.Properties, "/?entity=seattle", &items); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	names := map[string]bool{}
@@ -124,13 +139,9 @@ func TestPropertiesEndpoint(t *testing.T) {
 }
 
 func TestMissingParams(t *testing.T) {
-	s := testServer()
-	for _, path := range []string{"/synonyms", "/autocomplete", "/values", "/properties"} {
-		req := httptest.NewRequest("GET", path, nil)
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		if rec.Code != 400 {
-			t.Errorf("%s without params: status %d, want 400", path, rec.Code)
+	for _, ep := range endpoints(testServer()) {
+		if rec := serve(ep.h, "GET", "/"); rec.Code != 400 {
+			t.Errorf("%s without params: status %d, want 400", ep.name, rec.Code)
 		}
 	}
 }
@@ -138,23 +149,20 @@ func TestMissingParams(t *testing.T) {
 func TestKDefaultsAndBounds(t *testing.T) {
 	s := testServer()
 	var items []ScoredItem
-	getJSON(t, s, "/synonyms?attr=make&k=0", &items)   // bad k → default
-	getJSON(t, s, "/synonyms?attr=make&k=abc", &items) // non-numeric → default
+	getJSON(t, s.Synonyms, "/?attr=make&k=0", &items)   // bad k → default
+	getJSON(t, s.Synonyms, "/?attr=make&k=abc", &items) // non-numeric → default
 }
 
 func TestTableSearchEndpoint(t *testing.T) {
 	s := testServer()
 	var hits []map[string]any
-	if code := getJSON(t, s, "/tablesearch?q=population&k=5", &hits); code != 200 {
+	if code := getJSON(t, s.TableSearch, "/?q=population&k=5", &hits); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(hits) != 1 || hits[0]["url"] != "http://x" && hits[0]["rows"].(float64) != 1 {
 		t.Errorf("hits = %v", hits)
 	}
-	req := httptest.NewRequest("GET", "/tablesearch", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != 400 {
+	if rec := serve(s.TableSearch, "GET", "/"); rec.Code != 400 {
 		t.Errorf("missing q: status %d, want 400", rec.Code)
 	}
 }
@@ -163,23 +171,14 @@ func TestTableSearchEndpoint(t *testing.T) {
 // and the shared error envelope — previously a POST to any endpoint
 // answered 200 as if it were a GET.
 func TestNonGETRejectedWithEnvelope(t *testing.T) {
-	s := testServer()
-	for _, path := range []string{
-		"/synonyms?attr=make",
-		"/autocomplete?attrs=make",
-		"/values?attr=city",
-		"/properties?entity=seattle",
-		"/tablesearch?q=population",
-	} {
+	for _, ep := range endpoints(testServer()) {
 		for _, method := range []string{"POST", "PUT", "DELETE"} {
-			req := httptest.NewRequest(method, path, nil)
-			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, req)
+			rec := serve(ep.h, method, "/?"+ep.qs)
 			if rec.Code != 405 {
-				t.Errorf("%s %s: status %d, want 405", method, path, rec.Code)
+				t.Errorf("%s %s: status %d, want 405", method, ep.name, rec.Code)
 			}
 			if allow := rec.Header().Get("Allow"); allow != "GET" {
-				t.Errorf("%s %s: Allow %q, want GET", method, path, allow)
+				t.Errorf("%s %s: Allow %q, want GET", method, ep.name, allow)
 			}
 			var env struct {
 				Error struct {
@@ -188,10 +187,10 @@ func TestNonGETRejectedWithEnvelope(t *testing.T) {
 				} `json:"error"`
 			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-				t.Fatalf("%s %s: body %q is not the JSON envelope: %v", method, path, rec.Body.String(), err)
+				t.Fatalf("%s %s: body %q is not the JSON envelope: %v", method, ep.name, rec.Body.String(), err)
 			}
 			if env.Error.Code != "method_not_allowed" || env.Error.Message == "" {
-				t.Errorf("%s %s: envelope %+v", method, path, env)
+				t.Errorf("%s %s: envelope %+v", method, ep.name, env)
 			}
 		}
 	}
@@ -199,10 +198,7 @@ func TestNonGETRejectedWithEnvelope(t *testing.T) {
 
 // Errors come out as the shared envelope, not bare text.
 func TestBadRequestUsesEnvelope(t *testing.T) {
-	s := testServer()
-	req := httptest.NewRequest("GET", "/synonyms", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
+	rec := serve(testServer().Synonyms, "GET", "/")
 	if rec.Code != 400 {
 		t.Fatalf("status %d, want 400", rec.Code)
 	}
