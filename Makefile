@@ -26,8 +26,10 @@ build:
 # -shuffle=on randomizes test and subtest execution order, so hidden
 # inter-test state dependencies fail loudly instead of riding on
 # declaration order. The seed is printed on failure; reproduce with
-# `go test -race -shuffle=<seed> <pkg>`. The atomicity tests then run
-# ten more times: a torn commit fails only when a reader lands inside it.
+# `go test -race -shuffle=<seed> <pkg>`. The atomicity tests, the
+# oracle's concurrent mode (TestEngineFollowsOracleAtomically) among
+# them, then run ten more times: a torn commit fails only when a reader
+# lands inside it.
 test:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=10 -run 'Atomic' ./internal/index ./internal/engine
@@ -73,14 +75,15 @@ chaos:
 	$(GO) run ./cmd/deepcrawl -sites 1 -rows 60 -chaos -chaosseed 7
 
 # fuzz = the CI fuzz-smoke job: differential tokenizer fuzzing,
-# arbitrary bodies through every snapshot segment decoder, then
-# arbitrary strings through the filter DSL (Parse/String round trip,
-# Extract, Key).
+# arbitrary bodies through every snapshot segment decoder, arbitrary
+# strings through the filter DSL (Parse/String round trip, Extract,
+# Key), then arbitrary pages through the HTML parser and extractors.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textutil
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzHTMLParse$$' -fuzztime $(FUZZTIME) ./internal/htmlx
 
 # lint = the CI lint job: the project's own analyzers first (no
 # install, works offline), then the pinned external tools (network

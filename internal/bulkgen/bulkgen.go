@@ -110,9 +110,6 @@ func NewWorld(spec Spec) (*World, error) {
 	return w, nil
 }
 
-// NumDocs returns the total document count (= Spec.Docs).
-func (w *World) NumDocs() int { return w.spec.Docs }
-
 // NumSites returns the number of generated sites.
 func (w *World) NumSites() int { return len(w.sites) }
 

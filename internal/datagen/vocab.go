@@ -229,6 +229,3 @@ var NoteWords = []string{
 func ZipForCity(cityIdx, i int) int {
 	return zipBases[cityIdx%len(zipBases)] + (i % 40)
 }
-
-// CityCount returns the number of cities in the vocabulary.
-func CityCount() int { return len(USCities) }

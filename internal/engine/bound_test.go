@@ -28,8 +28,6 @@ var (
 	boundNums  = []string{"3800", "9000", "12000.5", "40000", "1e3", "2005", "2009", "1999", "-5", "0"}
 )
 
-func pick(r *rand.Rand, from []string) string { return from[r.Intn(len(from))] }
-
 // boundDoc draws one document: text that mentions words and numbers
 // (so the text fallback has something to find) and, for most, a few
 // annotations — numeric attributes now and then carrying prose.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"deepweb/internal/core"
+	"deepweb/internal/query"
 	"deepweb/internal/webgen"
 )
 
@@ -218,5 +219,47 @@ func TestConcurrentCachedSearches(t *testing.T) {
 	}
 	if st.Misses > 2 {
 		t.Errorf("%d scans for one repeated query; singleflight not collapsing", st.Misses)
+	}
+}
+
+// Filters are part of the cache key (mirror of
+// TestCacheKeySeparatesAnnotatedStemCollisions): a filtered request
+// must never share an entry with its unfiltered spelling or with a
+// different filter, while order- and duplicate-variant spellings of
+// the same filter must share one.
+func TestCacheKeySeparatesFilters(t *testing.T) {
+	e := surfacedEngine(t, 1)
+	plain := SearchRequest{Query: "used ford focus", K: 10}
+	ford := SearchRequest{Query: "used ford focus", K: 10,
+		Filters: []query.Predicate{query.Eq("make", "ford")}}
+	honda := SearchRequest{Query: "used ford focus", K: 10,
+		Filters: []query.Predicate{query.Eq("make", "honda")}}
+	if e.searchCacheKey(plain) == e.searchCacheKey(ford) {
+		t.Fatal("filtered and unfiltered queries share a cache key")
+	}
+	if e.searchCacheKey(ford) == e.searchCacheKey(honda) {
+		t.Fatal("distinct filters share a cache key")
+	}
+
+	cheap := mustPred(t, "price<10000")
+	ab := SearchRequest{Query: "used ford focus", K: 10,
+		Filters: []query.Predicate{query.Eq("make", "ford"), cheap}}
+	ba := SearchRequest{Query: "used ford focus", K: 10,
+		Filters: []query.Predicate{cheap, query.Eq("make", "ford")}}
+	dup := SearchRequest{Query: "used ford focus", K: 10,
+		Filters: []query.Predicate{cheap, query.Eq("make", "ford"), cheap}}
+	if e.searchCacheKey(ab) != e.searchCacheKey(ba) {
+		t.Fatal("permuted filter lists got distinct keys; they are the same filter")
+	}
+	if e.searchCacheKey(ab) != e.searchCacheKey(dup) {
+		t.Fatal("duplicated predicates changed the key; canonicalization must dedupe")
+	}
+
+	// An in-query DSL spelling and an explicit Filters spelling of the
+	// same request are the same query end to end.
+	rest, preds := query.Extract("used ford focus price<10000 make:ford")
+	viaDSL := SearchRequest{Query: rest, K: 10, Filters: preds}
+	if e.searchCacheKey(viaDSL) != e.searchCacheKey(ab) {
+		t.Fatal("in-query DSL and explicit filters key differently")
 	}
 }

@@ -140,7 +140,7 @@ func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
 		if !reflect.DeepEqual(e.SiteSignatures, ref.SiteSignatures) {
 			t.Errorf("shards=%d: healed signatures differ from fault-free", shards)
 		}
-		requireSameCorpus(t, fmt.Sprintf("shards=%d: healed vs fault-free", shards), e.Index, ref.Index)
+		requireSameCorpus(t, fmt.Sprintf("shards=%d: healed vs fault-free", shards), e, ref)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestSurfaceDeterministicAcrossWorkers(t *testing.T) {
 	if a, b := seq.MeanCoverage(), par.MeanCoverage(); a != b {
 		t.Errorf("mean coverage differs: %v vs %v", a, b)
 	}
-	if a, b := seq.Index.DocsBySource(), par.Index.DocsBySource(); !reflect.DeepEqual(a, b) {
+	if a, b := sourceCounts(seq.Index), sourceCounts(par.Index); !reflect.DeepEqual(a, b) {
 		t.Errorf("per-source doc counts differ:\n  seq %v\n  par %v", a, b)
 	}
 	for host, sres := range seq.Results {

@@ -35,15 +35,6 @@ func filterCases(t *testing.T) []struct {
 	}
 }
 
-func mustPred(t *testing.T, s string) query.Predicate {
-	t.Helper()
-	p, err := query.Parse(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 // bruteFilter replays the matcher over an unfiltered ranking the slow,
 // obviously-correct way: look up each hit's annotations and document
 // row and keep the survivors in rank order.
@@ -166,47 +157,5 @@ func TestFilteredSearchEqualsBruteForce(t *testing.T) {
 			}
 			assertSameRanking(t, "cached "+c.q, project(got), project(want))
 		}
-	}
-}
-
-// Filters are part of the cache key (mirror of
-// TestCacheKeySeparatesAnnotatedStemCollisions): a filtered request
-// must never share an entry with its unfiltered spelling or with a
-// different filter, while order- and duplicate-variant spellings of
-// the same filter must share one.
-func TestCacheKeySeparatesFilters(t *testing.T) {
-	e := surfacedEngine(t, 1)
-	plain := SearchRequest{Query: "used ford focus", K: 10}
-	ford := SearchRequest{Query: "used ford focus", K: 10,
-		Filters: []query.Predicate{query.Eq("make", "ford")}}
-	honda := SearchRequest{Query: "used ford focus", K: 10,
-		Filters: []query.Predicate{query.Eq("make", "honda")}}
-	if e.searchCacheKey(plain) == e.searchCacheKey(ford) {
-		t.Fatal("filtered and unfiltered queries share a cache key")
-	}
-	if e.searchCacheKey(ford) == e.searchCacheKey(honda) {
-		t.Fatal("distinct filters share a cache key")
-	}
-
-	cheap := mustPred(t, "price<10000")
-	ab := SearchRequest{Query: "used ford focus", K: 10,
-		Filters: []query.Predicate{query.Eq("make", "ford"), cheap}}
-	ba := SearchRequest{Query: "used ford focus", K: 10,
-		Filters: []query.Predicate{cheap, query.Eq("make", "ford")}}
-	dup := SearchRequest{Query: "used ford focus", K: 10,
-		Filters: []query.Predicate{cheap, query.Eq("make", "ford"), cheap}}
-	if e.searchCacheKey(ab) != e.searchCacheKey(ba) {
-		t.Fatal("permuted filter lists got distinct keys; they are the same filter")
-	}
-	if e.searchCacheKey(ab) != e.searchCacheKey(dup) {
-		t.Fatal("duplicated predicates changed the key; canonicalization must dedupe")
-	}
-
-	// An in-query DSL spelling and an explicit Filters spelling of the
-	// same request are the same query end to end.
-	rest, preds := query.Extract("used ford focus price<10000 make:ford")
-	viaDSL := SearchRequest{Query: rest, K: 10, Filters: preds}
-	if e.searchCacheKey(viaDSL) != e.searchCacheKey(ab) {
-		t.Fatal("in-query DSL and explicit filters key differently")
 	}
 }

@@ -29,10 +29,10 @@ import (
 // index's tombstone path, re-runs the full per-site pipeline on the
 // worker pool, and commits through the same ordered commit point as
 // Surface — so Results, IngestStats, OfflineRequests, coverage and
-// per-source accounting come out exactly as a from-scratch surface of
-// the changed site would produce. When tombstones pile past
-// CompactRatio, the index is compacted (and doc ids renumbered into
-// canonical URL order).
+// each document's source attribution come out exactly as a
+// from-scratch surface of the changed site would produce. When
+// tombstones pile past CompactRatio, the index is compacted (and doc
+// ids renumbered into canonical URL order).
 
 // RefreshStats summarizes one Refresh pass.
 type RefreshStats struct {

@@ -73,31 +73,36 @@ func scratchEngine(t *testing.T, shards int, churn func(*webgen.Web)) *Engine {
 	return e
 }
 
-// requireSameCorpus compares two indexes' live corpora id-free: the
-// live document count, and for every persistQueries probe the full
-// result set as URL → score bits.
-func requireSameCorpus(t *testing.T, label string, a, b *index.Index) {
+// requireSameCorpus compares two engines' live corpora id-free: the
+// live document count, and for every persistQueries probe the whole
+// result set as URL → score bits and source, answered by Search — from
+// the result cache, where one is enabled.
+func requireSameCorpus(t *testing.T, label string, a, b *Engine) {
 	t.Helper()
-	if x, y := a.Len(), b.Len(); x != y {
+	if x, y := a.Index.Len(), b.Index.Len(); x != y {
 		t.Errorf("%s: live docs %d vs %d", label, x, y)
 	}
 	for _, q := range persistQueries {
-		if x, y := urlScores(t, a, q), urlScores(t, b, q); !reflect.DeepEqual(x, y) {
+		if x, y := urlHits(t, a, q), urlHits(t, b, q); !reflect.DeepEqual(x, y) {
 			t.Errorf("%s: Search(%q) live corpora differ (%d vs %d URLs)", label, q, len(x), len(y))
 		}
 	}
 }
 
-// urlScores flattens a full-corpus search (k = live corpus size) into
-// URL → score-bits, the id-free view of a result set.
-func urlScores(t *testing.T, ix *index.Index, q string) map[string]uint64 {
+// urlHits flattens a whole-corpus search into URL → score bits and
+// source, the id-free view of a result set.
+func urlHits(t *testing.T, e *Engine, q string) map[string]string {
 	t.Helper()
-	out := map[string]uint64{}
-	for _, r := range search(ix, q, ix.Len()+1) {
+	resp, err := e.Search(context.Background(), SearchRequest{Query: q, K: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, r := range resp.Results {
 		if _, dup := out[r.URL]; dup {
 			t.Fatalf("Search(%q) returned URL %q twice", q, r.URL)
 		}
-		out[r.URL] = math.Float64bits(r.Score)
+		out[r.URL] = fmt.Sprintf("%x %s", math.Float64bits(r.Score), r.Source)
 	}
 	return out
 }
@@ -105,8 +110,8 @@ func urlScores(t *testing.T, ix *index.Index, q string) map[string]uint64 {
 // The acceptance bar of the freshness pipeline, in three tiers.
 //
 // Tier 1 (uncompacted): after churning N sites and Refreshing, the
-// live corpus — URL set, per-URL score bits, live doc count, per-host
-// results/stats/coverage — is identical to a from-scratch Surface
+// live corpus — URL set, per-URL score bits and source, live doc count,
+// per-host results/stats/coverage — is identical to a from-scratch Surface
 // of the churned world. Doc ids differ (the refreshed index appended
 // re-surfaced documents after tombstones), so results are compared by
 // URL.
@@ -124,6 +129,12 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		// Arm 1: surface, churn, refresh incrementally.
 		refreshed := freshEngine(t, shards)
 		refreshed.CompactRatio = 0 // keep tombstones; tier 3 compacts explicitly
+		// A warm result cache must not outlive the pass: every commit of
+		// it retires the cached answers.
+		refreshed.EnableResultCache(256)
+		for _, q := range persistQueries {
+			urlHits(t, refreshed, q)
+		}
 		churned := churnSubset(refreshed.Web, 99)
 		st, err := refreshed.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
 		if err != nil {
@@ -145,11 +156,9 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		// Arm 2: churn the same way, then surface from scratch.
 		scratch := scratchEngine(t, shards, func(web *webgen.Web) { churnSubset(web, 99) })
 
-		// Tier 1: identical live corpus and metrics, compared id-free.
-		requireSameCorpus(t, fmt.Sprintf("shards=%d", shards), refreshed.Index, scratch.Index)
-		if !reflect.DeepEqual(refreshed.Index.DocsBySource(), scratch.Index.DocsBySource()) {
-			t.Errorf("shards=%d: per-source counts differ", shards)
-		}
+		// Tier 1: identical live corpus, sources and metrics, compared
+		// id-free.
+		requireSameCorpus(t, fmt.Sprintf("shards=%d", shards), refreshed, scratch)
 		if !reflect.DeepEqual(refreshed.IngestStats, scratch.IngestStats) {
 			t.Errorf("shards=%d: ingest stats differ:\n  refreshed %v\n  scratch %v", shards, refreshed.IngestStats, scratch.IngestStats)
 		}
@@ -399,5 +408,5 @@ func TestRefreshAfterBareIndexCompact(t *testing.T) {
 		t.Fatalf("degenerate refresh: %+v", st)
 	}
 	scratch := scratchEngine(t, 4, func(web *webgen.Web) { churnSubset(web, 99) })
-	requireSameCorpus(t, "bare compact", e.Index, scratch.Index)
+	requireSameCorpus(t, "bare compact", e, scratch)
 }

@@ -80,7 +80,7 @@ type E2Report struct {
 // E2SiteLoad surfaces a world, then runs the same query stream through
 // the index and through a mediator over the same sites.
 func E2SiteLoad(ctx context.Context, seed int64, sitesPerDom, rows, queries int) (E2Report, error) {
-	w, err := NewWorld(webgen.WorldConfig{Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows})
+	w, err := engine.Build(webgen.WorldConfig{Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows})
 	if err != nil {
 		return E2Report{}, err
 	}
@@ -151,7 +151,7 @@ type E3Report struct {
 // E3Fortuitous builds faculty sites, surfaces them, and asks
 // "<award> professor" for every award in the data.
 func E3Fortuitous(ctx context.Context, seed int64, rows int) (E3Report, error) {
-	w, err := NewWorld(webgen.WorldConfig{Seed: seed, SitesPerDom: 1, RowsPerSite: rows})
+	w, err := engine.Build(webgen.WorldConfig{Seed: seed, SitesPerDom: 1, RowsPerSite: rows})
 	if err != nil {
 		return E3Report{}, err
 	}

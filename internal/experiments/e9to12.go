@@ -178,7 +178,7 @@ type E11Report struct {
 // pages), aggregates, and scores services.
 func E11Semantics(ctx context.Context, seed int64, sitesPerDom, rows int) (E11Report, error) {
 	var rep E11Report
-	w, err := NewWorld(webgen.WorldConfig{Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows})
+	w, err := engine.Build(webgen.WorldConfig{Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows})
 	if err != nil {
 		return rep, err
 	}
@@ -285,7 +285,7 @@ type E12Report struct {
 // E12GetPost builds a mixed world and measures reach both ways.
 func E12GetPost(ctx context.Context, seed int64, sitesPerDom, rows, postFraction int) (E12Report, error) {
 	var rep E12Report
-	w, err := NewWorld(webgen.WorldConfig{
+	w, err := engine.Build(webgen.WorldConfig{
 		Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows, PostFraction: postFraction,
 	})
 	if err != nil {

@@ -12,20 +12,7 @@ import (
 	"fmt"
 	"net/url"
 	"strings"
-
-	"deepweb/internal/engine"
-	"deepweb/internal/webgen"
 )
-
-// World is the per-experiment bundle of a generated virtual internet
-// with fetcher, index and per-site results. It is the engine façade
-// under its historical name.
-type World = engine.Engine
-
-// NewWorld generates a world.
-func NewWorld(cfg webgen.WorldConfig) (*World, error) {
-	return engine.Build(cfg)
-}
 
 // parseQueryOf extracts the query parameters of a surfaced URL.
 func parseQueryOf(raw string) url.Values {

@@ -189,37 +189,3 @@ func TestSearchConcurrentWithWritesRace(t *testing.T) {
 		}
 	}
 }
-
-// DocsBySource is maintained incrementally; it must match a full scan
-// of the document table, and duplicate URLs must not double-count.
-func TestDocsBySourceIncremental(t *testing.T) {
-	ix := New()
-	for i := 0; i < 40; i++ {
-		ix.Add(Doc{
-			URL:    fmt.Sprintf("u%d", i%30), // 10 duplicate URLs
-			Source: fmt.Sprintf("form-%d", i%3),
-			Text:   "ford focus",
-		})
-	}
-	ix.Add(Doc{URL: "unattributed", Text: "no source"})
-	scan := map[string]int{}
-	for id := 0; id < ix.Len(); id++ {
-		if d := ix.Doc(id); d.Source != "" {
-			scan[d.Source]++
-		}
-	}
-	got := ix.DocsBySource()
-	if len(got) != len(scan) {
-		t.Fatalf("DocsBySource = %v, scan = %v", got, scan)
-	}
-	for s, n := range scan {
-		if got[s] != n {
-			t.Errorf("DocsBySource[%s] = %d, scan %d", s, got[s], n)
-		}
-	}
-	// The returned map is a copy: mutating it must not corrupt state.
-	got["form-0"] = 999
-	if ix.DocsBySource()["form-0"] == 999 {
-		t.Error("DocsBySource returned internal state")
-	}
-}

@@ -35,9 +35,6 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 		ix.lens = append(ix.lens, p.dl)
 		ix.dead = append(ix.dead, false)
 		ix.totalLen += p.dl
-		if p.doc.Source != "" {
-			ix.bySource[p.doc.Source]++
-		}
 		for j, t := range p.terms {
 			ix.postings[t] = append(ix.postings[t], posting{doc: int32(id), tf: p.tfs[j]})
 		}

@@ -165,8 +165,9 @@ func TestPreparedAccessors(t *testing.T) {
 	}
 }
 
-// Prepare/AddPrepared must be equivalent to Add, including duplicate
-// handling.
+// Prepare/AddPrepared, and one AddPreparedBatch of the same documents,
+// must be equivalent to Add, including duplicate handling: a duplicate
+// later in the batch reports the id of the first.
 func TestAddPreparedMatchesAdd(t *testing.T) {
 	a, b := New(), New()
 	docs := []Doc{
@@ -174,11 +175,17 @@ func TestAddPreparedMatchesAdd(t *testing.T) {
 		{URL: "u2", Title: "recipes", Text: "lasagna with ricotta"},
 		{URL: "u1", Title: "dup", Text: "should not reindex"},
 	}
-	for _, d := range docs {
+	ps := make([]*Prepared, len(docs))
+	for i, d := range docs {
+		ps[i] = Prepare(d)
+	}
+	batchIDs, batchAdded := New().AddPreparedBatch(ps, nil)
+	for i, d := range docs {
 		idA, addedA := a.Add(d)
 		idB, addedB := b.AddPrepared(Prepare(d))
-		if idA != idB || addedA != addedB {
-			t.Fatalf("Add(%q)=(%d,%v) but AddPrepared=(%d,%v)", d.URL, idA, addedA, idB, addedB)
+		if idA != idB || addedA != addedB || idA != batchIDs[i] || addedA != batchAdded[i] {
+			t.Fatalf("Add(%q)=(%d,%v) but AddPrepared=(%d,%v), AddPreparedBatch=(%d,%v)",
+				d.URL, idA, addedA, idB, addedB, batchIDs[i], batchAdded[i])
 		}
 	}
 	if a.Len() != b.Len() {

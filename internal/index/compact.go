@@ -62,7 +62,6 @@ func (ix *Index) Compact() int {
 	ix.docs, ix.lens, ix.byURL, ix.totalLen = docs, lens, byURL, totalLen
 	ix.dead = make([]bool, len(docs))
 	ix.numDead, ix.deadLen = 0, 0
-	// bySource already excludes deleted docs (Delete decrements it).
 
 	// Rewrite postings: drop dead entries, remap survivors, restore
 	// ascending-id order under the new numbering.

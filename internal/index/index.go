@@ -6,14 +6,14 @@
 // document) is carried as opaque metadata so experiments can credit
 // impact back to forms (E1).
 //
-// Layout: the document table (ids, lengths, URL dedup, per-source
-// counters), the one term → posting-list map and the annotations sit
-// behind one lock, the table lock. A commit writes a whole batch —
-// rows, postings, annotations — in one write-locked section, and a
-// query reads under the read lock, so readers see a batch entirely or
-// not at all. Shards exist only on disk: ShardOf splits the term space
-// into the postings segments a snapshot is written as. The expensive
-// half of an insert — tokenization and term counting — is exposed
+// Layout: the document table (ids, lengths, URL dedup), the one term →
+// posting-list map and the annotations sit behind one lock, the table
+// lock. A commit writes a whole batch — rows, postings, annotations —
+// in one write-locked section, and a query reads under the read lock,
+// so readers see a batch entirely or not at all. Shards exist only on
+// disk: ShardOf splits the term space into the postings segments a
+// snapshot is written as. The expensive half of an insert —
+// tokenization and term counting — is exposed
 // separately as Prepare, so a concurrent ingest pipeline can analyze
 // documents in parallel outside the lock and commit them at an ordered
 // point, keeping doc-id assignment deterministic.
@@ -73,7 +73,6 @@ type Index struct {
 	docs     []Doc
 	lens     []int
 	byURL    map[string]int
-	bySource map[string]int
 	totalLen int
 
 	// Tombstones: Delete marks a document dead instead of rewriting
@@ -110,7 +109,6 @@ func NewSharded(n int) *Index {
 	ix := &Index{
 		segments: max(n, 1),
 		byURL:    map[string]int{},
-		bySource: map[string]int{},
 		postings: map[string][]posting{},
 		ann:      annStore{attrs: map[string]uint32{}},
 	}
@@ -231,11 +229,6 @@ func (ix *Index) Delete(id int) bool {
 	// mapping in case the URL was re-added after an earlier delete.
 	if cur, ok := ix.byURL[d.URL]; ok && cur == id {
 		delete(ix.byURL, d.URL)
-	}
-	if d.Source != "" {
-		if ix.bySource[d.Source]--; ix.bySource[d.Source] == 0 {
-			delete(ix.bySource, d.Source)
-		}
 	}
 	ix.ann.deleteDoc(id)
 	ix.mu.Unlock()
@@ -591,17 +584,4 @@ func siftDown(h []heapEntry) {
 // idf is the BM25 idf with the +1 smoothing that keeps it positive.
 func idf(n, df int) float64 {
 	return math.Log(1 + (float64(n)-float64(df)+0.5)/(float64(df)+0.5))
-}
-
-// DocsBySource reports indexed documents per source attribution; used
-// by impact accounting. The counters are maintained incrementally at
-// insert time, so this is O(sources), not O(documents).
-func (ix *Index) DocsBySource() map[string]int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make(map[string]int, len(ix.bySource))
-	for s, n := range ix.bySource {
-		out[s] = n
-	}
-	return out
 }

@@ -103,18 +103,6 @@ func TestDFAndHas(t *testing.T) {
 	}
 }
 
-func TestDocsBySource(t *testing.T) {
-	ix := New()
-	ix.Add(Doc{URL: "1", Text: "x", Source: "form-a"})
-	ix.Add(Doc{URL: "2", Text: "y", Source: "form-a"})
-	ix.Add(Doc{URL: "3", Text: "z", Source: "form-b"})
-	ix.Add(Doc{URL: "4", Text: "w"})
-	got := ix.DocsBySource()
-	if got["form-a"] != 2 || got["form-b"] != 1 || len(got) != 2 {
-		t.Errorf("DocsBySource = %v", got)
-	}
-}
-
 func TestSearchDeterministicTieBreak(t *testing.T) {
 	ix := New()
 	// Identical docs at different URLs score identically.

@@ -102,12 +102,11 @@ func (ix *Index) ForEachLive(fn func(id int, d Doc)) {
 }
 
 // ImportDocs installs a decoded document table into an empty index,
-// rebuilding the URL and source lookup structures and the live-corpus
-// counters BM25 reads. dead marks tombstoned rows (nil = none): they
-// get no URL or source entry and are subtracted from the live totals,
-// exactly the state Delete leaves behind. It refuses a non-empty
-// index: snapshots restore whole worlds, they do not merge into live
-// ones.
+// rebuilding the URL lookup and the live-corpus counters BM25 reads.
+// dead marks tombstoned rows (nil = none): they get no URL entry and
+// are subtracted from the live totals, exactly the state Delete leaves
+// behind. It refuses a non-empty index: snapshots restore whole worlds,
+// they do not merge into live ones.
 func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	if len(docs) != len(lens) {
 		return fmt.Errorf("index: import: %d docs but %d lengths", len(docs), len(lens))
@@ -137,9 +136,6 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 			return fmt.Errorf("index: import: duplicate URL %q (docs %d and %d)", d.URL, prev, id)
 		}
 		ix.byURL[d.URL] = id
-		if d.Source != "" {
-			ix.bySource[d.Source]++
-		}
 	}
 	return nil
 }

@@ -62,7 +62,7 @@ func TestSnapshotTransplantExactness(t *testing.T) {
 				t.Fatalf("shards=%d: annotations of doc %d differ", shards, id)
 			}
 		}
-		if !reflect.DeepEqual(src.DocsBySource(), dst.DocsBySource()) {
+		if !reflect.DeepEqual(liveSources(src), liveSources(dst)) {
 			t.Errorf("shards=%d: per-source counts differ", shards)
 		}
 		for _, q := range []string{"ford focus", "seattle price", "used car 7", "absent-term"} {
