@@ -37,14 +37,17 @@ test:
 # bench = deepbench, the repository's one benchmark (bench/README.md,
 # BENCHMARK.json): every workload, untraced then traced, results under
 # bench/out/. bench-smoke = the CI bench-smoke job: the same program on
-# a 3000-document corpus, a second per workload — it exercises every
-# path and checks every answer, and measures nothing.
+# a 3000-document corpus, a second per workload, untraced then traced
+# (the traced run replays Load step by step and the request layer by
+# layer) — it exercises every path and checks every answer, and
+# measures nothing.
 bench:
 	$(GO) run ./bench
 
 bench-smoke:
 	@set -e; for w in keyword-miss structured-miss cached-zipf; do \
 		$(GO) run ./bench -smoke --workload $$w; \
+		$(GO) run ./bench -smoke --trace 1 --seconds 1 --workload $$w; \
 	done
 
 # serve-smoke = the CI serve-smoke job: boots the real deepsearch

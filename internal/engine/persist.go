@@ -98,8 +98,10 @@ func Load(dir string) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: load postings: %w", err)
 	}
+	// In id order, so the annotation arena lays rows out in the order a
+	// scan hands its candidates to the filter.
 	for id, anns := range seg.Anns {
-		if !dead[id] {
+		if anns != nil && !dead[id] {
 			ix.Annotate(id, anns)
 		}
 	}

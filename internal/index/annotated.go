@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"deepweb/internal/textutil"
 )
@@ -30,13 +29,15 @@ import (
 //   - once per distinct value, at Annotate time: the dictionary code,
 //     strconv.ParseFloat, the word count that bounds the n-gram probe
 //     below;
-//   - once per query: which attributes a predicate reads
-//     (query.Matcher.Bind) and which dictionary values the query text
-//     mentions (valuesMentioned);
+//   - once per query: which attributes a predicate reads (a
+//     query.Bound, on its first candidate) and which dictionary values
+//     the query text mentions (valuesMentioned);
 //   - per candidate: a walk over the row's pairs, indexing arrays.
 //
 // Nothing here is persisted: snapshots carry annotations as attribute
-// and value strings, and Annotate rebuilds the columns during a load.
+// and value strings, and Annotate rebuilds the columns during a load,
+// in doc-id order, so rows sit in the arena in the order a scan reads
+// its candidates.
 
 // AnnPair is one annotation in a document's row: the attribute's id
 // (an index into AnnotationColumns) and the value's code in that
@@ -68,8 +69,8 @@ func NewAnnValue(text string) AnnValue {
 }
 
 // AnnColumn is a read-only view of one attribute's dictionary, indexed
-// by value code. Dictionaries only grow and entries never change, so a
-// view stays valid — for the codes it covers — without any lock.
+// by value code, valid for the scan that took it (see
+// AnnotationColumns).
 type AnnColumn struct {
 	Attr   string
 	Values []AnnValue
@@ -84,21 +85,6 @@ type annColumn struct {
 	// maxWords is the most space-separated words any value has: the
 	// longest query n-gram worth probing codes with.
 	maxWords int
-	// arr and n publish values for lock-free views: the whole backing
-	// array (len == cap) is stored before the count of entries filled
-	// and loaded after it, so a view never reaches past its array.
-	arr atomic.Pointer[[]AnnValue]
-	n   atomic.Uint32
-}
-
-// publish makes values visible to AnnotationColumns; the caller holds
-// the write lock. The array is re-stored only when values moved to grow.
-func (col *annColumn) publish() {
-	if p := col.arr.Load(); p == nil || cap(*p) != cap(col.values) {
-		all := col.values[:cap(col.values)]
-		col.arr.Store(&all)
-	}
-	col.n.Store(uint32(len(col.values)))
 }
 
 // rowRef locates a document's row in the pair arena.
@@ -106,14 +92,12 @@ type rowRef struct {
 	off, n uint32
 }
 
-// annStore carries annotations parallel to docs, under the table lock
-// (bar the views AnnotationColumns publishes).
+// annStore carries annotations parallel to docs, under the table lock.
 type annStore struct {
-	attrs map[string]uint32            // attribute name -> id
-	cols  []*annColumn                 // attribute id -> dictionary
-	dir   atomic.Pointer[[]*annColumn] // cols, published for AnnotationColumns
-	rows  []rowRef                     // doc id -> row; n == 0 for an unannotated document
-	pairs []AnnPair                    // row arena
+	attrs map[string]uint32 // attribute name -> id
+	cols  []*annColumn      // attribute id -> dictionary
+	rows  []rowRef          // doc id -> row; n == 0 for an unannotated document
+	pairs []AnnPair         // row arena
 	// waste counts arena pairs no row points at any more (deleted
 	// documents, rows that moved to grow); reclaim rewrites the arena
 	// once they outnumber the live ones.
@@ -155,11 +139,7 @@ func (st *annStore) column(attr string) (uint32, *annColumn) {
 	if !ok {
 		a = uint32(len(st.cols))
 		st.attrs[attr] = a
-		col := &annColumn{name: attr, codes: map[string]uint32{}}
-		col.publish()
-		st.cols = append(st.cols, col)
-		cols := st.cols
-		st.dir.Store(&cols)
+		st.cols = append(st.cols, &annColumn{name: attr, codes: map[string]uint32{}})
 	}
 	return a, st.cols[a]
 }
@@ -173,7 +153,6 @@ func (col *annColumn) code(v string) uint32 {
 		col.codes[v] = c
 		col.values = appendDoubling(col.values, NewAnnValue(v))
 		col.support = appendDoubling(col.support, 0)
-		col.publish()
 		if w := strings.Count(v, " ") + 1; w > col.maxWords {
 			col.maxWords = w
 		}
@@ -265,8 +244,7 @@ func (st *annStore) reclaim() {
 
 // rewrite copies the live rows into a fresh arena, renumbering them
 // through newID (-1 drops a document) when Compact passes one. Codes
-// and attribute ids are untouched: dictionaries only grow, which is
-// what lets a query keep reading the views it bound to.
+// and attribute ids are untouched: dictionaries only grow.
 func (st *annStore) rewrite(newID []int32) {
 	size := len(st.rows)
 	if newID != nil {
@@ -305,7 +283,7 @@ func (st *annStore) asMap(row []AnnPair) map[string]string {
 }
 
 // AnnotationsOf returns a document's annotations as a fresh map (nil
-// if none). It is the slow, convenient view — experiments, Save, the
+// if none). It is the slow, convenient view — experiments, the
 // reference filter; serving reads rows in place through TopK's keep.
 func (ix *Index) AnnotationsOf(docID int) map[string]string {
 	ix.mu.RLock()
@@ -318,14 +296,13 @@ func (ix *Index) AnnotationsOf(docID int) map[string]string {
 }
 
 // AnnotationColumns returns a view of every attribute's dictionary,
-// indexed by attribute id, without taking a lock: a TopK keep may call
-// it to re-bind when a row names ids or codes an older view lacks.
+// indexed by attribute id; never nil. It takes no lock: call it only
+// from inside a TopK or AnnotatedTopK keep, under the read lock the scan
+// holds throughout, so the views cover every row that scan hands over.
 func (ix *Index) AnnotationColumns() []AnnColumn {
-	dir := ix.ann.dir.Load()
-	out := make([]AnnColumn, len(*dir))
-	for a, col := range *dir {
-		n := col.n.Load() // before arr: see annColumn
-		out[a] = AnnColumn{Attr: col.name, Values: (*col.arr.Load())[:n]}
+	out := make([]AnnColumn, len(ix.ann.cols))
+	for a, col := range ix.ann.cols {
+		out[a] = AnnColumn{Attr: col.name, Values: col.values}
 	}
 	return out
 }

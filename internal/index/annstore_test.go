@@ -130,8 +130,17 @@ func TestAnnotationRowsSurviveChurn(t *testing.T) {
 				t.Fatalf("%s: doc %d (%s) annotations %v, want %v", when, id, ix.Doc(id).URL, got, w)
 			}
 		}
-		if exp := ix.ExportAnnotations(); len(exp) != len(want) {
-			t.Fatalf("%s: ExportAnnotations has %d rows, want %d", when, len(exp), len(want))
+		exp, annotated := ix.ExportAnnotations(), 0
+		for id, anns := range exp {
+			if anns != nil {
+				annotated++
+				if !reflect.DeepEqual(anns, ix.AnnotationsOf(id)) {
+					t.Fatalf("%s: ExportAnnotations[%d] = %v, AnnotationsOf %v", when, id, anns, ix.AnnotationsOf(id))
+				}
+			}
+		}
+		if len(exp) != seen+ix.Deleted() || annotated != len(want) {
+			t.Fatalf("%s: ExportAnnotations has %d entries, %d annotated; want %d, %d", when, len(exp), annotated, seen+ix.Deleted(), len(want))
 		}
 		st := &ix.ann
 		if live := len(st.pairs) - st.waste; st.waste > live {

@@ -79,7 +79,7 @@ func TestAddPreparedBatchEquivalentToSequential(t *testing.T) {
 			if got, want := dumpTerms(bat, shards), dumpTerms(seq, shards); got != want {
 				t.Fatalf("postings differ:\nbatch: %.300s\nseq:   %.300s", got, want)
 			}
-			if got, want := bat.ExportAnnotations(), seq.ExportAnnotations(); !reflect.DeepEqual(got, want) {
+			if got, want := bat.ExportAnnotations(), seq.ExportAnnotations(); len(got) != len(bd) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("annotations differ:\nbatch: %v\nseq:   %v", got, want)
 			}
 

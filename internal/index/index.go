@@ -106,14 +106,12 @@ func New() *Index { return NewSharded(DefaultShards) }
 // (n < 1 is treated as 1). The count is a snapshot layout; search
 // results do not depend on it.
 func NewSharded(n int) *Index {
-	ix := &Index{
+	return &Index{
 		segments: max(n, 1),
 		byURL:    map[string]int{},
 		postings: map[string][]posting{},
 		ann:      annStore{attrs: map[string]uint32{}},
 	}
-	ix.ann.dir.Store(new([]*annColumn))
-	return ix
 }
 
 // ShardOf is the one term→segment decision: FNV-1a of the term, modulo
@@ -354,12 +352,13 @@ const keepPollEvery = 4096
 // influence scoring: N, avgdl and df all describe the live corpus.
 // keep is an optional per-document admission filter, handed the
 // document and its annotation row in place under the scan's read lock;
-// like ForEachLive's fn it must not call back into the index (bar the
-// lock-free AnnotationColumns): a recursive read lock deadlocks once a
-// writer is queued. Hits it rejects count toward neither the page nor
-// the total. Cancellation is cooperative, checked between query terms
-// and, when keep is set, every keepPollEvery candidates of the
-// selection loop: a canceled context returns ctx.Err() with no results.
+// like ForEachLive's fn it must not call back into the index (bar
+// AnnotationColumns, which takes no lock and relies on this one): a
+// recursive read lock deadlocks once a writer is queued. Hits it
+// rejects count toward neither the page nor the total. Cancellation is
+// cooperative, checked between query terms and, when keep is set, every
+// keepPollEvery candidates of the selection loop: a canceled context
+// returns ctx.Err() with no results.
 func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep func(id int, d *Doc, row []AnnPair) bool) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()

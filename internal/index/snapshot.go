@@ -73,14 +73,14 @@ func (ix *Index) ExportDocs() (docs []Doc, lens []int, dead []bool) {
 	return docs, lens, dead
 }
 
-// ExportAnnotations returns every annotated document's annotations,
-// materialized from the columnar rows as fresh maps (empty map when
-// none exist).
-func (ix *Index) ExportAnnotations() map[int]map[string]string {
+// ExportAnnotations returns the annotations of every document in the
+// table, indexed by doc id like ExportDocs, materialized from the
+// columnar rows as fresh maps; nil for an unannotated document.
+func (ix *Index) ExportAnnotations() []map[string]string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	out := map[int]map[string]string{}
-	for id := range ix.ann.rows {
+	out := make([]map[string]string, len(ix.docs))
+	for id := range out {
 		if row := ix.ann.row(id); len(row) > 0 {
 			out[id] = ix.ann.asMap(row)
 		}

@@ -38,8 +38,12 @@ func transplant(t *testing.T, src *Index, shards int) *Index {
 			t.Fatal(err)
 		}
 	}
-	for id, anns := range src.ExportAnnotations() {
-		dst.Annotate(id, anns)
+	anns := src.ExportAnnotations()
+	if len(anns) != len(docs) {
+		t.Fatalf("ExportAnnotations has %d entries for %d docs", len(anns), len(docs))
+	}
+	for id, a := range anns {
+		dst.Annotate(id, a)
 	}
 	return dst
 }

@@ -20,10 +20,10 @@ type compiled struct {
 
 // Matcher evaluates a fixed predicate list against documents. Compile
 // once per query with NewMatcher; then either Bind it to an index's
-// annotation store and call Bound.Match once per candidate — the
-// serving path — or hand Match a document's annotations as a map, the
-// slow reference spelling of the same evaluation. A Matcher is
-// read-only after construction and safe for concurrent use.
+// annotation store and call Bound.Match once per candidate of one scan
+// — the serving path — or hand Match a document's annotations as a
+// map, the slow reference spelling of the same evaluation. A Matcher
+// is read-only after construction and safe for concurrent use.
 type Matcher struct {
 	preds []compiled
 	// typed: some predicate reads type-compatible attributes, so
@@ -84,16 +84,16 @@ func (m *Matcher) readsOf(cols []index.AnnColumn, buf []bool) []bool {
 }
 
 // Bound is a Matcher bound to one index's columnar annotation store
-// for the span of one query: which attribute ids each predicate reads
-// is resolved up front, so a candidate costs a walk over its row's
-// pairs — the row TopK hands its keep, in place — and allocates
-// nothing unless the text fallback runs. A Bound re-binds when a row
-// outgrows its views: one query, one goroutine.
+// for the span of one scan: which attribute ids each predicate reads is
+// resolved once, so a candidate costs a walk over its row's pairs — the
+// row TopK hands its keep, in place — and allocates nothing unless the
+// text fallback runs. A Bound serves one scan: call Match only from the
+// keep of one TopK or AnnotatedTopK, on that scan's goroutine.
 type Bound struct {
 	m     *Matcher
 	ix    *index.Index
-	cols  []index.AnnColumn
-	reads []bool // readsOf(cols)
+	cols  []index.AnnColumn // nil until the first Match
+	reads []bool            // readsOf(cols)
 }
 
 // Bind binds the matcher to ix's annotation store. A nil Matcher binds
@@ -102,14 +102,7 @@ func (m *Matcher) Bind(ix *index.Index) *Bound {
 	if m == nil {
 		return nil
 	}
-	b := &Bound{m: m, ix: ix}
-	b.bind()
-	return b
-}
-
-func (b *Bound) bind() {
-	b.cols = b.ix.AnnotationColumns()
-	b.reads = b.m.readsOf(b.cols, b.reads)
+	return &Bound{m: m, ix: ix}
 }
 
 // Match reports whether document d of the bound index, whose
@@ -119,14 +112,12 @@ func (b *Bound) Match(row []index.AnnPair, d *index.Doc) bool {
 	if b == nil {
 		return true
 	}
-	for _, a := range row {
-		if int(a.Attr) >= len(b.cols) || int(a.Code) >= len(b.cols[a.Attr].Values) {
-			// Annotated since the bind with an attribute or value the
-			// views do not cover: dictionaries only grow, so fresh
-			// views cover everything this row can name.
-			b.bind()
-			break
-		}
+	if b.cols == nil {
+		// The scan's first candidate: its read lock is held from here to
+		// its last, so no writer interns anything while these views are
+		// in use and they cover every row the scan hands over.
+		b.cols = b.ix.AnnotationColumns()
+		b.reads = b.m.readsOf(b.cols, nil)
 	}
 	return b.m.match(row, b.cols, b.reads, d.Title, d.Text)
 }

@@ -25,11 +25,14 @@
 //
 // Steps 1 and 2 read the index's columnar annotation store (one
 // dictionary per attribute, one row of (attribute id, value code) pairs
-// per document): a Matcher is bound to it once per query (Bind), which
-// settles which attribute ids each predicate reads, and each candidate
-// then costs a walk over its row — the value's numeric reading was
-// parsed once, when the dictionary first saw it. Matcher.Match, taking
-// a map, lays the map out the same way and runs the same evaluation.
+// per document): a Matcher is bound to it once per query (Bind), and on
+// the scan's first candidate — under the index's read lock, held for the
+// whole scan — the Bound settles which attribute ids each predicate
+// reads; each candidate then costs a walk over its row, which a loaded
+// index keeps in doc-id order, the order the scan visits candidates in.
+// The value's numeric reading was parsed once, when the dictionary
+// first saw it. Matcher.Match, taking a map, lays the map out the same
+// way and runs the same evaluation.
 // Step 3 is the cold path: it tokenizes the document.
 //
 // Predicates AND together. Parsing and matching are deterministic pure

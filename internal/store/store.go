@@ -352,13 +352,14 @@ func (d *dec) done() error {
 	return nil
 }
 
-// DocsSegment is the decoded document table: documents and their BM25
-// lengths indexed by doc id, surfacing-time annotations (§5.1), and
-// the sorted ids of tombstoned (deleted, not yet compacted) documents.
+// DocsSegment is the decoded document table: documents, their BM25
+// lengths and their surfacing-time annotations (§5.1; nil for an
+// unannotated document), all indexed by doc id, and the sorted ids of
+// tombstoned (deleted, not yet compacted) documents.
 type DocsSegment struct {
 	Docs []index.Doc
 	Lens []int
-	Anns map[int]map[string]string
+	Anns []map[string]string
 	Dead []int
 }
 
@@ -373,7 +374,7 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 	seg := &DocsSegment{
 		Docs: make([]index.Doc, 0, n),
 		Lens: make([]int, 0, n),
-		Anns: map[int]map[string]string{},
+		Anns: make([]map[string]string, n),
 	}
 	for i := 0; i < n && d.err == nil; i++ {
 		seg.Docs = append(seg.Docs, index.Doc{
@@ -385,12 +386,17 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 		seg.Lens = append(seg.Lens, int(d.uvarint()))
 	}
 	nAnn := d.count("annotated-doc", 2)
-	for i := 0; i < nAnn && d.err == nil; i++ {
+	for i, prev := 0, -1; i < nAnn && d.err == nil; i++ {
 		id := int(d.uvarint())
-		if id < 0 || id >= n {
+		if id <= prev {
+			d.fail(fmt.Sprintf("annotation for doc %d after doc %d", id, prev))
+			break
+		}
+		if id >= n {
 			d.fail(fmt.Sprintf("annotation for doc %d of %d", id, n))
 			break
 		}
+		prev = id
 		nAttr := d.count("annotation attr", 2)
 		m := make(map[string]string, nAttr)
 		for j := 0; j < nAttr && d.err == nil; j++ {

@@ -22,9 +22,10 @@ func sampleDocs() *DocsSegment {
 			{URL: "http://b/1", Title: "", Text: "", Source: "form-b"},
 		},
 		Lens: []int{7, 5, 0},
-		Anns: map[int]map[string]string{
-			0: {"make": "ford", "model": "focus"},
-			2: {"make": "honda"},
+		Anns: []map[string]string{
+			{"make": "ford", "model": "focus"},
+			nil,
+			{"make": "honda"},
 		},
 	}
 }
@@ -301,6 +302,33 @@ func TestDocsTombstonesRoundTrip(t *testing.T) {
 	}
 }
 
+// threeEmptyDocs frames the document section of a hand-built docs
+// body: three documents with empty fields and zero length.
+func threeEmptyDocs() *enc {
+	e := &enc{}
+	e.uvarint(3)
+	for i := 0; i < 3; i++ {
+		for f := 0; f < 4; f++ {
+			e.str("")
+		}
+		e.uvarint(0)
+	}
+	return e
+}
+
+// readsCorrupt writes body as a three-document docs segment and
+// requires ReadDocs to reject it as corrupt.
+func readsCorrupt(t *testing.T, what string, body []byte) {
+	t.Helper()
+	path := DocsPath(t.TempDir())
+	if err := writeSegment(path, Header{Version: Version, Kind: KindDocs, Shards: 4, DocCount: 3}, body); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadDocs(path); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("%s accepted: %v", what, err)
+	}
+}
+
 // Tombstone ids outside the doc table, or duplicated, are corruption.
 // The writer cannot emit either, so the bodies are framed by hand.
 func TestDocsTombstoneBoundsChecked(t *testing.T) {
@@ -308,26 +336,34 @@ func TestDocsTombstoneBoundsChecked(t *testing.T) {
 		"out of range": {7},
 		"duplicate":    {1, 0},
 	} {
-		var e enc
-		e.uvarint(3) // three empty docs
-		for i := 0; i < 3; i++ {
-			for f := 0; f < 4; f++ {
-				e.str("")
-			}
-			e.uvarint(0)
-		}
+		e := threeEmptyDocs()
 		e.uvarint(0) // no annotations
 		e.uvarint(uint64(len(deltas)))
 		for _, d := range deltas {
 			e.uvarint(d)
 		}
-		path := DocsPath(t.TempDir())
-		if err := writeSegment(path, Header{Version: Version, Kind: KindDocs, Shards: 4, DocCount: 3}, e.b); err != nil {
-			t.Fatal(err)
+		readsCorrupt(t, name+" tombstone", e.b)
+	}
+}
+
+// Annotation entries name their documents in strictly ascending id
+// order, as the writer emits them; a repeated or descending id is
+// corruption, not a second entry for the document.
+func TestDocsAnnotationIDsAscend(t *testing.T) {
+	for name, ids := range map[string][]uint64{
+		"repeated":   {1, 1},
+		"descending": {2, 0},
+	} {
+		e := threeEmptyDocs()
+		e.uvarint(uint64(len(ids)))
+		for _, id := range ids {
+			e.uvarint(id)
+			e.uvarint(1) // one attribute
+			e.str("make")
+			e.str("ford")
 		}
-		if _, _, err := ReadDocs(path); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s tombstone accepted: %v", name, err)
-		}
+		e.uvarint(0) // no tombstones
+		readsCorrupt(t, name+" annotation id", e.b)
 	}
 }
 

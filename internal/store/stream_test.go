@@ -21,9 +21,11 @@ func streamCorpus() *DocsSegment {
 			{URL: "http://b.example/2", Title: "fourth", Text: "annotated", Source: "b.example"},
 		},
 		Lens: []int{5, 4, 3, 2},
-		Anns: map[int]map[string]string{
-			0: {"make": "ford", "model": "focus"},
-			3: {"city": "austin", "zip": "78701", "price": "9500"},
+		Anns: []map[string]string{
+			{"make": "ford", "model": "focus"},
+			nil,
+			nil,
+			{"city": "austin", "zip": "78701", "price": "9500"},
 		},
 	}
 }
