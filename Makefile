@@ -80,13 +80,15 @@ chaos:
 # fuzz = the CI fuzz-smoke job: differential tokenizer fuzzing,
 # arbitrary bodies through every snapshot segment decoder, arbitrary
 # strings through the filter DSL (Parse/String round trip, Extract,
-# Key), then arbitrary pages through the HTML parser and extractors.
+# Key), arbitrary pages through the HTML parser and extractors, then
+# the /v1/search append encoder against encoding/json.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textutil
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzHTMLParse$$' -fuzztime $(FUZZTIME) ./internal/htmlx
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime $(FUZZTIME) ./internal/api
 
 # lint = the CI lint job: the project's own analyzers first (no
 # install, works offline), then the pinned external tools (network

@@ -17,8 +17,8 @@
 //	              and randomness only through injected hooks or seeded
 //	              generators, keeping chaos and backoff deterministic.
 //	envelope    — /v1 handlers (internal/api, internal/semserv) write
-//	              through httpx.WriteJSON/WriteError only: one error
-//	              dialect on the wire.
+//	              through httpx.WriteJSON/WriteJSONBody/WriteError
+//	              only: one error dialect on the wire.
 //	ctxflow     — exported I/O paths take a leading context.Context
 //	              and never store one in a struct.
 //	errcmp      — sentinel errors are matched with errors.Is and

@@ -9,10 +9,15 @@
 // those two packages:
 //
 //   - http.Error(w, ...)                     → httpx.WriteError
-//   - fmt.Fprint*/io.WriteString to a ResponseWriter → httpx.WriteJSON/WriteError
-//   - json.NewEncoder(w) on a ResponseWriter → httpx.WriteJSON
-//     (which buffers, so a mid-encode failure cannot emit half a body)
+//   - fmt.Fprint*/io.WriteString to a ResponseWriter → httpx.WriteJSON/WriteJSONBody/WriteError
+//   - json.NewEncoder(w) on a ResponseWriter → httpx.WriteJSON or WriteJSONBody
+//     (which buffer, so a mid-encode failure cannot emit half a body)
 //   - w.Write / w.WriteHeader                → the httpx helpers
+//
+// The helpers write through w themselves, in httpx, outside this
+// analyzer's scope: the hot /v1/search page goes through
+// httpx.WriteJSONBody, which appends the document into a pooled buffer
+// and writes it whole, so a handler never needs a raw w.Write.
 //
 // Header manipulation (w.Header().Set(...)) stays legal: headers like
 // X-Cache are part of the contract, the body discipline is what the
@@ -27,7 +32,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "envelope",
-	Doc:  "/v1 handlers must write responses through httpx.WriteJSON/WriteError",
+	Doc:  "/v1 handlers must write responses through httpx.WriteJSON/WriteJSONBody/WriteError",
 	Run:  run,
 }
 
@@ -72,20 +77,20 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		analysis.IsFuncNamed(fn, "io", "WriteString"):
 		if len(call.Args) > 0 && isRW(pass, call.Args[0]) {
 			pass.Reportf(call.Pos(),
-				"%s.%s writes an unenveloped body to the ResponseWriter; use httpx.WriteJSON or httpx.WriteError",
+				"%s.%s writes an unenveloped body to the ResponseWriter; use httpx.WriteJSON, httpx.WriteJSONBody or httpx.WriteError",
 				fn.Pkg().Name(), fn.Name())
 		}
 
 	case analysis.IsFuncNamed(fn, "encoding/json", "NewEncoder"):
 		if len(call.Args) > 0 && isRW(pass, call.Args[0]) {
 			pass.Reportf(call.Pos(),
-				"json.NewEncoder on a ResponseWriter streams unbuffered (a mid-encode error truncates the body mid-status); use httpx.WriteJSON")
+				"json.NewEncoder on a ResponseWriter streams unbuffered (a mid-encode error truncates the body mid-status); use httpx.WriteJSON or httpx.WriteJSONBody")
 		}
 
 	case fn.Name() == "Write" || fn.Name() == "WriteHeader":
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isRW(pass, sel.X) {
 			pass.Reportf(call.Pos(),
-				"direct ResponseWriter.%s bypasses the envelope and status discipline; use httpx.WriteJSON or httpx.WriteError", fn.Name())
+				"direct ResponseWriter.%s bypasses the envelope and status discipline; use httpx.WriteJSON, httpx.WriteJSONBody or httpx.WriteError", fn.Name())
 		}
 	}
 }

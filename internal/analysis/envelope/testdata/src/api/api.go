@@ -26,6 +26,7 @@ func clean(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Cache", "HIT") // ok: headers are part of the contract
 	httpx.WriteJSON(w, 200, map[string]int{"n": 1})
 	httpx.WriteError(w, 404, "not_found", "no such document")
+	httpx.WriteJSONBody(w, 200, func(b []byte) ([]byte, error) { return append(b, "{}\n"...), nil })
 
 	var buf bytes.Buffer
 	buf.Write([]byte("scratch"))       // ok: not a ResponseWriter

@@ -6,4 +6,8 @@ import "net/http"
 
 func WriteJSON(w http.ResponseWriter, status int, v interface{}) {}
 
+func WriteJSONBody(w http.ResponseWriter, status int, appendDoc func([]byte) ([]byte, error)) error {
+	return nil
+}
+
 func WriteError(w http.ResponseWriter, status int, code, msg string) {}

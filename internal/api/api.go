@@ -189,29 +189,63 @@ func intParam(params url.Values, name string, def, minV, maxV int) int {
 	return min(n, maxV)
 }
 
-// searchResult is one /v1/search hit on the wire.
-type searchResult struct {
-	DocID  int     `json:"doc_id"`
-	URL    string  `json:"url"`
-	Title  string  `json:"title"`
-	Source string  `json:"source,omitempty"`
-	Score  float64 `json:"score"`
-}
-
-// searchResponse is the /v1/search payload: the page, the request echo
-// that produced it, and the serving metadata. Filters echoes the
-// structured predicates applied (explicit filter= params plus any
-// parsed out of q), in canonical form; absent when the request carried
-// none, so predicate-free responses keep their exact prior shape.
-type searchResponse struct {
-	Query      string         `json:"query"`
-	Filters    []string       `json:"filters,omitempty"`
-	K          int            `json:"k"`
-	Offset     int            `json:"offset"`
-	Total      int            `json:"total"`
-	Generation uint32         `json:"generation"`
-	TookMS     float64        `json:"took_ms"`
-	Results    []searchResult `json:"results"`
+// appendSearchBody appends the /v1/search document: the request echo
+// (q, the canonical filters, k, offset), the serving metadata and the
+// page, each hit as {doc_id, url, title, source, score}. filters and a
+// hit's source are omitted when empty, so predicate-free responses
+// keep their exact prior shape; results is [] when the page is empty.
+// The bytes are those json.NewEncoder writes for the equivalent struct
+// (the tests hold that struct and fuzz the two against each other); a
+// non-finite tookMS or score is the encoder's UnsupportedValueError.
+func appendSearchBody(b []byte, q string, filters []query.Predicate, k, offset int, tookMS float64, resp *engine.SearchResponse) ([]byte, error) {
+	var err error
+	b = append(b, `{"query":`...)
+	b = httpx.AppendString(b, q)
+	if len(filters) > 0 {
+		b = append(b, `,"filters":[`...)
+		for i, p := range filters {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = httpx.AppendString(b, p.String())
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"k":`...)
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, `,"offset":`...)
+	b = strconv.AppendInt(b, int64(offset), 10)
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(resp.Total), 10)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, uint64(resp.Generation), 10)
+	b = append(b, `,"took_ms":`...)
+	if b, err = httpx.AppendFloat(b, tookMS); err != nil {
+		return b, err
+	}
+	b = append(b, `,"results":[`...)
+	for i := range resp.Results {
+		hit := &resp.Results[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"doc_id":`...)
+		b = strconv.AppendInt(b, int64(hit.DocID), 10)
+		b = append(b, `,"url":`...)
+		b = httpx.AppendString(b, hit.URL)
+		b = append(b, `,"title":`...)
+		b = httpx.AppendString(b, hit.Title)
+		if hit.Source != "" {
+			b = append(b, `,"source":`...)
+			b = httpx.AppendString(b, hit.Source)
+		}
+		b = append(b, `,"score":`...)
+		if b, err = httpx.AppendFloat(b, hit.Score); err != nil {
+			return b, err
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...), nil
 }
 
 // GET /v1/search?q=...&k=10&offset=0&annotated=true&host=...&filter=...
@@ -288,32 +322,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusGatewayTimeout, httpx.CodeUnavailable, err.Error())
 		return
 	}
-	out := searchResponse{
-		Query:      q,
-		K:          k,
-		Offset:     offset,
-		Total:      resp.Total,
-		Generation: resp.Generation,
-		TookMS:     float64(resp.Elapsed) / float64(time.Millisecond),
-		Results:    make([]searchResult, len(resp.Results)),
-	}
-	for _, p := range query.Canonical(filters) {
-		out.Filters = append(out.Filters, p.String())
-	}
-	for i, hit := range resp.Results {
-		out.Results[i] = searchResult{
-			DocID:  hit.DocID,
-			URL:    hit.URL,
-			Title:  hit.Title,
-			Source: hit.Source,
-			Score:  hit.Score,
-		}
-	}
 	w.Header().Set("X-Generation", strconv.FormatUint(uint64(resp.Generation), 10))
 	if resp.Cached {
 		w.Header().Set("X-Cache", "HIT")
 	}
-	httpx.WriteJSON(w, http.StatusOK, out)
+	tookMS := float64(resp.Elapsed) / float64(time.Millisecond)
+	filters = query.Canonical(filters)
+	httpx.WriteJSONBody(w, http.StatusOK, func(b []byte) ([]byte, error) {
+		return appendSearchBody(b, q, filters, k, offset, tookMS, &resp)
+	})
 }
 
 // stats assembles the operator statistics: the base derived from the

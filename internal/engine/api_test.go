@@ -3,146 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
-	"math"
 	"net/http"
-	"reflect"
 	"testing"
 	"time"
 
 	"deepweb/internal/core"
-	"deepweb/internal/index"
 	"deepweb/internal/webgen"
 )
-
-// The acceptance bar of the API redesign: Search(ctx, SearchRequest{
-// Query, K}) must be bit-identical to the index's own first page,
-// Index.TopK(ctx, q, k, 0, nil) — same ids, same float score bits, same tie order
-// — across shard counts, on a cold-built engine and on a
-// snapshot-loaded one.
-func TestSearchBitIdenticalToIndexSearch(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		cold := surfacedEngine(t, shards)
-
-		dir := t.TempDir()
-		if err := cold.Save(dir); err != nil {
-			t.Fatalf("shards=%d: save: %v", shards, err)
-		}
-		prev := DefaultWorkers
-		DefaultWorkers = 4
-		loaded, err := Load(dir)
-		DefaultWorkers = prev
-		if err != nil {
-			t.Fatalf("shards=%d: load: %v", shards, err)
-		}
-
-		for name, e := range map[string]*Engine{"cold": cold, "loaded": loaded} {
-			for _, q := range persistQueries {
-				for _, k := range []int{1, 3, 10, 100} {
-					want := search(e.Index, q, k)
-					resp, err := e.Search(context.Background(), SearchRequest{Query: q, K: k})
-					if err != nil {
-						t.Fatalf("shards=%d %s: Search(%q,%d): %v", shards, name, q, k, err)
-					}
-					if !reflect.DeepEqual(resp.Results, want) {
-						t.Fatalf("shards=%d %s: Search(%q,%d) differs from Index.TopK", shards, name, q, k)
-					}
-					for i := range want {
-						if math.Float64bits(resp.Results[i].Score) != math.Float64bits(want[i].Score) {
-							t.Fatalf("shards=%d %s: score bits differ at rank %d of %q", shards, name, i, q)
-						}
-					}
-					if resp.Total < len(want) {
-						t.Fatalf("shards=%d %s: total %d < page size %d", shards, name, resp.Total, len(want))
-					}
-					// Annotated path too.
-					wantAnn := annotatedSearch(e.Index, q, k)
-					respAnn, err := e.Search(context.Background(), SearchRequest{Query: q, K: k, Annotated: true})
-					if err != nil || !reflect.DeepEqual(respAnn.Results, wantAnn) {
-						t.Fatalf("shards=%d %s: annotated Search(%q,%d) differs (err=%v)", shards, name, q, k, err)
-					}
-				}
-			}
-			if name == "cold" && e.Generation == 0 {
-				t.Errorf("shards=%d: cold engine generation 0 after Save (should adopt the written snapshot's id)", shards)
-			}
-			if name == "loaded" && e.Generation == 0 {
-				t.Errorf("shards=%d: loaded engine reports generation 0", shards)
-			}
-		}
-		if cold.Generation != loaded.Generation {
-			t.Errorf("shards=%d: generations diverge across the snapshot boundary: %d vs %d",
-				shards, cold.Generation, loaded.Generation)
-		}
-	}
-}
-
-// Host restriction and pagination through the engine API: pages tile
-// the full ranking, and a Host filter admits only that host's
-// documents without disturbing relative order.
-func TestSearchHostFilterAndPagination(t *testing.T) {
-	e := surfacedEngine(t, 4)
-	q := "used ford focus"
-	full, err := e.Search(context.Background(), SearchRequest{Query: q, K: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Results) == 0 {
-		t.Fatal("no hits for the paging query")
-	}
-	if full.Total != len(full.Results) {
-		t.Fatalf("total %d != exhaustive page %d", full.Total, len(full.Results))
-	}
-	var paged []index.Result
-	for offset := 0; offset < full.Total; offset += 3 {
-		page, err := e.Search(context.Background(), SearchRequest{Query: q, K: 3, Offset: offset})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if page.Total != full.Total {
-			t.Fatalf("offset %d: total %d, want %d", offset, page.Total, full.Total)
-		}
-		paged = append(paged, page.Results...)
-	}
-	if !reflect.DeepEqual(paged, full.Results) {
-		t.Fatal("pages do not tile the full ranking")
-	}
-
-	// A multi-host query: every site's pages mention their city terms,
-	// so "seattle" crosses hosts. Restrict to the top hit's host and
-	// check the restricted ranking against the post-filtered full one.
-	q = "seattle"
-	full, err = e.Search(context.Background(), SearchRequest{Query: q, K: 100000})
-	if err != nil || len(full.Results) == 0 {
-		t.Fatalf("no hits for the host-filter query (err=%v)", err)
-	}
-	host := hostOf(full.Results[0].URL)
-	if host == "" {
-		t.Fatalf("top hit %q has no host", full.Results[0].URL)
-	}
-	restricted, err := e.Search(context.Background(), SearchRequest{Query: q, K: 100000, Host: host})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fromFull []index.Result
-	for _, hit := range full.Results {
-		if hostOf(hit.URL) == host {
-			fromFull = append(fromFull, hit)
-		}
-	}
-	if restricted.Total != len(fromFull) || !reflect.DeepEqual(restricted.Results, fromFull) {
-		t.Fatalf("host-restricted ranking disagrees with post-filtered full ranking (%d vs %d hits)",
-			restricted.Total, len(fromFull))
-	}
-	if restricted.Total == full.Total {
-		t.Logf("note: every %q hit lives on %s; restriction not strict in this world", q, host)
-	}
-
-	// A host with no documents answers an empty page with a zero total.
-	none, err := e.Search(context.Background(), SearchRequest{Query: q, K: 10, Host: "nosuch.example"})
-	if err != nil || none.Total != 0 || len(none.Results) != 0 {
-		t.Fatalf("unknown host: total=%d hits=%d err=%v", none.Total, len(none.Results), err)
-	}
-}
 
 // A canceled context must abort a mid-flight Surface promptly — the
 // prober checks the context before every submission — and the

@@ -516,6 +516,9 @@ func (o *oracle) onEngine(op *oracleOp) string {
 		if err := e.Save(dir); err != nil {
 			return "error: " + err.Error()
 		}
+		if e.Generation == 0 {
+			return "Save adopted no generation"
+		}
 		return o.load(dir, op.workers, e.Generation)
 	case "bulkbuild":
 		dir := o.t.TempDir()

@@ -67,33 +67,71 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// WriteJSON must surface encoder failures as a 500 envelope and return
-// the error — not swallow it behind a truncated 200.
+// Both body writers must surface encoder failures as the same 500
+// envelope and return the error — not swallow it behind a truncated
+// 200.
 func TestWriteJSONReportsEncodeErrors(t *testing.T) {
-	rec := httptest.NewRecorder()
-	err := WriteJSON(rec, http.StatusOK, math.NaN()) // json.UnsupportedValueError
-	if err == nil {
-		t.Fatal("WriteJSON returned nil for an unencodable value")
+	writers := []struct {
+		name  string
+		write func(w http.ResponseWriter, status int, n float64) error
+	}{
+		{"WriteJSON", func(w http.ResponseWriter, status int, n float64) error {
+			return WriteJSON(w, status, map[string]float64{"n": n})
+		}},
+		{"WriteJSONBody", func(w http.ResponseWriter, status int, n float64) error {
+			return WriteJSONBody(w, status, func(b []byte) ([]byte, error) {
+				b = append(b, `{"n":`...)
+				b, err := AppendFloat(b, n)
+				return append(b, "}\n"...), err
+			})
+		}},
 	}
-	if rec.Code != 500 {
-		t.Errorf("status %d, want 500", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), `"code":"internal"`) ||
-		!strings.Contains(rec.Body.String(), "encoding response") {
-		t.Errorf("body %q is not the error envelope", rec.Body.String())
-	}
+	var envelopes []string
+	for _, wr := range writers {
+		rec := httptest.NewRecorder()
+		if err := wr.write(rec, http.StatusOK, math.NaN()); err == nil {
+			t.Fatalf("%s returned nil for an unencodable value", wr.name)
+		}
+		if rec.Code != 500 {
+			t.Errorf("%s: status %d, want 500", wr.name, rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), `"code":"internal"`) ||
+			!strings.Contains(rec.Body.String(), "encoding response: json: unsupported value: NaN") {
+			t.Errorf("%s: body %q is not the error envelope", wr.name, rec.Body.String())
+		}
+		envelopes = append(envelopes, rec.Body.String())
 
-	// The happy path: JSON body, JSON content type, chosen status, nil error.
-	rec = httptest.NewRecorder()
-	if err := WriteJSON(rec, http.StatusCreated, map[string]int{"n": 1}); err != nil {
-		t.Fatalf("WriteJSON(valid) = %v", err)
+		// The happy path: JSON body, JSON content type, chosen status, nil error.
+		rec = httptest.NewRecorder()
+		if err := wr.write(rec, http.StatusCreated, 1); err != nil {
+			t.Fatalf("%s(valid) = %v", wr.name, err)
+		}
+		if rec.Code != http.StatusCreated || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d content-type %q", wr.name, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if rec.Body.String() != "{\"n\":1}\n" {
+			t.Errorf("%s: body %q", wr.name, rec.Body.String())
+		}
 	}
-	if rec.Code != http.StatusCreated || rec.Header().Get("Content-Type") != "application/json" {
-		t.Errorf("status %d content-type %q", rec.Code, rec.Header().Get("Content-Type"))
+	if envelopes[0] != envelopes[1] {
+		t.Errorf("the writers' 500 envelopes differ:\n%s%s", envelopes[0], envelopes[1])
 	}
-	var out map[string]int
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out["n"] != 1 {
-		t.Errorf("round-trip failed: %v %v", out, err)
+}
+
+// A buffer that grew past maxPooledBody is not pooled: every body
+// starts from an empty buffer no larger than the limit.
+func TestWriteJSONBodyDropsLargeBuffers(t *testing.T) {
+	big := strings.Repeat("x", 2*maxPooledBody)
+	for i := range 4 {
+		err := WriteJSONBody(httptest.NewRecorder(), http.StatusOK, func(b []byte) ([]byte, error) {
+			if len(b) != 0 || cap(b) > maxPooledBody {
+				t.Fatalf("body %d starts from len %d cap %d", i, len(b), cap(b))
+			}
+			return AppendString(b, big), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
