@@ -50,9 +50,10 @@ bench-smoke:
 		$(GO) run ./bench -smoke --trace 1 --seconds 1 --workload $$w; \
 	done
 
-# serve-smoke = the CI serve-smoke job: boots the real deepsearch
-# binary on a built world and on a bulk-built snapshot, and checks the
-# status of /v1/search and /v1/semantics on each (scripts/serve-smoke.sh).
+# serve-smoke = the CI serve-smoke job: checks that deepsearch without
+# -snapshot exits 2, then boots the real binary on a deepcrawl -out
+# snapshot and on a bulk-built one, and checks the status of /v1/search,
+# /v1/semantics, reload and the HTML page (scripts/serve-smoke.sh).
 serve-smoke:
 	./scripts/serve-smoke.sh
 

@@ -165,9 +165,7 @@ func main() {
 
 	if *out != "" {
 		// Index the surface web too, so the snapshot covers crawled
-		// pages as well as surfaced ones. (The corpus is deepcrawl's —
-		// a cold deepsearch run differs in crawl order and follow
-		// depth, so ids and counts need not match a cold start.)
+		// pages as well as surfaced ones.
 		e.IndexSurfaceWeb(context.Background())
 		start := time.Now()
 		if err := e.Save(*out); err != nil {

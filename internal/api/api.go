@@ -3,9 +3,12 @@
 // HTTP. The paper's premise is that surfaced deep-web content is
 // served "like any other page" at front-end scale (§3.2) — so the
 // front end should be one coherent surface, not per-binary dialects.
-// deepsearch mounts this package and enables the endpoint groups it
-// actually backs: search always, the semantics group when it has the
-// tables.
+// deepsearch mounts this package over an engine loaded from a snapshot
+// and enables the endpoint groups it backs: search always, the
+// semantics group when the snapshot has a tables segment. The Server
+// owns reload: POST /v1/admin/reload and deepsearch's SIGHUP both run
+// (*Server).Reload, one at a time, and /v1/admin/stats reports when
+// the last one succeeded.
 //
 //	GET  /healthz                   liveness + doc count + generation
 //	GET  /v1/search                 ranked retrieval (q, k, offset, annotated, host, filter)
@@ -23,9 +26,11 @@
 package api
 
 import (
+	"errors"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,7 +38,6 @@ import (
 	"deepweb/internal/httpx"
 	"deepweb/internal/query"
 	"deepweb/internal/rescache"
-	"deepweb/internal/resilient"
 	"deepweb/internal/semserv"
 )
 
@@ -75,11 +79,7 @@ type Stats struct {
 	// Cache reports the serving engine's result-cache counters; absent
 	// when no cache is enabled.
 	Cache *CacheStats `json:"cache,omitempty"`
-	// Fetch reports the resilient fetch stack's counters (retries,
-	// timeouts, breaker trips); absent on serving-only engines, which
-	// carry no fetch stack.
-	Fetch *FetchStats `json:"fetch,omitempty"`
-	// LastReload is when the serving engine was last swapped
+	// LastReload is when the last successful Reload finished
 	// (RFC3339Nano; empty = never reloaded since startup).
 	LastReload string `json:"last_reload,omitempty"`
 	// Tables is the semantic store's relational table count (semantic
@@ -95,14 +95,6 @@ type CacheStats struct {
 	HitRatio float64 `json:"hit_ratio"`
 }
 
-// FetchStats is the fetch stack's counter block on the wire: the
-// transport-wide totals, plus any host whose circuit breaker is not
-// closed right now — the operator's shortlist of misbehaving origins.
-type FetchStats struct {
-	resilient.Stats
-	OpenBreakers map[string]string `json:"open_breakers,omitempty"`
-}
-
 // Options wires a Server to the process's capabilities. Nil fields
 // disable their endpoint group; the /v1 surface stays coherent — a
 // disabled endpoint answers with the shared 404 envelope.
@@ -114,16 +106,15 @@ type Options struct {
 	Engine func() *engine.Engine
 	// Semantics backs /v1/semantics/*. Nil disables the group.
 	Semantics *semserv.Server
-	// Reload swaps in a fresh snapshot (the same function the SIGHUP
-	// handler runs). Nil makes POST /v1/admin/reload answer 503 — the
-	// process has no snapshot to reload from.
+	// Reload swaps in a fresh snapshot. The Server runs it only through
+	// (*Server).Reload, never two at once. Nil makes POST
+	// /v1/admin/reload answer 503 — the process has no snapshot to
+	// reload from.
 	Reload func() error
-	// Stats augments the /v1/admin/stats payload: it receives the base
-	// derived from Engine and Semantics and returns what to serve, so a
-	// binary can add process-specific fields (LastReload) without
-	// re-deriving the rest. Nil serves the derived base as is.
-	Stats func(Stats) Stats
 }
+
+// errNoReload is Reload's answer when Options.Reload is nil.
+var errNoReload = errors.New("reload unavailable: this process is not serving from a reloadable snapshot")
 
 // Server is the versioned HTTP surface. It implements http.Handler and
 // can be mounted whole, or alongside other handlers via its /v1/ and
@@ -137,6 +128,14 @@ type Server struct {
 	// never serves a torn value.
 	queries  atomic.Uint64
 	inflight atomic.Int64
+
+	// reloadMu serializes Reload: two loads at once would double peak
+	// memory, and a slow load of older directory contents could publish
+	// after a faster load of newer ones.
+	reloadMu sync.Mutex
+	// lastReload is the UnixNano of the last successful Reload (0 =
+	// never). It is atomic so stats never waits on a reload in flight.
+	lastReload atomic.Int64
 }
 
 // New assembles the /v1 surface for the given capabilities.
@@ -333,8 +332,24 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// stats assembles the operator statistics: the base derived from the
-// configured sources, run through the binary's augment hook if set.
+// Reload runs Options.Reload, one call at a time, and on success
+// records the time /v1/admin/stats reports as last_reload. A failed
+// reload leaves last_reload as it was.
+func (s *Server) Reload() error {
+	if s.opts.Reload == nil {
+		return errNoReload
+	}
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	if err := s.opts.Reload(); err != nil {
+		return err
+	}
+	s.lastReload.Store(time.Now().UnixNano())
+	return nil
+}
+
+// stats assembles the operator statistics from the serving engine, the
+// semantic store, the request counters and the last reload.
 func (s *Server) stats() Stats {
 	var st Stats
 	st.Queries = s.queries.Load()
@@ -347,24 +362,12 @@ func (s *Server) stats() Stats {
 		if cs, ok := e.CacheStats(); ok {
 			st.Cache = &CacheStats{Stats: cs, HitRatio: cs.HitRatio()}
 		}
-		if total, hosts, ok := e.FetchStats(); ok {
-			fs := &FetchStats{Stats: total}
-			for host, hs := range hosts {
-				if hs.Breaker != "closed" {
-					if fs.OpenBreakers == nil {
-						fs.OpenBreakers = make(map[string]string)
-					}
-					fs.OpenBreakers[host] = hs.Breaker
-				}
-			}
-			st.Fetch = fs
-		}
 	}
 	if s.opts.Semantics != nil {
 		st.Tables = len(s.opts.Semantics.Tables)
 	}
-	if s.opts.Stats != nil {
-		st = s.opts.Stats(st)
+	if ns := s.lastReload.Load(); ns != 0 {
+		st.LastReload = time.Unix(0, ns).UTC().Format(time.RFC3339Nano)
 	}
 	return st
 }
@@ -384,12 +387,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if !httpx.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	if s.opts.Reload == nil {
-		httpx.WriteError(w, http.StatusServiceUnavailable, httpx.CodeUnavailable,
-			"reload unavailable: this process is not serving from a reloadable snapshot")
+	switch err := s.Reload(); {
+	case errors.Is(err, errNoReload):
+		httpx.WriteError(w, http.StatusServiceUnavailable, httpx.CodeUnavailable, err.Error())
 		return
-	}
-	if err := s.opts.Reload(); err != nil {
+	case err != nil:
 		// A failed reload keeps the current engine serving; report the
 		// failure without killing the process.
 		httpx.WriteError(w, http.StatusInternalServerError, httpx.CodeInternal, err.Error())

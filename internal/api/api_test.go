@@ -8,8 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"deepweb/internal/engine"
 	"deepweb/internal/index"
@@ -21,7 +25,7 @@ import (
 // The /v1 surface is a contract: every endpoint's exact JSON shape is
 // pinned as a golden file under testdata/ (regenerate with
 // `go test ./internal/api -update` after an intentional change).
-// Volatile fields (took_ms) are zeroed before comparison.
+// Volatile fields (took_ms, last_reload) are zeroed before comparison.
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
@@ -83,7 +87,7 @@ func testServer(t *testing.T, opts Options) *Server {
 }
 
 // normalize re-encodes a JSON body deterministically, zeroing the
-// volatile took_ms field.
+// volatile took_ms and last_reload fields.
 func normalize(t *testing.T, body []byte) string {
 	t.Helper()
 	var v any
@@ -93,6 +97,9 @@ func normalize(t *testing.T, body []byte) string {
 	if m, ok := v.(map[string]any); ok {
 		if _, ok := m["took_ms"]; ok {
 			m["took_ms"] = 0
+		}
+		if _, ok := m["last_reload"]; ok {
+			m["last_reload"] = ""
 		}
 	}
 	out, err := json.MarshalIndent(v, "", "  ")
@@ -132,21 +139,13 @@ func do(s *Server, method, target string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// Every /v1 endpoint, success and failure, against its golden.
+// Every /v1 endpoint, success and failure, against its golden. The
+// cases run in order, so stats counts the search cases before it and
+// reports the reload before it.
 func TestV1ContractGoldens(t *testing.T) {
 	reloaded := false
 	s := testServer(t, Options{
 		Reload: func() error { reloaded = true; return nil },
-		Stats: func(Stats) Stats {
-			return Stats{
-				Docs:           4,
-				Deleted:        1,
-				TombstoneRatio: 0.2,
-				Generation:     3203334458,
-				LastReload:     "2026-07-27T00:00:00Z",
-				Tables:         1,
-			}
-		},
 	})
 	cases := []struct {
 		name   string
@@ -178,10 +177,10 @@ func TestV1ContractGoldens(t *testing.T) {
 		{"values", "GET", "/v1/semantics/values?attr=city&k=5", 200},
 		{"properties", "GET", "/v1/semantics/properties?entity=seattle&k=5", 200},
 		{"tables", "GET", "/v1/semantics/tables?q=population&k=5", 200},
-		{"stats", "GET", "/v1/admin/stats", 200},
-		{"stats_method", "POST", "/v1/admin/stats", 405},
 		{"reload", "POST", "/v1/admin/reload", 200},
 		{"reload_method", "GET", "/v1/admin/reload", 405},
+		{"stats", "GET", "/v1/admin/stats", 200},
+		{"stats_method", "POST", "/v1/admin/stats", 405},
 		{"healthz", "GET", "/healthz", 200},
 		{"not_found", "GET", "/v1/nosuch", 404},
 	}
@@ -202,18 +201,21 @@ func TestV1ContractGoldens(t *testing.T) {
 	}
 }
 
-// Responses that depend on index contents carry the generation header.
+// Responses that depend on index contents carry the serving engine's
+// generation header. Saving gives the engine a non-zero generation.
 func TestGenerationHeader(t *testing.T) {
-	s := testServer(t, Options{Stats: func(Stats) Stats { return Stats{Generation: 42} }})
+	e := testEngine()
+	if err := e.Save(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if e.Generation == 0 {
+		t.Fatal("Save left generation 0")
+	}
+	want := strconv.FormatUint(uint64(e.Generation), 10)
+	s := testServer(t, Options{Engine: func() *engine.Engine { return e }})
 	for _, target := range []string{"/v1/search?q=ford", "/v1/admin/stats", "/healthz"} {
-		rec := do(s, "GET", target)
-		if got := rec.Header().Get("X-Generation"); target == "/v1/search?q=ford" {
-			// Search reports the engine's generation (0: built live).
-			if got != "0" {
-				t.Errorf("%s: X-Generation %q, want 0", target, got)
-			}
-		} else if got != "42" {
-			t.Errorf("%s: X-Generation %q, want 42", target, got)
+		if got := do(s, "GET", target).Header().Get("X-Generation"); got != want {
+			t.Errorf("%s: X-Generation %q, want %s", target, got, want)
 		}
 	}
 }
@@ -229,8 +231,21 @@ func TestHEADAdmittedOnGETEndpoints(t *testing.T) {
 	}
 }
 
+// lastReload returns /v1/admin/stats's last_reload and whether the key
+// is present at all.
+func lastReload(t *testing.T, s *Server) (string, bool) {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(do(s, "GET", "/v1/admin/stats").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := m["last_reload"].(string)
+	return v, ok
+}
+
 // A process without a snapshot cannot reload; one whose reload fails
-// reports it without dying.
+// reports it without dying. last_reload appears with the first
+// successful reload, and a failed one leaves it as it was.
 func TestReloadUnavailableAndFailing(t *testing.T) {
 	s := testServer(t, Options{})
 	rec := do(s, "POST", "/v1/admin/reload")
@@ -238,10 +253,55 @@ func TestReloadUnavailableAndFailing(t *testing.T) {
 		t.Errorf("nil reload: status %d body %s", rec.Code, rec.Body.String())
 	}
 
-	s = testServer(t, Options{Reload: func() error { return errors.New("segment checksum mismatch") }})
+	var fail error
+	s = testServer(t, Options{Reload: func() error { return fail }})
+	if v, ok := lastReload(t, s); ok {
+		t.Errorf("last_reload %q before any reload", v)
+	}
+	if rec := do(s, "POST", "/v1/admin/reload"); rec.Code != 200 {
+		t.Fatalf("reload: status %d body %s", rec.Code, rec.Body.String())
+	}
+	first, _ := lastReload(t, s)
+	if _, err := time.Parse(time.RFC3339, first); err != nil {
+		t.Errorf("last_reload after a reload: %v", err)
+	}
+
+	fail = errors.New("segment checksum mismatch")
 	rec = do(s, "POST", "/v1/admin/reload")
 	if rec.Code != 500 || !strings.Contains(rec.Body.String(), "segment checksum mismatch") {
 		t.Errorf("failing reload: status %d body %s", rec.Code, rec.Body.String())
+	}
+	if v, _ := lastReload(t, s); v != first {
+		t.Errorf("failed reload moved last_reload from %q to %q", first, v)
+	}
+}
+
+// Reloads run one at a time: concurrent POSTs never overlap inside
+// Options.Reload, so two loads never hold memory at once and the last
+// one to start is the last one to publish.
+func TestReloadsAreSerialized(t *testing.T) {
+	var running, most atomic.Int32
+	s := testServer(t, Options{Reload: func() error {
+		n := running.Add(1)
+		defer running.Add(-1)
+		for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+		}
+		time.Sleep(10 * time.Millisecond) // a load in progress
+		return nil
+	}})
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rec := do(s, "POST", "/v1/admin/reload"); rec.Code != 200 {
+				t.Errorf("reload: status %d body %s", rec.Code, rec.Body.String())
+			}
+		}()
+	}
+	wg.Wait()
+	if got := most.Load(); got != 1 {
+		t.Errorf("%d reloads ran at once, want 1", got)
 	}
 }
 
@@ -262,7 +322,7 @@ func TestSearchDisabledWithoutEngine(t *testing.T) {
 	}
 }
 
-// Derived stats (no Stats override) reflect the engine and store.
+// Stats reflect the engine and store.
 func TestDerivedStats(t *testing.T) {
 	e := testEngine()
 	e.Index.Delete(3)
@@ -277,14 +337,6 @@ func TestDerivedStats(t *testing.T) {
 	}
 	if st.Docs != 3 || st.Deleted != 1 || st.TombstoneRatio != 0.25 || st.Tables != 1 {
 		t.Errorf("derived stats = %+v", st)
-	}
-	// An engine with a fetch stack serves the fetch block (all-zero
-	// counters here: nothing has been fetched, no breaker is open).
-	if st.Fetch == nil {
-		t.Fatal("stats omit the fetch block for an engine with a fetch stack")
-	}
-	if st.Fetch.Attempts != 0 || len(st.Fetch.OpenBreakers) != 0 {
-		t.Errorf("idle fetch block = %+v", st.Fetch)
 	}
 }
 

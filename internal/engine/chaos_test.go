@@ -112,9 +112,8 @@ func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
 				}
 			}
 		}
-		total, _, ok := e.FetchStats()
-		if !ok || total.Retries == 0 {
-			t.Fatalf("shards=%d: fetch stack reports no retries under chaos (ok=%v, %+v)", shards, ok, total)
+		if total := e.rt.Stats(); total.Retries == 0 {
+			t.Fatalf("shards=%d: fetch stack reports no retries under chaos (%+v)", shards, total)
 		}
 
 		// Self-healing: each Refresh re-drives the signature-less sites;

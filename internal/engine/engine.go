@@ -154,16 +154,6 @@ func (e *Engine) newFetcher(rt http.RoundTripper) *webx.Fetcher {
 	return f
 }
 
-// FetchStats reports the resilient fetch stack's cumulative counters
-// and per-host breaker states; ok is false for a snapshot-only engine
-// that has no fetch stack (Load without a web).
-func (e *Engine) FetchStats() (total resilient.Stats, hosts map[string]resilient.HostStats, ok bool) {
-	if e.rt == nil {
-		return resilient.Stats{}, nil, false
-	}
-	return e.rt.Stats(), e.rt.AllHostStats(), true
-}
-
 // Build generates a world from the config and wraps it.
 func Build(cfg webgen.WorldConfig) (*Engine, error) {
 	web, err := webgen.BuildWorld(cfg)

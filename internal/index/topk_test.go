@@ -3,7 +3,6 @@ package index
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/url"
 	"reflect"
 	"strings"
@@ -24,69 +23,6 @@ func topkCorpus(t testing.TB, shards int) *Index {
 		})
 	}
 	return ix
-}
-
-// TopK with zero options is the plain search: whatever k bounds the
-// selection heap, the page is the k-prefix of the exhaustive ranking,
-// bit for bit, with the hit total riding along.
-func TestTopKZeroOptionsIsSearch(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		ix := topkCorpus(t, shards)
-		for _, q := range []string{"ford focus", "seattle", "nosuchterm", ""} {
-			full, wantTotal, err := ix.TopK(context.Background(), q, 1000, 0, nil)
-			if err != nil || wantTotal != len(full) {
-				t.Fatalf("shards=%d TopK(%q,1000): %d hits, total %d, err %v", shards, q, len(full), wantTotal, err)
-			}
-			for _, k := range []int{1, 5, 100} {
-				want := full[:min(k, len(full))]
-				got, total, err := ix.TopK(context.Background(), q, k, 0, nil)
-				if err != nil {
-					t.Fatalf("shards=%d TopK(%q,%d): %v", shards, q, k, err)
-				}
-				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Fatalf("shards=%d TopK(%q,%d) is not the prefix of the full ranking", shards, q, k)
-				}
-				for i := range got {
-					if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-						t.Fatalf("shards=%d score bits differ at rank %d", shards, i)
-					}
-				}
-				if total != wantTotal || (q == "ford focus" && total == 0) {
-					t.Fatalf("shards=%d TopK(%q,%d): total %d, want %d (nonzero for a matching query)", shards, q, k, total, wantTotal)
-				}
-			}
-		}
-	}
-}
-
-// Pages must tile: TopK(q, k, offset) is Search(q, offset+k)[offset:],
-// and total is page-independent.
-func TestTopKPagination(t *testing.T) {
-	ix := topkCorpus(t, 4)
-	q := "ford focus seattle"
-	full := search(ix, q, 1000)
-	wantTotal := len(full)
-	for _, k := range []int{1, 7, 25} {
-		var paged []Result
-		for offset := 0; offset < wantTotal+k; offset += k {
-			page, total, err := ix.TopK(context.Background(), q, k, offset, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if total != wantTotal {
-				t.Fatalf("k=%d offset=%d: total %d, want %d", k, offset, total, wantTotal)
-			}
-			paged = append(paged, page...)
-		}
-		if !reflect.DeepEqual(paged, full) {
-			t.Fatalf("k=%d: concatenated pages differ from the full ranking", k)
-		}
-	}
-	// Past-the-end page: empty, same total.
-	page, total, err := ix.TopK(context.Background(), q, 10, wantTotal+5, nil)
-	if err != nil || page != nil || total != wantTotal {
-		t.Fatalf("past-the-end page = %v total=%d err=%v", page, total, err)
-	}
 }
 
 // The admission filter restricts both the page and the total.

@@ -270,21 +270,6 @@ func (t *Transport) HostStats(host string) HostStats {
 	}
 }
 
-// AllHostStats snapshots every host the transport has seen.
-func (t *Transport) AllHostStats() map[string]HostStats {
-	t.mu.Lock()
-	names := make([]string, 0, len(t.hosts))
-	for name := range t.hosts {
-		names = append(names, name)
-	}
-	t.mu.Unlock()
-	out := make(map[string]HostStats, len(names))
-	for _, name := range names {
-		out[name] = t.HostStats(name)
-	}
-	return out
-}
-
 // markTimeout bumps the timeout counters when an attempt died on a
 // deadline.
 func (t *Transport) markTimeout(h *hostState, err error) {

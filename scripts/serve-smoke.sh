@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# serve-smoke boots the real deepsearch binary twice and checks the
-# status of a few /v1 requests against each boot:
+# serve-smoke checks that deepsearch refuses to start without a
+# snapshot, then boots the real binary twice and checks the status of a
+# few requests against each boot:
 #
-#   1. a built world (-sites 1 -rows 120): /healthz comes up, then
-#      /v1/search and /v1/semantics/synonyms answer 200;
+#   0. deepsearch with no -snapshot exits 2;
+#   1. -snapshot of a `deepcrawl -sites 1 -rows 120 -out` directory,
+#      which has a tables segment: /healthz comes up, /v1/search,
+#      /v1/semantics/synonyms, POST /v1/admin/reload and the HTML page
+#      (annotated) answer 200;
 #   2. -snapshot of a `deepcrawl -bulk 2000 -out` directory, which has
 #      no tables segment: /v1/search answers 200 and
 #      /v1/semantics/values answers the 404 JSON envelope.
@@ -53,28 +57,41 @@ stop() {
 	server=""
 }
 
-# expect checks that GET path answers status; a 404 must also carry
-# the shared JSON error envelope.
+# expect checks that METHOD (default GET) path answers status; a 404
+# must also carry the shared JSON error envelope.
 expect() {
-	local status="$1" path="$2" got
-	got="$(curl -sS -o "$work/body" -w '%{http_code}' "http://$addr$path")"
+	local status="$1" path="$2" method="${3:-GET}" got
+	got="$(curl -sS -X "$method" -o "$work/body" -w '%{http_code}' "http://$addr$path")"
 	if [ "$got" != "$status" ]; then
-		echo "serve-smoke: GET $path = $got, want $status" >&2
+		echo "serve-smoke: $method $path = $got, want $status" >&2
 		cat "$work/body" >&2
 		exit 1
 	fi
 	if [ "$status" = 404 ] && ! grep -q '"code":"not_found"' "$work/body"; then
-		echo "serve-smoke: GET $path = 404 without the error envelope" >&2
+		echo "serve-smoke: $method $path = 404 without the error envelope" >&2
 		cat "$work/body" >&2
 		exit 1
 	fi
-	echo "ok  GET $path → $got"
+	echo "ok  $method $path → $got"
 }
 
-echo "== built world"
-boot -sites 1 -rows 120
+echo "== no -snapshot"
+code=0
+timeout 10 "$work/deepsearch" -addr "$addr" >"$work/server.log" 2>&1 || code=$?
+if [ "$code" != 2 ]; then
+	echo "serve-smoke: deepsearch without -snapshot exited $code, want 2" >&2
+	cat "$work/server.log" >&2
+	exit 1
+fi
+echo "ok  deepsearch without -snapshot → exit 2"
+
+echo "== -snapshot of a surfaced world"
+"$work/deepcrawl" -sites 1 -rows 120 -out "$work/world" >/dev/null
+boot -snapshot "$work/world"
 expect 200 '/v1/search?q=used+ford'
 expect 200 '/v1/semantics/synonyms?attr=make'
+expect 200 '/v1/admin/reload' POST
+expect 200 '/?q=used+ford&annotated=true'
 stop
 
 echo "== -snapshot of a bulk build"
