@@ -81,8 +81,9 @@ chaos:
 # fuzz = the CI fuzz-smoke job: differential tokenizer fuzzing,
 # arbitrary bodies through every snapshot segment decoder, arbitrary
 # strings through the filter DSL (Parse/String round trip, Extract,
-# Key), arbitrary pages through the HTML parser and extractors, then
-# the /v1/search append encoder against encoding/json.
+# Key), arbitrary pages through the HTML parser and extractors, the
+# /v1/search append encoder against encoding/json, then the index's
+# host-column extractor against url.Parse.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textutil
@@ -90,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzHTMLParse$$' -fuzztime $(FUZZTIME) ./internal/htmlx
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime $(FUZZTIME) ./internal/api
+	$(GO) test -run '^$$' -fuzz '^FuzzHostOf$$' -fuzztime $(FUZZTIME) ./internal/index
 
 # lint = the CI lint job: the project's own analyzers first (no
 # install, works offline), then the pinned external tools (network

@@ -15,30 +15,36 @@ import (
 	"deepweb/internal/query"
 )
 
-// The filter reads each candidate's annotation row in place, under the
-// scan's lock: a filtered, host-restricted Search allocates per query,
-// never per candidate, so four times the matching documents cost the
-// same number of allocations.
+// The filter reads each candidate's host id and annotation row in
+// place, under the scan's lock: a filtered or host-restricted Search
+// allocates per query, never per candidate, so four times the matching
+// documents cost the same number of allocations.
 func TestFilteredSearchAllocatesNothingPerCandidate(t *testing.T) {
 	preds := []query.Predicate{query.Eq("make", "ford"), mustPred(t, "price<20000")}
-	allocs := func(n int) float64 {
-		e := newEngine()
-		for i := 0; i < n; i++ {
-			id, _ := e.Index.Add(index.Doc{
-				URL:   fmt.Sprintf("http://cars.example/%d", i),
-				Title: "used ford focus",
-				Text:  fmt.Sprintf("listing %d", i),
-			})
-			e.Index.Annotate(id, map[string]string{"make": "ford", "price": fmt.Sprint(5000 + i%9*1000)})
-		}
-		req := SearchRequest{Query: "ford focus", K: 10, Host: "cars.example", Filters: preds}
-		return testing.AllocsPerRun(50, func() {
-			if resp, err := e.Search(context.Background(), req); err != nil || resp.Total != n {
-				t.Fatalf("n=%d: Search total %d, err %v", n, resp.Total, err)
+	for _, req := range []SearchRequest{
+		{Query: "ford focus", K: 10, Host: "cars.example", Filters: preds},
+		{Query: "ford focus", K: 10, Host: "cars.example"},
+		{Query: "ford focus", K: 10, Filters: preds},
+	} {
+		allocs := func(n int) float64 {
+			e := newEngine()
+			for i := 0; i < n; i++ {
+				id, _ := e.Index.Add(index.Doc{
+					URL:   fmt.Sprintf("http://cars.example/%d", i),
+					Title: "used ford focus",
+					Text:  fmt.Sprintf("listing %d", i),
+				})
+				e.Index.Annotate(id, map[string]string{"make": "ford", "price": fmt.Sprint(5000 + i%9*1000)})
 			}
-		})
-	}
-	if small, large := allocs(1000), allocs(4000); small != large {
-		t.Fatalf("filtered Search allocates %v times over 1000 matches, %v over 4000: the filter allocates per candidate", small, large)
+			return testing.AllocsPerRun(50, func() {
+				if resp, err := e.Search(context.Background(), req); err != nil || resp.Total != n {
+					t.Fatalf("host %q, %d filters, n=%d: Search total %d, err %v", req.Host, len(req.Filters), n, resp.Total, err)
+				}
+			})
+		}
+		if small, large := allocs(1000), allocs(4000); small != large {
+			t.Fatalf("host %q, %d filters: Search allocates %v times over 1000 matches, %v over 4000: the filter allocates per candidate",
+				req.Host, len(req.Filters), small, large)
+		}
 	}
 }

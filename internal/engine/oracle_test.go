@@ -216,6 +216,11 @@ var (
 	oracleProse  = []string{"n/a", "nan", "inf", "clean title", "call"}
 	oracleWords  = []string{"used", "cars", "wagon", "cheap", "clean", "title", "homes", "home", "focus", "civic", "the", "of", "and"}
 	oracleAttrs  = []string{"make", "city", "price", "minprice", "maxprice", "year", "modelyear", "notes"}
+	// oracleURLs are the URL shapes beside the plain one whose host a
+	// prefix match on the authority gets wrong: userinfo, a port, an
+	// upper-case host, an escape url.Parse rejects (no host at all).
+	oracleURLs = []string{"http://u@h%d.example/doc/%04d", "http://h%d.example:8080/doc/%04d",
+		"http://H%d.EXAMPLE/doc/%04d", "http://h%d.example/doc/%%zz%04d"}
 )
 
 // oracleQueries are probed plain and annotated: head and tail terms,
@@ -245,6 +250,9 @@ func (o *oracle) probeSet() []SearchRequest {
 		SearchRequest{Query: "listing", K: 1000, Host: "h1.example"},
 		SearchRequest{Query: "ford seattle", K: 10, Annotated: true, Host: "h2.example"},
 		SearchRequest{Query: "listing", K: 10, Host: "nosuch.example"},
+		SearchRequest{Query: "listing", K: 1000, Host: "h1.example:8080"},
+		SearchRequest{Query: "listing", K: 1000, Host: "h1.example/doc"},
+		SearchRequest{Query: "listing", K: 1000, Host: "u@h1.example"},
 		SearchRequest{Query: "ford seattle", K: 5, Offset: 3, Annotated: true, Host: "h0.example",
 			Filters: []query.Predicate{mustPred(o.t, "price<40000")}},
 	)
@@ -377,7 +385,11 @@ func (o *oracle) draw(kinds ...string) *oracleOp {
 // drawDoc draws a document for an ingest whose batch so far is batch.
 func (o *oracle) drawDoc(batch []index.Doc) (index.Doc, map[string]string) {
 	r := o.r
-	u := fmt.Sprintf("http://h%d.example/doc/%04d", r.Intn(3), r.Intn(10000))
+	h, n := r.Intn(3), r.Intn(10000)
+	u := fmt.Sprintf("http://h%d.example/doc/%04d", h, n)
+	if r.Intn(8) == 0 {
+		u = fmt.Sprintf(pick(r, oracleURLs), h, n)
+	}
 	switch n := r.Intn(10); {
 	case n == 0 && len(o.m.docs) > 0:
 		u = o.m.docs[r.Intn(len(o.m.docs))].URL // live or deleted

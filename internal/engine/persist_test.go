@@ -46,7 +46,7 @@ var persistQueries = []string{
 // sourceCounts counts the live documents of each non-empty Source.
 func sourceCounts(ix *index.Index) map[string]int {
 	counts := map[string]int{}
-	ix.ForEachLive(func(_ int, d index.Doc) {
+	ix.ForEachLive(func(_ int, d index.Doc, _ string) {
 		if d.Source != "" {
 			counts[d.Source]++
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 
@@ -158,7 +157,7 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 	st.SitesChanged = len(changed)
 
 	// One pass over the live corpus finds the changed sites' documents,
-	// by URL host. Their *surfaced* documents are retired before any
+	// by the index's host column. Their *surfaced* documents are retired before any
 	// worker fetches: the sinks' dedup consults the shared index, and a
 	// stale entry would make re-ingestion skip the very pages being
 	// refreshed. Crawled surface-web pages (Source == "") are NOT
@@ -174,16 +173,12 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 		surfaceIDs[site.Spec.Host] = nil
 	}
 	var retire []int
-	e.Index.ForEachLive(func(id int, d index.Doc) {
-		u, err := url.Parse(d.URL)
-		if err != nil {
-			return
-		}
-		if _, ok := surfaceIDs[u.Host]; !ok {
+	e.Index.ForEachLive(func(id int, d index.Doc, host string) {
+		if _, ok := surfaceIDs[host]; !ok {
 			return
 		}
 		if d.Source == "" {
-			surfaceIDs[u.Host] = append(surfaceIDs[u.Host], id)
+			surfaceIDs[host] = append(surfaceIDs[host], id)
 		} else {
 			retire = append(retire, id)
 		}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"deepweb/internal/index"
@@ -30,8 +29,9 @@ type SearchRequest struct {
 	// Annotated ranks with the §5.1 surfacing-time annotations
 	// (index.AnnotatedTopK semantics) instead of plain BM25.
 	Annotated bool
-	// Host restricts hits to documents on one host ("" = all). The
-	// total reflects the restriction.
+	// Host restricts hits to documents on one host ("" = all): those
+	// whose url.Parse(URL).Host equals it exactly, port included,
+	// userinfo not. The total reflects the restriction.
 	Host string
 	// Filters are structured predicates (internal/query) every hit
 	// must satisfy: admission runs after BM25 scoring and before
@@ -97,19 +97,17 @@ func (e *Engine) Search(ctx context.Context, req SearchRequest) (SearchResponse,
 // searchUncached is the always-scan path behind Search.
 func (e *Engine) searchUncached(ctx context.Context, req SearchRequest) (SearchResponse, error) {
 	start := time.Now()
-	// The predicate-free, host-free path keeps keep == nil: topK's
+	// The predicate-free, host-free path passes no filter: topK's
 	// branch-free selection loop is the benchmarked hot path and must
-	// not grow a closure call per hit. A host restriction alone reads
-	// nothing but the URL; only predicates bind to the annotation store.
-	var keep func(id int, d *index.Doc, row []index.AnnPair) bool
-	host := req.Host
+	// not grow a check per hit. A host restriction alone reads only the
+	// index's host column; only predicates bind to the annotation store
+	// (and Match is set only then: a nil *Bound's method value is not a
+	// nil func).
+	var f *index.Filter
 	if m := query.NewMatcher(req.Filters); m != nil {
-		bound := m.Bind(e.Index)
-		keep = func(_ int, d *index.Doc, row []index.AnnPair) bool {
-			return (host == "" || urlOnHost(d.URL, host)) && bound.Match(row, d)
-		}
-	} else if host != "" {
-		keep = func(_ int, d *index.Doc, _ []index.AnnPair) bool { return urlOnHost(d.URL, host) }
+		f = &index.Filter{Host: req.Host, Match: m.Bind(e.Index).Match}
+	} else if req.Host != "" {
+		f = &index.Filter{Host: req.Host}
 	}
 	var (
 		hits  []index.Result
@@ -117,9 +115,9 @@ func (e *Engine) searchUncached(ctx context.Context, req SearchRequest) (SearchR
 		err   error
 	)
 	if req.Annotated {
-		hits, total, err = e.Index.AnnotatedTopK(ctx, req.Query, req.K, req.Offset, keep)
+		hits, total, err = e.Index.AnnotatedTopK(ctx, req.Query, req.K, req.Offset, f)
 	} else {
-		hits, total, err = e.Index.TopK(ctx, req.Query, req.K, req.Offset, keep)
+		hits, total, err = e.Index.TopK(ctx, req.Query, req.K, req.Offset, f)
 	}
 	if err != nil {
 		return SearchResponse{}, fmt.Errorf("engine: search: %w", err)
@@ -130,27 +128,4 @@ func (e *Engine) searchUncached(ctx context.Context, req SearchRequest) (SearchR
 		Elapsed:    time.Since(start),
 		Generation: e.Generation,
 	}, nil
-}
-
-// urlOnHost reports whether rawURL's authority equals host, without
-// allocating: the filter runs once per matched document per query,
-// inside TopK's scan under the index's table read lock, so url.Parse is
-// off the table.
-func urlOnHost(rawURL, host string) bool {
-	i := strings.Index(rawURL, "://")
-	if i < 0 {
-		return false
-	}
-	rest := rawURL[i+3:]
-	if !strings.HasPrefix(rest, host) {
-		return false
-	}
-	if len(rest) == len(host) {
-		return true
-	}
-	switch rest[len(host)] {
-	case '/', '?', '#':
-		return true
-	}
-	return false
 }

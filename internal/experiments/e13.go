@@ -83,7 +83,7 @@ func E13LostSemantics(ctx context.Context, seed int64, rows int) (E13Report, err
 	}
 	rep.Queries = len(queries)
 
-	score := func(search func(context.Context, string, int, int, func(int, *index.Doc, []index.AnnPair) bool) ([]index.Result, int, error)) (decoyTop3 int, precision float64) {
+	score := func(search func(context.Context, string, int, int, *index.Filter) ([]index.Result, int, error)) (decoyTop3 int, precision float64) {
 		annotated, matching := 0, 0
 		for _, query := range queries {
 			sawDecoy := false

@@ -284,7 +284,8 @@ func (st *annStore) asMap(row []AnnPair) map[string]string {
 
 // AnnotationsOf returns a document's annotations as a fresh map (nil
 // if none). It is the slow, convenient view — experiments, the
-// reference filter; serving reads rows in place through TopK's keep.
+// reference filter; serving reads rows in place through a Filter's
+// Match.
 func (ix *Index) AnnotationsOf(docID int) map[string]string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -297,8 +298,9 @@ func (ix *Index) AnnotationsOf(docID int) map[string]string {
 
 // AnnotationColumns returns a view of every attribute's dictionary,
 // indexed by attribute id; never nil. It takes no lock: call it only
-// from inside a TopK or AnnotatedTopK keep, under the read lock the scan
-// holds throughout, so the views cover every row that scan hands over.
+// from inside the Match of a Filter handed to TopK or AnnotatedTopK,
+// under the read lock the scan holds throughout, so the views cover
+// every row that scan hands over.
 func (ix *Index) AnnotationColumns() []AnnColumn {
 	out := make([]AnnColumn, len(ix.ann.cols))
 	for a, col := range ix.ann.cols {
@@ -335,7 +337,7 @@ const rerankDepth = 200
 // re-ranked prefix. The vocabulary probe, the base ranking and the
 // adjustment run in one read-locked section, so a concurrent Compact
 // cannot renumber rows between the ranking and the factors read for it.
-func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int, keep func(id int, d *Doc, row []AnnPair) bool) ([]Result, int, error) {
+func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()
 	}
@@ -348,7 +350,7 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 	if len(mentioned) == 0 {
 		// No annotation vocabulary intersects the query: degrade to the
 		// plain BM25 page, with no over-fetch at all.
-		return ix.topKLocked(ctx, query, k, offset, keep)
+		return ix.topKLocked(ctx, query, k, offset, f)
 	}
 
 	// Re-ranking must page against one canonical adjusted ordering — a
@@ -370,7 +372,7 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 	if fetch < rerankDepth {
 		fetch = rerankDepth
 	}
-	base, total, err := ix.topKLocked(ctx, query, fetch, 0, keep)
+	base, total, err := ix.topKLocked(ctx, query, fetch, 0, f)
 	if err != nil || len(base) == 0 {
 		return base, total, err
 	}

@@ -116,7 +116,7 @@ func TestAnnotationRowsSurviveChurn(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		seen := 0
-		ix.ForEachLive(func(id int, d Doc) { seen++ })
+		ix.ForEachLive(func(int, Doc, string) { seen++ })
 		if seen != len(want) {
 			t.Fatalf("%s: %d live docs, want %d", when, seen, len(want))
 		}
@@ -203,12 +203,12 @@ func TestTopKFilteredScanIsCancelable(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	hits, total, err := ix.TopK(ctx, q, 10, 0, func(int, *Doc, []AnnPair) bool {
+	hits, total, err := ix.TopK(ctx, q, 10, 0, &Filter{Match: func([]AnnPair, *Doc) bool {
 		if calls++; calls == 100 {
 			cancel()
 		}
 		return true
-	})
+	}})
 	if !errors.Is(err, context.Canceled) || hits != nil || total != 0 {
 		t.Fatalf("canceled filtered TopK = (%d hits, total %d, %v), want (nil, 0, context.Canceled)", len(hits), total, err)
 	}

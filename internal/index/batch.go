@@ -3,7 +3,7 @@ package index
 // Batch commit: the one path by which documents enter the index
 // (AddPrepared is a batch of one). One write-locked section assigns
 // every id (the ordered commit point, amortized over the batch),
-// appends the postings and sets the annotations, so a query sees the
+// appends the postings, the host column and the annotations, so a query sees the
 // whole batch or none of it. The final index state is identical to
 // committing the same prepared documents one by one, in order —
 // including duplicate-URL handling, posting order within a term, and
@@ -34,6 +34,7 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 		ix.byURL[p.doc.URL] = id
 		ix.lens = append(ix.lens, p.dl)
 		ix.dead = append(ix.dead, false)
+		ix.hosts = append(ix.hosts, ix.hostIDLocked(p.doc.URL))
 		ix.totalLen += p.dl
 		for j, t := range p.terms {
 			ix.postings[t] = append(ix.postings[t], posting{doc: int32(id), tf: p.tfs[j]})

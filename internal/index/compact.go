@@ -51,15 +51,17 @@ func (ix *Index) Compact() int {
 	// Rebuild the document table in the new order.
 	docs := make([]Doc, len(order))
 	lens := make([]int, len(order))
+	hosts := make([]uint32, len(order))
 	byURL := make(map[string]int, len(order))
 	totalLen := 0
 	for to, from := range order {
 		docs[to] = ix.docs[from]
 		lens[to] = ix.lens[from]
+		hosts[to] = ix.hosts[from]
 		byURL[docs[to].URL] = to
 		totalLen += lens[to]
 	}
-	ix.docs, ix.lens, ix.byURL, ix.totalLen = docs, lens, byURL, totalLen
+	ix.docs, ix.lens, ix.hosts, ix.byURL, ix.totalLen = docs, lens, hosts, byURL, totalLen
 	ix.dead = make([]bool, len(docs))
 	ix.numDead, ix.deadLen = 0, 0
 

@@ -41,7 +41,7 @@ var deleteQueries = []string{"ford focus", "seattle price", "used car 7", "numbe
 // liveSources counts the live documents of each non-empty Source.
 func liveSources(ix *Index) map[string]int {
 	counts := map[string]int{}
-	ix.ForEachLive(func(_ int, d Doc) {
+	ix.ForEachLive(func(_ int, d Doc, _ string) {
 		if d.Source != "" {
 			counts[d.Source]++
 		}

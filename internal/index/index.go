@@ -6,11 +6,12 @@
 // document) is carried as opaque metadata so experiments can credit
 // impact back to forms (E1).
 //
-// Layout: the document table (ids, lengths, URL dedup), the one term →
-// posting-list map and the annotations sit behind one lock, the table
-// lock. A commit writes a whole batch — rows, postings, annotations —
-// in one write-locked section, and a query reads under the read lock,
-// so readers see a batch entirely or not at all. Shards exist only on
+// Layout: the document table (ids, lengths, URL dedup, the host
+// column), the one term → posting-list map and the annotations sit
+// behind one lock, the table lock. A commit writes a whole batch —
+// rows, postings, annotations — in one write-locked section, and a
+// query reads under the read lock, so readers see a batch entirely or
+// not at all. Shards exist only on
 // disk: ShardOf splits the term space into the postings segments a
 // snapshot is written as. The expensive half of an insert —
 // tokenization and term counting — is exposed
@@ -86,6 +87,13 @@ type Index struct {
 
 	postings map[string][]posting // term -> postings in ascending doc id
 
+	// hosts is parallel to docs: each document's host (hostOf its URL)
+	// as an id in the host dictionary, 0 for no host. A host
+	// restriction compares ids, so the scan never reads a URL.
+	hosts     []uint32
+	hostIDs   map[string]uint32 // host -> id; "" is never interned
+	hostNames []string          // id -> host; hostNames[0] is ""
+
 	ann annStore
 }
 
@@ -107,10 +115,12 @@ func New() *Index { return NewSharded(DefaultShards) }
 // results do not depend on it.
 func NewSharded(n int) *Index {
 	return &Index{
-		segments: max(n, 1),
-		byURL:    map[string]int{},
-		postings: map[string][]posting{},
-		ann:      annStore{attrs: map[string]uint32{}},
+		segments:  max(n, 1),
+		byURL:     map[string]int{},
+		postings:  map[string][]posting{},
+		hostIDs:   map[string]uint32{},
+		hostNames: []string{""},
+		ann:       annStore{attrs: map[string]uint32{}},
 	}
 }
 
@@ -346,32 +356,60 @@ func abandonSearch(sc *searchScratch, scores []float64, touched []int32, from in
 // admits or rejects between looks at the context (a power of two).
 const keepPollEvery = 4096
 
+// Filter restricts a scan to the documents it admits. A nil *Filter,
+// or one with neither field set, admits every document.
+type Filter struct {
+	// Host admits only documents whose host — url.Parse(URL).Host, ""
+	// when the URL does not parse — equals it; "" admits every host.
+	// It is resolved once per scan to an id in the host column, so a
+	// candidate costs one integer compare and a host the index has
+	// never seen answers an empty page without scoring anything.
+	Host string
+	// Match, when set, admits the candidates it returns true for,
+	// handed each one's annotation row and document in place, under
+	// the scan's read lock, after the host check. Like ForEachLive's fn
+	// it must not call back into the index (bar AnnotationColumns,
+	// which takes no lock and relies on this one): a recursive read
+	// lock deadlocks once a writer is queued.
+	Match func(row []AnnPair, d *Doc) bool
+}
+
 // TopK returns one page of the BM25 ranking for a free-text query: the
 // k hits after skipping offset, plus the total live hit count. Ties break by ascending doc id so
 // results are deterministic. Tombstoned documents neither match nor
 // influence scoring: N, avgdl and df all describe the live corpus.
-// keep is an optional per-document admission filter, handed the
-// document and its annotation row in place under the scan's read lock;
-// like ForEachLive's fn it must not call back into the index (bar
-// AnnotationColumns, which takes no lock and relies on this one): a
-// recursive read lock deadlocks once a writer is queued. Hits it
-// rejects count toward neither the page nor the total. Cancellation is
-// cooperative, checked between query terms and, when keep is set, every
+// f is an optional admission filter; hits it rejects count toward
+// neither the page nor the total. Cancellation is cooperative, checked
+// between query terms and, when f sets either field, every
 // keepPollEvery candidates of the selection loop: a canceled context
 // returns ctx.Err() with no results.
-func (ix *Index) TopK(ctx context.Context, query string, k, offset int, keep func(id int, d *Doc, row []AnnPair) bool) ([]Result, int, error) {
+func (ix *Index) TopK(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.topKLocked(ctx, query, k, offset, keep)
+	return ix.topKLocked(ctx, query, k, offset, f)
 }
 
 // topKLocked is TopK for a caller holding the table read lock.
-func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, keep func(id int, d *Doc, row []AnnPair) bool) ([]Result, int, error) {
+func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
 	if offset < 0 {
 		offset = 0
+	}
+	var (
+		hid   uint32 // the host column's id for f.Host; 0 = any host
+		match func([]AnnPair, *Doc) bool
+	)
+	if f != nil {
+		if f.Host != "" {
+			id, ok := ix.hostIDs[f.Host]
+			if !ok {
+				return nil, 0, ctx.Err()
+			}
+			hid = id
+		}
+		match = f.Match
 	}
 	sc := searchPool.Get().(*searchScratch)
 	defer searchPool.Put(sc)
@@ -477,7 +515,7 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, ke
 	}
 	var total int
 	h := sc.heap[:0]
-	if keep == nil {
+	if hid == 0 && match == nil {
 		total = len(touched)
 		for _, d := range touched {
 			s := scores[d]
@@ -491,10 +529,11 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, ke
 			}
 		}
 	} else {
+		hosts := ix.hosts
 		for i, d := range touched {
-			// The filter is caller code of unknown cost per candidate:
-			// the one place a query can run long, so the one selection
-			// loop that polls for cancellation.
+			// Match is caller code of unknown cost per candidate: the
+			// one place a query can run long, so the one selection loop
+			// that polls for cancellation.
 			if i&(keepPollEvery-1) == keepPollEvery-1 {
 				if err := ctx.Err(); err != nil {
 					sc.heap = h[:0]
@@ -503,7 +542,12 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, ke
 			}
 			s := scores[d]
 			scores[d] = 0
-			if !keep(int(d), &ix.docs[d], ix.ann.row(int(d))) {
+			// The host check reads the column alone; the row and the
+			// document are touched only for a candidate on the host.
+			if hid != 0 && hosts[d] != hid {
+				continue
+			}
+			if match != nil && !match(ix.ann.row(int(d)), &ix.docs[d]) {
 				continue
 			}
 			total++

@@ -89,20 +89,22 @@ func (ix *Index) ExportAnnotations() []map[string]string {
 }
 
 // ForEachLive calls fn for every live document in ascending id order,
-// under the table read lock — the copy-free way to walk the corpus.
-// fn must not call back into the index.
-func (ix *Index) ForEachLive(fn func(id int, d Doc)) {
+// with the document's host from the host column (url.Parse's Host, ""
+// for none), under the table read lock — the copy-free way to walk the
+// corpus. fn must not call back into the index.
+func (ix *Index) ForEachLive(fn func(id int, d Doc, host string)) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	for id, d := range ix.docs {
 		if !ix.dead[id] {
-			fn(id, d)
+			fn(id, d, ix.hostNames[ix.hosts[id]])
 		}
 	}
 }
 
 // ImportDocs installs a decoded document table into an empty index,
-// rebuilding the URL lookup and the live-corpus counters BM25 reads.
+// rebuilding the URL lookup, the host column and the live-corpus
+// counters BM25 reads.
 // dead marks tombstoned rows (nil = none): they get no URL entry and
 // are subtracted from the live totals, exactly the state Delete leaves
 // behind. It refuses a non-empty index: snapshots restore whole worlds,
@@ -125,7 +127,9 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	ix.docs = docs
 	ix.lens = lens
 	ix.dead = dead
+	ix.hosts = make([]uint32, len(docs))
 	for id, d := range docs {
+		ix.hosts[id] = ix.hostIDLocked(d.URL)
 		ix.totalLen += lens[id]
 		if dead[id] {
 			ix.numDead++

@@ -25,61 +25,67 @@ func topkCorpus(t testing.TB, shards int) *Index {
 	return ix
 }
 
-// The admission filter restricts both the page and the total.
+// The host restriction limits both the page and the total, and keeps
+// the relative order of the full ranking.
 func TestTopKFilter(t *testing.T) {
 	ix := topkCorpus(t, 4)
 	q := "ford focus"
-	keep := func(_ int, d *Doc, _ []AnnPair) bool {
-		u, err := url.Parse(d.URL)
-		return err == nil && u.Host == "h1.example"
-	}
-	hits, total, err := ix.TopK(context.Background(), q, 1000, 0, keep)
+	hits, total, err := ix.TopK(context.Background(), q, 1000, 0, &Filter{Host: "h1.example"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total != 20 || len(hits) != 20 {
 		t.Fatalf("filtered total=%d hits=%d, want 20/20", total, len(hits))
 	}
-	for _, h := range hits {
-		if u, _ := url.Parse(h.URL); u.Host != "h1.example" {
-			t.Fatalf("filter leaked %s", h.URL)
-		}
-	}
-	// The filtered ranking preserves the relative order of the full one.
 	var fromFull []Result
 	for _, h := range search(ix, q, 1000) {
-		if keep(h.DocID, &Doc{URL: h.URL}, nil) {
+		if u, err := url.Parse(h.URL); err == nil && u.Host == "h1.example" {
 			fromFull = append(fromFull, h)
 		}
 	}
 	if !reflect.DeepEqual(hits, fromFull) {
 		t.Fatal("filtered ranking disagrees with post-filtered full ranking")
 	}
+	// A host the index has never seen matches nothing.
+	if hits, total, err := ix.TopK(context.Background(), q, 10, 0, &Filter{Host: "nosuch.example"}); err != nil || total != 0 || len(hits) != 0 {
+		t.Fatalf("unknown host: total=%d hits=%d err=%v, want an empty page", total, len(hits), err)
+	}
 }
 
-// The admission filter receives the document id (not just the row), so
-// id-keyed side stores like AnnotationsOf can drive admission.
-func TestTopKFilterSeesDocID(t *testing.T) {
+// Host and Match compose: the page and the total are the intersection,
+// and Match sees each candidate's own row and document.
+func TestTopKFilterHostAndMatch(t *testing.T) {
 	ix := topkCorpus(t, 4)
-	hits, total, err := ix.TopK(context.Background(), "ford focus", 1000, 0,
-		func(id int, d *Doc, _ []AnnPair) bool {
-			// The corpus numbers URLs by insertion order, so the id and
-			// its row must agree.
-			if want := fmt.Sprintf("/doc/%d", id); !strings.HasSuffix(d.URL, want) {
-				t.Fatalf("filter id %d does not match its row %s", id, d.URL)
-			}
-			return id%2 == 0
-		})
+	for id := 0; id < 60; id++ {
+		ix.Annotate(id, map[string]string{"n": fmt.Sprint(id)})
+	}
+	f := &Filter{Host: "h1.example", Match: func(row []AnnPair, d *Doc) bool {
+		if len(row) != 1 {
+			t.Fatalf("row of %s has %d pairs, want 1", d.URL, len(row))
+		}
+		n := ix.AnnotationColumns()[row[0].Attr].Values[row[0].Code].Text
+		// The corpus numbers URLs by insertion order, like the
+		// annotation, so a candidate's row and document must agree.
+		if !strings.HasSuffix(d.URL, "/doc/"+n) {
+			t.Fatalf("Match got row n=%s with document %s", n, d.URL)
+		}
+		if u, _ := url.Parse(d.URL); u.Host != "h1.example" {
+			t.Fatalf("Match saw %s, off the filtered host", d.URL)
+		}
+		return strings.HasSuffix(d.URL, "0") || strings.HasSuffix(d.URL, "5")
+	}}
+	hits, total, err := ix.TopK(context.Background(), "ford focus", 1000, 0, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 30 || len(hits) != 30 {
-		t.Fatalf("id-filtered total=%d hits=%d, want 30/30", total, len(hits))
-	}
-	for _, h := range hits {
-		if h.DocID%2 != 0 {
-			t.Fatalf("filter leaked doc %d", h.DocID)
+	var want []Result
+	for _, h := range search(ix, "ford focus", 1000) {
+		if u, _ := url.Parse(h.URL); u.Host == "h1.example" && (strings.HasSuffix(h.URL, "0") || strings.HasSuffix(h.URL, "5")) {
+			want = append(want, h)
 		}
+	}
+	if len(want) == 0 || total != len(want) || !reflect.DeepEqual(hits, want) {
+		t.Fatalf("Host+Match total=%d hits=%d, want the %d hits of both", total, len(hits), len(want))
 	}
 }
 

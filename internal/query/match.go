@@ -86,9 +86,10 @@ func (m *Matcher) readsOf(cols []index.AnnColumn, buf []bool) []bool {
 // Bound is a Matcher bound to one index's columnar annotation store
 // for the span of one scan: which attribute ids each predicate reads is
 // resolved once, so a candidate costs a walk over its row's pairs — the
-// row TopK hands its keep, in place — and allocates nothing unless the
-// text fallback runs. A Bound serves one scan: call Match only from the
-// keep of one TopK or AnnotatedTopK, on that scan's goroutine.
+// row TopK hands its Filter's Match, in place — and reads the document
+// or allocates only when the text fallback runs. A Bound serves one
+// scan: call Match only as the Filter.Match of one TopK or
+// AnnotatedTopK, on that scan's goroutine.
 type Bound struct {
 	m     *Matcher
 	ix    *index.Index
@@ -119,7 +120,7 @@ func (b *Bound) Match(row []index.AnnPair, d *index.Doc) bool {
 		b.cols = b.ix.AnnotationColumns()
 		b.reads = b.m.readsOf(b.cols, nil)
 	}
-	return b.m.match(row, b.cols, b.reads, d.Title, d.Text)
+	return b.m.match(row, b.cols, b.reads, d)
 }
 
 // Match reports whether a document satisfies every predicate, given
@@ -146,13 +147,13 @@ func (m *Matcher) Match(anns map[string]string, title, text string) bool {
 		row = append(row, index.AnnPair{Attr: uint32(len(cols))})
 		cols = append(cols, index.AnnColumn{Attr: attr, Values: vals[len(vals)-1:]})
 	}
-	return m.match(row, cols, m.readsOf(cols, readBuf[:0]), title, text)
+	return m.match(row, cols, m.readsOf(cols, readBuf[:0]), &index.Doc{Title: title, Text: text})
 }
 
-// match is the one evaluation both spellings end in. The per-document
-// text tokenization is done lazily and at most once, and only when
-// some predicate actually needs the text fallback.
-func (m *Matcher) match(row []index.AnnPair, cols []index.AnnColumn, reads []bool, title, text string) bool {
+// match is the one evaluation both spellings end in. The document is
+// read — its title and text tokenized, at most once — only when some
+// predicate actually needs the text fallback.
+func (m *Matcher) match(row []index.AnnPair, cols []index.AnnColumn, reads []bool, d *index.Doc) bool {
 	var doc *docTokens
 	for i := range m.preds {
 		c := &m.preds[i]
@@ -161,7 +162,7 @@ func (m *Matcher) match(row []index.AnnPair, cols []index.AnnColumn, reads []boo
 			return false
 		case askText:
 			if doc == nil {
-				doc = newDocTokens(title, text)
+				doc = newDocTokens(d.Title, d.Text)
 			}
 			if !c.matchText(doc) {
 				return false

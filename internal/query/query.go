@@ -33,7 +33,8 @@
 // The value's numeric reading was parsed once, when the dictionary
 // first saw it. Matcher.Match, taking a map, lays the map out the same
 // way and runs the same evaluation.
-// Step 3 is the cold path: it tokenizes the document.
+// Step 3 is the cold path, and the only one that reads the document:
+// it tokenizes its title and text.
 //
 // Predicates AND together. Parsing and matching are deterministic pure
 // functions, so a predicate list can participate in cache keys via
