@@ -99,10 +99,10 @@ fuzz:
 # CI's cache reusable across runs).
 lint: deepvet staticcheck govulncheck
 
-# deepvet = the five project-invariant analyzers (internal/analysis)
-# mounted by cmd/deepvet: epochsafe, clockinject, envelope, ctxflow,
-# errcmp. Zero external dependencies — this is the one lint gate that
-# runs anywhere the repo builds.
+# deepvet = the four project-invariant analyzers (internal/analysis)
+# mounted by cmd/deepvet: clockinject, envelope, ctxflow, errcmp. Zero
+# external dependencies — this is the one lint gate that runs anywhere
+# the repo builds.
 deepvet:
 	$(GO) run ./cmd/deepvet ./...
 

@@ -1,5 +1,5 @@
 // Command deepvet is the project's domain-specific vet tool: a
-// multichecker mounting the five invariant analyzers from
+// multichecker mounting the four invariant analyzers from
 // internal/analysis over any package pattern, exiting non-zero when
 // anything is flagged. CI runs it as a hard lint gate (`make deepvet`,
 // folded into `make lint`); run it locally the same way:
@@ -10,9 +10,6 @@
 // The analyzers (see each package's doc for the invariant and its
 // provenance):
 //
-//	epochsafe   — index mutations flow through epoch-bumping engine
-//	              passes, so the result cache can never serve stale
-//	              results (engine.EnableResultCache's warning).
 //	clockinject — internal/resilient and internal/webgen touch time
 //	              and randomness only through injected hooks or seeded
 //	              generators, keeping chaos and backoff deterministic.
@@ -49,13 +46,11 @@ import (
 	"deepweb/internal/analysis/clockinject"
 	"deepweb/internal/analysis/ctxflow"
 	"deepweb/internal/analysis/envelope"
-	"deepweb/internal/analysis/epochsafe"
 	"deepweb/internal/analysis/errcmp"
 )
 
 // All is the mounted suite, in the order findings are attributed.
 var All = []*analysis.Analyzer{
-	epochsafe.Analyzer,
 	clockinject.Analyzer,
 	envelope.Analyzer,
 	ctxflow.Analyzer,
@@ -119,14 +114,16 @@ func selectAnalyzers(runList string) ([]*analysis.Analyzer, error) {
 		return All, nil
 	}
 	byName := map[string]*analysis.Analyzer{}
+	var names []string
 	for _, a := range All {
 		byName[a.Name] = a
+		names = append(names, a.Name)
 	}
 	var out []*analysis.Analyzer
 	for _, name := range strings.Split(runList, ",") {
 		a, ok := byName[strings.TrimSpace(name)]
 		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have: epochsafe, clockinject, envelope, ctxflow, errcmp)", name)
+			return nil, fmt.Errorf("unknown analyzer %q (have: %s)", name, strings.Join(names, ", "))
 		}
 		out = append(out, a)
 	}

@@ -1,13 +1,15 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"deepweb/internal/analysis"
 )
 
 // TestSelectAnalyzers pins the -run flag's behavior: known names
-// select, unknown names error.
+// select, unknown names error with a message naming every mounted
+// analyzer.
 func TestSelectAnalyzers(t *testing.T) {
 	all, err := selectAnalyzers("")
 	if err != nil || len(all) != len(All) {
@@ -17,8 +19,14 @@ func TestSelectAnalyzers(t *testing.T) {
 	if err != nil || len(two) != 2 {
 		t.Fatalf("-run errcmp,ctxflow: got %d analyzers, err=%v", len(two), err)
 	}
-	if _, err := selectAnalyzers("nosuch"); err == nil {
+	_, err = selectAnalyzers("nosuch")
+	if err == nil {
 		t.Fatal("-run nosuch: want an error naming the unknown analyzer")
+	}
+	for _, a := range All {
+		if !strings.Contains(err.Error(), a.Name) {
+			t.Errorf("-run nosuch: error %q does not name mounted analyzer %s", err, a.Name)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@
 // go.mod, so the framework is reimplemented here on the standard
 // library alone: packages are loaded with `go list -export` plus
 // go/importer (see load.go), and the analyzers in the subpackages
-// (epochsafe, clockinject, envelope, ctxflow, errcmp) consume the same
-// (Fset, Files, TypesInfo) shape they would get from a real
+// (clockinject, envelope, ctxflow, errcmp) consume the same (Fset,
+// Files, TypesInfo) shape they would get from a real
 // analysis.Pass, so they can migrate to x/tools mechanically if the
 // dependency ever lands.
 //

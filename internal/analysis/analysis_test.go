@@ -18,7 +18,7 @@ func TestSplitDirective(t *testing.T) {
 	}{
 		{"errcmp -- documented migration shim", []string{"errcmp"}, "documented migration shim", true},
 		{"errcmp, ctxflow -- shared exemption", []string{"errcmp", "ctxflow"}, "shared exemption", true},
-		{"epochsafe — em-dash separator", []string{"epochsafe"}, "em-dash separator", true},
+		{"ctxflow — em-dash separator", []string{"ctxflow"}, "em-dash separator", true},
 		{"errcmp", nil, "", false},         // no separator
 		{"errcmp --", nil, "", false},      // no reason
 		{"-- reason only", nil, "", false}, // no names

@@ -31,27 +31,6 @@ func IsFuncNamed(fn *types.Func, pkgName, name string) bool {
 	return PkgIs(fn.Pkg().Path(), pkgName)
 }
 
-// ReceiverTypeName returns the name of fn's receiver's named type
-// ("Index" for func (ix *Index) Add), or "" for non-methods.
-func ReceiverTypeName(fn *types.Func) string {
-	if fn == nil {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
-}
-
 // IsNamedType reports whether t (or the type it points to) is the
 // named type `name` from the project package PkgIs-matching pkgName.
 func IsNamedType(t types.Type, pkgName, name string) bool {

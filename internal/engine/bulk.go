@@ -93,8 +93,8 @@ func NewEmpty() *Engine { return newEngine() }
 // assigned in stream order (the ordered commit point, amortized per
 // batch), so the resulting index is bit-identical to adding the same
 // documents one by one; a concurrent search sees each batch, with its
-// annotations, entirely or not at all. A canceled ctx stops between batches; documents
-// committed before cancellation stay (and the epoch still bumps).
+// annotations, entirely or not at all. A canceled ctx stops between
+// batches; documents committed before cancellation stay.
 func (e *Engine) BulkIngest(ctx context.Context, src BulkSource, opts BulkOptions) (BulkStats, error) {
 	batch := opts.Batch
 	if batch <= 0 {
@@ -103,7 +103,6 @@ func (e *Engine) BulkIngest(ctx context.Context, src BulkSource, opts BulkOption
 	var stats BulkStats
 	docs := make([]index.Doc, 0, batch)
 	anns := make([]map[string]string, 0, batch)
-	defer e.bumpEpoch()
 	for {
 		if err := ctx.Err(); err != nil {
 			return stats, err

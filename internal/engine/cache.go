@@ -16,7 +16,7 @@ import (
 // arrive over and over while the index between refreshes is immutable.
 // An enabled engine routes Search through a bounded rescache keyed by
 //
-//	(Generation, mutation epoch, normalized query, k, offset, host,
+//	(Generation, index version, normalized query, k, offset, host,
 //	 annotated, canonical filters)
 //
 // — every input that can change the answer. Correctness falls out of
@@ -27,13 +27,14 @@ import (
 //     swap together by construction; the new engine's Generation also
 //     differs, so even a shared external cache could never cross the
 //     boundary.
-//   - An in-place mutation (Surface commit, Refresh, Compact) bumps the
-//     engine's mutation epoch, so every key minted before it becomes
-//     unreachable and ages out of the LRU. Queries racing a mutation may
-//     cache a transient index state, exactly as the uncached path would
-//     have served it — and the epoch bump at the end of the mutating
-//     pass retires those entries, so no pre-pass or mid-pass result is
-//     ever served after the pass completes.
+//   - Every in-place index write — an ingest batch, a Delete, an
+//     Annotate, a Compact, by an engine pass or straight through the
+//     exported Index — increments the index's version under its write
+//     lock (index.Version), so every key minted before it becomes
+//     unreachable and ages out of the LRU. A query racing a write
+//     reads the version before it scans, so it caches a state no
+//     older than its key names, and no page cached before a write
+//     completes can answer a query made after it.
 //
 // The query is normalized through the index's own term pipeline
 // (tokenize, stopword, stem), so "Used FORD!!" and "used ford" share
@@ -54,13 +55,6 @@ import (
 // result cache of the given capacity (entries). capacity <= 0 disables
 // caching. Enable before serving traffic; the switch itself is not
 // synchronized with in-flight searches.
-//
-// Once a cache is armed, every index mutation must go through an
-// Engine method (IndexSurfaceWeb, Surface commits, Refresh, BulkIngest,
-// Compact): those bump the mutation epoch that retires cached entries.
-// The epoch is the only engine state a direct mutation of the exported
-// Index leaves stale — the engine keeps no doc ids of its own — but
-// with no TTL the cache would serve pre-mutation results indefinitely.
 func (e *Engine) EnableResultCache(capacity int) {
 	if capacity <= 0 {
 		e.cache = nil
@@ -78,11 +72,6 @@ func (e *Engine) CacheStats() (st rescache.Stats, ok bool) {
 	return e.cache.Stats(), true
 }
 
-// bumpEpoch retires every cached search result minted before this
-// point. Called at the end of each mutating step so post-mutation
-// queries can never be answered from pre-mutation state.
-func (e *Engine) bumpEpoch() { e.epoch.Add(1) }
-
 // cloneSearchResponse deep-copies a response so no two cache callers
 // share the Results slice (index.Result holds only value types and
 // immutable strings, so copying the elements is a deep copy).
@@ -95,14 +84,14 @@ func cloneSearchResponse(r SearchResponse) SearchResponse {
 }
 
 // searchCacheKey folds every answer-changing input into one opaque
-// string: serving identity (generation + epoch), pagination and filter
-// options, and the normalized query terms.
+// string: serving identity (generation + index version), pagination
+// and filter options, and the normalized query terms.
 func (e *Engine) searchCacheKey(req SearchRequest) string {
 	var b strings.Builder
 	b.Grow(48 + len(req.Query) + len(req.Host))
 	b.WriteString(strconv.FormatUint(uint64(e.Generation), 10))
 	b.WriteByte('\x00')
-	b.WriteString(strconv.FormatUint(e.epoch.Load(), 10))
+	b.WriteString(strconv.FormatUint(e.Index.Version(), 10))
 	b.WriteByte('\x00')
 	b.WriteString(strconv.Itoa(req.K))
 	b.WriteByte('\x00')

@@ -7,29 +7,8 @@ import (
 	"sync"
 	"testing"
 
-	"deepweb/internal/core"
 	"deepweb/internal/query"
-	"deepweb/internal/webgen"
 )
-
-// cacheRequests is the request matrix the cache property tests sweep:
-// pagination, host filtering, annotated ranking, query normalization
-// aliases, and no-hit queries.
-var cacheRequests = []SearchRequest{
-	{Query: "used ford focus", K: 10},
-	{Query: "  Used   FORD focus!! ", K: 10}, // normalizes to the one above
-	{Query: "used ford focus", K: 3, Offset: 2},
-	{Query: "seattle", K: 100},
-	{Query: "seattle", K: 5, Host: "realestate-00.example"},
-	{Query: "homes in seattle", K: 10, Annotated: true},
-	// Stem-collides with the query above ("homes"/"home",
-	// "seattle"/"seattles" conflate under Stem) but tokenizes
-	// differently, so annotated vocabulary matching may disagree — the
-	// two must not share a cache entry.
-	{Query: "home in seattles", K: 10, Annotated: true},
-	{Query: "zzz-no-such-term", K: 10},
-	{Query: "the of and", K: 10}, // all stopwords: empty normalized query
-}
 
 // assertBitIdentical fails unless got and want agree on everything the
 // caller can observe except Elapsed/Cached: results (to the score
@@ -50,81 +29,6 @@ func assertBitIdentical(t *testing.T, ctxMsg string, got, want SearchResponse) {
 		}
 		if math.Float64bits(g.Score) != math.Float64bits(w.Score) {
 			t.Fatalf("%s: rank %d score bits differ: %v vs %v", ctxMsg, i, g.Score, w.Score)
-		}
-	}
-}
-
-// The cache acceptance bar: cached responses are bit-identical to
-// uncached ones — across shard counts, on hits and misses, through a
-// churn+Refresh (the epoch/generation keying must retire stale
-// entries), and with no aliasing between callers. A reference engine
-// built and mutated identically (everything here is deterministic)
-// provides the uncached truth at every step.
-func TestCachedSearchBitIdenticalToUncached(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		ref := surfacedEngine(t, shards)
-		cached := surfacedEngine(t, shards)
-		cached.EnableResultCache(256)
-
-		check := func(phase string) {
-			t.Helper()
-			// Keys already resident this phase: normalization aliases
-			// ("Used FORD!!") hit entries their canonical form filled.
-			seen := map[string]bool{}
-			for _, req := range cacheRequests {
-				want, err := ref.Search(context.Background(), req)
-				if err != nil {
-					t.Fatalf("shards=%d %s: ref %q: %v", shards, phase, req.Query, err)
-				}
-				key := cached.searchCacheKey(req)
-				// Twice: a miss (fills) then a hit (serves the copy) —
-				// and a mutation phase boundary must have made every
-				// first pass a genuine miss again.
-				for pass, wantCached := range []bool{seen[key], true} {
-					got, err := cached.Search(context.Background(), req)
-					if err != nil {
-						t.Fatalf("shards=%d %s: cached %q pass %d: %v", shards, phase, req.Query, pass, err)
-					}
-					if got.Cached != wantCached {
-						t.Fatalf("shards=%d %s: %q pass %d: Cached=%v, want %v",
-							shards, phase, req.Query, pass, got.Cached, wantCached)
-					}
-					assertBitIdentical(t, phase+" "+req.Query, got, want)
-					// Mutating the returned page must never leak into the
-					// cache (deep-copy contract).
-					for i := range got.Results {
-						got.Results[i].Score = -1
-						got.Results[i].URL = "poisoned"
-					}
-				}
-				seen[key] = true
-			}
-		}
-
-		check("cold")
-
-		// Churn both worlds identically and refresh both engines: the
-		// cached engine's epoch keying must retire every stale entry.
-		webgen.Churn(ref.Web, 8, 99)
-		webgen.Churn(cached.Web, 8, 99)
-		for name, e := range map[string]*Engine{"ref": ref, "cached": cached} {
-			st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
-			if err != nil {
-				t.Fatalf("shards=%d: refresh %s: %v", shards, name, err)
-			}
-			if st.SitesChanged == 0 {
-				t.Fatalf("shards=%d: churn changed no sites; refresh invalidation unexercised", shards)
-			}
-		}
-		check("post-refresh")
-
-		// Compact must likewise retire cached pages (ids renumber).
-		ref.Compact()
-		cached.Compact()
-		check("post-compact")
-
-		if st, ok := cached.CacheStats(); !ok || st.Hits == 0 || st.Misses == 0 {
-			t.Fatalf("shards=%d: cache never exercised: %+v (ok=%v)", shards, st, ok)
 		}
 	}
 }

@@ -134,8 +134,8 @@ func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
 		}
 
 		// Bit-identical equivalence after canonicalizing both arms.
-		ref.Compact()
-		e.Compact()
+		ref.Index.Compact()
+		e.Index.Compact()
 		if !reflect.DeepEqual(e.SiteSignatures, ref.SiteSignatures) {
 			t.Errorf("shards=%d: healed signatures differ from fault-free", shards)
 		}

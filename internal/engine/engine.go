@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"deepweb/internal/core"
@@ -68,15 +67,12 @@ type Engine struct {
 	SiteSignatures map[string]textutil.Signature
 	// CompactRatio is the tombstone fraction above which Refresh
 	// compacts the index after committing. <= 0 disables automatic
-	// compaction; compact manually with Engine.Compact.
+	// compaction; compact manually with Index.Compact.
 	CompactRatio float64
 
 	// cache is the serving-tier result cache (nil = disabled; see
-	// EnableResultCache and cache.go). epoch counts index mutations —
-	// it is part of every cache key, so bumping it retires all entries
-	// minted before the mutation.
+	// EnableResultCache and cache.go).
 	cache *rescache.Cache[SearchResponse]
-	epoch atomic.Uint64
 
 	// base is the transport under the resilient layer — the virtual web
 	// itself, or a chaos/proxy wrapper installed with UseTransport. rt
@@ -166,7 +162,7 @@ func Build(cfg webgen.WorldConfig) (*Engine, error) {
 // IndexSurfaceWeb crawls the pre-surfacing web (no query URLs) and
 // indexes it — the baseline a search engine has before deep-web
 // surfacing. A canceled ctx stops the crawl; pages fetched before the
-// cancellation are still indexed (and the epoch still bumps).
+// cancellation are still indexed.
 func (e *Engine) IndexSurfaceWeb(ctx context.Context) int {
 	c := &webx.Crawler{Fetcher: e.Fetch}
 	n := 0
@@ -175,7 +171,6 @@ func (e *Engine) IndexSurfaceWeb(ctx context.Context) int {
 			n++
 		}
 	}
-	e.bumpEpoch()
 	return n
 }
 
@@ -437,9 +432,6 @@ func (e *Engine) commitOutcome(out *siteOutcome) {
 	out.stats.Indexed = out.sink.commit()
 	e.IngestStats[out.host] = out.stats
 	e.SiteSignatures[out.host] = out.sig
-	// Each commit is a visible index mutation: retire cached results so
-	// no query answered after this point sees pre-commit state.
-	e.bumpEpoch()
 }
 
 // surfaceOne runs the per-site stages: discovery + form analysis +

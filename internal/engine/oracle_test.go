@@ -26,7 +26,7 @@ import (
 //   - delete: Index.Delete of drawn ids, live, dead or out of range;
 //   - annotate: re-Annotate of live documents, overwriting values and
 //     adding attributes and values never seen before;
-//   - compact: Engine.Compact;
+//   - compact: Index.Compact;
 //   - save: Save → Load on a drawn worker count. Save writes the index's
 //     own segment count, drawn from {1, 4, 16} when the sequence starts
 //     and by every bulkbuild;
@@ -34,19 +34,23 @@ import (
 //     count, only when the model holds no tombstones;
 //   - cache: the result cache on or off. While it is on, every probe
 //     runs twice, the second pass must come from the cache, and every
-//     page handed out is scribbled over before the next search.
+//     page handed out is scribbled over before the next search. Even
+//     seeds arm it right after the first ingest, so the in-place
+//     operations run under it.
 //
-// Direct index mutations call bumpEpoch, as the engine's own passes do.
 // A failure prints the seed, the operations up to the failing step, the
 // first differing probe with both answers, and the -run pattern that
 // replays that seed alone.
 func TestEngineFollowsOracle(t *testing.T) {
 	const seeds, steps = 6, 26
-	seen := &oracleSeen{ops: map[string]int{}}
+	seen := &oracleSeen{ops: map[string]int{}, cached: map[string]int{}}
 	for seed := int64(1); seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			o := newOracle(t, seed, seen)
 			o.step(o.draw("ingest"))
+			if seed%2 == 0 {
+				o.step(&oracleOp{kind: "cache", on: true})
+			}
 			for i := 1; i < steps; i++ {
 				o.step(o.draw("ingest", "ingest", "ingest", "delete", "delete", "annotate", "annotate",
 					"compact", "save", "bulkbuild", "bulkbuild", "cache"))
@@ -62,8 +66,15 @@ func TestEngineFollowsOracle(t *testing.T) {
 			t.Errorf("no sequence ran a %s", kind)
 		}
 	}
-	census := fmt.Sprintf("ops %v; %d checks with tombstones, %d annotated probes past the re-rank depth, "+
-		"%d filters admitting a proper subset, %d cache hits", seen.ops, seen.tombstoned, seen.reranked, seen.filtered, seen.cacheHits)
+	// A mutation the cache must see: each one run with the cache off
+	// proves nothing about retiring cached pages.
+	for _, kind := range []string{"ingest", "delete", "annotate", "compact"} {
+		if seen.cached[kind] == 0 {
+			t.Errorf("no sequence ran a %s with the cache on", kind)
+		}
+	}
+	census := fmt.Sprintf("ops %v, with the cache on %v; %d checks with tombstones, %d annotated probes past the re-rank depth, "+
+		"%d filters admitting a proper subset, %d cache hits", seen.ops, seen.cached, seen.tombstoned, seen.reranked, seen.filtered, seen.cacheHits)
 	if seen.tombstoned == 0 || seen.reranked == 0 || seen.filtered == 0 || seen.cacheHits == 0 {
 		t.Errorf("vacuous: %s", census)
 	}
@@ -90,7 +101,7 @@ func TestEngineFollowsOracleAtomically(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 2; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			o := newOracle(t, seed, &oracleSeen{ops: map[string]int{}})
+			o := newOracle(t, seed, &oracleSeen{ops: map[string]int{}, cached: map[string]int{}})
 			for o.m.live() < 100 {
 				o.apply(o.draw("ingest"))
 			}
@@ -194,7 +205,7 @@ type modelAnswer struct {
 // stops exercising a path fails instead of passing vacuously.
 type oracleSeen struct {
 	sequences                                 int
-	ops                                       map[string]int
+	ops, cached                               map[string]int // cached: ops run with the cache on
 	tombstoned, reranked, filtered, cacheHits int
 }
 
@@ -512,16 +523,14 @@ func (o *oracle) onEngine(op *oracleOp) string {
 		deleted := make([]bool, len(op.ids))
 		for i, id := range op.ids {
 			deleted[i] = e.Index.Delete(id)
-			e.bumpEpoch()
 		}
 		return fmt.Sprint(deleted)
 	case "annotate":
 		for i, id := range op.ids {
 			e.Index.Annotate(id, op.anns[i])
-			e.bumpEpoch()
 		}
 	case "compact":
-		return fmt.Sprintf("reclaimed=%d", e.Compact())
+		return fmt.Sprintf("reclaimed=%d", e.Index.Compact())
 	case "save":
 		e.Workers = op.workers
 		dir := o.t.TempDir()
@@ -595,6 +604,9 @@ func (o *oracle) apply(op *oracleOp) {
 	o.t.Helper()
 	o.ops = append(o.ops, op.String())
 	o.seen.ops[op.kind]++
+	if o.cache {
+		o.seen.cached[op.kind]++
+	}
 	want := op.onModel(&o.m, func() { o.wants = nil })
 	if got := o.onEngine(op); got != want {
 		o.fail("%s: engine %s, model %s", op.kind, got, want)

@@ -65,8 +65,6 @@ func (e *Engine) Save(dir string) error {
 // carries no virtual web (Web and Fetch are nil), so surfacing,
 // coverage and Refresh are off the table; use LoadWith to reattach a
 // world. Decoding parallelizes with DefaultWorkers.
-//
-//deepvet:epoch -- populates a brand-new engine before any cache can be armed; the snapshot's Generation id keys the cache instead
 func Load(dir string) (*Engine, error) {
 	seg, hdr, err := store.ReadDocs(store.DocsPath(dir))
 	if err != nil {

@@ -188,9 +188,6 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 			st.DocsDeleted++
 		}
 	}
-	// Retiring documents is a visible mutation: stop the result cache
-	// from serving pre-retire rankings.
-	e.bumpEpoch()
 
 	// Re-surface on the shared pipeline. At each site's commit point
 	// the old surface-web pages are swapped for freshly fetched ones
@@ -253,19 +250,10 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 	}
 
 	if e.CompactRatio > 0 && e.Index.TombstoneRatio() >= e.CompactRatio {
-		e.Compact()
+		e.Index.Compact()
 		st.Compacted = true
 	}
 	return resp, nil
-}
-
-// Compact compacts the index (dropping tombstones and renumbering doc
-// ids into canonical URL order) and retires the cached results, which
-// carry the old ids.
-func (e *Engine) Compact() int {
-	reclaimed := e.Index.Compact()
-	e.bumpEpoch()
-	return reclaimed
 }
 
 // hostCapTransport enforces RefreshRequest.PerHostCap: at most cap

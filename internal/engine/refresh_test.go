@@ -205,10 +205,10 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 
 		// Tier 3: compaction is a normal form — both engines land on
 		// identical ids, scores and tie order.
-		if got := refreshed.Compact(); got != st.DocsDeleted {
+		if got := refreshed.Index.Compact(); got != st.DocsDeleted {
 			t.Errorf("shards=%d: compact reclaimed %d of %d tombstones", shards, got, st.DocsDeleted)
 		}
-		scratch.Compact()
+		scratch.Index.Compact()
 		if refreshed.Index.Deleted() != 0 {
 			t.Errorf("shards=%d: tombstones survived compact", shards)
 		}
@@ -262,8 +262,8 @@ func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
 
 	scratch := scratchEngine(t, 4, func(web *webgen.Web) { churnSubset(web, 4242) })
 
-	e.Compact()
-	scratch.Compact()
+	e.Index.Compact()
+	scratch.Index.Compact()
 	for _, q := range persistQueries {
 		if a, b := search(e.Index, q, 10), search(scratch.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) differs:\n  refreshed %v\n  scratch   %v", q, a, b)
@@ -351,8 +351,8 @@ func TestRefreshFailureThenRetryConverges(t *testing.T) {
 	scratch := scratchEngine(t, 4, func(web *webgen.Web) {
 		webgen.ChurnSite(web.Sites()[0], 6, rand.New(rand.NewSource(55)))
 	})
-	e.Compact()
-	scratch.Compact()
+	e.Index.Compact()
+	scratch.Index.Compact()
 	for _, q := range persistQueries {
 		if a, b := search(e.Index, q, 10), search(scratch.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) differs after recovery:\n  refreshed %v\n  scratch   %v", q, a, b)
@@ -391,14 +391,13 @@ func TestRefreshAutoCompacts(t *testing.T) {
 }
 
 // Compact renumbers every document, and nothing outside the index may
-// hold ids across it: compacting the engine's index directly, not
-// through Engine.Compact, must leave Refresh retiring exactly the
-// churned sites' documents and converging on the from-scratch corpus.
+// hold ids across it: compacting the engine's index before a Refresh
+// must leave Refresh retiring exactly the churned sites' documents and
+// converging on the from-scratch corpus.
 func TestRefreshAfterBareIndexCompact(t *testing.T) {
 	e := freshEngine(t, 4)
 	e.CompactRatio = 0
 	e.Index.Compact()
-	e.bumpEpoch()
 	churnSubset(e.Web, 99)
 	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {

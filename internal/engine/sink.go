@@ -63,8 +63,6 @@ func (s *stagedSink) Annotate(docID int, anns map[string]string) {
 // as one batch in arrival order and returns how many documents were
 // newly indexed. Called from the engine's single committer, so ids come
 // out identical for any worker count.
-//
-//deepvet:epoch -- only called from Engine.commitOutcome, which bumps after every commit
 func (s *stagedSink) commit() int {
 	_, added := s.global.AddPreparedBatch(s.docs, s.anns)
 	n := 0

@@ -115,6 +115,7 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.version.Add(1)
 	ix.annotateLocked(docID, anns)
 	ix.ann.reclaim()
 }

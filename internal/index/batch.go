@@ -24,6 +24,7 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.version.Add(1)
 	for i, p := range ps {
 		if existing, ok := ix.byURL[p.doc.URL]; ok {
 			ids[i] = existing

@@ -28,6 +28,7 @@ import "sort"
 func (ix *Index) Compact() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.version.Add(1)
 
 	reclaimed := ix.numDead
 	// Live ids in URL order become the new identity space.

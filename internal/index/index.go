@@ -31,6 +31,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"deepweb/internal/textutil"
 )
@@ -95,6 +96,10 @@ type Index struct {
 	hostNames []string          // id -> host; hostNames[0] is ""
 
 	ann annStore
+
+	// version counts write-locked sections; each increments it while
+	// holding mu (see Version).
+	version atomic.Uint64
 }
 
 // BM25 constants; the standard values.
@@ -225,6 +230,7 @@ func (ix *Index) AddPrepared(p *Prepared) (id int, added bool) {
 // false for an unknown or already-deleted id.
 func (ix *Index) Delete(id int) bool {
 	ix.mu.Lock()
+	ix.version.Add(1)
 	if id < 0 || id >= len(ix.docs) || ix.dead[id] {
 		ix.mu.Unlock()
 		return false
@@ -242,6 +248,13 @@ func (ix *Index) Delete(id int) bool {
 	ix.mu.Unlock()
 	return true
 }
+
+// Version changes whenever the index may answer a query differently:
+// every write-locked section increments it while holding the lock. A
+// caller that reads Version before a query therefore never pairs a
+// version with an older state than the one it names, so a result
+// cached under it goes stale only once the version has moved on.
+func (ix *Index) Version() uint64 { return ix.version.Load() }
 
 // Len returns the number of live (searchable) documents: tombstoned
 // documents are excluded.

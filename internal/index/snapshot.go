@@ -121,6 +121,7 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.version.Add(1)
 	if len(ix.docs) != 0 {
 		return fmt.Errorf("index: import into non-empty index (%d docs)", len(ix.docs))
 	}
@@ -159,6 +160,7 @@ func (ix *Index) ImportTerms(terms []TermPostings) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.version.Add(1)
 	for ti, tp := range terms {
 		if _, dup := ix.postings[tp.Term]; dup {
 			return fmt.Errorf("index: import: term %q imported twice", tp.Term)

@@ -140,3 +140,34 @@ func TestImportRejectsBadState(t *testing.T) {
 		t.Error("double term import accepted")
 	}
 }
+
+// Version moves on every write-locked section — the snapshot imports
+// included, which the engine's oracle never runs under a cache — and a
+// read leaves it alone.
+func TestVersionMovesOnEveryWrite(t *testing.T) {
+	src := smallCorpus(4)
+	docs, lens, dead := src.ExportDocs()
+	ix := NewSharded(4)
+	writes := []func() error{
+		func() error { return ix.ImportDocs(docs, lens, dead) },
+		func() error { return ix.ImportTerms(src.ExportShard(0)) },
+		func() error { ix.Add(Doc{URL: "http://new.example/", Text: "ford"}); return nil },
+		func() error { ix.Annotate(0, map[string]string{"make": "saab"}); return nil },
+		func() error { ix.Delete(1); return nil },
+		func() error { ix.Compact(); return nil },
+	}
+	for i, write := range writes {
+		before := ix.Version()
+		search(ix, "ford", 5)
+		ix.Len()
+		if ix.Version() != before {
+			t.Fatalf("write %d: a read moved the version", i)
+		}
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if ix.Version() <= before {
+			t.Fatalf("write %d left the version at %d", i, before)
+		}
+	}
+}

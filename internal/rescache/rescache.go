@@ -13,8 +13,8 @@
 // O(copy).
 //
 // Consistency is delegated to the key: callers fold every input that
-// can change the answer — the engine's snapshot generation and
-// mutation epoch, the normalized query, pagination, filters — into the
+// can change the answer — the engine's snapshot generation and the
+// index's version, the normalized query, pagination, filters — into the
 // key string, so a mutated index simply stops producing the old keys
 // and stale entries age out of the LRU without any invalidation
 // traffic. There is deliberately no Delete/Flush: an entry is correct
