@@ -51,9 +51,11 @@ bench-smoke:
 	done
 
 # serve-smoke = the CI serve-smoke job: checks that deepsearch without
-# -snapshot exits 2, then boots the real binary on a deepcrawl -out
-# snapshot and on a bulk-built one, and checks the status of /v1/search,
-# /v1/semantics, reload and the HTML page (scripts/serve-smoke.sh).
+# -snapshot and deepcrawl -bulk without -out exit 2, then boots the
+# real binary on a deepcrawl -out snapshot and on a bulk-built one, and
+# checks the status of /v1/search, /v1/semantics and the HTML page, and
+# that a reload after deepcrawl -refresh serves a new generation
+# (scripts/serve-smoke.sh).
 serve-smoke:
 	./scripts/serve-smoke.sh
 

@@ -1,10 +1,9 @@
 package main
 
-// The bulk-ingest path: -bulk N sidesteps surfacing entirely and
-// pushes N generated records through the engine's streaming ingest,
-// either in RAM (no -out) or as a memory-bounded spill-to-disk
-// snapshot build (-out DIR), printing throughput and peak heap. It is
-// the hand tool for producing a large snapshot to serve or inspect;
+// The bulk-build path: -bulk N -out DIR sidesteps surfacing entirely
+// and streams N generated records through the engine's memory-bounded
+// spill-to-disk snapshot build, printing throughput and peak heap. It
+// is the hand tool for producing a large snapshot to serve or inspect;
 // the measured, gated numbers for the same path come from deepbench
 // (bench/README.md).
 
@@ -19,10 +18,9 @@ import (
 	"deepweb/internal/memwatch"
 )
 
-// runBulk generates a docs-row world and ingests it end to end. With
-// outDir it runs the spill-to-disk snapshot build and Load-verifies
-// the result; without, the batched in-RAM ingest. Zero batch, spill
-// and shards mean the engine's defaults.
+// runBulk generates a docs-row world, builds it into a snapshot at
+// outDir and Load-verifies the result. Zero batch, spill and shards
+// mean the engine's defaults.
 func runBulk(docs, sites int, seed int64, batch, spill, shards, workers int, outDir string) {
 	world, err := bulkgen.NewWorld(bulkgen.Spec{Seed: seed, Docs: docs, Sites: sites})
 	if err != nil {
@@ -34,39 +32,27 @@ func runBulk(docs, sites int, seed int64, batch, spill, shards, workers int, out
 	defer src.Close()
 	watch := memwatch.Start(10 * time.Millisecond)
 	start := time.Now()
-	var stats engine.BulkStats
-	if outDir != "" {
-		stats, err = engine.BulkBuild(context.Background(), src, outDir, engine.BulkBuildOptions{
-			Docs: docs, Shards: shards, Batch: batch, SpillDocs: spill, Workers: workers,
-		})
-	} else {
-		e := engine.NewEmpty()
-		e.Workers = workers
-		stats, err = e.BulkIngest(context.Background(), src, engine.BulkOptions{Batch: batch})
-	}
+	stats, err := engine.BulkBuild(context.Background(), src, outDir, engine.BulkBuildOptions{
+		Docs: docs, Shards: shards, Batch: batch, SpillDocs: spill, Workers: workers,
+	})
 	elapsed := time.Since(start)
 	peak := watch.Stop()
 	if err != nil {
-		log.Fatalf("deepcrawl: bulk ingest: %v", err)
+		log.Fatalf("deepcrawl: bulk build: %v", err)
 	}
-	fmt.Printf("bulk: %d docs in %v — %.0f docs/s, peak heap %.1f MB",
-		stats.Docs, elapsed.Round(time.Millisecond), float64(stats.Docs)/elapsed.Seconds(), memwatch.PeakMB(peak))
-	if outDir != "" {
-		fmt.Printf(", %d spill runs, %d postings merged", stats.Runs, stats.Postings)
-	}
-	fmt.Println()
+	fmt.Printf("bulk: %d docs in %v — %.0f docs/s, peak heap %.1f MB, %d spill runs, %d postings merged\n",
+		stats.Docs, elapsed.Round(time.Millisecond), float64(stats.Docs)/elapsed.Seconds(), memwatch.PeakMB(peak),
+		stats.Runs, stats.Postings)
 
-	if outDir != "" {
-		// The snapshot must round-trip: a build that cannot Load is a
-		// failure now, not at serving time.
-		loaded, err := engine.Load(outDir)
-		if err != nil {
-			log.Fatalf("deepcrawl: built snapshot does not load: %v", err)
-		}
-		if loaded.Index.Len() != docs {
-			log.Fatalf("deepcrawl: snapshot loads %d docs, built %d", loaded.Index.Len(), docs)
-		}
-		fmt.Printf("bulk: snapshot verified — %d docs load from %s (generation %08x)\n",
-			loaded.Index.Len(), outDir, loaded.Generation)
+	// The snapshot must round-trip: a build that cannot Load is a
+	// failure now, not at serving time.
+	loaded, err := engine.Load(outDir)
+	if err != nil {
+		log.Fatalf("deepcrawl: built snapshot does not load: %v", err)
 	}
+	if loaded.Index.Len() != docs {
+		log.Fatalf("deepcrawl: snapshot loads %d docs, built %d", loaded.Index.Len(), docs)
+	}
+	fmt.Printf("bulk: snapshot verified — %d docs load from %s (generation %08x)\n",
+		loaded.Index.Len(), outDir, loaded.Generation)
 }

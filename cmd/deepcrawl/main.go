@@ -23,17 +23,17 @@
 // retries and classifies; the report gains a per-site failure table,
 // and the exit code is non-zero when any site failed permanently.
 //
-// With -bulk N it skips surfacing and streams N generated records
-// (internal/bulkgen) through the ingest pipeline — in RAM, or as a
-// memory-bounded spill-to-disk snapshot build when -out is given —
-// reporting docs/sec and peak heap. See bulk.go.
+// With -bulk N -out DIR it skips surfacing and streams N generated
+// records (internal/bulkgen) through the memory-bounded spill-to-disk
+// snapshot build into DIR, reporting docs/sec and peak heap. -bulk
+// without -out is a usage error. See bulk.go.
 //
 // Usage:
 //
 //	deepcrawl [-sites N] [-rows N] [-seed N] [-workers N] [-naive] [-post N] [-out DIR]
 //	deepcrawl [world flags] -refresh DIR [-churn N] [-churnseed N] [-out DIR]
 //	deepcrawl [world flags] -chaos [-chaosseed N]
-//	deepcrawl -bulk N [-bulksites N] [-batch N] [-spill N] [-shards N] [-out DIR]
+//	deepcrawl -bulk N -out DIR [-bulksites N] [-batch N] [-spill N] [-shards N]
 package main
 
 import (
@@ -60,7 +60,7 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent surfacing workers")
 	naive := flag.Bool("naive", false, "disable all semantics (ablation arm)")
 	post := flag.Int("post", 0, "make one in N sites POST-only (0 = none)")
-	out := flag.String("out", "", "write a snapshot of the surfaced world to this directory")
+	out := flag.String("out", "", "write a snapshot of the surfaced world (with -bulk: of the generated records) to this directory")
 	refresh := flag.String("refresh", "", "refresh an existing snapshot directory instead of surfacing from scratch")
 	churn := flag.Int("churn", 5, "with -refresh: random row mutations applied per site before refreshing")
 	churnSeed := flag.Int64("churnseed", 1, "with -refresh: seed of the churn mutation stream")
@@ -68,11 +68,11 @@ func main() {
 	hostCap := flag.Int("hostcap", 0, "with -refresh: max requests per host during the refresh pass (0 = uncapped)")
 	chaos := flag.Bool("chaos", false, "inject deterministic per-host faults (flaps, 5xx, 429s, resets, truncation, garbling)")
 	chaosSeed := flag.Int64("chaosseed", 1, "with -chaos: seed of the fault streams")
-	bulk := flag.Int("bulk", 0, "bulk-ingest this many generated records instead of surfacing (0 = off; -out DIR switches to the spill-to-disk snapshot build)")
+	bulk := flag.Int("bulk", 0, "with -out DIR: build a snapshot of this many generated records instead of surfacing (0 = off)")
 	bulkSites := flag.Int("bulksites", 0, "with -bulk: spread records over this many sites (0 = one per vertical)")
-	batch := flag.Int("batch", 0, "with -bulk: documents per ordered-commit batch (0 = default)")
-	spill := flag.Int("spill", 0, "with -bulk -out: flush in-RAM postings to a sorted on-disk run every N docs (0 = default)")
-	bulkShards := flag.Int("shards", 0, "with -bulk -out: index shard count of the built snapshot (0 = default)")
+	batch := flag.Int("batch", 0, "with -bulk: documents tokenized per batch (0 = default)")
+	spill := flag.Int("spill", 0, "with -bulk: flush in-RAM postings to a sorted on-disk run every N docs (0 = default)")
+	bulkShards := flag.Int("shards", 0, "with -bulk: postings-segment count of the built snapshot (0 = default)")
 	flag.Parse()
 	log.SetFlags(0)
 	// Fail bad sizes loudly at startup — a zero or negative world size
@@ -89,6 +89,11 @@ func main() {
 	}
 
 	if *bulk > 0 {
+		if *out == "" {
+			fmt.Fprintf(os.Stderr, "deepcrawl: -bulk needs -out DIR: the bulk build writes a snapshot\n\n")
+			flag.Usage()
+			os.Exit(2)
+		}
 		runBulk(*bulk, *bulkSites, *seed, *batch, *spill, *bulkShards, *workers, *out)
 		return
 	}

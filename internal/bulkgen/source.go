@@ -74,7 +74,7 @@ func (w *World) Source(workers int) *Source {
 // Next returns the next document in canonical order, its annotations,
 // and true; ok=false means the stream is exhausted. The signature
 // matches engine.BulkSource, so a *Source plugs straight into
-// engine.BulkIngest / engine.BulkBuild.
+// engine.BulkBuild.
 func (s *Source) Next() (index.Doc, map[string]string, bool) {
 	for s.pos >= len(s.cur) {
 		res, ok := <-s.order

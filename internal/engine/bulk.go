@@ -11,28 +11,19 @@ import (
 	"deepweb/internal/store"
 )
 
-// Bulk ingestion: the paths that let a million-document world enter
-// the engine under a bounded memory budget. Two modes share one
-// streaming source abstraction:
+// Bulk builds: the path that lets a million-document world become a
+// snapshot under a bounded memory budget. BulkBuild never builds an
+// index at all. It tokenizes a stream on the given workers and hands
+// every document to the same store.Writer Save uses, which streams the
+// docs segment, accumulates postings in RAM, spills sorted runs to disk
+// every SpillDocs documents and k-way merges them into the final
+// per-shard segments. Peak memory is the spill window plus one shard's
+// merged postings — independent of corpus size.
 //
-//   - BulkIngest commits batches into a live engine's index through
-//     the same ordered commit point the surfacing pipeline uses —
-//     tokenization parallelized across the engine's Workers, doc ids
-//     assigned in stream order, one table lock per batch instead of
-//     per document, annotations committed with their documents.
-//
-//   - BulkBuild never builds an index at all. It tokenizes the stream
-//     and hands every document to the same store.Writer Save uses,
-//     which streams the docs segment, accumulates postings in RAM,
-//     spills sorted runs to disk every SpillDocs documents and k-way
-//     merges them into the final per-shard segments. Peak memory is
-//     the spill window plus one shard's merged postings — independent
-//     of corpus size.
-//
-// Both paths place terms with index.ShardOf, so the directory BulkBuild
-// writes is byte-identical — every file — to Save after BulkIngest of
-// the same stream, regardless of worker count, batch size, spill
-// budget or process (property-tested).
+// The writer places every term, whichever path it came in by, so the
+// directory BulkBuild writes is byte-identical — every file — to Save
+// of an index holding the same stream, regardless of worker count,
+// batch size, spill budget or process (property-tested).
 
 // BulkSource streams documents in a deterministic order. Next returns
 // the next document, its annotations (nil for none), and ok=false when
@@ -41,20 +32,13 @@ type BulkSource interface {
 	Next() (d index.Doc, anns map[string]string, ok bool)
 }
 
-// DefaultBulkBatch is the per-commit batch size bulk ingestion uses
-// when BulkOptions.Batch is zero.
+// DefaultBulkBatch is the tokenization batch size BulkBuild uses when
+// BulkBuildOptions.Batch is zero.
 const DefaultBulkBatch = 4096
 
 // DefaultSpillDocs is the spill window (documents per on-disk run
 // flush) used when BulkBuildOptions.SpillDocs is zero.
 const DefaultSpillDocs = 1 << 16
-
-// BulkOptions configures BulkIngest.
-type BulkOptions struct {
-	// Batch is how many documents are prepared and committed per
-	// ordered commit (default DefaultBulkBatch).
-	Batch int
-}
 
 // BulkBuildOptions configures BulkBuild.
 type BulkBuildOptions struct {
@@ -75,53 +59,11 @@ type BulkBuildOptions struct {
 	Workers int
 }
 
-// BulkStats reports one bulk run.
+// BulkStats reports one bulk build.
 type BulkStats struct {
-	Docs       int   // documents ingested (BulkIngest: newly added)
-	Duplicates int   // BulkIngest only: URLs already present, skipped
-	Runs       int   // BulkBuild only: spill-run files written
-	Postings   int64 // term postings produced
-}
-
-// NewEmpty returns a web-less engine over an empty index: the entry
-// point for programmatic ingestion (BulkIngest) and serving without a
-// virtual web. Surfacing, coverage and Refresh need a web — attach one
-// with New or LoadWith instead if you need them.
-func NewEmpty() *Engine { return newEngine() }
-
-// BulkIngest streams src into the live index in batches. Doc ids are
-// assigned in stream order (the ordered commit point, amortized per
-// batch), so the resulting index is bit-identical to adding the same
-// documents one by one; a concurrent search sees each batch, with its
-// annotations, entirely or not at all. A canceled ctx stops between
-// batches; documents committed before cancellation stay.
-func (e *Engine) BulkIngest(ctx context.Context, src BulkSource, opts BulkOptions) (BulkStats, error) {
-	batch := opts.Batch
-	if batch <= 0 {
-		batch = DefaultBulkBatch
-	}
-	var stats BulkStats
-	docs := make([]index.Doc, 0, batch)
-	anns := make([]map[string]string, 0, batch)
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		docs, anns = nextBatch(src, batch, docs[:0], anns[:0])
-		if len(docs) == 0 {
-			return stats, nil
-		}
-		ps := prepareAll(e.Workers, docs)
-		_, added := e.Index.AddPreparedBatch(ps, anns)
-		for i := range ps {
-			if !added[i] {
-				stats.Duplicates++
-				continue
-			}
-			stats.Docs++
-			stats.Postings += int64(len(ps[i].Terms()))
-		}
-	}
+	Docs     int   // documents written
+	Runs     int   // spill-run files written
+	Postings int64 // term postings produced
 }
 
 // nextBatch appends up to batch documents of src, and their

@@ -5,18 +5,15 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"deepweb/internal/bulkgen"
 	"deepweb/internal/index"
-	"deepweb/internal/query"
 )
 
 func bulkWorld(t *testing.T, seed int64, docs, sites int) *bulkgen.World {
@@ -28,25 +25,44 @@ func bulkWorld(t *testing.T, seed int64, docs, sites int) *bulkgen.World {
 	return w
 }
 
+// ingest commits src into e's index batch by batch through the sink
+// every surfaced site's documents pass through, and returns how many
+// documents were added and how many were duplicate URLs.
+func ingest(e *Engine, src BulkSource, batch int) (added, dups int) {
+	for {
+		sink, n := newStagedSink(e.Index), 0
+		for ; n < batch; n++ {
+			d, anns, ok := src.Next()
+			if !ok {
+				break
+			}
+			if id, fresh := sink.Add(d); fresh {
+				sink.Annotate(id, anns)
+			}
+		}
+		if n == 0 {
+			return added, dups
+		}
+		a := sink.commit()
+		added, dups = added+a, dups+n-a
+	}
+}
+
 // The tentpole property: a spill-to-disk build writes the directory
-// BulkIngest-then-Save of the same stream writes, byte for byte, across
-// shard counts, with and without tombstones — run under -race in CI.
-// (What a loaded directory answers is TestEngineFollowsOracle's.)
+// Save of an index holding the same stream writes, byte for byte,
+// across shard counts, with and without tombstones — run under -race
+// in CI. (What a loaded directory answers is TestEngineFollowsOracle's.)
 func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			world := bulkWorld(t, 99, 3000, 5)
 
 			ramDir := t.TempDir()
-			ram := NewEmpty()
+			ram := newEngine()
 			ram.Index = index.NewSharded(shards)
 			ram.Workers = 4
-			stats, err := ram.BulkIngest(context.Background(), world.Source(4), BulkOptions{Batch: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Docs != 3000 || stats.Duplicates != 0 {
-				t.Fatalf("ingest stats: %+v", stats)
+			if added, dups := ingest(ram, world.Source(4), 512); added != 3000 || dups != 0 {
+				t.Fatalf("ingest added %d, %d duplicates", added, dups)
 			}
 			if err := ram.Save(ramDir); err != nil {
 				t.Fatal(err)
@@ -68,7 +84,7 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 
 			// The whole directories are byte-identical — docs, every
 			// postings shard, meta: same stream, same id order, same
-			// snapshot id, same index.ShardOf placement on both paths.
+			// snapshot id, the writer's placement on both paths.
 			requireSameDir(t, "save-vs-bulkbuild", ramDir, spillDir)
 
 			// The tombstone path: delete every 7th document on the live
@@ -107,11 +123,9 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 func TestBulkBuildCompactEquivalence(t *testing.T) {
 	world := bulkWorld(t, 7, 2000, 4)
 
-	ram := NewEmpty()
+	ram := newEngine()
 	ram.Workers = 4
-	if _, err := ram.BulkIngest(context.Background(), world.Source(2), BulkOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	ingest(ram, world.Source(2), DefaultBulkBatch)
 
 	spillDir := t.TempDir()
 	if _, err := BulkBuild(context.Background(), world.Source(8), spillDir, BulkBuildOptions{
@@ -216,127 +230,65 @@ func TestBulkBuildStreamLengthMismatch(t *testing.T) {
 	if _, err := BulkBuild(context.Background(), world.Source(1), dir, BulkBuildOptions{Docs: 40}); err == nil {
 		t.Fatal("long stream accepted")
 	}
-	if runsLeft(t, dir) != 0 {
-		t.Fatal("failed builds leaked spill runs")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "docs.seg")); !os.IsNotExist(err) {
-		t.Fatal("failed build left a docs segment")
-	}
+	requireNoSnapshot(t, dir)
 }
 
-func TestBulkIngestCancel(t *testing.T) {
+// cancelAfter cancels its build once n documents have been read.
+type cancelAfter struct {
+	BulkSource
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Next() (index.Doc, map[string]string, bool) {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.BulkSource.Next()
+}
+
+// A build canceled after it has spilled runs errors and sweeps them,
+// and no docs segment appears.
+func TestBulkBuildCancel(t *testing.T) {
 	world := bulkWorld(t, 6, 5000, 2)
 	src := world.Source(2)
 	defer src.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e := NewEmpty()
-	if _, err := e.BulkIngest(ctx, src, BulkOptions{Batch: 100}); err == nil {
-		t.Fatal("canceled ingest reported success")
+	defer cancel()
+	dir := t.TempDir()
+	opts := BulkBuildOptions{Docs: 5000, Batch: 100, SpillDocs: 200}
+	if _, err := BulkBuild(ctx, &cancelAfter{src, 1000, cancel}, dir, opts); err == nil {
+		t.Fatal("canceled build reported success")
 	}
+	requireNoSnapshot(t, dir)
 }
 
-func TestBulkIngestDeduplicates(t *testing.T) {
-	world := bulkWorld(t, 8, 200, 1)
-	e := NewEmpty()
-	if _, err := e.BulkIngest(context.Background(), world.Source(1), BulkOptions{}); err != nil {
-		t.Fatal(err)
+// A duplicate URL fails the build, which leaves nothing behind.
+func TestBulkBuildRejectsDuplicateURL(t *testing.T) {
+	docs := []index.Doc{
+		{URL: "http://a.example/1", Text: "ford"},
+		{URL: "http://a.example/2", Text: "fiat"},
+		{URL: "http://a.example/1", Text: "saab"},
 	}
-	stats, err := e.BulkIngest(context.Background(), world.Source(1), BulkOptions{})
-	if err != nil {
-		t.Fatal(err)
+	src := &docSource{docs, make([]map[string]string, len(docs))}
+	dir := t.TempDir()
+	// A spill window of one writes runs before the duplicate arrives.
+	_, err := BulkBuild(context.Background(), src, dir, BulkBuildOptions{Docs: len(docs), SpillDocs: 1})
+	if err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("duplicate URL: err %v", err)
 	}
-	if stats.Docs != 0 || stats.Duplicates != 200 {
-		t.Fatalf("re-ingest stats: %+v", stats)
-	}
+	requireNoSnapshot(t, dir)
 }
 
-// sliceSource replays recorded bulkgen documents as a BulkSource.
-type sliceSource []bulkgen.Doc
-
-func (s *sliceSource) Next() (index.Doc, map[string]string, bool) {
-	if len(*s) == 0 {
-		return index.Doc{}, nil, false
+// requireNoSnapshot asserts a failed build left no spill runs and no
+// docs segment in dir.
+func requireNoSnapshot(t *testing.T, dir string) {
+	t.Helper()
+	if runsLeft(t, dir) != 0 {
+		t.Fatal("failed build leaked spill runs")
 	}
-	d := (*s)[0]
-	*s = (*s)[1:]
-	return d.Doc, d.Anns, true
-}
-
-// BulkIngest commits batch by batch, and a reader sees a whole batch or
-// none of it: every answer a search gives beside the ingest — plain,
-// filtered by a predicate and a host, annotated — equals, in ids, score
-// bits and Total, the answer of a twin engine holding exactly the first
-// j batches, for some j. A document counted in N and avgdl before its
-// postings or annotations land scores no state. Run with -race.
-func TestBulkIngestIsAtomicToReaders(t *testing.T) {
-	const batch = 150
-	world := bulkWorld(t, 21, 1800, 3)
-	var docs []bulkgen.Doc
-	for _, ref := range world.Blocks() {
-		docs = world.GenBlock(ref, docs)
-	}
-	reqs := []SearchRequest{
-		{Query: "used ford focus", K: 10},
-		{Query: "used toyota price", K: 10, Host: world.Host(0), Filters: []query.Predicate{query.Eq("make", "toyota")}},
-		{Query: "house portland", K: 10, Annotated: true},
-	}
-	answer := func(e *Engine, req SearchRequest) string {
-		resp, err := e.Search(context.Background(), req)
-		var b strings.Builder
-		fmt.Fprintf(&b, "total=%d err=%v", resp.Total, err)
-		for _, r := range resp.Results {
-			fmt.Fprintf(&b, " %d:%x", r.DocID, math.Float64bits(r.Score))
-		}
-		return b.String()
-	}
-
-	// Every state between batches, from a twin fed one batch at a time.
-	valid := make([]map[string]bool, len(reqs))
-	for i := range valid {
-		valid[i] = map[string]bool{}
-	}
-	twin := NewEmpty()
-	for lo := 0; ; lo += batch {
-		for i, req := range reqs {
-			valid[i][answer(twin, req)] = true
-		}
-		if lo >= len(docs) {
-			break
-		}
-		next := sliceSource(docs[lo:min(lo+batch, len(docs))])
-		if _, err := twin.BulkIngest(context.Background(), &next, BulkOptions{Batch: batch}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	e := NewEmpty()
-	e.Workers = 2
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if got := answer(e, req); !valid[i][got] {
-					t.Errorf("%+v: answer matches no batch boundary of the ingest:\n%s", req, got)
-					return
-				}
-			}
-		}()
-	}
-	all := sliceSource(docs)
-	_, err := e.BulkIngest(context.Background(), &all, BulkOptions{Batch: batch})
-	close(done)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "docs.seg")); !os.IsNotExist(err) {
+		t.Fatal("failed build left a docs segment")
 	}
 }
 

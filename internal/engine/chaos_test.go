@@ -2,13 +2,11 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"deepweb/internal/core"
-	"deepweb/internal/index"
 	"deepweb/internal/resilient"
 	"deepweb/internal/webgen"
 )
@@ -59,88 +57,83 @@ func stormOver(web *webgen.Web, seed int64) (*webgen.Chaos, []string) {
 // fault-free run of the same world — same URL set, same score bits,
 // same live doc count, same refresh signatures. Transiently failed
 // and degraded sites leave no signature behind, which is exactly what
-// makes the next Refresh re-drive them. Run with -race; shard count
-// must not matter.
+// makes the next Refresh re-drive them. Run with -race.
 func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		// Reference arm: the same world, no weather.
-		ref, err := Build(refreshWorldCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Index = index.NewSharded(shards)
-		ref.Workers = 4
-		if _, err := ref.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
-			t.Fatalf("shards=%d: fault-free surface: %v", shards, err)
-		}
-
-		// Chaos arm: identical world behind a fault-injecting transport.
-		e, err := Build(refreshWorldCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Index = index.NewSharded(shards)
-		e.Workers = 4
-		e.CompactRatio = 0 // compaction is explicit, at the comparison point
-		storm, flapped := stormOver(e.Web, 1234)
-		e.UseTransport(storm)
-		e.SetResilience(chaosOpts())
-
-		resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
-		if err != nil {
-			t.Fatalf("shards=%d: chaos surface aborted: %v", shards, err)
-		}
-		if storm.TotalInjected() == 0 {
-			t.Fatal("storm injected nothing; the test exercises nothing")
-		}
-		if !resp.Degraded {
-			t.Fatalf("shards=%d: chaos surface reports Degraded=false with %d faults injected", shards, storm.TotalInjected())
-		}
-		// Every flapped host must be accounted for — either it burned
-		// retries on the way to OK/degraded, or it failed transiently.
-		for _, host := range flapped {
-			rep := resp.Sites[host]
-			if rep.Status == SiteOK && rep.Retries == 0 {
-				t.Errorf("shards=%d: flapped host %s reports a clean pass", shards, host)
-			}
-			if rep.Status == SiteFailedPermanent {
-				t.Errorf("shards=%d: flapped host %s classified permanent: %s", shards, host, rep.Err)
-			}
-			if rep.Status != SiteOK {
-				if _, ok := e.SiteSignatures[host]; ok {
-					t.Errorf("shards=%d: troubled host %s recorded a signature; refresh will never heal it", shards, host)
-				}
-			}
-		}
-		if total := e.rt.Stats(); total.Retries == 0 {
-			t.Fatalf("shards=%d: fetch stack reports no retries under chaos (%+v)", shards, total)
-		}
-
-		// Self-healing: each Refresh re-drives the signature-less sites;
-		// the flaps decay, so a bounded number of passes must converge.
-		healed := false
-		for pass := 1; pass <= 3; pass++ {
-			st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
-			if err != nil {
-				t.Fatalf("shards=%d: healing refresh %d: %v", shards, pass, err)
-			}
-			if !st.Degraded && st.SitesChanged == 0 {
-				healed = true
-				break
-			}
-		}
-		if !healed {
-			t.Fatalf("shards=%d: corpus did not converge within 3 refreshes", shards)
-		}
-
-		// Bit-identical equivalence after canonicalizing both arms.
-		ref.Index.Compact()
-		e.Index.Compact()
-		if !reflect.DeepEqual(e.SiteSignatures, ref.SiteSignatures) {
-			t.Errorf("shards=%d: healed signatures differ from fault-free", shards)
-		}
-		requireSameCorpus(t, fmt.Sprintf("shards=%d: healed vs fault-free", shards), e, ref)
+	// Reference arm: the same world, no weather.
+	ref, err := Build(refreshWorldCfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ref.Workers = 4
+	if _, err := ref.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
+		t.Fatalf("fault-free surface: %v", err)
+	}
+
+	// Chaos arm: identical world behind a fault-injecting transport.
+	e, err := Build(refreshWorldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Workers = 4
+	e.CompactRatio = 0 // compaction is explicit, at the comparison point
+	storm, flapped := stormOver(e.Web, 1234)
+	e.UseTransport(storm)
+	e.SetResilience(chaosOpts())
+
+	resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
+	if err != nil {
+		t.Fatalf("chaos surface aborted: %v", err)
+	}
+	if storm.TotalInjected() == 0 {
+		t.Fatal("storm injected nothing; the test exercises nothing")
+	}
+	if !resp.Degraded {
+		t.Fatalf("chaos surface reports Degraded=false with %d faults injected", storm.TotalInjected())
+	}
+	// Every flapped host must be accounted for — either it burned
+	// retries on the way to OK/degraded, or it failed transiently.
+	for _, host := range flapped {
+		rep := resp.Sites[host]
+		if rep.Status == SiteOK && rep.Retries == 0 {
+			t.Errorf("flapped host %s reports a clean pass", host)
+		}
+		if rep.Status == SiteFailedPermanent {
+			t.Errorf("flapped host %s classified permanent: %s", host, rep.Err)
+		}
+		if rep.Status != SiteOK {
+			if _, ok := e.SiteSignatures[host]; ok {
+				t.Errorf("troubled host %s recorded a signature; refresh will never heal it", host)
+			}
+		}
+	}
+	if total := e.rt.Stats(); total.Retries == 0 {
+		t.Fatalf("fetch stack reports no retries under chaos (%+v)", total)
+	}
+
+	// Self-healing: each Refresh re-drives the signature-less sites;
+	// the flaps decay, so a bounded number of passes must converge.
+	healed := false
+	for pass := 1; pass <= 3; pass++ {
+		st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
+		if err != nil {
+			t.Fatalf("healing refresh %d: %v", pass, err)
+		}
+		if !st.Degraded && st.SitesChanged == 0 {
+			healed = true
+			break
+		}
+	}
+	if !healed {
+		t.Fatal("corpus did not converge within 3 refreshes")
+	}
+
+	// Bit-identical equivalence after canonicalizing both arms.
+	ref.Index.Compact()
+	e.Index.Compact()
+	if !reflect.DeepEqual(e.SiteSignatures, ref.SiteSignatures) {
+		t.Error("healed signatures differ from fault-free")
+	}
+	requireSameCorpus(t, "healed vs fault-free", e, ref)
 }
 
 // With retries disabled the same storm must degrade, not abort: the

@@ -225,15 +225,14 @@ func (s SiteStatus) String() string {
 // stack's counter deltas attributed to it (the engine's one-site =
 // one-worker = one-host contract makes the attribution exact).
 type SiteReport struct {
-	Host              string     `json:"host"`
-	Status            SiteStatus `json:"-"`
-	StatusText        string     `json:"status"`
-	Attempts          uint64     `json:"attempts"`
-	Retries           uint64     `json:"retries"`
-	Timeouts          uint64     `json:"timeouts,omitempty"`
-	TransientFailures uint64     `json:"transient_failures,omitempty"`
-	PermanentFailures uint64     `json:"permanent_failures,omitempty"`
-	Err               string     `json:"error,omitempty"`
+	Host              string
+	Status            SiteStatus
+	Attempts          uint64
+	Retries           uint64
+	Timeouts          uint64
+	TransientFailures uint64
+	PermanentFailures uint64
+	Err               string
 }
 
 // SurfaceResponse reports a Surface pass: per-site outcomes keyed by
@@ -406,7 +405,6 @@ func (e *Engine) surfacePipeline(ctx context.Context, sites []*webgen.Site, run 
 					// next Refresh re-drives this site.
 					delete(e.SiteSignatures, out.host)
 				}
-				rep.StatusText = rep.Status.String()
 				reports[out.host] = rep
 				continue
 			}
@@ -416,7 +414,6 @@ func (e *Engine) surfacePipeline(ctx context.Context, sites []*webgen.Site, run 
 				// unrecorded so the next Refresh heals the gaps.
 				delete(e.SiteSignatures, out.host)
 			}
-			out.report.StatusText = out.report.Status.String()
 			reports[out.host] = out.report
 		}
 	}

@@ -20,9 +20,10 @@ import (
 // fixed probe set exactly against the model (model_test.go): ids, URLs,
 // titles, sources, score bits and totals. The operations:
 //
-//   - ingest: BulkIngest with annotations and duplicate URLs — within
-//     the batch, of live documents, of deleted ones — generated in no
-//     URL order, at a drawn batch size and worker count;
+//   - ingest: batches committed through the sink every surfaced site's
+//     documents pass through (ingest in bulk_test.go), with annotations
+//     and duplicate URLs — within the batch, of live documents, of
+//     deleted ones — generated in no URL order, at a drawn batch size;
 //   - delete: Index.Delete of drawn ids, live, dead or out of range;
 //   - annotate: re-Annotate of live documents, overwriting values and
 //     adding attributes and values never seen before;
@@ -47,11 +48,15 @@ func TestEngineFollowsOracle(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			o := newOracle(t, seed, seen)
+			// Every sequence deletes and compacts early, so each one
+			// checks tombstones and a renumbering.
 			o.step(o.draw("ingest"))
+			o.step(o.draw("delete"))
+			o.step(o.draw("compact"))
 			if seed%2 == 0 {
 				o.step(&oracleOp{kind: "cache", on: true})
 			}
-			for i := 1; i < steps; i++ {
+			for i := 3; i < steps; i++ {
 				o.step(o.draw("ingest", "ingest", "ingest", "delete", "delete", "annotate", "annotate",
 					"compact", "save", "bulkbuild", "bulkbuild", "cache"))
 			}
@@ -210,7 +215,7 @@ type oracleSeen struct {
 }
 
 func newOracle(t *testing.T, seed int64, seen *oracleSeen) *oracle {
-	o := &oracle{t: t, seed: seed, r: rand.New(rand.NewSource(seed)), e: NewEmpty(), seen: seen}
+	o := &oracle{t: t, seed: seed, r: rand.New(rand.NewSource(seed)), e: newEngine(), seen: seen}
 	o.e.Index = index.NewSharded(pick(o.r, []int{1, 4, 16}))
 	o.ops = append(o.ops, fmt.Sprintf("new engine, %d segments", o.e.Index.NumShards()))
 	o.probes = o.probeSet()
@@ -267,17 +272,21 @@ func (o *oracle) probeSet() []SearchRequest {
 		SearchRequest{Query: "ford seattle", K: 5, Offset: 3, Annotated: true, Host: "h0.example",
 			Filters: []query.Predicate{mustPred(o.t, "price<40000")}},
 	)
-	// Filters judged on every document: equality, numeric, range,
-	// type-compatible (minprice reads price annotations), unsatisfiable,
-	// and conjunctions drawn over all six operators.
+	// Filters judged on every document: equality (a multi-word value
+	// too), numeric both ways, range, type-compatible (minprice reads
+	// price annotations), a conjunction, unsatisfiable, and conjunctions
+	// drawn over all six operators.
 	filters := [][]query.Predicate{
 		{query.Eq("make", "ford")},
+		{query.Eq("city", "santa fe")},
 		{mustPred(o.t, "price<9000")},
+		{mustPred(o.t, "price>=40000")},
 		{mustPred(o.t, "year:2004..2007")},
 		{mustPred(o.t, "minprice<5000")},
+		{query.Eq("make", "ford"), mustPred(o.t, "price<12000")},
 		{query.Eq("make", "zzz-no-such-make")},
 	}
-	for len(filters) < 8 {
+	for n := 0; n < 3; n++ {
 		filters = append(filters, o.drawPreds())
 	}
 	for _, f := range filters {
@@ -333,7 +342,7 @@ type oracleOp struct {
 func (op *oracleOp) String() string {
 	switch op.kind {
 	case "ingest":
-		return fmt.Sprintf("ingest %d docs, batch %d, %d workers", len(op.docs), op.batch, op.workers)
+		return fmt.Sprintf("ingest %d docs, batch %d", len(op.docs), op.batch)
 	case "delete":
 		return fmt.Sprintf("delete %v", op.ids)
 	case "annotate":
@@ -353,7 +362,7 @@ func (op *oracleOp) String() string {
 func (o *oracle) draw(kinds ...string) *oracleOp {
 	r := o.r
 	for {
-		op := &oracleOp{kind: pick(r, kinds), workers: 1 + r.Intn(3)}
+		op := &oracleOp{kind: pick(r, kinds)}
 		switch op.kind {
 		case "ingest":
 			op.batch = pick(r, []int{1, 6, 64})
@@ -382,10 +391,12 @@ func (o *oracle) draw(kinds ...string) *oracleOp {
 			if n := o.m.live(); n == 0 || n < len(o.m.docs) {
 				continue
 			}
-			op.shards, op.batch = pick(r, []int{1, 4, 16}), pick(r, []int{7, 64})
+			op.shards, op.batch, op.workers = pick(r, []int{1, 4, 16}), pick(r, []int{7, 64}), 1+r.Intn(3)
 			for _, d := range o.m.docs {
 				op.docs, op.anns = append(op.docs, d.Doc), append(op.anns, maps.Clone(d.anns))
 			}
+		case "save":
+			op.workers = 1 + r.Intn(3)
 		case "cache":
 			op.on = !o.cache
 		}
@@ -513,12 +524,8 @@ func (o *oracle) onEngine(op *oracleOp) string {
 	ctx, e := context.Background(), o.e
 	switch op.kind {
 	case "ingest":
-		e.Workers = op.workers
-		st, err := e.BulkIngest(ctx, &docSource{op.docs, op.anns}, BulkOptions{Batch: op.batch})
-		if err != nil {
-			return "error: " + err.Error()
-		}
-		return fmt.Sprintf("added=%d duplicates=%d", st.Docs, st.Duplicates)
+		added, dups := ingest(e, &docSource{op.docs, op.anns}, op.batch)
+		return fmt.Sprintf("added=%d duplicates=%d", added, dups)
 	case "delete":
 		deleted := make([]bool, len(op.ids))
 		for i, id := range op.ids {

@@ -26,10 +26,12 @@ import (
 // tombstones, so a mutated index round-trips id-for-id), one postings
 // segment per shard, and a meta segment carrying the per-site content
 // signatures Refresh diffs against. The directory protocol is
-// store.Writer's; Save only says where the rows and postings come
-// from: the live index. Existing segments in dir are overwritten
-// atomically; a concurrent reader of the old snapshot is undisturbed.
-// Save must not run concurrently with Refresh or Compact.
+// store.Writer's, and so is the placement of terms in segments; Save
+// only says where the rows and postings come from: the live index.
+// Existing segments in dir are overwritten atomically; a concurrent
+// reader of the old snapshot is undisturbed. Save must not run
+// concurrently with Refresh or Compact. It holds one copy of every
+// posting list while it writes.
 func (e *Engine) Save(dir string) error {
 	ix := e.Index
 	docs, lens, dead := ix.ExportDocs()
@@ -48,7 +50,7 @@ func (e *Engine) Save(dir string) error {
 	for host, sig := range e.SiteSignatures {
 		sites = append(sites, store.SiteMeta{Host: host, Signature: uint64(sig)})
 	}
-	snapID, err := w.Commit(e.Workers, sites, ix.ExportShard)
+	snapID, err := w.Commit(e.Workers, sites, ix.ExportTerms())
 	if err != nil {
 		return fmt.Errorf("engine: save: %w", err)
 	}

@@ -12,8 +12,8 @@ import (
 // first index then Deletes those ids, so the pair must be search-
 // equivalent: tombstoning a document must equal never having added it,
 // down to the score bits.
-func twinCorpora(shards int, n int, skip map[int]bool) (full, without *Index) {
-	full, without = NewSharded(shards), NewSharded(shards)
+func twinCorpora(n int, skip map[int]bool) (full, without *Index) {
+	full, without = New(), New()
 	for i := 0; i < n; i++ {
 		d := Doc{
 			URL:    fmt.Sprintf("http://cars.example/p%d", i),
@@ -56,33 +56,31 @@ func liveSources(ix *Index) map[string]int {
 // formula, not the raw table).
 func TestDeleteEqualsNeverAdded(t *testing.T) {
 	skip := map[int]bool{3: true, 7: true, 8: true, 20: true, 39: true}
-	for _, shards := range []int{1, 4, DefaultShards} {
-		full, without := twinCorpora(shards, 40, skip)
-		if full.Len() != without.Len() {
-			t.Fatalf("shards=%d: live %d vs %d", shards, full.Len(), without.Len())
+	full, without := twinCorpora(40, skip)
+	if full.Len() != without.Len() {
+		t.Fatalf("live %d vs %d", full.Len(), without.Len())
+	}
+	if full.Deleted() != len(skip) {
+		t.Fatalf("Deleted()=%d, want %d", full.Deleted(), len(skip))
+	}
+	if full.Has("http://cars.example/p7") {
+		t.Error("deleted URL still present")
+	}
+	if a, b := liveSources(full), liveSources(without); !reflect.DeepEqual(a, b) {
+		t.Errorf("per-source counts differ:\n  %v\n  %v", a, b)
+	}
+	for _, q := range deleteQueries {
+		if a, b := full.DF(q), without.DF(q); a != b {
+			t.Errorf("DF(%q) %d vs %d", q, a, b)
 		}
-		if full.Deleted() != len(skip) {
-			t.Fatalf("shards=%d: Deleted()=%d, want %d", shards, full.Deleted(), len(skip))
+		a, b := search(full, q, 50), search(without, q, 50)
+		if len(a) != len(b) {
+			t.Errorf("Search(%q) %d vs %d hits", q, len(a), len(b))
+			continue
 		}
-		if full.Has("http://cars.example/p7") {
-			t.Error("deleted URL still present")
-		}
-		if a, b := liveSources(full), liveSources(without); !reflect.DeepEqual(a, b) {
-			t.Errorf("shards=%d: per-source counts differ:\n  %v\n  %v", shards, a, b)
-		}
-		for _, q := range deleteQueries {
-			if a, b := full.DF(q), without.DF(q); a != b {
-				t.Errorf("shards=%d: DF(%q) %d vs %d", shards, q, a, b)
-			}
-			a, b := search(full, q, 50), search(without, q, 50)
-			if len(a) != len(b) {
-				t.Errorf("shards=%d: Search(%q) %d vs %d hits", shards, q, len(a), len(b))
-				continue
-			}
-			for i := range a {
-				if a[i].URL != b[i].URL || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-					t.Errorf("shards=%d: Search(%q) hit %d: %v vs %v", shards, q, i, a[i], b[i])
-				}
+		for i := range a {
+			if a[i].URL != b[i].URL || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+				t.Errorf("Search(%q) hit %d: %v vs %v", q, i, a[i], b[i])
 			}
 		}
 	}
@@ -156,34 +154,32 @@ func TestDeleteReleasesAnnotations(t *testing.T) {
 // agree on ids, scores and tie order exactly.
 func TestCompactCanonicalizes(t *testing.T) {
 	skip := map[int]bool{0: true, 11: true, 25: true}
-	for _, shards := range []int{1, 4, DefaultShards} {
-		full, without := twinCorpora(shards, 30, skip)
-		if got := full.Compact(); got != len(skip) {
-			t.Fatalf("shards=%d: reclaimed %d, want %d", shards, got, len(skip))
+	full, without := twinCorpora(30, skip)
+	if got := full.Compact(); got != len(skip) {
+		t.Fatalf("reclaimed %d, want %d", got, len(skip))
+	}
+	without.Compact()
+	if full.Deleted() != 0 || full.TombstoneRatio() != 0 {
+		t.Error("tombstones survived compact")
+	}
+	if full.Len() != without.Len() {
+		t.Fatalf("live %d vs %d", full.Len(), without.Len())
+	}
+	for id := 0; id < full.Len(); id++ {
+		if full.Doc(id) != without.Doc(id) {
+			t.Fatalf("doc %d differs: %+v vs %+v", id, full.Doc(id), without.Doc(id))
 		}
-		without.Compact()
-		if full.Deleted() != 0 || full.TombstoneRatio() != 0 {
-			t.Errorf("shards=%d: tombstones survived compact", shards)
+		if !reflect.DeepEqual(full.AnnotationsOf(id), without.AnnotationsOf(id)) {
+			t.Fatalf("annotations of doc %d differ", id)
 		}
-		if full.Len() != without.Len() {
-			t.Fatalf("shards=%d: live %d vs %d", shards, full.Len(), without.Len())
+	}
+	for _, q := range deleteQueries {
+		a, b := search(full, q, 10), search(without, q, 10)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("post-compact Search(%q) differs:\n  %v\n  %v", q, a, b)
 		}
-		for id := 0; id < full.Len(); id++ {
-			if full.Doc(id) != without.Doc(id) {
-				t.Fatalf("shards=%d: doc %d differs: %+v vs %+v", shards, id, full.Doc(id), without.Doc(id))
-			}
-			if !reflect.DeepEqual(full.AnnotationsOf(id), without.AnnotationsOf(id)) {
-				t.Fatalf("shards=%d: annotations of doc %d differ", shards, id)
-			}
-		}
-		for _, q := range deleteQueries {
-			a, b := search(full, q, 10), search(without, q, 10)
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: post-compact Search(%q) differs:\n  %v\n  %v", shards, q, a, b)
-			}
-			if a, b := annotatedSearch(full, q, 10), annotatedSearch(without, q, 10); !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: post-compact AnnotatedSearch(%q) differs", shards, q)
-			}
+		if a, b := annotatedSearch(full, q, 10), annotatedSearch(without, q, 10); !reflect.DeepEqual(a, b) {
+			t.Errorf("post-compact AnnotatedSearch(%q) differs", q)
 		}
 	}
 }
@@ -192,8 +188,8 @@ func TestCompactCanonicalizes(t *testing.T) {
 // with ids intact: snapshots of mutated indexes round-trip.
 func TestTransplantPreservesTombstones(t *testing.T) {
 	skip := map[int]bool{2: true, 17: true}
-	full, _ := twinCorpora(4, 20, skip)
-	dst := transplant(t, full, 8)
+	full, _ := twinCorpora(20, skip)
+	dst := transplant(t, full)
 	if dst.Deleted() != len(skip) {
 		t.Fatalf("Deleted()=%d across transplant, want %d", dst.Deleted(), len(skip))
 	}

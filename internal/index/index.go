@@ -11,13 +11,13 @@
 // behind one lock, the table lock. A commit writes a whole batch —
 // rows, postings, annotations — in one write-locked section, and a
 // query reads under the read lock, so readers see a batch entirely or
-// not at all. Shards exist only on
-// disk: ShardOf splits the term space into the postings segments a
-// snapshot is written as. The expensive half of an insert —
-// tokenization and term counting — is exposed
-// separately as Prepare, so a concurrent ingest pipeline can analyze
-// documents in parallel outside the lock and commit them at an ordered
-// point, keeping doc-id assignment deterministic.
+// not at all. Shards exist only on disk: the index records how many
+// postings segments a snapshot of it is written as, and the snapshot
+// writer (internal/store) decides which segment each term lands in.
+// The expensive half of an insert — tokenization and term counting —
+// is exposed separately as Prepare, so a concurrent ingest pipeline
+// can analyze documents in parallel outside the lock and commit them
+// at an ordered point, keeping doc-id assignment deterministic.
 //
 // Both halves run allocation-consciously: Prepare draws its tokenizer,
 // term buffer and counting map from a pool and emits a compact
@@ -62,9 +62,8 @@ type posting struct {
 // for concurrent use; a committed batch becomes visible to queries all
 // at once.
 type Index struct {
-	// segments is how many postings segments Save writes (see ShardOf),
-	// fixed at construction; it does not change how postings are held
-	// in memory.
+	// segments is how many postings segments Save writes, fixed at
+	// construction; it does not change how postings are held in memory.
 	segments int
 
 	// mu, the table lock, guards everything below: the document table,
@@ -127,28 +126,6 @@ func NewSharded(n int) *Index {
 		hostNames: []string{""},
 		ann:       annStore{attrs: map[string]uint32{}},
 	}
-}
-
-// ShardOf is the one term→segment decision: FNV-1a of the term, modulo
-// the segment count. It is a pure function of its arguments — no
-// per-index or per-process seed — so Save, a snapshot loader and the
-// disk-streaming bulk build all place a term in the same segment,
-// which is what lets two builds of one corpus be byte-identical segment
-// file by segment file, in any process.
-func ShardOf(term string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(term); i++ {
-		h ^= uint64(term[i])
-		h *= prime64
-	}
-	return int(h % uint64(shards))
 }
 
 // Prepared is a tokenized document ready to commit: the expensive part

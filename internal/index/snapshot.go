@@ -12,9 +12,9 @@ import (
 // rebuilds an index from decoded segments without re-running the text
 // pipeline, which is what makes warm starts cheap.
 //
-// Postings are written as NumShards segments, a term's segment being
-// ShardOf(term, NumShards()); a loader may import the segments in any
-// order or concurrently. ImportDocs + ImportTerms reproduce TopK
+// Postings are exported as one sorted list and written as NumShards
+// segments, the snapshot writer placing each term; a loader may import
+// the segments in any order or concurrently. ImportDocs + ImportTerms reproduce TopK
 // bit-for-bit because every quantity BM25 reads (doc count, lengths,
 // total length, tf, df) is restored exactly.
 
@@ -34,17 +34,13 @@ type TermPostings struct {
 // NumShards returns how many postings segments the index saves as.
 func (ix *Index) NumShards() int { return ix.segments }
 
-// ExportShard returns postings segment si — the terms ShardOf places
-// there — with their posting lists, terms sorted, postings in stored
-// order. The slices are fresh copies: the caller may encode them after
-// the call returns, concurrently with writers.
-func (ix *Index) ExportShard(si int) []TermPostings {
+// ExportTerms returns every term with its posting list, terms sorted,
+// postings in stored order. The slices are fresh copies: the caller may
+// encode them after the call returns, concurrently with writers.
+func (ix *Index) ExportTerms() []TermPostings {
 	ix.mu.RLock()
-	out := make([]TermPostings, 0, len(ix.postings)/ix.segments+1)
+	out := make([]TermPostings, 0, len(ix.postings))
 	for term, plist := range ix.postings {
-		if ShardOf(term, ix.segments) != si {
-			continue
-		}
 		ps := make([]Posting, len(plist))
 		for i, p := range plist {
 			ps[i] = Posting{Doc: p.doc, TF: p.tf}

@@ -8,8 +8,8 @@ import (
 )
 
 // smallCorpus indexes a deterministic toy corpus with annotations.
-func smallCorpus(shards int) *Index {
-	ix := NewSharded(shards)
+func smallCorpus() *Index {
+	ix := New()
 	for i := 0; i < 40; i++ {
 		id, _ := ix.Add(Doc{
 			URL:    fmt.Sprintf("http://cars.example/p%d", i),
@@ -25,18 +25,16 @@ func smallCorpus(shards int) *Index {
 }
 
 // transplant exports every snapshot surface of src and imports it into
-// a fresh index with the given shard count.
-func transplant(t *testing.T, src *Index, shards int) *Index {
+// a fresh index.
+func transplant(t *testing.T, src *Index) *Index {
 	t.Helper()
 	docs, lens, dead := src.ExportDocs()
-	dst := NewSharded(shards)
+	dst := New()
 	if err := dst.ImportDocs(docs, lens, dead); err != nil {
 		t.Fatal(err)
 	}
-	for si := 0; si < src.NumShards(); si++ {
-		if err := dst.ImportTerms(src.ExportShard(si)); err != nil {
-			t.Fatal(err)
-		}
+	if err := dst.ImportTerms(src.ExportTerms()); err != nil {
+		t.Fatal(err)
 	}
 	anns := src.ExportAnnotations()
 	if len(anns) != len(docs) {
@@ -48,64 +46,58 @@ func transplant(t *testing.T, src *Index, shards int) *Index {
 	return dst
 }
 
-// Export → import must reproduce queries exactly, whatever the shard
-// counts on either side: shard layout is a concurrency detail, not an
-// observable property.
+// Export → import must reproduce queries exactly.
 func TestSnapshotTransplantExactness(t *testing.T) {
-	src := smallCorpus(DefaultShards)
-	for _, shards := range []int{1, 4, DefaultShards, 32} {
-		dst := transplant(t, src, shards)
-		if src.Len() != dst.Len() {
-			t.Fatalf("shards=%d: %d docs became %d", shards, src.Len(), dst.Len())
+	src := smallCorpus()
+	dst := transplant(t, src)
+	if src.Len() != dst.Len() {
+		t.Fatalf("%d docs became %d", src.Len(), dst.Len())
+	}
+	for id := 0; id < src.Len(); id++ {
+		if src.Doc(id) != dst.Doc(id) {
+			t.Fatalf("doc %d differs", id)
 		}
-		for id := 0; id < src.Len(); id++ {
-			if src.Doc(id) != dst.Doc(id) {
-				t.Fatalf("shards=%d: doc %d differs", shards, id)
-			}
-			if !reflect.DeepEqual(src.AnnotationsOf(id), dst.AnnotationsOf(id)) {
-				t.Fatalf("shards=%d: annotations of doc %d differ", shards, id)
+		if !reflect.DeepEqual(src.AnnotationsOf(id), dst.AnnotationsOf(id)) {
+			t.Fatalf("annotations of doc %d differ", id)
+		}
+	}
+	if !reflect.DeepEqual(liveSources(src), liveSources(dst)) {
+		t.Error("per-source counts differ")
+	}
+	for _, q := range []string{"ford focus", "seattle price", "used car 7", "absent-term"} {
+		a, b := search(src, q, 10), search(dst, q, 10)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("Search(%q) differs:\n  src %v\n  dst %v", q, a, b)
+		}
+		for i := range a {
+			if math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+				t.Errorf("Search(%q) hit %d: score bits differ", q, i)
 			}
 		}
-		if !reflect.DeepEqual(liveSources(src), liveSources(dst)) {
-			t.Errorf("shards=%d: per-source counts differ", shards)
+		if !reflect.DeepEqual(annotatedSearch(src, q, 10), annotatedSearch(dst, q, 10)) {
+			t.Errorf("AnnotatedSearch(%q) differs", q)
 		}
-		for _, q := range []string{"ford focus", "seattle price", "used car 7", "absent-term"} {
-			a, b := search(src, q, 10), search(dst, q, 10)
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: Search(%q) differs:\n  src %v\n  dst %v", shards, q, a, b)
-			}
-			for i := range a {
-				if math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-					t.Errorf("shards=%d: Search(%q) hit %d: score bits differ", shards, q, i)
-				}
-			}
-			if !reflect.DeepEqual(annotatedSearch(src, q, 10), annotatedSearch(dst, q, 10)) {
-				t.Errorf("shards=%d: AnnotatedSearch(%q) differs", shards, q)
-			}
-			if src.DF(q) != dst.DF(q) {
-				t.Errorf("shards=%d: DF(%q) differs", shards, q)
-			}
+		if src.DF(q) != dst.DF(q) {
+			t.Errorf("DF(%q) differs", q)
 		}
 	}
 }
 
-// ExportShard hands out copies: mutating them must not corrupt the
+// ExportTerms hands out copies: mutating them must not corrupt the
 // index, and terms arrive sorted for deterministic segment bytes.
-func TestExportShardIsolatedAndSorted(t *testing.T) {
-	ix := smallCorpus(4)
-	for si := 0; si < ix.NumShards(); si++ {
-		terms := ix.ExportShard(si)
-		for i := range terms {
-			if i > 0 && terms[i-1].Term >= terms[i].Term {
-				t.Fatalf("shard %d: terms out of order: %q then %q", si, terms[i-1].Term, terms[i].Term)
-			}
-			for j := range terms[i].Postings {
-				terms[i].Postings[j] = Posting{Doc: -1, TF: -1}
-			}
+func TestExportTermsIsolatedAndSorted(t *testing.T) {
+	ix := smallCorpus()
+	terms := ix.ExportTerms()
+	for i := range terms {
+		if i > 0 && terms[i-1].Term >= terms[i].Term {
+			t.Fatalf("terms out of order: %q then %q", terms[i-1].Term, terms[i].Term)
+		}
+		for j := range terms[i].Postings {
+			terms[i].Postings[j] = Posting{Doc: -1, TF: -1}
 		}
 	}
 	if got := search(ix, "ford focus", 5); len(got) == 0 {
-		t.Fatal("index corrupted by mutating an exported shard")
+		t.Fatal("index corrupted by mutating exported postings")
 	}
 }
 
@@ -118,7 +110,7 @@ func TestImportRejectsBadState(t *testing.T) {
 	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}}, []int{1}, []bool{true, false}); err == nil {
 		t.Error("mismatched docs/dead accepted")
 	}
-	ix := smallCorpus(2)
+	ix := smallCorpus()
 	docs, lens, dead := ix.ExportDocs()
 	if err := ix.ImportDocs(docs, lens, dead); err == nil {
 		t.Error("import into non-empty index accepted")
@@ -145,12 +137,12 @@ func TestImportRejectsBadState(t *testing.T) {
 // included, which the engine's oracle never runs under a cache — and a
 // read leaves it alone.
 func TestVersionMovesOnEveryWrite(t *testing.T) {
-	src := smallCorpus(4)
+	src := smallCorpus()
 	docs, lens, dead := src.ExportDocs()
 	ix := NewSharded(4)
 	writes := []func() error{
 		func() error { return ix.ImportDocs(docs, lens, dead) },
-		func() error { return ix.ImportTerms(src.ExportShard(0)) },
+		func() error { return ix.ImportTerms(src.ExportTerms()) },
 		func() error { ix.Add(Doc{URL: "http://new.example/", Text: "ford"}); return nil },
 		func() error { ix.Annotate(0, map[string]string{"make": "saab"}); return nil },
 		func() error { ix.Delete(1); return nil },

@@ -5,9 +5,9 @@
 // ordinary index).
 //
 // A snapshot directory holds one docs segment (the document table plus
-// annotations and tombstones), one postings segment per index shard,
-// optionally one meta segment (per-site refresh signatures) and
-// optionally one tables segment (the §6 semantic store's raw tables).
+// annotations and tombstones), one postings segment per shard of the
+// term space, optionally one meta segment (per-site refresh signatures)
+// and optionally one tables segment (the §6 semantic store's raw tables).
 // Every segment is self-describing:
 //
 //	magic "DWS1" | version u16 | kind u16 | shards u32 | shardID u32
@@ -23,10 +23,10 @@
 // different snapshot generations (a save that crashed halfway over an
 // older snapshot, a hand-mixed directory) cannot be loaded together
 // even when their doc counts coincide. Because it is content-derived
-// and terms are placed by the stable index.ShardOf, identical indexes
-// produce byte-identical directories — docs, postings and meta — from
-// any process, whichever way they were built. The tables
-// segment is self-contained — one atomically-replaced file, loadable
+// and Writer places terms with a seedless hash of the term alone,
+// identical indexes produce byte-identical directories — docs, postings
+// and meta — from any process, whichever way they were built. The
+// tables segment is self-contained — one atomically-replaced file, loadable
 // without any index segments — so it carries no generation binding; a
 // crash between an index save and a tables save can leave it one
 // generation behind the index. Posting lists are delta-varint coded
@@ -40,8 +40,9 @@
 //
 // The index segments of a directory are written only through Writer,
 // which owns the directory protocol (sweep, docs first, postings
-// stamped with the docs segment's id, meta last); this file holds the
-// segment framing and the per-kind codecs.
+// stamped with the docs segment's id, meta last) and the placement of
+// terms in segments; this file holds the segment framing and the
+// per-kind codecs.
 package store
 
 import (

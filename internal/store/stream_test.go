@@ -208,7 +208,7 @@ func TestSpillRunsOrderAndCleanSpills(t *testing.T) {
 	if n := leftovers(t, dir); n != 0 {
 		t.Fatalf("commit left %d temp files", n)
 	}
-	si := index.ShardOf(prepared(0, "shared").Terms()[0], 2) // the stemmed term
+	si := shardOf(prepared(0, "shared").Terms()[0], 2) // the stemmed term
 	terms, _, err := ReadPostings(PostingsPath(dir, si))
 	if err != nil {
 		t.Fatal(err)

@@ -13,19 +13,21 @@ import (
 // Writer is the one way a snapshot directory's index segments get
 // written. It owns the directory protocol — create the directory, sweep
 // a crashed writer's droppings, stream the docs segment first, stamp
-// its id into one postings segment per shard, write meta last — so the
-// two producers of snapshots differ only in where documents and
-// postings come from:
+// its id into one postings segment per shard, write meta last — and the
+// one term→segment decision, shardOf, so the two producers of
+// snapshots differ only in where documents and postings come from:
 //
 //   - a live index (engine.Save) streams its document table through
-//     AddDoc and hands Commit each shard's resident posting lists;
+//     AddDoc and hands Commit every resident posting list, which Commit
+//     places by shardOf;
 //
 //   - a tokenized stream (engine.BulkBuild) feeds AddPrepared, which
-//     also accumulates the document's postings in RAM. Every spillDocs
-//     documents the accumulator is flushed as one sorted run file per
-//     non-empty shard, and Commit k-way merges each shard's runs into
-//     its final segment. Peak memory is the spill window plus one
-//     shard's merged postings, independent of corpus size.
+//     also accumulates the document's postings in RAM, placed by
+//     shardOf. Every spillDocs documents the accumulator is flushed as
+//     one sorted run file per non-empty shard, and Commit k-way merges
+//     each shard's runs into its final segment. Peak memory is the
+//     spill window plus one shard's merged postings, independent of
+//     corpus size.
 //
 // Spill runs are framed like postings segments (same header, same
 // varint/delta body, KindSpill so the kind check refuses them as live
@@ -35,9 +37,9 @@ import (
 // doc-id order, concatenating a term's postings across a shard's runs
 // in flush order yields the ascending posting list of the final
 // segment — the merged output is independent of where the flush
-// boundaries fell, and with terms placed by index.ShardOf on both
-// paths, Save and BulkBuild of the same corpus write byte-identical
-// directories.
+// boundaries fell, and since every term is placed by shardOf whichever
+// path it came in by, Save and BulkBuild of the same corpus write
+// byte-identical directories.
 //
 // A Writer is not safe for concurrent use. Callers defer Abort: after
 // a failed Add or Commit it sweeps the temp files and runs (segments of
@@ -104,7 +106,7 @@ func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
 	}
 	tfs := p.TermFreqs()
 	for j, t := range p.Terms() {
-		m := w.acc[index.ShardOf(t, w.shards)]
+		m := w.acc[shardOf(t, w.shards)]
 		m[t] = append(m[t], index.Posting{Doc: int32(id), TF: tfs[j]})
 	}
 	if w.window++; w.window >= w.spillDocs {
@@ -156,15 +158,20 @@ func (w *Writer) Runs() int {
 
 // Commit finishes the snapshot: the docs segment is closed and renamed
 // into place, then each shard's postings segment — the merge of its
-// spilled runs and, when resident is non-nil, the sorted posting lists
-// resident(si) returns — is written stamped with the docs segment's id
+// spilled runs and of the resident posting lists (sorted by term) that
+// shardOf places there — is written stamped with the docs segment's id
 // on up to workers goroutines, then the meta segment carrying sites.
 // It returns that snapshot id.
-func (w *Writer) Commit(workers int, sites []SiteMeta, resident func(si int) []index.TermPostings) (snapID uint32, err error) {
+func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPostings) (snapID uint32, err error) {
 	if w.window > 0 {
 		if err := w.spill(); err != nil {
 			return 0, err
 		}
+	}
+	placed := make([][]index.TermPostings, w.shards)
+	for _, tp := range resident {
+		si := shardOf(tp.Term, w.shards)
+		placed[si] = append(placed[si], tp)
 	}
 	snapID, err = w.docs.Close()
 	if err != nil {
@@ -183,8 +190,8 @@ func (w *Writer) Commit(workers int, sites []SiteMeta, resident func(si int) []i
 			}
 			lists = append(lists, terms)
 		}
-		if resident != nil {
-			lists = append(lists, resident(si))
+		if placed[si] != nil {
+			lists = append(lists, placed[si])
 		}
 		return WritePostings(PostingsPath(w.dir, si), w.shards, si, w.docs.n, snapID, mergeRuns(lists))
 	})
@@ -246,6 +253,27 @@ func mergeRuns(runs [][]index.TermPostings) []index.TermPostings {
 		}
 		out = append(out, index.TermPostings{Term: best, Postings: ps})
 	}
+}
+
+// shardOf is the one term→segment decision: FNV-1a of the term, modulo
+// the segment count. It is a pure function of its arguments — no
+// per-index or per-process seed — so a term lands in the same segment
+// whichever path wrote it and in any process, which is what lets two
+// builds of one corpus be byte-identical segment file by segment file.
+func shardOf(term string, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(term); i++ {
+		h ^= uint64(term[i])
+		h *= prime64
+	}
+	return int(h % uint64(shards))
 }
 
 // ForEachShard runs fn over every shard id on up to workers goroutines

@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # serve-smoke checks that deepsearch refuses to start without a
-# snapshot, then boots the real binary twice and checks the status of a
-# few requests against each boot:
+# snapshot and deepcrawl refuses a bulk build without a directory, then
+# boots the real server twice and checks the status of a few requests
+# against each boot:
 #
-#   0. deepsearch with no -snapshot exits 2;
+#   0. deepsearch with no -snapshot exits 2, and so does deepcrawl
+#      -bulk with no -out;
 #   1. -snapshot of a `deepcrawl -sites 1 -rows 120 -out` directory,
 #      which has a tables segment: /healthz comes up, /v1/search,
-#      /v1/semantics/synonyms, POST /v1/admin/reload and the HTML page
-#      (annotated) answer 200;
+#      /v1/semantics/synonyms and the HTML page (annotated) answer 200;
+#      then `deepcrawl -refresh` rewrites the directory, and POST
+#      /v1/admin/reload answers 200 with a generation other than the
+#      one /healthz reported before;
 #   2. -snapshot of a `deepcrawl -bulk 2000 -out` directory, which has
 #      no tables segment: /v1/search answers 200 and
 #      /v1/semantics/values answers the 404 JSON envelope.
@@ -75,6 +79,11 @@ expect() {
 	echo "ok  $method $path → $got"
 }
 
+# generation prints the generation field of the last response body.
+generation() {
+	grep -o '"generation":[0-9]*' "$work/body" | cut -d: -f2
+}
+
 echo "== no -snapshot"
 code=0
 timeout 10 "$work/deepsearch" -addr "$addr" >"$work/server.log" 2>&1 || code=$?
@@ -84,14 +93,31 @@ if [ "$code" != 2 ]; then
 	exit 1
 fi
 echo "ok  deepsearch without -snapshot → exit 2"
+code=0
+"$work/deepcrawl" -bulk 100 >"$work/crawl.log" 2>&1 || code=$?
+if [ "$code" != 2 ]; then
+	echo "serve-smoke: deepcrawl -bulk without -out exited $code, want 2" >&2
+	cat "$work/crawl.log" >&2
+	exit 1
+fi
+echo "ok  deepcrawl -bulk without -out → exit 2"
 
 echo "== -snapshot of a surfaced world"
 "$work/deepcrawl" -sites 1 -rows 120 -out "$work/world" >/dev/null
 boot -snapshot "$work/world"
 expect 200 '/v1/search?q=used+ford'
 expect 200 '/v1/semantics/synonyms?attr=make'
-expect 200 '/v1/admin/reload' POST
 expect 200 '/?q=used+ford&annotated=true'
+expect 200 '/healthz'
+before="$(generation)"
+"$work/deepcrawl" -sites 1 -rows 120 -refresh "$work/world" >/dev/null
+expect 200 '/v1/admin/reload' POST
+after="$(generation)"
+if [ -z "$before" ] || [ -z "$after" ] || [ "$before" = "$after" ]; then
+	echo "serve-smoke: reload after deepcrawl -refresh moved generation '$before' to '$after'" >&2
+	exit 1
+fi
+echo "ok  deepcrawl -refresh + reload: generation $before → $after"
 stop
 
 echo "== -snapshot of a bulk build"
