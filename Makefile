@@ -84,8 +84,9 @@ chaos:
 # arbitrary bodies through every snapshot segment decoder, arbitrary
 # strings through the filter DSL (Parse/String round trip, Extract,
 # Key), arbitrary pages through the HTML parser and extractors, the
-# /v1/search append encoder against encoding/json, then the index's
-# host-column extractor against url.Parse.
+# /v1/search append encoder against encoding/json, the index's
+# host-column extractor against url.Parse, then the filter's bound
+# path against Matcher.Match over fuzzed annotations.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textutil
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHTMLParse$$' -fuzztime $(FUZZTIME) ./internal/htmlx
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime $(FUZZTIME) ./internal/api
 	$(GO) test -run '^$$' -fuzz '^FuzzHostOf$$' -fuzztime $(FUZZTIME) ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzBoundMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/query
 
 # lint = the CI lint job: the project's own analyzers first (no
 # install, works offline), then the pinned external tools (network

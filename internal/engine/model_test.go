@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"math"
 	"net/url"
 	"slices"
@@ -84,9 +85,10 @@ func (m *model) liveID(u string) int {
 }
 
 // annotate sets one value per attribute; empty names and values are
-// ignored.
+// ignored, and keys naming one attribute apply in sorted order.
 func (m *model) annotate(id int, anns map[string]string) {
-	for attr, v := range anns {
+	for _, attr := range slices.Sorted(maps.Keys(anns)) {
+		v := anns[attr]
 		attr, v = strings.ToLower(strings.TrimSpace(attr)), strings.ToLower(strings.TrimSpace(v))
 		if attr == "" || v == "" {
 			continue

@@ -467,8 +467,8 @@ func (o *oracle) drawValue(attr string) string {
 }
 
 // drawReannotation overwrites or repeats one value and, often, adds an
-// attribute or a value no dictionary holds yet, or an empty value
-// Annotate ignores.
+// attribute or a value no dictionary holds yet, an empty value Annotate
+// ignores, or a second spelling of the attribute's name.
 func (o *oracle) drawReannotation() map[string]string {
 	r := o.r
 	attr := pick(r, oracleAttrs)
@@ -480,6 +480,8 @@ func (o *oracle) drawReannotation() map[string]string {
 		anns["price"] = fmt.Sprint(70000 + r.Intn(10000))
 	case 2:
 		anns["make"] = ""
+	case 3:
+		anns[" "+strings.ToUpper(attr)] = o.drawValue(attr)
 	}
 	return anns
 }

@@ -98,8 +98,8 @@ func Load(dir string) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: load postings: %w", err)
 	}
-	// In id order, so the annotation arena lays rows out in the order a
-	// scan hands its candidates to the filter.
+	// In id order, so each annotation schema table lays its slots out
+	// in the order a scan hands its candidates to the filter.
 	for id, anns := range seg.Anns {
 		if anns != nil && !dead[id] {
 			ix.Annotate(id, anns)

@@ -38,9 +38,10 @@ type SearchRequest struct {
 	// selection, so kept documents score bit-identically to an
 	// unfiltered search and Total counts exactly the matching live
 	// documents. Predicates resolve against the document's §5.1
-	// annotations first (bound once per request to the index's
-	// columnar store), then typed tokens from its text; order and
-	// duplicates are irrelevant (the cache keys their canonical form).
+	// annotations first (bound once per request and schema to the
+	// index's annotation tables), then typed tokens from its text;
+	// order and duplicates are irrelevant (the cache keys their
+	// canonical form).
 	Filters []query.Predicate
 }
 

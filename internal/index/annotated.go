@@ -2,6 +2,8 @@ package index
 
 import (
 	"context"
+	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,31 +22,30 @@ import (
 // annotation *contradicts* it and boosts documents whose annotation
 // confirms it.
 
-// The store is columnar. Each attribute has a dictionary — value to
-// code, code to value, the value's numeric reading, and how many live
-// documents carry it — and each document has a row of (attribute id,
-// value code) pairs in one flat arena behind an offset table. What a
-// query needs is then computed at the cheapest point that can know it:
+// The store is a set of schema tables. An annotation is the form
+// binding that surfaced a page, so every page from one query template
+// carries the same attribute set — a schema — and a corpus has a
+// handful of them (one per form template). Each attribute has a
+// dictionary — value to code, code to value, the value's numeric
+// reading, and how many live documents carry it. Each schema has a
+// table, one code column per attribute and one slot per document, and
+// each document names its schema and its slot. What a query needs is
+// then computed at the cheapest point that can know it:
 //
 //   - once per distinct value, at Annotate time: the dictionary code,
 //     strconv.ParseFloat, the word count that bounds the n-gram probe
 //     below;
-//   - once per query: which attributes a predicate reads (a
-//     query.Bound, on its first candidate) and which dictionary values
-//     the query text mentions (valuesMentioned);
-//   - per candidate: a walk over the row's pairs, indexing arrays.
+//   - once per query and schema: which of the schema's columns a
+//     predicate reads (a query.Bound, on the schema's first
+//     candidate); once per query, which dictionary values the query
+//     text mentions (valuesMentioned);
+//   - per candidate: the document's schema and slot, then one code and
+//     one dictionary entry per column a predicate reads.
 //
 // Nothing here is persisted: snapshots carry annotations as attribute
-// and value strings, and Annotate rebuilds the columns during a load,
-// in doc-id order, so rows sit in the arena in the order a scan reads
+// and value strings, and Annotate rebuilds the tables during a load,
+// in doc-id order, so each table's slots sit in the order a scan reads
 // its candidates.
-
-// AnnPair is one annotation in a document's row: the attribute's id
-// (an index into AnnotationColumns) and the value's code in that
-// attribute's dictionary.
-type AnnPair struct {
-	Attr, Code uint32
-}
 
 // AnnValue is one dictionary entry, everything a filter reads of an
 // annotation value, computed when the value was first seen.
@@ -69,11 +70,35 @@ func NewAnnValue(text string) AnnValue {
 }
 
 // AnnColumn is a read-only view of one attribute's dictionary, indexed
-// by value code, valid for the scan that took it (see
-// AnnotationColumns).
+// by value code.
 type AnnColumn struct {
 	Attr   string
 	Values []AnnValue
+}
+
+// AnnSchema is one schema's table: the attribute ids it holds and, per
+// attribute, a column of value codes indexed by slot.
+type AnnSchema struct {
+	Attrs []uint32   // ascending
+	Codes [][]uint32 // Codes[i][slot]: the code of Attrs[i]'s value
+	docs  []int32    // slot -> doc id; -1 for a dead slot
+}
+
+// AnnTables is a read-only view of the annotation store, valid for the
+// scan that took it (see AnnotationTables). Document id's annotations
+// are slot Slot[id] of table Schemas[Schema[id]]; an id past the end of
+// Schema, like schema 0, has none.
+type AnnTables struct {
+	Schema  []uint32
+	Slot    []uint32
+	Schemas []AnnSchema
+	cols    []*annColumn
+}
+
+// Column returns attribute a's dictionary.
+func (t *AnnTables) Column(a uint32) AnnColumn {
+	col := t.cols[a]
+	return AnnColumn{Attr: col.name, Values: col.values}
 }
 
 // annColumn is one attribute's dictionary.
@@ -87,28 +112,43 @@ type annColumn struct {
 	maxWords int
 }
 
-// rowRef locates a document's row in the pair arena.
-type rowRef struct {
-	off, n uint32
+// annCell is one annotation of a document: attribute id and value code.
+type annCell struct {
+	attr, code uint32
 }
 
 // annStore carries annotations parallel to docs, under the table lock.
 type annStore struct {
-	attrs map[string]uint32 // attribute name -> id
-	cols  []*annColumn      // attribute id -> dictionary
-	rows  []rowRef          // doc id -> row; n == 0 for an unannotated document
-	pairs []AnnPair         // row arena
-	// waste counts arena pairs no row points at any more (deleted
-	// documents, rows that moved to grow); reclaim rewrites the arena
-	// once they outnumber the live ones.
-	waste int
+	attrs   map[string]uint32 // attribute name -> id
+	cols    []*annColumn      // attribute id -> dictionary
+	schemas []AnnSchema       // schema id -> table; schema 0 has no columns
+	// schemaIDs finds a schema by its attribute ids, each as four
+	// little-endian bytes.
+	schemaIDs map[string]uint32
+	schema    []uint32 // doc id -> schema id; 0, or past the end, for none
+	slot      []uint32 // doc id -> slot in its schema's table
+	// slots counts the slots of every table, dead counts those no
+	// document holds any more; rewrite drops them once they outnumber
+	// the live ones.
+	slots, dead int
+}
+
+func newAnnStore() annStore {
+	return annStore{
+		attrs:     map[string]uint32{},
+		schemas:   make([]AnnSchema, 1),
+		schemaIDs: map[string]uint32{},
+	}
 }
 
 // Annotate attaches attribute=value annotations to an indexed document
-// (typically the form binding that surfaced it). Values are stored
-// lower-cased; empty values are ignored. A document holds one value per
-// attribute: annotating an attribute again replaces its value, and
-// repeating the value it already has changes nothing.
+// (typically the form binding that surfaced it). Names and values are
+// stored lower-cased and trimmed; pairs with an empty name or value are
+// ignored. A document holds one value per attribute: annotating an
+// attribute again replaces its value, and repeating the value it
+// already has changes nothing. Where two keys of anns name one
+// attribute (say "Make" and "make "), the keys apply in sorted order,
+// so the value of the greatest key wins.
 func (ix *Index) Annotate(docID int, anns map[string]string) {
 	if docID < 0 {
 		return
@@ -121,16 +161,53 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 }
 
 // annotateLocked is Annotate for a caller holding the write lock, who
-// reclaims the arena once its writes are done.
+// reclaims dead slots once its writes are done.
 func (ix *Index) annotateLocked(docID int, anns map[string]string) {
-	for attr, v := range anns {
-		attr = strings.ToLower(strings.TrimSpace(attr))
+	// Room on the stack for the usual handful of annotations keeps a
+	// load, which annotates every document, from allocating per
+	// document.
+	var (
+		cellBuf [16]annCell
+		keyBuf  [16]string
+	)
+	// cells starts as what the document carries, with no key, and ends
+	// as what it will carry: ascending attribute ids, each once.
+	cells := cellBuf[:0]
+	keys := keyBuf[:0] // keys[i] is the key cells[i] came from
+	st := &ix.ann
+	if docID < len(st.schema) {
+		t, slot := &st.schemas[st.schema[docID]], st.slot[docID]
+		for i, a := range t.Attrs {
+			cells, keys = append(cells, annCell{a, t.Codes[i][slot]}), append(keys, "")
+		}
+	}
+	for k, v := range anns {
+		attr := strings.ToLower(strings.TrimSpace(k))
 		v = strings.ToLower(strings.TrimSpace(v))
 		if attr == "" || v == "" {
 			continue
 		}
-		ix.ann.set(docID, attr, v)
+		a, col := st.column(attr)
+		cell := annCell{a, col.code(v)}
+		i := len(cells)
+		for i > 0 && cells[i-1].attr > a {
+			i--
+		}
+		if i > 0 && cells[i-1].attr == a {
+			// A new value replaces the old one. Two keys naming one
+			// attribute: the greater key wins, as if the keys applied in
+			// sorted order, whatever the map's.
+			if k > keys[i-1] {
+				cells[i-1], keys[i-1] = cell, k
+			}
+			continue
+		}
+		cells, keys = append(cells, cell), append(keys, k)
+		copy(cells[i+1:], cells[i:])
+		copy(keys[i+1:], keys[i:])
+		cells[i], keys[i] = cell, k
 	}
+	st.place(docID, cells)
 }
 
 // column returns the attribute's id and dictionary, creating both on
@@ -161,10 +238,11 @@ func (col *annColumn) code(v string) uint32 {
 	return c
 }
 
-// appendDoubling is append with capacity doubled on growth. The arena
-// and the dictionaries are filled one element at a time during a load,
-// where append's 1.25x steps for large slices re-copy them some five
-// times over — garbage that lands in the loading process's peak RSS.
+// appendDoubling is append with capacity doubled on growth. The
+// dictionaries and the tables are filled one element at a time during
+// a load, where append's 1.25x steps for large slices re-copy them
+// some five times over — garbage that lands in the loading process's
+// peak RSS.
 func appendDoubling[T any](s []T, v T) []T {
 	if len(s) == cap(s) {
 		grown := make([]T, len(s), max(2*cap(s), 16))
@@ -174,140 +252,160 @@ func appendDoubling[T any](s []T, v T) []T {
 	return append(s, v)
 }
 
-// set writes one annotation into the document's row, keeping the
-// dictionaries' support counts equal to the live rows. The caller
-// holds the write lock.
-func (st *annStore) set(docID int, attr, v string) {
-	a, col := st.column(attr)
-	c := col.code(v)
-	if docID >= len(st.rows) {
-		st.rows = append(st.rows, make([]rowRef, docID+1-len(st.rows))...)
-	}
-	ref, row := st.rows[docID], st.row(docID)
-	for i := range row {
-		if row[i].Attr == a {
-			if row[i].Code != c {
-				col.support[row[i].Code]--
-				col.support[c]++
-				row[i].Code = c
-			}
-			return
-		}
-	}
-	// A new attribute for this document. A row grows in place only at
-	// the arena's tail (where a document annotated once, the normal
-	// case, always is); from anywhere else it moves there first.
-	if int(ref.off+ref.n) != len(st.pairs) {
-		st.waste += len(row)
-		ref.off = uint32(len(st.pairs))
-		st.pairs = append(st.pairs, row...)
-	}
-	st.pairs = appendDoubling(st.pairs, AnnPair{Attr: a, Code: c})
-	ref.n++
-	st.rows[docID] = ref
-	col.support[c]++
-}
-
-// deleteDoc drops a deleted document's annotations and releases its
-// vocabulary support, so a value that survives only on dead documents
-// stops steering AnnotatedTopK. The caller holds the write lock.
-func (st *annStore) deleteDoc(docID int) {
-	row := st.row(docID)
-	if len(row) == 0 {
+// place gives a document the annotations cells — ascending attribute
+// ids, each once, a superset of the attributes it carries — keeping the
+// dictionaries' support counts equal to the live slots. A document
+// whose attribute set does not change is overwritten in place; one
+// whose set grows moves to the table of its new schema, leaving a dead
+// slot behind. The caller holds the write lock.
+func (st *annStore) place(docID int, cells []annCell) {
+	if len(cells) == 0 {
 		return
 	}
-	for _, p := range row {
-		st.cols[p.Attr].support[p.Code]--
+	if docID >= len(st.schema) {
+		st.schema = append(st.schema, make([]uint32, docID+1-len(st.schema))...)
+		st.slot = append(st.slot, make([]uint32, docID+1-len(st.slot))...)
 	}
-	st.waste += len(row)
-	st.rows[docID] = rowRef{}
-	st.reclaim()
+	if old, slot := &st.schemas[st.schema[docID]], st.slot[docID]; len(old.Attrs) == len(cells) {
+		for i, c := range cells {
+			if prev := old.Codes[i][slot]; prev != c.code {
+				sup := st.cols[c.attr].support
+				sup[prev]--
+				sup[c.code]++
+				old.Codes[i][slot] = c.code
+			}
+		}
+		return
+	}
+	st.kill(docID)
+	s := st.schemaOf(cells)
+	t := &st.schemas[s]
+	for i, c := range cells {
+		t.Codes[i] = appendDoubling(t.Codes[i], c.code)
+		st.cols[c.attr].support[c.code]++
+	}
+	st.schema[docID], st.slot[docID] = s, uint32(len(t.docs))
+	t.docs = appendDoubling(t.docs, int32(docID))
+	st.slots++
 }
 
-// row returns the document's pairs, a view into the arena valid while
-// the caller holds the table lock; empty for an unannotated document.
-func (st *annStore) row(docID int) []AnnPair {
-	if docID < 0 || docID >= len(st.rows) {
-		return nil
+// schemaOf returns the id of the schema holding exactly the cells'
+// attributes, creating its table on first sight.
+func (st *annStore) schemaOf(cells []annCell) uint32 {
+	var keyBuf [64]byte
+	key := keyBuf[:0]
+	for _, c := range cells {
+		key = binary.LittleEndian.AppendUint32(key, c.attr)
 	}
-	ref := st.rows[docID]
-	return st.pairs[ref.off : ref.off+ref.n]
+	if s, ok := st.schemaIDs[string(key)]; ok {
+		return s
+	}
+	s := uint32(len(st.schemas))
+	attrs := make([]uint32, len(cells))
+	for i, c := range cells {
+		attrs[i] = c.attr
+	}
+	st.schemas = append(st.schemas, AnnSchema{Attrs: attrs, Codes: make([][]uint32, len(cells))})
+	st.schemaIDs[string(key)] = s
+	return s
 }
 
-// reclaim rewrites the arena once dead pairs outnumber live ones, so
-// churn (delete, re-annotate) costs amortized O(1) per pair and the
-// arena stays within twice the live rows.
+// kill drops a document's annotations: its slot goes dead and its
+// values' support is released, so a value that survives only on dead
+// documents stops steering AnnotatedTopK. The caller holds the write
+// lock and reclaims dead slots once its writes are done.
+func (st *annStore) kill(docID int) {
+	if docID >= len(st.schema) || st.schema[docID] == 0 {
+		return
+	}
+	t, slot := &st.schemas[st.schema[docID]], st.slot[docID]
+	for i, a := range t.Attrs {
+		st.cols[a].support[t.Codes[i][slot]]--
+	}
+	t.docs[slot] = -1
+	st.schema[docID], st.slot[docID] = 0, 0
+	st.dead++
+}
+
+// reclaim rewrites the tables once dead slots outnumber live ones, so
+// churn (delete, schema moves) costs amortized O(1) per slot and the
+// tables stay within twice the live documents.
 func (st *annStore) reclaim() {
-	if st.waste > len(st.pairs)/2 {
+	if st.dead > st.slots-st.dead {
 		st.rewrite(nil)
 	}
 }
 
-// rewrite copies the live rows into a fresh arena, renumbering them
-// through newID (-1 drops a document) when Compact passes one. Codes
-// and attribute ids are untouched: dictionaries only grow.
-func (st *annStore) rewrite(newID []int32) {
-	size := len(st.rows)
-	if newID != nil {
-		size = len(newID) // new ids are below the old table's length
+// rewrite lays every live slot out afresh, each table in doc-id order.
+// order, when Compact passes one, lists the old id of every surviving
+// document by its new id, and the documents are renumbered through it;
+// nil keeps every id. Codes, attribute ids and schema ids are
+// untouched: dictionaries and schemas only grow.
+func (st *annStore) rewrite(order []int32) {
+	n := len(st.schema)
+	if order != nil {
+		n = len(order)
 	}
-	rows := make([]rowRef, size)
-	pairs := make([]AnnPair, 0, len(st.pairs)-st.waste)
-	end := 0 // one past the highest id that keeps a row
-	for id := range st.rows {
-		row, to := st.row(id), id
-		if newID != nil {
-			if id >= len(newID) || newID[id] < 0 {
-				continue
-			}
-			to = int(newID[id])
+	tables := make([]AnnSchema, len(st.schemas))
+	for s, old := range st.schemas {
+		tables[s] = AnnSchema{Attrs: old.Attrs, Codes: make([][]uint32, len(old.Attrs))}
+	}
+	schema, slot := make([]uint32, n), make([]uint32, n)
+	end := 0 // one past the highest id that keeps its annotations
+	st.slots, st.dead = 0, 0
+	for id := range n {
+		from := id
+		if order != nil {
+			from = int(order[id])
 		}
-		if len(row) == 0 {
+		if from >= len(st.schema) || st.schema[from] == 0 {
 			continue
 		}
-		rows[to] = rowRef{off: uint32(len(pairs)), n: uint32(len(row))}
-		pairs = append(pairs, row...)
-		end = max(end, to+1)
+		s, at := st.schema[from], st.slot[from]
+		old, t := &st.schemas[s], &tables[s]
+		for i := range t.Codes {
+			t.Codes[i] = append(t.Codes[i], old.Codes[i][at])
+		}
+		schema[id], slot[id] = s, uint32(len(t.docs))
+		t.docs = append(t.docs, int32(id))
+		end = id + 1
+		st.slots++
 	}
-	st.rows, st.pairs, st.waste = rows[:end], pairs, 0
+	st.schemas, st.schema, st.slot = tables, schema[:end], slot[:end]
 }
 
-// asMap materializes a row as attribute -> value. The caller holds the
-// table lock.
-func (st *annStore) asMap(row []AnnPair) map[string]string {
-	out := make(map[string]string, len(row))
-	for _, p := range row {
-		col := st.cols[p.Attr]
-		out[col.name] = col.values[p.Code].Text
+// asMap materializes a document's annotations as attribute -> value,
+// nil if it has none. The caller holds the table lock.
+func (st *annStore) asMap(docID int) map[string]string {
+	if docID < 0 || docID >= len(st.schema) || st.schema[docID] == 0 {
+		return nil
+	}
+	t, slot := &st.schemas[st.schema[docID]], st.slot[docID]
+	out := make(map[string]string, len(t.Attrs))
+	for i, a := range t.Attrs {
+		col := st.cols[a]
+		out[col.name] = col.values[t.Codes[i][slot]].Text
 	}
 	return out
 }
 
 // AnnotationsOf returns a document's annotations as a fresh map (nil
 // if none). It is the slow, convenient view — experiments, the
-// reference filter; serving reads rows in place through a Filter's
-// Match.
+// reference filter; serving reads the tables in place through a
+// Filter's Match.
 func (ix *Index) AnnotationsOf(docID int) map[string]string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	row := ix.ann.row(docID)
-	if len(row) == 0 {
-		return nil
-	}
-	return ix.ann.asMap(row)
+	return ix.ann.asMap(docID)
 }
 
-// AnnotationColumns returns a view of every attribute's dictionary,
-// indexed by attribute id; never nil. It takes no lock: call it only
-// from inside the Match of a Filter handed to TopK or AnnotatedTopK,
-// under the read lock the scan holds throughout, so the views cover
-// every row that scan hands over.
-func (ix *Index) AnnotationColumns() []AnnColumn {
-	out := make([]AnnColumn, len(ix.ann.cols))
-	for a, col := range ix.ann.cols {
-		out[a] = AnnColumn{Attr: col.name, Values: col.values}
-	}
-	return out
+// AnnotationTables returns a view of the annotation store. It takes no
+// lock: call it only from inside the Match of a Filter handed to TopK
+// or AnnotatedTopK, under the read lock the scan holds throughout, so
+// the view covers every candidate that scan hands over.
+func (ix *Index) AnnotationTables() AnnTables {
+	st := &ix.ann
+	return AnnTables{Schema: st.schema, Slot: st.slot, Schemas: st.schemas, cols: st.cols}
 }
 
 // Annotation-aware scoring factors. Demotion is strong: a contradicted
@@ -337,7 +435,8 @@ const rerankDepth = 200
 // live document the query matched (after the filter), not just the
 // re-ranked prefix. The vocabulary probe, the base ranking and the
 // adjustment run in one read-locked section, so a concurrent Compact
-// cannot renumber rows between the ranking and the factors read for it.
+// cannot renumber documents between the ranking and the factors read
+// for it.
 func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()
@@ -388,8 +487,8 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 
 // mention is one attribute the query names a value of.
 type mention struct {
-	attr string
-	pair AnnPair
+	name       string
+	attr, code uint32
 }
 
 // valuesMentioned returns, per annotation attribute, the value the
@@ -433,10 +532,10 @@ func (st *annStore) valuesMentioned(query string) []mention {
 			}
 		}
 		if bestLen > 0 {
-			out = append(out, mention{attr: col.name, pair: AnnPair{Attr: uint32(a), Code: best}})
+			out = append(out, mention{name: col.name, attr: uint32(a), code: best})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].attr < out[j].attr })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
@@ -447,18 +546,20 @@ func (st *annStore) valuesMentioned(query string) []mention {
 // from run to run. The caller holds the table lock.
 func (st *annStore) adjust(rs []Result, mentioned []mention) {
 	for i := range rs {
-		row := st.row(rs[i].DocID)
+		id := rs[i].DocID
+		if id >= len(st.schema) {
+			continue
+		}
+		t, slot := &st.schemas[st.schema[id]], st.slot[id]
 		for _, m := range mentioned {
-			for _, have := range row {
-				if have.Attr != m.pair.Attr {
-					continue
-				}
-				if have.Code == m.pair.Code {
-					rs[i].Score *= annBoost
-				} else {
-					rs[i].Score *= annDemote
-				}
-				break
+			col, ok := slices.BinarySearch(t.Attrs, m.attr)
+			if !ok {
+				continue
+			}
+			if t.Codes[col][slot] == m.code {
+				rs[i].Score *= annBoost
+			} else {
+				rs[i].Score *= annDemote
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -45,6 +46,21 @@ func TestAnnotateIgnoresEmpty(t *testing.T) {
 	anns := ix.AnnotationsOf(id)
 	if len(anns) != 1 || anns["ok"] != "val" {
 		t.Errorf("anns = %v", anns)
+	}
+}
+
+// Keys that normalize to one attribute are decided by a total rule,
+// not by map order: they apply in sorted raw order, so the value of the
+// greatest key wins ("make " > "Make" > "MAKE"), on every index.
+func TestAnnotateKeyOrderIsTotal(t *testing.T) {
+	want := map[string]string{"make": "honda", "year": "2001"}
+	for run := 0; run < 200; run++ {
+		ix := New()
+		id, _ := ix.Add(Doc{URL: "u", Text: "ford honda audi"})
+		ix.Annotate(id, map[string]string{"Make": "ford", "make ": "honda", "MAKE": "audi", "year": "2001", " YEAR": ""})
+		if got := ix.AnnotationsOf(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: annotations %v, want %v", run, got, want)
+		}
 	}
 }
 

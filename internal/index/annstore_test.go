@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -89,30 +90,15 @@ func TestReannotateReleasesSupport(t *testing.T) {
 	}
 }
 
-// Rows survive what moves them: growing away from the arena's tail,
-// the arena rewrite that reclaims dead pairs, and Compact's remap.
+// Annotations survive what moves them: a schema move when a document
+// gains an attribute, the rewrite that drops dead slots, and Compact's
+// renumbering. After every write the tables hold no more dead slots
+// than live ones and every value's support equals the live slots
+// carrying it; after a rewrite each table's slots follow doc ids.
 func TestAnnotationRowsSurviveChurn(t *testing.T) {
 	ix := NewSharded(4)
 	want := map[string]map[string]string{} // by URL: ids change at Compact
-	const n = 400
-	for i := 0; i < n; i++ {
-		url := fmt.Sprintf("http://x.example/%03d", (i*7919)%n) // URL order != id order
-		id, _ := ix.Add(Doc{URL: url, Text: fmt.Sprintf("ford focus %d", i)})
-		anns := map[string]string{"make": []string{"ford", "honda"}[i%2], "year": fmt.Sprint(1990 + i%20)}
-		ix.Annotate(id, anns)
-		want[url] = anns
-	}
-	// Grow rows that are no longer at the tail, overwrite others.
-	for id := 0; id < n; id += 3 {
-		url := ix.Doc(id).URL
-		ix.Annotate(id, map[string]string{"city": "seattle", "year": "2001"})
-		want[url]["city"], want[url]["year"] = "seattle", "2001"
-	}
-	// Delete enough to force arena rewrites.
-	for id := 1; id < n; id += 2 {
-		delete(want, ix.Doc(id).URL)
-		ix.Delete(id)
-	}
+	st := &ix.ann
 	check := func(when string) {
 		t.Helper()
 		seen := 0
@@ -139,31 +125,99 @@ func TestAnnotationRowsSurviveChurn(t *testing.T) {
 				}
 			}
 		}
-		if len(exp) != seen+ix.Deleted() || annotated != len(want) {
-			t.Fatalf("%s: ExportAnnotations has %d entries, %d annotated; want %d, %d", when, len(exp), annotated, seen+ix.Deleted(), len(want))
+		if len(exp) != seen+ix.Deleted() {
+			t.Fatalf("%s: ExportAnnotations has %d entries, want %d", when, len(exp), seen+ix.Deleted())
 		}
-		st := &ix.ann
-		if live := len(st.pairs) - st.waste; st.waste > live {
-			t.Fatalf("%s: arena holds %d dead pairs against %d live", when, st.waste, live)
+		if st.dead > st.slots-st.dead {
+			t.Fatalf("%s: tables hold %d dead slots against %d live", when, st.dead, st.slots-st.dead)
 		}
-		// Support equals the live rows, value by value.
-		counts := map[AnnPair]int32{}
-		for id := range st.rows {
-			for _, p := range st.row(id) {
-				counts[p]++
+		// Every slot is dead or held by the document that names it, and
+		// support equals the live slots, value by value.
+		slots, dead, live := 0, 0, 0
+		counts := map[annCell]int32{}
+		for s, sch := range st.schemas {
+			slots += len(sch.docs)
+			for slot, id := range sch.docs {
+				if id < 0 {
+					dead++
+					continue
+				}
+				if st.schema[id] != uint32(s) || st.slot[id] != uint32(slot) {
+					t.Fatalf("%s: schema %d slot %d holds doc %d, which names schema %d slot %d", when, s, slot, id, st.schema[id], st.slot[id])
+				}
+				live++
+				for i, a := range sch.Attrs {
+					counts[annCell{a, sch.Codes[i][slot]}]++
+				}
 			}
+		}
+		if slots != st.slots || dead != st.dead || live != annotated {
+			t.Fatalf("%s: %d slots, %d dead, %d live; the store counts %d and %d, %d documents are annotated", when, slots, dead, live, st.slots, st.dead, annotated)
 		}
 		for a, col := range st.cols {
 			for c, sup := range col.support {
-				if sup != counts[AnnPair{uint32(a), uint32(c)}] {
-					t.Fatalf("%s: %s=%q support %d, live rows carry it %d times", when, col.name, col.values[c].Text, sup, counts[AnnPair{uint32(a), uint32(c)}])
+				if n := counts[annCell{uint32(a), uint32(c)}]; sup != n {
+					t.Fatalf("%s: %s=%q support %d, live slots carry it %d times", when, col.name, col.values[c].Text, sup, n)
 				}
 			}
 		}
 	}
-	check("after churn")
+	inDocIDOrder := func(when string) {
+		t.Helper()
+		if st.dead != 0 {
+			t.Fatalf("%s: %d dead slots after a rewrite", when, st.dead)
+		}
+		for s, sch := range st.schemas {
+			if !slices.IsSorted(sch.docs) {
+				t.Fatalf("%s: schema %d lays its slots out as docs %v, not in doc-id order", when, s, sch.docs)
+			}
+		}
+	}
+
+	const n = 400
+	for i := 0; i < n; i++ {
+		url := fmt.Sprintf("http://x.example/%03d", (i*7919)%n) // URL order != id order
+		id, _ := ix.Add(Doc{URL: url, Text: fmt.Sprintf("ford focus %d", i)})
+		anns := map[string]string{"make": []string{"ford", "honda"}[i%2], "year": fmt.Sprint(1990 + i%20)}
+		if i%5 == 0 {
+			anns = map[string]string{"price": fmt.Sprint(1000 * (i % 7))}
+		}
+		ix.Annotate(id, anns)
+		want[url] = anns
+		check(fmt.Sprintf("annotate %d", id))
+	}
+	// Move every third document to a grown schema — from both starting
+	// schemas — and overwrite values in place on others.
+	for id := 0; id < n; id++ {
+		url := ix.Doc(id).URL
+		switch id % 3 {
+		case 0:
+			ix.Annotate(id, map[string]string{"city": "seattle", "year": "2001"})
+			want[url]["city"], want[url]["year"] = "seattle", "2001"
+		case 1:
+			ix.Annotate(id, map[string]string{"year": "1999"})
+			want[url]["year"] = "1999"
+		}
+		check(fmt.Sprintf("re-annotate %d", id))
+	}
+	// Delete enough to force rewrites.
+	rewrites := 0
+	for id := 1; id < n; id += 2 {
+		delete(want, ix.Doc(id).URL)
+		dead := st.dead
+		ix.Delete(id)
+		if st.dead < dead {
+			rewrites++
+			inDocIDOrder(fmt.Sprintf("delete %d", id))
+		}
+		check(fmt.Sprintf("delete %d", id))
+	}
+	if rewrites == 0 {
+		t.Fatal("no delete rewrote the tables")
+	}
 	ix.Compact()
 	check("after compact")
+	inDocIDOrder("after compact")
 }
 
 // Compact may renumber an annotated document past every id the store
@@ -203,7 +257,7 @@ func TestTopKFilteredScanIsCancelable(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	hits, total, err := ix.TopK(ctx, q, 10, 0, &Filter{Match: func([]AnnPair, *Doc) bool {
+	hits, total, err := ix.TopK(ctx, q, 10, 0, &Filter{Match: func(int, *Doc) bool {
 		if calls++; calls == 100 {
 			cancel()
 		}

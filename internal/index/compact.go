@@ -83,6 +83,6 @@ func (ix *Index) Compact() int {
 		ix.postings[term] = kept
 	}
 
-	ix.ann.rewrite(newID)
+	ix.ann.rewrite(order)
 	return reclaimed
 }

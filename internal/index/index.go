@@ -68,8 +68,8 @@ type Index struct {
 
 	// mu, the table lock, guards everything below: the document table,
 	// postings and ann. A query holds it read-side for its whole scan,
-	// so the filter reads each candidate's rows in place; writers hold
-	// it write-side.
+	// so the filter reads each candidate's annotations in place; writers
+	// hold it write-side.
 	mu       sync.RWMutex
 	docs     []Doc
 	lens     []int
@@ -124,7 +124,7 @@ func NewSharded(n int) *Index {
 		postings:  map[string][]posting{},
 		hostIDs:   map[string]uint32{},
 		hostNames: []string{""},
-		ann:       annStore{attrs: map[string]uint32{}},
+		ann:       newAnnStore(),
 	}
 }
 
@@ -221,7 +221,8 @@ func (ix *Index) Delete(id int) bool {
 	if cur, ok := ix.byURL[d.URL]; ok && cur == id {
 		delete(ix.byURL, d.URL)
 	}
-	ix.ann.deleteDoc(id)
+	ix.ann.kill(id)
+	ix.ann.reclaim()
 	ix.mu.Unlock()
 	return true
 }
@@ -356,12 +357,12 @@ type Filter struct {
 	// never seen answers an empty page without scoring anything.
 	Host string
 	// Match, when set, admits the candidates it returns true for,
-	// handed each one's annotation row and document in place, under
-	// the scan's read lock, after the host check. Like ForEachLive's fn
-	// it must not call back into the index (bar AnnotationColumns,
-	// which takes no lock and relies on this one): a recursive read
-	// lock deadlocks once a writer is queued.
-	Match func(row []AnnPair, d *Doc) bool
+	// handed each one's doc id and document in place, under the scan's
+	// read lock, after the host check. Like ForEachLive's fn it must
+	// not call back into the index (bar AnnotationTables, which takes
+	// no lock and relies on this one): a recursive read lock deadlocks
+	// once a writer is queued.
+	Match func(id int, d *Doc) bool
 }
 
 // TopK returns one page of the BM25 ranking for a free-text query: the
@@ -389,7 +390,7 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 	}
 	var (
 		hid   uint32 // the host column's id for f.Host; 0 = any host
-		match func([]AnnPair, *Doc) bool
+		match func(int, *Doc) bool
 	)
 	if f != nil {
 		if f.Host != "" {
@@ -532,12 +533,12 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 			}
 			s := scores[d]
 			scores[d] = 0
-			// The host check reads the column alone; the row and the
-			// document are touched only for a candidate on the host.
+			// The host check reads the column alone; Match runs only for
+			// a candidate on the host.
 			if hid != 0 && hosts[d] != hid {
 				continue
 			}
-			if match != nil && !match(ix.ann.row(int(d)), &ix.docs[d]) {
+			if match != nil && !match(int(d), &ix.docs[d]) {
 				continue
 			}
 			total++

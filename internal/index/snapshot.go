@@ -71,15 +71,13 @@ func (ix *Index) ExportDocs() (docs []Doc, lens []int, dead []bool) {
 
 // ExportAnnotations returns the annotations of every document in the
 // table, indexed by doc id like ExportDocs, materialized from the
-// columnar rows as fresh maps; nil for an unannotated document.
+// schema tables as fresh maps; nil for an unannotated document.
 func (ix *Index) ExportAnnotations() []map[string]string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	out := make([]map[string]string, len(ix.docs))
 	for id := range out {
-		if row := ix.ann.row(id); len(row) > 0 {
-			out[id] = ix.ann.asMap(row)
-		}
+		out[id] = ix.ann.asMap(id)
 	}
 	return out
 }

@@ -20,15 +20,13 @@ type compiled struct {
 
 // Matcher evaluates a fixed predicate list against documents. Compile
 // once per query with NewMatcher; then either Bind it to an index's
-// annotation store and call Bound.Match once per candidate of one scan
+// annotation tables and call Bound.Match once per candidate of one scan
 // — the serving path — or hand Match a document's annotations as a
-// map, the slow reference spelling of the same evaluation. A Matcher
-// is read-only after construction and safe for concurrent use.
+// map, the slow reference evaluation the serving path is checked
+// against. A Matcher is read-only after construction and safe for
+// concurrent use.
 type Matcher struct {
 	preds []compiled
-	// typed: some predicate reads type-compatible attributes, so
-	// binding needs each attribute's hypothesized type.
-	typed bool
 }
 
 // NewMatcher compiles a predicate list. An empty or nil list returns
@@ -45,59 +43,117 @@ func NewMatcher(preds []Predicate) *Matcher {
 			if toks := textutil.Tokenize(p.Value); len(toks) > 0 {
 				c.phrase = " " + strings.Join(toks, " ") + " "
 			}
-		} else if c.typ != "" {
-			m.typed = true
 		}
 		m.preds = append(m.preds, c)
 	}
 	return m
 }
 
-// reads reports whether the predicate consults annotations on attr,
-// whose hypothesized type is attrTyp: always its own attribute, and for
-// a typed numeric predicate every type-compatible one (minprice and
-// maxprice both hypothesize to price).
-func (c *compiled) reads(attr, attrTyp string) bool {
-	return attr == c.p.Attr || c.p.Op != OpEq && c.typ != "" && attrTyp == c.typ
+// reads reports whether the predicate consults annotations on attr:
+// always its own attribute, and for a typed numeric predicate every
+// type-compatible one (minprice and maxprice both hypothesize to
+// price).
+func (c *compiled) reads(attr string) bool {
+	return attr == c.p.Attr || c.p.Op != OpEq && c.typ != "" && core.HypothesizeType(attr, "") == c.typ
 }
 
-// readsOf resolves, once per bind, which attribute ids each predicate
-// reads — one HypothesizeType per attribute, not per candidate — into
-// buf: predicate i's table is the i-th run of len(cols) entries.
-func (m *Matcher) readsOf(cols []index.AnnColumn, buf []bool) []bool {
-	n := len(cols)
-	if need := len(m.preds) * n; cap(buf) < need {
-		buf = make([]bool, need)
-	} else {
-		buf = buf[:need]
+// verdict is what a document's annotations say about one predicate.
+type verdict uint8
+
+const (
+	admit   verdict = iota // a relevant annotation satisfies it
+	reject                 // relevant annotations exist and none does
+	askText                // no relevant annotation: the text decides
+)
+
+// Match reports whether a document satisfies every predicate, given
+// its annotations (nil when it has none) and its title and text. It
+// evaluates the package doc's resolution order straight off the map:
+// the reference Bound.Match is held to.
+func (m *Matcher) Match(anns map[string]string, title, text string) bool {
+	if m == nil {
+		return true
 	}
-	for a, col := range cols {
-		typ := ""
-		if m.typed {
-			typ = core.HypothesizeType(col.Attr, "")
-		}
-		for i := range m.preds {
-			buf[i*n+a] = m.preds[i].reads(col.Attr, typ)
+	var doc *docTokens
+	for i := range m.preds {
+		c := &m.preds[i]
+		switch c.overMap(anns) {
+		case reject:
+			return false
+		case askText:
+			if doc == nil {
+				doc = newDocTokens(title, text)
+			}
+			if !c.matchText(doc) {
+				return false
+			}
 		}
 	}
-	return buf
+	return true
 }
 
-// Bound is a Matcher bound to one index's columnar annotation store
-// for the span of one scan: which attribute ids each predicate reads is
-// resolved once, so a candidate costs a walk over its row's pairs — the
-// row TopK hands its Filter's Match, in place — and reads the document
-// or allocates only when the text fallback runs. A Bound serves one
-// scan: call Match only as the Filter.Match of one TopK or
-// AnnotatedTopK, on that scan's goroutine.
+// overMap evaluates one predicate against an annotation map (steps 1
+// and 2 of the package doc's resolution order).
+func (c *compiled) overMap(anns map[string]string) verdict {
+	if c.p.Op == OpEq {
+		// The exact attribute's annotation is authoritative either way:
+		// agreement admits, contradiction rejects.
+		v, ok := anns[c.p.Attr]
+		switch {
+		case !ok:
+			return askText
+		case v == c.p.Value:
+			return admit
+		}
+		return reject
+	}
+	// Numeric predicate: candidate values come from annotations on the
+	// attribute itself or any type-compatible attribute. Any satisfying
+	// candidate admits the document; relevant annotations that all
+	// contradict the bound reject it.
+	found := false
+	for attr, v := range anns {
+		if !c.reads(attr) {
+			continue
+		}
+		if av := index.NewAnnValue(v); av.IsNum {
+			if c.inBounds(av.Num) {
+				return admit
+			}
+			found = true
+		}
+	}
+	if found {
+		return reject
+	}
+	return askText
+}
+
+// Bound is a Matcher bound to one index's annotation tables for the
+// span of one scan. On a schema's first candidate it resolves which of
+// the schema's columns each predicate reads, so a candidate costs its
+// schema and slot, then one code and one dictionary entry per column a
+// predicate reads; it reads the document or allocates only when the
+// text fallback runs. A Bound serves one scan: call Match only as the
+// Filter.Match of one TopK or AnnotatedTopK, on that scan's goroutine.
 type Bound struct {
-	m     *Matcher
-	ix    *index.Index
-	cols  []index.AnnColumn // nil until the first Match
-	reads []bool            // readsOf(cols)
+	m  *Matcher
+	ix *index.Index
+	t  index.AnnTables // taken on the first Match
+	// plans holds, by schema id, the columns each predicate reads in
+	// that schema's table; nil until the first Match, and a schema's
+	// entry nil until its first candidate.
+	plans [][][]column
 }
 
-// Bind binds the matcher to ix's annotation store. A nil Matcher binds
+// column is one table column a predicate reads: the value codes by
+// slot, and the attribute's dictionary they index.
+type column struct {
+	codes []uint32
+	vals  []index.AnnValue
+}
+
+// Bind binds the matcher to ix's annotation tables. A nil Matcher binds
 // to a nil Bound, which matches every document.
 func (m *Matcher) Bind(ix *index.Index) *Bound {
 	if m == nil {
@@ -106,58 +162,33 @@ func (m *Matcher) Bind(ix *index.Index) *Bound {
 	return &Bound{m: m, ix: ix}
 }
 
-// Match reports whether document d of the bound index, whose
-// annotation row is row, satisfies every predicate; d's title and text
-// are read only when some predicate finds no relevant annotation.
-func (b *Bound) Match(row []index.AnnPair, d *index.Doc) bool {
+// Match reports whether document id of the bound index, handed over in
+// place as d, satisfies every predicate; d's title and text are read
+// only when some predicate finds no relevant annotation.
+func (b *Bound) Match(id int, d *index.Doc) bool {
 	if b == nil {
 		return true
 	}
-	if b.cols == nil {
+	if b.plans == nil {
 		// The scan's first candidate: its read lock is held from here to
-		// its last, so no writer interns anything while these views are
-		// in use and they cover every row the scan hands over.
-		b.cols = b.ix.AnnotationColumns()
-		b.reads = b.m.readsOf(b.cols, nil)
+		// its last, so no writer touches the tables while this view is
+		// in use, and it covers every candidate the scan hands over.
+		b.t = b.ix.AnnotationTables()
+		b.plans = make([][][]column, len(b.t.Schemas))
 	}
-	return b.m.match(row, b.cols, b.reads, d)
-}
-
-// Match reports whether a document satisfies every predicate, given
-// its annotations (nil when it has none) and its title and text. It is
-// Bound.Match for callers holding a map instead of an index — tests,
-// the benchmark's reference — and shares its evaluation: the map is
-// laid out as a one-document columnar store, each attribute a column of
-// one value, and judged the same way.
-func (m *Matcher) Match(anns map[string]string, title, text string) bool {
-	if m == nil {
-		return true
+	var s, slot uint32
+	if id < len(b.t.Schema) {
+		s, slot = b.t.Schema[id], b.t.Slot[id]
 	}
-	// Fixed-size room for the usual handful of annotations keeps the
-	// reference spelling, slow next to a Bound, to one small allocation.
-	var (
-		colBuf  [8]index.AnnColumn
-		rowBuf  [8]index.AnnPair
-		valBuf  [8]index.AnnValue
-		readBuf [32]bool
-	)
-	cols, row, vals := colBuf[:0], rowBuf[:0], valBuf[:0]
-	for attr, val := range anns {
-		vals = append(vals, index.NewAnnValue(val))
-		row = append(row, index.AnnPair{Attr: uint32(len(cols))})
-		cols = append(cols, index.AnnColumn{Attr: attr, Values: vals[len(vals)-1:]})
+	plan := b.plans[s]
+	if plan == nil {
+		plan = b.plan(s)
+		b.plans[s] = plan
 	}
-	return m.match(row, cols, m.readsOf(cols, readBuf[:0]), &index.Doc{Title: title, Text: text})
-}
-
-// match is the one evaluation both spellings end in. The document is
-// read — its title and text tokenized, at most once — only when some
-// predicate actually needs the text fallback.
-func (m *Matcher) match(row []index.AnnPair, cols []index.AnnColumn, reads []bool, d *index.Doc) bool {
 	var doc *docTokens
-	for i := range m.preds {
-		c := &m.preds[i]
-		switch c.judge(row, cols, reads[i*len(cols):(i+1)*len(cols)]) {
+	for i := range b.m.preds {
+		c := &b.m.preds[i]
+		switch c.inTable(plan[i], slot) {
 		case reject:
 			return false
 		case askText:
@@ -172,35 +203,35 @@ func (m *Matcher) match(row []index.AnnPair, cols []index.AnnColumn, reads []boo
 	return true
 }
 
-// verdict is what a document's annotations say about one predicate.
-type verdict uint8
-
-const (
-	admit   verdict = iota // a relevant annotation satisfies it
-	reject                 // relevant annotations exist and none does
-	askText                // no relevant annotation: the text decides
-)
-
-// judge evaluates one predicate against a document's annotation row
-// (steps 1 and 2 of the package doc's resolution order).
-func (c *compiled) judge(row []index.AnnPair, cols []index.AnnColumn, reads []bool) verdict {
-	found := false
-	for _, a := range row {
-		if !reads[a.Attr] {
-			continue
+// plan resolves, for schema s, the columns each predicate reads.
+func (b *Bound) plan(s uint32) [][]column {
+	sch := &b.t.Schemas[s]
+	plan := make([][]column, len(b.m.preds))
+	cols := make([]column, 0, len(b.m.preds)*len(sch.Attrs))
+	for i := range b.m.preds {
+		from := len(cols)
+		for j, a := range sch.Attrs {
+			if col := b.t.Column(a); b.m.preds[i].reads(col.Attr) {
+				cols = append(cols, column{codes: sch.Codes[j], vals: col.Values})
+			}
 		}
-		v := &cols[a.Attr].Values[a.Code]
+		plan[i] = cols[from:len(cols):len(cols)]
+	}
+	return plan
+}
+
+// inTable evaluates one predicate against the columns it reads, at one
+// slot of their table (steps 1 and 2, as overMap).
+func (c *compiled) inTable(cols []column, slot uint32) verdict {
+	found := false
+	for _, col := range cols {
+		v := &col.vals[col.codes[slot]]
 		if c.p.Op == OpEq {
-			// The exact attribute's annotation is authoritative either
-			// way: agreement admits, contradiction rejects.
 			if v.Text == c.p.Value {
 				return admit
 			}
 			return reject
 		}
-		// Numeric predicate: candidate values come from annotations on
-		// the attribute itself or any type-compatible attribute. Any
-		// satisfying candidate admits the document.
 		if !v.IsNum {
 			continue
 		}
@@ -210,8 +241,6 @@ func (c *compiled) judge(row []index.AnnPair, cols []index.AnnColumn, reads []bo
 		found = true
 	}
 	if found {
-		// Relevant annotations existed and all contradicted the bound:
-		// the page is about values outside the filter.
 		return reject
 	}
 	return askText

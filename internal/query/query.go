@@ -23,16 +23,17 @@
 //     stand in — surfaced result pages render their records' numbers
 //     as plain tokens, so a price filter scans the page's numbers.
 //
-// Steps 1 and 2 read the index's columnar annotation store (one
-// dictionary per attribute, one row of (attribute id, value code) pairs
-// per document): a Matcher is bound to it once per query (Bind), and on
-// the scan's first candidate — under the index's read lock, held for the
-// whole scan — the Bound settles which attribute ids each predicate
-// reads; each candidate then costs a walk over its row, which a loaded
-// index keeps in doc-id order, the order the scan visits candidates in.
-// The value's numeric reading was parsed once, when the dictionary
-// first saw it. Matcher.Match, taking a map, lays the map out the same
-// way and runs the same evaluation.
+// Steps 1 and 2 read the index's annotation schema tables (one
+// dictionary per attribute; one table per attribute set, a column of
+// value codes per attribute and a slot per document): a Matcher is
+// bound to them once per query (Bind), and on each schema's first
+// candidate — under the index's read lock, held for the whole scan —
+// the Bound settles which of the schema's columns each predicate reads.
+// Each candidate then costs its schema and slot, and one code and one
+// dictionary entry per column read; the value's numeric reading was
+// parsed once, when the dictionary first saw it. Matcher.Match, taking
+// a map, evaluates the same steps straight off the map: the reference
+// the bound path is checked against.
 // Step 3 is the cold path, and the only one that reads the document:
 // it tokenizes its title and text.
 //
