@@ -29,17 +29,19 @@ build:
 # `go test -race -shuffle=<seed> <pkg>`. The atomicity tests, the
 # oracle's concurrent mode (TestEngineFollowsOracleAtomically) among
 # them, then run ten more times: a torn commit fails only when a reader
-# lands inside it.
+# lands inside it. So do the Load tests: Load's three parts write one
+# index concurrently, and a racy install shows only when they
+# interleave.
 test:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=10 -run 'Atomic' ./internal/index ./internal/engine
+	$(GO) test -race -count=10 -run 'Atomic|^TestLoad' ./internal/index ./internal/engine
 
 # bench = deepbench, the repository's one benchmark (bench/README.md,
 # BENCHMARK.json): every workload, untraced then traced, results under
 # bench/out/. bench-smoke = the CI bench-smoke job: the same program on
 # a 3000-document corpus, a second per workload, untraced then traced
-# (the traced run replays Load step by step and the request layer by
-# layer) — it exercises every path and checks every answer, and
+# (the traced run replays the old step sequence of Load until ROADMAP
+# item 11, and the request layer by layer) — it exercises every path and checks every answer, and
 # measures nothing.
 bench:
 	$(GO) run ./bench

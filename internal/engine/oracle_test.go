@@ -12,6 +12,7 @@ import (
 
 	"deepweb/internal/index"
 	"deepweb/internal/query"
+	"deepweb/internal/store"
 	"deepweb/internal/textutil"
 )
 
@@ -335,7 +336,7 @@ type oracleOp struct {
 	anns                   []map[string]string // parallel to docs, or to ids for annotate
 	ids                    []int
 	batch, workers, shards int
-	on                     bool   // cache
+	on                     bool   // cache; save: annotate the tombstones
 	want                   string // the model's outcome, when drawn ahead of the engine
 }
 
@@ -348,6 +349,9 @@ func (op *oracleOp) String() string {
 	case "annotate":
 		return fmt.Sprintf("annotate %v with %v", op.ids, op.anns)
 	case "save":
+		if op.on {
+			return fmt.Sprintf("save with annotated tombstones → load, %d workers", op.workers)
+		}
 		return fmt.Sprintf("save → load, %d workers", op.workers)
 	case "bulkbuild":
 		return fmt.Sprintf("bulkbuild → load, %d shards, batch %d, %d workers", op.shards, op.batch, op.workers)
@@ -396,7 +400,9 @@ func (o *oracle) draw(kinds ...string) *oracleOp {
 				op.docs, op.anns = append(op.docs, d.Doc), append(op.anns, maps.Clone(d.anns))
 			}
 		case "save":
-			op.workers = 1 + r.Intn(3)
+			// One draw for both keeps each seed's operation sequence.
+			n := r.Intn(6)
+			op.workers, op.on = 1+n%3, n >= 3
 		case "cache":
 			op.on = !o.cache
 		}
@@ -543,6 +549,9 @@ func (o *oracle) onEngine(op *oracleOp) string {
 	case "save":
 		e.Workers = op.workers
 		dir := o.t.TempDir()
+		if op.on {
+			return o.load(dir, op.workers, o.saveAnnotatedTombstones(dir))
+		}
 		if err := e.Save(dir); err != nil {
 			return "error: " + err.Error()
 		}
@@ -565,6 +574,36 @@ func (o *oracle) onEngine(op *oracleOp) string {
 		}
 	}
 	return ""
+}
+
+// saveAnnotatedTombstones writes the engine's index to dir as Save
+// does, except that every tombstoned document carries annotations —
+// a snapshot the format allows and Save never writes, whose tombstones
+// Load must read as unannotated — and returns the snapshot id.
+func (o *oracle) saveAnnotatedTombstones(dir string) uint32 {
+	ix := o.e.Index
+	docs, lens, dead := ix.ExportDocs()
+	anns := ix.ExportAnnotations()
+	for id := range anns {
+		if dead[id] {
+			anns[id] = map[string]string{"make": "fiat", "notes": fmt.Sprintf("tombstone %d", id)}
+		}
+	}
+	w, err := store.NewWriter(dir, ix.NumShards(), len(docs), 0)
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	defer w.Abort()
+	for id, d := range docs {
+		if err := w.AddDoc(d, lens[id], anns[id], dead[id]); err != nil {
+			o.t.Fatal(err)
+		}
+	}
+	snapID, err := w.Commit(1, nil, ix.ExportTerms())
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	return snapID
 }
 
 // load replaces the engine with one Load decodes from dir on the given

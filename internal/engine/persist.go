@@ -20,7 +20,8 @@ import (
 //
 // Both directions parallelize per postings segment on the engine's
 // Workers budget: Save encodes segments concurrently, Load decodes them
-// concurrently and installs each under the index's table lock.
+// concurrently, beside the docs segment's rows and annotations, and
+// installs each under the index's table lock.
 
 // Save writes the index to dir as one docs segment (including
 // tombstones, so a mutated index round-trips id-for-id), one postings
@@ -66,24 +67,46 @@ func (e *Engine) Save(dir string) error {
 // did — tombstones, live statistics and tie order included — but it
 // carries no virtual web (Web and Fetch are nil), so surfacing,
 // coverage and Refresh are off the table; use LoadWith to reattach a
-// world. Decoding parallelizes with DefaultWorkers.
+// world. Once the docs segment is open, its rows (into ImportDocs),
+// its annotations (in id order, tombstones skipped, into
+// ImportAnnotations) and the postings segments (into ImportTerms) are
+// decoded concurrently, on 2+DefaultWorkers goroutines, and joined; a
+// damaged snapshot fails with the first error in that order.
 func Load(dir string) (*Engine, error) {
-	seg, hdr, err := store.ReadDocs(store.DocsPath(dir))
+	docs, err := store.OpenDocs(store.DocsPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("engine: load docs: %w", err)
 	}
-	dead := make([]bool, len(seg.Docs))
-	for _, id := range seg.Dead {
+	hdr := docs.Header
+	dead := make([]bool, hdr.DocCount)
+	for _, id := range docs.Dead {
 		dead[id] = true
 	}
 	ix := index.NewSharded(int(hdr.Shards))
-	if err := ix.ImportDocs(seg.Docs, seg.Lens, dead); err != nil {
-		return nil, fmt.Errorf("engine: load: %w", err)
-	}
 	e := newEngine()
 	e.Index = ix
 	e.Generation = hdr.SnapID
-	err = store.ForEachShard(e.Workers, int(hdr.Shards), func(si int) error {
+
+	// Job 0 is the rows, job 1 the annotations, job 2+si postings
+	// segment si.
+	err = store.ForEachShard(2+e.Workers, 2+int(hdr.Shards), func(job int) error {
+		switch job {
+		case 0:
+			rows, lens, err := docs.Rows()
+			if err != nil {
+				return err
+			}
+			return ix.ImportDocs(rows, lens, dead)
+		case 1:
+			return ix.ImportAnnotations(func(add func(id int, keys, values []string)) error {
+				return docs.Annotations(func(id int, keys, values []string) {
+					if !dead[id] {
+						add(id, keys, values)
+					}
+				})
+			})
+		}
+		si := job - 2
 		terms, ph, err := store.ReadPostings(store.PostingsPath(dir, si))
 		if err != nil {
 			return err
@@ -96,14 +119,7 @@ func Load(dir string) (*Engine, error) {
 		return ix.ImportTerms(terms)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("engine: load postings: %w", err)
-	}
-	// In id order, so each annotation schema table lays its slots out
-	// in the order a scan hands its candidates to the filter.
-	for id, anns := range seg.Anns {
-		if anns != nil && !dead[id] {
-			ix.Annotate(id, anns)
-		}
+		return nil, fmt.Errorf("engine: load: %w", err)
 	}
 	// Refresh metadata is optional: a directory without it still
 	// serves; it just makes every site look changed to Refresh.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -10,7 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"deepweb/internal/core"
 	"deepweb/internal/index"
@@ -129,6 +133,36 @@ func TestSaveDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// loadFails loads a damaged snapshot, requires the load to fail, and
+// requires it to leave no goroutine behind: Load joins its parts before
+// it returns, on failure as on success.
+func loadFails(t *testing.T, dir string) error {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	if _, err := Load(dir); err != nil {
+		for i := 0; runtime.NumGoroutine() > before; i++ {
+			if i == 100 {
+				t.Fatalf("failed Load left %d goroutines behind", runtime.NumGoroutine()-before)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		return err
+	}
+	t.Fatal("damaged snapshot loaded")
+	return nil
+}
+
+// reseal recomputes a segment's body and header CRCs after an edit, so
+// a test reaches the check it aims at instead of tripping a CRC, and
+// returns the body CRC: a docs segment's snapshot id.
+func reseal(raw []byte) uint32 {
+	table := crc32.MakeTable(crc32.Castagnoli)
+	body := crc32.Checksum(raw[44:], table)
+	binary.LittleEndian.PutUint32(raw[36:40], body)
+	binary.LittleEndian.PutUint32(raw[40:44], crc32.Checksum(raw[0:40], table))
+	return body
+}
+
 // A damaged snapshot directory must fail the load with a diagnosable
 // error — the serving binary exits at startup instead of serving a
 // silently wrong index.
@@ -143,7 +177,7 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 	}
 
 	t.Run("missing directory", func(t *testing.T) {
-		if _, err := Load(filepath.Join(t.TempDir(), "nope")); !errors.Is(err, os.ErrNotExist) {
+		if err := loadFails(t, filepath.Join(t.TempDir(), "nope")); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("want not-exist, got %v", err)
 		}
 	})
@@ -152,7 +186,7 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 		if err := os.Remove(store.PostingsPath(dir, 2)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(dir); !errors.Is(err, os.ErrNotExist) {
+		if err := loadFails(t, dir); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("want not-exist, got %v", err)
 		}
 	})
@@ -166,7 +200,7 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 		if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(dir); !errors.Is(err, store.ErrCorrupt) {
+		if err := loadFails(t, dir); !errors.Is(err, store.ErrCorrupt) {
 			t.Fatalf("want ErrCorrupt, got %v", err)
 		}
 	})
@@ -183,7 +217,7 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 		if err := store.WritePostings(path, int(ph.Shards), 0, int(ph.DocCount), ph.SnapID+1, terms); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(dir); !errors.Is(err, store.ErrCorrupt) {
+		if err := loadFails(t, dir); !errors.Is(err, store.ErrCorrupt) {
 			t.Fatalf("mixed-generation snapshot loaded: %v", err)
 		}
 	})
@@ -198,10 +232,100 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 		if err := os.Rename(store.DocsPath(otherDir), store.DocsPath(dir)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(dir); err == nil {
-			t.Fatal("mixed-snapshot load succeeded")
+		loadFails(t, dir)
+	})
+	t.Run("annotation ids descend", func(t *testing.T) {
+		// Two annotation entries of one shape, their doc ids swapped in
+		// place and every segment re-framed with valid CRCs and the new
+		// snapshot id: only the order of the ids is wrong.
+		e := newEngine()
+		for i, mk := range []string{"", "ford", "saab"} {
+			id, _ := e.Index.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used car"})
+			if mk != "" {
+				e.Index.Annotate(id, map[string]string{"make": mk})
+			}
+		}
+		dir := t.TempDir()
+		if err := e.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		path := store.DocsPath(dir)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, swap := range [][2]string{{"\x01\x01\x04make\x04ford", "\x02"}, {"\x02\x01\x04make\x04saab", "\x01"}} {
+			at := bytes.Index(raw, []byte(swap[0]))
+			if at < 0 {
+				t.Fatalf("annotation entry %q not found", swap[0])
+			}
+			raw[at] = swap[1][0]
+		}
+		snapID := reseal(raw)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for si := range e.Index.NumShards() {
+			path := store.PostingsPath(dir, si)
+			terms, ph, err := store.ReadPostings(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.WritePostings(path, int(ph.Shards), si, int(ph.DocCount), snapID, terms); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = loadFails(t, dir)
+		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "annotation for doc 1 after doc 2") {
+			t.Fatalf("want the annotations' ErrCorrupt, got %v", err)
 		}
 	})
+}
+
+// Every load of one snapshot gives the annotation store the same
+// attribute ids, dictionaries, schemas, codes and slots. Each of the
+// first ten documents brings three attributes no earlier one has — the
+// case where the order a Go map handed them to Annotate used to pick
+// the ids, ten times over.
+func TestLoadIsDeterministic(t *testing.T) {
+	e := newEngine()
+	for i := range 60 {
+		id, _ := e.Index.Add(index.Doc{
+			URL:  fmt.Sprintf("http://cars.example/p%d", i),
+			Text: fmt.Sprintf("used car %d", i),
+		})
+		g := i % 10
+		anns := map[string]string{
+			"make":                    []string{"ford", "saab", "audi"}[i%3],
+			fmt.Sprintf("model%d", g): fmt.Sprintf("m%d", i%7),
+			fmt.Sprintf("trim%d", g):  fmt.Sprint(i % 4),
+			fmt.Sprintf("city%d", g):  []string{"seattle", "portland"}[i%2],
+		}
+		if i%4 == 0 {
+			delete(anns, "make")
+		}
+		e.Index.Annotate(id, anns)
+	}
+	e.Index.Delete(5)
+	dir := t.TempDir()
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	var first index.AnnTables
+	for i := range 5 {
+		loaded, err := Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables := loaded.Index.AnnotationTables()
+		if i == 0 {
+			first = tables
+			continue
+		}
+		if !reflect.DeepEqual(first, tables) {
+			t.Fatalf("load %d: annotation tables differ from the first load's:\n%+v\n%+v", i, first.Schemas, tables.Schemas)
+		}
+	}
 }
 
 // Load edge cases: an empty directory, a snapshot without the optional
@@ -268,8 +392,7 @@ func TestLoadEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		binary.LittleEndian.PutUint16(raw[4:6], 1)
-		binary.LittleEndian.PutUint32(raw[36:40], crc32.Checksum(raw[44:], crc32.MakeTable(crc32.Castagnoli)))
-		binary.LittleEndian.PutUint32(raw[40:44], crc32.Checksum(raw[0:40], crc32.MakeTable(crc32.Castagnoli)))
+		reseal(raw)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -42,10 +42,10 @@ import (
 //   - per candidate: the document's schema and slot, then one code and
 //     one dictionary entry per column a predicate reads.
 //
-// Nothing here is persisted: snapshots carry annotations as attribute
-// and value strings, and Annotate rebuilds the tables during a load,
-// in doc-id order, so each table's slots sit in the order a scan reads
-// its candidates.
+// Nothing here is persisted: snapshots carry annotations as sorted
+// attribute and value strings, and ImportAnnotations rebuilds the
+// tables from them in doc-id order — each table's slots in the order a
+// scan reads its candidates, the same ids on every load.
 
 // AnnValue is one dictionary entry, everything a filter reads of an
 // annotation value, computed when the value was first seen.
@@ -163,9 +163,17 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 // annotateLocked is Annotate for a caller holding the write lock, who
 // reclaims dead slots once its writes are done.
 func (ix *Index) annotateLocked(docID int, anns map[string]string) {
-	// Room on the stack for the usual handful of annotations keeps a
-	// load, which annotates every document, from allocating per
-	// document.
+	var keyBuf, valBuf [16]string // no allocation for the usual handful
+	keys, values := keyBuf[:0], valBuf[:0]
+	for k, v := range anns {
+		keys, values = append(keys, k), append(values, v)
+	}
+	ix.ann.annotate(docID, keys, values)
+}
+
+// annotate gives a document the annotations keys[i]=values[i], in any
+// order: the per-document core of Annotate and ImportAnnotations.
+func (st *annStore) annotate(docID int, keys, values []string) {
 	var (
 		cellBuf [16]annCell
 		keyBuf  [16]string
@@ -173,17 +181,16 @@ func (ix *Index) annotateLocked(docID int, anns map[string]string) {
 	// cells starts as what the document carries, with no key, and ends
 	// as what it will carry: ascending attribute ids, each once.
 	cells := cellBuf[:0]
-	keys := keyBuf[:0] // keys[i] is the key cells[i] came from
-	st := &ix.ann
+	from := keyBuf[:0] // from[i] is the key cells[i] came from
 	if docID < len(st.schema) {
 		t, slot := &st.schemas[st.schema[docID]], st.slot[docID]
 		for i, a := range t.Attrs {
-			cells, keys = append(cells, annCell{a, t.Codes[i][slot]}), append(keys, "")
+			cells, from = append(cells, annCell{a, t.Codes[i][slot]}), append(from, "")
 		}
 	}
-	for k, v := range anns {
+	for j, k := range keys {
 		attr := strings.ToLower(strings.TrimSpace(k))
-		v = strings.ToLower(strings.TrimSpace(v))
+		v := strings.ToLower(strings.TrimSpace(values[j]))
 		if attr == "" || v == "" {
 			continue
 		}
@@ -196,16 +203,17 @@ func (ix *Index) annotateLocked(docID int, anns map[string]string) {
 		if i > 0 && cells[i-1].attr == a {
 			// A new value replaces the old one. Two keys naming one
 			// attribute: the greater key wins, as if the keys applied in
-			// sorted order, whatever the map's.
-			if k > keys[i-1] {
-				cells[i-1], keys[i-1] = cell, k
+			// sorted order, whatever order they come in; of two equal
+			// keys, the later.
+			if k >= from[i-1] {
+				cells[i-1], from[i-1] = cell, k
 			}
 			continue
 		}
-		cells, keys = append(cells, cell), append(keys, k)
+		cells, from = append(cells, cell), append(from, k)
 		copy(cells[i+1:], cells[i:])
-		copy(keys[i+1:], keys[i:])
-		cells[i], keys[i] = cell, k
+		copy(from[i+1:], from[i:])
+		cells[i], from[i] = cell, k
 	}
 	st.place(docID, cells)
 }

@@ -139,6 +139,26 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	return nil
 }
 
+// ImportAnnotations builds an annotation store from what each hands to
+// add — doc ids ≥ 0, ascending for tables in scan order, with their
+// pairs as key and value slices read as Annotate reads a map — outside
+// the table lock, so a loader runs it beside ImportDocs and ImportTerms,
+// then installs it, unless each failed or the index has annotations.
+func (ix *Index) ImportAnnotations(each func(add func(id int, keys, values []string)) error) error {
+	st := newAnnStore()
+	if err := each(st.annotate); err != nil {
+		return err
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.version.Add(1)
+	if len(ix.ann.cols) != 0 {
+		return fmt.Errorf("index: import annotations into an annotated index")
+	}
+	ix.ann = st
+	return nil
+}
+
 // ImportTerms installs decoded posting lists as-is (stored order
 // preserved); a term may be imported at most once per index. Safe to
 // call concurrently — a loader decodes segments in parallel: the lists

@@ -46,6 +46,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		read func(path string) error
 	}{
 		{KindDocs, func(p string) error { _, _, err := ReadDocs(p); return err }},
+		{KindDocs, readDocsAsLoad},
 		{KindPostings, func(p string) error { _, _, err := ReadPostings(p); return err }},
 		{KindSpill, func(p string) error { _, _, err := readPostings(p, KindSpill); return err }},
 		{KindTables, func(p string) error { _, err := ReadTables(p); return err }},
@@ -73,4 +74,20 @@ func FuzzSegmentDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readDocsAsLoad reaches the docs section decoders as engine.Load does:
+// both run once the segment is open, whether or not the other fails,
+// and the rows' error comes first.
+func readDocsAsLoad(path string) error {
+	f, err := OpenDocs(path)
+	if err != nil {
+		return err
+	}
+	_, _, rowsErr := f.Rows()
+	annErr := f.Annotations(func(int, []string, []string) {})
+	if rowsErr != nil {
+		return rowsErr
+	}
+	return annErr
 }

@@ -314,18 +314,21 @@ func (d *dec) varint() int64 {
 	return v
 }
 
-func (d *dec) str() string {
+func (d *dec) str() string { return string(d.bytes()) }
+
+// bytes reads a string's bytes in place, without copying them.
+func (d *dec) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)) {
 		d.fail(fmt.Sprintf("string length %d exceeds remaining %d bytes", n, len(d.b)))
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	b := d.b[:n]
 	d.b = d.b[n:]
-	return s
+	return b
 }
 
 // count reads a uvarint element count and sanity-bounds it against the
@@ -364,48 +367,61 @@ type DocsSegment struct {
 	Dead []int
 }
 
-// ReadDocs reads and decodes the docs segment.
+// ReadDocs reads and decodes the whole docs segment.
 func ReadDocs(path string) (*DocsSegment, Header, error) {
-	h, body, err := readSegment(path, KindDocs)
+	f, err := OpenDocs(path)
 	if err != nil {
 		return nil, Header{}, err
 	}
-	d := &dec{b: body, path: path}
-	n := d.count("doc", 5)
-	seg := &DocsSegment{
-		Docs: make([]index.Doc, 0, n),
-		Lens: make([]int, 0, n),
-		Anns: make([]map[string]string, n),
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		seg.Docs = append(seg.Docs, index.Doc{
-			URL:    d.str(),
-			Title:  d.str(),
-			Text:   d.str(),
-			Source: d.str(),
+	seg := &DocsSegment{Anns: make([]map[string]string, f.n), Dead: f.Dead}
+	if seg.Docs, seg.Lens, err = f.Rows(); err == nil {
+		err = f.Annotations(func(id int, keys, values []string) {
+			seg.Anns[id] = make(map[string]string, len(keys))
+			for i, k := range keys {
+				seg.Anns[id][k] = values[i]
+			}
 		})
-		seg.Lens = append(seg.Lens, int(d.uvarint()))
 	}
-	nAnn := d.count("annotated-doc", 2)
-	for i, prev := 0, -1; i < nAnn && d.err == nil; i++ {
-		id := int(d.uvarint())
-		if id <= prev {
-			d.fail(fmt.Sprintf("annotation for doc %d after doc %d", id, prev))
-			break
-		}
-		if id >= n {
-			d.fail(fmt.Sprintf("annotation for doc %d of %d", id, n))
-			break
-		}
-		prev = id
-		nAttr := d.count("annotation attr", 2)
-		m := make(map[string]string, nAttr)
-		for j := 0; j < nAttr && d.err == nil; j++ {
-			attr := d.str()
-			m[attr] = d.str()
-		}
-		seg.Anns[id] = m
+	if err != nil {
+		return nil, Header{}, err
 	}
+	return seg, f.Header, nil
+}
+
+// DocsFile is an opened docs segment: tombstones decoded, the document
+// rows and the annotation entries located, each decoded on demand by
+// Rows and Annotations, independently of the other.
+type DocsFile struct {
+	Header Header
+	Dead   []int // sorted ids of tombstoned documents
+
+	n          int
+	rows, anns dec // each section's undecoded bytes
+}
+
+// OpenDocs reads the docs segment, locates its sections by skipping
+// every string by its length, and decodes its tombstones.
+func OpenDocs(path string) (*DocsFile, error) {
+	h, body, err := readSegment(path, KindDocs)
+	if err != nil {
+		return nil, err
+	}
+	d := &dec{b: body, path: path}
+	f := &DocsFile{Header: h, n: d.count("doc", 5), rows: *d}
+	for i := 0; i < f.n && d.err == nil; i++ {
+		for range 4 { // URL, Title, Text, Source
+			d.bytes()
+		}
+		d.uvarint()
+	}
+	f.rows.b, f.anns = f.rows.b[:len(f.rows.b)-len(d.b)], *d
+	for i, nAnn := 0, d.count("annotated-doc", 2); i < nAnn && d.err == nil; i++ {
+		d.uvarint()
+		for range 2 * d.count("annotation attr", 2) {
+			d.bytes()
+		}
+	}
+	f.anns.b = f.anns.b[:len(f.anns.b)-len(d.b)]
 	nDead := d.count("tombstone", 1)
 	prev := 0
 	for i := 0; i < nDead && d.err == nil; i++ {
@@ -414,20 +430,59 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 			d.fail(fmt.Sprintf("duplicate tombstone id %d", id))
 			break
 		}
-		if id < 0 || id >= n {
-			d.fail(fmt.Sprintf("tombstone id %d of %d docs", id, n))
+		if id < 0 || id >= f.n {
+			d.fail(fmt.Sprintf("tombstone id %d of %d docs", id, f.n))
 			break
 		}
-		seg.Dead = append(seg.Dead, id)
+		f.Dead = append(f.Dead, id)
 		prev = id
 	}
-	if uint64(n) != h.DocCount {
-		d.fail(fmt.Sprintf("body holds %d docs, header says %d", n, h.DocCount))
+	if uint64(f.n) != h.DocCount {
+		d.fail(fmt.Sprintf("body holds %d docs, header says %d", f.n, h.DocCount))
 	}
 	if err := d.done(); err != nil {
-		return nil, Header{}, err
+		return nil, err
 	}
-	return seg, h, nil
+	return f, nil
+}
+
+// Rows decodes the documents and their BM25 lengths, by doc id.
+func (f *DocsFile) Rows() ([]index.Doc, []int, error) {
+	d := f.rows
+	docs, lens := make([]index.Doc, 0, f.n), make([]int, 0, f.n)
+	for i := 0; i < f.n && d.err == nil; i++ {
+		docs = append(docs, index.Doc{URL: d.str(), Title: d.str(), Text: d.str(), Source: d.str()})
+		lens = append(lens, int(d.uvarint()))
+	}
+	if err := d.done(); err != nil {
+		return nil, nil, err
+	}
+	return docs, lens, nil
+}
+
+// Annotations hands fn each annotated document in ascending id order,
+// its pairs as parallel key and value slices in stored (key) order.
+// fn may keep the strings, which are copies, but not the slices. On an
+// error the entries already handed out are to be discarded.
+func (f *DocsFile) Annotations(fn func(id int, keys, values []string)) error {
+	d := f.anns
+	var keys, values []string
+	for i, prev, nAnn := 0, -1, d.count("annotated-doc", 2); i < nAnn && d.err == nil; i++ {
+		id := int(d.uvarint())
+		if id <= prev || id >= f.n {
+			d.fail(fmt.Sprintf("annotation for doc %d after doc %d, of %d", id, prev, f.n))
+			break
+		}
+		prev = id
+		keys, values = keys[:0], values[:0]
+		for j, nAttr := 0, d.count("annotation attr", 2); j < nAttr && d.err == nil; j++ {
+			keys, values = append(keys, d.str()), append(values, d.str())
+		}
+		if d.err == nil {
+			fn(id, keys, values)
+		}
+	}
+	return d.done()
 }
 
 // WritePostings encodes and writes one shard's postings segment,

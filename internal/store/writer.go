@@ -276,9 +276,9 @@ func shardOf(term string, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// ForEachShard runs fn over every shard id on up to workers goroutines
-// and returns the first error (by shard order). Writer and the loader
-// both parallelize per shard through it.
+// ForEachShard runs fn over every shard id, handed out in ascending
+// order, on up to workers goroutines and returns the first error (by
+// shard order). Writer and the loader parallelize through it.
 func ForEachShard(workers, shards int, fn func(si int) error) error {
 	if workers < 1 {
 		workers = 1
