@@ -77,10 +77,14 @@ ingest-full:
 # surface plus bounded refreshes equals a fault-free corpus bit for
 # bit) under the race detector, then a deepcrawl pass with fault
 # injection armed — which must finish with exit 0: every injected
-# fault is transient, so nothing may be classified permanent.
+# fault is transient, so nothing may be classified permanent — then
+# deepcrawl with and without fault injection on 1 and 4 workers, whose
+# outputs (the per-site outcome table included) must be byte-identical
+# (scripts/crawl-determinism.sh).
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/engine
 	$(GO) run ./cmd/deepcrawl -sites 1 -rows 60 -chaos -chaosseed 7
+	./scripts/crawl-determinism.sh
 
 # fuzz = the CI fuzz-smoke job: differential tokenizer fuzzing,
 # arbitrary bodies through every snapshot segment decoder, arbitrary

@@ -194,8 +194,7 @@ func main() {
 }
 
 // printOutcomes renders the per-site failure table (sites that retried,
-// degraded or failed) plus the fetch-stack totals, and returns how many
-// sites failed permanently.
+// degraded or failed) and returns how many sites failed permanently.
 func printOutcomes(reports map[string]engine.SiteReport, storm *webgen.Chaos) int {
 	var troubled []string
 	permanent := 0

@@ -40,7 +40,8 @@ func Example_quickstart() {
 	// ingests the surfaced pages into its index like any other pages
 	// (§3.2).
 	e := engine.New(web)
-	if _, err := e.Surface(context.Background(), engine.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
+	surfaced, err := e.Surface(context.Background(), engine.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
+	if err != nil {
 		log.Fatal(err)
 	}
 	res := e.Results[site.Spec.Host]
@@ -52,7 +53,7 @@ func Example_quickstart() {
 
 	// 3. Search the index through the serving API: the response carries
 	// the ranked page plus the total hit count and retrieval time.
-	fmt.Printf("indexed %d deep-web pages\n\n", e.IngestStats[site.Spec.Host].Indexed)
+	fmt.Printf("indexed %d deep-web pages\n\n", surfaced.Sites[site.Spec.Host].Ingest.Indexed)
 	for _, q := range []string{"used ford focus", "honda under 5000", "toyota corolla seattle"} {
 		resp, err := e.Search(context.Background(), engine.SearchRequest{Query: q, K: 3})
 		if err != nil {

@@ -167,7 +167,6 @@ func (s *Surfacer) findForm(ctx context.Context, homeURL string) (*form.Form, []
 		texts = append(texts, p.Text())
 		pages = append(pages, p)
 	}
-	sawPost := false
 	for _, p := range pages {
 		base := mustParse(p.URL)
 		for i, decl := range p.Forms() {
@@ -175,16 +174,11 @@ func (s *Surfacer) findForm(ctx context.Context, homeURL string) (*form.Form, []
 			if err != nil {
 				continue
 			}
-			if f.Method != "get" {
-				sawPost = true
-				continue
-			}
-			if len(f.Bindable()) > 0 {
+			if f.Method == "get" && len(f.Bindable()) > 0 {
 				return f, texts, nil
 			}
 		}
 	}
-	_ = sawPost
 	return nil, texts, nil
 }
 

@@ -249,8 +249,8 @@ func TestRefreshFiltered(t *testing.T) {
 		t.Fatal("churn changed no sites")
 	}
 	rejected := 0
-	for _, ist := range e.IngestStats {
-		rejected += ist.Rejected
+	for _, rep := range st.Sites {
+		rejected += rep.Ingest.Rejected
 	}
 	if rejected == 0 {
 		t.Fatal("admission band rejected nothing during refresh; filter not plumbed")

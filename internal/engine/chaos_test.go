@@ -77,8 +77,8 @@ func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
 	e.Workers = 4
 	e.CompactRatio = 0 // compaction is explicit, at the comparison point
 	storm, flapped := stormOver(e.Web, 1234)
+	e.ropts = chaosOpts()
 	e.UseTransport(storm)
-	e.SetResilience(chaosOpts())
 
 	resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
@@ -106,8 +106,12 @@ func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
 			}
 		}
 	}
-	if total := e.rt.Stats(); total.Retries == 0 {
-		t.Fatalf("fetch stack reports no retries under chaos (%+v)", total)
+	var retries uint64
+	for _, rep := range resp.Sites {
+		retries += rep.Retries
+	}
+	if retries == 0 {
+		t.Fatal("site reports show no retries under chaos")
 	}
 
 	// Self-healing: each Refresh re-drives the signature-less sites;
@@ -146,10 +150,9 @@ func TestChaosWithoutRetriesDegradesGracefully(t *testing.T) {
 	}
 	e.Workers = 4
 	storm, flapped := stormOver(e.Web, 1234)
+	e.ropts = chaosOpts()
+	e.ropts.MaxAttempts = 1 // retries off
 	e.UseTransport(storm)
-	opts := chaosOpts()
-	opts.MaxAttempts = 1 // retries off
-	e.SetResilience(opts)
 
 	resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
@@ -197,8 +200,8 @@ func TestChaosGarbleDegradesGracefully(t *testing.T) {
 	storm := webgen.NewChaos(e.Web, 7)
 	garbled := e.Web.Sites()[0].Spec.Host
 	storm.SetProfile(garbled, webgen.FaultProfile{P: map[webgen.FaultKind]float64{webgen.FaultGarble: 1}})
+	e.ropts = chaosOpts()
 	e.UseTransport(storm)
-	e.SetResilience(chaosOpts())
 
 	resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {

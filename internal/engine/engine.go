@@ -53,15 +53,10 @@ type Engine struct {
 	// index was built live and has never crossed a snapshot boundary.
 	Generation uint32
 
-	// Results holds each site's surfacing outcome, keyed by host.
+	// Results holds each site's surfacing outcome, keyed by host. A
+	// pass's traffic and ingest counts are in the SiteReports that
+	// Surface and Refresh return.
 	Results map[string]*core.Result
-	// OfflineRequests is each host's request count during surfacing
-	// analysis + ingestion — the one-time "off-line analysis" load.
-	// It meters traffic actually issued, so failed sites appear too;
-	// on an aborted run, sites cancelled before doing any work do not.
-	OfflineRequests map[string]int
-	// IngestStats aggregates ingestion accounting per host.
-	IngestStats map[string]core.IngestStats
 	// SiteSignatures records each surfaced site's backing-table content
 	// signature at surfacing time — the baseline Refresh diffs against.
 	SiteSignatures map[string]textutil.Signature
@@ -107,14 +102,12 @@ func New(web *webgen.Web) *Engine {
 // newEngine builds the web-less shell shared by New and Load.
 func newEngine() *Engine {
 	return &Engine{
-		Index:           index.New(),
-		Workers:         DefaultWorkers,
-		Results:         map[string]*core.Result{},
-		OfflineRequests: map[string]int{},
-		IngestStats:     map[string]core.IngestStats{},
-		SiteSignatures:  map[string]textutil.Signature{},
-		CompactRatio:    DefaultCompactRatio,
-		ropts:           resilient.Defaults(),
+		Index:          index.New(),
+		Workers:        DefaultWorkers,
+		Results:        map[string]*core.Result{},
+		SiteSignatures: map[string]textutil.Signature{},
+		CompactRatio:   DefaultCompactRatio,
+		ropts:          resilient.Defaults(),
 	}
 }
 
@@ -127,26 +120,16 @@ func (e *Engine) UseTransport(rt http.RoundTripper) {
 	e.rebuildFetch()
 }
 
-// SetResilience replaces the retry/backoff/breaker options and rebuilds
-// the fetch stack (counters reset). Call before surfacing, not during.
-func (e *Engine) SetResilience(opts resilient.Options) {
-	e.ropts = opts
-	if e.base != nil {
-		e.rebuildFetch()
-	}
-}
-
 func (e *Engine) rebuildFetch() {
 	e.rt = resilient.NewTransport(e.base, e.ropts)
-	e.Fetch = e.newFetcher(e.rt)
+	e.Fetch = newFetcher(e.rt)
 }
 
 // newFetcher builds a fetcher over rt with the engine's per-fetch
-// deadline and body cap applied.
-func (e *Engine) newFetcher(rt http.RoundTripper) *webx.Fetcher {
+// deadline applied. rt, a resilient transport, caps the body.
+func newFetcher(rt http.RoundTripper) *webx.Fetcher {
 	f := webx.NewFetcher(rt)
 	f.Timeout = DefaultFetchTimeout
-	f.MaxBodyBytes = e.ropts.MaxBodyBytes
 	return f
 }
 
@@ -221,9 +204,17 @@ func (s SiteStatus) String() string {
 	}
 }
 
-// SiteReport is one site's per-pass outcome: its status plus the fetch
+// SiteReport is one site's ledger for one pass: its status, the fetch
 // stack's counter deltas attributed to it (the engine's one-site =
-// one-worker = one-host contract makes the attribution exact).
+// one-worker = one-host contract makes the attribution exact), and its
+// ingestion counts.
+//
+// Attempts is the site's traffic: every wire try of its analysis,
+// probing and ingestion, failed sites included — the one-time
+// "off-line analysis" load of §3.2. Under RefreshRequest.PerHostCap it
+// also counts the tries the politeness cap answers locally, which
+// never reach the host. A site's commit-time refetch of its crawled
+// surface-web pages (Refresh) is not counted.
 type SiteReport struct {
 	Host              string
 	Status            SiteStatus
@@ -233,6 +224,9 @@ type SiteReport struct {
 	TransientFailures uint64
 	PermanentFailures uint64
 	Err               string
+	// Ingest is the site's ingestion accounting; Indexed is set at the
+	// ordered commit. A failed site's is zero: nothing was committed.
+	Ingest core.IngestStats
 }
 
 // SurfaceResponse reports a Surface pass: per-site outcomes keyed by
@@ -279,15 +273,13 @@ func (e *Engine) Surface(ctx context.Context, req SurfaceRequest) (SurfaceRespon
 // siteOutcome is everything one site's pipeline pass produced, parked
 // until the ordered commit point reaches its position.
 type siteOutcome struct {
-	pos      int
-	host     string
-	res      *core.Result
-	sink     *stagedSink
-	stats    core.IngestStats
-	sig      textutil.Signature
-	requests int
-	report   SiteReport
-	err      error
+	pos    int
+	host   string
+	res    *core.Result
+	sink   *stagedSink
+	sig    textutil.Signature
+	report SiteReport
+	err    error
 }
 
 // pipelineRun is one surfacing pass's wiring: the analysis config, the
@@ -309,11 +301,10 @@ type pipelineRun struct {
 // point, returning a per-site outcome report keyed by host.
 //
 // Concurrency contract: a site is handled end-to-end by one worker, and
-// every request it issues targets the site's own host, so per-host
-// request counts — and the resilient transport's per-host counter
-// deltas — are exact. Fetched documents buffer in a stagedSink; the
-// commit loop drains outcomes in site order, assigning doc ids and
-// inserting postings.
+// every request it issues targets the site's own host, so the resilient
+// transport's per-host counter deltas — each site's report — are exact.
+// Fetched documents buffer in a stagedSink; the commit loop drains
+// outcomes in site order, assigning doc ids and inserting postings.
 //
 // Failure semantics: a failed site is classified (transient vs.
 // permanent) and reported, and the pass continues — one bad site must
@@ -321,10 +312,10 @@ type pipelineRun struct {
 // site leaves no signature, so the next Refresh sees it as changed and
 // re-drives it (self-healing). Only run-context cancellation aborts:
 // sites earlier in the order are still committed (matching sequential
-// semantics) and the context's error is returned. Request metering is
-// recorded for every site that did work — the traffic really hit the
-// hosts (§3.2 accounting) — but only committed results are ever
-// worker-timing-independent on an aborted run.
+// semantics) and the context's error is returned. The response then
+// carries reports only for the sites ordered before the abort; traffic
+// that other workers issued after it is not reported, and only
+// committed results are worker-timing-independent on an aborted run.
 //
 // Cancellation drains cleanly: every dispatched job yields exactly one
 // outcome (a canceled worker reports ctx.Err() instead of surfacing),
@@ -379,9 +370,6 @@ func (e *Engine) surfacePipeline(ctx context.Context, sites []*webgen.Site, run 
 		for out, ok := parked[next]; ok; out, ok = parked[next] {
 			delete(parked, next)
 			next++
-			if out.requests > 0 {
-				e.OfflineRequests[out.host] = out.requests
-			}
 			if firstErr != nil {
 				continue
 			}
@@ -422,24 +410,21 @@ func (e *Engine) surfacePipeline(ctx context.Context, sites []*webgen.Site, run 
 }
 
 // commitOutcome is the standard bookkeeping for one successfully
-// surfaced site: drain its sink into the index and record its result,
-// stats and content signature.
+// surfaced site: drain its sink into the index, count what it indexed
+// in the site's report, and record its result and content signature.
 func (e *Engine) commitOutcome(out *siteOutcome) {
 	e.Results[out.host] = out.res
-	out.stats.Indexed = out.sink.commit()
-	e.IngestStats[out.host] = out.stats
+	out.report.Ingest.Indexed = out.sink.commit()
 	e.SiteSignatures[out.host] = out.sig
 }
 
 // surfaceOne runs the per-site stages: discovery + form analysis +
 // probing + URL generation (core.Surfacer), then fetch of every emitted
 // URL into a buffering sink. No shared index state is written. The
-// request delta is measured even on failure — the traffic was issued —
-// and the resilient transport's per-host counter delta becomes the
-// site's outcome report.
+// resilient transport's per-host counter delta becomes the site's
+// report, on failure too — the traffic was issued.
 func (e *Engine) surfaceOne(ctx context.Context, site *webgen.Site, run pipelineRun) *siteOutcome {
 	host := site.Spec.Host
-	before := e.Web.Requests(host)
 	var fsBefore resilient.HostStats
 	if run.rt != nil {
 		fsBefore = run.rt.HostStats(host)
@@ -459,7 +444,7 @@ func (e *Engine) surfaceOne(ctx context.Context, site *webgen.Site, run pipeline
 	s := core.NewSurfacer(run.fetch, run.cfg)
 	res, err := s.SurfaceSite(ctx, site.HomeURL())
 	if err != nil {
-		return &siteOutcome{host: host, err: err, requests: e.Web.Requests(host) - before, report: mkReport()}
+		return &siteOutcome{host: host, err: err, report: mkReport()}
 	}
 	source := host
 	if res.Analysis.Form != nil {
@@ -467,27 +452,25 @@ func (e *Engine) surfaceOne(ctx context.Context, site *webgen.Site, run pipeline
 	}
 	sink := newStagedSink(e.Index)
 	stats := core.IngestURLsFiltered(ctx, run.fetch, sink, source, res.URLs, run.followNext, run.filt)
-	requests := e.Web.Requests(host) - before
 	// Ingestion swallows cancellation (its partial stats are still
 	// real); the pipeline must not — a site whose fetches were cut
 	// short may not be committed as complete.
 	if err := ctx.Err(); err != nil {
-		return &siteOutcome{host: host, err: err, requests: requests, report: mkReport()}
+		return &siteOutcome{host: host, err: err, report: mkReport()}
 	}
 	rep := mkReport()
+	rep.Ingest = stats
 	if rep.TransientFailures > 0 {
 		// Some logical fetches failed even after retries: the committed
 		// corpus for this site has holes.
 		rep.Status = SiteDegraded
 	}
 	return &siteOutcome{
-		host:     host,
-		res:      res,
-		sink:     sink,
-		stats:    stats,
-		sig:      site.TableSignature(),
-		requests: requests,
-		report:   rep,
+		host:   host,
+		res:    res,
+		sink:   sink,
+		sig:    site.TableSignature(),
+		report: rep,
 	}
 }
 

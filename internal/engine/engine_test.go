@@ -28,8 +28,10 @@ func annotatedSearch(ix *index.Index, q string, k int) []index.Result {
 
 // buildEngine surfaces a fresh multi-site world with the given worker
 // count. Each call regenerates the world from the same seed so the two
-// arms share nothing.
-func buildEngine(t testing.TB, workers int) *Engine {
+// arms share nothing. It requires every site's report to count exactly
+// the requests the web server saw from the pass: the report is the
+// crawler's traffic ledger, and the server's own books are the truth.
+func buildEngine(t testing.TB, workers int) (*Engine, SurfaceResponse) {
 	t.Helper()
 	e, err := Build(webgen.WorldConfig{Seed: 7, SitesPerDom: 1, RowsPerSite: 60})
 	if err != nil {
@@ -39,18 +41,26 @@ func buildEngine(t testing.TB, workers int) *Engine {
 	if n := e.IndexSurfaceWeb(context.Background()); n == 0 {
 		t.Fatal("surface-web crawl indexed nothing")
 	}
-	if _, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
+	e.Web.ResetCounts()
+	resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	for _, site := range e.Web.Sites() {
+		host := site.Spec.Host
+		if got, want := resp.Sites[host].Attempts, uint64(e.Web.Requests(host)); got != want {
+			t.Errorf("%s: report counts %d attempts, the server saw %d requests", host, got, want)
+		}
+	}
+	return e, resp
 }
 
 // The acceptance bar of this refactor: parallel surfacing must be
 // bit-identical to sequential — same document set, same doc-id order,
 // same search results, same experiment metrics. Run with -race.
 func TestSurfaceDeterministicAcrossWorkers(t *testing.T) {
-	seq := buildEngine(t, 1)
-	par := buildEngine(t, 4)
+	seq, seqResp := buildEngine(t, 1)
+	par, parResp := buildEngine(t, 4)
 
 	if len(seq.Web.Sites()) < 8 {
 		t.Fatalf("world too small to exercise the pool: %d sites", len(seq.Web.Sites()))
@@ -71,11 +81,8 @@ func TestSurfaceDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	// Identical experiment metrics.
-	if !reflect.DeepEqual(seq.OfflineRequests, par.OfflineRequests) {
-		t.Errorf("offline request counts differ:\n  seq %v\n  par %v", seq.OfflineRequests, par.OfflineRequests)
-	}
-	if !reflect.DeepEqual(seq.IngestStats, par.IngestStats) {
-		t.Errorf("ingest stats differ:\n  seq %v\n  par %v", seq.IngestStats, par.IngestStats)
+	if !reflect.DeepEqual(seqResp, parResp) {
+		t.Errorf("site reports differ:\n  seq %v\n  par %v", seqResp, parResp)
 	}
 	if a, b := seq.MeanCoverage(), par.MeanCoverage(); a != b {
 		t.Errorf("mean coverage differs: %v vs %v", a, b)
@@ -115,7 +122,7 @@ func TestSurfaceDeterministicAcrossWorkers(t *testing.T) {
 // sequential search returns, query after query. Run with -race; this
 // is the engine-level guard on the accumulator rewrite.
 func TestSearchStableUnderConcurrentQueries(t *testing.T) {
-	e := buildEngine(t, 4)
+	e, _ := buildEngine(t, 4)
 	queries := []string{
 		"used ford focus", "homes in seattle", "nurse jobs",
 		"history books", "thai recipes", "turing award professor",
@@ -174,8 +181,8 @@ func TestSurfaceEmptyWorld(t *testing.T) {
 }
 
 // The filtered variant applies the §5.2 admission band at fetch time
-// in the workers (rejected pages never reach the sink), and the
-// per-host stats surface it.
+// in the workers (rejected pages never reach the sink), and the site
+// reports surface it.
 func TestSurfaceFilteredRejects(t *testing.T) {
 	run := func(filt core.IngestFilter) (indexed, rejected int) {
 		e, err := Build(webgen.WorldConfig{Seed: 3, SitesPerDom: 1, RowsPerSite: 40})
@@ -183,12 +190,13 @@ func TestSurfaceFilteredRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Workers = 4
-		if _, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 0, Filter: filt}); err != nil {
+		resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 0, Filter: filt})
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range e.IngestStats {
-			indexed += st.Indexed
-			rejected += st.Rejected
+		for _, rep := range resp.Sites {
+			indexed += rep.Ingest.Indexed
+			rejected += rep.Ingest.Rejected
 		}
 		return indexed, rejected
 	}
@@ -205,10 +213,10 @@ func TestSurfaceFilteredRejects(t *testing.T) {
 
 // A site that fails mid-surfacing still has its analysis traffic
 // metered: the requests were really issued against the host (§3.2
-// accounting), so OfflineRequests must record them even though the
-// site commits no result. The failure no longer aborts the pass — it
-// is classified into the per-site report and the response is Degraded.
-func TestOfflineRequestsRecordedForFailedSite(t *testing.T) {
+// accounting), so its report must count them even though the site
+// commits no result. The failure does not abort the pass — it is
+// classified into the per-site report and the response is Degraded.
+func TestReportCountsAttemptsOfFailedSite(t *testing.T) {
 	e, err := Build(webgen.WorldConfig{Seed: 3, SitesPerDom: 1, RowsPerSite: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +245,8 @@ func TestOfflineRequestsRecordedForFailedSite(t *testing.T) {
 	if !resp.Degraded {
 		t.Error("response with a failed site is not marked Degraded")
 	}
-	if got := e.OfflineRequests[bad]; got == 0 {
-		t.Fatalf("failed site %s issued requests but metered 0", bad)
+	if rep.Attempts == 0 {
+		t.Fatalf("failed site %s issued requests but its report counts 0 attempts", bad)
 	}
 	if _, committed := e.Results[bad]; committed {
 		t.Fatalf("failed site %s committed a result", bad)

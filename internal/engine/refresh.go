@@ -27,8 +27,8 @@ import (
 // result pages and crawled surface-web pages alike) through the
 // index's tombstone path, re-runs the full per-site pipeline on the
 // worker pool, and commits through the same ordered commit point as
-// Surface — so Results, IngestStats, OfflineRequests, coverage and
-// each document's source attribution come out exactly as a
+// Surface — so Results, each re-surfaced site's SiteReport, coverage
+// and each document's source attribution come out exactly as a
 // from-scratch surface of the changed site would produce. When
 // tombstones pile past CompactRatio, the index is compacted (and doc
 // ids renumbered into canonical URL order).
@@ -127,7 +127,7 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 			refused: map[string]bool{},
 		}
 		runRT = resilient.NewTransport(capped, e.ropts)
-		fetch = e.newFetcher(runRT)
+		fetch = newFetcher(runRT)
 	}
 	var want map[string]bool
 	if req.Hosts != nil {
@@ -227,7 +227,7 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 				}
 			}
 			e.commitOutcome(out)
-			st.DocsAdded += out.stats.Indexed
+			st.DocsAdded += out.report.Ingest.Indexed
 			// A site whose pass was truncated — by the politeness cap,
 			// or by exhausting a deliberately reduced probe budget — is
 			// incomplete: leave it with no recorded signature (= always

@@ -85,14 +85,15 @@ func E2SiteLoad(ctx context.Context, seed int64, sitesPerDom, rows, queries int)
 		return E2Report{}, err
 	}
 	w.IndexSurfaceWeb(ctx)
-	if _, err := w.Surface(ctx, engine.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
+	resp, err := w.Surface(ctx, engine.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
+	if err != nil {
 		return E2Report{}, err
 	}
 	var rep E2Report
 	rep.Sites = len(w.Web.Sites())
-	total := 0
-	for _, n := range w.OfflineRequests {
-		total += n
+	var total uint64
+	for _, site := range resp.Sites {
+		total += site.Attempts
 	}
 	rep.OfflineReqPerSite = float64(total) / float64(rep.Sites)
 	rep.MeanCoverage = w.MeanCoverage()

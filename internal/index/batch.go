@@ -3,11 +3,12 @@ package index
 // Batch commit: the one path by which documents enter the index
 // (AddPrepared is a batch of one). One write-locked section assigns
 // every id (the ordered commit point, amortized over the batch),
-// appends the postings, the host column and the annotations, so a query sees the
-// whole batch or none of it. The final index state is identical to
-// committing the same prepared documents one by one, in order —
+// appends the postings, the host column and the annotations, so a query
+// sees the whole batch or none of it. The final index state is identical
+// to committing the same prepared documents one by one, in order —
 // including duplicate-URL handling, posting order within a term, and
-// therefore scores and tie-breaks (pinned by test).
+// therefore scores and tie-breaks (pinned by the engine's oracle, whose
+// ingest op commits batches straight through AddPreparedBatch).
 
 // AddPreparedBatch commits prepared documents in order. ids[i] is the
 // doc id of ps[i]; added[i] is false when ps[i]'s URL was already
@@ -38,7 +39,7 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 		ix.hosts = append(ix.hosts, ix.hostIDLocked(p.doc.URL))
 		ix.totalLen += p.dl
 		for j, t := range p.terms {
-			ix.postings[t] = append(ix.postings[t], posting{doc: int32(id), tf: p.tfs[j]})
+			ix.postings[t] = append(ix.postings[t], Posting{Doc: int32(id), TF: p.tfs[j]})
 		}
 		if anns != nil {
 			ix.annotateLocked(id, anns[i])

@@ -2,103 +2,9 @@ package index
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 )
-
-func batchDocs(n int) []Doc {
-	docs := make([]Doc, n)
-	for i := range docs {
-		docs[i] = Doc{
-			URL:    fmt.Sprintf("http://s%d.example/r?id=%d", i%3, i),
-			Title:  fmt.Sprintf("doc %d ford", i),
-			Text:   fmt.Sprintf("used ford focus %d excellent condition austin texas", i),
-			Source: fmt.Sprintf("s%d.example", i%3),
-		}
-	}
-	return docs
-}
-
-// Batch commits must leave the index in exactly the state sequential
-// AddPrepared + Annotate commits produce: same exported terms, docs,
-// annotations and stats. A duplicate's annotations are dropped with it.
-func TestAddPreparedBatchEquivalentToSequential(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			docs := batchDocs(100)
-			// A duplicate URL inside the batch and one already present.
-			docs[50].URL = docs[10].URL
-			anns := make([]map[string]string, len(docs))
-			for i := range anns {
-				if i%4 != 3 {
-					anns[i] = map[string]string{"make": fmt.Sprint("make", i%5), "year": fmt.Sprint(1990 + i%7)}
-				}
-			}
-			seq := NewSharded(shards)
-			seqPre, _ := seq.Add(Doc{URL: "pre.example", Title: "pre", Text: "existing doc"})
-			var wantIDs []int
-			var wantAdded []bool
-			for i, d := range docs {
-				id, ok := seq.AddPrepared(Prepare(d))
-				if ok {
-					seq.Annotate(id, anns[i])
-				}
-				wantIDs = append(wantIDs, id)
-				wantAdded = append(wantAdded, ok)
-			}
-
-			bat := NewSharded(shards)
-			batPre, _ := bat.Add(Doc{URL: "pre.example", Title: "pre", Text: "existing doc"})
-			if batPre != seqPre {
-				t.Fatal("setup mismatch")
-			}
-			ps := make([]*Prepared, len(docs))
-			for i, d := range docs {
-				ps[i] = Prepare(d)
-			}
-			ids, added := bat.AddPreparedBatch(ps, anns)
-			for i := range docs {
-				if ids[i] != wantIDs[i] || added[i] != wantAdded[i] {
-					t.Fatalf("doc %d: batch (%d,%v), sequential (%d,%v)", i, ids[i], added[i], wantIDs[i], wantAdded[i])
-				}
-			}
-
-			// Whole-index equivalence: exported docs and the sorted
-			// term/postings export must match.
-			sd, sl, _ := seq.ExportDocs()
-			bd, bl, _ := bat.ExportDocs()
-			if len(sd) != len(bd) {
-				t.Fatalf("doc counts differ: %d vs %d", len(sd), len(bd))
-			}
-			for i := range sd {
-				if sd[i] != bd[i] || sl[i] != bl[i] {
-					t.Fatalf("doc %d differs", i)
-				}
-			}
-			if got, want := bat.ExportTerms(), seq.ExportTerms(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("postings differ:\nbatch: %.300v\nseq:   %.300v", got, want)
-			}
-			if got, want := bat.ExportAnnotations(), seq.ExportAnnotations(); len(got) != len(bd) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("annotations differ:\nbatch: %v\nseq:   %v", got, want)
-			}
-
-			// Ranking equivalence on a few probes.
-			for _, q := range []string{"ford", "focus excellent", "austin"} {
-				a := search(seq, q, 10)
-				b := search(bat, q, 10)
-				if len(a) != len(b) {
-					t.Fatalf("query %q: %d vs %d results", q, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("query %q result %d: %+v vs %+v", q, i, a[i], b[i])
-					}
-				}
-			}
-		})
-	}
-}
 
 func TestAddPreparedBatchEmpty(t *testing.T) {
 	ix := New()

@@ -71,15 +71,15 @@ func (ix *Index) Compact() int {
 	for term, plist := range ix.postings {
 		kept := plist[:0]
 		for _, p := range plist {
-			if id := newID[p.doc]; id >= 0 {
-				kept = append(kept, posting{doc: id, tf: p.tf})
+			if id := newID[p.Doc]; id >= 0 {
+				kept = append(kept, Posting{Doc: id, TF: p.TF})
 			}
 		}
 		if len(kept) == 0 {
 			delete(ix.postings, term)
 			continue
 		}
-		sort.Slice(kept, func(i, j int) bool { return kept[i].doc < kept[j].doc })
+		sort.Slice(kept, func(i, j int) bool { return kept[i].Doc < kept[j].Doc })
 		ix.postings[term] = kept
 	}
 

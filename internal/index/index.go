@@ -53,11 +53,6 @@ type Result struct {
 	Score  float64
 }
 
-type posting struct {
-	doc int32
-	tf  int32
-}
-
 // Index is an in-memory inverted index with BM25 scoring. It is safe
 // for concurrent use; a committed batch becomes visible to queries all
 // at once.
@@ -85,7 +80,7 @@ type Index struct {
 	numDead int
 	deadLen int
 
-	postings map[string][]posting // term -> postings in ascending doc id
+	postings map[string][]Posting // term -> postings in ascending doc id
 
 	// hosts is parallel to docs: each document's host (hostOf its URL)
 	// as an id in the host dictionary, 0 for no host. A host
@@ -121,7 +116,7 @@ func NewSharded(n int) *Index {
 	return &Index{
 		segments:  max(n, 1),
 		byURL:     map[string]int{},
-		postings:  map[string][]posting{},
+		postings:  map[string][]Posting{},
 		hostIDs:   map[string]uint32{},
 		hostNames: []string{""},
 		ann:       newAnnStore(),
@@ -277,7 +272,7 @@ func (ix *Index) Doc(id int) Doc {
 
 // plist returns the posting list for an already-normalized term. The
 // caller holds the table lock for as long as it reads the list.
-func (ix *Index) plist(term string) []posting {
+func (ix *Index) plist(term string) []Posting {
 	return ix.postings[term]
 }
 
@@ -299,13 +294,13 @@ func (ix *Index) DF(term string) int {
 
 // liveDFLocked counts the live postings in a list. The caller holds
 // ix.mu read-side; with no tombstones it is O(1).
-func (ix *Index) liveDFLocked(plist []posting) int {
+func (ix *Index) liveDFLocked(plist []Posting) int {
 	if ix.numDead == 0 {
 		return len(plist)
 	}
 	df := 0
 	for _, p := range plist {
-		if !ix.dead[p.doc] {
+		if !ix.dead[p.Doc] {
 			df++
 		}
 	}
@@ -466,15 +461,15 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 		if hasDead {
 			// Tombstone-aware pass: dead postings contribute nothing.
 			for _, p := range plist {
-				if dead[p.doc] {
+				if dead[p.Doc] {
 					continue
 				}
-				s := scores[p.doc]
+				s := scores[p.Doc]
 				if s == 0 {
-					touched = append(touched, p.doc)
+					touched = append(touched, p.Doc)
 				}
-				tf := float64(p.tf)
-				scores[p.doc] = s + w*tf/(tf+c0+c1*float64(ix.lens[p.doc]))
+				tf := float64(p.TF)
+				scores[p.Doc] = s + w*tf/(tf+c0+c1*float64(ix.lens[p.Doc]))
 			}
 			continue
 		}
@@ -482,14 +477,14 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 			// Every posting names a row of this query's table: a commit
 			// writes rows and postings in one section under the table
 			// lock, held read-side for this whole query.
-			s := scores[p.doc]
+			s := scores[p.Doc]
 			if s == 0 {
 				// BM25 contributions are strictly positive, so zero
 				// means "first touch" and doubles as the reset marker.
-				touched = append(touched, p.doc)
+				touched = append(touched, p.Doc)
 			}
-			tf := float64(p.tf)
-			scores[p.doc] = s + w*tf/(tf+c0+c1*float64(ix.lens[p.doc]))
+			tf := float64(p.TF)
+			scores[p.Doc] = s + w*tf/(tf+c0+c1*float64(ix.lens[p.Doc]))
 		}
 	}
 	sc.touched = touched

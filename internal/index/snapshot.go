@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,7 +19,8 @@ import (
 // bit-for-bit because every quantity BM25 reads (doc count, lengths,
 // total length, tf, df) is restored exactly.
 
-// Posting is the exported view of one posting-list entry.
+// Posting is one posting-list entry, the type the index holds its
+// lists in and the snapshot codec decodes into.
 type Posting struct {
 	Doc int32 // document id
 	TF  int32 // term frequency (title terms pre-counted double)
@@ -41,11 +43,7 @@ func (ix *Index) ExportTerms() []TermPostings {
 	ix.mu.RLock()
 	out := make([]TermPostings, 0, len(ix.postings))
 	for term, plist := range ix.postings {
-		ps := make([]Posting, len(plist))
-		for i, p := range plist {
-			ps[i] = Posting{Doc: p.doc, TF: p.tf}
-		}
-		out = append(out, TermPostings{Term: term, Postings: ps})
+		out = append(out, TermPostings{Term: term, Postings: slices.Clone(plist)})
 	}
 	ix.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
@@ -160,26 +158,19 @@ func (ix *Index) ImportAnnotations(each func(add func(id int, keys, values []str
 }
 
 // ImportTerms installs decoded posting lists as-is (stored order
-// preserved); a term may be imported at most once per index. Safe to
-// call concurrently — a loader decodes segments in parallel: the lists
-// are converted outside the table lock and installed under it.
+// preserved); a term may be imported at most once per index. The index
+// takes ownership of each Postings slice without copying it — Compact
+// rewrites lists in place — so the caller must not use them afterwards.
+// Safe to call concurrently: a loader decodes segments in parallel.
 func (ix *Index) ImportTerms(terms []TermPostings) error {
-	plists := make([][]posting, len(terms))
-	for ti, tp := range terms {
-		plist := make([]posting, len(tp.Postings))
-		for i, p := range tp.Postings {
-			plist[i] = posting{doc: p.Doc, tf: p.TF}
-		}
-		plists[ti] = plist
-	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.version.Add(1)
-	for ti, tp := range terms {
+	for _, tp := range terms {
 		if _, dup := ix.postings[tp.Term]; dup {
 			return fmt.Errorf("index: import: term %q imported twice", tp.Term)
 		}
-		ix.postings[tp.Term] = plists[ti]
+		ix.postings[tp.Term] = tp.Postings
 	}
 	return nil
 }

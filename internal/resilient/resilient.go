@@ -13,9 +13,8 @@
 //   - a per-host three-state circuit breaker (closed → open →
 //     half-open), so a host that is down stops soaking up attempts and
 //     is re-probed with a single trial request after a cooldown;
-//   - atomic counters, global and per host, so the engine can attribute
-//     every fault to the site that suffered it and the admin API can
-//     report the fetch stack's health.
+//   - atomic counters per host, so the engine can attribute every
+//     attempt and fault to the site that issued it.
 //
 // The transport buffers each response body (bounded by MaxBodyBytes),
 // which is what makes truncated bodies retryable: a mid-body read error

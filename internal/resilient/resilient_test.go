@@ -112,13 +112,9 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 	if string(b) != "ok" {
 		t.Fatalf("body = %q, want replayable buffered body", b)
 	}
-	st := tr.Stats()
-	if st.Attempts != 3 || st.Retries != 2 || st.TransientFailures != 0 {
-		t.Fatalf("stats = %+v, want 3 attempts / 2 retries / 0 transient failures", st)
-	}
 	hs := tr.HostStats("a.example")
-	if hs.Attempts != 3 || hs.Retries != 2 {
-		t.Fatalf("host stats = %+v, want attempts/retries attributed to a.example", hs)
+	if hs.Attempts != 3 || hs.Retries != 2 || hs.TransientFailures != 0 {
+		t.Fatalf("host stats = %+v, want 3 attempts / 2 retries / 0 transient failures attributed to a.example", hs)
 	}
 }
 
@@ -134,7 +130,7 @@ func TestExhaustedRetriesReturnLastResponse(t *testing.T) {
 	if resp.StatusCode != 503 {
 		t.Fatalf("status = %d, want the last 503", resp.StatusCode)
 	}
-	st := tr.Stats()
+	st := tr.HostStats("a.example")
 	if st.Attempts != 3 || st.TransientFailures != 1 {
 		t.Fatalf("stats = %+v, want 3 attempts and exactly 1 transient failure (logical fetch, not per attempt)", st)
 	}
@@ -191,7 +187,7 @@ func TestPerAttemptTimeoutRetries(t *testing.T) {
 	if err != nil || resp.StatusCode != 200 {
 		t.Fatalf("resp=%v err=%v, want a timed-out attempt to be retried to success", resp, err)
 	}
-	if st := tr.Stats(); st.Timeouts != 1 || st.Retries != 1 {
+	if st := tr.HostStats("a.example"); st.Timeouts != 1 || st.Retries != 1 {
 		t.Fatalf("stats = %+v, want 1 timeout and 1 retry", st)
 	}
 }
@@ -210,7 +206,7 @@ func TestBodyCapIsPermanent(t *testing.T) {
 	if base.callCount() != 1 {
 		t.Fatalf("base saw %d calls, want 1: an oversized body cannot shrink on retry", base.callCount())
 	}
-	if st := tr.Stats(); st.PermanentFailures != 1 {
+	if st := tr.HostStats("a.example"); st.PermanentFailures != 1 {
 		t.Fatalf("stats = %+v, want 1 permanent failure", st)
 	}
 }

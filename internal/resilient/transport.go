@@ -63,7 +63,7 @@ func Defaults() Options {
 	}
 }
 
-// Stats are the transport's cumulative counters. Attempts counts every
+// Stats are one host's cumulative counters. Attempts counts every
 // wire try; Retries the tries after the first; Timeouts the attempts
 // that died on a deadline; BreakerTrips the closed→open and
 // half-open→open transitions; TransientFailures and PermanentFailures
@@ -93,7 +93,7 @@ const (
 )
 
 // hostState is one host's counters and circuit breaker. Counters are
-// atomics (read by stats endpoints while fetches run); the breaker's
+// atomics (the engine reads them while fetches run); the breaker's
 // state machine is guarded by mu.
 type hostState struct {
 	attempts  atomic.Uint64
@@ -196,13 +196,6 @@ type Transport struct {
 	base http.RoundTripper
 	opts Options
 
-	attempts  atomic.Uint64
-	retries   atomic.Uint64
-	timeouts  atomic.Uint64
-	trips     atomic.Uint64
-	transient atomic.Uint64
-	permanent atomic.Uint64
-
 	mu    sync.Mutex
 	hosts map[string]*hostState
 }
@@ -236,18 +229,6 @@ func (t *Transport) host(name string) *hostState {
 	return h
 }
 
-// Stats snapshots the global counters.
-func (t *Transport) Stats() Stats {
-	return Stats{
-		Attempts:          t.attempts.Load(),
-		Retries:           t.retries.Load(),
-		Timeouts:          t.timeouts.Load(),
-		BreakerTrips:      t.trips.Load(),
-		TransientFailures: t.transient.Load(),
-		PermanentFailures: t.permanent.Load(),
-	}
-}
-
 // HostStats snapshots one host's counters (zero value for a host the
 // transport has never fetched from).
 func (t *Transport) HostStats(host string) HostStats {
@@ -270,25 +251,14 @@ func (t *Transport) HostStats(host string) HostStats {
 	}
 }
 
-// markTimeout bumps the timeout counters when an attempt died on a
-// deadline.
-func (t *Transport) markTimeout(h *hostState, err error) {
-	if isTimeout(err) {
-		t.timeouts.Add(1)
-		h.timeouts.Add(1)
-	}
-}
-
 // failTransient finalizes a logical fetch as a transient failure.
-func (t *Transport) failTransient(h *hostState, host string, attempts int, err error) error {
-	t.transient.Add(1)
+func failTransient(h *hostState, host string, attempts int, err error) error {
 	h.transient.Add(1)
 	return &Error{Class: ClassTransient, Host: host, Attempts: attempts, Err: err}
 }
 
 // failPermanent finalizes a logical fetch as a permanent failure.
-func (t *Transport) failPermanent(h *hostState, host string, attempts int, err error) error {
-	t.permanent.Add(1)
+func failPermanent(h *hostState, host string, attempts int, err error) error {
 	h.permanent.Add(1)
 	return &Error{Class: ClassPermanent, Host: host, Attempts: attempts, Err: err}
 }
@@ -347,10 +317,10 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, t.failTransient(h, host, attempt-1, err)
+			return nil, failTransient(h, host, attempt-1, err)
 		}
 		if !h.allow(t.opts.BreakerThreshold, t.opts.BreakerCooldown, t.opts.Now()) {
-			return nil, t.failTransient(h, host, attempt-1, ErrCircuitOpen)
+			return nil, failTransient(h, host, attempt-1, ErrCircuitOpen)
 		}
 
 		resp, err := t.attempt(ctx, req, h, attempt)
@@ -368,16 +338,13 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 				// the politeness cap's 429); retrying would burn the
 				// very budget it protects, and it says nothing about
 				// the real host's health.
-				t.transient.Add(1)
 				h.transient.Add(1)
 				return resp, nil
 			}
 			if tripped := h.onFailure(t.opts.BreakerThreshold, t.opts.BreakerCooldown, t.opts.Now()); tripped {
-				t.trips.Add(1)
 				h.trips.Add(1)
 			}
 			if attempt >= t.opts.MaxAttempts || !rewindable(req) {
-				t.transient.Add(1)
 				h.transient.Add(1)
 				return resp, nil
 			}
@@ -385,26 +352,27 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			// The original request's context ending takes precedence
 			// over any classification: the caller is gone.
 			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, t.failTransient(h, host, attempt, ctxErr)
+				return nil, failTransient(h, host, attempt, ctxErr)
 			}
-			t.markTimeout(h, err)
+			if isTimeout(err) {
+				h.timeouts.Add(1)
+			}
 			if errors.Is(err, ErrBodyTooLarge) {
 				// The host delivered fine; the body is just over our
 				// cap. Not a breaker failure, and no retry can shrink it.
 				h.onSuccess(t.opts.BreakerThreshold)
-				return nil, t.failPermanent(h, host, attempt, err)
+				return nil, failPermanent(h, host, attempt, err)
 			}
 			if tripped := h.onFailure(t.opts.BreakerThreshold, t.opts.BreakerCooldown, t.opts.Now()); tripped {
-				t.trips.Add(1)
 				h.trips.Add(1)
 			}
 			if attempt >= t.opts.MaxAttempts || !rewindable(req) {
-				return nil, t.failTransient(h, host, attempt, err)
+				return nil, failTransient(h, host, attempt, err)
 			}
 		}
 
 		if serr := t.opts.Sleep(ctx, t.backoffFor(attempt)); serr != nil {
-			return nil, t.failTransient(h, host, attempt, serr)
+			return nil, failTransient(h, host, attempt, serr)
 		}
 	}
 }
@@ -413,10 +381,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 // timeout, rewind the body if this is a retry, and buffer the response
 // body so truncation errors surface here.
 func (t *Transport) attempt(ctx context.Context, req *http.Request, h *hostState, attempt int) (*http.Response, error) {
-	t.attempts.Add(1)
 	h.attempts.Add(1)
 	if attempt > 1 {
-		t.retries.Add(1)
 		h.retries.Add(1)
 	}
 

@@ -107,17 +107,6 @@ func TestCosine(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	a := NewTermVector([]string{"ford", "focus", "1993"})
-	b := NewTermVector([]string{"ford", "escort", "1993"})
-	if got, want := Jaccard(a, b), 2.0/4.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Jaccard = %v, want %v", got, want)
-	}
-	if got := Jaccard(TermVector{}, TermVector{}); got != 1 {
-		t.Errorf("Jaccard(empty,empty) = %v, want 1", got)
-	}
-}
-
 func TestTopTermsDeterministicTieBreak(t *testing.T) {
 	v := TermVector{"beta": 2, "alpha": 2, "gamma": 1}
 	got := v.TopTerms(2)
@@ -130,15 +119,6 @@ func TestTopTermsKLargerThanVector(t *testing.T) {
 	v := TermVector{"a2": 1}
 	if got := v.TopTerms(10); len(got) != 1 {
 		t.Errorf("TopTerms len = %d, want 1", len(got))
-	}
-}
-
-func TestTFIDFRareTermsWeighHigher(t *testing.T) {
-	tf := TermVector{"common": 1, "rare": 1}
-	df := map[string]int{"common": 90, "rare": 2}
-	w := TFIDF(tf, df, 100)
-	if w["rare"] <= w["common"] {
-		t.Errorf("tf-idf: rare %v should outweigh common %v", w["rare"], w["common"])
 	}
 }
 

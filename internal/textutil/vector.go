@@ -43,25 +43,6 @@ func Cosine(a, b TermVector) float64 {
 	return dot / (na * nb)
 }
 
-// Jaccard returns |a∩b| / |a∪b| over the key sets of a and b. Two empty
-// vectors have similarity 1 (they are identical).
-func Jaccard(a, b TermVector) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	inter := 0
-	for t := range a {
-		if _, ok := b[t]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
-}
-
 // WeightedTerm pairs a term with a weight, for ranked keyword lists.
 type WeightedTerm struct {
 	Term   string
@@ -85,19 +66,4 @@ func (v TermVector) TopTerms(k int) []WeightedTerm {
 		terms = terms[:k]
 	}
 	return terms
-}
-
-// TFIDF converts raw term frequencies into tf-idf weights given document
-// frequencies df and corpus size n. Terms absent from df get the maximal
-// idf (they appeared in no other document).
-func TFIDF(tf TermVector, df map[string]int, n int) TermVector {
-	out := make(TermVector, len(tf))
-	for t, f := range tf {
-		d := df[t]
-		if d < 1 {
-			d = 1
-		}
-		out[t] = f * math.Log(float64(n+1)/float64(d))
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package webgen
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -141,15 +140,4 @@ func (w *Web) ResetCounts() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.reqs = map[string]int{}
-}
-
-// ReadBody drains and closes an http.Response body; every fetch path
-// funnels through it so tests exercise one implementation.
-func ReadBody(resp *http.Response) (string, error) {
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"io"
 	"net/url"
 	"strconv"
 	"strings"
@@ -26,11 +27,12 @@ func get(t *testing.T, w *Web, u string) string {
 	if err != nil {
 		t.Fatalf("GET %s: %v", u, err)
 	}
-	body, err := ReadBody(resp)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body
+	return string(body)
 }
 
 func TestSiteHomepageLinksFormAndSeeds(t *testing.T) {
@@ -280,8 +282,9 @@ func TestPostSiteRefusesNothingButIsPost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodyStr, _ := ReadBody(resp)
-	if !strings.Contains(bodyStr, "results found") {
+	posted, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(posted), "results found") {
 		t.Error("POST submission did not return results")
 	}
 }

@@ -57,10 +57,6 @@ type Fetcher struct {
 	// Timeout bounds each fetch (0 = none). It composes with the
 	// caller's context: whichever deadline is earlier wins.
 	Timeout time.Duration
-	// MaxBodyBytes caps how much of a response body is read (0 = no
-	// cap). Bodies past the cap fail the fetch rather than silently
-	// truncating the parse.
-	MaxBodyBytes int64
 }
 
 // NewFetcher wraps a transport.
@@ -68,8 +64,8 @@ func NewFetcher(rt http.RoundTripper) *Fetcher {
 	return &Fetcher{client: &http.Client{Transport: rt}}
 }
 
-// do runs one request: applies the per-fetch timeout, reads the
-// (capped) body, parses.
+// do runs one request: applies the per-fetch timeout, reads the body,
+// parses. Capping the body is the transport's job.
 func (f *Fetcher) do(req *http.Request, u string, cancel context.CancelFunc) (*Page, error) {
 	defer cancel()
 	resp, err := f.client.Do(req)
@@ -77,16 +73,9 @@ func (f *Fetcher) do(req *http.Request, u string, cancel context.CancelFunc) (*P
 		return nil, fmt.Errorf("webx: %s %s: %w", strings.ToLower(req.Method), u, err)
 	}
 	defer resp.Body.Close()
-	var r io.Reader = resp.Body
-	if f.MaxBodyBytes > 0 {
-		r = io.LimitReader(resp.Body, f.MaxBodyBytes+1)
-	}
-	body, err := io.ReadAll(r)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("webx: read %s: %w", u, err)
-	}
-	if f.MaxBodyBytes > 0 && int64(len(body)) > f.MaxBodyBytes {
-		return nil, fmt.Errorf("webx: read %s: body exceeds %d-byte cap", u, f.MaxBodyBytes)
 	}
 	html := string(body)
 	return &Page{URL: u, Status: resp.StatusCode, HTML: html, Doc: htmlx.Parse(html)}, nil
