@@ -29,9 +29,9 @@ build:
 # `go test -race -shuffle=<seed> <pkg>`. The atomicity tests, the
 # oracle's concurrent mode (TestEngineFollowsOracleAtomically) among
 # them, then run ten more times: a torn commit fails only when a reader
-# lands inside it. So do the Load tests: Load's three parts write one
-# index concurrently, and a racy install shows only when they
-# interleave.
+# lands inside it. So do the Load tests: Load's three parts (rows,
+# annotation tables, postings) write one index concurrently, and a racy
+# install shows only when they interleave.
 test:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=10 -run 'Atomic|^TestLoad' ./internal/index ./internal/engine
@@ -41,8 +41,10 @@ test:
 # bench/out/. bench-smoke = the CI bench-smoke job: the same program on
 # a 3000-document corpus, a second per workload, untraced then traced
 # (the traced run replays the old step sequence of Load until ROADMAP
-# item 11, and the request layer by layer) — it exercises every path and checks every answer, and
-# measures nothing.
+# item 11 — its Annotate loop runs over DocsSegment.Anns, which is
+# empty now that annotations live in the columns segment, so
+# index.annotate_s reads about 0 — and the request layer by layer) — it
+# exercises every path and checks every answer, and measures nothing.
 bench:
 	$(GO) run ./bench
 
@@ -55,9 +57,10 @@ bench-smoke:
 # serve-smoke = the CI serve-smoke job: checks that deepsearch without
 # -snapshot and deepcrawl -bulk without -out exit 2, then boots the
 # real binary on a deepcrawl -out snapshot and on a bulk-built one, and
-# checks the status of /v1/search, /v1/semantics and the HTML page, and
-# that a reload after deepcrawl -refresh serves a new generation
-# (scripts/serve-smoke.sh).
+# checks the status of /v1/search (plain, and with a predicate on an
+# annotated attribute that must match, which reads the loaded columns
+# segment), /v1/semantics and the HTML page, and that a reload after
+# deepcrawl -refresh serves a new generation (scripts/serve-smoke.sh).
 serve-smoke:
 	./scripts/serve-smoke.sh
 

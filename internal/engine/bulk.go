@@ -15,10 +15,13 @@ import (
 // snapshot under a bounded memory budget. BulkBuild never builds an
 // index at all. It tokenizes a stream on the given workers and hands
 // every document to the same store.Writer Save uses, which streams the
-// docs segment, accumulates postings in RAM, spills sorted runs to disk
-// every SpillDocs documents and k-way merges them into the final
+// docs segment, interns the annotations into the schema tables of the
+// columns segment, accumulates postings in RAM, spills sorted runs to
+// disk every SpillDocs documents and k-way merges them into the final
 // per-shard segments. Peak memory is the spill window plus one shard's
-// merged postings — independent of corpus size.
+// merged postings plus the annotation tables, which grow with the
+// corpus's distinct annotation values and which a server of the
+// snapshot holds anyway.
 //
 // The writer places every term, whichever path it came in by, so the
 // directory BulkBuild writes is byte-identical — every file — to Save
@@ -27,7 +30,9 @@ import (
 
 // BulkSource streams documents in a deterministic order. Next returns
 // the next document, its annotations (nil for none), and ok=false when
-// the stream is exhausted. bulkgen.Source satisfies this.
+// the stream is exhausted. An annotation map must not change once
+// returned: the writer interns it later, on a goroutine of its own.
+// bulkgen.Source satisfies this.
 type BulkSource interface {
 	Next() (d index.Doc, anns map[string]string, ok bool)
 }

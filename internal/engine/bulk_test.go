@@ -183,18 +183,18 @@ func TestBulkBuildByteIdenticalAcrossBudgets(t *testing.T) {
 }
 
 // The bytes BulkBuild writes are pinned: these digests of the whole
-// directory were computed at the commit before the single store.Writer
-// existed (8e8434d), in another process. With Save ≡ BulkBuild pinned
-// file by file above, they also pin Save across processes — nothing
-// about a snapshot depends on who wrote it or where.
+// directory were recorded in another process, at format v3 (the first
+// with a columns segment). With Save ≡ BulkBuild pinned file by file
+// above, they also pin Save across processes — nothing about a
+// snapshot depends on who wrote it or where.
 func TestBulkBuildDirectoryDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; bulkgen's float ladders may round differently elsewhere")
 	}
 	want := map[int]string{
-		1:  "e9127c011a7a925c1d59a2fab28e60173b2324c6d7bd283ee4536d9fc5b8d264",
-		4:  "991a8dfeba63c6b2b0b8d1faee8c1b3c5739f974ba593ae8629d3b0bd26b70e0",
-		16: "14b1a1741f64cd94f2af5b138e603f3174666e0b426aa14b0b7359bdad78a066",
+		1:  "f76438030f280c55ab5503f1e0fc653a844b4dcd6d7cddbbd16753921ae8c78f",
+		4:  "3506291eb1acbf5622f93fbfd0d52087d87bdee03bbc3d629ecc8995ce87d9e3",
+		16: "1658ff59715f3895d16aad6e8c3e0c888c24ebd8ddba06447e7fbf4d5b588881",
 	}
 	for _, shards := range []int{1, 4, 16} {
 		world := bulkWorld(t, 1234, 1500, 3)

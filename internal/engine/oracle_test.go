@@ -602,25 +602,23 @@ func (o *oracle) onEngine(op *oracleOp) string {
 }
 
 // saveAnnotatedTombstones writes the engine's index to dir as Save
-// does, except that every tombstoned document carries annotations —
-// a snapshot the format allows and Save never writes, whose tombstones
-// Load must read as unannotated — and returns the snapshot id.
+// does, except that the writer is handed annotations for every
+// tombstoned document — which it must drop, since Load refuses a
+// tombstone that holds a slot — and returns the snapshot id.
 func (o *oracle) saveAnnotatedTombstones(dir string) uint32 {
 	ix := o.e.Index
 	docs, lens, dead := ix.ExportDocs()
-	anns := ix.ExportAnnotations()
-	for id := range anns {
-		if dead[id] {
-			anns[id] = map[string]string{"make": "fiat", "notes": fmt.Sprintf("tombstone %d", id)}
-		}
-	}
 	w, err := store.NewWriter(dir, ix.NumShards(), len(docs), 0)
 	if err != nil {
 		o.t.Fatal(err)
 	}
 	defer w.Abort()
 	for id, d := range docs {
-		if err := w.AddDoc(d, lens[id], anns[id], dead[id]); err != nil {
+		anns := ix.AnnotationsOf(id)
+		if dead[id] {
+			anns = map[string]string{"make": "fiat", "notes": fmt.Sprintf("tombstone %d", id)}
+		}
+		if err := w.AddDoc(d, lens[id], anns, dead[id]); err != nil {
 			o.t.Fatal(err)
 		}
 	}

@@ -10,9 +10,9 @@ import (
 	"deepweb/internal/webgen"
 )
 
-// Persistence: Save writes the engine's index (documents, postings,
-// annotations) as a snapshot directory; Load rebuilds a serving engine
-// from one. The paper's economics depend on this split — surfacing is
+// Persistence: Save writes the engine's index (documents, annotation
+// tables, postings) as a snapshot directory; Load rebuilds a serving
+// engine from one. The paper's economics depend on this split — surfacing is
 // an expensive offline pass, serving is the ordinary index answering
 // live traffic — and a snapshot is the artifact that crosses the
 // boundary. Load restores plain and annotated search bit-for-bit: same
@@ -20,30 +20,31 @@ import (
 //
 // Both directions parallelize per postings segment on the engine's
 // Workers budget: Save encodes segments concurrently, Load decodes them
-// concurrently, beside the docs segment's rows and annotations, and
-// installs each under the index's table lock.
+// concurrently, beside the docs segment's rows and the columns
+// segment, and installs each under the index's table lock.
 
 // Save writes the index to dir as one docs segment (including
-// tombstones, so a mutated index round-trips id-for-id), one postings
-// segment per shard, and a meta segment carrying the per-site content
-// signatures Refresh diffs against. The directory protocol is
-// store.Writer's, and so is the placement of terms in segments; Save
-// only says where the rows and postings come from: the live index.
+// tombstones, so a mutated index round-trips id-for-id), one columns
+// segment holding the annotation tables, one postings segment per
+// shard, and a meta segment carrying the per-site content signatures
+// Refresh diffs against. The directory protocol is store.Writer's, and
+// so are the placement of terms in segments and the annotation tables,
+// which it re-interns in doc-id order; Save only says where the rows,
+// annotations and postings come from: the live index.
 // Existing segments in dir are overwritten atomically; a concurrent
 // reader of the old snapshot is undisturbed. Save must not run
 // concurrently with Refresh or Compact. It holds one copy of every
-// posting list while it writes.
+// posting list, and of the annotation tables, while it writes.
 func (e *Engine) Save(dir string) error {
 	ix := e.Index
 	docs, lens, dead := ix.ExportDocs()
-	anns := ix.ExportAnnotations()
 	w, err := store.NewWriter(dir, ix.NumShards(), len(docs), 0)
 	if err != nil {
 		return fmt.Errorf("engine: save: %w", err)
 	}
 	defer w.Abort()
 	for id, d := range docs {
-		if err := w.AddDoc(d, lens[id], anns[id], dead[id]); err != nil {
+		if err := w.AddDoc(d, lens[id], ix.AnnotationsOf(id), dead[id]); err != nil {
 			return fmt.Errorf("engine: save docs: %w", err)
 		}
 	}
@@ -67,11 +68,13 @@ func (e *Engine) Save(dir string) error {
 // did — tombstones, live statistics and tie order included — but it
 // carries no virtual web (Web and Fetch are nil), so surfacing,
 // coverage and Refresh are off the table; use LoadWith to reattach a
-// world. Once the docs segment is open, its rows (into ImportDocs),
-// its annotations (in id order, tombstones skipped, into
-// ImportAnnotations) and the postings segments (into ImportTerms) are
-// decoded concurrently, on 2+DefaultWorkers goroutines, and joined; a
-// damaged snapshot fails with the first error in that order.
+// world. Once the docs segment is open, its rows (into ImportDocs), the
+// columns segment (one bulk decode, checked against the docs segment's
+// id, doc count and tombstones, into InstallAnnotations, which derives
+// what the segment leaves out) and the postings segments (into
+// ImportTerms) are decoded concurrently, on 2+DefaultWorkers
+// goroutines, and joined; a damaged snapshot fails with the first
+// error in that order.
 func Load(dir string) (*Engine, error) {
 	docs, err := store.OpenDocs(store.DocsPath(dir))
 	if err != nil {
@@ -87,8 +90,8 @@ func Load(dir string) (*Engine, error) {
 	e.Index = ix
 	e.Generation = hdr.SnapID
 
-	// Job 0 is the rows, job 1 the annotations, job 2+si postings
-	// segment si.
+	// Job 0 is the rows, job 1 the annotation tables, job 2+si
+	// postings segment si.
 	err = store.ForEachShard(2+e.Workers, 2+int(hdr.Shards), func(job int) error {
 		switch job {
 		case 0:
@@ -98,13 +101,7 @@ func Load(dir string) (*Engine, error) {
 			}
 			return ix.ImportDocs(rows, lens, dead)
 		case 1:
-			return ix.ImportAnnotations(func(add func(id int, keys, values []string)) error {
-				return docs.Annotations(func(id int, keys, values []string) {
-					if !dead[id] {
-						add(id, keys, values)
-					}
-				})
-			})
+			return store.ReadColumns(store.ColumnsPath(dir), hdr, dead, ix)
 		}
 		si := job - 2
 		terms, ph, err := store.ReadPostings(store.PostingsPath(dir, si))

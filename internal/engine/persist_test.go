@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -126,8 +125,8 @@ func TestSaveDeterministicAcrossWorkers(t *testing.T) {
 		if err := e.Save(par); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(readDir(t, seq)); n != shards+2 {
-			t.Fatalf("shards=%d: snapshot holds %d files, want docs + %d postings + meta", shards, n, shards)
+		if n := len(readDir(t, seq)); n != shards+3 {
+			t.Fatalf("shards=%d: snapshot holds %d files, want docs + columns + %d postings + meta", shards, n, shards)
 		}
 		requireSameDir(t, fmt.Sprintf("shards=%d: 1-worker vs 4-worker save", shards), seq, par)
 	}
@@ -153,14 +152,11 @@ func loadFails(t *testing.T, dir string) error {
 }
 
 // reseal recomputes a segment's body and header CRCs after an edit, so
-// a test reaches the check it aims at instead of tripping a CRC, and
-// returns the body CRC: a docs segment's snapshot id.
-func reseal(raw []byte) uint32 {
+// a test reaches the check it aims at instead of tripping a CRC.
+func reseal(raw []byte) {
 	table := crc32.MakeTable(crc32.Castagnoli)
-	body := crc32.Checksum(raw[44:], table)
-	binary.LittleEndian.PutUint32(raw[36:40], body)
+	binary.LittleEndian.PutUint32(raw[36:40], crc32.Checksum(raw[44:], table))
 	binary.LittleEndian.PutUint32(raw[40:44], crc32.Checksum(raw[0:40], table))
-	return body
 }
 
 // A damaged snapshot directory must fail the load with a diagnosable
@@ -234,52 +230,96 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 		}
 		loadFails(t, dir)
 	})
-	t.Run("annotation ids descend", func(t *testing.T) {
-		// Two annotation entries of one shape, their doc ids swapped in
-		// place and every segment re-framed with valid CRCs and the new
-		// snapshot id: only the order of the ids is wrong.
-		e := newEngine()
-		for i, mk := range []string{"", "ford", "saab"} {
-			id, _ := e.Index.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used car"})
-			if mk != "" {
-				e.Index.Annotate(id, map[string]string{"make": mk})
-			}
-		}
-		dir := t.TempDir()
-		if err := e.Save(dir); err != nil {
+	t.Run("missing columns segment", func(t *testing.T) {
+		dir := save(t)
+		if err := os.Remove(store.ColumnsPath(dir)); err != nil {
 			t.Fatal(err)
 		}
-		path := store.DocsPath(dir)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, swap := range [][2]string{{"\x01\x01\x04make\x04ford", "\x02"}, {"\x02\x01\x04make\x04saab", "\x01"}} {
-			at := bytes.Index(raw, []byte(swap[0]))
-			if at < 0 {
-				t.Fatalf("annotation entry %q not found", swap[0])
-			}
-			raw[at] = swap[1][0]
-		}
-		snapID := reseal(raw)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for si := range e.Index.NumShards() {
-			path := store.PostingsPath(dir, si)
-			terms, ph, err := store.ReadPostings(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := store.WritePostings(path, int(ph.Shards), si, int(ph.DocCount), snapID, terms); err != nil {
-				t.Fatal(err)
-			}
-		}
-		err = loadFails(t, dir)
-		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "annotation for doc 1 after doc 2") {
-			t.Fatalf("want the annotations' ErrCorrupt, got %v", err)
+		if err := loadFails(t, dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("want not-exist, got %v", err)
 		}
 	})
+
+	// Each remaining case replaces the columns segment of a four-document
+	// snapshot, doc 3 tombstoned, with tables made by hand and stamped
+	// with the snapshot's id, so only the tables' own rule is broken.
+	// valid is the base each case edits; as it is, it loads.
+	tables := newEngine()
+	for i := range 4 {
+		tables.Index.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used car"})
+	}
+	tables.Index.Delete(3)
+	valid := func() ([]index.AnnColumn, []index.AnnSchema) {
+		return []index.AnnColumn{
+				{Attr: "make", Values: []index.AnnValue{{Text: "ford"}, {Text: "saab"}}},
+				{Attr: "model", Values: []index.AnnValue{{Text: "focus"}}},
+			}, []index.AnnSchema{
+				{Attrs: []uint32{0}, Codes: [][]uint32{{1}}, Docs: []int32{2}},
+				{Attrs: []uint32{0, 1}, Codes: [][]uint32{{0, 0}, {0, 0}}, Docs: []int32{0, 1}},
+			}
+	}
+	saveWith := func(t *testing.T, snapOffset uint32, edit func([]index.AnnColumn, []index.AnnSchema)) string {
+		t.Helper()
+		dir := t.TempDir()
+		if err := tables.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		cols, schemas := valid()
+		edit(cols, schemas)
+		if err := store.WriteColumns(store.ColumnsPath(dir), 4, tables.Generation+snapOffset, cols, schemas); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	unedited := func([]index.AnnColumn, []index.AnnSchema) {}
+	if _, err := Load(saveWith(t, 0, unedited)); err != nil {
+		t.Fatalf("the hand-made tables the cases below break do not load: %v", err)
+	}
+	t.Run("columns from a different generation", func(t *testing.T) {
+		err := loadFails(t, saveWith(t, 1, unedited))
+		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "different snapshot generations") {
+			t.Fatalf("want the generation check's ErrCorrupt, got %v", err)
+		}
+	})
+	for _, tc := range []struct {
+		name, wantMsg string
+		edit          func([]index.AnnColumn, []index.AnnSchema)
+	}{
+		{"code past its dictionary", "past attribute \"make\"'s 2 values", func(c []index.AnnColumn, s []index.AnnSchema) {
+			s[0].Codes[0][0] = 2
+		}},
+		{"attribute named twice", "attribute \"make\" named twice", func(c []index.AnnColumn, s []index.AnnSchema) {
+			c[1].Attr = "make"
+		}},
+		{"value twice in a dictionary", "value \"ford\" twice", func(c []index.AnnColumn, s []index.AnnSchema) {
+			c[0].Values[1].Text = "ford"
+		}},
+		{"attribute ids descend", "do not ascend", func(c []index.AnnColumn, s []index.AnnSchema) {
+			s[1].Attrs = []uint32{1, 0}
+		}},
+		{"attribute id out of range", "do not ascend", func(c []index.AnnColumn, s []index.AnnSchema) {
+			s[1].Attrs[1] = 2
+		}},
+		{"annotation ids descend", "after doc", func(c []index.AnnColumn, s []index.AnnSchema) {
+			s[1].Docs = []int32{1, 0}
+		}},
+		{"annotation id past the documents", "holds doc 4 of 4", func(c []index.AnnColumn, s []index.AnnSchema) {
+			s[0].Docs[0] = 4
+		}},
+		{"document in two schemas", "doc 1 in schemas", func(c []index.AnnColumn, s []index.AnnSchema) {
+			s[0].Docs[0] = 1
+		}},
+		{"tombstone holds a slot", "tombstoned doc 3", func(c []index.AnnColumn, s []index.AnnSchema) {
+			s[0].Docs[0] = 3
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := loadFails(t, saveWith(t, 0, tc.edit))
+			if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("want an ErrCorrupt mentioning %q, got %v", tc.wantMsg, err)
+			}
+		})
+	}
 }
 
 // Every load of one snapshot gives the annotation store the same
@@ -325,6 +365,66 @@ func TestLoadIsDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(first, tables) {
 			t.Fatalf("load %d: annotation tables differ from the first load's:\n%+v\n%+v", i, first.Schemas, tables.Schemas)
 		}
+	}
+}
+
+// Load installs the tables a fresh index annotated in doc-id order
+// holds, whatever order the saved index interned in: an index annotated
+// in doc-id order round-trips its tables exactly, and a mutated one —
+// reannotated, grown new attributes out of id order, tombstoned,
+// compacted — loads as a fresh index with the same documents and
+// tombstones, annotated in doc-id order.
+func TestLoadedTablesAreCanonical(t *testing.T) {
+	e := newEngine()
+	for i := range 40 {
+		id, _ := e.Index.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/p%d", i), Text: fmt.Sprintf("used car %d", i)})
+		e.Index.Annotate(id, map[string]string{
+			"make":                      []string{"ford", "saab", "audi"}[i%3],
+			fmt.Sprintf("model%d", i%4): fmt.Sprintf("m%d", i%7),
+			"City ":                     []string{"Seattle", "portland"}[i%2],
+		})
+	}
+	roundTrip := func(e *Engine) index.AnnTables {
+		t.Helper()
+		dir := t.TempDir()
+		if err := e.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded.Index.AnnotationTables()
+	}
+	if before, after := e.Index.AnnotationTables(), roundTrip(e); !reflect.DeepEqual(before, after) {
+		t.Fatalf("tables of an index annotated in doc-id order changed across save and load:\n%+v\n%+v", before.Schemas, after.Schemas)
+	}
+
+	for _, id := range []int{31, 7, 12} {
+		e.Index.Annotate(id, map[string]string{"color": fmt.Sprint("red ", id), "make": "fiat"})
+	}
+	e.Index.Delete(3)
+	e.Index.Compact()
+	for _, id := range []int{20, 2, 9} {
+		e.Index.Annotate(id, map[string]string{"trim": "gl", "make": "seat"})
+		e.Index.Delete(id + 1)
+	}
+	got := roundTrip(e)
+	docs, _, dead := e.Index.ExportDocs()
+	fresh := index.New()
+	for id, d := range docs {
+		fresh.Add(d)
+		if dead[id] {
+			fresh.Delete(id)
+		}
+	}
+	for id := range docs {
+		if !dead[id] {
+			fresh.Annotate(id, e.Index.AnnotationsOf(id))
+		}
+	}
+	if want := fresh.AnnotationTables(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded tables of a mutated index differ from a fresh index's:\n%+v\n%+v", got.Schemas, want.Schemas)
 	}
 }
 
@@ -376,6 +476,31 @@ func TestLoadEdgeCases(t *testing.T) {
 		}
 		if len(loaded.SiteSignatures) != 0 {
 			t.Fatalf("signatures from nowhere: %v", loaded.SiteSignatures)
+		}
+	})
+	t.Run("v2 version skew", func(t *testing.T) {
+		// A v2 snapshot spells annotations out in its docs segment and
+		// has no columns segment: ErrVersion, not a misread.
+		e := surfacedEngine(t, 4)
+		dir := t.TempDir()
+		if err := e.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(store.ColumnsPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		path := store.DocsPath(dir)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(raw[4:6], 2)
+		reseal(raw)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); !errors.Is(err, store.ErrVersion) {
+			t.Fatalf("v2 docs segment: want ErrVersion, got %v", err)
 		}
 	})
 	t.Run("v1 version skew", func(t *testing.T) {

@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"sort"
 	"strconv"
@@ -32,9 +33,9 @@ import (
 // each document names its schema and its slot. What a query needs is
 // then computed at the cheapest point that can know it:
 //
-//   - once per distinct value, at Annotate time: the dictionary code,
-//     strconv.ParseFloat, the word count that bounds the n-gram probe
-//     below;
+//   - once per distinct value, when Annotate interns it or a load
+//     installs its dictionary: the dictionary code, strconv.ParseFloat,
+//     the word count that bounds the n-gram probe below;
 //   - once per query and schema: which of the schema's columns a
 //     predicate reads (a query.Bound, on the schema's first
 //     candidate); once per query, which dictionary values the query
@@ -42,10 +43,14 @@ import (
 //   - per candidate: the document's schema and slot, then one code and
 //     one dictionary entry per column a predicate reads.
 //
-// Nothing here is persisted: snapshots carry annotations as sorted
-// attribute and value strings, and ImportAnnotations rebuilds the
-// tables from them in doc-id order — each table's slots in the order a
-// scan reads its candidates, the same ids on every load.
+// Snapshots persist the tables themselves, as the columns segment
+// (internal/store): each dictionary's texts in code order and each
+// schema's attribute ids, slot -> doc-id list and code columns, written
+// from an AnnBuilder fed every live document in doc-id order. Loading
+// installs them through InstallAnnotations, which derives the rest —
+// numeric readings, support, word counts, the lookup maps, each
+// document's schema and slot — so each table's slots come back in the
+// order a scan reads its candidates, with the same ids on every load.
 
 // AnnValue is one dictionary entry, everything a filter reads of an
 // annotation value, computed when the value was first seen.
@@ -81,7 +86,7 @@ type AnnColumn struct {
 type AnnSchema struct {
 	Attrs []uint32   // ascending
 	Codes [][]uint32 // Codes[i][slot]: the code of Attrs[i]'s value
-	docs  []int32    // slot -> doc id; -1 for a dead slot
+	Docs  []int32    // slot -> doc id; -1 for a dead slot
 }
 
 // AnnTables is a read-only view of the annotation store, valid for the
@@ -156,41 +161,38 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.version.Add(1)
-	ix.annotateLocked(docID, anns)
+	ix.ann.annotate(docID, anns)
 	ix.ann.reclaim()
 }
 
-// annotateLocked is Annotate for a caller holding the write lock, who
-// reclaims dead slots once its writes are done.
-func (ix *Index) annotateLocked(docID int, anns map[string]string) {
-	var keyBuf, valBuf [16]string // no allocation for the usual handful
-	keys, values := keyBuf[:0], valBuf[:0]
-	for k, v := range anns {
-		keys, values = append(keys, k), append(values, v)
-	}
-	ix.ann.annotate(docID, keys, values)
-}
-
-// annotate gives a document the annotations keys[i]=values[i], in any
-// order: the per-document core of Annotate and ImportAnnotations.
-func (st *annStore) annotate(docID int, keys, values []string) {
+// annotate gives a document the annotations anns: the per-document
+// core of Annotate and of AnnBuilder. The keys apply in sorted order,
+// so the attribute ids and codes a document interns never follow map
+// order, and of two keys naming one attribute the greater wins. The
+// caller holds the write lock and reclaims dead slots once its writes
+// are done.
+func (st *annStore) annotate(docID int, anns map[string]string) {
 	var (
+		keyBuf  [16]string // no allocation for the usual handful
 		cellBuf [16]annCell
-		keyBuf  [16]string
 	)
-	// cells starts as what the document carries, with no key, and ends
-	// as what it will carry: ascending attribute ids, each once.
+	keys := keyBuf[:0]
+	for k := range anns {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	// cells starts as what the document carries and ends as what it
+	// will carry: ascending attribute ids, each once.
 	cells := cellBuf[:0]
-	from := keyBuf[:0] // from[i] is the key cells[i] came from
 	if docID < len(st.schema) {
 		t, slot := &st.schemas[st.schema[docID]], st.slot[docID]
 		for i, a := range t.Attrs {
-			cells, from = append(cells, annCell{a, t.Codes[i][slot]}), append(from, "")
+			cells = append(cells, annCell{a, t.Codes[i][slot]})
 		}
 	}
-	for j, k := range keys {
+	for _, k := range keys {
 		attr := strings.ToLower(strings.TrimSpace(k))
-		v := strings.ToLower(strings.TrimSpace(values[j]))
+		v := strings.ToLower(strings.TrimSpace(anns[k]))
 		if attr == "" || v == "" {
 			continue
 		}
@@ -201,19 +203,12 @@ func (st *annStore) annotate(docID int, keys, values []string) {
 			i--
 		}
 		if i > 0 && cells[i-1].attr == a {
-			// A new value replaces the old one. Two keys naming one
-			// attribute: the greater key wins, as if the keys applied in
-			// sorted order, whatever order they come in; of two equal
-			// keys, the later.
-			if k >= from[i-1] {
-				cells[i-1], from[i-1] = cell, k
-			}
+			cells[i-1] = cell // a new value, or a greater key, replaces the old
 			continue
 		}
-		cells, from = append(cells, cell), append(from, k)
+		cells = append(cells, cell)
 		copy(cells[i+1:], cells[i:])
-		copy(from[i+1:], from[i:])
-		cells[i], from[i] = cell, k
+		cells[i] = cell
 	}
 	st.place(docID, cells)
 }
@@ -292,8 +287,8 @@ func (st *annStore) place(docID int, cells []annCell) {
 		t.Codes[i] = appendDoubling(t.Codes[i], c.code)
 		st.cols[c.attr].support[c.code]++
 	}
-	st.schema[docID], st.slot[docID] = s, uint32(len(t.docs))
-	t.docs = appendDoubling(t.docs, int32(docID))
+	st.schema[docID], st.slot[docID] = s, uint32(len(t.Docs))
+	t.Docs = appendDoubling(t.Docs, int32(docID))
 	st.slots++
 }
 
@@ -330,7 +325,7 @@ func (st *annStore) kill(docID int) {
 	for i, a := range t.Attrs {
 		st.cols[a].support[t.Codes[i][slot]]--
 	}
-	t.docs[slot] = -1
+	t.Docs[slot] = -1
 	st.schema[docID], st.slot[docID] = 0, 0
 	st.dead++
 }
@@ -374,8 +369,8 @@ func (st *annStore) rewrite(order []int32) {
 		for i := range t.Codes {
 			t.Codes[i] = append(t.Codes[i], old.Codes[i][at])
 		}
-		schema[id], slot[id] = s, uint32(len(t.docs))
-		t.docs = append(t.docs, int32(id))
+		schema[id], slot[id] = s, uint32(len(t.Docs))
+		t.Docs = append(t.Docs, int32(id))
 		end = id + 1
 		st.slots++
 	}
@@ -414,6 +409,151 @@ func (ix *Index) AnnotationsOf(docID int) map[string]string {
 func (ix *Index) AnnotationTables() AnnTables {
 	st := &ix.ann
 	return AnnTables{Schema: st.schema, Slot: st.slot, Schemas: st.schemas, cols: st.cols}
+}
+
+// AnnBuilder builds annotation tables outside any index, one document
+// at a time, through Annotate's own intern core. A snapshot writer
+// feeds it every live document's annotations in doc-id order, so the
+// tables it persists are those of a fresh index annotated in that
+// order. Not safe for concurrent use.
+type AnnBuilder struct{ st annStore }
+
+// NewAnnBuilder returns an empty builder.
+func NewAnnBuilder() *AnnBuilder { return &AnnBuilder{st: newAnnStore()} }
+
+// Annotate gives document id the annotations anns, as Index.Annotate
+// does.
+func (b *AnnBuilder) Annotate(id int, anns map[string]string) {
+	if id >= 0 {
+		b.st.annotate(id, anns)
+	}
+}
+
+// Tables returns the tables built so far in the form InstallAnnotations
+// takes: the dictionaries by attribute id, and the tables of schema 1
+// on. They share the builder's memory.
+func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) {
+	cols := make([]AnnColumn, len(b.st.cols))
+	for a, col := range b.st.cols {
+		cols[a] = AnnColumn{Attr: col.name, Values: col.values}
+	}
+	return cols, b.st.schemas[1:]
+}
+
+// InstallAnnotations installs a snapshot's annotation tables into an
+// index that has none. cols holds, by attribute id, each attribute's
+// name and its dictionary texts in code order; schemas holds the
+// tables of schema 1 on, each one's Attrs, Codes and Docs. dead flags
+// the snapshot's documents, its length their count. The index takes
+// ownership of every slice. The rest — each value's numeric reading,
+// support and word count, the lookup maps, each document's schema and
+// slot — is derived outside the table lock, so a loader runs this
+// beside ImportDocs and ImportTerms. Tables no builder produces are
+// refused whole, before anything is installed: a repeated attribute
+// name or dictionary value, an empty or repeated schema, attribute ids
+// that do not ascend or name no attribute, a code past its dictionary,
+// a slot list that does not ascend, leaves the documents or holds a
+// tombstone, and a document in two schemas.
+func (ix *Index) InstallAnnotations(cols []AnnColumn, schemas []AnnSchema, dead []bool) error {
+	st, err := restoreAnnStore(cols, schemas, dead)
+	if err != nil {
+		return fmt.Errorf("index: annotation tables: %w", err)
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.version.Add(1)
+	if len(ix.ann.cols) != 0 {
+		return fmt.Errorf("index: install annotations into an annotated index")
+	}
+	ix.ann = st
+	return nil
+}
+
+// restoreAnnStore checks persisted tables and derives the store they
+// are the columns of (see InstallAnnotations).
+func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, dead []bool) (annStore, error) {
+	st := newAnnStore()
+	if len(cols) > 0 {
+		st.cols = make([]*annColumn, len(cols))
+	}
+	for a, c := range cols {
+		if _, dup := st.attrs[c.Attr]; dup {
+			return st, fmt.Errorf("attribute %q named twice", c.Attr)
+		}
+		st.attrs[c.Attr] = uint32(a)
+		col := &annColumn{
+			name:    c.Attr,
+			codes:   make(map[string]uint32, len(c.Values)),
+			values:  c.Values,
+			support: make([]int32, len(c.Values)),
+		}
+		for code, v := range c.Values {
+			if _, dup := col.codes[v.Text]; dup {
+				return st, fmt.Errorf("attribute %q: value %q twice in its dictionary", c.Attr, v.Text)
+			}
+			col.codes[v.Text] = uint32(code)
+			col.values[code] = NewAnnValue(v.Text)
+			col.maxWords = max(col.maxWords, strings.Count(v.Text, " ")+1)
+		}
+		st.cols[a] = col
+	}
+	st.schemas = append(st.schemas, schemas...)
+	end := 0 // one past the highest annotated document
+	for s := 1; s < len(st.schemas); s++ {
+		t := &st.schemas[s]
+		if len(t.Attrs) == 0 || len(t.Docs) == 0 || len(t.Codes) != len(t.Attrs) {
+			return st, fmt.Errorf("schema %d: %d attributes, %d code columns, %d slots", s, len(t.Attrs), len(t.Codes), len(t.Docs))
+		}
+		var keyBuf [64]byte
+		key := keyBuf[:0]
+		for i, a := range t.Attrs {
+			if int(a) >= len(cols) || i > 0 && a <= t.Attrs[i-1] {
+				return st, fmt.Errorf("schema %d: attribute ids %v do not ascend within [0, %d)", s, t.Attrs, len(cols))
+			}
+			key = binary.LittleEndian.AppendUint32(key, a)
+		}
+		if _, dup := st.schemaIDs[string(key)]; dup {
+			return st, fmt.Errorf("schema %d repeats attribute ids %v", s, t.Attrs)
+		}
+		st.schemaIDs[string(key)] = uint32(s)
+		for slot, id := range t.Docs {
+			if id < 0 || int(id) >= len(dead) {
+				return st, fmt.Errorf("schema %d: slot %d holds doc %d of %d", s, slot, id, len(dead))
+			}
+			if slot > 0 && id <= t.Docs[slot-1] {
+				return st, fmt.Errorf("schema %d: slot %d holds doc %d after doc %d", s, slot, id, t.Docs[slot-1])
+			}
+			if dead[id] {
+				return st, fmt.Errorf("schema %d: slot %d holds tombstoned doc %d", s, slot, id)
+			}
+		}
+		end = max(end, int(t.Docs[len(t.Docs)-1])+1)
+		for i, codes := range t.Codes {
+			sup := st.cols[t.Attrs[i]].support
+			if len(codes) != len(t.Docs) {
+				return st, fmt.Errorf("schema %d: %d codes for %d slots", s, len(codes), len(t.Docs))
+			}
+			for _, c := range codes {
+				if int(c) >= len(sup) {
+					return st, fmt.Errorf("schema %d: code %d past attribute %q's %d values", s, c, st.cols[t.Attrs[i]].name, len(sup))
+				}
+				sup[c]++
+			}
+		}
+		st.slots += len(t.Docs)
+	}
+	if end > 0 {
+		st.schema, st.slot = make([]uint32, end), make([]uint32, end)
+	}
+	for s := 1; s < len(st.schemas); s++ {
+		for slot, id := range st.schemas[s].Docs {
+			if st.schema[id] != 0 {
+				return st, fmt.Errorf("doc %d in schemas %d and %d", id, st.schema[id], s)
+			}
+			st.schema[id], st.slot[id] = uint32(s), uint32(slot)
+		}
+	}
+	return st, nil
 }
 
 // Annotation-aware scoring factors. Demotion is strong: a contradicted

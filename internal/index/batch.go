@@ -42,7 +42,7 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 			ix.postings[t] = append(ix.postings[t], Posting{Doc: int32(id), TF: p.tfs[j]})
 		}
 		if anns != nil {
-			ix.annotateLocked(id, anns[i])
+			ix.ann.annotate(id, anns[i])
 		}
 		ids[i] = id
 		added[i] = true

@@ -183,19 +183,3 @@ func TestCompactCanonicalizes(t *testing.T) {
 		}
 	}
 }
-
-// A tombstoned index transplants through the export/import surface
-// with ids intact: snapshots of mutated indexes round-trip.
-func TestTransplantPreservesTombstones(t *testing.T) {
-	skip := map[int]bool{2: true, 17: true}
-	full, _ := twinCorpora(20, skip)
-	dst := transplant(t, full)
-	if dst.Deleted() != len(skip) {
-		t.Fatalf("Deleted()=%d across transplant, want %d", dst.Deleted(), len(skip))
-	}
-	for _, q := range deleteQueries {
-		if a, b := search(full, q, 20), search(dst, q, 20); !reflect.DeepEqual(a, b) {
-			t.Errorf("Search(%q) differs across transplant:\n  %v\n  %v", q, a, b)
-		}
-	}
-}

@@ -11,7 +11,9 @@ import (
 // the narrow export/import surface the snapshot codec (internal/store)
 // works through. Export hands out copies or short-lived views; import
 // rebuilds an index from decoded segments without re-running the text
-// pipeline, which is what makes warm starts cheap.
+// pipeline, which is what makes warm starts cheap. The annotation
+// store's side of it, AnnBuilder and InstallAnnotations, sits with the
+// store in annotated.go.
 //
 // Postings are exported as one sorted list and written as NumShards
 // segments, the snapshot writer placing each term; a loader may import
@@ -65,19 +67,6 @@ func (ix *Index) ExportDocs() (docs []Doc, lens []int, dead []bool) {
 	dead = make([]bool, len(ix.dead))
 	copy(dead, ix.dead)
 	return docs, lens, dead
-}
-
-// ExportAnnotations returns the annotations of every document in the
-// table, indexed by doc id like ExportDocs, materialized from the
-// schema tables as fresh maps; nil for an unannotated document.
-func (ix *Index) ExportAnnotations() []map[string]string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]map[string]string, len(ix.docs))
-	for id := range out {
-		out[id] = ix.ann.asMap(id)
-	}
-	return out
 }
 
 // ForEachLive calls fn for every live document in ascending id order,
@@ -134,26 +123,6 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 		}
 		ix.byURL[d.URL] = id
 	}
-	return nil
-}
-
-// ImportAnnotations builds an annotation store from what each hands to
-// add — doc ids ≥ 0, ascending for tables in scan order, with their
-// pairs as key and value slices read as Annotate reads a map — outside
-// the table lock, so a loader runs it beside ImportDocs and ImportTerms,
-// then installs it, unless each failed or the index has annotations.
-func (ix *Index) ImportAnnotations(each func(add func(id int, keys, values []string)) error) error {
-	st := newAnnStore()
-	if err := each(st.annotate); err != nil {
-		return err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.version.Add(1)
-	if len(ix.ann.cols) != 0 {
-		return fmt.Errorf("index: import annotations into an annotated index")
-	}
-	ix.ann = st
 	return nil
 }
 

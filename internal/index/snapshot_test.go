@@ -1,10 +1,7 @@
 package index
 
 import (
-	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"testing"
 )
 
@@ -25,45 +22,18 @@ func smallCorpus() *Index {
 	return ix
 }
 
-// transplant exports every snapshot surface of src and imports it into
-// a fresh index.
-func transplant(t *testing.T, src *Index) *Index {
-	t.Helper()
-	docs, lens, dead := src.ExportDocs()
-	dst := New()
-	if err := dst.ImportDocs(docs, lens, dead); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.ImportTerms(src.ExportTerms()); err != nil {
-		t.Fatal(err)
-	}
-	anns := src.ExportAnnotations()
-	if len(anns) != len(docs) {
-		t.Fatalf("ExportAnnotations has %d entries for %d docs", len(anns), len(docs))
-	}
-	if err := importAnnotations(dst, anns); err != nil {
-		t.Fatal(err)
-	}
-	return dst
-}
-
-// importAnnotations hands ImportAnnotations every non-nil map of anns,
-// by doc id, keys sorted, as a snapshot holds them.
-func importAnnotations(ix *Index, anns []map[string]string) error {
-	return ix.ImportAnnotations(func(add func(id int, keys, values []string)) error {
-		for id, m := range anns {
-			if m == nil {
-				continue
-			}
-			keys := slices.Sorted(maps.Keys(m))
-			values := make([]string, len(keys))
-			for i, k := range keys {
-				values[i] = m[k]
-			}
-			add(id, keys, values)
+// tablesOf builds the annotation tables a snapshot of src holds: each
+// live document's annotations, in doc-id order, through AnnBuilder.
+func tablesOf(src *Index) ([]AnnColumn, []AnnSchema, []bool) {
+	_, _, dead := src.ExportDocs()
+	b := NewAnnBuilder()
+	for id := range dead {
+		if !dead[id] {
+			b.Annotate(id, src.AnnotationsOf(id))
 		}
-		return nil
-	})
+	}
+	cols, schemas := b.Tables()
+	return cols, schemas, dead
 }
 
 // ExportTerms hands out copies: mutating them must not corrupt the
@@ -114,17 +84,15 @@ func TestImportRejectsBadState(t *testing.T) {
 	if err := fresh.ImportTerms(tp); err == nil {
 		t.Error("double term import accepted")
 	}
-	if err := ix.ImportAnnotations(func(func(int, []string, []string)) error { return nil }); err == nil {
-		t.Error("annotation import into an annotated index accepted")
+	if err := ix.InstallAnnotations(tablesOf(smallCorpus())); err == nil {
+		t.Error("annotation install into an annotated index accepted")
 	}
-	// A failed decode installs nothing.
+	// Tables that fail a check install nothing.
 	fresh = NewSharded(2)
-	err := fresh.ImportAnnotations(func(add func(int, []string, []string)) error {
-		add(0, []string{"make"}, []string{"ford"})
-		return errors.New("decode failed")
-	})
-	if err == nil || fresh.AnnotationsOf(0) != nil {
-		t.Errorf("failed annotation import: error %v, doc 0 annotated %v", err, fresh.AnnotationsOf(0))
+	cols, schemas, dead := tablesOf(smallCorpus())
+	schemas[0].Codes[0][1] = uint32(len(cols[schemas[0].Attrs[0]].Values))
+	if err := fresh.InstallAnnotations(cols, schemas, dead); err == nil || fresh.AnnotationsOf(0) != nil {
+		t.Errorf("annotation install with a code past its dictionary: error %v, doc 0 annotated %v", err, fresh.AnnotationsOf(0))
 	}
 }
 
@@ -138,7 +106,7 @@ func TestVersionMovesOnEveryWrite(t *testing.T) {
 	writes := []func() error{
 		func() error { return ix.ImportDocs(docs, lens, dead) },
 		func() error { return ix.ImportTerms(src.ExportTerms()) },
-		func() error { return importAnnotations(ix, src.ExportAnnotations()) },
+		func() error { return ix.InstallAnnotations(tablesOf(src)) },
 		func() error { ix.Add(Doc{URL: "http://new.example/", Text: "ford"}); return nil },
 		func() error { ix.Annotate(0, map[string]string{"make": "saab"}); return nil },
 		func() error { ix.Delete(1); return nil },

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"deepweb/internal/index"
 )
 
 // FuzzSegmentDecode frames arbitrary bytes as the body of a segment of
@@ -23,6 +25,10 @@ func FuzzSegmentDecode(f *testing.F) {
 		"docs": func(p string) error { _, err := writeDocs(p, 4, sampleDocs()); return err },
 		"post": func(p string) error { return WritePostings(p, 4, 1, 3, 0, samplePostings()) },
 		"tabl": func(p string) error { return WriteTables(p, sampleTables()) },
+		"cols": func(p string) error {
+			cols, schemas := sampleColumns()
+			return WriteColumns(p, 3, 0, cols, schemas)
+		},
 		"meta": func(p string) error {
 			return WriteMeta(p, &MetaSegment{Sites: []SiteMeta{{Host: "a.example", Signature: 7}}})
 		},
@@ -46,7 +52,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		read func(path string) error
 	}{
 		{KindDocs, func(p string) error { _, _, err := ReadDocs(p); return err }},
-		{KindDocs, readDocsAsLoad},
+		{KindColumns, readColumnsAsLoad},
 		{KindPostings, func(p string) error { _, _, err := ReadPostings(p); return err }},
 		{KindSpill, func(p string) error { _, _, err := readPostings(p, KindSpill); return err }},
 		{KindTables, func(p string) error { _, err := ReadTables(p); return err }},
@@ -76,18 +82,11 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
-// readDocsAsLoad reaches the docs section decoders as engine.Load does:
-// both run once the segment is open, whether or not the other fails,
-// and the rows' error comes first.
-func readDocsAsLoad(path string) error {
-	f, err := OpenDocs(path)
-	if err != nil {
-		return err
-	}
-	_, _, rowsErr := f.Rows()
-	annErr := f.Annotations(func(int, []string, []string) {})
-	if rowsErr != nil {
-		return rowsErr
-	}
-	return annErr
+// readColumnsAsLoad is engine.Load's columns job — decode, then
+// install into a fresh index — for the columns of sampleDocs' three
+// live documents: the seeds' doc count, and the bound on the per-doc
+// arrays an install allocates (Load's docs segment vouches for its
+// count; a fuzzed header alone does not).
+func readColumnsAsLoad(path string) error {
+	return ReadColumns(path, Header{DocCount: 3}, make([]bool, 3), index.New())
 }

@@ -4,10 +4,11 @@
 // whole point — surface once offline, serve many times from the
 // ordinary index).
 //
-// A snapshot directory holds one docs segment (the document table plus
-// annotations and tombstones), one postings segment per shard of the
-// term space, optionally one meta segment (per-site refresh signatures)
-// and optionally one tables segment (the §6 semantic store's raw tables).
+// A snapshot directory holds one docs segment (the document table and
+// its tombstones), one columns segment (the §5.1 annotation store's
+// schema tables), one postings segment per shard of the term space,
+// optionally one meta segment (per-site refresh signatures) and
+// optionally one tables segment (the §6 semantic store's raw tables).
 // Every segment is self-describing:
 //
 //	magic "DWS1" | version u16 | kind u16 | shards u32 | shardID u32
@@ -18,13 +19,15 @@
 // All CRCs are CRC-32C (Castagnoli). The header CRC catches a mangled
 // header before any field is trusted; the body CRC catches truncation
 // and bit rot. snapID is the generation binding for the *index*
-// segments: the docs segment's own body CRC, stamped into every
-// postings segment of the same save, so docs and postings from
-// different snapshot generations (a save that crashed halfway over an
-// older snapshot, a hand-mixed directory) cannot be loaded together
-// even when their doc counts coincide. Because it is content-derived
-// and Writer places terms with a seedless hash of the term alone,
-// identical indexes produce byte-identical directories — docs, postings
+// segments: the CRC-32C of the docs body followed by the columns body,
+// stamped into the docs, the columns and every postings segment of the
+// same save, so segments from different snapshot generations (a save
+// that crashed halfway over an older snapshot, a hand-mixed directory)
+// cannot be loaded together even when their doc counts coincide, and
+// snapshots that differ only in annotations differ in id. Because it
+// is content-derived, the columns are built in doc-id order and Writer
+// places terms with a seedless hash of the term alone, identical
+// indexes produce byte-identical directories — docs, columns, postings
 // and meta — from any process, whichever way they were built. The
 // tables segment is self-contained — one atomically-replaced file, loadable
 // without any index segments — so it carries no generation binding; a
@@ -39,10 +42,10 @@
 // crash mid-query.
 //
 // The index segments of a directory are written only through Writer,
-// which owns the directory protocol (sweep, docs first, postings
-// stamped with the docs segment's id, meta last) and the placement of
-// terms in segments; this file holds the segment framing and the
-// per-kind codecs.
+// which owns the directory protocol (sweep, docs first, then columns
+// and postings stamped with the snapshot id, meta last) and the
+// placement of terms in segments; this file holds the segment framing
+// and the per-kind codecs, columns.go the columns segment's.
 package store
 
 import (
@@ -68,9 +71,12 @@ import (
 // v2 (the freshness format) added the tombstone list to the docs
 // segment — so a mutated index round-trips with doc ids, live counts
 // and therefore scores and tie order intact — and the meta segment
-// carrying per-site content signatures for incremental refresh. v1
-// snapshots fail with ErrVersion and must be regenerated.
-const Version = 2
+// carrying per-site content signatures for incremental refresh. v3
+// moved annotations out of the docs segment, where each document
+// spelled its pairs out, into the columns segment, which holds the
+// schema tables a loader installs as they are. Older snapshots fail
+// with ErrVersion and must be regenerated.
+const Version = 3
 
 // Kind tags what a segment holds.
 type Kind uint16
@@ -81,6 +87,7 @@ const (
 	KindTables   Kind = 3
 	KindMeta     Kind = 4
 	KindSpill    Kind = 5
+	KindColumns  Kind = 6
 )
 
 func (k Kind) String() string {
@@ -95,6 +102,8 @@ func (k Kind) String() string {
 		return "meta"
 	case KindSpill:
 		return "spill"
+	case KindColumns:
+		return "columns"
 	}
 	return fmt.Sprintf("kind(%d)", uint16(k))
 }
@@ -106,7 +115,7 @@ type Header struct {
 	Shards   uint32 // total posting-shard count of the snapshot
 	ShardID  uint32 // which shard a postings segment holds (0 otherwise)
 	DocCount uint64 // documents in the snapshot (consistency check)
-	SnapID   uint32 // generation binding: the docs segment's body CRC
+	SnapID   uint32 // generation binding: CRC-32C of the docs and columns bodies
 }
 
 // MaxShards bounds the shard count a reader will trust. Far above any
@@ -135,6 +144,9 @@ const (
 
 // DocsPath returns the docs segment path under dir.
 func DocsPath(dir string) string { return filepath.Join(dir, "docs.seg") }
+
+// ColumnsPath returns the columns segment path under dir.
+func ColumnsPath(dir string) string { return filepath.Join(dir, "columns.seg") }
 
 // PostingsPath returns shard si's postings segment path under dir.
 func PostingsPath(dir string, si int) string {
@@ -356,10 +368,11 @@ func (d *dec) done() error {
 	return nil
 }
 
-// DocsSegment is the decoded document table: documents, their BM25
-// lengths and their surfacing-time annotations (§5.1; nil for an
-// unannotated document), all indexed by doc id, and the sorted ids of
-// tombstoned (deleted, not yet compacted) documents.
+// DocsSegment is the decoded document table: documents and their BM25
+// lengths, indexed by doc id, and the sorted ids of tombstoned
+// (deleted, not yet compacted) documents. Anns is always empty: the
+// annotations are in the columns segment. It stays for the traced
+// replay in bench/, which annotates from it.
 type DocsSegment struct {
 	Docs []index.Doc
 	Lens []int
@@ -373,34 +386,25 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 	if err != nil {
 		return nil, Header{}, err
 	}
-	seg := &DocsSegment{Anns: make([]map[string]string, f.n), Dead: f.Dead}
-	if seg.Docs, seg.Lens, err = f.Rows(); err == nil {
-		err = f.Annotations(func(id int, keys, values []string) {
-			seg.Anns[id] = make(map[string]string, len(keys))
-			for i, k := range keys {
-				seg.Anns[id][k] = values[i]
-			}
-		})
-	}
-	if err != nil {
+	seg := &DocsSegment{Dead: f.Dead}
+	if seg.Docs, seg.Lens, err = f.Rows(); err != nil {
 		return nil, Header{}, err
 	}
 	return seg, f.Header, nil
 }
 
 // DocsFile is an opened docs segment: tombstones decoded, the document
-// rows and the annotation entries located, each decoded on demand by
-// Rows and Annotations, independently of the other.
+// rows located and decoded on demand by Rows.
 type DocsFile struct {
 	Header Header
 	Dead   []int // sorted ids of tombstoned documents
 
-	n          int
-	rows, anns dec // each section's undecoded bytes
+	n    int
+	rows dec // the rows' undecoded bytes
 }
 
-// OpenDocs reads the docs segment, locates its sections by skipping
-// every string by its length, and decodes its tombstones.
+// OpenDocs reads the docs segment, locates its rows by skipping every
+// string by its length, and decodes its tombstones.
 func OpenDocs(path string) (*DocsFile, error) {
 	h, body, err := readSegment(path, KindDocs)
 	if err != nil {
@@ -414,14 +418,7 @@ func OpenDocs(path string) (*DocsFile, error) {
 		}
 		d.uvarint()
 	}
-	f.rows.b, f.anns = f.rows.b[:len(f.rows.b)-len(d.b)], *d
-	for i, nAnn := 0, d.count("annotated-doc", 2); i < nAnn && d.err == nil; i++ {
-		d.uvarint()
-		for range 2 * d.count("annotation attr", 2) {
-			d.bytes()
-		}
-	}
-	f.anns.b = f.anns.b[:len(f.anns.b)-len(d.b)]
+	f.rows.b = f.rows.b[:len(f.rows.b)-len(d.b)]
 	nDead := d.count("tombstone", 1)
 	prev := 0
 	for i := 0; i < nDead && d.err == nil; i++ {
@@ -460,34 +457,10 @@ func (f *DocsFile) Rows() ([]index.Doc, []int, error) {
 	return docs, lens, nil
 }
 
-// Annotations hands fn each annotated document in ascending id order,
-// its pairs as parallel key and value slices in stored (key) order.
-// fn may keep the strings, which are copies, but not the slices. On an
-// error the entries already handed out are to be discarded.
-func (f *DocsFile) Annotations(fn func(id int, keys, values []string)) error {
-	d := f.anns
-	var keys, values []string
-	for i, prev, nAnn := 0, -1, d.count("annotated-doc", 2); i < nAnn && d.err == nil; i++ {
-		id := int(d.uvarint())
-		if id <= prev || id >= f.n {
-			d.fail(fmt.Sprintf("annotation for doc %d after doc %d, of %d", id, prev, f.n))
-			break
-		}
-		prev = id
-		keys, values = keys[:0], values[:0]
-		for j, nAttr := 0, d.count("annotation attr", 2); j < nAttr && d.err == nil; j++ {
-			keys, values = append(keys, d.str()), append(values, d.str())
-		}
-		if d.err == nil {
-			fn(id, keys, values)
-		}
-	}
-	return d.done()
-}
-
 // WritePostings encodes and writes one shard's postings segment,
-// stamped with the snapshot id of the docs segment of the same save. Doc ids are zig-zag delta coded so the stored
-// order — whatever order the index appended in — round-trips exactly.
+// stamped with the snapshot id of the docs segment of the same save.
+// Doc ids are zig-zag delta coded so the stored order — whatever order
+// the index appended in — round-trips exactly.
 func WritePostings(path string, shards, shardID, docCount int, snapID uint32, terms []index.TermPostings) error {
 	var e enc
 	encodePostingsBody(&e, terms)

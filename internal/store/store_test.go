@@ -22,12 +22,24 @@ func sampleDocs() *DocsSegment {
 			{URL: "http://b/1", Title: "", Text: "", Source: "form-b"},
 		},
 		Lens: []int{7, 5, 0},
-		Anns: []map[string]string{
-			{"make": "ford", "model": "focus"},
-			nil,
-			{"make": "honda"},
-		},
 	}
+}
+
+// sampleAnns annotates sampleDocs' documents, by doc id.
+var sampleAnns = []map[string]string{
+	{"make": "ford", "model": "focus"},
+	nil,
+	{"make": "Honda", "notes": "two owners"},
+}
+
+// sampleColumns returns the annotation tables of sampleAnns as a
+// writer builds them.
+func sampleColumns() ([]index.AnnColumn, []index.AnnSchema) {
+	b := index.NewAnnBuilder()
+	for id, anns := range sampleAnns {
+		b.Annotate(id, anns)
+	}
+	return b.Tables()
 }
 
 func samplePostings() []index.TermPostings {
@@ -62,12 +74,12 @@ func writeDocs(path string, shards int, seg *DocsSegment) (uint32, error) {
 		dead[id] = true
 	}
 	for id, d := range seg.Docs {
-		if err := w.Add(d, seg.Lens[id], seg.Anns[id], dead[id]); err != nil {
+		if err := w.Add(d, seg.Lens[id], dead[id]); err != nil {
 			w.Abort()
 			return 0, err
 		}
 	}
-	return w.Close()
+	return w.Close(nil)
 }
 
 func TestDocsRoundTrip(t *testing.T) {
@@ -285,7 +297,7 @@ func TestShardCountBounds(t *testing.T) {
 }
 
 // Tombstones round-trip through the docs segment as the ascending id
-// list, alongside the documents and annotations.
+// list, alongside the documents.
 func TestDocsTombstonesRoundTrip(t *testing.T) {
 	path := DocsPath(t.TempDir())
 	want := sampleDocs()
@@ -337,7 +349,6 @@ func TestDocsTombstoneBoundsChecked(t *testing.T) {
 		"duplicate":    {1, 0},
 	} {
 		e := threeEmptyDocs()
-		e.uvarint(0) // no annotations
 		e.uvarint(uint64(len(deltas)))
 		for _, d := range deltas {
 			e.uvarint(d)
@@ -346,24 +357,51 @@ func TestDocsTombstoneBoundsChecked(t *testing.T) {
 	}
 }
 
-// Annotation entries name their documents in strictly ascending id
-// order, as the writer emits them; a repeated or descending id is
-// corruption, not a second entry for the document.
+// The columns segment round-trips into the tables a fresh index
+// annotated in doc-id order holds, and only into the snapshot it was
+// stamped for.
+func TestColumnsRoundTrip(t *testing.T) {
+	path := ColumnsPath(t.TempDir())
+	cols, schemas := sampleColumns()
+	if err := WriteColumns(path, 3, 0xBEEF, cols, schemas); err != nil {
+		t.Fatal(err)
+	}
+	want := index.New()
+	for id, d := range sampleDocs().Docs {
+		want.Add(d)
+		want.Annotate(id, sampleAnns[id])
+	}
+	got := index.New()
+	if err := ReadColumns(path, Header{DocCount: 3, SnapID: 0xBEEF}, make([]bool, 3), got); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := want.AnnotationTables(), got.AnnotationTables(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", b, a)
+	}
+	for _, docs := range []Header{{DocCount: 3, SnapID: 0xBEEE}, {DocCount: 4, SnapID: 0xBEEF}} {
+		if err := ReadColumns(path, docs, make([]bool, docs.DocCount), index.New()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("columns of snapshot (docs=3 snap=beef) read for %+v: %v", docs, err)
+		}
+	}
+}
+
+// A schema's slots name their documents in strictly ascending id
+// order, as the writer lays them out; a repeated or descending id is
+// corruption, not a second slot for the document.
 func TestDocsAnnotationIDsAscend(t *testing.T) {
-	for name, ids := range map[string][]uint64{
+	for name, ids := range map[string][]int32{
 		"repeated":   {1, 1},
 		"descending": {2, 0},
 	} {
-		e := threeEmptyDocs()
-		e.uvarint(uint64(len(ids)))
-		for _, id := range ids {
-			e.uvarint(id)
-			e.uvarint(1) // one attribute
-			e.str("make")
-			e.str("ford")
+		path := ColumnsPath(t.TempDir())
+		cols := []index.AnnColumn{{Attr: "make", Values: []index.AnnValue{{Text: "ford"}}}}
+		schemas := []index.AnnSchema{{Attrs: []uint32{0}, Codes: [][]uint32{{0, 0}}, Docs: ids}}
+		if err := WriteColumns(path, 3, 0, cols, schemas); err != nil {
+			t.Fatal(err)
 		}
-		e.uvarint(0) // no tombstones
-		readsCorrupt(t, name+" annotation id", e.b)
+		if err := ReadColumns(path, Header{DocCount: 3}, make([]bool, 3), index.New()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s annotation ids accepted: %v", name, err)
+		}
 	}
 }
 

@@ -21,29 +21,47 @@ func streamCorpus() *DocsSegment {
 			{URL: "http://b.example/2", Title: "fourth", Text: "annotated", Source: "b.example"},
 		},
 		Lens: []int{5, 4, 3, 2},
-		Anns: []map[string]string{
-			{"make": "ford", "model": "focus"},
-			nil,
-			nil,
-			{"city": "austin", "zip": "78701", "price": "9500"},
-		},
 	}
 }
 
-// The docs-segment format, pinned by a constant: the digest and
-// snapshot id of streamCorpus with docs 1 and 2 tombstoned, computed
-// with the buffer-at-once encoder this writer replaced (commit
-// 8e8434d). Any byte the writer emits differently — and therefore any
-// snapshot id it would stamp differently — fails here.
+// streamAnns annotates streamCorpus' documents, by doc id.
+var streamAnns = []map[string]string{
+	{"make": "ford", "model": "focus"},
+	{"make": "saab"},
+	nil,
+	{"city": "austin", "zip": "78701", "price": "9500"},
+}
+
+// The docs and columns formats, pinned by constants: the snapshot id of
+// streamCorpus with docs 1 and 2 tombstoned and annotated by
+// streamAnns, and the digest of its docs segment followed by its
+// columns body, recorded at format v3. Any byte the writers emit
+// differently — and therefore any snapshot id they would stamp
+// differently — fails here.
 func TestDocsSegmentDigest(t *testing.T) {
 	const (
-		wantID  = 0x7dfd9db7
-		wantSHA = "bb7920a90fbf6661df41074a2500c2872ef4f3cfb1aeb82e9a2ce704f9811df0"
+		wantID  = 0xf2323356
+		wantSHA = "bec4efbd2c0ddae15235cf13bb322c747b2b3c34b72217553722bbf10f75d410"
 	)
 	seg := streamCorpus()
 	seg.Dead = []int{1, 2}
 	path := filepath.Join(t.TempDir(), "docs.seg")
-	gotID, err := writeDocs(path, 4, seg)
+	w, err := newDocsWriter(path, 4, len(seg.Docs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anns := index.NewAnnBuilder()
+	for id, d := range seg.Docs {
+		dead := id == 1 || id == 2
+		if err := w.Add(d, seg.Lens[id], dead); err != nil {
+			t.Fatal(err)
+		}
+		if !dead {
+			anns.Annotate(id, streamAnns[id])
+		}
+	}
+	columns := encodeColumns(anns.Tables())
+	gotID, err := w.Close(columns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +69,9 @@ func TestDocsSegmentDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum := fmt.Sprintf("%x", sha256.Sum256(raw)); gotID != wantID || sum != wantSHA {
-		t.Fatalf("docs segment drifted: snapshot id %08x sha256 %s (%d bytes), want %08x %s",
-			gotID, sum, len(raw), uint32(wantID), wantSHA)
+	if sum := fmt.Sprintf("%x", sha256.Sum256(append(raw, columns...))); gotID != wantID || sum != wantSHA {
+		t.Fatalf("docs and columns drifted: snapshot id %08x sha256 %s (%d+%d bytes), want %08x %s",
+			gotID, sum, len(raw), len(columns), uint32(wantID), wantSHA)
 	}
 
 	// And it round-trips through the reader.
@@ -77,10 +95,10 @@ func TestDocsWriterCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Add(index.Doc{URL: "u1"}, 1, nil, false); err != nil {
+	if err := w.Add(index.Doc{URL: "u1"}, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Close(); err == nil {
+	if _, err := w.Close(nil); err == nil {
 		t.Fatal("Close accepted 1 of 3 declared docs")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -95,10 +113,10 @@ func TestDocsWriterCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Add(index.Doc{URL: "u1"}, 1, nil, false); err != nil {
+	if err := w2.Add(index.Doc{URL: "u1"}, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Add(index.Doc{URL: "u2"}, 1, nil, false); err == nil {
+	if err := w2.Add(index.Doc{URL: "u2"}, 1, false); err == nil {
 		t.Fatal("Add accepted more docs than declared")
 	}
 	w2.Abort()
@@ -239,5 +257,29 @@ func TestSpillRunsOrderAndCleanSpills(t *testing.T) {
 	}
 	if _, _, err := ReadDocs(DocsPath(dir)); err != nil {
 		t.Fatalf("abort damaged the committed docs segment: %v", err)
+	}
+}
+
+// The snapshot id covers the columns body: two snapshots of the same
+// documents that differ only in one annotation value differ in id.
+func TestSnapIDCoversColumns(t *testing.T) {
+	ids := map[uint32]string{}
+	for _, mk := range []string{"ford", "saab"} {
+		dir := t.TempDir()
+		w, err := NewWriter(dir, 1, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AddDoc(index.Doc{URL: "http://a.example/1", Text: "used car"}, 2, map[string]string{"make": mk}, false); err != nil {
+			t.Fatal(err)
+		}
+		snapID, err := w.Commit(1, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other, dup := ids[snapID]; dup {
+			t.Fatalf("make=%s and make=%s share snapshot id %08x", other, mk, snapID)
+		}
+		ids[snapID] = mk
 	}
 }

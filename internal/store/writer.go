@@ -12,10 +12,15 @@ import (
 
 // Writer is the one way a snapshot directory's index segments get
 // written. It owns the directory protocol — create the directory, sweep
-// a crashed writer's droppings, stream the docs segment first, stamp
-// its id into one postings segment per shard, write meta last — and the
-// one term→segment decision, shardOf, so the two producers of
-// snapshots differ only in where documents and postings come from:
+// a crashed writer's droppings, stream the docs segment first, then
+// write the columns segment and one postings segment per shard, each
+// stamped with the snapshot id, and meta last — and the two decisions
+// that make the bytes canonical: the one term→segment placement,
+// shardOf, and the annotation tables, which it builds as documents
+// stream in, through the index's own intern core (index.AnnBuilder),
+// from every live document in doc-id order; tombstoned documents'
+// annotations are dropped. The two producers of snapshots differ only
+// in where documents and postings come from:
 //
 //   - a live index (engine.Save) streams its document table through
 //     AddDoc and hands Commit every resident posting list, which Commit
@@ -26,8 +31,9 @@ import (
 //     shardOf. Every spillDocs documents the accumulator is flushed as
 //     one sorted run file per non-empty shard, and Commit k-way merges
 //     each shard's runs into its final segment. Peak memory is the
-//     spill window plus one shard's merged postings, independent of
-//     corpus size.
+//     spill window plus one shard's merged postings plus the annotation
+//     tables, which grow with the corpus's distinct annotation values
+//     and which a server of the snapshot holds anyway.
 //
 // Spill runs are framed like postings segments (same header, same
 // varint/delta body, KindSpill so the kind check refuses them as live
@@ -52,11 +58,27 @@ type Writer struct {
 	spillDocs int
 	docs      *docsWriter
 
+	// The annotation tables are interned off the caller's goroutine, a
+	// batch at a time and one batch after another, so doc-id order
+	// holds and the interning overlaps whatever feeds the writer.
+	anns     *index.AnnBuilder
+	pending  []annotated   // live documents' annotations not yet handed off
+	interned chan struct{} // closed once the batch handed off last is interned
+
 	acc    []map[string][]index.Posting // per shard: term → ascending postings
 	window int                          // documents accumulated since the last flush
 	runs   [][]string                   // per shard: run files in flush order
 	done   bool                         // committed: Abort is a no-op
 }
+
+// annotated is one live document's annotations, waiting to be interned.
+type annotated struct {
+	id   int
+	anns map[string]string
+}
+
+// annBatch is how many annotated documents are handed off at a time.
+const annBatch = 1024
 
 // NewWriter prepares dir for a snapshot of exactly docs documents over
 // shards posting shards. spillDocs is the accumulator window AddPrepared
@@ -80,6 +102,7 @@ func NewWriter(dir string, shards, docs, spillDocs int) (*Writer, error) {
 		shards:    shards,
 		spillDocs: spillDocs,
 		docs:      dw,
+		anns:      index.NewAnnBuilder(),
 		acc:       make([]map[string][]index.Posting, shards),
 		runs:      make([][]string, shards),
 	}
@@ -89,11 +112,44 @@ func NewWriter(dir string, shards, docs, spillDocs int) (*Writer, error) {
 	return w, nil
 }
 
-// AddDoc appends the next document (id = arrival order) to the docs
-// segment: its BM25 length, annotations (nil for none) and tombstone
-// flag.
+// AddDoc appends the next document (id = arrival order): its row, BM25
+// length and tombstone flag to the docs segment, and its annotations
+// (nil for none, ignored on a tombstone) to the annotation tables. The
+// writer reads anns until Commit or Abort returns: the caller must not
+// change it before then.
 func (w *Writer) AddDoc(d index.Doc, dl int, anns map[string]string, dead bool) error {
-	return w.docs.Add(d, dl, anns, dead)
+	id := w.docs.n
+	if err := w.docs.Add(d, dl, dead); err != nil {
+		return err
+	}
+	if !dead && len(anns) > 0 {
+		if w.pending = append(w.pending, annotated{id, anns}); len(w.pending) == annBatch {
+			w.handOff()
+		}
+	}
+	return nil
+}
+
+// handOff starts interning the pending annotations on a goroutine of
+// their own, once the batch handed off before them is interned.
+func (w *Writer) handOff() {
+	w.waitInterned()
+	batch, done := w.pending, make(chan struct{})
+	w.pending, w.interned = make([]annotated, 0, annBatch), done
+	go func() {
+		defer close(done)
+		for _, a := range batch {
+			w.anns.Annotate(a.id, a.anns)
+		}
+	}()
+}
+
+// waitInterned returns once every handed-off batch is interned.
+func (w *Writer) waitInterned() {
+	if w.interned != nil {
+		<-w.interned
+		w.interned = nil
+	}
 }
 
 // AddPrepared appends the next document of a tokenized stream: the
@@ -157,11 +213,12 @@ func (w *Writer) Runs() int {
 }
 
 // Commit finishes the snapshot: the docs segment is closed and renamed
-// into place, then each shard's postings segment — the merge of its
-// spilled runs and of the resident posting lists (sorted by term) that
-// shardOf places there — is written stamped with the docs segment's id
-// on up to workers goroutines, then the meta segment carrying sites.
-// It returns that snapshot id.
+// into place, stamped with the snapshot id, the CRC of its body and the
+// columns body; then the columns segment and each shard's postings
+// segment — the merge of its spilled runs and of the resident posting
+// lists (sorted by term) that shardOf places there — are written
+// stamped with that id, the postings on up to workers goroutines; then
+// the meta segment carrying sites. It returns the snapshot id.
 func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPostings) (snapID uint32, err error) {
 	if w.window > 0 {
 		if err := w.spill(); err != nil {
@@ -173,9 +230,15 @@ func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPost
 		si := shardOf(tp.Term, w.shards)
 		placed[si] = append(placed[si], tp)
 	}
-	snapID, err = w.docs.Close()
+	w.handOff()
+	w.waitInterned()
+	columns := encodeColumns(w.anns.Tables())
+	snapID, err = w.docs.Close(columns)
 	if err != nil {
 		return 0, err
+	}
+	if err := writeColumns(ColumnsPath(w.dir), w.docs.n, snapID, columns); err != nil {
+		return 0, fmt.Errorf("columns: %w", err)
 	}
 	err = ForEachShard(workers, w.shards, func(si int) error {
 		lists := make([][]index.TermPostings, 0, len(w.runs[si])+1)
@@ -213,6 +276,7 @@ func (w *Writer) Abort() {
 	if w.done {
 		return
 	}
+	w.waitInterned()
 	w.docs.Abort()
 	_ = CleanTmp(w.dir) // best effort: the next writer's opening sweep retries
 }

@@ -16,7 +16,12 @@
 #      no tables segment: /v1/search answers 200 and
 #      /v1/semantics/values answers the 404 JSON envelope.
 #
-# Any other status fails the script. Usage: scripts/serve-smoke.sh [ADDR]
+# On each snapshot one /v1/search carries a predicate on an attribute
+# the world annotates (make on the surfaced used-car sites, price on
+# the bulk used-car records) and must answer 200 with a nonzero total:
+# the annotation tables a loaded columns segment installed, read
+# through the real binary. Any other status, or no hit, fails the
+# script. Usage: scripts/serve-smoke.sh [ADDR]
 # (default 127.0.0.1:18080). `make serve-smoke` and the CI serve-smoke
 # job run it.
 set -euo pipefail
@@ -79,6 +84,20 @@ expect() {
 	echo "ok  $method $path → $got"
 }
 
+# expect_hits checks that a GET of path answers 200 with a nonzero
+# "total".
+expect_hits() {
+	local path="$1" total
+	expect 200 "$path"
+	total="$(grep -o '"total":[0-9]*' "$work/body" | cut -d: -f2)"
+	if [ -z "$total" ] || [ "$total" = 0 ]; then
+		echo "serve-smoke: GET $path answered no hits" >&2
+		cat "$work/body" >&2
+		exit 1
+	fi
+	echo "ok  GET $path → total $total"
+}
+
 # generation prints the generation field of the last response body.
 generation() {
 	grep -o '"generation":[0-9]*' "$work/body" | cut -d: -f2
@@ -106,6 +125,7 @@ echo "== -snapshot of a surfaced world"
 "$work/deepcrawl" -sites 1 -rows 120 -out "$work/world" >/dev/null
 boot -snapshot "$work/world"
 expect 200 '/v1/search?q=used+ford'
+expect_hits '/v1/search?q=used+ford&filter=make:ford'
 expect 200 '/v1/semantics/synonyms?attr=make'
 expect 200 '/?q=used+ford&annotated=true'
 expect 200 '/healthz'
@@ -124,5 +144,6 @@ echo "== -snapshot of a bulk build"
 "$work/deepcrawl" -bulk 2000 -out "$work/snap" >/dev/null
 boot -snapshot "$work/snap"
 expect 200 '/v1/search?q=used+ford'
+expect_hits '/v1/search?q=used+ford&filter=price%3C10000'
 expect 404 '/v1/semantics/values?attr=city'
 stop
