@@ -31,10 +31,12 @@ build:
 # them, then run ten more times: a torn commit fails only when a reader
 # lands inside it. So do the Load tests: Load's three parts (rows,
 # annotation tables, postings) write one index concurrently, and a racy
-# install shows only when they interleave.
+# install shows only when they interleave. The step names every package
+# with a test the pattern matches (surface's Open-then-Refresh test and
+# api's stats counters included).
 test:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=10 -run 'Atomic|^TestLoad' ./internal/index ./internal/engine
+	$(GO) test -race -count=10 -run 'Atomic|^TestLoad' ./internal/index ./internal/engine ./internal/surface ./internal/api
 
 # bench = deepbench, the repository's one benchmark (bench/README.md,
 # BENCHMARK.json): every workload, untraced then traced, results under
@@ -85,7 +87,7 @@ ingest-full:
 # outputs (the per-site outcome table included) must be byte-identical
 # (scripts/crawl-determinism.sh).
 chaos:
-	$(GO) test -race -run 'TestChaos' -v ./internal/engine
+	$(GO) test -race -run 'TestChaos' -v ./internal/surface
 	$(GO) run ./cmd/deepcrawl -sites 1 -rows 60 -chaos -chaosseed 7
 	./scripts/crawl-determinism.sh
 

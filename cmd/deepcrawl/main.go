@@ -50,6 +50,7 @@ import (
 	"deepweb/internal/cliutil"
 	"deepweb/internal/core"
 	"deepweb/internal/engine"
+	"deepweb/internal/surface"
 	"deepweb/internal/webgen"
 )
 
@@ -82,6 +83,8 @@ func main() {
 		cliutil.IntFlag{Name: "-rows", Value: *rows},
 		cliutil.IntFlag{Name: "-workers", Value: *workers},
 	)
+	// Surfacing, Save and Load all run on this many workers.
+	engine.DefaultWorkers = *workers
 	if *refreshBudget < 0 || *refreshBudget > 1 {
 		fmt.Fprintf(os.Stderr, "deepcrawl: -refreshbudget must lie in [0, 1], 0 = full budget (got %v)\n\n", *refreshBudget)
 		flag.Usage()
@@ -107,20 +110,19 @@ func main() {
 	}
 
 	if *refresh != "" {
-		runRefresh(worldCfg, engine.RefreshRequest{
+		runRefresh(worldCfg, surface.RefreshRequest{
 			Config:         cfg,
 			FollowNext:     3,
 			BudgetFraction: *refreshBudget,
 			PerHostCap:     *hostCap,
-		}, *refresh, *out, *workers, *churn, *churnSeed)
+		}, *refresh, *out, *churn, *churnSeed)
 		return
 	}
 
-	e, err := engine.Build(worldCfg)
+	e, err := surface.Build(worldCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	e.Workers = *workers
 	var storm *webgen.Chaos
 	if *chaos {
 		storm = webgen.NewChaos(e.Web, *chaosSeed)
@@ -134,7 +136,7 @@ func main() {
 	}
 	fmt.Printf("surfacing %d sites (%d rows each, %d workers, naive=%v)\n\n",
 		len(e.Web.Sites()), *rows, *workers, *naive)
-	resp, err := e.Surface(context.Background(), engine.SurfaceRequest{Config: cfg, FollowNext: 3})
+	resp, err := e.Surface(context.Background(), surface.SurfaceRequest{Config: cfg, FollowNext: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func main() {
 	}
 	tw.Flush()
 	fmt.Printf("\n%d URLs surfaced, %d documents indexed, mean coverage %.0f%%\n",
-		totalDocs, e.Index.Len(), 100*e.MeanCoverage())
+		totalDocs, e.Engine.Index.Len(), 100*e.MeanCoverage())
 
 	permanentFailures := printOutcomes(resp.Sites, storm)
 
@@ -177,7 +179,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("snapshot: index (%d docs, %d shards) saved to %s in %v\n",
-			e.Index.Len(), e.Index.NumShards(), *out, time.Since(start).Round(time.Millisecond))
+			e.Engine.Index.Len(), e.Engine.Index.NumShards(), *out, time.Since(start).Round(time.Millisecond))
 		start = time.Now()
 		sem := e.BuildSemantics(context.Background(), 10000)
 		if err := sem.Save(*out); err != nil {
@@ -195,14 +197,14 @@ func main() {
 
 // printOutcomes renders the per-site failure table (sites that retried,
 // degraded or failed) and returns how many sites failed permanently.
-func printOutcomes(reports map[string]engine.SiteReport, storm *webgen.Chaos) int {
+func printOutcomes(reports map[string]surface.SiteReport, storm *webgen.Chaos) int {
 	var troubled []string
 	permanent := 0
 	for host, rep := range reports {
-		if rep.Status == engine.SiteFailedPermanent {
+		if rep.Status == surface.SiteFailedPermanent {
 			permanent++
 		}
-		if rep.Status != engine.SiteOK || rep.Retries > 0 {
+		if rep.Status != surface.SiteOK || rep.Retries > 0 {
 			troubled = append(troubled, host)
 		}
 	}
@@ -232,7 +234,7 @@ func printOutcomes(reports map[string]engine.SiteReport, storm *webgen.Chaos) in
 
 // runRefresh rebuilds the world the snapshot was surfaced from, ages
 // it with deterministic churn, and re-surfaces only the changed sites.
-func runRefresh(worldCfg webgen.WorldConfig, req engine.RefreshRequest, dir, out string, workers, churn int, churnSeed int64) {
+func runRefresh(worldCfg webgen.WorldConfig, req surface.RefreshRequest, dir, out string, churn int, churnSeed int64) {
 	if out == "" {
 		out = dir
 	}
@@ -241,13 +243,12 @@ func runRefresh(worldCfg webgen.WorldConfig, req engine.RefreshRequest, dir, out
 		log.Fatal(err)
 	}
 	start := time.Now()
-	engine.DefaultWorkers = workers
-	e, err := engine.LoadWith(web, dir)
+	e, err := surface.Open(web, dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded snapshot: %d docs (generation %d) from %s in %v\n",
-		e.Index.Len(), e.Generation, dir, time.Since(start).Round(time.Millisecond))
+		e.Engine.Index.Len(), e.Engine.Generation, dir, time.Since(start).Round(time.Millisecond))
 
 	webgen.Churn(web, churn, churnSeed)
 	fmt.Printf("churn: %d row mutations per site (seed %d)\n", churn, churnSeed)
@@ -274,6 +275,6 @@ func runRefresh(worldCfg webgen.WorldConfig, req engine.RefreshRequest, dir, out
 		log.Fatal(err)
 	}
 	fmt.Printf("snapshot: %d docs (%d tombstoned) + %d semantic tables saved to %s in %v\n",
-		e.Index.Len(), e.Index.Deleted(), len(sem.Tables), out, time.Since(start).Round(time.Millisecond))
+		e.Engine.Index.Len(), e.Engine.Index.Deleted(), len(sem.Tables), out, time.Since(start).Round(time.Millisecond))
 	fmt.Println("signal a running `deepsearch -snapshot` with SIGHUP to pick it up")
 }

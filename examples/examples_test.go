@@ -17,14 +17,15 @@ import (
 	"deepweb/internal/core"
 	"deepweb/internal/engine"
 	"deepweb/internal/query"
+	"deepweb/internal/surface"
 	"deepweb/internal/virtual"
 	"deepweb/internal/webgen"
 	"deepweb/internal/webx"
 	"deepweb/internal/workload"
 )
 
-// Quickstart: generate a small deep web, surface one site through the
-// engine façade, and search the results — the whole paper in ~40 lines.
+// Quickstart: generate a small deep web, surface one site into a
+// search engine, and search the results — the whole paper in ~40 lines.
 func Example_quickstart() {
 	// 1. A used-car classifieds site with 300 listings behind a form.
 	web := webgen.NewWeb()
@@ -35,12 +36,12 @@ func Example_quickstart() {
 	web.AddSite(site)
 	fmt.Printf("site %s: %d records behind %s\n\n", site.Spec.Host, site.Table.Len(), site.FormURL())
 
-	// 2. Surface it: the engine discovers the form, recognizes input
+	// 2. Surface it: the surfacer discovers the form, recognizes input
 	// types, fuses the min/max price range, probes, emits URLs, and
-	// ingests the surfaced pages into its index like any other pages
-	// (§3.2).
-	e := engine.New(web)
-	surfaced, err := e.Surface(context.Background(), engine.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
+	// ingests the surfaced pages into the engine's index like any other
+	// pages (§3.2).
+	e := surface.New(web)
+	surfaced, err := e.Surface(context.Background(), surface.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func Example_quickstart() {
 	// the ranked page plus the total hit count and retrieval time.
 	fmt.Printf("indexed %d deep-web pages\n\n", surfaced.Sites[site.Spec.Host].Ingest.Indexed)
 	for _, q := range []string{"used ford focus", "honda under 5000", "toyota corolla seattle"} {
-		resp, err := e.Search(context.Background(), engine.SearchRequest{Query: q, K: 3})
+		resp, err := e.Engine.Search(context.Background(), engine.SearchRequest{Query: q, K: 3})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func Example_usedcars() {
 		}
 		web.AddSite(site)
 		// This example compares the analysis stage alone (no ingestion),
-		// so it drives the core surfacer directly rather than the engine
+		// so it drives the core surfacer directly rather than the surface
 		// pipeline — surfacing + fetching every URL would be wasted work.
 		s := core.NewSurfacer(webx.NewFetcher(web), cfg)
 		res, err := s.SurfaceSite(context.Background(), site.HomeURL())
@@ -165,14 +166,14 @@ func Example_usedcars() {
 // over a whole vertical, and shows both where it shines (typed slicing,
 // POST forms, live results) and where it fails (the fortuitous query).
 func Example_verticalsearch() {
-	e, err := engine.Build(webgen.WorldConfig{Seed: 11, SitesPerDom: 3, RowsPerSite: 200})
+	e, err := surface.Build(webgen.WorldConfig{Seed: 11, SitesPerDom: 3, RowsPerSite: 200})
 	if err != nil {
 		log.Fatal(err)
 	}
 	m := virtual.NewMediator(e.Fetch)
 	registered := 0
 	for _, site := range e.Web.Sites() {
-		f, err := engine.FormOf(context.Background(), e.Fetch, site)
+		f, err := surface.FormOf(context.Background(), e.Fetch, site)
 		if err != nil {
 			continue
 		}
@@ -225,12 +226,12 @@ func Example_verticalsearch() {
 	//   routed to 3 sources, 0 reformulable, 0 answers  ← the schema cannot express 'award'; surfacing answers this (see examples/quickstart)
 }
 
-// Semantic services (§6): crawl a synthetic web through the engine
-// façade, aggregate its HTML tables, and exercise the four services —
+// Semantic services (§6): crawl a synthetic web through the surfacer,
+// aggregate its HTML tables, and exercise the four services —
 // synonyms, schema auto-complete, attribute values, entity properties —
 // over the versioned /v1 HTTP surface (internal/api).
 func Example_semantics() {
-	e, err := engine.Build(webgen.WorldConfig{Seed: 42, SitesPerDom: 2, RowsPerSite: 120})
+	e, err := surface.Build(webgen.WorldConfig{Seed: 42, SitesPerDom: 2, RowsPerSite: 120})
 	if err != nil {
 		log.Fatal(err)
 	}

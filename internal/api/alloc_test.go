@@ -16,7 +16,6 @@ import (
 
 	"deepweb/internal/engine"
 	"deepweb/internal/index"
-	"deepweb/internal/webgen"
 )
 
 // discardWriter is a ResponseWriter that keeps no body, so the
@@ -48,7 +47,7 @@ func bytesPerRun(runs int, f func()) float64 {
 // and no more bytes above the engine's own, as one hit. A per-hit copy
 // of the page or a per-request body buffer fails the byte check.
 func TestSearchBodyAllocatesNothingPerHit(t *testing.T) {
-	e := engine.New(webgen.NewWeb())
+	e := engine.New()
 	for i := range 200 {
 		e.Index.Add(index.Doc{
 			URL:    fmt.Sprintf("http://cars.example/listing/%d", i),

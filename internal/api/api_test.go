@@ -18,7 +18,6 @@ import (
 	"deepweb/internal/engine"
 	"deepweb/internal/index"
 	"deepweb/internal/semserv"
-	"deepweb/internal/webgen"
 	"deepweb/internal/webtables"
 )
 
@@ -36,7 +35,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // exercise annotation resolution (the blog pages have none and fall
 // back to text matching).
 func testEngine() *engine.Engine {
-	e := engine.New(webgen.NewWeb())
+	e := engine.New()
 	docs := []index.Doc{
 		{URL: "http://cars.example/d/0", Title: "used ford focus", Text: "a used ford focus for sale in seattle", Source: "cars-form"},
 		{URL: "http://cars.example/d/1", Title: "used honda civic", Text: "a used honda civic for sale in portland", Source: "cars-form"},
@@ -205,7 +204,7 @@ func TestV1ContractGoldens(t *testing.T) {
 // generation header. Saving gives the engine a non-zero generation.
 func TestGenerationHeader(t *testing.T) {
 	e := testEngine()
-	if err := e.Save(t.TempDir()); err != nil {
+	if err := e.Save(t.TempDir(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.Generation == 0 {

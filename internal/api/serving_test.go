@@ -203,10 +203,10 @@ func TestReloadRaceServesConsistentGeneration(t *testing.T) {
 	e2.Index.Add(index.Doc{URL: "http://cars.example/d/9", Title: "new arrival ford", Text: "a fresh ford focus listing"})
 	e1.EnableResultCache(64)
 	e2.EnableResultCache(64)
-	if err := e1.Save(t.TempDir()); err != nil {
+	if err := e1.Save(t.TempDir(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Save(t.TempDir()); err != nil {
+	if err := e2.Save(t.TempDir(), nil); err != nil {
 		t.Fatal(err)
 	}
 	g1, g2 := e1.Generation, e2.Generation

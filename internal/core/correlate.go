@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"deepweb/internal/form"
+	"deepweb/internal/textutil"
 )
 
 // Correlated-input analysis (§4.2). Two patterns matter in practice:
@@ -62,7 +63,7 @@ func DetectRanges(f *form.Form) []RangePair {
 				sa, oka := stripMarker(a.Name, a.Label, m[0])
 				sb, okb := stripMarker(b.Name, b.Label, m[1])
 				if oka && okb && sa != "" && sa == sb {
-					typ := HypothesizeType(sa, a.Label)
+					typ := textutil.HypothesizeType(sa, a.Label)
 					out = append(out, RangePair{MinInput: a.Name, MaxInput: b.Name, Stem: sa, Type: typ})
 					used[a.Name], used[b.Name] = true, true
 				}
@@ -128,7 +129,7 @@ func DetectDBSelection(f *form.Form) *DBSelection {
 		return nil
 	}
 	box := boxes[0]
-	if HypothesizeType(box.Name, box.Label) != "" {
+	if textutil.HypothesizeType(box.Name, box.Label) != "" {
 		return nil // a typed box is not a keyword box
 	}
 	if !looksLikeSearchBox(box.Name, box.Label) {

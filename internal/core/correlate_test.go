@@ -6,6 +6,7 @@ import (
 
 	"deepweb/internal/form"
 	"deepweb/internal/htmlx"
+	"deepweb/internal/textutil"
 )
 
 func formFromHTML(t *testing.T, html string) *form.Form {
@@ -32,7 +33,7 @@ func TestDetectRangesMinMax(t *testing.T) {
 		t.Fatalf("got %d pairs: %+v", len(pairs), pairs)
 	}
 	p := pairs[0]
-	if p.MinInput != "minprice" || p.MaxInput != "maxprice" || p.Stem != "price" || p.Type != TypePrice {
+	if p.MinInput != "minprice" || p.MaxInput != "maxprice" || p.Stem != "price" || p.Type != textutil.TypePrice {
 		t.Errorf("pair = %+v", p)
 	}
 }
@@ -41,7 +42,7 @@ func TestDetectRangesFromTo(t *testing.T) {
 	f := formFromHTML(t, `<form action="/r">
 		<input type="text" name="year_from"><input type="text" name="year_to"></form>`)
 	pairs := DetectRanges(f)
-	if len(pairs) != 1 || pairs[0].Stem != "year" || pairs[0].Type != TypeDate {
+	if len(pairs) != 1 || pairs[0].Stem != "year" || pairs[0].Type != textutil.TypeDate {
 		t.Fatalf("pairs = %+v", pairs)
 	}
 	if pairs[0].MinInput != "year_from" {

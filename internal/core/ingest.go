@@ -16,9 +16,10 @@ import (
 // accounting; ranking never sees it.
 
 // DocSink is where ingestion delivers documents. *index.Index satisfies
-// it directly; the engine's concurrent pipeline substitutes a buffering
-// sink so fetched documents can be committed — and doc ids assigned — at
-// a single ordered point regardless of worker interleaving.
+// it directly; internal/surface's concurrent pipeline substitutes a
+// buffering sink so fetched documents can be committed — and doc ids
+// assigned — at a single ordered point regardless of worker
+// interleaving.
 type DocSink interface {
 	// Has reports whether the URL is already present (ingestion skips it).
 	Has(url string) bool

@@ -234,7 +234,7 @@ func (s *Surfacer) buildDimensions(ctx context.Context, a *Analysis) {
 			a.Dimensions = append(a.Dimensions, singleDim(in.Name, vals))
 		case form.TextBox:
 			if s.Cfg.TypedInputs {
-				if typ := HypothesizeType(in.Name, in.Label); typ != "" {
+				if typ := textutil.HypothesizeType(in.Name, in.Label); typ != "" {
 					if vals, ok := s.confirmType(ctx, f, in.Name, typ); ok {
 						a.TypedInputs[in.Name] = typ
 						a.Dimensions = append(a.Dimensions, singleDim(in.Name, vals))

@@ -8,6 +8,7 @@ import (
 
 	"deepweb/internal/form"
 	"deepweb/internal/index"
+	"deepweb/internal/textutil"
 	"deepweb/internal/webgen"
 	"deepweb/internal/webx"
 )
@@ -57,7 +58,7 @@ func TestSurfaceUsedCars(t *testing.T) {
 		t.Fatalf("form discovery failed: %+v", a.Form)
 	}
 	// Typed inputs: zip and the price range endpoints.
-	if a.TypedInputs["minprice"] != TypePrice || a.TypedInputs["maxprice"] != TypePrice {
+	if a.TypedInputs["minprice"] != textutil.TypePrice || a.TypedInputs["maxprice"] != textutil.TypePrice {
 		t.Errorf("price range not typed: %v", a.TypedInputs)
 	}
 	// Range pair fused.

@@ -3,7 +3,8 @@ package core
 import (
 	"math"
 	"strconv"
-	"strings"
+
+	"deepweb/internal/textutil"
 )
 
 // Typed-input support (§4.1). The paper's point: the surfacer does not
@@ -11,47 +12,8 @@ import (
 // accepts, say, zip codes. Types are hypothesized from input names and
 // labels (the cheap, high-precision signal the paper reports) and then
 // validated by probing: a hypothesized type is confirmed only if typed
-// sample values actually retrieve results.
-
-// TypeZip .. TypeDate name the common input data types the paper calls
-// out ("US zip codes, city names, dates and prices").
-const (
-	TypeZip   = "zipcode"
-	TypeCity  = "city"
-	TypePrice = "price"
-	TypeDate  = "date"
-)
-
-// typePatterns maps a type to the lower-case substrings of an input
-// name/label that suggest it. Order matters: first hit wins, and price
-// is checked before date so "price from" beats the "from" of a date
-// range heuristic elsewhere.
-var typePatterns = []struct {
-	typ  string
-	pats []string
-}{
-	{TypeZip, []string{"zip", "postal"}},
-	{TypeCity, []string{"city", "town"}},
-	{TypePrice, []string{"price", "salary", "cost", "fee", "amount", "wage"}},
-	{TypeDate, []string{"year", "date", "yr"}},
-}
-
-// HypothesizeType guesses the data type of a text input from its name
-// and label, returning "" when nothing matches. This is only the
-// hypothesis half; the surfacer confirms it by probing (§4.1 reports
-// such typed inputs "can be identified with high accuracy" — the
-// accuracy comes from the validation step).
-func HypothesizeType(name, label string) string {
-	hay := strings.ToLower(name + " " + label)
-	for _, tp := range typePatterns {
-		for _, p := range tp.pats {
-			if strings.Contains(hay, p) {
-				return tp.typ
-			}
-		}
-	}
-	return ""
-}
+// sample values actually retrieve results (textutil.HypothesizeType
+// holds the name heuristic, which the query layer shares).
 
 // TypedValues returns up to n candidate values for a recognized type.
 // These vocabularies stand in for the cross-form aggregate knowledge the
@@ -59,13 +21,13 @@ func HypothesizeType(name, label string) string {
 // from millions of forms, price ladders, plausible years.
 func TypedValues(typ string, n int) []string {
 	switch typ {
-	case TypeZip:
+	case textutil.TypeZip:
 		return sampleZips(n)
-	case TypeCity:
+	case textutil.TypeCity:
 		return sampleCities(n)
-	case TypePrice:
+	case textutil.TypePrice:
 		return priceLadder(n)
-	case TypeDate:
+	case textutil.TypeDate:
 		return yearSpread(n)
 	default:
 		return nil
@@ -79,9 +41,9 @@ func TypedValues(typ string, n int) []string {
 func RangeValuePairs(typ string, n int) [][2]string {
 	var rungs []string
 	switch typ {
-	case TypePrice:
+	case textutil.TypePrice:
 		rungs = priceLadder(n + 1)
-	case TypeDate:
+	case textutil.TypeDate:
 		rungs = yearSpread(n + 1)
 	default:
 		// A numeric range of unknown flavor gets a generic geometric

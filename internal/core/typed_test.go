@@ -4,35 +4,37 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+
+	"deepweb/internal/textutil"
 )
 
 func TestHypothesizeType(t *testing.T) {
 	cases := []struct {
 		name, label, want string
 	}{
-		{"zip", "", TypeZip},
-		{"zipcode", "Zip Code", TypeZip},
-		{"postal_code", "", TypeZip},
-		{"city", "", TypeCity},
-		{"hometown", "Town", TypeCity},
-		{"minprice", "", TypePrice},
-		{"salary_from", "", TypePrice},
-		{"maxcost", "", TypePrice},
-		{"year", "", TypeDate},
-		{"pubdate", "", TypeDate},
+		{"zip", "", textutil.TypeZip},
+		{"zipcode", "Zip Code", textutil.TypeZip},
+		{"postal_code", "", textutil.TypeZip},
+		{"city", "", textutil.TypeCity},
+		{"hometown", "Town", textutil.TypeCity},
+		{"minprice", "", textutil.TypePrice},
+		{"salary_from", "", textutil.TypePrice},
+		{"maxcost", "", textutil.TypePrice},
+		{"year", "", textutil.TypeDate},
+		{"pubdate", "", textutil.TypeDate},
 		{"q", "", ""},
 		{"model", "Model", ""},
-		{"", "Zip Code", TypeZip}, // label-only signal
+		{"", "Zip Code", textutil.TypeZip}, // label-only signal
 	}
 	for _, c := range cases {
-		if got := HypothesizeType(c.name, c.label); got != c.want {
-			t.Errorf("HypothesizeType(%q,%q) = %q, want %q", c.name, c.label, got, c.want)
+		if got := textutil.HypothesizeType(c.name, c.label); got != c.want {
+			t.Errorf("textutil.HypothesizeType(%q,%q) = %q, want %q", c.name, c.label, got, c.want)
 		}
 	}
 }
 
 func TestTypedValuesZip(t *testing.T) {
-	vals := TypedValues(TypeZip, 60)
+	vals := TypedValues(textutil.TypeZip, 60)
 	if len(vals) != 60 {
 		t.Fatalf("got %d zips", len(vals))
 	}
@@ -50,12 +52,12 @@ func TestTypedValuesZip(t *testing.T) {
 }
 
 func TestTypedValuesCity(t *testing.T) {
-	vals := TypedValues(TypeCity, 10)
+	vals := TypedValues(textutil.TypeCity, 10)
 	if len(vals) != 10 || vals[0] != "seattle" {
 		t.Errorf("cities = %v", vals)
 	}
 	// Request beyond vocabulary truncates rather than repeating.
-	all := TypedValues(TypeCity, 10000)
+	all := TypedValues(textutil.TypeCity, 10000)
 	seen := map[string]bool{}
 	for _, v := range all {
 		if seen[v] {
@@ -66,7 +68,7 @@ func TestTypedValuesCity(t *testing.T) {
 }
 
 func TestTypedValuesPriceMonotone(t *testing.T) {
-	vals := TypedValues(TypePrice, 10)
+	vals := TypedValues(textutil.TypePrice, 10)
 	prev := -1
 	for _, v := range vals {
 		n, err := strconv.Atoi(v)
@@ -81,7 +83,7 @@ func TestTypedValuesPriceMonotone(t *testing.T) {
 }
 
 func TestTypedValuesDate(t *testing.T) {
-	vals := TypedValues(TypeDate, 12)
+	vals := TypedValues(textutil.TypeDate, 12)
 	for _, v := range vals {
 		n, _ := strconv.Atoi(v)
 		if n < 1900 || n > 2008 {
@@ -100,7 +102,7 @@ func TestTypedValuesUnknown(t *testing.T) {
 }
 
 func TestRangeValuePairsContiguous(t *testing.T) {
-	for _, typ := range []string{TypePrice, TypeDate, ""} {
+	for _, typ := range []string{textutil.TypePrice, textutil.TypeDate, ""} {
 		pairs := RangeValuePairs(typ, 10)
 		if len(pairs) != 10 {
 			t.Fatalf("%s: %d pairs, want 10", typ, len(pairs))
@@ -123,7 +125,7 @@ func TestRangeValuePairsContiguous(t *testing.T) {
 func TestRangeValuePairsProperty(t *testing.T) {
 	f := func(n8 uint8) bool {
 		n := int(n8)%20 + 1
-		pairs := RangeValuePairs(TypePrice, n)
+		pairs := RangeValuePairs(textutil.TypePrice, n)
 		if len(pairs) != n {
 			return false
 		}

@@ -33,7 +33,7 @@ func TestFilteredSearchAllocatesNothingPerCandidate(t *testing.T) {
 			{Query: "ford focus", K: 10, Filters: preds},
 		} {
 			allocs := func(n int) float64 {
-				e := newEngine()
+				e := New()
 				for i := 0; i < n; i++ {
 					id, _ := e.Index.Add(index.Doc{
 						URL:   fmt.Sprintf("http://cars.example/%d", i),

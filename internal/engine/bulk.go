@@ -188,8 +188,8 @@ func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOp
 			stats.Postings += int64(len(p.Terms()))
 		}
 	}
-	// No refresh signatures: the empty meta segment Save writes for an
-	// engine that surfaced nothing keeps the directory Load-complete.
+	// No refresh signatures: the empty meta segment Save(dir, nil)
+	// writes keeps the directory byte-identical to Save's.
 	if _, err := w.Commit(workers, nil, nil); err != nil {
 		return stats, fmt.Errorf("engine: bulk build: %w", err)
 	}

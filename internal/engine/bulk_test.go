@@ -16,7 +16,7 @@ import (
 	"deepweb/internal/index"
 )
 
-func bulkWorld(t *testing.T, seed int64, docs, sites int) *bulkgen.World {
+func bulkWorld(t testing.TB, seed int64, docs, sites int) *bulkgen.World {
 	t.Helper()
 	w, err := bulkgen.NewWorld(bulkgen.Spec{Seed: seed, Docs: docs, Sites: sites, BlockSize: 256})
 	if err != nil {
@@ -25,26 +25,31 @@ func bulkWorld(t *testing.T, seed int64, docs, sites int) *bulkgen.World {
 	return w
 }
 
-// ingest commits src into e's index batch by batch through the sink
-// every surfaced site's documents pass through, and returns how many
-// documents were added and how many were duplicate URLs.
+// ingest commits src into e's index batch by batch, each batch one
+// Index.AddPreparedBatch, and returns how many documents were added and
+// how many were duplicate URLs.
 func ingest(e *Engine, src BulkSource, batch int) (added, dups int) {
 	for {
-		sink, n := newStagedSink(e.Index), 0
-		for ; n < batch; n++ {
-			d, anns, ok := src.Next()
+		var ps []*index.Prepared
+		var anns []map[string]string
+		for len(ps) < batch {
+			d, a, ok := src.Next()
 			if !ok {
 				break
 			}
-			if id, fresh := sink.Add(d); fresh {
-				sink.Annotate(id, anns)
-			}
+			ps, anns = append(ps, index.Prepare(d)), append(anns, a)
 		}
-		if n == 0 {
+		if len(ps) == 0 {
 			return added, dups
 		}
-		a := sink.commit()
-		added, dups = added+a, dups+n-a
+		_, ok := e.Index.AddPreparedBatch(ps, anns)
+		for _, a := range ok {
+			if a {
+				added++
+			} else {
+				dups++
+			}
+		}
 	}
 }
 
@@ -58,13 +63,12 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 			world := bulkWorld(t, 99, 3000, 5)
 
 			ramDir := t.TempDir()
-			ram := newEngine()
+			ram := New()
 			ram.Index = index.NewSharded(shards)
-			ram.Workers = 4
 			if added, dups := ingest(ram, world.Source(4), 512); added != 3000 || dups != 0 {
 				t.Fatalf("ingest added %d, %d duplicates", added, dups)
 			}
-			if err := ram.Save(ramDir); err != nil {
+			if err := ram.Save(ramDir, nil); err != nil {
 				t.Fatal(err)
 			}
 
@@ -100,10 +104,10 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 				}
 			}
 			delA, delB := t.TempDir(), t.TempDir()
-			if err := ram.Save(delA); err != nil {
+			if err := ram.Save(delA, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := eb.Save(delB); err != nil {
+			if err := eb.Save(delB, nil); err != nil {
 				t.Fatal(err)
 			}
 			requireSameDir(t, "save-with-tombstones", delA, delB)
@@ -123,8 +127,7 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 func TestBulkBuildCompactEquivalence(t *testing.T) {
 	world := bulkWorld(t, 7, 2000, 4)
 
-	ram := newEngine()
-	ram.Workers = 4
+	ram := New()
 	ingest(ram, world.Source(2), DefaultBulkBatch)
 
 	spillDir := t.TempDir()
@@ -150,10 +153,10 @@ func TestBulkBuildCompactEquivalence(t *testing.T) {
 		t.Fatalf("compact reclaimed %d vs %d", got, want)
 	}
 	ramDir, loadedDir := t.TempDir(), t.TempDir()
-	if err := ram.Save(ramDir); err != nil {
+	if err := ram.Save(ramDir, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Save(loadedDir); err != nil {
+	if err := loaded.Save(loadedDir, nil); err != nil {
 		t.Fatal(err)
 	}
 	requireSameDir(t, "post-compact", ramDir, loadedDir)

@@ -37,7 +37,7 @@ func assertBitIdentical(t *testing.T, ctxMsg string, got, want SearchResponse) {
 // snapshot's generation, which changes every cache key — and a loaded
 // engine starts with a cold cache of its own.
 func TestCacheKeyChangesWithGeneration(t *testing.T) {
-	e := surfacedEngine(t, 4)
+	e := corpusEngine(t, 4)
 	e.EnableResultCache(64)
 	req := SearchRequest{Query: "used ford focus", K: 5}
 	ctx := context.Background()
@@ -50,7 +50,7 @@ func TestCacheKeyChangesWithGeneration(t *testing.T) {
 		t.Fatalf("second search not served from cache (err=%v)", err)
 	}
 	key := e.searchCacheKey(req)
-	if err := e.Save(t.TempDir()); err != nil {
+	if err := e.Save(t.TempDir(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.Generation == 0 {
@@ -76,7 +76,7 @@ func TestCacheKeyChangesWithGeneration(t *testing.T) {
 // share a cache entry when Annotated — and must share one when plain,
 // because they are the same query to BM25.
 func TestCacheKeySeparatesAnnotatedStemCollisions(t *testing.T) {
-	e := surfacedEngine(t, 1)
+	e := corpusEngine(t, 1)
 	a := SearchRequest{Query: "homes in seattle", K: 10}
 	b := SearchRequest{Query: "home in seattles", K: 10}
 	if e.searchCacheKey(a) != e.searchCacheKey(b) {
@@ -91,7 +91,7 @@ func TestCacheKeySeparatesAnnotatedStemCollisions(t *testing.T) {
 // Concurrent identical queries collapse into few scans, every caller
 // gets the same bit-identical page, and -race stays quiet.
 func TestConcurrentCachedSearches(t *testing.T) {
-	e := surfacedEngine(t, 4)
+	e := corpusEngine(t, 4)
 	e.EnableResultCache(64)
 	ctx := context.Background()
 	want, err := e.Search(ctx, SearchRequest{Query: "used ford focus", K: 10})
@@ -132,7 +132,7 @@ func TestConcurrentCachedSearches(t *testing.T) {
 // different filter, while order- and duplicate-variant spellings of
 // the same filter must share one.
 func TestCacheKeySeparatesFilters(t *testing.T) {
-	e := surfacedEngine(t, 1)
+	e := corpusEngine(t, 1)
 	plain := SearchRequest{Query: "used ford focus", K: 10}
 	ford := SearchRequest{Query: "used ford focus", K: 10,
 		Filters: []query.Predicate{query.Eq("make", "ford")}}

@@ -1,51 +1,23 @@
-// Package engine is the orchestration layer: one façade over the whole
-// surfacing stack (webgen world → webx fetching → core analysis/probing
-// → index ingestion) so binaries, examples and experiments stop
-// hand-rolling the same wiring.
-//
-// Its centerpiece is a staged, bounded-concurrency surfacing pipeline.
-// The paper's system is explicitly an offline, web-scale process —
-// millions of forms analyzed and probed — so each site flows through
-//
-//	discovery → form analysis/probing → URL generation → fetch → ingest
-//
-// on a pool of Workers goroutines, one site per worker at a time. All
-// stages up to and including fetch parallelize freely (each site talks
-// only to its own host); ingestion commits at a single ordered point,
-// in site order, so document ids, index contents and every experiment
-// metric are identical whatever the worker count or interleaving.
+// Package engine is the searcher: ranked retrieval over an index
+// (Search, with an optional result cache) and the snapshot it is served
+// from. The paper's economics split an expensive offline pass from an
+// ordinary index that answers live traffic; a snapshot directory
+// crosses that line. Save writes one through store.Writer, BulkBuild
+// writes the same bytes from a document stream, Load reads one back
+// bit-for-bit, and LoadSemantics reads the §6 tables beside it. The
+// engine knows nothing of forms, fetching or the virtual web: the
+// pipeline that fills it is internal/surface, which the server does
+// not link.
 package engine
 
 import (
-	"context"
-	"fmt"
-	"net/http"
-	"net/url"
-	"sync"
-	"time"
-
-	"deepweb/internal/core"
-	"deepweb/internal/coverage"
-	"deepweb/internal/form"
 	"deepweb/internal/index"
 	"deepweb/internal/rescache"
-	"deepweb/internal/resilient"
-	"deepweb/internal/textutil"
-	"deepweb/internal/webgen"
-	"deepweb/internal/webx"
 )
 
-// Engine bundles a virtual internet with the machinery every caller
-// needs: a fetcher, a search index, and per-site surfacing results.
+// Engine is a searcher over one index.
 type Engine struct {
-	Web   *webgen.Web
-	Fetch *webx.Fetcher
 	Index *index.Index
-
-	// Workers bounds how many sites Surface analyzes, probes and
-	// fetches concurrently. 0 or 1 runs sequentially. Results are
-	// identical for every value; Workers only buys wall-clock.
-	Workers int
 
 	// Generation identifies the snapshot this engine's index contents
 	// correspond to: set by Load from the snapshot header, refreshed by
@@ -53,480 +25,17 @@ type Engine struct {
 	// index was built live and has never crossed a snapshot boundary.
 	Generation uint32
 
-	// Results holds each site's surfacing outcome, keyed by host. A
-	// pass's traffic and ingest counts are in the SiteReports that
-	// Surface and Refresh return.
-	Results map[string]*core.Result
-	// SiteSignatures records each surfaced site's backing-table content
-	// signature at surfacing time — the baseline Refresh diffs against.
-	SiteSignatures map[string]textutil.Signature
-	// CompactRatio is the tombstone fraction above which Refresh
-	// compacts the index after committing. <= 0 disables automatic
-	// compaction; compact manually with Index.Compact.
-	CompactRatio float64
-
 	// cache is the serving-tier result cache (nil = disabled; see
 	// EnableResultCache and cache.go).
 	cache *rescache.Cache[SearchResponse]
-
-	// base is the transport under the resilient layer — the virtual web
-	// itself, or a chaos/proxy wrapper installed with UseTransport. rt
-	// is the resilient retry/breaker transport built over it; every
-	// fetch the engine issues flows through rt, and its per-host
-	// counters are what per-site outcome reports are computed from.
-	base  http.RoundTripper
-	rt    *resilient.Transport
-	ropts resilient.Options
 }
 
-// DefaultFetchTimeout bounds each logical fetch (all attempts plus
-// backoff) issued by an engine's fetcher.
-const DefaultFetchTimeout = 30 * time.Second
-
-// DefaultCompactRatio is the CompactRatio new engines start with.
-const DefaultCompactRatio = 0.5
-
-// DefaultWorkers is the Workers value new engines start with.
-// Binaries raise it (before building worlds) to parallelize every
-// pipeline they run; results are identical either way.
+// DefaultWorkers is the parallelism of Save and Load, and the Workers
+// value new surfacers start with. Binaries raise it before building or
+// loading; results are identical either way.
 var DefaultWorkers = 1
 
-// New wraps an existing virtual internet.
-func New(web *webgen.Web) *Engine {
-	e := newEngine()
-	e.Web = web
-	e.UseTransport(web)
-	return e
-}
-
-// newEngine builds the web-less shell shared by New and Load.
-func newEngine() *Engine {
-	return &Engine{
-		Index:          index.New(),
-		Workers:        DefaultWorkers,
-		Results:        map[string]*core.Result{},
-		SiteSignatures: map[string]textutil.Signature{},
-		CompactRatio:   DefaultCompactRatio,
-		ropts:          resilient.Defaults(),
-	}
-}
-
-// UseTransport replaces the transport fetch traffic flows through —
-// normally the virtual web itself; tests and `deepcrawl -chaos`
-// interpose a webgen.Chaos here — and rebuilds the resilient fetch
-// stack over it.
-func (e *Engine) UseTransport(rt http.RoundTripper) {
-	e.base = rt
-	e.rebuildFetch()
-}
-
-func (e *Engine) rebuildFetch() {
-	e.rt = resilient.NewTransport(e.base, e.ropts)
-	e.Fetch = newFetcher(e.rt)
-}
-
-// newFetcher builds a fetcher over rt with the engine's per-fetch
-// deadline applied. rt, a resilient transport, caps the body.
-func newFetcher(rt http.RoundTripper) *webx.Fetcher {
-	f := webx.NewFetcher(rt)
-	f.Timeout = DefaultFetchTimeout
-	return f
-}
-
-// Build generates a world from the config and wraps it.
-func Build(cfg webgen.WorldConfig) (*Engine, error) {
-	web, err := webgen.BuildWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return New(web), nil
-}
-
-// IndexSurfaceWeb crawls the pre-surfacing web (no query URLs) and
-// indexes it — the baseline a search engine has before deep-web
-// surfacing. A canceled ctx stops the crawl; pages fetched before the
-// cancellation are still indexed.
-func (e *Engine) IndexSurfaceWeb(ctx context.Context) int {
-	c := &webx.Crawler{Fetcher: e.Fetch}
-	n := 0
-	for _, p := range c.Crawl(ctx, "http://"+webgen.HubHost+"/") {
-		if _, added := e.Index.Add(index.Doc{URL: p.URL, Title: p.Title(), Text: p.Text()}); added {
-			n++
-		}
-	}
-	return n
-}
-
-// SurfaceRequest configures one Surface pass over the world's sites.
-// The zero Filter surfaces unfiltered; set it to apply the §5.2
-// index-admission band to fetched pages.
-type SurfaceRequest struct {
-	// Config drives form analysis and probing (budgets, thresholds).
-	Config core.Config
-	// FollowNext walks up to this many "next page" continuations per
-	// surfaced URL at ingestion time.
-	FollowNext int
-	// Filter is the §5.2 index-admission criterion; the zero value
-	// admits every fetched page.
-	Filter core.IngestFilter
-}
-
-// SiteStatus is a surfaced site's outcome class.
-type SiteStatus int
-
-const (
-	// SiteOK: the site surfaced cleanly; its results and signature are
-	// committed.
-	SiteOK SiteStatus = iota
-	// SiteDegraded: the site committed, but some fetches failed even
-	// after retries (partial corpus). Its signature is left unrecorded
-	// so the next Refresh re-drives the whole site and heals it.
-	SiteDegraded
-	// SiteFailedTransient: the site failed with a retryable class of
-	// error (timeouts, 5xx, open circuit); nothing committed, signature
-	// unrecorded — the next Refresh retries it from scratch.
-	SiteFailedTransient
-	// SiteFailedPermanent: the site failed definitively (4xx homepage,
-	// oversized body); retrying cannot help.
-	SiteFailedPermanent
-)
-
-func (s SiteStatus) String() string {
-	switch s {
-	case SiteDegraded:
-		return "degraded"
-	case SiteFailedTransient:
-		return "failed-transient"
-	case SiteFailedPermanent:
-		return "failed-permanent"
-	default:
-		return "ok"
-	}
-}
-
-// SiteReport is one site's ledger for one pass: its status, the fetch
-// stack's counter deltas attributed to it (the engine's one-site =
-// one-worker = one-host contract makes the attribution exact), and its
-// ingestion counts.
-//
-// Attempts is the site's traffic: every wire try of its analysis,
-// probing and ingestion, failed sites included — the one-time
-// "off-line analysis" load of §3.2. Under RefreshRequest.PerHostCap it
-// also counts the tries the politeness cap answers locally, which
-// never reach the host. A site's commit-time refetch of its crawled
-// surface-web pages (Refresh) is not counted.
-type SiteReport struct {
-	Host              string
-	Status            SiteStatus
-	Attempts          uint64
-	Retries           uint64
-	Timeouts          uint64
-	TransientFailures uint64
-	PermanentFailures uint64
-	Err               string
-	// Ingest is the site's ingestion accounting; Indexed is set at the
-	// ordered commit. A failed site's is zero: nothing was committed.
-	Ingest core.IngestStats
-}
-
-// SurfaceResponse reports a Surface pass: per-site outcomes keyed by
-// host, and a top-level Degraded flag set when any site is not OK.
-type SurfaceResponse struct {
-	Sites    map[string]SiteReport
-	Degraded bool
-}
-
-// anyNotOK reports whether any site's outcome calls for attention.
-func anyNotOK(reports map[string]SiteReport) bool {
-	for _, r := range reports {
-		if r.Status != SiteOK {
-			return true
-		}
-	}
-	return false
-}
-
-// Surface runs the surfacing pipeline over every site and ingests the
-// emitted URLs, attributing each document to its site's form.
-//
-// Failure semantics: a site that fails is *reported*, not fatal — the
-// pass continues, the response carries per-site outcomes, and the
-// returned error is nil. Transiently-failed and degraded sites leave no
-// signature, so the next Refresh re-drives and heals them. Only the
-// context canceling the run returns an error: in-flight sites abort
-// between probe submissions, unstarted sites are skipped, the
-// ordered-commit loop drains cleanly, and the context's error is
-// returned. Sites already committed stay committed — cancellation never
-// corrupts the index.
-func (e *Engine) Surface(ctx context.Context, req SurfaceRequest) (SurfaceResponse, error) {
-	reports, err := e.surfacePipeline(ctx, e.Web.Sites(), pipelineRun{
-		cfg:        req.Config,
-		followNext: req.FollowNext,
-		filt:       req.Filter,
-		fetch:      e.Fetch,
-		rt:         e.rt,
-		commit:     e.commitOutcome,
-	})
-	return SurfaceResponse{Sites: reports, Degraded: anyNotOK(reports)}, err
-}
-
-// siteOutcome is everything one site's pipeline pass produced, parked
-// until the ordered commit point reaches its position.
-type siteOutcome struct {
-	pos    int
-	host   string
-	res    *core.Result
-	sink   *stagedSink
-	sig    textutil.Signature
-	report SiteReport
-	err    error
-}
-
-// pipelineRun is one surfacing pass's wiring: the analysis config, the
-// ingestion knobs, the fetcher the workers issue traffic through (the
-// engine's own, or a politeness-capped wrapper during Refresh), the
-// resilient transport under that fetcher (for per-site counter deltas),
-// and the commit hook the ordered drain invokes per successful site.
-type pipelineRun struct {
-	cfg        core.Config
-	followNext int
-	filt       core.IngestFilter
-	fetch      *webx.Fetcher
-	rt         *resilient.Transport
-	commit     func(*siteOutcome)
-}
-
-// surfacePipeline runs the staged pipeline over the given sites and
-// drains outcomes through run.commit at the single ordered commit
-// point, returning a per-site outcome report keyed by host.
-//
-// Concurrency contract: a site is handled end-to-end by one worker, and
-// every request it issues targets the site's own host, so the resilient
-// transport's per-host counter deltas — each site's report — are exact.
-// Fetched documents buffer in a stagedSink; the commit loop drains
-// outcomes in site order, assigning doc ids and inserting postings.
-//
-// Failure semantics: a failed site is classified (transient vs.
-// permanent) and reported, and the pass continues — one bad site must
-// not shrink the rest of the corpus. A transiently-failed or degraded
-// site leaves no signature, so the next Refresh sees it as changed and
-// re-drives it (self-healing). Only run-context cancellation aborts:
-// sites earlier in the order are still committed (matching sequential
-// semantics) and the context's error is returned. The response then
-// carries reports only for the sites ordered before the abort; traffic
-// that other workers issued after it is not reported, and only
-// committed results are worker-timing-independent on an aborted run.
-//
-// Cancellation drains cleanly: every dispatched job yields exactly one
-// outcome (a canceled worker reports ctx.Err() instead of surfacing),
-// so the ordered loop always receives len(sites) outcomes and the
-// WaitGroup always settles — no goroutine leaks, no deadlock.
-func (e *Engine) surfacePipeline(ctx context.Context, sites []*webgen.Site, run pipelineRun) (map[string]SiteReport, error) {
-	reports := make(map[string]SiteReport, len(sites))
-	if len(sites) == 0 {
-		return reports, ctx.Err()
-	}
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(sites) {
-		workers = len(sites)
-	}
-
-	jobs := make(chan int)
-	outcomes := make(chan *siteOutcome, len(sites))
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pos := range jobs {
-				if err := ctx.Err(); err != nil {
-					outcomes <- &siteOutcome{pos: pos, host: sites[pos].Spec.Host, err: err}
-					continue
-				}
-				out := e.surfaceOne(ctx, sites[pos], run)
-				out.pos = pos
-				outcomes <- out
-			}
-		}()
-	}
-	go func() {
-		for pos := range sites {
-			jobs <- pos
-		}
-		close(jobs)
-	}()
-
-	// Ordered commit: park outcomes until their position is next.
-	parked := make(map[int]*siteOutcome, len(sites))
-	next := 0
-	var firstErr error
-	for received := 0; received < len(sites); received++ {
-		o := <-outcomes
-		parked[o.pos] = o
-		for out, ok := parked[next]; ok; out, ok = parked[next] {
-			delete(parked, next)
-			next++
-			if firstErr != nil {
-				continue
-			}
-			if out.err != nil {
-				// Discriminate abort from failure via the run context,
-				// not the error value: per-fetch timeouts also surface
-				// deadline errors, but only the run context ending
-				// means the caller wants out.
-				if ctx.Err() != nil {
-					firstErr = fmt.Errorf("surface %s: %w", out.host, out.err)
-					continue
-				}
-				rep := out.report
-				rep.Err = out.err.Error()
-				if resilient.ClassOf(out.err) == resilient.ClassPermanent {
-					rep.Status = SiteFailedPermanent
-				} else {
-					rep.Status = SiteFailedTransient
-					// Whatever signature a prior pass recorded no longer
-					// reflects an intact corpus entry; drop it so the
-					// next Refresh re-drives this site.
-					delete(e.SiteSignatures, out.host)
-				}
-				reports[out.host] = rep
-				continue
-			}
-			run.commit(out)
-			if out.report.Status == SiteDegraded {
-				// Committed, but with fetch losses: leave the signature
-				// unrecorded so the next Refresh heals the gaps.
-				delete(e.SiteSignatures, out.host)
-			}
-			reports[out.host] = out.report
-		}
-	}
-	wg.Wait()
-	return reports, firstErr
-}
-
-// commitOutcome is the standard bookkeeping for one successfully
-// surfaced site: drain its sink into the index, count what it indexed
-// in the site's report, and record its result and content signature.
-func (e *Engine) commitOutcome(out *siteOutcome) {
-	e.Results[out.host] = out.res
-	out.report.Ingest.Indexed = out.sink.commit()
-	e.SiteSignatures[out.host] = out.sig
-}
-
-// surfaceOne runs the per-site stages: discovery + form analysis +
-// probing + URL generation (core.Surfacer), then fetch of every emitted
-// URL into a buffering sink. No shared index state is written. The
-// resilient transport's per-host counter delta becomes the site's
-// report, on failure too — the traffic was issued.
-func (e *Engine) surfaceOne(ctx context.Context, site *webgen.Site, run pipelineRun) *siteOutcome {
-	host := site.Spec.Host
-	var fsBefore resilient.HostStats
-	if run.rt != nil {
-		fsBefore = run.rt.HostStats(host)
-	}
-	mkReport := func() SiteReport {
-		rep := SiteReport{Host: host}
-		if run.rt != nil {
-			fs := run.rt.HostStats(host)
-			rep.Attempts = fs.Attempts - fsBefore.Attempts
-			rep.Retries = fs.Retries - fsBefore.Retries
-			rep.Timeouts = fs.Timeouts - fsBefore.Timeouts
-			rep.TransientFailures = fs.TransientFailures - fsBefore.TransientFailures
-			rep.PermanentFailures = fs.PermanentFailures - fsBefore.PermanentFailures
-		}
-		return rep
-	}
-	s := core.NewSurfacer(run.fetch, run.cfg)
-	res, err := s.SurfaceSite(ctx, site.HomeURL())
-	if err != nil {
-		return &siteOutcome{host: host, err: err, report: mkReport()}
-	}
-	source := host
-	if res.Analysis.Form != nil {
-		source = res.Analysis.Form.ID
-	}
-	sink := newStagedSink(e.Index)
-	stats := core.IngestURLsFiltered(ctx, run.fetch, sink, source, res.URLs, run.followNext, run.filt)
-	// Ingestion swallows cancellation (its partial stats are still
-	// real); the pipeline must not — a site whose fetches were cut
-	// short may not be committed as complete.
-	if err := ctx.Err(); err != nil {
-		return &siteOutcome{host: host, err: err, report: mkReport()}
-	}
-	rep := mkReport()
-	rep.Ingest = stats
-	if rep.TransientFailures > 0 {
-		// Some logical fetches failed even after retries: the committed
-		// corpus for this site has holes.
-		rep.Status = SiteDegraded
-	}
-	return &siteOutcome{
-		host:   host,
-		res:    res,
-		sink:   sink,
-		sig:    site.TableSignature(),
-		report: rep,
-	}
-}
-
-// SiteCoverage returns ground-truth coverage of one surfaced site.
-func (e *Engine) SiteCoverage(host string) coverage.Exact {
-	site := e.Web.Site(host)
-	res := e.Results[host]
-	if site == nil || res == nil {
-		return coverage.Exact{}
-	}
-	return coverage.ExactOf(site, res.URLs)
-}
-
-// SiteDistinctSets counts the distinct ground-truth result sets among
-// one surfaced site's URLs — how many genuinely different pages the
-// emitted templates retrieve, per the site's oracle.
-func (e *Engine) SiteDistinctSets(host string) int {
-	site := e.Web.Site(host)
-	res := e.Results[host]
-	if site == nil || res == nil {
-		return 0
-	}
-	return coverage.DistinctResultSets(site, res.URLs)
-}
-
-// MeanCoverage averages exact coverage over surfaceable (GET) sites.
-func (e *Engine) MeanCoverage() float64 {
-	var sum float64
-	n := 0
-	for _, site := range e.Web.Sites() {
-		if site.Spec.Method != "get" {
-			continue
-		}
-		sum += e.SiteCoverage(site.Spec.Host).Fraction()
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// FormOf fetches and parses a site's search form — the mediator
-// registration path shared by experiments and examples.
-func FormOf(ctx context.Context, fetch *webx.Fetcher, site *webgen.Site) (*form.Form, error) {
-	page, err := fetch.GetCtx(ctx, site.FormURL())
-	if err != nil {
-		return nil, err
-	}
-	decls := page.Forms()
-	if len(decls) == 0 {
-		return nil, fmt.Errorf("no form on %s", site.FormURL())
-	}
-	base, err := url.Parse(page.URL)
-	if err != nil {
-		return nil, err
-	}
-	return form.FromDecl(base, decls[0], 0)
+// New returns an engine over an empty index.
+func New() *Engine {
+	return &Engine{Index: index.New()}
 }

@@ -12,7 +12,7 @@ import (
 // path never is, and a URL that does not parse is on no host. Each
 // case is a way a prefix match on the text after "://" got it wrong.
 func TestSearchHostIsURLParseHost(t *testing.T) {
-	e := newEngine()
+	e := New()
 	for _, u := range []string{
 		"http://u@h.example/p",
 		"http://h.example/p/q",

@@ -21,14 +21,12 @@ import (
 // fixed probe set exactly against the model (model_test.go): ids, URLs,
 // titles, sources, score bits and totals. The operations:
 //
-//   - ingest: batches committed through the sink every surfaced site's
-//     documents pass through (ingest in bulk_test.go), with annotations
-//     and duplicate URLs — within the batch, of live documents, of
-//     deleted ones — generated in no URL order, at a drawn batch size.
-//     An ingest of an odd document count commits each batch straight
-//     through Index.AddPreparedBatch instead, so the index's own rule
-//     for a duplicate inside one batch (the first occurrence wins, with
-//     its annotations) meets the model, not the sink's dedup;
+//   - ingest: batches committed through Index.AddPreparedBatch (ingest
+//     in bulk_test.go), with annotations and duplicate URLs — within the
+//     batch, of live documents, of deleted ones — generated in no URL
+//     order, at a drawn batch size. A duplicate inside one batch meets
+//     the index's own rule: the first occurrence wins, with its
+//     annotations;
 //   - delete: Index.Delete of drawn ids, live, dead or out of range;
 //   - annotate: re-Annotate of live documents, overwriting values and
 //     adding attributes and values never seen before;
@@ -220,7 +218,7 @@ type oracleSeen struct {
 }
 
 func newOracle(t *testing.T, seed int64, seen *oracleSeen) *oracle {
-	o := &oracle{t: t, seed: seed, r: rand.New(rand.NewSource(seed)), e: newEngine(), seen: seen}
+	o := &oracle{t: t, seed: seed, r: rand.New(rand.NewSource(seed)), e: New(), seen: seen}
 	o.e.Index = index.NewSharded(pick(o.r, []int{1, 4, 16}))
 	o.ops = append(o.ops, fmt.Sprintf("new engine, %d segments", o.e.Index.NumShards()))
 	o.probes = o.probeSet()
@@ -340,16 +338,13 @@ type oracleOp struct {
 	anns                   []map[string]string // parallel to docs, or to ids for annotate
 	ids                    []int
 	batch, workers, shards int
-	on                     bool   // cache; save: annotate the tombstones; ingest: bypass the sink
+	on                     bool   // cache; save: annotate the tombstones
 	want                   string // the model's outcome, when drawn ahead of the engine
 }
 
 func (op *oracleOp) String() string {
 	switch op.kind {
 	case "ingest":
-		if op.on {
-			return fmt.Sprintf("ingest %d docs, batch %d, straight into the index", len(op.docs), op.batch)
-		}
 		return fmt.Sprintf("ingest %d docs, batch %d", len(op.docs), op.batch)
 	case "delete":
 		return fmt.Sprintf("delete %v", op.ids)
@@ -381,7 +376,6 @@ func (o *oracle) draw(kinds ...string) *oracleOp {
 				d, anns := o.drawDoc(op.docs)
 				op.docs, op.anns = append(op.docs, d), append(op.anns, anns)
 			}
-			op.on = len(op.docs)%2 == 1 // no draw: each seed keeps its sequence
 		case "delete":
 			for n := 1 + r.Intn(4); n > 0; n-- {
 				op.ids = append(op.ids, r.Intn(len(o.m.docs)+2)-1)
@@ -540,23 +534,6 @@ func (o *oracle) onEngine(op *oracleOp) string {
 	ctx, e := context.Background(), o.e
 	switch op.kind {
 	case "ingest":
-		if op.on {
-			added := 0
-			for lo := 0; lo < len(op.docs); lo += op.batch {
-				hi := min(lo+op.batch, len(op.docs))
-				ps := make([]*index.Prepared, 0, hi-lo)
-				for _, d := range op.docs[lo:hi] {
-					ps = append(ps, index.Prepare(d))
-				}
-				_, ok := e.Index.AddPreparedBatch(ps, op.anns[lo:hi])
-				for _, a := range ok {
-					if a {
-						added++
-					}
-				}
-			}
-			return fmt.Sprintf("added=%d duplicates=%d", added, len(op.docs)-added)
-		}
 		added, dups := ingest(e, &docSource{op.docs, op.anns}, op.batch)
 		return fmt.Sprintf("added=%d duplicates=%d", added, dups)
 	case "delete":
@@ -572,12 +549,15 @@ func (o *oracle) onEngine(op *oracleOp) string {
 	case "compact":
 		return fmt.Sprintf("reclaimed=%d", e.Index.Compact())
 	case "save":
-		e.Workers = op.workers
 		dir := o.t.TempDir()
 		if op.on {
 			return o.load(dir, op.workers, o.saveAnnotatedTombstones(dir))
 		}
-		if err := e.Save(dir); err != nil {
+		prev := DefaultWorkers
+		DefaultWorkers = op.workers
+		err := e.Save(dir, nil)
+		DefaultWorkers = prev
+		if err != nil {
 			return "error: " + err.Error()
 		}
 		if e.Generation == 0 {

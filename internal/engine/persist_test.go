@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,114 +13,40 @@ import (
 	"testing"
 	"time"
 
-	"deepweb/internal/core"
 	"deepweb/internal/index"
 	"deepweb/internal/store"
-	"deepweb/internal/webgen"
 )
 
-// surfacedEngine builds and surfaces a world whose index uses the
-// given posting-shard count.
-func surfacedEngine(t testing.TB, shards int) *Engine {
+// corpusEngine returns an engine whose index, on the given shard count,
+// holds an annotated bulkgen world with every seventh document
+// tombstoned: a mutated, annotated corpus, built without surfacing.
+func corpusEngine(t testing.TB, shards int) *Engine {
 	t.Helper()
-	e, err := Build(webgen.WorldConfig{Seed: 7, SitesPerDom: 1, RowsPerSite: 60})
-	if err != nil {
-		t.Fatal(err)
+	e := &Engine{Index: index.NewSharded(shards)}
+	if added, _ := ingest(e, bulkWorld(t, 7, 1200, 6).Source(1), 256); added != 1200 {
+		t.Fatalf("corpus holds %d of 1200 documents", added)
 	}
-	e.Index = index.NewSharded(shards)
-	e.Workers = 4
-	if e.IndexSurfaceWeb(context.Background()) == 0 {
-		t.Fatal("surface-web crawl indexed nothing")
-	}
-	if _, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
-		t.Fatal(err)
+	for id := 0; id < 1200; id += 7 {
+		e.Index.Delete(id)
 	}
 	return e
-}
-
-var persistQueries = []string{
-	"used ford focus", "homes in seattle", "nurse jobs",
-	"history books", "thai recipes", "turing award professor",
-	"ford ford focus", "the of and", "zzz-no-such-term",
-}
-
-// sourceCounts counts the live documents of each non-empty Source.
-func sourceCounts(ix *index.Index) map[string]int {
-	counts := map[string]int{}
-	ix.ForEachLive(func(_ int, d index.Doc, _ string) {
-		if d.Source != "" {
-			counts[d.Source]++
-		}
-	})
-	return counts
-}
-
-// The acceptance bar of the snapshot layer: for a surfaced world,
-// Search from a loaded snapshot is bit-identical to the live index —
-// ids, scores (to the last float bit), tie order — across shard
-// counts, with encode and decode running on the parallel workers path.
-// Run with -race.
-func TestSaveLoadSearchBitIdentical(t *testing.T) {
-	for _, shards := range []int{1, 4, index.DefaultShards} {
-		live := surfacedEngine(t, shards)
-		dir := t.TempDir()
-		if err := live.Save(dir); err != nil {
-			t.Fatalf("shards=%d: save: %v", shards, err)
-		}
-
-		prev := DefaultWorkers
-		DefaultWorkers = 4
-		loaded, err := Load(dir)
-		DefaultWorkers = prev
-		if err != nil {
-			t.Fatalf("shards=%d: load: %v", shards, err)
-		}
-
-		if live.Index.Len() != loaded.Index.Len() {
-			t.Fatalf("shards=%d: %d docs became %d", shards, live.Index.Len(), loaded.Index.Len())
-		}
-		for id := 0; id < live.Index.Len(); id++ {
-			if live.Index.Doc(id) != loaded.Index.Doc(id) {
-				t.Fatalf("shards=%d: doc %d differs", shards, id)
-			}
-			if !reflect.DeepEqual(live.Index.AnnotationsOf(id), loaded.Index.AnnotationsOf(id)) {
-				t.Fatalf("shards=%d: annotations of doc %d differ", shards, id)
-			}
-		}
-		if !reflect.DeepEqual(sourceCounts(live.Index), sourceCounts(loaded.Index)) {
-			t.Errorf("shards=%d: per-source counts differ", shards)
-		}
-		for _, q := range persistQueries {
-			a, b := search(live.Index, q, 10), search(loaded.Index, q, 10)
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: Search(%q) differs:\n  live   %v\n  loaded %v", shards, q, a, b)
-				continue
-			}
-			for i := range a {
-				if math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-					t.Errorf("shards=%d: Search(%q) hit %d: score bits differ", shards, q, i)
-				}
-			}
-			if a, b := annotatedSearch(live.Index, q, 10), annotatedSearch(loaded.Index, q, 10); !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: AnnotatedSearch(%q) differs", shards, q)
-			}
-		}
-	}
 }
 
 // A snapshot saved by a 1-worker engine must be byte-identical — every
 // file — to one saved by a parallel engine, across shard counts:
 // directory bytes are a function of the index alone.
 func TestSaveDeterministicAcrossWorkers(t *testing.T) {
+	prev := DefaultWorkers
+	defer func() { DefaultWorkers = prev }()
 	for _, shards := range []int{1, 4, 16} {
-		e := surfacedEngine(t, shards)
+		e := corpusEngine(t, shards)
 		seq, par := t.TempDir(), t.TempDir()
-		e.Workers = 1
-		if err := e.Save(seq); err != nil {
+		DefaultWorkers = 1
+		if err := e.Save(seq, nil); err != nil {
 			t.Fatal(err)
 		}
-		e.Workers = 4
-		if err := e.Save(par); err != nil {
+		DefaultWorkers = 4
+		if err := e.Save(par, nil); err != nil {
 			t.Fatal(err)
 		}
 		if n := len(readDir(t, seq)); n != shards+3 {
@@ -163,10 +87,10 @@ func reseal(raw []byte) {
 // error — the serving binary exits at startup instead of serving a
 // silently wrong index.
 func TestLoadRejectsDamagedSnapshot(t *testing.T) {
-	e := surfacedEngine(t, 4)
+	e := corpusEngine(t, 4)
 	save := func(t *testing.T) string {
 		dir := t.TempDir()
-		if err := e.Save(dir); err != nil {
+		if err := e.Save(dir, nil); err != nil {
 			t.Fatal(err)
 		}
 		return dir
@@ -219,9 +143,9 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 	})
 	t.Run("segments from different snapshots", func(t *testing.T) {
 		dir := save(t)
-		other := surfacedEngine(t, 8)
+		other := corpusEngine(t, 8)
 		otherDir := t.TempDir()
-		if err := other.Save(otherDir); err != nil {
+		if err := other.Save(otherDir, nil); err != nil {
 			t.Fatal(err)
 		}
 		// A docs segment claiming 8 shards over 4-shard postings files.
@@ -244,7 +168,7 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 	// snapshot, doc 3 tombstoned, with tables made by hand and stamped
 	// with the snapshot's id, so only the tables' own rule is broken.
 	// valid is the base each case edits; as it is, it loads.
-	tables := newEngine()
+	tables := New()
 	for i := range 4 {
 		tables.Index.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used car"})
 	}
@@ -261,7 +185,7 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 	saveWith := func(t *testing.T, snapOffset uint32, edit func([]index.AnnColumn, []index.AnnSchema)) string {
 		t.Helper()
 		dir := t.TempDir()
-		if err := tables.Save(dir); err != nil {
+		if err := tables.Save(dir, nil); err != nil {
 			t.Fatal(err)
 		}
 		cols, schemas := valid()
@@ -328,7 +252,7 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 // case where the order a Go map handed them to Annotate used to pick
 // the ids, ten times over.
 func TestLoadIsDeterministic(t *testing.T) {
-	e := newEngine()
+	e := New()
 	for i := range 60 {
 		id, _ := e.Index.Add(index.Doc{
 			URL:  fmt.Sprintf("http://cars.example/p%d", i),
@@ -348,7 +272,7 @@ func TestLoadIsDeterministic(t *testing.T) {
 	}
 	e.Index.Delete(5)
 	dir := t.TempDir()
-	if err := e.Save(dir); err != nil {
+	if err := e.Save(dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	var first index.AnnTables
@@ -375,7 +299,7 @@ func TestLoadIsDeterministic(t *testing.T) {
 // compacted — loads as a fresh index with the same documents and
 // tombstones, annotated in doc-id order.
 func TestLoadedTablesAreCanonical(t *testing.T) {
-	e := newEngine()
+	e := New()
 	for i := range 40 {
 		id, _ := e.Index.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/p%d", i), Text: fmt.Sprintf("used car %d", i)})
 		e.Index.Annotate(id, map[string]string{
@@ -387,7 +311,7 @@ func TestLoadedTablesAreCanonical(t *testing.T) {
 	roundTrip := func(e *Engine) index.AnnTables {
 		t.Helper()
 		dir := t.TempDir()
-		if err := e.Save(dir); err != nil {
+		if err := e.Save(dir, nil); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := Load(dir)
@@ -429,8 +353,9 @@ func TestLoadedTablesAreCanonical(t *testing.T) {
 }
 
 // Load edge cases: an empty directory, a snapshot without the optional
-// semantics segment, and a version-skewed (v1) snapshot must each fail
-// — or degrade — cleanly, never panic or misread.
+// semantics segment, one whose meta segment is damaged, and a
+// version-skewed (v1, v2) snapshot must each fail — or degrade —
+// cleanly, never panic or misread.
 func TestLoadEdgeCases(t *testing.T) {
 	t.Run("empty directory", func(t *testing.T) {
 		// The directory exists but holds no segments: "no snapshot
@@ -443,9 +368,9 @@ func TestLoadEdgeCases(t *testing.T) {
 		// Engine.Save writes no tables segment; the index must load
 		// anyway (the segment is optional) while LoadSemantics reports
 		// the absence cleanly.
-		e := surfacedEngine(t, 4)
+		e := corpusEngine(t, 4)
 		dir := t.TempDir()
-		if err := e.Save(dir); err != nil {
+		if err := e.Save(dir, nil); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := Load(dir)
@@ -459,31 +384,31 @@ func TestLoadEdgeCases(t *testing.T) {
 			t.Fatalf("missing tables segment: want not-exist, got %v", err)
 		}
 	})
-	t.Run("missing meta segment", func(t *testing.T) {
-		// A snapshot stripped of refresh metadata still serves; it just
-		// carries no site signatures.
-		e := surfacedEngine(t, 4)
+	t.Run("damaged meta segment", func(t *testing.T) {
+		// The meta segment is the surfacer's refresh metadata; Load
+		// never reads it, so damage there cannot stop a server.
+		e := corpusEngine(t, 4)
 		dir := t.TempDir()
-		if err := e.Save(dir); err != nil {
+		if err := e.Save(dir, []store.SiteMeta{{Host: "cars.example", Signature: 7}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Remove(store.MetaPath(dir)); err != nil {
+		if err := os.WriteFile(store.MetaPath(dir), []byte("not a segment"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := Load(dir)
 		if err != nil {
-			t.Fatalf("meta-less snapshot rejected: %v", err)
+			t.Fatalf("snapshot with a damaged meta segment rejected: %v", err)
 		}
-		if len(loaded.SiteSignatures) != 0 {
-			t.Fatalf("signatures from nowhere: %v", loaded.SiteSignatures)
+		if loaded.Index.Len() != e.Index.Len() || loaded.Generation != e.Generation {
+			t.Fatalf("loaded %d docs of generation %08x, saved %d of %08x", loaded.Index.Len(), loaded.Generation, e.Index.Len(), e.Generation)
 		}
 	})
 	t.Run("v2 version skew", func(t *testing.T) {
 		// A v2 snapshot spells annotations out in its docs segment and
 		// has no columns segment: ErrVersion, not a misread.
-		e := surfacedEngine(t, 4)
+		e := corpusEngine(t, 4)
 		dir := t.TempDir()
-		if err := e.Save(dir); err != nil {
+		if err := e.Save(dir, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.Remove(store.ColumnsPath(dir)); err != nil {
@@ -506,9 +431,9 @@ func TestLoadEdgeCases(t *testing.T) {
 	t.Run("v1 version skew", func(t *testing.T) {
 		// A v1-era segment (version field 1, CRCs resealed) must come
 		// back as a clean ErrVersion from the whole-engine Load.
-		e := surfacedEngine(t, 4)
+		e := corpusEngine(t, 4)
 		dir := t.TempDir()
-		if err := e.Save(dir); err != nil {
+		if err := e.Save(dir, nil); err != nil {
 			t.Fatal(err)
 		}
 		path := store.DocsPath(dir)
@@ -527,42 +452,17 @@ func TestLoadEdgeCases(t *testing.T) {
 	})
 }
 
-// The semantic store round-trips through its tables segment: the
-// rebuilt ACSDb and value store are identical because both are pure
-// functions of the persisted tables.
-func TestSemanticsSaveLoad(t *testing.T) {
-	e, err := Build(webgen.WorldConfig{Seed: 7, SitesPerDom: 1, RowsPerSite: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sem := e.BuildSemantics(context.Background(), 2000)
-	dir := t.TempDir()
-	if err := sem.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSemantics(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sem) {
-		t.Fatalf("semantic store round trip differs:\n got %+v\nwant %+v", got, sem)
-	}
-	if got.Server() == nil {
-		t.Fatal("loaded store has no server")
-	}
-}
-
 // Save sweeps a crashed predecessor's *.tmp droppings from the target
 // directory before writing, so they can neither accumulate nor be
 // mistaken for live segments.
 func TestSaveSweepsStaleTmp(t *testing.T) {
-	e := surfacedEngine(t, 4)
+	e := corpusEngine(t, 4)
 	dir := t.TempDir()
 	stale := filepath.Join(dir, "docs.seg.999.tmp")
 	if err := os.WriteFile(stale, []byte("crashed writer"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Save(dir); err != nil {
+	if err := e.Save(dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {

@@ -1,19 +1,17 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"os"
 
 	"deepweb/internal/semserv"
 	"deepweb/internal/store"
-	"deepweb/internal/webgen"
 	"deepweb/internal/webtables"
-	"deepweb/internal/webx"
 )
 
 // SemanticStore is the §6 aggregate-semantics side of the façade: the
-// stores built by deep-crawling the world and pooling its HTML tables.
+// stores built by deep-crawling the world and pooling its HTML tables
+// (surface.Surfacer.BuildSemantics), or rebuilt from a snapshot.
 type SemanticStore struct {
 	PagesCrawled int
 	RawTables    int
@@ -23,23 +21,18 @@ type SemanticStore struct {
 	Values *webtables.ValueStore
 }
 
-// BuildSemantics deep-crawls the world — following query links so
-// record pages (with tables) are reached, the post-surfacing state of
-// the index — and aggregates every HTML table into an ACSDb and a value
-// store. maxPages bounds the crawl (0 = unlimited); a canceled ctx
-// stops the crawl and builds the stores from the pages fetched so far.
-func (e *Engine) BuildSemantics(ctx context.Context, maxPages int) *SemanticStore {
-	c := &webx.Crawler{Fetcher: e.Fetch, FollowQuery: true, MaxPages: maxPages}
-	pages := c.Crawl(ctx, "http://"+webgen.HubHost+"/")
-	raw := webtables.ExtractFromPages(pages)
-	good := webtables.QualityFilter(raw)
+// NewSemanticStore aggregates a quality-filtered table set into the
+// ACSDb and value store. Both are pure functions of the tables, which
+// is why a snapshot persists only the tables. pages and raw are the
+// crawl's page count and its table count before filtering.
+func NewSemanticStore(pages, raw int, tables []webtables.RawTable) *SemanticStore {
 	vals := webtables.NewValueStore()
-	vals.AddTables(good)
+	vals.AddTables(tables)
 	return &SemanticStore{
-		PagesCrawled: len(pages),
-		RawTables:    len(raw),
-		Tables:       good,
-		ACS:          webtables.BuildACSDb(good),
+		PagesCrawled: pages,
+		RawTables:    raw,
+		Tables:       tables,
+		ACS:          webtables.BuildACSDb(tables),
 		Values:       vals,
 	}
 }
@@ -69,7 +62,7 @@ func (s *SemanticStore) Save(dir string) error {
 }
 
 // LoadSemantics rebuilds a SemanticStore from a snapshot directory's
-// tables segment — the warm-start path that replaces BuildSemantics's
+// tables segment — the warm-start path that replaces the surfacer's
 // deep crawl. The ACSDb and value store come out identical to the
 // saved store's because both are pure functions of the table set.
 func LoadSemantics(dir string) (*SemanticStore, error) {
@@ -77,13 +70,5 @@ func LoadSemantics(dir string) (*SemanticStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: load tables: %w", err)
 	}
-	vals := webtables.NewValueStore()
-	vals.AddTables(seg.Tables)
-	return &SemanticStore{
-		PagesCrawled: seg.PagesCrawled,
-		RawTables:    seg.RawTables,
-		Tables:       seg.Tables,
-		ACS:          webtables.BuildACSDb(seg.Tables),
-		Values:       vals,
-	}, nil
+	return NewSemanticStore(seg.PagesCrawled, seg.RawTables, seg.Tables), nil
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"deepweb/internal/core"
-	"deepweb/internal/engine"
+	"deepweb/internal/surface"
 	"deepweb/internal/virtual"
 	"deepweb/internal/webgen"
 	webxpkg "deepweb/internal/webx"
@@ -80,12 +80,12 @@ type E2Report struct {
 // E2SiteLoad surfaces a world, then runs the same query stream through
 // the index and through a mediator over the same sites.
 func E2SiteLoad(ctx context.Context, seed int64, sitesPerDom, rows, queries int) (E2Report, error) {
-	w, err := engine.Build(webgen.WorldConfig{Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows})
+	w, err := surface.Build(webgen.WorldConfig{Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows})
 	if err != nil {
 		return E2Report{}, err
 	}
 	w.IndexSurfaceWeb(ctx)
-	resp, err := w.Surface(ctx, engine.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
+	resp, err := w.Surface(ctx, surface.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
 		return E2Report{}, err
 	}
@@ -101,7 +101,7 @@ func E2SiteLoad(ctx context.Context, seed int64, sitesPerDom, rows, queries int)
 	// Build the mediator over the same forms.
 	m := virtual.NewMediator(w.Fetch)
 	for _, site := range w.Web.Sites() {
-		f, err := engine.FormOf(ctx, w.Fetch, site)
+		f, err := surface.FormOf(ctx, w.Fetch, site)
 		if err != nil {
 			continue
 		}
@@ -124,7 +124,7 @@ func E2SiteLoad(ctx context.Context, seed int64, sitesPerDom, rows, queries int)
 	// Surfacing serves the same stream from the index: no site traffic.
 	before := w.Web.TotalRequests()
 	for i := 0; i < queries; i++ {
-		w.Index.TopK(ctx, queriesList[i%len(queriesList)], 10, 0, nil)
+		w.Engine.Index.TopK(ctx, queriesList[i%len(queriesList)], 10, 0, nil)
 	}
 	rep.SurfacingReqPerQry = float64(w.Web.TotalRequests()-before) / float64(queries)
 	return rep, nil
@@ -152,17 +152,17 @@ type E3Report struct {
 // E3Fortuitous builds faculty sites, surfaces them, and asks
 // "<award> professor" for every award in the data.
 func E3Fortuitous(ctx context.Context, seed int64, rows int) (E3Report, error) {
-	w, err := engine.Build(webgen.WorldConfig{Seed: seed, SitesPerDom: 1, RowsPerSite: rows})
+	w, err := surface.Build(webgen.WorldConfig{Seed: seed, SitesPerDom: 1, RowsPerSite: rows})
 	if err != nil {
 		return E3Report{}, err
 	}
 	w.IndexSurfaceWeb(ctx)
-	if _, err := w.Surface(ctx, engine.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 5}); err != nil {
+	if _, err := w.Surface(ctx, surface.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 5}); err != nil {
 		return E3Report{}, err
 	}
 	m := virtual.NewMediator(w.Fetch)
 	for _, site := range w.Web.Sites() {
-		if f, err := engine.FormOf(ctx, w.Fetch, site); err == nil {
+		if f, err := surface.FormOf(ctx, w.Fetch, site); err == nil {
 			m.Register(f)
 		}
 	}
@@ -186,9 +186,9 @@ func E3Fortuitous(ctx context.Context, seed int64, rows int) (E3Report, error) {
 		rep.Queries++
 		q := aw + " professor"
 		// Surfacing arm: any top-10 index hit containing the award.
-		hits, _, _ := w.Index.TopK(ctx, q, 10, 0, nil)
+		hits, _, _ := w.Engine.Index.TopK(ctx, q, 10, 0, nil)
 		for _, hit := range hits {
-			doc := w.Index.Doc(hit.DocID)
+			doc := w.Engine.Index.Doc(hit.DocID)
 			if strings.Contains(strings.ToLower(doc.Text), aw) {
 				rep.SurfacingHits++
 				break

@@ -9,6 +9,7 @@ import (
 
 	"deepweb/internal/core"
 	"deepweb/internal/form"
+	"deepweb/internal/textutil"
 	"deepweb/internal/webgen"
 	webxpkg "deepweb/internal/webx"
 )
@@ -38,10 +39,10 @@ type E5Report struct {
 // typedNameVariants are realistic input names per type, and decoyNames
 // are untyped names a recognizer must not fire on.
 var typedNameVariants = map[string][]string{
-	core.TypeZip:   {"zip", "zipcode", "zip_code", "postalcode"},
-	core.TypeCity:  {"city", "cityname", "town"},
-	core.TypePrice: {"price", "maxprice", "min_price", "salary", "cost"},
-	core.TypeDate:  {"year", "date", "pubdate", "modelyear"},
+	textutil.TypeZip:   {"zip", "zipcode", "zip_code", "postalcode"},
+	textutil.TypeCity:  {"city", "cityname", "town"},
+	textutil.TypePrice: {"price", "maxprice", "min_price", "salary", "cost"},
+	textutil.TypeDate:  {"year", "date", "pubdate", "modelyear"},
 }
 
 var decoyNames = []string{
@@ -57,7 +58,7 @@ func E5TypedInputs(ctx context.Context, seed int64, populationForms, rows int) (
 	r := rand.New(rand.NewSource(seed))
 	rep.PopulationForms = populationForms
 	tp, fp, fn := 0, 0, 0
-	kinds := []string{core.TypeZip, core.TypeCity, core.TypePrice, core.TypeDate}
+	kinds := []string{textutil.TypeZip, textutil.TypeCity, textutil.TypePrice, textutil.TypeDate}
 	for i := 0; i < populationForms; i++ {
 		var name, truth string
 		if r.Float64() < 0.067 {
@@ -68,7 +69,7 @@ func E5TypedInputs(ctx context.Context, seed int64, populationForms, rows int) (
 		} else {
 			name = decoyNames[r.Intn(len(decoyNames))]
 		}
-		got := core.HypothesizeType(name, "")
+		got := textutil.HypothesizeType(name, "")
 		switch {
 		case got != "" && got == truth:
 			tp++

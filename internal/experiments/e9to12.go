@@ -8,8 +8,8 @@ import (
 	"deepweb/internal/core"
 	"deepweb/internal/coverage"
 	"deepweb/internal/dist"
-	"deepweb/internal/engine"
 	"deepweb/internal/index"
+	"deepweb/internal/surface"
 	"deepweb/internal/virtual"
 	"deepweb/internal/webgen"
 	webxpkg "deepweb/internal/webx"
@@ -178,11 +178,11 @@ type E11Report struct {
 // pages), aggregates, and scores services.
 func E11Semantics(ctx context.Context, seed int64, sitesPerDom, rows int) (E11Report, error) {
 	var rep E11Report
-	w, err := engine.Build(webgen.WorldConfig{Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows})
+	w, err := surface.Build(webgen.WorldConfig{Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows})
 	if err != nil {
 		return rep, err
 	}
-	// Deep crawl through the engine façade: follow query links so record
+	// Deep crawl through the surfacer: follow query links so record
 	// pages (with tables) are reached — the post-surfacing state of the
 	// index.
 	sem := w.BuildSemantics(ctx, 4000)
@@ -285,13 +285,13 @@ type E12Report struct {
 // E12GetPost builds a mixed world and measures reach both ways.
 func E12GetPost(ctx context.Context, seed int64, sitesPerDom, rows, postFraction int) (E12Report, error) {
 	var rep E12Report
-	w, err := engine.Build(webgen.WorldConfig{
+	w, err := surface.Build(webgen.WorldConfig{
 		Seed: seed, SitesPerDom: sitesPerDom, RowsPerSite: rows, PostFraction: postFraction,
 	})
 	if err != nil {
 		return rep, err
 	}
-	if _, err := w.Surface(ctx, engine.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 0}); err != nil {
+	if _, err := w.Surface(ctx, surface.SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 0}); err != nil {
 		return rep, err
 	}
 	m := virtual.NewMediator(w.Fetch)
@@ -305,7 +305,7 @@ func E12GetPost(ctx context.Context, seed int64, sitesPerDom, rows, postFraction
 			rep.PostRecords += site.Table.Len()
 			postHosts = append(postHosts, site.Spec.Host)
 		}
-		if f, err := engine.FormOf(ctx, w.Fetch, site); err == nil {
+		if f, err := surface.FormOf(ctx, w.Fetch, site); err == nil {
 			m.Register(f)
 		}
 	}

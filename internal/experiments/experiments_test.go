@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"deepweb/internal/core"
-	"deepweb/internal/engine"
+	"deepweb/internal/surface"
 	"deepweb/internal/webgen"
 )
 
@@ -232,7 +232,7 @@ func TestE12PostInvisibleToSurfacing(t *testing.T) {
 }
 
 func TestWorldHelpers(t *testing.T) {
-	w, err := engine.Build(webgen.WorldConfig{Seed: 1, SitesPerDom: 1, RowsPerSite: 30})
+	w, err := surface.Build(webgen.WorldConfig{Seed: 1, SitesPerDom: 1, RowsPerSite: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

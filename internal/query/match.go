@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 
-	"deepweb/internal/core"
 	"deepweb/internal/index"
 	"deepweb/internal/textutil"
 )
@@ -14,7 +13,7 @@ import (
 // padded token phrase the text fallback looks for.
 type compiled struct {
 	p      Predicate
-	typ    string // core.HypothesizeType(attr, ""); "" = untyped
+	typ    string // textutil.HypothesizeType(attr, ""); "" = untyped
 	phrase string // OpEq: " tok tok " over the value's tokens; "" = no tokens
 }
 
@@ -38,7 +37,7 @@ func NewMatcher(preds []Predicate) *Matcher {
 	}
 	m := &Matcher{preds: make([]compiled, 0, len(preds))}
 	for _, p := range preds {
-		c := compiled{p: p, typ: core.HypothesizeType(p.Attr, "")}
+		c := compiled{p: p, typ: textutil.HypothesizeType(p.Attr, "")}
 		if p.Op == OpEq {
 			if toks := textutil.Tokenize(p.Value); len(toks) > 0 {
 				c.phrase = " " + strings.Join(toks, " ") + " "
@@ -54,7 +53,7 @@ func NewMatcher(preds []Predicate) *Matcher {
 // type-compatible one (minprice and maxprice both hypothesize to
 // price).
 func (c *compiled) reads(attr string) bool {
-	return attr == c.p.Attr || c.p.Op != OpEq && c.typ != "" && core.HypothesizeType(attr, "") == c.typ
+	return attr == c.p.Attr || c.p.Op != OpEq && c.typ != "" && textutil.HypothesizeType(attr, "") == c.typ
 }
 
 // verdict is what a document's annotations say about one predicate.
@@ -255,7 +254,7 @@ func (c *compiled) matchText(d *docTokens) bool {
 		return c.phrase != "" && strings.Contains(d.padded, c.phrase)
 	}
 	nums := d.nums
-	if c.typ == core.TypeDate {
+	if c.typ == textutil.TypeDate {
 		nums = d.years
 	}
 	for _, v := range nums {

@@ -18,7 +18,7 @@
 //  2. For numeric predicates, annotations on *type-compatible*
 //     attributes also answer: a `price<10000` filter is satisfied by a
 //     `minprice=3800` annotation because both hypothesize to the price
-//     type (core.HypothesizeType).
+//     type (textutil.HypothesizeType).
 //  3. With no relevant annotation, typed tokens from the document text
 //     stand in — surfaced result pages render their records' numbers
 //     as plain tokens, so a price filter scans the page's numbers.

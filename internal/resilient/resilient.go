@@ -1,7 +1,7 @@
 // Package resilient is the fetch path's fault armor. The paper's
 // surfacing system probed millions of real deep-web forms, where slow,
 // flaky, rate-limiting and garbage-emitting sites are the norm — so
-// every fetch the engine issues flows through this package's
+// every fetch the surfacer issues flows through this package's
 // RoundTripper, which adds what a bare transport lacks:
 //
 //   - an error taxonomy (transient vs. permanent, typed wrapped errors
@@ -13,7 +13,7 @@
 //   - a per-host three-state circuit breaker (closed → open →
 //     half-open), so a host that is down stops soaking up attempts and
 //     is re-probed with a single trial request after a cooldown;
-//   - atomic counters per host, so the engine can attribute every
+//   - atomic counters per host, so the surfacer can attribute every
 //     attempt and fault to the site that issued it.
 //
 // The transport buffers each response body (bounded by MaxBodyBytes),
@@ -73,7 +73,7 @@ var (
 
 // NoRetryHeader marks a response that must not be retried regardless of
 // its status — set by layers that answer requests locally on purpose
-// (the engine's politeness cap serves 429s this way; backing off and
+// (the surfacer's politeness cap serves 429s this way; backing off and
 // re-asking would just burn the very budget the cap protects).
 const NoRetryHeader = "X-Resilient-No-Retry"
 

@@ -93,7 +93,7 @@ const (
 )
 
 // hostState is one host's counters and circuit breaker. Counters are
-// atomics (the engine reads them while fetches run); the breaker's
+// atomics (the surfacer reads them while fetches run); the breaker's
 // state machine is guarded by mu.
 type hostState struct {
 	attempts  atomic.Uint64

@@ -1,4 +1,4 @@
-package engine
+package surface
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"deepweb/internal/core"
+	"deepweb/internal/engine"
 	"deepweb/internal/webgen"
 )
 
@@ -50,18 +51,8 @@ func TestSurfaceCanceledContextAborts(t *testing.T) {
 		t.Fatalf("%d sites committed after a cancellation at position 0", len(e.Results))
 	}
 	// The engine is still consistent and usable.
-	if _, err := e.Search(context.Background(), SearchRequest{Query: "ford", K: 5}); err != nil {
+	if _, err := e.Engine.Search(context.Background(), engine.SearchRequest{Query: "ford", K: 5}); err != nil {
 		t.Fatalf("engine unusable after canceled Surface: %v", err)
-	}
-}
-
-// A canceled context surfaces through Search as its error.
-func TestSearchCanceledContext(t *testing.T) {
-	e := surfacedEngine(t, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.Search(ctx, SearchRequest{Query: "used ford focus", K: 10}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Search returned %v, want context.Canceled", err)
 	}
 }
 
@@ -70,7 +61,7 @@ func TestSearchCanceledContext(t *testing.T) {
 // web's per-host request counters.
 func TestRefreshPerHostCap(t *testing.T) {
 	const cap = 40
-	run := func(capped bool) (*Engine, map[string]int, RefreshResponse) {
+	run := func(capped bool) (*Surfacer, map[string]int, RefreshResponse) {
 		e, err := Build(webgen.WorldConfig{Seed: 7, SitesPerDom: 1, RowsPerSite: 60})
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +116,7 @@ func TestRefreshPerHostCap(t *testing.T) {
 		// recorded signature), not committed as fully refreshed.
 		if n >= cap {
 			truncated++
-			if _, ok := capped.SiteSignatures[host]; ok {
+			if _, ok := capped.siteSignatures[host]; ok {
 				t.Errorf("host %s was truncated by the cap yet its signature was recorded", host)
 			}
 		}
@@ -208,7 +199,7 @@ func TestRefreshBudgetFraction(t *testing.T) {
 			continue
 		}
 		starved++
-		if _, recorded := e.SiteSignatures[host]; recorded {
+		if _, recorded := e.siteSignatures[host]; recorded {
 			t.Errorf("host %s exhausted its reduced budget yet its signature was recorded", host)
 		}
 	}

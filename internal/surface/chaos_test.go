@@ -1,4 +1,4 @@
-package engine
+package surface
 
 import (
 	"context"
@@ -18,6 +18,14 @@ func chaosOpts() resilient.Options {
 	o.BaseDelay = 100 * time.Microsecond
 	o.MaxDelay = time.Millisecond
 	return o
+}
+
+// useStorm routes the surfacer's traffic through storm, as UseTransport
+// does, but under opts instead of the resilient defaults.
+func useStorm(s *Surfacer, storm *webgen.Chaos, opts resilient.Options) {
+	s.base = storm
+	s.rt = resilient.NewTransport(storm, opts)
+	s.Fetch = newFetcher(s.rt)
 }
 
 // stormOver profiles every second host with a decaying flap — the
@@ -77,8 +85,7 @@ func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
 	e.Workers = 4
 	e.CompactRatio = 0 // compaction is explicit, at the comparison point
 	storm, flapped := stormOver(e.Web, 1234)
-	e.ropts = chaosOpts()
-	e.UseTransport(storm)
+	useStorm(e, storm, chaosOpts())
 
 	resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
@@ -101,7 +108,7 @@ func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
 			t.Errorf("flapped host %s classified permanent: %s", host, rep.Err)
 		}
 		if rep.Status != SiteOK {
-			if _, ok := e.SiteSignatures[host]; ok {
+			if _, ok := e.siteSignatures[host]; ok {
 				t.Errorf("troubled host %s recorded a signature; refresh will never heal it", host)
 			}
 		}
@@ -132,9 +139,9 @@ func TestChaosSurfaceConvergesToFaultFree(t *testing.T) {
 	}
 
 	// Bit-identical equivalence after canonicalizing both arms.
-	ref.Index.Compact()
-	e.Index.Compact()
-	if !reflect.DeepEqual(e.SiteSignatures, ref.SiteSignatures) {
+	ref.Engine.Index.Compact()
+	e.Engine.Index.Compact()
+	if !reflect.DeepEqual(e.siteSignatures, ref.siteSignatures) {
 		t.Error("healed signatures differ from fault-free")
 	}
 	requireSameCorpus(t, "healed vs fault-free", e, ref)
@@ -150,9 +157,9 @@ func TestChaosWithoutRetriesDegradesGracefully(t *testing.T) {
 	}
 	e.Workers = 4
 	storm, flapped := stormOver(e.Web, 1234)
-	e.ropts = chaosOpts()
-	e.ropts.MaxAttempts = 1 // retries off
-	e.UseTransport(storm)
+	opts := chaosOpts()
+	opts.MaxAttempts = 1 // retries off
+	useStorm(e, storm, opts)
 
 	resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
@@ -200,8 +207,7 @@ func TestChaosGarbleDegradesGracefully(t *testing.T) {
 	storm := webgen.NewChaos(e.Web, 7)
 	garbled := e.Web.Sites()[0].Spec.Host
 	storm.SetProfile(garbled, webgen.FaultProfile{P: map[webgen.FaultKind]float64{webgen.FaultGarble: 1}})
-	e.ropts = chaosOpts()
-	e.UseTransport(storm)
+	useStorm(e, storm, chaosOpts())
 
 	resp, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {

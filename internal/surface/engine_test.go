@@ -1,14 +1,14 @@
-package engine
+package surface
 
 import (
 	"context"
 	"fmt"
 	"net/http"
 	"reflect"
-	"sync"
 	"testing"
 
 	"deepweb/internal/core"
+	"deepweb/internal/engine"
 	"deepweb/internal/index"
 	"deepweb/internal/webgen"
 )
@@ -26,12 +26,29 @@ func annotatedSearch(ix *index.Index, q string, k int) []index.Result {
 	return hits
 }
 
+var persistQueries = []string{
+	"used ford focus", "homes in seattle", "nurse jobs",
+	"history books", "thai recipes", "turing award professor",
+	"ford ford focus", "the of and", "zzz-no-such-term",
+}
+
+// sourceCounts counts the live documents of each non-empty Source.
+func sourceCounts(ix *index.Index) map[string]int {
+	counts := map[string]int{}
+	ix.ForEachLive(func(_ int, d index.Doc, _ string) {
+		if d.Source != "" {
+			counts[d.Source]++
+		}
+	})
+	return counts
+}
+
 // buildEngine surfaces a fresh multi-site world with the given worker
 // count. Each call regenerates the world from the same seed so the two
 // arms share nothing. It requires every site's report to count exactly
 // the requests the web server saw from the pass: the report is the
 // crawler's traffic ledger, and the server's own books are the truth.
-func buildEngine(t testing.TB, workers int) (*Engine, SurfaceResponse) {
+func buildEngine(t testing.TB, workers int) (*Surfacer, SurfaceResponse) {
 	t.Helper()
 	e, err := Build(webgen.WorldConfig{Seed: 7, SitesPerDom: 1, RowsPerSite: 60})
 	if err != nil {
@@ -67,15 +84,15 @@ func TestSurfaceDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	// Identical index contents in identical doc-id order.
-	if seq.Index.Len() != par.Index.Len() {
-		t.Fatalf("index sizes differ: %d vs %d", seq.Index.Len(), par.Index.Len())
+	if seq.Engine.Index.Len() != par.Engine.Index.Len() {
+		t.Fatalf("index sizes differ: %d vs %d", seq.Engine.Index.Len(), par.Engine.Index.Len())
 	}
-	for id := 0; id < seq.Index.Len(); id++ {
-		a, b := seq.Index.Doc(id), par.Index.Doc(id)
+	for id := 0; id < seq.Engine.Index.Len(); id++ {
+		a, b := seq.Engine.Index.Doc(id), par.Engine.Index.Doc(id)
 		if a != b {
 			t.Fatalf("doc %d differs:\n  seq %+v\n  par %+v", id, a, b)
 		}
-		if !reflect.DeepEqual(seq.Index.AnnotationsOf(id), par.Index.AnnotationsOf(id)) {
+		if !reflect.DeepEqual(seq.Engine.Index.AnnotationsOf(id), par.Engine.Index.AnnotationsOf(id)) {
 			t.Fatalf("annotations of doc %d differ", id)
 		}
 	}
@@ -87,7 +104,7 @@ func TestSurfaceDeterministicAcrossWorkers(t *testing.T) {
 	if a, b := seq.MeanCoverage(), par.MeanCoverage(); a != b {
 		t.Errorf("mean coverage differs: %v vs %v", a, b)
 	}
-	if a, b := sourceCounts(seq.Index), sourceCounts(par.Index); !reflect.DeepEqual(a, b) {
+	if a, b := sourceCounts(seq.Engine.Index), sourceCounts(par.Engine.Index); !reflect.DeepEqual(a, b) {
 		t.Errorf("per-source doc counts differ:\n  seq %v\n  par %v", a, b)
 	}
 	for host, sres := range seq.Results {
@@ -108,46 +125,13 @@ func TestSurfaceDeterministicAcrossWorkers(t *testing.T) {
 		"used ford focus", "homes in seattle", "nurse jobs",
 		"history books", "thai recipes", "turing award professor",
 	} {
-		if a, b := search(seq.Index, q, 10), search(par.Index, q, 10); !reflect.DeepEqual(a, b) {
+		if a, b := search(seq.Engine.Index, q, 10), search(par.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) differs:\n  seq %v\n  par %v", q, a, b)
 		}
-		if a, b := annotatedSearch(seq.Index, q, 10), annotatedSearch(par.Index, q, 10); !reflect.DeepEqual(a, b) {
+		if a, b := annotatedSearch(seq.Engine.Index, q, 10), annotatedSearch(par.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("AnnotatedSearch(%q) differs", q)
 		}
 	}
-}
-
-// On a surfaced world, concurrent searches (which share the index's
-// pooled dense accumulators) must return exactly what a quiet
-// sequential search returns, query after query. Run with -race; this
-// is the engine-level guard on the accumulator rewrite.
-func TestSearchStableUnderConcurrentQueries(t *testing.T) {
-	e, _ := buildEngine(t, 4)
-	queries := []string{
-		"used ford focus", "homes in seattle", "nurse jobs",
-		"history books", "thai recipes", "turing award professor",
-		"ford ford focus", "the of and", "zzz-no-such-term",
-	}
-	want := make([][]index.Result, len(queries))
-	for i, q := range queries {
-		want[i] = search(e.Index, q, 10)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				qi := (g + i) % len(queries)
-				got := search(e.Index, queries[qi], 10)
-				if !reflect.DeepEqual(got, want[qi]) {
-					t.Errorf("goroutine %d: Search(%q) diverged under concurrency", g, queries[qi])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // Worker counts beyond the site count, and the Workers=0 default, are
@@ -175,7 +159,7 @@ func TestSurfaceEmptyWorld(t *testing.T) {
 	if _, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Index.Len() != 0 {
+	if e.Engine.Index.Len() != 0 {
 		t.Error("empty world indexed documents")
 	}
 }
@@ -283,6 +267,31 @@ func TestBuildSemantics(t *testing.T) {
 	}
 }
 
+// The semantic store round-trips through its tables segment: the
+// rebuilt ACSDb and value store are identical because both are pure
+// functions of the persisted tables.
+func TestSemanticsSaveLoad(t *testing.T) {
+	e, err := Build(webgen.WorldConfig{Seed: 7, SitesPerDom: 1, RowsPerSite: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sem := e.BuildSemantics(context.Background(), 2000)
+	dir := t.TempDir()
+	if err := sem.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := engine.LoadSemantics(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sem) {
+		t.Fatalf("semantic store round trip differs:\n got %+v\nwant %+v", got, sem)
+	}
+	if got.Server() == nil {
+		t.Fatal("loaded store has no server")
+	}
+}
+
 // FormOf parses the form of every GET site.
 func TestFormOf(t *testing.T) {
 	e, err := Build(webgen.WorldConfig{Seed: 7, SitesPerDom: 1, RowsPerSite: 20})
@@ -300,7 +309,7 @@ func TestFormOf(t *testing.T) {
 	}
 }
 
-func ExampleEngine_Surface() {
+func ExampleSurfacer_Surface() {
 	e, err := Build(webgen.WorldConfig{Seed: 42, SitesPerDom: 1, RowsPerSite: 30})
 	if err != nil {
 		panic(err)

@@ -1,10 +1,11 @@
-package engine
+package surface
 
 import (
 	"context"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 
@@ -21,7 +22,7 @@ import (
 // paper works to minimize. Refresh re-surfaces only the sites whose
 // backing content actually moved, detected by comparing each site's
 // current table signature against the one recorded when it was last
-// surfaced (SiteSignatures, persisted in the snapshot meta segment).
+// surfaced (persisted in the snapshot meta segment).
 //
 // For each changed site it retires the site's old documents (surfaced
 // result pages and crawled surface-web pages alike) through the
@@ -51,8 +52,7 @@ type RefreshStats struct {
 // as long as the faults themselves subside.
 type RefreshResponse struct {
 	RefreshStats
-	Sites    map[string]SiteReport
-	Degraded bool
+	SurfaceResponse
 }
 
 // RefreshRequest configures one Refresh pass. Config and FollowNext
@@ -92,27 +92,23 @@ type RefreshRequest struct {
 }
 
 // Refresh re-surfaces the sites whose content changed since they were
-// last surfaced, per req. The engine must carry a virtual web (built
-// or attached via LoadWith); a Load-ed engine without one cannot
-// refresh. The context cancels the pass exactly as it cancels Surface:
-// committed sites stay committed, and ctx.Err() is returned.
-func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshResponse, error) {
+// last surfaced, per req. The context cancels the pass exactly as it
+// cancels Surface: committed sites stay committed, and ctx.Err() is
+// returned.
+func (s *Surfacer) Refresh(ctx context.Context, req RefreshRequest) (RefreshResponse, error) {
 	var resp RefreshResponse
 	st := &resp.RefreshStats
-	if e.Web == nil {
-		return resp, fmt.Errorf("engine: refresh: no web attached (use LoadWith)")
-	}
 	cfg := req.Config
 	if req.BudgetFraction < 0 || req.BudgetFraction > 1 {
-		return resp, fmt.Errorf("engine: refresh: BudgetFraction %v outside [0, 1] (0 = full budget)", req.BudgetFraction)
+		return resp, fmt.Errorf("surface: refresh: BudgetFraction %v outside [0, 1] (0 = full budget)", req.BudgetFraction)
 	}
 	if req.BudgetFraction > 0 {
 		if cfg.ProbeBudget = int(float64(cfg.ProbeBudget) * req.BudgetFraction); cfg.ProbeBudget < 1 {
 			cfg.ProbeBudget = 1
 		}
 	}
-	fetch := e.Fetch
-	runRT := e.rt
+	fetch := s.Fetch
+	runRT := s.rt
 	var capped *hostCapTransport
 	if req.PerHostCap > 0 {
 		// The cap sits *under* the resilient layer, so retries count
@@ -121,32 +117,25 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 		// NoRetryHeader, so the retry loop hands them straight back
 		// instead of backing off against our own politeness limiter.
 		capped = &hostCapTransport{
-			rt:      e.base,
+			rt:      s.base,
 			cap:     req.PerHostCap,
 			n:       map[string]int{},
 			refused: map[string]bool{},
 		}
-		runRT = resilient.NewTransport(capped, e.ropts)
+		runRT = resilient.NewTransport(capped, resilient.Defaults())
 		fetch = newFetcher(runRT)
-	}
-	var want map[string]bool
-	if req.Hosts != nil {
-		want = make(map[string]bool, len(req.Hosts))
-		for _, h := range req.Hosts {
-			want[h] = true
-		}
 	}
 
 	// Detect churn site by site, in host order.
 	var changed []*webgen.Site
-	for _, site := range e.Web.Sites() {
+	for _, site := range s.Web.Sites() {
 		host := site.Spec.Host
-		if want != nil && !want[host] {
+		if req.Hosts != nil && !slices.Contains(req.Hosts, host) {
 			continue
 		}
 		st.SitesChecked++
 		sig := site.TableSignature()
-		if old, ok := e.SiteSignatures[host]; ok && old == sig {
+		if old, ok := s.siteSignatures[host]; ok && old == sig {
 			continue
 		}
 		changed = append(changed, site)
@@ -173,7 +162,7 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 		surfaceIDs[site.Spec.Host] = nil
 	}
 	var retire []int
-	e.Index.ForEachLive(func(id int, d index.Doc, host string) {
+	s.Engine.Index.ForEachLive(func(id int, d index.Doc, host string) {
 		if _, ok := surfaceIDs[host]; !ok {
 			return
 		}
@@ -184,7 +173,7 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 		}
 	})
 	for _, id := range retire {
-		if e.Index.Delete(id) {
+		if s.Engine.Index.Delete(id) {
 			st.DocsDeleted++
 		}
 	}
@@ -195,7 +184,7 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 	// crawl indexes them ahead of surfacing. Refetches go through the
 	// same (possibly capped) fetcher as the workers' traffic, so
 	// PerHostCap covers every request of the pass.
-	reports, err := e.surfacePipeline(ctx, changed, pipelineRun{
+	reports, err := s.surfacePipeline(ctx, changed, pipelineRun{
 		cfg:        cfg,
 		followNext: req.FollowNext,
 		filt:       req.Filter,
@@ -203,8 +192,8 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 		rt:         runRT,
 		commit: func(out *siteOutcome) {
 			for _, id := range surfaceIDs[out.host] {
-				u := e.Index.Doc(id).URL
-				if e.Index.Delete(id) {
+				u := s.Engine.Index.Doc(id).URL
+				if s.Engine.Index.Delete(id) {
 					st.DocsDeleted++
 				}
 				page, ferr := fetch.GetCtx(ctx, u)
@@ -221,12 +210,12 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 					}
 					continue
 				}
-				if _, added := e.Index.Add(index.Doc{URL: u, Title: page.Title(), Text: page.Text()}); added {
+				if _, added := s.Engine.Index.Add(index.Doc{URL: u, Title: page.Title(), Text: page.Text()}); added {
 					st.SurfacePages++
 					st.DocsAdded++
 				}
 			}
-			e.commitOutcome(out)
+			s.commitOutcome(out)
 			st.DocsAdded += out.report.Ingest.Indexed
 			// A site whose pass was truncated — by the politeness cap,
 			// or by exhausting a deliberately reduced probe budget — is
@@ -239,7 +228,7 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 				truncated = true
 			}
 			if truncated {
-				delete(e.SiteSignatures, out.host)
+				delete(s.siteSignatures, out.host)
 			}
 		},
 	})
@@ -249,8 +238,8 @@ func (e *Engine) Refresh(ctx context.Context, req RefreshRequest) (RefreshRespon
 		return resp, err
 	}
 
-	if e.CompactRatio > 0 && e.Index.TombstoneRatio() >= e.CompactRatio {
-		e.Index.Compact()
+	if s.CompactRatio > 0 && s.Engine.Index.TombstoneRatio() >= s.CompactRatio {
+		s.Engine.Index.Compact()
 		st.Compacted = true
 	}
 	return resp, nil

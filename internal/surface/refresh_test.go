@@ -1,17 +1,21 @@
-package engine
+package surface
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
 	"net/http"
+	"os"
 	"reflect"
 	"testing"
 
 	"deepweb/internal/core"
+	"deepweb/internal/engine"
 	"deepweb/internal/index"
+	"deepweb/internal/store"
 	"deepweb/internal/webgen"
 )
 
@@ -36,7 +40,7 @@ func churnSubset(web *webgen.Web, seed int64) int {
 }
 
 // freshEngine builds and fully surfaces a world on the parallel path.
-func freshEngine(t *testing.T, shards int) *Engine {
+func freshEngine(t *testing.T, shards int) *Surfacer {
 	e, _ := churnedEngine(t, shards, nil)
 	return e
 }
@@ -45,13 +49,13 @@ func freshEngine(t *testing.T, shards int) *Engine {
 // then crawls and surfaces it from scratch on the parallel path: the
 // corpus a refresh of that churn must converge on. It returns the
 // pass's site reports too.
-func churnedEngine(t *testing.T, shards int, churn func(*webgen.Web)) (*Engine, map[string]SiteReport) {
+func churnedEngine(t *testing.T, shards int, churn func(*webgen.Web)) (*Surfacer, map[string]SiteReport) {
 	t.Helper()
 	e, err := Build(refreshWorldCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Index = index.NewSharded(shards)
+	e.Engine.Index = index.NewSharded(shards)
 	e.Workers = 4
 	if churn != nil {
 		churn(e.Web)
@@ -70,9 +74,9 @@ func churnedEngine(t *testing.T, shards int, churn func(*webgen.Web)) (*Engine, 
 // live document count, and for every persistQueries probe the whole
 // result set as URL → score bits and source, answered by Search — from
 // the result cache, where one is enabled.
-func requireSameCorpus(t *testing.T, label string, a, b *Engine) {
+func requireSameCorpus(t *testing.T, label string, a, b *Surfacer) {
 	t.Helper()
-	if x, y := a.Index.Len(), b.Index.Len(); x != y {
+	if x, y := a.Engine.Index.Len(), b.Engine.Index.Len(); x != y {
 		t.Errorf("%s: live docs %d vs %d", label, x, y)
 	}
 	for _, q := range persistQueries {
@@ -84,9 +88,9 @@ func requireSameCorpus(t *testing.T, label string, a, b *Engine) {
 
 // urlHits flattens a whole-corpus search into URL → score bits and
 // source, the id-free view of a result set.
-func urlHits(t *testing.T, e *Engine, q string) map[string]string {
+func urlHits(t *testing.T, e *Surfacer, q string) map[string]string {
 	t.Helper()
-	resp, err := e.Search(context.Background(), SearchRequest{Query: q, K: 1 << 20})
+	resp, err := e.Engine.Search(context.Background(), engine.SearchRequest{Query: q, K: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func urlHits(t *testing.T, e *Engine, q string) map[string]string {
 // re-surfaced documents after tombstones), so results are compared by
 // URL.
 //
-// Tier 2 (snapshot): a Save/Load round trip of the refreshed, still
+// Tier 2 (snapshot): a Save/Open round trip of the refreshed, still
 // tombstoned engine reproduces its Search output bit-for-bit — ids,
 // scores, tie order — which is what pins the tombstone persistence.
 //
@@ -124,7 +128,7 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		refreshed.CompactRatio = 0 // keep tombstones; tier 3 compacts explicitly
 		// A warm result cache must not outlive the pass: every commit of
 		// it retires the cached answers.
-		refreshed.EnableResultCache(256)
+		refreshed.Engine.EnableResultCache(256)
 		for _, q := range persistQueries {
 			urlHits(t, refreshed, q)
 		}
@@ -142,8 +146,8 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		if st.DocsDeleted == 0 || st.DocsAdded == 0 || st.SurfacePages == 0 {
 			t.Errorf("shards=%d: degenerate refresh: %+v", shards, st)
 		}
-		if refreshed.Index.Deleted() != st.DocsDeleted {
-			t.Errorf("shards=%d: %d tombstones for %d deletions", shards, refreshed.Index.Deleted(), st.DocsDeleted)
+		if refreshed.Engine.Index.Deleted() != st.DocsDeleted {
+			t.Errorf("shards=%d: %d tombstones for %d deletions", shards, refreshed.Engine.Index.Deleted(), st.DocsDeleted)
 		}
 
 		// Arm 2: churn the same way, then surface from scratch.
@@ -158,7 +162,7 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		if !reflect.DeepEqual(reports, scratchReports) {
 			t.Errorf("shards=%d: site reports differ:\n  refreshed %v\n  scratch %v", shards, reports, scratchReports)
 		}
-		if !reflect.DeepEqual(refreshed.SiteSignatures, scratch.SiteSignatures) {
+		if !reflect.DeepEqual(refreshed.siteSignatures, scratch.siteSignatures) {
 			t.Errorf("shards=%d: site signatures differ", shards)
 		}
 		for host, res := range scratch.Results {
@@ -177,36 +181,36 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		if err := refreshed.Save(dir); err != nil {
 			t.Fatalf("shards=%d: save: %v", shards, err)
 		}
-		loaded, err := Load(dir)
+		loaded, err := Open(refreshed.Web, dir)
 		if err != nil {
 			t.Fatalf("shards=%d: load: %v", shards, err)
 		}
-		if loaded.Index.Deleted() != refreshed.Index.Deleted() {
-			t.Errorf("shards=%d: tombstones %d became %d across snapshot", shards, refreshed.Index.Deleted(), loaded.Index.Deleted())
+		if loaded.Engine.Index.Deleted() != refreshed.Engine.Index.Deleted() {
+			t.Errorf("shards=%d: tombstones %d became %d across snapshot", shards, refreshed.Engine.Index.Deleted(), loaded.Engine.Index.Deleted())
 		}
-		if !reflect.DeepEqual(loaded.SiteSignatures, refreshed.SiteSignatures) {
+		if !reflect.DeepEqual(loaded.siteSignatures, refreshed.siteSignatures) {
 			t.Errorf("shards=%d: site signatures lost across snapshot", shards)
 		}
 		for _, q := range persistQueries {
-			if a, b := search(refreshed.Index, q, 10), search(loaded.Index, q, 10); !reflect.DeepEqual(a, b) {
+			if a, b := search(refreshed.Engine.Index, q, 10), search(loaded.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: Search(%q) differs across snapshot:\n  live   %v\n  loaded %v", shards, q, a, b)
 			}
-			if a, b := annotatedSearch(refreshed.Index, q, 10), annotatedSearch(loaded.Index, q, 10); !reflect.DeepEqual(a, b) {
+			if a, b := annotatedSearch(refreshed.Engine.Index, q, 10), annotatedSearch(loaded.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: AnnotatedSearch(%q) differs across snapshot", shards, q)
 			}
 		}
 
 		// Tier 3: compaction is a normal form — both engines land on
 		// identical ids, scores and tie order.
-		if got := refreshed.Index.Compact(); got != st.DocsDeleted {
+		if got := refreshed.Engine.Index.Compact(); got != st.DocsDeleted {
 			t.Errorf("shards=%d: compact reclaimed %d of %d tombstones", shards, got, st.DocsDeleted)
 		}
-		scratch.Index.Compact()
-		if refreshed.Index.Deleted() != 0 {
+		scratch.Engine.Index.Compact()
+		if refreshed.Engine.Index.Deleted() != 0 {
 			t.Errorf("shards=%d: tombstones survived compact", shards)
 		}
 		for _, q := range persistQueries {
-			a, b := search(refreshed.Index, q, 10), search(scratch.Index, q, 10)
+			a, b := search(refreshed.Engine.Index, q, 10), search(scratch.Engine.Index, q, 10)
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: post-compact Search(%q) differs:\n  refreshed %v\n  scratch   %v", shards, q, a, b)
 				continue
@@ -216,7 +220,7 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 					t.Errorf("shards=%d: post-compact Search(%q) hit %d: score bits differ", shards, q, i)
 				}
 			}
-			if a, b := annotatedSearch(refreshed.Index, q, 10), annotatedSearch(scratch.Index, q, 10); !reflect.DeepEqual(a, b) {
+			if a, b := annotatedSearch(refreshed.Engine.Index, q, 10), annotatedSearch(scratch.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
 				t.Errorf("shards=%d: post-compact AnnotatedSearch(%q) differs", shards, q)
 			}
 		}
@@ -224,7 +228,7 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 }
 
 // The deepcrawl -refresh path: persist a surfaced world, rebuild the
-// world from config, churn it, reattach the snapshot with LoadWith and
+// world from config, churn it, reattach the snapshot with Open and
 // refresh. The refreshed snapshot must match a from-scratch surface of
 // the churned world after both compact to canonical form.
 func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
@@ -239,7 +243,7 @@ func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	churnSubset(web2, 4242)
-	e, err := LoadWith(web2, dir)
+	e, err := Open(web2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,20 +259,94 @@ func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
 
 	scratch, _ := churnedEngine(t, 4, func(web *webgen.Web) { churnSubset(web, 4242) })
 
-	e.Index.Compact()
-	scratch.Index.Compact()
+	e.Engine.Index.Compact()
+	scratch.Engine.Index.Compact()
 	for _, q := range persistQueries {
-		if a, b := search(e.Index, q, 10), search(scratch.Index, q, 10); !reflect.DeepEqual(a, b) {
+		if a, b := search(e.Engine.Index, q, 10), search(scratch.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) differs:\n  refreshed %v\n  scratch   %v", q, a, b)
 		}
 	}
+}
+
+// The meta segment is the surfacer's: Open reads the signatures Save
+// wrote, so refreshing an unchanged world through a snapshot does
+// nothing. Without the segment every site counts as changed on the
+// next Refresh; a damaged one is refused, though engine.Load serves
+// the same directory.
+func TestOpenMetaSegment(t *testing.T) {
+	cfg := webgen.WorldConfig{Seed: 3, SitesPerDom: 1, RowsPerSite: 20}
+	s, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Workers = 4
+	if _, err := s.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	save := func(t *testing.T) string {
+		dir := t.TempDir()
+		if err := s.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	refreshOpened := func(t *testing.T, dir string) RefreshResponse {
+		web, err := webgen.BuildWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened, err := Open(web, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened.Workers = 4
+		st, err := opened.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	t.Run("meta segment", func(t *testing.T) {
+		if st := refreshOpened(t, save(t)); st.SitesChanged != 0 {
+			t.Fatalf("unchanged world re-surfaced %d sites through a snapshot", st.SitesChanged)
+		}
+	})
+	t.Run("missing meta segment", func(t *testing.T) {
+		dir := save(t)
+		if err := os.Remove(store.MetaPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		st := refreshOpened(t, dir)
+		if st.SitesChecked == 0 || st.SitesChanged != st.SitesChecked {
+			t.Fatalf("meta-less snapshot: %d of %d sites changed, want all", st.SitesChanged, st.SitesChecked)
+		}
+	})
+	t.Run("damaged meta segment", func(t *testing.T) {
+		dir := save(t)
+		path := store.MetaPath(dir)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)-1] ^= 0xff
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.Load(dir); err != nil {
+			t.Fatalf("engine.Load refused a snapshot whose meta segment alone is damaged: %v", err)
+		}
+		if _, err := Open(s.Web, dir); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("Open of a damaged meta segment: want ErrCorrupt, got %v", err)
+		}
+	})
 }
 
 // Refreshing an unchanged world is a no-op: nothing deleted, nothing
 // added, no site re-surfaced.
 func TestRefreshUnchangedWorldNoOp(t *testing.T) {
 	e := freshEngine(t, 4)
-	docs := e.Index.Len()
+	docs := e.Engine.Index.Len()
 	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -276,8 +354,8 @@ func TestRefreshUnchangedWorldNoOp(t *testing.T) {
 	if st.SitesChanged != 0 || st.DocsDeleted != 0 || st.DocsAdded != 0 {
 		t.Fatalf("no-op refresh did work: %+v", st)
 	}
-	if e.Index.Len() != docs || e.Index.Deleted() != 0 {
-		t.Fatalf("no-op refresh mutated the index: %d docs, %d tombstones", e.Index.Len(), e.Index.Deleted())
+	if e.Engine.Index.Len() != docs || e.Engine.Index.Deleted() != 0 {
+		t.Fatalf("no-op refresh mutated the index: %d docs, %d tombstones", e.Engine.Index.Len(), e.Engine.Index.Deleted())
 	}
 }
 
@@ -326,7 +404,7 @@ func TestRefreshFailureThenRetryConverges(t *testing.T) {
 		t.Error("refresh with a failed site is not marked Degraded")
 	}
 	// Surface-web pages of the failed site must still be live.
-	if !e.Index.Has("http://" + host + "/") {
+	if !e.Engine.Index.Has("http://" + host + "/") {
 		t.Fatal("failed refresh dropped the site's homepage from the index")
 	}
 
@@ -344,10 +422,10 @@ func TestRefreshFailureThenRetryConverges(t *testing.T) {
 	scratch, _ := churnedEngine(t, 4, func(web *webgen.Web) {
 		webgen.ChurnSite(web.Sites()[0], 6, rand.New(rand.NewSource(55)))
 	})
-	e.Index.Compact()
-	scratch.Index.Compact()
+	e.Engine.Index.Compact()
+	scratch.Engine.Index.Compact()
 	for _, q := range persistQueries {
-		if a, b := search(e.Index, q, 10), search(scratch.Index, q, 10); !reflect.DeepEqual(a, b) {
+		if a, b := search(e.Engine.Index, q, 10), search(scratch.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
 			t.Errorf("Search(%q) differs after recovery:\n  refreshed %v\n  scratch   %v", q, a, b)
 		}
 	}
@@ -366,8 +444,8 @@ func TestRefreshAutoCompacts(t *testing.T) {
 	if !st.Compacted {
 		t.Fatalf("refresh did not compact: %+v", st)
 	}
-	if e.Index.Deleted() != 0 {
-		t.Fatalf("%d tombstones after compaction", e.Index.Deleted())
+	if e.Engine.Index.Deleted() != 0 {
+		t.Fatalf("%d tombstones after compaction", e.Engine.Index.Deleted())
 	}
 	// The renumbered engine must still refresh correctly.
 	churnSubset(e.Web, 100)
@@ -378,7 +456,7 @@ func TestRefreshAutoCompacts(t *testing.T) {
 	if st2.SitesChanged == 0 {
 		t.Fatalf("post-compact refresh found nothing: %+v", st2)
 	}
-	if got := search(e.Index, "used ford focus", 5); len(got) == 0 {
+	if got := search(e.Engine.Index, "used ford focus", 5); len(got) == 0 {
 		t.Fatal("post-compact refreshed index answers nothing")
 	}
 }
@@ -390,7 +468,7 @@ func TestRefreshAutoCompacts(t *testing.T) {
 func TestRefreshAfterBareIndexCompact(t *testing.T) {
 	e := freshEngine(t, 4)
 	e.CompactRatio = 0
-	e.Index.Compact()
+	e.Engine.Index.Compact()
 	churnSubset(e.Web, 99)
 	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {

@@ -1,4 +1,4 @@
-package engine
+package surface
 
 import (
 	"deepweb/internal/index"
@@ -8,7 +8,7 @@ import (
 // inserting them. The fetch stage runs concurrently across sites; the
 // expensive tokenization happens here, in the worker, via
 // index.Prepare. Insertion — and therefore doc-id assignment — waits
-// for the engine's ordered commit point.
+// for the surfacer's ordered commit point.
 //
 // Dedup semantics match direct insertion: Has consults the shared index
 // (pages the surface-web crawl indexed before surfacing began) plus the
@@ -61,7 +61,7 @@ func (s *stagedSink) Annotate(docID int, anns map[string]string) {
 
 // commit drains the buffer, annotations included, into the shared index
 // as one batch in arrival order and returns how many documents were
-// newly indexed. Called from the engine's single committer, so ids come
+// newly indexed. Called from the surfacer's single committer, so ids come
 // out identical for any worker count.
 func (s *stagedSink) commit() int {
 	_, added := s.global.AddPreparedBatch(s.docs, s.anns)

@@ -22,7 +22,7 @@ import (
 // Chaos wraps any RoundTripper (normally *Web) and injects faults per
 // host according to a FaultProfile. Determinism is the whole point:
 // each host gets its own RNG seeded from (seed XOR hash(host)) and its
-// own request ordinal, and the engine's pipeline guarantees one site =
+// own request ordinal, and the surfacer's pipeline guarantees one site =
 // one worker with every request targeting the site's own host — so the
 // exact same faults hit the exact same requests regardless of worker
 // count or scheduling. That is what lets a property test demand

@@ -7,6 +7,7 @@ import (
 	"deepweb/internal/core"
 	"deepweb/internal/datagen"
 	"deepweb/internal/dist"
+	"deepweb/internal/textutil"
 )
 
 // Query-pool side of the workload model: where workload.go models which
@@ -124,8 +125,8 @@ func QueryPoolFiltered(seed int64, n int, frac float64) []string {
 		nf = n
 	}
 	r := rand.New(rand.NewSource(seed + 1))
-	prices := core.TypedValues(core.TypePrice, 12)
-	years := core.TypedValues(core.TypeDate, 12)
+	prices := core.TypedValues(textutil.TypePrice, 12)
+	years := core.TypedValues(textutil.TypeDate, 12)
 	zPrice := dist.NewZipf(seed+2, 1.05, uint64(len(prices)))
 	zYear := dist.NewZipf(seed+3, 1.05, uint64(len(years)))
 	price := func() string { return prices[zPrice.Next()] }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# crawl-determinism checks the engine's contract that a surfacing pass
+# crawl-determinism checks the surfacer's contract that a surfacing pass
 # does not depend on the worker count: deepcrawl's output with
 # -workers 1 and -workers 4 must be byte-identical once the header's
 # "N workers" is normalized. It checks a fault-free crawl and one with
