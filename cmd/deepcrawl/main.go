@@ -11,9 +11,10 @@
 // With -refresh DIR it applies a delta instead of re-surfacing the
 // world: the world is rebuilt from the same flags, aged with -churn
 // random row mutations per site, and the snapshot's per-site content
-// signatures decide which sites are re-surfaced. Only those sites'
-// documents are retired and re-ingested; everything else is untouched.
-// The refreshed snapshot is written back to DIR (or to -out when
+// signatures decide which sites are re-surfaced. The refreshed index
+// is built afresh, in the order a from-scratch surface of the churned
+// world would commit: unchanged sites' documents are copied, changed
+// sites' re-surfaced. The refreshed snapshot is written back to DIR (or to -out when
 // given), and a SIGHUP makes a running `deepsearch -snapshot` pick it
 // up without restarting.
 //
@@ -258,9 +259,9 @@ func runRefresh(worldCfg webgen.WorldConfig, req surface.RefreshRequest, dir, ou
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("refresh: %d/%d sites changed, %d docs retired, %d added, %d surface pages refetched, compacted=%v in %v\n",
+	fmt.Printf("refresh: %d/%d sites changed, %d docs retired, %d added, %d surface pages refetched in %v\n",
 		st.SitesChanged, st.SitesChecked, st.DocsDeleted, st.DocsAdded, st.SurfacePages,
-		st.Compacted, time.Since(start).Round(time.Millisecond))
+		time.Since(start).Round(time.Millisecond))
 	if n := printOutcomes(st.Sites, nil); n > 0 {
 		fmt.Fprintf(os.Stderr, "deepcrawl: %d site(s) failed permanently during refresh\n", n)
 		os.Exit(1)
@@ -274,7 +275,7 @@ func runRefresh(worldCfg webgen.WorldConfig, req surface.RefreshRequest, dir, ou
 	if err := sem.Save(out); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("snapshot: %d docs (%d tombstoned) + %d semantic tables saved to %s in %v\n",
-		e.Engine.Index.Len(), e.Engine.Index.Deleted(), len(sem.Tables), out, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("snapshot: %d docs + %d semantic tables saved to %s in %v\n",
+		e.Engine.Index.Len(), len(sem.Tables), out, time.Since(start).Round(time.Millisecond))
 	fmt.Println("signal a running `deepsearch -snapshot` with SIGHUP to pick it up")
 }

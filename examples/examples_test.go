@@ -270,7 +270,7 @@ func Example_semantics() {
 	// GET /v1/semantics/autocomplete?attrs=make&k=4                → [{"name":"city","score":1},{"name":"mileage","score":1},{"name":"model","score":1},{"name":"notes","…
 	// GET /v1/semantics/values?attr=city&k=5                       → ["seattle","portland","san francisco","los angeles","denver"]
 	// GET /v1/semantics/properties?entity=seattle&k=5              → [{"name":"city","score":278},{"name":"state","score":184},{"name":"notes","score":178},{"name":"zip"…
-	// GET /v1/admin/stats                                          → {"deleted":0,"docs":0,"generation":0,"inflight_queries":0,"queries":0,"tables":2160,"tombstone_ratio…
+	// GET /v1/admin/stats                                          → {"docs":0,"generation":0,"inflight_queries":0,"queries":0,"tables":2160}
 	// GET /healthz                                                 → {"docs":0,"generation":0,"status":"ok"}
 }
 

@@ -59,12 +59,8 @@ const (
 // the set is collected lock-free, so fields may be a few requests
 // apart from each other — fine for monitoring.
 type Stats struct {
-	// Docs is the live (searchable) document count.
+	// Docs is the indexed (searchable) document count.
 	Docs int `json:"docs"`
-	// Deleted is the tombstoned document count awaiting compaction.
-	Deleted int `json:"deleted"`
-	// TombstoneRatio is deleted over the full document table.
-	TombstoneRatio float64 `json:"tombstone_ratio"`
 	// Generation is the serving snapshot's content-derived id (0 =
 	// built live). After a reload, a changed Generation is the proof
 	// the swap happened.
@@ -356,8 +352,6 @@ func (s *Server) stats() Stats {
 	st.InflightQueries = s.inflight.Load()
 	if e := s.engine(); e != nil {
 		st.Docs = e.Index.Len()
-		st.Deleted = e.Index.Deleted()
-		st.TombstoneRatio = e.Index.TombstoneRatio()
 		st.Generation = e.Generation
 		if cs, ok := e.CacheStats(); ok {
 			st.Cache = &CacheStats{Stats: cs, HitRatio: cs.HitRatio()}

@@ -77,7 +77,7 @@ func TestStatsJSONContract(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"docs", "deleted", "tombstone_ratio", "generation", "queries", "inflight_queries", "cache"} {
+	for _, key := range []string{"docs", "generation", "queries", "inflight_queries", "cache"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("stats payload missing %q: %s", key, rec.Body.String())
 		}

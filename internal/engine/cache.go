@@ -27,11 +27,13 @@ import (
 //     swap together by construction; the new engine's Generation also
 //     differs, so even a shared external cache could never cross the
 //     boundary.
-//   - Every in-place index write — an ingest batch, a Delete, an
-//     Annotate, a Compact, by an engine pass or straight through the
-//     exported Index — increments the index's version under its write
-//     lock (index.Version), so every key minted before it becomes
-//     unreachable and ages out of the LRU. A query racing a write
+//   - Every in-place index write — an ingest batch or an Annotate,
+//     by a surfacing pass or straight through the exported Index —
+//     increments the index's version under its write lock
+//     (index.Version), so every key minted before it becomes
+//     unreachable and ages out of the LRU. A refresh builds a new
+//     index, whose version starts over, inside a new *Engine with a
+//     cache of its own, so no key of the old index can name it. A query racing a write
 //     reads the version before it scans, so it caches a state no
 //     older than its key names, and no page cached before a write
 //     completes can answer a query made after it.

@@ -15,20 +15,17 @@ import (
 
 // model is the one reference every search answer is checked against
 // (TestEngineFollowsOracle): the corpus as plain Go values, one row per
-// doc id with tombstones kept in place, answering Search the slow,
-// obvious way from text. It shares with the index only the term
+// doc id, answering Search the slow, obvious way from text. It shares with the index only the term
 // pipeline (textutil) and the predicate semantics, as
 // query.Matcher.Match over an annotation map, and it states what the
 // index promises:
 //
-//   - BM25 over the live corpus — N, avgdl and df count live documents
-//     only — with the index's constants, expression shapes and
+//   - BM25 with the index's constants, expression shapes and
 //     query-term order, so score bits match exactly;
 //   - a full sort by score, ties to the lower doc id;
 //   - the annotated re-rank: the top modelRerankDepth of that ranking
 //     adjusted, in attribute order, by each value the query mentions,
-//     and sorted again;
-//   - Compact as "renumber the live documents in URL order".
+//     and sorted again.
 type model struct {
 	docs []modelDoc // by doc id
 }
@@ -38,7 +35,6 @@ type modelDoc struct {
 	anns map[string]string // as Annotate stores them: lower-cased, trimmed
 	tf   map[string]int    // stemmed term -> frequency, title terms twice
 	dl   int               // document length, title terms twice
-	dead bool
 }
 
 // The index's BM25 constants and annotation factors, restated.
@@ -63,25 +59,17 @@ func newModelDoc(d index.Doc) modelDoc {
 	return md
 }
 
-// add commits one document: a URL a live document holds is a
-// duplicate, dropped with its annotations.
+// add commits one document: a URL a document holds is a duplicate,
+// dropped with its annotations.
 func (m *model) add(d index.Doc, anns map[string]string) bool {
-	if m.liveID(d.URL) >= 0 {
-		return false
+	for _, held := range m.docs {
+		if held.URL == d.URL {
+			return false
+		}
 	}
 	m.docs = append(m.docs, newModelDoc(d))
 	m.annotate(len(m.docs)-1, anns)
 	return true
-}
-
-// liveID is the id of the live document at u, or -1.
-func (m *model) liveID(u string) int {
-	for id, d := range m.docs {
-		if !d.dead && d.URL == u {
-			return id
-		}
-	}
-	return -1
 }
 
 // annotate sets one value per attribute; empty names and values are
@@ -100,42 +88,11 @@ func (m *model) annotate(id int, anns map[string]string) {
 	}
 }
 
-func (m *model) delete(id int) bool {
-	if id < 0 || id >= len(m.docs) || m.docs[id].dead {
-		return false
-	}
-	m.docs[id].dead, m.docs[id].anns = true, nil
-	return true
-}
-
-func (m *model) compact() int {
-	var live []modelDoc
-	for _, d := range m.docs {
-		if !d.dead {
-			live = append(live, d)
-		}
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].URL < live[j].URL })
-	reclaimed := len(m.docs) - len(live)
-	m.docs = live
-	return reclaimed
-}
-
-func (m *model) live() int {
-	n := 0
-	for _, d := range m.docs {
-		if !d.dead {
-			n++
-		}
-	}
-	return n
-}
-
-// df is how many live documents hold the stemmed term.
+// df is how many documents hold the stemmed term.
 func (m *model) df(term string) int {
 	n := 0
 	for _, d := range m.docs {
-		if !d.dead && d.tf[term] > 0 {
+		if d.tf[term] > 0 {
 			n++
 		}
 	}
@@ -153,17 +110,14 @@ func (m *model) search(req SearchRequest) ([]index.Result, int) {
 			terms = append(terms, t)
 		}
 	}
-	live, liveLen := 0, 0
+	n, totalLen := len(m.docs), 0
 	for _, d := range m.docs {
-		if !d.dead {
-			live++
-			liveLen += d.dl
-		}
+		totalLen += d.dl
 	}
-	if len(terms) == 0 || live == 0 {
+	if len(terms) == 0 || n == 0 {
 		return nil, 0
 	}
-	avgdl := float64(liveLen) / float64(live)
+	avgdl := float64(totalLen) / float64(n)
 	if avgdl == 0 {
 		avgdl = 1
 	}
@@ -172,14 +126,11 @@ func (m *model) search(req SearchRequest) ([]index.Result, int) {
 	w := make([]float64, len(terms))
 	for i, t := range terms {
 		df := m.df(t)
-		w[i] = math.Log(1+(float64(live)-float64(df)+0.5)/(float64(df)+0.5)) * (modelK1 + 1)
+		w[i] = math.Log(1+(float64(n)-float64(df)+0.5)/(float64(df)+0.5)) * (modelK1 + 1)
 	}
 	match := query.NewMatcher(req.Filters)
 	var ranked []index.Result
 	for id, d := range m.docs {
-		if d.dead {
-			continue
-		}
 		score, hit := 0.0, false
 		for i, t := range terms {
 			if d.tf[t] == 0 {
@@ -235,7 +186,7 @@ func hostOf(u string) string {
 type modelMention struct{ attr, value string }
 
 // mentions returns, in attribute order, each attribute's value that a
-// live document carries and the query spells as a run of its tokens:
+// document carries and the query spells as a run of its tokens:
 // the longest such value, then the one whose run starts first.
 func (m *model) mentions(q string) []modelMention {
 	toks := textutil.Tokenize(q)
@@ -254,9 +205,6 @@ func (m *model) mentions(q string) []modelMention {
 	}
 	best := map[string]choice{}
 	for _, d := range m.docs {
-		if d.dead {
-			continue
-		}
 		for attr, v := range d.anns {
 			i, ok := at[v]
 			if !ok {

@@ -12,7 +12,6 @@ import (
 
 	"deepweb/internal/index"
 	"deepweb/internal/query"
-	"deepweb/internal/store"
 	"deepweb/internal/textutil"
 )
 
@@ -23,19 +22,15 @@ import (
 //
 //   - ingest: batches committed through Index.AddPreparedBatch (ingest
 //     in bulk_test.go), with annotations and duplicate URLs — within the
-//     batch, of live documents, of deleted ones — generated in no URL
-//     order, at a drawn batch size. A duplicate inside one batch meets
-//     the index's own rule: the first occurrence wins, with its
-//     annotations;
-//   - delete: Index.Delete of drawn ids, live, dead or out of range;
-//   - annotate: re-Annotate of live documents, overwriting values and
-//     adding attributes and values never seen before;
-//   - compact: Index.Compact;
+//     batch and of indexed documents — generated in no URL order, at a
+//     drawn batch size. A duplicate inside one batch meets the index's
+//     own rule: the first occurrence wins, with its annotations;
+//   - annotate: re-Annotate of indexed documents, overwriting values
+//     and adding attributes and values never seen before;
 //   - save: Save → Load on a drawn worker count. Save writes the index's
 //     own segment count, drawn from {1, 4, 16} when the sequence starts
 //     and by every bulkbuild;
-//   - bulkbuild: BulkBuild → Load of the live corpus at a drawn shard
-//     count, only when the model holds no tombstones;
+//   - bulkbuild: BulkBuild → Load of the corpus at a drawn shard count;
 //   - cache: the result cache on or off. While it is on, every probe
 //     runs twice, the second pass must come from the cache, and every
 //     page handed out is scribbled over before the next search. Even
@@ -51,17 +46,16 @@ func TestEngineFollowsOracle(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			o := newOracle(t, seed, seen)
-			// Every sequence deletes and compacts early, so each one
-			// checks tombstones and a renumbering.
+			// Every sequence re-annotates early, so each one checks
+			// schema moves on a small corpus.
 			o.step(o.draw("ingest"))
-			o.step(o.draw("delete"))
-			o.step(o.draw("compact"))
+			o.step(o.draw("annotate"))
 			if seed%2 == 0 {
 				o.step(&oracleOp{kind: "cache", on: true})
 			}
-			for i := 3; i < steps; i++ {
-				o.step(o.draw("ingest", "ingest", "ingest", "delete", "delete", "annotate", "annotate",
-					"compact", "save", "bulkbuild", "bulkbuild", "cache"))
+			for i := 2; i < steps; i++ {
+				o.step(o.draw("ingest", "ingest", "ingest", "annotate", "annotate",
+					"save", "bulkbuild", "bulkbuild", "cache"))
 			}
 			seen.sequences++
 		})
@@ -69,31 +63,31 @@ func TestEngineFollowsOracle(t *testing.T) {
 	if seen.sequences < seeds {
 		return // a -run pattern picked some seeds; the census needs all
 	}
-	for _, kind := range []string{"ingest", "delete", "annotate", "compact", "save", "bulkbuild", "cache"} {
+	for _, kind := range []string{"ingest", "annotate", "save", "bulkbuild", "cache"} {
 		if seen.ops[kind] == 0 {
 			t.Errorf("no sequence ran a %s", kind)
 		}
 	}
 	// A mutation the cache must see: each one run with the cache off
 	// proves nothing about retiring cached pages.
-	for _, kind := range []string{"ingest", "delete", "annotate", "compact"} {
+	for _, kind := range []string{"ingest", "annotate"} {
 		if seen.cached[kind] == 0 {
 			t.Errorf("no sequence ran a %s with the cache on", kind)
 		}
 	}
-	census := fmt.Sprintf("ops %v, with the cache on %v; %d checks with tombstones, %d annotated probes past the re-rank depth, "+
-		"%d filters admitting a proper subset, %d cache hits", seen.ops, seen.cached, seen.tombstoned, seen.reranked, seen.filtered, seen.cacheHits)
-	if seen.tombstoned == 0 || seen.reranked == 0 || seen.filtered == 0 || seen.cacheHits == 0 {
+	census := fmt.Sprintf("ops %v, with the cache on %v; %d annotated probes past the re-rank depth, "+
+		"%d filters admitting a proper subset, %d cache hits", seen.ops, seen.cached, seen.reranked, seen.filtered, seen.cacheHits)
+	if seen.reranked == 0 || seen.filtered == 0 || seen.cacheHits == 0 {
 		t.Errorf("vacuous: %s", census)
 	}
 	t.Log(census)
 }
 
 // TestEngineFollowsOracleAtomically is the concurrent mode. One writer
-// runs in-place operations — ingest in several batches, delete,
-// re-annotate with never-seen values, compact — while readers search
-// without pause, and every answer must equal the model's answer at some
-// committed state: after a batch, a Delete, an Annotate or a Compact.
+// runs in-place operations — ingest in several batches, re-annotate
+// with never-seen values — while readers search without pause, and
+// every answer must equal the model's answer at some committed state:
+// after a batch or an Annotate.
 // A commit a reader can see half of, or a query that reads two states,
 // matches none. One run can miss a torn commit, so CI repeats it
 // (-run 'Atomic' -count=10) under -race.
@@ -110,7 +104,7 @@ func TestEngineFollowsOracleAtomically(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			o := newOracle(t, seed, &oracleSeen{ops: map[string]int{}, cached: map[string]int{}})
-			for o.m.live() < 100 {
+			for len(o.m.docs) < 100 {
 				o.apply(o.draw("ingest"))
 			}
 			if seed == 2 {
@@ -131,7 +125,7 @@ func TestEngineFollowsOracleAtomically(t *testing.T) {
 			record()
 			var script []*oracleOp
 			for len(script) < 30 {
-				op := o.draw("ingest", "delete", "annotate", "annotate", "compact")
+				op := o.draw("ingest", "annotate", "annotate")
 				op.batch = max(op.batch, 6) // every batch is a state to record; batches of one are the sequential test's
 				op.want = op.onModel(&o.m, record)
 				script = append(script, op)
@@ -212,9 +206,9 @@ type modelAnswer struct {
 // oracleSeen counts what the sequences reached, so a generator that
 // stops exercising a path fails instead of passing vacuously.
 type oracleSeen struct {
-	sequences                                 int
-	ops, cached                               map[string]int // cached: ops run with the cache on
-	tombstoned, reranked, filtered, cacheHits int
+	sequences                     int
+	ops, cached                   map[string]int // cached: ops run with the cache on
+	reranked, filtered, cacheHits int
 }
 
 func newOracle(t *testing.T, seed int64, seen *oracleSeen) *oracle {
@@ -338,7 +332,7 @@ type oracleOp struct {
 	anns                   []map[string]string // parallel to docs, or to ids for annotate
 	ids                    []int
 	batch, workers, shards int
-	on                     bool   // cache; save: annotate the tombstones
+	on                     bool   // cache
 	want                   string // the model's outcome, when drawn ahead of the engine
 }
 
@@ -346,14 +340,9 @@ func (op *oracleOp) String() string {
 	switch op.kind {
 	case "ingest":
 		return fmt.Sprintf("ingest %d docs, batch %d", len(op.docs), op.batch)
-	case "delete":
-		return fmt.Sprintf("delete %v", op.ids)
 	case "annotate":
 		return fmt.Sprintf("annotate %v with %v", op.ids, op.anns)
 	case "save":
-		if op.on {
-			return fmt.Sprintf("save with annotated tombstones → load, %d workers", op.workers)
-		}
 		return fmt.Sprintf("save → load, %d workers", op.workers)
 	case "bulkbuild":
 		return fmt.Sprintf("bulkbuild → load, %d shards, batch %d, %d workers", op.shards, op.batch, op.workers)
@@ -376,25 +365,15 @@ func (o *oracle) draw(kinds ...string) *oracleOp {
 				d, anns := o.drawDoc(op.docs)
 				op.docs, op.anns = append(op.docs, d), append(op.anns, anns)
 			}
-		case "delete":
-			for n := 1 + r.Intn(4); n > 0; n-- {
-				op.ids = append(op.ids, r.Intn(len(o.m.docs)+2)-1)
-			}
 		case "annotate":
-			var live []int
-			for id, d := range o.m.docs {
-				if !d.dead {
-					live = append(live, id)
-				}
-			}
-			if len(live) == 0 {
+			if len(o.m.docs) == 0 {
 				continue
 			}
 			for n := 1 + r.Intn(3); n > 0; n-- {
-				op.ids, op.anns = append(op.ids, pick(r, live)), append(op.anns, o.drawReannotation())
+				op.ids, op.anns = append(op.ids, r.Intn(len(o.m.docs))), append(op.anns, o.drawReannotation())
 			}
 		case "bulkbuild":
-			if n := o.m.live(); n == 0 || n < len(o.m.docs) {
+			if len(o.m.docs) == 0 {
 				continue
 			}
 			op.shards, op.batch, op.workers = pick(r, []int{1, 4, 16}), pick(r, []int{7, 64}), 1+r.Intn(3)
@@ -402,9 +381,7 @@ func (o *oracle) draw(kinds ...string) *oracleOp {
 				op.docs, op.anns = append(op.docs, d.Doc), append(op.anns, maps.Clone(d.anns))
 			}
 		case "save":
-			// One draw for both keeps each seed's operation sequence.
-			n := r.Intn(6)
-			op.workers, op.on = 1+n%3, n >= 3
+			op.workers = 1 + r.Intn(3)
 		case "cache":
 			op.on = !o.cache
 		}
@@ -422,7 +399,7 @@ func (o *oracle) drawDoc(batch []index.Doc) (index.Doc, map[string]string) {
 	}
 	switch n := r.Intn(10); {
 	case n == 0 && len(o.m.docs) > 0:
-		u = o.m.docs[r.Intn(len(o.m.docs))].URL // live or deleted
+		u = o.m.docs[r.Intn(len(o.m.docs))].URL
 	case n == 1 && len(batch) > 0:
 		u = pick(r, batch).URL
 	}
@@ -510,21 +487,11 @@ func (op *oracleOp) onModel(m *model, each func()) string {
 			each()
 		}
 		return fmt.Sprintf("added=%d duplicates=%d", added, len(op.docs)-added)
-	case "delete":
-		deleted := make([]bool, len(op.ids))
-		for i, id := range op.ids {
-			deleted[i] = m.delete(id)
-			each()
-		}
-		return fmt.Sprint(deleted)
 	case "annotate":
 		for i, id := range op.ids {
 			m.annotate(id, op.anns[i])
 			each()
 		}
-	case "compact":
-		defer each()
-		return fmt.Sprintf("reclaimed=%d", m.compact())
 	}
 	return ""
 }
@@ -536,23 +503,12 @@ func (o *oracle) onEngine(op *oracleOp) string {
 	case "ingest":
 		added, dups := ingest(e, &docSource{op.docs, op.anns}, op.batch)
 		return fmt.Sprintf("added=%d duplicates=%d", added, dups)
-	case "delete":
-		deleted := make([]bool, len(op.ids))
-		for i, id := range op.ids {
-			deleted[i] = e.Index.Delete(id)
-		}
-		return fmt.Sprint(deleted)
 	case "annotate":
 		for i, id := range op.ids {
 			e.Index.Annotate(id, op.anns[i])
 		}
-	case "compact":
-		return fmt.Sprintf("reclaimed=%d", e.Index.Compact())
 	case "save":
 		dir := o.t.TempDir()
-		if op.on {
-			return o.load(dir, op.workers, o.saveAnnotatedTombstones(dir))
-		}
 		prev := DefaultWorkers
 		DefaultWorkers = op.workers
 		err := e.Save(dir, nil)
@@ -579,34 +535,6 @@ func (o *oracle) onEngine(op *oracleOp) string {
 		}
 	}
 	return ""
-}
-
-// saveAnnotatedTombstones writes the engine's index to dir as Save
-// does, except that the writer is handed annotations for every
-// tombstoned document — which it must drop, since Load refuses a
-// tombstone that holds a slot — and returns the snapshot id.
-func (o *oracle) saveAnnotatedTombstones(dir string) uint32 {
-	ix := o.e.Index
-	docs, lens, dead := ix.ExportDocs()
-	w, err := store.NewWriter(dir, ix.NumShards(), len(docs), 0)
-	if err != nil {
-		o.t.Fatal(err)
-	}
-	defer w.Abort()
-	for id, d := range docs {
-		anns := ix.AnnotationsOf(id)
-		if dead[id] {
-			anns = map[string]string{"make": "fiat", "notes": fmt.Sprintf("tombstone %d", id)}
-		}
-		if err := w.AddDoc(d, lens[id], anns, dead[id]); err != nil {
-			o.t.Fatal(err)
-		}
-	}
-	snapID, err := w.Commit(1, nil, ix.ExportTerms())
-	if err != nil {
-		o.t.Fatal(err)
-	}
-	return snapID
 }
 
 // load replaces the engine with one Load decodes from dir on the given
@@ -667,17 +595,9 @@ func (o *oracle) apply(op *oracleOp) {
 // check compares the corpus, then every probe, with the model.
 func (o *oracle) check() {
 	o.t.Helper()
-	ix, live := o.e.Index, o.m.live()
-	dead := len(o.m.docs) - live
-	if ix.Len() != live || ix.Deleted() != dead || dead > 0 && ix.TombstoneRatio() != float64(dead)/float64(len(o.m.docs)) {
-		o.fail("index holds %d live and %d deleted documents (ratio %v), model %d and %d", ix.Len(), ix.Deleted(), ix.TombstoneRatio(), live, dead)
-	}
-	if live < len(o.m.docs) {
-		o.seen.tombstoned++
-	}
-	liveURL := map[string]bool{}
-	for _, d := range o.m.docs {
-		liveURL[d.URL] = liveURL[d.URL] || !d.dead
+	ix, n := o.e.Index, len(o.m.docs)
+	if ix.Len() != n {
+		o.fail("index holds %d documents, model %d", ix.Len(), n)
 	}
 	for id, d := range o.m.docs {
 		if got := ix.Doc(id); got != d.Doc {
@@ -686,8 +606,8 @@ func (o *oracle) check() {
 		if got := ix.AnnotationsOf(id); !maps.Equal(got, d.anns) {
 			o.fail("doc %d is annotated %v, model %v", id, got, d.anns)
 		}
-		if ix.Has(d.URL) != liveURL[d.URL] {
-			o.fail("Has(%q) = %v, model %v", d.URL, !liveURL[d.URL], liveURL[d.URL])
+		if !ix.Has(d.URL) {
+			o.fail("Has(%q) = false for doc %d", d.URL, id)
 		}
 	}
 	for _, q := range oracleQueries {
@@ -736,7 +656,7 @@ func (o *oracle) check() {
 			}
 		}
 		switch {
-		case len(req.Filters) > 0 && total > 0 && total < live:
+		case len(req.Filters) > 0 && total > 0 && total < n:
 			o.seen.filtered++
 		case req.Annotated && total > modelRerankDepth && len(o.m.mentions(req.Query)) > 0:
 			o.seen.reranked++

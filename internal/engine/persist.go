@@ -7,8 +7,7 @@ import (
 	"deepweb/internal/store"
 )
 
-// Save writes the index to dir as one docs segment (including
-// tombstones, so a mutated index round-trips id-for-id), one columns
+// Save writes the index to dir as one docs segment, one columns
 // segment holding the annotation tables, one postings segment per
 // shard, and a meta segment carrying sites, the refresh metadata of
 // whoever filled the index (nil for none; Load does not read it). The
@@ -23,14 +22,14 @@ import (
 // posting list, and of the annotation tables, while it writes.
 func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 	ix := e.Index
-	docs, lens, dead := ix.ExportDocs()
+	docs, lens := ix.ExportDocs()
 	w, err := store.NewWriter(dir, ix.NumShards(), len(docs), 0)
 	if err != nil {
 		return fmt.Errorf("engine: save: %w", err)
 	}
 	defer w.Abort()
 	for id, d := range docs {
-		if err := w.AddDoc(d, lens[id], ix.AnnotationsOf(id), dead[id]); err != nil {
+		if err := w.AddDoc(d, lens[id], ix.AnnotationsOf(id)); err != nil {
 			return fmt.Errorf("engine: save docs: %w", err)
 		}
 	}
@@ -47,11 +46,11 @@ func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 
 // Load reads a snapshot directory written by Save (or BulkBuild) and
 // returns a serving engine: its Index answers plain and annotated
-// queries exactly as the saved one did — ids, score bits, tombstones,
-// live statistics and tie order included.
+// queries exactly as the saved one did — ids, score bits and tie order
+// included.
 // Once the docs segment is open, its rows (into ImportDocs), the
 // columns segment (one bulk decode, checked against the docs segment's
-// id, doc count and tombstones, into InstallAnnotations, which derives
+// id and doc count, into InstallAnnotations, which derives
 // what the segment leaves out) and the postings segments (into
 // ImportTerms) are decoded concurrently, on 2+DefaultWorkers
 // goroutines, and joined; a damaged snapshot fails with the first
@@ -63,10 +62,6 @@ func Load(dir string) (*Engine, error) {
 		return nil, fmt.Errorf("engine: load docs: %w", err)
 	}
 	hdr := docs.Header
-	dead := make([]bool, hdr.DocCount)
-	for _, id := range docs.Dead {
-		dead[id] = true
-	}
 	ix := index.NewSharded(int(hdr.Shards))
 	e := &Engine{Index: ix, Generation: hdr.SnapID}
 
@@ -79,9 +74,9 @@ func Load(dir string) (*Engine, error) {
 			if err != nil {
 				return err
 			}
-			return ix.ImportDocs(rows, lens, dead)
+			return ix.ImportDocs(rows, lens, nil)
 		case 1:
-			return store.ReadColumns(store.ColumnsPath(dir), hdr, dead, ix)
+			return store.ReadColumns(store.ColumnsPath(dir), hdr, ix)
 		}
 		si := job - 2
 		terms, ph, err := store.ReadPostings(store.PostingsPath(dir, si))

@@ -18,16 +18,13 @@ import (
 )
 
 // corpusEngine returns an engine whose index, on the given shard count,
-// holds an annotated bulkgen world with every seventh document
-// tombstoned: a mutated, annotated corpus, built without surfacing.
+// holds an annotated bulkgen world: an annotated corpus, built without
+// surfacing.
 func corpusEngine(t testing.TB, shards int) *Engine {
 	t.Helper()
 	e := &Engine{Index: index.NewSharded(shards)}
 	if added, _ := ingest(e, bulkWorld(t, 7, 1200, 6).Source(1), 256); added != 1200 {
 		t.Fatalf("corpus holds %d of 1200 documents", added)
-	}
-	for id := 0; id < 1200; id += 7 {
-		e.Index.Delete(id)
 	}
 	return e
 }
@@ -165,14 +162,13 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 	})
 
 	// Each remaining case replaces the columns segment of a four-document
-	// snapshot, doc 3 tombstoned, with tables made by hand and stamped
-	// with the snapshot's id, so only the tables' own rule is broken.
-	// valid is the base each case edits; as it is, it loads.
+	// snapshot with tables made by hand and stamped with the snapshot's
+	// id, so only the tables' own rule is broken. valid is the base each
+	// case edits; as it is, it loads.
 	tables := New()
 	for i := range 4 {
 		tables.Index.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used car"})
 	}
-	tables.Index.Delete(3)
 	valid := func() ([]index.AnnColumn, []index.AnnSchema) {
 		return []index.AnnColumn{
 				{Attr: "make", Values: []index.AnnValue{{Text: "ford"}, {Text: "saab"}}},
@@ -233,9 +229,6 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 		{"document in two schemas", "doc 1 in schemas", func(c []index.AnnColumn, s []index.AnnSchema) {
 			s[0].Docs[0] = 1
 		}},
-		{"tombstone holds a slot", "tombstoned doc 3", func(c []index.AnnColumn, s []index.AnnSchema) {
-			s[0].Docs[0] = 3
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := loadFails(t, saveWith(t, 0, tc.edit))
@@ -270,7 +263,6 @@ func TestLoadIsDeterministic(t *testing.T) {
 		}
 		e.Index.Annotate(id, anns)
 	}
-	e.Index.Delete(5)
 	dir := t.TempDir()
 	if err := e.Save(dir, nil); err != nil {
 		t.Fatal(err)
@@ -295,9 +287,8 @@ func TestLoadIsDeterministic(t *testing.T) {
 // Load installs the tables a fresh index annotated in doc-id order
 // holds, whatever order the saved index interned in: an index annotated
 // in doc-id order round-trips its tables exactly, and a mutated one —
-// reannotated, grown new attributes out of id order, tombstoned,
-// compacted — loads as a fresh index with the same documents and
-// tombstones, annotated in doc-id order.
+// reannotated, grown new attributes out of id order — loads as a fresh
+// index with the same documents, annotated in doc-id order.
 func TestLoadedTablesAreCanonical(t *testing.T) {
 	e := New()
 	for i := range 40 {
@@ -327,25 +318,17 @@ func TestLoadedTablesAreCanonical(t *testing.T) {
 	for _, id := range []int{31, 7, 12} {
 		e.Index.Annotate(id, map[string]string{"color": fmt.Sprint("red ", id), "make": "fiat"})
 	}
-	e.Index.Delete(3)
-	e.Index.Compact()
 	for _, id := range []int{20, 2, 9} {
 		e.Index.Annotate(id, map[string]string{"trim": "gl", "make": "seat"})
-		e.Index.Delete(id + 1)
 	}
 	got := roundTrip(e)
-	docs, _, dead := e.Index.ExportDocs()
+	docs, _ := e.Index.ExportDocs()
 	fresh := index.New()
-	for id, d := range docs {
+	for _, d := range docs {
 		fresh.Add(d)
-		if dead[id] {
-			fresh.Delete(id)
-		}
 	}
 	for id := range docs {
-		if !dead[id] {
-			fresh.Annotate(id, e.Index.AnnotationsOf(id))
-		}
+		fresh.Annotate(id, e.Index.AnnotationsOf(id))
 	}
 	if want := fresh.AnnotationTables(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("loaded tables of a mutated index differ from a fresh index's:\n%+v\n%+v", got.Schemas, want.Schemas)
@@ -354,7 +337,7 @@ func TestLoadedTablesAreCanonical(t *testing.T) {
 
 // Load edge cases: an empty directory, a snapshot without the optional
 // semantics segment, one whose meta segment is damaged, and a
-// version-skewed (v1, v2) snapshot must each fail — or degrade —
+// version-skewed (v1, v2, v3) snapshot must each fail — or degrade —
 // cleanly, never panic or misread.
 func TestLoadEdgeCases(t *testing.T) {
 	t.Run("empty directory", func(t *testing.T) {
@@ -401,6 +384,29 @@ func TestLoadEdgeCases(t *testing.T) {
 		}
 		if loaded.Index.Len() != e.Index.Len() || loaded.Generation != e.Generation {
 			t.Fatalf("loaded %d docs of generation %08x, saved %d of %08x", loaded.Index.Len(), loaded.Generation, e.Index.Len(), e.Generation)
+		}
+	})
+	t.Run("v3 version skew", func(t *testing.T) {
+		// A v3 docs segment ends with a list of deleted documents, which
+		// v4 dropped: ErrVersion, not a misread of that list.
+		e := corpusEngine(t, 4)
+		dir := t.TempDir()
+		if err := e.Save(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{store.DocsPath(dir), store.ColumnsPath(dir)} {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint16(raw[4:6], 3)
+			reseal(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Load(dir); !errors.Is(err, store.ErrVersion) {
+			t.Fatalf("v3 snapshot: want ErrVersion, got %v", err)
 		}
 	})
 	t.Run("v2 version skew", func(t *testing.T) {

@@ -36,7 +36,7 @@ type SearchRequest struct {
 	// Filters are structured predicates (internal/query) every hit
 	// must satisfy: admission runs after BM25 scoring and before
 	// selection, so kept documents score bit-identically to an
-	// unfiltered search and Total counts exactly the matching live
+	// unfiltered search and Total counts exactly the matching
 	// documents. Predicates resolve against the document's §5.1
 	// annotations first (bound once per request and schema to the
 	// index's annotation tables), then typed tokens from its text;
@@ -50,7 +50,7 @@ type SearchRequest struct {
 type SearchResponse struct {
 	// Results is the ranked page [Offset, Offset+K).
 	Results []index.Result
-	// Total is how many live documents matched the query (after the
+	// Total is how many documents matched the query (after the
 	// Host restriction), independent of pagination.
 	Total int
 	// Elapsed is the retrieval wall-clock.

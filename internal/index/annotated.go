@@ -28,7 +28,7 @@ import (
 // carries the same attribute set — a schema — and a corpus has a
 // handful of them (one per form template). Each attribute has a
 // dictionary — value to code, code to value, the value's numeric
-// reading, and how many live documents carry it. Each schema has a
+// reading, and how many documents carry it. Each schema has a
 // table, one code column per attribute and one slot per document, and
 // each document names its schema and its slot. What a query needs is
 // then computed at the cheapest point that can know it:
@@ -46,7 +46,7 @@ import (
 // Snapshots persist the tables themselves, as the columns segment
 // (internal/store): each dictionary's texts in code order and each
 // schema's attribute ids, slot -> doc-id list and code columns, written
-// from an AnnBuilder fed every live document in doc-id order. Loading
+// from an AnnBuilder fed every document in doc-id order. Loading
 // installs them through InstallAnnotations, which derives the rest —
 // numeric readings, support, word counts, the lookup maps, each
 // document's schema and slot — so each table's slots come back in the
@@ -111,7 +111,7 @@ type annColumn struct {
 	name    string
 	codes   map[string]uint32 // value -> code
 	values  []AnnValue        // code -> value
-	support []int32           // code -> live documents carrying it
+	support []int32           // code -> documents carrying it
 	// maxWords is the most space-separated words any value has: the
 	// longest query n-gram worth probing codes with.
 	maxWords int
@@ -314,9 +314,9 @@ func (st *annStore) schemaOf(cells []annCell) uint32 {
 }
 
 // kill drops a document's annotations: its slot goes dead and its
-// values' support is released, so a value that survives only on dead
-// documents stops steering AnnotatedTopK. The caller holds the write
-// lock and reclaims dead slots once its writes are done.
+// values' support is released, so a value no document carries any
+// more stops steering AnnotatedTopK. The caller holds the write lock
+// and reclaims dead slots once its writes are done.
 func (st *annStore) kill(docID int) {
 	if docID >= len(st.schema) || st.schema[docID] == 0 {
 		return
@@ -331,24 +331,19 @@ func (st *annStore) kill(docID int) {
 }
 
 // reclaim rewrites the tables once dead slots outnumber live ones, so
-// churn (delete, schema moves) costs amortized O(1) per slot and the
-// tables stay within twice the live documents.
+// schema moves cost amortized O(1) per slot and the tables stay within
+// twice the annotated documents.
 func (st *annStore) reclaim() {
 	if st.dead > st.slots-st.dead {
-		st.rewrite(nil)
+		st.rewrite()
 	}
 }
 
 // rewrite lays every live slot out afresh, each table in doc-id order.
-// order, when Compact passes one, lists the old id of every surviving
-// document by its new id, and the documents are renumbered through it;
-// nil keeps every id. Codes, attribute ids and schema ids are
-// untouched: dictionaries and schemas only grow.
-func (st *annStore) rewrite(order []int32) {
+// Codes, attribute ids and schema ids are untouched: dictionaries and
+// schemas only grow.
+func (st *annStore) rewrite() {
 	n := len(st.schema)
-	if order != nil {
-		n = len(order)
-	}
 	tables := make([]AnnSchema, len(st.schemas))
 	for s, old := range st.schemas {
 		tables[s] = AnnSchema{Attrs: old.Attrs, Codes: make([][]uint32, len(old.Attrs))}
@@ -357,14 +352,10 @@ func (st *annStore) rewrite(order []int32) {
 	end := 0 // one past the highest id that keeps its annotations
 	st.slots, st.dead = 0, 0
 	for id := range n {
-		from := id
-		if order != nil {
-			from = int(order[id])
-		}
-		if from >= len(st.schema) || st.schema[from] == 0 {
+		if st.schema[id] == 0 {
 			continue
 		}
-		s, at := st.schema[from], st.slot[from]
+		s, at := st.schema[id], st.slot[id]
 		old, t := &st.schemas[s], &tables[s]
 		for i := range t.Codes {
 			t.Codes[i] = append(t.Codes[i], old.Codes[i][at])
@@ -413,7 +404,7 @@ func (ix *Index) AnnotationTables() AnnTables {
 
 // AnnBuilder builds annotation tables outside any index, one document
 // at a time, through Annotate's own intern core. A snapshot writer
-// feeds it every live document's annotations in doc-id order, so the
+// feeds it every document's annotations in doc-id order, so the
 // tables it persists are those of a fresh index annotated in that
 // order. Not safe for concurrent use.
 type AnnBuilder struct{ st annStore }
@@ -443,8 +434,8 @@ func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) {
 // InstallAnnotations installs a snapshot's annotation tables into an
 // index that has none. cols holds, by attribute id, each attribute's
 // name and its dictionary texts in code order; schemas holds the
-// tables of schema 1 on, each one's Attrs, Codes and Docs. dead flags
-// the snapshot's documents, its length their count. The index takes
+// tables of schema 1 on, each one's Attrs, Codes and Docs; docs is the
+// snapshot's document count. The index takes
 // ownership of every slice. The rest — each value's numeric reading,
 // support and word count, the lookup maps, each document's schema and
 // slot — is derived outside the table lock, so a loader runs this
@@ -452,10 +443,10 @@ func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) {
 // refused whole, before anything is installed: a repeated attribute
 // name or dictionary value, an empty or repeated schema, attribute ids
 // that do not ascend or name no attribute, a code past its dictionary,
-// a slot list that does not ascend, leaves the documents or holds a
-// tombstone, and a document in two schemas.
-func (ix *Index) InstallAnnotations(cols []AnnColumn, schemas []AnnSchema, dead []bool) error {
-	st, err := restoreAnnStore(cols, schemas, dead)
+// a slot list that does not ascend or leaves the documents, and a
+// document in two schemas.
+func (ix *Index) InstallAnnotations(cols []AnnColumn, schemas []AnnSchema, docs int) error {
+	st, err := restoreAnnStore(cols, schemas, docs)
 	if err != nil {
 		return fmt.Errorf("index: annotation tables: %w", err)
 	}
@@ -471,7 +462,7 @@ func (ix *Index) InstallAnnotations(cols []AnnColumn, schemas []AnnSchema, dead 
 
 // restoreAnnStore checks persisted tables and derives the store they
 // are the columns of (see InstallAnnotations).
-func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, dead []bool) (annStore, error) {
+func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore, error) {
 	st := newAnnStore()
 	if len(cols) > 0 {
 		st.cols = make([]*annColumn, len(cols))
@@ -517,14 +508,11 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, dead []bool) (annSto
 		}
 		st.schemaIDs[string(key)] = uint32(s)
 		for slot, id := range t.Docs {
-			if id < 0 || int(id) >= len(dead) {
-				return st, fmt.Errorf("schema %d: slot %d holds doc %d of %d", s, slot, id, len(dead))
+			if id < 0 || int(id) >= docs {
+				return st, fmt.Errorf("schema %d: slot %d holds doc %d of %d", s, slot, id, docs)
 			}
 			if slot > 0 && id <= t.Docs[slot-1] {
 				return st, fmt.Errorf("schema %d: slot %d holds doc %d after doc %d", s, slot, id, t.Docs[slot-1])
-			}
-			if dead[id] {
-				return st, fmt.Errorf("schema %d: slot %d holds tombstoned doc %d", s, slot, id)
 			}
 		}
 		end = max(end, int(t.Docs[len(t.Docs)-1])+1)
@@ -580,11 +568,10 @@ const rerankDepth = 200
 // cancellation behave as in TopK. Pages tile exactly: every request
 // slices the same canonical ordering (the base top-rerankDepth
 // re-ranked once, plain BM25 order beyond it). The total counts every
-// live document the query matched (after the filter), not just the
+// document the query matched (after the filter), not just the
 // re-ranked prefix. The vocabulary probe, the base ranking and the
-// adjustment run in one read-locked section, so a concurrent Compact
-// cannot renumber documents between the ranking and the factors read
-// for it.
+// adjustment run in one read-locked section, so a concurrent Annotate
+// cannot change the factors read for a ranking made before it.
 func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -169,96 +168,4 @@ func TestAnnotatedTwoAttributeQueryIsBitStable(t *testing.T) {
 			}
 		}
 	}
-}
-
-// AnnotatedTopK reads the vocabulary, ranks, and re-reads rows for the
-// adjustment; a Compact landing between those steps would renumber the
-// rows under it. Every answer given beside a loop of Delete + Compact
-// must therefore be bit-identical to the answer at one state the loop
-// passes through — never a mix of two. Run with -race.
-func TestAnnotatedTopKIsAtomicUnderCompact(t *testing.T) {
-	const n, steps, perStep = 240, 20, 4
-	makes := []string{"ford", "honda", "toyota"}
-	build := func() *Index {
-		ix := NewSharded(4)
-		for i := 0; i < n; i++ {
-			// URL order differs from insertion order, so every Compact
-			// renumbers the survivors.
-			id, _ := ix.Add(Doc{
-				URL:  fmt.Sprintf("http://cars.example/%03d", (i*97)%n),
-				Text: fmt.Sprintf("used ford focus honda civic toyota corolla %s %d", makes[i%3], i%11),
-			})
-			ix.Annotate(id, map[string]string{"make": makes[(i/3)%3], "year": fmt.Sprint(1990 + i%7)})
-		}
-		return ix
-	}
-	// step deletes perStep documents by URL, calling after once per
-	// Delete, then compacts.
-	step := func(ix *Index, s int, after func()) {
-		for j := 0; j < perStep; j++ {
-			url := fmt.Sprintf("http://cars.example/%03d", (s*perStep+j)*7%n)
-			ix.mu.RLock()
-			id := ix.byURL[url]
-			ix.mu.RUnlock()
-			ix.Delete(id)
-			after()
-		}
-		ix.Compact()
-	}
-	queries := []string{"used ford focus", "honda civic 1993", "toyota corolla 5"}
-	answer := func(ix *Index, q string) string {
-		hits, total, err := ix.AnnotatedTopK(context.Background(), q, 40, 0, nil)
-		var b strings.Builder
-		fmt.Fprintf(&b, "total=%d err=%v", total, err)
-		for _, h := range hits {
-			fmt.Fprintf(&b, " %d:%s:%x", h.DocID, h.URL, math.Float64bits(h.Score))
-		}
-		return b.String()
-	}
-
-	// Every state the loop passes through, from a twin index.
-	ref := build()
-	valid := make([]map[string]bool, len(queries))
-	record := func() {
-		for qi, q := range queries {
-			valid[qi][answer(ref, q)] = true
-		}
-	}
-	for qi := range valid {
-		valid[qi] = map[string]bool{}
-	}
-	record()
-	for s := 0; s < steps; s++ {
-		step(ref, s, record)
-		record()
-	}
-
-	ix := build()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for s := 0; s < steps; s++ {
-			step(ix, s, func() {})
-		}
-	}()
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := r; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				q := queries[i%len(queries)]
-				if got := answer(ix, q); !valid[i%len(queries)][got] {
-					t.Errorf("%q: answer matches no state of the Delete + Compact loop:\n%s", q, got)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
 }

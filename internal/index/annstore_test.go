@@ -52,8 +52,8 @@ func TestAnnotatedEqualLengthValuesAreBitStable(t *testing.T) {
 
 // Re-annotating a document must not leak vocabulary support: an
 // overwrite releases the old value, a repeat is a no-op, so once the
-// last live document carrying a value is deleted the value stops
-// steering AnnotatedTopK.
+// last document carrying a value is annotated away from it the value
+// stops steering AnnotatedTopK.
 func TestReannotateReleasesSupport(t *testing.T) {
 	for _, second := range []string{"honda", "ford"} { // overwrite, repeat
 		ix := New()
@@ -74,13 +74,10 @@ func TestReannotateReleasesSupport(t *testing.T) {
 				t.Fatalf("second=%s: overwritten value still mentioned: %+v", second, m)
 			}
 		}
-		ix.Delete(id)
-		if ix.AnnotationsOf(id) != nil {
-			t.Fatalf("second=%s: deleted document keeps annotations", second)
-		}
+		ix.Annotate(id, map[string]string{"make": "saab"})
 		for _, q := range []string{"honda civic", "ford focus"} {
 			if m := ix.ann.valuesMentioned(q); len(m) != 0 {
-				t.Fatalf("second=%s: %q still mentions %+v after the last carrier was deleted", second, q, m)
+				t.Fatalf("second=%s: %q still mentions %+v after its last carrier was re-annotated", second, q, m)
 			}
 			plain, ann := search(ix, q, 5), annotatedSearch(ix, q, 5)
 			if !reflect.DeepEqual(plain, ann) {
@@ -91,33 +88,22 @@ func TestReannotateReleasesSupport(t *testing.T) {
 }
 
 // Annotations survive what moves them: a schema move when a document
-// gains an attribute, the rewrite that drops dead slots, and Compact's
-// renumbering. After every write the tables hold no more dead slots
+// gains an attribute, and the rewrite that drops the dead slots moves
+// leave behind. After every write the tables hold no more dead slots
 // than live ones and every value's support equals the live slots
 // carrying it; after a rewrite each table's slots follow doc ids.
 func TestAnnotationRowsSurviveChurn(t *testing.T) {
 	ix := NewSharded(4)
-	want := map[string]map[string]string{} // by URL: ids change at Compact
+	var want []map[string]string // by doc id
 	st := &ix.ann
 	check := func(when string) {
 		t.Helper()
-		seen := 0
-		ix.ForEachLive(func(int, Doc, string) { seen++ })
-		if seen != len(want) {
-			t.Fatalf("%s: %d live docs, want %d", when, seen, len(want))
+		if ix.Len() != len(want) {
+			t.Fatalf("%s: %d docs, want %d", when, ix.Len(), len(want))
 		}
-		annotated := 0
-		for id := 0; id < seen+ix.Deleted(); id++ {
-			got := ix.AnnotationsOf(id)
-			if got != nil {
-				annotated++
-			}
-			if w, live := want[ix.Doc(id).URL]; !live || ix.dead[id] {
-				if got != nil {
-					t.Fatalf("%s: dead doc %d keeps annotations %v", when, id, got)
-				}
-			} else if !reflect.DeepEqual(got, w) {
-				t.Fatalf("%s: doc %d (%s) annotations %v, want %v", when, id, ix.Doc(id).URL, got, w)
+		for id, w := range want {
+			if got := ix.AnnotationsOf(id); !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s: doc %d annotations %v, want %v", when, id, got, w)
 			}
 		}
 		if st.dead > st.slots-st.dead {
@@ -143,8 +129,8 @@ func TestAnnotationRowsSurviveChurn(t *testing.T) {
 				}
 			}
 		}
-		if slots != st.slots || dead != st.dead || live != annotated {
-			t.Fatalf("%s: %d slots, %d dead, %d live; the store counts %d and %d, %d documents are annotated", when, slots, dead, live, st.slots, st.dead, annotated)
+		if slots != st.slots || dead != st.dead || live != len(want) {
+			t.Fatalf("%s: %d slots, %d dead, %d live; the store counts %d and %d, %d documents are annotated", when, slots, dead, live, st.slots, st.dead, len(want))
 		}
 		for a, col := range st.cols {
 			for c, sup := range col.support {
@@ -168,70 +154,42 @@ func TestAnnotationRowsSurviveChurn(t *testing.T) {
 
 	const n = 400
 	for i := 0; i < n; i++ {
-		url := fmt.Sprintf("http://x.example/%03d", (i*7919)%n) // URL order != id order
-		id, _ := ix.Add(Doc{URL: url, Text: fmt.Sprintf("ford focus %d", i)})
+		id, _ := ix.Add(Doc{URL: fmt.Sprintf("http://x.example/%03d", i), Text: fmt.Sprintf("ford focus %d", i)})
 		anns := map[string]string{"make": []string{"ford", "honda"}[i%2], "year": fmt.Sprint(1990 + i%20)}
 		if i%5 == 0 {
 			anns = map[string]string{"price": fmt.Sprint(1000 * (i % 7))}
 		}
 		ix.Annotate(id, anns)
-		want[url] = anns
+		want = append(want, anns)
 		check(fmt.Sprintf("annotate %d", id))
 	}
 	// Move every third document to a grown schema — from both starting
 	// schemas — and overwrite values in place on others.
 	for id := 0; id < n; id++ {
-		url := ix.Doc(id).URL
 		switch id % 3 {
 		case 0:
 			ix.Annotate(id, map[string]string{"city": "seattle", "year": "2001"})
-			want[url]["city"], want[url]["year"] = "seattle", "2001"
+			want[id]["city"], want[id]["year"] = "seattle", "2001"
 		case 1:
 			ix.Annotate(id, map[string]string{"year": "1999"})
-			want[url]["year"] = "1999"
+			want[id]["year"] = "1999"
 		}
 		check(fmt.Sprintf("re-annotate %d", id))
 	}
-	// Delete enough to force rewrites.
+	// Move every document once more, enough to force rewrites.
 	rewrites := 0
-	for id := 1; id < n; id += 2 {
-		delete(want, ix.Doc(id).URL)
+	for id := n - 1; id >= 0; id-- {
 		dead := st.dead
-		ix.Delete(id)
+		ix.Annotate(id, map[string]string{"color": fmt.Sprint("red ", id%4)})
+		want[id]["color"] = fmt.Sprint("red ", id%4)
 		if st.dead < dead {
 			rewrites++
-			inDocIDOrder(fmt.Sprintf("delete %d", id))
+			inDocIDOrder(fmt.Sprintf("move %d", id))
 		}
-		check(fmt.Sprintf("delete %d", id))
+		check(fmt.Sprintf("move %d", id))
 	}
 	if rewrites == 0 {
-		t.Fatal("no delete rewrote the tables")
-	}
-	ix.Compact()
-	check("after compact")
-	inDocIDOrder("after compact")
-}
-
-// Compact may renumber an annotated document past every id the store
-// has a row for: only the first-added document is annotated, and its
-// URL sorts last.
-func TestCompactRemapsSparseRows(t *testing.T) {
-	ix := New()
-	id, _ := ix.Add(Doc{URL: "http://z.example/last", Text: "ford focus"})
-	ix.Annotate(id, map[string]string{"make": "ford"})
-	for i := 0; i < 20; i++ {
-		ix.Add(Doc{URL: fmt.Sprintf("http://a.example/%02d", i), Text: "ford focus"})
-	}
-	ix.Delete(3)
-	ix.Compact()
-	for id := 0; id < ix.Len(); id++ {
-		var want map[string]string
-		if ix.Doc(id).URL == "http://z.example/last" {
-			want = map[string]string{"make": "ford"}
-		}
-		if got := ix.AnnotationsOf(id); !reflect.DeepEqual(got, want) {
-			t.Fatalf("doc %d (%s): annotations %v, want %v", id, ix.Doc(id).URL, got, want)
-		}
+		t.Fatal("no schema move rewrote the tables")
 	}
 }
 

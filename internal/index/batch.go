@@ -35,7 +35,6 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 		ix.docs = append(ix.docs, p.doc)
 		ix.byURL[p.doc.URL] = id
 		ix.lens = append(ix.lens, p.dl)
-		ix.dead = append(ix.dead, false)
 		ix.hosts = append(ix.hosts, ix.hostIDLocked(p.doc.URL))
 		ix.totalLen += p.dl
 		for j, t := range p.terms {

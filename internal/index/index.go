@@ -71,15 +71,6 @@ type Index struct {
 	byURL    map[string]int
 	totalLen int
 
-	// Tombstones: Delete marks a document dead instead of rewriting
-	// postings. dead is parallel to docs; numDead and deadLen keep the
-	// live document count and live total length O(1), so BM25's N and
-	// avgdl always reflect the live corpus. Postings still reference
-	// dead ids until Compact rewrites them; TopK skips them.
-	dead    []bool
-	numDead int
-	deadLen int
-
 	postings map[string][]Posting // term -> postings in ascending doc id
 
 	// hosts is parallel to docs: each document's host (hostOf its URL)
@@ -195,33 +186,6 @@ func (ix *Index) AddPrepared(p *Prepared) (id int, added bool) {
 	return ids[0], ok[0]
 }
 
-// Delete tombstones a document: it stops answering queries and
-// contributing to BM25 statistics immediately, its URL becomes free for
-// re-insertion, and its annotations are dropped. Postings are left in
-// place (TopK skips them) until Compact reclaims the space. Returns
-// false for an unknown or already-deleted id.
-func (ix *Index) Delete(id int) bool {
-	ix.mu.Lock()
-	ix.version.Add(1)
-	if id < 0 || id >= len(ix.docs) || ix.dead[id] {
-		ix.mu.Unlock()
-		return false
-	}
-	ix.dead[id] = true
-	ix.numDead++
-	ix.deadLen += ix.lens[id]
-	d := ix.docs[id]
-	// byURL points at the live holder of a URL; guard against a stale
-	// mapping in case the URL was re-added after an earlier delete.
-	if cur, ok := ix.byURL[d.URL]; ok && cur == id {
-		delete(ix.byURL, d.URL)
-	}
-	ix.ann.kill(id)
-	ix.ann.reclaim()
-	ix.mu.Unlock()
-	return true
-}
-
 // Version changes whenever the index may answer a query differently:
 // every write-locked section increments it while holding the lock. A
 // caller that reads Version before a query therefore never pairs a
@@ -229,30 +193,11 @@ func (ix *Index) Delete(id int) bool {
 // cached under it goes stale only once the version has moved on.
 func (ix *Index) Version() uint64 { return ix.version.Load() }
 
-// Len returns the number of live (searchable) documents: tombstoned
-// documents are excluded.
+// Len returns the number of indexed documents.
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.docs) - ix.numDead
-}
-
-// Deleted returns the number of tombstoned documents awaiting Compact.
-func (ix *Index) Deleted() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.numDead
-}
-
-// TombstoneRatio is deleted documents over the full document table —
-// the statistic compaction policies threshold on.
-func (ix *Index) TombstoneRatio() float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if len(ix.docs) == 0 {
-		return 0
-	}
-	return float64(ix.numDead) / float64(len(ix.docs))
+	return len(ix.docs)
 }
 
 // Has reports whether a URL is already indexed.
@@ -276,34 +221,19 @@ func (ix *Index) plist(term string) []Posting {
 	return ix.postings[term]
 }
 
-// DF returns the live document frequency of a (raw) term after the
-// standard pipeline is applied to it; tombstoned documents don't count.
+// DF returns the document frequency of a (raw) term after the
+// standard pipeline is applied to it.
 func (ix *Index) DF(term string) int {
 	sc := searchPool.Get().(*searchScratch)
 	qterms := sc.tz.StemmedTokensInto(sc.qterms[:0], term)
 	df := 0
 	if len(qterms) > 0 {
 		ix.mu.RLock()
-		df = ix.liveDFLocked(ix.plist(qterms[0]))
+		df = len(ix.plist(qterms[0]))
 		ix.mu.RUnlock()
 	}
 	sc.qterms = qterms[:0]
 	searchPool.Put(sc)
-	return df
-}
-
-// liveDFLocked counts the live postings in a list. The caller holds
-// ix.mu read-side; with no tombstones it is O(1).
-func (ix *Index) liveDFLocked(plist []Posting) int {
-	if ix.numDead == 0 {
-		return len(plist)
-	}
-	df := 0
-	for _, p := range plist {
-		if !ix.dead[p.Doc] {
-			df++
-		}
-	}
 	return df
 }
 
@@ -353,7 +283,7 @@ type Filter struct {
 	Host string
 	// Match, when set, admits the candidates it returns true for,
 	// handed each one's doc id and document in place, under the scan's
-	// read lock, after the host check. Like ForEachLive's fn it must
+	// read lock, after the host check. Like ForEach's fn it must
 	// not call back into the index (bar AnnotationTables, which takes
 	// no lock and relies on this one): a recursive read lock deadlocks
 	// once a writer is queued.
@@ -361,10 +291,8 @@ type Filter struct {
 }
 
 // TopK returns one page of the BM25 ranking for a free-text query: the
-// k hits after skipping offset, plus the total live hit count. Ties break by ascending doc id so
-// results are deterministic. Tombstoned documents neither match nor
-// influence scoring: N, avgdl and df all describe the live corpus.
-// f is an optional admission filter; hits it rejects count toward
+// k hits after skipping offset, plus the total hit count. Ties break by
+// ascending doc id so results are deterministic. f is an optional admission filter; hits it rejects count toward
 // neither the page nor the total. Cancellation is cooperative, checked
 // between query terms and, when f sets either field, every
 // keepPollEvery candidates of the selection loop: a canceled context
@@ -405,25 +333,19 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 		return nil, 0, ctx.Err()
 	}
 
-	tableN := len(ix.docs)
-	live := tableN - ix.numDead
-	if live == 0 {
+	n := len(ix.docs)
+	if n == 0 {
 		return nil, 0, ctx.Err()
 	}
-	// Every BM25 statistic reads the *live* corpus — document count,
-	// average length, per-term document frequency — so scores after a
-	// Delete are bit-identical to an index that never held the deleted
-	// documents.
-	avgdl := float64(ix.totalLen-ix.deadLen) / float64(live)
+	avgdl := float64(ix.totalLen) / float64(n)
 	if avgdl == 0 {
 		avgdl = 1
 	}
-	// The accumulator is indexed by doc id, so it spans the full table
-	// including tombstoned rows.
-	if cap(sc.scores) < tableN {
-		sc.scores = make([]float64, tableN)
+	// The accumulator is indexed by doc id, so it spans the table.
+	if cap(sc.scores) < n {
+		sc.scores = make([]float64, n)
 	} else {
-		sc.scores = sc.scores[:tableN]
+		sc.scores = sc.scores[:n]
 	}
 	scores := sc.scores
 	touched := sc.touched[:0]
@@ -432,7 +354,6 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 	// denominator = tf + c0 + c1*dl.
 	c0 := bm25K1 * (1 - bm25B)
 	c1 := bm25K1 * bm25B / avgdl
-	dead, hasDead := ix.dead, ix.numDead > 0
 	for qi, t := range qterms {
 		// Cancellation point: once per query term, so a canceled search
 		// stops scoring within one posting-list scan.
@@ -450,29 +371,10 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 			continue
 		}
 		plist := ix.plist(t)
-		df := len(plist)
-		if hasDead {
-			df = ix.liveDFLocked(plist)
-		}
-		if df == 0 {
+		if len(plist) == 0 {
 			continue
 		}
-		w := idf(live, df) * (bm25K1 + 1)
-		if hasDead {
-			// Tombstone-aware pass: dead postings contribute nothing.
-			for _, p := range plist {
-				if dead[p.Doc] {
-					continue
-				}
-				s := scores[p.Doc]
-				if s == 0 {
-					touched = append(touched, p.Doc)
-				}
-				tf := float64(p.TF)
-				scores[p.Doc] = s + w*tf/(tf+c0+c1*float64(ix.lens[p.Doc]))
-			}
-			continue
-		}
+		w := idf(n, len(plist)) * (bm25K1 + 1)
 		for _, p := range plist {
 			// Every posting names a row of this query's table: a commit
 			// writes rows and postings in one section under the table

@@ -52,53 +52,38 @@ func (ix *Index) ExportTerms() []TermPostings {
 	return out
 }
 
-// ExportDocs returns copies of the document table, the per-document
-// term lengths and the tombstone flags, all indexed by doc id. A dead
-// entry is a deleted document whose postings have not been compacted
-// away yet; persisting it keeps doc ids — and therefore TopK tie
-// order — stable across a snapshot round trip of a mutated index.
-func (ix *Index) ExportDocs() (docs []Doc, lens []int, dead []bool) {
+// ExportDocs returns copies of the document table and the
+// per-document term lengths, both indexed by doc id.
+func (ix *Index) ExportDocs() (docs []Doc, lens []int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	docs = make([]Doc, len(ix.docs))
-	copy(docs, ix.docs)
-	lens = make([]int, len(ix.lens))
-	copy(lens, ix.lens)
-	dead = make([]bool, len(ix.dead))
-	copy(dead, ix.dead)
-	return docs, lens, dead
+	return slices.Clone(ix.docs), slices.Clone(ix.lens)
 }
 
-// ForEachLive calls fn for every live document in ascending id order,
-// with the document's host from the host column (url.Parse's Host, ""
-// for none), under the table read lock — the copy-free way to walk the
+// ForEach calls fn for every document in ascending id order, with the
+// document's host from the host column (url.Parse's Host, "" for
+// none), under the table read lock — the copy-free way to walk the
 // corpus. fn must not call back into the index.
-func (ix *Index) ForEachLive(fn func(id int, d Doc, host string)) {
+func (ix *Index) ForEach(fn func(id int, d Doc, host string)) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	for id, d := range ix.docs {
-		if !ix.dead[id] {
-			fn(id, d, ix.hostNames[ix.hosts[id]])
-		}
+		fn(id, d, ix.hostNames[ix.hosts[id]])
 	}
 }
 
 // ImportDocs installs a decoded document table into an empty index,
-// rebuilding the URL lookup, the host column and the live-corpus
-// counters BM25 reads.
-// dead marks tombstoned rows (nil = none): they get no URL entry and
-// are subtracted from the live totals, exactly the state Delete leaves
-// behind. It refuses a non-empty index: snapshots restore whole worlds,
-// they do not merge into live ones.
+// rebuilding the URL lookup, the host column and the corpus counters
+// BM25 reads. It refuses a non-empty index: snapshots restore whole
+// worlds, they do not merge into live ones. The index holds no deleted
+// documents, so dead must be nil; the parameter stays until the one
+// caller that passes it, the benchmark's traced load, goes.
 func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	if len(docs) != len(lens) {
 		return fmt.Errorf("index: import: %d docs but %d lengths", len(docs), len(lens))
 	}
-	if dead == nil {
-		dead = make([]bool, len(docs))
-	}
-	if len(dead) != len(docs) {
-		return fmt.Errorf("index: import: %d docs but %d tombstone flags", len(docs), len(dead))
+	if dead != nil {
+		return fmt.Errorf("index: import: the index holds no deleted documents, got %d flags", len(dead))
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -108,16 +93,10 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	}
 	ix.docs = docs
 	ix.lens = lens
-	ix.dead = dead
 	ix.hosts = make([]uint32, len(docs))
 	for id, d := range docs {
 		ix.hosts[id] = ix.hostIDLocked(d.URL)
 		ix.totalLen += lens[id]
-		if dead[id] {
-			ix.numDead++
-			ix.deadLen += lens[id]
-			continue
-		}
 		if prev, dup := ix.byURL[d.URL]; dup {
 			return fmt.Errorf("index: import: duplicate URL %q (docs %d and %d)", d.URL, prev, id)
 		}
@@ -128,8 +107,9 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 
 // ImportTerms installs decoded posting lists as-is (stored order
 // preserved); a term may be imported at most once per index. The index
-// takes ownership of each Postings slice without copying it — Compact
-// rewrites lists in place — so the caller must not use them afterwards.
+// takes ownership of each Postings slice without copying it — a commit
+// appends to lists in place — so the caller must not use them
+// afterwards.
 // Safe to call concurrently: a loader decodes segments in parallel.
 func (ix *Index) ImportTerms(terms []TermPostings) error {
 	ix.mu.Lock()

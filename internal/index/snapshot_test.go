@@ -23,17 +23,14 @@ func smallCorpus() *Index {
 }
 
 // tablesOf builds the annotation tables a snapshot of src holds: each
-// live document's annotations, in doc-id order, through AnnBuilder.
-func tablesOf(src *Index) ([]AnnColumn, []AnnSchema, []bool) {
-	_, _, dead := src.ExportDocs()
+// document's annotations, in doc-id order, through AnnBuilder.
+func tablesOf(src *Index) ([]AnnColumn, []AnnSchema, int) {
 	b := NewAnnBuilder()
-	for id := range dead {
-		if !dead[id] {
-			b.Annotate(id, src.AnnotationsOf(id))
-		}
+	for id := range src.Len() {
+		b.Annotate(id, src.AnnotationsOf(id))
 	}
 	cols, schemas := b.Tables()
-	return cols, schemas, dead
+	return cols, schemas, src.Len()
 }
 
 // ExportTerms hands out copies: mutating them must not corrupt the
@@ -60,21 +57,16 @@ func TestImportRejectsBadState(t *testing.T) {
 	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}}, []int{1, 2}, nil); err == nil {
 		t.Error("mismatched docs/lens accepted")
 	}
-	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}}, []int{1}, []bool{true, false}); err == nil {
-		t.Error("mismatched docs/dead accepted")
+	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}}, []int{1}, []bool{false}); err == nil {
+		t.Error("deleted-document flags accepted")
 	}
 	ix := smallCorpus()
-	docs, lens, dead := ix.ExportDocs()
-	if err := ix.ImportDocs(docs, lens, dead); err == nil {
+	docs, lens := ix.ExportDocs()
+	if err := ix.ImportDocs(docs, lens, nil); err == nil {
 		t.Error("import into non-empty index accepted")
 	}
 	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}, {URL: "u"}}, []int{1, 1}, nil); err == nil {
 		t.Error("duplicate URL accepted")
-	}
-	// A dead and a live doc may share a URL — that is exactly the state
-	// a delete-then-re-add leaves — but two live docs may not.
-	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}, {URL: "u"}}, []int{1, 1}, []bool{true, false}); err != nil {
-		t.Errorf("tombstoned duplicate URL rejected: %v", err)
 	}
 	fresh := NewSharded(2)
 	tp := []TermPostings{{Term: "dup", Postings: []Posting{{Doc: 0, TF: 1}}}}
@@ -89,9 +81,9 @@ func TestImportRejectsBadState(t *testing.T) {
 	}
 	// Tables that fail a check install nothing.
 	fresh = NewSharded(2)
-	cols, schemas, dead := tablesOf(smallCorpus())
+	cols, schemas, n := tablesOf(smallCorpus())
 	schemas[0].Codes[0][1] = uint32(len(cols[schemas[0].Attrs[0]].Values))
-	if err := fresh.InstallAnnotations(cols, schemas, dead); err == nil || fresh.AnnotationsOf(0) != nil {
+	if err := fresh.InstallAnnotations(cols, schemas, n); err == nil || fresh.AnnotationsOf(0) != nil {
 		t.Errorf("annotation install with a code past its dictionary: error %v, doc 0 annotated %v", err, fresh.AnnotationsOf(0))
 	}
 }
@@ -101,16 +93,14 @@ func TestImportRejectsBadState(t *testing.T) {
 // read leaves it alone.
 func TestVersionMovesOnEveryWrite(t *testing.T) {
 	src := smallCorpus()
-	docs, lens, dead := src.ExportDocs()
+	docs, lens := src.ExportDocs()
 	ix := NewSharded(4)
 	writes := []func() error{
-		func() error { return ix.ImportDocs(docs, lens, dead) },
+		func() error { return ix.ImportDocs(docs, lens, nil) },
 		func() error { return ix.ImportTerms(src.ExportTerms()) },
 		func() error { return ix.InstallAnnotations(tablesOf(src)) },
 		func() error { ix.Add(Doc{URL: "http://new.example/", Text: "ford"}); return nil },
 		func() error { ix.Annotate(0, map[string]string{"make": "saab"}); return nil },
-		func() error { ix.Delete(1); return nil },
-		func() error { ix.Compact(); return nil },
 	}
 	for i, write := range writes {
 		before := ix.Version()

@@ -71,9 +71,9 @@ func FuzzQueryParse(f *testing.F) {
 
 // FuzzBoundMatchesReference holds the serving path to the reference:
 // over fuzzed documents — annotation maps drawn from a small alphabet
-// of type-compatible names and awkward values, an optional
-// re-annotation that changes a document's attribute set, a delete plus
-// Compact — the set TopK admits through a Bound must equal, document by
+// of type-compatible names and awkward values, up to two optional
+// re-annotations that change a document's attribute set — the set TopK
+// admits through a Bound must equal, document by
 // document, the set Matcher.Match admits from AnnotationsOf. prog is
 // read a byte at a time (zero once spent) to draw the corpus; preds is
 // the predicate string, split by Extract.
@@ -124,12 +124,10 @@ func FuzzBoundMatchesReference(f *testing.F) {
 			id, _ := ix.Add(index.Doc{URL: fmt.Sprintf("http://h.example/%d", i), Title: "listing", Text: strings.Join(words, " ")})
 			ix.Annotate(id, draw())
 		}
-		if next()%2 == 1 {
-			ix.Annotate(next()%n, draw())
-		}
-		if next()%2 == 1 {
-			ix.Delete(next() % n)
-			ix.Compact()
+		for range 2 {
+			if next()%2 == 1 {
+				ix.Annotate(next()%n, draw())
+			}
 		}
 
 		hits, total, err := ix.TopK(context.Background(), "listing", 1000, 0, &index.Filter{Match: m.Bind(ix).Match})

@@ -84,9 +84,9 @@ func FuzzSegmentDecode(f *testing.F) {
 
 // readColumnsAsLoad is engine.Load's columns job — decode, then
 // install into a fresh index — for the columns of sampleDocs' three
-// live documents: the seeds' doc count, and the bound on the per-doc
+// documents: the seeds' doc count, and the bound on the per-doc
 // arrays an install allocates (Load's docs segment vouches for its
 // count; a fuzzed header alone does not).
 func readColumnsAsLoad(path string) error {
-	return ReadColumns(path, Header{DocCount: 3}, make([]bool, 3), index.New())
+	return ReadColumns(path, Header{DocCount: 3}, index.New())
 }

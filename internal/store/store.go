@@ -4,8 +4,8 @@
 // whole point — surface once offline, serve many times from the
 // ordinary index).
 //
-// A snapshot directory holds one docs segment (the document table and
-// its tombstones), one columns segment (the §5.1 annotation store's
+// A snapshot directory holds one docs segment (the document table),
+// one columns segment (the §5.1 annotation store's
 // schema tables), one postings segment per shard of the term space,
 // optionally one meta segment (per-site refresh signatures) and
 // optionally one tables segment (the §6 semantic store's raw tables).
@@ -68,15 +68,14 @@ import (
 // regenerated by `deepcrawl -out`, so compatibility policy is
 // "re-crawl on mismatch", recorded loudly in the error.
 //
-// v2 (the freshness format) added the tombstone list to the docs
-// segment — so a mutated index round-trips with doc ids, live counts
-// and therefore scores and tie order intact — and the meta segment
-// carrying per-site content signatures for incremental refresh. v3
-// moved annotations out of the docs segment, where each document
-// spelled its pairs out, into the columns segment, which holds the
-// schema tables a loader installs as they are. Older snapshots fail
-// with ErrVersion and must be regenerated.
-const Version = 3
+// v2 (the freshness format) added the meta segment carrying per-site
+// content signatures for incremental refresh. v3 moved annotations
+// out of the docs segment, where each document spelled its pairs out,
+// into the columns segment, which holds the schema tables a loader
+// installs as they are. v4 dropped the docs segment's list of deleted
+// documents: the index is append-only, and a refresh writes a fresh
+// one. Older snapshots fail with ErrVersion and must be regenerated.
+const Version = 4
 
 // Kind tags what a segment holds.
 type Kind uint16
@@ -369,15 +368,13 @@ func (d *dec) done() error {
 }
 
 // DocsSegment is the decoded document table: documents and their BM25
-// lengths, indexed by doc id, and the sorted ids of tombstoned
-// (deleted, not yet compacted) documents. Anns is always empty: the
-// annotations are in the columns segment. It stays for the traced
-// replay in bench/, which annotates from it.
+// lengths, indexed by doc id. Anns is always empty: the annotations
+// are in the columns segment. It stays for the traced replay in
+// bench/, which annotates from it.
 type DocsSegment struct {
 	Docs []index.Doc
 	Lens []int
 	Anns []map[string]string
-	Dead []int
 }
 
 // ReadDocs reads and decodes the whole docs segment.
@@ -386,25 +383,24 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 	if err != nil {
 		return nil, Header{}, err
 	}
-	seg := &DocsSegment{Dead: f.Dead}
+	seg := &DocsSegment{}
 	if seg.Docs, seg.Lens, err = f.Rows(); err != nil {
 		return nil, Header{}, err
 	}
 	return seg, f.Header, nil
 }
 
-// DocsFile is an opened docs segment: tombstones decoded, the document
-// rows located and decoded on demand by Rows.
+// DocsFile is an opened docs segment: the document rows located, and
+// decoded on demand by Rows.
 type DocsFile struct {
 	Header Header
-	Dead   []int // sorted ids of tombstoned documents
 
 	n    int
 	rows dec // the rows' undecoded bytes
 }
 
-// OpenDocs reads the docs segment, locates its rows by skipping every
-// string by its length, and decodes its tombstones.
+// OpenDocs reads the docs segment and locates its rows by skipping
+// every string by its length.
 func OpenDocs(path string) (*DocsFile, error) {
 	h, body, err := readSegment(path, KindDocs)
 	if err != nil {
@@ -419,21 +415,6 @@ func OpenDocs(path string) (*DocsFile, error) {
 		d.uvarint()
 	}
 	f.rows.b = f.rows.b[:len(f.rows.b)-len(d.b)]
-	nDead := d.count("tombstone", 1)
-	prev := 0
-	for i := 0; i < nDead && d.err == nil; i++ {
-		id := prev + int(d.uvarint())
-		if i > 0 && id == prev {
-			d.fail(fmt.Sprintf("duplicate tombstone id %d", id))
-			break
-		}
-		if id < 0 || id >= f.n {
-			d.fail(fmt.Sprintf("tombstone id %d of %d docs", id, f.n))
-			break
-		}
-		f.Dead = append(f.Dead, id)
-		prev = id
-	}
 	if uint64(f.n) != h.DocCount {
 		d.fail(fmt.Sprintf("body holds %d docs, header says %d", f.n, h.DocCount))
 	}

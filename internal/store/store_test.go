@@ -69,12 +69,8 @@ func writeDocs(path string, shards int, seg *DocsSegment) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	dead := map[int]bool{}
-	for _, id := range seg.Dead {
-		dead[id] = true
-	}
 	for id, d := range seg.Docs {
-		if err := w.Add(d, seg.Lens[id], dead[id]); err != nil {
+		if err := w.Add(d, seg.Lens[id]); err != nil {
 			w.Abort()
 			return 0, err
 		}
@@ -296,64 +292,28 @@ func TestShardCountBounds(t *testing.T) {
 	}
 }
 
-// Tombstones round-trip through the docs segment as the ascending id
-// list, alongside the documents.
-func TestDocsTombstonesRoundTrip(t *testing.T) {
-	path := DocsPath(t.TempDir())
-	want := sampleDocs()
-	want.Dead = []int{0, 2}
-	if _, err := writeDocs(path, 4, want); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := ReadDocs(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// threeEmptyDocs frames the document section of a hand-built docs
-// body: three documents with empty fields and zero length.
-func threeEmptyDocs() *enc {
+// A v3 docs segment ends its body with a list of deleted documents,
+// which v4 dropped. Framed by hand — three empty documents and an
+// empty list — it fails with ErrVersion, and under a v4 header its
+// trailing list is corruption, never a misread.
+func TestV3DocsSegmentRejected(t *testing.T) {
 	e := &enc{}
 	e.uvarint(3)
-	for i := 0; i < 3; i++ {
-		for f := 0; f < 4; f++ {
+	for range 3 {
+		for range 4 {
 			e.str("")
 		}
 		e.uvarint(0)
 	}
-	return e
-}
-
-// readsCorrupt writes body as a three-document docs segment and
-// requires ReadDocs to reject it as corrupt.
-func readsCorrupt(t *testing.T, what string, body []byte) {
-	t.Helper()
-	path := DocsPath(t.TempDir())
-	if err := writeSegment(path, Header{Version: Version, Kind: KindDocs, Shards: 4, DocCount: 3}, body); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadDocs(path); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("%s accepted: %v", what, err)
-	}
-}
-
-// Tombstone ids outside the doc table, or duplicated, are corruption.
-// The writer cannot emit either, so the bodies are framed by hand.
-func TestDocsTombstoneBoundsChecked(t *testing.T) {
-	for name, deltas := range map[string][]uint64{
-		"out of range": {7},
-		"duplicate":    {1, 0},
-	} {
-		e := threeEmptyDocs()
-		e.uvarint(uint64(len(deltas)))
-		for _, d := range deltas {
-			e.uvarint(d)
+	e.uvarint(0) // the v3 list of deleted documents, empty
+	for version, want := range map[uint16]error{3: ErrVersion, Version: ErrCorrupt} {
+		path := DocsPath(t.TempDir())
+		if err := writeSegment(path, Header{Version: version, Kind: KindDocs, Shards: 4, DocCount: 3}, e.b); err != nil {
+			t.Fatal(err)
 		}
-		readsCorrupt(t, name+" tombstone", e.b)
+		if _, _, err := ReadDocs(path); !errors.Is(err, want) {
+			t.Errorf("v3 docs body under a v%d header: want %v, got %v", version, want, err)
+		}
 	}
 }
 
@@ -372,14 +332,14 @@ func TestColumnsRoundTrip(t *testing.T) {
 		want.Annotate(id, sampleAnns[id])
 	}
 	got := index.New()
-	if err := ReadColumns(path, Header{DocCount: 3, SnapID: 0xBEEF}, make([]bool, 3), got); err != nil {
+	if err := ReadColumns(path, Header{DocCount: 3, SnapID: 0xBEEF}, got); err != nil {
 		t.Fatal(err)
 	}
 	if a, b := want.AnnotationTables(), got.AnnotationTables(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", b, a)
 	}
 	for _, docs := range []Header{{DocCount: 3, SnapID: 0xBEEE}, {DocCount: 4, SnapID: 0xBEEF}} {
-		if err := ReadColumns(path, docs, make([]bool, docs.DocCount), index.New()); !errors.Is(err, ErrCorrupt) {
+		if err := ReadColumns(path, docs, index.New()); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("columns of snapshot (docs=3 snap=beef) read for %+v: %v", docs, err)
 		}
 	}
@@ -399,7 +359,7 @@ func TestDocsAnnotationIDsAscend(t *testing.T) {
 		if err := WriteColumns(path, 3, 0, cols, schemas); err != nil {
 			t.Fatal(err)
 		}
-		if err := ReadColumns(path, Header{DocCount: 3}, make([]bool, 3), index.New()); !errors.Is(err, ErrCorrupt) {
+		if err := ReadColumns(path, Header{DocCount: 3}, index.New()); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s annotation ids accepted: %v", name, err)
 		}
 	}
@@ -438,9 +398,9 @@ func TestMetaRoundTrip(t *testing.T) {
 }
 
 // A v1 segment — the pre-freshness format — must fail with a clean
-// ErrVersion before any body byte is interpreted: the v1 docs body
-// lacks the tombstone block, so a misread would silently fabricate
-// tombstones from annotation bytes.
+// ErrVersion before any body byte is interpreted: the v1 docs body is
+// laid out differently, and a misread would take its bytes for
+// something they are not.
 func TestV1SegmentRejected(t *testing.T) {
 	path, raw := writeSample(t)
 	binary.LittleEndian.PutUint16(raw[4:6], 1)

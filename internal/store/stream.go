@@ -21,10 +21,8 @@ import (
 // Close before the atomic rename. The temp name ends in .tmp, so a
 // crashed writer's dropping falls to the existing CleanTmp sweep.
 //
-// Tombstones ride along as a flag per Add; their delta-coded id list
-// (a byte or two per deleted document) is buffered in RAM and appended
-// after the documents. Annotations are not in this segment: Writer
-// builds them into the columns segment.
+// Annotations are not in this segment: Writer builds them into the
+// columns segment.
 //
 // The writer expects exactly docCount Adds in doc-id order (id =
 // arrival order, matching the index's sequential assignment). Not safe
@@ -38,9 +36,6 @@ type docsWriter struct {
 	shards   int
 	expected int
 	n        int // docs added so far = next doc id
-	dead     enc // delta-coded tombstone ids, ascending
-	nDead    int
-	lastDead int
 	crc      uint32
 	bodyLen  uint64
 	scratch  enc
@@ -105,9 +100,8 @@ func (w *docsWriter) emit(b []byte) {
 }
 
 // Add appends one document. dl is its BM25 length (what ExportDocs
-// reports as Lens); dead marks a tombstoned row. The document's id is
-// its arrival order.
-func (w *docsWriter) Add(d index.Doc, dl int, dead bool) error {
+// reports as Lens). The document's id is its arrival order.
+func (w *docsWriter) Add(d index.Doc, dl int) error {
 	if w.done {
 		return errors.New("store: docs writer: add after close")
 	}
@@ -126,17 +120,12 @@ func (w *docsWriter) Add(d index.Doc, dl int, dead bool) error {
 	e.str(d.Source)
 	e.uvarint(uint64(dl))
 	w.emit(e.b)
-	if dead {
-		w.dead.uvarint(uint64(w.n - w.lastDead))
-		w.lastDead = w.n
-		w.nDead++
-	}
 	w.n++
 	return w.err
 }
 
-// Close appends the tombstone list to the body, patches the real
-// header, and atomically renames the segment into place. The snapshot
+// Close patches the real header and atomically renames the segment
+// into place. The snapshot
 // id is the CRC-32C of this body followed by columns, the body of the
 // columns segment of the same save; it is stamped into this header and
 // returned, to be stamped into the columns and postings segments
@@ -147,13 +136,6 @@ func (w *docsWriter) Close(columns []byte) (snapID uint32, err error) {
 	}
 	if w.err == nil && w.n != w.expected {
 		w.fail(fmt.Errorf("store: docs writer: %d docs added, %d declared", w.n, w.expected))
-	}
-	// Tombstones, delta-coded over the ascending id list.
-	if w.err == nil {
-		w.scratch.b = w.scratch.b[:0]
-		w.scratch.uvarint(uint64(w.nDead))
-		w.emit(w.scratch.b)
-		w.emit(w.dead.b)
 	}
 	if w.err == nil {
 		if err := w.bw.Flush(); err != nil {

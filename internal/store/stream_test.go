@@ -33,18 +33,16 @@ var streamAnns = []map[string]string{
 }
 
 // The docs and columns formats, pinned by constants: the snapshot id of
-// streamCorpus with docs 1 and 2 tombstoned and annotated by
-// streamAnns, and the digest of its docs segment followed by its
-// columns body, recorded at format v3. Any byte the writers emit
+// streamCorpus annotated by streamAnns, and the digest of its docs
+// segment followed by its columns body, recorded at format v4. Any byte the writers emit
 // differently — and therefore any snapshot id they would stamp
 // differently — fails here.
 func TestDocsSegmentDigest(t *testing.T) {
 	const (
-		wantID  = 0xf2323356
-		wantSHA = "bec4efbd2c0ddae15235cf13bb322c747b2b3c34b72217553722bbf10f75d410"
+		wantID  = 0x36e73265
+		wantSHA = "2700137201be01b8c1c67eff5fffef243a7b97badfe6c4ed4b2c00f7dc3af178"
 	)
 	seg := streamCorpus()
-	seg.Dead = []int{1, 2}
 	path := filepath.Join(t.TempDir(), "docs.seg")
 	w, err := newDocsWriter(path, 4, len(seg.Docs))
 	if err != nil {
@@ -52,13 +50,10 @@ func TestDocsSegmentDigest(t *testing.T) {
 	}
 	anns := index.NewAnnBuilder()
 	for id, d := range seg.Docs {
-		dead := id == 1 || id == 2
-		if err := w.Add(d, seg.Lens[id], dead); err != nil {
+		if err := w.Add(d, seg.Lens[id]); err != nil {
 			t.Fatal(err)
 		}
-		if !dead {
-			anns.Annotate(id, streamAnns[id])
-		}
+		anns.Annotate(id, streamAnns[id])
 	}
 	columns := encodeColumns(anns.Tables())
 	gotID, err := w.Close(columns)
@@ -95,7 +90,7 @@ func TestDocsWriterCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Add(index.Doc{URL: "u1"}, 1, false); err != nil {
+	if err := w.Add(index.Doc{URL: "u1"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Close(nil); err == nil {
@@ -113,10 +108,10 @@ func TestDocsWriterCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Add(index.Doc{URL: "u1"}, 1, false); err != nil {
+	if err := w2.Add(index.Doc{URL: "u1"}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Add(index.Doc{URL: "u2"}, 1, false); err == nil {
+	if err := w2.Add(index.Doc{URL: "u2"}, 1); err == nil {
 		t.Fatal("Add accepted more docs than declared")
 	}
 	w2.Abort()
@@ -270,7 +265,7 @@ func TestSnapIDCoversColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.AddDoc(index.Doc{URL: "http://a.example/1", Text: "used car"}, 2, map[string]string{"make": mk}, false); err != nil {
+		if err := w.AddDoc(index.Doc{URL: "http://a.example/1", Text: "used car"}, 2, map[string]string{"make": mk}); err != nil {
 			t.Fatal(err)
 		}
 		snapID, err := w.Commit(1, nil, nil)

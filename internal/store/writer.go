@@ -18,8 +18,7 @@ import (
 // that make the bytes canonical: the one term→segment placement,
 // shardOf, and the annotation tables, which it builds as documents
 // stream in, through the index's own intern core (index.AnnBuilder),
-// from every live document in doc-id order; tombstoned documents'
-// annotations are dropped. The two producers of snapshots differ only
+// from every document in doc-id order. The two producers of snapshots differ only
 // in where documents and postings come from:
 //
 //   - a live index (engine.Save) streams its document table through
@@ -62,7 +61,7 @@ type Writer struct {
 	// batch at a time and one batch after another, so doc-id order
 	// holds and the interning overlaps whatever feeds the writer.
 	anns     *index.AnnBuilder
-	pending  []annotated   // live documents' annotations not yet handed off
+	pending  []annotated   // documents' annotations not yet handed off
 	interned chan struct{} // closed once the batch handed off last is interned
 
 	acc    []map[string][]index.Posting // per shard: term → ascending postings
@@ -71,7 +70,7 @@ type Writer struct {
 	done   bool                         // committed: Abort is a no-op
 }
 
-// annotated is one live document's annotations, waiting to be interned.
+// annotated is one document's annotations, waiting to be interned.
 type annotated struct {
 	id   int
 	anns map[string]string
@@ -112,17 +111,16 @@ func NewWriter(dir string, shards, docs, spillDocs int) (*Writer, error) {
 	return w, nil
 }
 
-// AddDoc appends the next document (id = arrival order): its row, BM25
-// length and tombstone flag to the docs segment, and its annotations
-// (nil for none, ignored on a tombstone) to the annotation tables. The
-// writer reads anns until Commit or Abort returns: the caller must not
-// change it before then.
-func (w *Writer) AddDoc(d index.Doc, dl int, anns map[string]string, dead bool) error {
+// AddDoc appends the next document (id = arrival order): its row and
+// BM25 length to the docs segment, and its annotations (nil for none)
+// to the annotation tables. The writer reads anns until Commit or Abort
+// returns: the caller must not change it before then.
+func (w *Writer) AddDoc(d index.Doc, dl int, anns map[string]string) error {
 	id := w.docs.n
-	if err := w.docs.Add(d, dl, dead); err != nil {
+	if err := w.docs.Add(d, dl); err != nil {
 		return err
 	}
-	if !dead && len(anns) > 0 {
+	if len(anns) > 0 {
 		if w.pending = append(w.pending, annotated{id, anns}); len(w.pending) == annBatch {
 			w.handOff()
 		}
@@ -157,7 +155,7 @@ func (w *Writer) waitInterned() {
 // window fills.
 func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
 	id := w.docs.n
-	if err := w.AddDoc(p.Doc(), p.DocLen(), anns, false); err != nil {
+	if err := w.AddDoc(p.Doc(), p.DocLen(), anns); err != nil {
 		return err
 	}
 	tfs := p.TermFreqs()

@@ -32,10 +32,10 @@ var persistQueries = []string{
 	"ford ford focus", "the of and", "zzz-no-such-term",
 }
 
-// sourceCounts counts the live documents of each non-empty Source.
+// sourceCounts counts the documents of each non-empty Source.
 func sourceCounts(ix *index.Index) map[string]int {
 	counts := map[string]int{}
-	ix.ForEachLive(func(_ int, d index.Doc, _ string) {
+	ix.ForEach(func(_ int, d index.Doc, _ string) {
 		if d.Source != "" {
 			counts[d.Source]++
 		}

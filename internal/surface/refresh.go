@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
 
 	"deepweb/internal/core"
+	"deepweb/internal/engine"
 	"deepweb/internal/index"
 	"deepweb/internal/resilient"
 	"deepweb/internal/webgen"
@@ -24,24 +24,26 @@ import (
 // current table signature against the one recorded when it was last
 // surfaced (persisted in the snapshot meta segment).
 //
-// For each changed site it retires the site's old documents (surfaced
-// result pages and crawled surface-web pages alike) through the
-// index's tombstone path, re-runs the full per-site pipeline on the
-// worker pool, and commits through the same ordered commit point as
-// Surface — so Results, each re-surfaced site's SiteReport, coverage
-// and each document's source attribution come out exactly as a
-// from-scratch surface of the changed site would produce. When
-// tombstones pile past CompactRatio, the index is compacted (and doc
-// ids renumbered into canonical URL order).
+// Refresh never edits the index it serves from. It builds a new one in
+// the order a from-scratch surface of the churned world commits in:
+// first every crawled surface-web page (Source == ""), in old id order,
+// refetched when its host is a changed site; then the sites in
+// Web.Sites() order, an unchanged site's documents and annotations
+// copied from the old index, a changed site re-surfaced on the worker
+// pool and committed at its position through the same ordered commit
+// point as Surface. The refreshed index therefore equals a from-scratch
+// surface of the churned world — doc ids, scores and tie order
+// included — and so do Results, each re-surfaced site's SiteReport,
+// coverage and every document's source attribution. The new index goes
+// into a new engine, which replaces Engine.
 
 // RefreshStats summarizes one Refresh pass.
 type RefreshStats struct {
 	SitesChecked int // sites whose signature was recomputed
 	SitesChanged int // sites re-surfaced because it moved
-	DocsDeleted  int // documents tombstoned
+	DocsDeleted  int // documents of changed sites not carried into the new index
 	DocsAdded    int // documents newly committed
 	SurfacePages int // previously crawled surface-web pages refetched
-	Compacted    bool
 }
 
 // RefreshResponse reports one Refresh pass: the aggregate stats, the
@@ -57,19 +59,15 @@ type RefreshResponse struct {
 
 // RefreshRequest configures one Refresh pass. Config and FollowNext
 // mean what they mean on SurfaceRequest; the remaining fields are the
-// freshness/cost trade the crawl-scheduling literature frames —
-// which sites to check, how much of the original analysis budget a
-// re-surface may spend, and how hard a single host may be hit.
+// freshness/cost trade the crawl-scheduling literature frames — how
+// much of the original analysis budget a re-surface may spend, and how
+// hard a single host may be hit.
 type RefreshRequest struct {
 	// Config drives the re-surfacing analysis, subject to
 	// BudgetFraction below.
 	Config core.Config
 	// FollowNext is the per-URL paging depth at re-ingestion time.
 	FollowNext int
-	// Hosts restricts the signature check to these sites; nil checks
-	// every site. A listed host with no recorded signature counts as
-	// changed.
-	Hosts []string
 	// Filter re-applies the §5.2 admission band to re-fetched pages, so
 	// a filtered world refreshes under the band it was built with.
 	Filter core.IngestFilter
@@ -92,9 +90,13 @@ type RefreshRequest struct {
 }
 
 // Refresh re-surfaces the sites whose content changed since they were
-// last surfaced, per req. The context cancels the pass exactly as it
-// cancels Surface: committed sites stay committed, and ctx.Err() is
-// returned.
+// last surfaced, per req, into a new engine that replaces Engine; a
+// result cache on the old engine is re-armed, empty, at its capacity.
+// The context cancels the pass exactly as it cancels Surface: the
+// changed sites committed before the cancellation stay committed, the
+// unchanged sites and the surface-web pages are still all carried
+// over, the changed sites the pass never reached hold no surfaced
+// documents until the next Refresh, and ctx.Err() is returned.
 func (s *Surfacer) Refresh(ctx context.Context, req RefreshRequest) (RefreshResponse, error) {
 	var resp RefreshResponse
 	st := &resp.RefreshStats
@@ -127,15 +129,14 @@ func (s *Surfacer) Refresh(ctx context.Context, req RefreshRequest) (RefreshResp
 	}
 
 	// Detect churn site by site, in host order.
+	sites := s.Web.Sites()
+	pos := make(map[string]int, len(sites))
 	var changed []*webgen.Site
-	for _, site := range s.Web.Sites() {
+	for i, site := range sites {
 		host := site.Spec.Host
-		if req.Hosts != nil && !slices.Contains(req.Hosts, host) {
-			continue
-		}
+		pos[host] = i
 		st.SitesChecked++
-		sig := site.TableSignature()
-		if old, ok := s.siteSignatures[host]; ok && old == sig {
+		if old, ok := s.siteSignatures[host]; ok && old == site.TableSignature() {
 			continue
 		}
 		changed = append(changed, site)
@@ -144,76 +145,97 @@ func (s *Surfacer) Refresh(ctx context.Context, req RefreshRequest) (RefreshResp
 		return resp, nil
 	}
 	st.SitesChanged = len(changed)
-
-	// One pass over the live corpus finds the changed sites' documents,
-	// by the index's host column. Their *surfaced* documents are retired before any
-	// worker fetches: the sinks' dedup consults the shared index, and a
-	// stale entry would make re-ingestion skip the very pages being
-	// refreshed. Crawled surface-web pages (Source == "") are NOT
-	// retired here — they cannot collide with surfaced URLs (the crawl
-	// never follows query URLs), and deferring their delete+refetch to
-	// the commit step keeps a failed pass recoverable: if a site's
-	// pipeline errors, its surface pages are merely stale, not gone,
-	// and the still-mismatched signature re-drives them next Refresh.
-	// Ids stay valid for the whole pass: nothing before the final
-	// compaction renumbers them.
-	surfaceIDs := make(map[string][]int, len(changed))
+	isChanged := make(map[string]bool, len(changed))
 	for _, site := range changed {
-		surfaceIDs[site.Spec.Host] = nil
+		isChanged[site.Spec.Host] = true
 	}
-	var retire []int
-	s.Engine.Index.ForEachLive(func(id int, d index.Doc, host string) {
-		if _, ok := surfaceIDs[host]; !ok {
-			return
-		}
+
+	// One pass over the old index finds the crawled surface-web pages,
+	// in id order, and each host's surfaced documents.
+	old := s.Engine.Index
+	type page struct {
+		id   int
+		url  string
+		host string
+	}
+	var pages []page
+	surfaced := map[string][]int{}
+	old.ForEach(func(id int, d index.Doc, host string) {
 		if d.Source == "" {
-			surfaceIDs[host] = append(surfaceIDs[host], id)
+			pages = append(pages, page{id, d.URL, host})
 		} else {
-			retire = append(retire, id)
+			surfaced[host] = append(surfaced[host], id)
 		}
 	})
-	for _, id := range retire {
-		if s.Engine.Index.Delete(id) {
+	ix := index.NewSharded(old.NumShards())
+	var (
+		batch []*index.Prepared
+		anns  []map[string]string
+	)
+	carry := func(id int) {
+		batch, anns = append(batch, index.Prepare(old.Doc(id))), append(anns, old.AnnotationsOf(id))
+	}
+	flush := func() {
+		ix.AddPreparedBatch(batch, anns)
+		batch, anns = nil, nil
+	}
+
+	// The surface-web pages go in first, as the crawl indexes them
+	// ahead of surfacing, so the sinks' dedup sees them. A changed
+	// site's pages are refetched through the same (possibly capped)
+	// fetcher as its re-surfacing. A page that is gone (a definitive
+	// non-retryable status) is dropped; one whose fetch failed
+	// transiently keeps its old copy and marks its site degraded, so a
+	// flaky refetch never loses a page the world still has and the next
+	// Refresh fetches it again.
+	lost := map[string]bool{}
+	for _, p := range pages {
+		if !isChanged[p.host] {
+			carry(p.id)
+			continue
+		}
+		got, err := fetch.GetCtx(ctx, p.url)
+		switch {
+		case err == nil && got.Status == 200:
+			batch, anns = append(batch, index.Prepare(index.Doc{URL: p.url, Title: got.Title(), Text: got.Text()})), append(anns, nil)
+			st.SurfacePages++
+			st.DocsAdded++
+			st.DocsDeleted++
+		case err != nil && resilient.ClassOf(err) == resilient.ClassTransient || err == nil && resilient.RetryableStatus(got.Status):
+			lost[p.host] = true
+			carry(p.id)
+		default:
 			st.DocsDeleted++
 		}
 	}
+	flush()
 
-	// Re-surface on the shared pipeline. At each site's commit point
-	// the old surface-web pages are swapped for freshly fetched ones
-	// before the sink drains, mirroring a from-scratch run where the
-	// crawl indexes them ahead of surfacing. Refetches go through the
-	// same (possibly capped) fetcher as the workers' traffic, so
-	// PerHostCap covers every request of the pass.
+	// Then the sites, in order: each changed site commits from the
+	// pipeline at its position, after the unchanged sites before it are
+	// copied. The sinks dedup against the new index.
+	next := 0 // sites before next are placed
+	placeUpTo := func(end int) {
+		for ; next < end; next++ {
+			if host := sites[next].Spec.Host; !isChanged[host] {
+				for _, id := range surfaced[host] {
+					carry(id)
+				}
+				flush()
+			}
+		}
+	}
 	reports, err := s.surfacePipeline(ctx, changed, pipelineRun{
 		cfg:        cfg,
 		followNext: req.FollowNext,
 		filt:       req.Filter,
 		fetch:      fetch,
 		rt:         runRT,
+		ix:         ix,
 		commit: func(out *siteOutcome) {
-			for _, id := range surfaceIDs[out.host] {
-				u := s.Engine.Index.Doc(id).URL
-				if s.Engine.Index.Delete(id) {
-					st.DocsDeleted++
-				}
-				page, ferr := fetch.GetCtx(ctx, u)
-				if ferr != nil || page.Status != 200 {
-					// Distinguish "the page is gone" (a definitive
-					// non-retryable status: its tombstone stands) from
-					// "the fetch failed transiently" — the latter must
-					// mark the site degraded, or a flaky refetch would
-					// silently lose a surface page the world still has.
-					transientLoss := ferr != nil && resilient.ClassOf(ferr) == resilient.ClassTransient ||
-						ferr == nil && resilient.RetryableStatus(page.Status)
-					if transientLoss && out.report.Status == SiteOK {
-						out.report.Status = SiteDegraded
-					}
-					continue
-				}
-				if _, added := s.Engine.Index.Add(index.Doc{URL: u, Title: page.Title(), Text: page.Text()}); added {
-					st.SurfacePages++
-					st.DocsAdded++
-				}
+			placeUpTo(pos[out.host])
+			next++
+			if lost[out.host] && out.report.Status == SiteOK {
+				out.report.Status = SiteDegraded
 			}
 			s.commitOutcome(out)
 			st.DocsAdded += out.report.Ingest.Indexed
@@ -232,17 +254,19 @@ func (s *Surfacer) Refresh(ctx context.Context, req RefreshRequest) (RefreshResp
 			}
 		},
 	})
-	resp.Sites = reports
-	resp.Degraded = anyNotOK(reports)
-	if err != nil {
-		return resp, err
+	placeUpTo(len(sites))
+	for _, site := range changed {
+		st.DocsDeleted += len(surfaced[site.Spec.Host])
 	}
 
-	if s.CompactRatio > 0 && s.Engine.Index.TombstoneRatio() >= s.CompactRatio {
-		s.Engine.Index.Compact()
-		st.Compacted = true
+	e := &engine.Engine{Index: ix}
+	if cs, ok := s.Engine.CacheStats(); ok {
+		e.EnableResultCache(cs.Capacity)
 	}
-	return resp, nil
+	s.Engine = e
+	resp.Sites = reports
+	resp.Degraded = anyNotOK(reports)
+	return resp, err
 }
 
 // hostCapTransport enforces RefreshRequest.PerHostCap: at most cap

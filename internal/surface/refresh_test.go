@@ -1,6 +1,7 @@
 package surface
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,8 +10,11 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"deepweb/internal/core"
 	"deepweb/internal/engine"
@@ -104,30 +108,75 @@ func urlHits(t *testing.T, e *Surfacer, q string) map[string]string {
 	return out
 }
 
-// The acceptance bar of the freshness pipeline, in three tiers.
-//
-// Tier 1 (uncompacted): after churning N sites and Refreshing, the
-// live corpus — URL set, per-URL score bits and source, live doc count,
-// per-host results/stats/coverage — is identical to a from-scratch Surface
-// of the churned world. Doc ids differ (the refreshed index appended
-// re-surfaced documents after tombstones), so results are compared by
-// URL.
-//
-// Tier 2 (snapshot): a Save/Open round trip of the refreshed, still
-// tombstoned engine reproduces its Search output bit-for-bit — ids,
-// scores, tie order — which is what pins the tombstone persistence.
-//
-// Tier 3 (compacted): Compact renumbers into canonical URL order, so
-// after compacting BOTH engines their Search outputs match
-// reflect.DeepEqual exactly: same ids, same score bits, same tie
-// order. Run with -race; both arms surface on 4 workers.
+// requireSameSearch requires two engines to answer every
+// persistQueries probe, plain and annotated, identically: ids, URLs,
+// sources, score bits and tie order.
+func requireSameSearch(t *testing.T, label string, a, b *Surfacer) {
+	t.Helper()
+	for _, q := range persistQueries {
+		for _, rank := range []func(*index.Index, string, int) []index.Result{search, annotatedSearch} {
+			x, y := rank(a.Engine.Index, q, 10), rank(b.Engine.Index, q, 10)
+			if !reflect.DeepEqual(x, y) {
+				t.Errorf("%s: %q answers differ:\n  %v\n  %v", label, q, x, y)
+				continue
+			}
+			for i := range x {
+				if math.Float64bits(x[i].Score) != math.Float64bits(y[i].Score) {
+					t.Errorf("%s: %q hit %d: score bits differ", label, q, i)
+				}
+			}
+		}
+	}
+}
+
+// requireSameSave requires two surfacers to save byte-identical
+// snapshot directories: docs, columns, postings and meta.
+func requireSameSave(t *testing.T, label string, a, b *Surfacer) {
+	t.Helper()
+	read := func(s *Surfacer) map[string][]byte {
+		dir := t.TempDir()
+		if err := s.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, ent := range ents {
+			raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[ent.Name()] = raw
+		}
+		return files
+	}
+	x, y := read(a), read(b)
+	if len(x) != len(y) {
+		t.Fatalf("%s: snapshots hold %d and %d files", label, len(x), len(y))
+	}
+	for name, raw := range x {
+		if !bytes.Equal(raw, y[name]) {
+			t.Errorf("%s: %s differs (%d vs %d bytes)", label, name, len(raw), len(y[name]))
+		}
+	}
+}
+
+// The acceptance bar of the freshness pipeline: after churning a third
+// of the sites and refreshing, the engine is the one a from-scratch
+// Surface of the churned world builds — the same Search and annotated
+// search answers, ids, score bits and tie order included; the same
+// site reports, signatures, surfaced URLs and coverage; and a Save
+// that writes the same bytes. Run with -race; both arms surface on 4
+// workers.
 func TestRefreshMatchesFromScratch(t *testing.T) {
 	for _, shards := range []int{1, 4, index.DefaultShards} {
+		label := fmt.Sprintf("shards=%d", shards)
 		// Arm 1: surface, churn, refresh incrementally.
 		refreshed, reports := churnedEngine(t, shards, nil)
-		refreshed.CompactRatio = 0 // keep tombstones; tier 3 compacts explicitly
-		// A warm result cache must not outlive the pass: every commit of
-		// it retires the cached answers.
+		// A warm result cache must not outlive the pass: the refreshed
+		// engine gets an empty one of the same capacity.
 		refreshed.Engine.EnableResultCache(256)
 		for _, q := range persistQueries {
 			urlHits(t, refreshed, q)
@@ -135,102 +184,52 @@ func TestRefreshMatchesFromScratch(t *testing.T) {
 		churned := churnSubset(refreshed.Web, 99)
 		st, err := refreshed.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
 		if err != nil {
-			t.Fatalf("shards=%d: refresh: %v", shards, err)
+			t.Fatalf("%s: refresh: %v", label, err)
 		}
 		if st.SitesChanged == 0 || st.SitesChanged > churned {
-			t.Fatalf("shards=%d: %d of %d churned sites refreshed", shards, st.SitesChanged, churned)
+			t.Fatalf("%s: %d of %d churned sites refreshed", label, st.SitesChanged, churned)
 		}
 		if st.SitesChecked != len(refreshed.Web.Sites()) {
-			t.Errorf("shards=%d: checked %d of %d sites", shards, st.SitesChecked, len(refreshed.Web.Sites()))
+			t.Errorf("%s: checked %d of %d sites", label, st.SitesChecked, len(refreshed.Web.Sites()))
 		}
 		if st.DocsDeleted == 0 || st.DocsAdded == 0 || st.SurfacePages == 0 {
-			t.Errorf("shards=%d: degenerate refresh: %+v", shards, st)
+			t.Errorf("%s: degenerate refresh: %+v", label, st)
 		}
-		if refreshed.Engine.Index.Deleted() != st.DocsDeleted {
-			t.Errorf("shards=%d: %d tombstones for %d deletions", shards, refreshed.Engine.Index.Deleted(), st.DocsDeleted)
+		if cs, ok := refreshed.Engine.CacheStats(); !ok || cs.Capacity != 256 || cs.Entries != 0 {
+			t.Errorf("%s: refreshed engine's cache: %+v (enabled %v), want an empty one of 256 entries", label, cs, ok)
 		}
 
 		// Arm 2: churn the same way, then surface from scratch.
 		scratch, scratchReports := churnedEngine(t, shards, func(web *webgen.Web) { churnSubset(web, 99) })
 
-		// Tier 1: identical live corpus, sources and metrics, compared
-		// id-free.
-		requireSameCorpus(t, fmt.Sprintf("shards=%d", shards), refreshed, scratch)
+		requireSameCorpus(t, label, refreshed, scratch)
+		requireSameSearch(t, label, refreshed, scratch)
 		// The first pass's reports, with the refreshed sites' replaced,
 		// are the ledger a from-scratch pass of the churned world keeps.
 		maps.Copy(reports, st.Sites)
 		if !reflect.DeepEqual(reports, scratchReports) {
-			t.Errorf("shards=%d: site reports differ:\n  refreshed %v\n  scratch %v", shards, reports, scratchReports)
+			t.Errorf("%s: site reports differ:\n  refreshed %v\n  scratch %v", label, reports, scratchReports)
 		}
 		if !reflect.DeepEqual(refreshed.siteSignatures, scratch.siteSignatures) {
-			t.Errorf("shards=%d: site signatures differ", shards)
+			t.Errorf("%s: site signatures differ", label)
 		}
 		for host, res := range scratch.Results {
 			got := refreshed.Results[host]
 			if got == nil || !reflect.DeepEqual(got.URLs, res.URLs) {
-				t.Errorf("shards=%d: %s: surfaced URLs differ", shards, host)
+				t.Errorf("%s: %s: surfaced URLs differ", label, host)
 			}
 		}
 		if a, b := refreshed.MeanCoverage(), scratch.MeanCoverage(); a != b {
-			t.Errorf("shards=%d: coverage %v vs %v", shards, a, b)
+			t.Errorf("%s: coverage %v vs %v", label, a, b)
 		}
-
-		// Tier 2: the tombstoned engine round-trips through a snapshot
-		// bit-for-bit, ids and tie order included.
-		dir := t.TempDir()
-		if err := refreshed.Save(dir); err != nil {
-			t.Fatalf("shards=%d: save: %v", shards, err)
-		}
-		loaded, err := Open(refreshed.Web, dir)
-		if err != nil {
-			t.Fatalf("shards=%d: load: %v", shards, err)
-		}
-		if loaded.Engine.Index.Deleted() != refreshed.Engine.Index.Deleted() {
-			t.Errorf("shards=%d: tombstones %d became %d across snapshot", shards, refreshed.Engine.Index.Deleted(), loaded.Engine.Index.Deleted())
-		}
-		if !reflect.DeepEqual(loaded.siteSignatures, refreshed.siteSignatures) {
-			t.Errorf("shards=%d: site signatures lost across snapshot", shards)
-		}
-		for _, q := range persistQueries {
-			if a, b := search(refreshed.Engine.Index, q, 10), search(loaded.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: Search(%q) differs across snapshot:\n  live   %v\n  loaded %v", shards, q, a, b)
-			}
-			if a, b := annotatedSearch(refreshed.Engine.Index, q, 10), annotatedSearch(loaded.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: AnnotatedSearch(%q) differs across snapshot", shards, q)
-			}
-		}
-
-		// Tier 3: compaction is a normal form — both engines land on
-		// identical ids, scores and tie order.
-		if got := refreshed.Engine.Index.Compact(); got != st.DocsDeleted {
-			t.Errorf("shards=%d: compact reclaimed %d of %d tombstones", shards, got, st.DocsDeleted)
-		}
-		scratch.Engine.Index.Compact()
-		if refreshed.Engine.Index.Deleted() != 0 {
-			t.Errorf("shards=%d: tombstones survived compact", shards)
-		}
-		for _, q := range persistQueries {
-			a, b := search(refreshed.Engine.Index, q, 10), search(scratch.Engine.Index, q, 10)
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: post-compact Search(%q) differs:\n  refreshed %v\n  scratch   %v", shards, q, a, b)
-				continue
-			}
-			for i := range a {
-				if math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-					t.Errorf("shards=%d: post-compact Search(%q) hit %d: score bits differ", shards, q, i)
-				}
-			}
-			if a, b := annotatedSearch(refreshed.Engine.Index, q, 10), annotatedSearch(scratch.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
-				t.Errorf("shards=%d: post-compact AnnotatedSearch(%q) differs", shards, q)
-			}
-		}
+		requireSameSave(t, label, refreshed, scratch)
 	}
 }
 
 // The deepcrawl -refresh path: persist a surfaced world, rebuild the
 // world from config, churn it, reattach the snapshot with Open and
-// refresh. The refreshed snapshot must match a from-scratch surface of
-// the churned world after both compact to canonical form.
+// refresh. The refreshed engine must be the one a from-scratch surface
+// of the churned world builds, down to the bytes Save writes.
 func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
 	orig := freshEngine(t, 4)
 	dir := t.TempDir()
@@ -248,7 +247,6 @@ func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Workers = 4
-	e.CompactRatio = 0
 	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -258,14 +256,8 @@ func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
 	}
 
 	scratch, _ := churnedEngine(t, 4, func(web *webgen.Web) { churnSubset(web, 4242) })
-
-	e.Engine.Index.Compact()
-	scratch.Engine.Index.Compact()
-	for _, q := range persistQueries {
-		if a, b := search(e.Engine.Index, q, 10), search(scratch.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
-			t.Errorf("Search(%q) differs:\n  refreshed %v\n  scratch   %v", q, a, b)
-		}
-	}
+	requireSameSearch(t, "opened and refreshed", e, scratch)
+	requireSameSave(t, "opened and refreshed", e, scratch)
 }
 
 // The meta segment is the surfacer's: Open reads the signatures Save
@@ -343,10 +335,10 @@ func TestOpenMetaSegment(t *testing.T) {
 }
 
 // Refreshing an unchanged world is a no-op: nothing deleted, nothing
-// added, no site re-surfaced.
+// added, no site re-surfaced, and the engine is left in place.
 func TestRefreshUnchangedWorldNoOp(t *testing.T) {
 	e := freshEngine(t, 4)
-	docs := e.Engine.Index.Len()
+	before := e.Engine
 	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -354,36 +346,17 @@ func TestRefreshUnchangedWorldNoOp(t *testing.T) {
 	if st.SitesChanged != 0 || st.DocsDeleted != 0 || st.DocsAdded != 0 {
 		t.Fatalf("no-op refresh did work: %+v", st)
 	}
-	if e.Engine.Index.Len() != docs || e.Engine.Index.Deleted() != 0 {
-		t.Fatalf("no-op refresh mutated the index: %d docs, %d tombstones", e.Engine.Index.Len(), e.Engine.Index.Deleted())
-	}
-}
-
-// A host filter restricts both checking and re-surfacing.
-func TestRefreshHostFilter(t *testing.T) {
-	e := freshEngine(t, 4)
-	e.CompactRatio = 0
-	churnSubset(e.Web, 7) // churns sites 0, 3, 6 … by host order
-	hosts := []string{e.Web.Sites()[0].Spec.Host}
-	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3, Hosts: hosts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SitesChecked != 1 {
-		t.Fatalf("checked %d sites, want 1", st.SitesChecked)
-	}
-	if st.SitesChanged != 1 {
-		t.Fatalf("refreshed %d sites, want 1", st.SitesChanged)
+	if e.Engine != before {
+		t.Fatal("no-op refresh replaced the engine")
 	}
 }
 
 // A Refresh pass that fails mid-pipeline must be recoverable: the
-// failing site's surfaced docs are retired, but its crawled
-// surface-web pages survive (stale, not gone), and a retry after the
-// fault clears converges on the same corpus as a from-scratch surface.
+// failing site's surfaced docs are gone, but its crawled surface-web
+// pages survive (stale, not gone), and a retry after the fault clears
+// converges on the from-scratch corpus, ids included.
 func TestRefreshFailureThenRetryConverges(t *testing.T) {
 	e := freshEngine(t, 4)
-	e.CompactRatio = 0
 	site := e.Web.Sites()[0]
 	host := site.Spec.Host
 	rng := rand.New(rand.NewSource(55))
@@ -403,13 +376,13 @@ func TestRefreshFailureThenRetryConverges(t *testing.T) {
 	if !broken.Degraded {
 		t.Error("refresh with a failed site is not marked Degraded")
 	}
-	// Surface-web pages of the failed site must still be live.
+	// Surface-web pages of the failed site must still be indexed.
 	if !e.Engine.Index.Has("http://" + host + "/") {
 		t.Fatal("failed refresh dropped the site's homepage from the index")
 	}
 
 	// Fault clears; the retry re-surfaces the site (its signature is
-	// still unrecorded) and swaps the surface pages.
+	// still unrecorded) and refetches the surface pages.
 	e.Web.AddHandler(host, site)
 	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
 	if err != nil {
@@ -422,61 +395,94 @@ func TestRefreshFailureThenRetryConverges(t *testing.T) {
 	scratch, _ := churnedEngine(t, 4, func(web *webgen.Web) {
 		webgen.ChurnSite(web.Sites()[0], 6, rand.New(rand.NewSource(55)))
 	})
-	e.Engine.Index.Compact()
-	scratch.Engine.Index.Compact()
-	for _, q := range persistQueries {
-		if a, b := search(e.Engine.Index, q, 10), search(scratch.Engine.Index, q, 10); !reflect.DeepEqual(a, b) {
-			t.Errorf("Search(%q) differs after recovery:\n  refreshed %v\n  scratch   %v", q, a, b)
+	requireSameSearch(t, "recovered", e, scratch)
+}
+
+// A canceled Refresh keeps the contract a canceled Surface keeps: the
+// changed sites committed before the cancellation stay committed, in
+// the places a from-scratch surface gives them; every unchanged site's
+// documents and every crawled surface-web page are carried over; the
+// changed sites the pass never finished hold no surfaced documents;
+// and no goroutine is left behind. The cancellation fires from inside
+// the second changed site's probe traffic, on one worker, so exactly
+// the first changed site commits.
+func TestRefreshCanceledKeepsCommittedSites(t *testing.T) {
+	e := freshEngine(t, 4)
+	old := e.Engine.Index
+	churnSubset(e.Web, 99) // sites 0, 3, 6, … by host order
+	sites := e.Web.Sites()
+	if len(sites) < 5 {
+		t.Fatalf("world has %d sites; the test needs two changed sites and unchanged ones between them", len(sites))
+	}
+	committed, canceling := sites[0].Spec.Host, sites[3]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Surface pages carry no query string; probes and result pages do,
+	// so the refetch of the canceling site's surface pages goes through.
+	e.Web.AddHandler(canceling.Spec.Host, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.RawQuery != "" {
+			cancel()
+		}
+		canceling.ServeHTTP(w, r)
+	}))
+	e.Workers = 1
+	goroutines := runtime.NumGoroutine()
+	_, err := e.Refresh(ctx, RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Refresh returned %v, want context.Canceled", err)
+	}
+	for i := 0; runtime.NumGoroutine() > goroutines; i++ {
+		if i == 100 {
+			t.Fatalf("canceled Refresh left %d goroutines behind", runtime.NumGoroutine()-goroutines)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	ix := e.Engine.Index
+	changed := map[string]bool{}
+	for i, site := range sites {
+		changed[site.Spec.Host] = i%3 == 0
+	}
+	old.ForEach(func(_ int, d index.Doc, host string) {
+		if (d.Source == "" || !changed[host]) && !ix.Has(d.URL) {
+			t.Errorf("%s (host %s, source %q) was not carried over", d.URL, host, d.Source)
+		}
+	})
+	ix.ForEach(func(_ int, d index.Doc, host string) {
+		if d.Source != "" && changed[host] && host != committed {
+			t.Errorf("%s of unfinished changed site %s is indexed", d.URL, host)
+		}
+	})
+
+	// Up to the canceling site, the index is the one a from-scratch
+	// surface of the churned world builds.
+	scratch, _ := churnedEngine(t, 4, func(web *webgen.Web) { churnSubset(web, 99) })
+	before := map[string]bool{}
+	for _, site := range sites[:3] {
+		before[site.Spec.Host] = true
+	}
+	prefix := 0
+	scratch.Engine.Index.ForEach(func(id int, d index.Doc, host string) {
+		if id == prefix && (d.Source == "" || before[host]) {
+			prefix++
+		}
+	})
+	if prefix == 0 || prefix >= scratch.Engine.Index.Len() {
+		t.Fatalf("scratch prefix of %d documents of %d", prefix, scratch.Engine.Index.Len())
+	}
+	for id := range prefix {
+		want, got := scratch.Engine.Index.Doc(id), ix.Doc(id)
+		if got != want || !reflect.DeepEqual(ix.AnnotationsOf(id), scratch.Engine.Index.AnnotationsOf(id)) {
+			t.Fatalf("doc %d: refreshed %s, scratch %s", id, got.URL, want.URL)
 		}
 	}
-}
-
-// Past the tombstone threshold, Refresh compacts automatically, and a
-// second refresh still works on the renumbered index.
-func TestRefreshAutoCompacts(t *testing.T) {
-	e := freshEngine(t, 4)
-	e.CompactRatio = 0.01 // any churn at all triggers compaction
-	churnSubset(e.Web, 99)
-	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
-	if err != nil {
-		t.Fatal(err)
+	if res := e.Results[committed]; res == nil || !reflect.DeepEqual(res.URLs, scratch.Results[committed].URLs) {
+		t.Errorf("committed site %s: surfaced URLs differ from scratch", committed)
 	}
-	if !st.Compacted {
-		t.Fatalf("refresh did not compact: %+v", st)
+	if e.siteSignatures[committed] != scratch.siteSignatures[committed] {
+		t.Errorf("committed site %s: signature differs from scratch", committed)
 	}
-	if e.Engine.Index.Deleted() != 0 {
-		t.Fatalf("%d tombstones after compaction", e.Engine.Index.Deleted())
+	if _, ok := e.siteSignatures[canceling.Spec.Host]; ok && e.siteSignatures[canceling.Spec.Host] == canceling.TableSignature() {
+		t.Errorf("canceled site %s recorded its new signature", canceling.Spec.Host)
 	}
-	// The renumbered engine must still refresh correctly.
-	churnSubset(e.Web, 100)
-	st2, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.SitesChanged == 0 {
-		t.Fatalf("post-compact refresh found nothing: %+v", st2)
-	}
-	if got := search(e.Engine.Index, "used ford focus", 5); len(got) == 0 {
-		t.Fatal("post-compact refreshed index answers nothing")
-	}
-}
-
-// Compact renumbers every document, and nothing outside the index may
-// hold ids across it: compacting the engine's index before a Refresh
-// must leave Refresh retiring exactly the churned sites' documents and
-// converging on the from-scratch corpus.
-func TestRefreshAfterBareIndexCompact(t *testing.T) {
-	e := freshEngine(t, 4)
-	e.CompactRatio = 0
-	e.Engine.Index.Compact()
-	churnSubset(e.Web, 99)
-	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), FollowNext: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SitesChanged == 0 || st.DocsDeleted == 0 {
-		t.Fatalf("degenerate refresh: %+v", st)
-	}
-	scratch, _ := churnedEngine(t, 4, func(web *webgen.Web) { churnSubset(web, 99) })
-	requireSameCorpus(t, "bare compact", e, scratch)
 }

@@ -54,10 +54,6 @@ type Surfacer struct {
 	// pass's traffic and ingest counts are in the SiteReports that
 	// Surface and Refresh return.
 	Results map[string]*core.Result
-	// CompactRatio is the tombstone fraction above which Refresh
-	// compacts the index after committing; New sets 0.5. <= 0 disables
-	// automatic compaction; compact manually with Index.Compact.
-	CompactRatio float64
 
 	// siteSignatures records each surfaced site's backing-table content
 	// signature at surfacing time — the baseline Refresh diffs against,
@@ -80,7 +76,6 @@ func New(web *webgen.Web) *Surfacer {
 		Web:            web,
 		Workers:        engine.DefaultWorkers,
 		Results:        map[string]*core.Result{},
-		CompactRatio:   0.5,
 		siteSignatures: map[string]textutil.Signature{},
 	}
 	s.UseTransport(web)
@@ -236,8 +231,9 @@ func (s SiteStatus) String() string {
 // probing and ingestion, failed sites included — the one-time
 // "off-line analysis" load of §3.2. Under RefreshRequest.PerHostCap it
 // also counts the tries the politeness cap answers locally, which
-// never reach the host. A site's commit-time refetch of its crawled
-// surface-web pages (Refresh) is not counted.
+// never reach the host. Refresh's refetch of a site's crawled
+// surface-web pages, which runs before the site's pipeline, is not
+// counted.
 type SiteReport struct {
 	Host              string
 	Status            SiteStatus
@@ -288,6 +284,7 @@ func (s *Surfacer) Surface(ctx context.Context, req SurfaceRequest) (SurfaceResp
 		filt:       req.Filter,
 		fetch:      s.Fetch,
 		rt:         s.rt,
+		ix:         s.Engine.Index,
 		commit:     s.commitOutcome,
 	})
 	return SurfaceResponse{Sites: reports, Degraded: anyNotOK(reports)}, err
@@ -309,13 +306,15 @@ type siteOutcome struct {
 // ingestion knobs, the fetcher the workers issue traffic through (the
 // surfacer's own, or a politeness-capped wrapper during Refresh), the
 // resilient transport under that fetcher (for per-site counter deltas),
-// and the commit hook the ordered drain invokes per successful site.
+// the index the sites commit into (the sinks dedup against it), and
+// the commit hook the ordered drain invokes per successful site.
 type pipelineRun struct {
 	cfg        core.Config
 	followNext int
 	filt       core.IngestFilter
 	fetch      *webx.Fetcher
 	rt         *resilient.Transport
+	ix         *index.Index
 	commit     func(*siteOutcome)
 }
 
@@ -464,7 +463,7 @@ func (s *Surfacer) surfaceOne(ctx context.Context, site *webgen.Site, run pipeli
 	if res.Analysis.Form != nil {
 		source = res.Analysis.Form.ID
 	}
-	sink := newStagedSink(s.Engine.Index)
+	sink := newStagedSink(run.ix)
 	stats := core.IngestURLsFiltered(ctx, run.fetch, sink, source, res.URLs, run.followNext, run.filt)
 	// Ingestion swallows cancellation (its partial stats are still
 	// real); the pipeline must not — a site whose fetches were cut
