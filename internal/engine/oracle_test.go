@@ -87,7 +87,10 @@ func TestEngineFollowsOracle(t *testing.T) {
 // runs in-place operations — ingest in several batches, re-annotate
 // with never-seen values — while readers search without pause, and
 // every answer must equal the model's answer at some committed state:
-// after a batch or an Annotate.
+// after a batch or an Annotate. Annotate leaves BM25 alone, so a torn
+// annotated answer shows only where the values a query mentions
+// change; every re-annotation therefore also flips the one value a
+// probe mentions on and off.
 // A commit a reader can see half of, or a query that reads two states,
 // matches none. One run can miss a torn commit, so CI repeats it
 // (-run 'Atomic' -count=10) under -race.
@@ -100,6 +103,7 @@ func TestEngineFollowsOracleAtomically(t *testing.T) {
 		{Query: "listing", K: 20, Filters: []query.Predicate{query.Eq("make", "ford")}},
 		{Query: "listing", K: 10, Host: "h1.example", Filters: []query.Predicate{mustPred(t, "price<9000")}},
 		{Query: "homes in santa fe", K: 10, Annotated: true, Filters: []query.Predicate{mustPred(t, "year:2004..2009")}},
+		{Query: "mint condition listing", K: 10, Annotated: true},
 	}
 	for seed := int64(1); seed <= 2; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -124,9 +128,18 @@ func TestEngineFollowsOracleAtomically(t *testing.T) {
 			}
 			record()
 			var script []*oracleOp
+			mint := false
 			for len(script) < 30 {
 				op := o.draw("ingest", "annotate", "annotate")
 				op.batch = max(op.batch, 6) // every batch is a state to record; batches of one are the sequential test's
+				if op.kind == "annotate" {
+					// Doc 0 alone carries the value the last probe
+					// mentions, so every flip changes which values
+					// that probe mentions: an answer ranked before a
+					// flip and adjusted after it is no state's answer.
+					mint = !mint
+					op.ids, op.anns = append(op.ids, 0), append(op.anns, map[string]string{"notes": map[bool]string{true: "mint condition", false: "call"}[mint]})
+				}
 				op.want = op.onModel(&o.m, record)
 				script = append(script, op)
 			}
