@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test bench bench-smoke serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full
+.PHONY: verify fmt vet build test bench bench-smoke serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
 
 # verify = the CI `test` job: gofmt, vet, build, race-enabled tests.
 verify: fmt vet build test
@@ -26,17 +26,17 @@ build:
 # -shuffle=on randomizes test and subtest execution order, so hidden
 # inter-test state dependencies fail loudly instead of riding on
 # declaration order. The seed is printed on failure; reproduce with
-# `go test -race -shuffle=<seed> <pkg>`. The atomicity tests, the
-# oracle's concurrent mode (TestEngineFollowsOracleAtomically) among
-# them, then run ten more times: a torn commit fails only when a reader
-# lands inside it. So do the Load tests: Load's three parts (rows,
-# annotation tables, postings) write one index concurrently, and a racy
-# install shows only when they interleave. The step names every package
-# with a test the pattern matches (surface's Open-then-Refresh test and
-# api's stats counters included).
+# `go test -race -shuffle=<seed> <pkg>`. The atomicity tests — the
+# oracle's concurrent mode (TestEngineFollowsOracleAtomically) and
+# api's stats counters — then run ten more times: a torn commit fails
+# only when a reader lands inside it. So do the Load tests: Load's three
+# parts (rows, annotation tables, postings) write one index
+# concurrently, and a racy install shows only when they interleave. The
+# step names exactly the packages with a test the pattern matches:
+# engine, surface (its Open-then-Refresh test) and api.
 test:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=10 -run 'Atomic|^TestLoad' ./internal/index ./internal/engine ./internal/surface ./internal/api
+	$(GO) test -race -count=10 -run 'Atomic|^TestLoad' ./internal/engine ./internal/surface ./internal/api
 
 # bench = deepbench, the repository's one benchmark (bench/README.md,
 # BENCHMARK.json): every workload, untraced then traced, results under
@@ -128,3 +128,8 @@ staticcheck:
 govulncheck:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 	govulncheck ./...
+
+# lines = the size report: how many lines of non-test Go the program is,
+# outside bench/ and testdata/. A report, not a gate.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -exec cat {} + | wc -l

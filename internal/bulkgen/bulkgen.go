@@ -113,9 +113,6 @@ func NewWorld(spec Spec) (*World, error) {
 // NumSites returns the number of generated sites.
 func (w *World) NumSites() int { return len(w.sites) }
 
-// Host returns site si's hostname.
-func (w *World) Host(si int) string { return w.sites[si].host }
-
 // Blocks enumerates every block in canonical order (site-major, then
 // block): the order Source streams documents in.
 func (w *World) Blocks() []BlockRef {

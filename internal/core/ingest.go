@@ -59,16 +59,13 @@ func (fl IngestFilter) admits(items int) bool {
 // IngestURLs fetches each surfaced URL and inserts it into the index
 // with the given source attribution. followNext > 0 additionally walks
 // up to that many "next page" continuations per URL — the index-refresh
-// crawling the paper says discovers more content over time. A canceled
-// context stops between fetches; the stats cover the work done so far.
-func IngestURLs(ctx context.Context, f *webx.Fetcher, ix DocSink, source string, urls []string, followNext int) IngestStats {
-	return IngestURLsFiltered(ctx, f, ix, source, urls, followNext, IngestFilter{})
-}
-
-// IngestURLsFiltered is IngestURLs with the §5.2 admission criterion
-// applied per fetched page ("the pages we extract should neither have
-// too many results on a single surfaced page nor too few").
-func IngestURLsFiltered(ctx context.Context, f *webx.Fetcher, ix DocSink, source string, urls []string, followNext int, filt IngestFilter) IngestStats {
+// crawling the paper says discovers more content over time. filt is
+// the §5.2 admission criterion, applied per fetched page ("the pages
+// we extract should neither have too many results on a single surfaced
+// page nor too few"); the zero IngestFilter admits every page. A
+// canceled context stops between fetches; the stats cover the work
+// done so far.
+func IngestURLs(ctx context.Context, f *webx.Fetcher, ix DocSink, source string, urls []string, followNext int, filt IngestFilter) IngestStats {
 	var st IngestStats
 	for _, u := range urls {
 		if ctx.Err() != nil {

@@ -59,9 +59,9 @@ func TestIngestFilterAdmits(t *testing.T) {
 func TestIngestFilteredRejects(t *testing.T) {
 	_, fetch, res := surfacedLibrary(t)
 	plain := index.New()
-	stPlain := IngestURLs(context.Background(), fetch, plain, "f", res.URLs, 0)
+	stPlain := IngestURLs(context.Background(), fetch, plain, "f", res.URLs, 0, IngestFilter{})
 	strict := index.New()
-	stStrict := IngestURLsFiltered(context.Background(), fetch, strict, "f", res.URLs, 0, IngestFilter{MinItems: 1, MaxItems: 3})
+	stStrict := IngestURLs(context.Background(), fetch, strict, "f", res.URLs, 0, IngestFilter{MinItems: 1, MaxItems: 3})
 	if stStrict.Rejected == 0 {
 		t.Error("tight band rejected nothing")
 	}
@@ -76,7 +76,7 @@ func TestIngestFilteredRejects(t *testing.T) {
 func TestIngestAnnotatesFromBinding(t *testing.T) {
 	_, fetch, res := surfacedLibrary(t)
 	ix := index.New()
-	IngestURLs(context.Background(), fetch, ix, "f", res.URLs, 0)
+	IngestURLs(context.Background(), fetch, ix, "f", res.URLs, 0, IngestFilter{})
 	annotated := 0
 	for id := 0; id < ix.Len(); id++ {
 		anns := ix.AnnotationsOf(id)
@@ -113,7 +113,7 @@ func TestIngestErrorURLs(t *testing.T) {
 	web := webgen.NewWeb() // empty internet: every URL 404s
 	fetch := webx.NewFetcher(web)
 	ix := index.New()
-	st := IngestURLs(context.Background(), fetch, ix, "f", []string{"http://nosuch.example/results?q=x"}, 0)
+	st := IngestURLs(context.Background(), fetch, ix, "f", []string{"http://nosuch.example/results?q=x"}, 0, IngestFilter{})
 	if st.Errors != 1 || st.Indexed != 0 {
 		t.Errorf("stats = %+v", st)
 	}

@@ -234,7 +234,7 @@ func TestNaiveVsRangeAwareURLCounts(t *testing.T) {
 func TestIngestSurfacedURLs(t *testing.T) {
 	web, site, res := surfaceDomain(t, "faculty", 200, DefaultConfig())
 	ix := index.New()
-	st := IngestURLs(context.Background(), webx.NewFetcher(web), ix, res.Analysis.Form.ID, res.URLs, 3)
+	st := IngestURLs(context.Background(), webx.NewFetcher(web), ix, res.Analysis.Form.ID, res.URLs, 3, IngestFilter{})
 	if st.Indexed == 0 {
 		t.Fatal("nothing indexed")
 	}
@@ -256,9 +256,9 @@ func TestIngestFollowsPaging(t *testing.T) {
 	web, site, res := surfaceDomain(t, "usedcars", 400, DefaultConfig())
 	ix := index.New()
 	// followNext=0: page-1 docs only.
-	st0 := IngestURLs(context.Background(), webx.NewFetcher(web), ix, "f", res.URLs, 0)
+	st0 := IngestURLs(context.Background(), webx.NewFetcher(web), ix, "f", res.URLs, 0, IngestFilter{})
 	ix2 := index.New()
-	st2 := IngestURLs(context.Background(), webx.NewFetcher(web), ix2, "f", res.URLs, 5)
+	st2 := IngestURLs(context.Background(), webx.NewFetcher(web), ix2, "f", res.URLs, 5, IngestFilter{})
 	if st2.Indexed <= st0.Indexed {
 		t.Errorf("paging follow added nothing: %d vs %d", st2.Indexed, st0.Indexed)
 	}

@@ -8,7 +8,6 @@
 package coverage
 
 import (
-	"math"
 	"math/rand"
 	"net/url"
 	"sort"
@@ -69,15 +68,6 @@ func RowSets(site *webgen.Site, urls []string) [][]int {
 		out = append(out, site.MatchingRows(parsed.Query()))
 	}
 	return out
-}
-
-// LincolnPetersen estimates population size from two captures of sizes
-// n1 and n2 with overlap m: N ≈ n1*n2/m. Returns NaN when m == 0.
-func LincolnPetersen(n1, n2, m int) float64 {
-	if m == 0 {
-		return math.NaN()
-	}
-	return float64(n1) * float64(n2) / float64(m)
 }
 
 // Chapman is the bias-corrected capture–recapture estimator

@@ -55,14 +55,8 @@ func TestExactFractionEmptySite(t *testing.T) {
 	}
 }
 
-func TestLincolnPetersenAndChapman(t *testing.T) {
+func TestChapman(t *testing.T) {
 	// Textbook example: capture 100, recapture 60, overlap 20 → N≈300.
-	if got := LincolnPetersen(100, 60, 20); math.Abs(got-300) > 1e-9 {
-		t.Errorf("LP = %v", got)
-	}
-	if !math.IsNaN(LincolnPetersen(10, 10, 0)) {
-		t.Error("LP with zero overlap should be NaN")
-	}
 	ch := Chapman(100, 60, 20)
 	if ch < 280 || ch > 300 {
 		t.Errorf("Chapman = %v", ch)

@@ -49,7 +49,7 @@ func E13LostSemantics(ctx context.Context, seed int64, rows int) (E13Report, err
 		return rep, err
 	}
 	ix := index.New()
-	core.IngestURLs(ctx, fetch, ix, res.Analysis.Form.ID, res.URLs, 5)
+	core.IngestURLs(ctx, fetch, ix, res.Analysis.Form.ID, res.URLs, 5, core.IngestFilter{})
 
 	// Build queries from decoy rows: the decoy page contains the
 	// referenced make+model (in text) plus the decoy row's year.

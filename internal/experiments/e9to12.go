@@ -59,7 +59,7 @@ func E9Indexability(ctx context.Context, seed int64, rows int) (E9Report, error)
 	}
 	measure := func(filt core.IngestFilter) (int, int, float64, float64) {
 		ix := index.New()
-		st := core.IngestURLsFiltered(ctx, fetch, ix, "f", res.URLs, 0, filt)
+		st := core.IngestURLs(ctx, fetch, ix, "f", res.URLs, 0, filt)
 		covered := map[int]bool{}
 		var sizes []float64
 		for _, u := range res.URLs {

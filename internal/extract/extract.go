@@ -128,18 +128,6 @@ func (w *Wrapper) Extract(record string) map[string]string {
 	return out
 }
 
-// ExtractAll applies the wrapper to every record of every page,
-// returning one row per record. Rows preserve page order.
-func (w *Wrapper) ExtractAll(pages []Page) []map[string]string {
-	var out []map[string]string
-	for _, p := range pages {
-		for _, rec := range p.Records {
-			out = append(out, w.Extract(rec))
-		}
-	}
-	return out
-}
-
 func tokens(s string) []string {
 	return strings.Fields(strings.ToLower(s))
 }

@@ -115,18 +115,6 @@ func TestExtractMultiWordValue(t *testing.T) {
 	}
 }
 
-func TestExtractAllOrder(t *testing.T) {
-	pages := carPages()
-	w := Induce(pages)
-	rows := w.ExtractAll(pages[:2])
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	if rows[0]["model"] != "focus" || rows[2]["model"] != "civic" {
-		t.Errorf("order wrong: %v", rows)
-	}
-}
-
 func TestFindSubsequence(t *testing.T) {
 	hay := []string{"a", "b", "c", "b", "c"}
 	if got := findSubsequence(hay, []string{"b", "c"}); got != 1 {

@@ -11,7 +11,6 @@ package form
 import (
 	"fmt"
 	"net/url"
-	"sort"
 	"strings"
 
 	"deepweb/internal/htmlx"
@@ -130,15 +129,6 @@ func (f *Form) Bindable() []Input {
 	return out
 }
 
-// Input returns the named input and whether it exists.
-func (f *Form) Input(name string) (Input, bool) {
-	for _, in := range f.Inputs {
-		if in.Name == name {
-			return in, true
-		}
-	}
-	return Input{}, false
-}
 
 // Binding assigns concrete values to a subset of a form's inputs.
 // Inputs absent from the binding are submitted empty (text boxes) or as
@@ -187,16 +177,6 @@ func (f *Form) values(b Binding) url.Values {
 	return q
 }
 
-// BindingNames returns the sorted input names bound in b; two bindings
-// over the same names belong to the same query template.
-func (b Binding) BindingNames() []string {
-	names := make([]string, 0, len(b))
-	for n := range b {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Clone returns an independent copy of the binding.
 func (b Binding) Clone() Binding {

@@ -46,13 +46,16 @@ func TestFromDeclClassification(t *testing.T) {
 		t.Errorf("action = %v", f.Action)
 	}
 	kinds := map[string]InputKind{}
+	var mk Input
 	for _, in := range f.Inputs {
 		kinds[in.Name] = in.Kind
+		if in.Name == "make" {
+			mk = in
+		}
 	}
 	if kinds["make"] != SelectMenu || kinds["minprice"] != TextBox || kinds["lang"] != Hidden {
 		t.Errorf("classification wrong: %v", kinds)
 	}
-	mk, _ := f.Input("make")
 	if !mk.HasEmpty || !reflect.DeepEqual(mk.Options, []string{"ford", "honda"}) {
 		t.Errorf("select options wrong: %+v", mk)
 	}
@@ -119,15 +122,6 @@ func TestRelativeActionResolution(t *testing.T) {
 func TestFromDeclNilBase(t *testing.T) {
 	if _, err := FromDecl(nil, htmlx.FormDecl{}, 0); err == nil {
 		t.Error("want error for nil base")
-	}
-}
-
-func TestBindingNamesSorted(t *testing.T) {
-	b := Binding{"zeta": "1", "alpha": "2", "mid": "3"}
-	got := b.BindingNames()
-	want := []string{"alpha", "mid", "zeta"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("BindingNames = %v, want %v", got, want)
 	}
 }
 

@@ -124,11 +124,6 @@ func ContainsAllIn(cols []string, keywords ...string) Pred {
 	return containsInPred{cols: cols, keywords: keywords}
 }
 
-// True is the empty predicate; it matches every row. A form submitted
-// with all inputs blank selects everything (sites typically reject this;
-// the site generator models that separately).
-var True Pred = containsPred{}
-
 // Select returns the indices of rows satisfying all preds, in table
 // order. Returning indices rather than rows keeps result identity stable
 // for coverage accounting.
@@ -149,21 +144,3 @@ func (t *Table) Select(preds ...Pred) []int {
 	return out
 }
 
-// Count returns the number of rows satisfying all preds without
-// materializing indices.
-func (t *Table) Count(preds ...Pred) int {
-	n := 0
-	for _, r := range t.rows {
-		ok := true
-		for _, p := range preds {
-			if !p.Match(t, r) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-	}
-	return n
-}

@@ -228,26 +228,6 @@ func (t *Table) DistinctInts(col string) []int64 {
 	return out
 }
 
-// MinMaxInt returns the extrema of an int column; ok is false for an
-// unknown column or empty table.
-func (t *Table) MinMaxInt(col string) (min, max int64, ok bool) {
-	i := t.ColIndex(col)
-	if i < 0 || len(t.rows) == 0 {
-		return 0, 0, false
-	}
-	min, max = t.rows[0][i].Int, t.rows[0][i].Int
-	for _, r := range t.rows[1:] {
-		v := r[i].Int
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max, true
-}
-
 // RowText renders a row as a flat text string (column values joined by
 // spaces); it is the record text the site generator prints and the unit
 // the IR index and signatures operate on.

@@ -464,7 +464,7 @@ func (s *Surfacer) surfaceOne(ctx context.Context, site *webgen.Site, run pipeli
 		source = res.Analysis.Form.ID
 	}
 	sink := newStagedSink(run.ix)
-	stats := core.IngestURLsFiltered(ctx, run.fetch, sink, source, res.URLs, run.followNext, run.filt)
+	stats := core.IngestURLs(ctx, run.fetch, sink, source, res.URLs, run.followNext, run.filt)
 	// Ingestion swallows cancellation (its partial stats are still
 	// real); the pipeline must not — a site whose fetches were cut
 	// short may not be committed as complete.

@@ -260,17 +260,6 @@ func (s *Site) RowSetSignature(rowIDs []int) textutil.Signature {
 	return sg.Sum()
 }
 
-// InsertRow appends a record to the site's backing table — new content
-// appearing on the site. The next request sees it.
-func (s *Site) InsertRow(r reldb.Row) error { return s.Table.Insert(r) }
-
-// UpdateRow replaces record i in place — existing content changing.
-func (s *Site) UpdateRow(i int, r reldb.Row) error { return s.Table.Update(i, r) }
-
-// DeleteRow removes record i (later records shift down one id) —
-// content disappearing from the site.
-func (s *Site) DeleteRow(i int) error { return s.Table.Delete(i) }
-
 // TableSignature fingerprints the site's entire backing table,
 // sensitive to row order and multiplicity. It deliberately does NOT
 // reuse the surfacing signature semantics: RowSetSignature collapses

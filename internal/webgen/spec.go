@@ -129,13 +129,3 @@ func (s SiteSpec) TypedInputs() map[string]string {
 	}
 	return out
 }
-
-// HasSearchBox reports whether any input is a keyword search box.
-func (s SiteSpec) HasSearchBox() bool {
-	for _, in := range s.Inputs {
-		if in.Op == OpKeyword {
-			return true
-		}
-	}
-	return false
-}

@@ -366,13 +366,6 @@ func TestRangePairsGroundTruth(t *testing.T) {
 	if typed["zip"] != "zipcode" || typed["minprice"] != "price" {
 		t.Errorf("TypedInputs = %v", typed)
 	}
-	if s.Spec.HasSearchBox() {
-		t.Error("usedcars should have no search box")
-	}
-	lib := buildTestSite(t, "library", 10)
-	if !lib.Spec.HasSearchBox() {
-		t.Error("library should have a search box")
-	}
 }
 
 func TestAllDomainsBuildAndServe(t *testing.T) {
@@ -401,7 +394,7 @@ func TestSiteMutationVisibleImmediately(t *testing.T) {
 	n := s.Table.Len()
 
 	clone := append(reldb.Row(nil), s.Table.Row(0)...)
-	if err := s.InsertRow(clone); err != nil {
+	if err := s.Table.Insert(clone); err != nil {
 		t.Fatal(err)
 	}
 	if s.Table.Len() != n+1 {
@@ -412,7 +405,7 @@ func TestSiteMutationVisibleImmediately(t *testing.T) {
 		t.Error("inserted record not served")
 	}
 
-	if err := s.DeleteRow(n); err != nil {
+	if err := s.Table.Delete(n); err != nil {
 		t.Fatal(err)
 	}
 	if s.Table.Len() != n {
@@ -420,20 +413,20 @@ func TestSiteMutationVisibleImmediately(t *testing.T) {
 	}
 
 	updated := append(reldb.Row(nil), s.Table.Row(1)...)
-	if err := s.UpdateRow(3, updated); err != nil {
+	if err := s.Table.Update(3, updated); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Table.Row(3)[0].Equal(updated[0]) {
 		t.Error("update not applied")
 	}
 
-	if err := s.UpdateRow(999, updated); err == nil {
+	if err := s.Table.Update(999, updated); err == nil {
 		t.Error("out-of-range update accepted")
 	}
-	if err := s.DeleteRow(-1); err == nil {
+	if err := s.Table.Delete(-1); err == nil {
 		t.Error("out-of-range delete accepted")
 	}
-	if err := s.InsertRow(reldb.Row{reldb.S("wrong arity")}); err == nil {
+	if err := s.Table.Insert(reldb.Row{reldb.S("wrong arity")}); err == nil {
 		t.Error("bad-arity insert accepted")
 	}
 }
@@ -451,22 +444,22 @@ func TestTableSignatureSensitivity(t *testing.T) {
 		t.Fatal("signature differs between identical sites")
 	}
 
-	s.UpdateRow(5, append(reldb.Row(nil), s.Table.Row(6)...))
+	s.Table.Update(5, append(reldb.Row(nil), s.Table.Row(6)...))
 	if s.TableSignature() == base {
 		t.Error("update did not move the signature")
 	}
 
 	s = fresh()
-	s.DeleteRow(0)
+	s.Table.Delete(0)
 	if s.TableSignature() == base {
 		t.Error("delete did not move the signature")
 	}
 
 	// The set-blind case: duplicate a row, sign, then delete one copy.
 	s = fresh()
-	s.InsertRow(append(reldb.Row(nil), s.Table.Row(0)...))
+	s.Table.Insert(append(reldb.Row(nil), s.Table.Row(0)...))
 	dup := s.TableSignature()
-	s.DeleteRow(s.Table.Len() - 1)
+	s.Table.Delete(s.Table.Len() - 1)
 	if s.TableSignature() == dup {
 		t.Error("deleting one of two identical rows did not move the signature")
 	}

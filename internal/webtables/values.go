@@ -80,16 +80,6 @@ func (v *ValueStore) Values(attr string, k int) []string {
 	return out
 }
 
-// Attrs returns the known attribute names, sorted.
-func (v *ValueStore) Attrs() []string {
-	out := make([]string, 0, len(v.vals))
-	for a := range v.vals {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PropertiesOf implements §6's entity-properties service: given an
 // entity string, return the attributes of schemas whose tables contain
 // the entity as a cell value, ranked by how often.

@@ -144,9 +144,6 @@ func TestValueStore(t *testing.T) {
 	if got := v.Values("make", 1); len(got) != 1 {
 		t.Errorf("k-cap ignored: %v", got)
 	}
-	if attrs := v.Attrs(); len(attrs) != 1 || attrs[0] != "make" {
-		t.Errorf("Attrs = %v", attrs)
-	}
 }
 
 func TestValueStoreFromTables(t *testing.T) {

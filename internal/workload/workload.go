@@ -9,7 +9,6 @@
 package workload
 
 import (
-	"math"
 	"sort"
 
 	"deepweb/internal/dist"
@@ -58,37 +57,6 @@ func SampleImpacts(seed int64, s float64, nForms, queries int) []float64 {
 	return counts
 }
 
-// Query is one synthetic search query for the measured arm.
-type Query struct {
-	Text string
-	// Tail marks queries about rare, deep-web-only content (the long
-	// tail); head queries have surface-web answers too.
-	Tail bool
-}
-
-// Mix builds a query stream with the given tail fraction from head and
-// tail pools, deterministically interleaved.
-func Mix(head, tail []string, tailFrac float64, n int) []Query {
-	if n <= 0 || (len(head) == 0 && len(tail) == 0) {
-		return nil
-	}
-	out := make([]Query, 0, n)
-	acc := 0.0
-	hi, ti := 0, 0
-	for i := 0; i < n; i++ {
-		acc += tailFrac
-		if (acc >= 1 || len(head) == 0) && len(tail) > 0 {
-			acc -= 1
-			out = append(out, Query{Text: tail[ti%len(tail)], Tail: true})
-			ti++
-		} else {
-			out = append(out, Query{Text: head[hi%len(head)], Tail: false})
-			hi++
-		}
-	}
-	return out
-}
-
 // GiniCoefficient summarizes impact concentration in [0,1]; the paper's
 // long-tail claim corresponds to high but not extreme concentration.
 func GiniCoefficient(values []float64) float64 {
@@ -119,6 +87,3 @@ var PaperShares = struct {
 	Top10kOf200k  float64
 	Top100kOf200k float64
 }{0.50, 0.85}
-
-// AbsErr is a tiny helper for experiment reporting.
-func AbsErr(got, want float64) float64 { return math.Abs(got - want) }

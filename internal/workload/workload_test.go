@@ -35,39 +35,6 @@ func TestSampleImpactsMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestMixTailFraction(t *testing.T) {
-	head := []string{"h1", "h2"}
-	tail := []string{"t1", "t2", "t3"}
-	qs := Mix(head, tail, 0.3, 1000)
-	if len(qs) != 1000 {
-		t.Fatalf("len = %d", len(qs))
-	}
-	nTail := 0
-	for _, q := range qs {
-		if q.Tail {
-			nTail++
-		}
-	}
-	if math.Abs(float64(nTail)/1000-0.3) > 0.02 {
-		t.Errorf("tail fraction = %.3f, want 0.30", float64(nTail)/1000)
-	}
-}
-
-func TestMixEdgeCases(t *testing.T) {
-	if Mix(nil, nil, 0.5, 10) != nil {
-		t.Error("no pools should give nil")
-	}
-	qs := Mix(nil, []string{"t"}, 0.0, 5)
-	for _, q := range qs {
-		if !q.Tail {
-			t.Error("empty head pool must fall back to tail")
-		}
-	}
-	if Mix([]string{"h"}, nil, 1.0, 3)[0].Tail {
-		t.Error("empty tail pool must fall back to head")
-	}
-}
-
 func TestGiniCoefficient(t *testing.T) {
 	if g := GiniCoefficient([]float64{1, 1, 1, 1}); math.Abs(g) > 1e-9 {
 		t.Errorf("uniform gini = %v, want 0", g)
@@ -83,11 +50,5 @@ func TestGiniCoefficient(t *testing.T) {
 	z := GiniCoefficient(FormImpact(0.9, 1000))
 	if z < 0.3 || z > 0.95 {
 		t.Errorf("zipf gini = %v", z)
-	}
-}
-
-func TestAbsErr(t *testing.T) {
-	if AbsErr(0.5, 0.85) != 0.35 || AbsErr(0.85, 0.5) != 0.35 {
-		t.Error("AbsErr wrong")
 	}
 }
