@@ -129,7 +129,6 @@ func (f *Form) Bindable() []Input {
 	return out
 }
 
-
 // Binding assigns concrete values to a subset of a form's inputs.
 // Inputs absent from the binding are submitted empty (text boxes) or as
 // their wildcard option (selects) — exactly what a browser sends when a
@@ -176,7 +175,6 @@ func (f *Form) values(b Binding) url.Values {
 	}
 	return q
 }
-
 
 // Clone returns an independent copy of the binding.
 func (b Binding) Clone() Binding {

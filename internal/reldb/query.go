@@ -143,4 +143,3 @@ func (t *Table) Select(preds ...Pred) []int {
 	}
 	return out
 }
-
