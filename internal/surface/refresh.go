@@ -131,6 +131,7 @@ func (s *Surfacer) Refresh(ctx context.Context, req RefreshRequest) (RefreshResp
 	// Detect churn site by site, in host order.
 	sites := s.Web.Sites()
 	pos := make(map[string]int, len(sites))
+	isChanged := map[string]bool{}
 	var changed []*webgen.Site
 	for i, site := range sites {
 		host := site.Spec.Host
@@ -140,15 +141,12 @@ func (s *Surfacer) Refresh(ctx context.Context, req RefreshRequest) (RefreshResp
 			continue
 		}
 		changed = append(changed, site)
+		isChanged[host] = true
 	}
 	if len(changed) == 0 {
 		return resp, nil
 	}
 	st.SitesChanged = len(changed)
-	isChanged := make(map[string]bool, len(changed))
-	for _, site := range changed {
-		isChanged[site.Spec.Host] = true
-	}
 
 	// One pass over the old index finds the crawled surface-web pages,
 	// in id order, and each host's surfaced documents.
