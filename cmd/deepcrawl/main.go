@@ -14,9 +14,9 @@
 // signatures decide which sites are re-surfaced. The refreshed index
 // is built afresh, in the order a from-scratch surface of the churned
 // world would commit: unchanged sites' documents are copied, changed
-// sites' re-surfaced. The refreshed snapshot is written back to DIR (or to -out when
-// given), and a SIGHUP makes a running `deepsearch -snapshot` pick it
-// up without restarting.
+// sites' re-surfaced. The refreshed snapshot is written back to DIR
+// (or to -out when given), and a SIGHUP makes a running
+// `deepsearch -snapshot` pick it up without restarting.
 //
 // With -chaos the run goes through a deterministic fault-injecting
 // transport (seeded by -chaosseed): hosts flap, rate-limit, reset

@@ -33,10 +33,10 @@ import (
 //     (index.Version), so every key minted before it becomes
 //     unreachable and ages out of the LRU. A refresh builds a new
 //     index, whose version starts over, inside a new *Engine with a
-//     cache of its own, so no key of the old index can name it. A query racing a write
-//     reads the version before it scans, so it caches a state no
-//     older than its key names, and no page cached before a write
-//     completes can answer a query made after it.
+//     cache of its own, so no key of the old index can name it. A
+//     query racing a write reads the version before it scans, so it
+//     caches a state no older than its key names, and no page cached
+//     before a write completes can answer a query made after it.
 //
 // The query is normalized through the index's own term pipeline
 // (tokenize, stopword, stem), so "Used FORD!!" and "used ford" share

@@ -15,10 +15,10 @@ import (
 
 // model is the one reference every search answer is checked against
 // (TestEngineFollowsOracle): the corpus as plain Go values, one row per
-// doc id, answering Search the slow, obvious way from text. It shares with the index only the term
-// pipeline (textutil) and the predicate semantics, as
-// query.Matcher.Match over an annotation map, and it states what the
-// index promises:
+// doc id, answering Search the slow, obvious way from text. It shares
+// with the index only the term pipeline (textutil) and the predicate
+// semantics, as query.Matcher.Match over an annotation map, and it
+// states what the index promises:
 //
 //   - BM25 with the index's constants, expression shapes and
 //     query-term order, so score bits match exactly;

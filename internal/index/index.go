@@ -292,11 +292,11 @@ type Filter struct {
 
 // TopK returns one page of the BM25 ranking for a free-text query: the
 // k hits after skipping offset, plus the total hit count. Ties break by
-// ascending doc id so results are deterministic. f is an optional admission filter; hits it rejects count toward
-// neither the page nor the total. Cancellation is cooperative, checked
-// between query terms and, when f sets either field, every
-// keepPollEvery candidates of the selection loop: a canceled context
-// returns ctx.Err() with no results.
+// ascending doc id so results are deterministic. f is an optional
+// admission filter; hits it rejects count toward neither the page nor
+// the total. Cancellation is cooperative, checked between query terms
+// and, when f sets either field, every keepPollEvery candidates of the
+// selection loop: a canceled context returns ctx.Err() with no results.
 func (ix *Index) TopK(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()

@@ -87,10 +87,9 @@ func writeColumns(path string, docCount int, snapID uint32, body []byte) error {
 
 // ReadColumns reads the columns segment at path, which must belong to
 // the snapshot whose docs segment has header docs, and installs its
-// tables into ix. A segment
-// of another snapshot, a body that does not decode and tables
-// ix.InstallAnnotations refuses all fail with ErrCorrupt, and leave ix
-// without annotations.
+// tables into ix. A segment of another snapshot, a body that does not
+// decode and tables ix.InstallAnnotations refuses all fail with
+// ErrCorrupt, and leave ix without annotations.
 func ReadColumns(path string, docs Header, ix *index.Index) error {
 	h, body, err := readSegment(path, KindColumns)
 	if err != nil {

@@ -125,11 +125,10 @@ func (w *docsWriter) Add(d index.Doc, dl int) error {
 }
 
 // Close patches the real header and atomically renames the segment
-// into place. The snapshot
-// id is the CRC-32C of this body followed by columns, the body of the
-// columns segment of the same save; it is stamped into this header and
-// returned, to be stamped into the columns and postings segments
-// written alongside.
+// into place. The snapshot id is the CRC-32C of this body followed by
+// columns, the body of the columns segment of the same save; it is
+// stamped into this header and returned, to be stamped into the
+// columns and postings segments written alongside.
 func (w *docsWriter) Close(columns []byte) (snapID uint32, err error) {
 	if w.done {
 		return 0, errors.New("store: docs writer: already closed")

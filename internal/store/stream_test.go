@@ -34,9 +34,9 @@ var streamAnns = []map[string]string{
 
 // The docs and columns formats, pinned by constants: the snapshot id of
 // streamCorpus annotated by streamAnns, and the digest of its docs
-// segment followed by its columns body, recorded at format v4. Any byte the writers emit
-// differently — and therefore any snapshot id they would stamp
-// differently — fails here.
+// segment followed by its columns body, recorded at format v4. Any
+// byte the writers emit differently — and therefore any snapshot id
+// they would stamp differently — fails here.
 func TestDocsSegmentDigest(t *testing.T) {
 	const (
 		wantID  = 0x36e73265

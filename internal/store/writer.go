@@ -18,8 +18,8 @@ import (
 // that make the bytes canonical: the one term→segment placement,
 // shardOf, and the annotation tables, which it builds as documents
 // stream in, through the index's own intern core (index.AnnBuilder),
-// from every document in doc-id order. The two producers of snapshots differ only
-// in where documents and postings come from:
+// from every document in doc-id order. The two producers of snapshots
+// differ only in where documents and postings come from:
 //
 //   - a live index (engine.Save) streams its document table through
 //     AddDoc and hands Commit every resident posting list, which Commit
