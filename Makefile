@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test bench bench-smoke serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
+.PHONY: verify fmt vet build test bench bench-smoke bench-load serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
 
 # verify = the CI `test` job: gofmt, vet, build, race-enabled tests.
 verify: fmt vet build test
@@ -46,7 +46,8 @@ test:
 # item 11 — its Annotate loop runs over DocsSegment.Anns, which is
 # empty now that annotations live in the columns segment, so
 # index.annotate_s reads about 0 — and the request layer by layer) — it
-# exercises every path and checks every answer, and measures nothing.
+# exercises every path and checks every answer, and measures nothing;
+# it ends with one iteration of bench-load.
 bench:
 	$(GO) run ./bench
 
@@ -55,6 +56,13 @@ bench-smoke:
 		$(GO) run ./bench -smoke --workload $$w; \
 		$(GO) run ./bench -smoke --trace 1 --seconds 1 --workload $$w; \
 	done
+	$(MAKE) bench-load BENCHTIME=1x
+
+# bench-load = engine.Load of a 50k-document bulkgen snapshot, built
+# once: ns/op, B/op and allocs/op (BenchmarkLoad in internal/engine).
+BENCHTIME ?= 10x
+bench-load:
+	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime=$(BENCHTIME) ./internal/engine
 
 # serve-smoke = the CI serve-smoke job: checks that deepsearch without
 # -snapshot and deepcrawl -bulk without -out exit 2, then boots the

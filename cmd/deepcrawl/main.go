@@ -10,8 +10,8 @@
 //
 // With -refresh DIR it applies a delta instead of re-surfacing the
 // world: the world is rebuilt from the same flags, aged with -churn
-// random row mutations per site, and the snapshot's per-site content
-// signatures decide which sites are re-surfaced. The refreshed index
+// random row mutations spread over its sites, and the snapshot's
+// per-site content signatures decide which sites are re-surfaced. The refreshed index
 // is built afresh, in the order a from-scratch surface of the churned
 // world would commit: unchanged sites' documents are copied, changed
 // sites' re-surfaced. The refreshed snapshot is written back to DIR
@@ -64,7 +64,7 @@ func main() {
 	post := flag.Int("post", 0, "make one in N sites POST-only (0 = none)")
 	out := flag.String("out", "", "write a snapshot of the surfaced world (with -bulk: of the generated records) to this directory")
 	refresh := flag.String("refresh", "", "refresh an existing snapshot directory instead of surfacing from scratch")
-	churn := flag.Int("churn", 5, "with -refresh: random row mutations applied per site before refreshing")
+	churn := flag.Int("churn", 5, "with -refresh: random row mutations spread over the world's sites before refreshing")
 	churnSeed := flag.Int64("churnseed", 1, "with -refresh: seed of the churn mutation stream")
 	refreshBudget := flag.Float64("refreshbudget", 0, "with -refresh: probe-budget fraction (0,1] for re-surfacing a changed site (0 = full budget)")
 	hostCap := flag.Int("hostcap", 0, "with -refresh: max requests per host during the refresh pass (0 = uncapped)")
@@ -252,7 +252,7 @@ func runRefresh(worldCfg webgen.WorldConfig, req surface.RefreshRequest, dir, ou
 		e.Engine.Index.Len(), e.Engine.Generation, dir, time.Since(start).Round(time.Millisecond))
 
 	webgen.Churn(web, churn, churnSeed)
-	fmt.Printf("churn: %d row mutations per site (seed %d)\n", churn, churnSeed)
+	fmt.Printf("churn: %d row mutations over %d sites (seed %d)\n", churn, len(web.Sites()), churnSeed)
 
 	start = time.Now()
 	st, err := e.Refresh(context.Background(), req)

@@ -57,3 +57,21 @@ func TestFilteredSearchAllocatesNothingPerCandidate(t *testing.T) {
 		}
 	}
 }
+
+// Load allocates per term and per table, not per document: rows are
+// substrings of one copy of the docs body and the URL lookup waits for
+// the first write, so a 20k-document snapshot loads in fewer
+// allocations than it has documents.
+func TestLoadAllocatesPerTermNotPerDocument(t *testing.T) {
+	const docs = 20000
+	dir := bulkSnapshot(t, docs)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Load(dir); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= docs {
+		t.Fatalf("Load of %d documents made %.0f allocations", docs, allocs)
+	}
+	t.Logf("Load of %d documents: %.0f allocations", docs, allocs)
+}

@@ -1,0 +1,88 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"deepweb/internal/index"
+)
+
+// bulkSnapshot writes a bulkgen snapshot of docs documents over 12
+// sites and 16 postings segments into a fresh directory and returns it.
+func bulkSnapshot(tb testing.TB, docs int) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	src := bulkWorld(tb, 1, docs, 12).Source(2)
+	defer src.Close()
+	if _, err := BulkBuild(context.Background(), src, dir, BulkBuildOptions{Docs: docs, Workers: 2}); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// A loaded index holds no URL lookup until it is first written to or
+// asked Has; it must then answer as if it had always held one:
+// concurrent Has calls agree with the document table, a batch repeating
+// a loaded URL gets that URL's id back unadded, and a new URL takes the
+// next id.
+func TestLoadedIndexBuildsURLMapOnFirstWrite(t *testing.T) {
+	e := corpusEngine(t, 4)
+	dir := t.TempDir()
+	if err := e.Save(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := loaded.Index
+	n := ix.Len()
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := w; id < n; id += 97 {
+				if url := ix.Doc(id).URL; !ix.Has(url) {
+					t.Errorf("Has(%q) = false for loaded doc %d", url, id)
+				}
+				if url := fmt.Sprintf("http://absent.example/%d/%d", w, id); ix.Has(url) {
+					t.Errorf("Has(%q) = true, never indexed", url)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	loaded, err = Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix = loaded.Index
+	old := ix.Doc(n / 2)
+	fresh := index.Doc{URL: "http://new.example/1", Title: "new", Text: "a new document"}
+	ids, added := ix.AddPreparedBatch([]*index.Prepared{index.Prepare(old), index.Prepare(fresh)}, nil)
+	if ids[0] != n/2 || added[0] {
+		t.Errorf("batch repeating loaded doc %d's URL: id %d added %v, want %d false", n/2, ids[0], added[0], n/2)
+	}
+	if ids[1] != n || !added[1] {
+		t.Errorf("new URL: id %d added %v, want %d true", ids[1], added[1], n)
+	}
+	if ix.Len() != n+1 || !ix.Has(fresh.URL) || !ix.Has(old.URL) {
+		t.Errorf("after the batch: %d docs, Has(new) %v, Has(old) %v", ix.Len(), ix.Has(fresh.URL), ix.Has(old.URL))
+	}
+}
+
+// BenchmarkLoad loads a 50k-document bulkgen snapshot, built once.
+func BenchmarkLoad(b *testing.B) {
+	dir := bulkSnapshot(b, 50000)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Load(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

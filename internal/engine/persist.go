@@ -48,20 +48,26 @@ func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 // returns a serving engine: its Index answers plain and annotated
 // queries exactly as the saved one did — ids, score bits and tie order
 // included.
-// Once the docs segment is open, its rows (into ImportDocs), the
-// columns segment (one bulk decode, checked against the docs segment's
-// id and doc count, into InstallAnnotations, which derives
-// what the segment leaves out) and the postings segments (into
-// ImportTerms) are decoded concurrently, on 2+DefaultWorkers
-// goroutines, and joined; a damaged snapshot fails with the first
-// error in that order. The meta segment is the surfacer's
-// (surface.Open); Load leaves it unread.
+// Load reads the docs segment's 44-byte header first, CRC checked, for
+// the shard count, doc count and snapshot id. Then every segment is
+// decoded at once, on 2+DefaultWorkers goroutines, none waiting for
+// another: the rows into ImportDocs, the columns segment into
+// InstallAnnotations and the postings segments into ImportTerms. The
+// columns and postings jobs check their own header against the docs
+// header — doc count, snapshot id and, for postings, shard count and id
+// — before installing, so segments of different generations fail even
+// when each decodes cleanly; the rows job requires the header it read
+// with the body, whose doc count the body vouches for, to equal the
+// first. The jobs are joined, and a damaged snapshot fails with the
+// first job's error: rows, annotations, then postings in segment
+// order. The meta segment is the surfacer's (surface.Open); Load
+// leaves it unread.
 func Load(dir string) (*Engine, error) {
-	docs, err := store.OpenDocs(store.DocsPath(dir))
+	docsPath := store.DocsPath(dir)
+	hdr, err := store.ReadHeader(docsPath, store.KindDocs)
 	if err != nil {
 		return nil, fmt.Errorf("engine: load docs: %w", err)
 	}
-	hdr := docs.Header
 	ix := index.NewSharded(int(hdr.Shards))
 	e := &Engine{Index: ix, Generation: hdr.SnapID}
 
@@ -70,11 +76,17 @@ func Load(dir string) (*Engine, error) {
 	err = store.ForEachShard(2+DefaultWorkers, 2+int(hdr.Shards), func(job int) error {
 		switch job {
 		case 0:
-			rows, lens, err := docs.Rows()
+			seg, h, err := store.ReadDocs(docsPath)
 			if err != nil {
 				return err
 			}
-			return ix.ImportDocs(rows, lens, nil)
+			if h != hdr {
+				return fmt.Errorf("%s: header changed while the snapshot loaded: %w", docsPath, store.ErrCorrupt)
+			}
+			if err := ix.ImportDocs(seg.Docs, seg.Lens, nil); err != nil {
+				return fmt.Errorf("%s: %w: %w", docsPath, err, store.ErrCorrupt)
+			}
+			return nil
 		case 1:
 			return store.ReadColumns(store.ColumnsPath(dir), hdr, ix)
 		}

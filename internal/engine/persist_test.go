@@ -151,6 +151,28 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 		}
 		loadFails(t, dir)
 	})
+	t.Run("duplicate URL in the docs segment", func(t *testing.T) {
+		// A loaded index keeps no URL lookup until its first write, so
+		// the rows' URLs are checked apart from it, by their hashes.
+		dir := t.TempDir()
+		w, err := store.NewWriter(dir, 2, 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Abort()
+		for _, u := range []string{"http://a.example/1", "http://a.example/2", "http://a.example/1"} {
+			if err := w.AddDoc(index.Doc{URL: u, Text: "used car"}, 2, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := w.Commit(1, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		err = loadFails(t, dir)
+		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), `duplicate URL "http://a.example/1" (docs 0 and 2)`) {
+			t.Fatalf("want an ErrCorrupt naming the duplicate, got %v", err)
+		}
+	})
 	t.Run("missing columns segment", func(t *testing.T) {
 		dir := save(t)
 		if err := os.Remove(store.ColumnsPath(dir)); err != nil {

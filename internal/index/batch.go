@@ -15,7 +15,9 @@ package index
 // present (including earlier in the same batch — first occurrence
 // wins, matching sequential commits), in which case ids[i] is the
 // existing document's id. anns is nil or parallel to ps: anns[i]
-// annotates ps[i], as Annotate would, when ps[i] is added.
+// annotates ps[i], as Annotate would, when ps[i] is added. On an index
+// whose documents came from ImportDocs, the first call builds the URL
+// lookup, under the write lock it holds anyway.
 func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids []int, added []bool) {
 	ids = make([]int, len(ps))
 	added = make([]bool, len(ps))
@@ -26,6 +28,7 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.version.Add(1)
+	ix.urlsLocked()
 	for i, p := range ps {
 		if existing, ok := ix.byURL[p.doc.URL]; ok {
 			ids[i] = existing
@@ -35,7 +38,7 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 		ix.docs = append(ix.docs, p.doc)
 		ix.byURL[p.doc.URL] = id
 		ix.lens = append(ix.lens, p.dl)
-		ix.hosts = append(ix.hosts, ix.hostIDLocked(p.doc.URL))
+		ix.hosts = append(ix.hosts, internHost(ix.hostIDs, &ix.hostNames, p.doc.URL))
 		ix.totalLen += p.dl
 		for j, t := range p.terms {
 			ix.postings[t] = append(ix.postings[t], Posting{Doc: int32(id), TF: p.tfs[j]})

@@ -60,22 +60,22 @@ func plainHost(rawURL string) (string, bool) {
 	return rawURL[start:end], true
 }
 
-// hostIDLocked returns the dictionary id of rawURL's host, interning
-// it on first sight; 0 for a URL without one. The caller holds the
-// write lock.
-func (ix *Index) hostIDLocked(rawURL string) uint32 {
+// internHost returns the id of rawURL's host in the dictionary ids,
+// names (the index's, under its write lock, or one being built for
+// it), interning it on first sight; 0 for a URL without one.
+func internHost(ids map[string]uint32, names *[]string, rawURL string) uint32 {
 	h := hostOf(rawURL)
 	if h == "" {
 		return 0
 	}
-	id, ok := ix.hostIDs[h]
+	id, ok := ids[h]
 	if !ok {
 		// A fast-path host is a substring of the URL: copy it, so the
 		// dictionary does not pin the URL it was first seen in.
 		h = strings.Clone(h)
-		id = uint32(len(ix.hostNames))
-		ix.hostIDs[h] = id
-		ix.hostNames = append(ix.hostNames, h)
+		id = uint32(len(*names))
+		ids[h] = id
+		*names = append(*names, h)
 	}
 	return id
 }

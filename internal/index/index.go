@@ -19,6 +19,11 @@
 // can analyze documents in parallel outside the lock and commit them
 // at an ordered point, keeping doc-id assignment deterministic.
 //
+// The URL map that dedups commits grows with every commit into an
+// index from New. An index whose table came from ImportDocs (a loaded
+// snapshot) has none until the first AddPreparedBatch or Has, which
+// builds it from the table: a served index never reads it.
+//
 // Both halves run allocation-consciously: Prepare draws its tokenizer,
 // term buffer and counting map from a pool and emits a compact
 // term/frequency pair list; TopK scores into a pooled dense
@@ -68,7 +73,7 @@ type Index struct {
 	mu       sync.RWMutex
 	docs     []Doc
 	lens     []int
-	byURL    map[string]int
+	byURL    map[string]int // URL -> id; nil after ImportDocs until the first write
 	totalLen int
 
 	postings map[string][]Posting // term -> postings in ascending doc id
@@ -200,12 +205,33 @@ func (ix *Index) Len() int {
 	return len(ix.docs)
 }
 
-// Has reports whether a URL is already indexed.
+// Has reports whether a URL is already indexed. On an index whose
+// documents came from ImportDocs, the first call takes the write lock
+// and builds the URL lookup.
 func (ix *Index) Has(url string) bool {
 	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	_, ok := ix.byURL[url]
+	if ix.byURL != nil {
+		_, ok := ix.byURL[url]
+		ix.mu.RUnlock()
+		return ok
+	}
+	ix.mu.RUnlock()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	_, ok := ix.urlsLocked()[url]
 	return ok
+}
+
+// urlsLocked returns the URL lookup, building it from the document
+// table if ImportDocs left it nil. The caller holds the write lock.
+func (ix *Index) urlsLocked() map[string]int {
+	if ix.byURL == nil {
+		ix.byURL = make(map[string]int, len(ix.docs))
+		for id, d := range ix.docs {
+			ix.byURL[d.URL] = id
+		}
+	}
+	return ix.byURL
 }
 
 // Doc returns the indexed document with the given id.

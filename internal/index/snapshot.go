@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 )
@@ -73,11 +74,18 @@ func (ix *Index) ForEach(fn func(id int, d Doc, host string)) {
 }
 
 // ImportDocs installs a decoded document table into an empty index,
-// rebuilding the URL lookup, the host column and the corpus counters
-// BM25 reads. It refuses a non-empty index: snapshots restore whole
-// worlds, they do not merge into live ones. The index holds no deleted
-// documents, so dead must be nil; the parameter stays until the one
-// caller that passes it, the benchmark's traced load, goes.
+// with the host column and the corpus counters BM25 reads. It refuses
+// a non-empty index: snapshots restore whole worlds, they do not merge
+// into live ones. The index holds no deleted documents, so dead must be
+// nil; the parameter stays until the one caller that passes it, the
+// benchmark's traced load, goes.
+//
+// The URLs must be distinct. That is checked without the URL lookup,
+// which a served index never reads: the URLs' 64-bit hashes are sorted,
+// and only when two are equal does an exact pass over the URLs confirm
+// the duplicate and name the pair. The lookup is built by the first
+// AddPreparedBatch or Has. Everything but the install runs before the
+// table lock is taken.
 func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	if len(docs) != len(lens) {
 		return fmt.Errorf("index: import: %d docs but %d lengths", len(docs), len(lens))
@@ -85,22 +93,49 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
 	if dead != nil {
 		return fmt.Errorf("index: import: the index holds no deleted documents, got %d flags", len(dead))
 	}
+	if err := distinctURLs(docs); err != nil {
+		return err
+	}
+	hosts := make([]uint32, len(docs))
+	hostIDs := map[string]uint32{}
+	hostNames := []string{""}
+	totalLen := 0
+	for id, d := range docs {
+		hosts[id] = internHost(hostIDs, &hostNames, d.URL)
+		totalLen += lens[id]
+	}
+
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.version.Add(1)
 	if len(ix.docs) != 0 {
 		return fmt.Errorf("index: import into non-empty index (%d docs)", len(ix.docs))
 	}
-	ix.docs = docs
-	ix.lens = lens
-	ix.hosts = make([]uint32, len(docs))
+	ix.docs, ix.lens, ix.totalLen = docs, lens, totalLen
+	ix.hosts, ix.hostIDs, ix.hostNames = hosts, hostIDs, hostNames
+	ix.byURL = nil
+	return nil
+}
+
+// distinctURLs reports the first duplicate URL in docs, if any.
+func distinctURLs(docs []Doc) error {
+	seed := maphash.MakeSeed()
+	sums := make([]uint64, len(docs))
 	for id, d := range docs {
-		ix.hosts[id] = ix.hostIDLocked(d.URL)
-		ix.totalLen += lens[id]
-		if prev, dup := ix.byURL[d.URL]; dup {
+		sums[id] = maphash.String(seed, d.URL)
+	}
+	slices.Sort(sums)
+	if len(slices.Compact(sums)) == len(docs) {
+		return nil
+	}
+	// Two equal hashes: a duplicate, or a collision. Only the exact
+	// pass can tell, and it names the pair.
+	seen := make(map[string]int, len(docs))
+	for id, d := range docs {
+		if prev, dup := seen[d.URL]; dup {
 			return fmt.Errorf("index: import: duplicate URL %q (docs %d and %d)", d.URL, prev, id)
 		}
-		ix.byURL[d.URL] = id
+		seen[d.URL] = id
 	}
 	return nil
 }

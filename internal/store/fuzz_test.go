@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -43,6 +44,13 @@ func FuzzSegmentDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(raw[headerSize:], uint16(3))
+	}
+	// The posting loop's varint boundaries, valid and corrupt.
+	var e enc
+	encodePostingsBody(&e, varintBoundaryPostings())
+	f.Add(e.b, uint16(math.MaxUint16))
+	for _, body := range corruptPostingsBodies() {
+		f.Add(body, uint16(2))
 	}
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint16(9))

@@ -37,6 +37,12 @@
 // dominant cost of a snapshot compresses to roughly two bytes per
 // posting.
 //
+// Decoding allocates per table, not per string: the docs body is
+// walked once and every row's fields are substrings of one copy of it,
+// and a postings segment's terms are substrings of one copy of their
+// bytes. A row a caller keeps therefore keeps its whole generation's
+// text reachable.
+//
 // Corruption is always a returned error, never a panic: a serving
 // binary pointed at a bad snapshot must fail loudly at startup, not
 // crash mid-query.
@@ -53,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -230,37 +237,9 @@ func readSegment(path string, wantKind Kind) (Header, []byte, error) {
 	if err != nil {
 		return Header{}, nil, err
 	}
-	if len(raw) < headerSize {
-		return Header{}, nil, fmt.Errorf("%s: truncated header (%d bytes): %w", path, len(raw), ErrCorrupt)
-	}
-	if string(raw[0:4]) != magic {
-		return Header{}, nil, fmt.Errorf("%s: bad magic %q: %w", path, raw[0:4], ErrCorrupt)
-	}
-	if got, want := crc32.Checksum(raw[0:40], castagnoli), binary.LittleEndian.Uint32(raw[40:44]); got != want {
-		return Header{}, nil, fmt.Errorf("%s: header CRC mismatch (got %08x, stored %08x): %w", path, got, want, ErrCorrupt)
-	}
-	h := Header{
-		Version:  binary.LittleEndian.Uint16(raw[4:6]),
-		Kind:     Kind(binary.LittleEndian.Uint16(raw[6:8])),
-		Shards:   binary.LittleEndian.Uint32(raw[8:12]),
-		ShardID:  binary.LittleEndian.Uint32(raw[12:16]),
-		DocCount: binary.LittleEndian.Uint64(raw[16:24]),
-		SnapID:   binary.LittleEndian.Uint32(raw[24:28]),
-	}
-	if h.Version != Version {
-		return Header{}, nil, fmt.Errorf("%s: format version %d, reader supports %d (re-run deepcrawl -out): %w",
-			path, h.Version, Version, ErrVersion)
-	}
-	if h.Kind != wantKind {
-		return Header{}, nil, fmt.Errorf("%s: segment kind %v, want %v: %w", path, h.Kind, wantKind, ErrCorrupt)
-	}
-	if wantKind == KindDocs || wantKind == KindPostings || wantKind == KindSpill {
-		if h.Shards < 1 || h.Shards > MaxShards {
-			return Header{}, nil, fmt.Errorf("%s: shard count %d outside [1, %d]: %w", path, h.Shards, MaxShards, ErrCorrupt)
-		}
-		if h.ShardID >= h.Shards {
-			return Header{}, nil, fmt.Errorf("%s: shard id %d of %d shards: %w", path, h.ShardID, h.Shards, ErrCorrupt)
-		}
+	h, err := parseHeader(path, raw, wantKind)
+	if err != nil {
+		return Header{}, nil, err
 	}
 	bodyLen := binary.LittleEndian.Uint64(raw[28:36])
 	body := raw[headerSize:]
@@ -274,6 +253,63 @@ func readSegment(path string, wantKind Kind) (Header, []byte, error) {
 		return Header{}, nil, fmt.Errorf("%s: body CRC mismatch (got %08x, stored %08x): %w", path, got, want, ErrCorrupt)
 	}
 	return h, body, nil
+}
+
+// ReadHeader reads and validates only the 44-byte header of the
+// segment at path — magic, header CRC, version, kind and shard fields
+// checked as readSegment checks them — leaving the body unread and
+// unchecked. A loader reads the docs segment's header first to learn
+// the shard count before it reads any body.
+func ReadHeader(path string, wantKind Kind) (Header, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Header{}, err
+	}
+	defer f.Close()
+	var raw [headerSize]byte
+	n, err := io.ReadFull(f, raw[:])
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		return Header{}, err
+	}
+	return parseHeader(path, raw[:n], wantKind)
+}
+
+// parseHeader decodes and checks the header at the start of raw, the
+// whole segment or its first headerSize bytes.
+func parseHeader(path string, raw []byte, wantKind Kind) (Header, error) {
+	if len(raw) < headerSize {
+		return Header{}, fmt.Errorf("%s: truncated header (%d bytes): %w", path, len(raw), ErrCorrupt)
+	}
+	if string(raw[0:4]) != magic {
+		return Header{}, fmt.Errorf("%s: bad magic %q: %w", path, raw[0:4], ErrCorrupt)
+	}
+	if got, want := crc32.Checksum(raw[0:40], castagnoli), binary.LittleEndian.Uint32(raw[40:44]); got != want {
+		return Header{}, fmt.Errorf("%s: header CRC mismatch (got %08x, stored %08x): %w", path, got, want, ErrCorrupt)
+	}
+	h := Header{
+		Version:  binary.LittleEndian.Uint16(raw[4:6]),
+		Kind:     Kind(binary.LittleEndian.Uint16(raw[6:8])),
+		Shards:   binary.LittleEndian.Uint32(raw[8:12]),
+		ShardID:  binary.LittleEndian.Uint32(raw[12:16]),
+		DocCount: binary.LittleEndian.Uint64(raw[16:24]),
+		SnapID:   binary.LittleEndian.Uint32(raw[24:28]),
+	}
+	if h.Version != Version {
+		return Header{}, fmt.Errorf("%s: format version %d, reader supports %d (re-run deepcrawl -out): %w",
+			path, h.Version, Version, ErrVersion)
+	}
+	if h.Kind != wantKind {
+		return Header{}, fmt.Errorf("%s: segment kind %v, want %v: %w", path, h.Kind, wantKind, ErrCorrupt)
+	}
+	if wantKind == KindDocs || wantKind == KindPostings || wantKind == KindSpill {
+		if h.Shards < 1 || h.Shards > MaxShards {
+			return Header{}, fmt.Errorf("%s: shard count %d outside [1, %d]: %w", path, h.Shards, MaxShards, ErrCorrupt)
+		}
+		if h.ShardID >= h.Shards {
+			return Header{}, fmt.Errorf("%s: shard id %d of %d shards: %w", path, h.ShardID, h.Shards, ErrCorrupt)
+		}
+	}
+	return h, nil
 }
 
 // enc builds a varint-encoded segment body.
@@ -312,20 +348,15 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
-func (d *dec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
 func (d *dec) str() string { return string(d.bytes()) }
+
+// substr reads a string as a substring of text, a copy of the bytes d
+// started on, without allocating.
+func (d *dec) substr(text string) string {
+	b := d.bytes()
+	end := len(text) - len(d.b)
+	return text[end-len(b) : end]
+}
 
 // bytes reads a string's bytes in place, without copying them.
 func (d *dec) bytes() []byte {
@@ -377,65 +408,36 @@ type DocsSegment struct {
 	Anns []map[string]string
 }
 
-// ReadDocs reads and decodes the whole docs segment.
+// ReadDocs reads and decodes the whole docs segment, in one pass over
+// its body. The body is copied once, into one string, and every
+// document's URL, Title, Text and Source is a substring of that copy
+// (decodeColumns' idiom): a load allocates the table, not four strings
+// per row. Whatever keeps one of those strings — a served Result, a
+// Doc carried into a refreshed index — keeps the whole copy reachable,
+// so a generation's text is freed only once nothing from it is left.
 func ReadDocs(path string) (*DocsSegment, Header, error) {
-	f, err := OpenDocs(path)
-	if err != nil {
-		return nil, Header{}, err
-	}
-	seg := &DocsSegment{}
-	if seg.Docs, seg.Lens, err = f.Rows(); err != nil {
-		return nil, Header{}, err
-	}
-	return seg, f.Header, nil
-}
-
-// DocsFile is an opened docs segment: the document rows located, and
-// decoded on demand by Rows.
-type DocsFile struct {
-	Header Header
-
-	n    int
-	rows dec // the rows' undecoded bytes
-}
-
-// OpenDocs reads the docs segment and locates its rows by skipping
-// every string by its length.
-func OpenDocs(path string) (*DocsFile, error) {
 	h, body, err := readSegment(path, KindDocs)
 	if err != nil {
-		return nil, err
+		return nil, Header{}, err
 	}
 	d := &dec{b: body, path: path}
-	f := &DocsFile{Header: h, n: d.count("doc", 5), rows: *d}
-	for i := 0; i < f.n && d.err == nil; i++ {
-		for range 4 { // URL, Title, Text, Source
-			d.bytes()
-		}
-		d.uvarint()
+	text := string(body)
+	n := d.count("doc", 5)
+	if d.err == nil && uint64(n) != h.DocCount {
+		d.fail(fmt.Sprintf("body holds %d docs, header says %d", n, h.DocCount))
 	}
-	f.rows.b = f.rows.b[:len(f.rows.b)-len(d.b)]
-	if uint64(f.n) != h.DocCount {
-		d.fail(fmt.Sprintf("body holds %d docs, header says %d", f.n, h.DocCount))
+	seg := &DocsSegment{}
+	if d.err == nil {
+		seg.Docs, seg.Lens = make([]index.Doc, n), make([]int, n)
 	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Rows decodes the documents and their BM25 lengths, by doc id.
-func (f *DocsFile) Rows() ([]index.Doc, []int, error) {
-	d := f.rows
-	docs, lens := make([]index.Doc, 0, f.n), make([]int, 0, f.n)
-	for i := 0; i < f.n && d.err == nil; i++ {
-		docs = append(docs, index.Doc{URL: d.str(), Title: d.str(), Text: d.str(), Source: d.str()})
-		lens = append(lens, int(d.uvarint()))
+	for i := 0; i < n && d.err == nil; i++ {
+		seg.Docs[i] = index.Doc{URL: d.substr(text), Title: d.substr(text), Text: d.substr(text), Source: d.substr(text)}
+		seg.Lens[i] = int(d.uvarint())
 	}
 	if err := d.done(); err != nil {
-		return nil, nil, err
+		return nil, Header{}, err
 	}
-	return docs, lens, nil
+	return seg, h, nil
 }
 
 // WritePostings encodes and writes one shard's postings segment,
@@ -496,19 +498,54 @@ func encodePostingsBody(e *enc, terms []index.TermPostings) {
 }
 
 // decodePostingsBody is the inverse, bounds-checking every decoded doc
-// id against docCount; errors accumulate in d.
+// id against docCount and every tf against [1, MaxInt32]; errors
+// accumulate in d. The terms are substrings of one string, a copy of
+// their bytes made once the body is walked. The posting loop reads in
+// place: a delta or tf that fits one byte — most of them — is read
+// inline, and only a longer one goes through binary.Uvarint.
 func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
+	body := d.b
 	nTerms := d.count("term", 2)
 	terms := make([]index.TermPostings, 0, nTerms)
+	spans := make([][2]int, 0, nTerms) // each term's bytes: body[start:end]
+	termBytes := 0
 	for i := 0; i < nTerms && d.err == nil; i++ {
-		term := d.str()
+		term := d.bytes()
+		end := len(body) - len(d.b)
+		spans = append(spans, [2]int{end - len(term), end})
+		termBytes += len(term)
 		nPost := d.count("posting", 2)
-		ps := make([]index.Posting, 0, nPost)
+		if d.err != nil {
+			break
+		}
+		ps := make([]index.Posting, nPost)
+		b := d.b
 		prev := int64(0)
-		for j := 0; j < nPost && d.err == nil; j++ {
-			doc := prev + d.varint()
+		for j := range ps {
+			var zz, tf uint64
+			if len(b) > 0 && b[0] < 0x80 {
+				zz, b = uint64(b[0]), b[1:]
+			} else {
+				v, n := binary.Uvarint(b)
+				if n <= 0 {
+					d.fail("bad varint")
+					break
+				}
+				zz, b = v, b[n:]
+			}
+			if len(b) > 0 && b[0] < 0x80 {
+				tf, b = uint64(b[0]), b[1:]
+			} else {
+				v, n := binary.Uvarint(b)
+				if n <= 0 {
+					d.fail("bad uvarint")
+					break
+				}
+				tf, b = v, b[n:]
+			}
+			delta := int64(zz>>1) ^ -int64(zz&1) // zig-zag, as binary.Varint
+			doc := prev + delta
 			prev = doc
-			tf := d.uvarint()
 			if doc < 0 || uint64(doc) >= docCount {
 				d.fail(fmt.Sprintf("term %q: posting doc %d of %d", term, doc, docCount))
 				break
@@ -517,9 +554,23 @@ func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
 				d.fail(fmt.Sprintf("term %q: tf %d outside [1, %d]", term, tf, math.MaxInt32))
 				break
 			}
-			ps = append(ps, index.Posting{Doc: int32(doc), TF: int32(tf)})
+			ps[j] = index.Posting{Doc: int32(doc), TF: int32(tf)}
 		}
-		terms = append(terms, index.TermPostings{Term: term, Postings: ps})
+		d.b = b
+		terms = append(terms, index.TermPostings{Postings: ps})
+	}
+	if d.err != nil {
+		return nil
+	}
+	var sb strings.Builder
+	sb.Grow(termBytes)
+	for _, sp := range spans {
+		sb.Write(body[sp[0]:sp[1]])
+	}
+	all := sb.String()
+	for i, sp := range spans {
+		n := sp[1] - sp[0]
+		terms[i].Term, all = all[:n], all[n:]
 	}
 	return terms
 }

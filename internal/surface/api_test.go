@@ -71,7 +71,7 @@ func TestRefreshPerHostCap(t *testing.T) {
 		if _, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3}); err != nil {
 			t.Fatal(err)
 		}
-		webgen.Churn(e.Web, 8, 99)
+		webgen.Churn(e.Web, 8*len(e.Web.Sites()), 99)
 		before := map[string]int{}
 		for _, site := range e.Web.Sites() {
 			before[site.Spec.Host] = e.Web.Requests(site.Spec.Host)
@@ -156,7 +156,7 @@ func TestRefreshBudgetFraction(t *testing.T) {
 	if _, err := e.Surface(context.Background(), SurfaceRequest{Config: cfg, FollowNext: 3}); err != nil {
 		t.Fatal(err)
 	}
-	webgen.Churn(e.Web, 8, 3)
+	webgen.Churn(e.Web, 8*len(e.Web.Sites()), 3)
 
 	if _, err := e.Refresh(context.Background(), RefreshRequest{Config: cfg, BudgetFraction: 1.5}); err == nil {
 		t.Fatal("BudgetFraction 1.5 accepted")
@@ -183,7 +183,7 @@ func TestRefreshBudgetFraction(t *testing.T) {
 	// budget dry mid-analysis. Those sites must be left stale (no
 	// recorded signature) — not committed as refreshed with a shrunken
 	// corpus — so a later full-budget Refresh heals them.
-	webgen.Churn(e.Web, 8, 4)
+	webgen.Churn(e.Web, 8*len(e.Web.Sites()), 4)
 	tiny := 0.03 // 600 * 0.03 = 18 probes: exhausted before ISIT finishes
 	st, err = e.Refresh(context.Background(), RefreshRequest{Config: cfg, FollowNext: 3, BudgetFraction: tiny})
 	if err != nil {
@@ -231,7 +231,7 @@ func TestRefreshFiltered(t *testing.T) {
 	if _, err := e.Surface(context.Background(), SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 0, Filter: filt}); err != nil {
 		t.Fatal(err)
 	}
-	webgen.Churn(e.Web, 8, 5)
+	webgen.Churn(e.Web, 8*len(e.Web.Sites()), 5)
 	st, err := e.Refresh(context.Background(), RefreshRequest{Config: core.DefaultConfig(), Filter: filt})
 	if err != nil {
 		t.Fatal(err)

@@ -15,13 +15,18 @@ import (
 // be property-tested against a from-scratch surface of the mutated
 // world.
 
-// Churn mutates every site in the web: n random row mutations per
-// site, drawn from one seeded stream. Sites are visited in host order,
-// so the result is a pure function of (web state, n, seed).
+// Churn applies n random row mutations across the whole web, each to
+// a site drawn from one seeded stream, so some sites may take several
+// and others none. Sites are drawn from in host order, so the result is
+// a pure function of (web state, n, seed).
 func Churn(w *Web, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	for _, s := range w.Sites() {
-		ChurnSite(s, n, rng)
+	sites := w.Sites()
+	if len(sites) == 0 {
+		return
+	}
+	for range n {
+		ChurnSite(sites[rng.Intn(len(sites))], 1, rng)
 	}
 }
 

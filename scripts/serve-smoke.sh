@@ -9,9 +9,11 @@
 #   1. -snapshot of a `deepcrawl -sites 1 -rows 120 -out` directory,
 #      which has a tables segment: /healthz comes up, /v1/search,
 #      /v1/semantics/synonyms and the HTML page (annotated) answer 200;
-#      then `deepcrawl -refresh` rewrites the directory, and POST
-#      /v1/admin/reload answers 200 with a generation other than the
-#      one /healthz reported before;
+#      then `deepcrawl -refresh` rewrites the directory, reporting k/N
+#      sites changed with 0 < k < N — so the refresh both re-surfaces
+#      sites and carries the loaded documents of unchanged ones over —
+#      and POST /v1/admin/reload answers 200 with a generation other
+#      than the one /healthz reported before;
 #   2. -snapshot of a `deepcrawl -bulk 2000 -out` directory, which has
 #      no tables segment: /v1/search answers 200 and
 #      /v1/semantics/values answers the 404 JSON envelope.
@@ -130,7 +132,15 @@ expect 200 '/v1/semantics/synonyms?attr=make'
 expect 200 '/?q=used+ford&annotated=true'
 expect 200 '/healthz'
 before="$(generation)"
-"$work/deepcrawl" -sites 1 -rows 120 -refresh "$work/world" >/dev/null
+"$work/deepcrawl" -sites 1 -rows 120 -refresh "$work/world" >"$work/refresh.log"
+changed="$(grep -o 'refresh: [0-9]*/[0-9]* sites changed' "$work/refresh.log" | grep -o '[0-9]*/[0-9]*')"
+k="${changed%/*}" n="${changed#*/}"
+if [ -z "$changed" ] || [ "$k" -le 0 ] || [ "$k" -ge "$n" ]; then
+	echo "serve-smoke: deepcrawl -refresh changed '$changed' sites, want some but not all" >&2
+	cat "$work/refresh.log" >&2
+	exit 1
+fi
+echo "ok  deepcrawl -refresh: $k/$n sites changed"
 expect 200 '/v1/admin/reload' POST
 after="$(generation)"
 if [ -z "$before" ] || [ -z "$after" ] || [ "$before" = "$after" ]; then
