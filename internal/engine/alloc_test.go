@@ -10,10 +10,13 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"os"
+	"runtime"
 	"testing"
 
 	"deepweb/internal/index"
 	"deepweb/internal/query"
+	"deepweb/internal/store"
 )
 
 // The filter reads each candidate's host id and annotations in place,
@@ -74,4 +77,32 @@ func TestLoadAllocatesPerTermNotPerDocument(t *testing.T) {
 		t.Fatalf("Load of %d documents made %.0f allocations", docs, allocs)
 	}
 	t.Logf("Load of %d documents: %.0f allocations", docs, allocs)
+}
+
+// Load reads each segment body once, into the memory that keeps it:
+// what it allocates beyond what it retains — the transient bodies of
+// the columns and postings segments, read windows, scratch — stays
+// below the size of the docs body, so the docs body is never read
+// into one buffer and copied into another.
+func TestLoadReadsEachBodyOnce(t *testing.T) {
+	dir := bulkSnapshot(t, 20000)
+	fi, err := os.Stat(store.DocsPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	allocated, retained := after.TotalAlloc-before.TotalAlloc, after.HeapAlloc-before.HeapAlloc
+	if transient, docsBody := allocated-retained, uint64(fi.Size()); transient >= docsBody {
+		t.Fatalf("Load allocated %d bytes and retained %d: %d transient, not below the %d-byte docs segment", allocated, retained, transient, docsBody)
+	}
+	t.Logf("Load allocated %d bytes, retained %d; docs segment %d bytes", allocated, retained, fi.Size())
 }

@@ -3,10 +3,13 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"deepweb/internal/index"
+	"deepweb/internal/memwatch"
 )
 
 // bulkSnapshot writes a bulkgen snapshot of docs documents over 12
@@ -77,6 +80,8 @@ func TestLoadedIndexBuildsURLMapOnFirstWrite(t *testing.T) {
 }
 
 // BenchmarkLoad loads a 50k-document bulkgen snapshot, built once.
+// Past the timed loads, one more from a collected heap reports the
+// heap's peak, sampled every millisecond, as peak-heap-MB.
 func BenchmarkLoad(b *testing.B) {
 	dir := bulkSnapshot(b, 50000)
 	b.ReportAllocs()
@@ -85,4 +90,10 @@ func BenchmarkLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	runtime.GC()
+	w := memwatch.Start(time.Millisecond)
+	if _, err := Load(dir); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(memwatch.PeakMB(w.Stop()), "peak-heap-MB")
 }

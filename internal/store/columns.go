@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"deepweb/internal/index"
 )
@@ -113,13 +114,14 @@ func ReadColumns(path string, docs Header, ix *index.Index) error {
 // decodeColumns is encodeColumns' inverse. It checks what the encoding
 // alone can break — counts the remaining bytes cannot hold, an empty
 // name or value, an id or code past 32 bits — and leaves the tables'
-// own rules to InstallAnnotations; errors accumulate in d. Each dictionary's values are substrings of one
-// string, a copy: nothing keeps the segment's bytes reachable.
+// own rules to InstallAnnotations; errors accumulate in d. Names are
+// cloned, and each dictionary's values are substrings of one clone of
+// their bytes: nothing keeps the body reachable.
 func decodeColumns(d *dec) ([]index.AnnColumn, []index.AnnSchema) {
 	cols := make([]index.AnnColumn, d.count("attribute", 2))
 	for a := 0; a < len(cols) && d.err == nil; a++ {
 		c := &cols[a]
-		if c.Attr = d.str(); c.Attr == "" && d.err == nil {
+		if c.Attr = strings.Clone(d.str()); c.Attr == "" && d.err == nil {
 			d.fail(fmt.Sprintf("attribute %d has no name", a))
 		}
 		c.Values = make([]index.AnnValue, d.count("value", 2))
@@ -137,7 +139,7 @@ func decodeColumns(d *dec) ([]index.AnnColumn, []index.AnnSchema) {
 		if d.err != nil {
 			break
 		}
-		blob := string(d.b[:total])
+		blob := strings.Clone(d.b[:total])
 		d.b = d.b[total:]
 		for i := range c.Values {
 			n := lens.uvarint()

@@ -37,11 +37,11 @@
 // dominant cost of a snapshot compresses to roughly two bytes per
 // posting.
 //
-// Decoding allocates per table, not per string: the docs body is
-// walked once and every row's fields are substrings of one copy of it,
-// and a postings segment's terms are substrings of one copy of their
-// bytes. A row a caller keeps therefore keeps its whole generation's
-// text reachable.
+// A body is read once, streamed into the string the decoder walks.
+// Decoding allocates per table, not per string: the docs rows are
+// substrings of that string, its one copy, so a row a caller keeps
+// keeps its whole generation's text reachable; the postings terms and
+// the columns' names and values are cloned out of theirs.
 //
 // Corruption is always a returned error, never a panic: a serving
 // binary pointed at a bad snapshot must fail loudly at startup, not
@@ -65,6 +65,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"deepweb/internal/index"
 	"deepweb/internal/webtables"
@@ -232,27 +233,56 @@ func encodeHeader(buf []byte, h Header, bodyLen uint64, bodyCRC uint32) {
 
 // readSegment reads and validates a segment, returning its header and
 // body. wantKind guards against segment files swapped between roles.
-func readSegment(path string, wantKind Kind) (Header, []byte, error) {
-	raw, err := os.ReadFile(path)
+// Header and file size are checked before the body is allocated; it
+// then streams through a 64 KiB window, CRC'd as it goes, into the
+// string returned, its one copy.
+func readSegment(path string, wantKind Kind) (Header, string, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return Header{}, nil, err
+		return Header{}, "", err
 	}
-	h, err := parseHeader(path, raw, wantKind)
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
-		return Header{}, nil, err
+		return Header{}, "", err
 	}
-	bodyLen := binary.LittleEndian.Uint64(raw[28:36])
-	body := raw[headerSize:]
-	if uint64(len(body)) < bodyLen {
-		return Header{}, nil, fmt.Errorf("%s: truncated segment body (%d of %d bytes): %w", path, len(body), bodyLen, ErrCorrupt)
+	return readFrame(path, f, fi.Size(), wantKind)
+}
+
+// windows holds the buffers readFrame streams bodies through.
+var windows = sync.Pool{New: func() any { return new([64 << 10]byte) }}
+
+// readFrame reads a segment from r, which Stat said holds size bytes.
+// A file that changes size while it is read fails with ErrCorrupt.
+func readFrame(path string, r io.Reader, size int64, wantKind Kind) (Header, string, error) {
+	var raw [headerSize]byte
+	h, err := readHeader(path, r, raw[:], wantKind)
+	if err != nil {
+		return Header{}, "", err
 	}
-	if uint64(len(body)) > bodyLen {
-		return Header{}, nil, fmt.Errorf("%s: %d trailing bytes after body: %w", path, uint64(len(body))-bodyLen, ErrCorrupt)
+	bodyLen, have := binary.LittleEndian.Uint64(raw[28:36]), uint64(max(size-headerSize, 0))
+	if have < bodyLen {
+		return Header{}, "", fmt.Errorf("%s: truncated segment body (%d of %d bytes): %w", path, have, bodyLen, ErrCorrupt)
 	}
-	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(raw[36:40]); got != want {
-		return Header{}, nil, fmt.Errorf("%s: body CRC mismatch (got %08x, stored %08x): %w", path, got, want, ErrCorrupt)
+	if have > bodyLen {
+		return Header{}, "", fmt.Errorf("%s: %d trailing bytes after body: %w", path, have-bodyLen, ErrCorrupt)
 	}
-	return h, body, nil
+	var body strings.Builder
+	body.Grow(int(bodyLen))
+	crc := crc32.New(castagnoli)
+	window := windows.Get().(*[64 << 10]byte)
+	defer windows.Put(window)
+	n, err := io.CopyBuffer(io.MultiWriter(&body, crc), io.LimitReader(r, int64(bodyLen)+1), window[:])
+	if err != nil {
+		return Header{}, "", err
+	}
+	if uint64(n) != bodyLen {
+		return Header{}, "", fmt.Errorf("%s: segment changed size while read (%d body bytes, %d when checked): %w", path, n, bodyLen, ErrCorrupt)
+	}
+	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(raw[36:40]); got != want {
+		return Header{}, "", fmt.Errorf("%s: body CRC mismatch (got %08x, stored %08x): %w", path, got, want, ErrCorrupt)
+	}
+	return h, body.String(), nil
 }
 
 // ReadHeader reads and validates only the 44-byte header of the
@@ -267,18 +297,16 @@ func ReadHeader(path string, wantKind Kind) (Header, error) {
 	}
 	defer f.Close()
 	var raw [headerSize]byte
-	n, err := io.ReadFull(f, raw[:])
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-		return Header{}, err
-	}
-	return parseHeader(path, raw[:n], wantKind)
+	return readHeader(path, f, raw[:], wantKind)
 }
 
-// parseHeader decodes and checks the header at the start of raw, the
-// whole segment or its first headerSize bytes.
-func parseHeader(path string, raw []byte, wantKind Kind) (Header, error) {
-	if len(raw) < headerSize {
-		return Header{}, fmt.Errorf("%s: truncated header (%d bytes): %w", path, len(raw), ErrCorrupt)
+// readHeader reads raw, headerSize bytes, from r and checks them as a
+// header.
+func readHeader(path string, r io.Reader, raw []byte, wantKind Kind) (Header, error) {
+	if n, err := io.ReadFull(r, raw); errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+		return Header{}, fmt.Errorf("%s: truncated header (%d bytes): %w", path, n, ErrCorrupt)
+	} else if err != nil {
+		return Header{}, err
 	}
 	if string(raw[0:4]) != magic {
 		return Header{}, fmt.Errorf("%s: bad magic %q: %w", path, raw[0:4], ErrCorrupt)
@@ -322,9 +350,10 @@ func (e *enc) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s
 // dec walks a validated body with bounds-checked reads. CRC has
 // already vouched for the bytes, but the decoder still refuses to read
 // past the end or mis-size a string — a logic bug or a deliberately
-// crafted file must surface as ErrCorrupt, not a panic.
+// crafted file must surface as ErrCorrupt, not a panic. Every string
+// it reads is a substring of the body.
 type dec struct {
-	b    []byte
+	b    string
 	path string
 	err  error
 }
@@ -339,7 +368,7 @@ func (d *dec) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b)
+	v, n := uvarint(d.b)
 	if n <= 0 {
 		d.fail("bad uvarint")
 		return 0
@@ -348,29 +377,35 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
-func (d *dec) str() string { return string(d.bytes()) }
-
-// substr reads a string as a substring of text, a copy of the bytes d
-// started on, without allocating.
-func (d *dec) substr(text string) string {
-	b := d.bytes()
-	end := len(text) - len(d.b)
-	return text[end-len(b) : end]
+// uvarint is binary.Uvarint over a string, save that n is 0 for an
+// overlong varint as for a short one.
+func uvarint(s string) (v uint64, n int) {
+	for i := range min(len(s), binary.MaxVarintLen64) {
+		b := s[i]
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, 0
+			}
+			return v, i + 1
+		}
+	}
+	return 0, 0
 }
 
-// bytes reads a string's bytes in place, without copying them.
-func (d *dec) bytes() []byte {
+// str reads a length-prefixed string, a substring of the body.
+func (d *dec) str() string {
 	n := d.uvarint()
 	if d.err != nil {
-		return nil
+		return ""
 	}
 	if n > uint64(len(d.b)) {
 		d.fail(fmt.Sprintf("string length %d exceeds remaining %d bytes", n, len(d.b)))
-		return nil
+		return ""
 	}
-	b := d.b[:n]
+	s := d.b[:n]
 	d.b = d.b[n:]
-	return b
+	return s
 }
 
 // count reads a uvarint element count and sanity-bounds it against the
@@ -409,19 +444,17 @@ type DocsSegment struct {
 }
 
 // ReadDocs reads and decodes the whole docs segment, in one pass over
-// its body. The body is copied once, into one string, and every
-// document's URL, Title, Text and Source is a substring of that copy
-// (decodeColumns' idiom): a load allocates the table, not four strings
-// per row. Whatever keeps one of those strings — a served Result, a
-// Doc carried into a refreshed index — keeps the whole copy reachable,
-// so a generation's text is freed only once nothing from it is left.
+// its body, and every document's URL, Title, Text and Source is a
+// substring of the body: a load allocates the table, not four strings
+// per row. Whatever keeps one of those strings — a served Result, a Doc
+// carried into a refreshed index — keeps the whole body reachable, so
+// a generation's text is freed only once nothing from it is left.
 func ReadDocs(path string) (*DocsSegment, Header, error) {
 	h, body, err := readSegment(path, KindDocs)
 	if err != nil {
 		return nil, Header{}, err
 	}
 	d := &dec{b: body, path: path}
-	text := string(body)
 	n := d.count("doc", 5)
 	if d.err == nil && uint64(n) != h.DocCount {
 		d.fail(fmt.Sprintf("body holds %d docs, header says %d", n, h.DocCount))
@@ -431,7 +464,7 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 		seg.Docs, seg.Lens = make([]index.Doc, n), make([]int, n)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
-		seg.Docs[i] = index.Doc{URL: d.substr(text), Title: d.substr(text), Text: d.substr(text), Source: d.substr(text)}
+		seg.Docs[i] = index.Doc{URL: d.str(), Title: d.str(), Text: d.str(), Source: d.str()}
 		seg.Lens[i] = int(d.uvarint())
 	}
 	if err := d.done(); err != nil {
@@ -502,17 +535,13 @@ func encodePostingsBody(e *enc, terms []index.TermPostings) {
 // accumulate in d. The terms are substrings of one string, a copy of
 // their bytes made once the body is walked. The posting loop reads in
 // place: a delta or tf that fits one byte — most of them — is read
-// inline, and only a longer one goes through binary.Uvarint.
+// inline, and only a longer one goes through uvarint.
 func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
-	body := d.b
 	nTerms := d.count("term", 2)
 	terms := make([]index.TermPostings, 0, nTerms)
-	spans := make([][2]int, 0, nTerms) // each term's bytes: body[start:end]
 	termBytes := 0
 	for i := 0; i < nTerms && d.err == nil; i++ {
-		term := d.bytes()
-		end := len(body) - len(d.b)
-		spans = append(spans, [2]int{end - len(term), end})
+		term := d.str()
 		termBytes += len(term)
 		nPost := d.count("posting", 2)
 		if d.err != nil {
@@ -526,7 +555,7 @@ func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
 			if len(b) > 0 && b[0] < 0x80 {
 				zz, b = uint64(b[0]), b[1:]
 			} else {
-				v, n := binary.Uvarint(b)
+				v, n := uvarint(b)
 				if n <= 0 {
 					d.fail("bad varint")
 					break
@@ -536,7 +565,7 @@ func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
 			if len(b) > 0 && b[0] < 0x80 {
 				tf, b = uint64(b[0]), b[1:]
 			} else {
-				v, n := binary.Uvarint(b)
+				v, n := uvarint(b)
 				if n <= 0 {
 					d.fail("bad uvarint")
 					break
@@ -557,19 +586,19 @@ func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
 			ps[j] = index.Posting{Doc: int32(doc), TF: int32(tf)}
 		}
 		d.b = b
-		terms = append(terms, index.TermPostings{Postings: ps})
+		terms = append(terms, index.TermPostings{Term: term, Postings: ps})
 	}
 	if d.err != nil {
 		return nil
 	}
 	var sb strings.Builder
 	sb.Grow(termBytes)
-	for _, sp := range spans {
-		sb.Write(body[sp[0]:sp[1]])
+	for _, tp := range terms {
+		sb.WriteString(tp.Term)
 	}
 	all := sb.String()
-	for i, sp := range spans {
-		n := sp[1] - sp[0]
+	for i := range terms {
+		n := len(terms[i].Term)
 		terms[i].Term, all = all[:n], all[n:]
 	}
 	return terms
