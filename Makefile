@@ -105,16 +105,19 @@ chaos:
 # Key), arbitrary pages through the HTML parser and extractors, the
 # /v1/search append encoder against encoding/json, the index's
 # host-column extractor against url.Parse, then the filter's bound
-# path against Matcher.Match over fuzzed annotations.
+# path against Matcher.Match over fuzzed annotations. A new
+# interesting input is minimized once (-fuzzminimizetime 1x), not for
+# the default 60 s, which could stall a 30 s pass after its first
+# seconds.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/textutil
-	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME) ./internal/store
-	$(GO) test -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME) ./internal/query
-	$(GO) test -run '^$$' -fuzz '^FuzzHTMLParse$$' -fuzztime $(FUZZTIME) ./internal/htmlx
-	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime $(FUZZTIME) ./internal/api
-	$(GO) test -run '^$$' -fuzz '^FuzzHostOf$$' -fuzztime $(FUZZTIME) ./internal/index
-	$(GO) test -run '^$$' -fuzz '^FuzzBoundMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/textutil
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzHTMLParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/htmlx
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/api
+	$(GO) test -run '^$$' -fuzz '^FuzzHostOf$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzBoundMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/query
 
 # lint = the CI lint job: the project's own analyzers first (no
 # install, works offline), then the pinned external tools (network

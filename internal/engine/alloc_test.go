@@ -106,3 +106,33 @@ func TestLoadReadsEachBodyOnce(t *testing.T) {
 	}
 	t.Logf("Load allocated %d bytes, retained %d; docs segment %d bytes", allocated, retained, fi.Size())
 }
+
+// A loaded index keeps no header per document or per dictionary value:
+// rows are 8-byte references into the docs body, and each dictionary
+// finds its codes through a flat table. So what a 20k-document Load
+// retains beyond the docs body — postings, annotation tables, the
+// per-document columns — stays within maxLoadedBytesPerDoc per
+// document: about 350 bytes here, where a []Doc table and map-backed
+// dictionaries kept about 435.
+func TestLoadedHeapPerDocument(t *testing.T) {
+	const docs, maxLoadedBytesPerDoc = 20000, 400
+	dir := bulkSnapshot(t, docs)
+	fi, err := os.Stat(store.DocsPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	beyond := int64(after.HeapAlloc) - int64(before.HeapAlloc) - fi.Size()
+	if per := beyond / docs; per > maxLoadedBytesPerDoc {
+		t.Fatalf("Load keeps %d bytes beyond the %d-byte docs segment, %d a document: more than %d", beyond, fi.Size(), per, maxLoadedBytesPerDoc)
+	}
+}

@@ -29,7 +29,7 @@ func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 	}
 	defer w.Abort()
 	for id, d := range docs {
-		if err := w.AddDoc(d, lens[id], ix.AnnotationsOf(id)); err != nil {
+		if err := w.AddDoc(d, int(lens[id]), ix.AnnotationsOf(id)); err != nil {
 			return fmt.Errorf("engine: save docs: %w", err)
 		}
 	}
@@ -51,7 +51,8 @@ func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 // Load reads the docs segment's 44-byte header first, CRC checked, for
 // the shard count, doc count and snapshot id. Then every segment is
 // decoded at once, on 2+DefaultWorkers goroutines, none waiting for
-// another: the rows into ImportDocs, the columns segment into
+// another: the rows into ImportRows, which keeps the docs body as the
+// index's document table, the columns segment into
 // InstallAnnotations and the postings segments into ImportTerms. The
 // columns and postings jobs check their own header against the docs
 // header — doc count, snapshot id and, for postings, shard count and id
@@ -76,14 +77,14 @@ func Load(dir string) (*Engine, error) {
 	err = store.ForEachShard(2+DefaultWorkers, 2+int(hdr.Shards), func(job int) error {
 		switch job {
 		case 0:
-			seg, h, err := store.ReadDocs(docsPath)
+			body, offs, lens, h, err := store.ReadRows(docsPath)
 			if err != nil {
 				return err
 			}
 			if h != hdr {
 				return fmt.Errorf("%s: header changed while the snapshot loaded: %w", docsPath, store.ErrCorrupt)
 			}
-			if err := ix.ImportDocs(seg.Docs, seg.Lens, nil); err != nil {
+			if err := ix.ImportRows(body, offs, lens); err != nil {
 				return fmt.Errorf("%s: %w: %w", docsPath, err, store.ErrCorrupt)
 			}
 			return nil

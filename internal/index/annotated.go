@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strconv"
@@ -48,7 +49,7 @@ import (
 // schema's attribute ids, slot -> doc-id list and code columns, written
 // from an AnnBuilder fed every document in doc-id order. Loading
 // installs them through InstallAnnotations, which derives the rest —
-// numeric readings, support, word counts, the lookup maps, each
+// numeric readings, support, word counts, the code tables, each
 // document's schema and slot — so each table's slots come back in the
 // order a scan reads its candidates, with the same ids on every load.
 
@@ -108,10 +109,15 @@ func (t *AnnTables) Column(a uint32) AnnColumn {
 
 // annColumn is one attribute's dictionary.
 type annColumn struct {
-	name    string
-	codes   map[string]uint32 // value -> code
-	values  []AnnValue        // code -> value
-	support []int32           // code -> documents carrying it
+	name string
+	// table finds a value's code: an open-addressing table of code+1,
+	// 0 for an empty cell, probed linearly from the value text's
+	// maphash. It is at most 2/3 full, a power of two long, and
+	// re-inserts in code order as it grows, so its layout depends only
+	// on the values in code order.
+	table   []uint32
+	values  []AnnValue // code -> value
+	support []int32    // code -> documents carrying it
 	// maxWords is the most space-separated words any value has: the
 	// longest query n-gram worth probing codes with.
 	maxWords int
@@ -220,7 +226,7 @@ func (st *annStore) column(attr string) (uint32, *annColumn) {
 	if !ok {
 		a = uint32(len(st.cols))
 		st.attrs[attr] = a
-		st.cols = append(st.cols, &annColumn{name: attr, codes: map[string]uint32{}})
+		st.cols = append(st.cols, &annColumn{name: attr})
 	}
 	return a, st.cols[a]
 }
@@ -228,17 +234,68 @@ func (st *annStore) column(attr string) (uint32, *annColumn) {
 // code returns the value's dictionary code, interning it on first
 // sight.
 func (col *annColumn) code(v string) uint32 {
-	c, ok := col.codes[v]
+	c, ok := col.lookup(v)
 	if !ok {
 		c = uint32(len(col.values))
-		col.codes[v] = c
 		col.values = appendDoubling(col.values, NewAnnValue(v))
 		col.support = appendDoubling(col.support, 0)
+		col.insert(c)
 		if w := strings.Count(v, " ") + 1; w > col.maxWords {
 			col.maxWords = w
 		}
 	}
 	return c
+}
+
+// codeSeed keys every dictionary's code table.
+var codeSeed = maphash.MakeSeed()
+
+// probe returns the cell of the code table holding value v, or else
+// the empty cell where v would go. The table must have an empty cell.
+func (col *annColumn) probe(v string) *uint32 {
+	mask := uint64(len(col.table) - 1)
+	i := maphash.String(codeSeed, v) & mask
+	for col.table[i] != 0 && col.values[col.table[i]-1].Text != v {
+		i = (i + 1) & mask
+	}
+	return &col.table[i]
+}
+
+// lookup returns the code of value v, if the dictionary holds it.
+func (col *annColumn) lookup(v string) (uint32, bool) {
+	if len(col.table) == 0 {
+		return 0, false
+	}
+	c := *col.probe(v)
+	return c - 1, c != 0
+}
+
+// insert enters code c, whose value is values[c], once the codes below
+// c are in the table, doubling the table first (and re-entering those
+// codes in order) when it would be more than 2/3 full. It reports
+// false, entering nothing, if an equal value holds a code already.
+func (col *annColumn) insert(c uint32) bool {
+	if 3*(int(c)+1) > 2*len(col.table) {
+		col.table = make([]uint32, max(2*len(col.table), 8))
+		for prev := range c {
+			*col.probe(col.values[prev].Text) = prev + 1
+		}
+	}
+	cell := col.probe(col.values[c].Text)
+	if *cell != 0 {
+		return false
+	}
+	*cell = c + 1
+	return true
+}
+
+// tableSize is the length of a code table that holds n values.
+func tableSize(n int) int {
+	size := 8
+	for 3*n > 2*size {
+		size *= 2
+	}
+	return size
 }
 
 // appendDoubling is append with capacity doubled on growth. The
@@ -437,9 +494,9 @@ func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) {
 // tables of schema 1 on, each one's Attrs, Codes and Docs; docs is the
 // snapshot's document count. The index takes
 // ownership of every slice. The rest — each value's numeric reading,
-// support and word count, the lookup maps, each document's schema and
+// support and word count, the code tables, each document's schema and
 // slot — is derived outside the table lock, so a loader runs this
-// beside ImportDocs and ImportTerms. Tables no builder produces are
+// beside ImportRows and ImportTerms. Tables no builder produces are
 // refused whole, before anything is installed: a repeated attribute
 // name or dictionary value, an empty or repeated schema, attribute ids
 // that do not ascend or name no attribute, a code past its dictionary,
@@ -474,15 +531,14 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 		st.attrs[c.Attr] = uint32(a)
 		col := &annColumn{
 			name:    c.Attr,
-			codes:   make(map[string]uint32, len(c.Values)),
+			table:   make([]uint32, tableSize(len(c.Values))),
 			values:  c.Values,
 			support: make([]int32, len(c.Values)),
 		}
 		for code, v := range c.Values {
-			if _, dup := col.codes[v.Text]; dup {
+			if !col.insert(uint32(code)) {
 				return st, fmt.Errorf("attribute %q: value %q twice in its dictionary", c.Attr, v.Text)
 			}
-			col.codes[v.Text] = uint32(code)
 			col.values[code] = NewAnnValue(v.Text)
 			col.maxWords = max(col.maxWords, strings.Count(v.Text, " ")+1)
 		}
@@ -585,7 +641,8 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 	if len(mentioned) == 0 {
 		// No annotation vocabulary intersects the query: degrade to the
 		// plain BM25 page, with no over-fetch at all.
-		return ix.topKLocked(ctx, query, k, offset, f)
+		rs, total, err := ix.topKLocked(ctx, query, k, offset, f)
+		return ix.materialize(rs), total, err
 	}
 
 	// Re-ranking must page against one canonical adjusted ordering — a
@@ -617,7 +674,7 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 	}
 	ix.ann.adjust(head, mentioned)
 	sortResults(head)
-	return pageOf(base, k, offset), total, nil
+	return ix.materialize(pageOf(base, k, offset)), total, nil
 }
 
 // mention is one attribute the query names a value of.
@@ -630,7 +687,7 @@ type mention struct {
 // query mentions, sorted by attribute name; empty when the query
 // touches no annotation vocabulary. A value is mentioned when it equals
 // a contiguous run of the query's tokens, so the lookup probes each
-// dictionary with the query's n-grams — a few hundred map probes —
+// dictionary with the query's n-grams — a few hundred table probes —
 // instead of scanning every value for containment. Where the query
 // mentions several values of one attribute the longest wins (multi-word
 // values like "santa fe" beat their substrings), then the one that
@@ -655,7 +712,7 @@ func (st *annStore) valuesMentioned(query string) []mention {
 		for i := range toks {
 			for j := i + 1; j <= len(toks) && j-i <= col.maxWords; j++ {
 				gram := q[starts[i] : starts[j]-1]
-				c, ok := col.codes[gram]
+				c, ok := col.lookup(gram)
 				if !ok || col.support[c] <= 0 {
 					continue
 				}

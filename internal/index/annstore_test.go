@@ -207,7 +207,7 @@ func TestTopKFilteredScanIsCancelable(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	hits, total, err := ix.TopK(ctx, q, 10, 0, &Filter{Match: func(int, *Doc) bool {
+	hits, total, err := ix.TopK(ctx, q, 10, 0, &Filter{Match: func(int) bool {
 		if calls++; calls == 100 {
 			cancel()
 		}

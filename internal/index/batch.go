@@ -15,9 +15,11 @@ package index
 // present (including earlier in the same batch — first occurrence
 // wins, matching sequential commits), in which case ids[i] is the
 // existing document's id. anns is nil or parallel to ps: anns[i]
-// annotates ps[i], as Annotate would, when ps[i] is added. On an index
-// whose documents came from ImportDocs, the first call builds the URL
-// lookup, under the write lock it holds anyway.
+// annotates ps[i], as Annotate would, when ps[i] is added. The rows of
+// a batch's new URLs go into one new chunk of the document table, and
+// the URL lookup keys them by substrings of it. On an index whose
+// documents came from an import, the first call builds the URL lookup,
+// under the write lock it holds anyway.
 func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids []int, added []bool) {
 	ids = make([]int, len(ps))
 	added = make([]bool, len(ps))
@@ -29,16 +31,38 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 	defer ix.mu.Unlock()
 	ix.version.Add(1)
 	ix.urlsLocked()
+	// The chunk holds a row for every URL new to the index. A URL
+	// repeated within the batch is encoded once more than it is kept,
+	// which costs bytes only, and only in that rare case.
+	offs := make([]int, len(ps))
+	var chunk []byte
 	for i, p := range ps {
 		if existing, ok := ix.byURL[p.doc.URL]; ok {
+			ids[i], offs[i] = existing, -1
+			continue
+		}
+		offs[i] = len(chunk)
+		chunk = AppendRow(chunk, p.doc, p.dl)
+	}
+	if chunk == nil {
+		return ids, added
+	}
+	rows := string(chunk)
+	ref := ix.rows.addChunk(rows)
+	for i, p := range ps {
+		if offs[i] < 0 {
+			continue
+		}
+		d, _, _ := ParseRow(rows[offs[i]:])
+		if existing, ok := ix.byURL[d.URL]; ok {
 			ids[i] = existing
 			continue
 		}
-		id := len(ix.docs)
-		ix.docs = append(ix.docs, p.doc)
-		ix.byURL[p.doc.URL] = id
-		ix.lens = append(ix.lens, p.dl)
-		ix.hosts = append(ix.hosts, internHost(ix.hostIDs, &ix.hostNames, p.doc.URL))
+		id := len(ix.lens)
+		ix.rows.refs = append(ix.rows.refs, ref|uint64(offs[i]))
+		ix.byURL[d.URL] = id
+		ix.lens = append(ix.lens, int32(p.dl))
+		ix.hosts = append(ix.hosts, internHost(ix.hostIDs, &ix.hostNames, d.URL))
 		ix.totalLen += p.dl
 		for j, t := range p.terms {
 			ix.postings[t] = append(ix.postings[t], Posting{Doc: int32(id), TF: p.tfs[j]})

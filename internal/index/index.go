@@ -6,12 +6,16 @@
 // document) is carried as opaque metadata so experiments can credit
 // impact back to forms (E1).
 //
-// Layout: the document table (ids, lengths, URL dedup, the host
+// Layout: the document table (rows, lengths, URL dedup, the host
 // column), the one term → posting-list map and the annotations sit
-// behind one lock, the table lock. A commit writes a whole batch —
-// rows, postings, annotations — in one write-locked section, and a
-// query reads under the read lock, so readers see a batch entirely or
-// not at all. Shards exist only on disk: the index records how many
+// behind one lock, the table lock. The table holds no string header
+// per document: each row — URL, title, text, source — is an 8-byte
+// reference into an immutable string holding rows in the docs
+// segment's encoding (rows.go), decoded on demand for a hit, a
+// ForEach or a text-fallback filter, with nothing allocated. A commit
+// writes a whole batch — rows, postings, annotations — in one
+// write-locked section, and a query reads under the read lock, so
+// readers see a batch entirely or not at all. Shards exist only on disk: the index records how many
 // postings segments a snapshot of it is written as, and the snapshot
 // writer (internal/store) decides which segment each term lands in.
 // The expensive half of an insert — tokenization and term counting —
@@ -20,9 +24,10 @@
 // at an ordered point, keeping doc-id assignment deterministic.
 //
 // The URL map that dedups commits grows with every commit into an
-// index from New. An index whose table came from ImportDocs (a loaded
-// snapshot) has none until the first AddPreparedBatch or Has, which
-// builds it from the table: a served index never reads it.
+// index from New. An index whose table came from ImportRows or
+// ImportDocs (a loaded snapshot) has none until the first
+// AddPreparedBatch or Has, which builds it from the table: a served
+// index never reads it.
 //
 // Both halves run allocation-consciously: Prepare draws its tokenizer,
 // term buffer and counting map from a pool and emits a compact
@@ -71,14 +76,14 @@ type Index struct {
 	// so the filter reads each candidate's annotations in place; writers
 	// hold it write-side.
 	mu       sync.RWMutex
-	docs     []Doc
-	lens     []int
-	byURL    map[string]int // URL -> id; nil after ImportDocs until the first write
+	rows     Rows
+	lens     []int32
+	byURL    map[string]int // URL -> id; keys are row substrings; nil after an import until the first write
 	totalLen int
 
 	postings map[string][]Posting // term -> postings in ascending doc id
 
-	// hosts is parallel to docs: each document's host (hostOf its URL)
+	// hosts is parallel to rows: each document's host (hostOf its URL)
 	// as an id in the host dictionary, 0 for no host. A host
 	// restriction compares ids, so the scan never reads a URL.
 	hosts     []uint32
@@ -202,11 +207,11 @@ func (ix *Index) Version() uint64 { return ix.version.Load() }
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.docs)
+	return len(ix.lens)
 }
 
 // Has reports whether a URL is already indexed. On an index whose
-// documents came from ImportDocs, the first call takes the write lock
+// documents came from an import, the first call takes the write lock
 // and builds the URL lookup.
 func (ix *Index) Has(url string) bool {
 	ix.mu.RLock()
@@ -223,22 +228,23 @@ func (ix *Index) Has(url string) bool {
 }
 
 // urlsLocked returns the URL lookup, building it from the document
-// table if ImportDocs left it nil. The caller holds the write lock.
+// table if an import left it nil. The caller holds the write lock.
 func (ix *Index) urlsLocked() map[string]int {
 	if ix.byURL == nil {
-		ix.byURL = make(map[string]int, len(ix.docs))
-		for id, d := range ix.docs {
-			ix.byURL[d.URL] = id
+		ix.byURL = make(map[string]int, ix.rows.Len())
+		for id := range ix.rows.Len() {
+			ix.byURL[ix.rows.Doc(id).URL] = id
 		}
 	}
 	return ix.byURL
 }
 
-// Doc returns the indexed document with the given id.
+// Doc returns the indexed document with the given id; its fields are
+// substrings of the row that holds it.
 func (ix *Index) Doc(id int) Doc {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.docs[id]
+	return ix.rows.Doc(id)
 }
 
 // plist returns the posting list for an already-normalized term. The
@@ -308,12 +314,12 @@ type Filter struct {
 	// never seen answers an empty page without scoring anything.
 	Host string
 	// Match, when set, admits the candidates it returns true for,
-	// handed each one's doc id and document in place, under the scan's
-	// read lock, after the host check. Like ForEach's fn it must
-	// not call back into the index (bar AnnotationTables, which takes
-	// no lock and relies on this one): a recursive read lock deadlocks
-	// once a writer is queued.
-	Match func(id int, d *Doc) bool
+	// handed each one's doc id, under the scan's read lock, after the
+	// host check. Like ForEach's fn it must not call back into the
+	// index (bar AnnotationTables and RowView, which take no lock and
+	// rely on this one): a recursive read lock deadlocks once a writer
+	// is queued.
+	Match func(id int) bool
 }
 
 // TopK returns one page of the BM25 ranking for a free-text query: the
@@ -329,17 +335,31 @@ func (ix *Index) TopK(ctx context.Context, query string, k, offset int, f *Filte
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.topKLocked(ctx, query, k, offset, f)
+	rs, total, err := ix.topKLocked(ctx, query, k, offset, f)
+	return ix.materialize(rs), total, err
 }
 
-// topKLocked is TopK for a caller holding the table read lock.
+// materialize fills in each result's URL, Title and Source from its
+// row. Only the page a caller gets back is decoded: a row is read at a
+// random place in its chunk, a few cache misses each. The caller holds
+// the table read lock.
+func (ix *Index) materialize(rs []Result) []Result {
+	for i := range rs {
+		d := ix.rows.Doc(rs[i].DocID)
+		rs[i].URL, rs[i].Title, rs[i].Source = d.URL, d.Title, d.Source
+	}
+	return rs
+}
+
+// topKLocked is TopK for a caller holding the table read lock, save
+// that it leaves the results to materialize.
 func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
 	if offset < 0 {
 		offset = 0
 	}
 	var (
 		hid   uint32 // the host column's id for f.Host; 0 = any host
-		match func(int, *Doc) bool
+		match func(int) bool
 	)
 	if f != nil {
 		if f.Host != "" {
@@ -359,7 +379,7 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 		return nil, 0, ctx.Err()
 	}
 
-	n := len(ix.docs)
+	n := len(ix.lens)
 	if n == 0 {
 		return nil, 0, ctx.Err()
 	}
@@ -461,7 +481,7 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 			if hid != 0 && hosts[d] != hid {
 				continue
 			}
-			if match != nil && !match(int(d), &ix.docs[d]) {
+			if match != nil && !match(int(d)) {
 				continue
 			}
 			total++
@@ -482,8 +502,7 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 		h[0] = h[m-1]
 		h = h[:m-1]
 		siftDown(h)
-		doc := ix.docs[e.doc]
-		out[m-1] = Result{DocID: int(e.doc), URL: doc.URL, Title: doc.Title, Source: doc.Source, Score: e.score}
+		out[m-1] = Result{DocID: int(e.doc), Score: e.score}
 	}
 	return pageOf(out, k, offset), total, nil
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"slices"
@@ -18,9 +19,9 @@ import (
 //
 // Postings are exported as one sorted list and written as NumShards
 // segments, the snapshot writer placing each term; a loader may import
-// the segments in any order or concurrently. ImportDocs + ImportTerms reproduce TopK
-// bit-for-bit because every quantity BM25 reads (doc count, lengths,
-// total length, tf, df) is restored exactly.
+// the segments in any order or concurrently. ImportRows + ImportTerms
+// reproduce TopK bit-for-bit because every quantity BM25 reads (doc
+// count, lengths, total length, tf, df) is restored exactly.
 
 // Posting is one posting-list entry, the type the index holds its
 // lists in and the snapshot codec decodes into.
@@ -53,12 +54,17 @@ func (ix *Index) ExportTerms() []TermPostings {
 	return out
 }
 
-// ExportDocs returns copies of the document table and the
-// per-document term lengths, both indexed by doc id.
-func (ix *Index) ExportDocs() (docs []Doc, lens []int) {
+// ExportDocs returns the document table decoded, and the
+// per-document term lengths, both indexed by doc id. The slices are
+// fresh; the fields are substrings of the table's rows.
+func (ix *Index) ExportDocs() (docs []Doc, lens []int32) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return slices.Clone(ix.docs), slices.Clone(ix.lens)
+	docs = make([]Doc, ix.rows.Len())
+	for id := range docs {
+		docs[id] = ix.rows.Doc(id)
+	}
+	return docs, slices.Clone(ix.lens)
 }
 
 // ForEach calls fn for every document in ascending id order, with the
@@ -68,74 +74,107 @@ func (ix *Index) ExportDocs() (docs []Doc, lens []int) {
 func (ix *Index) ForEach(fn func(id int, d Doc, host string)) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for id, d := range ix.docs {
-		fn(id, d, ix.hostNames[ix.hosts[id]])
+	for id := range ix.rows.Len() {
+		fn(id, ix.rows.Doc(id), ix.hostNames[ix.hosts[id]])
 	}
 }
 
 // ImportDocs installs a decoded document table into an empty index,
-// with the host column and the corpus counters BM25 reads. It refuses
-// a non-empty index: snapshots restore whole worlds, they do not merge
-// into live ones. The index holds no deleted documents, so dead must be
-// nil; the parameter stays until the one caller that passes it, the
-// benchmark's traced load, goes.
-//
-// The URLs must be distinct. That is checked without the URL lookup,
-// which a served index never reads: the URLs' 64-bit hashes are sorted,
-// and only when two are equal does an exact pass over the URLs confirm
-// the duplicate and name the pair. The lookup is built by the first
-// AddPreparedBatch or Has. Everything but the install runs before the
-// table lock is taken.
-func (ix *Index) ImportDocs(docs []Doc, lens []int, dead []bool) error {
+// as ImportRows does, once it has encoded the rows into one string.
+// The index holds no deleted documents, so dead must be nil; the
+// parameter stays until the one caller that passes it, the benchmark's
+// traced load, goes.
+func (ix *Index) ImportDocs(docs []Doc, lens []int32, dead []bool) error {
 	if len(docs) != len(lens) {
 		return fmt.Errorf("index: import: %d docs but %d lengths", len(docs), len(lens))
 	}
 	if dead != nil {
 		return fmt.Errorf("index: import: the index holds no deleted documents, got %d flags", len(dead))
 	}
-	if err := distinctURLs(docs); err != nil {
-		return err
+	size := 0
+	for _, d := range docs {
+		size += len(d.URL) + len(d.Title) + len(d.Text) + len(d.Source) + 5*binary.MaxVarintLen32
 	}
-	hosts := make([]uint32, len(docs))
+	body := make([]byte, 0, size)
+	offs := make([]uint64, len(docs))
+	for id, d := range docs {
+		offs[id] = uint64(len(body))
+		body = AppendRow(body, d, int(lens[id]))
+	}
+	return ix.ImportRows(string(body), offs, lens)
+}
+
+// ImportRows installs a document table into an empty index, with the
+// host column and the corpus counters BM25 reads: body holds the rows,
+// offs[id] is where document id's row starts in it, and lens[id] its
+// BM25 length. The index takes ownership of offs and lens, and the
+// table's one chunk is body itself. It refuses a non-empty index:
+// snapshots restore whole worlds, they do not merge into live ones.
+//
+// Each offset must start a whole row, and the URLs must be distinct.
+// The second is checked without the URL lookup, which a served index
+// never reads: the URLs' 64-bit hashes are sorted, and only when two
+// are equal does an exact pass over the URLs confirm the duplicate and
+// name the pair. The lookup is built by the first AddPreparedBatch or
+// Has. Everything but the install runs before the table lock is taken.
+func (ix *Index) ImportRows(body string, offs []uint64, lens []int32) error {
+	if len(offs) != len(lens) {
+		return fmt.Errorf("index: import: %d rows but %d lengths", len(offs), len(lens))
+	}
+	if uint64(len(body)) > offMask {
+		return fmt.Errorf("index: import: %d-byte table past the %d bytes a row reference holds", len(body), offMask)
+	}
+	rows := Rows{refs: offs, chunks: []string{body}} // chunk 0: a reference is its offset
+	seed := maphash.MakeSeed()
+	sums := make([]uint64, len(offs))
+	hosts := make([]uint32, len(offs))
 	hostIDs := map[string]uint32{}
 	hostNames := []string{""}
 	totalLen := 0
-	for id, d := range docs {
+	for id, off := range offs {
+		if off > uint64(len(body)) {
+			return fmt.Errorf("index: import: row %d at offset %d of %d bytes", id, off, len(body))
+		}
+		d, _, n := ParseRow(body[off:])
+		if n == 0 {
+			return fmt.Errorf("index: import: row %d at offset %d does not parse", id, off)
+		}
+		sums[id] = maphash.String(seed, d.URL)
 		hosts[id] = internHost(hostIDs, &hostNames, d.URL)
-		totalLen += lens[id]
+		totalLen += int(lens[id])
+	}
+	if err := distinctURLs(&rows, sums); err != nil {
+		return err
 	}
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.version.Add(1)
-	if len(ix.docs) != 0 {
-		return fmt.Errorf("index: import into non-empty index (%d docs)", len(ix.docs))
+	if len(ix.lens) != 0 {
+		return fmt.Errorf("index: import into non-empty index (%d docs)", len(ix.lens))
 	}
-	ix.docs, ix.lens, ix.totalLen = docs, lens, totalLen
+	ix.rows, ix.lens, ix.totalLen = rows, lens, totalLen
 	ix.hosts, ix.hostIDs, ix.hostNames = hosts, hostIDs, hostNames
 	ix.byURL = nil
 	return nil
 }
 
-// distinctURLs reports the first duplicate URL in docs, if any.
-func distinctURLs(docs []Doc) error {
-	seed := maphash.MakeSeed()
-	sums := make([]uint64, len(docs))
-	for id, d := range docs {
-		sums[id] = maphash.String(seed, d.URL)
-	}
+// distinctURLs reports the first duplicate URL in rows, given each
+// row's URL hash in sums (which it sorts).
+func distinctURLs(rows *Rows, sums []uint64) error {
 	slices.Sort(sums)
-	if len(slices.Compact(sums)) == len(docs) {
+	if len(slices.Compact(sums)) == rows.Len() {
 		return nil
 	}
 	// Two equal hashes: a duplicate, or a collision. Only the exact
 	// pass can tell, and it names the pair.
-	seen := make(map[string]int, len(docs))
-	for id, d := range docs {
-		if prev, dup := seen[d.URL]; dup {
-			return fmt.Errorf("index: import: duplicate URL %q (docs %d and %d)", d.URL, prev, id)
+	seen := make(map[string]int, rows.Len())
+	for id := range rows.Len() {
+		url := rows.Doc(id).URL
+		if prev, dup := seen[url]; dup {
+			return fmt.Errorf("index: import: duplicate URL %q (docs %d and %d)", url, prev, id)
 		}
-		seen[d.URL] = id
+		seen[url] = id
 	}
 	return nil
 }

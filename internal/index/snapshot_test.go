@@ -54,10 +54,10 @@ func TestExportTermsIsolatedAndSorted(t *testing.T) {
 // The import surface refuses the states that would corrupt an index
 // silently.
 func TestImportRejectsBadState(t *testing.T) {
-	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}}, []int{1, 2}, nil); err == nil {
+	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}}, []int32{1, 2}, nil); err == nil {
 		t.Error("mismatched docs/lens accepted")
 	}
-	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}}, []int{1}, []bool{false}); err == nil {
+	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}}, []int32{1}, []bool{false}); err == nil {
 		t.Error("deleted-document flags accepted")
 	}
 	ix := smallCorpus()
@@ -65,7 +65,7 @@ func TestImportRejectsBadState(t *testing.T) {
 	if err := ix.ImportDocs(docs, lens, nil); err == nil {
 		t.Error("import into non-empty index accepted")
 	}
-	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}, {URL: "u"}}, []int{1, 1}, nil); err == nil {
+	if err := NewSharded(2).ImportDocs([]Doc{{URL: "u"}, {URL: "u"}}, []int32{1, 1}, nil); err == nil {
 		t.Error("duplicate URL accepted")
 	}
 	fresh := NewSharded(2)

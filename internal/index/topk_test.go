@@ -53,14 +53,16 @@ func TestTopKFilter(t *testing.T) {
 }
 
 // Host and Match compose: the page and the total are the intersection,
-// and Match sees each candidate's own id, annotations and document.
+// and Match sees each candidate's own id, and through the lock-free
+// views its annotations and document.
 func TestTopKFilterHostAndMatch(t *testing.T) {
 	ix := topkCorpus(t, 4)
 	for id := 0; id < 60; id++ {
 		ix.Annotate(id, map[string]string{"n": fmt.Sprint(id)})
 	}
-	f := &Filter{Host: "h1.example", Match: func(id int, d *Doc) bool {
-		tables := ix.AnnotationTables()
+	f := &Filter{Host: "h1.example", Match: func(id int) bool {
+		tables, rows := ix.AnnotationTables(), ix.RowView()
+		d := rows.Doc(id)
 		sch, slot := tables.Schemas[tables.Schema[id]], tables.Slot[id]
 		if len(sch.Attrs) != 1 {
 			t.Fatalf("schema of %s has %d columns, want 1", d.URL, len(sch.Attrs))

@@ -132,13 +132,15 @@ func (c *compiled) overMap(anns map[string]string) verdict {
 // span of one scan. On a schema's first candidate it resolves which of
 // the schema's columns each predicate reads, so a candidate costs its
 // schema and slot, then one code and one dictionary entry per column a
-// predicate reads; it reads the document or allocates only when the
-// text fallback runs. A Bound serves one scan: call Match only as the
-// Filter.Match of one TopK or AnnotatedTopK, on that scan's goroutine.
+// predicate reads; it decodes the document's row, and allocates, only
+// when the text fallback runs. A Bound serves one scan: call Match
+// only as the Filter.Match of one TopK or AnnotatedTopK, on that
+// scan's goroutine.
 type Bound struct {
-	m  *Matcher
-	ix *index.Index
-	t  index.AnnTables // taken on the first Match
+	m    *Matcher
+	ix   *index.Index
+	t    index.AnnTables // taken on the first Match
+	rows index.Rows      // likewise
 	// plans holds, by schema id, the columns each predicate reads in
 	// that schema's table; nil until the first Match, and a schema's
 	// entry nil until its first candidate.
@@ -161,18 +163,19 @@ func (m *Matcher) Bind(ix *index.Index) *Bound {
 	return &Bound{m: m, ix: ix}
 }
 
-// Match reports whether document id of the bound index, handed over in
-// place as d, satisfies every predicate; d's title and text are read
-// only when some predicate finds no relevant annotation.
-func (b *Bound) Match(id int, d *index.Doc) bool {
+// Match reports whether document id of the bound index satisfies
+// every predicate; its title and text are read only when some
+// predicate finds no relevant annotation.
+func (b *Bound) Match(id int) bool {
 	if b == nil {
 		return true
 	}
 	if b.plans == nil {
 		// The scan's first candidate: its read lock is held from here to
-		// its last, so no writer touches the tables while this view is
-		// in use, and it covers every candidate the scan hands over.
-		b.t = b.ix.AnnotationTables()
+		// its last, so no writer touches the tables while these views
+		// are in use, and they cover every candidate the scan hands
+		// over.
+		b.t, b.rows = b.ix.AnnotationTables(), b.ix.RowView()
 		b.plans = make([][][]column, len(b.t.Schemas))
 	}
 	var s, slot uint32
@@ -192,6 +195,7 @@ func (b *Bound) Match(id int, d *index.Doc) bool {
 			return false
 		case askText:
 			if doc == nil {
+				d := b.rows.Doc(id)
 				doc = newDocTokens(d.Title, d.Text)
 			}
 			if !c.matchText(doc) {

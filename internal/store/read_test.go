@@ -47,7 +47,7 @@ func TestReadSegmentSizeChangeDetected(t *testing.T) {
 	big := &DocsSegment{}
 	for i := range 40 {
 		big.Docs = append(big.Docs, index.Doc{URL: "http://a/" + string(rune('a'+i)), Text: strings.Repeat("w ", 2000+i)})
-		big.Lens = append(big.Lens, 2000+i)
+		big.Lens = append(big.Lens, int32(2000+i))
 	}
 	for name, seg := range map[string]*DocsSegment{"one window": sampleDocs(), "several windows": big} {
 		path := DocsPath(t.TempDir())

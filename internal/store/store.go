@@ -38,10 +38,14 @@
 // posting.
 //
 // A body is read once, streamed into the string the decoder walks.
-// Decoding allocates per table, not per string: the docs rows are
-// substrings of that string, its one copy, so a row a caller keeps
-// keeps its whole generation's text reachable; the postings terms and
-// the columns' names and values are cloned out of theirs.
+// Decoding allocates per table, not per string. The docs body is kept
+// whole as the loaded index's document table: ReadRows records where
+// each row starts, and every field a caller reads is a substring of
+// that string, its one copy, so a row a caller keeps keeps its whole
+// generation's text reachable. The postings terms and the columns'
+// names and values are cloned out of theirs. The row encoding is the
+// index's (index.AppendRow, index.ParseRow), so the rows a commit adds
+// to an index are laid out as the docs segment lays them out.
 //
 // Corruption is always a returned error, never a panic: a serving
 // binary pointed at a bad snapshot must fail loudly at startup, not
@@ -368,29 +372,13 @@ func (d *dec) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := uvarint(d.b)
+	v, n := index.Uvarint(d.b)
 	if n <= 0 {
 		d.fail("bad uvarint")
 		return 0
 	}
 	d.b = d.b[n:]
 	return v
-}
-
-// uvarint is binary.Uvarint over a string, save that n is 0 for an
-// overlong varint as for a short one.
-func uvarint(s string) (v uint64, n int) {
-	for i := range min(len(s), binary.MaxVarintLen64) {
-		b := s[i]
-		v |= uint64(b&0x7f) << (7 * i)
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, 0
-			}
-			return v, i + 1
-		}
-	}
-	return 0, 0
 }
 
 // str reads a length-prefixed string, a substring of the body.
@@ -439,38 +427,59 @@ func (d *dec) done() error {
 // bench/, which annotates from it.
 type DocsSegment struct {
 	Docs []index.Doc
-	Lens []int
+	Lens []int32
 	Anns []map[string]string
 }
 
-// ReadDocs reads and decodes the whole docs segment, in one pass over
-// its body, and every document's URL, Title, Text and Source is a
-// substring of the body: a load allocates the table, not four strings
-// per row. Whatever keeps one of those strings — a served Result, a Doc
-// carried into a refreshed index — keeps the whole body reachable, so
-// a generation's text is freed only once nothing from it is left.
+// ReadDocs reads the docs segment as ReadRows does and decodes every
+// row into a Doc, whose fields are substrings of the body.
 func ReadDocs(path string) (*DocsSegment, Header, error) {
-	h, body, err := readSegment(path, KindDocs)
+	body, offs, lens, h, err := ReadRows(path)
 	if err != nil {
 		return nil, Header{}, err
+	}
+	seg := &DocsSegment{Docs: make([]index.Doc, len(offs)), Lens: lens}
+	for id, off := range offs {
+		seg.Docs[id], _, _ = index.ParseRow(body[off:])
+	}
+	return seg, h, nil
+}
+
+// ReadRows reads the docs segment and walks its body once, checking
+// every row (index.ParseRow, the row codec AppendRow writes): body is
+// the segment's body, offs[id] where document id's row starts in it,
+// and lens[id] its BM25 length. It allocates the body and the two
+// tables, nothing per row; a loader hands all three to
+// index.ImportRows, so the body is the loaded index's document table.
+func ReadRows(path string) (body string, offs []uint64, lens []int32, h Header, err error) {
+	h, body, err = readSegment(path, KindDocs)
+	if err != nil {
+		return "", nil, nil, Header{}, err
 	}
 	d := &dec{b: body, path: path}
 	n := d.count("doc", 5)
 	if d.err == nil && uint64(n) != h.DocCount {
 		d.fail(fmt.Sprintf("body holds %d docs, header says %d", n, h.DocCount))
 	}
-	seg := &DocsSegment{}
 	if d.err == nil {
-		seg.Docs, seg.Lens = make([]index.Doc, n), make([]int, n)
+		offs, lens = make([]uint64, n), make([]int32, n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		seg.Docs[i] = index.Doc{URL: d.str(), Title: d.str(), Text: d.str(), Source: d.str()}
-		seg.Lens[i] = int(d.uvarint())
+	for id := 0; id < n && d.err == nil; id++ {
+		_, dl, size := index.ParseRow(d.b)
+		switch {
+		case size == 0:
+			d.fail(fmt.Sprintf("row %d: truncated or malformed", id))
+		case dl > math.MaxInt32:
+			d.fail(fmt.Sprintf("row %d: length %d past %d", id, dl, math.MaxInt32))
+		default:
+			offs[id], lens[id] = uint64(len(body)-len(d.b)), int32(dl)
+			d.b = d.b[size:]
+		}
 	}
 	if err := d.done(); err != nil {
-		return nil, Header{}, err
+		return "", nil, nil, Header{}, err
 	}
-	return seg, h, nil
+	return body, offs, lens, h, nil
 }
 
 // WritePostings encodes and writes one shard's postings segment,
@@ -555,7 +564,7 @@ func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
 			if len(b) > 0 && b[0] < 0x80 {
 				zz, b = uint64(b[0]), b[1:]
 			} else {
-				v, n := uvarint(b)
+				v, n := index.Uvarint(b)
 				if n <= 0 {
 					d.fail("bad varint")
 					break
@@ -565,7 +574,7 @@ func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
 			if len(b) > 0 && b[0] < 0x80 {
 				tf, b = uint64(b[0]), b[1:]
 			} else {
-				v, n := uvarint(b)
+				v, n := index.Uvarint(b)
 				if n <= 0 {
 					d.fail("bad uvarint")
 					break

@@ -21,7 +21,7 @@ func sampleDocs() *DocsSegment {
 			{URL: "http://a/2", Title: "two", Text: "honda civic — überschnell", Source: ""},
 			{URL: "http://b/1", Title: "", Text: "", Source: "form-b"},
 		},
-		Lens: []int{7, 5, 0},
+		Lens: []int32{7, 5, 0},
 	}
 }
 
@@ -70,7 +70,7 @@ func writeDocs(path string, shards int, seg *DocsSegment) (uint32, error) {
 		return 0, err
 	}
 	for id, d := range seg.Docs {
-		if err := w.Add(d, seg.Lens[id]); err != nil {
+		if err := w.Add(d, int(seg.Lens[id])); err != nil {
 			w.Abort()
 			return 0, err
 		}

@@ -112,14 +112,8 @@ func (w *docsWriter) Add(d index.Doc, dl int) error {
 		w.fail(fmt.Errorf("store: docs writer: more docs than the declared %d", w.expected))
 		return w.err
 	}
-	e := &w.scratch
-	e.b = e.b[:0]
-	e.str(d.URL)
-	e.str(d.Title)
-	e.str(d.Text)
-	e.str(d.Source)
-	e.uvarint(uint64(dl))
-	w.emit(e.b)
+	w.scratch.b = index.AppendRow(w.scratch.b[:0], d, dl)
+	w.emit(w.scratch.b)
 	w.n++
 	return w.err
 }

@@ -20,7 +20,7 @@ func streamCorpus() *DocsSegment {
 			{URL: "http://b.example/1", Title: "", Text: "no title here", Source: "b.example"},
 			{URL: "http://b.example/2", Title: "fourth", Text: "annotated", Source: "b.example"},
 		},
-		Lens: []int{5, 4, 3, 2},
+		Lens: []int32{5, 4, 3, 2},
 	}
 }
 
@@ -50,7 +50,7 @@ func TestDocsSegmentDigest(t *testing.T) {
 	}
 	anns := index.NewAnnBuilder()
 	for id, d := range seg.Docs {
-		if err := w.Add(d, seg.Lens[id]); err != nil {
+		if err := w.Add(d, int(seg.Lens[id])); err != nil {
 			t.Fatal(err)
 		}
 		anns.Annotate(id, streamAnns[id])
