@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test bench bench-smoke bench-load serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
+.PHONY: verify fmt vet build test bench bench-smoke bench-load bench-scan serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
 
 # verify = the CI `test` job: gofmt, vet, build, race-enabled tests.
 verify: fmt vet build test
@@ -47,7 +47,7 @@ test:
 # empty now that annotations live in the columns segment, so
 # index.annotate_s reads about 0 — and the request layer by layer) — it
 # exercises every path and checks every answer, and measures nothing;
-# it ends with one iteration of bench-load.
+# it ends with one iteration each of bench-load and bench-scan.
 bench:
 	$(GO) run ./bench
 
@@ -57,12 +57,19 @@ bench-smoke:
 		$(GO) run ./bench -smoke --trace 1 --seconds 1 --workload $$w; \
 	done
 	$(MAKE) bench-load BENCHTIME=1x
+	$(MAKE) bench-scan BENCHTIME=1x
 
 # bench-load = engine.Load of a 50k-document bulkgen snapshot, built
 # once: ns/op, B/op and allocs/op (BenchmarkLoad in internal/engine).
 BENCHTIME ?= 10x
 bench-load:
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime=$(BENCHTIME) ./internal/engine
+
+# bench-scan = TopK's BM25 scan over a synthetic 200k-document index,
+# built once, for a fixed set of queries: ns/posting (BenchmarkScan in
+# internal/index).
+bench-scan:
+	$(GO) test -run '^$$' -bench '^BenchmarkScan$$' -benchtime=$(BENCHTIME) ./internal/index
 
 # serve-smoke = the CI serve-smoke job: checks that deepsearch without
 # -snapshot and deepcrawl -bulk without -out exit 2, then boots the

@@ -53,16 +53,18 @@ func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 // decoded at once, on 2+DefaultWorkers goroutines, none waiting for
 // another: the rows into ImportRows, which keeps the docs body as the
 // index's document table, the columns segment into
-// InstallAnnotations and the postings segments into ImportTerms. The
-// columns and postings jobs check their own header against the docs
-// header — doc count, snapshot id and, for postings, shard count and id
-// — before installing, so segments of different generations fail even
-// when each decodes cleanly; the rows job requires the header it read
-// with the body, whose doc count the body vouches for, to equal the
-// first. The jobs are joined, and a damaged snapshot fails with the
-// first job's error: rows, annotations, then postings in segment
-// order. The meta segment is the surfacer's (surface.Open); Load
-// leaves it unread.
+// InstallAnnotations and the postings segments into lists that one
+// ImportTerms installs once the jobs are joined, into a term map sized
+// once. The columns and postings jobs check their own header against
+// the docs header — doc count, snapshot id and, for postings, shard
+// count and id — before installing, so segments of different
+// generations fail even when each decodes cleanly; the rows job
+// requires the header it read with the body, whose doc count the body
+// vouches for, to equal the first. The jobs are joined, and a damaged
+// snapshot fails with the first job's error: rows, annotations, then
+// postings in segment order; a term in two segments fails after them.
+// The meta segment is the surfacer's (surface.Open); Load leaves it
+// unread.
 func Load(dir string) (*Engine, error) {
 	docsPath := store.DocsPath(dir)
 	hdr, err := store.ReadHeader(docsPath, store.KindDocs)
@@ -73,7 +75,8 @@ func Load(dir string) (*Engine, error) {
 	e := &Engine{Index: ix, Generation: hdr.SnapID}
 
 	// Job 0 is the rows, job 1 the annotation tables, job 2+si
-	// postings segment si.
+	// postings segment si, installed together once every job is done.
+	segs := make([][]index.TermPostings, hdr.Shards)
 	err = store.ForEachShard(2+DefaultWorkers, 2+int(hdr.Shards), func(job int) error {
 		switch job {
 		case 0:
@@ -101,8 +104,12 @@ func Load(dir string) (*Engine, error) {
 				store.PostingsPath(dir, si), ph.Shards, ph.ShardID, ph.DocCount, ph.SnapID,
 				hdr.Shards, si, hdr.DocCount, hdr.SnapID, store.ErrCorrupt)
 		}
-		return ix.ImportTerms(terms)
+		segs[si] = terms
+		return nil
 	})
+	if err == nil {
+		err = ix.ImportTerms(segs...)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: load: %w", err)
 	}

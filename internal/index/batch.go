@@ -65,7 +65,12 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 		ix.hosts = append(ix.hosts, internHost(ix.hostIDs, &ix.hostNames, d.URL))
 		ix.totalLen += p.dl
 		for j, t := range p.terms {
-			ix.postings[t] = append(ix.postings[t], Posting{Doc: int32(id), TF: p.tfs[j]})
+			pl := ix.postings[t]
+			if pl == nil {
+				pl = new(PostingList)
+				ix.postings[t] = pl
+			}
+			pl.Append(int32(id), p.tfs[j])
 		}
 		if anns != nil {
 			ix.ann.annotate(id, anns[i])

@@ -12,7 +12,10 @@
 // per document: each row — URL, title, text, source — is an 8-byte
 // reference into an immutable string holding rows in the docs
 // segment's encoding (rows.go), decoded on demand for a hit, a
-// ForEach or a text-fallback filter, with nothing allocated. A commit
+// ForEach or a text-fallback filter, with nothing allocated. A posting
+// list (postings.go) is a 4-byte doc id and a 1-byte tf per posting,
+// its tfs widened to 4 bytes only when one exceeds 255; a loaded
+// segment's lists are slices of one doc-id and one tf array. A commit
 // writes a whole batch — rows, postings, annotations — in one
 // write-locked section, and a query reads under the read lock, so
 // readers see a batch entirely or not at all. Shards exist only on disk: the index records how many
@@ -81,7 +84,7 @@ type Index struct {
 	byURL    map[string]int // URL -> id; keys are row substrings; nil after an import until the first write
 	totalLen int
 
-	postings map[string][]Posting // term -> postings in ascending doc id
+	postings map[string]*PostingList // term -> postings in ascending doc id
 
 	// hosts is parallel to rows: each document's host (hostOf its URL)
 	// as an id in the host dictionary, 0 for no host. A host
@@ -117,7 +120,7 @@ func NewSharded(n int) *Index {
 	return &Index{
 		segments:  max(n, 1),
 		byURL:     map[string]int{},
-		postings:  map[string][]Posting{},
+		postings:  map[string]*PostingList{},
 		hostIDs:   map[string]uint32{},
 		hostNames: []string{""},
 		ann:       newAnnStore(),
@@ -247,12 +250,6 @@ func (ix *Index) Doc(id int) Doc {
 	return ix.rows.Doc(id)
 }
 
-// plist returns the posting list for an already-normalized term. The
-// caller holds the table lock for as long as it reads the list.
-func (ix *Index) plist(term string) []Posting {
-	return ix.postings[term]
-}
-
 // DF returns the document frequency of a (raw) term after the
 // standard pipeline is applied to it.
 func (ix *Index) DF(term string) int {
@@ -261,7 +258,9 @@ func (ix *Index) DF(term string) int {
 	df := 0
 	if len(qterms) > 0 {
 		ix.mu.RLock()
-		df = len(ix.plist(qterms[0]))
+		if pl := ix.postings[qterms[0]]; pl != nil {
+			df = pl.Len()
+		}
 		ix.mu.RUnlock()
 	}
 	sc.qterms = qterms[:0]
@@ -416,23 +415,36 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 		if dup {
 			continue
 		}
-		plist := ix.plist(t)
-		if len(plist) == 0 {
+		pl := ix.postings[t]
+		if pl == nil {
 			continue
 		}
-		w := idf(n, len(plist)) * (bm25K1 + 1)
-		for _, p := range plist {
-			// Every posting names a row of this query's table: a commit
-			// writes rows and postings in one section under the table
-			// lock, held read-side for this whole query.
-			s := scores[p.Doc]
-			if s == 0 {
-				// BM25 contributions are strictly positive, so zero
-				// means "first touch" and doubles as the reset marker.
-				touched = append(touched, p.Doc)
+		w := idf(n, pl.Len()) * (bm25K1 + 1)
+		// Every posting names a row of this query's table: a commit
+		// writes rows and postings in one section under the table lock,
+		// held read-side for this whole query. BM25 contributions are
+		// strictly positive, so a zero score means "first touch" and
+		// doubles as the reset marker.
+		docs, lens := pl.docs, ix.lens
+		if !pl.wide() {
+			tfs := pl.tfs[:len(docs)]
+			for i, d := range docs {
+				s := scores[d]
+				if s == 0 {
+					touched = append(touched, d)
+				}
+				tf := float64(tfs[i])
+				scores[d] = s + w*tf/(tf+c0+c1*float64(lens[d]))
 			}
-			tf := float64(p.TF)
-			scores[p.Doc] = s + w*tf/(tf+c0+c1*float64(ix.lens[p.Doc]))
+			continue
+		}
+		for i, d := range docs {
+			s := scores[d]
+			if s == 0 {
+				touched = append(touched, d)
+			}
+			tf := float64(pl.TF(i))
+			scores[d] = s + w*tf/(tf+c0+c1*float64(lens[d]))
 		}
 	}
 	sc.touched = touched

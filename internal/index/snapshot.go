@@ -18,23 +18,19 @@ import (
 // store in annotated.go.
 //
 // Postings are exported as one sorted list and written as NumShards
-// segments, the snapshot writer placing each term; a loader may import
-// the segments in any order or concurrently. ImportRows + ImportTerms
-// reproduce TopK bit-for-bit because every quantity BM25 reads (doc
-// count, lengths, total length, tf, df) is restored exactly.
-
-// Posting is one posting-list entry, the type the index holds its
-// lists in and the snapshot codec decodes into.
-type Posting struct {
-	Doc int32 // document id
-	TF  int32 // term frequency (title terms pre-counted double)
-}
+// segments, the snapshot writer placing each term. The codec decodes
+// a segment into PostingLists over one doc-id array and one tf array,
+// and a loader installs every segment at once, in any order, with one
+// ImportTerms. ImportRows + ImportTerms reproduce TopK bit-for-bit
+// because every quantity BM25 reads (doc count, lengths, total length,
+// tf, df) is restored exactly.
 
 // TermPostings is one term's full posting list, in insertion (doc-id)
-// order.
+// order: the list type the index holds, which the snapshot codec
+// decodes into and encodes from.
 type TermPostings struct {
 	Term     string
-	Postings []Posting
+	Postings PostingList
 }
 
 // NumShards returns how many postings segments the index saves as.
@@ -47,7 +43,7 @@ func (ix *Index) ExportTerms() []TermPostings {
 	ix.mu.RLock()
 	out := make([]TermPostings, 0, len(ix.postings))
 	for term, plist := range ix.postings {
-		out = append(out, TermPostings{Term: term, Postings: slices.Clone(plist)})
+		out = append(out, TermPostings{Term: term, Postings: plist.Clone()})
 	}
 	ix.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
@@ -180,20 +176,33 @@ func distinctURLs(rows *Rows, sums []uint64) error {
 }
 
 // ImportTerms installs decoded posting lists as-is (stored order
-// preserved); a term may be imported at most once per index. The index
-// takes ownership of each Postings slice without copying it — a commit
-// appends to lists in place — so the caller must not use them
-// afterwards.
-// Safe to call concurrently: a loader decodes segments in parallel.
-func (ix *Index) ImportTerms(terms []TermPostings) error {
+// preserved), every segment's in one write-locked section; a term may
+// be imported at most once per index. Into an empty index the term map
+// is made once, sized to every segment's terms together, and the
+// lists' headers go into one array. The index takes ownership of each
+// list without copying its postings — a commit appends to lists,
+// copying a decoded one first — so the caller must not use them
+// afterwards. Safe to call concurrently.
+func (ix *Index) ImportTerms(segs ...[]TermPostings) error {
+	n := 0
+	for _, terms := range segs {
+		n += len(terms)
+	}
+	lists := make([]PostingList, 0, n)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.version.Add(1)
-	for _, tp := range terms {
-		if _, dup := ix.postings[tp.Term]; dup {
-			return fmt.Errorf("index: import: term %q imported twice", tp.Term)
+	if len(ix.postings) == 0 {
+		ix.postings = make(map[string]*PostingList, n)
+	}
+	for _, terms := range segs {
+		for _, tp := range terms {
+			if _, dup := ix.postings[tp.Term]; dup {
+				return fmt.Errorf("index: import: term %q imported twice", tp.Term)
+			}
+			lists = append(lists, tp.Postings)
+			ix.postings[tp.Term] = &lists[len(lists)-1]
 		}
-		ix.postings[tp.Term] = tp.Postings
 	}
 	return nil
 }

@@ -42,8 +42,9 @@ func TestExportTermsIsolatedAndSorted(t *testing.T) {
 		if i > 0 && terms[i-1].Term >= terms[i].Term {
 			t.Fatalf("terms out of order: %q then %q", terms[i-1].Term, terms[i].Term)
 		}
-		for j := range terms[i].Postings {
-			terms[i].Postings[j] = Posting{Doc: -1, TF: -1}
+		pl := terms[i].Postings
+		for j := range pl.Len() {
+			pl.docs[j], pl.tfs[j] = -1, 0
 		}
 	}
 	if got := search(ix, "ford focus", 5); len(got) == 0 {
@@ -69,7 +70,10 @@ func TestImportRejectsBadState(t *testing.T) {
 		t.Error("duplicate URL accepted")
 	}
 	fresh := NewSharded(2)
-	tp := []TermPostings{{Term: "dup", Postings: []Posting{{Doc: 0, TF: 1}}}}
+	tp := []TermPostings{{Term: "dup", Postings: postingsOf(0, 1)}}
+	if err := NewSharded(2).ImportTerms(tp, tp); err == nil {
+		t.Error("term in two segments of one import accepted")
+	}
 	if err := fresh.ImportTerms(tp); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/metrics"
 	"testing"
@@ -19,7 +20,10 @@ import (
 // and holds each reader to the corruption contract: success or an
 // error wrapping ErrCorrupt/ErrVersion, never a panic, and never an
 // allocation beyond a small multiple of the input (a lying element
-// count must not size a slice).
+// count must not size a slice). A body the postings codec — shared by
+// postings segments and spill runs — decodes cleanly must also survive
+// decode → encode → decode unchanged, whatever its tfs in [1, MaxInt32]
+// and so whichever of its lists are widened.
 func FuzzSegmentDecode(f *testing.F) {
 	// Seed with one valid body per kind, so mutation starts from
 	// structure rather than noise.
@@ -104,6 +108,22 @@ func FuzzSegmentDecode(f *testing.F) {
 			if grew > limit {
 				t.Fatalf("%v reader allocated %d bytes decoding a %d-byte body (limit %d)", r.kind, grew, len(body), limit)
 			}
+		}
+
+		d := &dec{b: string(body)}
+		terms := decodePostingsBody(d, uint64(docCount))
+		if d.done() != nil {
+			return
+		}
+		var e enc
+		encodePostingsBody(&e, terms)
+		d = &dec{b: string(e.b)}
+		again := decodePostingsBody(d, uint64(docCount))
+		if err := d.done(); err != nil {
+			t.Fatalf("re-encoded postings body does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, terms) {
+			t.Fatalf("postings round trip:\n got %+v\nwant %+v", again, terms)
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -20,13 +22,13 @@ func varintBoundaryPostings() []index.TermPostings {
 	const top = math.MaxInt32 - 1
 	deltas := []int32{0, 63, -63, 64, -64, 8191, -8191, 8192, -8192, top, -top}
 	tfs := []int32{1, 127, 128, math.MaxInt32}
-	ps := make([]index.Posting, len(deltas))
+	var ps index.PostingList
 	doc := int32(0)
 	for i, d := range deltas {
 		doc += d
-		ps[i] = index.Posting{Doc: doc, TF: tfs[i%len(tfs)]}
+		ps.Append(doc, tfs[i%len(tfs)])
 	}
-	return []index.TermPostings{{Term: "edge", Postings: ps}, {Term: "one", Postings: ps[:1]}}
+	return []index.TermPostings{{Term: "edge", Postings: ps}, {Term: "one", Postings: postingsOf(0, 1)}}
 }
 
 // corruptPostingsBodies are postings bodies, of a segment stating two
@@ -81,6 +83,57 @@ func TestPostingsVarintCorruptionDetected(t *testing.T) {
 			}
 			if want := map[bool]string{true: "tf 0 outside", false: "bad "}[name == "tf 0"]; !strings.Contains(err.Error(), want) {
 				t.Fatalf("error %q does not mention %q", err, want)
+			}
+		})
+	}
+}
+
+// A tf of 254 or 255 keeps a list at one byte a tf, one of 256 or
+// MaxInt32 widens it; either way the tf reads back exactly after
+// ReadPostings, and a search over the imported lists scores exactly as
+// one over the lists that were written: ids, score bits and totals.
+func TestPostingsTFsAroundOneByteSearchAlike(t *testing.T) {
+	for _, tf := range []int32{254, 255, 256, math.MaxInt32} {
+		t.Run(fmt.Sprint(tf), func(t *testing.T) {
+			want := []index.TermPostings{
+				{Term: "ford", Postings: postingsOf(0, 1, 1, tf, 2, 3)},
+				{Term: "seattle", Postings: postingsOf(1, 1, 2, 1)},
+			}
+			path := PostingsPath(t.TempDir(), 0)
+			if err := WritePostings(path, 1, 0, 3, 0, want); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := ReadPostings(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl := got[0].Postings; pl.Len() != 3 || pl.Doc(1) != 1 || pl.TF(1) != tf {
+				t.Fatalf("decoded %+v: posting 1 is not doc 1 with tf %d", pl, tf)
+			}
+			indexOf := func(terms []index.TermPostings) *index.Index {
+				ix := index.NewSharded(1)
+				docs := []index.Doc{{URL: "http://a/0"}, {URL: "http://a/1"}, {URL: "http://a/2"}}
+				if err := ix.ImportDocs(docs, []int32{4, 4, 4}, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.ImportTerms(terms); err != nil {
+					t.Fatal(err)
+				}
+				return ix
+			}
+			read, written := indexOf(got), indexOf(want)
+			for _, q := range []string{"ford", "ford seattle"} {
+				g, gTotal, err := read.TopK(context.Background(), q, 5, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, wTotal, _ := written.TopK(context.Background(), q, 5, 0, nil)
+				if !reflect.DeepEqual(g, w) || gTotal != wTotal {
+					t.Fatalf("%q: read back %+v (total %d), written %+v (total %d)", q, g, gTotal, w, wTotal)
+				}
+				if g[0].DocID != 1 {
+					t.Fatalf("%q: doc %d ranks first, not doc 1 with tf %d", q, g[0].DocID, tf)
+				}
 			}
 		})
 	}

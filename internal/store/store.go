@@ -43,9 +43,14 @@
 // each row starts, and every field a caller reads is a substring of
 // that string, its one copy, so a row a caller keeps keeps its whole
 // generation's text reachable. The postings terms and the columns'
-// names and values are cloned out of theirs. The row encoding is the
-// index's (index.AppendRow, index.ParseRow), so the rows a commit adds
-// to an index are laid out as the docs segment lays them out.
+// names and values are cloned out of theirs. A postings body decodes
+// into one doc-id array and one one-byte tf array, sized by a first
+// walk of its structure, and each term's index.PostingList is a slice
+// of both (a list with a tf above 255 takes a four-byte tf array of
+// its own): two allocations a segment, not one a term. The row
+// encoding is the index's (index.AppendRow, index.ParseRow), so the
+// rows a commit adds to an index are laid out as the docs segment lays
+// them out.
 //
 // Corruption is always a returned error, never a panic: a serving
 // binary pointed at a bad snapshot must fail loudly at startup, not
@@ -65,6 +70,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -529,23 +535,66 @@ func encodePostingsBody(e *enc, terms []index.TermPostings) {
 	e.uvarint(uint64(len(terms)))
 	for _, tp := range terms {
 		e.str(tp.Term)
-		e.uvarint(uint64(len(tp.Postings)))
+		pl := tp.Postings
+		e.uvarint(uint64(pl.Len()))
 		prev := int64(0)
-		for _, p := range tp.Postings {
-			e.varint(int64(p.Doc) - prev)
-			prev = int64(p.Doc)
-			e.uvarint(uint64(p.TF))
+		for i := range pl.Len() {
+			doc := int64(pl.Doc(i))
+			e.varint(doc - prev)
+			prev = doc
+			e.uvarint(uint64(pl.TF(i)))
 		}
 	}
 }
 
+// countPostings returns how many postings a postings body holds,
+// walking only its structure: each term's string and posting count,
+// then past twice that many varints by their final bytes. It stops at
+// the first fault with what it has counted; the decode that follows
+// reads the same counts, finds the fault and reports it. Every count
+// is bounded by the bytes left, so the total is at most len(b).
+func countPostings(b string) int {
+	d := &dec{b: b}
+	total := 0
+	for range d.count("term", 2) {
+		d.str()
+		n := d.count("posting", 2)
+		if d.err != nil {
+			break
+		}
+		total += n
+		rest, ends := d.b, 2*n
+		// Eight bytes at a time while they cannot hold the last end:
+		// a byte below 0x80 ends a varint.
+		for ends >= 8 && len(rest) >= 8 {
+			w := uint64(rest[0]) | uint64(rest[1])<<8 | uint64(rest[2])<<16 | uint64(rest[3])<<24 |
+				uint64(rest[4])<<32 | uint64(rest[5])<<40 | uint64(rest[6])<<48 | uint64(rest[7])<<56
+			ends -= 8 - bits.OnesCount64(w&0x8080808080808080)
+			rest = rest[8:]
+		}
+		for ends > 0 && len(rest) > 0 {
+			if rest[0] < 0x80 {
+				ends--
+			}
+			rest = rest[1:]
+		}
+		d.b = rest
+	}
+	return total
+}
+
 // decodePostingsBody is the inverse, bounds-checking every decoded doc
 // id against docCount and every tf against [1, MaxInt32]; errors
-// accumulate in d. The terms are substrings of one string, a copy of
-// their bytes made once the body is walked. The posting loop reads in
-// place: a delta or tf that fits one byte — most of them — is read
-// inline, and only a longer one goes through uvarint.
+// accumulate in d. The lists are three-index sub-slices of one doc-id
+// array and one tf array for the whole body, sized by countPostings;
+// a list that needs a tf above 255 widens into a tf array of its own.
+// The terms are substrings of one string, a copy of their bytes made
+// once the body is walked. The posting loop reads in place: a delta or
+// tf that fits one byte — most of them — is read inline, and only a
+// longer one goes through uvarint.
 func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
+	total := countPostings(d.b)
+	allDocs, allTFs := make([]int32, total), make([]byte, total)
 	nTerms := d.count("term", 2)
 	terms := make([]index.TermPostings, 0, nTerms)
 	termBytes := 0
@@ -556,10 +605,16 @@ func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
 		if d.err != nil {
 			break
 		}
-		ps := make([]index.Posting, nPost)
+		// countPostings read this same count, so the arrays hold it.
+		// The list is docs and tfs themselves until a tf above 255
+		// makes Set widen it; from then on every posting goes through
+		// Set.
+		docs, tfs := allDocs[:nPost:nPost], allTFs[:nPost:nPost]
+		allDocs, allTFs = allDocs[nPost:], allTFs[nPost:]
+		pl, narrow := index.NewPostingList(docs, tfs), true
 		b := d.b
 		prev := int64(0)
-		for j := range ps {
+		for j := range docs {
 			var zz, tf uint64
 			if len(b) > 0 && b[0] < 0x80 {
 				zz, b = uint64(b[0]), b[1:]
@@ -592,10 +647,15 @@ func decodePostingsBody(d *dec, docCount uint64) []index.TermPostings {
 				d.fail(fmt.Sprintf("term %q: tf %d outside [1, %d]", term, tf, math.MaxInt32))
 				break
 			}
-			ps[j] = index.Posting{Doc: int32(doc), TF: int32(tf)}
+			if narrow && tf <= math.MaxUint8 {
+				docs[j], tfs[j] = int32(doc), byte(tf)
+			} else {
+				pl.Set(j, int32(doc), int32(tf))
+				narrow = false
+			}
 		}
 		d.b = b
-		terms = append(terms, index.TermPostings{Term: term, Postings: ps})
+		terms = append(terms, index.TermPostings{Term: term, Postings: pl})
 	}
 	if d.err != nil {
 		return nil

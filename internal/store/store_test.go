@@ -42,12 +42,21 @@ func sampleColumns() ([]index.AnnColumn, []index.AnnSchema) {
 	return b.Tables()
 }
 
+// postingsOf returns the posting list of the given doc id, tf pairs.
+func postingsOf(docTFs ...int32) index.PostingList {
+	var pl index.PostingList
+	for i := 0; i < len(docTFs); i += 2 {
+		pl.Append(docTFs[i], docTFs[i+1])
+	}
+	return pl
+}
+
 func samplePostings() []index.TermPostings {
 	return []index.TermPostings{
-		{Term: "civic", Postings: []index.Posting{{Doc: 1, TF: 1}}},
-		{Term: "ford", Postings: []index.Posting{{Doc: 0, TF: 3}, {Doc: 2, TF: 1}}},
+		{Term: "civic", Postings: postingsOf(1, 1)},
+		{Term: "ford", Postings: postingsOf(0, 3, 2, 1)},
 		// Out-of-order doc ids must round-trip too (zig-zag deltas).
-		{Term: "zig", Postings: []index.Posting{{Doc: 2, TF: 1}, {Doc: 0, TF: 9}}},
+		{Term: "zig", Postings: postingsOf(2, 1, 0, 9)},
 	}
 }
 
@@ -237,7 +246,7 @@ func reseal(b []byte) {
 func TestPostingsDocBoundsChecked(t *testing.T) {
 	path := PostingsPath(t.TempDir(), 0)
 	if err := WritePostings(path, 1, 0, 2, 0, []index.TermPostings{
-		{Term: "ok", Postings: []index.Posting{{Doc: 5, TF: 1}}},
+		{Term: "ok", Postings: postingsOf(5, 1)},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -165,8 +165,8 @@ func TestSpillRunRoundtrip(t *testing.T) {
 		t.Fatalf("header mismatch: %+v", h)
 	}
 	want := []index.TermPostings{
-		{Term: "alpha", Postings: []index.Posting{{Doc: 0, TF: 1}, {Doc: 1, TF: 1}}},
-		{Term: "beta", Postings: []index.Posting{{Doc: 0, TF: 1}}},
+		{Term: "alpha", Postings: postingsOf(0, 1, 1, 1)},
+		{Term: "beta", Postings: postingsOf(0, 1)},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("run holds %+v, want %+v", got, want)
@@ -226,12 +226,12 @@ func TestSpillRunsOrderAndCleanSpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(terms) != 1 || len(terms[0].Postings) != docs {
+	if len(terms) != 1 || terms[0].Postings.Len() != docs {
 		t.Fatalf("merged segment: %+v", terms)
 	}
-	for i, p := range terms[0].Postings {
-		if int(p.Doc) != i {
-			t.Fatalf("posting %d is doc %d: runs merged out of flush order", i, p.Doc)
+	for i := range docs {
+		if doc := terms[0].Postings.Doc(i); int(doc) != i {
+			t.Fatalf("posting %d is doc %d: runs merged out of flush order", i, doc)
 		}
 	}
 

@@ -64,10 +64,18 @@ type Writer struct {
 	pending  []annotated   // documents' annotations not yet handed off
 	interned chan struct{} // closed once the batch handed off last is interned
 
-	acc    []map[string][]index.Posting // per shard: term → ascending postings
-	window int                          // documents accumulated since the last flush
-	runs   [][]string                   // per shard: run files in flush order
-	done   bool                         // committed: Abort is a no-op
+	acc    []shardAcc // per shard: each term's ascending postings
+	window int        // documents accumulated since the last flush
+	runs   [][]string // per shard: run files in flush order
+	done   bool       // committed: Abort is a no-op
+}
+
+// shardAcc is one shard's posting accumulator: its terms' lists in
+// first-seen order, and where each term's list is, so a posting costs
+// one map lookup.
+type shardAcc struct {
+	at    map[string]int
+	terms []index.TermPostings
 }
 
 // annotated is one document's annotations, waiting to be interned.
@@ -102,11 +110,11 @@ func NewWriter(dir string, shards, docs, spillDocs int) (*Writer, error) {
 		spillDocs: spillDocs,
 		docs:      dw,
 		anns:      index.NewAnnBuilder(),
-		acc:       make([]map[string][]index.Posting, shards),
+		acc:       make([]shardAcc, shards),
 		runs:      make([][]string, shards),
 	}
 	for si := range w.acc {
-		w.acc[si] = map[string][]index.Posting{}
+		w.acc[si].at = map[string]int{}
 	}
 	return w, nil
 }
@@ -160,8 +168,14 @@ func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
 	}
 	tfs := p.TermFreqs()
 	for j, t := range p.Terms() {
-		m := w.acc[shardOf(t, w.shards)]
-		m[t] = append(m[t], index.Posting{Doc: int32(id), TF: tfs[j]})
+		a := &w.acc[shardOf(t, w.shards)]
+		i, ok := a.at[t]
+		if !ok {
+			i = len(a.terms)
+			a.at[t] = i
+			a.terms = append(a.terms, index.TermPostings{Term: t})
+		}
+		a.terms[i].Postings.Append(int32(id), tfs[j])
 	}
 	if w.window++; w.window >= w.spillDocs {
 		return w.spill()
@@ -173,13 +187,10 @@ func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
 // run. The run header's doc count — the bound run readers check doc
 // ids against — is the number of documents added so far.
 func (w *Writer) spill() error {
-	for si, m := range w.acc {
-		if len(m) == 0 {
+	for si := range w.acc {
+		terms := w.acc[si].terms
+		if len(terms) == 0 {
 			continue
-		}
-		terms := make([]index.TermPostings, 0, len(m))
-		for t, ps := range m {
-			terms = append(terms, index.TermPostings{Term: t, Postings: ps})
 		}
 		sort.Slice(terms, func(i, j int) bool { return terms[i].Term < terms[j].Term })
 		var e enc
@@ -195,7 +206,7 @@ func (w *Writer) spill() error {
 			return err
 		}
 		w.runs[si] = append(w.runs[si], path)
-		w.acc[si] = map[string][]index.Posting{}
+		w.acc[si] = shardAcc{at: map[string]int{}}
 	}
 	w.window = 0
 	return nil
@@ -306,14 +317,14 @@ func mergeRuns(runs [][]index.TermPostings) []index.TermPostings {
 		if !found {
 			return out
 		}
-		var ps []index.Posting
+		var pl index.PostingList
 		for ri, r := range runs {
 			if heads[ri] < len(r) && r[heads[ri]].Term == best {
-				ps = append(ps, r[heads[ri]].Postings...)
+				pl.AppendList(r[heads[ri]].Postings)
 				heads[ri]++
 			}
 		}
-		out = append(out, index.TermPostings{Term: best, Postings: ps})
+		out = append(out, index.TermPostings{Term: best, Postings: pl})
 	}
 }
 
