@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test bench bench-smoke bench-load bench-scan serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
+.PHONY: verify fmt vet build test bench bench-smoke bench-load bench-scan bench-match serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
 
 # verify = the CI `test` job: gofmt, vet, build, race-enabled tests.
 verify: fmt vet build test
@@ -47,7 +47,8 @@ test:
 # empty now that annotations live in the columns segment, so
 # index.annotate_s reads about 0 — and the request layer by layer) — it
 # exercises every path and checks every answer, and measures nothing;
-# it ends with one iteration each of bench-load and bench-scan.
+# it ends with one iteration each of bench-load, bench-scan and
+# bench-match.
 bench:
 	$(GO) run ./bench
 
@@ -58,6 +59,7 @@ bench-smoke:
 	done
 	$(MAKE) bench-load BENCHTIME=1x
 	$(MAKE) bench-scan BENCHTIME=1x
+	$(MAKE) bench-match BENCHTIME=1x
 
 # bench-load = engine.Load of a 50k-document bulkgen snapshot, built
 # once: ns/op, B/op and allocs/op (BenchmarkLoad in internal/engine).
@@ -70,6 +72,14 @@ bench-load:
 # internal/index).
 bench-scan:
 	$(GO) test -run '^$$' -bench '^BenchmarkScan$$' -benchtime=$(BENCHTIME) ./internal/index
+
+# bench-match = Bound.Match over a synthetic 50k-document index whose
+# annotation tables were installed as a load installs them, for an
+# equality, a one-column numeric bound and a bound read from two
+# type-compatible columns: ns/candidate (BenchmarkBoundMatch in
+# internal/query).
+bench-match:
+	$(GO) test -run '^$$' -bench '^BenchmarkBoundMatch$$' -benchtime=$(BENCHTIME) ./internal/query
 
 # serve-smoke = the CI serve-smoke job: checks that deepsearch without
 # -snapshot and deepcrawl -bulk without -out exit 2, then boots the

@@ -108,16 +108,18 @@ func TestLoadReadsEachBodyOnce(t *testing.T) {
 }
 
 // A loaded index keeps no header per document or per dictionary value:
-// rows are 8-byte references into the docs body, and each dictionary
-// finds its codes through a flat table. A posting is 5 bytes, in one
-// doc-id and one tf array per segment. So what a 20k-document Load
-// retains beyond the docs body — postings, annotation tables, the
-// per-document columns — stays within maxLoadedBytesPerDoc per
-// document: about 310 bytes here, where a list of 8-byte postings per
-// term kept about 350, and a []Doc table and map-backed dictionaries
-// about 435.
+// rows are 8-byte references into the docs body, and a dictionary is
+// one text with an end offset per value, a numeric column only where a
+// value is a number, and a flat table that finds its codes. A posting
+// is 5 bytes, in one doc-id and one tf array per segment. So what a
+// 20k-document Load retains beyond the docs body — postings,
+// annotation tables, the per-document columns — stays within
+// maxLoadedBytesPerDoc per document: about 275 bytes here, where a
+// 32-byte entry per dictionary value kept about 305, a list of 8-byte
+// postings per term about 350, and a []Doc table and map-backed
+// dictionaries about 435.
 func TestLoadedHeapPerDocument(t *testing.T) {
-	const docs, maxLoadedBytesPerDoc = 20000, 330
+	const docs, maxLoadedBytesPerDoc = 20000, 290
 	dir := bulkSnapshot(t, docs)
 	fi, err := os.Stat(store.DocsPath(dir))
 	if err != nil {

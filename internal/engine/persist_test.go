@@ -193,8 +193,8 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 	}
 	valid := func() ([]index.AnnColumn, []index.AnnSchema) {
 		return []index.AnnColumn{
-				{Attr: "make", Values: []index.AnnValue{{Text: "ford"}, {Text: "saab"}}},
-				{Attr: "model", Values: []index.AnnValue{{Text: "focus"}}},
+				{Attr: "make", Text: []byte("fordsaab"), Ends: []uint32{4, 8}},
+				{Attr: "model", Text: []byte("focus"), Ends: []uint32{5}},
 			}, []index.AnnSchema{
 				{Attrs: []uint32{0}, Codes: [][]uint32{{1}}, Docs: []int32{2}},
 				{Attrs: []uint32{0, 1}, Codes: [][]uint32{{0, 0}, {0, 0}}, Docs: []int32{0, 1}},
@@ -234,7 +234,7 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 			c[1].Attr = "make"
 		}},
 		{"value twice in a dictionary", "value \"ford\" twice", func(c []index.AnnColumn, s []index.AnnSchema) {
-			c[0].Values[1].Text = "ford"
+			c[0].Text = []byte("fordford")
 		}},
 		{"attribute ids descend", "do not ascend", func(c []index.AnnColumn, s []index.AnnSchema) {
 			s[1].Attrs = []uint32{1, 0}

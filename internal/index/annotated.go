@@ -1,10 +1,12 @@
 package index
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -28,21 +30,25 @@ import (
 // binding that surfaced a page, so every page from one query template
 // carries the same attribute set — a schema — and a corpus has a
 // handful of them (one per form template). Each attribute has a
-// dictionary — value to code, code to value, the value's numeric
-// reading, and how many documents carry it. Each schema has a
+// dictionary: its values' bytes back to back in code order with one end
+// offset per code, the numeric readings of the values that have one,
+// a code table that finds a value's code, and how many documents carry
+// each value — no header or pointer per value. Each schema has a
 // table, one code column per attribute and one slot per document, and
 // each document names its schema and its slot. What a query needs is
 // then computed at the cheapest point that can know it:
 //
 //   - once per distinct value, when Annotate interns it or a load
-//     installs its dictionary: the dictionary code, strconv.ParseFloat,
-//     the word count that bounds the n-gram probe below;
+//     installs its dictionary: the dictionary code, the numeric reading
+//     (ParseNumber), the word count that bounds the n-gram probe below;
 //   - once per query and schema: which of the schema's columns a
-//     predicate reads (a query.Bound, on the schema's first
-//     candidate); once per query, which dictionary values the query
-//     text mentions (valuesMentioned);
-//   - per candidate: the document's schema and slot, then one code and
-//     one dictionary entry per column a predicate reads.
+//     predicate reads, and the code an equality predicate's value has
+//     in each (a query.Bound, on the schema's first candidate); once
+//     per query, which dictionary values the query text mentions
+//     (valuesMentioned);
+//   - per candidate: the document's schema and slot, then one code per
+//     column a predicate reads — compared with a code, or looked up in
+//     the numeric column.
 //
 // Snapshots persist the tables themselves, as the columns segment
 // (internal/store): each dictionary's texts in code order and each
@@ -53,33 +59,86 @@ import (
 // document's schema and slot — so each table's slots come back in the
 // order a scan reads its candidates, with the same ids on every load.
 
-// AnnValue is one dictionary entry, everything a filter reads of an
-// annotation value, computed when the value was first seen.
-type AnnValue struct {
-	Text  string  // the value, lower-cased and trimmed
-	Num   float64 // strconv.ParseFloat(Text, 64)
-	IsNum bool    // whether that parse succeeded
-}
-
-// NewAnnValue reads an annotation value the way the store does.
-func NewAnnValue(text string) AnnValue {
-	// A failed ParseFloat allocates an error holding a copy of its
-	// input, and most distinct values are prose (titles, summaries):
-	// only text whose first byte can begin a float literal — a sign, a
-	// digit, a point, "inf", "nan" in either case — is worth handing
-	// to it.
-	if text == "" || strings.IndexByte("+-.0123456789inIN", text[0]) < 0 {
-		return AnnValue{Text: text}
+// ParseNumber reads an annotation value as a number, the one reading
+// the store and the reference filter share: strconv.ParseFloat's value
+// and whether it succeeded.
+func ParseNumber(v string) (float64, bool) {
+	if !mayBeNumber(v) {
+		return 0, false
 	}
-	num, err := strconv.ParseFloat(text, 64)
-	return AnnValue{Text: text, Num: num, IsNum: err == nil}
+	n, err := strconv.ParseFloat(v, 64)
+	return n, err == nil
 }
 
-// AnnColumn is a read-only view of one attribute's dictionary, indexed
-// by value code.
+// mayBeNumber reports whether value v is worth handing to
+// strconv.ParseFloat. A failed parse allocates an error holding a copy
+// of its input, and most distinct values are prose (titles,
+// summaries): only a value whose first byte can begin a float literal
+// — a sign, a digit, a point, "inf", "nan" in either case — and that
+// holds no space, as no literal does, passes.
+func mayBeNumber[T string | []byte](v T) bool {
+	if len(v) == 0 || strings.IndexByte("+-.0123456789inIN", v[0]) < 0 {
+		return false
+	}
+	for i := range len(v) {
+		if v[i] == ' ' {
+			return false
+		}
+	}
+	return true
+}
+
+// AnnColumn is one attribute's dictionary, indexed by value code:
+// Text holds the values' bytes back to back in code order, and
+// Ends[code] is where that code's value ends in Text. Tables hands
+// dictionaries out in this form and InstallAnnotations takes them in
+// it, reading Attr, Text and Ends and deriving the rest; the view
+// AnnTables.Column returns also finds a value's code (Code) and reads
+// a value's numeric reading (Num).
 type AnnColumn struct {
-	Attr   string
-	Values []AnnValue
+	Attr string
+	Text []byte   // append-only: a value's bytes never change
+	Ends []uint32 // code -> end of its value in Text; ascending
+	// nums and isNum hold, by code, the values' ParseNumber readings
+	// and a bitset of the codes that have one: nil while no value
+	// does, and only as long as the last such code needs.
+	nums  []float64
+	isNum []uint64
+	// table finds a value's code: an open-addressing table of code+1,
+	// 0 for an empty cell, probed linearly from the value's maphash. It
+	// is at most 2/3 full, a power of two long, and re-inserts in code
+	// order as it grows, so its layout depends only on the values in
+	// code order.
+	table []uint32
+}
+
+// Value returns code's value.
+func (c *AnnColumn) Value(code uint32) string { return string(c.value(code)) }
+
+// value returns code's value in place.
+func (c *AnnColumn) value(code uint32) []byte {
+	start := uint32(0)
+	if code > 0 {
+		start = c.Ends[code-1]
+	}
+	return c.Text[start:c.Ends[code]]
+}
+
+// Num returns code's numeric reading, and whether its value has one.
+func (c *AnnColumn) Num(code uint32) (float64, bool) {
+	if w := int(code / 64); w < len(c.isNum) && c.isNum[w]&(1<<(code%64)) != 0 {
+		return c.nums[code], true
+	}
+	return 0, false
+}
+
+// Code returns value v's code, if the dictionary holds it.
+func (c *AnnColumn) Code(v string) (uint32, bool) {
+	if len(c.table) == 0 {
+		return 0, false
+	}
+	cell := *c.probe(v)
+	return cell - 1, cell != 0
 }
 
 // AnnSchema is one schema's table: the attribute ids it holds and, per
@@ -101,23 +160,15 @@ type AnnTables struct {
 	cols    []*annColumn
 }
 
-// Column returns attribute a's dictionary.
-func (t *AnnTables) Column(a uint32) AnnColumn {
-	col := t.cols[a]
-	return AnnColumn{Attr: col.name, Values: col.values}
-}
+// Column returns attribute a's dictionary, in place: read it only
+// while the view is valid.
+func (t *AnnTables) Column(a uint32) *AnnColumn { return &t.cols[a].AnnColumn }
 
-// annColumn is one attribute's dictionary.
+// annColumn is one attribute's dictionary and what only the store
+// keeps of it.
 type annColumn struct {
-	name string
-	// table finds a value's code: an open-addressing table of code+1,
-	// 0 for an empty cell, probed linearly from the value text's
-	// maphash. It is at most 2/3 full, a power of two long, and
-	// re-inserts in code order as it grows, so its layout depends only
-	// on the values in code order.
-	table   []uint32
-	values  []AnnValue // code -> value
-	support []int32    // code -> documents carrying it
+	AnnColumn
+	support []int32 // code -> documents carrying it
 	// maxWords is the most space-separated words any value has: the
 	// longest query n-gram worth probing codes with.
 	maxWords int
@@ -226,7 +277,7 @@ func (st *annStore) column(attr string) (uint32, *annColumn) {
 	if !ok {
 		a = uint32(len(st.cols))
 		st.attrs[attr] = a
-		st.cols = append(st.cols, &annColumn{name: attr})
+		st.cols = append(st.cols, &annColumn{AnnColumn: AnnColumn{Attr: attr}})
 	}
 	return a, st.cols[a]
 }
@@ -234,17 +285,42 @@ func (st *annStore) column(attr string) (uint32, *annColumn) {
 // code returns the value's dictionary code, interning it on first
 // sight.
 func (col *annColumn) code(v string) uint32 {
-	c, ok := col.lookup(v)
+	c, ok := col.Code(v)
 	if !ok {
-		c = uint32(len(col.values))
-		col.values = appendDoubling(col.values, NewAnnValue(v))
+		c = uint32(len(col.Ends))
+		col.Text = append(grow(col.Text, len(v)), v...)
+		col.Ends = appendDoubling(col.Ends, endOf(col.Attr, len(col.Text)))
 		col.support = appendDoubling(col.support, 0)
 		col.insert(c)
-		if w := strings.Count(v, " ") + 1; w > col.maxWords {
-			col.maxWords = w
+		if n, ok := ParseNumber(v); ok {
+			col.setNum(c, n)
 		}
+		col.maxWords = max(col.maxWords, strings.Count(v, " ")+1)
 	}
 	return c
+}
+
+// endOf returns n, the length of attr's dictionary text, as an end
+// offset. Past 4 GiB an offset cannot hold it, and it panics.
+func endOf(attr string, n int) uint32 {
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("index: attribute %q: dictionary text of %d bytes passes the 4 GiB an end offset holds", attr, n))
+	}
+	return uint32(n)
+}
+
+// setNum records code's numeric reading n, growing the numeric column
+// and its bitset to hold code.
+func (c *AnnColumn) setNum(code uint32, n float64) {
+	if int(code) >= len(c.nums) {
+		c.nums = grow(c.nums, int(code)+1-len(c.nums))[:code+1]
+	}
+	w := int(code / 64)
+	if w >= len(c.isNum) {
+		c.isNum = grow(c.isNum, w+1-len(c.isNum))[:w+1]
+	}
+	c.nums[code] = n
+	c.isNum[w] |= 1 << (code % 64)
 }
 
 // codeSeed keys every dictionary's code table.
@@ -252,40 +328,42 @@ var codeSeed = maphash.MakeSeed()
 
 // probe returns the cell of the code table holding value v, or else
 // the empty cell where v would go. The table must have an empty cell.
-func (col *annColumn) probe(v string) *uint32 {
-	mask := uint64(len(col.table) - 1)
+func (c *AnnColumn) probe(v string) *uint32 {
+	mask := uint64(len(c.table) - 1)
 	i := maphash.String(codeSeed, v) & mask
-	for col.table[i] != 0 && col.values[col.table[i]-1].Text != v {
+	for c.table[i] != 0 && string(c.value(c.table[i]-1)) != v {
 		i = (i + 1) & mask
 	}
-	return &col.table[i]
+	return &c.table[i]
 }
 
-// lookup returns the code of value v, if the dictionary holds it.
-func (col *annColumn) lookup(v string) (uint32, bool) {
-	if len(col.table) == 0 {
-		return 0, false
+// probeCode is probe for code's own value, read in place.
+func (c *AnnColumn) probeCode(code uint32) *uint32 {
+	v := c.value(code)
+	mask := uint64(len(c.table) - 1)
+	i := maphash.Bytes(codeSeed, v) & mask
+	for c.table[i] != 0 && !bytes.Equal(c.value(c.table[i]-1), v) {
+		i = (i + 1) & mask
 	}
-	c := *col.probe(v)
-	return c - 1, c != 0
+	return &c.table[i]
 }
 
-// insert enters code c, whose value is values[c], once the codes below
-// c are in the table, doubling the table first (and re-entering those
-// codes in order) when it would be more than 2/3 full. It reports
+// insert enters code, whose value Text already holds, once the codes
+// below it are in the table, doubling the table first (and re-entering
+// those codes in order) when it would be more than 2/3 full. It reports
 // false, entering nothing, if an equal value holds a code already.
-func (col *annColumn) insert(c uint32) bool {
-	if 3*(int(c)+1) > 2*len(col.table) {
-		col.table = make([]uint32, max(2*len(col.table), 8))
-		for prev := range c {
-			*col.probe(col.values[prev].Text) = prev + 1
+func (c *AnnColumn) insert(code uint32) bool {
+	if 3*(int(code)+1) > 2*len(c.table) {
+		c.table = make([]uint32, max(2*len(c.table), 8))
+		for prev := range code {
+			*c.probeCode(prev) = prev + 1
 		}
 	}
-	cell := col.probe(col.values[c].Text)
+	cell := c.probeCode(code)
 	if *cell != 0 {
 		return false
 	}
-	*cell = c + 1
+	*cell = code + 1
 	return true
 }
 
@@ -298,18 +376,23 @@ func tableSize(n int) int {
 	return size
 }
 
-// appendDoubling is append with capacity doubled on growth. The
-// dictionaries and the tables are filled one element at a time during
-// a load, where append's 1.25x steps for large slices re-copy them
-// some five times over — garbage that lands in the loading process's
-// peak RSS.
-func appendDoubling[T any](s []T, v T) []T {
-	if len(s) == cap(s) {
-		grown := make([]T, len(s), max(2*cap(s), 16))
-		copy(grown, s)
-		s = grown
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it has not. The dictionaries and the tables are filled
+// a little at a time during a build or a load, where append's 1.25x
+// steps for large slices re-copy them some five times over — garbage
+// that lands in the process's peak RSS.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
 	}
-	return append(s, v)
+	grown := make([]T, len(s), max(2*cap(s), len(s)+n, 16))
+	copy(grown, s)
+	return grown
+}
+
+// appendDoubling is append with capacity doubled on growth (see grow).
+func appendDoubling[T any](s []T, v T) []T {
+	return append(grow(s, 1), v)
 }
 
 // place gives a document the annotations cells — ascending attribute
@@ -435,7 +518,7 @@ func (st *annStore) asMap(docID int) map[string]string {
 	out := make(map[string]string, len(t.Attrs))
 	for i, a := range t.Attrs {
 		col := st.cols[a]
-		out[col.name] = col.values[t.Codes[i][slot]].Text
+		out[col.Attr] = col.Value(t.Codes[i][slot])
 	}
 	return out
 }
@@ -483,25 +566,26 @@ func (b *AnnBuilder) Annotate(id int, anns map[string]string) {
 func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) {
 	cols := make([]AnnColumn, len(b.st.cols))
 	for a, col := range b.st.cols {
-		cols[a] = AnnColumn{Attr: col.name, Values: col.values}
+		cols[a] = AnnColumn{Attr: col.Attr, Text: col.Text, Ends: col.Ends}
 	}
 	return cols, b.st.schemas[1:]
 }
 
 // InstallAnnotations installs a snapshot's annotation tables into an
 // index that has none. cols holds, by attribute id, each attribute's
-// name and its dictionary texts in code order; schemas holds the
+// name and its dictionary — Attr, Text and Ends; schemas holds the
 // tables of schema 1 on, each one's Attrs, Codes and Docs; docs is the
-// snapshot's document count. The index takes
-// ownership of every slice. The rest — each value's numeric reading,
-// support and word count, the code tables, each document's schema and
-// slot — is derived outside the table lock, so a loader runs this
-// beside ImportRows and ImportTerms. Tables no builder produces are
-// refused whole, before anything is installed: a repeated attribute
-// name or dictionary value, an empty or repeated schema, attribute ids
-// that do not ascend or name no attribute, a code past its dictionary,
-// a slot list that does not ascend or leaves the documents, and a
-// document in two schemas.
+// snapshot's document count. The index takes ownership of every slice.
+// The rest — each value's numeric reading, support and word count, the
+// code tables, each document's schema and slot — is derived outside
+// the table lock, so a loader runs this beside ImportRows and
+// ImportTerms. Tables no builder produces are refused whole, before
+// anything is installed: a repeated attribute name, end offsets that
+// leave an empty value or do not end at the text's end, a repeated
+// dictionary value, an empty or repeated schema, attribute ids that do
+// not ascend or name no attribute, a code past its dictionary, a slot
+// list that does not ascend or leaves the documents, and a document in
+// two schemas.
 func (ix *Index) InstallAnnotations(cols []AnnColumn, schemas []AnnSchema, docs int) error {
 	st, err := restoreAnnStore(cols, schemas, docs)
 	if err != nil {
@@ -529,18 +613,35 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 			return st, fmt.Errorf("attribute %q named twice", c.Attr)
 		}
 		st.attrs[c.Attr] = uint32(a)
+		n := len(c.Ends)
 		col := &annColumn{
-			name:    c.Attr,
-			table:   make([]uint32, tableSize(len(c.Values))),
-			values:  c.Values,
-			support: make([]int32, len(c.Values)),
+			AnnColumn: AnnColumn{Attr: c.Attr, Text: c.Text, Ends: c.Ends, table: make([]uint32, tableSize(n))},
+			support:   make([]int32, n),
 		}
-		for code, v := range c.Values {
-			if !col.insert(uint32(code)) {
-				return st, fmt.Errorf("attribute %q: value %q twice in its dictionary", c.Attr, v.Text)
+		prev := uint32(0)
+		for code, end := range c.Ends {
+			if end <= prev || int(end) > len(c.Text) {
+				return st, fmt.Errorf("attribute %q: value %d ends at %d, after %d, in %d bytes", c.Attr, code, end, prev, len(c.Text))
 			}
-			col.values[code] = NewAnnValue(v.Text)
-			col.maxWords = max(col.maxWords, strings.Count(v.Text, " ")+1)
+			prev = end
+			if !col.insert(uint32(code)) {
+				return st, fmt.Errorf("attribute %q: value %q twice in its dictionary", c.Attr, col.value(uint32(code)))
+			}
+			// v is checked before string(v), which allocates for all
+			// but the shortest values.
+			v := col.value(uint32(code))
+			if mayBeNumber(v) {
+				if num, ok := ParseNumber(string(v)); ok {
+					if col.nums == nil {
+						col.nums, col.isNum = make([]float64, 0, n), make([]uint64, 0, (n+63)/64)
+					}
+					col.setNum(uint32(code), num)
+				}
+			}
+			col.maxWords = max(col.maxWords, bytes.Count(v, []byte(" "))+1)
+		}
+		if int(prev) != len(c.Text) {
+			return st, fmt.Errorf("attribute %q: %d bytes past its last value", c.Attr, len(c.Text)-int(prev))
 		}
 		st.cols[a] = col
 	}
@@ -579,7 +680,7 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 			}
 			for _, c := range codes {
 				if int(c) >= len(sup) {
-					return st, fmt.Errorf("schema %d: code %d past attribute %q's %d values", s, c, st.cols[t.Attrs[i]].name, len(sup))
+					return st, fmt.Errorf("schema %d: code %d past attribute %q's %d values", s, c, st.cols[t.Attrs[i]].Attr, len(sup))
 				}
 				sup[c]++
 			}
@@ -712,7 +813,7 @@ func (st *annStore) valuesMentioned(query string) []mention {
 		for i := range toks {
 			for j := i + 1; j <= len(toks) && j-i <= col.maxWords; j++ {
 				gram := q[starts[i] : starts[j]-1]
-				c, ok := col.lookup(gram)
+				c, ok := col.Code(gram)
 				if !ok || col.support[c] <= 0 {
 					continue
 				}
@@ -724,7 +825,7 @@ func (st *annStore) valuesMentioned(query string) []mention {
 			}
 		}
 		if bestLen > 0 {
-			out = append(out, mention{name: col.name, attr: uint32(a), code: best})
+			out = append(out, mention{name: col.Attr, attr: uint32(a), code: best})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -166,6 +167,19 @@ func TestAnnotatedTwoAttributeQueryIsBitStable(t *testing.T) {
 				t.Fatalf("run %d rank %d: doc %d score %x, first run had doc %d score %x",
 					run, i, got[i].DocID, math.Float64bits(got[i].Score), want[i].DocID, math.Float64bits(want[i].Score))
 			}
+		}
+	}
+}
+
+// ParseNumber's prefilter only spares strconv.ParseFloat inputs it
+// would refuse: every reading, and every refusal, is ParseFloat's.
+func TestParseNumberIsParseFloat(t *testing.T) {
+	for _, v := range []string{"", "nan", "NaN", "inf", "-inf", "+Inf", "infinity", "-0", "0x1p-2", "0x1_0p0", "+5", ".5",
+		"1e3", "1_000", "1,000", "1 000", " 5", "5 ", "n/a", "new car", "in stock", "ford", "12000.5", "1e400", "-"} {
+		num, ok := ParseNumber(v)
+		want, err := strconv.ParseFloat(v, 64)
+		if ok != (err == nil) || ok && math.Float64bits(num) != math.Float64bits(want) {
+			t.Errorf("ParseNumber(%q) = %v, %v; strconv.ParseFloat = %v, %v", v, num, ok, want, err)
 		}
 	}
 }

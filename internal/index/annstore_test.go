@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -135,7 +136,7 @@ func TestAnnotationRowsSurviveChurn(t *testing.T) {
 		for a, col := range st.cols {
 			for c, sup := range col.support {
 				if n := counts[annCell{uint32(a), uint32(c)}]; sup != n {
-					t.Fatalf("%s: %s=%q support %d, live slots carry it %d times", when, col.name, col.values[c].Text, sup, n)
+					t.Fatalf("%s: %s=%q support %d, live slots carry it %d times", when, col.Attr, col.Value(uint32(c)), sup, n)
 				}
 			}
 		}
@@ -223,6 +224,47 @@ func TestTopKFilteredScanIsCancelable(t *testing.T) {
 		got, tot, err := ix.TopK(context.Background(), q, 10, 0, nil)
 		if err != nil || tot != n || !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d after the canceled scan diverged (total %d, err %v): the accumulator went back dirty", i, tot, err)
+		}
+	}
+}
+
+// A dictionary's end offsets are 32 bits: interning text past 4 GiB
+// panics with the attribute's name instead of wrapping an offset.
+func TestDictionaryEndOffsetPast4GiBPanics(t *testing.T) {
+	if got := endOf("make", math.MaxUint32); got != math.MaxUint32 {
+		t.Fatalf("endOf(MaxUint32) = %d", got)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `attribute "make"`) {
+			t.Fatalf("endOf past 4 GiB recovered %v, want a panic naming the attribute", r)
+		}
+	}()
+	endOf("make", math.MaxUint32+1)
+}
+
+// InstallAnnotations refuses end offsets no builder writes — one that
+// leaves a value empty, descends, passes the text, or stops short of
+// it — before it reads a value through them.
+func TestInstallRejectsBadEndOffsets(t *testing.T) {
+	schemas := []AnnSchema{{Attrs: []uint32{0}, Codes: [][]uint32{{0}}, Docs: []int32{0}}}
+	for name, tc := range map[string]struct {
+		col  AnnColumn
+		want string
+	}{
+		"empty first value":  {AnnColumn{Attr: "make", Text: []byte("ford"), Ends: []uint32{0, 4}}, "value 0 ends at 0"},
+		"empty later value":  {AnnColumn{Attr: "make", Text: []byte("ford"), Ends: []uint32{4, 4}}, "value 1 ends at 4, after 4"},
+		"descending":         {AnnColumn{Attr: "make", Text: []byte("fordsaab"), Ends: []uint32{8, 4}}, "value 1 ends at 4, after 8"},
+		"past the text":      {AnnColumn{Attr: "make", Text: []byte("ford"), Ends: []uint32{4, 9}}, "value 1 ends at 9, after 4, in 4 bytes"},
+		"short of the text":  {AnnColumn{Attr: "make", Text: []byte("fordsaab"), Ends: []uint32{4}}, "4 bytes past its last value"},
+		"text with no value": {AnnColumn{Attr: "make", Text: []byte("ford")}, "4 bytes past its last value"},
+	} {
+		ix := New()
+		err := ix.InstallAnnotations([]AnnColumn{tc.col}, schemas, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: InstallAnnotations = %v, want an error mentioning %q", name, err, tc.want)
+		}
+		if ix.AnnotationsOf(0) != nil {
+			t.Errorf("%s: refused tables left doc 0 annotated", name)
 		}
 	}
 }

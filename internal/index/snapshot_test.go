@@ -86,7 +86,7 @@ func TestImportRejectsBadState(t *testing.T) {
 	// Tables that fail a check install nothing.
 	fresh = NewSharded(2)
 	cols, schemas, n := tablesOf(smallCorpus())
-	schemas[0].Codes[0][1] = uint32(len(cols[schemas[0].Attrs[0]].Values))
+	schemas[0].Codes[0][1] = uint32(len(cols[schemas[0].Attrs[0]].Ends))
 	if err := fresh.InstallAnnotations(cols, schemas, n); err == nil || fresh.AnnotationsOf(0) != nil {
 		t.Errorf("annotation install with a code past its dictionary: error %v, doc 0 annotated %v", err, fresh.AnnotationsOf(0))
 	}

@@ -67,7 +67,7 @@ func TestTopKFilterHostAndMatch(t *testing.T) {
 		if len(sch.Attrs) != 1 {
 			t.Fatalf("schema of %s has %d columns, want 1", d.URL, len(sch.Attrs))
 		}
-		n := tables.Column(sch.Attrs[0]).Values[sch.Codes[0][slot]].Text
+		n := tables.Column(sch.Attrs[0]).Value(sch.Codes[0][slot])
 		// The corpus numbers URLs by insertion order, like the
 		// annotation, so a candidate's id, annotation and document
 		// must agree.

@@ -71,12 +71,18 @@ func FuzzQueryParse(f *testing.F) {
 
 // FuzzBoundMatchesReference holds the serving path to the reference:
 // over fuzzed documents — annotation maps drawn from a small alphabet
-// of type-compatible names and awkward values, up to two optional
-// re-annotations that change a document's attribute set — the set TopK
-// admits through a Bound must equal, document by
-// document, the set Matcher.Match admits from AnnotationsOf. prog is
-// read a byte at a time (zero once spent) to draw the corpus; preds is
-// the predicate string, split by Extract.
+// of type-compatible names and awkward values (nan, inf, -0, 0x1p-2
+// and +5 among them, for the dictionaries' numeric readings), up to
+// two optional re-annotations that change a document's attribute set —
+// the set TopK admits through a Bound must equal, document by
+// document, the set Matcher.Match admits from AnnotationsOf. It must
+// do so on the index the documents were annotated into, whose
+// dictionaries were interned live, and on a second index holding the
+// same documents whose tables were installed, as a load installs them:
+// each document's final annotations fed to an AnnBuilder in doc-id
+// order, its Tables handed to InstallAnnotations. prog is read a byte
+// at a time (zero once spent) to draw the corpus; preds is the
+// predicate string, split by Extract.
 func FuzzBoundMatchesReference(f *testing.F) {
 	for _, seed := range []struct {
 		prog  []byte
@@ -130,27 +136,41 @@ func FuzzBoundMatchesReference(f *testing.F) {
 			}
 		}
 
-		hits, total, err := ix.TopK(context.Background(), "listing", 1000, 0, &index.Filter{Match: m.Bind(ix).Match})
-		if err != nil {
+		installed, b := index.New(), index.NewAnnBuilder()
+		for id := 0; id < ix.Len(); id++ {
+			installed.Add(ix.Doc(id))
+			b.Annotate(id, ix.AnnotationsOf(id))
+		}
+		cols, schemas := b.Tables()
+		if err := installed.InstallAnnotations(cols, schemas, ix.Len()); err != nil {
 			t.Fatal(err)
 		}
-		admitted := map[int]bool{}
-		for _, h := range hits {
-			admitted[h.DocID] = true
-		}
-		want := 0
-		for id := 0; id < ix.Len(); id++ {
-			d, anns := ix.Doc(id), ix.AnnotationsOf(id)
-			ref := m.Match(anns, d.Title, d.Text)
-			if ref != admitted[id] {
-				t.Fatalf("%v on doc %d (annotations %v, text %q): Bound admits %v, Matcher.Match %v", ps, id, anns, d.Text, admitted[id], ref)
-			}
-			if ref {
+
+		ref, want := make([]bool, ix.Len()), 0
+		for id := range ref {
+			d := ix.Doc(id)
+			if ref[id] = m.Match(ix.AnnotationsOf(id), d.Title, d.Text); ref[id] {
 				want++
 			}
 		}
-		if total != want || len(hits) != want {
-			t.Fatalf("%v: TopK total %d, %d hits; the reference admits %d", ps, total, len(hits), want)
+		for name, served := range map[string]*index.Index{"interned": ix, "installed": installed} {
+			hits, total, err := served.TopK(context.Background(), "listing", 1000, 0, &index.Filter{Match: m.Bind(served).Match})
+			if err != nil {
+				t.Fatal(err)
+			}
+			admitted := map[int]bool{}
+			for _, h := range hits {
+				admitted[h.DocID] = true
+			}
+			for id := range ref {
+				if ref[id] != admitted[id] {
+					t.Fatalf("%s: %v on doc %d (annotations %v, text %q): Bound admits %v, Matcher.Match %v",
+						name, ps, id, ix.AnnotationsOf(id), ix.Doc(id).Text, admitted[id], ref[id])
+				}
+			}
+			if total != want || len(hits) != want {
+				t.Fatalf("%s: %v: TopK total %d, %d hits; the reference admits %d", name, ps, total, len(hits), want)
+			}
 		}
 	})
 }

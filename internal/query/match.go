@@ -115,8 +115,8 @@ func (c *compiled) overMap(anns map[string]string) verdict {
 		if !c.reads(attr) {
 			continue
 		}
-		if av := index.NewAnnValue(v); av.IsNum {
-			if c.inBounds(av.Num) {
+		if num, ok := index.ParseNumber(v); ok {
+			if c.inBounds(num) {
 				return admit
 			}
 			found = true
@@ -130,9 +130,11 @@ func (c *compiled) overMap(anns map[string]string) verdict {
 
 // Bound is a Matcher bound to one index's annotation tables for the
 // span of one scan. On a schema's first candidate it resolves which of
-// the schema's columns each predicate reads, so a candidate costs its
-// schema and slot, then one code and one dictionary entry per column a
-// predicate reads; it decodes the document's row, and allocates, only
+// the schema's columns each predicate reads, and the code an equality
+// predicate's value has in its column's dictionary, so a candidate
+// costs its schema and slot, then per column a predicate reads one
+// code — compared with that code, or looked up in the dictionary's
+// numeric column; it decodes the document's row, and allocates, only
 // when the text fallback runs. A Bound serves one scan: call Match
 // only as the Filter.Match of one TopK or AnnotatedTopK, on that
 // scan's goroutine.
@@ -148,11 +150,18 @@ type Bound struct {
 }
 
 // column is one table column a predicate reads: the value codes by
-// slot, and the attribute's dictionary they index.
+// slot, and the attribute's dictionary they index. For an equality
+// predicate, eq is its value's code in that dictionary, or noCode when
+// the dictionary lacks the value: dictionary values are distinct, so
+// the value is the document's exactly when the codes are equal.
 type column struct {
 	codes []uint32
-	vals  []index.AnnValue
+	dict  *index.AnnColumn
+	eq    uint64
 }
+
+// noCode is past every code: no document's code equals it.
+const noCode = 1 << 32
 
 // Bind binds the matcher to ix's annotation tables. A nil Matcher binds
 // to a nil Bound, which matches every document.
@@ -213,10 +222,19 @@ func (b *Bound) plan(s uint32) [][]column {
 	cols := make([]column, 0, len(b.m.preds)*len(sch.Attrs))
 	for i := range b.m.preds {
 		from := len(cols)
+		c := &b.m.preds[i]
 		for j, a := range sch.Attrs {
-			if col := b.t.Column(a); b.m.preds[i].reads(col.Attr) {
-				cols = append(cols, column{codes: sch.Codes[j], vals: col.Values})
+			dict := b.t.Column(a)
+			if !c.reads(dict.Attr) {
+				continue
 			}
+			col := column{codes: sch.Codes[j], dict: dict, eq: noCode}
+			if c.p.Op == OpEq {
+				if code, ok := dict.Code(c.p.Value); ok {
+					col.eq = uint64(code)
+				}
+			}
+			cols = append(cols, col)
 		}
 		plan[i] = cols[from:len(cols):len(cols)]
 	}
@@ -227,18 +245,20 @@ func (b *Bound) plan(s uint32) [][]column {
 // slot of their table (steps 1 and 2, as overMap).
 func (c *compiled) inTable(cols []column, slot uint32) verdict {
 	found := false
-	for _, col := range cols {
-		v := &col.vals[col.codes[slot]]
+	for i := range cols {
+		col := &cols[i]
+		code := col.codes[slot]
 		if c.p.Op == OpEq {
-			if v.Text == c.p.Value {
+			if uint64(code) == col.eq {
 				return admit
 			}
 			return reject
 		}
-		if !v.IsNum {
+		num, ok := col.dict.Num(code)
+		if !ok {
 			continue
 		}
-		if c.inBounds(v.Num) {
+		if c.inBounds(num) {
 			return admit
 		}
 		found = true

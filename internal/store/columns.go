@@ -21,10 +21,12 @@ import (
 //	               | slots uvarint | slots × doc-id delta uvarint
 //	               | per attribute, slots × code uvarint
 //
-// Doc-id deltas start from 0, so the first is the first slot's id.
-// Everything a loader can compute — numeric readings, support, the
-// longest value's word count, the lookup maps, each document's schema
-// and slot — is left out, and index.InstallAnnotations derives it.
+// Doc-id deltas start from 0, so the first is the first slot's id. A
+// dictionary is the index's own layout (index.AnnColumn) less what a
+// loader can compute: the lengths become its end offsets and the bytes
+// its text. The rest — numeric readings, support, the longest value's
+// word count, the code tables, each document's schema and slot — is
+// left out, and index.InstallAnnotations derives it.
 
 // encodeColumns returns the columns body of the given tables. The body
 // is sized up front, as if no length, id, code or delta took more than
@@ -33,10 +35,7 @@ import (
 func encodeColumns(cols []index.AnnColumn, schemas []index.AnnSchema) []byte {
 	size := 2 * binary.MaxVarintLen64
 	for _, c := range cols {
-		size += len(c.Attr) + 2*binary.MaxVarintLen64
-		for _, v := range c.Values {
-			size += len(v.Text) + 3
-		}
+		size += len(c.Attr) + 2*binary.MaxVarintLen64 + len(c.Text) + 3*len(c.Ends)
 	}
 	for _, t := range schemas {
 		size += 2*binary.MaxVarintLen64 + 3*len(t.Attrs) + 3*len(t.Docs)*(1+len(t.Attrs))
@@ -45,13 +44,13 @@ func encodeColumns(cols []index.AnnColumn, schemas []index.AnnSchema) []byte {
 	e.uvarint(uint64(len(cols)))
 	for _, c := range cols {
 		e.str(c.Attr)
-		e.uvarint(uint64(len(c.Values)))
-		for _, v := range c.Values {
-			e.uvarint(uint64(len(v.Text)))
+		e.uvarint(uint64(len(c.Ends)))
+		prev := uint32(0)
+		for _, end := range c.Ends {
+			e.uvarint(uint64(end - prev))
+			prev = end
 		}
-		for _, v := range c.Values {
-			e.b = append(e.b, v.Text...)
-		}
+		e.b = append(e.b, c.Text[:prev]...)
 	}
 	e.uvarint(uint64(len(schemas)))
 	for _, t := range schemas {
@@ -113,10 +112,11 @@ func ReadColumns(path string, docs Header, ix *index.Index) error {
 
 // decodeColumns is encodeColumns' inverse. It checks what the encoding
 // alone can break — counts the remaining bytes cannot hold, an empty
-// name or value, an id or code past 32 bits — and leaves the tables'
-// own rules to InstallAnnotations; errors accumulate in d. Names are
-// cloned, and each dictionary's values are substrings of one clone of
-// their bytes: nothing keeps the body reachable.
+// name or value, a dictionary text past the 4 GiB its end offsets
+// hold, an id or code past 32 bits — and leaves the tables' own rules
+// to InstallAnnotations; errors accumulate in d. The walk over a
+// dictionary's lengths fills its end offsets, and its text is one copy
+// of its bytes; names are cloned: nothing keeps the body reachable.
 func decodeColumns(d *dec) ([]index.AnnColumn, []index.AnnSchema) {
 	cols := make([]index.AnnColumn, d.count("attribute", 2))
 	for a := 0; a < len(cols) && d.err == nil; a++ {
@@ -124,14 +124,20 @@ func decodeColumns(d *dec) ([]index.AnnColumn, []index.AnnSchema) {
 		if c.Attr = strings.Clone(d.str()); c.Attr == "" && d.err == nil {
 			d.fail(fmt.Sprintf("attribute %d has no name", a))
 		}
-		c.Values = make([]index.AnnValue, d.count("value", 2))
-		lens, total := *d, uint64(0) // first pass: the blob's length
-		for range c.Values {
+		c.Ends = make([]uint32, d.count("value", 2))
+		total := uint64(0)
+		for i := range c.Ends {
 			n := d.uvarint()
 			if (n == 0 || n > uint64(len(d.b))) && d.err == nil {
 				d.fail(fmt.Sprintf("attribute %q: value length %d of %d remaining bytes", c.Attr, n, len(d.b)))
 			}
-			total += n
+			if total += n; total > math.MaxUint32 && d.err == nil {
+				d.fail(fmt.Sprintf("attribute %q: values' bytes pass the 4 GiB an end offset holds", c.Attr))
+			}
+			if d.err != nil {
+				break
+			}
+			c.Ends[i] = uint32(total)
 		}
 		if d.err == nil && total > uint64(len(d.b)) {
 			d.fail(fmt.Sprintf("attribute %q: values' %d bytes exceed remaining %d", c.Attr, total, len(d.b)))
@@ -139,12 +145,8 @@ func decodeColumns(d *dec) ([]index.AnnColumn, []index.AnnSchema) {
 		if d.err != nil {
 			break
 		}
-		blob := strings.Clone(d.b[:total])
+		c.Text = []byte(d.b[:total])
 		d.b = d.b[total:]
-		for i := range c.Values {
-			n := lens.uvarint()
-			c.Values[i].Text, blob = blob[:n], blob[n:]
-		}
 	}
 	schemas := make([]index.AnnSchema, d.count("schema", 3))
 	for s := 0; s < len(schemas) && d.err == nil; s++ {

@@ -23,7 +23,9 @@ import (
 // count must not size a slice). A body the postings codec — shared by
 // postings segments and spill runs — decodes cleanly must also survive
 // decode → encode → decode unchanged, whatever its tfs in [1, MaxInt32]
-// and so whichever of its lists are widened.
+// and so whichever of its lists are widened; so must a body the
+// columns codec decodes cleanly: the same attribute names, every
+// code's text, and the same schemas.
 func FuzzSegmentDecode(f *testing.F) {
 	// Seed with one valid body per kind, so mutation starts from
 	// structure rather than noise.
@@ -110,22 +112,62 @@ func FuzzSegmentDecode(f *testing.F) {
 			}
 		}
 
-		d := &dec{b: string(body)}
-		terms := decodePostingsBody(d, uint64(docCount))
-		if d.done() != nil {
-			return
-		}
-		var e enc
-		encodePostingsBody(&e, terms)
-		d = &dec{b: string(e.b)}
-		again := decodePostingsBody(d, uint64(docCount))
-		if err := d.done(); err != nil {
-			t.Fatalf("re-encoded postings body does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(again, terms) {
-			t.Fatalf("postings round trip:\n got %+v\nwant %+v", again, terms)
-		}
+		postingsRoundTrip(t, body, uint64(docCount))
+		columnsRoundTrip(t, body)
 	})
+}
+
+// postingsRoundTrip checks that a body the postings codec decodes
+// cleanly decodes, encoded again, to the same lists.
+func postingsRoundTrip(t *testing.T, body []byte, docCount uint64) {
+	d := &dec{b: string(body)}
+	terms := decodePostingsBody(d, docCount)
+	if d.done() != nil {
+		return
+	}
+	var e enc
+	encodePostingsBody(&e, terms)
+	d = &dec{b: string(e.b)}
+	again := decodePostingsBody(d, docCount)
+	if err := d.done(); err != nil {
+		t.Fatalf("re-encoded postings body does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(again, terms) {
+		t.Fatalf("postings round trip:\n got %+v\nwant %+v", again, terms)
+	}
+}
+
+// columnsRoundTrip checks that a body the columns codec decodes
+// cleanly decodes, encoded again, to the same tables: attribute names,
+// each code's text, schemas.
+func columnsRoundTrip(t *testing.T, body []byte) {
+	d := &dec{b: string(body)}
+	cols, schemas := decodeColumns(d)
+	if d.done() != nil {
+		return
+	}
+	d = &dec{b: string(encodeColumns(cols, schemas))}
+	againCols, againSchemas := decodeColumns(d)
+	if err := d.done(); err != nil {
+		t.Fatalf("re-encoded columns body does not decode: %v", err)
+	}
+	if len(againCols) != len(cols) {
+		t.Fatalf("columns round trip: %d attributes, want %d", len(againCols), len(cols))
+	}
+	for a := range cols {
+		got, want := &againCols[a], &cols[a]
+		if got.Attr != want.Attr || len(got.Ends) != len(want.Ends) {
+			t.Fatalf("columns round trip: attribute %d is %q with %d values, want %q with %d", a, got.Attr, len(got.Ends), want.Attr, len(want.Ends))
+		}
+		for c := range uint32(len(want.Ends)) {
+			if got.Value(c) != want.Value(c) {
+				t.Fatalf("columns round trip: %q code %d is %q, want %q", want.Attr, c, got.Value(c), want.Value(c))
+			}
+		}
+	}
+	if !reflect.DeepEqual(againSchemas, schemas) {
+		t.Fatalf("columns round trip: schemas\n got %+v\nwant %+v", againSchemas, schemas)
+	}
 }
 
 // allocated returns the bytes f allocates on the heap, as

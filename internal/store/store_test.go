@@ -363,7 +363,7 @@ func TestDocsAnnotationIDsAscend(t *testing.T) {
 		"descending": {2, 0},
 	} {
 		path := ColumnsPath(t.TempDir())
-		cols := []index.AnnColumn{{Attr: "make", Values: []index.AnnValue{{Text: "ford"}}}}
+		cols := []index.AnnColumn{{Attr: "make", Text: []byte("ford"), Ends: []uint32{4}}}
 		schemas := []index.AnnSchema{{Attrs: []uint32{0}, Codes: [][]uint32{{0, 0}}, Docs: ids}}
 		if err := WriteColumns(path, 3, 0, cols, schemas); err != nil {
 			t.Fatal(err)
@@ -501,5 +501,29 @@ func TestCleanTmp(t *testing.T) {
 	}
 	if err := CleanTmp(filepath.Join(dir, "no-such-dir")); err != nil {
 		t.Errorf("missing dir is an error: %v", err)
+	}
+}
+
+// A dictionary's end offsets are 32 bits: a columns body whose value
+// lengths add up past 4 GiB is corrupt, though each length fits the
+// bytes that remain.
+func TestColumnsTextPast4GiBIsCorrupt(t *testing.T) {
+	const values, length = 1 << 16, 1<<16 + 1 // 4,295,032,832 bytes in all
+	var e enc
+	e.uvarint(1)
+	e.str("make")
+	e.uvarint(values)
+	for range values {
+		e.uvarint(length)
+	}
+	e.b = append(e.b, make([]byte, length)...)
+	e.uvarint(0) // no schemas
+	path := ColumnsPath(t.TempDir())
+	if err := writeColumns(path, 1, 0, e.b); err != nil {
+		t.Fatal(err)
+	}
+	err := ReadColumns(path, Header{DocCount: 1}, index.New())
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "4 GiB") {
+		t.Fatalf("ReadColumns = %v, want an ErrCorrupt naming the 4 GiB end offsets hold", err)
 	}
 }
