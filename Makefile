@@ -62,7 +62,9 @@ bench-smoke:
 	$(MAKE) bench-match BENCHTIME=1x
 
 # bench-load = engine.Load of a 50k-document bulkgen snapshot, built
-# once: ns/op, B/op and allocs/op (BenchmarkLoad in internal/engine).
+# once: ns/op, cpu-ms/op (user plus system time: Load's jobs run
+# concurrently, so wall time hides work that moves between them), B/op
+# and allocs/op (BenchmarkLoad in internal/engine).
 BENCHTIME ?= 10x
 bench-load:
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime=$(BENCHTIME) ./internal/engine
@@ -134,6 +136,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHTMLParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/htmlx
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/api
 	$(GO) test -run '^$$' -fuzz '^FuzzHostOf$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzRowHosts$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzBoundMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/query
 
 # lint = the CI lint job: the project's own analyzers first (no

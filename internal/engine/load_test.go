@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -80,18 +81,23 @@ func TestLoadedIndexBuildsURLMapOnFirstWrite(t *testing.T) {
 }
 
 // BenchmarkLoad loads a 50k-document bulkgen snapshot, built once.
-// Past the timed loads, one more from a collected heap reports the
-// heap's peak, sampled every millisecond, as peak-heap-MB, and what it
-// keeps — HeapAlloc after two collections, as deepbench's heap_live_mb
-// reads it — as live-heap-MB.
+// Besides wall time it reports the process's CPU time, user and
+// system, per load as cpu-ms/op: Load runs its jobs concurrently, so
+// wall time alone hides work that moves between them. Past the timed
+// loads, one more from a collected heap reports the heap's peak,
+// sampled every millisecond, as peak-heap-MB, and what it keeps —
+// HeapAlloc after two collections, as deepbench's heap_live_mb reads
+// it — as live-heap-MB.
 func BenchmarkLoad(b *testing.B) {
 	dir := bulkSnapshot(b, 50000)
 	b.ReportAllocs()
+	cpu := cpuTime(b)
 	for b.Loop() {
 		if _, err := Load(dir); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(cpuTime(b)-cpu)/1e6/float64(b.N), "cpu-ms/op")
 	runtime.GC()
 	w := memwatch.Start(time.Millisecond)
 	e, err := Load(dir)
@@ -105,4 +111,13 @@ func BenchmarkLoad(b *testing.B) {
 	runtime.ReadMemStats(&ms)
 	runtime.KeepAlive(e)
 	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-heap-MB")
+}
+
+// cpuTime returns the CPU time, user and system, the process has used.
+func cpuTime(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -51,8 +51,10 @@ func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 // Load reads the docs segment's 44-byte header first, CRC checked, for
 // the shard count, doc count and snapshot id. Then every segment is
 // decoded at once, on 2+DefaultWorkers goroutines, none waiting for
-// another: the rows into ImportRows, which keeps the docs body as the
-// index's document table, the columns segment into
+// another: the rows in one walk (store.ReadRows, index.ScanRows), each
+// row parsed once for its offset, length, host and URL hash, the URLs
+// checked distinct by their hashes, into ImportRows, which keeps the
+// docs body as the index's document table; the columns segment into
 // InstallAnnotations and the postings segments into lists that one
 // ImportTerms installs once the jobs are joined, into a term map sized
 // once. The columns and postings jobs check their own header against
@@ -80,14 +82,14 @@ func Load(dir string) (*Engine, error) {
 	err = store.ForEachShard(2+DefaultWorkers, 2+int(hdr.Shards), func(job int) error {
 		switch job {
 		case 0:
-			body, offs, lens, h, err := store.ReadRows(docsPath)
+			rows, h, err := store.ReadRows(docsPath)
 			if err != nil {
 				return err
 			}
 			if h != hdr {
 				return fmt.Errorf("%s: header changed while the snapshot loaded: %w", docsPath, store.ErrCorrupt)
 			}
-			if err := ix.ImportRows(body, offs, lens); err != nil {
+			if err := ix.ImportRows(rows); err != nil {
 				return fmt.Errorf("%s: %w: %w", docsPath, err, store.ErrCorrupt)
 			}
 			return nil

@@ -80,6 +80,34 @@ func reseal(raw []byte) {
 	binary.LittleEndian.PutUint32(raw[40:44], crc32.Checksum(raw[0:40], table))
 }
 
+// editRows rewrites the docs segment of the snapshot in dir behind
+// valid CRCs: edit gets the segment's rows, each as the body holds it,
+// and returns what the body holds after its doc count.
+func editRows(t *testing.T, dir string, edit func(rows []string) string) {
+	t.Helper()
+	path := store.DocsPath(dir)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(raw[44:])
+	n, start := index.Uvarint(body)
+	rows, off := make([]string, n), start
+	for i := range rows {
+		_, _, size := index.ParseRow(body[off:])
+		if size == 0 {
+			t.Fatalf("row %d of the saved docs segment does not parse", i)
+		}
+		rows[i], off = body[off:off+size], off+size
+	}
+	out := append(raw[:44+start:44+start], edit(rows)...)
+	binary.LittleEndian.PutUint64(out[28:36], uint64(len(out)-44))
+	reseal(out)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A damaged snapshot directory must fail the load with a diagnosable
 // error — the serving binary exits at startup instead of serving a
 // silently wrong index.
@@ -173,6 +201,33 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 			t.Fatalf("want an ErrCorrupt naming the duplicate, got %v", err)
 		}
 	})
+	// A row damaged behind valid CRCs fails the load, naming the row.
+	for _, tc := range []struct {
+		name, wantMsg string
+		edit          func(rows []string) string
+	}{
+		{"row that does not parse", "row 7: truncated or malformed", func(rows []string) string {
+			rows[7] = "\xff\xff\xff\xff\x0f" // a URL length past the body
+			return strings.Join(rows, "")
+		}},
+		{"length past MaxInt32", "row 7: length 2147483648 past 2147483647", func(rows []string) string {
+			d, _, _ := index.ParseRow(rows[7])
+			rows[7] = string(index.AppendRow(nil, d, 1<<31))
+			return strings.Join(rows, "")
+		}},
+		{"bytes after the last row", "3 undecoded bytes after the last of 1200 rows", func(rows []string) string {
+			return strings.Join(rows, "") + "\x00\x00\x00"
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := save(t)
+			editRows(t, dir, tc.edit)
+			err := loadFails(t, dir)
+			if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("want an ErrCorrupt mentioning %q, got %v", tc.wantMsg, err)
+			}
+		})
+	}
 	t.Run("missing columns segment", func(t *testing.T) {
 		dir := save(t)
 		if err := os.Remove(store.ColumnsPath(dir)); err != nil {
@@ -258,6 +313,25 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 				t.Fatalf("want an ErrCorrupt mentioning %q, got %v", tc.wantMsg, err)
 			}
 		})
+	}
+}
+
+// A duplicate URL is found wherever it sits: a 20k-document snapshot
+// whose last row repeats doc 0's URL fails the load naming both.
+func TestLoadFindsDuplicateURLAcrossTable(t *testing.T) {
+	const docs = 20000
+	dir := bulkSnapshot(t, docs)
+	var first string
+	editRows(t, dir, func(rows []string) string {
+		d0, _, _ := index.ParseRow(rows[0])
+		last, dl, _ := index.ParseRow(rows[docs-1])
+		first, last.URL = d0.URL, d0.URL
+		rows[docs-1] = string(index.AppendRow(nil, last, int(dl)))
+		return strings.Join(rows, "")
+	})
+	err := loadFails(t, dir)
+	if want := fmt.Sprintf("duplicate URL %q (docs 0 and %d)", first, docs-1); !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("want an ErrCorrupt mentioning %s, got %v", want, err)
 	}
 }
 

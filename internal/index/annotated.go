@@ -509,16 +509,26 @@ func (st *annStore) rewrite() {
 }
 
 // asMap materializes a document's annotations as attribute -> value,
-// nil if it has none. The caller holds the table lock.
+// nil if it has none: the values are substrings of one string, a copy
+// of their bytes. The caller holds the table lock.
 func (st *annStore) asMap(docID int) map[string]string {
 	if docID < 0 || docID >= len(st.schema) || st.schema[docID] == 0 {
 		return nil
 	}
 	t, slot := &st.schemas[st.schema[docID]], st.slot[docID]
+	size := 0
+	for i, a := range t.Attrs {
+		size += len(st.cols[a].value(t.Codes[i][slot]))
+	}
+	// Grown to size, the builder never moves its bytes, so each value
+	// is a substring of the one buffer.
+	var sb strings.Builder
+	sb.Grow(size)
 	out := make(map[string]string, len(t.Attrs))
 	for i, a := range t.Attrs {
-		col := st.cols[a]
-		out[col.Attr] = col.Value(t.Codes[i][slot])
+		col, start := st.cols[a], sb.Len()
+		sb.Write(col.value(t.Codes[i][slot]))
+		out[col.Attr] = sb.String()[start:]
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package index
 import (
 	"fmt"
 	"net/url"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +53,63 @@ func FuzzHostOf(f *testing.F) {
 	f.Fuzz(func(t *testing.T, u string) {
 		if got, want := hostOf(u), refHost(u); got != want {
 			t.Fatalf("hostOf(%q) = %q, url.Parse says %q", u, got, want)
+		}
+	})
+}
+
+// A table read by ScanRows takes a URL's host from the URL before when
+// it repeats that URL's "scheme://authority": the host column it
+// installs must still be url.Parse's Host for every document, and its
+// ids those internHost assigns one URL at a time. The fuzzed list is
+// split at newlines; each seed is a URL after a neighbour that shares
+// its prefix but not, or not provably, its host.
+func FuzzRowHosts(f *testing.F) {
+	for _, u := range []string{
+		"http://a.example.org/",
+		"http://a.example:80/",
+		"http://a.example",
+		"http://a.example?q",
+		"http://a.example#f",
+		"http://a.example/%zz",
+		"http://a.example/\x01",
+		"HTTP://a.example/",
+		"http://u@a.example/",
+	} {
+		f.Add("http://a.example/x\n" + u + "\nhttp://a.example/y")
+	}
+	f.Add("http://a.example/x\nhttp://b.example/x\nhttp://a.example/y\nhttp:///z\nhttp:///w\nhttp://\n\nh/x")
+	f.Fuzz(func(t *testing.T, list string) {
+		var urls []string
+		for _, u := range strings.Split(list, "\n") {
+			if !slices.Contains(urls, u) { // ScanRows refuses a duplicate
+				urls = append(urls, u)
+			}
+		}
+		var body []byte
+		for _, u := range urls {
+			body = AppendRow(body, Doc{URL: u}, 1)
+		}
+		rows, err := ScanRows(string(body), 0, len(urls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := NewSharded(1)
+		if err := ix.ImportRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		ix.ForEach(func(id int, d Doc, host string) {
+			if want := refHost(d.URL); host != want {
+				t.Fatalf("doc %d %q: host %q in the column, url.Parse says %q", id, d.URL, host, want)
+			}
+		})
+		ids, names := map[string]uint32{}, []string{""}
+		for id, u := range urls {
+			if got, want := ix.hosts[id], internHost(ids, &names, u); got != want {
+				t.Fatalf("doc %d %q: host id %d, internHost assigns %d", id, u, got, want)
+			}
+		}
+		if !slices.Equal(ix.hostNames, names) {
+			t.Fatalf("host dictionary %q, internHost builds %q", ix.hostNames, names)
 		}
 	})
 }

@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -118,6 +120,62 @@ func TestVersionMovesOnEveryWrite(t *testing.T) {
 		}
 		if ix.Version() <= before {
 			t.Fatalf("write %d left the version at %d", i, before)
+		}
+	}
+}
+
+// hasEqual finds two equal hashes wherever they sit — in one top-byte
+// bucket or across the radix passes — and never reports distinct ones
+// as equal.
+func TestHasEqual(t *testing.T) {
+	spread := func(n int, f func(i int) uint64) []uint64 {
+		hs := make([]uint64, n)
+		for i := range hs {
+			hs[i] = f(i)
+		}
+		return hs
+	}
+	// mix spreads i over all eight bytes.
+	mix := func(i int) uint64 { return uint64(i+1) * 0x9e3779b97f4a7c15 }
+	withPair := func(hs []uint64, i, j int) []uint64 { hs[j] = hs[i]; return hs }
+	for _, tc := range []struct {
+		name string
+		hs   []uint64
+		want bool
+	}{
+		{"empty", nil, false},
+		{"one hash", []uint64{42}, false},
+		{"all equal", spread(300, func(int) uint64 { return 0xdeadbeef }), true},
+		{"two zero hashes", []uint64{0, 7, 0}, true},
+		{"one zero hash", []uint64{0, 7, 1 << 63}, false},
+		{"distinct", spread(5000, mix), false},
+		{"equal pair at first and last index", withPair(spread(5000, mix), 0, 4999), true},
+		{"differ only in the top byte", spread(256, func(i int) uint64 { return uint64(i)<<56 | 0x00ab_cdef_0123_4567 }), false},
+		{"top-byte neighbours and a pair", withPair(spread(256, func(i int) uint64 { return uint64(i)<<56 | 0x00ab_cdef_0123_4567 }), 3, 200), true},
+		{"differ only in the lowest byte", spread(256, func(i int) uint64 { return 0xfedc_ba98_7654_3200 | uint64(i) }), false},
+		{"lowest-byte neighbours and a pair", withPair(spread(256, func(i int) uint64 { return 0xfedc_ba98_7654_3200 | uint64(i) }), 255, 0), true},
+		{"one bucket holds every hash", spread(3000, func(i int) uint64 { return 0x5a<<56 | mix(i)>>8 }), false},
+		{"one bucket with a pair", withPair(spread(3000, func(i int) uint64 { return 0x5a<<56 | mix(i)>>8 }), 1234, 2999), true},
+	} {
+		if got := hasEqual(slices.Clone(tc.hs)); got != tc.want {
+			t.Errorf("%s: hasEqual = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// Against a set, on hashes drawn from pools about as large as the
+	// draw, so about half the draws repeat one; half the pool shares
+	// top byte 0, the rest spans the buckets.
+	r := rand.New(rand.NewPCG(1, 2))
+	for range 200 {
+		n := r.IntN(3000)
+		pool := spread(n+n/2+1, func(i int) uint64 { return r.Uint64() >> (8 * (i % 2)) })
+		hs := spread(n, func(int) uint64 { return pool[r.IntN(len(pool))] })
+		seen, want := map[uint64]bool{}, false
+		for _, h := range hs {
+			want = want || seen[h]
+			seen[h] = true
+		}
+		if got := hasEqual(slices.Clone(hs)); got != want {
+			t.Fatalf("%d drawn hashes: hasEqual = %v, want %v", n, got, want)
 		}
 	}
 }

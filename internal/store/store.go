@@ -39,10 +39,12 @@
 //
 // A body is read once, streamed into the string the decoder walks.
 // Decoding allocates per table, not per string. The docs body is kept
-// whole as the loaded index's document table: ReadRows records where
-// each row starts, and every field a caller reads is a substring of
-// that string, its one copy, so a row a caller keeps keeps its whole
-// generation's text reachable. The postings terms and the columns'
+// whole as the loaded index's document table: ReadRows hands it to
+// index.ScanRows, which walks the rows once — where each starts, its
+// BM25 length, its host and its URL's hash for the duplicate check —
+// and every field a caller reads is a substring of that string, its
+// one copy, so a row a caller keeps keeps its whole generation's text
+// reachable. The postings terms and the columns'
 // names and values are cloned out of theirs. A postings body decodes
 // into one doc-id array and one one-byte tf array, sized by a first
 // walk of its structure, and each term's index.PostingList is a slice
@@ -440,52 +442,43 @@ type DocsSegment struct {
 // ReadDocs reads the docs segment as ReadRows does and decodes every
 // row into a Doc, whose fields are substrings of the body.
 func ReadDocs(path string) (*DocsSegment, Header, error) {
-	body, offs, lens, h, err := ReadRows(path)
+	t, h, err := ReadRows(path)
 	if err != nil {
 		return nil, Header{}, err
 	}
-	seg := &DocsSegment{Docs: make([]index.Doc, len(offs)), Lens: lens}
-	for id, off := range offs {
-		seg.Docs[id], _, _ = index.ParseRow(body[off:])
+	seg := &DocsSegment{Docs: make([]index.Doc, t.Len()), Lens: t.Lens()}
+	for id := range seg.Docs {
+		seg.Docs[id] = t.Doc(id)
 	}
 	return seg, h, nil
 }
 
-// ReadRows reads the docs segment and walks its body once, checking
-// every row (index.ParseRow, the row codec AppendRow writes): body is
-// the segment's body, offs[id] where document id's row starts in it,
-// and lens[id] its BM25 length. It allocates the body and the two
-// tables, nothing per row; a loader hands all three to
-// index.ImportRows, so the body is the loaded index's document table.
-func ReadRows(path string) (body string, offs []uint64, lens []int32, h Header, err error) {
-	h, body, err = readSegment(path, KindDocs)
+// ReadRows reads the docs segment, checks its doc count against the
+// header's, and hands the body to index.ScanRows, which walks the rows
+// once — each row checked and parsed once (index.ParseRow, the row
+// codec AppendRow writes) for where it starts, its BM25 length, its
+// host and its URL's hash — and checks that the URLs are distinct. It
+// allocates the body and the table's columns, nothing per row; a
+// loader hands the table to index.ImportRows, so the body is the
+// loaded index's document table.
+func ReadRows(path string) (*index.RowTable, Header, error) {
+	h, body, err := readSegment(path, KindDocs)
 	if err != nil {
-		return "", nil, nil, Header{}, err
+		return nil, Header{}, err
 	}
 	d := &dec{b: body, path: path}
 	n := d.count("doc", 5)
 	if d.err == nil && uint64(n) != h.DocCount {
 		d.fail(fmt.Sprintf("body holds %d docs, header says %d", n, h.DocCount))
 	}
-	if d.err == nil {
-		offs, lens = make([]uint64, n), make([]int32, n)
+	if d.err != nil {
+		return nil, Header{}, d.err
 	}
-	for id := 0; id < n && d.err == nil; id++ {
-		_, dl, size := index.ParseRow(d.b)
-		switch {
-		case size == 0:
-			d.fail(fmt.Sprintf("row %d: truncated or malformed", id))
-		case dl > math.MaxInt32:
-			d.fail(fmt.Sprintf("row %d: length %d past %d", id, dl, math.MaxInt32))
-		default:
-			offs[id], lens[id] = uint64(len(body)-len(d.b)), int32(dl)
-			d.b = d.b[size:]
-		}
+	t, err := index.ScanRows(body, len(body)-len(d.b), n)
+	if err != nil {
+		return nil, Header{}, fmt.Errorf("%s: body decode: %w: %w", path, err, ErrCorrupt)
 	}
-	if err := d.done(); err != nil {
-		return "", nil, nil, Header{}, err
-	}
-	return body, offs, lens, h, nil
+	return t, h, nil
 }
 
 // WritePostings encodes and writes one shard's postings segment,
