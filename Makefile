@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test bench bench-smoke bench-load bench-scan bench-match serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
+.PHONY: verify fmt vet build test bench bench-smoke bench-load bench-save bench-scan bench-match serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
 
 # verify = the CI `test` job: gofmt, vet, build, race-enabled tests.
 verify: fmt vet build test
@@ -47,8 +47,8 @@ test:
 # empty now that annotations live in the columns segment, so
 # index.annotate_s reads about 0 — and the request layer by layer) — it
 # exercises every path and checks every answer, and measures nothing;
-# it ends with one iteration each of bench-load, bench-scan and
-# bench-match.
+# it ends with one iteration each of bench-load, bench-save, bench-scan
+# and bench-match.
 bench:
 	$(GO) run ./bench
 
@@ -58,6 +58,7 @@ bench-smoke:
 		$(GO) run ./bench -smoke --trace 1 --seconds 1 --workload $$w; \
 	done
 	$(MAKE) bench-load BENCHTIME=1x
+	$(MAKE) bench-save BENCHTIME=1x
 	$(MAKE) bench-scan BENCHTIME=1x
 	$(MAKE) bench-match BENCHTIME=1x
 
@@ -68,6 +69,13 @@ bench-smoke:
 BENCHTIME ?= 10x
 bench-load:
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime=$(BENCHTIME) ./internal/engine
+
+# bench-save = engine.Engine.Save of that 50k-document snapshot, loaded
+# once: ns/op, cpu-ms/op (user plus system time: Save encodes postings
+# segments concurrently), B/op and allocs/op (BenchmarkSave in
+# internal/engine).
+bench-save:
+	$(GO) test -run '^$$' -bench '^BenchmarkSave$$' -benchtime=$(BENCHTIME) ./internal/engine
 
 # bench-scan = TopK's BM25 scan over a synthetic 200k-document index,
 # built once, for a fixed set of queries: ns/posting (BenchmarkScan in

@@ -190,7 +190,7 @@ func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOp
 	}
 	// No refresh signatures: the empty meta segment Save(dir, nil)
 	// writes keeps the directory byte-identical to Save's.
-	if _, err := w.Commit(workers, nil, nil); err != nil {
+	if _, err := w.Commit(workers, nil, nil, nil, nil); err != nil {
 		return stats, fmt.Errorf("engine: bulk build: %w", err)
 	}
 	stats.Runs = w.Runs()

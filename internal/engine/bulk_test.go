@@ -94,6 +94,46 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 	}
 }
 
+// Two keys of one annotation map that name one attribute ("Make" and
+// "make ") give the document the greater key's value, and only that
+// value enters the attribute's dictionary — on a live index as in a
+// bulk build — so Save of the ingested index and BulkBuild of the same
+// stream write the same directory.
+func TestSaveEqualsBulkBuildWhenKeysNameOneAttribute(t *testing.T) {
+	var (
+		docs []index.Doc
+		anns []map[string]string
+	)
+	for i := range 5 {
+		docs = append(docs, index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Title: "listing", Text: "used honda civic"})
+		anns = append(anns, map[string]string{"Make": "ford", "make ": "honda", "year": fmt.Sprint(2000 + i)})
+	}
+	e := New()
+	if added, _ := ingest(e, &docSource{docs, anns}, 2); added != len(docs) {
+		t.Fatalf("ingest added %d of %d documents", added, len(docs))
+	}
+	saved, built := t.TempDir(), t.TempDir()
+	if err := e.Save(saved, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BulkBuild(context.Background(), &docSource{docs, anns}, built, BulkBuildOptions{Docs: len(docs)}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*index.Index{"ingested": e.Index, "bulk-built": loaded.Index} {
+		tables := ix.AnnotationTables()
+		for _, a := range tables.Schemas[1].Attrs {
+			if col := tables.Column(a); col.Attr == "make" && (len(col.Ends) != 1 || col.Value(0) != "honda") {
+				t.Errorf("%s: make dictionary holds %q, want honda alone", name, col.Text)
+			}
+		}
+	}
+	requireSameDir(t, "save-vs-bulkbuild", saved, built)
+}
+
 // Reproducibility: the snapshot directory is byte-identical however
 // the build was parallelized or budgeted.
 func TestBulkBuildByteIdenticalAcrossBudgets(t *testing.T) {

@@ -113,6 +113,27 @@ func BenchmarkLoad(b *testing.B) {
 	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-heap-MB")
 }
 
+// BenchmarkSave saves a 50k-document bulkgen snapshot, loaded once,
+// into one directory over and over. Besides wall time, B/op and
+// allocs/op it reports the process's CPU time per save as cpu-ms/op,
+// as BenchmarkLoad does: Save encodes its postings segments
+// concurrently.
+func BenchmarkSave(b *testing.B) {
+	e, err := Load(bulkSnapshot(b, 50000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	b.ReportAllocs()
+	cpu := cpuTime(b)
+	for b.Loop() {
+		if err := e.Save(dir, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cpuTime(b)-cpu)/1e6/float64(b.N), "cpu-ms/op")
+}
+
 // cpuTime returns the CPU time, user and system, the process has used.
 func cpuTime(tb testing.TB) time.Duration {
 	var ru syscall.Rusage

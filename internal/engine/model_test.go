@@ -32,9 +32,10 @@ type model struct {
 
 type modelDoc struct {
 	index.Doc
-	anns map[string]string // as Annotate stores them: lower-cased, trimmed
-	tf   map[string]int    // stemmed term -> frequency, title terms twice
-	dl   int               // document length, title terms twice
+	given map[string]string // the annotations it was ingested with
+	anns  map[string]string // as Annotate stores them: lower-cased, trimmed
+	tf    map[string]int    // stemmed term -> frequency, title terms twice
+	dl    int               // document length, title terms twice
 }
 
 // The index's BM25 constants and annotation factors, restated.
@@ -67,25 +68,23 @@ func (m *model) add(d index.Doc, anns map[string]string) bool {
 			return false
 		}
 	}
-	m.docs = append(m.docs, newModelDoc(d))
-	m.annotate(len(m.docs)-1, anns)
-	return true
-}
-
-// annotate sets one value per attribute; empty names and values are
-// ignored, and keys naming one attribute apply in sorted order.
-func (m *model) annotate(id int, anns map[string]string) {
+	md := newModelDoc(d)
+	md.given = anns
+	// One value per attribute; empty names and values are ignored, and
+	// keys naming one attribute apply in sorted order.
 	for _, attr := range slices.Sorted(maps.Keys(anns)) {
 		v := anns[attr]
 		attr, v = strings.ToLower(strings.TrimSpace(attr)), strings.ToLower(strings.TrimSpace(v))
 		if attr == "" || v == "" {
 			continue
 		}
-		if m.docs[id].anns == nil {
-			m.docs[id].anns = map[string]string{}
+		if md.anns == nil {
+			md.anns = map[string]string{}
 		}
-		m.docs[id].anns[attr] = v
+		md.anns[attr] = v
 	}
+	m.docs = append(m.docs, md)
+	return true
 }
 
 // df is how many documents hold the stemmed term.

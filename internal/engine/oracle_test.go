@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -24,18 +25,20 @@ import (
 //     in bulk_test.go), with annotations and duplicate URLs — within the
 //     batch and of indexed documents — generated in no URL order, at a
 //     drawn batch size. A duplicate inside one batch meets the index's
-//     own rule: the first occurrence wins, with its annotations;
-//   - annotate: re-Annotate of indexed documents, overwriting values
-//     and adding attributes and values never seen before;
+//     own rule: the first occurrence wins, with its annotations. The
+//     annotations take every shape Annotate meets: attributes and
+//     values never seen before, an empty value, a second spelling of
+//     an attribute's name;
 //   - save: Save → Load on a drawn worker count. Save writes the index's
 //     own segment count, drawn from {1, 4, 16} when the sequence starts
 //     and by every bulkbuild;
-//   - bulkbuild: BulkBuild → Load of the corpus at a drawn shard count;
+//   - bulkbuild: BulkBuild → Load of the corpus, each document with the
+//     annotations it was ingested with, at a drawn shard count;
 //   - cache: the result cache on or off. While it is on, every probe
 //     runs twice, the second pass must come from the cache, and every
 //     page handed out is scribbled over before the next search. Even
-//     seeds arm it right after the first ingest, so the in-place
-//     operations run under it.
+//     seeds arm it right after the first ingest, so the ingests run
+//     under it.
 //
 // A failure prints the seed, the operations up to the failing step, the
 // first differing probe with both answers, and the -run pattern that
@@ -46,16 +49,12 @@ func TestEngineFollowsOracle(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			o := newOracle(t, seed, seen)
-			// Every sequence re-annotates early, so each one checks
-			// schema moves on a small corpus.
 			o.step(o.draw("ingest"))
-			o.step(o.draw("annotate"))
 			if seed%2 == 0 {
 				o.step(&oracleOp{kind: "cache", on: true})
 			}
-			for i := 2; i < steps; i++ {
-				o.step(o.draw("ingest", "ingest", "ingest", "annotate", "annotate",
-					"save", "bulkbuild", "bulkbuild", "cache"))
+			for i := 1; i < steps; i++ {
+				o.step(o.draw("ingest", "ingest", "ingest", "save", "bulkbuild", "bulkbuild", "cache"))
 			}
 			seen.sequences++
 		})
@@ -63,17 +62,15 @@ func TestEngineFollowsOracle(t *testing.T) {
 	if seen.sequences < seeds {
 		return // a -run pattern picked some seeds; the census needs all
 	}
-	for _, kind := range []string{"ingest", "annotate", "save", "bulkbuild", "cache"} {
+	for _, kind := range []string{"ingest", "save", "bulkbuild", "cache"} {
 		if seen.ops[kind] == 0 {
 			t.Errorf("no sequence ran a %s", kind)
 		}
 	}
-	// A mutation the cache must see: each one run with the cache off
+	// The mutation the cache must see: an ingest run with the cache off
 	// proves nothing about retiring cached pages.
-	for _, kind := range []string{"ingest", "annotate"} {
-		if seen.cached[kind] == 0 {
-			t.Errorf("no sequence ran a %s with the cache on", kind)
-		}
+	if seen.cached["ingest"] == 0 {
+		t.Error("no sequence ran an ingest with the cache on")
 	}
 	census := fmt.Sprintf("ops %v, with the cache on %v; %d annotated probes past the re-rank depth, "+
 		"%d filters admitting a proper subset, %d cache hits", seen.ops, seen.cached, seen.reranked, seen.filtered, seen.cacheHits)
@@ -84,13 +81,13 @@ func TestEngineFollowsOracle(t *testing.T) {
 }
 
 // TestEngineFollowsOracleAtomically is the concurrent mode. One writer
-// runs in-place operations — ingest in several batches, re-annotate
-// with never-seen values — while readers search without pause, and
+// ingests in several batches while readers search without pause, and
 // every answer must equal the model's answer at some committed state:
-// after a batch or an Annotate. Annotate leaves BM25 alone, so a torn
-// annotated answer shows only where the values a query mentions
-// change; every re-annotation therefore also flips the one value a
-// probe mentions on and off.
+// after a batch. A torn annotated answer — ranked under one set of
+// mentioned values and adjusted under another — shows only where the
+// values a query mentions change; so every other ingest brings the
+// first carrier of a value longer than any the last probe mentions
+// yet, which the probe then mentions instead.
 // A commit a reader can see half of, or a query that reads two states,
 // matches none. One run can miss a torn commit, so CI repeats it
 // (-run 'Atomic' -count=10) under -race.
@@ -103,7 +100,7 @@ func TestEngineFollowsOracleAtomically(t *testing.T) {
 		{Query: "listing", K: 20, Filters: []query.Predicate{query.Eq("make", "ford")}},
 		{Query: "listing", K: 10, Host: "h1.example", Filters: []query.Predicate{mustPred(t, "price<9000")}},
 		{Query: "homes in santa fe", K: 10, Annotated: true, Filters: []query.Predicate{mustPred(t, "year:2004..2009")}},
-		{Query: "mint condition listing", K: 10, Annotated: true},
+		{Query: "listing " + strings.Join(mintWords, " "), K: 10, Annotated: true},
 	}
 	for seed := int64(1); seed <= 2; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -128,19 +125,24 @@ func TestEngineFollowsOracleAtomically(t *testing.T) {
 			}
 			record()
 			var script []*oracleOp
-			mint := false
-			for len(script) < 30 {
-				op := o.draw("ingest", "annotate", "annotate")
+			for len(script) < 2*len(mintWords) {
+				op := o.draw("ingest")
 				op.batch = max(op.batch, 6) // every batch is a state to record; batches of one are the sequential test's
-				if op.kind == "annotate" {
-					// Doc 0 alone carries the value the last probe
-					// mentions, so every flip changes which values
-					// that probe mentions: an answer ranked before a
-					// flip and adjusted after it is no state's answer.
-					mint = !mint
-					op.ids, op.anns = append(op.ids, 0), append(op.anns, map[string]string{"notes": map[bool]string{true: "mint condition", false: "call"}[mint]})
+				// Every other batch ends with a document carrying the
+				// first k+1 of mintWords, which the last probe then
+				// mentions in place of the k words before: an answer
+				// ranked before the batch and adjusted after it is no
+				// state's answer.
+				k, mint := len(script)/2, len(script)%2 == 1
+				v := strings.Join(mintWords[:k+1], " ")
+				if mint {
+					op.docs = append(op.docs, index.Doc{URL: fmt.Sprintf("http://h0.example/mint/%02d", k), Title: "listing", Text: v})
+					op.anns = append(op.anns, map[string]string{"notes": v})
 				}
 				op.want = op.onModel(&o.m, record)
+				if mentioned := o.m.mentions(probes[len(probes)-1].Query); mint && !slices.Contains(mentioned, modelMention{"notes", v}) {
+					t.Fatalf("after the batch bringing notes=%q the last probe mentions %v", v, mentioned)
+				}
 				script = append(script, op)
 			}
 
@@ -196,6 +198,10 @@ func TestEngineFollowsOracleAtomically(t *testing.T) {
 		})
 	}
 }
+
+// mintWords are the words of the concurrent mode's last probe, which
+// no generated document holds.
+var mintWords = strings.Fields("mint condition garaged original paint pristine interior dealer serviced winter stored collector grade matching numbers")
 
 // oracle runs one seeded sequence against an engine and the model.
 type oracle struct {
@@ -342,8 +348,7 @@ func pick[T any](r *rand.Rand, from []T) T { return from[r.Intn(len(from))] }
 type oracleOp struct {
 	kind                   string
 	docs                   []index.Doc
-	anns                   []map[string]string // parallel to docs, or to ids for annotate
-	ids                    []int
+	anns                   []map[string]string // parallel to docs
 	batch, workers, shards int
 	on                     bool   // cache
 	want                   string // the model's outcome, when drawn ahead of the engine
@@ -353,8 +358,6 @@ func (op *oracleOp) String() string {
 	switch op.kind {
 	case "ingest":
 		return fmt.Sprintf("ingest %d docs, batch %d", len(op.docs), op.batch)
-	case "annotate":
-		return fmt.Sprintf("annotate %v with %v", op.ids, op.anns)
 	case "save":
 		return fmt.Sprintf("save → load, %d workers", op.workers)
 	case "bulkbuild":
@@ -378,20 +381,13 @@ func (o *oracle) draw(kinds ...string) *oracleOp {
 				d, anns := o.drawDoc(op.docs)
 				op.docs, op.anns = append(op.docs, d), append(op.anns, anns)
 			}
-		case "annotate":
-			if len(o.m.docs) == 0 {
-				continue
-			}
-			for n := 1 + r.Intn(3); n > 0; n-- {
-				op.ids, op.anns = append(op.ids, r.Intn(len(o.m.docs))), append(op.anns, o.drawReannotation())
-			}
 		case "bulkbuild":
 			if len(o.m.docs) == 0 {
 				continue
 			}
 			op.shards, op.batch, op.workers = pick(r, []int{1, 4, 16}), pick(r, []int{7, 64}), 1+r.Intn(3)
 			for _, d := range o.m.docs {
-				op.docs, op.anns = append(op.docs, d.Doc), append(op.anns, maps.Clone(d.anns))
+				op.docs, op.anns = append(op.docs, d.Doc), append(op.anns, maps.Clone(d.given))
 			}
 		case "save":
 			op.workers = 1 + r.Intn(3)
@@ -441,6 +437,19 @@ func (o *oracle) drawDoc(batch []index.Doc) (index.Doc, map[string]string) {
 		attr := pick(r, oracleAttrs)
 		anns[attr] = o.drawValue(attr)
 	}
+	// Now and then an attribute or a value no dictionary holds yet, an
+	// empty value Annotate ignores, or a second spelling of an
+	// attribute's name, of which the greater key's value is kept.
+	switch attr := pick(r, oracleAttrs); r.Intn(8) {
+	case 0:
+		anns[fmt.Sprintf("late%d", r.Intn(1000))] = fmt.Sprintf("late value %d", r.Intn(1000))
+	case 1:
+		anns["price"] = fmt.Sprint(70000 + r.Intn(10000))
+	case 2:
+		anns["make"] = ""
+	case 3:
+		anns[" "+strings.ToUpper(attr)] = o.drawValue(attr)
+	}
 	return d, anns
 }
 
@@ -464,26 +473,6 @@ func (o *oracle) drawValue(attr string) string {
 	return v
 }
 
-// drawReannotation overwrites or repeats one value and, often, adds an
-// attribute or a value no dictionary holds yet, an empty value Annotate
-// ignores, or a second spelling of the attribute's name.
-func (o *oracle) drawReannotation() map[string]string {
-	r := o.r
-	attr := pick(r, oracleAttrs)
-	anns := map[string]string{attr: o.drawValue(attr)}
-	switch r.Intn(4) {
-	case 0:
-		anns[fmt.Sprintf("late%d", r.Intn(1000))] = fmt.Sprintf("late value %d", r.Intn(1000))
-	case 1:
-		anns["price"] = fmt.Sprint(70000 + r.Intn(10000))
-	case 2:
-		anns["make"] = ""
-	case 3:
-		anns[" "+strings.ToUpper(attr)] = o.drawValue(attr)
-	}
-	return anns
-}
-
 // onModel applies op to m, calling each after every write section the
 // engine commits atomically, and returns the outcome the engine must
 // report.
@@ -500,11 +489,6 @@ func (op *oracleOp) onModel(m *model, each func()) string {
 			each()
 		}
 		return fmt.Sprintf("added=%d duplicates=%d", added, len(op.docs)-added)
-	case "annotate":
-		for i, id := range op.ids {
-			m.annotate(id, op.anns[i])
-			each()
-		}
 	}
 	return ""
 }
@@ -516,10 +500,6 @@ func (o *oracle) onEngine(op *oracleOp) string {
 	case "ingest":
 		added, dups := ingest(e, &docSource{op.docs, op.anns}, op.batch)
 		return fmt.Sprintf("added=%d duplicates=%d", added, dups)
-	case "annotate":
-		for i, id := range op.ids {
-			e.Index.Annotate(id, op.anns[i])
-		}
 	case "save":
 		dir := o.t.TempDir()
 		prev := DefaultWorkers

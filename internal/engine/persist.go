@@ -11,29 +11,28 @@ import (
 // segment holding the annotation tables, one postings segment per
 // shard, and a meta segment carrying sites, the refresh metadata of
 // whoever filled the index (nil for none; Load does not read it). The
-// directory protocol is store.Writer's, and so are the placement of
-// terms in segments and the annotation tables, which it re-interns in
-// doc-id order; Save only says where the rows, annotations and
-// postings come from: the live index.
+// directory protocol is store.Writer's, and so is the placement of
+// terms in segments; Save hands the writer what the index holds, as it
+// holds it: every row's bytes in id order, every resident posting
+// list, and the annotation tables, which the append-only store holds
+// exactly as BulkBuild's writer builds them for the same documents.
 // Postings segments are encoded concurrently on DefaultWorkers.
 // Existing segments in dir are overwritten atomically; a concurrent
 // reader of the old snapshot is undisturbed. Save must not run
 // concurrently with a write to the index. It holds one copy of every
-// posting list, and of the annotation tables, while it writes.
+// posting list while it writes.
 func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 	ix := e.Index
-	docs, lens := ix.ExportDocs()
-	w, err := store.NewWriter(dir, ix.NumShards(), len(docs), 0)
+	w, err := store.NewWriter(dir, ix.NumShards(), ix.Len(), 0)
 	if err != nil {
 		return fmt.Errorf("engine: save: %w", err)
 	}
 	defer w.Abort()
-	for id, d := range docs {
-		if err := w.AddDoc(d, int(lens[id]), ix.AnnotationsOf(id)); err != nil {
-			return fmt.Errorf("engine: save docs: %w", err)
-		}
+	if err := ix.ForEachRow(w.AddRow); err != nil {
+		return fmt.Errorf("engine: save docs: %w", err)
 	}
-	snapID, err := w.Commit(DefaultWorkers, sites, ix.ExportTerms())
+	cols, schemas := ix.ExportAnnotations()
+	snapID, err := w.Commit(DefaultWorkers, sites, ix.ExportTerms(), cols, schemas)
 	if err != nil {
 		return fmt.Errorf("engine: save: %w", err)
 	}

@@ -12,7 +12,7 @@ import (
 
 // A document's row reads back byte for byte on every path it takes — a
 // commit's chunk, Save, Load's docs body — through Doc, ForEach,
-// ExportDocs and a filtered search's text fallback: empty fields,
+// ForEachRow and a filtered search's text fallback: empty fields,
 // fields long enough for a multi-byte length prefix, non-ASCII text,
 // and rows committed over several batches, one of which repeats a URL.
 func TestRowsRoundTrip(t *testing.T) {
@@ -32,7 +32,7 @@ func TestRowsRoundTrip(t *testing.T) {
 		}
 		e.Index.AddPreparedBatch(ps, nil)
 	}
-	_, wantLens := e.Index.ExportDocs()
+	wantRows := rowsOf(t, e.Index)
 
 	dir := t.TempDir()
 	if err := e.Save(dir, nil); err != nil {
@@ -59,9 +59,11 @@ func TestRowsRoundTrip(t *testing.T) {
 				t.Errorf("%s: ForEach doc %d host %q", name, id, host)
 			}
 		})
-		got, lens := ix.ExportDocs()
-		if !reflect.DeepEqual(walked, docs) || !reflect.DeepEqual(got, docs) || !reflect.DeepEqual(lens, wantLens) {
-			t.Errorf("%s: ForEach %+v, ExportDocs %+v %v; want %+v %v", name, walked, got, lens, docs, wantLens)
+		if !reflect.DeepEqual(walked, docs) {
+			t.Errorf("%s: ForEach %+v, want %+v", name, walked, docs)
+		}
+		if rows := rowsOf(t, ix); !reflect.DeepEqual(rows, wantRows) {
+			t.Errorf("%s: rows %q, want the committed %q", name, rows, wantRows)
 		}
 		// No document is annotated, so the predicate is decided by each
 		// candidate's title and text: only doc 2 mentions a price.
@@ -76,4 +78,23 @@ func TestRowsRoundTrip(t *testing.T) {
 			t.Errorf("%s: filtered search hit %+v, want doc 2 %+v", name, r, docs[2])
 		}
 	}
+}
+
+// rowsOf returns every row of ix, in id order, as ForEachRow hands
+// them out, and checks that each decodes to the document Doc returns.
+func rowsOf(t *testing.T, ix *index.Index) []string {
+	t.Helper()
+	var rows []string
+	if err := ix.ForEachRow(func(row string) error {
+		rows = append(rows, row)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for id, row := range rows {
+		if d, _, n := index.ParseRow(row); n != len(row) || d != ix.Doc(id) {
+			t.Errorf("row %d %q decodes to %+v in %d of its bytes", id, row, d, n)
+		}
+	}
+	return rows
 }

@@ -12,27 +12,27 @@ import (
 	"testing"
 )
 
-// A load annotates every document once, with the lower-cased values a
-// snapshot stores, so placing a new document into a schema that already
-// exists, with values its dictionaries already hold, must not allocate
-// per call: only the tables' amortized growth may.
+// A commit annotates every document once, and most carry values their
+// dictionaries already hold, so placing a new document into a schema
+// that already exists, with such values, must not allocate per call:
+// only the tables' amortized growth may.
 func TestAnnotateAllocatesNothingPerDocument(t *testing.T) {
 	const n = 20000
 	ix := New()
-	for i := 0; i <= n; i++ {
+	for i := 0; i < n+2; i++ {
 		ix.Add(Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used ford focus"})
 	}
 	anns := []map[string]string{
 		{"make": "ford", "year": "2001", "city": "seattle"},
 		{"make": "honda", "year": "1999", "city": "portland"},
 	}
-	for _, a := range anns {
-		ix.Annotate(0, a) // the schema and every value, interned
+	for id, a := range anns {
+		ix.Annotate(id, a) // the schema and every value, interned
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for id := 1; id <= n; id++ {
+	for id := 2; id < n+2; id++ {
 		ix.Annotate(id, anns[id%2])
 	}
 	runtime.ReadMemStats(&after)

@@ -27,16 +27,19 @@ import (
 // confirms it.
 
 // The store is a set of schema tables. An annotation is the form
-// binding that surfaced a page, so every page from one query template
-// carries the same attribute set — a schema — and a corpus has a
-// handful of them (one per form template). Each attribute has a
-// dictionary: its values' bytes back to back in code order with one end
-// offset per code, the numeric readings of the values that have one,
-// a code table that finds a value's code, and how many documents carry
-// each value — no header or pointer per value. Each schema has a
-// table, one code column per attribute and one slot per document, and
-// each document names its schema and its slot. What a query needs is
-// then computed at the cheapest point that can know it:
+// binding that surfaced a page, known when the page is ingested and
+// never changed after, so the store is append-only: a document is
+// annotated once, after every annotated document with a lower id. Every
+// page from one query template carries the same attribute set — a
+// schema — and a corpus has a handful of them (one per form template).
+// Each attribute has a dictionary: its values' bytes back to back in
+// code order with one end offset per code, the numeric readings of the
+// values that have one, and a code table that finds a value's code —
+// no header or pointer per value, and no value that no document
+// carries. Each schema has a table, one code column per attribute and
+// one slot per document, in doc-id order, and each document names its
+// schema and its slot. What a query needs is then computed at the
+// cheapest point that can know it:
 //
 //   - once per distinct value, when Annotate interns it or a load
 //     installs its dictionary: the dictionary code, the numeric reading
@@ -50,14 +53,12 @@ import (
 //     column a predicate reads — compared with a code, or looked up in
 //     the numeric column.
 //
-// Snapshots persist the tables themselves, as the columns segment
-// (internal/store): each dictionary's texts in code order and each
-// schema's attribute ids, slot -> doc-id list and code columns, written
-// from an AnnBuilder fed every document in doc-id order. Loading
-// installs them through InstallAnnotations, which derives the rest —
-// numeric readings, support, word counts, the code tables, each
-// document's schema and slot — so each table's slots come back in the
-// order a scan reads its candidates, with the same ids on every load.
+// Snapshots persist the tables as they are, as the columns segment
+// (internal/store): the tables an AnnBuilder fed every document in
+// doc-id order builds are a live index's own. Loading installs them
+// through InstallAnnotations, which derives the rest — numeric
+// readings, word counts, the code tables, each document's schema and
+// slot — with the same ids on every load.
 
 // ParseNumber reads an annotation value as a number, the one reading
 // the store and the reference filter share: strconv.ParseFloat's value
@@ -90,11 +91,11 @@ func mayBeNumber[T string | []byte](v T) bool {
 
 // AnnColumn is one attribute's dictionary, indexed by value code:
 // Text holds the values' bytes back to back in code order, and
-// Ends[code] is where that code's value ends in Text. Tables hands
-// dictionaries out in this form and InstallAnnotations takes them in
-// it, reading Attr, Text and Ends and deriving the rest; the view
-// AnnTables.Column returns also finds a value's code (Code) and reads
-// a value's numeric reading (Num).
+// Ends[code] is where that code's value ends in Text. Tables and
+// ExportAnnotations hand dictionaries out in this form, and
+// InstallAnnotations takes them in it, reading Attr, Text and Ends and
+// deriving the rest; the view AnnTables.Column returns also finds a
+// value's code (Code) and reads a value's numeric reading (Num).
 type AnnColumn struct {
 	Attr string
 	Text []byte   // append-only: a value's bytes never change
@@ -110,6 +111,9 @@ type AnnColumn struct {
 	// order as it grows, so its layout depends only on the values in
 	// code order.
 	table []uint32
+	// maxWords is the most space-separated words any value has: the
+	// longest query n-gram worth probing codes with.
+	maxWords int
 }
 
 // Value returns code's value.
@@ -142,11 +146,12 @@ func (c *AnnColumn) Code(v string) (uint32, bool) {
 }
 
 // AnnSchema is one schema's table: the attribute ids it holds and, per
-// attribute, a column of value codes indexed by slot.
+// attribute, a column of value codes indexed by slot. Documents enter
+// it in ascending id order and never leave, so slots follow doc ids.
 type AnnSchema struct {
 	Attrs []uint32   // ascending
 	Codes [][]uint32 // Codes[i][slot]: the code of Attrs[i]'s value
-	Docs  []int32    // slot -> doc id; -1 for a dead slot
+	Docs  []int32    // slot -> doc id; ascending
 }
 
 // AnnTables is a read-only view of the annotation store, valid for the
@@ -157,42 +162,31 @@ type AnnTables struct {
 	Schema  []uint32
 	Slot    []uint32
 	Schemas []AnnSchema
-	cols    []*annColumn
+	cols    []AnnColumn
 }
 
 // Column returns attribute a's dictionary, in place: read it only
 // while the view is valid.
-func (t *AnnTables) Column(a uint32) *AnnColumn { return &t.cols[a].AnnColumn }
+func (t *AnnTables) Column(a uint32) *AnnColumn { return &t.cols[a] }
 
-// annColumn is one attribute's dictionary and what only the store
-// keeps of it.
-type annColumn struct {
-	AnnColumn
-	support []int32 // code -> documents carrying it
-	// maxWords is the most space-separated words any value has: the
-	// longest query n-gram worth probing codes with.
-	maxWords int
-}
-
-// annCell is one annotation of a document: attribute id and value code.
+// annCell is one annotation of a document: attribute id and value.
 type annCell struct {
-	attr, code uint32
+	attr uint32
+	v    string
 }
 
 // annStore carries annotations parallel to docs, under the table lock.
+// It is append-only (see Annotate): a dictionary or a table only grows
+// at its end, and every dictionary value is carried by some document.
 type annStore struct {
 	attrs   map[string]uint32 // attribute name -> id
-	cols    []*annColumn      // attribute id -> dictionary
+	cols    []AnnColumn       // attribute id -> dictionary
 	schemas []AnnSchema       // schema id -> table; schema 0 has no columns
 	// schemaIDs finds a schema by its attribute ids, each as four
 	// little-endian bytes.
 	schemaIDs map[string]uint32
 	schema    []uint32 // doc id -> schema id; 0, or past the end, for none
 	slot      []uint32 // doc id -> slot in its schema's table
-	// slots counts the slots of every table, dead counts those no
-	// document holds any more; rewrite drops them once they outnumber
-	// the live ones.
-	slots, dead int
 }
 
 func newAnnStore() annStore {
@@ -206,28 +200,31 @@ func newAnnStore() annStore {
 // Annotate attaches attribute=value annotations to an indexed document
 // (typically the form binding that surfaced it). Names and values are
 // stored lower-cased and trimmed; pairs with an empty name or value are
-// ignored. A document holds one value per attribute: annotating an
-// attribute again replaces its value, and repeating the value it
-// already has changes nothing. Where two keys of anns name one
+// ignored, and a map of only such pairs is no annotation. A document
+// holds one value per attribute: where two keys of anns name one
 // attribute (say "Make" and "make "), the keys apply in sorted order,
-// so the value of the greatest key wins.
+// so the greatest key's value wins and the other is not kept.
+// Annotations are written once, as a commit writes them: a document is
+// annotated at most once, after every annotated document with a lower
+// id. Any other call panics, naming the id.
 func (ix *Index) Annotate(docID int, anns map[string]string) {
-	if docID < 0 {
-		return
-	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.version.Add(1)
+	if docID < 0 || docID >= len(ix.lens) {
+		panic(fmt.Sprintf("index: annotate doc %d: no such document among %d", docID, len(ix.lens)))
+	}
 	ix.ann.annotate(docID, anns)
-	ix.ann.reclaim()
 }
 
-// annotate gives a document the annotations anns: the per-document
-// core of Annotate and of AnnBuilder. The keys apply in sorted order,
-// so the attribute ids and codes a document interns never follow map
-// order, and of two keys naming one attribute the greater wins. The
-// caller holds the write lock and reclaims dead slots once its writes
-// are done.
+// annotate gives document docID the annotations anns: the per-document
+// core of Annotate and of AnnBuilder. It resolves anns to one value per
+// attribute before it interns any value: the keys apply in sorted
+// order, so the attribute ids a document interns — at the first
+// non-empty key naming each — never follow map order, and of two keys
+// naming one attribute the greater wins. A document with annotations
+// must follow every annotated one; it panics, interning nothing, on
+// one that does not. The caller holds the write lock.
 func (st *annStore) annotate(docID int, anns map[string]string) {
 	var (
 		keyBuf  [16]string // no allocation for the usual handful
@@ -238,66 +235,69 @@ func (st *annStore) annotate(docID int, anns map[string]string) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	// cells starts as what the document carries and ends as what it
-	// will carry: ascending attribute ids, each once.
-	cells := cellBuf[:0]
-	if docID < len(st.schema) {
-		t, slot := &st.schemas[st.schema[docID]], st.slot[docID]
-		for i, a := range t.Attrs {
-			cells = append(cells, annCell{a, t.Codes[i][slot]})
-		}
-	}
+	cells := cellBuf[:0] // ascending attribute ids, each once
 	for _, k := range keys {
 		attr := strings.ToLower(strings.TrimSpace(k))
 		v := strings.ToLower(strings.TrimSpace(anns[k]))
 		if attr == "" || v == "" {
 			continue
 		}
-		a, col := st.column(attr)
-		cell := annCell{a, col.code(v)}
+		if len(cells) == 0 && (docID < len(st.schema) || docID < 0) {
+			panic(fmt.Sprintf("index: annotate doc %d: documents are annotated once each, in ascending id order, and the highest annotated id is %d",
+				docID, len(st.schema)-1))
+		}
+		a := st.attrID(attr)
 		i := len(cells)
 		for i > 0 && cells[i-1].attr > a {
 			i--
 		}
 		if i > 0 && cells[i-1].attr == a {
-			cells[i-1] = cell // a new value, or a greater key, replaces the old
+			cells[i-1].v = v // a greater key replaces the value
 			continue
 		}
-		cells = append(cells, cell)
-		copy(cells[i+1:], cells[i:])
-		cells[i] = cell
+		cells = slices.Insert(cells, i, annCell{attr: a, v: v})
 	}
-	st.place(docID, cells)
+	if len(cells) == 0 {
+		return
+	}
+	s := st.schemaOf(cells)
+	t := &st.schemas[s]
+	for i, c := range cells {
+		t.Codes[i] = appendDoubling(t.Codes[i], st.cols[c.attr].code(c.v))
+	}
+	st.schema = append(st.schema, make([]uint32, docID+1-len(st.schema))...)
+	st.slot = append(st.slot, make([]uint32, docID+1-len(st.slot))...)
+	st.schema[docID], st.slot[docID] = s, uint32(len(t.Docs))
+	t.Docs = appendDoubling(t.Docs, int32(docID))
 }
 
-// column returns the attribute's id and dictionary, creating both on
-// first sight.
-func (st *annStore) column(attr string) (uint32, *annColumn) {
+// attrID returns the attribute's id, creating its dictionary on first
+// sight.
+func (st *annStore) attrID(attr string) uint32 {
 	a, ok := st.attrs[attr]
 	if !ok {
 		a = uint32(len(st.cols))
 		st.attrs[attr] = a
-		st.cols = append(st.cols, &annColumn{AnnColumn: AnnColumn{Attr: attr}})
+		st.cols = append(st.cols, AnnColumn{Attr: attr})
 	}
-	return a, st.cols[a]
+	return a
 }
 
 // code returns the value's dictionary code, interning it on first
 // sight.
-func (col *annColumn) code(v string) uint32 {
-	c, ok := col.Code(v)
+func (c *AnnColumn) code(v string) uint32 {
+	code, ok := c.Code(v)
 	if !ok {
-		c = uint32(len(col.Ends))
-		col.Text = append(grow(col.Text, len(v)), v...)
-		col.Ends = appendDoubling(col.Ends, endOf(col.Attr, len(col.Text)))
-		col.support = appendDoubling(col.support, 0)
-		col.insert(c)
+		code = uint32(len(c.Ends))
+		c.Text = append(grow(c.Text, len(v)), v...)
+		c.Ends = appendDoubling(c.Ends, endOf(c.Attr, len(c.Text)))
+		c.insert(code)
 		if n, ok := ParseNumber(v); ok {
-			col.setNum(c, n)
+			c.setNum(code, n)
 		}
-		col.maxWords = max(col.maxWords, strings.Count(v, " ")+1)
+		c.maxWords = max(c.maxWords, strings.Count(v, " ")+1)
 	}
-	return c
+	return code
 }
 
 // endOf returns n, the length of attr's dictionary text, as an end
@@ -395,43 +395,6 @@ func appendDoubling[T any](s []T, v T) []T {
 	return append(grow(s, 1), v)
 }
 
-// place gives a document the annotations cells — ascending attribute
-// ids, each once, a superset of the attributes it carries — keeping the
-// dictionaries' support counts equal to the live slots. A document
-// whose attribute set does not change is overwritten in place; one
-// whose set grows moves to the table of its new schema, leaving a dead
-// slot behind. The caller holds the write lock.
-func (st *annStore) place(docID int, cells []annCell) {
-	if len(cells) == 0 {
-		return
-	}
-	if docID >= len(st.schema) {
-		st.schema = append(st.schema, make([]uint32, docID+1-len(st.schema))...)
-		st.slot = append(st.slot, make([]uint32, docID+1-len(st.slot))...)
-	}
-	if old, slot := &st.schemas[st.schema[docID]], st.slot[docID]; len(old.Attrs) == len(cells) {
-		for i, c := range cells {
-			if prev := old.Codes[i][slot]; prev != c.code {
-				sup := st.cols[c.attr].support
-				sup[prev]--
-				sup[c.code]++
-				old.Codes[i][slot] = c.code
-			}
-		}
-		return
-	}
-	st.kill(docID)
-	s := st.schemaOf(cells)
-	t := &st.schemas[s]
-	for i, c := range cells {
-		t.Codes[i] = appendDoubling(t.Codes[i], c.code)
-		st.cols[c.attr].support[c.code]++
-	}
-	st.schema[docID], st.slot[docID] = s, uint32(len(t.Docs))
-	t.Docs = appendDoubling(t.Docs, int32(docID))
-	st.slots++
-}
-
 // schemaOf returns the id of the schema holding exactly the cells'
 // attributes, creating its table on first sight.
 func (st *annStore) schemaOf(cells []annCell) uint32 {
@@ -453,61 +416,6 @@ func (st *annStore) schemaOf(cells []annCell) uint32 {
 	return s
 }
 
-// kill drops a document's annotations: its slot goes dead and its
-// values' support is released, so a value no document carries any
-// more stops steering AnnotatedTopK. The caller holds the write lock
-// and reclaims dead slots once its writes are done.
-func (st *annStore) kill(docID int) {
-	if docID >= len(st.schema) || st.schema[docID] == 0 {
-		return
-	}
-	t, slot := &st.schemas[st.schema[docID]], st.slot[docID]
-	for i, a := range t.Attrs {
-		st.cols[a].support[t.Codes[i][slot]]--
-	}
-	t.Docs[slot] = -1
-	st.schema[docID], st.slot[docID] = 0, 0
-	st.dead++
-}
-
-// reclaim rewrites the tables once dead slots outnumber live ones, so
-// schema moves cost amortized O(1) per slot and the tables stay within
-// twice the annotated documents.
-func (st *annStore) reclaim() {
-	if st.dead > st.slots-st.dead {
-		st.rewrite()
-	}
-}
-
-// rewrite lays every live slot out afresh, each table in doc-id order.
-// Codes, attribute ids and schema ids are untouched: dictionaries and
-// schemas only grow.
-func (st *annStore) rewrite() {
-	n := len(st.schema)
-	tables := make([]AnnSchema, len(st.schemas))
-	for s, old := range st.schemas {
-		tables[s] = AnnSchema{Attrs: old.Attrs, Codes: make([][]uint32, len(old.Attrs))}
-	}
-	schema, slot := make([]uint32, n), make([]uint32, n)
-	end := 0 // one past the highest id that keeps its annotations
-	st.slots, st.dead = 0, 0
-	for id := range n {
-		if st.schema[id] == 0 {
-			continue
-		}
-		s, at := st.schema[id], st.slot[id]
-		old, t := &st.schemas[s], &tables[s]
-		for i := range t.Codes {
-			t.Codes[i] = append(t.Codes[i], old.Codes[i][at])
-		}
-		schema[id], slot[id] = s, uint32(len(t.Docs))
-		t.Docs = append(t.Docs, int32(id))
-		end = id + 1
-		st.slots++
-	}
-	st.schemas, st.schema, st.slot = tables, schema[:end], slot[:end]
-}
-
 // asMap materializes a document's annotations as attribute -> value,
 // nil if it has none: the values are substrings of one string, a copy
 // of their bytes. The caller holds the table lock.
@@ -526,11 +434,32 @@ func (st *annStore) asMap(docID int) map[string]string {
 	sb.Grow(size)
 	out := make(map[string]string, len(t.Attrs))
 	for i, a := range t.Attrs {
-		col, start := st.cols[a], sb.Len()
+		col, start := &st.cols[a], sb.Len()
 		sb.Write(col.value(t.Codes[i][slot]))
 		out[col.Attr] = sb.String()[start:]
 	}
 	return out
+}
+
+// tables returns the store's tables in the form InstallAnnotations
+// takes: the dictionaries by attribute id, and the tables of schema 1
+// on. They share the store's memory, which it only appends to past
+// their ends, so what they hold never changes; each slice is clipped
+// to its length, so an owner that appends to one copies it first.
+func (st *annStore) tables() ([]AnnColumn, []AnnSchema) {
+	cols := make([]AnnColumn, len(st.cols))
+	for a, c := range st.cols {
+		cols[a] = AnnColumn{Attr: c.Attr, Text: slices.Clip(c.Text), Ends: slices.Clip(c.Ends)}
+	}
+	schemas := make([]AnnSchema, len(st.schemas)-1)
+	for s, t := range st.schemas[1:] {
+		codes := make([][]uint32, len(t.Codes))
+		for i, c := range t.Codes {
+			codes[i] = slices.Clip(c)
+		}
+		schemas[s] = AnnSchema{Attrs: t.Attrs, Codes: codes, Docs: slices.Clip(t.Docs)}
+	}
+	return cols, schemas
 }
 
 // AnnotationsOf returns a document's annotations as a fresh map (nil
@@ -552,50 +481,50 @@ func (ix *Index) AnnotationTables() AnnTables {
 	return AnnTables{Schema: st.schema, Slot: st.slot, Schemas: st.schemas, cols: st.cols}
 }
 
+// ExportAnnotations returns the annotation tables in the form
+// InstallAnnotations takes — the tables an AnnBuilder fed every
+// document's annotations in doc-id order builds, since the store is
+// written the same way. They share the index's memory and stay as they
+// are whatever is committed after the call.
+func (ix *Index) ExportAnnotations() ([]AnnColumn, []AnnSchema) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.ann.tables()
+}
+
 // AnnBuilder builds annotation tables outside any index, one document
-// at a time, through Annotate's own intern core. A snapshot writer
-// feeds it every document's annotations in doc-id order, so the
-// tables it persists are those of a fresh index annotated in that
-// order. Not safe for concurrent use.
+// at a time, through Annotate's own intern core and under its contract:
+// each document once, in ascending id order. A snapshot writer fed a
+// tokenized stream builds the tables it persists with one. Not safe
+// for concurrent use.
 type AnnBuilder struct{ st annStore }
 
 // NewAnnBuilder returns an empty builder.
 func NewAnnBuilder() *AnnBuilder { return &AnnBuilder{st: newAnnStore()} }
 
 // Annotate gives document id the annotations anns, as Index.Annotate
-// does.
-func (b *AnnBuilder) Annotate(id int, anns map[string]string) {
-	if id >= 0 {
-		b.st.annotate(id, anns)
-	}
-}
+// does; it panics where Index.Annotate does, save that it knows no
+// document count.
+func (b *AnnBuilder) Annotate(id int, anns map[string]string) { b.st.annotate(id, anns) }
 
-// Tables returns the tables built so far in the form InstallAnnotations
-// takes: the dictionaries by attribute id, and the tables of schema 1
-// on. They share the builder's memory.
-func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) {
-	cols := make([]AnnColumn, len(b.st.cols))
-	for a, col := range b.st.cols {
-		cols[a] = AnnColumn{Attr: col.Attr, Text: col.Text, Ends: col.Ends}
-	}
-	return cols, b.st.schemas[1:]
-}
+// Tables returns the tables built so far, as ExportAnnotations does.
+func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) { return b.st.tables() }
 
 // InstallAnnotations installs a snapshot's annotation tables into an
 // index that has none. cols holds, by attribute id, each attribute's
 // name and its dictionary — Attr, Text and Ends; schemas holds the
 // tables of schema 1 on, each one's Attrs, Codes and Docs; docs is the
 // snapshot's document count. The index takes ownership of every slice.
-// The rest — each value's numeric reading, support and word count, the
-// code tables, each document's schema and slot — is derived outside
-// the table lock, so a loader runs this beside ImportRows and
-// ImportTerms. Tables no builder produces are refused whole, before
-// anything is installed: a repeated attribute name, end offsets that
-// leave an empty value or do not end at the text's end, a repeated
-// dictionary value, an empty or repeated schema, attribute ids that do
-// not ascend or name no attribute, a code past its dictionary, a slot
-// list that does not ascend or leaves the documents, and a document in
-// two schemas.
+// The rest — each value's numeric reading and word count, the code
+// tables, each document's schema and slot — is derived outside the
+// table lock, so a loader runs this beside ImportRows and ImportTerms.
+// Tables no builder produces are refused whole, before anything is
+// installed: a repeated attribute name, end offsets that leave an
+// empty value or do not end at the text's end, a repeated dictionary
+// value, a value no slot carries, an empty or repeated schema,
+// attribute ids that do not ascend or name no attribute, a code past
+// its dictionary, a slot list that does not ascend or leaves the
+// documents, and a document in two schemas.
 func (ix *Index) InstallAnnotations(cols []AnnColumn, schemas []AnnSchema, docs int) error {
 	st, err := restoreAnnStore(cols, schemas, docs)
 	if err != nil {
@@ -615,27 +544,26 @@ func (ix *Index) InstallAnnotations(cols []AnnColumn, schemas []AnnSchema, docs 
 // are the columns of (see InstallAnnotations).
 func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore, error) {
 	st := newAnnStore()
-	if len(cols) > 0 {
-		st.cols = make([]*annColumn, len(cols))
-	}
-	for a, c := range cols {
-		if _, dup := st.attrs[c.Attr]; dup {
-			return st, fmt.Errorf("attribute %q named twice", c.Attr)
+	st.cols = cols
+	// carried marks, per attribute, the codes some slot holds.
+	carried := make([][]uint64, len(cols))
+	for a := range st.cols {
+		col := &st.cols[a]
+		if _, dup := st.attrs[col.Attr]; dup {
+			return st, fmt.Errorf("attribute %q named twice", col.Attr)
 		}
-		st.attrs[c.Attr] = uint32(a)
-		n := len(c.Ends)
-		col := &annColumn{
-			AnnColumn: AnnColumn{Attr: c.Attr, Text: c.Text, Ends: c.Ends, table: make([]uint32, tableSize(n))},
-			support:   make([]int32, n),
-		}
+		st.attrs[col.Attr] = uint32(a)
+		n := len(col.Ends)
+		*col = AnnColumn{Attr: col.Attr, Text: col.Text, Ends: col.Ends, table: make([]uint32, tableSize(n))}
+		carried[a] = make([]uint64, (n+63)/64)
 		prev := uint32(0)
-		for code, end := range c.Ends {
-			if end <= prev || int(end) > len(c.Text) {
-				return st, fmt.Errorf("attribute %q: value %d ends at %d, after %d, in %d bytes", c.Attr, code, end, prev, len(c.Text))
+		for code, end := range col.Ends {
+			if end <= prev || int(end) > len(col.Text) {
+				return st, fmt.Errorf("attribute %q: value %d ends at %d, after %d, in %d bytes", col.Attr, code, end, prev, len(col.Text))
 			}
 			prev = end
 			if !col.insert(uint32(code)) {
-				return st, fmt.Errorf("attribute %q: value %q twice in its dictionary", c.Attr, col.value(uint32(code)))
+				return st, fmt.Errorf("attribute %q: value %q twice in its dictionary", col.Attr, col.value(uint32(code)))
 			}
 			// v is checked before string(v), which allocates for all
 			// but the shortest values.
@@ -650,10 +578,9 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 			}
 			col.maxWords = max(col.maxWords, bytes.Count(v, []byte(" "))+1)
 		}
-		if int(prev) != len(c.Text) {
-			return st, fmt.Errorf("attribute %q: %d bytes past its last value", c.Attr, len(c.Text)-int(prev))
+		if int(prev) != len(col.Text) {
+			return st, fmt.Errorf("attribute %q: %d bytes past its last value", col.Attr, len(col.Text)-int(prev))
 		}
-		st.cols[a] = col
 	}
 	st.schemas = append(st.schemas, schemas...)
 	end := 0 // one past the highest annotated document
@@ -684,18 +611,24 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 		}
 		end = max(end, int(t.Docs[len(t.Docs)-1])+1)
 		for i, codes := range t.Codes {
-			sup := st.cols[t.Attrs[i]].support
+			a := t.Attrs[i]
 			if len(codes) != len(t.Docs) {
 				return st, fmt.Errorf("schema %d: %d codes for %d slots", s, len(codes), len(t.Docs))
 			}
 			for _, c := range codes {
-				if int(c) >= len(sup) {
-					return st, fmt.Errorf("schema %d: code %d past attribute %q's %d values", s, c, st.cols[t.Attrs[i]].Attr, len(sup))
+				if int(c) >= len(cols[a].Ends) {
+					return st, fmt.Errorf("schema %d: code %d past attribute %q's %d values", s, c, cols[a].Attr, len(cols[a].Ends))
 				}
-				sup[c]++
+				carried[a][c/64] |= 1 << (c % 64)
 			}
 		}
-		st.slots += len(t.Docs)
+	}
+	for a, col := range st.cols {
+		for code := range col.Ends {
+			if carried[a][code/64]&(1<<(code%64)) == 0 {
+				return st, fmt.Errorf("attribute %q: value %q carried by no document", col.Attr, col.value(uint32(code)))
+			}
+		}
 	}
 	if end > 0 {
 		st.schema, st.slot = make([]uint32, end), make([]uint32, end)
@@ -817,14 +750,15 @@ func (st *annStore) valuesMentioned(query string) []mention {
 		starts[i+1] = starts[i] + len(t) + 1
 	}
 	var out []mention
-	for a, col := range st.cols {
+	for a := range st.cols {
+		col := &st.cols[a]
 		var best uint32 // code of the value kept so far, bestLen bytes long
 		bestLen := 0
 		for i := range toks {
 			for j := i + 1; j <= len(toks) && j-i <= col.maxWords; j++ {
 				gram := q[starts[i] : starts[j]-1]
 				c, ok := col.Code(gram)
-				if !ok || col.support[c] <= 0 {
+				if !ok {
 					continue
 				}
 				// Ascending i makes the earliest the first found, and

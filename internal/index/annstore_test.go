@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -51,146 +50,67 @@ func TestAnnotatedEqualLengthValuesAreBitStable(t *testing.T) {
 	}
 }
 
-// Re-annotating a document must not leak vocabulary support: an
-// overwrite releases the old value, a repeat is a no-op, so once the
-// last document carrying a value is annotated away from it the value
-// stops steering AnnotatedTopK.
-func TestReannotateReleasesSupport(t *testing.T) {
-	for _, second := range []string{"honda", "ford"} { // overwrite, repeat
-		ix := New()
-		id, _ := ix.Add(Doc{URL: "civic", Text: "honda civic better mileage than the ford focus"})
-		ix.Annotate(id, map[string]string{"make": "honda"})
-		ix.Annotate(id, map[string]string{"make": second})
-		ix.Add(Doc{URL: "blog", Text: "my old ford focus and honda civic road trip"})
-		other, _ := ix.Add(Doc{URL: "lot", Text: "honda civic and ford focus on the lot"})
-		ix.Annotate(other, map[string]string{"lot": "north"})
+// Annotations are written once, in ascending id order: a second
+// annotation of a document, an id below an annotated one and an id
+// outside the index each panic, naming the id, and intern nothing; a
+// map with no pair Annotate keeps is no annotation. A commit onto a
+// loaded, annotated index annotates what it adds.
+func TestAnnotateIsAppendOnly(t *testing.T) {
+	ix := New()
+	for i := range 5 {
+		ix.Add(Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used ford"})
+	}
+	ix.Annotate(0, map[string]string{"make": "ford"})
+	ix.Annotate(1, map[string]string{"": "audi", "make": " "})
+	ix.Annotate(2, map[string]string{"make": "saab"})
+	b := NewAnnBuilder()
+	b.Annotate(3, map[string]string{"make": "ford"})
+	audi := map[string]string{"make": "audi", "city": "oslo"}
+	for _, tc := range []struct {
+		name, want string
+		call       func()
+	}{
+		{"second annotation", "doc 2: documents are annotated once each, in ascending id order, and the highest annotated id is 2", func() { ix.Annotate(2, audi) }},
+		{"id below an annotated one", "doc 1: documents are annotated once each, in ascending id order, and the highest annotated id is 2", func() { ix.Annotate(1, audi) }},
+		{"id past the index", "doc 5: no such document among 5", func() { ix.Annotate(5, audi) }},
+		{"negative id", "doc -1: no such document among 5", func() { ix.Annotate(-1, audi) }},
+		{"builder: second annotation", "doc 3: documents are annotated once each, in ascending id order, and the highest annotated id is 3", func() { b.Annotate(3, audi) }},
+		{"builder: id below an annotated one", "doc 0: documents are annotated once each, in ascending id order, and the highest annotated id is 3", func() { b.Annotate(0, audi) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Errorf("%s: recovered %v, want a panic mentioning %q", tc.name, r, tc.want)
+				}
+			}()
+			tc.call()
+		}()
+	}
+	if cols, _ := ix.ExportAnnotations(); len(cols) != 1 || string(cols[0].Text) != "fordsaab" {
+		t.Fatalf("refused annotations left the dictionaries %+v", cols)
+	}
+	if cols, _ := b.Tables(); len(cols) != 1 || string(cols[0].Text) != "ford" {
+		t.Fatalf("refused annotations left the builder's dictionaries %+v", cols)
+	}
+	ix.Annotate(4, audi)
 
-		if got := ix.AnnotationsOf(id); !reflect.DeepEqual(got, map[string]string{"make": second}) {
-			t.Fatalf("second=%s: annotations %v after re-annotation", second, got)
-		}
-		if second != "honda" {
-			// "honda" was overwritten on its only document: it is out
-			// of the vocabulary already, before any delete.
-			if m := ix.ann.valuesMentioned("honda civic"); len(m) != 0 {
-				t.Fatalf("second=%s: overwritten value still mentioned: %+v", second, m)
-			}
-		}
-		ix.Annotate(id, map[string]string{"make": "saab"})
-		for _, q := range []string{"honda civic", "ford focus"} {
-			if m := ix.ann.valuesMentioned(q); len(m) != 0 {
-				t.Fatalf("second=%s: %q still mentions %+v after its last carrier was re-annotated", second, q, m)
-			}
-			plain, ann := search(ix, q, 5), annotatedSearch(ix, q, 5)
-			if !reflect.DeepEqual(plain, ann) {
-				t.Fatalf("second=%s: stale vocabulary still adjusts %q:\n plain %+v\n ann   %+v", second, q, plain, ann)
-			}
-		}
+	docs, lens := exportDocs(ix)
+	loaded := NewSharded(2)
+	if err := loaded.ImportDocs(docs, lens, nil); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// Annotations survive what moves them: a schema move when a document
-// gains an attribute, and the rewrite that drops the dead slots moves
-// leave behind. After every write the tables hold no more dead slots
-// than live ones and every value's support equals the live slots
-// carrying it; after a rewrite each table's slots follow doc ids.
-func TestAnnotationRowsSurviveChurn(t *testing.T) {
-	ix := NewSharded(4)
-	var want []map[string]string // by doc id
-	st := &ix.ann
-	check := func(when string) {
-		t.Helper()
-		if ix.Len() != len(want) {
-			t.Fatalf("%s: %d docs, want %d", when, ix.Len(), len(want))
-		}
-		for id, w := range want {
-			if got := ix.AnnotationsOf(id); !reflect.DeepEqual(got, w) {
-				t.Fatalf("%s: doc %d annotations %v, want %v", when, id, got, w)
-			}
-		}
-		if st.dead > st.slots-st.dead {
-			t.Fatalf("%s: tables hold %d dead slots against %d live", when, st.dead, st.slots-st.dead)
-		}
-		// Every slot is dead or held by the document that names it, and
-		// support equals the live slots, value by value.
-		slots, dead, live := 0, 0, 0
-		counts := map[annCell]int32{}
-		for s, sch := range st.schemas {
-			slots += len(sch.Docs)
-			for slot, id := range sch.Docs {
-				if id < 0 {
-					dead++
-					continue
-				}
-				if st.schema[id] != uint32(s) || st.slot[id] != uint32(slot) {
-					t.Fatalf("%s: schema %d slot %d holds doc %d, which names schema %d slot %d", when, s, slot, id, st.schema[id], st.slot[id])
-				}
-				live++
-				for i, a := range sch.Attrs {
-					counts[annCell{a, sch.Codes[i][slot]}]++
-				}
-			}
-		}
-		if slots != st.slots || dead != st.dead || live != len(want) {
-			t.Fatalf("%s: %d slots, %d dead, %d live; the store counts %d and %d, %d documents are annotated", when, slots, dead, live, st.slots, st.dead, len(want))
-		}
-		for a, col := range st.cols {
-			for c, sup := range col.support {
-				if n := counts[annCell{uint32(a), uint32(c)}]; sup != n {
-					t.Fatalf("%s: %s=%q support %d, live slots carry it %d times", when, col.Attr, col.Value(uint32(c)), sup, n)
-				}
-			}
-		}
+	if err := loaded.InstallAnnotations(exportTables(ix)); err != nil {
+		t.Fatal(err)
 	}
-	inDocIDOrder := func(when string) {
-		t.Helper()
-		if st.dead != 0 {
-			t.Fatalf("%s: %d dead slots after a rewrite", when, st.dead)
-		}
-		for s, sch := range st.schemas {
-			if !slices.IsSorted(sch.Docs) {
-				t.Fatalf("%s: schema %d lays its slots out as docs %v, not in doc-id order", when, s, sch.Docs)
-			}
-		}
+	ps := []*Prepared{Prepare(docs[0]), Prepare(Doc{URL: "http://cars.example/5", Text: "used saab"})}
+	ids, added := loaded.AddPreparedBatch(ps, []map[string]string{{"make": "fiat"}, {"make": "saab"}})
+	if ids[0] != 0 || added[0] || ids[1] != 5 || !added[1] {
+		t.Fatalf("batch onto the loaded index: ids %v added %v", ids, added)
 	}
-
-	const n = 400
-	for i := 0; i < n; i++ {
-		id, _ := ix.Add(Doc{URL: fmt.Sprintf("http://x.example/%03d", i), Text: fmt.Sprintf("ford focus %d", i)})
-		anns := map[string]string{"make": []string{"ford", "honda"}[i%2], "year": fmt.Sprint(1990 + i%20)}
-		if i%5 == 0 {
-			anns = map[string]string{"price": fmt.Sprint(1000 * (i % 7))}
+	for id, want := range []map[string]string{{"make": "ford"}, nil, {"make": "saab"}, nil, audi, {"make": "saab"}} {
+		if got := loaded.AnnotationsOf(id); !reflect.DeepEqual(got, want) {
+			t.Errorf("loaded doc %d annotated %v, want %v", id, got, want)
 		}
-		ix.Annotate(id, anns)
-		want = append(want, anns)
-		check(fmt.Sprintf("annotate %d", id))
-	}
-	// Move every third document to a grown schema — from both starting
-	// schemas — and overwrite values in place on others.
-	for id := 0; id < n; id++ {
-		switch id % 3 {
-		case 0:
-			ix.Annotate(id, map[string]string{"city": "seattle", "year": "2001"})
-			want[id]["city"], want[id]["year"] = "seattle", "2001"
-		case 1:
-			ix.Annotate(id, map[string]string{"year": "1999"})
-			want[id]["year"] = "1999"
-		}
-		check(fmt.Sprintf("re-annotate %d", id))
-	}
-	// Move every document once more, enough to force rewrites.
-	rewrites := 0
-	for id := n - 1; id >= 0; id-- {
-		dead := st.dead
-		ix.Annotate(id, map[string]string{"color": fmt.Sprint("red ", id%4)})
-		want[id]["color"] = fmt.Sprint("red ", id%4)
-		if st.dead < dead {
-			rewrites++
-			inDocIDOrder(fmt.Sprintf("move %d", id))
-		}
-		check(fmt.Sprintf("move %d", id))
-	}
-	if rewrites == 0 {
-		t.Fatal("no schema move rewrote the tables")
 	}
 }
 

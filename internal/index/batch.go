@@ -78,7 +78,6 @@ func (ix *Index) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (ids
 		ids[i] = id
 		added[i] = true
 	}
-	ix.ann.reclaim()
 	return ids, added
 }
 

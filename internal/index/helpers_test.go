@@ -22,3 +22,19 @@ func postingsOf(docTFs ...int32) PostingList {
 	}
 	return pl
 }
+
+// exportDocs returns ix's documents and BM25 lengths, by doc id.
+func exportDocs(ix *Index) ([]Doc, []int32) {
+	docs := make([]Doc, ix.Len())
+	for id := range docs {
+		docs[id] = ix.Doc(id)
+	}
+	return docs, append([]int32(nil), ix.lens...)
+}
+
+// exportTables returns ix's annotation tables and document count, in
+// the form InstallAnnotations takes.
+func exportTables(ix *Index) ([]AnnColumn, []AnnSchema, int) {
+	cols, schemas := ix.ExportAnnotations()
+	return cols, schemas, ix.Len()
+}

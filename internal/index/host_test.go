@@ -142,7 +142,7 @@ func TestHostColumnFollowsDocs(t *testing.T) {
 		}
 	}
 	check("after commits", ix)
-	docs, lens := ix.ExportDocs()
+	docs, lens := exportDocs(ix)
 	loaded := NewSharded(4)
 	if err := loaded.ImportDocs(docs, lens, nil); err != nil {
 		t.Fatal(err)

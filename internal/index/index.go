@@ -15,12 +15,15 @@
 // ForEach or a text-fallback filter, with nothing allocated. A posting
 // list (postings.go) is a 4-byte doc id and a 1-byte tf per posting,
 // its tfs widened to 4 bytes only when one exceeds 255; a loaded
-// segment's lists are slices of one doc-id and one tf array. A commit
-// writes a whole batch — rows, postings, annotations — in one
+// segment's lists are slices of one doc-id and one tf array. All of it
+// is append-only: a commit writes a whole batch — rows, postings, the
+// annotations of the documents it adds, each written once — in one
 // write-locked section, and a query reads under the read lock, so
-// readers see a batch entirely or not at all. Shards exist only on disk: the index records how many
-// postings segments a snapshot of it is written as, and the snapshot
-// writer (internal/store) decides which segment each term lands in.
+// readers see a batch entirely or not at all; a snapshot writes the
+// rows and annotation tables as they are held. Shards exist only on
+// disk: the index records how many postings segments a snapshot of it
+// is written as, and the snapshot writer (internal/store) decides
+// which segment each term lands in.
 // The expensive half of an insert — tokenization and term counting —
 // is exposed separately as Prepare, so a concurrent ingest pipeline
 // can analyze documents in parallel outside the lock and commit them

@@ -5,18 +5,19 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"slices"
 	"sort"
 )
 
 // Snapshot support. The index's internals — the posting map, the
 // document table, the annotation store — stay private; this file is
 // the narrow export/import surface the snapshot codec (internal/store)
-// works through. Export hands out copies or short-lived views; import
+// works through. Export hands out copies of the posting lists, and the
+// rows (ForEachRow) and annotation tables (ExportAnnotations) as the
+// index holds them, which a snapshot writer writes as they are; import
 // rebuilds an index from decoded segments without re-running the text
 // pipeline, which is what makes warm starts cheap. The annotation
-// store's side of it, AnnBuilder and InstallAnnotations, sits with the
-// store in annotated.go.
+// store's side of it, ExportAnnotations, AnnBuilder and
+// InstallAnnotations, sits with the store in annotated.go.
 //
 // Postings are exported as one sorted list and written as NumShards
 // segments, the snapshot writer placing each term. The codec decodes
@@ -52,19 +53,6 @@ func (ix *Index) ExportTerms() []TermPostings {
 	return out
 }
 
-// ExportDocs returns the document table decoded, and the
-// per-document term lengths, both indexed by doc id. The slices are
-// fresh; the fields are substrings of the table's rows.
-func (ix *Index) ExportDocs() (docs []Doc, lens []int32) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	docs = make([]Doc, ix.rows.Len())
-	for id := range docs {
-		docs[id] = ix.rows.Doc(id)
-	}
-	return docs, slices.Clone(ix.lens)
-}
-
 // ForEach calls fn for every document in ascending id order, with the
 // document's host from the host column (url.Parse's Host, "" for
 // none), under the table read lock — the copy-free way to walk the
@@ -75,6 +63,24 @@ func (ix *Index) ForEach(fn func(id int, d Doc, host string)) {
 	for id := range ix.rows.Len() {
 		fn(id, ix.rows.Doc(id), ix.hostNames[ix.hosts[id]])
 	}
+}
+
+// ForEachRow calls fn with every document's row — AppendRow's
+// encoding, the docs segment's — in ascending id order, under the
+// table read lock, and returns fn's first error, at which it stops.
+// The rows are substrings of the table's chunks. fn must not call back
+// into the index.
+func (ix *Index) ForEachRow(fn func(row string) error) error {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	for _, ref := range ix.rows.refs {
+		row := ix.rows.chunks[ref>>offBits][ref&offMask:]
+		_, _, n := ParseRow(row)
+		if err := fn(row[:n]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ImportDocs installs a decoded document table into an empty index:

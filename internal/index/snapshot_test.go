@@ -24,17 +24,6 @@ func smallCorpus() *Index {
 	return ix
 }
 
-// tablesOf builds the annotation tables a snapshot of src holds: each
-// document's annotations, in doc-id order, through AnnBuilder.
-func tablesOf(src *Index) ([]AnnColumn, []AnnSchema, int) {
-	b := NewAnnBuilder()
-	for id := range src.Len() {
-		b.Annotate(id, src.AnnotationsOf(id))
-	}
-	cols, schemas := b.Tables()
-	return cols, schemas, src.Len()
-}
-
 // ExportTerms hands out copies: mutating them must not corrupt the
 // index, and terms arrive sorted for deterministic segment bytes.
 func TestExportTermsIsolatedAndSorted(t *testing.T) {
@@ -64,7 +53,7 @@ func TestImportRejectsBadState(t *testing.T) {
 		t.Error("deleted-document flags accepted")
 	}
 	ix := smallCorpus()
-	docs, lens := ix.ExportDocs()
+	docs, lens := exportDocs(ix)
 	if err := ix.ImportDocs(docs, lens, nil); err == nil {
 		t.Error("import into non-empty index accepted")
 	}
@@ -82,12 +71,12 @@ func TestImportRejectsBadState(t *testing.T) {
 	if err := fresh.ImportTerms(tp); err == nil {
 		t.Error("double term import accepted")
 	}
-	if err := ix.InstallAnnotations(tablesOf(smallCorpus())); err == nil {
+	if err := ix.InstallAnnotations(exportTables(smallCorpus())); err == nil {
 		t.Error("annotation install into an annotated index accepted")
 	}
 	// Tables that fail a check install nothing.
 	fresh = NewSharded(2)
-	cols, schemas, n := tablesOf(smallCorpus())
+	cols, schemas, n := exportTables(smallCorpus())
 	schemas[0].Codes[0][1] = uint32(len(cols[schemas[0].Attrs[0]].Ends))
 	if err := fresh.InstallAnnotations(cols, schemas, n); err == nil || fresh.AnnotationsOf(0) != nil {
 		t.Errorf("annotation install with a code past its dictionary: error %v, doc 0 annotated %v", err, fresh.AnnotationsOf(0))
@@ -99,14 +88,14 @@ func TestImportRejectsBadState(t *testing.T) {
 // read leaves it alone.
 func TestVersionMovesOnEveryWrite(t *testing.T) {
 	src := smallCorpus()
-	docs, lens := src.ExportDocs()
+	docs, lens := exportDocs(src)
 	ix := NewSharded(4)
 	writes := []func() error{
 		func() error { return ix.ImportDocs(docs, lens, nil) },
 		func() error { return ix.ImportTerms(src.ExportTerms()) },
-		func() error { return ix.InstallAnnotations(tablesOf(src)) },
+		func() error { return ix.InstallAnnotations(exportTables(src)) },
 		func() error { ix.Add(Doc{URL: "http://new.example/", Text: "ford"}); return nil },
-		func() error { ix.Annotate(0, map[string]string{"make": "saab"}); return nil },
+		func() error { ix.Annotate(ix.Len()-1, map[string]string{"make": "saab"}); return nil },
 	}
 	for i, write := range writes {
 		before := ix.Version()

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,17 +73,18 @@ func FuzzQueryParse(f *testing.F) {
 // FuzzBoundMatchesReference holds the serving path to the reference:
 // over fuzzed documents — annotation maps drawn from a small alphabet
 // of type-compatible names and awkward values (nan, inf, -0, 0x1p-2
-// and +5 among them, for the dictionaries' numeric readings), up to
-// two optional re-annotations that change a document's attribute set —
-// the set TopK admits through a Bound must equal, document by
-// document, the set Matcher.Match admits from AnnotationsOf. It must
-// do so on the index the documents were annotated into, whose
-// dictionaries were interned live, and on a second index holding the
-// same documents whose tables were installed, as a load installs them:
-// each document's final annotations fed to an AnnBuilder in doc-id
-// order, its Tables handed to InstallAnnotations. prog is read a byte
-// at a time (zero once spent) to draw the corpus; preds is the
-// predicate string, split by Extract.
+// and +5 among them, for the dictionaries' numeric readings), second
+// spellings of a name, empty values, and now and then an attribute
+// never drawn before or a price past every drawn value — the set TopK
+// admits through a Bound must equal, document by document, the set
+// Matcher.Match admits from AnnotationsOf. It must do so on the index
+// the documents were annotated into, whose dictionaries were interned
+// live, and on a second index holding the same documents whose tables
+// were installed, as a load installs them: each document's annotations
+// fed to an AnnBuilder in doc-id order — whose tables must equal the
+// live ones — and its Tables handed to InstallAnnotations. prog is
+// read a byte at a time (zero once spent) to draw the corpus; preds is
+// the predicate string, split by Extract.
 func FuzzBoundMatchesReference(f *testing.F) {
 	for _, seed := range []struct {
 		prog  []byte
@@ -118,30 +120,34 @@ func FuzzBoundMatchesReference(f *testing.F) {
 			for n := next() % 4; n > 0; n-- {
 				anns[attrs[next()%len(attrs)]] = values[next()%len(values)]
 			}
+			switch next() % 4 {
+			case 1:
+				anns[fmt.Sprintf("late%d", next()%3)] = values[next()%len(values)]
+			case 2:
+				anns["price"] = fmt.Sprint(70000 + next())
+			}
 			return anns
 		}
-		ix := index.New()
+		ix, installed, b := index.New(), index.New(), index.NewAnnBuilder()
 		n := 1 + next()%6
 		for i := 0; i < n; i++ {
 			var words []string
 			for w := next() % 4; w > 0; w-- {
 				words = append(words, values[next()%len(values)])
 			}
-			id, _ := ix.Add(index.Doc{URL: fmt.Sprintf("http://h.example/%d", i), Title: "listing", Text: strings.Join(words, " ")})
-			ix.Annotate(id, draw())
+			d := index.Doc{URL: fmt.Sprintf("http://h.example/%d", i), Title: "listing", Text: strings.Join(words, " ")}
+			id, _ := ix.Add(d)
+			installed.Add(d)
+			anns := draw()
+			ix.Annotate(id, anns)
+			b.Annotate(id, anns)
 		}
-		for range 2 {
-			if next()%2 == 1 {
-				ix.Annotate(next()%n, draw())
-			}
-		}
-
-		installed, b := index.New(), index.NewAnnBuilder()
-		for id := 0; id < ix.Len(); id++ {
-			installed.Add(ix.Doc(id))
-			b.Annotate(id, ix.AnnotationsOf(id))
-		}
+		// The store is written as a builder builds: the live tables are
+		// the builder's, value for value.
 		cols, schemas := b.Tables()
+		if liveCols, liveSchemas := ix.ExportAnnotations(); !reflect.DeepEqual(liveCols, cols) || !reflect.DeepEqual(liveSchemas, schemas) {
+			t.Fatalf("live tables %+v %+v, an AnnBuilder's %+v %+v", liveCols, liveSchemas, cols, schemas)
+		}
 		if err := installed.InstallAnnotations(cols, schemas, ix.Len()); err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,10 @@ import (
 )
 
 // The columns segment holds the §5.1 annotation store as the index
-// keeps it in memory (index.AnnBuilder's tables), so a load installs it
-// instead of re-interning every document's pairs. The body:
+// keeps it in memory — a live index's tables (Index.ExportAnnotations)
+// or, for a tokenized stream, an index.AnnBuilder's, which are the
+// same tables for the same documents — so a load installs it instead
+// of re-interning every document's pairs. The body:
 //
 //	attrs uvarint
 //	per attribute: name str | values uvarint | values × len uvarint
@@ -24,9 +26,9 @@ import (
 // Doc-id deltas start from 0, so the first is the first slot's id. A
 // dictionary is the index's own layout (index.AnnColumn) less what a
 // loader can compute: the lengths become its end offsets and the bytes
-// its text. The rest — numeric readings, support, the longest value's
-// word count, the code tables, each document's schema and slot — is
-// left out, and index.InstallAnnotations derives it.
+// its text. The rest — numeric readings, the longest value's word
+// count, the code tables, each document's schema and slot — is left
+// out, and index.InstallAnnotations derives it.
 
 // encodeColumns returns the columns body of the given tables. The body
 // is sized up front, as if no length, id, code or delta took more than

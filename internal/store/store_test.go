@@ -79,7 +79,7 @@ func writeDocs(path string, shards int, seg *DocsSegment) (uint32, error) {
 		return 0, err
 	}
 	for id, d := range seg.Docs {
-		if err := w.Add(d, int(seg.Lens[id])); err != nil {
+		if err := w.Add(index.AppendRow(nil, d, int(seg.Lens[id]))); err != nil {
 			w.Abort()
 			return 0, err
 		}

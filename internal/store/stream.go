@@ -2,18 +2,18 @@ package store
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
-
-	"deepweb/internal/index"
 )
 
-// docsWriter is the docs-segment encoder: it streams the segment to
-// disk one document at a time, so neither a bulk build nor a Save of a
-// live index ever holds the encoded document table in memory. The
-// format is pinned by a digest test.
+// docsWriter is the docs-segment writer: it streams the segment to
+// disk one row at a time, each in the segment's own encoding
+// (index.AppendRow), so neither a bulk build nor a Save of a live
+// index ever holds the document table in memory twice. The format is
+// pinned by a digest test.
 //
 // Streaming a format whose header precedes a body of unknown length
 // works by reserving the 44-byte header up front, accumulating the
@@ -38,7 +38,6 @@ type docsWriter struct {
 	n        int // docs added so far = next doc id
 	crc      uint32
 	bodyLen  uint64
-	scratch  enc
 	err      error
 	done     bool
 }
@@ -71,9 +70,7 @@ func newDocsWriter(path string, shards, docCount int) (*docsWriter, error) {
 		w.fail(err)
 		return nil, w.abort()
 	}
-	w.scratch.b = w.scratch.b[:0]
-	w.scratch.uvarint(uint64(docCount))
-	w.emit(w.scratch.b)
+	w.emit(binary.AppendUvarint(nil, uint64(docCount)))
 	if w.err != nil {
 		return nil, w.abort()
 	}
@@ -99,9 +96,10 @@ func (w *docsWriter) emit(b []byte) {
 	w.bodyLen += uint64(len(b))
 }
 
-// Add appends one document. dl is its BM25 length (what ExportDocs
-// reports as Lens). The document's id is its arrival order.
-func (w *docsWriter) Add(d index.Doc, dl int) error {
+// Add appends the next document's row, in the docs segment's row
+// encoding (index.AppendRow); the document's id is its arrival order.
+// The writer reads row only during the call.
+func (w *docsWriter) Add(row []byte) error {
 	if w.done {
 		return errors.New("store: docs writer: add after close")
 	}
@@ -112,8 +110,7 @@ func (w *docsWriter) Add(d index.Doc, dl int) error {
 		w.fail(fmt.Errorf("store: docs writer: more docs than the declared %d", w.expected))
 		return w.err
 	}
-	w.scratch.b = index.AppendRow(w.scratch.b[:0], d, dl)
-	w.emit(w.scratch.b)
+	w.emit(row)
 	w.n++
 	return w.err
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"deepweb/internal/index"
@@ -50,7 +51,7 @@ func TestDocsSegmentDigest(t *testing.T) {
 	}
 	anns := index.NewAnnBuilder()
 	for id, d := range seg.Docs {
-		if err := w.Add(d, int(seg.Lens[id])); err != nil {
+		if err := w.Add(index.AppendRow(nil, d, int(seg.Lens[id]))); err != nil {
 			t.Fatal(err)
 		}
 		anns.Annotate(id, streamAnns[id])
@@ -90,7 +91,7 @@ func TestDocsWriterCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Add(index.Doc{URL: "u1"}, 1); err != nil {
+	if err := w.Add(index.AppendRow(nil, index.Doc{URL: "u1"}, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Close(nil); err == nil {
@@ -108,10 +109,10 @@ func TestDocsWriterCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Add(index.Doc{URL: "u1"}, 1); err != nil {
+	if err := w2.Add(index.AppendRow(nil, index.Doc{URL: "u1"}, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Add(index.Doc{URL: "u2"}, 1); err == nil {
+	if err := w2.Add(index.AppendRow(nil, index.Doc{URL: "u2"}, 1)); err == nil {
 		t.Fatal("Add accepted more docs than declared")
 	}
 	w2.Abort()
@@ -215,7 +216,7 @@ func TestSpillRunsOrderAndCleanSpills(t *testing.T) {
 	if w.Runs() != docs {
 		t.Fatalf("%d runs for %d one-document windows", w.Runs(), docs)
 	}
-	if _, err := w.Commit(2, nil, nil); err != nil {
+	if _, err := w.Commit(2, nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := leftovers(t, dir); n != 0 {
@@ -265,10 +266,10 @@ func TestSnapIDCoversColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.AddDoc(index.Doc{URL: "http://a.example/1", Text: "used car"}, 2, map[string]string{"make": mk}); err != nil {
+		if err := w.AddPrepared(index.Prepare(index.Doc{URL: "http://a.example/1", Text: "used car"}), map[string]string{"make": mk}); err != nil {
 			t.Fatal(err)
 		}
-		snapID, err := w.Commit(1, nil, nil)
+		snapID, err := w.Commit(1, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,5 +277,23 @@ func TestSnapIDCoversColumns(t *testing.T) {
 			t.Fatalf("make=%s and make=%s share snapshot id %08x", other, mk, snapID)
 		}
 		ids[snapID] = mk
+	}
+}
+
+// A writer takes its annotation tables from one source: a writer fed
+// through AddPrepared builds its own and refuses tables handed to
+// Commit.
+func TestWriterTakesTablesFromOneSource(t *testing.T) {
+	w, err := NewWriter(t.TempDir(), 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	if err := w.AddPrepared(prepared(0, "shared"), map[string]string{"make": "ford"}); err != nil {
+		t.Fatal(err)
+	}
+	cols, schemas := sampleColumns()
+	if _, err := w.Commit(1, nil, nil, cols, schemas); err == nil || !strings.Contains(err.Error(), "builds its own") {
+		t.Fatalf("Commit of a prepared stream handed tables: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,19 +15,21 @@ import (
 // written. It owns the directory protocol — create the directory, sweep
 // a crashed writer's droppings, stream the docs segment first, then
 // write the columns segment and one postings segment per shard, each
-// stamped with the snapshot id, and meta last — and the two decisions
-// that make the bytes canonical: the one term→segment placement,
-// shardOf, and the annotation tables, which it builds as documents
-// stream in, through the index's own intern core (index.AnnBuilder),
-// from every document in doc-id order. The two producers of snapshots
-// differ only in where documents and postings come from:
+// stamped with the snapshot id, and meta last — and the term→segment
+// placement, shardOf. A row arrives in the docs segment's encoding
+// (index.AppendRow), and the annotation tables are those an
+// index.AnnBuilder fed every document in doc-id order builds, which is
+// how a live index's append-only store is written too. The two
+// producers of snapshots differ only in where rows, postings and
+// tables come from:
 //
-//   - a live index (engine.Save) streams its document table through
-//     AddDoc and hands Commit every resident posting list, which Commit
-//     places by shardOf;
+//   - a live index (engine.Save) hands AddRow every row as it holds it,
+//     in id order, and Commit its resident posting lists, which Commit
+//     places by shardOf, and its annotation tables, written as they are;
 //
 //   - a tokenized stream (engine.BulkBuild) feeds AddPrepared, which
-//     also accumulates the document's postings in RAM, placed by
+//     encodes the row, interns the annotations through the writer's
+//     own AnnBuilder and accumulates the postings in RAM, placed by
 //     shardOf. Every spillDocs documents the accumulator is flushed as
 //     one sorted run file per non-empty shard, and Commit k-way merges
 //     each shard's runs into its final segment. Peak memory is the
@@ -56,6 +59,8 @@ type Writer struct {
 	shards    int
 	spillDocs int
 	docs      *docsWriter
+	row       []byte // the row AddRow or AddPrepared is writing
+	prepared  bool   // fed through AddPrepared: it builds its own tables
 
 	// The annotation tables are interned off the caller's goroutine, a
 	// batch at a time and one batch after another, so doc-id order
@@ -89,7 +94,7 @@ const annBatch = 1024
 
 // NewWriter prepares dir for a snapshot of exactly docs documents over
 // shards posting shards. spillDocs is the accumulator window AddPrepared
-// flushes at; a writer fed only through AddDoc never consults it.
+// flushes at; a writer fed only through AddRow never consults it.
 func NewWriter(dir string, shards, docs, spillDocs int) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -119,21 +124,12 @@ func NewWriter(dir string, shards, docs, spillDocs int) (*Writer, error) {
 	return w, nil
 }
 
-// AddDoc appends the next document (id = arrival order): its row and
-// BM25 length to the docs segment, and its annotations (nil for none)
-// to the annotation tables. The writer reads anns until Commit or Abort
-// returns: the caller must not change it before then.
-func (w *Writer) AddDoc(d index.Doc, dl int, anns map[string]string) error {
-	id := w.docs.n
-	if err := w.docs.Add(d, dl); err != nil {
-		return err
-	}
-	if len(anns) > 0 {
-		if w.pending = append(w.pending, annotated{id, anns}); len(w.pending) == annBatch {
-			w.handOff()
-		}
-	}
-	return nil
+// AddRow appends the next document (id = arrival order) as its row,
+// as a live index holds it (index.Index.ForEachRow). Its postings and
+// annotations are Commit's.
+func (w *Writer) AddRow(row string) error {
+	w.row = append(w.row[:0], row...)
+	return w.docs.Add(w.row)
 }
 
 // handOff starts interning the pending annotations on a goroutine of
@@ -158,13 +154,22 @@ func (w *Writer) waitInterned() {
 	}
 }
 
-// AddPrepared appends the next document of a tokenized stream: the
-// docs-segment row plus its postings, accumulated until the spill
-// window fills.
+// AddPrepared appends the next document of a tokenized stream: its
+// docs-segment row, its annotations (nil for none) to the writer's
+// annotation tables, and its postings, accumulated until the spill
+// window fills. The writer reads anns until Commit or Abort returns:
+// the caller must not change it before then.
 func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
 	id := w.docs.n
-	if err := w.AddDoc(p.Doc(), p.DocLen(), anns); err != nil {
+	w.prepared = true
+	w.row = index.AppendRow(w.row[:0], p.Doc(), p.DocLen())
+	if err := w.docs.Add(w.row); err != nil {
 		return err
+	}
+	if len(anns) > 0 {
+		if w.pending = append(w.pending, annotated{id, anns}); len(w.pending) == annBatch {
+			w.handOff()
+		}
 	}
 	tfs := p.TermFreqs()
 	for j, t := range p.Terms() {
@@ -227,8 +232,19 @@ func (w *Writer) Runs() int {
 // segment — the merge of its spilled runs and of the resident posting
 // lists (sorted by term) that shardOf places there — are written
 // stamped with that id, the postings on up to workers goroutines; then
-// the meta segment carrying sites. It returns the snapshot id.
-func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPostings) (snapID uint32, err error) {
+// the meta segment carrying sites. The columns segment holds cols and
+// schemas (as index.Index.ExportAnnotations hands them out) or, for a
+// writer fed through AddPrepared, which must be handed none, the tables
+// it built. It returns the snapshot id.
+func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPostings, cols []index.AnnColumn, schemas []index.AnnSchema) (snapID uint32, err error) {
+	w.handOff()
+	w.waitInterned()
+	if w.prepared {
+		if cols != nil || schemas != nil {
+			return 0, errors.New("store: commit: annotation tables handed to a writer that builds its own")
+		}
+		cols, schemas = w.anns.Tables()
+	}
 	if w.window > 0 {
 		if err := w.spill(); err != nil {
 			return 0, err
@@ -239,9 +255,7 @@ func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPost
 		si := shardOf(tp.Term, w.shards)
 		placed[si] = append(placed[si], tp)
 	}
-	w.handOff()
-	w.waitInterned()
-	columns := encodeColumns(w.anns.Tables())
+	columns := encodeColumns(cols, schemas)
 	snapID, err = w.docs.Close(columns)
 	if err != nil {
 		return 0, err

@@ -298,10 +298,3 @@ func cloneValues(v url.Values) url.Values {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -253,10 +253,3 @@ func sortScored(xs []Scored) {
 		return xs[i].Name < xs[j].Name
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
