@@ -137,6 +137,12 @@ func main() {
 	}
 	fmt.Printf("surfacing %d sites (%d rows each, %d workers, naive=%v)\n\n",
 		len(e.Web.Sites()), *rows, *workers, *naive)
+	if *out != "" {
+		// Index the surface web too, so the snapshot covers crawled
+		// pages as well as surfaced ones, and first: the order
+		// surface.Refresh rebuilds a snapshot in.
+		e.IndexSurfaceWeb(context.Background())
+	}
 	resp, err := e.Surface(context.Background(), surface.SurfaceRequest{Config: cfg, FollowNext: 3})
 	if err != nil {
 		log.Fatal(err)
@@ -172,9 +178,6 @@ func main() {
 	permanentFailures := printOutcomes(resp.Sites, storm)
 
 	if *out != "" {
-		// Index the surface web too, so the snapshot covers crawled
-		// pages as well as surfaced ones.
-		e.IndexSurfaceWeb(context.Background())
 		start := time.Now()
 		if err := e.Save(*out); err != nil {
 			log.Fatal(err)

@@ -15,8 +15,7 @@
 // The §6 semantic services are served on the same front end when the
 // snapshot has a tables segment. A snapshot without one (`deepcrawl
 // -bulk -out`) serves no /v1/semantics group; those paths answer the
-// shared 404 envelope. Semantics load once at startup; a reload swaps
-// the index only.
+// shared 404 envelope.
 //
 // The server carries production manners (via internal/httpx):
 // read/write timeouts and graceful shutdown on SIGINT/SIGTERM.
@@ -24,11 +23,12 @@
 // Startup logs each phase's duration (load-snapshot, load-semantics).
 // A running server reloads on SIGHUP or POST /v1/admin/reload, one
 // reload at a time: after `deepcrawl -refresh` replaces the snapshot
-// (segment writes are atomic), the reload swaps the new index in
-// behind an atomic pointer — in-flight queries finish against the
-// engine they started on, new queries see the fresh one, and a failed
-// reload keeps the current index serving. /v1/admin/stats (generation
-// id + last-reload time) is how an operator verifies the swap happened.
+// (segment writes are atomic), the reload loads the new index and §6
+// tables and swaps both in behind one atomic pointer — in-flight
+// queries finish against what they started on, new queries see the
+// fresh snapshot, and a failed reload keeps both current halves
+// serving. /v1/admin/stats (generation id + last-reload time) is how
+// an operator verifies the swap happened.
 //
 // Search responses are served through a generation-keyed result cache
 // (-cache N entries, 0 disables); X-Cache on each /v1/search response
@@ -63,6 +63,7 @@ import (
 	"deepweb/internal/httpx"
 	"deepweb/internal/index"
 	"deepweb/internal/query"
+	"deepweb/internal/semserv"
 )
 
 func main() {
@@ -82,64 +83,40 @@ func main() {
 	engine.DefaultWorkers = *workers
 
 	begin := time.Now()
-	e, err := engine.Load(*snapshot)
+	snap, err := load(*snapshot, *cacheCap, "phase")
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("phase load-snapshot: %d docs (generation %d) from %s in %v",
-		e.Index.Len(), e.Generation, *snapshot, time.Since(begin).Round(time.Microsecond))
-	start := time.Now()
-	sem, err := engine.LoadSemantics(*snapshot)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// A bulk-built snapshot carries no tables segment: serve the
-		// index without the §6 group.
-		log.Printf("phase load-semantics: no tables segment in %s; /v1/semantics disabled", *snapshot)
-	case err != nil:
-		log.Fatal(err)
-	default:
-		log.Printf("phase load-semantics: %d tables in %v", len(sem.Tables), time.Since(start).Round(time.Microsecond))
-	}
-	e.EnableResultCache(*cacheCap)
-	log.Printf("ready: %d documents indexed, startup %v", e.Index.Len(), time.Since(begin).Round(time.Microsecond))
+	log.Printf("ready: %d documents indexed, startup %v", snap.e.Index.Len(), time.Since(begin).Round(time.Microsecond))
 	httpx.ServeDebug(*debugAddr)
 
-	// Queries resolve the engine through an atomic pointer so a reload
-	// swaps snapshots without dropping in-flight requests: a request
-	// keeps the engine it loaded for its whole lifetime.
-	var current atomic.Pointer[engine.Engine]
-	current.Store(e)
+	// Requests resolve the engine and the §6 store through one atomic
+	// pointer so a reload swaps snapshots without dropping in-flight
+	// requests: a request keeps what it loaded for its whole lifetime,
+	// and no request sees one half of a snapshot beside the other
+	// half of another.
+	var current atomic.Pointer[served]
+	current.Store(snap)
 
-	opts := api.Options{
-		Engine: func() *engine.Engine { return current.Load() },
+	apiSrv := api.New(api.Options{
+		Engine:    func() *engine.Engine { return current.Load().e },
+		Semantics: func() *semserv.Server { return current.Load().sem },
 		Reload: func() error {
-			start := time.Now()
-			ne, err := engine.Load(*snapshot)
+			snap, err := load(*snapshot, *cacheCap, "reload")
 			if err != nil {
-				log.Printf("reload: %v (keeping current index)", err)
+				log.Printf("reload: %v (keeping current index and tables)", err)
 				return err
 			}
-			// Arm the new engine's cache BEFORE publishing it: the swap
-			// must install engine and cache together, so no request ever
-			// sees the new index through the old engine's cache (the
-			// cache lives on the engine — one atomic store swaps both).
-			ne.EnableResultCache(*cacheCap)
-			current.Store(ne)
-			log.Printf("reload: %d docs (generation %d) from %s in %v",
-				ne.Index.Len(), ne.Generation, *snapshot, time.Since(start).Round(time.Microsecond))
+			current.Store(snap)
 			return nil
 		},
-	}
-	if sem != nil {
-		opts.Semantics = sem.Server()
-	}
-	apiSrv := api.New(opts)
+	})
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			_ = apiSrv.Reload() // opts.Reload logs a failure; the current index keeps serving
+			_ = apiSrv.Reload() // opts.Reload logs a failure; the current snapshot keeps serving
 		}
 	}()
 
@@ -151,7 +128,7 @@ func main() {
 	search := func(r *http.Request, q string, k int) []index.Result {
 		text, preds := query.Extract(q)
 		annotated := r.URL.Query().Get("annotated")
-		resp, err := current.Load().Search(r.Context(), engine.SearchRequest{
+		resp, err := current.Load().e.Search(r.Context(), engine.SearchRequest{
 			Query: text, K: k, Annotated: annotated == "true" || annotated == "1", Filters: preds,
 		})
 		if err != nil {
@@ -191,4 +168,41 @@ func main() {
 	if err := httpx.Serve(context.Background(), *addr, mux); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// served is one snapshot's two halves: the engine over its index and
+// the §6 store over its tables segment (nil when it has none).
+type served struct {
+	e   *engine.Engine
+	sem *semserv.Server
+}
+
+// load reads both halves of the snapshot in dir and arms the engine's
+// result cache, logging each half's duration as a phase of step.
+// Nothing is published here: the caller swaps the pair in with one
+// store, so the cache goes live with its engine, never in front of
+// another, and a failure leaves the serving pair as it was. A corrupt
+// tables segment is an error; a missing one serves the index without
+// the §6 group.
+func load(dir string, cacheCap int, step string) (*served, error) {
+	start := time.Now()
+	e, err := engine.Load(dir)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("%s load-snapshot: %d docs (generation %d) from %s in %v",
+		step, e.Index.Len(), e.Generation, dir, time.Since(start).Round(time.Microsecond))
+	start = time.Now()
+	sem, err := semserv.Load(dir)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		// A bulk-built snapshot carries no tables segment.
+		log.Printf("%s load-semantics: no tables segment in %s; /v1/semantics disabled", step, dir)
+	case err != nil:
+		return nil, err
+	default:
+		log.Printf("%s load-semantics: %d tables in %v", step, len(sem.Tables), time.Since(start).Round(time.Microsecond))
+	}
+	e.EnableResultCache(cacheCap)
+	return &served{e: e, sem: sem}, nil
 }

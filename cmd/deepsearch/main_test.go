@@ -2,6 +2,7 @@ package main
 
 import (
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,7 +28,9 @@ func goList(t *testing.T, args ...string) []string {
 // TestServerLinksNoCrawler pins the boundary between the searcher and
 // the surfacer: the deepsearch binary's dependencies, as `go list -deps`
 // resolves them, include no crawl-side package, and the engine and the
-// query layer do not import one, nor the fetcher, themselves.
+// query layer do not import one, nor the fetcher, themselves. It pins
+// the engine's other edge too: the engine is only the searcher, and
+// the §6 store, with the tables it aggregates, is semserv's.
 func TestServerLinksNoCrawler(t *testing.T) {
 	linked := map[string]bool{}
 	for _, d := range goList(t, "-deps", ".") {
@@ -41,10 +44,14 @@ func TestServerLinksNoCrawler(t *testing.T) {
 			t.Errorf("deepsearch links deepweb/internal/%s, a crawl-side package", p)
 		}
 	}
+	forbidden := map[string][]string{
+		"deepweb/internal/engine": slices.Concat(crawlSide, []string{"webx", "semserv", "webtables"}),
+		"deepweb/internal/query":  slices.Concat(crawlSide, []string{"webx"}),
+	}
 	for _, line := range goList(t, "-f", "{{.ImportPath}}: {{join .Imports \" \"}}", "deepweb/internal/engine", "deepweb/internal/query") {
 		pkg, imports, _ := strings.Cut(line, ":")
 		for _, imp := range strings.Fields(imports) {
-			for _, p := range append(crawlSide, "webx") {
+			for _, p := range forbidden[pkg] {
 				if imp == "deepweb/internal/"+p {
 					t.Errorf("%s imports %s", pkg, imp)
 				}

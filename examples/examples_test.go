@@ -17,6 +17,7 @@ import (
 	"deepweb/internal/core"
 	"deepweb/internal/engine"
 	"deepweb/internal/query"
+	"deepweb/internal/semserv"
 	"deepweb/internal/surface"
 	"deepweb/internal/virtual"
 	"deepweb/internal/webgen"
@@ -240,7 +241,7 @@ func Example_semantics() {
 		sem.PagesCrawled, len(sem.Tables), len(sem.ACS.Freq))
 
 	// Serve the versioned API surface and query it like a client would.
-	srv := httptest.NewServer(api.New(api.Options{Semantics: sem.Server()}))
+	srv := httptest.NewServer(api.New(api.Options{Semantics: func() *semserv.Server { return sem }}))
 	defer srv.Close()
 
 	show := func(path string) {

@@ -3,12 +3,12 @@
 // HTTP. The paper's premise is that surfaced deep-web content is
 // served "like any other page" at front-end scale (§3.2) — so the
 // front end should be one coherent surface, not per-binary dialects.
-// deepsearch mounts this package over an engine loaded from a snapshot
-// and enables the endpoint groups it backs: search always, the
-// semantics group when the snapshot has a tables segment. The Server
-// owns reload: POST /v1/admin/reload and deepsearch's SIGHUP both run
-// (*Server).Reload, one at a time, and /v1/admin/stats reports when
-// the last one succeeded.
+// deepsearch mounts this package over an engine and a §6 store loaded
+// from a snapshot, and serves the endpoint groups they back: search
+// always, the semantics group when the snapshot has a tables segment.
+// The Server owns reload: POST /v1/admin/reload and deepsearch's
+// SIGHUP both run (*Server).Reload, one at a time, and /v1/admin/stats
+// reports when the last one succeeded.
 //
 //	GET  /healthz                   liveness + doc count + generation
 //	GET  /v1/search                 ranked retrieval (q, k, offset, annotated, host, filter)
@@ -100,8 +100,11 @@ type Options struct {
 	// each request resolves the engine once and keeps it for its whole
 	// lifetime. Nil disables /v1/search.
 	Engine func() *engine.Engine
-	// Semantics backs /v1/semantics/*. Nil disables the group.
-	Semantics *semserv.Server
+	// Semantics provides the current §6 store behind /v1/semantics/*,
+	// resolved per request like Engine, since a reload swaps it with
+	// the engine. A nil func, or a nil store, answers the group's paths
+	// with the shared 404 envelope.
+	Semantics func() *semserv.Server
 	// Reload swaps in a fresh snapshot. The Server runs it only through
 	// (*Server).Reload, never two at once. Nil makes POST
 	// /v1/admin/reload answer 503 — the process has no snapshot to
@@ -144,20 +147,23 @@ func New(opts Options) *Server {
 		s.mux.HandleFunc("/v1/search", s.handleSearch)
 	}
 	if opts.Semantics != nil {
-		s.mux.HandleFunc("/v1/semantics/synonyms", opts.Semantics.Synonyms)
-		s.mux.HandleFunc("/v1/semantics/autocomplete", opts.Semantics.Autocomplete)
-		s.mux.HandleFunc("/v1/semantics/values", opts.Semantics.AttrValues)
-		s.mux.HandleFunc("/v1/semantics/properties", opts.Semantics.Properties)
-		s.mux.HandleFunc("/v1/semantics/tables", opts.Semantics.TableSearch)
+		s.mux.HandleFunc("/v1/semantics/synonyms", s.semantic((*semserv.Server).Synonyms))
+		s.mux.HandleFunc("/v1/semantics/autocomplete", s.semantic((*semserv.Server).Autocomplete))
+		s.mux.HandleFunc("/v1/semantics/values", s.semantic((*semserv.Server).AttrValues))
+		s.mux.HandleFunc("/v1/semantics/properties", s.semantic((*semserv.Server).Properties))
+		s.mux.HandleFunc("/v1/semantics/tables", s.semantic((*semserv.Server).TableSearch))
 	}
 	// Everything else — under /v1/ or, when the server is mounted whole,
 	// anywhere — is a spelled-out 404, in the envelope, instead of Go's
 	// text/plain default.
-	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		httpx.WriteError(w, http.StatusNotFound, httpx.CodeNotFound,
-			r.URL.Path+" is not a /v1 endpoint on this server")
-	})
+	s.mux.HandleFunc("/", notFound)
 	return s
+}
+
+// notFound answers the shared 404 envelope.
+func notFound(w http.ResponseWriter, r *http.Request) {
+	httpx.WriteError(w, http.StatusNotFound, httpx.CodeNotFound,
+		r.URL.Path+" is not a /v1 endpoint on this server")
 }
 
 // ServeHTTP implements http.Handler.
@@ -170,6 +176,19 @@ func (s *Server) engine() *engine.Engine {
 		return nil
 	}
 	return s.opts.Engine()
+}
+
+// semantic serves a /v1/semantics request with h over the store
+// current when it arrives, or with the 404 envelope when there is none.
+func (s *Server) semantic(h func(*semserv.Server, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sem := s.opts.Semantics()
+		if sem == nil {
+			notFound(w, r)
+			return
+		}
+		h(sem, w, r)
+	}
 }
 
 // intParam parses an optional integer query parameter leniently: an
@@ -358,7 +377,9 @@ func (s *Server) stats() Stats {
 		}
 	}
 	if s.opts.Semantics != nil {
-		st.Tables = len(s.opts.Semantics.Tables)
+		if sem := s.opts.Semantics(); sem != nil {
+			st.Tables = len(sem.Tables)
+		}
 	}
 	if ns := s.lastReload.Load(); ns != 0 {
 		st.LastReload = time.Unix(0, ns).UTC().Format(time.RFC3339Nano)

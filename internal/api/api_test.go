@@ -57,7 +57,9 @@ func testEngine() *engine.Engine {
 	return e
 }
 
-func testSemantics() *semserv.Server {
+// testSemantics returns a fixed §6 store, as Options.Semantics
+// provides one.
+func testSemantics() func() *semserv.Server {
 	acs := &webtables.ACSDb{Freq: map[string]int{}, Pair: map[[2]string]int{}}
 	for i := 0; i < 20; i++ {
 		acs.AddSchema([]string{"make", "model", "price"})
@@ -70,7 +72,8 @@ func testSemantics() *semserv.Server {
 	tables := []webtables.RawTable{
 		{URL: "http://t.example/1", Headers: []string{"city", "population"}, Rows: [][]string{{"seattle", "700000"}}},
 	}
-	return semserv.New(acs, vals, tables)
+	sem := &semserv.Server{Tables: tables, ACS: acs, Values: vals}
+	return func() *semserv.Server { return sem }
 }
 
 func testServer(t *testing.T, opts Options) *Server {
@@ -318,6 +321,49 @@ func TestSearchDisabledWithoutEngine(t *testing.T) {
 	}
 	if rec := do(s, "GET", "/healthz"); rec.Code != 200 {
 		t.Errorf("healthz broken without engine: %d", rec.Code)
+	}
+}
+
+// The §6 group answers from the store current when a request arrives:
+// after a swap, from the new one (stats' table count too); after a
+// swap to none, with the 404 envelope an unmounted group answers.
+func TestSemanticsFollowSwaps(t *testing.T) {
+	var current atomic.Pointer[semserv.Server]
+	current.Store(testSemantics()())
+	s := testServer(t, Options{Semantics: current.Load})
+	tables := func() int {
+		var st Stats
+		if err := json.Unmarshal(do(s, "GET", "/v1/admin/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Tables
+	}
+	if rec := do(s, "GET", "/v1/semantics/values?attr=city"); rec.Code != 200 || !strings.Contains(rec.Body.String(), "seattle") || tables() != 1 {
+		t.Fatalf("before the swap: status %d body %s, %d tables", rec.Code, rec.Body.String(), tables())
+	}
+
+	current.Store(semserv.New(4, 2, []webtables.RawTable{
+		{URL: "http://t.example/2", Headers: []string{"city", "state"}, Rows: [][]string{{"boston", "ma"}, {"austin", "tx"}}},
+		{URL: "http://t.example/3", Headers: []string{"city", "zip"}, Rows: [][]string{{"boston", "02101"}}},
+	}))
+	rec := do(s, "GET", "/v1/semantics/values?attr=city")
+	if body := rec.Body.String(); rec.Code != 200 || !strings.Contains(body, "boston") || strings.Contains(body, "seattle") {
+		t.Errorf("after the swap: status %d body %s", rec.Code, body)
+	}
+	if got := tables(); got != 2 {
+		t.Errorf("after the swap: stats report %d tables, want 2", got)
+	}
+
+	current.Store(nil)
+	unmounted := New(Options{})
+	for _, path := range []string{"/v1/semantics/synonyms?attr=make", "/v1/semantics/autocomplete?attrs=make", "/v1/semantics/values?attr=city", "/v1/semantics/properties?entity=seattle", "/v1/semantics/tables?q=population"} {
+		rec, want := do(s, "GET", path), do(unmounted, "GET", path)
+		if rec.Code != 404 || rec.Body.String() != want.Body.String() || rec.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Errorf("%s with no store: status %d body %s, want %d %s", path, rec.Code, rec.Body.String(), want.Code, want.Body.String())
+		}
+	}
+	if got := tables(); got != 0 {
+		t.Errorf("with no store: stats report %d tables", got)
 	}
 }
 

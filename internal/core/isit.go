@@ -267,10 +267,3 @@ func mustParse(raw string) *url.URL {
 	}
 	return u
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -19,8 +19,7 @@ import (
 // Postings segments are encoded concurrently on DefaultWorkers.
 // Existing segments in dir are overwritten atomically; a concurrent
 // reader of the old snapshot is undisturbed. Save must not run
-// concurrently with a write to the index. It holds one copy of every
-// posting list while it writes.
+// concurrently with a write to the index.
 func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 	ix := e.Index
 	w, err := store.NewWriter(dir, ix.NumShards(), ix.Len(), 0)

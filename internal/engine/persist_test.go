@@ -423,8 +423,7 @@ func TestLoadEdgeCases(t *testing.T) {
 	})
 	t.Run("missing semantics segment", func(t *testing.T) {
 		// Engine.Save writes no tables segment; the index must load
-		// anyway (the segment is optional) while LoadSemantics reports
-		// the absence cleanly.
+		// anyway (the segment is optional).
 		e := corpusEngine(t, 4)
 		dir := t.TempDir()
 		if err := e.Save(dir, nil); err != nil {
@@ -436,9 +435,6 @@ func TestLoadEdgeCases(t *testing.T) {
 		}
 		if loaded.Index.Len() != e.Index.Len() {
 			t.Fatalf("loaded %d of %d docs", loaded.Index.Len(), e.Index.Len())
-		}
-		if _, err := LoadSemantics(dir); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("missing tables segment: want not-exist, got %v", err)
 		}
 	})
 	t.Run("damaged meta segment", func(t *testing.T) {

@@ -3,7 +3,6 @@ package index
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 )
 
 // PostingList is one term's postings in stored (ascending doc-id)
@@ -93,9 +92,4 @@ func (l *PostingList) AppendList(o PostingList) {
 	for i, d := range o.docs {
 		l.Append(d, o.TF(i))
 	}
-}
-
-// Clone returns a copy that shares no memory with l.
-func (l PostingList) Clone() PostingList {
-	return PostingList{docs: slices.Clone(l.docs), tfs: slices.Clone(l.tfs)}
 }

@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Snapshot support. The index's internals — the posting map, the
 // document table, the annotation store — stay private; this file is
 // the narrow export/import surface the snapshot codec (internal/store)
-// works through. Export hands out copies of the posting lists, and the
-// rows (ForEachRow) and annotation tables (ExportAnnotations) as the
-// index holds them, which a snapshot writer writes as they are; import
+// works through. Export hands out the posting lists (ExportTerms), the
+// rows (ForEachRow) and the annotation tables (ExportAnnotations) as
+// the index holds them, which a snapshot writer writes as they are; import
 // rebuilds an index from decoded segments without re-running the text
 // pipeline, which is what makes warm starts cheap. The annotation
 // store's side of it, ExportAnnotations, AnnBuilder and
@@ -40,13 +41,17 @@ type TermPostings struct {
 func (ix *Index) NumShards() int { return ix.segments }
 
 // ExportTerms returns every term with its posting list, terms sorted,
-// postings in stored order. The slices are fresh copies: the caller may
-// encode them after the call returns, concurrently with writers.
+// postings in stored order. The lists share the index's arrays: a
+// commit only appends to a list past its end, and the widening of a
+// list's tfs lays them out in a new array, so what an exported list
+// holds never changes, and the caller may encode it after the call
+// returns, concurrently with writers. Each slice is clipped to its
+// length, so an append to an exported list copies it first.
 func (ix *Index) ExportTerms() []TermPostings {
 	ix.mu.RLock()
 	out := make([]TermPostings, 0, len(ix.postings))
 	for term, plist := range ix.postings {
-		out = append(out, TermPostings{Term: term, Postings: plist.Clone()})
+		out = append(out, TermPostings{Term: term, Postings: PostingList{docs: slices.Clip(plist.docs), tfs: slices.Clip(plist.tfs)}})
 	}
 	ix.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })

@@ -3,7 +3,9 @@ package index
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -24,23 +26,50 @@ func smallCorpus() *Index {
 	return ix
 }
 
-// ExportTerms hands out copies: mutating them must not corrupt the
-// index, and terms arrive sorted for deterministic segment bytes.
+// ExportTerms hands out the index's own lists, clipped: a later commit
+// does not change what an exported list holds, an append to an
+// exported list does not change the index, and terms arrive sorted for
+// deterministic segment bytes.
 func TestExportTermsIsolatedAndSorted(t *testing.T) {
 	ix := smallCorpus()
-	terms := ix.ExportTerms()
-	for i := range terms {
-		if i > 0 && terms[i-1].Term >= terms[i].Term {
-			t.Fatalf("terms out of order: %q then %q", terms[i-1].Term, terms[i].Term)
+	exported := ix.ExportTerms()
+	for i := range exported {
+		if i > 0 && exported[i-1].Term >= exported[i].Term {
+			t.Fatalf("terms out of order: %q then %q", exported[i-1].Term, exported[i].Term)
 		}
-		pl := terms[i].Postings
-		for j := range pl.Len() {
-			pl.docs[j], pl.tfs[j] = -1, 0
-		}
+	}
+	held := termPairs(exported)
+
+	// These commits append to lists past the exported ends, into spare
+	// capacity the exports share; 300 "ford"s widen that list's tfs.
+	for i := range 8 {
+		ix.Add(Doc{URL: fmt.Sprintf("http://cars.example/late%d", i), Text: "ford focus in seattle"})
+	}
+	ix.Add(Doc{URL: "http://cars.example/loud", Text: strings.Repeat("ford ", 300)})
+	if got := termPairs(exported); !reflect.DeepEqual(got, held) {
+		t.Fatal("a commit changed an exported list")
+	}
+
+	committed := termPairs(ix.ExportTerms())
+	for i := range exported {
+		exported[i].Postings.Append(1000, 1)
+		exported[i].Postings.Append(1001, 256)
+	}
+	if got := termPairs(ix.ExportTerms()); !reflect.DeepEqual(got, committed) {
+		t.Fatal("an append to an exported list changed the index")
 	}
 	if got := search(ix, "ford focus", 5); len(got) == 0 {
-		t.Fatal("index corrupted by mutating exported postings")
+		t.Fatal("index corrupted by appending to exported postings")
 	}
+}
+
+// termPairs copies each term's postings out as doc id, tf pairs.
+func termPairs(terms []TermPostings) map[string][]int32 {
+	out := make(map[string][]int32, len(terms))
+	for _, tp := range terms {
+		out[tp.Term] = pairsOf(tp.Postings)
+	}
+	return out
 }
 
 // The import surface refuses the states that would corrupt an index

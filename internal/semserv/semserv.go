@@ -1,8 +1,11 @@
-// Package semserv is the §6 "semantic server": an HTTP JSON service
-// exposing what aggregated web structure knows — attribute synonyms,
-// schema auto-complete, attribute values, and entity properties — for
-// use by schema matchers, form fillers, information extractors and
-// query expanders.
+// Package semserv is the §6 "semantic server": the store of what
+// aggregated web structure knows — the quality-filtered HTML tables,
+// the ACSDb and the value store derived from them — and an HTTP JSON
+// service exposing it — attribute synonyms, schema auto-complete,
+// attribute values, and entity properties — for use by schema
+// matchers, form fillers, information extractors and query expanders.
+// A snapshot directory persists the store as its tables segment
+// (Save, Load); the crawl that fills it is internal/surface's.
 //
 // Every handler speaks the shared wire discipline of internal/httpx:
 // GET only (anything else is 405 with the JSON error envelope),
@@ -12,25 +15,75 @@
 package semserv
 
 import (
+	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 
 	"deepweb/internal/httpx"
+	"deepweb/internal/store"
 	"deepweb/internal/webtables"
 )
 
-// Server answers §6 queries over the aggregated artifacts, one handler
-// per question.
+// Server is the §6 store — a crawl's quality-filtered tables and the
+// aggregates built from them — and answers §6 queries over it, one
+// handler per question.
 type Server struct {
+	PagesCrawled int
+	RawTables    int
+	// Tables is the quality-filtered relational subset.
+	Tables []webtables.RawTable
 	ACS    *webtables.ACSDb
 	Values *webtables.ValueStore
-	Tables []webtables.RawTable
 }
 
-// New assembles a server over the aggregate structures.
-func New(acs *webtables.ACSDb, vals *webtables.ValueStore, tables []webtables.RawTable) *Server {
-	return &Server{ACS: acs, Values: vals, Tables: tables}
+// New aggregates a quality-filtered table set into the ACSDb and value
+// store. Both are pure functions of the tables, which is why a
+// snapshot persists only the tables. pages and raw are the crawl's
+// page count and its table count before filtering.
+func New(pages, raw int, tables []webtables.RawTable) *Server {
+	vals := webtables.NewValueStore()
+	vals.AddTables(tables)
+	return &Server{
+		PagesCrawled: pages,
+		RawTables:    raw,
+		Tables:       tables,
+		ACS:          webtables.BuildACSDb(tables),
+		Values:       vals,
+	}
+}
+
+// Save writes the store's tables segment into a snapshot directory
+// (alongside, or independent of, an index snapshot). Only the filtered
+// tables are persisted — the ACSDb and value store are cheap
+// deterministic aggregations Load rebuilds.
+func (s *Server) Save(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	err := store.WriteTables(store.TablesPath(dir), &store.TablesSegment{
+		PagesCrawled: s.PagesCrawled,
+		RawTables:    s.RawTables,
+		Tables:       s.Tables,
+	})
+	if err != nil {
+		return fmt.Errorf("semserv: save tables: %w", err)
+	}
+	return nil
+}
+
+// Load rebuilds a store from a snapshot directory's tables segment —
+// the warm-start path that replaces the deep crawl. The ACSDb and value
+// store come out identical to the saved store's because both are pure
+// functions of the table set. A directory without a tables segment is
+// an error that wraps fs.ErrNotExist.
+func Load(dir string) (*Server, error) {
+	seg, err := store.ReadTables(store.TablesPath(dir))
+	if err != nil {
+		return nil, fmt.Errorf("semserv: load tables: %w", err)
+	}
+	return New(seg.PagesCrawled, seg.RawTables, seg.Tables), nil
 }
 
 // MaxK caps the k query parameter. Every top-k handler allocates and

@@ -23,7 +23,7 @@ func testServer() *Server {
 	tables := []webtables.RawTable{
 		{Headers: []string{"city", "population"}, Rows: [][]string{{"seattle", "700000"}}},
 	}
-	return New(acs, vals, tables)
+	return &Server{Tables: tables, ACS: acs, Values: vals}
 }
 
 // serve runs one request through a handler.

@@ -2,14 +2,16 @@ package surface
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"reflect"
 	"testing"
 
 	"deepweb/internal/core"
-	"deepweb/internal/engine"
 	"deepweb/internal/index"
+	"deepweb/internal/semserv"
 	"deepweb/internal/webgen"
 )
 
@@ -262,14 +264,13 @@ func TestBuildSemantics(t *testing.T) {
 	if sem.ACS == nil || sem.ACS.Schemas == 0 {
 		t.Error("ACSDb empty")
 	}
-	if sem.Server() == nil {
-		t.Error("no server")
-	}
 }
 
 // The semantic store round-trips through its tables segment: the
 // rebuilt ACSDb and value store are identical because both are pure
-// functions of the persisted tables.
+// functions of the persisted tables. A directory without the segment
+// (an index-only or bulk-built snapshot) loads as fs.ErrNotExist,
+// which a server reads as "no §6 group".
 func TestSemanticsSaveLoad(t *testing.T) {
 	e, err := Build(webgen.WorldConfig{Seed: 7, SitesPerDom: 1, RowsPerSite: 40})
 	if err != nil {
@@ -277,18 +278,18 @@ func TestSemanticsSaveLoad(t *testing.T) {
 	}
 	sem := e.BuildSemantics(context.Background(), 2000)
 	dir := t.TempDir()
+	if _, err := semserv.Load(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing tables segment: want not-exist, got %v", err)
+	}
 	if err := sem.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.LoadSemantics(dir)
+	got, err := semserv.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, sem) {
 		t.Fatalf("semantic store round trip differs:\n got %+v\nwant %+v", got, sem)
-	}
-	if got.Server() == nil {
-		t.Fatal("loaded store has no server")
 	}
 }
 

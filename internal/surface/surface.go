@@ -30,6 +30,7 @@ import (
 	"deepweb/internal/form"
 	"deepweb/internal/index"
 	"deepweb/internal/resilient"
+	"deepweb/internal/semserv"
 	"deepweb/internal/store"
 	"deepweb/internal/textutil"
 	"deepweb/internal/webgen"
@@ -168,11 +169,11 @@ func (s *Surfacer) IndexSurfaceWeb(ctx context.Context) int {
 // the index — and aggregates every HTML table into an ACSDb and a value
 // store. maxPages bounds the crawl (0 = unlimited); a canceled ctx
 // stops the crawl and builds the stores from the pages fetched so far.
-func (s *Surfacer) BuildSemantics(ctx context.Context, maxPages int) *engine.SemanticStore {
+func (s *Surfacer) BuildSemantics(ctx context.Context, maxPages int) *semserv.Server {
 	c := &webx.Crawler{Fetcher: s.Fetch, FollowQuery: true, MaxPages: maxPages}
 	pages := c.Crawl(ctx, "http://"+webgen.HubHost+"/")
 	raw := webtables.ExtractFromPages(pages)
-	return engine.NewSemanticStore(len(pages), len(raw), webtables.QualityFilter(raw))
+	return semserv.New(len(pages), len(raw), webtables.QualityFilter(raw))
 }
 
 // SurfaceRequest configures one Surface pass over the world's sites.

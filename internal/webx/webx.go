@@ -121,9 +121,6 @@ type Crawler struct {
 	Fetcher *Fetcher
 	// MaxPages bounds the total pages fetched (0 = unlimited).
 	MaxPages int
-	// PerHostCap bounds pages fetched per host (0 = unlimited) — the
-	// politeness budget of §3.2.
-	PerHostCap int
 	// FollowQuery controls whether URLs with query strings are followed.
 	// The pre-surfacing crawl keeps this false: query URLs are exactly
 	// the deep-web space the crawler cannot enumerate on its own.
@@ -135,17 +132,15 @@ type Crawler struct {
 // canceled ctx stops the walk at the next fetch and returns the pages
 // crawled so far.
 func (c *Crawler) Crawl(ctx context.Context, seeds ...string) []*Page {
-	type qItem struct{ u string }
 	var (
-		queue   []qItem
-		seen    = map[string]bool{}
-		perHost = map[string]int{}
-		pages   []*Page
+		queue []string
+		seen  = map[string]bool{}
+		pages []*Page
 	)
 	for _, s := range seeds {
 		if !seen[s] {
 			seen[s] = true
-			queue = append(queue, qItem{s})
+			queue = append(queue, s)
 		}
 	}
 	for len(queue) > 0 {
@@ -155,17 +150,12 @@ func (c *Crawler) Crawl(ctx context.Context, seeds ...string) []*Page {
 		if c.MaxPages > 0 && len(pages) >= c.MaxPages {
 			break
 		}
-		item := queue[0]
+		u := queue[0]
 		queue = queue[1:]
-		host := hostOf(item.u)
-		if c.PerHostCap > 0 && perHost[host] >= c.PerHostCap {
-			continue
-		}
-		page, err := c.Fetcher.GetCtx(ctx, item.u)
+		page, err := c.Fetcher.GetCtx(ctx, u)
 		if err != nil {
 			continue
 		}
-		perHost[host]++
 		if page.Status != http.StatusOK {
 			continue
 		}
@@ -178,16 +168,8 @@ func (c *Crawler) Crawl(ctx context.Context, seeds ...string) []*Page {
 				continue
 			}
 			seen[l] = true
-			queue = append(queue, qItem{l})
+			queue = append(queue, l)
 		}
 	}
 	return pages
-}
-
-func hostOf(u string) string {
-	parsed, err := url.Parse(u)
-	if err != nil {
-		return ""
-	}
-	return parsed.Host
 }
