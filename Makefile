@@ -86,8 +86,9 @@ bench-scan:
 # bench-match = Bound.Match over a synthetic 50k-document index whose
 # annotation tables were installed as a load installs them, for an
 # equality, a one-column numeric bound and a bound read from two
-# type-compatible columns: ns/candidate (BenchmarkBoundMatch in
-# internal/query).
+# type-compatible columns — judged document by document — and for a
+# bound whose schemas plan to admit all and one whose schemas plan to
+# reject all: ns/candidate (BenchmarkBoundMatch in internal/query).
 bench-match:
 	$(GO) test -run '^$$' -bench '^BenchmarkBoundMatch$$' -benchtime=$(BENCHTIME) ./internal/query
 

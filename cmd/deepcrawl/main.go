@@ -15,7 +15,8 @@
 // is built afresh, in the order a from-scratch surface of the churned
 // world would commit: unchanged sites' documents are copied, changed
 // sites' re-surfaced. The refreshed snapshot is written back to DIR
-// (or to -out when given), and a SIGHUP makes a running
+// (or to -out when given) — its semantic tables kept as they are when
+// no site changed and the output is DIR —, and a SIGHUP makes a running
 // `deepsearch -snapshot` pick it up without restarting.
 //
 // With -chaos the run goes through a deterministic fault-injecting
@@ -51,6 +52,7 @@ import (
 	"deepweb/internal/cliutil"
 	"deepweb/internal/core"
 	"deepweb/internal/engine"
+	"deepweb/internal/store"
 	"deepweb/internal/surface"
 	"deepweb/internal/webgen"
 )
@@ -274,6 +276,17 @@ func runRefresh(worldCfg webgen.WorldConfig, req surface.RefreshRequest, dir, ou
 	if err := e.Save(out); err != nil {
 		log.Fatal(err)
 	}
+	if st.SitesChanged == 0 && sameDir(dir, out) {
+		// No site changed, so the world's pages are the ones the
+		// directory's semantic tables were crawled from: keep them
+		// rather than re-crawl the world to write them back.
+		if _, err := os.Stat(store.TablesPath(out)); err == nil {
+			fmt.Printf("snapshot: %d docs saved to %s in %v; no site changed, semantic tables kept\n",
+				e.Engine.Index.Len(), out, time.Since(start).Round(time.Millisecond))
+			fmt.Println("signal a running `deepsearch -snapshot` with SIGHUP to pick it up")
+			return
+		}
+	}
 	sem := e.BuildSemantics(context.Background(), 10000)
 	if err := sem.Save(out); err != nil {
 		log.Fatal(err)
@@ -281,4 +294,14 @@ func runRefresh(worldCfg webgen.WorldConfig, req surface.RefreshRequest, dir, ou
 	fmt.Printf("snapshot: %d docs + %d semantic tables saved to %s in %v\n",
 		e.Engine.Index.Len(), len(sem.Tables), out, time.Since(start).Round(time.Millisecond))
 	fmt.Println("signal a running `deepsearch -snapshot` with SIGHUP to pick it up")
+}
+
+// sameDir reports whether paths a and b name one existing directory.
+func sameDir(a, b string) bool {
+	fa, err := os.Stat(a)
+	if err != nil {
+		return false
+	}
+	fb, err := os.Stat(b)
+	return err == nil && os.SameFile(fa, fb)
 }

@@ -38,10 +38,12 @@ type SearchRequest struct {
 	// selection, so kept documents score bit-identically to an
 	// unfiltered search and Total counts exactly the matching
 	// documents. Predicates resolve against the document's §5.1
-	// annotations first (bound once per request and schema to the
-	// index's annotation tables), then typed tokens from its text;
-	// order and duplicates are irrelevant (the cache keys their
-	// canonical form).
+	// annotations first, then typed tokens from its text. They are
+	// bound once per request to the index's annotation tables and
+	// judged once per schema from its columns' ranges: a schema whose
+	// every document they admit, or none, costs its candidates one
+	// lookup each, and only the others are judged one by one. Order and
+	// duplicates are irrelevant (the cache keys their canonical form).
 	Filters []query.Predicate
 }
 
@@ -101,15 +103,8 @@ func (e *Engine) searchUncached(ctx context.Context, req SearchRequest) (SearchR
 	// The predicate-free, host-free path passes no filter: topK's
 	// branch-free selection loop is the benchmarked hot path and must
 	// not grow a check per hit. A host restriction alone reads only the
-	// index's host column; only predicates bind to the annotation store
-	// (and Match is set only then: a nil *Bound's method value is not a
-	// nil func).
-	var f *index.Filter
-	if m := query.NewMatcher(req.Filters); m != nil {
-		f = &index.Filter{Host: req.Host, Match: m.Bind(e.Index).Match}
-	} else if req.Host != "" {
-		f = &index.Filter{Host: req.Host}
-	}
+	// index's host column; only predicates bind to the annotation store.
+	f := query.NewMatcher(req.Filters).Filter(e.Index, req.Host)
 	var (
 		hits  []index.Result
 		total int

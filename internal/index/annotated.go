@@ -44,12 +44,17 @@ import (
 //   - once per distinct value, when Annotate interns it or a load
 //     installs its dictionary: the dictionary code, the numeric reading
 //     (ParseNumber), the word count that bounds the n-gram probe below;
+//   - once per document and column, when Annotate writes it or a load
+//     installs its table: the column's NumRange in that schema, which
+//     only widens as the table grows;
 //   - once per query and schema: which of the schema's columns a
-//     predicate reads, and the code an equality predicate's value has
-//     in each (a query.Bound, on the schema's first candidate); once
-//     per query, which dictionary values the query text mentions
-//     (valuesMentioned);
-//   - per candidate: the document's schema and slot, then one code per
+//     predicate reads, the code an equality predicate's value has in
+//     each, and from the ranges a verdict on the whole schema — admit
+//     all, reject all, or judge each (a query.Bound, on the schema's
+//     first candidate); once per query, which dictionary values the
+//     query text mentions (valuesMentioned);
+//   - per candidate: the document's schema, whose verdict decides most
+//     candidates; of a judge-each schema, its slot, then one code per
 //     column a predicate reads — compared with a code, or looked up in
 //     the numeric column.
 //
@@ -58,7 +63,7 @@ import (
 // doc-id order builds are a live index's own. Loading installs them
 // through InstallAnnotations, which derives the rest — numeric
 // readings, word counts, the code tables, each document's schema and
-// slot — with the same ids on every load.
+// slot, the ranges — with the same ids on every load.
 
 // ParseNumber reads an annotation value as a number, the one reading
 // the store and the reference filter share: strconv.ParseFloat's value
@@ -154,14 +159,39 @@ type AnnSchema struct {
 	Docs  []int32    // slot -> doc id; ascending
 }
 
+// NumRange summarizes one column of one schema's table by the numeric
+// readings of its slots' values: the least and the greatest reading,
+// NaN aside (Min > Max when no slot has such a reading), how many slots
+// read as NaN, and how many values have no reading at all. The store is
+// append-only, so a range only widens.
+type NumRange struct {
+	Min, Max   float64
+	NaN, Words uint32
+}
+
+// widen counts one more slot, holding code of dictionary c.
+func (r *NumRange) widen(c *AnnColumn, code uint32) {
+	n, ok := c.Num(code)
+	switch {
+	case !ok:
+		r.Words++
+	case n != n:
+		r.NaN++
+	default:
+		r.Min, r.Max = min(r.Min, n), max(r.Max, n)
+	}
+}
+
 // AnnTables is a read-only view of the annotation store, valid for the
 // scan that took it (see AnnotationTables). Document id's annotations
 // are slot Slot[id] of table Schemas[Schema[id]]; an id past the end of
-// Schema, like schema 0, has none.
+// Schema, like schema 0, has none. Ranges[s][i] is the NumRange of
+// column i of schema s's table.
 type AnnTables struct {
 	Schema  []uint32
 	Slot    []uint32
 	Schemas []AnnSchema
+	Ranges  [][]NumRange
 	cols    []AnnColumn
 }
 
@@ -182,6 +212,7 @@ type annStore struct {
 	attrs   map[string]uint32 // attribute name -> id
 	cols    []AnnColumn       // attribute id -> dictionary
 	schemas []AnnSchema       // schema id -> table; schema 0 has no columns
+	ranges  [][]NumRange      // schema id -> column -> range; parallel to schemas
 	// schemaIDs finds a schema by its attribute ids, each as four
 	// little-endian bytes.
 	schemaIDs map[string]uint32
@@ -193,6 +224,7 @@ func newAnnStore() annStore {
 	return annStore{
 		attrs:     map[string]uint32{},
 		schemas:   make([]AnnSchema, 1),
+		ranges:    make([][]NumRange, 1),
 		schemaIDs: map[string]uint32{},
 	}
 }
@@ -261,9 +293,12 @@ func (st *annStore) annotate(docID int, anns map[string]string) {
 		return
 	}
 	s := st.schemaOf(cells)
-	t := &st.schemas[s]
+	t, ranges := &st.schemas[s], st.ranges[s]
 	for i, c := range cells {
-		t.Codes[i] = appendDoubling(t.Codes[i], st.cols[c.attr].code(c.v))
+		col := &st.cols[c.attr]
+		code := col.code(c.v)
+		t.Codes[i] = appendDoubling(t.Codes[i], code)
+		ranges[i].widen(col, code)
 	}
 	st.schema = append(st.schema, make([]uint32, docID+1-len(st.schema))...)
 	st.slot = append(st.slot, make([]uint32, docID+1-len(st.slot))...)
@@ -412,8 +447,18 @@ func (st *annStore) schemaOf(cells []annCell) uint32 {
 		attrs[i] = c.attr
 	}
 	st.schemas = append(st.schemas, AnnSchema{Attrs: attrs, Codes: make([][]uint32, len(cells))})
+	st.ranges = append(st.ranges, newRanges(len(cells)))
 	st.schemaIDs[string(key)] = s
 	return s
+}
+
+// newRanges returns the ranges of n columns with no slot.
+func newRanges(n int) []NumRange {
+	r := make([]NumRange, n)
+	for i := range r {
+		r[i] = NumRange{Min: math.Inf(1), Max: math.Inf(-1)}
+	}
+	return r
 }
 
 // asMap materializes a document's annotations as attribute -> value,
@@ -478,7 +523,7 @@ func (ix *Index) AnnotationsOf(docID int) map[string]string {
 // the view covers every candidate that scan hands over.
 func (ix *Index) AnnotationTables() AnnTables {
 	st := &ix.ann
-	return AnnTables{Schema: st.schema, Slot: st.slot, Schemas: st.schemas, cols: st.cols}
+	return AnnTables{Schema: st.schema, Slot: st.slot, Schemas: st.schemas, Ranges: st.ranges, cols: st.cols}
 }
 
 // ExportAnnotations returns the annotation tables in the form
@@ -516,8 +561,9 @@ func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) { return b.st.tables() 
 // tables of schema 1 on, each one's Attrs, Codes and Docs; docs is the
 // snapshot's document count. The index takes ownership of every slice.
 // The rest — each value's numeric reading and word count, the code
-// tables, each document's schema and slot — is derived outside the
-// table lock, so a loader runs this beside ImportRows and ImportTerms.
+// tables, each document's schema and slot, each column's NumRange — is
+// derived outside the table lock, so a loader runs this beside
+// ImportRows and ImportTerms.
 // Tables no builder produces are refused whole, before anything is
 // installed: a repeated attribute name, end offsets that leave an
 // empty value or do not end at the text's end, a repeated dictionary
@@ -583,6 +629,7 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 		}
 	}
 	st.schemas = append(st.schemas, schemas...)
+	st.ranges = make([][]NumRange, len(st.schemas))
 	end := 0 // one past the highest annotated document
 	for s := 1; s < len(st.schemas); s++ {
 		t := &st.schemas[s]
@@ -610,18 +657,29 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 			}
 		}
 		end = max(end, int(t.Docs[len(t.Docs)-1])+1)
+		ranges := newRanges(len(t.Attrs))
 		for i, codes := range t.Codes {
 			a := t.Attrs[i]
 			if len(codes) != len(t.Docs) {
 				return st, fmt.Errorf("schema %d: %d codes for %d slots", s, len(codes), len(t.Docs))
 			}
+			// A column of a dictionary with no numeric reading has none in
+			// any slot: its range is its slot count of words.
+			col, r, numeric := &st.cols[a], &ranges[i], st.cols[a].isNum != nil
 			for _, c := range codes {
-				if int(c) >= len(cols[a].Ends) {
-					return st, fmt.Errorf("schema %d: code %d past attribute %q's %d values", s, c, cols[a].Attr, len(cols[a].Ends))
+				if int(c) >= len(col.Ends) {
+					return st, fmt.Errorf("schema %d: code %d past attribute %q's %d values", s, c, col.Attr, len(col.Ends))
 				}
 				carried[a][c/64] |= 1 << (c % 64)
+				if numeric {
+					r.widen(col, c)
+				}
+			}
+			if !numeric {
+				r.Words = uint32(len(codes))
 			}
 		}
+		st.ranges[s] = ranges
 	}
 	for a, col := range st.cols {
 		for code := range col.Ends {

@@ -46,6 +46,7 @@ package index
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -281,6 +282,9 @@ type searchScratch struct {
 	scores  []float64
 	touched []int32
 	heap    []heapEntry
+	// verdicts holds, by schema id, Filter.Schema's answers so far in
+	// the filtered selection loop; 0 for a schema not asked yet.
+	verdicts []Verdict
 }
 
 type heapEntry struct {
@@ -307,7 +311,7 @@ func abandonSearch(sc *searchScratch, scores []float64, touched []int32, from in
 const keepPollEvery = 4096
 
 // Filter restricts a scan to the documents it admits. A nil *Filter,
-// or one with neither field set, admits every document.
+// or one with neither Host nor Match set, admits every document.
 type Filter struct {
 	// Host admits only documents whose host — url.Parse(URL).Host, ""
 	// when the URL does not parse — equals it; "" admits every host.
@@ -322,7 +326,25 @@ type Filter struct {
 	// rely on this one): a recursive read lock deadlocks once a writer
 	// is queued.
 	Match func(id int) bool
+	// Schema, when set beside Match, judges an annotation schema whole:
+	// the scan asks it once, on the first candidate of schema s (the
+	// document's AnnTables.Schema entry, 0 for none) that reaches
+	// Match, and then admits every candidate of a schema it answers
+	// AdmitAll and rejects every one of a schema it answers RejectAll
+	// without calling Match. Its answers must agree with Match's, under
+	// the same lock and rules.
+	Schema func(s uint32) Verdict
 }
+
+// Verdict is what a Filter's Schema decides for every document of one
+// annotation schema.
+type Verdict uint8
+
+const (
+	JudgeEach Verdict = iota + 1 // Match decides each candidate
+	AdmitAll                     // every document is admitted
+	RejectAll                    // no document is admitted
+)
 
 // TopK returns one page of the BM25 ranking for a free-text query: the
 // k hits after skipping offset, plus the total hit count. Ties break by
@@ -360,8 +382,9 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 		offset = 0
 	}
 	var (
-		hid   uint32 // the host column's id for f.Host; 0 = any host
-		match func(int) bool
+		hid     uint32 // the host column's id for f.Host; 0 = any host
+		match   func(int) bool
+		verdict func(uint32) Verdict
 	)
 	if f != nil {
 		if f.Host != "" {
@@ -371,7 +394,9 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 			}
 			hid = id
 		}
-		match = f.Match
+		if match = f.Match; match != nil {
+			verdict = f.Schema
+		}
 	}
 	sc := searchPool.Get().(*searchScratch)
 	defer searchPool.Put(sc)
@@ -479,6 +504,16 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 		}
 	} else {
 		hosts := ix.hosts
+		// A candidate that passes the host check costs its schema's
+		// verdict, asked of f.Schema once per schema the scan meets;
+		// only a judge-each schema's candidates reach Match.
+		schema, verdicts := ix.ann.schema, []Verdict(nil)
+		if verdict != nil {
+			n := len(ix.ann.schemas)
+			verdicts = slices.Grow(sc.verdicts[:0], n)[:n]
+			clear(verdicts)
+			sc.verdicts = verdicts
+		}
 		for i, d := range touched {
 			// Match is caller code of unknown cost per candidate: the
 			// one place a query can run long, so the one selection loop
@@ -496,8 +531,21 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 			if hid != 0 && hosts[d] != hid {
 				continue
 			}
-			if match != nil && !match(int(d)) {
-				continue
+			if match != nil {
+				v := JudgeEach
+				if verdict != nil {
+					var sid uint32 // schema id; 0 for none
+					if int(d) < len(schema) {
+						sid = schema[d]
+					}
+					if v = verdicts[sid]; v == 0 {
+						v = verdict(sid)
+						verdicts[sid] = v
+					}
+				}
+				if v == RejectAll || v != AdmitAll && !match(int(d)) {
+					continue
+				}
 			}
 			total++
 			if len(h) < kk {

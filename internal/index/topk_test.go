@@ -94,6 +94,53 @@ func TestTopKFilterHostAndMatch(t *testing.T) {
 	}
 }
 
+// A Filter's Schema is asked once per schema a scan meets, on its
+// first candidate past the host check; a candidate of a schema it
+// answers AdmitAll or RejectAll is decided without Match, and only a
+// judge-each schema's candidates reach Match. The page and the total
+// are what Match alone would give with those verdicts.
+func TestTopKFilterSchemaVerdicts(t *testing.T) {
+	ix := topkCorpus(t, 4)
+	// Documents 0-19 have no annotations (schema 0); of the rest, even
+	// ids are schema 1 and odd ids schema 2.
+	for id := 20; id < 60; id++ {
+		ix.Annotate(id, map[string]string{[]string{"make", "city"}[id%2]: "x"})
+	}
+	tables := ix.AnnotationTables()
+	verdicts := map[uint32]Verdict{0: JudgeEach, tables.Schema[20]: AdmitAll, tables.Schema[21]: RejectAll}
+	asked := map[uint32]int{}
+	f := &Filter{
+		Host: "h1.example",
+		Schema: func(s uint32) Verdict {
+			asked[s]++
+			return verdicts[s]
+		},
+		Match: func(id int) bool {
+			if id >= 20 {
+				t.Fatalf("Match called for doc %d, of a decided schema", id)
+			}
+			return id%2 == 0
+		},
+	}
+	hits, total, err := ix.TopK(context.Background(), "ford focus", 1000, 0, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[uint32]int{0: 1, tables.Schema[20]: 1, tables.Schema[21]: 1}; !reflect.DeepEqual(asked, want) {
+		t.Fatalf("Schema asked %v times by schema, want once each: %v", asked, want)
+	}
+	var want []Result
+	for _, h := range search(ix, "ford focus", 1000) {
+		// Schema 1 (even ids past 19) admits all, Match the even ids below.
+		if u, _ := url.Parse(h.URL); u.Host == "h1.example" && h.DocID%2 == 0 {
+			want = append(want, h)
+		}
+	}
+	if len(want) == 0 || total != len(want) || !reflect.DeepEqual(hits, want) {
+		t.Fatalf("total=%d hits=%d, want the %d hits of the verdicts and Match", total, len(hits), len(want))
+	}
+}
+
 // A canceled context aborts scoring with its error — and must leave
 // the pooled accumulator clean, so the next query on the same scratch
 // is unpolluted.

@@ -11,14 +11,17 @@ import (
 // BenchmarkBoundMatch runs Bound.Match over every document of a
 // synthetic 50k-document index whose annotation tables were installed
 // as a snapshot load installs them (an AnnBuilder's Tables handed to
-// InstallAnnotations), and reports the time per candidate for three
-// predicates: an equality, a numeric bound on one column, and a
-// numeric bound that reads two type-compatible columns (minprice and
-// maxprice both read as price; most documents fail the first and are
-// decided by the second). Every document carries every column these
-// predicates read, so the text fallback never runs. One pass binds
-// the matcher once, as a scan does; no writer runs, so Match may read
-// the tables outside a scan.
+// InstallAnnotations), and reports the time per candidate for five
+// predicates: an equality, a numeric bound on one column, a numeric
+// bound that reads two type-compatible columns (minprice and maxprice
+// both read as price; most documents fail the first and are decided by
+// the second) — all three judged document by document —, a bound every
+// year meets (its schemas plan to admit all) and one no price meets
+// (they plan to reject all). Every document carries every column these
+// predicates read, so the text fallback never runs. One pass binds the
+// matcher once, as a scan does; no writer runs, so Match may read the
+// tables outside a scan. Each case checks that it admits what its
+// verdict says: some documents but not all, all, or none.
 func BenchmarkBoundMatch(b *testing.B) {
 	const docs = 50_000
 	r := rand.New(rand.NewSource(1))
@@ -52,10 +55,13 @@ func BenchmarkBoundMatch(b *testing.B) {
 	if err := ix.InstallAnnotations(cols, schemas, docs); err != nil {
 		b.Fatal(err)
 	}
-	for _, tc := range []struct{ name, preds string }{
-		{"eq", "make:ford"},
-		{"bound", "year>=2000"},
-		{"two-columns", "price>=15000"},
+	const some, all, none = "some", "all", "none"
+	for _, tc := range []struct{ name, preds, admits string }{
+		{"eq", "make:ford", some},
+		{"bound", "year>=2000", some},
+		{"two-columns", "price>=15000", some},
+		{"admit-all", "year>=1990", all},
+		{"reject-all", "price>40000", none},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			_, preds := Extract(tc.preds)
@@ -70,8 +76,15 @@ func BenchmarkBoundMatch(b *testing.B) {
 					}
 				}
 			}
-			if admitted == 0 || admitted == docs {
-				b.Fatalf("%s admits %d of %d documents", tc.preds, admitted, docs)
+			got := some
+			switch admitted {
+			case 0:
+				got = none
+			case docs:
+				got = all
+			}
+			if got != tc.admits {
+				b.Fatalf("%s admits %d of %d documents, want %s", tc.preds, admitted, docs, tc.admits)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/docs, "ns/candidate")
 		})

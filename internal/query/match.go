@@ -18,10 +18,11 @@ type compiled struct {
 }
 
 // Matcher evaluates a fixed predicate list against documents. Compile
-// once per query with NewMatcher; then either Bind it to an index's
-// annotation tables and call Bound.Match once per candidate of one scan
-// — the serving path — or hand Match a document's annotations as a
-// map, the slow reference evaluation the serving path is checked
+// once per query with NewMatcher; then either hand one scan the Filter
+// that binds it to an index's annotation tables — the serving path,
+// which judges each schema once and the candidates of the schemas it
+// cannot decide one by one — or hand Match a document's annotations as
+// a map, the slow reference evaluation the serving path is checked
 // against. A Matcher is read-only after construction and safe for
 // concurrent use.
 type Matcher struct {
@@ -129,39 +130,54 @@ func (c *compiled) overMap(anns map[string]string) verdict {
 }
 
 // Bound is a Matcher bound to one index's annotation tables for the
-// span of one scan. On a schema's first candidate it resolves which of
-// the schema's columns each predicate reads, and the code an equality
-// predicate's value has in its column's dictionary, so a candidate
-// costs its schema and slot, then per column a predicate reads one
-// code — compared with that code, or looked up in the dictionary's
-// numeric column; it decodes the document's row, and allocates, only
-// when the text fallback runs. A Bound serves one scan: call Match
-// only as the Filter.Match of one TopK or AnnotatedTopK, on that
-// scan's goroutine.
+// span of one scan. On a schema's first candidate it plans the schema:
+// which of its columns each predicate reads, the code an equality
+// predicate's value has in each column's dictionary, and from the
+// columns' NumRanges a verdict on the whole schema, the AND over its
+// predicates — admit all, reject all, or judge each. A candidate of a
+// decided schema costs its schema alone; one of a judge-each schema
+// costs its slot, then per predicate left to judge one code per column
+// it reads — compared with that code, or looked up in the dictionary's
+// numeric column. It decodes the document's row, and allocates, only
+// when the text fallback runs. A Bound serves one scan: call Plan and
+// Match only as the Filter.Schema and Filter.Match of one TopK or
+// AnnotatedTopK (Matcher.Filter builds that Filter), on that scan's
+// goroutine.
 type Bound struct {
 	m    *Matcher
 	ix   *index.Index
-	t    index.AnnTables // taken on the first Match
+	t    index.AnnTables // taken on the first Plan or Match
 	rows index.Rows      // likewise
-	// plans holds, by schema id, the columns each predicate reads in
-	// that schema's table; nil until the first Match, and a schema's
-	// entry nil until its first candidate.
-	plans [][][]column
+	// plans holds, by schema id, each schema's plan; nil until the
+	// first Plan or Match, and a schema's entry zero until its first
+	// candidate.
+	plans []plan
+}
+
+// plan is one schema's verdict and, for a judge-each schema, the
+// predicates left to judge with the columns each reads.
+type plan struct {
+	verdict index.Verdict // 0 until planned
+	judged  []judged
+}
+
+// judged is a predicate a schema leaves to judge per candidate, and
+// the columns of that schema it reads.
+type judged struct {
+	c    *compiled
+	cols []column
 }
 
 // column is one table column a predicate reads: the value codes by
 // slot, and the attribute's dictionary they index. For an equality
-// predicate, eq is its value's code in that dictionary, or noCode when
-// the dictionary lacks the value: dictionary values are distinct, so
-// the value is the document's exactly when the codes are equal.
+// predicate, eq is its value's code in that dictionary: dictionary
+// values are distinct, so the value is the document's exactly when the
+// codes are equal.
 type column struct {
 	codes []uint32
 	dict  *index.AnnColumn
-	eq    uint64
+	eq    uint32
 }
-
-// noCode is past every code: no document's code equals it.
-const noCode = 1 << 32
 
 // Bind binds the matcher to ix's annotation tables. A nil Matcher binds
 // to a nil Bound, which matches every document.
@@ -172,6 +188,33 @@ func (m *Matcher) Bind(ix *index.Index) *Bound {
 	return &Bound{m: m, ix: ix}
 }
 
+// Filter returns the filter a scan of ix admits through: the matcher
+// bound to ix's tables, judging each schema once (Bound.Plan) and the
+// candidates of a judge-each schema one by one (Bound.Match), after a
+// host restriction to host ("" for none; see index.Filter). A nil
+// Matcher filters by host alone, and with no host either returns nil,
+// the unfiltered scan.
+func (m *Matcher) Filter(ix *index.Index, host string) *index.Filter {
+	if m == nil {
+		if host == "" {
+			return nil
+		}
+		return &index.Filter{Host: host}
+	}
+	b := m.Bind(ix)
+	return &index.Filter{Host: host, Match: b.Match, Schema: b.Plan}
+}
+
+// Plan returns the verdict on every document of schema s of the bound
+// index, planning the schema if no candidate of it came before.
+func (b *Bound) Plan(s uint32) index.Verdict {
+	if b == nil {
+		return index.AdmitAll
+	}
+	b.begin()
+	return b.planOf(s).verdict
+}
+
 // Match reports whether document id of the bound index satisfies
 // every predicate; its title and text are read only when some
 // predicate finds no relevant annotation.
@@ -179,35 +222,39 @@ func (b *Bound) Match(id int) bool {
 	if b == nil {
 		return true
 	}
-	if b.plans == nil {
-		// The scan's first candidate: its read lock is held from here to
-		// its last, so no writer touches the tables while these views
-		// are in use, and they cover every candidate the scan hands
-		// over.
-		b.t, b.rows = b.ix.AnnotationTables(), b.ix.RowView()
-		b.plans = make([][][]column, len(b.t.Schemas))
-	}
+	b.begin()
 	var s, slot uint32
 	if id < len(b.t.Schema) {
 		s, slot = b.t.Schema[id], b.t.Slot[id]
 	}
-	plan := b.plans[s]
-	if plan == nil {
-		plan = b.plan(s)
-		b.plans[s] = plan
+	p := b.planOf(s)
+	if p.verdict != index.JudgeEach {
+		return p.verdict == index.AdmitAll
+	}
+	if len(p.judged) == 1 && len(p.judged[0].cols) == 1 {
+		// A lone one-column predicate: one code, compared or read.
+		j := &p.judged[0]
+		col := &j.cols[0]
+		code := col.codes[slot]
+		if j.c.p.Op == OpEq {
+			return code == col.eq
+		}
+		if num, ok := col.dict.Num(code); ok {
+			return j.c.inBounds(num)
+		}
+		return j.c.matchText(b.docTokens(id))
 	}
 	var doc *docTokens
-	for i := range b.m.preds {
-		c := &b.m.preds[i]
-		switch c.inTable(plan[i], slot) {
+	for i := range p.judged {
+		j := &p.judged[i]
+		switch j.c.inTable(j.cols, slot) {
 		case reject:
 			return false
 		case askText:
 			if doc == nil {
-				d := b.rows.Doc(id)
-				doc = newDocTokens(d.Title, d.Text)
+				doc = b.docTokens(id)
 			}
-			if !c.matchText(doc) {
+			if !j.c.matchText(doc) {
 				return false
 			}
 		}
@@ -215,30 +262,82 @@ func (b *Bound) Match(id int) bool {
 	return true
 }
 
-// plan resolves, for schema s, the columns each predicate reads.
-func (b *Bound) plan(s uint32) [][]column {
-	sch := &b.t.Schemas[s]
-	plan := make([][]column, len(b.m.preds))
+// docTokens reads document id's row and tokenizes it for the text
+// fallback.
+func (b *Bound) docTokens(id int) *docTokens {
+	d := b.rows.Doc(id)
+	return newDocTokens(d.Title, d.Text)
+}
+
+// begin takes the views on the scan's first candidate: its read lock
+// is held from there to its last, so no writer touches the tables while
+// they are in use, and they cover every candidate the scan hands over.
+func (b *Bound) begin() {
+	if b.plans == nil {
+		b.t, b.rows = b.ix.AnnotationTables(), b.ix.RowView()
+		b.plans = make([]plan, len(b.t.Schemas))
+	}
+}
+
+// planOf returns schema s's plan, planning it on its first call.
+func (b *Bound) planOf(s uint32) *plan {
+	p := &b.plans[s]
+	if p.verdict == 0 {
+		*p = b.plan(s)
+	}
+	return p
+}
+
+// plan resolves, for schema s, the columns each predicate reads and
+// the verdict their ranges give: RejectAll if some predicate rejects
+// every slot, AdmitAll if every predicate admits every slot, and else
+// JudgeEach, with the predicates that do not admit every slot left to
+// judge.
+func (b *Bound) plan(s uint32) plan {
+	sch, ranges := &b.t.Schemas[s], b.t.Ranges[s]
+	judge := make([]judged, 0, len(b.m.preds))
 	cols := make([]column, 0, len(b.m.preds)*len(sch.Attrs))
 	for i := range b.m.preds {
-		from := len(cols)
 		c := &b.m.preds[i]
+		var (
+			from       = len(cols)
+			admitAll   bool // some column it reads holds readings all in bounds
+			missesAll  = true
+			readsEvery bool // some column it reads has a reading in every slot
+		)
 		for j, a := range sch.Attrs {
 			dict := b.t.Column(a)
 			if !c.reads(dict.Attr) {
 				continue
 			}
-			col := column{codes: sch.Codes[j], dict: dict, eq: noCode}
+			col := column{codes: sch.Codes[j], dict: dict}
 			if c.p.Op == OpEq {
-				if code, ok := dict.Code(c.p.Value); ok {
-					col.eq = uint64(code)
+				code, ok := dict.Code(c.p.Value)
+				if !ok {
+					// The value is no slot's: the column rejects every one.
+					return plan{verdict: index.RejectAll}
 				}
+				col.eq = code
+			} else {
+				r := &ranges[j]
+				admitAll = admitAll || r.Words == 0 && r.NaN == 0 && c.inBounds(r.Min) && c.inBounds(r.Max)
+				missesAll = missesAll && (r.Min > r.Max || c.misses(r.Min, r.Max))
+				readsEvery = readsEvery || r.Words == 0
 			}
 			cols = append(cols, col)
 		}
-		plan[i] = cols[from:len(cols):len(cols)]
+		switch {
+		case admitAll:
+			continue
+		case readsEvery && missesAll:
+			return plan{verdict: index.RejectAll}
+		}
+		judge = append(judge, judged{c: c, cols: cols[from:len(cols):len(cols)]})
 	}
-	return plan
+	if len(judge) == 0 {
+		return plan{verdict: index.AdmitAll}
+	}
+	return plan{verdict: index.JudgeEach, judged: judge}
 }
 
 // inTable evaluates one predicate against the columns it reads, at one
@@ -249,7 +348,7 @@ func (c *compiled) inTable(cols []column, slot uint32) verdict {
 		col := &cols[i]
 		code := col.codes[slot]
 		if c.p.Op == OpEq {
-			if uint64(code) == col.eq {
+			if code == col.eq {
 				return admit
 			}
 			return reject
@@ -315,6 +414,24 @@ func newDocTokens(title, text string) *docTokens {
 		}
 	}
 	return d
+}
+
+// misses reports whether no value in [lo, hi] satisfies the
+// predicate's comparison.
+func (c *compiled) misses(lo, hi float64) bool {
+	switch c.p.Op {
+	case OpLt:
+		return !(lo < c.p.Hi)
+	case OpLe:
+		return !(lo <= c.p.Hi)
+	case OpGt:
+		return !(hi > c.p.Lo)
+	case OpGe:
+		return !(hi >= c.p.Lo)
+	case OpRange:
+		return !(hi >= c.p.Lo && lo <= c.p.Hi)
+	}
+	return true
 }
 
 // inBounds applies the predicate's comparison to one candidate value.

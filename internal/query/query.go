@@ -26,14 +26,19 @@
 // Steps 1 and 2 read the index's annotation schema tables (one
 // dictionary per attribute; one table per attribute set, a column of
 // value codes per attribute and a slot per document): a Matcher is
-// bound to them once per query (Bind), and on each schema's first
-// candidate — under the index's read lock, held for the whole scan —
-// the Bound settles which of the schema's columns each predicate reads.
-// Each candidate then costs its schema and slot, and one code and one
-// dictionary entry per column read; the value's numeric reading was
-// parsed once, when the dictionary first saw it. Matcher.Match, taking
-// a map, evaluates the same steps straight off the map: the reference
-// the bound path is checked against.
+// bound to them once per query (Bind; Filter builds the index.Filter a
+// scan takes), and on each schema's first candidate — under the
+// index's read lock, held for the whole scan — the Bound settles which
+// of the schema's columns each predicate reads and judges the schema
+// whole from those columns' ranges (index.NumRange): admit every
+// document, reject every one, or judge each. The scan reads that
+// verdict per candidate, so a candidate of a decided schema costs its
+// schema alone; one of a judge-each schema costs its slot, and one
+// code and one dictionary entry per column a predicate left to judge
+// reads; the value's numeric reading was parsed once, when the
+// dictionary first saw it. Matcher.Match, taking a map, evaluates the
+// same steps straight off the map: the reference the bound path is
+// checked against.
 // Step 3 is the cold path, and the only one that reads the document:
 // it tokenizes its title and text.
 //

@@ -204,11 +204,24 @@ func CleanTmp(dir string) error {
 }
 
 // writeFramed frames a body with the checked header and writes it to
-// path directly — for files that are temporary by name (spill runs).
+// path directly — for files that are temporary by name (spill runs):
+// the header, then the body in place, with os.WriteFile's mode and
+// truncation.
 func writeFramed(path string, h Header, body []byte) error {
-	buf := make([]byte, headerSize, headerSize+len(body))
-	encodeHeader(buf, h, uint64(len(body)), crc32.Checksum(body, castagnoli))
-	return os.WriteFile(path, append(buf, body...), 0o644)
+	var hdr [headerSize]byte
+	encodeHeader(hdr[:], h, uint64(len(body)), crc32.Checksum(body, castagnoli))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(body)
+	}
+	if err1 := f.Close(); err == nil {
+		err = err1
+	}
+	return err
 }
 
 // writeSegment writes a framed live segment atomically (temp file +

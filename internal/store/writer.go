@@ -250,7 +250,18 @@ func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPost
 			return 0, err
 		}
 	}
+	// Each shard's list is sized once, from a first pass that counts
+	// its terms; a shard with none stays nil.
+	counts := make([]int, w.shards)
+	for _, tp := range resident {
+		counts[shardOf(tp.Term, w.shards)]++
+	}
 	placed := make([][]index.TermPostings, w.shards)
+	for si, n := range counts {
+		if n > 0 {
+			placed[si] = make([]index.TermPostings, 0, n)
+		}
+	}
 	for _, tp := range resident {
 		si := shardOf(tp.Term, w.shards)
 		placed[si] = append(placed[si], tp)
