@@ -26,17 +26,19 @@ build:
 # -shuffle=on randomizes test and subtest execution order, so hidden
 # inter-test state dependencies fail loudly instead of riding on
 # declaration order. The seed is printed on failure; reproduce with
-# `go test -race -shuffle=<seed> <pkg>`. The atomicity tests — the
-# oracle's concurrent mode (TestEngineFollowsOracleAtomically) and
-# api's stats counters — then run ten more times: a torn commit fails
-# only when a reader lands inside it. So do the Load tests: Load's three
-# parts (rows, annotation tables, postings) write one index
-# concurrently, and a racy install shows only when they interleave. The
-# step names exactly the packages with a test the pattern matches:
-# engine, surface (its Open-then-Refresh test) and api.
+# `go test -race -shuffle=<seed> <pkg>`. Then three kinds of test run
+# ten more times, since a race shows only when the goroutines
+# interleave: the frozen-reader test (index's TestConcurrentAddSearch:
+# readers scan one frozen index while its builder commits, so a write
+# the builder makes in place instead of copying first races with a
+# scan), api's stats counters, and the Load tests (Load's three parts —
+# rows, annotation tables, postings — install into one builder
+# concurrently). The step names exactly the packages with a test the
+# pattern matches: index, engine, surface (its Open-then-Refresh test)
+# and api.
 test:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=10 -run 'Atomic|^TestLoad' ./internal/engine ./internal/surface ./internal/api
+	$(GO) test -race -count=10 -run 'Atomic|^TestLoad|^TestConcurrentAddSearch$$' ./internal/index ./internal/engine ./internal/surface ./internal/api
 
 # bench = deepbench, the repository's one benchmark (bench/README.md,
 # BENCHMARK.json): every workload, untraced then traced, results under

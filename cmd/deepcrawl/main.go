@@ -15,8 +15,8 @@
 // is built afresh, in the order a from-scratch surface of the churned
 // world would commit: unchanged sites' documents are copied, changed
 // sites' re-surfaced. The refreshed snapshot is written back to DIR
-// (or to -out when given) — its semantic tables kept as they are when
-// no site changed and the output is DIR —, and a SIGHUP makes a running
+// (or to -out when given) — when no site changed and the output is DIR,
+// the directory is kept as it is —, and a SIGHUP makes a running
 // `deepsearch -snapshot` pick it up without restarting.
 //
 // With -chaos the run goes through a deterministic fault-injecting
@@ -273,19 +273,14 @@ func runRefresh(worldCfg webgen.WorldConfig, req surface.RefreshRequest, dir, ou
 	}
 
 	start = time.Now()
-	if err := e.Save(out); err != nil {
-		log.Fatal(err)
-	}
-	if st.SitesChanged == 0 && sameDir(dir, out) {
-		// No site changed, so the world's pages are the ones the
-		// directory's semantic tables were crawled from: keep them
-		// rather than re-crawl the world to write them back.
-		if _, err := os.Stat(store.TablesPath(out)); err == nil {
-			fmt.Printf("snapshot: %d docs saved to %s in %v; no site changed, semantic tables kept\n",
-				e.Engine.Index.Len(), out, time.Since(start).Round(time.Millisecond))
-			fmt.Println("signal a running `deepsearch -snapshot` with SIGHUP to pick it up")
-			return
+	if st.SitesChanged > 0 || !sameDir(dir, out) {
+		if err := e.Save(out); err != nil {
+			log.Fatal(err)
 		}
+	} else if _, err := os.Stat(store.TablesPath(out)); err == nil {
+		// No site changed: the directory already holds this snapshot.
+		fmt.Printf("snapshot: no site changed, %s kept as it is (%d docs)\n", out, e.Engine.Index.Len())
+		return
 	}
 	sem := e.BuildSemantics(context.Background(), 10000)
 	if err := sem.Save(out); err != nil {

@@ -47,15 +47,16 @@ func bytesPerRun(runs int, f func()) float64 {
 // and no more bytes above the engine's own, as one hit. A per-hit copy
 // of the page or a per-request body buffer fails the byte check.
 func TestSearchBodyAllocatesNothingPerHit(t *testing.T) {
-	e := engine.New()
+	b := index.New()
 	for i := range 200 {
-		e.Index.Add(index.Doc{
+		b.Add(index.Doc{
 			URL:    fmt.Sprintf("http://cars.example/listing/%d", i),
 			Title:  fmt.Sprintf("used ford focus %d", i),
 			Text:   "a used ford focus for sale in seattle",
 			Source: "cars-form",
 		})
 	}
+	e := &engine.Engine{Index: b.Freeze()}
 	s := New(Options{Engine: func() *engine.Engine { return e }})
 	cost := func(k int) (allocs, overEngine float64) {
 		r := httptest.NewRequest("GET", fmt.Sprintf("/v1/search?q=ford&k=%d", k), nil)

@@ -34,8 +34,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // pages carry surfacing-time annotations so the filter goldens
 // exercise annotation resolution (the blog pages have none and fall
 // back to text matching).
-func testEngine() *engine.Engine {
-	e := engine.New()
+func testEngine() *engine.Engine { return &engine.Engine{Index: testIndex().Freeze()} }
+
+// testIndex is the builder testEngine's index is frozen from.
+func testIndex() *index.Builder {
+	b := index.New()
 	docs := []index.Doc{
 		{URL: "http://cars.example/d/0", Title: "used ford focus", Text: "a used ford focus for sale in seattle", Source: "cars-form"},
 		{URL: "http://cars.example/d/1", Title: "used honda civic", Text: "a used honda civic for sale in portland", Source: "cars-form"},
@@ -49,12 +52,12 @@ func testEngine() *engine.Engine {
 		nil,
 	}
 	for i, d := range docs {
-		id, _ := e.Index.Add(d)
+		id, _ := b.Add(d)
 		if anns[i] != nil {
-			e.Index.Annotate(id, anns[i])
+			b.Annotate(id, anns[i])
 		}
 	}
-	return e
+	return b
 }
 
 // testSemantics returns a fixed §6 store, as Options.Semantics

@@ -199,8 +199,9 @@ func TestStatsCountersAtomicUnderLoad(t *testing.T) {
 func TestReloadRaceServesConsistentGeneration(t *testing.T) {
 	// Two engines with distinct, non-zero, content-derived generations.
 	e1 := testEngine()
-	e2 := testEngine()
-	e2.Index.Add(index.Doc{URL: "http://cars.example/d/9", Title: "new arrival ford", Text: "a fresh ford focus listing"})
+	b := testIndex()
+	b.Add(index.Doc{URL: "http://cars.example/d/9", Title: "new arrival ford", Text: "a fresh ford focus listing"})
+	e2 := &engine.Engine{Index: b.Freeze()}
 	e1.EnableResultCache(64)
 	e2.EnableResultCache(64)
 	if err := e1.Save(t.TempDir(), nil); err != nil {

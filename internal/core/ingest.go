@@ -15,7 +15,7 @@ import (
 // deep-web-specific bit is the Source attribution carried for impact
 // accounting; ranking never sees it.
 
-// DocSink is where ingestion delivers documents. *index.Index satisfies
+// DocSink is where ingestion delivers documents. *index.Builder satisfies
 // it directly; internal/surface's concurrent pipeline substitutes a
 // buffering sink so fetched documents can be committed — and doc ids
 // assigned — at a single ordered point regardless of worker

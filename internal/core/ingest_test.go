@@ -75,8 +75,9 @@ func TestIngestFilteredRejects(t *testing.T) {
 
 func TestIngestAnnotatesFromBinding(t *testing.T) {
 	_, fetch, res := surfacedLibrary(t)
-	ix := index.New()
-	IngestURLs(context.Background(), fetch, ix, "f", res.URLs, 0, IngestFilter{})
+	b := index.New()
+	IngestURLs(context.Background(), fetch, b, "f", res.URLs, 0, IngestFilter{})
+	ix := b.Freeze()
 	annotated := 0
 	for id := 0; id < ix.Len(); id++ {
 		anns := ix.AnnotationsOf(id)

@@ -233,8 +233,9 @@ func TestNaiveVsRangeAwareURLCounts(t *testing.T) {
 
 func TestIngestSurfacedURLs(t *testing.T) {
 	web, site, res := surfaceDomain(t, "faculty", 200, DefaultConfig())
-	ix := index.New()
-	st := IngestURLs(context.Background(), webx.NewFetcher(web), ix, res.Analysis.Form.ID, res.URLs, 3, IngestFilter{})
+	b := index.New()
+	st := IngestURLs(context.Background(), webx.NewFetcher(web), b, res.Analysis.Form.ID, res.URLs, 3, IngestFilter{})
+	ix := b.Freeze()
 	if st.Indexed == 0 {
 		t.Fatal("nothing indexed")
 	}

@@ -36,17 +36,18 @@ func TestFilteredSearchAllocatesNothingPerCandidate(t *testing.T) {
 			{Query: "ford focus", K: 10, Filters: preds},
 		} {
 			allocs := func(n int) float64 {
-				e := New()
+				b := index.New()
 				for i := 0; i < n; i++ {
-					id, _ := e.Index.Add(index.Doc{
+					id, _ := b.Add(index.Doc{
 						URL:   fmt.Sprintf("http://cars.example/%d", i),
 						Title: "used ford focus",
 						Text:  fmt.Sprintf("listing %d", i),
 					})
 					anns := maps.Clone(schemas[i%len(schemas)])
 					anns["price"] = fmt.Sprint(5000 + i%9*1000)
-					e.Index.Annotate(id, anns)
+					b.Annotate(id, anns)
 				}
+				e := serve(b)
 				return testing.AllocsPerRun(50, func() {
 					if resp, err := e.Search(context.Background(), req); err != nil || resp.Total != n {
 						t.Fatalf("host %q, %d filters, n=%d: Search total %d, err %v", req.Host, len(req.Filters), n, resp.Total, err)

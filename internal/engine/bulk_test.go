@@ -25,10 +25,10 @@ func bulkWorld(t testing.TB, seed int64, docs, sites int) *bulkgen.World {
 	return w
 }
 
-// ingest commits src into e's index batch by batch, each batch one
-// Index.AddPreparedBatch, and returns how many documents were added and
-// how many were duplicate URLs.
-func ingest(e *Engine, src BulkSource, batch int) (added, dups int) {
+// ingest commits src into b batch by batch, each batch one
+// Builder.AddPreparedBatch, and returns how many documents were added
+// and how many were duplicate URLs.
+func ingest(b *index.Builder, src BulkSource, batch int) (added, dups int) {
 	for {
 		var ps []*index.Prepared
 		var anns []map[string]string
@@ -42,7 +42,7 @@ func ingest(e *Engine, src BulkSource, batch int) (added, dups int) {
 		if len(ps) == 0 {
 			return added, dups
 		}
-		_, ok := e.Index.AddPreparedBatch(ps, anns)
+		_, ok := b.AddPreparedBatch(ps, anns)
 		for _, a := range ok {
 			if a {
 				added++
@@ -52,6 +52,9 @@ func ingest(e *Engine, src BulkSource, batch int) (added, dups int) {
 		}
 	}
 }
+
+// serve returns an engine over a reader frozen from b.
+func serve(b *index.Builder) *Engine { return &Engine{Index: b.Freeze()} }
 
 // The tentpole property: a spill-to-disk build writes the directory
 // Save of an index holding the same stream writes, byte for byte,
@@ -63,11 +66,11 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 			world := bulkWorld(t, 99, 3000, 5)
 
 			ramDir := t.TempDir()
-			ram := New()
-			ram.Index = index.NewSharded(shards)
-			if added, dups := ingest(ram, world.Source(4), 512); added != 3000 || dups != 0 {
+			b := index.NewSharded(shards)
+			if added, dups := ingest(b, world.Source(4), 512); added != 3000 || dups != 0 {
 				t.Fatalf("ingest added %d, %d duplicates", added, dups)
 			}
+			ram := serve(b)
 			if err := ram.Save(ramDir, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -108,10 +111,11 @@ func TestSaveEqualsBulkBuildWhenKeysNameOneAttribute(t *testing.T) {
 		docs = append(docs, index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Title: "listing", Text: "used honda civic"})
 		anns = append(anns, map[string]string{"Make": "ford", "make ": "honda", "year": fmt.Sprint(2000 + i)})
 	}
-	e := New()
-	if added, _ := ingest(e, &docSource{docs, anns}, 2); added != len(docs) {
+	b := index.New()
+	if added, _ := ingest(b, &docSource{docs, anns}, 2); added != len(docs) {
 		t.Fatalf("ingest added %d of %d documents", added, len(docs))
 	}
+	e := serve(b)
 	saved, built := t.TempDir(), t.TempDir()
 	if err := e.Save(saved, nil); err != nil {
 		t.Fatal(err)

@@ -16,27 +16,17 @@ import (
 // arrive over and over while the index between refreshes is immutable.
 // An enabled engine routes Search through a bounded rescache keyed by
 //
-//	(Generation, index version, normalized query, k, offset, host,
-//	 annotated, canonical filters)
+//	(Generation, normalized query, k, offset, host, annotated,
+//	 canonical filters)
 //
 // — every input that can change the answer. Correctness falls out of
-// the key, not of invalidation traffic:
-//
-//   - A snapshot reload swaps in a new *Engine (deepsearch's atomic
-//     pointer), and the cache lives on the engine, so engine and cache
-//     swap together by construction; the new engine's Generation also
-//     differs, so even a shared external cache could never cross the
-//     boundary.
-//   - Every in-place index write — an ingest batch or an Annotate,
-//     by a surfacing pass or straight through the exported Index —
-//     increments the index's version under its write lock
-//     (index.Version), so every key minted before it becomes
-//     unreachable and ages out of the LRU. A refresh builds a new
-//     index, whose version starts over, inside a new *Engine with a
-//     cache of its own, so no key of the old index can name it. A
-//     query racing a write reads the version before it scans, so it
-//     caches a state no older than its key names, and no page cached
-//     before a write completes can answer a query made after it.
+// the key, not of invalidation traffic: an engine serves one frozen
+// index that nothing writes, so an answer cached under a key holds for
+// the engine's life. A new index — a reload (deepsearch's atomic
+// pointer), a refresh, a surfacing pass — comes in a new *Engine, and
+// the cache lives on the engine, so engine and cache swap together; a
+// reload's new Generation also differs, so even a shared external
+// cache could never cross the boundary.
 //
 // The query is normalized through the index's own term pipeline
 // (tokenize, stopword, stem), so "Used FORD!!" and "used ford" share
@@ -86,14 +76,12 @@ func cloneSearchResponse(r SearchResponse) SearchResponse {
 }
 
 // searchCacheKey folds every answer-changing input into one opaque
-// string: serving identity (generation + index version), pagination
-// and filter options, and the normalized query terms.
+// string: serving identity (the generation), pagination and filter
+// options, and the normalized query terms.
 func (e *Engine) searchCacheKey(req SearchRequest) string {
 	var b strings.Builder
 	b.Grow(48 + len(req.Query) + len(req.Host))
 	b.WriteString(strconv.FormatUint(uint64(e.Generation), 10))
-	b.WriteByte('\x00')
-	b.WriteString(strconv.FormatUint(e.Index.Version(), 10))
 	b.WriteByte('\x00')
 	b.WriteString(strconv.Itoa(req.K))
 	b.WriteByte('\x00')

@@ -20,11 +20,11 @@ import (
 // document's expected annotations.
 func dictCorpus(t *testing.T) (*Engine, []map[string]string) {
 	t.Helper()
-	var b strings.Builder
+	var sb strings.Builder
 	for i := range 59 {
-		fmt.Fprintf(&b, "w%03d ", i)
+		fmt.Fprintf(&sb, "w%03d ", i)
 	}
-	long := b.String() + "final" // 60 words, 300 bytes
+	long := sb.String() + "final" // 60 words, 300 bytes
 	given := []map[string]string{
 		{"make": "a", "model": "", "note": "  "},
 		{"make": "b", "model": "x"},
@@ -36,15 +36,15 @@ func dictCorpus(t *testing.T) (*Engine, []map[string]string) {
 		{"price": "12000", "make": "Straße"},
 		nil,
 	}
-	e := New()
+	b := index.New()
 	want := make([]map[string]string, len(given))
 	for i, anns := range given {
 		text := "listing car"
 		if anns == nil {
 			text = "listing car škoda"
 		}
-		id, _ := e.Index.Add(index.Doc{URL: fmt.Sprintf("http://dict.example/%d", i), Title: "listing", Text: text})
-		e.Index.Annotate(id, anns)
+		id, _ := b.Add(index.Doc{URL: fmt.Sprintf("http://dict.example/%d", i), Title: "listing", Text: text})
+		b.Annotate(id, anns)
 		for k, v := range anns {
 			if v = strings.ToLower(strings.TrimSpace(v)); v != "" {
 				if want[i] == nil {
@@ -54,7 +54,7 @@ func dictCorpus(t *testing.T) (*Engine, []map[string]string) {
 			}
 		}
 	}
-	return e, want
+	return serve(b), want
 }
 
 // admitted returns the ids a filtered search admits, ascending.
@@ -158,8 +158,8 @@ func TestDictionaryRoundTrip(t *testing.T) {
 	}
 }
 
-// Annotate on a loaded index interns new values onto the dictionary
-// text the load installed — enough of them that the text, its end
+// Annotate on the builder a snapshot loads into (loadBuilder) interns
+// new values onto the dictionary text the load installed — enough of them that the text, its end
 // offsets and the numeric column grow, over several bitset words — and
 // every earlier code keeps its text, its numeric reading and its
 // documents.
@@ -169,18 +169,19 @@ func TestAnnotateInternsOntoLoadedDictionary(t *testing.T) {
 	if err := e.Save(dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
+	b, _, err := loadBuilder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := loaded.Index
 	var added []int
 	for i := range 200 {
-		id, _ := ix.Add(index.Doc{URL: fmt.Sprintf("http://dict.example/new/%d", i), Title: "listing", Text: "listing car"})
+		id, _ := b.Add(index.Doc{URL: fmt.Sprintf("http://dict.example/new/%d", i), Title: "listing", Text: "listing car"})
 		anns := map[string]string{"make": fmt.Sprintf("new make %d", i), "price": fmt.Sprint(100000 + i)}
-		ix.Annotate(id, anns)
+		b.Annotate(id, anns)
 		want, added = append(want, anns), append(added, id)
 	}
+	loaded := serve(b)
+	ix := loaded.Index
 	for id, w := range want {
 		if got := ix.AnnotationsOf(id); !maps.Equal(got, w) {
 			t.Errorf("AnnotationsOf(%d) = %q, want %q", id, got, w)
@@ -208,7 +209,7 @@ func TestAnnotateInternsOntoLoadedDictionary(t *testing.T) {
 // whatever its text says, and a document without the column is decided
 // by its text.
 func TestEqAbsentFromDictionary(t *testing.T) {
-	e := New()
+	b := index.New()
 	for i, d := range []struct {
 		anns map[string]string
 		text string
@@ -219,9 +220,10 @@ func TestEqAbsentFromDictionary(t *testing.T) {
 		{map[string]string{"city": "oslo"}, "saab listing"},
 		{map[string]string{"city": "oslo"}, "listing"},
 	} {
-		id, _ := e.Index.Add(index.Doc{URL: fmt.Sprintf("http://absent.example/%d", i), Title: "listing", Text: d.text})
-		e.Index.Annotate(id, d.anns)
+		id, _ := b.Add(index.Doc{URL: fmt.Sprintf("http://absent.example/%d", i), Title: "listing", Text: d.text})
+		b.Annotate(id, d.anns)
 	}
+	e := serve(b)
 	dir := t.TempDir()
 	if err := e.Save(dir, nil); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,8 @@ import (
 	"deepweb/internal/rescache"
 )
 
-// Engine is a searcher over one index.
+// Engine is a searcher over one index, frozen from an index.Builder and
+// the same for the engine's life: a new index comes in a new Engine.
 type Engine struct {
 	Index *index.Index
 
@@ -34,8 +35,3 @@ type Engine struct {
 // value new surfacers start with. Binaries raise it before building or
 // loading; results are identical either way.
 var DefaultWorkers = 1
-
-// New returns an engine over an empty index.
-func New() *Engine {
-	return &Engine{Index: index.New()}
-}

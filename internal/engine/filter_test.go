@@ -12,15 +12,16 @@ import (
 // path never is, and a URL that does not parse is on no host. Each
 // case is a way a prefix match on the text after "://" got it wrong.
 func TestSearchHostIsURLParseHost(t *testing.T) {
-	e := New()
+	b := index.New()
 	for _, u := range []string{
 		"http://u@h.example/p",
 		"http://h.example/p/q",
 		"http://h.example/%zz",
 		"http://h.example/ok",
 	} {
-		e.Index.Add(index.Doc{URL: u, Text: "ford focus"})
+		b.Add(index.Doc{URL: u, Text: "ford focus"})
 	}
+	e := serve(b)
 	for _, c := range []struct {
 		host string
 		want []string

@@ -26,8 +26,9 @@ func bulkSnapshot(tb testing.TB, docs int) string {
 	return dir
 }
 
-// A loaded index holds no URL lookup until it is first written to or
-// asked Has; it must then answer as if it had always held one:
+// The builder a snapshot loads into (loadBuilder) holds no URL lookup
+// until it is first written to or asked Has; it must then answer as if
+// it had always held one:
 // concurrent Has calls agree with the document table, a batch repeating
 // a loaded URL gets that URL's id back unadded, and a new URL takes the
 // next id.
@@ -38,11 +39,11 @@ func TestLoadedIndexBuildsURLMapOnFirstWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := Load(dir)
+	b, _, err := loadBuilder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := loaded.Index
+	ix := b.Freeze()
 	n := ix.Len()
 	var wg sync.WaitGroup
 	for w := range 4 {
@@ -50,10 +51,10 @@ func TestLoadedIndexBuildsURLMapOnFirstWrite(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for id := w; id < n; id += 97 {
-				if url := ix.Doc(id).URL; !ix.Has(url) {
+				if url := ix.Doc(id).URL; !b.Has(url) {
 					t.Errorf("Has(%q) = false for loaded doc %d", url, id)
 				}
-				if url := fmt.Sprintf("http://absent.example/%d/%d", w, id); ix.Has(url) {
+				if url := fmt.Sprintf("http://absent.example/%d/%d", w, id); b.Has(url) {
 					t.Errorf("Has(%q) = true, never indexed", url)
 				}
 			}
@@ -61,22 +62,20 @@ func TestLoadedIndexBuildsURLMapOnFirstWrite(t *testing.T) {
 	}
 	wg.Wait()
 
-	loaded, err = Load(dir)
-	if err != nil {
+	if b, _, err = loadBuilder(dir); err != nil {
 		t.Fatal(err)
 	}
-	ix = loaded.Index
 	old := ix.Doc(n / 2)
 	fresh := index.Doc{URL: "http://new.example/1", Title: "new", Text: "a new document"}
-	ids, added := ix.AddPreparedBatch([]*index.Prepared{index.Prepare(old), index.Prepare(fresh)}, nil)
+	ids, added := b.AddPreparedBatch([]*index.Prepared{index.Prepare(old), index.Prepare(fresh)}, nil)
 	if ids[0] != n/2 || added[0] {
 		t.Errorf("batch repeating loaded doc %d's URL: id %d added %v, want %d false", n/2, ids[0], added[0], n/2)
 	}
 	if ids[1] != n || !added[1] {
 		t.Errorf("new URL: id %d added %v, want %d true", ids[1], added[1], n)
 	}
-	if ix.Len() != n+1 || !ix.Has(fresh.URL) || !ix.Has(old.URL) {
-		t.Errorf("after the batch: %d docs, Has(new) %v, Has(old) %v", ix.Len(), ix.Has(fresh.URL), ix.Has(old.URL))
+	if l := b.Freeze().Len(); l != n+1 || !b.Has(fresh.URL) || !b.Has(old.URL) {
+		t.Errorf("after the batch: %d docs, Has(new) %v, Has(old) %v", l, b.Has(fresh.URL), b.Has(old.URL))
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"deepweb/internal/index"
@@ -21,8 +19,10 @@ import (
 // fixed probe set exactly against the model (model_test.go): ids, URLs,
 // titles, sources, score bits and totals. The operations:
 //
-//   - ingest: batches committed through Index.AddPreparedBatch (ingest
-//     in bulk_test.go), with annotations and duplicate URLs — within the
+//   - ingest: batches committed through Builder.AddPreparedBatch (ingest
+//     in bulk_test.go) into the sequence's one builder, then published
+//     as a new engine over its Freeze, the result cache re-armed when
+//     it is on; with annotations and duplicate URLs — within the
 //     batch and of indexed documents — generated in no URL order, at a
 //     drawn batch size. A duplicate inside one batch meets the index's
 //     own rule: the first occurrence wins, with its annotations. The
@@ -67,11 +67,6 @@ func TestEngineFollowsOracle(t *testing.T) {
 			t.Errorf("no sequence ran a %s", kind)
 		}
 	}
-	// The mutation the cache must see: an ingest run with the cache off
-	// proves nothing about retiring cached pages.
-	if seen.cached["ingest"] == 0 {
-		t.Error("no sequence ran an ingest with the cache on")
-	}
 	census := fmt.Sprintf("ops %v, with the cache on %v; %d annotated probes past the re-rank depth, "+
 		"%d filters admitting a proper subset, %d cache hits", seen.ops, seen.cached, seen.reranked, seen.filtered, seen.cacheHits)
 	if seen.reranked == 0 || seen.filtered == 0 || seen.cacheHits == 0 {
@@ -80,135 +75,13 @@ func TestEngineFollowsOracle(t *testing.T) {
 	t.Log(census)
 }
 
-// TestEngineFollowsOracleAtomically is the concurrent mode. One writer
-// ingests in several batches while readers search without pause, and
-// every answer must equal the model's answer at some committed state:
-// after a batch. A torn annotated answer — ranked under one set of
-// mentioned values and adjusted under another — shows only where the
-// values a query mentions change; so every other ingest brings the
-// first carrier of a value longer than any the last probe mentions
-// yet, which the probe then mentions instead.
-// A commit a reader can see half of, or a query that reads two states,
-// matches none. One run can miss a torn commit, so CI repeats it
-// (-run 'Atomic' -count=10) under -race.
-func TestEngineFollowsOracleAtomically(t *testing.T) {
-	probes := []SearchRequest{
-		{Query: "listing", K: 10},
-		{Query: "used ford focus", K: 5, Offset: 5},
-		{Query: "ford seattle", K: 10, Annotated: true},
-		{Query: "fiat ford wagon", K: 30, Annotated: true},
-		{Query: "listing", K: 20, Filters: []query.Predicate{query.Eq("make", "ford")}},
-		{Query: "listing", K: 10, Host: "h1.example", Filters: []query.Predicate{mustPred(t, "price<9000")}},
-		{Query: "homes in santa fe", K: 10, Annotated: true, Filters: []query.Predicate{mustPred(t, "year:2004..2009")}},
-		{Query: "listing " + strings.Join(mintWords, " "), K: 10, Annotated: true},
-	}
-	for seed := int64(1); seed <= 2; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			o := newOracle(t, seed, &oracleSeen{ops: map[string]int{}, cached: map[string]int{}})
-			for len(o.m.docs) < 100 {
-				o.apply(o.draw("ingest"))
-			}
-			if seed == 2 {
-				o.apply(&oracleOp{kind: "cache", on: true})
-			}
-
-			// Every committed state the script passes through, replayed on
-			// the model before the engine runs it.
-			valid := make([]map[string]bool, len(probes))
-			record := func() {
-				for i, req := range probes {
-					if valid[i] == nil {
-						valid[i] = map[string]bool{}
-					}
-					valid[i][answer(o.m.search(req))] = true
-				}
-			}
-			record()
-			var script []*oracleOp
-			for len(script) < 2*len(mintWords) {
-				op := o.draw("ingest")
-				op.batch = max(op.batch, 6) // every batch is a state to record; batches of one are the sequential test's
-				// Every other batch ends with a document carrying the
-				// first k+1 of mintWords, which the last probe then
-				// mentions in place of the k words before: an answer
-				// ranked before the batch and adjusted after it is no
-				// state's answer.
-				k, mint := len(script)/2, len(script)%2 == 1
-				v := strings.Join(mintWords[:k+1], " ")
-				if mint {
-					op.docs = append(op.docs, index.Doc{URL: fmt.Sprintf("http://h0.example/mint/%02d", k), Title: "listing", Text: v})
-					op.anns = append(op.anns, map[string]string{"notes": v})
-				}
-				op.want = op.onModel(&o.m, record)
-				if mentioned := o.m.mentions(probes[len(probes)-1].Query); mint && !slices.Contains(mentioned, modelMention{"notes", v}) {
-					t.Fatalf("after the batch bringing notes=%q the last probe mentions %v", v, mentioned)
-				}
-				script = append(script, op)
-			}
-
-			e := o.e
-			done := make(chan struct{})
-			var (
-				wg      sync.WaitGroup
-				mu      sync.Mutex
-				torn    string
-				answers int
-			)
-			for r := 0; r < 3; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := r; ; i++ {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						req := probes[i%len(probes)]
-						resp, err := e.Search(context.Background(), req)
-						got := answer(resp.Results, resp.Total)
-						mu.Lock()
-						answers++
-						if (err != nil || !valid[i%len(probes)][got]) && torn == "" {
-							torn = fmt.Sprintf("probe %s answered %s (err %v), which is no committed state's answer", describe(req), clip(got), err)
-						}
-						stop := torn != ""
-						mu.Unlock()
-						if stop {
-							return
-						}
-					}
-				}()
-			}
-			var mismatch string
-			for _, op := range script {
-				o.ops = append(o.ops, op.String())
-				if got := o.onEngine(op); got != op.want {
-					mismatch = fmt.Sprintf("%s: engine %s, model %s", op.kind, got, op.want)
-					break
-				}
-			}
-			close(done)
-			wg.Wait()
-			if torn != "" || mismatch != "" {
-				o.fail("%s%s", torn, mismatch)
-			}
-			t.Logf("%d answers checked beside %d operations", answers, len(script))
-			o.check()
-		})
-	}
-}
-
-// mintWords are the words of the concurrent mode's last probe, which
-// no generated document holds.
-var mintWords = strings.Fields("mint condition garaged original paint pristine interior dealer serviced winter stored collector grade matching numbers")
-
 // oracle runs one seeded sequence against an engine and the model.
 type oracle struct {
 	t      *testing.T
 	seed   int64
 	r      *rand.Rand
-	e      *Engine
+	b      *index.Builder // every ingest commits here
+	e      *Engine        // what the probes search: b's last Freeze, or a load
 	m      model
 	cache  bool
 	ops    []string // what ran so far, for the failure report
@@ -231,8 +104,9 @@ type oracleSeen struct {
 }
 
 func newOracle(t *testing.T, seed int64, seen *oracleSeen) *oracle {
-	o := &oracle{t: t, seed: seed, r: rand.New(rand.NewSource(seed)), e: New(), seen: seen}
-	o.e.Index = index.NewSharded(pick(o.r, []int{1, 4, 16}))
+	o := &oracle{t: t, seed: seed, r: rand.New(rand.NewSource(seed)), seen: seen}
+	o.b = index.NewSharded(pick(o.r, []int{1, 4, 16}))
+	o.e = serve(o.b)
 	o.ops = append(o.ops, fmt.Sprintf("new engine, %d segments", o.e.Index.NumShards()))
 	o.probes = o.probeSet()
 	return o
@@ -473,24 +347,19 @@ func (o *oracle) drawValue(attr string) string {
 	return v
 }
 
-// onModel applies op to m, calling each after every write section the
-// engine commits atomically, and returns the outcome the engine must
+// onModel applies op to m and returns the outcome the engine must
 // report.
-func (op *oracleOp) onModel(m *model, each func()) string {
-	switch op.kind {
-	case "ingest":
-		added := 0
-		for lo := 0; lo < len(op.docs); lo += op.batch {
-			for i := lo; i < min(lo+op.batch, len(op.docs)); i++ {
-				if m.add(op.docs[i], op.anns[i]) {
-					added++
-				}
-			}
-			each()
-		}
-		return fmt.Sprintf("added=%d duplicates=%d", added, len(op.docs)-added)
+func (op *oracleOp) onModel(m *model) string {
+	if op.kind != "ingest" {
+		return ""
 	}
-	return ""
+	added := 0
+	for i, d := range op.docs {
+		if m.add(d, op.anns[i]) {
+			added++
+		}
+	}
+	return fmt.Sprintf("added=%d duplicates=%d", added, len(op.docs)-added)
 }
 
 // onEngine applies op to the engine and returns its outcome.
@@ -498,7 +367,11 @@ func (o *oracle) onEngine(op *oracleOp) string {
 	ctx, e := context.Background(), o.e
 	switch op.kind {
 	case "ingest":
-		added, dups := ingest(e, &docSource{op.docs, op.anns}, op.batch)
+		added, dups := ingest(o.b, &docSource{op.docs, op.anns}, op.batch)
+		o.e = serve(o.b)
+		if o.cache {
+			o.e.EnableResultCache(256)
+		}
 		return fmt.Sprintf("added=%d duplicates=%d", added, dups)
 	case "save":
 		dir := o.t.TempDir()
@@ -579,7 +452,10 @@ func (o *oracle) apply(op *oracleOp) {
 	if o.cache {
 		o.seen.cached[op.kind]++
 	}
-	want := op.onModel(&o.m, func() { o.wants = nil })
+	want := op.onModel(&o.m)
+	if op.kind == "ingest" {
+		o.wants = nil
+	}
 	if got := o.onEngine(op); got != want {
 		o.fail("%s: engine %s, model %s", op.kind, got, want)
 	}
@@ -599,7 +475,7 @@ func (o *oracle) check() {
 		if got := ix.AnnotationsOf(id); !maps.Equal(got, d.anns) {
 			o.fail("doc %d is annotated %v, model %v", id, got, d.anns)
 		}
-		if !ix.Has(d.URL) {
+		if !o.b.Has(d.URL) {
 			o.fail("Has(%q) = false for doc %d", d.URL, id)
 		}
 	}

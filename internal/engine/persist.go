@@ -18,8 +18,8 @@ import (
 // exactly as BulkBuild's writer builds them for the same documents.
 // Postings segments are encoded concurrently on DefaultWorkers.
 // Existing segments in dir are overwritten atomically; a concurrent
-// reader of the old snapshot is undisturbed. Save must not run
-// concurrently with a write to the index.
+// reader of the old snapshot is undisturbed. Nothing writes the frozen
+// index while Save reads it.
 func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 	ix := e.Index
 	w, err := store.NewWriter(dir, ix.NumShards(), ix.Len(), 0)
@@ -55,24 +55,33 @@ func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 // docs body as the index's document table; the columns segment into
 // InstallAnnotations and the postings segments into lists that one
 // ImportTerms installs once the jobs are joined, into a term map sized
-// once. The columns and postings jobs check their own header against
-// the docs header — doc count, snapshot id and, for postings, shard
-// count and id — before installing, so segments of different
-// generations fail even when each decodes cleanly; the rows job
-// requires the header it read with the body, whose doc count the body
-// vouches for, to equal the first. The jobs are joined, and a damaged
-// snapshot fails with the first job's error: rows, annotations, then
-// postings in segment order; a term in two segments fails after them.
-// The meta segment is the surfacer's (surface.Open); Load leaves it
-// unread.
+// once, all into one index.Builder (loadBuilder), which the engine's
+// reader is frozen from, copying nothing. The columns and postings
+// jobs check their own header against the docs header — doc count,
+// snapshot id and, for postings, shard count and id — before
+// installing, so segments of different generations fail even when each
+// decodes cleanly; the rows job requires the header it read with the
+// body, whose doc count the body vouches for, to equal the first. The
+// jobs are joined, and a damaged snapshot fails with the first job's
+// error: rows, annotations, then postings in segment order; a term in
+// two segments fails after them. The meta segment is the surfacer's
+// (surface.Open); Load leaves it unread.
 func Load(dir string) (*Engine, error) {
+	b, hdr, err := loadBuilder(dir)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{Index: b.Freeze(), Generation: hdr.SnapID}, nil
+}
+
+// loadBuilder is Load up to the Freeze, returning the docs header too.
+func loadBuilder(dir string) (*index.Builder, store.Header, error) {
 	docsPath := store.DocsPath(dir)
 	hdr, err := store.ReadHeader(docsPath, store.KindDocs)
 	if err != nil {
-		return nil, fmt.Errorf("engine: load docs: %w", err)
+		return nil, hdr, fmt.Errorf("engine: load docs: %w", err)
 	}
-	ix := index.NewSharded(int(hdr.Shards))
-	e := &Engine{Index: ix, Generation: hdr.SnapID}
+	b := index.NewSharded(int(hdr.Shards))
 
 	// Job 0 is the rows, job 1 the annotation tables, job 2+si
 	// postings segment si, installed together once every job is done.
@@ -87,12 +96,12 @@ func Load(dir string) (*Engine, error) {
 			if h != hdr {
 				return fmt.Errorf("%s: header changed while the snapshot loaded: %w", docsPath, store.ErrCorrupt)
 			}
-			if err := ix.ImportRows(rows); err != nil {
+			if err := b.ImportRows(rows); err != nil {
 				return fmt.Errorf("%s: %w: %w", docsPath, err, store.ErrCorrupt)
 			}
 			return nil
 		case 1:
-			return store.ReadColumns(store.ColumnsPath(dir), hdr, ix)
+			return store.ReadColumns(store.ColumnsPath(dir), hdr, b)
 		}
 		si := job - 2
 		terms, ph, err := store.ReadPostings(store.PostingsPath(dir, si))
@@ -108,10 +117,10 @@ func Load(dir string) (*Engine, error) {
 		return nil
 	})
 	if err == nil {
-		err = ix.ImportTerms(segs...)
+		err = b.ImportTerms(segs...)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("engine: load: %w", err)
+		return nil, hdr, fmt.Errorf("engine: load: %w", err)
 	}
-	return e, nil
+	return b, hdr, nil
 }

@@ -22,11 +22,11 @@ import (
 // surfacing.
 func corpusEngine(t testing.TB, shards int) *Engine {
 	t.Helper()
-	e := &Engine{Index: index.NewSharded(shards)}
-	if added, _ := ingest(e, bulkWorld(t, 7, 1200, 6).Source(1), 256); added != 1200 {
+	b := index.NewSharded(shards)
+	if added, _ := ingest(b, bulkWorld(t, 7, 1200, 6).Source(1), 256); added != 1200 {
 		t.Fatalf("corpus holds %d of 1200 documents", added)
 	}
-	return e
+	return serve(b)
 }
 
 // A snapshot saved by a 1-worker engine must be byte-identical — every
@@ -242,10 +242,11 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 	// snapshot with tables made by hand and stamped with the snapshot's
 	// id, so only the tables' own rule is broken. valid is the base each
 	// case edits; as it is, it loads.
-	tables := New()
+	b := index.New()
 	for i := range 4 {
-		tables.Index.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used car"})
+		b.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used car"})
 	}
+	tables := serve(b)
 	valid := func() ([]index.AnnColumn, []index.AnnSchema) {
 		return []index.AnnColumn{
 				{Attr: "make", Text: []byte("fordsaab"), Ends: []uint32{4, 8}},
@@ -344,9 +345,9 @@ func TestLoadFindsDuplicateURLAcrossTable(t *testing.T) {
 // case where the order a Go map handed them to Annotate used to pick
 // the ids, ten times over.
 func TestLoadIsDeterministic(t *testing.T) {
-	e := New()
+	b := index.New()
 	for i := range 60 {
-		id, _ := e.Index.Add(index.Doc{
+		id, _ := b.Add(index.Doc{
 			URL:  fmt.Sprintf("http://cars.example/p%d", i),
 			Text: fmt.Sprintf("used car %d", i),
 		})
@@ -360,8 +361,9 @@ func TestLoadIsDeterministic(t *testing.T) {
 		if i%4 == 0 {
 			delete(anns, "make")
 		}
-		e.Index.Annotate(id, anns)
+		b.Annotate(id, anns)
 	}
+	e := serve(b)
 	dir := t.TempDir()
 	if err := e.Save(dir, nil); err != nil {
 		t.Fatal(err)
@@ -387,15 +389,16 @@ func TestLoadIsDeterministic(t *testing.T) {
 // being append-only — round-trips its annotation tables exactly through
 // Save and Load.
 func TestLoadedTablesAreCanonical(t *testing.T) {
-	e := New()
+	b := index.New()
 	for i := range 40 {
-		id, _ := e.Index.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/p%d", i), Text: fmt.Sprintf("used car %d", i)})
-		e.Index.Annotate(id, map[string]string{
+		id, _ := b.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/p%d", i), Text: fmt.Sprintf("used car %d", i)})
+		b.Annotate(id, map[string]string{
 			"make":                      []string{"ford", "saab", "audi"}[i%3],
 			fmt.Sprintf("model%d", i%4): fmt.Sprintf("m%d", i%7),
 			"City ":                     []string{"Seattle", "portland"}[i%2],
 		})
 	}
+	e := serve(b)
 	dir := t.TempDir()
 	if err := e.Save(dir, nil); err != nil {
 		t.Fatal(err)

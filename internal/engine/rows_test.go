@@ -23,15 +23,16 @@ func TestRowsRoundTrip(t *testing.T) {
 		{URL: "http://rows.example/ünïcode", Title: "Straße café", Text: "ford 日本語 テキスト price 9000", Source: "форма"},
 		{URL: "http://rows.example/" + strings.Repeat("p", 300), Title: "ford"},
 	}
-	e := New()
+	b := index.New()
 	batches := [][]index.Doc{docs[:2], {docs[2], docs[0], docs[2]}, docs[3:]}
 	for _, batch := range batches {
 		ps := make([]*index.Prepared, len(batch))
 		for i, d := range batch {
 			ps[i] = index.Prepare(d)
 		}
-		e.Index.AddPreparedBatch(ps, nil)
+		b.AddPreparedBatch(ps, nil)
 	}
+	e := serve(b)
 	wantRows := rowsOf(t, e.Index)
 
 	dir := t.TempDir()

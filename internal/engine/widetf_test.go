@@ -15,8 +15,8 @@ import (
 // index does — ids, score bits and totals: Save then Load; BulkBuild
 // with a spill window that splits the list across runs, one byte a tf
 // in the first run and four in a later one, then Load; and a commit
-// onto a loaded index, which appends to lists decoded into one array
-// per segment.
+// onto the builder a snapshot loads into (loadBuilder), which appends
+// to lists decoded into one array per segment.
 func TestWideTFAnswersAlike(t *testing.T) {
 	var docs []index.Doc
 	for i := range 12 {
@@ -31,10 +31,11 @@ func TestWideTFAnswersAlike(t *testing.T) {
 		}
 		docs = append(docs, index.Doc{URL: fmt.Sprintf("http://tf.example/%d", i), Title: "listing", Text: text})
 	}
-	live := New()
+	b := index.New()
 	for _, d := range docs {
-		live.Index.Add(d)
+		b.Add(d)
 	}
+	live := serve(b)
 	saved := t.TempDir()
 	if err := live.Save(saved, nil); err != nil {
 		t.Fatal(err)
@@ -80,7 +81,12 @@ func TestWideTFAnswersAlike(t *testing.T) {
 	check("BulkBuild, Load", fromBulk)
 
 	more := index.Doc{URL: "http://tf.example/more", Title: "listing", Text: strings.Repeat("ford focus ", 280)}
-	live.Index.Add(more)
-	fromSave.Index.Add(more)
-	check("Load, then a commit", fromSave)
+	b.Add(more)
+	live = serve(b)
+	loaded, _, err := loadBuilder(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.Add(more)
+	check("Load, then a commit", serve(loaded))
 }

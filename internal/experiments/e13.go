@@ -48,8 +48,9 @@ func E13LostSemantics(ctx context.Context, seed int64, rows int) (E13Report, err
 	if err != nil {
 		return rep, err
 	}
-	ix := index.New()
-	core.IngestURLs(ctx, fetch, ix, res.Analysis.Form.ID, res.URLs, 5, core.IngestFilter{})
+	b := index.New()
+	core.IngestURLs(ctx, fetch, b, res.Analysis.Form.ID, res.URLs, 5, core.IngestFilter{})
+	ix := b.Freeze()
 
 	// Build queries from decoy rows: the decoy page contains the
 	// referenced make+model (in text) plus the decoy row's year.

@@ -182,11 +182,11 @@ func (r *NumRange) widen(c *AnnColumn, code uint32) {
 	}
 }
 
-// AnnTables is a read-only view of the annotation store, valid for the
-// scan that took it (see AnnotationTables). Document id's annotations
-// are slot Slot[id] of table Schemas[Schema[id]]; an id past the end of
-// Schema, like schema 0, has none. Ranges[s][i] is the NumRange of
-// column i of schema s's table.
+// AnnTables is a read-only view of the annotation store (see
+// AnnotationTables). Document id's annotations are slot Slot[id] of
+// table Schemas[Schema[id]]; an id past the end of Schema, like schema
+// 0, has none. Ranges[s][i] is the NumRange of column i of schema s's
+// table.
 type AnnTables struct {
 	Schema  []uint32
 	Slot    []uint32
@@ -195,8 +195,7 @@ type AnnTables struct {
 	cols    []AnnColumn
 }
 
-// Column returns attribute a's dictionary, in place: read it only
-// while the view is valid.
+// Column returns attribute a's dictionary, in place.
 func (t *AnnTables) Column(a uint32) *AnnColumn { return &t.cols[a] }
 
 // annCell is one annotation of a document: attribute id and value.
@@ -205,27 +204,44 @@ type annCell struct {
 	v    string
 }
 
-// annStore carries annotations parallel to docs, under the table lock.
-// It is append-only (see Annotate): a dictionary or a table only grows
-// at its end, and every dictionary value is carried by some document.
+// annStore carries annotations parallel to docs. It is append-only
+// (see Annotate): a dictionary or a table only grows at its end, and
+// every dictionary value is carried by some document.
 type annStore struct {
-	attrs   map[string]uint32 // attribute name -> id
-	cols    []AnnColumn       // attribute id -> dictionary
-	schemas []AnnSchema       // schema id -> table; schema 0 has no columns
-	ranges  [][]NumRange      // schema id -> column -> range; parallel to schemas
-	// schemaIDs finds a schema by its attribute ids, each as four
-	// little-endian bytes.
-	schemaIDs map[string]uint32
-	schema    []uint32 // doc id -> schema id; 0, or past the end, for none
-	slot      []uint32 // doc id -> slot in its schema's table
+	cols    []AnnColumn  // attribute id -> dictionary
+	schemas []AnnSchema  // schema id -> table; schema 0 has no columns
+	ranges  [][]NumRange // schema id -> column -> range; parallel to schemas
+	schema  []uint32     // doc id -> schema id; 0, or past the end, for none
+	slot    []uint32     // doc id -> slot in its schema's table
 }
 
 func newAnnStore() annStore {
-	return annStore{
-		attrs:     map[string]uint32{},
-		schemas:   make([]AnnSchema, 1),
-		ranges:    make([][]NumRange, 1),
-		schemaIDs: map[string]uint32{},
+	return annStore{schemas: make([]AnnSchema, 1), ranges: make([][]NumRange, 1)}
+}
+
+// annLookup finds attributes and schemas by name, which only a writer
+// of the store asks: a reader holds none.
+type annLookup struct {
+	attrs     map[string]uint32 // attribute name -> id
+	schemaIDs map[string]uint32 // four little-endian bytes per attribute id -> schema id
+}
+
+func newAnnLookup() annLookup {
+	return annLookup{attrs: map[string]uint32{}, schemaIDs: map[string]uint32{}}
+}
+
+// thaw copies what a write of the store changes in place rather than
+// appends to, for Builder.thaw: the dictionaries' headers with their
+// code tables and numeric bitsets, the tables' headers with their
+// column headers, and the ranges.
+func (st *annStore) thaw() {
+	st.cols, st.schemas, st.ranges = slices.Clone(st.cols), slices.Clone(st.schemas), slices.Clone(st.ranges)
+	for a := range st.cols {
+		c := &st.cols[a]
+		c.table, c.isNum = slices.Clone(c.table), slices.Clone(c.isNum)
+	}
+	for s := range st.schemas {
+		st.schemas[s].Codes, st.ranges[s] = slices.Clone(st.schemas[s].Codes), slices.Clone(st.ranges[s])
 	}
 }
 
@@ -239,14 +255,14 @@ func newAnnStore() annStore {
 // Annotations are written once, as a commit writes them: a document is
 // annotated at most once, after every annotated document with a lower
 // id. Any other call panics, naming the id.
-func (ix *Index) Annotate(docID int, anns map[string]string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.version.Add(1)
-	if docID < 0 || docID >= len(ix.lens) {
-		panic(fmt.Sprintf("index: annotate doc %d: no such document among %d", docID, len(ix.lens)))
+func (b *Builder) Annotate(docID int, anns map[string]string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n := len(b.ix.lens); docID < 0 || docID >= n {
+		panic(fmt.Sprintf("index: annotate doc %d: no such document among %d", docID, n))
 	}
-	ix.ann.annotate(docID, anns)
+	b.thaw()
+	b.ix.ann.annotate(&b.ann, docID, anns)
 }
 
 // annotate gives document docID the annotations anns: the per-document
@@ -256,8 +272,8 @@ func (ix *Index) Annotate(docID int, anns map[string]string) {
 // non-empty key naming each — never follow map order, and of two keys
 // naming one attribute the greater wins. A document with annotations
 // must follow every annotated one; it panics, interning nothing, on
-// one that does not. The caller holds the write lock.
-func (st *annStore) annotate(docID int, anns map[string]string) {
+// one that does not. lk is the store's lookup.
+func (st *annStore) annotate(lk *annLookup, docID int, anns map[string]string) {
 	var (
 		keyBuf  [16]string // no allocation for the usual handful
 		cellBuf [16]annCell
@@ -278,7 +294,7 @@ func (st *annStore) annotate(docID int, anns map[string]string) {
 			panic(fmt.Sprintf("index: annotate doc %d: documents are annotated once each, in ascending id order, and the highest annotated id is %d",
 				docID, len(st.schema)-1))
 		}
-		a := st.attrID(attr)
+		a := st.attrID(lk, attr)
 		i := len(cells)
 		for i > 0 && cells[i-1].attr > a {
 			i--
@@ -292,7 +308,7 @@ func (st *annStore) annotate(docID int, anns map[string]string) {
 	if len(cells) == 0 {
 		return
 	}
-	s := st.schemaOf(cells)
+	s := st.schemaOf(lk, cells)
 	t, ranges := &st.schemas[s], st.ranges[s]
 	for i, c := range cells {
 		col := &st.cols[c.attr]
@@ -308,11 +324,11 @@ func (st *annStore) annotate(docID int, anns map[string]string) {
 
 // attrID returns the attribute's id, creating its dictionary on first
 // sight.
-func (st *annStore) attrID(attr string) uint32 {
-	a, ok := st.attrs[attr]
+func (st *annStore) attrID(lk *annLookup, attr string) uint32 {
+	a, ok := lk.attrs[attr]
 	if !ok {
 		a = uint32(len(st.cols))
-		st.attrs[attr] = a
+		lk.attrs[attr] = a
 		st.cols = append(st.cols, AnnColumn{Attr: attr})
 	}
 	return a
@@ -432,13 +448,13 @@ func appendDoubling[T any](s []T, v T) []T {
 
 // schemaOf returns the id of the schema holding exactly the cells'
 // attributes, creating its table on first sight.
-func (st *annStore) schemaOf(cells []annCell) uint32 {
+func (st *annStore) schemaOf(lk *annLookup, cells []annCell) uint32 {
 	var keyBuf [64]byte
 	key := keyBuf[:0]
 	for _, c := range cells {
 		key = binary.LittleEndian.AppendUint32(key, c.attr)
 	}
-	if s, ok := st.schemaIDs[string(key)]; ok {
+	if s, ok := lk.schemaIDs[string(key)]; ok {
 		return s
 	}
 	s := uint32(len(st.schemas))
@@ -448,7 +464,7 @@ func (st *annStore) schemaOf(cells []annCell) uint32 {
 	}
 	st.schemas = append(st.schemas, AnnSchema{Attrs: attrs, Codes: make([][]uint32, len(cells))})
 	st.ranges = append(st.ranges, newRanges(len(cells)))
-	st.schemaIDs[string(key)] = s
+	lk.schemaIDs[string(key)] = s
 	return s
 }
 
@@ -463,7 +479,7 @@ func newRanges(n int) []NumRange {
 
 // asMap materializes a document's annotations as attribute -> value,
 // nil if it has none: the values are substrings of one string, a copy
-// of their bytes. The caller holds the table lock.
+// of their bytes.
 func (st *annStore) asMap(docID int) map[string]string {
 	if docID < 0 || docID >= len(st.schema) || st.schema[docID] == 0 {
 		return nil
@@ -488,9 +504,10 @@ func (st *annStore) asMap(docID int) map[string]string {
 
 // tables returns the store's tables in the form InstallAnnotations
 // takes: the dictionaries by attribute id, and the tables of schema 1
-// on. They share the store's memory, which it only appends to past
-// their ends, so what they hold never changes; each slice is clipped
-// to its length, so an owner that appends to one copies it first.
+// on. They share the store's memory, which a writer only appends to
+// past their ends, so what they hold never changes; each slice is
+// clipped to its length, so an owner that appends to one copies it
+// first.
 func (st *annStore) tables() ([]AnnColumn, []AnnSchema) {
 	cols := make([]AnnColumn, len(st.cols))
 	for a, c := range st.cols {
@@ -511,16 +528,11 @@ func (st *annStore) tables() ([]AnnColumn, []AnnSchema) {
 // if none). It is the slow, convenient view — experiments, the
 // reference filter; serving reads the tables in place through a
 // Filter's Match.
-func (ix *Index) AnnotationsOf(docID int) map[string]string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.ann.asMap(docID)
-}
+func (ix *Index) AnnotationsOf(docID int) map[string]string { return ix.ann.asMap(docID) }
 
-// AnnotationTables returns a view of the annotation store. It takes no
-// lock: call it only from inside the Match of a Filter handed to TopK
-// or AnnotatedTopK, under the read lock the scan holds throughout, so
-// the view covers every candidate that scan hands over.
+// AnnotationTables returns a view of the annotation store, in place.
+// Nothing writes a reader, so the view is valid for as long as it is
+// held, and covers every document of the index.
 func (ix *Index) AnnotationTables() AnnTables {
 	st := &ix.ann
 	return AnnTables{Schema: st.schema, Slot: st.slot, Schemas: st.schemas, Ranges: st.ranges, cols: st.cols}
@@ -529,40 +541,38 @@ func (ix *Index) AnnotationTables() AnnTables {
 // ExportAnnotations returns the annotation tables in the form
 // InstallAnnotations takes — the tables an AnnBuilder fed every
 // document's annotations in doc-id order builds, since the store is
-// written the same way. They share the index's memory and stay as they
-// are whatever is committed after the call.
-func (ix *Index) ExportAnnotations() ([]AnnColumn, []AnnSchema) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.ann.tables()
-}
+// written the same way. They share the index's memory.
+func (ix *Index) ExportAnnotations() ([]AnnColumn, []AnnSchema) { return ix.ann.tables() }
 
 // AnnBuilder builds annotation tables outside any index, one document
 // at a time, through Annotate's own intern core and under its contract:
 // each document once, in ascending id order. A snapshot writer fed a
 // tokenized stream builds the tables it persists with one. Not safe
 // for concurrent use.
-type AnnBuilder struct{ st annStore }
+type AnnBuilder struct {
+	st annStore
+	lk annLookup
+}
 
 // NewAnnBuilder returns an empty builder.
-func NewAnnBuilder() *AnnBuilder { return &AnnBuilder{st: newAnnStore()} }
+func NewAnnBuilder() *AnnBuilder { return &AnnBuilder{st: newAnnStore(), lk: newAnnLookup()} }
 
-// Annotate gives document id the annotations anns, as Index.Annotate
-// does; it panics where Index.Annotate does, save that it knows no
+// Annotate gives document id the annotations anns, as Builder.Annotate
+// does; it panics where Builder.Annotate does, save that it knows no
 // document count.
-func (b *AnnBuilder) Annotate(id int, anns map[string]string) { b.st.annotate(id, anns) }
+func (b *AnnBuilder) Annotate(id int, anns map[string]string) { b.st.annotate(&b.lk, id, anns) }
 
 // Tables returns the tables built so far, as ExportAnnotations does.
 func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) { return b.st.tables() }
 
-// InstallAnnotations installs a snapshot's annotation tables into an
-// index that has none. cols holds, by attribute id, each attribute's
+// InstallAnnotations installs a snapshot's annotation tables into a
+// builder whose index has none. cols holds, by attribute id, each attribute's
 // name and its dictionary — Attr, Text and Ends; schemas holds the
 // tables of schema 1 on, each one's Attrs, Codes and Docs; docs is the
-// snapshot's document count. The index takes ownership of every slice.
+// snapshot's document count. The builder takes ownership of every slice.
 // The rest — each value's numeric reading and word count, the code
 // tables, each document's schema and slot, each column's NumRange — is
-// derived outside the table lock, so a loader runs this beside
+// derived outside the builder's lock, so a loader runs this beside
 // ImportRows and ImportTerms.
 // Tables no builder produces are refused whole, before anything is
 // installed: a repeated attribute name, end offsets that leave an
@@ -571,45 +581,44 @@ func (b *AnnBuilder) Tables() ([]AnnColumn, []AnnSchema) { return b.st.tables() 
 // attribute ids that do not ascend or name no attribute, a code past
 // its dictionary, a slot list that does not ascend or leaves the
 // documents, and a document in two schemas.
-func (ix *Index) InstallAnnotations(cols []AnnColumn, schemas []AnnSchema, docs int) error {
-	st, err := restoreAnnStore(cols, schemas, docs)
+func (b *Builder) InstallAnnotations(cols []AnnColumn, schemas []AnnSchema, docs int) error {
+	st, lk, err := restoreAnnStore(cols, schemas, docs)
 	if err != nil {
 		return fmt.Errorf("index: annotation tables: %w", err)
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.version.Add(1)
-	if len(ix.ann.cols) != 0 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.ix.ann.cols) != 0 {
 		return fmt.Errorf("index: install annotations into an annotated index")
 	}
-	ix.ann = st
+	b.ix.ann, b.ann = st, lk
 	return nil
 }
 
 // restoreAnnStore checks persisted tables and derives the store they
-// are the columns of (see InstallAnnotations).
-func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore, error) {
-	st := newAnnStore()
+// are the columns of, and its lookup (see InstallAnnotations).
+func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (st annStore, lk annLookup, err error) {
+	st, lk = newAnnStore(), newAnnLookup()
 	st.cols = cols
 	// carried marks, per attribute, the codes some slot holds.
 	carried := make([][]uint64, len(cols))
 	for a := range st.cols {
 		col := &st.cols[a]
-		if _, dup := st.attrs[col.Attr]; dup {
-			return st, fmt.Errorf("attribute %q named twice", col.Attr)
+		if _, dup := lk.attrs[col.Attr]; dup {
+			return st, lk, fmt.Errorf("attribute %q named twice", col.Attr)
 		}
-		st.attrs[col.Attr] = uint32(a)
+		lk.attrs[col.Attr] = uint32(a)
 		n := len(col.Ends)
 		*col = AnnColumn{Attr: col.Attr, Text: col.Text, Ends: col.Ends, table: make([]uint32, tableSize(n))}
 		carried[a] = make([]uint64, (n+63)/64)
 		prev := uint32(0)
 		for code, end := range col.Ends {
 			if end <= prev || int(end) > len(col.Text) {
-				return st, fmt.Errorf("attribute %q: value %d ends at %d, after %d, in %d bytes", col.Attr, code, end, prev, len(col.Text))
+				return st, lk, fmt.Errorf("attribute %q: value %d ends at %d, after %d, in %d bytes", col.Attr, code, end, prev, len(col.Text))
 			}
 			prev = end
 			if !col.insert(uint32(code)) {
-				return st, fmt.Errorf("attribute %q: value %q twice in its dictionary", col.Attr, col.value(uint32(code)))
+				return st, lk, fmt.Errorf("attribute %q: value %q twice in its dictionary", col.Attr, col.value(uint32(code)))
 			}
 			// v is checked before string(v), which allocates for all
 			// but the shortest values.
@@ -625,7 +634,7 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 			col.maxWords = max(col.maxWords, bytes.Count(v, []byte(" "))+1)
 		}
 		if int(prev) != len(col.Text) {
-			return st, fmt.Errorf("attribute %q: %d bytes past its last value", col.Attr, len(col.Text)-int(prev))
+			return st, lk, fmt.Errorf("attribute %q: %d bytes past its last value", col.Attr, len(col.Text)-int(prev))
 		}
 	}
 	st.schemas = append(st.schemas, schemas...)
@@ -634,26 +643,26 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 	for s := 1; s < len(st.schemas); s++ {
 		t := &st.schemas[s]
 		if len(t.Attrs) == 0 || len(t.Docs) == 0 || len(t.Codes) != len(t.Attrs) {
-			return st, fmt.Errorf("schema %d: %d attributes, %d code columns, %d slots", s, len(t.Attrs), len(t.Codes), len(t.Docs))
+			return st, lk, fmt.Errorf("schema %d: %d attributes, %d code columns, %d slots", s, len(t.Attrs), len(t.Codes), len(t.Docs))
 		}
 		var keyBuf [64]byte
 		key := keyBuf[:0]
 		for i, a := range t.Attrs {
 			if int(a) >= len(cols) || i > 0 && a <= t.Attrs[i-1] {
-				return st, fmt.Errorf("schema %d: attribute ids %v do not ascend within [0, %d)", s, t.Attrs, len(cols))
+				return st, lk, fmt.Errorf("schema %d: attribute ids %v do not ascend within [0, %d)", s, t.Attrs, len(cols))
 			}
 			key = binary.LittleEndian.AppendUint32(key, a)
 		}
-		if _, dup := st.schemaIDs[string(key)]; dup {
-			return st, fmt.Errorf("schema %d repeats attribute ids %v", s, t.Attrs)
+		if _, dup := lk.schemaIDs[string(key)]; dup {
+			return st, lk, fmt.Errorf("schema %d repeats attribute ids %v", s, t.Attrs)
 		}
-		st.schemaIDs[string(key)] = uint32(s)
+		lk.schemaIDs[string(key)] = uint32(s)
 		for slot, id := range t.Docs {
 			if id < 0 || int(id) >= docs {
-				return st, fmt.Errorf("schema %d: slot %d holds doc %d of %d", s, slot, id, docs)
+				return st, lk, fmt.Errorf("schema %d: slot %d holds doc %d of %d", s, slot, id, docs)
 			}
 			if slot > 0 && id <= t.Docs[slot-1] {
-				return st, fmt.Errorf("schema %d: slot %d holds doc %d after doc %d", s, slot, id, t.Docs[slot-1])
+				return st, lk, fmt.Errorf("schema %d: slot %d holds doc %d after doc %d", s, slot, id, t.Docs[slot-1])
 			}
 		}
 		end = max(end, int(t.Docs[len(t.Docs)-1])+1)
@@ -661,14 +670,14 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 		for i, codes := range t.Codes {
 			a := t.Attrs[i]
 			if len(codes) != len(t.Docs) {
-				return st, fmt.Errorf("schema %d: %d codes for %d slots", s, len(codes), len(t.Docs))
+				return st, lk, fmt.Errorf("schema %d: %d codes for %d slots", s, len(codes), len(t.Docs))
 			}
 			// A column of a dictionary with no numeric reading has none in
 			// any slot: its range is its slot count of words.
 			col, r, numeric := &st.cols[a], &ranges[i], st.cols[a].isNum != nil
 			for _, c := range codes {
 				if int(c) >= len(col.Ends) {
-					return st, fmt.Errorf("schema %d: code %d past attribute %q's %d values", s, c, col.Attr, len(col.Ends))
+					return st, lk, fmt.Errorf("schema %d: code %d past attribute %q's %d values", s, c, col.Attr, len(col.Ends))
 				}
 				carried[a][c/64] |= 1 << (c % 64)
 				if numeric {
@@ -684,7 +693,7 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 	for a, col := range st.cols {
 		for code := range col.Ends {
 			if carried[a][code/64]&(1<<(code%64)) == 0 {
-				return st, fmt.Errorf("attribute %q: value %q carried by no document", col.Attr, col.value(uint32(code)))
+				return st, lk, fmt.Errorf("attribute %q: value %q carried by no document", col.Attr, col.value(uint32(code)))
 			}
 		}
 	}
@@ -694,12 +703,12 @@ func restoreAnnStore(cols []AnnColumn, schemas []AnnSchema, docs int) (annStore,
 	for s := 1; s < len(st.schemas); s++ {
 		for slot, id := range st.schemas[s].Docs {
 			if st.schema[id] != 0 {
-				return st, fmt.Errorf("doc %d in schemas %d and %d", id, st.schema[id], s)
+				return st, lk, fmt.Errorf("doc %d in schemas %d and %d", id, st.schema[id], s)
 			}
 			st.schema[id], st.slot[id] = uint32(s), uint32(slot)
 		}
 	}
-	return st, nil
+	return st, lk, nil
 }
 
 // Annotation-aware scoring factors. Demotion is strong: a contradicted
@@ -727,9 +736,7 @@ const rerankDepth = 200
 // slices the same canonical ordering (the base top-rerankDepth
 // re-ranked once, plain BM25 order beyond it). The total counts every
 // document the query matched (after the filter), not just the
-// re-ranked prefix. The vocabulary probe, the base ranking and the
-// adjustment run in one read-locked section, so a concurrent Annotate
-// cannot change the factors read for a ranking made before it.
+// re-ranked prefix.
 func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
 	if k <= 0 {
 		return nil, 0, ctx.Err()
@@ -737,13 +744,11 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 	if offset < 0 {
 		offset = 0
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	mentioned := ix.ann.valuesMentioned(query)
 	if len(mentioned) == 0 {
 		// No annotation vocabulary intersects the query: degrade to the
 		// plain BM25 page, with no over-fetch at all.
-		rs, total, err := ix.topKLocked(ctx, query, k, offset, f)
+		rs, total, err := ix.topK(ctx, query, k, offset, f)
 		return ix.materialize(rs), total, err
 	}
 
@@ -766,7 +771,7 @@ func (ix *Index) AnnotatedTopK(ctx context.Context, query string, k, offset int,
 	if fetch < rerankDepth {
 		fetch = rerankDepth
 	}
-	base, total, err := ix.topKLocked(ctx, query, fetch, 0, f)
+	base, total, err := ix.topK(ctx, query, fetch, 0, f)
 	if err != nil || len(base) == 0 {
 		return base, total, err
 	}
@@ -794,7 +799,7 @@ type mention struct {
 // mentions several values of one attribute the longest wins (multi-word
 // values like "santa fe" beat their substrings), then the one that
 // starts earliest: a total rule, so the choice never depends on map
-// order. The caller holds the table lock.
+// order.
 func (st *annStore) valuesMentioned(query string) []mention {
 	toks := textutil.Tokenize(query)
 	if len(toks) == 0 {
@@ -838,7 +843,7 @@ func (st *annStore) valuesMentioned(query string) []mention {
 // place. Factors multiply in sorted-attribute order: float products do
 // not commute in the last bit, so any other order would make a query
 // mentioning two attributes score — and break near-ties — differently
-// from run to run. The caller holds the table lock.
+// from run to run.
 func (st *annStore) adjust(rs []Result, mentioned []mention) {
 	for i := range rs {
 		id := rs[i].DocID

@@ -11,16 +11,16 @@ import (
 )
 
 func annotatedIndex() *Index {
-	ix := New()
+	b := New()
 	// A real Ford Focus listings page…
-	id1, _ := ix.Add(Doc{URL: "ford-page", Text: "ford focus 1993 clean title low miles ford focus wagon"})
-	ix.Annotate(id1, map[string]string{"make": "ford"})
+	id1, _ := b.Add(Doc{URL: "ford-page", Text: "ford focus 1993 clean title low miles ford focus wagon"})
+	b.Annotate(id1, map[string]string{"make": "ford"})
 	// …and the §5.1 decoy: a Honda page whose text mentions the Focus.
-	id2, _ := ix.Add(Doc{URL: "honda-page", Text: "honda civic 1993 better mileage than the ford focus"})
-	ix.Annotate(id2, map[string]string{"make": "honda"})
+	id2, _ := b.Add(Doc{URL: "honda-page", Text: "honda civic 1993 better mileage than the ford focus"})
+	b.Annotate(id2, map[string]string{"make": "honda"})
 	// An unannotated surface-web page.
-	ix.Add(Doc{URL: "blog", Text: "my old ford focus 1993 road trip story"})
-	return ix
+	b.Add(Doc{URL: "blog", Text: "my old ford focus 1993 road trip story"})
+	return b.Freeze()
 }
 
 func TestAnnotateAndLookup(t *testing.T) {
@@ -40,10 +40,10 @@ func TestAnnotateAndLookup(t *testing.T) {
 }
 
 func TestAnnotateIgnoresEmpty(t *testing.T) {
-	ix := New()
-	id, _ := ix.Add(Doc{URL: "u", Text: "x y"})
-	ix.Annotate(id, map[string]string{"": "v", "attr": "", "ok": "Val"})
-	anns := ix.AnnotationsOf(id)
+	b := New()
+	id, _ := b.Add(Doc{URL: "u", Text: "x y"})
+	b.Annotate(id, map[string]string{"": "v", "attr": "", "ok": "Val"})
+	anns := b.Freeze().AnnotationsOf(id)
 	if len(anns) != 1 || anns["ok"] != "val" {
 		t.Errorf("anns = %v", anns)
 	}
@@ -55,10 +55,10 @@ func TestAnnotateIgnoresEmpty(t *testing.T) {
 func TestAnnotateKeyOrderIsTotal(t *testing.T) {
 	want := map[string]string{"make": "honda", "year": "2001"}
 	for run := 0; run < 200; run++ {
-		ix := New()
-		id, _ := ix.Add(Doc{URL: "u", Text: "ford honda audi"})
-		ix.Annotate(id, map[string]string{"Make": "ford", "make ": "honda", "MAKE": "audi", "year": "2001", " YEAR": ""})
-		if got := ix.AnnotationsOf(id); !reflect.DeepEqual(got, want) {
+		b := New()
+		id, _ := b.Add(Doc{URL: "u", Text: "ford honda audi"})
+		b.Annotate(id, map[string]string{"Make": "ford", "make ": "honda", "MAKE": "audi", "year": "2001", " YEAR": ""})
+		if got := b.Freeze().AnnotationsOf(id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d: annotations %v, want %v", run, got, want)
 		}
 	}
@@ -117,23 +117,23 @@ func TestAnnotatedSearchUnannotatedUntouched(t *testing.T) {
 }
 
 func TestAnnotatedSearchEdgeCases(t *testing.T) {
-	ix := New()
-	if got := annotatedSearch(ix, "anything", 5); got != nil {
+	b := New()
+	if got := annotatedSearch(b.Freeze(), "anything", 5); got != nil {
 		t.Error("empty index should return nil")
 	}
-	ix.Add(Doc{URL: "u", Text: "hello"})
-	if got := annotatedSearch(ix, "hello", 0); got != nil {
+	b.Add(Doc{URL: "u", Text: "hello"})
+	if got := annotatedSearch(b.Freeze(), "hello", 0); got != nil {
 		t.Error("k=0 should return nil")
 	}
 }
 
 func TestAnnotatedSearchMultiWordValue(t *testing.T) {
-	ix := New()
-	id1, _ := ix.Add(Doc{URL: "sf", Text: "listings in san francisco bay area"})
-	ix.Annotate(id1, map[string]string{"city": "san francisco"})
-	id2, _ := ix.Add(Doc{URL: "sd", Text: "san diego listings mention san francisco once"})
-	ix.Annotate(id2, map[string]string{"city": "san diego"})
-	ann := annotatedSearch(ix, "homes san francisco", 2)
+	b := New()
+	id1, _ := b.Add(Doc{URL: "sf", Text: "listings in san francisco bay area"})
+	b.Annotate(id1, map[string]string{"city": "san francisco"})
+	id2, _ := b.Add(Doc{URL: "sd", Text: "san diego listings mention san francisco once"})
+	b.Annotate(id2, map[string]string{"city": "san diego"})
+	ann := annotatedSearch(b.Freeze(), "homes san francisco", 2)
 	if len(ann) == 0 || ann[0].URL != "sf" {
 		t.Errorf("multi-word value handling wrong: %+v", ann)
 	}
@@ -144,17 +144,18 @@ func TestAnnotatedSearchMultiWordValue(t *testing.T) {
 // last bit, so the factors must apply in a fixed order: the same query
 // must score — and break near-ties — identically on every run.
 func TestAnnotatedTwoAttributeQueryIsBitStable(t *testing.T) {
-	ix := NewSharded(4)
+	b := NewSharded(4)
 	makes, cities := []string{"ford", "honda"}, []string{"seattle", "portland", "austin"}
 	for i := 0; i < 120; i++ {
 		mk, city := makes[i%2], cities[i%3]
-		id, _ := ix.Add(Doc{
+		id, _ := b.Add(Doc{
 			URL:   fmt.Sprintf("http://cars.example/%d", i),
 			Title: fmt.Sprintf("%s listing %d", mk, i),
 			Text:  fmt.Sprintf("used ford focus or honda civic %s seattle portland austin %s", strings.Repeat("clean ", i%7), city),
 		})
-		ix.Annotate(id, map[string]string{"make": mk, "city": city})
+		b.Annotate(id, map[string]string{"make": mk, "city": city})
 	}
+	ix := b.Freeze()
 	const q = "used ford seattle"
 	want, _, err := ix.AnnotatedTopK(context.Background(), q, 50, 0, nil)
 	if err != nil || len(want) != 50 {

@@ -15,17 +15,18 @@ import (
 // choice — and with it every score bit and the order — is the same on
 // every run, and follows the query's word order, not the dictionary's.
 func TestAnnotatedEqualLengthValuesAreBitStable(t *testing.T) {
-	ix := NewSharded(4)
+	b := NewSharded(4)
 	makes := []string{"ford", "fiat", "audi", "saab"}
 	for i := 0; i < 120; i++ {
 		mk := makes[i%len(makes)]
-		id, _ := ix.Add(Doc{
+		id, _ := b.Add(Doc{
 			URL:   fmt.Sprintf("http://cars.example/%d", i),
 			Title: fmt.Sprintf("%s listing %d", mk, i),
 			Text:  fmt.Sprintf("used ford fiat audi saab wagon %d", i%9),
 		})
-		ix.Annotate(id, map[string]string{"make": mk})
+		b.Annotate(id, map[string]string{"make": mk})
 	}
+	ix := b.Freeze()
 	for _, c := range []struct{ q, boosted string }{
 		{"used fiat ford wagon", "fiat"},
 		{"used ford fiat wagon", "ford"},
@@ -54,7 +55,7 @@ func TestAnnotatedEqualLengthValuesAreBitStable(t *testing.T) {
 // annotation of a document, an id below an annotated one and an id
 // outside the index each panic, naming the id, and intern nothing; a
 // map with no pair Annotate keeps is no annotation. A commit onto a
-// loaded, annotated index annotates what it adds.
+// builder that imported an annotated index annotates what it adds.
 func TestAnnotateIsAppendOnly(t *testing.T) {
 	ix := New()
 	for i := range 5 {
@@ -86,7 +87,7 @@ func TestAnnotateIsAppendOnly(t *testing.T) {
 			tc.call()
 		}()
 	}
-	if cols, _ := ix.ExportAnnotations(); len(cols) != 1 || string(cols[0].Text) != "fordsaab" {
+	if cols, _ := ix.Freeze().ExportAnnotations(); len(cols) != 1 || string(cols[0].Text) != "fordsaab" {
 		t.Fatalf("refused annotations left the dictionaries %+v", cols)
 	}
 	if cols, _ := b.Tables(); len(cols) != 1 || string(cols[0].Text) != "ford" {
@@ -94,12 +95,12 @@ func TestAnnotateIsAppendOnly(t *testing.T) {
 	}
 	ix.Annotate(4, audi)
 
-	docs, lens := exportDocs(ix)
+	docs, lens := exportDocs(ix.Freeze())
 	loaded := NewSharded(2)
 	if err := loaded.ImportDocs(docs, lens, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.InstallAnnotations(exportTables(ix)); err != nil {
+	if err := loaded.InstallAnnotations(exportTables(ix.Freeze())); err != nil {
 		t.Fatal(err)
 	}
 	ps := []*Prepared{Prepare(docs[0]), Prepare(Doc{URL: "http://cars.example/5", Text: "used saab"})}
@@ -108,7 +109,7 @@ func TestAnnotateIsAppendOnly(t *testing.T) {
 		t.Fatalf("batch onto the loaded index: ids %v added %v", ids, added)
 	}
 	for id, want := range []map[string]string{{"make": "ford"}, nil, {"make": "saab"}, nil, audi, {"make": "saab"}} {
-		if got := loaded.AnnotationsOf(id); !reflect.DeepEqual(got, want) {
+		if got := loaded.Freeze().AnnotationsOf(id); !reflect.DeepEqual(got, want) {
 			t.Errorf("loaded doc %d annotated %v, want %v", id, got, want)
 		}
 	}
@@ -118,11 +119,12 @@ func TestAnnotateIsAppendOnly(t *testing.T) {
 // so it must notice cancellation — and hand the pooled accumulator back
 // clean, undrained entries included.
 func TestTopKFilteredScanIsCancelable(t *testing.T) {
-	ix := NewSharded(4)
+	b := NewSharded(4)
 	const n = 3 * keepPollEvery
 	for i := 0; i < n; i++ {
-		ix.Add(Doc{URL: fmt.Sprintf("http://h.example/%d", i), Text: fmt.Sprintf("ford focus %d", i%13)})
+		b.Add(Doc{URL: fmt.Sprintf("http://h.example/%d", i), Text: fmt.Sprintf("ford focus %d", i%13)})
 	}
+	ix := b.Freeze()
 	const q = "ford focus 7"
 	want := search(ix, q, 10)
 
@@ -178,12 +180,12 @@ func TestInstallRejectsBadEndOffsets(t *testing.T) {
 		"short of the text":  {AnnColumn{Attr: "make", Text: []byte("fordsaab"), Ends: []uint32{4}}, "4 bytes past its last value"},
 		"text with no value": {AnnColumn{Attr: "make", Text: []byte("ford")}, "4 bytes past its last value"},
 	} {
-		ix := New()
-		err := ix.InstallAnnotations([]AnnColumn{tc.col}, schemas, 1)
+		b := New()
+		err := b.InstallAnnotations([]AnnColumn{tc.col}, schemas, 1)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: InstallAnnotations = %v, want an error mentioning %q", name, err, tc.want)
 		}
-		if ix.AnnotationsOf(0) != nil {
+		if b.Freeze().AnnotationsOf(0) != nil {
 			t.Errorf("%s: refused tables left doc 0 annotated", name)
 		}
 	}

@@ -61,11 +61,12 @@ func TestAddPreparedMatchesAdd(t *testing.T) {
 				d.URL, idA, addedA, idB, addedB, batchIDs[i], batchAdded[i])
 		}
 	}
-	if a.Len() != b.Len() {
-		t.Fatalf("Len %d vs %d", a.Len(), b.Len())
+	ra, rb := a.Freeze(), b.Freeze()
+	if ra.Len() != rb.Len() {
+		t.Fatalf("Len %d vs %d", ra.Len(), rb.Len())
 	}
 	for _, q := range []string{"ford focus", "ricotta", "reindex"} {
-		ra, rb := search(a, q, 5), search(b, q, 5)
+		ra, rb := search(ra, q, 5), search(rb, q, 5)
 		if len(ra) != len(rb) {
 			t.Fatalf("q=%q: %d vs %d hits", q, len(ra), len(rb))
 		}
@@ -77,11 +78,11 @@ func TestAddPreparedMatchesAdd(t *testing.T) {
 	}
 }
 
-// Hammer concurrent AddPrepared + Search across goroutines; run with
-// -race. Content (not ids) must come out complete regardless of
-// interleaving.
+// Hammer concurrent AddPrepared, Freeze and Search across goroutines;
+// run with -race. Content (not ids) must come out complete regardless
+// of interleaving.
 func TestConcurrentAddPrepared(t *testing.T) {
-	ix := New()
+	b := New()
 	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -93,14 +94,15 @@ func TestConcurrentAddPrepared(t *testing.T) {
 					URL:  fmt.Sprintf("w%d-u%d", w, i),
 					Text: fmt.Sprintf("pelican writer%02d item%02d shared vocabulary", w, i),
 				})
-				ix.AddPrepared(p)
+				b.AddPrepared(p)
 			}
 		}(w)
 	}
 	for i := 0; i < 100; i++ {
-		search(ix, "pelican shared", 5)
+		search(b.Freeze(), "pelican shared", 5)
 	}
 	wg.Wait()
+	ix := b.Freeze()
 	if got := ix.Len(); got != writers*perWriter {
 		t.Fatalf("Len = %d, want %d", got, writers*perWriter)
 	}

@@ -78,8 +78,8 @@ func plainTail(tail string) bool {
 }
 
 // internHost returns the id of rawURL's host in the dictionary ids,
-// names (the index's, under its write lock, or one being built for
-// it), interning it on first sight; 0 for a URL without one.
+// names (a builder's, or one being built for it), interning it on
+// first sight; 0 for a URL without one.
 func internHost(ids map[string]uint32, names *[]string, rawURL string) uint32 {
 	return internName(ids, names, hostOf(rawURL))
 }

@@ -93,10 +93,11 @@ func FuzzRowHosts(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := NewSharded(1)
-		if err := ix.ImportRows(rows); err != nil {
+		b := NewSharded(1)
+		if err := b.ImportRows(rows); err != nil {
 			t.Fatal(err)
 		}
+		ix := b.Freeze()
 		ix.ForEach(func(id int, d Doc, host string) {
 			if want := refHost(d.URL); host != want {
 				t.Fatalf("doc %d %q: host %q in the column, url.Parse says %q", id, d.URL, host, want)
@@ -117,7 +118,7 @@ func FuzzRowHosts(f *testing.F) {
 // The column stays parallel to the document table through both paths
 // that write it: batch commits and a snapshot-style export and import.
 func TestHostColumnFollowsDocs(t *testing.T) {
-	ix := NewSharded(4)
+	b := NewSharded(4)
 	for i := 0; i < 90; i++ {
 		u := fmt.Sprintf("http://h%d.example/doc/%02d", i%4, (i*37)%90) // URL order != id order
 		switch i % 5 {
@@ -126,7 +127,7 @@ func TestHostColumnFollowsDocs(t *testing.T) {
 		case 2:
 			u = fmt.Sprintf("http://h%d.example/bad/%%zz%02d", i%4, i)
 		}
-		ix.Add(Doc{URL: u, Text: "ford focus"})
+		b.Add(Doc{URL: u, Text: "ford focus"})
 	}
 	check := func(when string, ix *Index) {
 		t.Helper()
@@ -141,11 +142,11 @@ func TestHostColumnFollowsDocs(t *testing.T) {
 			t.Fatalf("%s: no documents", when)
 		}
 	}
-	check("after commits", ix)
-	docs, lens := exportDocs(ix)
+	check("after commits", b.Freeze())
+	docs, lens := exportDocs(b.Freeze())
 	loaded := NewSharded(4)
 	if err := loaded.ImportDocs(docs, lens, nil); err != nil {
 		t.Fatal(err)
 	}
-	check("after import", loaded)
+	check("after import", loaded.Freeze())
 }

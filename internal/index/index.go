@@ -6,34 +6,28 @@
 // document) is carried as opaque metadata so experiments can credit
 // impact back to forms (E1).
 //
-// Layout: the document table (rows, lengths, URL dedup, the host
-// column), the one term → posting-list map and the annotations sit
-// behind one lock, the table lock. The table holds no string header
-// per document: each row — URL, title, text, source — is an 8-byte
-// reference into an immutable string holding rows in the docs
-// segment's encoding (rows.go), decoded on demand for a hit, a
-// ForEach or a text-fallback filter, with nothing allocated. A posting
-// list (postings.go) is a 4-byte doc id and a 1-byte tf per posting,
-// its tfs widened to 4 bytes only when one exceeds 255; a loaded
-// segment's lists are slices of one doc-id and one tf array. All of it
-// is append-only: a commit writes a whole batch — rows, postings, the
-// annotations of the documents it adds, each written once — in one
-// write-locked section, and a query reads under the read lock, so
-// readers see a batch entirely or not at all; a snapshot writes the
-// rows and annotation tables as they are held. Shards exist only on
+// Layout: the document table (rows, lengths, the host column), the one
+// term → posting-list map and the annotations. The table holds no
+// string header per document: each row — URL, title, text, source — is
+// an 8-byte reference into an immutable string holding rows in the docs
+// segment's encoding (rows.go), decoded on demand for a hit, a ForEach
+// or a text-fallback filter, with nothing allocated. A posting list
+// (postings.go) is a 4-byte doc id and a 1-byte tf per posting, its tfs
+// widened to 4 bytes only when one exceeds 255; a loaded segment's lists
+// are slices of one doc-id array and one tf array. Shards exist only on
 // disk: the index records how many postings segments a snapshot of it
-// is written as, and the snapshot writer (internal/store) decides
-// which segment each term lands in.
-// The expensive half of an insert — tokenization and term counting —
-// is exposed separately as Prepare, so a concurrent ingest pipeline
-// can analyze documents in parallel outside the lock and commit them
-// at an ordered point, keeping doc-id assignment deterministic.
+// is written as, and the snapshot writer (internal/store) decides which
+// segment each term lands in.
 //
-// The URL map that dedups commits grows with every commit into an
-// index from New. An index whose table came from ImportRows or
-// ImportDocs (a loaded snapshot) has none until the first
-// AddPreparedBatch or Has, which builds it from the table: a served
-// index never reads it.
+// A Builder writes the index: commits, each a whole batch of rows,
+// postings and the annotations of the documents it adds, and a
+// snapshot's imports. Its Freeze hands out, in O(1), an Index: the
+// reader every query goes through, which shares every array with the
+// builder and which no write reaches (see Builder.thaw), so a query
+// takes no lock. Prepare, the expensive half of an insert — tokenizing
+// and counting terms — runs outside the builder's lock, so an ingest
+// pipeline analyzes documents in parallel and commits them at an
+// ordered point, keeping doc-id assignment deterministic.
 //
 // Both halves run allocation-consciously: Prepare draws its tokenizer,
 // term buffer and counting map from a pool and emits a compact
@@ -48,7 +42,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"deepweb/internal/textutil"
 )
@@ -70,22 +63,17 @@ type Result struct {
 	Score  float64
 }
 
-// Index is an in-memory inverted index with BM25 scoring. It is safe
-// for concurrent use; a committed batch becomes visible to queries all
-// at once.
+// Index is an in-memory inverted index with BM25 scoring: the reader a
+// Builder's Freeze hands out. Nothing writes it, so it is safe for
+// concurrent use without a lock, and every method answers the same for
+// its whole life.
 type Index struct {
 	// segments is how many postings segments Save writes, fixed at
 	// construction; it does not change how postings are held in memory.
 	segments int
 
-	// mu, the table lock, guards everything below: the document table,
-	// postings and ann. A query holds it read-side for its whole scan,
-	// so the filter reads each candidate's annotations in place; writers
-	// hold it write-side.
-	mu       sync.RWMutex
 	rows     Rows
 	lens     []int32
-	byURL    map[string]int // URL -> id; keys are row substrings; nil after an import until the first write
 	totalLen int
 
 	postings map[string]*PostingList // term -> postings in ascending doc id
@@ -98,10 +86,6 @@ type Index struct {
 	hostNames []string          // id -> host; hostNames[0] is ""
 
 	ann annStore
-
-	// version counts write-locked sections; each increments it while
-	// holding mu (see Version).
-	version atomic.Uint64
 }
 
 // BM25 constants; the standard values.
@@ -110,30 +94,12 @@ const (
 	bm25B  = 0.75
 )
 
-// DefaultShards is the postings-segment count of an index from New.
+// DefaultShards is the postings-segment count of a builder from New.
 const DefaultShards = 16
 
-// New returns an empty index that saves as DefaultShards postings
-// segments.
-func New() *Index { return NewSharded(DefaultShards) }
-
-// NewSharded returns an empty index that saves as n postings segments
-// (n < 1 is treated as 1). The count is a snapshot layout; search
-// results do not depend on it.
-func NewSharded(n int) *Index {
-	return &Index{
-		segments:  max(n, 1),
-		byURL:     map[string]int{},
-		postings:  map[string]*PostingList{},
-		hostIDs:   map[string]uint32{},
-		hostNames: []string{""},
-		ann:       newAnnStore(),
-	}
-}
-
 // Prepared is a tokenized document ready to commit: the expensive part
-// of an insert (tokenize, stopword, stem, count) done up front, with no
-// index lock held. Workers prepare documents concurrently; doc ids are
+// of an insert (tokenize, stopword, stem, count) done up front, outside
+// the builder's lock. Workers prepare documents concurrently; doc ids are
 // assigned only when AddPrepared runs. The term list is a compact
 // parallel pair of slices — unique terms with their frequencies — so a
 // buffered document costs two allocations, not a map.
@@ -189,70 +155,12 @@ func Prepare(d Doc) *Prepared {
 	return p
 }
 
-// Add indexes a document and returns its id. A URL already present is
-// not re-indexed (the crawler and the surfacer may both submit the same
-// page); the existing id is returned with added=false.
-func (ix *Index) Add(d Doc) (id int, added bool) {
-	return ix.AddPrepared(Prepare(d))
-}
-
-// AddPrepared commits one prepared document, unannotated, through the
-// batch commit path.
-func (ix *Index) AddPrepared(p *Prepared) (id int, added bool) {
-	ids, ok := ix.AddPreparedBatch([]*Prepared{p}, nil)
-	return ids[0], ok[0]
-}
-
-// Version changes whenever the index may answer a query differently:
-// every write-locked section increments it while holding the lock. A
-// caller that reads Version before a query therefore never pairs a
-// version with an older state than the one it names, so a result
-// cached under it goes stale only once the version has moved on.
-func (ix *Index) Version() uint64 { return ix.version.Load() }
-
 // Len returns the number of indexed documents.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.lens)
-}
-
-// Has reports whether a URL is already indexed. On an index whose
-// documents came from an import, the first call takes the write lock
-// and builds the URL lookup.
-func (ix *Index) Has(url string) bool {
-	ix.mu.RLock()
-	if ix.byURL != nil {
-		_, ok := ix.byURL[url]
-		ix.mu.RUnlock()
-		return ok
-	}
-	ix.mu.RUnlock()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	_, ok := ix.urlsLocked()[url]
-	return ok
-}
-
-// urlsLocked returns the URL lookup, building it from the document
-// table if an import left it nil. The caller holds the write lock.
-func (ix *Index) urlsLocked() map[string]int {
-	if ix.byURL == nil {
-		ix.byURL = make(map[string]int, ix.rows.Len())
-		for id := range ix.rows.Len() {
-			ix.byURL[ix.rows.Doc(id).URL] = id
-		}
-	}
-	return ix.byURL
-}
+func (ix *Index) Len() int { return len(ix.lens) }
 
 // Doc returns the indexed document with the given id; its fields are
 // substrings of the row that holds it.
-func (ix *Index) Doc(id int) Doc {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.rows.Doc(id)
-}
+func (ix *Index) Doc(id int) Doc { return ix.rows.Doc(id) }
 
 // DF returns the document frequency of a (raw) term after the
 // standard pipeline is applied to it.
@@ -261,11 +169,9 @@ func (ix *Index) DF(term string) int {
 	qterms := sc.tz.StemmedTokensInto(sc.qterms[:0], term)
 	df := 0
 	if len(qterms) > 0 {
-		ix.mu.RLock()
 		if pl := ix.postings[qterms[0]]; pl != nil {
 			df = pl.Len()
 		}
-		ix.mu.RUnlock()
 	}
 	sc.qterms = qterms[:0]
 	searchPool.Put(sc)
@@ -320,19 +226,16 @@ type Filter struct {
 	// never seen answers an empty page without scoring anything.
 	Host string
 	// Match, when set, admits the candidates it returns true for,
-	// handed each one's doc id, under the scan's read lock, after the
-	// host check. Like ForEach's fn it must not call back into the
-	// index (bar AnnotationTables and RowView, which take no lock and
-	// rely on this one): a recursive read lock deadlocks once a writer
-	// is queued.
+	// handed each one's doc id, after the host check. It may read the
+	// index it filters — AnnotationTables and RowView are views of it
+	// that stay valid — since nothing writes a reader.
 	Match func(id int) bool
 	// Schema, when set beside Match, judges an annotation schema whole:
 	// the scan asks it once, on the first candidate of schema s (the
 	// document's AnnTables.Schema entry, 0 for none) that reaches
 	// Match, and then admits every candidate of a schema it answers
 	// AdmitAll and rejects every one of a schema it answers RejectAll
-	// without calling Match. Its answers must agree with Match's, under
-	// the same lock and rules.
+	// without calling Match. Its answers must agree with Match's.
 	Schema func(s uint32) Verdict
 }
 
@@ -357,16 +260,13 @@ func (ix *Index) TopK(ctx context.Context, query string, k, offset int, f *Filte
 	if k <= 0 {
 		return nil, 0, ctx.Err()
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	rs, total, err := ix.topKLocked(ctx, query, k, offset, f)
+	rs, total, err := ix.topK(ctx, query, k, offset, f)
 	return ix.materialize(rs), total, err
 }
 
 // materialize fills in each result's URL, Title and Source from its
 // row. Only the page a caller gets back is decoded: a row is read at a
-// random place in its chunk, a few cache misses each. The caller holds
-// the table read lock.
+// random place in its chunk, a few cache misses each.
 func (ix *Index) materialize(rs []Result) []Result {
 	for i := range rs {
 		d := ix.rows.Doc(rs[i].DocID)
@@ -375,9 +275,8 @@ func (ix *Index) materialize(rs []Result) []Result {
 	return rs
 }
 
-// topKLocked is TopK for a caller holding the table read lock, save
-// that it leaves the results to materialize.
-func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
+// topK is TopK, save that it leaves the results to materialize.
+func (ix *Index) topK(ctx context.Context, query string, k, offset int, f *Filter) ([]Result, int, error) {
 	if offset < 0 {
 		offset = 0
 	}
@@ -448,9 +347,8 @@ func (ix *Index) topKLocked(ctx context.Context, query string, k, offset int, f 
 			continue
 		}
 		w := idf(n, pl.Len()) * (bm25K1 + 1)
-		// Every posting names a row of this query's table: a commit
-		// writes rows and postings in one section under the table lock,
-		// held read-side for this whole query. BM25 contributions are
+		// Every posting names a row of the table: a reader is frozen
+		// whole, with every row its postings name. BM25 contributions are
 		// strictly positive, so a zero score means "first touch" and
 		// doubles as the reset marker.
 		docs, lens := pl.docs, ix.lens

@@ -91,7 +91,7 @@ func TestTopKScoresWideTF(t *testing.T) {
 	for i, n := range []int{300, 255, 1} {
 		ix.Add(Doc{URL: fmt.Sprintf("http://tf.example/%d", i), Text: strings.Repeat("ford ", n) + "focus"})
 	}
-	hits, total, err := ix.TopK(context.Background(), "ford", 3, 0, nil)
+	hits, total, err := ix.Freeze().TopK(context.Background(), "ford", 3, 0, nil)
 	if err != nil || total != 3 {
 		t.Fatalf("total %d, err %v", total, err)
 	}
@@ -121,8 +121,8 @@ func BenchmarkScan(b *testing.B) {
 		rows[id] = Doc{URL: fmt.Sprintf("http://scan.example/%d", id)}
 		lens[id] = int32(20 + r.Intn(180))
 	}
-	ix := NewSharded(1)
-	if err := ix.ImportDocs(rows, lens, nil); err != nil {
+	bld := NewSharded(1)
+	if err := bld.ImportDocs(rows, lens, nil); err != nil {
 		b.Fatal(err)
 	}
 	var tz textutil.Tokenizer
@@ -143,9 +143,10 @@ func BenchmarkScan(b *testing.B) {
 		}
 		terms = append(terms, TermPostings{Term: tz.StemmedTokensInto(nil, w)[0], Postings: pl})
 	}
-	if err := ix.ImportTerms(terms); err != nil {
+	if err := bld.ImportTerms(terms); err != nil {
 		b.Fatal(err)
 	}
+	ix := bld.Freeze()
 	queries := []string{"alpha", "alpha bravo", "charlie delta", "echo foxtrot golf", "hotel india", "juliet kilo lima", "bravo lima", "delta hotel kilo"}
 	postings := 0
 	for _, q := range queries {

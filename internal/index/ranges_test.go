@@ -13,12 +13,11 @@ import (
 // reading, the NaN count and the count of values with no reading. An
 // index annotated live, one the same tables were installed into, and
 // the live one saved and loaded hold equal ranges, bit for bit; a
-// commit after the install or the load widens them as it widens the
-// live one's.
+// commit after the install widens them as it widens the live one's.
 func TestNumRangesLiveInstalledAndLoaded(t *testing.T) {
 	prices := []string{"3800", "nan", "12000.5", "n/a", "-0", "inf", "1e3"}
-	live := engine.New()
-	add := func(ix *index.Index, i int) {
+	live := index.New()
+	add := func(ix *index.Builder, i int) {
 		id, _ := ix.Add(index.Doc{URL: fmt.Sprintf("http://cars.example/%d", i), Text: "used car"})
 		anns := map[string]string{"price": prices[i%len(prices)], "year": fmt.Sprint(1990 + i%7)}
 		if i%3 == 0 {
@@ -28,25 +27,26 @@ func TestNumRangesLiveInstalledAndLoaded(t *testing.T) {
 	}
 	const n = 40
 	for i := range n {
-		add(live.Index, i)
+		add(live, i)
 	}
+	frozen := live.Freeze()
 
 	installed := index.New()
 	var docs []index.Doc
-	lens := make([]int32, live.Index.Len())
+	lens := make([]int32, frozen.Len())
 	for id := range lens {
-		docs = append(docs, live.Index.Doc(id))
+		docs = append(docs, frozen.Doc(id))
 		lens[id] = 2
 	}
 	if err := installed.ImportDocs(docs, lens, nil); err != nil {
 		t.Fatal(err)
 	}
-	cols, schemas := live.Index.ExportAnnotations()
+	cols, schemas := frozen.ExportAnnotations()
 	if err := installed.InstallAnnotations(cols, schemas, len(docs)); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := live.Save(dir, nil); err != nil {
+	if err := (&engine.Engine{Index: frozen}).Save(dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := engine.Load(dir)
@@ -54,7 +54,7 @@ func TestNumRangesLiveInstalledAndLoaded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := live.Index.AnnotationTables()
+	want := frozen.AnnotationTables()
 	// Schema 2 is {price, year}: of the 40 documents the 26 whose id is
 	// not a multiple of 3 (schema 1 adds city).
 	if price := want.Ranges[2][0]; math.Float64bits(price.Min) != math.Float64bits(math.Copysign(0, -1)) || price.Max != math.Inf(1) || price.NaN != 4 || price.Words != 4 {
@@ -63,17 +63,16 @@ func TestNumRangesLiveInstalledAndLoaded(t *testing.T) {
 	if year := want.Ranges[2][1]; year.Min != 1990 || year.Max != 1996 || year.NaN != 0 || year.Words != 0 {
 		t.Fatalf("schema 2's year column has range %+v, want [1990, 1996]", year)
 	}
-	equalRanges(t, "installed", installed.AnnotationTables().Ranges, want.Ranges)
+	equalRanges(t, "installed", installed.Freeze().AnnotationTables().Ranges, want.Ranges)
 	equalRanges(t, "loaded", loaded.Index.AnnotationTables().Ranges, want.Ranges)
 
 	for i := n; i < n+10; i++ {
-		add(live.Index, i)
+		add(live, i)
 		add(installed, i)
-		add(loaded.Index, i)
 	}
-	want = live.Index.AnnotationTables()
-	equalRanges(t, "installed, then committed to", installed.AnnotationTables().Ranges, want.Ranges)
-	equalRanges(t, "loaded, then committed to", loaded.Index.AnnotationTables().Ranges, want.Ranges)
+	got := installed.Freeze().AnnotationTables().Ranges
+	equalRanges(t, "installed, then committed to", got, live.Freeze().AnnotationTables().Ranges)
+	equalRanges(t, "frozen before the commits", frozen.AnnotationTables().Ranges, want.Ranges)
 }
 
 func equalRanges(t *testing.T, name string, got, want [][]index.NumRange) {

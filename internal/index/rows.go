@@ -70,8 +70,7 @@ func Uvarint(s string) (v uint64, n int) {
 	return 0, 0
 }
 
-// Rows is a read-only view of the document table. The one an index
-// hands out (RowView) is valid for the scan that took it.
+// Rows is a read-only view of the document table.
 type Rows struct {
 	refs   []uint64 // doc id -> chunk<<offBits | offset
 	chunks []string
@@ -100,8 +99,6 @@ func (r *Rows) addChunk(chunk string) (ref uint64) {
 	return c << offBits
 }
 
-// RowView returns a view of the document table. It takes no lock:
-// call it only from inside the Match of a Filter handed to TopK or
-// AnnotatedTopK, under the read lock the scan holds throughout, so the
-// view covers every candidate that scan hands over.
+// RowView returns a view of the document table, in place. Nothing
+// writes a reader, so the view is valid for as long as it is held.
 func (ix *Index) RowView() Rows { return ix.rows }

@@ -12,11 +12,12 @@ import (
 // Snapshot support. The index's internals — the posting map, the
 // document table, the annotation store — stay private; this file is
 // the narrow export/import surface the snapshot codec (internal/store)
-// works through. Export hands out the posting lists (ExportTerms), the
-// rows (ForEachRow) and the annotation tables (ExportAnnotations) as
-// the index holds them, which a snapshot writer writes as they are; import
-// rebuilds an index from decoded segments without re-running the text
-// pipeline, which is what makes warm starts cheap. The annotation
+// works through. A reader's export hands out the posting lists
+// (ExportTerms), the rows (ForEachRow) and the annotation tables
+// (ExportAnnotations) as it holds them, which a snapshot writer writes
+// as they are; a builder's import rebuilds an index from decoded
+// segments without re-running the text pipeline, which is what makes
+// warm starts cheap. The annotation
 // store's side of it, ExportAnnotations, AnnBuilder and
 // InstallAnnotations, sits with the store in annotated.go.
 //
@@ -41,43 +42,33 @@ type TermPostings struct {
 func (ix *Index) NumShards() int { return ix.segments }
 
 // ExportTerms returns every term with its posting list, terms sorted,
-// postings in stored order. The lists share the index's arrays: a
-// commit only appends to a list past its end, and the widening of a
-// list's tfs lays them out in a new array, so what an exported list
-// holds never changes, and the caller may encode it after the call
-// returns, concurrently with writers. Each slice is clipped to its
-// length, so an append to an exported list copies it first.
+// postings in stored order. The lists share the index's arrays, which
+// a builder only appends to past the reader's ends. Each slice is
+// clipped to its length, so an append to an exported list copies it
+// first.
 func (ix *Index) ExportTerms() []TermPostings {
-	ix.mu.RLock()
 	out := make([]TermPostings, 0, len(ix.postings))
 	for term, plist := range ix.postings {
 		out = append(out, TermPostings{Term: term, Postings: PostingList{docs: slices.Clip(plist.docs), tfs: slices.Clip(plist.tfs)}})
 	}
-	ix.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
 	return out
 }
 
 // ForEach calls fn for every document in ascending id order, with the
 // document's host from the host column (url.Parse's Host, "" for
-// none), under the table read lock — the copy-free way to walk the
-// corpus. fn must not call back into the index.
+// none) — the copy-free way to walk the corpus.
 func (ix *Index) ForEach(fn func(id int, d Doc, host string)) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	for id := range ix.rows.Len() {
 		fn(id, ix.rows.Doc(id), ix.hostNames[ix.hosts[id]])
 	}
 }
 
 // ForEachRow calls fn with every document's row — AppendRow's
-// encoding, the docs segment's — in ascending id order, under the
-// table read lock, and returns fn's first error, at which it stops.
-// The rows are substrings of the table's chunks. fn must not call back
-// into the index.
+// encoding, the docs segment's — in ascending id order, and returns
+// fn's first error, at which it stops. The rows are substrings of the
+// table's chunks.
 func (ix *Index) ForEachRow(fn func(row string) error) error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	for _, ref := range ix.rows.refs {
 		row := ix.rows.chunks[ref>>offBits][ref&offMask:]
 		_, _, n := ParseRow(row)
@@ -88,12 +79,12 @@ func (ix *Index) ForEachRow(fn func(row string) error) error {
 	return nil
 }
 
-// ImportDocs installs a decoded document table into an empty index:
+// ImportDocs installs a decoded document table into an empty builder:
 // it encodes the rows into one string, reads them back with ScanRows
 // and installs them with ImportRows. The index holds no deleted
 // documents, so dead must be nil; the parameter stays until the one
 // caller that passes it, the benchmark's traced load, goes.
-func (ix *Index) ImportDocs(docs []Doc, lens []int32, dead []bool) error {
+func (b *Builder) ImportDocs(docs []Doc, lens []int32, dead []bool) error {
 	if len(docs) != len(lens) {
 		return fmt.Errorf("index: import: %d docs but %d lengths", len(docs), len(lens))
 	}
@@ -112,7 +103,7 @@ func (ix *Index) ImportDocs(docs []Doc, lens []int32, dead []bool) error {
 	if err != nil {
 		return fmt.Errorf("index: import: %w", err)
 	}
-	return ix.ImportRows(t)
+	return b.ImportRows(t)
 }
 
 // RowTable is a document table as ScanRows read it, for ImportRows to
@@ -144,7 +135,7 @@ func (t *RowTable) Lens() []int32 { return t.lens }
 // its host's id (hostRun, in first-seen order, as commits assign
 // them) and its URL's 64-bit hash; then that no bytes follow the last
 // row and that no two URLs are equal. The URLs are checked without a
-// URL lookup, which a served index never reads: hasEqual looks for
+// URL lookup, which a served index never holds: hasEqual looks for
 // two equal hashes, and only when it finds them does an exact pass
 // over the URLs confirm the duplicate and name the pair. It allocates
 // the tables, the host dictionary and the hashes, which are dropped
@@ -285,42 +276,43 @@ func radixHasEqual(hs, scratch []uint64) bool {
 }
 
 // ImportRows installs a document table ScanRows read into an empty
-// index, with the host column and the corpus counters BM25 reads; the
-// table's one chunk is the body it was read from. The index takes
+// builder, with the host column and the corpus counters BM25 reads; the
+// table's one chunk is the body it was read from. The builder takes
 // ownership of the table, which the caller must not use again. It
-// refuses a non-empty index: snapshots restore whole worlds, they do
+// refuses a non-empty builder: snapshots restore whole worlds, they do
 // not merge into live ones. The URL lookup is built by the first
 // AddPreparedBatch or Has.
-func (ix *Index) ImportRows(t *RowTable) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.version.Add(1)
+func (b *Builder) ImportRows(t *RowTable) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ix := &b.ix
 	if len(ix.lens) != 0 {
 		return fmt.Errorf("index: import into non-empty index (%d docs)", len(ix.lens))
 	}
 	ix.rows, ix.lens, ix.totalLen = t.rows, t.lens, t.totalLen
 	ix.hosts, ix.hostIDs, ix.hostNames = t.hosts, t.hostIDs, t.hostNames
-	ix.byURL = nil
+	b.byURL = nil
 	return nil
 }
 
 // ImportTerms installs decoded posting lists as-is (stored order
-// preserved), every segment's in one write-locked section; a term may
-// be imported at most once per index. Into an empty index the term map
-// is made once, sized to every segment's terms together, and the
-// lists' headers go into one array. The index takes ownership of each
-// list without copying its postings — a commit appends to lists,
-// copying a decoded one first — so the caller must not use them
-// afterwards. Safe to call concurrently.
-func (ix *Index) ImportTerms(segs ...[]TermPostings) error {
+// preserved), every segment's in one locked section; a term may be
+// imported at most once per index. Into an empty index the term map is
+// made once, sized to every segment's terms together, and the lists'
+// headers go into one array. The builder takes ownership of each list
+// without copying its postings — a commit appends to lists, copying a
+// decoded one first — so the caller must not use them afterwards. Safe
+// to call concurrently.
+func (b *Builder) ImportTerms(segs ...[]TermPostings) error {
 	n := 0
 	for _, terms := range segs {
 		n += len(terms)
 	}
 	lists := make([]PostingList, 0, n)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.version.Add(1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.thaw()
+	ix := &b.ix
 	if len(ix.postings) == 0 {
 		ix.postings = make(map[string]*PostingList, n)
 	}

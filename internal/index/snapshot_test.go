@@ -10,7 +10,7 @@ import (
 )
 
 // smallCorpus indexes a deterministic toy corpus with annotations.
-func smallCorpus() *Index {
+func smallCorpus() *Builder {
 	ix := New()
 	for i := 0; i < 40; i++ {
 		id, _ := ix.Add(Doc{
@@ -27,11 +27,12 @@ func smallCorpus() *Index {
 }
 
 // ExportTerms hands out the index's own lists, clipped: a later commit
-// does not change what an exported list holds, an append to an
-// exported list does not change the index, and terms arrive sorted for
-// deterministic segment bytes.
+// to the builder does not change what an exported list or the reader
+// holds, an append to an exported list does not change the index, and
+// terms arrive sorted for deterministic segment bytes.
 func TestExportTermsIsolatedAndSorted(t *testing.T) {
-	ix := smallCorpus()
+	b := smallCorpus()
+	ix := b.Freeze()
 	exported := ix.ExportTerms()
 	for i := range exported {
 		if i > 0 && exported[i-1].Term >= exported[i].Term {
@@ -43,19 +44,23 @@ func TestExportTermsIsolatedAndSorted(t *testing.T) {
 	// These commits append to lists past the exported ends, into spare
 	// capacity the exports share; 300 "ford"s widen that list's tfs.
 	for i := range 8 {
-		ix.Add(Doc{URL: fmt.Sprintf("http://cars.example/late%d", i), Text: "ford focus in seattle"})
+		b.Add(Doc{URL: fmt.Sprintf("http://cars.example/late%d", i), Text: "ford focus in seattle"})
 	}
-	ix.Add(Doc{URL: "http://cars.example/loud", Text: strings.Repeat("ford ", 300)})
+	b.Add(Doc{URL: "http://cars.example/loud", Text: strings.Repeat("ford ", 300)})
 	if got := termPairs(exported); !reflect.DeepEqual(got, held) {
 		t.Fatal("a commit changed an exported list")
 	}
+	if got := termPairs(ix.ExportTerms()); !reflect.DeepEqual(got, held) {
+		t.Fatal("a commit changed the frozen reader's lists")
+	}
 
+	ix = b.Freeze()
 	committed := termPairs(ix.ExportTerms())
 	for i := range exported {
 		exported[i].Postings.Append(1000, 1)
 		exported[i].Postings.Append(1001, 256)
 	}
-	if got := termPairs(ix.ExportTerms()); !reflect.DeepEqual(got, committed) {
+	if got := termPairs(b.Freeze().ExportTerms()); !reflect.DeepEqual(got, committed) {
 		t.Fatal("an append to an exported list changed the index")
 	}
 	if got := search(ix, "ford focus", 5); len(got) == 0 {
@@ -82,7 +87,7 @@ func TestImportRejectsBadState(t *testing.T) {
 		t.Error("deleted-document flags accepted")
 	}
 	ix := smallCorpus()
-	docs, lens := exportDocs(ix)
+	docs, lens := exportDocs(ix.Freeze())
 	if err := ix.ImportDocs(docs, lens, nil); err == nil {
 		t.Error("import into non-empty index accepted")
 	}
@@ -100,45 +105,15 @@ func TestImportRejectsBadState(t *testing.T) {
 	if err := fresh.ImportTerms(tp); err == nil {
 		t.Error("double term import accepted")
 	}
-	if err := ix.InstallAnnotations(exportTables(smallCorpus())); err == nil {
+	if err := ix.InstallAnnotations(exportTables(smallCorpus().Freeze())); err == nil {
 		t.Error("annotation install into an annotated index accepted")
 	}
 	// Tables that fail a check install nothing.
 	fresh = NewSharded(2)
-	cols, schemas, n := exportTables(smallCorpus())
+	cols, schemas, n := exportTables(smallCorpus().Freeze())
 	schemas[0].Codes[0][1] = uint32(len(cols[schemas[0].Attrs[0]].Ends))
-	if err := fresh.InstallAnnotations(cols, schemas, n); err == nil || fresh.AnnotationsOf(0) != nil {
-		t.Errorf("annotation install with a code past its dictionary: error %v, doc 0 annotated %v", err, fresh.AnnotationsOf(0))
-	}
-}
-
-// Version moves on every write-locked section — the snapshot imports
-// included, which the engine's oracle never runs under a cache — and a
-// read leaves it alone.
-func TestVersionMovesOnEveryWrite(t *testing.T) {
-	src := smallCorpus()
-	docs, lens := exportDocs(src)
-	ix := NewSharded(4)
-	writes := []func() error{
-		func() error { return ix.ImportDocs(docs, lens, nil) },
-		func() error { return ix.ImportTerms(src.ExportTerms()) },
-		func() error { return ix.InstallAnnotations(exportTables(src)) },
-		func() error { ix.Add(Doc{URL: "http://new.example/", Text: "ford"}); return nil },
-		func() error { ix.Annotate(ix.Len()-1, map[string]string{"make": "saab"}); return nil },
-	}
-	for i, write := range writes {
-		before := ix.Version()
-		search(ix, "ford", 5)
-		ix.Len()
-		if ix.Version() != before {
-			t.Fatalf("write %d: a read moved the version", i)
-		}
-		if err := write(); err != nil {
-			t.Fatal(err)
-		}
-		if ix.Version() <= before {
-			t.Fatalf("write %d left the version at %d", i, before)
-		}
+	if err := fresh.InstallAnnotations(cols, schemas, n); err == nil || fresh.Freeze().AnnotationsOf(0) != nil {
+		t.Errorf("annotation install with a code past its dictionary: error %v, doc 0 annotated %v", err, fresh.Freeze().AnnotationsOf(0))
 	}
 }
 

@@ -11,24 +11,24 @@ import (
 
 // topkCorpus builds a small mixed-host corpus with enough shared terms
 // that queries match many documents.
-func topkCorpus(t testing.TB, shards int) *Index {
+func topkCorpus(t testing.TB, shards int) *Builder {
 	t.Helper()
-	ix := NewSharded(shards)
+	b := NewSharded(shards)
 	for i := 0; i < 60; i++ {
 		host := fmt.Sprintf("h%d.example", i%3)
-		ix.Add(Doc{
+		b.Add(Doc{
 			URL:   fmt.Sprintf("http://%s/doc/%d", host, i),
 			Title: fmt.Sprintf("ford focus listing %d", i),
 			Text:  fmt.Sprintf("a used ford focus number %d for sale in seattle", i),
 		})
 	}
-	return ix
+	return b
 }
 
 // The host restriction limits both the page and the total, and keeps
 // the relative order of the full ranking.
 func TestTopKFilter(t *testing.T) {
-	ix := topkCorpus(t, 4)
+	ix := topkCorpus(t, 4).Freeze()
 	q := "ford focus"
 	hits, total, err := ix.TopK(context.Background(), q, 1000, 0, &Filter{Host: "h1.example"})
 	if err != nil {
@@ -53,13 +53,14 @@ func TestTopKFilter(t *testing.T) {
 }
 
 // Host and Match compose: the page and the total are the intersection,
-// and Match sees each candidate's own id, and through the lock-free
+// and Match sees each candidate's own id, and through the index's
 // views its annotations and document.
 func TestTopKFilterHostAndMatch(t *testing.T) {
-	ix := topkCorpus(t, 4)
+	b := topkCorpus(t, 4)
 	for id := 0; id < 60; id++ {
-		ix.Annotate(id, map[string]string{"n": fmt.Sprint(id)})
+		b.Annotate(id, map[string]string{"n": fmt.Sprint(id)})
 	}
+	ix := b.Freeze()
 	f := &Filter{Host: "h1.example", Match: func(id int) bool {
 		tables, rows := ix.AnnotationTables(), ix.RowView()
 		d := rows.Doc(id)
@@ -100,12 +101,13 @@ func TestTopKFilterHostAndMatch(t *testing.T) {
 // judge-each schema's candidates reach Match. The page and the total
 // are what Match alone would give with those verdicts.
 func TestTopKFilterSchemaVerdicts(t *testing.T) {
-	ix := topkCorpus(t, 4)
+	b := topkCorpus(t, 4)
 	// Documents 0-19 have no annotations (schema 0); of the rest, even
 	// ids are schema 1 and odd ids schema 2.
 	for id := 20; id < 60; id++ {
-		ix.Annotate(id, map[string]string{[]string{"make", "city"}[id%2]: "x"})
+		b.Annotate(id, map[string]string{[]string{"make", "city"}[id%2]: "x"})
 	}
+	ix := b.Freeze()
 	tables := ix.AnnotationTables()
 	verdicts := map[uint32]Verdict{0: JudgeEach, tables.Schema[20]: AdmitAll, tables.Schema[21]: RejectAll}
 	asked := map[uint32]int{}
@@ -145,7 +147,7 @@ func TestTopKFilterSchemaVerdicts(t *testing.T) {
 // the pooled accumulator clean, so the next query on the same scratch
 // is unpolluted.
 func TestTopKCanceledContext(t *testing.T) {
-	ix := topkCorpus(t, 4)
+	ix := topkCorpus(t, 4).Freeze()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	hits, total, err := ix.TopK(ctx, "ford focus seattle", 10, 0, nil)

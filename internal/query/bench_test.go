@@ -31,8 +31,8 @@ func BenchmarkBoundMatch(b *testing.B) {
 		rows[id] = index.Doc{URL: fmt.Sprintf("http://match.example/%d", id)}
 		lens[id] = 1
 	}
-	ix := index.New()
-	if err := ix.ImportDocs(rows, lens, nil); err != nil {
+	bld := index.New()
+	if err := bld.ImportDocs(rows, lens, nil); err != nil {
 		b.Fatal(err)
 	}
 	builder := index.NewAnnBuilder()
@@ -52,9 +52,10 @@ func BenchmarkBoundMatch(b *testing.B) {
 		builder.Annotate(id, anns)
 	}
 	cols, schemas := builder.Tables()
-	if err := ix.InstallAnnotations(cols, schemas, docs); err != nil {
+	if err := bld.InstallAnnotations(cols, schemas, docs); err != nil {
 		b.Fatal(err)
 	}
+	ix := bld.Freeze()
 	const some, all, none = "some", "all", "none"
 	for _, tc := range []struct{ name, preds, admits string }{
 		{"eq", "make:ford", some},

@@ -192,7 +192,7 @@ func fuzzCorpus(t *testing.T, prog []byte) (live, installed *index.Index) {
 		}
 		return anns
 	}
-	live, installed, b := index.New(), index.New(), index.NewAnnBuilder()
+	lb, ib, b := index.New(), index.New(), index.NewAnnBuilder()
 	n := 1 + next()%6
 	for i := 0; i < n; i++ {
 		var words []string
@@ -200,22 +200,23 @@ func fuzzCorpus(t *testing.T, prog []byte) (live, installed *index.Index) {
 			words = append(words, values[next()%len(values)])
 		}
 		d := index.Doc{URL: fmt.Sprintf("http://h.example/%d", i), Title: "listing", Text: strings.Join(words, " ")}
-		id, _ := live.Add(d)
-		installed.Add(d)
+		id, _ := lb.Add(d)
+		ib.Add(d)
 		anns := draw()
-		live.Annotate(id, anns)
+		lb.Annotate(id, anns)
 		b.Annotate(id, anns)
 	}
 	// The store is written as a builder builds: the live tables are
 	// the builder's, value for value.
 	cols, schemas := b.Tables()
+	live = lb.Freeze()
 	if liveCols, liveSchemas := live.ExportAnnotations(); !reflect.DeepEqual(liveCols, cols) || !reflect.DeepEqual(liveSchemas, schemas) {
 		t.Fatalf("live tables %+v %+v, an AnnBuilder's %+v %+v", liveCols, liveSchemas, cols, schemas)
 	}
-	if err := installed.InstallAnnotations(cols, schemas, live.Len()); err != nil {
+	if err := ib.InstallAnnotations(cols, schemas, live.Len()); err != nil {
 		t.Fatal(err)
 	}
-	return live, installed
+	return live, ib.Freeze()
 }
 
 // The fuzz seeds named for a verdict reach it: document 0's schema

@@ -139,19 +139,16 @@ func (c *compiled) overMap(anns map[string]string) verdict {
 // costs its slot, then per predicate left to judge one code per column
 // it reads — compared with that code, or looked up in the dictionary's
 // numeric column. It decodes the document's row, and allocates, only
-// when the text fallback runs. A Bound serves one scan: call Plan and
-// Match only as the Filter.Schema and Filter.Match of one TopK or
-// AnnotatedTopK (Matcher.Filter builds that Filter), on that scan's
-// goroutine.
+// when the text fallback runs. It reads the index's views of its
+// tables and rows, which stay valid: nothing writes a frozen index. A
+// Bound serves one scan: call Plan and Match only as the Filter.Schema
+// and Filter.Match of one TopK or AnnotatedTopK (Matcher.Filter builds
+// that Filter), on that scan's goroutine.
 type Bound struct {
-	m    *Matcher
-	ix   *index.Index
-	t    index.AnnTables // taken on the first Plan or Match
-	rows index.Rows      // likewise
-	// plans holds, by schema id, each schema's plan; nil until the
-	// first Plan or Match, and a schema's entry zero until its first
-	// candidate.
-	plans []plan
+	m     *Matcher
+	t     index.AnnTables
+	rows  index.Rows
+	plans []plan // by schema id; nil until the first Plan or Match
 }
 
 // plan is one schema's verdict and, for a judge-each schema, the
@@ -185,7 +182,7 @@ func (m *Matcher) Bind(ix *index.Index) *Bound {
 	if m == nil {
 		return nil
 	}
-	return &Bound{m: m, ix: ix}
+	return &Bound{m: m, t: ix.AnnotationTables(), rows: ix.RowView()}
 }
 
 // Filter returns the filter a scan of ix admits through: the matcher
@@ -211,7 +208,6 @@ func (b *Bound) Plan(s uint32) index.Verdict {
 	if b == nil {
 		return index.AdmitAll
 	}
-	b.begin()
 	return b.planOf(s).verdict
 }
 
@@ -222,7 +218,6 @@ func (b *Bound) Match(id int) bool {
 	if b == nil {
 		return true
 	}
-	b.begin()
 	var s, slot uint32
 	if id < len(b.t.Schema) {
 		s, slot = b.t.Schema[id], b.t.Slot[id]
@@ -269,18 +264,11 @@ func (b *Bound) docTokens(id int) *docTokens {
 	return newDocTokens(d.Title, d.Text)
 }
 
-// begin takes the views on the scan's first candidate: its read lock
-// is held from there to its last, so no writer touches the tables while
-// they are in use, and they cover every candidate the scan hands over.
-func (b *Bound) begin() {
-	if b.plans == nil {
-		b.t, b.rows = b.ix.AnnotationTables(), b.ix.RowView()
-		b.plans = make([]plan, len(b.t.Schemas))
-	}
-}
-
 // planOf returns schema s's plan, planning it on its first call.
 func (b *Bound) planOf(s uint32) *plan {
+	if b.plans == nil {
+		b.plans = make([]plan, len(b.t.Schemas))
+	}
 	p := &b.plans[s]
 	if p.verdict == 0 {
 		*p = b.plan(s)

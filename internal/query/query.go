@@ -27,11 +27,11 @@
 // dictionary per attribute; one table per attribute set, a column of
 // value codes per attribute and a slot per document): a Matcher is
 // bound to them once per query (Bind; Filter builds the index.Filter a
-// scan takes), and on each schema's first candidate — under the
-// index's read lock, held for the whole scan — the Bound settles which
-// of the schema's columns each predicate reads and judges the schema
-// whole from those columns' ranges (index.NumRange): admit every
-// document, reject every one, or judge each. The scan reads that
+// scan takes) — a frozen index's tables, which nothing writes — and on
+// each schema's first candidate the Bound settles which of the schema's
+// columns each predicate reads and judges the schema whole from those
+// columns' ranges (index.NumRange): admit every document, reject every
+// one, or judge each. The scan reads that
 // verdict per candidate, so a candidate of a decided schema costs its
 // schema alone; one of a judge-each schema costs its slot, and one
 // code and one dictionary entry per column a predicate left to judge

@@ -89,10 +89,10 @@ func writeColumns(path string, docCount int, snapID uint32, body []byte) error {
 
 // ReadColumns reads the columns segment at path, which must belong to
 // the snapshot whose docs segment has header docs, and installs its
-// tables into ix. A segment of another snapshot, a body that does not
-// decode and tables ix.InstallAnnotations refuses all fail with
-// ErrCorrupt, and leave ix without annotations.
-func ReadColumns(path string, docs Header, ix *index.Index) error {
+// tables into b. A segment of another snapshot, a body that does not
+// decode and tables b.InstallAnnotations refuses all fail with
+// ErrCorrupt, and leave b without annotations.
+func ReadColumns(path string, docs Header, b *index.Builder) error {
 	h, body, err := readSegment(path, KindColumns)
 	if err != nil {
 		return err
@@ -106,7 +106,7 @@ func ReadColumns(path string, docs Header, ix *index.Index) error {
 	if err := d.done(); err != nil {
 		return err
 	}
-	if err := ix.InstallAnnotations(cols, schemas, int(docs.DocCount)); err != nil {
+	if err := b.InstallAnnotations(cols, schemas, int(docs.DocCount)); err != nil {
 		return fmt.Errorf("%s: %w: %w", path, err, ErrCorrupt)
 	}
 	return nil

@@ -119,7 +119,7 @@ func TestPostingsTFsAroundOneByteSearchAlike(t *testing.T) {
 				if err := ix.ImportTerms(terms); err != nil {
 					t.Fatal(err)
 				}
-				return ix
+				return ix.Freeze()
 			}
 			read, written := indexOf(got), indexOf(want)
 			for _, q := range []string{"ford", "ford seattle"} {

@@ -344,7 +344,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 	if err := ReadColumns(path, Header{DocCount: 3, SnapID: 0xBEEF}, got); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := want.AnnotationTables(), got.AnnotationTables(); !reflect.DeepEqual(a, b) {
+	if a, b := want.Freeze().AnnotationTables(), got.Freeze().AnnotationTables(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", b, a)
 	}
 	for _, docs := range []Header{{DocCount: 3, SnapID: 0xBEEE}, {DocCount: 4, SnapID: 0xBEEF}} {

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"deepweb/internal/core"
-	"deepweb/internal/engine"
 	"deepweb/internal/index"
 	"deepweb/internal/resilient"
 	"deepweb/internal/webgen"
@@ -257,11 +256,7 @@ func (s *Surfacer) Refresh(ctx context.Context, req RefreshRequest) (RefreshResp
 		st.DocsDeleted += len(surfaced[site.Spec.Host])
 	}
 
-	e := &engine.Engine{Index: ix}
-	if cs, ok := s.Engine.CacheStats(); ok {
-		e.EnableResultCache(cs.Capacity)
-	}
-	s.Engine = e
+	s.publish(ix)
 	resp.Sites = reports
 	resp.Degraded = anyNotOK(reports)
 	return resp, err

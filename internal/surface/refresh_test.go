@@ -59,7 +59,7 @@ func churnedEngine(t *testing.T, shards int, churn func(*webgen.Web)) (*Surfacer
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Engine.Index = index.NewSharded(shards)
+	e.ix = index.NewSharded(shards)
 	e.Workers = 4
 	if churn != nil {
 		churn(e.Web)
@@ -377,7 +377,7 @@ func TestRefreshFailureThenRetryConverges(t *testing.T) {
 		t.Error("refresh with a failed site is not marked Degraded")
 	}
 	// Surface-web pages of the failed site must still be indexed.
-	if !e.Engine.Index.Has("http://" + host + "/") {
+	if !e.ix.Has("http://" + host + "/") {
 		t.Fatal("failed refresh dropped the site's homepage from the index")
 	}
 
@@ -444,7 +444,7 @@ func TestRefreshCanceledKeepsCommittedSites(t *testing.T) {
 		changed[site.Spec.Host] = i%3 == 0
 	}
 	old.ForEach(func(_ int, d index.Doc, host string) {
-		if (d.Source == "" || !changed[host]) && !ix.Has(d.URL) {
+		if (d.Source == "" || !changed[host]) && !e.ix.Has(d.URL) {
 			t.Errorf("%s (host %s, source %q) was not carried over", d.URL, host, d.Source)
 		}
 	})

@@ -16,13 +16,13 @@ import (
 // site's ingestion touches is on the site's own host — so buffered
 // results are independent of how workers interleave.
 type stagedSink struct {
-	global *index.Index
+	global *index.Builder
 	ids    map[string]int // URL → position in docs
 	docs   []*index.Prepared
 	anns   []map[string]string // parallel to docs; nil when unannotated
 }
 
-func newStagedSink(global *index.Index) *stagedSink {
+func newStagedSink(global *index.Builder) *stagedSink {
 	return &stagedSink{global: global, ids: map[string]int{}}
 }
 

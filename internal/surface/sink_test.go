@@ -9,7 +9,7 @@ import (
 )
 
 // The sink every surfaced site's documents pass through commits what
-// one Index.AddPreparedBatch of the same documents commits: a duplicate
+// one Builder.AddPreparedBatch of the same documents commits: a duplicate
 // URL inside the batch, or of a document indexed before the pass, adds
 // nothing, and the first occurrence keeps its annotations. The engine's
 // oracle checks AddPreparedBatch against its model.
@@ -21,14 +21,14 @@ func TestStagedSinkCommitsAsAddPreparedBatch(t *testing.T) {
 		{URL: "http://cars.example/2", Title: "audi", Text: "used audi wagon", Source: "cars.example/search"},
 	}
 	anns := []map[string]string{{"make": "ford"}, {"make": "fiat"}, {"make": "saab"}, {"make": "audi", "year": "2004"}}
-	crawled := func() *index.Index {
+	crawled := func() *index.Builder {
 		ix := index.New()
 		ix.Add(index.Doc{URL: "http://cars.example/0", Text: "the surface web"})
 		return ix
 	}
 
-	viaSink := crawled()
-	sink := newStagedSink(viaSink)
+	sunk := crawled()
+	sink := newStagedSink(sunk)
 	for i, d := range docs {
 		if id, added := sink.Add(d); added {
 			sink.Annotate(id, anns[i])
@@ -37,12 +37,13 @@ func TestStagedSinkCommitsAsAddPreparedBatch(t *testing.T) {
 	if n := sink.commit(); n != 2 {
 		t.Fatalf("sink committed %d new documents, want 2", n)
 	}
-	direct := crawled()
+	batched := crawled()
 	ps := make([]*index.Prepared, len(docs))
 	for i, d := range docs {
 		ps[i] = index.Prepare(d)
 	}
-	direct.AddPreparedBatch(ps, anns)
+	batched.AddPreparedBatch(ps, anns)
+	viaSink, direct := sunk.Freeze(), batched.Freeze()
 
 	rowsOf := func(ix *index.Index) (rows []string) {
 		ix.ForEachRow(func(row string) error {

@@ -41,7 +41,7 @@ import (
 // Surfacer drives one core.Surfacer per site of a virtual web and
 // commits what they surface into the engine it feeds.
 type Surfacer struct {
-	// Engine is the searcher the surfaced documents are committed to.
+	// Engine serves what the passes committed (see publish).
 	Engine *engine.Engine
 	Web    *webgen.Web
 	Fetch  *webx.Fetcher
@@ -67,13 +67,15 @@ type Surfacer struct {
 	// outcome reports are computed from.
 	base http.RoundTripper
 	rt   *resilient.Transport
+
+	ix *index.Builder // what the passes commit to, nil before the first; see builder
 }
 
 // New surfaces an existing virtual internet into an empty engine. Its
 // Workers start at engine.DefaultWorkers.
 func New(web *webgen.Web) *Surfacer {
 	s := &Surfacer{
-		Engine:         engine.New(),
+		Engine:         &engine.Engine{Index: index.New().Freeze()},
 		Web:            web,
 		Workers:        engine.DefaultWorkers,
 		Results:        map[string]*core.Result{},
@@ -119,6 +121,32 @@ func Open(web *webgen.Web, dir string) (*Surfacer, error) {
 	return s, nil
 }
 
+// builder returns the builder a pass commits to. The first call
+// carries the served documents (none, or those Open loaded) into a new
+// one in id order, as Refresh carries them, so ids and scores stay.
+func (s *Surfacer) builder() *index.Builder {
+	if s.ix == nil {
+		old := s.Engine.Index
+		s.ix = index.NewSharded(old.NumShards())
+		ps, anns := make([]*index.Prepared, old.Len()), make([]map[string]string, old.Len())
+		for id := range ps {
+			ps[id], anns[id] = index.Prepare(old.Doc(id)), old.AnnotationsOf(id)
+		}
+		s.ix.AddPreparedBatch(ps, anns)
+	}
+	return s.ix
+}
+
+// publish makes b the builder passes commit to, and Engine a new engine
+// over b.Freeze(), re-arming the old one's result cache, if any, empty.
+func (s *Surfacer) publish(b *index.Builder) {
+	e := &engine.Engine{Index: b.Freeze()}
+	if cs, ok := s.Engine.CacheStats(); ok {
+		e.EnableResultCache(cs.Capacity)
+	}
+	s.ix, s.Engine = b, e
+}
+
 // Save writes the engine's index to dir (engine.Engine.Save) with a
 // meta segment carrying the per-site content signatures Refresh diffs
 // against. It must not run concurrently with Surface or Refresh.
@@ -151,16 +179,17 @@ func newFetcher(rt http.RoundTripper) *webx.Fetcher {
 
 // IndexSurfaceWeb crawls the pre-surfacing web (no query URLs) and
 // indexes it — the baseline a search engine has before deep-web
-// surfacing. A canceled ctx stops the crawl; pages fetched before the
-// cancellation are still indexed.
+// surfacing, then publishes it. A canceled ctx stops the crawl; pages
+// fetched before the cancellation are still indexed.
 func (s *Surfacer) IndexSurfaceWeb(ctx context.Context) int {
 	c := &webx.Crawler{Fetcher: s.Fetch}
-	n := 0
+	ix, n := s.builder(), 0
 	for _, p := range c.Crawl(ctx, "http://"+webgen.HubHost+"/") {
-		if _, added := s.Engine.Index.Add(index.Doc{URL: p.URL, Title: p.Title(), Text: p.Text()}); added {
+		if _, added := ix.Add(index.Doc{URL: p.URL, Title: p.Title(), Text: p.Text()}); added {
 			n++
 		}
 	}
+	s.publish(ix)
 	return n
 }
 
@@ -277,17 +306,19 @@ func anyNotOK(reports map[string]SiteReport) bool {
 // between probe submissions, unstarted sites are skipped, the
 // ordered-commit loop drains cleanly, and the context's error is
 // returned. Sites already committed stay committed — cancellation never
-// corrupts the index.
+// corrupts the index. The pass ends by publishing what it committed.
 func (s *Surfacer) Surface(ctx context.Context, req SurfaceRequest) (SurfaceResponse, error) {
+	ix := s.builder()
 	reports, err := s.surfacePipeline(ctx, s.Web.Sites(), pipelineRun{
 		cfg:        req.Config,
 		followNext: req.FollowNext,
 		filt:       req.Filter,
 		fetch:      s.Fetch,
 		rt:         s.rt,
-		ix:         s.Engine.Index,
+		ix:         ix,
 		commit:     s.commitOutcome,
 	})
+	s.publish(ix)
 	return SurfaceResponse{Sites: reports, Degraded: anyNotOK(reports)}, err
 }
 
@@ -315,7 +346,7 @@ type pipelineRun struct {
 	filt       core.IngestFilter
 	fetch      *webx.Fetcher
 	rt         *resilient.Transport
-	ix         *index.Index
+	ix         *index.Builder
 	commit     func(*siteOutcome)
 }
 
