@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -85,25 +84,13 @@ func nextBatch(src BulkSource, batch int, docs []index.Doc, anns []map[string]st
 	return docs, anns
 }
 
-// prepareAll tokenizes docs on up to workers goroutines, preserving
-// order: ps[i] is always Prepare(docs[i]).
+// prepareAll tokenizes docs on up to workers (at least one)
+// goroutines, preserving order: ps[i] is always Prepare(docs[i]).
 func prepareAll(workers int, docs []index.Doc) []*index.Prepared {
 	ps := make([]*index.Prepared, len(docs))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers <= 1 {
-		for i, d := range docs {
-			ps[i] = index.Prepare(d)
-		}
-		return ps
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(workers, len(docs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -123,12 +110,11 @@ func prepareAll(workers int, docs []index.Doc) []*index.Prepared {
 // BulkBuild streams src into a snapshot directory at dir without ever
 // holding the corpus in memory; the result Loads exactly like a
 // directory written by Save. opts.Docs must match the stream length —
-// a short or long stream is an error, as is a duplicate URL (bulk
-// sources generate unique URLs by construction; dedup would force
-// keeping all URLs in RAM). On error the partial build's temp files
-// and spill runs are swept; a stale docs/postings segment from an
-// earlier completed build may remain, exactly as an interrupted Save
-// would leave one.
+// a short or long stream is an error, as is a duplicate URL, which the
+// writer names by both doc ids before it renames any segment into
+// place. On error the partial build's temp files and spill runs are
+// swept; a stale docs/postings segment from an earlier completed build
+// may remain, exactly as an interrupted Save would leave one.
 func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOptions) (BulkStats, error) {
 	var stats BulkStats
 	if opts.Docs <= 0 {
@@ -159,10 +145,6 @@ func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOp
 	}
 	defer w.Abort()
 
-	// Duplicate detection by 64-bit URL hash (the URLs themselves would
-	// outweigh the spill window).
-	seed := maphash.MakeSeed()
-	seen := make(map[uint64]struct{}, opts.Docs)
 	docs := make([]index.Doc, 0, batch)
 	anns := make([]map[string]string, 0, batch)
 	for {
@@ -174,11 +156,6 @@ func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOp
 			break
 		}
 		for i, p := range prepareAll(workers, docs) {
-			h := maphash.String(seed, docs[i].URL)
-			if _, dup := seen[h]; dup {
-				return stats, fmt.Errorf("engine: bulk build: duplicate (or hash-colliding) URL %q", docs[i].URL)
-			}
-			seen[h] = struct{}{}
 			// A stream longer than opts.Docs fails here, a shorter one
 			// at Commit: the writer holds the declared count.
 			if err := w.AddPrepared(p, anns[i]); err != nil {

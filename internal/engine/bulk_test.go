@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -242,21 +243,45 @@ func TestBulkBuildCancel(t *testing.T) {
 	requireNoSnapshot(t, dir)
 }
 
-// A duplicate URL fails the build, which leaves nothing behind.
+// A duplicate URL fails the build, naming both doc ids, and leaves
+// nothing behind, even once spill runs are written; the same stream
+// with the URL made distinct builds, and Save of the loaded snapshot,
+// whose rows the writer gets from an index, writes it again.
 func TestBulkBuildRejectsDuplicateURL(t *testing.T) {
 	docs := []index.Doc{
 		{URL: "http://a.example/1", Text: "ford"},
 		{URL: "http://a.example/2", Text: "fiat"},
 		{URL: "http://a.example/1", Text: "saab"},
 	}
-	src := &docSource{docs, make([]map[string]string, len(docs))}
+	build := func(dir string) error {
+		src := &docSource{slices.Clone(docs), make([]map[string]string, len(docs))}
+		// A spill window of one writes runs before the duplicate arrives.
+		_, err := BulkBuild(context.Background(), src, dir, BulkBuildOptions{Docs: len(docs), SpillDocs: 1})
+		return err
+	}
 	dir := t.TempDir()
-	// A spill window of one writes runs before the duplicate arrives.
-	_, err := BulkBuild(context.Background(), src, dir, BulkBuildOptions{Docs: len(docs), SpillDocs: 1})
-	if err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate URL: err %v", err)
+	err := build(dir)
+	if want := `duplicate URL "http://a.example/1" (docs 0 and 2)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("duplicate URL: err %v, want one naming %s", err, want)
 	}
 	requireNoSnapshot(t, dir)
+	if tmp, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err != nil || len(tmp) != 0 {
+		t.Fatalf("failed build left temp files %v (%v)", tmp, err)
+	}
+
+	docs[2].URL = "http://a.example/3"
+	if err := build(dir); err != nil {
+		t.Fatalf("distinct URLs: %v", err)
+	}
+	e, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := t.TempDir()
+	if err := e.Save(saved, nil); err != nil {
+		t.Fatal(err)
+	}
+	requireSameDir(t, "bulk build and Save of it loaded", dir, saved)
 }
 
 // requireNoSnapshot asserts a failed build left no spill runs and no

@@ -10,6 +10,7 @@ import (
 
 	"deepweb/internal/index"
 	"deepweb/internal/query"
+	"deepweb/internal/store"
 )
 
 // dictCorpus is a small engine whose make dictionary holds one-byte
@@ -158,7 +159,7 @@ func TestDictionaryRoundTrip(t *testing.T) {
 	}
 }
 
-// Annotate on the builder a snapshot loads into (loadBuilder) interns
+// Annotate on the builder a snapshot loads into (store.Load) interns
 // new values onto the dictionary text the load installed — enough of them that the text, its end
 // offsets and the numeric column grow, over several bitset words — and
 // every earlier code keeps its text, its numeric reading and its
@@ -169,7 +170,7 @@ func TestAnnotateInternsOntoLoadedDictionary(t *testing.T) {
 	if err := e.Save(dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := loadBuilder(dir)
+	b, _, err := store.Load(dir, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}

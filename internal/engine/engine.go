@@ -3,11 +3,11 @@
 // from. The paper's economics split an expensive offline pass from an
 // ordinary index that answers live traffic; a snapshot directory
 // crosses that line. Save writes one through store.Writer, BulkBuild
-// writes the same bytes from a document stream, and Load reads one back
-// bit-for-bit. The engine knows nothing of forms, fetching or the
-// virtual web: the pipeline that fills it is internal/surface, which
-// the server does not link. Nor does it hold the §6 store: the tables
-// segment beside its segments is internal/semserv's.
+// writes the same bytes from a document stream, and Load freezes what
+// store.Load reads back bit-for-bit. The engine knows nothing of forms,
+// fetching or the virtual web: the pipeline that fills it is
+// internal/surface, which the server does not link. Nor does it hold
+// the §6 store: the tables segment is internal/semserv's.
 package engine
 
 import (

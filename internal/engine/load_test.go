@@ -11,6 +11,7 @@ import (
 
 	"deepweb/internal/index"
 	"deepweb/internal/memwatch"
+	"deepweb/internal/store"
 )
 
 // bulkSnapshot writes a bulkgen snapshot of docs documents over 12
@@ -26,7 +27,7 @@ func bulkSnapshot(tb testing.TB, docs int) string {
 	return dir
 }
 
-// The builder a snapshot loads into (loadBuilder) holds no URL lookup
+// The builder a snapshot loads into (store.Load) holds no URL lookup
 // until it is first written to or asked Has; it must then answer as if
 // it had always held one:
 // concurrent Has calls agree with the document table, a batch repeating
@@ -39,7 +40,7 @@ func TestLoadedIndexBuildsURLMapOnFirstWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, _, err := loadBuilder(dir)
+	b, _, err := store.Load(dir, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestLoadedIndexBuildsURLMapOnFirstWrite(t *testing.T) {
 	}
 	wg.Wait()
 
-	if b, _, err = loadBuilder(dir); err != nil {
+	if b, _, err = store.Load(dir, DefaultWorkers); err != nil {
 		t.Fatal(err)
 	}
 	old := ix.Doc(n / 2)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deepweb/internal/index"
+	"deepweb/internal/store"
 )
 
 // A term said 300 times in one document has a tf above 255, so its
@@ -15,7 +16,7 @@ import (
 // index does — ids, score bits and totals: Save then Load; BulkBuild
 // with a spill window that splits the list across runs, one byte a tf
 // in the first run and four in a later one, then Load; and a commit
-// onto the builder a snapshot loads into (loadBuilder), which appends
+// onto the builder a snapshot loads into (store.Load), which appends
 // to lists decoded into one array per segment.
 func TestWideTFAnswersAlike(t *testing.T) {
 	var docs []index.Doc
@@ -83,7 +84,7 @@ func TestWideTFAnswersAlike(t *testing.T) {
 	more := index.Doc{URL: "http://tf.example/more", Title: "listing", Text: strings.Repeat("ford focus ", 280)}
 	b.Add(more)
 	live = serve(b)
-	loaded, _, err := loadBuilder(saved)
+	loaded, _, err := store.Load(saved, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func (t *RowTable) Lens() []int32 { return t.lens }
 // its host's id (hostRun, in first-seen order, as commits assign
 // them) and its URL's 64-bit hash; then that no bytes follow the last
 // row and that no two URLs are equal. The URLs are checked without a
-// URL lookup, which a served index never holds: hasEqual looks for
+// URL lookup, which a served index never holds: HasEqual looks for
 // two equal hashes, and only when it finds them does an exact pass
 // over the URLs confirm the duplicate and name the pair. It allocates
 // the tables, the host dictionary and the hashes, which are dropped
@@ -174,7 +174,7 @@ func ScanRows(body string, start, n int) (*RowTable, error) {
 	if rest := len(body) - off; rest != 0 {
 		return nil, fmt.Errorf("%d undecoded bytes after the last of %d rows", rest, n)
 	}
-	if hasEqual(sums) {
+	if HasEqual(sums) {
 		// Two equal hashes: a duplicate, or a collision. Only the
 		// exact pass can tell, and it names the pair.
 		seen := map[string]int{}
@@ -190,12 +190,12 @@ func ScanRows(body string, start, n int) (*RowTable, error) {
 	return t, nil
 }
 
-// hasEqual reports whether two of hs are equal, reordering hs. It
+// HasEqual reports whether two of hs are equal, reordering hs. It
 // partitions hs in place by the top byte, then sorts each bucket by
 // its seven low bytes, least significant first, through one scratch
 // buffer the size of the largest bucket, and compares neighbours:
 // linear time, and no second array as long as hs.
-func hasEqual(hs []uint64) bool {
+func HasEqual(hs []uint64) bool {
 	var count, next [256]int
 	for _, h := range hs {
 		count[h>>56]++

@@ -117,7 +117,7 @@ func TestImportRejectsBadState(t *testing.T) {
 	}
 }
 
-// hasEqual finds two equal hashes wherever they sit — in one top-byte
+// HasEqual finds two equal hashes wherever they sit — in one top-byte
 // bucket or across the radix passes — and never reports distinct ones
 // as equal.
 func TestHasEqual(t *testing.T) {
@@ -150,8 +150,8 @@ func TestHasEqual(t *testing.T) {
 		{"one bucket holds every hash", spread(3000, func(i int) uint64 { return 0x5a<<56 | mix(i)>>8 }), false},
 		{"one bucket with a pair", withPair(spread(3000, func(i int) uint64 { return 0x5a<<56 | mix(i)>>8 }), 1234, 2999), true},
 	} {
-		if got := hasEqual(slices.Clone(tc.hs)); got != tc.want {
-			t.Errorf("%s: hasEqual = %v, want %v", tc.name, got, tc.want)
+		if got := HasEqual(slices.Clone(tc.hs)); got != tc.want {
+			t.Errorf("%s: HasEqual = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 	// Against a set, on hashes drawn from pools about as large as the
@@ -167,8 +167,8 @@ func TestHasEqual(t *testing.T) {
 			want = want || seen[h]
 			seen[h] = true
 		}
-		if got := hasEqual(slices.Clone(hs)); got != want {
-			t.Fatalf("%d drawn hashes: hasEqual = %v, want %v", n, got, want)
+		if got := HasEqual(slices.Clone(hs)); got != want {
+			t.Fatalf("%d drawn hashes: HasEqual = %v, want %v", n, got, want)
 		}
 	}
 }

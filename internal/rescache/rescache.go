@@ -13,10 +13,10 @@
 // O(copy).
 //
 // Consistency is delegated to the key: callers fold every input that
-// can change the answer — the engine's snapshot generation and the
-// index's version, the normalized query, pagination, filters — into the
-// key string, so a mutated index simply stops producing the old keys
-// and stale entries age out of the LRU without any invalidation
+// can change the answer — the engine's snapshot generation, the
+// normalized query, pagination, filters — into the key string; a cache
+// lives on one engine, whose index nothing writes, and a new index
+// comes in a new engine with a new cache, so there is no invalidation
 // traffic. There is deliberately no Delete/Flush: an entry is correct
 // for its key forever; it just stops being asked for.
 //

@@ -87,19 +87,19 @@ func writeColumns(path string, docCount int, snapID uint32, body []byte) error {
 	return writeSegment(path, Header{Version: Version, Kind: KindColumns, DocCount: uint64(docCount), SnapID: snapID}, body)
 }
 
-// ReadColumns reads the columns segment at path, which must belong to
+// readColumns reads the columns segment at path, which must belong to
 // the snapshot whose docs segment has header docs, and installs its
 // tables into b. A segment of another snapshot, a body that does not
 // decode and tables b.InstallAnnotations refuses all fail with
 // ErrCorrupt, and leave b without annotations.
-func ReadColumns(path string, docs Header, b *index.Builder) error {
+func readColumns(path string, docs Header, b *index.Builder) error {
 	h, body, err := readSegment(path, KindColumns)
 	if err != nil {
 		return err
 	}
-	if h.DocCount != docs.DocCount || h.SnapID != docs.SnapID {
-		return fmt.Errorf("%s: header (docs=%d snap=%08x) disagrees with docs segment (docs=%d snap=%08x) — segments from different snapshot generations?: %w",
-			path, h.DocCount, h.SnapID, docs.DocCount, docs.SnapID, ErrCorrupt)
+	want := Header{Version: Version, Kind: KindColumns, DocCount: docs.DocCount, SnapID: docs.SnapID}
+	if err := sameSnapshot(path, h, want); err != nil {
+		return err
 	}
 	d := &dec{b: body, path: path}
 	cols, schemas := decodeColumns(d)
@@ -114,8 +114,9 @@ func ReadColumns(path string, docs Header, b *index.Builder) error {
 
 // decodeColumns is encodeColumns' inverse. It checks what the encoding
 // alone can break — counts the remaining bytes cannot hold, an empty
-// name or value, a dictionary text past the 4 GiB its end offsets
-// hold, an id or code past 32 bits — and leaves the tables' own rules
+// name, value or schema (a schema count assumes three bytes a schema),
+// a dictionary text past the 4 GiB its end offsets hold, an id or code
+// past 32 bits — and leaves the tables' own rules
 // to InstallAnnotations; errors accumulate in d. The walk over a
 // dictionary's lengths fills its end offsets, and its text is one copy
 // of its bytes; names are cloned: nothing keeps the body reachable.
@@ -158,6 +159,9 @@ func decodeColumns(d *dec) ([]index.AnnColumn, []index.AnnSchema) {
 			t.Attrs[i] = d.uint32("attribute id")
 		}
 		slots := d.count("slot", 1+len(t.Attrs))
+		if (len(t.Attrs) == 0 || slots == 0) && d.err == nil {
+			d.fail(fmt.Sprintf("schema %d has %d attributes and %d slots", s+1, len(t.Attrs), slots))
+		}
 		t.Docs = make([]int32, slots)
 		prev := uint64(0)
 		for i := range t.Docs {

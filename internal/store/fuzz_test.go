@@ -195,11 +195,11 @@ func allocatedExactly(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// readColumnsAsLoad is engine.Load's columns job — decode, then
+// readColumnsAsLoad is Load's columns job — decode, then
 // install into a fresh index — for the columns of sampleDocs' three
 // documents: the seeds' doc count, and the bound on the per-doc
 // arrays an install allocates (Load's docs segment vouches for its
 // count; a fuzzed header alone does not).
 func readColumnsAsLoad(path string) error {
-	return ReadColumns(path, Header{DocCount: 3}, index.New())
+	return readColumns(path, Header{DocCount: 3}, index.New())
 }

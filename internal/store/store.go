@@ -37,22 +37,11 @@
 // dominant cost of a snapshot compresses to roughly two bytes per
 // posting.
 //
-// A body is read once, streamed into the string the decoder walks.
-// Decoding allocates per table, not per string. The docs body is kept
-// whole as the loaded index's document table: ReadRows hands it to
-// index.ScanRows, which walks the rows once — where each starts, its
-// BM25 length, its host and its URL's hash for the duplicate check —
-// and every field a caller reads is a substring of that string, its
-// one copy, so a row a caller keeps keeps its whole generation's text
-// reachable. The postings terms and the columns'
-// names and values are cloned out of theirs. A postings body decodes
-// into one doc-id array and one one-byte tf array, sized by a first
-// walk of its structure, and each term's index.PostingList is a slice
-// of both (a list with a tf above 255 takes a four-byte tf array of
-// its own): two allocations a segment, not one a term. The row
-// encoding is the index's (index.AppendRow, index.ParseRow), so the
-// rows a commit adds to an index are laid out as the docs segment lays
-// them out.
+// A body is read once, streamed into the string the decoder walks, and
+// decoding allocates per table, not per string: the docs body itself
+// becomes the loaded index's document table (readRows), in the index's
+// own row encoding (index.AppendRow), and a postings body decodes into
+// two arrays (decodePostingsBody).
 //
 // Corruption is always a returned error, never a panic: a serving
 // binary pointed at a bad snapshot must fail loudly at startup, not
@@ -60,9 +49,13 @@
 //
 // The index segments of a directory are written only through Writer,
 // which owns the directory protocol (sweep, docs first, then columns
-// and postings stamped with the snapshot id, meta last) and the
-// placement of terms in segments; this file holds the segment framing
-// and the per-kind codecs, columns.go the columns segment's.
+// and postings stamped with the snapshot id, meta last), the placement
+// of terms in segments and the check that a stream's URLs are
+// distinct, and read only through Load, which decodes them into one
+// index.Builder and checks every segment's header against the docs
+// segment's. writer.go holds both ends of that protocol, this file the
+// segment framing and the per-kind codecs, columns.go the columns
+// segment's.
 package store
 
 import (
@@ -310,12 +303,12 @@ func readFrame(path string, r io.Reader, size int64, wantKind Kind) (Header, str
 	return h, body.String(), nil
 }
 
-// ReadHeader reads and validates only the 44-byte header of the
+// peekHeader reads and validates only the 44-byte header of the
 // segment at path — magic, header CRC, version, kind and shard fields
 // checked as readSegment checks them — leaving the body unread and
-// unchecked. A loader reads the docs segment's header first to learn
-// the shard count before it reads any body.
-func ReadHeader(path string, wantKind Kind) (Header, error) {
+// unchecked. Load reads the docs segment's header first to learn the
+// shard count before it reads any body.
+func peekHeader(path string, wantKind Kind) (Header, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Header{}, err
@@ -452,10 +445,10 @@ type DocsSegment struct {
 	Anns []map[string]string
 }
 
-// ReadDocs reads the docs segment as ReadRows does and decodes every
+// ReadDocs reads the docs segment as readRows does and decodes every
 // row into a Doc, whose fields are substrings of the body.
 func ReadDocs(path string) (*DocsSegment, Header, error) {
-	t, h, err := ReadRows(path)
+	t, h, err := readRows(path)
 	if err != nil {
 		return nil, Header{}, err
 	}
@@ -466,15 +459,15 @@ func ReadDocs(path string) (*DocsSegment, Header, error) {
 	return seg, h, nil
 }
 
-// ReadRows reads the docs segment, checks its doc count against the
+// readRows reads the docs segment, checks its doc count against the
 // header's, and hands the body to index.ScanRows, which walks the rows
 // once — each row checked and parsed once (index.ParseRow, the row
 // codec AppendRow writes) for where it starts, its BM25 length, its
 // host and its URL's hash — and checks that the URLs are distinct. It
-// allocates the body and the table's columns, nothing per row; a
-// loader hands the table to index.ImportRows, so the body is the
-// loaded index's document table.
-func ReadRows(path string) (*index.RowTable, Header, error) {
+// allocates the body and the table's columns, nothing per row; Load
+// hands the table to index.ImportRows, so the body is the loaded
+// index's document table.
+func readRows(path string) (*index.RowTable, Header, error) {
 	h, body, err := readSegment(path, KindDocs)
 	if err != nil {
 		return nil, Header{}, err

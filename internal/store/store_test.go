@@ -341,14 +341,14 @@ func TestColumnsRoundTrip(t *testing.T) {
 		want.Annotate(id, sampleAnns[id])
 	}
 	got := index.New()
-	if err := ReadColumns(path, Header{DocCount: 3, SnapID: 0xBEEF}, got); err != nil {
+	if err := readColumns(path, Header{DocCount: 3, SnapID: 0xBEEF}, got); err != nil {
 		t.Fatal(err)
 	}
 	if a, b := want.Freeze().AnnotationTables(), got.Freeze().AnnotationTables(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", b, a)
 	}
 	for _, docs := range []Header{{DocCount: 3, SnapID: 0xBEEE}, {DocCount: 4, SnapID: 0xBEEF}} {
-		if err := ReadColumns(path, docs, index.New()); !errors.Is(err, ErrCorrupt) {
+		if err := readColumns(path, docs, index.New()); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("columns of snapshot (docs=3 snap=beef) read for %+v: %v", docs, err)
 		}
 	}
@@ -368,7 +368,7 @@ func TestDocsAnnotationIDsAscend(t *testing.T) {
 		if err := WriteColumns(path, 3, 0, cols, schemas); err != nil {
 			t.Fatal(err)
 		}
-		if err := ReadColumns(path, Header{DocCount: 3}, index.New()); !errors.Is(err, ErrCorrupt) {
+		if err := readColumns(path, Header{DocCount: 3}, index.New()); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s annotation ids accepted: %v", name, err)
 		}
 	}
@@ -522,8 +522,8 @@ func TestColumnsTextPast4GiBIsCorrupt(t *testing.T) {
 	if err := writeColumns(path, 1, 0, e.b); err != nil {
 		t.Fatal(err)
 	}
-	err := ReadColumns(path, Header{DocCount: 1}, index.New())
+	err := readColumns(path, Header{DocCount: 1}, index.New())
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "4 GiB") {
-		t.Fatalf("ReadColumns = %v, want an ErrCorrupt naming the 4 GiB end offsets hold", err)
+		t.Fatalf("readColumns = %v, want an ErrCorrupt naming the 4 GiB end offsets hold", err)
 	}
 }

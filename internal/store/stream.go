@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"os"
+
+	"deepweb/internal/index"
 )
 
 // docsWriter is the docs-segment writer: it streams the segment to
@@ -24,6 +27,11 @@ import (
 // Annotations are not in this segment: Writer builds them into the
 // columns segment.
 //
+// A row added through AddChecked has its URL's hash kept, 8 bytes a
+// document; Close refuses two such rows with one URL before the rename
+// (index.HasEqual, then, only on equal hashes, index.ScanRows over the
+// temp body, which names the pair or clears a collision).
+//
 // The writer expects exactly docCount Adds in doc-id order (id =
 // arrival order, matching the index's sequential assignment). Not safe
 // for concurrent use.
@@ -38,6 +46,8 @@ type docsWriter struct {
 	n        int // docs added so far = next doc id
 	crc      uint32
 	bodyLen  uint64
+	seed     maphash.Seed
+	urls     []uint64 // the hashes of the checked rows' URLs
 	err      error
 	done     bool
 }
@@ -59,6 +69,7 @@ func newDocsWriter(path string, shards, docCount int) (*docsWriter, error) {
 		tmp:      path + ".tmp",
 		shards:   shards,
 		expected: docCount,
+		seed:     maphash.MakeSeed(),
 	}
 	var err error
 	if w.f, err = os.Create(w.tmp); err != nil {
@@ -115,6 +126,14 @@ func (w *docsWriter) Add(row []byte) error {
 	return w.err
 }
 
+// AddChecked is Add, and has Close check the row's URL distinct from
+// that of every other row AddChecked added.
+func (w *docsWriter) AddChecked(row []byte) error {
+	n, k := binary.Uvarint(row) // a row begins with its URL
+	w.urls = append(w.urls, maphash.Bytes(w.seed, row[k:k+int(n)]))
+	return w.Add(row)
+}
+
 // Close patches the real header and atomically renames the segment
 // into place. The snapshot id is the CRC-32C of this body followed by
 // columns, the body of the columns segment of the same save; it is
@@ -131,6 +150,14 @@ func (w *docsWriter) Close(columns []byte) (snapID uint32, err error) {
 		if err := w.bw.Flush(); err != nil {
 			w.fail(err)
 		}
+	}
+	if w.err == nil && index.HasEqual(w.urls) {
+		// The body, read back, names the two rows or clears a collision.
+		raw, err := os.ReadFile(w.tmp)
+		if err == nil {
+			_, err = index.ScanRows(string(raw[headerSize:]), len(binary.AppendUvarint(nil, uint64(w.n))), w.n)
+		}
+		w.fail(err)
 	}
 	snapID = crc32.Update(w.crc, castagnoli, columns)
 	if w.err == nil {

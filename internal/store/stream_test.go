@@ -121,6 +121,48 @@ func TestDocsWriterCountMismatch(t *testing.T) {
 	}
 }
 
+// A docs segment whose checked rows repeat a URL is refused at Close,
+// naming both doc ids, and leaves nothing behind; two rows whose URL
+// hashes merely collide are read back, found distinct, and written.
+func TestDocsWriterChecksURLs(t *testing.T) {
+	seg := streamCorpus()
+	write := func(t *testing.T, dir string, docs []index.Doc, collide bool) error {
+		w, err := newDocsWriter(filepath.Join(dir, "docs.seg"), 1, len(docs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, d := range docs {
+			if err := w.AddChecked(index.AppendRow(nil, d, int(seg.Lens[id]))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if collide {
+			w.urls[3] = w.urls[0]
+		}
+		_, err = w.Close(nil)
+		return err
+	}
+
+	dir := t.TempDir()
+	docs := append([]index.Doc(nil), seg.Docs...)
+	docs[3].URL = docs[1].URL
+	err := write(t, dir, docs, false)
+	if want := `duplicate URL "http://a.example/2" (docs 1 and 3)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Close = %v, want an error naming %s", err, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "docs.seg")); !os.IsNotExist(err) || leftovers(t, dir) != 0 {
+		t.Fatal("a refused segment left a file behind")
+	}
+
+	if err := write(t, dir, seg.Docs, true); err != nil {
+		t.Fatalf("colliding hashes of distinct URLs: %v", err)
+	}
+	got, _, err := ReadDocs(filepath.Join(dir, "docs.seg"))
+	if err != nil || !reflect.DeepEqual(got, seg) {
+		t.Fatalf("segment written past a collision reads back as %+v, %v", got, err)
+	}
+}
+
 func leftovers(t *testing.T, dir string) int {
 	t.Helper()
 	ents, err := os.ReadDir(dir)

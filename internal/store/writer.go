@@ -28,7 +28,8 @@ import (
 //     places by shardOf, and its annotation tables, written as they are;
 //
 //   - a tokenized stream (engine.BulkBuild) feeds AddPrepared, which
-//     encodes the row, interns the annotations through the writer's
+//     encodes the row, has Commit check its URL (an index's URLs are
+//     distinct already), interns the annotations through the writer's
 //     own AnnBuilder and accumulates the postings in RAM, placed by
 //     shardOf. Every spillDocs documents the accumulator is flushed as
 //     one sorted run file per non-empty shard, and Commit k-way merges
@@ -163,7 +164,7 @@ func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
 	id := w.docs.n
 	w.prepared = true
 	w.row = index.AppendRow(w.row[:0], p.Doc(), p.DocLen())
-	if err := w.docs.Add(w.row); err != nil {
+	if err := w.docs.AddChecked(w.row); err != nil {
 		return err
 	}
 	if len(anns) > 0 {
@@ -226,16 +227,17 @@ func (w *Writer) Runs() int {
 	return n
 }
 
-// Commit finishes the snapshot: the docs segment is closed and renamed
-// into place, stamped with the snapshot id, the CRC of its body and the
-// columns body; then the columns segment and each shard's postings
-// segment — the merge of its spilled runs and of the resident posting
-// lists (sorted by term) that shardOf places there — are written
-// stamped with that id, the postings on up to workers goroutines; then
-// the meta segment carrying sites. The columns segment holds cols and
-// schemas (as index.Index.ExportAnnotations hands them out) or, for a
-// writer fed through AddPrepared, which must be handed none, the tables
-// it built. It returns the snapshot id.
+// Commit finishes the snapshot: the docs segment is closed — failing on
+// a URL AddPrepared brought twice — and renamed into place, stamped
+// with the snapshot id, the CRC of its body and the columns body; then
+// the columns segment and each shard's postings segment — the merge of
+// its spilled runs and of the resident posting lists (sorted by term)
+// that shardOf places there — are written stamped with that id, the
+// postings on up to workers goroutines; then the meta segment carrying
+// sites. The columns segment holds cols and schemas (as
+// index.Index.ExportAnnotations hands them out) or, for a writer fed
+// through AddPrepared, which must be handed none, the tables it built.
+// It returns the snapshot id.
 func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPostings, cols []index.AnnColumn, schemas []index.AnnSchema) (snapID uint32, err error) {
 	w.handOff()
 	w.waitInterned()
@@ -274,7 +276,7 @@ func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPost
 	if err := writeColumns(ColumnsPath(w.dir), w.docs.n, snapID, columns); err != nil {
 		return 0, fmt.Errorf("columns: %w", err)
 	}
-	err = ForEachShard(workers, w.shards, func(si int) error {
+	err = forEachShard(workers, w.shards, func(si int) error {
 		lists := make([][]index.TermPostings, 0, len(w.runs[si])+1)
 		for _, path := range w.runs[si] {
 			terms, h, err := readPostings(path, KindSpill)
@@ -313,6 +315,84 @@ func (w *Writer) Abort() {
 	w.waitInterned()
 	w.docs.Abort()
 	_ = CleanTmp(w.dir) // best effort: the next writer's opening sweep retries
+}
+
+// Load is the one reader of a snapshot directory's index segments: it
+// decodes what Writer wrote into one index.Builder, which answers plain
+// and annotated queries exactly as the saved index did — ids, score
+// bits and tie order included — and returns it with the docs segment's
+// header, whose SnapID is the snapshot's generation.
+//
+// The docs header is read first, for the shard count. Then every
+// segment is decoded at once, on up to 2+workers goroutines: the rows
+// (readRows) into ImportRows, which keeps the docs body as the document
+// table; the columns into InstallAnnotations; the postings into lists
+// that one ImportTerms installs once the jobs are joined. Every other
+// header must agree with the docs header (sameSnapshot), so segments
+// of different generations fail even when each decodes cleanly. A
+// damaged snapshot fails with the first job's error: rows, annotations,
+// then postings in segment order; a term in two segments fails after
+// them. The meta and tables segments are left unread.
+func Load(dir string, workers int) (*index.Builder, Header, error) {
+	docsPath := DocsPath(dir)
+	hdr, err := peekHeader(docsPath, KindDocs)
+	if err != nil {
+		return nil, hdr, fmt.Errorf("store: load docs: %w", err)
+	}
+	b := index.NewSharded(int(hdr.Shards))
+
+	// Job 0 is the rows, job 1 the annotation tables, job 2+si
+	// postings segment si, installed together once every job is done.
+	segs := make([][]index.TermPostings, hdr.Shards)
+	err = forEachShard(2+workers, 2+int(hdr.Shards), func(job int) error {
+		switch job {
+		case 0:
+			rows, h, err := readRows(docsPath)
+			if err != nil {
+				return err
+			}
+			if h != hdr {
+				return fmt.Errorf("%s: header changed while the snapshot loaded: %w", docsPath, ErrCorrupt)
+			}
+			if err := b.ImportRows(rows); err != nil {
+				return fmt.Errorf("%s: %w: %w", docsPath, err, ErrCorrupt)
+			}
+			return nil
+		case 1:
+			return readColumns(ColumnsPath(dir), hdr, b)
+		}
+		si := job - 2
+		path := PostingsPath(dir, si)
+		terms, ph, err := ReadPostings(path)
+		if err != nil {
+			return err
+		}
+		want := hdr
+		want.Kind, want.ShardID = KindPostings, uint32(si)
+		if err := sameSnapshot(path, ph, want); err != nil {
+			return err
+		}
+		segs[si] = terms
+		return nil
+	})
+	if err == nil {
+		err = b.ImportTerms(segs...)
+	}
+	if err != nil {
+		return nil, hdr, fmt.Errorf("store: load: %w", err)
+	}
+	return b, hdr, nil
+}
+
+// sameSnapshot returns nil when h, the header of the segment at path,
+// is want, the one the docs segment implies for it, and otherwise an
+// ErrCorrupt naming both.
+func sameSnapshot(path string, h, want Header) error {
+	if h == want {
+		return nil
+	}
+	return fmt.Errorf("%s: header (shards=%d id=%d docs=%d snap=%08x) disagrees with docs segment (shards=%d id=%d docs=%d snap=%08x) — segments from different snapshot generations?: %w",
+		path, h.Shards, h.ShardID, h.DocCount, h.SnapID, want.Shards, want.ShardID, want.DocCount, want.SnapID, ErrCorrupt)
 }
 
 // mergeRuns k-way merges sorted term lists into one sorted list,
@@ -374,10 +454,10 @@ func shardOf(term string, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// ForEachShard runs fn over every shard id, handed out in ascending
+// forEachShard runs fn over every shard id, handed out in ascending
 // order, on up to workers goroutines and returns the first error (by
-// shard order). Writer and the loader parallelize through it.
-func ForEachShard(workers, shards int, fn func(si int) error) error {
+// shard order). Writer and Load parallelize through it.
+func forEachShard(workers, shards int, fn func(si int) error) error {
 	if workers < 1 {
 		workers = 1
 	}

@@ -260,6 +260,67 @@ func TestLoadWithRefreshAgainstSnapshot(t *testing.T) {
 	requireSameSave(t, "opened and refreshed", e, scratch)
 }
 
+// Passes onto an opened snapshot commit to the builder store.Load
+// filled, as they commit to the surfacer that saved it: a world
+// surfaced on a budget of five URLs a form, saved and opened, then
+// crawled for its surface web and surfaced again on the full budget —
+// both passes adding documents, the second annotated ones — answers
+// and saves exactly as
+// the surfacer that ran the same passes with no snapshot between,
+// and reports the same per-site outcomes.
+func TestOpenThenSurfaceMatchesInMemory(t *testing.T) {
+	ctx := context.Background()
+	mem, err := Build(refreshWorldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem.Workers = 4
+	budget := core.DefaultConfig()
+	budget.URLBudget = 5
+	if _, err := mem.Surface(ctx, SurfaceRequest{Config: budget}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := mem.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	web, err := webgen.BuildWorld(refreshWorldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(web, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened.Workers = 4
+
+	saved := mem.Engine.Index.Len()
+	var crawled [2]int
+	var reports [2]map[string]SiteReport
+	for i, s := range []*Surfacer{mem, opened} {
+		crawled[i] = s.IndexSurfaceWeb(ctx)
+		resp, err := s.Surface(ctx, SurfaceRequest{Config: core.DefaultConfig(), FollowNext: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports[i] = resp.Sites
+	}
+	if crawled[0] == 0 || crawled[0] != crawled[1] {
+		t.Fatalf("surface-web crawl added %d documents in memory, %d onto the opened snapshot", crawled[0], crawled[1])
+	}
+	ix := mem.Engine.Index
+	if ix.Len() <= saved+crawled[0] || ix.AnnotationsOf(ix.Len()-1) == nil {
+		t.Fatalf("the full-budget pass added no annotated document: %d documents saved, %d crawled, %d after", saved, crawled[0], ix.Len())
+	}
+	t.Logf("%d documents saved, %d crawled onto them, %d after the second pass", saved, crawled[0], ix.Len())
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Errorf("site reports differ:\n in memory %+v\n opened    %+v", reports[0], reports[1])
+	}
+	requireSameCorpus(t, "opened and surfaced", opened, mem)
+	requireSameSearch(t, "opened and surfaced", opened, mem)
+	requireSameSave(t, "opened and surfaced", opened, mem)
+}
+
 // The meta segment is the surfacer's: Open reads the signatures Save
 // wrote, so refreshing an unchanged world through a snapshot does
 // nothing. Without the segment every site counts as changed on the

@@ -68,14 +68,16 @@ type Surfacer struct {
 	base http.RoundTripper
 	rt   *resilient.Transport
 
-	ix *index.Builder // what the passes commit to, nil before the first; see builder
+	ix *index.Builder // what the passes commit to; Engine serves a Freeze of it
 }
 
 // New surfaces an existing virtual internet into an empty engine. Its
 // Workers start at engine.DefaultWorkers.
 func New(web *webgen.Web) *Surfacer {
+	ix := index.New()
 	s := &Surfacer{
-		Engine:         &engine.Engine{Index: index.New().Freeze()},
+		Engine:         &engine.Engine{Index: ix.Freeze()},
+		ix:             ix,
 		Web:            web,
 		Workers:        engine.DefaultWorkers,
 		Results:        map[string]*core.Result{},
@@ -96,45 +98,30 @@ func Build(cfg webgen.WorldConfig) (*Surfacer, error) {
 
 // Open loads a snapshot directory written by Save and attaches it to a
 // virtual web, giving back a surfacer that can refresh it: the index
-// comes from engine.Load, the per-site signatures from the snapshot's
-// meta segment, and the web provides the live (possibly churned) sites
-// to diff against. This is the `deepcrawl -refresh` path: rebuild the
-// world, apply the delta, refresh the snapshot. A snapshot without a
-// meta segment opens with no signatures, so every site counts as
-// changed on the next Refresh; a damaged one is rejected.
+// comes from store.Load, whose builder the next pass commits to, the
+// per-site signatures from the meta segment, and the web provides the
+// live (possibly churned) sites to diff against. This is the
+// `deepcrawl -refresh` path: rebuild the world, apply the delta,
+// refresh the snapshot. A snapshot without a meta segment opens with
+// no signatures, so every site counts as changed on the next Refresh;
+// a damaged one is rejected.
 func Open(web *webgen.Web, dir string) (*Surfacer, error) {
 	meta, err := store.ReadMeta(store.MetaPath(dir))
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("surface: open meta: %w", err)
 	}
-	e, err := engine.Load(dir)
+	ix, hdr, err := store.Load(dir, engine.DefaultWorkers)
 	if err != nil {
 		return nil, err
 	}
 	s := New(web)
-	s.Engine = e
+	s.ix, s.Engine = ix, &engine.Engine{Index: ix.Freeze(), Generation: hdr.SnapID}
 	if meta != nil {
 		for _, m := range meta.Sites {
 			s.siteSignatures[m.Host] = textutil.Signature(m.Signature)
 		}
 	}
 	return s, nil
-}
-
-// builder returns the builder a pass commits to. The first call
-// carries the served documents (none, or those Open loaded) into a new
-// one in id order, as Refresh carries them, so ids and scores stay.
-func (s *Surfacer) builder() *index.Builder {
-	if s.ix == nil {
-		old := s.Engine.Index
-		s.ix = index.NewSharded(old.NumShards())
-		ps, anns := make([]*index.Prepared, old.Len()), make([]map[string]string, old.Len())
-		for id := range ps {
-			ps[id], anns[id] = index.Prepare(old.Doc(id)), old.AnnotationsOf(id)
-		}
-		s.ix.AddPreparedBatch(ps, anns)
-	}
-	return s.ix
 }
 
 // publish makes b the builder passes commit to, and Engine a new engine
@@ -183,13 +170,13 @@ func newFetcher(rt http.RoundTripper) *webx.Fetcher {
 // fetched before the cancellation are still indexed.
 func (s *Surfacer) IndexSurfaceWeb(ctx context.Context) int {
 	c := &webx.Crawler{Fetcher: s.Fetch}
-	ix, n := s.builder(), 0
+	n := 0
 	for _, p := range c.Crawl(ctx, "http://"+webgen.HubHost+"/") {
-		if _, added := ix.Add(index.Doc{URL: p.URL, Title: p.Title(), Text: p.Text()}); added {
+		if _, added := s.ix.Add(index.Doc{URL: p.URL, Title: p.Title(), Text: p.Text()}); added {
 			n++
 		}
 	}
-	s.publish(ix)
+	s.publish(s.ix)
 	return n
 }
 
@@ -308,17 +295,16 @@ func anyNotOK(reports map[string]SiteReport) bool {
 // returned. Sites already committed stay committed — cancellation never
 // corrupts the index. The pass ends by publishing what it committed.
 func (s *Surfacer) Surface(ctx context.Context, req SurfaceRequest) (SurfaceResponse, error) {
-	ix := s.builder()
 	reports, err := s.surfacePipeline(ctx, s.Web.Sites(), pipelineRun{
 		cfg:        req.Config,
 		followNext: req.FollowNext,
 		filt:       req.Filter,
 		fetch:      s.Fetch,
 		rt:         s.rt,
-		ix:         ix,
+		ix:         s.ix,
 		commit:     s.commitOutcome,
 	})
-	s.publish(ix)
+	s.publish(s.ix)
 	return SurfaceResponse{Sites: reports, Degraded: anyNotOK(reports)}, err
 }
 
