@@ -105,8 +105,8 @@ serve-smoke:
 	./scripts/serve-smoke.sh
 
 # bulk = generate a 100k-record world (internal/bulkgen), run the
-# memory-bounded spill-to-disk snapshot build and Load-verify the
-# result; ingest-full is the same at 1M rows (minutes of wall clock).
+# bulk snapshot build (rows stream to disk; postings stay in RAM, as
+# Load holds them) and Load-verify the result; ingest-full is the same at 1M rows (minutes of wall clock).
 # They leave a snapshot to serve (`deepsearch -snapshot $(BULK_DIR)`);
 # the build's measured throughput and memory are deepbench metrics.
 BULK_DIR ?= /tmp/deepweb-bulk
@@ -122,8 +122,9 @@ ingest-full:
 # injection armed — which must finish with exit 0: every injected
 # fault is transient, so nothing may be classified permanent — then
 # deepcrawl with and without fault injection on 1 and 4 workers, whose
-# outputs (the per-site outcome table included) must be byte-identical
-# (scripts/crawl-determinism.sh).
+# outputs (the per-site outcome table included) must be byte-identical,
+# and two 20k-record bulk builds on 1 and 4 workers, whose snapshot
+# directories must be byte-identical (scripts/crawl-determinism.sh).
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/surface
 	$(GO) run ./cmd/deepcrawl -sites 1 -rows 60 -chaos -chaosseed 7

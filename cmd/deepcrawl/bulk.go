@@ -1,8 +1,8 @@
 package main
 
 // The bulk-build path: -bulk N -out DIR sidesteps surfacing entirely
-// and streams N generated records through the engine's memory-bounded
-// spill-to-disk snapshot build, printing throughput and peak heap. It
+// and streams N generated records through the engine's bulk snapshot
+// build, printing throughput and peak heap. It
 // is the hand tool for producing a large snapshot to serve or inspect;
 // the measured, gated numbers for the same path come from deepbench
 // (bench/README.md).
@@ -19,9 +19,9 @@ import (
 )
 
 // runBulk generates a docs-row world, builds it into a snapshot at
-// outDir and Load-verifies the result. Zero batch, spill and shards
-// mean the engine's defaults.
-func runBulk(docs, sites int, seed int64, batch, spill, shards, workers int, outDir string) {
+// outDir and Load-verifies the result. Zero shards means the engine's
+// default.
+func runBulk(docs, sites int, seed int64, shards, workers int, outDir string) {
 	world, err := bulkgen.NewWorld(bulkgen.Spec{Seed: seed, Docs: docs, Sites: sites})
 	if err != nil {
 		log.Fatalf("deepcrawl: %v", err)
@@ -33,16 +33,16 @@ func runBulk(docs, sites int, seed int64, batch, spill, shards, workers int, out
 	watch := memwatch.Start(10 * time.Millisecond)
 	start := time.Now()
 	stats, err := engine.BulkBuild(context.Background(), src, outDir, engine.BulkBuildOptions{
-		Docs: docs, Shards: shards, Batch: batch, SpillDocs: spill, Workers: workers,
+		Docs: docs, Shards: shards, Workers: workers,
 	})
 	elapsed := time.Since(start)
 	peak := watch.Stop()
 	if err != nil {
 		log.Fatalf("deepcrawl: bulk build: %v", err)
 	}
-	fmt.Printf("bulk: %d docs in %v — %.0f docs/s, peak heap %.1f MB, %d spill runs, %d postings merged\n",
+	fmt.Printf("bulk: %d docs in %v — %.0f docs/s, peak heap %.1f MB, %d postings\n",
 		stats.Docs, elapsed.Round(time.Millisecond), float64(stats.Docs)/elapsed.Seconds(), memwatch.PeakMB(peak),
-		stats.Runs, stats.Postings)
+		stats.Postings)
 
 	// The snapshot must round-trip: a build that cannot Load is a
 	// failure now, not at serving time.

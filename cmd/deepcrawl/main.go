@@ -26,8 +26,8 @@
 // and the exit code is non-zero when any site failed permanently.
 //
 // With -bulk N -out DIR it skips surfacing and streams N generated
-// records (internal/bulkgen) through the memory-bounded spill-to-disk
-// snapshot build into DIR, reporting docs/sec and peak heap. -bulk
+// records (internal/bulkgen) through the bulk snapshot build into DIR,
+// reporting docs/sec and peak heap. -bulk
 // without -out is a usage error. See bulk.go.
 //
 // Usage:
@@ -35,7 +35,7 @@
 //	deepcrawl [-sites N] [-rows N] [-seed N] [-workers N] [-naive] [-post N] [-out DIR]
 //	deepcrawl [world flags] -refresh DIR [-churn N] [-churnseed N] [-out DIR]
 //	deepcrawl [world flags] -chaos [-chaosseed N]
-//	deepcrawl -bulk N -out DIR [-bulksites N] [-batch N] [-spill N] [-shards N]
+//	deepcrawl -bulk N -out DIR [-bulksites N] [-shards N] [-workers N]
 package main
 
 import (
@@ -74,8 +74,6 @@ func main() {
 	chaosSeed := flag.Int64("chaosseed", 1, "with -chaos: seed of the fault streams")
 	bulk := flag.Int("bulk", 0, "with -out DIR: build a snapshot of this many generated records instead of surfacing (0 = off)")
 	bulkSites := flag.Int("bulksites", 0, "with -bulk: spread records over this many sites (0 = one per vertical)")
-	batch := flag.Int("batch", 0, "with -bulk: documents tokenized per batch (0 = default)")
-	spill := flag.Int("spill", 0, "with -bulk: flush in-RAM postings to a sorted on-disk run every N docs (0 = default)")
 	bulkShards := flag.Int("shards", 0, "with -bulk: postings-segment count of the built snapshot (0 = default)")
 	flag.Parse()
 	log.SetFlags(0)
@@ -100,7 +98,7 @@ func main() {
 			flag.Usage()
 			os.Exit(2)
 		}
-		runBulk(*bulk, *bulkSites, *seed, *batch, *spill, *bulkShards, *workers, *out)
+		runBulk(*bulk, *bulkSites, *seed, *bulkShards, *workers, *out)
 		return
 	}
 

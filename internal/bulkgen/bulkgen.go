@@ -18,8 +18,8 @@
 //	blockSeed = siteSeed + block*7919
 //
 // so the stream is byte-identical for any worker count and any
-// consumption order — the property the spill-build relies on and the
-// tests pin.
+// consumption order — the property the bulk build's byte-identical
+// snapshots rely on and the tests pin.
 //
 // Cross-site vocabulary sharing is deliberate: all sites of a vertical
 // draw from the same datagen lists and all sites share one synthesized

@@ -33,7 +33,7 @@ func docsEqual(a, b Doc) bool {
 	return true
 }
 
-// The determinism contract the spill-build relies on: the same seed
+// The determinism contract the bulk build relies on: the same seed
 // yields a byte-identical document stream for any worker count.
 func TestSourceDeterministicAcrossWorkers(t *testing.T) {
 	spec := Spec{Seed: 42, Docs: 5000, Sites: 7, BlockSize: 256}

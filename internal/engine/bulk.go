@@ -11,21 +11,18 @@ import (
 )
 
 // Bulk builds: the path that lets a million-document world become a
-// snapshot under a bounded memory budget. BulkBuild never builds an
-// index at all. It tokenizes a stream on the given workers and hands
-// every document to the same store.Writer Save uses, which streams the
-// docs segment, interns the annotations into the schema tables of the
-// columns segment, accumulates postings in RAM, spills sorted runs to
-// disk every SpillDocs documents and k-way merges them into the final
-// per-shard segments. Peak memory is the spill window plus one shard's
-// merged postings plus the annotation tables, which grow with the
-// corpus's distinct annotation values and which a server of the
-// snapshot holds anyway.
+// snapshot without building an index. BulkBuild tokenizes a stream on
+// the given workers and hands every document to the same store.Writer
+// Save uses, which streams the docs segment to disk, interns the
+// annotations into the schema tables of the columns segment and keeps
+// the postings in RAM until Commit writes the per-shard segments. Rows
+// never stay resident; the postings and the tables do, as a server of
+// the snapshot (engine.Load) holds them too.
 //
 // The writer places every term, whichever path it came in by, so the
 // directory BulkBuild writes is byte-identical — every file — to Save
-// of an index holding the same stream, regardless of worker count,
-// batch size, spill budget or process (property-tested).
+// of an index holding the same stream, regardless of worker count or
+// process (property-tested).
 
 // BulkSource streams documents in a deterministic order. Next returns
 // the next document, its annotations (nil for none), and ok=false when
@@ -36,13 +33,8 @@ type BulkSource interface {
 	Next() (d index.Doc, anns map[string]string, ok bool)
 }
 
-// DefaultBulkBatch is the tokenization batch size BulkBuild uses when
-// BulkBuildOptions.Batch is zero.
+// DefaultBulkBatch is how many documents BulkBuild tokenizes at a time.
 const DefaultBulkBatch = 4096
-
-// DefaultSpillDocs is the spill window (documents per on-disk run
-// flush) used when BulkBuildOptions.SpillDocs is zero.
-const DefaultSpillDocs = 1 << 16
 
 // BulkBuildOptions configures BulkBuild.
 type BulkBuildOptions struct {
@@ -52,28 +44,22 @@ type BulkBuildOptions struct {
 	// Shards is the postings-shard count of the snapshot (default
 	// index.DefaultShards).
 	Shards int
-	// Batch is the tokenization batch size (default DefaultBulkBatch).
-	Batch int
-	// SpillDocs bounds the in-RAM posting accumulator: every SpillDocs
-	// documents, all shards flush sorted runs to disk (default
-	// DefaultSpillDocs). Smaller = less RAM, more runs to merge.
-	SpillDocs int
-	// Workers parallelizes tokenization and the final shard merges
-	// (default 1).
+	// Workers parallelizes tokenization and the per-shard encode of
+	// the postings (default 1).
 	Workers int
 }
 
 // BulkStats reports one bulk build.
 type BulkStats struct {
 	Docs     int   // documents written
-	Runs     int   // spill-run files written
+	Runs     int   // always 0: the build writes no run files
 	Postings int64 // term postings produced
 }
 
-// nextBatch appends up to batch documents of src, and their
-// annotations in step, to docs and anns.
-func nextBatch(src BulkSource, batch int, docs []index.Doc, anns []map[string]string) ([]index.Doc, []map[string]string) {
-	for len(docs) < batch {
+// nextBatch appends documents of src, and their annotations in step,
+// to docs and anns until docs holds DefaultBulkBatch.
+func nextBatch(src BulkSource, docs []index.Doc, anns []map[string]string) ([]index.Doc, []map[string]string) {
+	for len(docs) < DefaultBulkBatch {
 		d, a, ok := src.Next()
 		if !ok {
 			break
@@ -112,9 +98,9 @@ func prepareAll(workers int, docs []index.Doc) []*index.Prepared {
 // directory written by Save. opts.Docs must match the stream length —
 // a short or long stream is an error, as is a duplicate URL, which the
 // writer names by both doc ids before it renames any segment into
-// place. On error the partial build's temp files and spill runs are
-// swept; a stale docs/postings segment from an earlier completed build
-// may remain, exactly as an interrupted Save would leave one.
+// place. On error the partial build's temp files are swept; a stale
+// docs/postings segment from an earlier completed build may remain,
+// exactly as an interrupted Save would leave one.
 func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOptions) (BulkStats, error) {
 	var stats BulkStats
 	if opts.Docs <= 0 {
@@ -124,34 +110,23 @@ func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOp
 	if shards <= 0 {
 		shards = index.DefaultShards
 	}
-	spill := opts.SpillDocs
-	if spill <= 0 {
-		spill = DefaultSpillDocs
-	}
-	batch := opts.Batch
-	if batch <= 0 {
-		batch = DefaultBulkBatch
-	}
-	if batch > spill {
-		batch = spill
-	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	w, err := store.NewWriter(dir, shards, opts.Docs, spill)
+	w, err := store.NewWriter(dir, shards, opts.Docs)
 	if err != nil {
 		return stats, fmt.Errorf("engine: bulk build: %w", err)
 	}
 	defer w.Abort()
 
-	docs := make([]index.Doc, 0, batch)
-	anns := make([]map[string]string, 0, batch)
+	docs := make([]index.Doc, 0, DefaultBulkBatch)
+	anns := make([]map[string]string, 0, DefaultBulkBatch)
 	for {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		docs, anns = nextBatch(src, batch, docs[:0], anns[:0])
+		docs, anns = nextBatch(src, docs[:0], anns[:0])
 		if len(docs) == 0 {
 			break
 		}
@@ -170,6 +145,5 @@ func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOp
 	if _, err := w.Commit(workers, nil, nil, nil, nil); err != nil {
 		return stats, fmt.Errorf("engine: bulk build: %w", err)
 	}
-	stats.Runs = w.Runs()
 	return stats, nil
 }

@@ -57,8 +57,8 @@ func ingest(b *index.Builder, src BulkSource, batch int) (added, dups int) {
 // serve returns an engine over a reader frozen from b.
 func serve(b *index.Builder) *Engine { return &Engine{Index: b.Freeze()} }
 
-// The tentpole property: a spill-to-disk build writes the directory
-// Save of an index holding the same stream writes, byte for byte,
+// The tentpole property: a bulk build writes the directory Save of an
+// index holding the same stream writes, byte for byte,
 // across shard counts — run under -race in CI. (What a loaded
 // directory answers is TestEngineFollowsOracle's.)
 func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
@@ -76,24 +76,24 @@ func TestBulkBuildEquivalentToRAMBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			spillDir := t.TempDir()
-			bstats, err := BulkBuild(context.Background(), world.Source(4), spillDir, BulkBuildOptions{
-				Docs: 3000, Shards: shards, Batch: 300, SpillDocs: 500, Workers: 4,
+			bulkDir := t.TempDir()
+			bstats, err := BulkBuild(context.Background(), world.Source(4), bulkDir, BulkBuildOptions{
+				Docs: 3000, Shards: shards, Workers: 4,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bstats.Docs != 3000 || bstats.Runs == 0 {
-				t.Fatalf("build stats: %+v (expected multiple spill flushes)", bstats)
+			if bstats.Docs != 3000 {
+				t.Fatalf("build stats: %+v", bstats)
 			}
-			if runsLeft(t, spillDir) != 0 {
-				t.Fatal("spill runs leaked after merge")
+			if tmpLeft(t, bulkDir) != 0 {
+				t.Fatal("temp files leaked after commit")
 			}
 
 			// The whole directories are byte-identical — docs, every
 			// postings shard, meta: same stream, same id order, same
 			// snapshot id, the writer's placement on both paths.
-			requireSameDir(t, "save-vs-bulkbuild", ramDir, spillDir)
+			requireSameDir(t, "save-vs-bulkbuild", ramDir, bulkDir)
 		})
 	}
 }
@@ -140,13 +140,13 @@ func TestSaveEqualsBulkBuildWhenKeysNameOneAttribute(t *testing.T) {
 }
 
 // Reproducibility: the snapshot directory is byte-identical however
-// the build was parallelized or budgeted.
+// the build was parallelized.
 func TestBulkBuildByteIdenticalAcrossBudgets(t *testing.T) {
 	world := bulkWorld(t, 1234, 1500, 3)
 	configs := []BulkBuildOptions{
-		{Docs: 1500, Shards: 4, Batch: 64, SpillDocs: 200, Workers: 1},
-		{Docs: 1500, Shards: 4, Batch: 1024, SpillDocs: 999, Workers: 4},
-		{Docs: 1500, Shards: 4, Batch: 512, SpillDocs: 1 << 20, Workers: 16},
+		{Docs: 1500, Shards: 4, Workers: 1},
+		{Docs: 1500, Shards: 4, Workers: 4},
+		{Docs: 1500, Shards: 4, Workers: 16},
 	}
 	var ref string
 	for ci, opts := range configs {
@@ -180,7 +180,7 @@ func TestBulkBuildDirectoryDigest(t *testing.T) {
 		world := bulkWorld(t, 1234, 1500, 3)
 		dir := t.TempDir()
 		if _, err := BulkBuild(context.Background(), world.Source(2), dir, BulkBuildOptions{
-			Docs: 1500, Shards: shards, Batch: 128, SpillDocs: 400, Workers: 2,
+			Docs: 1500, Shards: shards, Workers: 2,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +227,8 @@ func (c *cancelAfter) Next() (index.Doc, map[string]string, bool) {
 	return c.BulkSource.Next()
 }
 
-// A build canceled after it has spilled runs errors and sweeps them,
-// and no docs segment appears.
+// A build canceled mid-stream errors and sweeps its temp files, and
+// no docs segment appears.
 func TestBulkBuildCancel(t *testing.T) {
 	world := bulkWorld(t, 6, 5000, 2)
 	src := world.Source(2)
@@ -236,7 +236,7 @@ func TestBulkBuildCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	dir := t.TempDir()
-	opts := BulkBuildOptions{Docs: 5000, Batch: 100, SpillDocs: 200}
+	opts := BulkBuildOptions{Docs: 5000}
 	if _, err := BulkBuild(ctx, &cancelAfter{src, 1000, cancel}, dir, opts); err == nil {
 		t.Fatal("canceled build reported success")
 	}
@@ -244,7 +244,7 @@ func TestBulkBuildCancel(t *testing.T) {
 }
 
 // A duplicate URL fails the build, naming both doc ids, and leaves
-// nothing behind, even once spill runs are written; the same stream
+// nothing behind; the same stream
 // with the URL made distinct builds, and Save of the loaded snapshot,
 // whose rows the writer gets from an index, writes it again.
 func TestBulkBuildRejectsDuplicateURL(t *testing.T) {
@@ -255,8 +255,7 @@ func TestBulkBuildRejectsDuplicateURL(t *testing.T) {
 	}
 	build := func(dir string) error {
 		src := &docSource{slices.Clone(docs), make([]map[string]string, len(docs))}
-		// A spill window of one writes runs before the duplicate arrives.
-		_, err := BulkBuild(context.Background(), src, dir, BulkBuildOptions{Docs: len(docs), SpillDocs: 1})
+		_, err := BulkBuild(context.Background(), src, dir, BulkBuildOptions{Docs: len(docs)})
 		return err
 	}
 	dir := t.TempDir()
@@ -284,21 +283,21 @@ func TestBulkBuildRejectsDuplicateURL(t *testing.T) {
 	requireSameDir(t, "bulk build and Save of it loaded", dir, saved)
 }
 
-// requireNoSnapshot asserts a failed build left no spill runs and no
+// requireNoSnapshot asserts a failed build left no temp files and no
 // docs segment in dir.
 func requireNoSnapshot(t *testing.T, dir string) {
 	t.Helper()
-	if runsLeft(t, dir) != 0 {
-		t.Fatal("failed build leaked spill runs")
+	if tmpLeft(t, dir) != 0 {
+		t.Fatal("failed build leaked temp files")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "docs.seg")); !os.IsNotExist(err) {
 		t.Fatal("failed build left a docs segment")
 	}
 }
 
-func runsLeft(t *testing.T, dir string) int {
+func tmpLeft(t *testing.T, dir string) int {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "spill-*"))
+	paths, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
 	if err != nil {
 		t.Fatal(err)
 	}

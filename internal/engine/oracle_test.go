@@ -235,7 +235,7 @@ func (op *oracleOp) String() string {
 	case "save":
 		return fmt.Sprintf("save → load, %d workers", op.workers)
 	case "bulkbuild":
-		return fmt.Sprintf("bulkbuild → load, %d shards, batch %d, %d workers", op.shards, op.batch, op.workers)
+		return fmt.Sprintf("bulkbuild → load, %d shards, %d workers", op.shards, op.workers)
 	case "cache":
 		return fmt.Sprintf("cache on=%v", op.on)
 	}
@@ -259,7 +259,7 @@ func (o *oracle) draw(kinds ...string) *oracleOp {
 			if len(o.m.docs) == 0 {
 				continue
 			}
-			op.shards, op.batch, op.workers = pick(r, []int{1, 4, 16}), pick(r, []int{7, 64}), 1+r.Intn(3)
+			op.shards, op.workers = pick(r, []int{1, 4, 16}), 1+r.Intn(3)
 			for _, d := range o.m.docs {
 				op.docs, op.anns = append(op.docs, d.Doc), append(op.anns, maps.Clone(d.given))
 			}
@@ -388,7 +388,7 @@ func (o *oracle) onEngine(op *oracleOp) string {
 		return o.load(dir, op.workers, e.Generation)
 	case "bulkbuild":
 		dir := o.t.TempDir()
-		opts := BulkBuildOptions{Docs: len(op.docs), Shards: op.shards, Batch: op.batch, SpillDocs: 100, Workers: op.workers}
+		opts := BulkBuildOptions{Docs: len(op.docs), Shards: op.shards, Workers: op.workers}
 		if _, err := BulkBuild(ctx, &docSource{op.docs, op.anns}, dir, opts); err != nil {
 			return "error: " + err.Error()
 		}

@@ -21,7 +21,7 @@ import (
 // index while Save reads it.
 func (e *Engine) Save(dir string, sites []store.SiteMeta) error {
 	ix := e.Index
-	w, err := store.NewWriter(dir, ix.NumShards(), ix.Len(), 0)
+	w, err := store.NewWriter(dir, ix.NumShards(), ix.Len())
 	if err != nil {
 		return fmt.Errorf("engine: save: %w", err)
 	}

@@ -183,7 +183,7 @@ func TestLoadRejectsDamagedSnapshot(t *testing.T) {
 		// A loaded index keeps no URL lookup until its first write, so
 		// the rows' URLs are checked apart from it, by their hashes.
 		dir := t.TempDir()
-		w, err := store.NewWriter(dir, 2, 3, 0)
+		w, err := store.NewWriter(dir, 2, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 // the repository's EXPERIMENTS.md.
 //
 // Orchestration — world building, surfacing, ingestion — lives in
-// internal/engine; this package only measures.
+// internal/surface; this package only measures.
 package experiments
 
 import (

@@ -183,8 +183,8 @@ func (b *Builder) AddPreparedBatch(ps []*Prepared, anns []map[string]string) (id
 	return ids, added
 }
 
-// Accessors for the prepared document's analysis, for builders (the
-// spill-to-disk bulk build) that index outside this package.
+// Accessors for the prepared document's analysis, for writers (the
+// bulk build's store.Writer) that index outside this package.
 // The returned slices are the Prepared's own backing arrays: read,
 // don't mutate.
 

@@ -81,15 +81,3 @@ func (l *PostingList) widen(capacity int) {
 	}
 	l.tfs = w
 }
-
-// AppendList adds every posting of o after the last.
-func (l *PostingList) AppendList(o PostingList) {
-	if !l.wide() && !o.wide() {
-		l.docs = append(l.docs, o.docs...)
-		l.tfs = append(l.tfs, o.tfs...)
-		return
-	}
-	for i, d := range o.docs {
-		l.Append(d, o.TF(i))
-	}
-}

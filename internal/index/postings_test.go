@@ -64,26 +64,6 @@ func TestPostingListWidensOnce(t *testing.T) {
 	}
 }
 
-// Concatenation keeps every tf whichever of the two lists is wide.
-func TestPostingListAppendList(t *testing.T) {
-	narrow, wide := postingsOf(0, 1, 1, 2), postingsOf(2, 256, 3, 1)
-	for _, c := range []struct {
-		a, b PostingList
-		want string
-	}{
-		{narrow, postingsOf(4, 9), "[0 1 1 2 4 9]"},
-		{narrow, wide, "[0 1 1 2 2 256 3 1]"},
-		{wide, narrow, "[2 256 3 1 0 1 1 2]"},
-		{wide, wide, "[2 256 3 1 2 256 3 1]"},
-	} {
-		l := postingsOf(pairsOf(c.a)...)
-		l.AppendList(c.b)
-		if got := fmt.Sprint(pairsOf(l)); got != c.want {
-			t.Errorf("%v + %v = %v, want %v", pairsOf(c.a), pairsOf(c.b), got, c.want)
-		}
-	}
-}
-
 // A term repeated 300 times in a document has tf 300, not 300 mod 256:
 // it outscores the same term said 255 times, by BM25's own formula.
 func TestTopKScoresWideTF(t *testing.T) {

@@ -3,7 +3,7 @@
 // It watches HeapAlloc (live heap bytes), the figure the ingest
 // ladder's memory gates bound: RSS proper includes allocator overhead
 // and OS accounting noise that varies across machines, while HeapAlloc
-// moves with the working set the spill budget actually controls.
+// moves with the working set the program holds.
 package memwatch
 
 import (

@@ -20,12 +20,11 @@ import (
 // and holds each reader to the corruption contract: success or an
 // error wrapping ErrCorrupt/ErrVersion, never a panic, and never an
 // allocation beyond a small multiple of the input (a lying element
-// count must not size a slice). A body the postings codec — shared by
-// postings segments and spill runs — decodes cleanly must also survive
-// decode → encode → decode unchanged, whatever its tfs in [1, MaxInt32]
-// and so whichever of its lists are widened; so must a body the
-// columns codec decodes cleanly: the same attribute names, every
-// code's text, and the same schemas.
+// count must not size a slice). A body the postings codec decodes
+// cleanly must also survive decode → encode → decode unchanged,
+// whatever its tfs in [1, MaxInt32] and so whichever of its lists are
+// widened; so must a body the columns codec decodes cleanly: the same
+// attribute names, every code's text, and the same schemas.
 func FuzzSegmentDecode(f *testing.F) {
 	// Seed with one valid body per kind, so mutation starts from
 	// structure rather than noise.
@@ -70,7 +69,6 @@ func FuzzSegmentDecode(f *testing.F) {
 		{KindDocs, func(p string) error { _, _, err := ReadDocs(p); return err }},
 		{KindColumns, readColumnsAsLoad},
 		{KindPostings, func(p string) error { _, _, err := ReadPostings(p); return err }},
-		{KindSpill, func(p string) error { _, _, err := readPostings(p, KindSpill); return err }},
 		{KindTables, func(p string) error { _, err := ReadTables(p); return err }},
 		{KindMeta, func(p string) error { _, err := ReadMeta(p); return err }},
 	}

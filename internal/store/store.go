@@ -98,8 +98,7 @@ const (
 	KindPostings Kind = 2
 	KindTables   Kind = 3
 	KindMeta     Kind = 4
-	KindSpill    Kind = 5
-	KindColumns  Kind = 6
+	KindColumns  Kind = 6 // 5 tagged a retired kind and stays unassigned
 )
 
 func (k Kind) String() string {
@@ -112,8 +111,6 @@ func (k Kind) String() string {
 		return "tables"
 	case KindMeta:
 		return "meta"
-	case KindSpill:
-		return "spill"
 	case KindColumns:
 		return "columns"
 	}
@@ -172,11 +169,10 @@ func TablesPath(dir string) string { return filepath.Join(dir, "tables.seg") }
 func MetaPath(dir string) string { return filepath.Join(dir, "meta.seg") }
 
 // CleanTmp removes stale *.tmp files from a snapshot directory — the
-// droppings of a writer that crashed between WriteFile and Rename, or
-// of a bulk build that crashed before merging its spill runs. They are
-// never live data (readers only open final segment names), but left
-// alone they accumulate and invite confusion. A missing dir is not an
-// error.
+// droppings of a writer that crashed between writing a segment and
+// renaming it into place. They are never live data (readers only open
+// final segment names), but left alone they accumulate and invite
+// confusion. A missing dir is not an error.
 func CleanTmp(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -196,14 +192,15 @@ func CleanTmp(dir string) error {
 	return nil
 }
 
-// writeFramed frames a body with the checked header and writes it to
-// path directly — for files that are temporary by name (spill runs):
-// the header, then the body in place, with os.WriteFile's mode and
-// truncation.
-func writeFramed(path string, h Header, body []byte) error {
+// writeSegment frames a body with the checked header and writes it
+// atomically: the header, then the body in place, to a temp file that
+// is renamed over path, so a crash mid-save never leaves a
+// half-written segment under the final name.
+func writeSegment(path string, h Header, body []byte) error {
 	var hdr [headerSize]byte
 	encodeHeader(hdr[:], h, uint64(len(body)), crc32.Checksum(body, castagnoli))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
@@ -214,27 +211,18 @@ func writeFramed(path string, h Header, body []byte) error {
 	if err1 := f.Close(); err == nil {
 		err = err1
 	}
-	return err
-}
-
-// writeSegment writes a framed live segment atomically (temp file +
-// rename), so a crash mid-save never leaves a half-written segment
-// under the final name.
-func writeSegment(path string, h Header, body []byte) error {
-	tmp := path + ".tmp"
-	if err := writeFramed(tmp, h, body); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
 
 // encodeHeader fills the 44-byte fixed header into buf (len ≥
 // headerSize), including the trailing header CRC. Shared by the
-// buffer-at-once writeFramed and the streaming docsWriter, which
+// buffer-at-once writeSegment and the streaming docsWriter, which
 // patches the header in place once the body CRC is known.
 func encodeHeader(buf []byte, h Header, bodyLen uint64, bodyCRC uint32) {
 	copy(buf[0:4], magic)
@@ -347,7 +335,7 @@ func readHeader(path string, r io.Reader, raw []byte, wantKind Kind) (Header, er
 	if h.Kind != wantKind {
 		return Header{}, fmt.Errorf("%s: segment kind %v, want %v: %w", path, h.Kind, wantKind, ErrCorrupt)
 	}
-	if wantKind == KindDocs || wantKind == KindPostings || wantKind == KindSpill {
+	if wantKind == KindDocs || wantKind == KindPostings {
 		if h.Shards < 1 || h.Shards > MaxShards {
 			return Header{}, fmt.Errorf("%s: shard count %d outside [1, %d]: %w", path, h.Shards, MaxShards, ErrCorrupt)
 		}
@@ -507,14 +495,7 @@ func WritePostings(path string, shards, shardID, docCount int, snapID uint32, te
 // ReadPostings reads and decodes one postings segment. Every decoded
 // doc id is bounds-checked against the header's doc count.
 func ReadPostings(path string) ([]index.TermPostings, Header, error) {
-	return readPostings(path, KindPostings)
-}
-
-// readPostings decodes a postings-bodied segment of the given kind: a
-// final segment (KindPostings) or a spill run (KindSpill). The kind
-// check keeps the two roles apart even though they share a codec.
-func readPostings(path string, kind Kind) ([]index.TermPostings, Header, error) {
-	h, body, err := readSegment(path, kind)
+	h, body, err := readSegment(path, KindPostings)
 	if err != nil {
 		return nil, Header{}, err
 	}
@@ -528,8 +509,7 @@ func readPostings(path string, kind Kind) ([]index.TermPostings, Header, error) 
 
 // encodePostingsBody appends the shared postings body encoding: term
 // count, then per term its string, posting count, and zig-zag doc-id
-// deltas with tf. Used by both the final postings segments and the
-// spill runs Writer merges into them.
+// deltas with tf.
 func encodePostingsBody(e *enc, terms []index.TermPostings) {
 	e.uvarint(uint64(len(terms)))
 	for _, tp := range terms {

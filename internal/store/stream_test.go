@@ -2,7 +2,6 @@ package store
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -183,80 +182,30 @@ func prepared(i int, text string) *index.Prepared {
 	return index.Prepare(index.Doc{URL: fmt.Sprintf("http://w.example/%d", i), Text: text})
 }
 
-func TestSpillRunRoundtrip(t *testing.T) {
+// A crashed writer's temp files do not survive the next writer, and
+// neither do this writer's: the sweep at writer start collects a stale
+// *.tmp, Commit leaves none, and Abort mid-build sweeps the docs temp
+// but leaves the committed segments readable. A term said by every
+// document lands in its shard's segment as one ascending list.
+func TestWriterCrashHygiene(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, 1, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Abort()
-	for i, text := range []string{"alpha beta", "alpha", "gamma"} {
-		if err := w.AddPrepared(prepared(i, text), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Two documents filled the window: one run, holding docs 0 and 1.
-	if w.Runs() != 1 || len(w.runs[0]) != 1 {
-		t.Fatalf("runs after 3 docs at window 2: %d (%v)", w.Runs(), w.runs)
-	}
-	path := w.runs[0][0]
-	got, h, err := readPostings(path, KindSpill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Kind != KindSpill || h.Shards != 1 || h.ShardID != 0 || h.DocCount != 2 {
-		t.Fatalf("header mismatch: %+v", h)
-	}
-	want := []index.TermPostings{
-		{Term: "alpha", Postings: postingsOf(0, 1, 1, 1)},
-		{Term: "beta", Postings: postingsOf(0, 1)},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("run holds %+v, want %+v", got, want)
-	}
-
-	// A run is not a postings segment: the kind check must refuse it.
-	if _, _, err := ReadPostings(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadPostings accepted a spill run: %v", err)
-	}
-
-	// Doc ids beyond the run's declared count are corruption.
-	var e enc
-	encodePostingsBody(&e, want)
-	bad := filepath.Join(dir, "bad-run.tmp")
-	if err := writeFramed(bad, Header{Version: Version, Kind: KindSpill, Shards: 1, DocCount: 1}, e.b); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readPostings(bad, KindSpill); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("out-of-bounds doc id not rejected: %v", err)
-	}
-}
-
-// Runs merge in flush order however many there are, and neither a
-// crashed build's runs nor this build's survive: the sweep at writer
-// start, at Commit and at Abort collects them and leaves segments be.
-func TestSpillRunsOrderAndCleanSpills(t *testing.T) {
-	dir := t.TempDir()
-	stale := filepath.Join(dir, "spill-s0001-r0099.tmp")
+	stale := filepath.Join(dir, "postings-0001.seg.tmp")
 	if err := os.WriteFile(stale, []byte("crashed build"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	const docs = 12
-	w, err := NewWriter(dir, 2, docs, 1)
+	w, err := NewWriter(dir, 2, docs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Abort()
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale run survived the writer's opening sweep: %v", err)
+		t.Fatalf("stale temp file survived the writer's opening sweep: %v", err)
 	}
 	for i := 0; i < docs; i++ {
 		if err := w.AddPrepared(prepared(i, "shared"), nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if w.Runs() != docs {
-		t.Fatalf("%d runs for %d one-document windows", w.Runs(), docs)
 	}
 	if _, err := w.Commit(2, nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
@@ -270,16 +219,17 @@ func TestSpillRunsOrderAndCleanSpills(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(terms) != 1 || terms[0].Postings.Len() != docs {
-		t.Fatalf("merged segment: %+v", terms)
+		t.Fatalf("segment: %+v", terms)
 	}
 	for i := range docs {
 		if doc := terms[0].Postings.Doc(i); int(doc) != i {
-			t.Fatalf("posting %d is doc %d: runs merged out of flush order", i, doc)
+			t.Fatalf("posting %d is doc %d: postings out of doc-id order", i, doc)
 		}
 	}
 
-	// An aborted build sweeps its runs but leaves live segments alone.
-	w2, err := NewWriter(dir, 2, docs, 1)
+	// An aborted build sweeps its temp files but leaves live segments
+	// alone.
+	w2, err := NewWriter(dir, 2, docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +237,7 @@ func TestSpillRunsOrderAndCleanSpills(t *testing.T) {
 		t.Fatal(err)
 	}
 	if leftovers(t, dir) == 0 {
-		t.Fatal("no run or temp file on disk mid-build")
+		t.Fatal("no temp file on disk mid-build")
 	}
 	w2.Abort()
 	if n := leftovers(t, dir); n != 0 {
@@ -295,6 +245,9 @@ func TestSpillRunsOrderAndCleanSpills(t *testing.T) {
 	}
 	if _, _, err := ReadDocs(DocsPath(dir)); err != nil {
 		t.Fatalf("abort damaged the committed docs segment: %v", err)
+	}
+	if _, _, err := ReadPostings(PostingsPath(dir, si)); err != nil {
+		t.Fatalf("abort damaged a committed postings segment: %v", err)
 	}
 }
 
@@ -304,7 +257,7 @@ func TestSnapIDCoversColumns(t *testing.T) {
 	ids := map[uint32]string{}
 	for _, mk := range []string{"ford", "saab"} {
 		dir := t.TempDir()
-		w, err := NewWriter(dir, 1, 1, 1)
+		w, err := NewWriter(dir, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +279,7 @@ func TestSnapIDCoversColumns(t *testing.T) {
 // through AddPrepared builds its own and refuses tables handed to
 // Commit.
 func TestWriterTakesTablesFromOneSource(t *testing.T) {
-	w, err := NewWriter(t.TempDir(), 1, 1, 1)
+	w, err := NewWriter(t.TempDir(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"deepweb/internal/index"
@@ -24,44 +24,33 @@ import (
 // tables come from:
 //
 //   - a live index (engine.Save) hands AddRow every row as it holds it,
-//     in id order, and Commit its resident posting lists, which Commit
-//     places by shardOf, and its annotation tables, written as they are;
+//     in id order, and Commit its resident posting lists and its
+//     annotation tables, written as they are;
 //
 //   - a tokenized stream (engine.BulkBuild) feeds AddPrepared, which
 //     encodes the row, has Commit check its URL (an index's URLs are
 //     distinct already), interns the annotations through the writer's
-//     own AnnBuilder and accumulates the postings in RAM, placed by
-//     shardOf. Every spillDocs documents the accumulator is flushed as
-//     one sorted run file per non-empty shard, and Commit k-way merges
-//     each shard's runs into its final segment. Peak memory is the
-//     spill window plus one shard's merged postings plus the annotation
-//     tables, which grow with the corpus's distinct annotation values
-//     and which a server of the snapshot holds anyway.
+//     own AnnBuilder and appends the postings to one in-memory term
+//     map, whose lists Commit sorts by term and writes as it writes a
+//     live index's. Rows stream to disk; the postings and the
+//     annotation tables stay resident until Commit, which is what a
+//     server of the snapshot holds anyway.
 //
-// Spill runs are framed like postings segments (same header, same
-// varint/delta body, KindSpill so the kind check refuses them as live
-// data) and named *.tmp, so the CleanTmp sweep at the next writer's
-// start collects what a crashed build left behind. Terms within a run
-// are sorted; doc ids within a term ascend. Because runs are flushed in
-// doc-id order, concatenating a term's postings across a shard's runs
-// in flush order yields the ascending posting list of the final
-// segment — the merged output is independent of where the flush
-// boundaries fell, and since every term is placed by shardOf whichever
-// path it came in by, Save and BulkBuild of the same corpus write
-// byte-identical directories.
+// Commit places every term by shardOf whichever path it came in by, so
+// Save and BulkBuild of the same corpus write byte-identical
+// directories.
 //
 // A Writer is not safe for concurrent use. Callers defer Abort: after
-// a failed Add or Commit it sweeps the temp files and runs (segments of
-// an earlier completed snapshot may remain, and the snapshot-id binding
+// a failed Add or Commit it sweeps the temp files (segments of an
+// earlier completed snapshot may remain, and the snapshot-id binding
 // keeps a loader from mixing them with anything newer); after a
 // successful Commit it does nothing.
 type Writer struct {
-	dir       string
-	shards    int
-	spillDocs int
-	docs      *docsWriter
-	row       []byte // the row AddRow or AddPrepared is writing
-	prepared  bool   // fed through AddPrepared: it builds its own tables
+	dir      string
+	shards   int
+	docs     *docsWriter
+	row      []byte // the row AddRow or AddPrepared is writing
+	prepared bool   // fed through AddPrepared: it builds its own tables
 
 	// The annotation tables are interned off the caller's goroutine, a
 	// batch at a time and one batch after another, so doc-id order
@@ -70,18 +59,12 @@ type Writer struct {
 	pending  []annotated   // documents' annotations not yet handed off
 	interned chan struct{} // closed once the batch handed off last is interned
 
-	acc    []shardAcc // per shard: each term's ascending postings
-	window int        // documents accumulated since the last flush
-	runs   [][]string // per shard: run files in flush order
-	done   bool       // committed: Abort is a no-op
-}
-
-// shardAcc is one shard's posting accumulator: its terms' lists in
-// first-seen order, and where each term's list is, so a posting costs
-// one map lookup.
-type shardAcc struct {
+	// AddPrepared's postings: each term's ascending list, in first-seen
+	// order, and where each term's list is, so a posting costs one map
+	// lookup.
 	at    map[string]int
 	terms []index.TermPostings
+	done  bool // committed: Abort is a no-op
 }
 
 // annotated is one document's annotations, waiting to be interned.
@@ -94,15 +77,14 @@ type annotated struct {
 const annBatch = 1024
 
 // NewWriter prepares dir for a snapshot of exactly docs documents over
-// shards posting shards. spillDocs is the accumulator window AddPrepared
-// flushes at; a writer fed only through AddRow never consults it.
-func NewWriter(dir string, shards, docs, spillDocs int) (*Writer, error) {
+// shards posting shards.
+func NewWriter(dir string, shards, docs int) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	// Crash hygiene: a writer that died mid-snapshot leaves *.tmp files
-	// behind (segments and runs are written under temp names). Sweep
-	// them before writing so they cannot accumulate.
+	// behind (segments are written under temp names). Sweep them before
+	// writing so they cannot accumulate.
 	if err := CleanTmp(dir); err != nil {
 		return nil, err
 	}
@@ -110,19 +92,13 @@ func NewWriter(dir string, shards, docs, spillDocs int) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{
-		dir:       dir,
-		shards:    shards,
-		spillDocs: spillDocs,
-		docs:      dw,
-		anns:      index.NewAnnBuilder(),
-		acc:       make([]shardAcc, shards),
-		runs:      make([][]string, shards),
-	}
-	for si := range w.acc {
-		w.acc[si].at = map[string]int{}
-	}
-	return w, nil
+	return &Writer{
+		dir:    dir,
+		shards: shards,
+		docs:   dw,
+		anns:   index.NewAnnBuilder(),
+		at:     map[string]int{},
+	}, nil
 }
 
 // AddRow appends the next document (id = arrival order) as its row,
@@ -157,9 +133,9 @@ func (w *Writer) waitInterned() {
 
 // AddPrepared appends the next document of a tokenized stream: its
 // docs-segment row, its annotations (nil for none) to the writer's
-// annotation tables, and its postings, accumulated until the spill
-// window fills. The writer reads anns until Commit or Abort returns:
-// the caller must not change it before then.
+// annotation tables, and its postings to the writer's term map. The
+// writer reads anns until Commit or Abort returns: the caller must not
+// change it before then.
 func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
 	id := w.docs.n
 	w.prepared = true
@@ -174,83 +150,39 @@ func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
 	}
 	tfs := p.TermFreqs()
 	for j, t := range p.Terms() {
-		a := &w.acc[shardOf(t, w.shards)]
-		i, ok := a.at[t]
+		i, ok := w.at[t]
 		if !ok {
-			i = len(a.terms)
-			a.at[t] = i
-			a.terms = append(a.terms, index.TermPostings{Term: t})
+			i = len(w.terms)
+			w.at[t] = i
+			w.terms = append(w.terms, index.TermPostings{Term: t})
 		}
-		a.terms[i].Postings.Append(int32(id), tfs[j])
-	}
-	if w.window++; w.window >= w.spillDocs {
-		return w.spill()
+		w.terms[i].Postings.Append(int32(id), tfs[j])
 	}
 	return nil
-}
-
-// spill flushes every non-empty shard of the accumulator as one sorted
-// run. The run header's doc count — the bound run readers check doc
-// ids against — is the number of documents added so far.
-func (w *Writer) spill() error {
-	for si := range w.acc {
-		terms := w.acc[si].terms
-		if len(terms) == 0 {
-			continue
-		}
-		sort.Slice(terms, func(i, j int) bool { return terms[i].Term < terms[j].Term })
-		var e enc
-		encodePostingsBody(&e, terms)
-		path := filepath.Join(w.dir, fmt.Sprintf("spill-s%04d-r%04d.tmp", si, len(w.runs[si])))
-		if err := writeFramed(path, Header{
-			Version:  Version,
-			Kind:     KindSpill,
-			Shards:   uint32(w.shards),
-			ShardID:  uint32(si),
-			DocCount: uint64(w.docs.n),
-		}, e.b); err != nil {
-			return err
-		}
-		w.runs[si] = append(w.runs[si], path)
-		w.acc[si] = shardAcc{at: map[string]int{}}
-	}
-	w.window = 0
-	return nil
-}
-
-// Runs returns the number of spill-run files written so far.
-func (w *Writer) Runs() int {
-	n := 0
-	for _, r := range w.runs {
-		n += len(r)
-	}
-	return n
 }
 
 // Commit finishes the snapshot: the docs segment is closed — failing on
 // a URL AddPrepared brought twice — and renamed into place, stamped
 // with the snapshot id, the CRC of its body and the columns body; then
-// the columns segment and each shard's postings segment — the merge of
-// its spilled runs and of the resident posting lists (sorted by term)
-// that shardOf places there — are written stamped with that id, the
-// postings on up to workers goroutines; then the meta segment carrying
-// sites. The columns segment holds cols and schemas (as
-// index.Index.ExportAnnotations hands them out) or, for a writer fed
-// through AddPrepared, which must be handed none, the tables it built.
-// It returns the snapshot id.
+// the columns segment and each shard's postings segment — the posting
+// lists, sorted by term, that shardOf places there — are written
+// stamped with that id, the postings on up to workers goroutines; then
+// the meta segment carrying sites. The postings and the columns
+// segment come from resident, cols and schemas (as index.Index's
+// ExportTerms and ExportAnnotations hand them out) or, for a writer
+// fed through AddPrepared, which must be handed none, from what it
+// accumulated. It returns the snapshot id.
 func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPostings, cols []index.AnnColumn, schemas []index.AnnSchema) (snapID uint32, err error) {
 	w.handOff()
 	w.waitInterned()
 	if w.prepared {
-		if cols != nil || schemas != nil {
-			return 0, errors.New("store: commit: annotation tables handed to a writer that builds its own")
+		if resident != nil || cols != nil || schemas != nil {
+			return 0, errors.New("store: commit: postings or annotation tables handed to a writer that builds its own")
 		}
 		cols, schemas = w.anns.Tables()
-	}
-	if w.window > 0 {
-		if err := w.spill(); err != nil {
-			return 0, err
-		}
+		resident = w.terms
+		slices.SortFunc(resident, func(a, b index.TermPostings) int { return strings.Compare(a.Term, b.Term) })
+		w.at, w.terms = nil, nil
 	}
 	// Each shard's list is sized once, from a first pass that counts
 	// its terms; a shard with none stays nil.
@@ -277,22 +209,7 @@ func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPost
 		return 0, fmt.Errorf("columns: %w", err)
 	}
 	err = forEachShard(workers, w.shards, func(si int) error {
-		lists := make([][]index.TermPostings, 0, len(w.runs[si])+1)
-		for _, path := range w.runs[si] {
-			terms, h, err := readPostings(path, KindSpill)
-			if err != nil {
-				return err
-			}
-			if h.Shards != uint32(w.shards) || h.ShardID != uint32(si) {
-				return fmt.Errorf("%s: run header (shards=%d id=%d) disagrees with build (shards=%d id=%d): %w",
-					path, h.Shards, h.ShardID, w.shards, si, ErrCorrupt)
-			}
-			lists = append(lists, terms)
-		}
-		if placed[si] != nil {
-			lists = append(lists, placed[si])
-		}
-		return WritePostings(PostingsPath(w.dir, si), w.shards, si, w.docs.n, snapID, mergeRuns(lists))
+		return WritePostings(PostingsPath(w.dir, si), w.shards, si, w.docs.n, snapID, placed[si])
 	})
 	if err != nil {
 		return 0, fmt.Errorf("postings: %w", err)
@@ -307,7 +224,7 @@ func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPost
 	return snapID, nil
 }
 
-// Abort discards an uncommitted snapshot's temp files and spill runs.
+// Abort discards an uncommitted snapshot's temp files.
 func (w *Writer) Abort() {
 	if w.done {
 		return
@@ -393,44 +310,6 @@ func sameSnapshot(path string, h, want Header) error {
 	}
 	return fmt.Errorf("%s: header (shards=%d id=%d docs=%d snap=%08x) disagrees with docs segment (shards=%d id=%d docs=%d snap=%08x) — segments from different snapshot generations?: %w",
 		path, h.Shards, h.ShardID, h.DocCount, h.SnapID, want.Shards, want.ShardID, want.DocCount, want.SnapID, ErrCorrupt)
-}
-
-// mergeRuns k-way merges sorted term lists into one sorted list,
-// concatenating a term's postings across lists in list (= doc-id)
-// order. Linear scan over list heads: run counts are dozens, not
-// thousands, and the real cost is the postings append.
-func mergeRuns(runs [][]index.TermPostings) []index.TermPostings {
-	if len(runs) == 1 {
-		return runs[0]
-	}
-	heads := make([]int, len(runs))
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]index.TermPostings, 0, total)
-	for {
-		best := ""
-		found := false
-		for ri, r := range runs {
-			if heads[ri] < len(r) {
-				if t := r[heads[ri]].Term; !found || t < best {
-					best, found = t, true
-				}
-			}
-		}
-		if !found {
-			return out
-		}
-		var pl index.PostingList
-		for ri, r := range runs {
-			if heads[ri] < len(r) && r[heads[ri]].Term == best {
-				pl.AppendList(r[heads[ri]].Postings)
-				heads[ri]++
-			}
-		}
-		out = append(out, index.TermPostings{Term: best, Postings: pl})
-	}
 }
 
 // shardOf is the one term→segment decision: FNV-1a of the term, modulo
