@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: verify fmt vet build test bench bench-smoke bench-load bench-save bench-scan bench-match serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
+.PHONY: verify fmt vet build test bench bench-smoke bench-build bench-load bench-save bench-scan bench-match serve-smoke fuzz lint deepvet staticcheck govulncheck chaos bulk ingest-full lines
 
 # verify = the CI `test` job: gofmt, vet, build, race-enabled tests.
 verify: fmt vet build test
@@ -33,12 +33,13 @@ build:
 # the builder makes in place instead of copying first races with a
 # scan), api's stats counters, and the Load tests (Load's three parts —
 # rows, annotation tables, postings — install into one builder
-# concurrently). The step names exactly the packages with a test the
-# pattern matches: index, engine, surface (its Open-then-Refresh test)
-# and api.
+# concurrently), and the BulkBuild tests (BulkBuild's reader,
+# tokenizers and writer run at once and must be joined on every path).
+# The step names exactly the packages with a test the pattern matches:
+# index, engine, surface (its Open-then-Refresh test) and api.
 test:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=10 -run 'Atomic|^TestLoad|^TestConcurrentAddSearch$$' ./internal/index ./internal/engine ./internal/surface ./internal/api
+	$(GO) test -race -count=10 -run 'Atomic|^TestLoad|^TestConcurrentAddSearch$$|^TestBulkBuild' ./internal/index ./internal/engine ./internal/surface ./internal/api
 
 # bench = deepbench, the repository's one benchmark (bench/README.md,
 # BENCHMARK.json): every workload, untraced then traced, results under
@@ -49,8 +50,8 @@ test:
 # empty now that annotations live in the columns segment, so
 # index.annotate_s reads about 0 — and the request layer by layer) — it
 # exercises every path and checks every answer, and measures nothing;
-# it ends with one iteration each of bench-load, bench-save, bench-scan
-# and bench-match.
+# it ends with one iteration each of bench-build, bench-load,
+# bench-save, bench-scan and bench-match.
 bench:
 	$(GO) run ./bench
 
@@ -59,16 +60,25 @@ bench-smoke:
 		$(GO) run ./bench -smoke --workload $$w; \
 		$(GO) run ./bench -smoke --trace 1 --seconds 1 --workload $$w; \
 	done
+	$(MAKE) bench-build BENCHTIME=1x
 	$(MAKE) bench-load BENCHTIME=1x
 	$(MAKE) bench-save BENCHTIME=1x
 	$(MAKE) bench-scan BENCHTIME=1x
 	$(MAKE) bench-match BENCHTIME=1x
 
+# bench-build = engine.BulkBuild of a 50k-document bulkgen stream on 2
+# workers: ns/op, cpu-ms/op (user plus system time: the build's reader,
+# tokenizers and writer run at once), docs/s, peak-heap-MB of one more
+# build from a collected heap, B/op and allocs/op (BenchmarkBulkBuild in
+# internal/engine).
+BENCHTIME ?= 10x
+bench-build:
+	$(GO) test -run '^$$' -bench '^BenchmarkBulkBuild$$' -benchtime=$(BENCHTIME) ./internal/engine
+
 # bench-load = engine.Load of a 50k-document bulkgen snapshot, built
 # once: ns/op, cpu-ms/op (user plus system time: Load's jobs run
 # concurrently, so wall time hides work that moves between them), B/op
 # and allocs/op (BenchmarkLoad in internal/engine).
-BENCHTIME ?= 10x
 bench-load:
 	$(GO) test -run '^$$' -bench '^BenchmarkLoad$$' -benchtime=$(BENCHTIME) ./internal/engine
 
@@ -105,8 +115,12 @@ serve-smoke:
 	./scripts/serve-smoke.sh
 
 # bulk = generate a 100k-record world (internal/bulkgen), run the
-# bulk snapshot build (rows stream to disk; postings stay in RAM, as
-# Load holds them) and Load-verify the result; ingest-full is the same at 1M rows (minutes of wall clock).
+# bulk snapshot build (one ordered pipeline: a reader cuts the stream
+# into batches, -workers goroutines tokenize the next batches while the
+# writer takes this one, at most workers+1 batches ahead of it; rows
+# stream to disk; postings stay in RAM, as Load holds them) and
+# Load-verify the result; ingest-full is the same at 1M rows (minutes
+# of wall clock).
 # They leave a snapshot to serve (`deepsearch -snapshot $(BULK_DIR)`);
 # the build's measured throughput and memory are deepbench metrics.
 BULK_DIR ?= /tmp/deepweb-bulk

@@ -4,20 +4,21 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"deepweb/internal/index"
 	"deepweb/internal/store"
 )
 
 // Bulk builds: the path that lets a million-document world become a
-// snapshot without building an index. BulkBuild tokenizes a stream on
-// the given workers and hands every document to the same store.Writer
-// Save uses, which streams the docs segment to disk, interns the
-// annotations into the schema tables of the columns segment and keeps
-// the postings in RAM until Commit writes the per-shard segments. Rows
-// never stay resident; the postings and the tables do, as a server of
-// the snapshot (engine.Load) holds them too.
+// snapshot without building an index. BulkBuild is one ordered
+// pipeline: a reader goroutine cuts the stream into batches, workers
+// goroutines tokenize the next batches while the calling goroutine
+// hands this one, in stream order, to the same store.Writer Save uses,
+// which streams the docs segment to disk, interns the annotations into
+// the schema tables of the columns segment and keeps the postings in
+// RAM until Commit writes the per-shard segments. Rows never stay
+// resident; the postings and the tables do, as a server of the
+// snapshot (engine.Load) holds them too.
 //
 // The writer places every term, whichever path it came in by, so the
 // directory BulkBuild writes is byte-identical — every file — to Save
@@ -26,15 +27,17 @@ import (
 
 // BulkSource streams documents in a deterministic order. Next returns
 // the next document, its annotations (nil for none), and ok=false when
-// the stream is exhausted. An annotation map must not change once
-// returned: the writer interns it later, on a goroutine of its own.
+// the stream is exhausted; BulkBuild calls it on one goroutine, never
+// after returning. An annotation map must not change once returned:
+// the writer interns it later, on a goroutine of its own.
 // bulkgen.Source satisfies this.
 type BulkSource interface {
 	Next() (d index.Doc, anns map[string]string, ok bool)
 }
 
-// DefaultBulkBatch is how many documents BulkBuild tokenizes at a time.
-const DefaultBulkBatch = 4096
+// DefaultBulkBatch is how many documents a batch of BulkBuild holds:
+// the workers+1 batches waiting for the writer hold a few MB.
+const DefaultBulkBatch = 1024
 
 // BulkBuildOptions configures BulkBuild.
 type BulkBuildOptions struct {
@@ -44,8 +47,8 @@ type BulkBuildOptions struct {
 	// Shards is the postings-shard count of the snapshot (default
 	// index.DefaultShards).
 	Shards int
-	// Workers parallelizes tokenization and the per-shard encode of
-	// the postings (default 1).
+	// Workers is how many goroutines tokenize batches and encode the
+	// postings shards at Commit (default 1).
 	Workers int
 }
 
@@ -56,41 +59,59 @@ type BulkStats struct {
 	Postings int64 // term postings produced
 }
 
-// nextBatch appends documents of src, and their annotations in step,
-// to docs and anns until docs holds DefaultBulkBatch.
-func nextBatch(src BulkSource, docs []index.Doc, anns []map[string]string) ([]index.Doc, []map[string]string) {
-	for len(docs) < DefaultBulkBatch {
-		d, a, ok := src.Next()
-		if !ok {
-			break
-		}
-		docs = append(docs, d)
-		anns = append(anns, a)
-	}
-	return docs, anns
+// batch is up to DefaultBulkBatch consecutive documents of a stream
+// and their annotations, tokenized into ps once ready is closed.
+type batch struct {
+	docs  []index.Doc
+	anns  []map[string]string
+	ps    []*index.Prepared
+	ready chan struct{}
 }
 
-// prepareAll tokenizes docs on up to workers (at least one)
-// goroutines, preserving order: ps[i] is always Prepare(docs[i]).
-func prepareAll(workers int, docs []index.Doc) []*index.Prepared {
-	ps := make([]*index.Prepared, len(docs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, len(docs)) {
-		wg.Add(1)
+// tokenized returns src's batches in stream order, each published
+// before a tokenizer takes it; the buffer of workers, plus the batch
+// being read, bounds the lookahead at workers+1. The channel closes
+// once src is exhausted or ctx is done; wg counts the goroutines.
+func tokenized(ctx context.Context, src BulkSource, workers int, wg *sync.WaitGroup) <-chan *batch {
+	order, jobs := make(chan *batch, workers), make(chan *batch)
+	wg.Add(1 + workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(docs) {
-					return
+			for b := range jobs {
+				b.ps = make([]*index.Prepared, len(b.docs))
+				for i, d := range b.docs {
+					b.ps[i] = index.Prepare(d)
 				}
-				ps[i] = index.Prepare(docs[i])
+				close(b.ready)
 			}
 		}()
 	}
-	wg.Wait()
-	return ps
+	go func() {
+		defer wg.Done()
+		defer close(jobs)
+		defer close(order)
+		for ctx.Err() == nil {
+			b := &batch{docs: make([]index.Doc, 0, DefaultBulkBatch), anns: make([]map[string]string, 0, DefaultBulkBatch), ready: make(chan struct{})}
+			for len(b.docs) < DefaultBulkBatch {
+				d, a, ok := src.Next()
+				if !ok {
+					break
+				}
+				b.docs, b.anns = append(b.docs, d), append(b.anns, a)
+			}
+			if len(b.docs) == 0 {
+				return
+			}
+			select {
+			case order <- b:
+			case <-ctx.Done():
+				return
+			}
+			jobs <- b // every published batch gets tokenized
+		}
+	}()
+	return order
 }
 
 // BulkBuild streams src into a snapshot directory at dir without ever
@@ -120,25 +141,24 @@ func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOp
 	}
 	defer w.Abort()
 
-	docs := make([]index.Doc, 0, DefaultBulkBatch)
-	anns := make([]map[string]string, 0, DefaultBulkBatch)
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		docs, anns = nextBatch(src, docs[:0], anns[:0])
-		if len(docs) == 0 {
-			break
-		}
-		for i, p := range prepareAll(workers, docs) {
+	// Every path joins the pipeline, and so stops reading src, first.
+	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer func() { cancel(); wg.Wait() }()
+	for b := range tokenized(ctx, src, workers, &wg) {
+		<-b.ready
+		for i, p := range b.ps {
 			// A stream longer than opts.Docs fails here, a shorter one
 			// at Commit: the writer holds the declared count.
-			if err := w.AddPrepared(p, anns[i]); err != nil {
+			if err := w.AddPrepared(p, b.anns[i]); err != nil {
 				return stats, fmt.Errorf("engine: bulk build: %w", err)
 			}
 			stats.Docs++
 			stats.Postings += int64(len(p.Terms()))
 		}
+	}
+	if err := ctx.Err(); err != nil { // a canceled reader closes the channel early
+		return stats, err
 	}
 	// No refresh signatures: the empty meta segment Save(dir, nil)
 	// writes keeps the directory byte-identical to Save's.

@@ -11,10 +11,13 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"deepweb/internal/bulkgen"
 	"deepweb/internal/index"
+	"deepweb/internal/memwatch"
 )
 
 func bulkWorld(t testing.TB, seed int64, docs, sites int) *bulkgen.World {
@@ -283,6 +286,119 @@ func TestBulkBuildRejectsDuplicateURL(t *testing.T) {
 	requireSameDir(t, "bulk build and Save of it loaded", dir, saved)
 }
 
+// Documents reach the writer in stream order across batch boundaries:
+// streams one short of a batch, exactly one, one past one and one past
+// two build, on 1 and on 4 workers, the same directory Save of its
+// Load writes, and the same directory as Save of an index that
+// ingested the stream — on both worker counts, which a batch delivered
+// out of order would break.
+func TestBulkBuildBatchBoundaries(t *testing.T) {
+	for _, n := range []int{DefaultBulkBatch - 1, DefaultBulkBatch, DefaultBulkBatch + 1, 2*DefaultBulkBatch + 1} {
+		t.Run(fmt.Sprintf("docs=%d", n), func(t *testing.T) {
+			world := bulkWorld(t, 77, n, 4)
+			b := index.NewSharded(4)
+			if added, dups := ingest(b, world.Source(2), 512); added != n || dups != 0 {
+				t.Fatalf("ingest added %d, %d duplicates", added, dups)
+			}
+			ref := t.TempDir()
+			if err := serve(b).Save(ref, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				dir := t.TempDir()
+				if _, err := BulkBuild(context.Background(), world.Source(2), dir, BulkBuildOptions{Docs: n, Shards: 4, Workers: workers}); err != nil {
+					t.Fatal(err)
+				}
+				e, err := Load(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				saved := t.TempDir()
+				if err := e.Save(saved, nil); err != nil {
+					t.Fatal(err)
+				}
+				requireSameDir(t, fmt.Sprintf("workers=%d: bulk build and Save of it loaded", workers), dir, saved)
+				requireSameDir(t, fmt.Sprintf("workers=%d: Save of the ingested stream and bulk build", workers), ref, dir)
+			}
+		})
+	}
+}
+
+// lateSource counts the Next calls made once its build has returned.
+// The first call for the second batch stalls, so a reader that is not
+// joined is still reading when a build failing in its first batch
+// returns.
+type lateSource struct {
+	BulkSource
+	calls    int
+	returned atomic.Bool
+	late     atomic.Int64
+}
+
+func (s *lateSource) Next() (index.Doc, map[string]string, bool) {
+	if s.calls++; s.calls == DefaultBulkBatch+1 {
+		time.Sleep(50 * time.Millisecond)
+	}
+	if s.returned.Load() {
+		s.late.Add(1)
+	}
+	return s.BulkSource.Next()
+}
+
+// BulkBuild joins its pipeline on every error path: a duplicate URL
+// (a Commit error), a cancel mid-stream and a stream longer than
+// declared (an AddPrepared error, in the first batch while the reader
+// reads on) each fail with their error, leave no goroutine behind and
+// no Next call after BulkBuild returns.
+func TestBulkBuildJoinsPipelineOnError(t *testing.T) {
+	const n = 3 * DefaultBulkBatch
+	stream := func() *docSource {
+		src := &docSource{make([]index.Doc, n), make([]map[string]string, n)}
+		for i := range src.docs {
+			src.docs[i] = index.Doc{URL: fmt.Sprintf("http://a.example/%d", i), Text: "used ford"}
+		}
+		return src
+	}
+	dup := stream()
+	dup.docs[5].URL = dup.docs[0].URL
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cases := []struct {
+		name string
+		ctx  context.Context
+		src  BulkSource
+		docs int
+		want string
+	}{
+		{"duplicate-url", context.Background(), dup, n, `duplicate URL "http://a.example/0" (docs 0 and 5)`},
+		{"cancel", ctx, &cancelAfter{stream(), DefaultBulkBatch + 10, cancel}, n, "context canceled"},
+		{"long-stream", context.Background(), stream(), DefaultBulkBatch / 2, fmt.Sprintf("more docs than the declared %d", DefaultBulkBatch/2)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			src := &lateSource{BulkSource: c.src}
+			dir := t.TempDir()
+			_, err := BulkBuild(c.ctx, src, dir, BulkBuildOptions{Docs: c.docs, Workers: 4})
+			src.returned.Store(true)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err %v, want one containing %q", err, c.want)
+			}
+			requireNoSnapshot(t, dir)
+			// A goroutine that has signalled its WaitGroup may take a
+			// moment more to exit.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the build, %d before", runtime.NumGoroutine(), before)
+				}
+			}
+			if late := src.late.Load(); late != 0 {
+				t.Fatalf("%d Next calls after BulkBuild returned", late)
+			}
+		})
+	}
+}
+
 // requireNoSnapshot asserts a failed build left no temp files and no
 // docs segment in dir.
 func requireNoSnapshot(t *testing.T, dir string) {
@@ -339,4 +455,36 @@ func requireSameDir(t *testing.T, label, dirA, dirB string) {
 			t.Fatalf("%s: %s differs (%d vs %d bytes)", label, name, len(want), len(got))
 		}
 	}
+}
+
+// BenchmarkBulkBuild builds a 50k-document bulkgen snapshot, 12 sites
+// over 16 postings segments, on 2 workers, into one directory over and
+// over. Besides wall time it reports the process's CPU time, user and
+// system, per build as cpu-ms/op, as BenchmarkLoad does: the build's
+// reader, tokenizers and writer run at once, so wall time alone hides
+// work that moves between them; and documents built per second as
+// docs/s. Past the timed builds, one more from a collected heap
+// reports the heap's peak, sampled every millisecond, as peak-heap-MB.
+func BenchmarkBulkBuild(b *testing.B) {
+	const docs = 50000
+	world := bulkWorld(b, 1, docs, 12)
+	dir := b.TempDir()
+	build := func() {
+		src := world.Source(2)
+		defer src.Close()
+		if _, err := BulkBuild(context.Background(), src, dir, BulkBuildOptions{Docs: docs, Workers: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	cpu := cpuTime(b)
+	for b.Loop() {
+		build()
+	}
+	b.ReportMetric(float64(cpuTime(b)-cpu)/1e6/float64(b.N), "cpu-ms/op")
+	b.ReportMetric(float64(docs*b.N)/b.Elapsed().Seconds(), "docs/s")
+	runtime.GC()
+	w := memwatch.Start(time.Millisecond)
+	build()
+	b.ReportMetric(memwatch.PeakMB(w.Stop()), "peak-heap-MB")
 }
