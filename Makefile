@@ -33,13 +33,15 @@ build:
 # the builder makes in place instead of copying first races with a
 # scan), api's stats counters, and the Load tests (Load's three parts —
 # rows, annotation tables, postings — install into one builder
-# concurrently), and the BulkBuild tests (BulkBuild's reader,
-# tokenizers and writer run at once and must be joined on every path).
+# concurrently), the BulkBuild tests (BulkBuild's reader, tokenizers,
+# interner and writer run at once and must be joined on every path),
+# and pipe's own tests (the ordered worker pool every one of those
+# pipelines runs on: order, lookahead, joining, Each's error rule).
 # The step names exactly the packages with a test the pattern matches:
-# index, engine, surface (its Open-then-Refresh test) and api.
+# index, engine, surface (its Open-then-Refresh test), api and pipe.
 test:
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -race -count=10 -run 'Atomic|^TestLoad|^TestConcurrentAddSearch$$|^TestBulkBuild' ./internal/index ./internal/engine ./internal/surface ./internal/api
+	$(GO) test -race -count=10 -run 'Atomic|^TestLoad|^TestConcurrentAddSearch$$|^TestBulkBuild|^TestOrdered|^TestEach' ./internal/index ./internal/engine ./internal/surface ./internal/api ./internal/pipe
 
 # bench = deepbench, the repository's one benchmark (bench/README.md,
 # BENCHMARK.json): every workload, untraced then traced, results under
@@ -68,9 +70,9 @@ bench-smoke:
 
 # bench-build = engine.BulkBuild of a 50k-document bulkgen stream on 2
 # workers: ns/op, cpu-ms/op (user plus system time: the build's reader,
-# tokenizers and writer run at once), docs/s, peak-heap-MB of one more
-# build from a collected heap, B/op and allocs/op (BenchmarkBulkBuild in
-# internal/engine).
+# tokenizers, interner and writer run at once), docs/s, peak-heap-MB of
+# one more build from a collected heap, B/op and allocs/op
+# (BenchmarkBulkBuild in internal/engine).
 BENCHTIME ?= 10x
 bench-build:
 	$(GO) test -run '^$$' -bench '^BenchmarkBulkBuild$$' -benchtime=$(BENCHTIME) ./internal/engine
@@ -116,8 +118,9 @@ serve-smoke:
 
 # bulk = generate a 100k-record world (internal/bulkgen), run the
 # bulk snapshot build (one ordered pipeline: a reader cuts the stream
-# into batches, -workers goroutines tokenize the next batches while the
-# writer takes this one, at most workers+1 batches ahead of it; rows
+# into batches, -workers goroutines tokenize the next batches, one
+# interns their annotations, while the writer takes this one, at most
+# workers+1 batches ahead of it; rows
 # stream to disk; postings stay in RAM, as Load holds them) and
 # Load-verify the result; ingest-full is the same at 1M rows (minutes
 # of wall clock).

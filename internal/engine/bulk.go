@@ -3,22 +3,24 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
+	"iter"
 
 	"deepweb/internal/index"
+	"deepweb/internal/pipe"
 	"deepweb/internal/store"
 )
 
 // Bulk builds: the path that lets a million-document world become a
 // snapshot without building an index. BulkBuild is one ordered
-// pipeline: a reader goroutine cuts the stream into batches, workers
-// goroutines tokenize the next batches while the calling goroutine
-// hands this one, in stream order, to the same store.Writer Save uses,
-// which streams the docs segment to disk, interns the annotations into
-// the schema tables of the columns segment and keeps the postings in
-// RAM until Commit writes the per-shard segments. Rows never stay
-// resident; the postings and the tables do, as a server of the
-// snapshot (engine.Load) holds them too.
+// pipeline of pipe.Ordered stages: a reader cuts the stream into
+// batches, workers goroutines tokenize the next batches, one goroutine
+// interns each batch's annotations into the schema tables of the
+// columns segment, and the calling goroutine hands the batches, in
+// stream order, to the same store.Writer Save uses, which streams the
+// docs segment to disk and keeps the postings in RAM until Commit
+// writes the per-shard segments. Rows never stay resident; the
+// postings and the tables do, as a server of the snapshot (engine.Load)
+// holds them too.
 //
 // The writer places every term, whichever path it came in by, so the
 // directory BulkBuild writes is byte-identical — every file — to Save
@@ -29,7 +31,7 @@ import (
 // the next document, its annotations (nil for none), and ok=false when
 // the stream is exhausted; BulkBuild calls it on one goroutine, never
 // after returning. An annotation map must not change once returned:
-// the writer interns it later, on a goroutine of its own.
+// it is interned later, on a goroutine of its own.
 // bulkgen.Source satisfies this.
 type BulkSource interface {
 	Next() (d index.Doc, anns map[string]string, ok bool)
@@ -59,40 +61,22 @@ type BulkStats struct {
 	Postings int64 // term postings produced
 }
 
-// batch is up to DefaultBulkBatch consecutive documents of a stream
-// and their annotations, tokenized into ps once ready is closed.
+// batch is up to DefaultBulkBatch consecutive documents of a stream,
+// the first of them doc id first, with their annotations and, once
+// tokenized, their prepared forms.
 type batch struct {
+	first int
 	docs  []index.Doc
 	anns  []map[string]string
 	ps    []*index.Prepared
-	ready chan struct{}
 }
 
-// tokenized returns src's batches in stream order, each published
-// before a tokenizer takes it; the buffer of workers, plus the batch
-// being read, bounds the lookahead at workers+1. The channel closes
-// once src is exhausted or ctx is done; wg counts the goroutines.
-func tokenized(ctx context.Context, src BulkSource, workers int, wg *sync.WaitGroup) <-chan *batch {
-	order, jobs := make(chan *batch, workers), make(chan *batch)
-	wg.Add(1 + workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			for b := range jobs {
-				b.ps = make([]*index.Prepared, len(b.docs))
-				for i, d := range b.docs {
-					b.ps[i] = index.Prepare(d)
-				}
-				close(b.ready)
-			}
-		}()
-	}
-	go func() {
-		defer wg.Done()
-		defer close(jobs)
-		defer close(order)
-		for ctx.Err() == nil {
-			b := &batch{docs: make([]index.Doc, 0, DefaultBulkBatch), anns: make([]map[string]string, 0, DefaultBulkBatch), ready: make(chan struct{})}
+// batches cuts src into batches, in stream order, until it is
+// exhausted or ctx is done.
+func batches(ctx context.Context, src BulkSource) iter.Seq[*batch] {
+	return func(yield func(*batch) bool) {
+		for first := 0; ctx.Err() == nil; first += DefaultBulkBatch {
+			b := &batch{first: first, docs: make([]index.Doc, 0, DefaultBulkBatch), anns: make([]map[string]string, 0, DefaultBulkBatch)}
 			for len(b.docs) < DefaultBulkBatch {
 				d, a, ok := src.Next()
 				if !ok {
@@ -100,18 +84,20 @@ func tokenized(ctx context.Context, src BulkSource, workers int, wg *sync.WaitGr
 				}
 				b.docs, b.anns = append(b.docs, d), append(b.anns, a)
 			}
-			if len(b.docs) == 0 {
+			if len(b.docs) == 0 || !yield(b) {
 				return
 			}
-			select {
-			case order <- b:
-			case <-ctx.Done():
-				return
-			}
-			jobs <- b // every published batch gets tokenized
 		}
-	}()
-	return order
+	}
+}
+
+// tokenize prepares every document of b.
+func tokenize(b *batch) *batch {
+	b.ps = make([]*index.Prepared, len(b.docs))
+	for i, d := range b.docs {
+		b.ps[i] = index.Prepare(d)
+	}
+	return b
 }
 
 // BulkBuild streams src into a snapshot directory at dir without ever
@@ -141,28 +127,33 @@ func BulkBuild(ctx context.Context, src BulkSource, dir string, opts BulkBuildOp
 	}
 	defer w.Abort()
 
-	// Every path joins the pipeline, and so stops reading src, first.
-	ctx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	defer func() { cancel(); wg.Wait() }()
-	for b := range tokenized(ctx, src, workers, &wg) {
-		<-b.ready
-		for i, p := range b.ps {
+	// Annotations are interned on a stage of their own, one batch after
+	// another, so doc-id order holds and interning overlaps the writer.
+	anns := index.NewAnnBuilder()
+	intern := func(b *batch) *batch {
+		for i, a := range b.anns {
+			anns.Annotate(b.first+i, a)
+		}
+		return b
+	}
+	for b := range pipe.Ordered(1, 1, pipe.Ordered(workers, workers, batches(ctx, src), tokenize), intern) {
+		for _, p := range b.ps {
 			// A stream longer than opts.Docs fails here, a shorter one
 			// at Commit: the writer holds the declared count.
-			if err := w.AddPrepared(p, b.anns[i]); err != nil {
+			if err := w.AddPrepared(p); err != nil {
 				return stats, fmt.Errorf("engine: bulk build: %w", err)
 			}
 			stats.Docs++
 			stats.Postings += int64(len(p.Terms()))
 		}
 	}
-	if err := ctx.Err(); err != nil { // a canceled reader closes the channel early
+	if err := ctx.Err(); err != nil { // a canceled reader ends the stream early
 		return stats, err
 	}
 	// No refresh signatures: the empty meta segment Save(dir, nil)
 	// writes keeps the directory byte-identical to Save's.
-	if _, err := w.Commit(workers, nil, nil, nil, nil); err != nil {
+	cols, schemas := anns.Tables()
+	if _, err := w.Commit(workers, nil, nil, cols, schemas); err != nil {
 		return stats, fmt.Errorf("engine: bulk build: %w", err)
 	}
 	return stats, nil

@@ -546,9 +546,10 @@ func (ix *Index) ExportAnnotations() ([]AnnColumn, []AnnSchema) { return ix.ann.
 
 // AnnBuilder builds annotation tables outside any index, one document
 // at a time, through Annotate's own intern core and under its contract:
-// each document once, in ascending id order. A snapshot writer fed a
-// tokenized stream builds the tables it persists with one. Not safe
-// for concurrent use.
+// each document once, in ascending id order. A bulk build
+// (engine.BulkBuild) builds the tables of the snapshot it writes with
+// one, on a pipeline stage of its own, and hands them to the snapshot
+// writer's Commit. Not safe for concurrent use.
 type AnnBuilder struct {
 	st annStore
 	lk annLookup

@@ -111,46 +111,47 @@ type Prepared struct {
 }
 
 // prepScratch is the reusable state one Prepare call needs: the
-// tokenizer (with its arena and intern table), a token buffer and a
-// counting map, all recycled through prepPool so steady-state Prepare
-// allocates only the compact Prepared itself.
+// tokenizer (with its arena and intern table), a token buffer, each
+// term's position in the term list being built, and that list, all
+// recycled through prepPool so steady-state Prepare allocates only the
+// compact Prepared itself.
 type prepScratch struct {
-	tz   textutil.Tokenizer
-	toks []string
-	tf   map[string]int32
+	tz    textutil.Tokenizer
+	toks  []string
+	at    map[string]int32
+	terms []string
+	tfs   []int32
 }
 
 var prepPool = sync.Pool{New: func() any {
-	return &prepScratch{tf: make(map[string]int32, 64)}
+	return &prepScratch{at: make(map[string]int32, 64)}
 }}
 
 // Prepare tokenizes a document for a later AddPrepared. It touches no
-// shared state.
+// shared state. Terms are listed in first-seen order.
 func Prepare(d Doc) *Prepared {
 	ps := prepPool.Get().(*prepScratch)
 	// Title terms count twice: cheap field boost.
 	toks := ps.tz.StemmedTokensInto(ps.toks[:0], d.Title)
 	nTitle := len(toks)
 	toks = ps.tz.StemmedTokensInto(toks, d.Text)
-	clear(ps.tf)
+	clear(ps.at)
+	terms, tfs := ps.terms[:0], ps.tfs[:0]
 	for i, t := range toks {
+		j, ok := ps.at[t]
+		if !ok {
+			j = int32(len(terms))
+			ps.at[t] = j
+			terms, tfs = append(terms, t), append(tfs, 0)
+		}
 		if i < nTitle {
-			ps.tf[t] += 2
+			tfs[j] += 2
 		} else {
-			ps.tf[t]++
+			tfs[j]++
 		}
 	}
-	p := &Prepared{
-		doc:   d,
-		terms: make([]string, 0, len(ps.tf)),
-		tfs:   make([]int32, 0, len(ps.tf)),
-		dl:    len(toks) + nTitle,
-	}
-	for t, n := range ps.tf {
-		p.terms = append(p.terms, t)
-		p.tfs = append(p.tfs, n)
-	}
-	ps.toks = toks[:0]
+	p := &Prepared{doc: d, terms: slices.Clone(terms), tfs: slices.Clone(tfs), dl: len(toks) + nTitle}
+	ps.toks, ps.terms, ps.tfs = toks[:0], terms[:0], tfs[:0]
 	prepPool.Put(ps)
 	return p
 }

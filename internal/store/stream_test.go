@@ -203,7 +203,7 @@ func TestWriterCrashHygiene(t *testing.T) {
 		t.Fatalf("stale temp file survived the writer's opening sweep: %v", err)
 	}
 	for i := 0; i < docs; i++ {
-		if err := w.AddPrepared(prepared(i, "shared"), nil); err != nil {
+		if err := w.AddPrepared(prepared(i, "shared")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func TestWriterCrashHygiene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.AddPrepared(prepared(0, "shared"), nil); err != nil {
+	if err := w2.AddPrepared(prepared(0, "shared")); err != nil {
 		t.Fatal(err)
 	}
 	if leftovers(t, dir) == 0 {
@@ -261,10 +261,13 @@ func TestSnapIDCoversColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.AddPrepared(index.Prepare(index.Doc{URL: "http://a.example/1", Text: "used car"}), map[string]string{"make": mk}); err != nil {
+		if err := w.AddPrepared(index.Prepare(index.Doc{URL: "http://a.example/1", Text: "used car"})); err != nil {
 			t.Fatal(err)
 		}
-		snapID, err := w.Commit(1, nil, nil, nil, nil)
+		anns := index.NewAnnBuilder()
+		anns.Annotate(0, map[string]string{"make": mk})
+		cols, schemas := anns.Tables()
+		snapID, err := w.Commit(1, nil, nil, cols, schemas)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,20 +278,18 @@ func TestSnapIDCoversColumns(t *testing.T) {
 	}
 }
 
-// A writer takes its annotation tables from one source: a writer fed
-// through AddPrepared builds its own and refuses tables handed to
-// Commit.
-func TestWriterTakesTablesFromOneSource(t *testing.T) {
+// A writer takes its posting lists from one source: a writer fed
+// through AddPrepared holds its own and refuses lists handed to Commit.
+func TestPreparedWriterRefusesResidentPostings(t *testing.T) {
 	w, err := NewWriter(t.TempDir(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	if err := w.AddPrepared(prepared(0, "shared"), map[string]string{"make": "ford"}); err != nil {
+	if err := w.AddPrepared(prepared(0, "shared")); err != nil {
 		t.Fatal(err)
 	}
-	cols, schemas := sampleColumns()
-	if _, err := w.Commit(1, nil, nil, cols, schemas); err == nil || !strings.Contains(err.Error(), "builds its own") {
-		t.Fatalf("Commit of a prepared stream handed tables: %v", err)
+	if _, err := w.Commit(1, nil, samplePostings(), nil, nil); err == nil || !strings.Contains(err.Error(), "holds its own") {
+		t.Fatalf("Commit of a prepared stream handed posting lists: %v", err)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync"
 
 	"deepweb/internal/index"
+	"deepweb/internal/pipe"
 )
 
 // Writer is the one way a snapshot directory's index segments get
@@ -17,24 +17,22 @@ import (
 // write the columns segment and one postings segment per shard, each
 // stamped with the snapshot id, and meta last — and the term→segment
 // placement, shardOf. A row arrives in the docs segment's encoding
-// (index.AppendRow), and the annotation tables are those an
-// index.AnnBuilder fed every document in doc-id order builds, which is
-// how a live index's append-only store is written too. The two
-// producers of snapshots differ only in where rows, postings and
-// tables come from:
+// (index.AppendRow), and the annotation tables, handed to Commit, are
+// those an index.AnnBuilder fed every document in doc-id order builds,
+// which is how a live index's append-only store is written too. The
+// two producers of snapshots differ only in where rows and postings
+// come from:
 //
 //   - a live index (engine.Save) hands AddRow every row as it holds it,
-//     in id order, and Commit its resident posting lists and its
-//     annotation tables, written as they are;
+//     in id order, and Commit its resident posting lists;
 //
 //   - a tokenized stream (engine.BulkBuild) feeds AddPrepared, which
 //     encodes the row, has Commit check its URL (an index's URLs are
-//     distinct already), interns the annotations through the writer's
-//     own AnnBuilder and appends the postings to one in-memory term
+//     distinct already) and appends the postings to one in-memory term
 //     map, whose lists Commit sorts by term and writes as it writes a
-//     live index's. Rows stream to disk; the postings and the
-//     annotation tables stay resident until Commit, which is what a
-//     server of the snapshot holds anyway.
+//     live index's. Rows stream to disk; the postings stay resident
+//     until Commit, which is what a server of the snapshot holds
+//     anyway.
 //
 // Commit places every term by shardOf whichever path it came in by, so
 // Save and BulkBuild of the same corpus write byte-identical
@@ -50,14 +48,7 @@ type Writer struct {
 	shards   int
 	docs     *docsWriter
 	row      []byte // the row AddRow or AddPrepared is writing
-	prepared bool   // fed through AddPrepared: it builds its own tables
-
-	// The annotation tables are interned off the caller's goroutine, a
-	// batch at a time and one batch after another, so doc-id order
-	// holds and the interning overlaps whatever feeds the writer.
-	anns     *index.AnnBuilder
-	pending  []annotated   // documents' annotations not yet handed off
-	interned chan struct{} // closed once the batch handed off last is interned
+	prepared bool   // fed through AddPrepared: it holds its own postings
 
 	// AddPrepared's postings: each term's ascending list, in first-seen
 	// order, and where each term's list is, so a posting costs one map
@@ -66,15 +57,6 @@ type Writer struct {
 	terms []index.TermPostings
 	done  bool // committed: Abort is a no-op
 }
-
-// annotated is one document's annotations, waiting to be interned.
-type annotated struct {
-	id   int
-	anns map[string]string
-}
-
-// annBatch is how many annotated documents are handed off at a time.
-const annBatch = 1024
 
 // NewWriter prepares dir for a snapshot of exactly docs documents over
 // shards posting shards.
@@ -96,7 +78,6 @@ func NewWriter(dir string, shards, docs int) (*Writer, error) {
 		dir:    dir,
 		shards: shards,
 		docs:   dw,
-		anns:   index.NewAnnBuilder(),
 		at:     map[string]int{},
 	}, nil
 }
@@ -109,44 +90,14 @@ func (w *Writer) AddRow(row string) error {
 	return w.docs.Add(w.row)
 }
 
-// handOff starts interning the pending annotations on a goroutine of
-// their own, once the batch handed off before them is interned.
-func (w *Writer) handOff() {
-	w.waitInterned()
-	batch, done := w.pending, make(chan struct{})
-	w.pending, w.interned = make([]annotated, 0, annBatch), done
-	go func() {
-		defer close(done)
-		for _, a := range batch {
-			w.anns.Annotate(a.id, a.anns)
-		}
-	}()
-}
-
-// waitInterned returns once every handed-off batch is interned.
-func (w *Writer) waitInterned() {
-	if w.interned != nil {
-		<-w.interned
-		w.interned = nil
-	}
-}
-
 // AddPrepared appends the next document of a tokenized stream: its
-// docs-segment row, its annotations (nil for none) to the writer's
-// annotation tables, and its postings to the writer's term map. The
-// writer reads anns until Commit or Abort returns: the caller must not
-// change it before then.
-func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
+// docs-segment row, and its postings to the writer's term map.
+func (w *Writer) AddPrepared(p *index.Prepared) error {
 	id := w.docs.n
 	w.prepared = true
 	w.row = index.AppendRow(w.row[:0], p.Doc(), p.DocLen())
 	if err := w.docs.AddChecked(w.row); err != nil {
 		return err
-	}
-	if len(anns) > 0 {
-		if w.pending = append(w.pending, annotated{id, anns}); len(w.pending) == annBatch {
-			w.handOff()
-		}
 	}
 	tfs := p.TermFreqs()
 	for j, t := range p.Terms() {
@@ -164,24 +115,21 @@ func (w *Writer) AddPrepared(p *index.Prepared, anns map[string]string) error {
 // Commit finishes the snapshot: the docs segment is closed — failing on
 // a URL AddPrepared brought twice — and renamed into place, stamped
 // with the snapshot id, the CRC of its body and the columns body; then
-// the columns segment and each shard's postings segment — the posting
-// lists, sorted by term, that shardOf places there — are written
-// stamped with that id, the postings on up to workers goroutines; then
-// the meta segment carrying sites. The postings and the columns
-// segment come from resident, cols and schemas (as index.Index's
-// ExportTerms and ExportAnnotations hand them out) or, for a writer
-// fed through AddPrepared, which must be handed none, from what it
-// accumulated. It returns the snapshot id.
+// the columns segment, encoded from cols and schemas (as
+// index.Index's ExportAnnotations or an index.AnnBuilder hands them
+// out), and each shard's postings segment — the posting lists that
+// shardOf places there, sorted by term — are written stamped with that
+// id, the shards on up to workers goroutines; then the meta segment
+// carrying sites. The postings are resident (as index.Index's
+// ExportTerms hands them out) or, for a writer fed through
+// AddPrepared, which must be handed none, what it accumulated. It
+// returns the snapshot id.
 func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPostings, cols []index.AnnColumn, schemas []index.AnnSchema) (snapID uint32, err error) {
-	w.handOff()
-	w.waitInterned()
 	if w.prepared {
-		if resident != nil || cols != nil || schemas != nil {
-			return 0, errors.New("store: commit: postings or annotation tables handed to a writer that builds its own")
+		if resident != nil {
+			return 0, errors.New("store: commit: posting lists handed to a writer that holds its own")
 		}
-		cols, schemas = w.anns.Tables()
 		resident = w.terms
-		slices.SortFunc(resident, func(a, b index.TermPostings) int { return strings.Compare(a.Term, b.Term) })
 		w.at, w.terms = nil, nil
 	}
 	// Each shard's list is sized once, from a first pass that counts
@@ -208,7 +156,8 @@ func (w *Writer) Commit(workers int, sites []SiteMeta, resident []index.TermPost
 	if err := writeColumns(ColumnsPath(w.dir), w.docs.n, snapID, columns); err != nil {
 		return 0, fmt.Errorf("columns: %w", err)
 	}
-	err = forEachShard(workers, w.shards, func(si int) error {
+	err = pipe.Each(workers, w.shards, func(si int) error {
+		slices.SortFunc(placed[si], func(a, b index.TermPostings) int { return strings.Compare(a.Term, b.Term) })
 		return WritePostings(PostingsPath(w.dir, si), w.shards, si, w.docs.n, snapID, placed[si])
 	})
 	if err != nil {
@@ -229,7 +178,6 @@ func (w *Writer) Abort() {
 	if w.done {
 		return
 	}
-	w.waitInterned()
 	w.docs.Abort()
 	_ = CleanTmp(w.dir) // best effort: the next writer's opening sweep retries
 }
@@ -241,15 +189,16 @@ func (w *Writer) Abort() {
 // header, whose SnapID is the snapshot's generation.
 //
 // The docs header is read first, for the shard count. Then every
-// segment is decoded at once, on up to 2+workers goroutines: the rows
-// (readRows) into ImportRows, which keeps the docs body as the document
-// table; the columns into InstallAnnotations; the postings into lists
-// that one ImportTerms installs once the jobs are joined. Every other
-// header must agree with the docs header (sameSnapshot), so segments
-// of different generations fail even when each decodes cleanly. A
-// damaged snapshot fails with the first job's error: rows, annotations,
-// then postings in segment order; a term in two segments fails after
-// them. The meta and tables segments are left unread.
+// segment is decoded at once, on up to 2+workers goroutines
+// (pipe.Each): the rows (readRows) into ImportRows, which keeps the
+// docs body as the document table; the columns into
+// InstallAnnotations; the postings into lists that one ImportTerms
+// installs once the jobs are joined. Every other header must agree
+// with the docs header (sameSnapshot), so segments of different
+// generations fail even when each decodes cleanly. A damaged snapshot
+// fails with the first failing job's error, in the order rows,
+// annotations, then postings in segment order; a term in two segments
+// fails after them. The meta and tables segments are left unread.
 func Load(dir string, workers int) (*index.Builder, Header, error) {
 	docsPath := DocsPath(dir)
 	hdr, err := peekHeader(docsPath, KindDocs)
@@ -261,7 +210,7 @@ func Load(dir string, workers int) (*index.Builder, Header, error) {
 	// Job 0 is the rows, job 1 the annotation tables, job 2+si
 	// postings segment si, installed together once every job is done.
 	segs := make([][]index.TermPostings, hdr.Shards)
-	err = forEachShard(2+workers, 2+int(hdr.Shards), func(job int) error {
+	err = pipe.Each(2+workers, 2+int(hdr.Shards), func(job int) error {
 		switch job {
 		case 0:
 			rows, h, err := readRows(docsPath)
@@ -331,39 +280,4 @@ func shardOf(term string, shards int) int {
 		h *= prime64
 	}
 	return int(h % uint64(shards))
-}
-
-// forEachShard runs fn over every shard id, handed out in ascending
-// order, on up to workers goroutines and returns the first error (by
-// shard order). Writer and Load parallelize through it.
-func forEachShard(workers, shards int, fn func(si int) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > shards {
-		workers = shards
-	}
-	errs := make([]error, shards)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for si := range jobs {
-				errs[si] = fn(si)
-			}
-		}()
-	}
-	for si := 0; si < shards; si++ {
-		jobs <- si
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -21,7 +21,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"sync"
+	"slices"
 	"time"
 
 	"deepweb/internal/core"
@@ -29,6 +29,7 @@ import (
 	"deepweb/internal/engine"
 	"deepweb/internal/form"
 	"deepweb/internal/index"
+	"deepweb/internal/pipe"
 	"deepweb/internal/resilient"
 	"deepweb/internal/semserv"
 	"deepweb/internal/store"
@@ -308,10 +309,9 @@ func (s *Surfacer) Surface(ctx context.Context, req SurfaceRequest) (SurfaceResp
 	return SurfaceResponse{Sites: reports, Degraded: anyNotOK(reports)}, err
 }
 
-// siteOutcome is everything one site's pipeline pass produced, parked
+// siteOutcome is everything one site's pipeline pass produced, held
 // until the ordered commit point reaches its position.
 type siteOutcome struct {
-	pos    int
 	host   string
 	res    *core.Result
 	sink   *stagedSink
@@ -352,96 +352,52 @@ type pipelineRun struct {
 // before the abort; traffic that other workers issued after it is not
 // reported, and only committed results are worker-timing-independent.
 //
-// Cancellation drains cleanly: every dispatched job yields exactly one
-// outcome (a canceled worker reports ctx.Err() instead of surfacing),
-// so the ordered loop always receives len(sites) outcomes and the
-// WaitGroup always settles — no goroutine leaks, no deadlock.
+// Sites are surfaced on up to Workers goroutines (pipe.Ordered, with
+// every site read up front, so a slow site holds up no later one's
+// start) and their outcomes arrive here in site order; a site started
+// after the run context ended reports ctx.Err() instead of surfacing.
+// The pool is joined before this returns, and a run whose context
+// ended returns its error even when every site finished.
 func (s *Surfacer) surfacePipeline(ctx context.Context, sites []*webgen.Site, run pipelineRun) (map[string]SiteReport, error) {
 	reports := make(map[string]SiteReport, len(sites))
-	if len(sites) == 0 {
-		return reports, ctx.Err()
-	}
-	workers := s.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(sites) {
-		workers = len(sites)
-	}
-
-	jobs := make(chan int)
-	outcomes := make(chan *siteOutcome, len(sites))
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pos := range jobs {
-				if err := ctx.Err(); err != nil {
-					outcomes <- &siteOutcome{pos: pos, host: sites[pos].Spec.Host, err: err}
-					continue
-				}
-				out := s.surfaceOne(ctx, sites[pos], run)
-				out.pos = pos
-				outcomes <- out
-			}
-		}()
-	}
-	go func() {
-		for pos := range sites {
-			jobs <- pos
+	outcomes := pipe.Ordered(s.Workers, len(sites), slices.Values(sites), func(site *webgen.Site) *siteOutcome {
+		if err := ctx.Err(); err != nil {
+			return &siteOutcome{host: site.Spec.Host, err: err}
 		}
-		close(jobs)
-	}()
-
-	// Ordered commit: park outcomes until their position is next.
-	parked := make(map[int]*siteOutcome, len(sites))
-	next := 0
-	var firstErr error
-	for received := 0; received < len(sites); received++ {
-		o := <-outcomes
-		parked[o.pos] = o
-		for out, ok := parked[next]; ok; out, ok = parked[next] {
-			delete(parked, next)
-			next++
-			if firstErr != nil {
-				continue
+		return s.surfaceOne(ctx, site, run)
+	})
+	for out := range outcomes {
+		if out.err != nil {
+			// Discriminate abort from failure via the run context,
+			// not the error value: per-fetch timeouts also surface
+			// deadline errors, but only the run context ending
+			// means the caller wants out.
+			if ctx.Err() != nil {
+				return reports, fmt.Errorf("surface %s: %w", out.host, out.err)
 			}
-			if out.err != nil {
-				// Discriminate abort from failure via the run context,
-				// not the error value: per-fetch timeouts also surface
-				// deadline errors, but only the run context ending
-				// means the caller wants out.
-				if ctx.Err() != nil {
-					firstErr = fmt.Errorf("surface %s: %w", out.host, out.err)
-					continue
-				}
-				rep := out.report
-				rep.Err = out.err.Error()
-				if resilient.ClassOf(out.err) == resilient.ClassPermanent {
-					rep.Status = SiteFailedPermanent
-				} else {
-					rep.Status = SiteFailedTransient
-					// Whatever signature a prior pass recorded no longer
-					// reflects an intact corpus entry; drop it so the
-					// next Refresh re-drives this site.
-					delete(s.siteSignatures, out.host)
-				}
-				reports[out.host] = rep
-				continue
-			}
-			run.commit(out)
-			if out.report.Status == SiteDegraded {
-				// Committed, but with fetch losses: leave the signature
-				// unrecorded so the next Refresh heals the gaps.
+			rep := out.report
+			rep.Err = out.err.Error()
+			if resilient.ClassOf(out.err) == resilient.ClassPermanent {
+				rep.Status = SiteFailedPermanent
+			} else {
+				rep.Status = SiteFailedTransient
+				// Whatever signature a prior pass recorded no longer
+				// reflects an intact corpus entry; drop it so the
+				// next Refresh re-drives this site.
 				delete(s.siteSignatures, out.host)
 			}
-			reports[out.host] = out.report
+			reports[out.host] = rep
+			continue
 		}
+		run.commit(out)
+		if out.report.Status == SiteDegraded {
+			// Committed, but with fetch losses: leave the signature
+			// unrecorded so the next Refresh heals the gaps.
+			delete(s.siteSignatures, out.host)
+		}
+		reports[out.host] = out.report
 	}
-	wg.Wait()
-	return reports, firstErr
+	return reports, ctx.Err()
 }
 
 // commitOutcome is the standard bookkeeping for one successfully
